@@ -25,7 +25,9 @@ use er_core::parallel::Parallelism;
 use er_datagen::loaders::{DatasetBuilder, DelimitedSchema, LoadedScenario};
 use er_datagen::DirtyDataset;
 use er_metablocking::{PruningScheme, WeightingScheme};
-use er_pipeline::{BlockingStage, CleaningStage, MatchingStage, MetaBlockingStage, Pipeline};
+use er_pipeline::{
+    BlockingStage, CleaningStage, MatchingStage, MetaBlockingStage, Pipeline, RecoveryOptions,
+};
 
 // ---------------------------------------------------------------------------
 // Registry
@@ -282,13 +284,20 @@ pub fn run_matrix(scenarios: &[&Scenario], threads: usize, obs: &Obs) -> Vec<Cel
                     .parallelism(par)
                     .observability(obs.clone())
                     .build();
-                let candidates = pipeline.candidates(&loaded.collection);
+                // One walk per cell: the fault-tolerant entry point hands
+                // back the schedule next to the resolution.
+                let outcome = pipeline
+                    .run_with_recovery(&loaded.collection, &RecoveryOptions::default())
+                    .unwrap_or_else(|e| panic!("{}/{blocking}/{weighting}: {e}", scenario.name));
+                let candidates = outcome
+                    .scheduled
+                    .expect("a run that resumes from no checkpoint carries its schedule");
                 let bq = BlockingQuality::measure(
                     &candidates,
                     &loaded.truth,
                     loaded.collection.total_possible_comparisons(),
                 );
-                let resolution = pipeline.run(&loaded.collection);
+                let resolution = outcome.resolution;
                 let mq = resolution.evaluate(loaded.collection.len(), &loaded.truth);
                 let mut cell = CellResult {
                     scenario: scenario.name,

@@ -11,6 +11,7 @@
 
 use crate::block::{blocks_from_keys, BlockCollection};
 use er_core::collection::EntityCollection;
+use er_core::intern::Fnv1a;
 use er_core::tokenize::Tokenizer;
 
 /// MinHash-LSH blocking with `bands` bands of `rows` rows.
@@ -59,7 +60,7 @@ impl MinHashBlocking {
         let n = self.bands * self.rows;
         let mut sig = vec![u64::MAX; n];
         for t in tokens {
-            let base = fnv1a(t.as_bytes());
+            let base = Fnv1a::hash(t.as_bytes());
             for (i, slot) in sig.iter_mut().enumerate() {
                 // One cheap independent hash per signature position.
                 let h = mix(base ^ self.seed.wrapping_add((i as u64) << 32));
@@ -91,16 +92,6 @@ impl MinHashBlocking {
                 .collect::<Vec<_>>()
         }))
     }
-}
-
-/// FNV-1a over bytes.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// SplitMix64 finalizer.

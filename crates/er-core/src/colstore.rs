@@ -48,13 +48,14 @@
 //! to zero when the last reader drops.
 
 use crate::entity::{EntityBuilder, EntityId, KbId};
-use crate::intern::{Interner, Symbol};
+use crate::intern::{Fnv1a, Interner, Symbol};
 use crate::obs::Obs;
 use crate::resource::{MemoryBudget, ResourceError};
 use crate::{EntityCollection, ResolutionMode};
 use std::collections::HashMap;
 use std::fmt;
 use std::fs::{self, File};
+use std::hash::Hasher;
 use std::io::{BufWriter, Read, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -89,30 +90,6 @@ pub const KIND_DESC: u32 = 4;
 pub const POSTING_BYTES: u64 = 8;
 /// Bytes of one on-disk edge record.
 pub const EDGE_BYTES: u64 = 20;
-
-/// Streaming FNV-1a, the segment checksum (the interner's hash, reused so
-/// the whole repo speaks one deterministic hash dialect).
-#[derive(Clone, Copy)]
-struct Fnv64(u64);
-
-impl Fnv64 {
-    fn new() -> Fnv64 {
-        Fnv64(0xcbf2_9ce4_8422_2325)
-    }
-
-    fn update(&mut self, bytes: &[u8]) {
-        let mut h = self.0;
-        for &b in bytes {
-            h ^= u64::from(b);
-            h = h.wrapping_mul(0x0100_0000_01b3);
-        }
-        self.0 = h;
-    }
-
-    fn finish(self) -> u64 {
-        self.0
-    }
-}
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -338,7 +315,7 @@ pub struct SegmentWriter {
     path: PathBuf,
     tmp: PathBuf,
     out: BufWriter<File>,
-    hash: Fnv64,
+    hash: Fnv1a,
     offset: u64,
     sections: u64,
 }
@@ -369,7 +346,7 @@ impl SegmentWriter {
             path,
             tmp,
             out: BufWriter::new(file),
-            hash: Fnv64::new(),
+            hash: Fnv1a::default(),
             offset: 0,
             sections: 0,
         };
@@ -388,7 +365,7 @@ impl SegmentWriter {
             offset: self.offset,
             reason: e.to_string(),
         })?;
-        self.hash.update(bytes);
+        self.hash.write(bytes);
         self.offset += bytes.len() as u64;
         Ok(())
     }
@@ -837,7 +814,7 @@ impl Segment {
         }
         // Streaming checksum over [0, payload_end).
         {
-            let mut hasher = Fnv64::new();
+            let mut hasher = Fnv1a::default();
             let mut reader = File::open(&path).map_err(|e| SegmentError::Io {
                 path: path.clone(),
                 offset: 0,
@@ -855,7 +832,7 @@ impl Segment {
                         offset: at,
                         reason: e.to_string(),
                     })?;
-                hasher.update(&buf[..take]);
+                hasher.write(&buf[..take]);
                 at += take as u64;
                 remaining -= take as u64;
             }
@@ -1402,15 +1379,15 @@ impl OocConfig {
 /// the per-entity KB/arity shape), stamped into spill segments so a reader
 /// can never merge runs produced from a different collection.
 pub fn collection_fingerprint(collection: &EntityCollection) -> u64 {
-    let mut h = Fnv64::new();
-    h.update(&(collection.len() as u64).to_le_bytes());
-    h.update(&[match collection.mode() {
+    let mut h = Fnv1a::default();
+    h.write(&(collection.len() as u64).to_le_bytes());
+    h.write(&[match collection.mode() {
         ResolutionMode::Dirty => 0u8,
         ResolutionMode::CleanClean => 1u8,
     }]);
     for e in collection.iter() {
-        h.update(&e.kb().0.to_le_bytes());
-        h.update(&(e.attributes().len() as u32).to_le_bytes());
+        h.write(&e.kb().0.to_le_bytes());
+        h.write(&(e.attributes().len() as u32).to_le_bytes());
     }
     h.finish()
 }

@@ -19,12 +19,25 @@
 
 use std::collections::HashMap;
 
-/// FNV-1a, the interner's hash. Tokens are short, bounded, normalized
+/// Streaming 64-bit FNV-1a — the interner's hash, and the workspace's one
+/// deterministic hash: segment checksums, collection / checkpoint / protocol
+/// fingerprints and MinHash token hashes all feed this hasher through
+/// [`std::hash::Hasher::write`]. Tokens are short, bounded, normalized
 /// strings, so SipHash's HashDoS resistance buys nothing while its setup
 /// cost dominates on 4–12-byte keys; FNV-1a is a multiply-xor per byte and
 /// fully deterministic across runs.
 #[derive(Clone, Copy)]
 pub struct Fnv1a(u64);
+
+impl Fnv1a {
+    /// FNV-1a of one byte string.
+    pub fn hash(bytes: &[u8]) -> u64 {
+        use std::hash::Hasher;
+        let mut h = Fnv1a::default();
+        h.write(bytes);
+        h.finish()
+    }
+}
 
 impl Default for Fnv1a {
     fn default() -> Self {

@@ -6,11 +6,12 @@
 //! but the job demonstrates — and the tests verify — that the parallel
 //! result is identical to sequential [`TokenBlocking`].
 
-use crate::engine::{JobStats, MapReduce};
+use crate::engine::{JobStats, MapReduce, INFALLIBLE_JOB};
 use er_blocking::block::{Block, BlockCollection};
 use er_blocking::TokenBlocking;
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
+use er_core::fault::ExecPolicy;
 use er_core::tokenize::Tokenizer;
 
 /// Parallel token blocking over `workers` threads.
@@ -38,21 +39,24 @@ impl ParallelTokenBlocking {
             .iter()
             .map(|e| (e.id(), e.token_set(&self.tokenizer).into_iter().collect()))
             .collect();
-        let (blocks, stats) = mr.run(
-            inputs,
-            |(id, tokens), emit| {
-                for t in tokens {
-                    emit(t, id);
-                }
-            },
-            |token, ids| {
-                if ids.len() >= 2 {
-                    vec![Block::new(token.clone(), ids)]
-                } else {
-                    vec![]
-                }
-            },
-        );
+        let (blocks, stats) = mr
+            .try_run(
+                &inputs,
+                &ExecPolicy::default(),
+                |(id, tokens), emit| {
+                    for t in tokens {
+                        emit(t.clone(), *id);
+                    }
+                },
+                |token, ids| {
+                    if ids.len() >= 2 {
+                        vec![Block::new(token.clone(), ids.to_vec())]
+                    } else {
+                        vec![]
+                    }
+                },
+            )
+            .expect(INFALLIBLE_JOB);
         (BlockCollection::new(blocks), stats)
     }
 

@@ -15,25 +15,27 @@
 //!
 //! # Fault tolerance
 //!
-//! The `run*` methods assume an infallible runtime: a panicking task kills
-//! the job, exactly like the seed engine. The `try_run*` methods execute
-//! every map and reduce task under an [`ExecPolicy`]
-//! (`er_core::fault`): per-task panics and transient errors are caught and
-//! the *failed task only* is retried with exponential backoff and
-//! deterministic jitter; stragglers optionally get a speculative backup
+//! Every entry point executes its map and reduce tasks under an
+//! [`ExecPolicy`] (`er_core::fault`): per-task panics and transient errors
+//! are caught and the *failed task only* is retried with exponential backoff
+//! and deterministic jitter; stragglers optionally get a speculative backup
 //! attempt whose result is taken by **identity, not timing** (both attempts
 //! run the same pure function over the same input, so whichever finishes
 //! first writes the one possible value). Any run that completes is therefore
 //! bit-identical to the fault-free run — the same contract
 //! `docs/parallelism.md` establishes for thread counts, extended to failure
 //! schedules. A task that exhausts its attempts surfaces as [`ExecError`]
-//! instead of panicking.
+//! instead of panicking; under `ExecPolicy::default()` nothing is injected
+//! or speculated and the policy costs one `catch_unwind` per task.
+//!
+//! There is one job walk (`run_job`); the entry points differ only in the
+//! mapper-side `PartitionBuffer` they hand it.
 
 use crate::spill::{ShuffleBounds, SpillCodec};
 use er_core::codec::{escape, unescape, LineCodec};
 use er_core::fault::ExecPolicy;
-use std::collections::hash_map::DefaultHasher;
-use std::collections::VecDeque;
+use std::collections::hash_map::{DefaultHasher, Entry};
+use std::collections::{HashMap, VecDeque};
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -51,9 +53,9 @@ pub struct JobStats {
     pub combined_records: u64,
     /// Distinct keys seen by reducers.
     pub reduce_groups: u64,
-    /// Retry attempts scheduled after task failures (`try_run*` only).
+    /// Retry attempts scheduled after task failures.
     pub tasks_retried: u64,
-    /// Speculative backup attempts launched for stragglers (`try_run*` only).
+    /// Speculative backup attempts launched for stragglers.
     pub tasks_speculated: u64,
     /// Faults fired by the policy's injector during this job.
     pub faults_injected: u64,
@@ -117,6 +119,12 @@ impl std::fmt::Display for ExecError {
 }
 
 impl std::error::Error for ExecError {}
+
+/// `expect` message of the in-crate jobs that run under
+/// `ExecPolicy::default()` behind an infallible signature: nothing is
+/// injected there, so an [`ExecError`] means a map or reduce function of this
+/// crate panicked on every attempt — a bug, reported with the typed error.
+pub(crate) const INFALLIBLE_JOB: &str = "in-crate job failed under the default policy";
 
 /// Retry/speculation accounting of one stage.
 #[derive(Clone, Copy, Debug, Default)]
@@ -410,336 +418,118 @@ pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// A configured MapReduce job. `I` is the input record type, `K`/`V` the
-/// intermediate key/value types, `R` the reducer output type.
-pub struct MapReduce<I, K, V, R> {
-    workers: usize,
-    _marker: std::marker::PhantomData<(I, K, V, R)>,
+/// The mapper-side buffer of one reduce partition — the one thing the three
+/// job families (grouping, spill-bounded grouping, folding) differ in.
+///
+/// [`run_job`] pushes every emitted record into the buffer of its key's
+/// partition, seals the buffers when the map task ends and drains them
+/// reduce-side in mapper order, so the per-key value order — and with it the
+/// output — is the same whichever buffer a job uses.
+trait PartitionBuffer<K, V> {
+    /// What a reducer sees per key: the value list when grouping, the
+    /// accumulator when folding.
+    type Group;
+
+    /// Absorbs one emitted record.
+    fn push(&mut self, key: K, value: V);
+
+    /// Ends the map task; returns the records this buffer sends through the
+    /// shuffle (`JobStats::combined_records`).
+    fn seal(&mut self) -> u64;
+
+    /// `(spill events, records spilled)` of this buffer.
+    fn spilled(&self) -> (u64, u64) {
+        (0, 0)
+    }
+
+    /// Drains the buffer into its partition's merged groups. Only a buffer
+    /// that replays from disk can fail; the message becomes a
+    /// `"shuffle"`-stage [`ExecError`].
+    fn drain_into(self, merged: &mut HashMap<K, Self::Group>) -> Result<(), String>;
 }
 
-impl<I, K, V, R> MapReduce<I, K, V, R>
+/// Groups values per key, with an optional combiner applied when the map
+/// task ends (per mapper, per key — Hadoop's contract).
+struct Grouping<'a, K, V, CF> {
+    groups: HashMap<K, Vec<V>>,
+    combine: Option<&'a CF>,
+}
+
+impl<K, V, CF> PartitionBuffer<K, V> for Grouping<'_, K, V, CF>
 where
-    I: Send,
-    K: Ord + Hash + Clone + Send,
-    V: Send,
-    R: Send,
+    K: Eq + Hash,
+    CF: Fn(&K, Vec<V>) -> Vec<V>,
 {
-    /// Creates a job runner with `workers ≥ 1` mapper/reducer threads.
-    pub fn new(workers: usize) -> Self {
-        assert!(workers >= 1, "need at least one worker");
-        MapReduce {
-            workers,
-            _marker: std::marker::PhantomData,
-        }
+    type Group = Vec<V>;
+
+    fn push(&mut self, key: K, value: V) {
+        self.groups.entry(key).or_default().push(value);
     }
 
-    /// Runs the job without a combiner.
-    pub fn run<MF, RF>(&self, inputs: Vec<I>, map_fn: MF, reduce_fn: RF) -> (Vec<R>, JobStats)
-    where
-        MF: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        RF: Fn(&K, Vec<V>) -> Vec<R> + Sync,
-    {
-        self.run_with_combiner(inputs, map_fn, None::<fn(&K, Vec<V>) -> Vec<V>>, reduce_fn)
+    fn seal(&mut self) -> u64 {
+        if let Some(combine) = self.combine {
+            for (k, vs) in self.groups.iter_mut() {
+                *vs = combine(k, std::mem::take(vs));
+            }
+        }
+        self.groups.values().map(|vs| vs.len() as u64).sum()
     }
 
-    /// Runs the job with an optional combiner applied per mapper per key.
-    pub fn run_with_combiner<MF, CF, RF>(
-        &self,
-        inputs: Vec<I>,
-        map_fn: MF,
-        combine_fn: Option<CF>,
-        reduce_fn: RF,
-    ) -> (Vec<R>, JobStats)
-    where
-        MF: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        CF: Fn(&K, Vec<V>) -> Vec<V> + Sync,
-        RF: Fn(&K, Vec<V>) -> Vec<R> + Sync,
-    {
-        let workers = self.workers;
-        let n_inputs = inputs.len();
-        // ---- map phase -----------------------------------------------------
-        // Each mapper produces one HashMap per reduce partition.
-        let chunk = n_inputs.div_ceil(workers).max(1);
-        let mut input_chunks: Vec<Vec<I>> = Vec::new();
-        let mut it = inputs.into_iter();
-        loop {
-            let c: Vec<I> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            input_chunks.push(c);
-        }
-        let map_fn = &map_fn;
-        let combine_fn = &combine_fn;
-        /// One map per reduce partition.
-        type Shuffle<K, V> = Vec<std::collections::HashMap<K, Vec<V>>>;
-        let mut mapper_outputs: Vec<(Shuffle<K, V>, u64, u64)> = Vec::new();
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = input_chunks
-                .into_iter()
-                .map(|chunk_inputs| {
-                    s.spawn(move |_| {
-                        let mut partitions: Shuffle<K, V> = (0..workers)
-                            .map(|_| std::collections::HashMap::new())
-                            .collect();
-                        let mut emitted = 0u64;
-                        for input in chunk_inputs {
-                            let mut emit = |k: K, v: V| {
-                                emitted += 1;
-                                let p = partition_of(&k, workers);
-                                partitions[p].entry(k).or_default().push(v);
-                            };
-                            map_fn(input, &mut emit);
-                        }
-                        // Combiner: local reduction per key.
-                        let mut combined = emitted;
-                        if let Some(cf) = combine_fn {
-                            combined = 0;
-                            for part in &mut partitions {
-                                for (k, vs) in part.iter_mut() {
-                                    let taken = std::mem::take(vs);
-                                    *vs = cf(k, taken);
-                                    combined += vs.len() as u64;
-                                }
-                            }
-                        }
-                        (partitions, emitted, combined)
-                    })
-                })
-                .collect();
-            for h in handles {
-                mapper_outputs.push(h.join().expect("mapper thread panicked"));
-            }
-        })
-        .expect("map phase scope failed");
-
-        let map_output_records: u64 = mapper_outputs.iter().map(|(_, e, _)| e).sum();
-        let combined_records: u64 = mapper_outputs.iter().map(|(_, _, c)| c).sum();
-
-        // ---- shuffle: transpose mapper outputs to per-partition lists ------
-        // (pointer moves only; the actual merge happens inside the parallel
-        // reduce phase so a skewed key space cannot serialize the job).
-        let mut partition_inputs: Vec<Vec<std::collections::HashMap<K, Vec<V>>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (mapper_parts, _, _) in mapper_outputs {
-            for (p, m) in mapper_parts.into_iter().enumerate() {
-                partition_inputs[p].push(m);
-            }
-        }
-
-        // ---- reduce phase (merge + reduce per partition, in parallel) ------
-        let reduce_fn = &reduce_fn;
-        // Per reducer: (key → reduced records) plus its group count.
-        type ReducerOutput<K, R> = (Vec<(K, Vec<R>)>, u64);
-        let mut reducer_outputs: Vec<ReducerOutput<K, R>> = Vec::new();
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = partition_inputs
-                .into_iter()
-                .map(|maps| {
-                    s.spawn(move |_| {
-                        let mut merged: std::collections::HashMap<K, Vec<V>> =
-                            std::collections::HashMap::new();
-                        for m in maps {
-                            for (k, mut vs) in m {
-                                merged.entry(k).or_default().append(&mut vs);
-                            }
-                        }
-                        let groups = merged.len() as u64;
-                        // Sort keys for deterministic reduce order.
-                        let mut entries: Vec<(K, Vec<V>)> = merged.into_iter().collect();
-                        entries.sort_by(|a, b| a.0.cmp(&b.0));
-                        let out: Vec<(K, Vec<R>)> = entries
-                            .into_iter()
-                            .map(|(k, vs)| {
-                                let r = reduce_fn(&k, vs);
-                                (k, r)
-                            })
-                            .collect();
-                        (out, groups)
-                    })
-                })
-                .collect();
-            for h in handles {
-                reducer_outputs.push(h.join().expect("reducer thread panicked"));
-            }
-        })
-        .expect("reduce phase scope failed");
-
-        let reduce_groups: u64 = reducer_outputs.iter().map(|(_, g)| g).sum();
-
-        // Merge in global key order for worker-count independence.
-        let mut keyed: Vec<(K, Vec<R>)> =
-            reducer_outputs.into_iter().flat_map(|(o, _)| o).collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
-        (
-            results,
-            JobStats {
-                map_output_records,
-                combined_records,
-                reduce_groups,
-                ..JobStats::default()
-            },
-        )
+    fn drain_into(self, merged: &mut HashMap<K, Vec<V>>) -> Result<(), String> {
+        merge_table(merged, self.groups, |vs, more| vs.extend(more));
+        Ok(())
     }
 }
 
-/// Fault-tolerant variants. A failed or speculated task must be able to
-/// re-read its shared input, so the closures borrow instead of consuming:
-/// map tasks re-borrow their input chunk (hence `map_fn` takes `&I`) and
-/// reduce tasks re-borrow their merged key groups (hence `reduce_fn` takes
-/// `&[V]`, not `Vec<V>`). That keeps the fault-free path clone-free and
-/// cost-equal to `run`.
-impl<I, K, V, R> MapReduce<I, K, V, R>
-where
-    I: Send + Sync,
-    K: Ord + Hash + Clone + Send + Sync,
-    V: Send + Sync,
-    R: Send,
-{
-    /// Fault-tolerant [`run`](MapReduce::run): executes under `policy`,
-    /// retrying failed tasks and (optionally) speculating on stragglers.
-    /// A completed run is bit-identical to the fault-free `run`; a task that
-    /// exhausts its attempts yields an [`ExecError`] instead of panicking.
-    pub fn try_run<MF, RF>(
-        &self,
-        inputs: &[I],
-        policy: &ExecPolicy,
-        map_fn: MF,
-        reduce_fn: RF,
-    ) -> Result<(Vec<R>, JobStats), ExecError>
-    where
-        MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-        RF: Fn(&K, &[V]) -> Vec<R> + Sync,
-    {
-        self.try_run_with_combiner(
-            inputs,
-            policy,
-            map_fn,
-            None::<fn(&K, Vec<V>) -> Vec<V>>,
-            reduce_fn,
-        )
+/// Merges one mapper's table into its partition's merged groups.
+fn merge_table<K: Eq + Hash, G>(
+    merged: &mut HashMap<K, G>,
+    table: HashMap<K, G>,
+    merge: impl Fn(&mut G, G),
+) {
+    if merged.is_empty() {
+        // The partition's first mapper: adopt its table, re-insert nothing.
+        *merged = table;
+        return;
     }
-
-    /// Fault-tolerant [`run_with_combiner`](MapReduce::run_with_combiner);
-    /// see [`try_run`](MapReduce::try_run).
-    pub fn try_run_with_combiner<MF, CF, RF>(
-        &self,
-        inputs: &[I],
-        policy: &ExecPolicy,
-        map_fn: MF,
-        combine_fn: Option<CF>,
-        reduce_fn: RF,
-    ) -> Result<(Vec<R>, JobStats), ExecError>
-    where
-        MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
-        CF: Fn(&K, Vec<V>) -> Vec<V> + Sync,
-        RF: Fn(&K, &[V]) -> Vec<R> + Sync,
-    {
-        let workers = self.workers;
-        let faults_before = policy.faults_injected();
-        // ---- map phase: one task per input chunk ---------------------------
-        // Identical chunk geometry to `run`, so outputs merge in the same
-        // order and the results are bit-identical.
-        let chunk = inputs.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-        type Shuffle<K, V> = Vec<std::collections::HashMap<K, Vec<V>>>;
-        let map_fn = &map_fn;
-        let combine_fn = &combine_fn;
-        type MapOut<K, V> = (Vec<(Shuffle<K, V>, u64, u64)>, TaskCounters);
-        let (mapper_outputs, map_counters): MapOut<K, V> =
-            execute_tasks("map", &chunks, workers, policy, |chunk_inputs: &&[I]| {
-                let mut partitions: Shuffle<K, V> = (0..workers)
-                    .map(|_| std::collections::HashMap::new())
-                    .collect();
-                let mut emitted = 0u64;
-                for input in *chunk_inputs {
-                    let mut emit = |k: K, v: V| {
-                        emitted += 1;
-                        let p = partition_of(&k, workers);
-                        partitions[p].entry(k).or_default().push(v);
-                    };
-                    map_fn(input, &mut emit);
-                }
-                let mut combined = emitted;
-                if let Some(cf) = combine_fn {
-                    combined = 0;
-                    for part in &mut partitions {
-                        for (k, vs) in part.iter_mut() {
-                            let taken = std::mem::take(vs);
-                            *vs = cf(k, taken);
-                            combined += vs.len() as u64;
-                        }
-                    }
-                }
-                (partitions, emitted, combined)
-            })?;
-        let map_output_records: u64 = mapper_outputs.iter().map(|(_, e, _)| e).sum();
-        let combined_records: u64 = mapper_outputs.iter().map(|(_, _, c)| c).sum();
-
-        // ---- shuffle (task order == mapper order == the fault-free order) --
-        let mut partition_inputs: Vec<Vec<std::collections::HashMap<K, Vec<V>>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (mapper_parts, _, _) in mapper_outputs {
-            for (p, m) in mapper_parts.into_iter().enumerate() {
-                partition_inputs[p].push(m);
+    for (k, g) in table {
+        match merged.entry(k) {
+            Entry::Occupied(mut e) => merge(e.get_mut(), g),
+            Entry::Vacant(e) => {
+                e.insert(g);
             }
         }
+    }
+}
 
-        // ---- merge (infrastructure, outside the retry machinery) -----------
-        // Each partition's groups are merged and key-sorted ONCE, consuming
-        // the shuffle output by move; reduce attempts only re-borrow the
-        // merged entries. Keeping the merge out of the retryable task makes
-        // the fault-free path cost-equal to `run` (no per-attempt rebuild);
-        // only the user `reduce_fn` call — the part that can actually fault
-        // — is re-runnable.
-        let merged_partitions: Vec<Vec<(K, Vec<V>)>> = partition_inputs
-            .into_iter()
-            .map(|maps| {
-                let mut merged: std::collections::HashMap<K, Vec<V>> =
-                    std::collections::HashMap::new();
-                for m in maps {
-                    for (k, vs) in m {
-                        merged.entry(k).or_default().extend(vs);
-                    }
-                }
-                let mut entries: Vec<(K, Vec<V>)> = merged.into_iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                entries
-            })
-            .collect();
+/// Folds each value into its key's accumulator the moment it is emitted —
+/// the allocation-free form of a combiner.
+struct Folding<'a, K, A, FF, GF> {
+    accs: HashMap<K, A>,
+    fold: &'a FF,
+    merge: &'a GF,
+}
 
-        // ---- reduce phase: one task per partition --------------------------
-        // Re-runnable: attempts only borrow the immutable merged entries.
-        // Outputs are positional (entry order); keys are moved out of
-        // `merged_partitions` afterwards so attempts never clone anything.
-        let reduce_fn = &reduce_fn;
-        let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, TaskCounters) = execute_tasks(
-            "reduce",
-            &merged_partitions,
-            workers,
-            policy,
-            |entries: &Vec<(K, Vec<V>)>| entries.iter().map(|(k, vs)| reduce_fn(k, vs)).collect(),
-        )?;
-        let reduce_groups: u64 = merged_partitions.iter().map(|p| p.len() as u64).sum();
-        let mut keyed: Vec<(K, Vec<R>)> = merged_partitions
-            .into_iter()
-            .zip(reducer_outputs)
-            .flat_map(|(entries, outs)| entries.into_iter().map(|(k, _)| k).zip(outs))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
-        let stats = JobStats {
-            map_output_records,
-            combined_records,
-            reduce_groups,
-            tasks_retried: map_counters.retried + reduce_counters.retried,
-            tasks_speculated: map_counters.speculated + reduce_counters.speculated,
-            faults_injected: policy.faults_injected() - faults_before,
-            ..JobStats::default()
-        };
-        stats.record_obs(&policy.obs);
-        Ok((results, stats))
+impl<K, V, A, FF, GF> PartitionBuffer<K, V> for Folding<'_, K, A, FF, GF>
+where
+    K: Eq + Hash,
+    A: Default,
+    FF: Fn(&mut A, V),
+    GF: Fn(&mut A, A),
+{
+    type Group = A;
+
+    fn push(&mut self, key: K, value: V) {
+        (self.fold)(self.accs.entry(key).or_default(), value);
+    }
+
+    fn seal(&mut self) -> u64 {
+        self.accs.len() as u64
+    }
+
+    fn drain_into(self, merged: &mut HashMap<K, A>) -> Result<(), String> {
+        merge_table(merged, self.accs, self.merge);
+        Ok(())
     }
 }
 
@@ -752,23 +542,77 @@ const SPILL_VERSION: &str = "v1";
 /// within a process.
 static SPILL_JOB_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Mapper-side shuffle output for one partition under a byte bound: spill
-/// segments in spill order plus the in-memory remainder. Replaying the
-/// segments in order and the remainder last reproduces, per key, the exact
-/// value sequence of the unbounded shuffle — the order bit-identity rests on.
-struct PartitionSpill<K, V> {
-    segments: Vec<PathBuf>,
-    memory: std::collections::HashMap<K, Vec<V>>,
+/// What every [`Spilling`] buffer of one job shares: the job-unique spill
+/// directory and segment codec, the attempt-unique segment numbering and the
+/// byte bound. Dropping it removes the spill directory — on success, error
+/// and panic paths alike, sweeping orphan segments of losing speculative
+/// attempts with it.
+struct SpillJob {
+    dir: PathBuf,
+    codec: LineCodec,
+    next_segment: AtomicU64,
+    bound: u64,
 }
 
-/// Removes the job's spill directory when dropped — on success, error and
-/// panic paths alike, sweeping orphan segments of losing speculative
-/// attempts with it.
-struct SpillDirGuard(PathBuf);
-
-impl Drop for SpillDirGuard {
+impl Drop for SpillJob {
     fn drop(&mut self) {
-        let _ = fs::remove_dir_all(&self.0);
+        let _ = fs::remove_dir_all(&self.dir);
+    }
+}
+
+/// [`Grouping`] under a byte bound: spill segments in spill order plus the
+/// in-memory remainder. Replaying the segments in order and the remainder
+/// last reproduces, per key, the exact value sequence of the unbounded
+/// shuffle — the order bit-identity rests on.
+struct Spilling<'a, K, V> {
+    job: &'a SpillJob,
+    segments: Vec<PathBuf>,
+    memory: HashMap<K, Vec<V>>,
+    bytes: u64,
+    spilled_records: u64,
+}
+
+impl<K, V> PartitionBuffer<K, V> for Spilling<'_, K, V>
+where
+    K: SpillCodec + Ord + Hash,
+    V: SpillCodec,
+{
+    type Group = Vec<V>;
+
+    fn push(&mut self, key: K, value: V) {
+        self.bytes = self
+            .bytes
+            .saturating_add(key.approx_bytes())
+            .saturating_add(value.approx_bytes());
+        self.memory.entry(key).or_default().push(value);
+        if self.bytes > self.job.bound {
+            let path = self.job.dir.join(format!(
+                "seg-{:08x}.lines",
+                self.job.next_segment.fetch_add(1, Ordering::Relaxed)
+            ));
+            self.spilled_records += spill_segment(&self.job.codec, &path, &mut self.memory);
+            self.segments.push(path);
+            self.bytes = 0;
+        }
+    }
+
+    fn seal(&mut self) -> u64 {
+        let in_memory: u64 = self.memory.values().map(|vs| vs.len() as u64).sum();
+        self.spilled_records + in_memory
+    }
+
+    fn spilled(&self) -> (u64, u64) {
+        (self.segments.len() as u64, self.spilled_records)
+    }
+
+    fn drain_into(self, merged: &mut HashMap<K, Vec<V>>) -> Result<(), String> {
+        for segment in &self.segments {
+            for (k, v) in read_segment::<K, V>(&self.job.codec, segment)? {
+                merged.entry(k).or_default().push(v);
+            }
+        }
+        merge_table(merged, self.memory, |vs, more| vs.extend(more));
+        Ok(())
     }
 }
 
@@ -782,7 +626,7 @@ impl Drop for SpillDirGuard {
 fn spill_segment<K: SpillCodec + Ord, V: SpillCodec>(
     codec: &LineCodec,
     path: &Path,
-    buffer: &mut std::collections::HashMap<K, Vec<V>>,
+    buffer: &mut HashMap<K, Vec<V>>,
 ) -> u64 {
     let mut entries: Vec<(K, Vec<V>)> = std::mem::take(buffer).into_iter().collect();
     entries.sort_by(|a, b| a.0.cmp(&b.0));
@@ -824,15 +668,186 @@ fn read_segment<K: SpillCodec, V: SpillCodec>(
     Ok(out)
 }
 
-/// Bounded-shuffle variant. The key and value types additionally implement
-/// [`SpillCodec`] so oversized partition buffers can round-trip through disk.
+/// The one job walk: chunk → map → transpose → merge → reduce → key-sort,
+/// both task phases under [`execute_tasks`] and `policy`.
+///
+/// A failed or speculated task must be able to re-read its shared input, so
+/// the closures borrow instead of consuming: map tasks re-borrow their input
+/// chunk and reduce tasks re-borrow their partition's merged groups. Each
+/// partition is merged and key-sorted *once*, outside the retry machinery,
+/// consuming the shuffle output by move — only the user's reduce function,
+/// the part that can actually fault, is re-runnable, and no attempt clones
+/// anything. Results are flattened in global key order, which makes the
+/// output independent of the worker count.
+fn run_job<I, K, V, B, R>(
+    workers: usize,
+    inputs: &[I],
+    policy: &ExecPolicy,
+    map_fn: impl Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+    new_buffer: impl Fn() -> B + Sync,
+    reduce_fn: impl Fn(&K, &B::Group) -> Vec<R> + Sync,
+) -> Result<(Vec<R>, JobStats), ExecError>
+where
+    I: Sync,
+    K: Ord + Hash + Send + Sync,
+    B: PartitionBuffer<K, V> + Send,
+    B::Group: Send + Sync,
+    R: Send,
+{
+    let faults_before = policy.faults_injected();
+
+    // ---- map phase: one task per input chunk -------------------------------
+    let chunk = inputs.len().div_ceil(workers).max(1);
+    let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
+    let (mapper_outputs, map_counters) =
+        execute_tasks("map", &chunks, workers, policy, |chunk_inputs: &&[I]| {
+            let mut buffers: Vec<B> = (0..workers).map(|_| new_buffer()).collect();
+            let mut emitted = 0u64;
+            for input in *chunk_inputs {
+                let mut emit = |k: K, v: V| {
+                    emitted += 1;
+                    buffers[partition_of(&k, workers)].push(k, v);
+                };
+                map_fn(input, &mut emit);
+            }
+            let shuffled: u64 = buffers.iter_mut().map(|b| b.seal()).sum();
+            (buffers, emitted, shuffled)
+        })?;
+
+    // ---- shuffle: transpose to per-partition lists, in mapper order --------
+    let mut stats = JobStats::default();
+    let mut partition_inputs: Vec<Vec<B>> = (0..workers).map(|_| Vec::new()).collect();
+    for (buffers, emitted, shuffled) in mapper_outputs {
+        stats.map_output_records += emitted;
+        stats.combined_records += shuffled;
+        for (p, buffer) in buffers.into_iter().enumerate() {
+            let (spills, records) = buffer.spilled();
+            stats.partitions_spilled += spills;
+            stats.spilled_records += records;
+            partition_inputs[p].push(buffer);
+        }
+    }
+
+    // ---- merge: one key-sorted group list per partition --------------------
+    let mut merged_partitions: Vec<Vec<(K, B::Group)>> = Vec::with_capacity(workers);
+    for (p, buffers) in partition_inputs.into_iter().enumerate() {
+        let mut merged = HashMap::new();
+        for buffer in buffers {
+            buffer
+                .drain_into(&mut merged)
+                .map_err(|message| ExecError {
+                    stage: "shuffle".to_string(),
+                    task: p,
+                    attempts: 1,
+                    message,
+                })?;
+        }
+        let mut entries: Vec<(K, B::Group)> = merged.into_iter().collect();
+        entries.sort_by(|a, b| a.0.cmp(&b.0));
+        merged_partitions.push(entries);
+    }
+
+    // ---- reduce phase: one task per partition ------------------------------
+    // Outputs are positional (entry order); keys are moved out of
+    // `merged_partitions` afterwards.
+    let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, TaskCounters) = execute_tasks(
+        "reduce",
+        &merged_partitions,
+        workers,
+        policy,
+        |entries: &Vec<(K, B::Group)>| entries.iter().map(|(k, g)| reduce_fn(k, g)).collect(),
+    )?;
+    stats.reduce_groups = merged_partitions.iter().map(|p| p.len() as u64).sum();
+    let mut keyed: Vec<(K, Vec<R>)> = merged_partitions
+        .into_iter()
+        .zip(reducer_outputs)
+        .flat_map(|(entries, outs)| entries.into_iter().map(|(k, _)| k).zip(outs))
+        .collect();
+    keyed.sort_by(|a, b| a.0.cmp(&b.0));
+    let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
+
+    stats.tasks_retried = map_counters.retried + reduce_counters.retried;
+    stats.tasks_speculated = map_counters.speculated + reduce_counters.speculated;
+    stats.faults_injected = policy.faults_injected() - faults_before;
+    stats.record_obs(&policy.obs);
+    Ok((results, stats))
+}
+
+/// A configured MapReduce job. `I` is the input record type, `K`/`V` the
+/// intermediate key/value types, `R` the reducer output type.
+pub struct MapReduce<I, K, V, R> {
+    workers: usize,
+    _marker: std::marker::PhantomData<(I, K, V, R)>,
+}
+
 impl<I, K, V, R> MapReduce<I, K, V, R>
 where
     I: Send + Sync,
-    K: Ord + Hash + Clone + Send + Sync + SpillCodec,
-    V: Send + Sync + SpillCodec,
+    K: Ord + Hash + Clone + Send + Sync,
+    V: Send + Sync,
     R: Send,
 {
+    /// Creates a job runner with `workers ≥ 1` mapper/reducer threads.
+    pub fn new(workers: usize) -> Self {
+        assert!(workers >= 1, "need at least one worker");
+        MapReduce {
+            workers,
+            _marker: std::marker::PhantomData,
+        }
+    }
+
+    /// Runs the job without a combiner under `policy`, retrying failed tasks
+    /// and (optionally) speculating on stragglers. A completed run is
+    /// bit-identical to the fault-free one; a task that exhausts its
+    /// attempts yields an [`ExecError`] instead of panicking.
+    pub fn try_run<MF, RF>(
+        &self,
+        inputs: &[I],
+        policy: &ExecPolicy,
+        map_fn: MF,
+        reduce_fn: RF,
+    ) -> Result<(Vec<R>, JobStats), ExecError>
+    where
+        MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+        RF: Fn(&K, &[V]) -> Vec<R> + Sync,
+    {
+        self.try_run_with_combiner(
+            inputs,
+            policy,
+            map_fn,
+            None::<fn(&K, Vec<V>) -> Vec<V>>,
+            reduce_fn,
+        )
+    }
+
+    /// [`try_run`](MapReduce::try_run) with an optional combiner applied per
+    /// mapper per key.
+    pub fn try_run_with_combiner<MF, CF, RF>(
+        &self,
+        inputs: &[I],
+        policy: &ExecPolicy,
+        map_fn: MF,
+        combine_fn: Option<CF>,
+        reduce_fn: RF,
+    ) -> Result<(Vec<R>, JobStats), ExecError>
+    where
+        MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
+        CF: Fn(&K, Vec<V>) -> Vec<V> + Sync,
+        RF: Fn(&K, &[V]) -> Vec<R> + Sync,
+    {
+        run_job(
+            self.workers,
+            inputs,
+            policy,
+            map_fn,
+            || Grouping {
+                groups: HashMap::new(),
+                combine: combine_fn.as_ref(),
+            },
+            |k: &K, vs: &Vec<V>| reduce_fn(k, vs),
+        )
+    }
+
     /// Bounded-shuffle [`try_run`](MapReduce::try_run): every mapper-side
     /// partition buffer is capped at `bounds.max_partition_bytes`; a buffer
     /// crossing the bound is spilled to a fingerprinted segment file (the
@@ -853,141 +868,38 @@ where
         reduce_fn: RF,
     ) -> Result<(Vec<R>, JobStats), ExecError>
     where
+        K: SpillCodec,
+        V: SpillCodec,
         MF: Fn(&I, &mut dyn FnMut(K, V)) + Sync,
         RF: Fn(&K, &[V]) -> Vec<R> + Sync,
     {
-        let workers = self.workers;
-        let faults_before = policy.faults_injected();
-        let job = SPILL_JOB_SEQ.fetch_add(1, Ordering::Relaxed);
-        let job_dir = bounds
-            .spill_dir
-            .join(format!("er-shuffle-{}-{job}", std::process::id()));
-        let _sweep = SpillDirGuard(job_dir.clone());
-        let codec = LineCodec::new(
-            SPILL_MAGIC,
-            SPILL_VERSION,
-            ((std::process::id() as u64) << 32) | job,
-        );
-
-        // ---- map phase: identical chunk geometry to `try_run` --------------
-        let chunk = inputs.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-        let map_fn = &map_fn;
-        let seg_seq = AtomicU64::new(0);
-        let seg_seq = &seg_seq;
-        let job_dir = &job_dir;
-        let bound = bounds.max_partition_bytes;
-        // Per mapper: partitions, emitted records, spill events, spilled records.
-        type MapOut<K, V> = (
-            Vec<(Vec<PartitionSpill<K, V>>, u64, u64, u64)>,
-            TaskCounters,
-        );
-        let (mapper_outputs, map_counters): MapOut<K, V> =
-            execute_tasks("map", &chunks, workers, policy, |chunk_inputs: &&[I]| {
-                let mut parts: Vec<PartitionSpill<K, V>> = (0..workers)
-                    .map(|_| PartitionSpill {
-                        segments: Vec::new(),
-                        memory: std::collections::HashMap::new(),
-                    })
-                    .collect();
-                let mut bytes = vec![0u64; workers];
-                let mut emitted = 0u64;
-                let mut spills = 0u64;
-                let mut spilled_records = 0u64;
-                for input in *chunk_inputs {
-                    let mut emit = |k: K, v: V| {
-                        emitted += 1;
-                        let p = partition_of(&k, workers);
-                        bytes[p] = bytes[p]
-                            .saturating_add(k.approx_bytes())
-                            .saturating_add(v.approx_bytes());
-                        parts[p].memory.entry(k).or_default().push(v);
-                        if bytes[p] > bound {
-                            let path = job_dir.join(format!(
-                                "seg-{:08x}.lines",
-                                seg_seq.fetch_add(1, Ordering::Relaxed)
-                            ));
-                            spilled_records += spill_segment(&codec, &path, &mut parts[p].memory);
-                            parts[p].segments.push(path);
-                            spills += 1;
-                            bytes[p] = 0;
-                        }
-                    };
-                    map_fn(input, &mut emit);
-                }
-                (parts, emitted, spills, spilled_records)
-            })?;
-        let map_output_records: u64 = mapper_outputs.iter().map(|(_, e, _, _)| e).sum();
-        let partitions_spilled: u64 = mapper_outputs.iter().map(|(_, _, s, _)| s).sum();
-        let spilled_records: u64 = mapper_outputs.iter().map(|(_, _, _, r)| r).sum();
-
-        // ---- shuffle transpose (task order == the fault-free order) --------
-        let mut partition_inputs: Vec<Vec<PartitionSpill<K, V>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        for (mapper_parts, _, _, _) in mapper_outputs {
-            for (p, out) in mapper_parts.into_iter().enumerate() {
-                partition_inputs[p].push(out);
-            }
-        }
-
-        // ---- merge: replay segments in spill order, remainder last ---------
-        // Infrastructure, outside the retry machinery, exactly like the
-        // in-memory merge of `try_run`; a torn segment is a typed shuffle
-        // error, not a retryable task failure.
-        let mut merged_partitions: Vec<Vec<(K, Vec<V>)>> = Vec::with_capacity(workers);
-        for (p, mapper_outs) in partition_inputs.into_iter().enumerate() {
-            let mut merged: std::collections::HashMap<K, Vec<V>> = std::collections::HashMap::new();
-            for out in mapper_outs {
-                for seg in &out.segments {
-                    let records: Vec<(K, V)> =
-                        read_segment(&codec, seg).map_err(|message| ExecError {
-                            stage: "shuffle".to_string(),
-                            task: p,
-                            attempts: 1,
-                            message,
-                        })?;
-                    for (k, v) in records {
-                        merged.entry(k).or_default().push(v);
-                    }
-                }
-                for (k, vs) in out.memory {
-                    merged.entry(k).or_default().extend(vs);
-                }
-            }
-            let mut entries: Vec<(K, Vec<V>)> = merged.into_iter().collect();
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            merged_partitions.push(entries);
-        }
-
-        // ---- reduce phase: one task per partition, as in `try_run` ---------
-        let reduce_fn = &reduce_fn;
-        let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, TaskCounters) = execute_tasks(
-            "reduce",
-            &merged_partitions,
-            workers,
-            policy,
-            |entries: &Vec<(K, Vec<V>)>| entries.iter().map(|(k, vs)| reduce_fn(k, vs)).collect(),
-        )?;
-        let reduce_groups: u64 = merged_partitions.iter().map(|p| p.len() as u64).sum();
-        let mut keyed: Vec<(K, Vec<R>)> = merged_partitions
-            .into_iter()
-            .zip(reducer_outputs)
-            .flat_map(|(entries, outs)| entries.into_iter().map(|(k, _)| k).zip(outs))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
-        let stats = JobStats {
-            map_output_records,
-            combined_records: map_output_records,
-            reduce_groups,
-            tasks_retried: map_counters.retried + reduce_counters.retried,
-            tasks_speculated: map_counters.speculated + reduce_counters.speculated,
-            faults_injected: policy.faults_injected() - faults_before,
-            partitions_spilled,
-            spilled_records,
+        let seq = SPILL_JOB_SEQ.fetch_add(1, Ordering::Relaxed);
+        let job = SpillJob {
+            dir: bounds
+                .spill_dir
+                .join(format!("er-shuffle-{}-{seq}", std::process::id())),
+            codec: LineCodec::new(
+                SPILL_MAGIC,
+                SPILL_VERSION,
+                ((std::process::id() as u64) << 32) | seq,
+            ),
+            next_segment: AtomicU64::new(0),
+            bound: bounds.max_partition_bytes,
         };
-        stats.record_obs(&policy.obs);
-        Ok((results, stats))
+        run_job(
+            self.workers,
+            inputs,
+            policy,
+            map_fn,
+            || Spilling {
+                job: &job,
+                segments: Vec::new(),
+                memory: HashMap::new(),
+                bytes: 0,
+                spilled_records: 0,
+            },
+            |k: &K, vs: &Vec<V>| reduce_fn(k, vs),
+        )
     }
 }
 
@@ -1004,9 +916,9 @@ pub struct FoldMapReduce<I, K, A, R> {
 
 impl<I, K, A, R> FoldMapReduce<I, K, A, R>
 where
-    I: Send,
-    K: Ord + Hash + Clone + Send,
-    A: Default + Send,
+    I: Send + Sync,
+    K: Ord + Hash + Clone + Send + Sync,
+    A: Default + Send + Sync,
     R: Send,
 {
     /// Creates a job runner with `workers ≥ 1` threads.
@@ -1018,158 +930,17 @@ where
         }
     }
 
-    /// Runs the job:
+    /// Runs the job under `policy` (per-task retry/backoff, optional
+    /// speculation; bit-identical to the fault-free run when it completes):
     /// * `map_fn(input, emit)` — emit `(key, value)` records;
     /// * `fold_fn(acc, value)` — fold a value into the key's accumulator
     ///   (mapper-side, so it must be associative and order-insensitive, the
     ///   usual combiner contract);
     /// * `merge_fn(acc, other)` — merge two accumulators (reduce-side);
-    /// * `finish_fn(key, acc)` — produce the per-key results.
+    /// * `finish_fn(key, acc)` — produce the per-key results; it borrows the
+    ///   accumulator because a retried reduce task re-reads it.
     ///
     /// Results are returned sorted by key (worker-count independent).
-    pub fn run<V, MF, FF, GF, RF>(
-        &self,
-        inputs: Vec<I>,
-        map_fn: MF,
-        fold_fn: FF,
-        merge_fn: GF,
-        finish_fn: RF,
-    ) -> (Vec<R>, JobStats)
-    where
-        V: Send,
-        MF: Fn(I, &mut dyn FnMut(K, V)) + Sync,
-        FF: Fn(&mut A, V) + Sync,
-        GF: Fn(&mut A, A) + Sync,
-        RF: Fn(&K, A) -> Vec<R> + Sync,
-    {
-        let workers = self.workers;
-        let chunk = inputs.len().div_ceil(workers).max(1);
-        let mut input_chunks: Vec<Vec<I>> = Vec::new();
-        let mut it = inputs.into_iter();
-        loop {
-            let c: Vec<I> = it.by_ref().take(chunk).collect();
-            if c.is_empty() {
-                break;
-            }
-            input_chunks.push(c);
-        }
-        let map_fn = &map_fn;
-        let fold_fn = &fold_fn;
-        type Parts<K, A> = Vec<std::collections::HashMap<K, A>>;
-        let mut mapper_outputs: Vec<(Parts<K, A>, u64)> = Vec::new();
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = input_chunks
-                .into_iter()
-                .map(|chunk_inputs| {
-                    s.spawn(move |_| {
-                        let mut partitions: Parts<K, A> = (0..workers)
-                            .map(|_| std::collections::HashMap::new())
-                            .collect();
-                        let mut emitted = 0u64;
-                        for input in chunk_inputs {
-                            let mut emit = |k: K, v: V| {
-                                emitted += 1;
-                                let p = partition_of(&k, workers);
-                                let acc = partitions[p].entry(k).or_default();
-                                fold_fn(acc, v);
-                            };
-                            map_fn(input, &mut emit);
-                        }
-                        (partitions, emitted)
-                    })
-                })
-                .collect();
-            for h in handles {
-                mapper_outputs.push(h.join().expect("mapper thread panicked"));
-            }
-        })
-        .expect("map phase scope failed");
-        let map_output_records: u64 = mapper_outputs.iter().map(|(_, e)| e).sum();
-
-        // Transpose to per-partition accumulator maps.
-        let mut partition_inputs: Vec<Vec<std::collections::HashMap<K, A>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let mut combined_records = 0u64;
-        for (mapper_parts, _) in mapper_outputs {
-            for (p, m) in mapper_parts.into_iter().enumerate() {
-                combined_records += m.len() as u64;
-                partition_inputs[p].push(m);
-            }
-        }
-
-        let merge_fn = &merge_fn;
-        let finish_fn = &finish_fn;
-        // Per reducer: (key → finished records) plus its group count.
-        type FoldReducerOutput<K, R> = (Vec<(K, Vec<R>)>, u64);
-        let mut reducer_outputs: Vec<FoldReducerOutput<K, R>> = Vec::new();
-        crossbeam::thread::scope(|s| {
-            let handles: Vec<_> = partition_inputs
-                .into_iter()
-                .map(|maps| {
-                    s.spawn(move |_| {
-                        let mut iter = maps.into_iter();
-                        let mut merged = iter.next().unwrap_or_default();
-                        for m in iter {
-                            for (k, a) in m {
-                                match merged.entry(k) {
-                                    std::collections::hash_map::Entry::Occupied(mut e) => {
-                                        merge_fn(e.get_mut(), a)
-                                    }
-                                    std::collections::hash_map::Entry::Vacant(e) => {
-                                        e.insert(a);
-                                    }
-                                }
-                            }
-                        }
-                        let groups = merged.len() as u64;
-                        let mut entries: Vec<(K, A)> = merged.into_iter().collect();
-                        entries.sort_by(|a, b| a.0.cmp(&b.0));
-                        let out: Vec<(K, Vec<R>)> = entries
-                            .into_iter()
-                            .map(|(k, a)| {
-                                let r = finish_fn(&k, a);
-                                (k, r)
-                            })
-                            .collect();
-                        (out, groups)
-                    })
-                })
-                .collect();
-            for h in handles {
-                reducer_outputs.push(h.join().expect("reducer thread panicked"));
-            }
-        })
-        .expect("reduce phase scope failed");
-        let reduce_groups: u64 = reducer_outputs.iter().map(|(_, g)| g).sum();
-        let mut keyed: Vec<(K, Vec<R>)> =
-            reducer_outputs.into_iter().flat_map(|(o, _)| o).collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
-        (
-            results,
-            JobStats {
-                map_output_records,
-                combined_records,
-                reduce_groups,
-                ..JobStats::default()
-            },
-        )
-    }
-}
-
-/// Fault-tolerant variant of the fold engine; bounds as on
-/// [`MapReduce::try_run`]: re-runnable tasks borrow their inputs, so
-/// `finish_fn` takes `&A` instead of consuming the accumulator.
-impl<I, K, A, R> FoldMapReduce<I, K, A, R>
-where
-    I: Send + Sync,
-    K: Ord + Hash + Clone + Send + Sync,
-    A: Default + Send + Sync,
-    R: Send,
-{
-    /// Fault-tolerant [`run`](FoldMapReduce::run): executes under `policy`
-    /// with per-task retry/backoff and optional speculation. Completed runs
-    /// are bit-identical to the fault-free `run`.
     pub fn try_run<V, MF, FF, GF, RF>(
         &self,
         inputs: &[I],
@@ -1186,97 +957,18 @@ where
         GF: Fn(&mut A, A) + Sync,
         RF: Fn(&K, &A) -> Vec<R> + Sync,
     {
-        let workers = self.workers;
-        let faults_before = policy.faults_injected();
-        let chunk = inputs.len().div_ceil(workers).max(1);
-        let chunks: Vec<&[I]> = inputs.chunks(chunk).collect();
-        let map_fn = &map_fn;
-        let fold_fn = &fold_fn;
-        type Parts<K, A> = Vec<std::collections::HashMap<K, A>>;
-        type MapOut<K, A> = (Vec<(Parts<K, A>, u64)>, TaskCounters);
-        let (mapper_outputs, map_counters): MapOut<K, A> =
-            execute_tasks("map", &chunks, workers, policy, |chunk_inputs: &&[I]| {
-                let mut partitions: Parts<K, A> = (0..workers)
-                    .map(|_| std::collections::HashMap::new())
-                    .collect();
-                let mut emitted = 0u64;
-                for input in *chunk_inputs {
-                    let mut emit = |k: K, v: V| {
-                        emitted += 1;
-                        let p = partition_of(&k, workers);
-                        let acc = partitions[p].entry(k).or_default();
-                        fold_fn(acc, v);
-                    };
-                    map_fn(input, &mut emit);
-                }
-                (partitions, emitted)
-            })?;
-        let map_output_records: u64 = mapper_outputs.iter().map(|(_, e)| e).sum();
-
-        let mut partition_inputs: Vec<Vec<std::collections::HashMap<K, A>>> =
-            (0..workers).map(|_| Vec::new()).collect();
-        let mut combined_records = 0u64;
-        for (mapper_parts, _) in mapper_outputs {
-            for (p, m) in mapper_parts.into_iter().enumerate() {
-                combined_records += m.len() as u64;
-                partition_inputs[p].push(m);
-            }
-        }
-
-        // ---- merge (infrastructure, outside the retry machinery) -----------
-        // Consumes the shuffle output by move so the fault-free path pays no
-        // clones; retried reduce attempts re-borrow the merged entries and
-        // clone only the per-key accumulator.
-        let merge_fn = &merge_fn;
-        let merged_partitions: Vec<Vec<(K, A)>> = partition_inputs
-            .into_iter()
-            .map(|maps| {
-                let mut merged: std::collections::HashMap<K, A> = std::collections::HashMap::new();
-                for m in maps {
-                    for (k, a) in m {
-                        match merged.entry(k) {
-                            std::collections::hash_map::Entry::Occupied(mut e) => {
-                                merge_fn(e.get_mut(), a)
-                            }
-                            std::collections::hash_map::Entry::Vacant(e) => {
-                                e.insert(a);
-                            }
-                        }
-                    }
-                }
-                let mut entries: Vec<(K, A)> = merged.into_iter().collect();
-                entries.sort_by(|a, b| a.0.cmp(&b.0));
-                entries
-            })
-            .collect();
-
-        let finish_fn = &finish_fn;
-        let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, TaskCounters) = execute_tasks(
-            "reduce",
-            &merged_partitions,
-            workers,
+        run_job(
+            self.workers,
+            inputs,
             policy,
-            |entries: &Vec<(K, A)>| entries.iter().map(|(k, a)| finish_fn(k, a)).collect(),
-        )?;
-        let reduce_groups: u64 = merged_partitions.iter().map(|p| p.len() as u64).sum();
-        let mut keyed: Vec<(K, Vec<R>)> = merged_partitions
-            .into_iter()
-            .zip(reducer_outputs)
-            .flat_map(|(entries, outs)| entries.into_iter().map(|(k, _)| k).zip(outs))
-            .collect();
-        keyed.sort_by(|a, b| a.0.cmp(&b.0));
-        let results: Vec<R> = keyed.into_iter().flat_map(|(_, rs)| rs).collect();
-        let stats = JobStats {
-            map_output_records,
-            combined_records,
-            reduce_groups,
-            tasks_retried: map_counters.retried + reduce_counters.retried,
-            tasks_speculated: map_counters.speculated + reduce_counters.speculated,
-            faults_injected: policy.faults_injected() - faults_before,
-            ..JobStats::default()
-        };
-        stats.record_obs(&policy.obs);
-        Ok((results, stats))
+            map_fn,
+            || Folding {
+                accs: HashMap::new(),
+                fold: &fold_fn,
+                merge: &merge_fn,
+            },
+            finish_fn,
+        )
     }
 }
 
@@ -1292,34 +984,42 @@ pub(crate) fn partition_of<K: Hash>(key: &K, workers: usize) -> usize {
 mod tests {
     use super::*;
 
+    /// The oracle every job below is held to: a serial group-by that shares
+    /// no code with the engine.
+    fn reference(texts: &[&str]) -> Vec<(String, u64)> {
+        let mut counts = std::collections::BTreeMap::new();
+        for w in texts.iter().flat_map(|t| t.split_whitespace()) {
+            *counts.entry(w.to_string()).or_insert(0u64) += 1;
+        }
+        counts.into_iter().collect()
+    }
+
+    fn map_words(text: &&str, emit: &mut dyn FnMut(String, u64)) {
+        for w in text.split_whitespace() {
+            emit(w.to_string(), 1);
+        }
+    }
+
     /// Word count: the canonical MapReduce example.
     fn word_count(
-        texts: Vec<&str>,
+        texts: &[&str],
         workers: usize,
         combiner: bool,
     ) -> (Vec<(String, u64)>, JobStats) {
         let mr: MapReduce<&str, String, u64, (String, u64)> = MapReduce::new(workers);
-        let map_fn = |text: &str, emit: &mut dyn FnMut(String, u64)| {
-            for w in text.split_whitespace() {
-                emit(w.to_string(), 1);
-            }
-        };
-        let reduce_fn = |k: &String, vs: Vec<u64>| vec![(k.clone(), vs.into_iter().sum::<u64>())];
-        if combiner {
-            mr.run_with_combiner(
-                texts,
-                map_fn,
-                Some(|_k: &String, vs: Vec<u64>| vec![vs.into_iter().sum::<u64>()]),
-                reduce_fn,
-            )
-        } else {
-            mr.run(texts, map_fn, reduce_fn)
-        }
+        mr.try_run_with_combiner(
+            texts,
+            &ExecPolicy::default(),
+            map_words,
+            combiner.then_some(|_k: &String, vs: Vec<u64>| vec![vs.into_iter().sum::<u64>()]),
+            |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())],
+        )
+        .unwrap()
     }
 
     #[test]
     fn word_count_basics() {
-        let (counts, stats) = word_count(vec!["a b a", "b c", "a"], 2, false);
+        let (counts, stats) = word_count(&["a b a", "b c", "a"], 2, false);
         assert_eq!(
             counts,
             vec![
@@ -1329,27 +1029,31 @@ mod tests {
             ]
         );
         assert_eq!(stats.map_output_records, 6);
+        assert_eq!(stats.combined_records, 6, "no combiner configured");
         assert_eq!(stats.reduce_groups, 3);
+        assert_eq!(stats.tasks_retried, 0);
+        assert_eq!(stats.faults_injected, 0);
     }
 
     #[test]
-    fn output_is_independent_of_worker_count() {
-        let texts = vec!["x y z", "y z w", "z w v", "w v u", "v u t"];
-        let reference = word_count(texts.clone(), 1, false).0;
-        for workers in 2..=8 {
-            assert_eq!(
-                word_count(texts.clone(), workers, false).0,
-                reference,
-                "workers = {workers}"
-            );
+    fn output_matches_the_serial_oracle_at_every_worker_count() {
+        let texts = ["x y z", "y z w", "z w v", "w v u", "v u t"];
+        for workers in 1..=8 {
+            for combiner in [false, true] {
+                assert_eq!(
+                    word_count(&texts, workers, combiner).0,
+                    reference(&texts),
+                    "workers={workers} combiner={combiner}"
+                );
+            }
         }
     }
 
     #[test]
     fn combiner_reduces_shuffle_volume_but_not_results() {
-        let texts = vec!["a a a a", "a a a a"];
-        let (no_comb, s1) = word_count(texts.clone(), 2, false);
-        let (comb, s2) = word_count(texts, 2, true);
+        let texts = ["a a a a", "a a a a"];
+        let (no_comb, s1) = word_count(&texts, 2, false);
+        let (comb, s2) = word_count(&texts, 2, true);
         assert_eq!(no_comb, comb);
         assert_eq!(
             s1.combined_records, 8,
@@ -1363,28 +1067,33 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let (out, stats) = word_count(vec![], 4, false);
+        let (out, stats) = word_count(&[], 4, false);
         assert!(out.is_empty());
         assert_eq!(stats, JobStats::default());
     }
 
     #[test]
     fn more_workers_than_inputs() {
-        let (out, _) = word_count(vec!["only one"], 16, false);
+        let (out, _) = word_count(&["only one"], 16, false);
         assert_eq!(out.len(), 2);
     }
 
     #[test]
     fn reducers_see_all_values_of_a_key() {
         let mr: MapReduce<u32, u32, u32, (u32, Vec<u32>)> = MapReduce::new(3);
-        let (out, _) = mr.run(
-            (0..30).collect(),
-            |x, emit| emit(x % 5, x),
-            |k, mut vs| {
-                vs.sort_unstable();
-                vec![(*k, vs)]
-            },
-        );
+        let inputs: Vec<u32> = (0..30).collect();
+        let (out, _) = mr
+            .try_run(
+                &inputs,
+                &ExecPolicy::default(),
+                |x, emit| emit(x % 5, *x),
+                |k, vs| {
+                    let mut vs = vs.to_vec();
+                    vs.sort_unstable();
+                    vec![(*k, vs)]
+                },
+            )
+            .unwrap();
         assert_eq!(out.len(), 5);
         for (k, vs) in out {
             assert_eq!(vs.len(), 6);
@@ -1400,35 +1109,36 @@ mod tests {
         let _: MapReduce<u32, u32, u32, u32> = MapReduce::new(0);
     }
 
-    fn fold_word_count(texts: Vec<&str>, workers: usize) -> (Vec<(String, u64)>, JobStats) {
+    fn fold_word_count(
+        texts: &[&str],
+        workers: usize,
+        policy: &ExecPolicy,
+    ) -> (Vec<(String, u64)>, JobStats) {
         let mr: FoldMapReduce<&str, String, u64, (String, u64)> = FoldMapReduce::new(workers);
-        mr.run(
+        mr.try_run(
             texts,
-            |text: &str, emit: &mut dyn FnMut(String, u64)| {
-                for w in text.split_whitespace() {
-                    emit(w.to_string(), 1);
-                }
-            },
+            policy,
+            map_words,
             |acc, v| *acc += v,
             |acc, other| *acc += other,
-            |k, acc| vec![(k.clone(), acc)],
+            |k, acc| vec![(k.clone(), *acc)],
         )
+        .unwrap()
     }
 
     #[test]
-    fn fold_job_matches_vec_job() {
-        let texts = vec!["x y z", "y z w", "z w v", "w v u"];
-        let (reference, _) = word_count(texts.clone(), 3, false);
+    fn fold_job_matches_the_serial_oracle() {
+        let texts = ["x y z", "y z w", "z w v", "w v u"];
         for workers in [1, 2, 5] {
-            let (out, stats) = fold_word_count(texts.clone(), workers);
-            assert_eq!(out, reference, "workers={workers}");
+            let (out, stats) = fold_word_count(&texts, workers, &ExecPolicy::default());
+            assert_eq!(out, reference(&texts), "workers={workers}");
             assert_eq!(stats.map_output_records, 12);
         }
     }
 
     #[test]
     fn fold_job_empty_input() {
-        let (out, stats) = fold_word_count(vec![], 2);
+        let (out, stats) = fold_word_count(&[], 2, &ExecPolicy::default());
         assert!(out.is_empty());
         assert_eq!(stats, JobStats::default());
     }
@@ -1444,16 +1154,9 @@ mod tests {
         policy: &ExecPolicy,
     ) -> Result<(Vec<(String, u64)>, JobStats), ExecError> {
         let mr: MapReduce<&str, String, u64, (String, u64)> = MapReduce::new(workers);
-        mr.try_run(
-            texts,
-            policy,
-            |text: &&str, emit: &mut dyn FnMut(String, u64)| {
-                for w in text.split_whitespace() {
-                    emit(w.to_string(), 1);
-                }
-            },
-            |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())],
-        )
+        mr.try_run(texts, policy, map_words, |k: &String, vs: &[u64]| {
+            vec![(k.clone(), vs.iter().sum::<u64>())]
+        })
     }
 
     fn fast_retry(max_attempts: u32) -> RetryPolicy {
@@ -1465,70 +1168,43 @@ mod tests {
         }
     }
 
-    #[test]
-    fn try_run_matches_run_without_faults() {
-        let texts = vec!["x y z", "y z w", "z w v", "w v u", "v u t"];
-        let policy = ExecPolicy::default();
-        for workers in [1, 2, 4] {
-            let (reference, ref_stats) = word_count(texts.clone(), workers, false);
-            let (out, stats) = try_word_count(&texts, workers, &policy).unwrap();
-            assert_eq!(out, reference, "workers={workers}");
-            assert_eq!(stats.map_output_records, ref_stats.map_output_records);
-            assert_eq!(stats.combined_records, ref_stats.combined_records);
-            assert_eq!(stats.reduce_groups, ref_stats.reduce_groups);
-            assert_eq!(stats.tasks_retried, 0);
-            assert_eq!(stats.faults_injected, 0);
+    fn injecting(retry: RetryPolicy, plan: FaultPlan) -> ExecPolicy {
+        ExecPolicy {
+            retry,
+            injector: Some(Arc::new(FaultInjector::new(plan))),
+            speculation: None,
+            obs: Default::default(),
         }
     }
 
     #[test]
     fn transient_faults_are_retried_to_the_same_result() {
-        let texts = vec!["a b a", "b c", "a", "c c d"];
-        let reference = word_count(texts.clone(), 2, false).0;
+        let texts = ["a b a", "b c", "a", "c c d"];
         let plan = FaultPlan::none()
             .inject("map", 0, 0, FaultKind::Transient)
             .inject("reduce", 1, 0, FaultKind::Transient);
-        let policy = ExecPolicy {
-            retry: fast_retry(3),
-            injector: Some(Arc::new(FaultInjector::new(plan))),
-            speculation: None,
-            obs: Default::default(),
-        };
-        let (out, stats) = try_word_count(&texts, 2, &policy).unwrap();
-        assert_eq!(out, reference);
+        let (out, stats) = try_word_count(&texts, 2, &injecting(fast_retry(3), plan)).unwrap();
+        assert_eq!(out, reference(&texts));
         assert_eq!(stats.tasks_retried, 2);
         assert_eq!(stats.faults_injected, 2);
     }
 
     #[test]
     fn panics_are_caught_and_retried() {
-        let texts = vec!["a b", "c d", "e f", "g h"];
-        let reference = word_count(texts.clone(), 4, false).0;
+        let texts = ["a b", "c d", "e f", "g h"];
         let plan = FaultPlan::none()
             .inject("map", 2, 0, FaultKind::Panic)
             .inject("map", 2, 1, FaultKind::Panic);
-        let policy = ExecPolicy {
-            retry: fast_retry(3),
-            injector: Some(Arc::new(FaultInjector::new(plan))),
-            speculation: None,
-            obs: Default::default(),
-        };
-        let (out, stats) = try_word_count(&texts, 4, &policy).unwrap();
-        assert_eq!(out, reference);
+        let (out, stats) = try_word_count(&texts, 4, &injecting(fast_retry(3), plan)).unwrap();
+        assert_eq!(out, reference(&texts));
         assert_eq!(stats.tasks_retried, 2);
     }
 
     #[test]
     fn exhausted_retries_surface_as_error_not_panic() {
-        let texts = vec!["a b", "c d"];
+        let texts = ["a b", "c d"];
         let plan = FaultPlan::none().inject_all_attempts("map", 0, 10, FaultKind::Panic);
-        let policy = ExecPolicy {
-            retry: fast_retry(2),
-            injector: Some(Arc::new(FaultInjector::new(plan))),
-            speculation: None,
-            obs: Default::default(),
-        };
-        let err = try_word_count(&texts, 2, &policy).unwrap_err();
+        let err = try_word_count(&texts, 2, &injecting(fast_retry(2), plan)).unwrap_err();
         assert_eq!(err.stage, "map");
         assert_eq!(err.task, 0);
         assert_eq!(err.attempts, 2);
@@ -1545,63 +1221,29 @@ mod tests {
         // cannot be killed; see docs/fault_tolerance.md.)
         let texts: Vec<String> = (0..16).map(|i| format!("w{} common", i % 4)).collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let reference = word_count(refs.clone(), 8, false).0;
         let plan =
             FaultPlan::none().inject("map", 0, 0, FaultKind::Delay(Duration::from_millis(150)));
-        let policy = ExecPolicy {
-            retry: fast_retry(3),
-            injector: Some(Arc::new(FaultInjector::new(plan))),
-            speculation: Some(SpeculationConfig {
-                straggler_factor: 2.0,
-                min_completed: 1,
-                min_runtime: Duration::from_millis(10),
-            }),
-            obs: Default::default(),
-        };
+        let mut policy = injecting(fast_retry(3), plan);
+        policy.speculation = Some(SpeculationConfig {
+            straggler_factor: 2.0,
+            min_completed: 1,
+            min_runtime: Duration::from_millis(10),
+        });
         let (out, stats) = try_word_count(&refs, 8, &policy).unwrap();
-        assert_eq!(out, reference);
+        assert_eq!(out, reference(&refs));
         assert_eq!(stats.tasks_speculated, 1, "one backup for the straggler");
     }
 
     #[test]
-    fn fold_try_run_matches_fold_run_under_faults() {
-        let texts = vec!["x y z", "y z w", "z w v", "w v u"];
-        let reference = fold_word_count(texts.clone(), 3).0;
+    fn fold_job_absorbs_faults_to_the_same_result() {
+        let texts = ["x y z", "y z w", "z w v", "w v u"];
         let plan = FaultPlan::none()
             .inject("map", 1, 0, FaultKind::Transient)
             .inject("reduce", 0, 0, FaultKind::Panic);
-        let policy = ExecPolicy {
-            retry: fast_retry(3),
-            injector: Some(Arc::new(FaultInjector::new(plan))),
-            speculation: None,
-            obs: Default::default(),
-        };
-        let mr: FoldMapReduce<&str, String, u64, (String, u64)> = FoldMapReduce::new(3);
-        let (out, stats) = mr
-            .try_run(
-                &texts,
-                &policy,
-                |text: &&str, emit: &mut dyn FnMut(String, u64)| {
-                    for w in text.split_whitespace() {
-                        emit(w.to_string(), 1);
-                    }
-                },
-                |acc, v| *acc += v,
-                |acc, other| *acc += other,
-                |k, acc| vec![(k.clone(), *acc)],
-            )
-            .unwrap();
-        assert_eq!(out, reference);
+        let (out, stats) = fold_word_count(&texts, 3, &injecting(fast_retry(3), plan));
+        assert_eq!(out, reference(&texts));
         assert_eq!(stats.tasks_retried, 2);
         assert_eq!(stats.map_output_records, 12);
-    }
-
-    #[test]
-    fn try_run_empty_input() {
-        let policy = ExecPolicy::default();
-        let (out, stats) = try_word_count(&[], 4, &policy).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(stats, JobStats::default());
     }
 
     #[test]
@@ -1657,7 +1299,7 @@ mod tests {
             .map(|i| format!("w{} w{} shared", i % 9, i % 4))
             .collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let reference = word_count(refs, 1, false).0;
+        let reference = reference(&refs);
         let policy = ExecPolicy::default();
         for workers in [1, 2, 4] {
             for bound in [1u64, 256, 1 << 20] {
@@ -1695,7 +1337,7 @@ mod tests {
             .map(|i| format!("t{} t{} shared", i % 7, i % 3))
             .collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let reference = word_count(refs, 1, false).0;
+        let reference = reference(&refs);
         let mut total_faults = 0;
         for seed in 0..4u64 {
             let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
@@ -1729,7 +1371,7 @@ mod tests {
             .map(|i| format!("t{} t{} shared", i % 7, i % 3))
             .collect();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let reference = word_count(refs.clone(), 1, false).0;
+        let reference = reference(&refs);
         let mut total_faults = 0;
         for seed in 0..6u64 {
             for workers in [1, 2, 4] {

@@ -18,10 +18,11 @@
 //! is finalized with one extra aggregation. The tests verify exact agreement
 //! with sequential `er-metablocking` for every scheme and worker count.
 
-use crate::engine::{FoldMapReduce, MapReduce};
+use crate::engine::{FoldMapReduce, MapReduce, INFALLIBLE_JOB};
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
+use er_core::fault::ExecPolicy;
 use er_core::pair::Pair;
 use er_metablocking::{PruningScheme, WeightingScheme};
 use std::collections::BTreeMap;
@@ -74,17 +75,20 @@ impl ParallelMetaBlocking {
             .iter()
             .map(|b| b.entities().to_vec())
             .collect();
-        let (counts, _) = mr1.run(
-            memberships,
-            |members, emit: &mut dyn FnMut(EntityId, u32)| {
-                for e in members {
-                    emit(e, 1);
-                }
-            },
-            |acc, v| *acc += v,
-            |acc, other| *acc += other,
-            |e, acc| vec![(*e, acc)],
-        );
+        let (counts, _) = mr1
+            .try_run(
+                &memberships,
+                &ExecPolicy::default(),
+                |members, emit: &mut dyn FnMut(EntityId, u32)| {
+                    for e in members {
+                        emit(*e, 1);
+                    }
+                },
+                |acc, v| *acc += v,
+                |acc, other| *acc += other,
+                |e, acc| vec![(*e, *acc)],
+            )
+            .expect(INFALLIBLE_JOB);
         let mut entity_block_counts = vec![0u32; collection.len()];
         for (e, c) in counts {
             entity_block_counts[e.index()] = c;
@@ -108,23 +112,26 @@ impl ParallelMetaBlocking {
                 Some((b.pairs(collection).collect(), 1.0 / card as f64))
             })
             .collect();
-        let (edges, _) = mr2.run(
-            block_inputs,
-            |(pairs, w), emit: &mut dyn FnMut(Pair, (u32, f64))| {
-                for p in pairs {
-                    emit(p, (1u32, w));
-                }
-            },
-            |acc: &mut (u32, f64), (dc, da)| {
-                acc.0 += dc;
-                acc.1 += da;
-            },
-            |acc, other| {
-                acc.0 += other.0;
-                acc.1 += other.1;
-            },
-            |p, (c, a)| vec![(*p, c, a)],
-        );
+        let (edges, _) = mr2
+            .try_run(
+                &block_inputs,
+                &ExecPolicy::default(),
+                |(pairs, w), emit: &mut dyn FnMut(Pair, (u32, f64))| {
+                    for p in pairs {
+                        emit(*p, (1u32, *w));
+                    }
+                },
+                |acc: &mut (u32, f64), (dc, da)| {
+                    acc.0 += dc;
+                    acc.1 += da;
+                },
+                |acc, other| {
+                    acc.0 += other.0;
+                    acc.1 += other.1;
+                },
+                |p, (c, a)| vec![(*p, *c, *a)],
+            )
+            .expect(INFALLIBLE_JOB);
         EdgeAggregates {
             edges,
             entity_block_counts: Arc::new(entity_block_counts),
@@ -147,16 +154,20 @@ impl ParallelMetaBlocking {
             WeightingScheme::Ejs => {
                 let mr: FoldMapReduce<Pair, EntityId, u32, (EntityId, u32)> =
                     FoldMapReduce::new(self.workers);
-                let (d, _) = mr.run(
-                    agg.edges.iter().map(|(p, _, _)| *p).collect(),
-                    |p, emit: &mut dyn FnMut(EntityId, u32)| {
-                        emit(p.first(), 1);
-                        emit(p.second(), 1);
-                    },
-                    |acc, v| *acc += v,
-                    |acc, other| *acc += other,
-                    |e, acc| vec![(*e, acc)],
-                );
+                let endpoints: Vec<Pair> = agg.edges.iter().map(|(p, _, _)| *p).collect();
+                let (d, _) = mr
+                    .try_run(
+                        &endpoints,
+                        &ExecPolicy::default(),
+                        |p, emit: &mut dyn FnMut(EntityId, u32)| {
+                            emit(p.first(), 1);
+                            emit(p.second(), 1);
+                        },
+                        |acc, v| *acc += v,
+                        |acc, other| *acc += other,
+                        |e, acc| vec![(*e, *acc)],
+                    )
+                    .expect(INFALLIBLE_JOB);
                 Some(d.into_iter().collect())
             }
             _ => None,
@@ -241,28 +252,33 @@ impl ParallelMetaBlocking {
                     matches!(pruning, PruningScheme::Cnp | PruningScheme::ReciprocalCnp);
                 let mr: MapReduce<(Pair, f64), EntityId, (f64, Pair), Pair> =
                     MapReduce::new(self.workers);
-                let (survivors, _) = mr.run(
-                    weighted,
-                    |(p, w), emit| {
-                        emit(p.first(), (w, p));
-                        emit(p.second(), (w, p));
-                    },
-                    move |_e, mut edges| {
-                        if by_cardinality {
-                            edges
-                                .sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                            edges.into_iter().take(k_for_cnp).map(|(_, p)| p).collect()
-                        } else {
-                            let mean =
-                                edges.iter().map(|(w, _)| w).sum::<f64>() / edges.len() as f64;
-                            edges
-                                .into_iter()
-                                .filter(|(w, _)| *w >= mean)
-                                .map(|(_, p)| p)
-                                .collect()
-                        }
-                    },
-                );
+                let (survivors, _) = mr
+                    .try_run(
+                        &weighted,
+                        &ExecPolicy::default(),
+                        |(p, w), emit| {
+                            emit(p.first(), (*w, *p));
+                            emit(p.second(), (*w, *p));
+                        },
+                        move |_e, edges| {
+                            if by_cardinality {
+                                let mut edges = edges.to_vec();
+                                edges.sort_by(|a, b| {
+                                    b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1))
+                                });
+                                edges.into_iter().take(k_for_cnp).map(|(_, p)| p).collect()
+                            } else {
+                                let mean =
+                                    edges.iter().map(|(w, _)| w).sum::<f64>() / edges.len() as f64;
+                                edges
+                                    .iter()
+                                    .filter(|(w, _)| *w >= mean)
+                                    .map(|(_, p)| *p)
+                                    .collect()
+                            }
+                        },
+                    )
+                    .expect(INFALLIBLE_JOB);
                 // Driver pass: union vs reciprocal.
                 let reciprocal = matches!(
                     pruning,

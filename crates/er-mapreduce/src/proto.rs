@@ -34,16 +34,11 @@ pub const MAX_FRAME_BYTES: u32 = 64 * 1024 * 1024;
 pub fn protocol_fingerprint() -> u64 {
     // FNV-1a over the schema-identifying facts; stable across processes of
     // the same build, different across protocol or crate revisions.
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     let schema = format!(
         "er-worker-proto v{PROTOCOL_VERSION} crate={} frames=hello,hello-ack,hello-rej,task,result,task-err,heartbeat,shutdown",
         env!("CARGO_PKG_VERSION")
     );
-    for b in schema.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    er_core::intern::Fnv1a::hash(schema.as_bytes())
 }
 
 /// A typed framing error. Every variant carries `offset`: the byte position

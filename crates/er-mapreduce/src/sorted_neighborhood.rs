@@ -9,10 +9,11 @@
 //! still evaluated by exactly one reducer. The tests verify exact agreement
 //! with sequential `SortedNeighborhood` for every worker count.
 
-use crate::engine::MapReduce;
+use crate::engine::{MapReduce, INFALLIBLE_JOB};
 use er_blocking::sorted_neighborhood::{SortKey, SortedNeighborhood};
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
+use er_core::fault::ExecPolicy;
 use er_core::pair::Pair;
 use std::collections::BTreeSet;
 
@@ -83,15 +84,18 @@ impl ParallelSortedNeighborhood {
             .enumerate()
             .map(|(i, (own_start, ids))| (i, own_start, ids))
             .collect();
-        let (pairs, _) = mr.run(
-            inputs,
-            |(i, own_start, ids), emit| {
-                for p in ids_to_pairs(collection, &ids, own_start, window) {
-                    emit(i, p);
-                }
-            },
-            |_i, pairs| pairs,
-        );
+        let (pairs, _) = mr
+            .try_run(
+                &inputs,
+                &ExecPolicy::default(),
+                |(i, own_start, ids), emit| {
+                    for p in ids_to_pairs(collection, ids, *own_start, window) {
+                        emit(*i, p);
+                    }
+                },
+                |_i, pairs| pairs.to_vec(),
+            )
+            .expect(INFALLIBLE_JOB);
         let distinct: BTreeSet<Pair> = pairs.into_iter().collect();
         distinct.into_iter().collect()
     }

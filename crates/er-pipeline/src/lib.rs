@@ -4,8 +4,11 @@
 //! blocking → block cleaning → meta-blocking → matching → clustering — into
 //! a single [`Pipeline`] built with a fluent [`PipelineBuilder`]. Every stage
 //! is selected from the algorithms of the lower-level crates, and the run
-//! report carries the per-stage accounting (comparison counts, timings)
-//! the evaluation metrics need.
+//! report carries the per-stage comparison counts the evaluation metrics
+//! need. The stages are driven in one place — the private stage walk — and
+//! every entry point ([`Pipeline::run`], [`Pipeline::run_with_recovery`],
+//! [`Pipeline::run_with_matcher`], [`Pipeline::candidates`], …) configures
+//! that walk rather than re-implementing it.
 //!
 //! ```
 //! use er_pipeline::{BlockingStage, CleaningStage, MatchingStage, MetaBlockingStage, Pipeline};
@@ -31,6 +34,7 @@
 
 pub mod recovery;
 pub mod streaming;
+mod walk;
 
 pub use recovery::{PipelineError, RecoveryEvent, RecoveryOptions, RecoveryOutcome};
 pub use streaming::{StreamingConfig, StreamingSession};
@@ -40,7 +44,7 @@ use er_blocking::block::{Block, BlockCollection};
 use er_blocking::cleaning;
 use er_blocking::minhash::MinHashBlocking;
 use er_blocking::qgrams::QGramsBlocking;
-use er_blocking::sorted_neighborhood::{MultiPassSortedNeighborhood, SortKey};
+use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::standard::StandardBlocking;
 use er_blocking::TokenBlocking;
 use er_core::collection::EntityCollection;
@@ -56,8 +60,13 @@ use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
 use er_metablocking::{par_meta_block_obs, par_meta_block_ooc_obs, PruningScheme, WeightingScheme};
+use recovery::Hooks;
 use std::path::PathBuf;
-use std::time::{Duration, Instant};
+use walk::Walk;
+
+/// `expect` message of the entry points that walk without recovery hooks:
+/// there every stage is a direct call, so no [`PipelineError`] can arise.
+const NO_HOOKS: &str = "a walk without recovery hooks has no failing path";
 
 /// Candidates per cooperative deadline check in watchdog-governed matching:
 /// coarse enough to keep the parallel map efficient, fine enough that an
@@ -162,7 +171,8 @@ impl MatchingStage {
     }
 }
 
-/// Per-stage accounting of one run.
+/// Per-stage accounting of one run. Stage wall-clock is not part of it: the
+/// `pipeline.*` spans of an enabled [`Obs`] time the same code.
 #[derive(Clone, Debug, Default)]
 pub struct StageReport {
     /// Distinct candidate comparisons after blocking (and cleaning).
@@ -172,12 +182,6 @@ pub struct StageReport {
     pub scheduled_comparisons: u64,
     /// Comparisons the matcher executed.
     pub matched_comparisons: u64,
-    /// Wall-clock per stage.
-    pub blocking_time: Duration,
-    /// Wall-clock of the meta-blocking stage.
-    pub meta_blocking_time: Duration,
-    /// Wall-clock of the matching stage.
-    pub matching_time: Duration,
     /// Comparisons carried by blocks shed under memory pressure (0 unless a
     /// memory budget was breached) — the run's explicit recall-loss account.
     pub shed_comparisons: u64,
@@ -230,18 +234,20 @@ impl Pipeline {
     /// backend.
     pub fn builder() -> PipelineBuilder {
         PipelineBuilder {
-            blocking: BlockingStage::Token,
-            cleaning: CleaningStage::AutoPurge,
-            meta_blocking: Some(MetaBlockingStage::default()),
-            matching: MatchingStage::jaccard(0.4),
-            clustering: ClusteringStage::default(),
-            parallelism: Parallelism::serial(),
-            obs: Obs::disabled(),
-            limits: ResourceLimits::none(),
-            backend: Backend::default(),
-            worker_program: None,
-            segment_dir: None,
-            out_of_core: false,
+            pipeline: Pipeline {
+                blocking: BlockingStage::Token,
+                cleaning: CleaningStage::AutoPurge,
+                meta_blocking: Some(MetaBlockingStage::default()),
+                matching: MatchingStage::jaccard(0.4),
+                clustering: ClusteringStage::default(),
+                parallelism: Parallelism::serial(),
+                obs: Obs::disabled(),
+                limits: ResourceLimits::none(),
+                backend: Backend::default(),
+                worker_program: None,
+                segment_dir: None,
+                out_of_core: false,
+            },
         }
     }
 
@@ -263,79 +269,72 @@ impl Pipeline {
     /// breach) and each stage runs under a fresh wall-clock watchdog — both
     /// degradations are reported in the [`StageReport`] instead of aborting.
     pub fn run(&self, collection: &EntityCollection) -> Resolution {
-        let run_span = self.obs.span("pipeline.run");
-        let mut report = StageReport::default();
-        let budget = self.limits.budget();
+        self.resolve(collection, Hooks::none(&self.obs))
+            .expect(NO_HOOKS)
+            .resolution
+    }
 
-        // ---- blocking (and cleaning) ---------------------------------------
-        let t0 = Instant::now();
-        let blocking_span = self.obs.span("pipeline.blocking");
-        let blocking_watchdog = self.limits.stage_watchdog();
-        let candidates: Vec<Pair> = match &self.blocking {
-            BlockingStage::SortedNeighborhood(keys, window) => {
-                let pairs = MultiPassSortedNeighborhood::new(keys.clone(), *window)
-                    .candidate_pairs(collection);
-                blocking_span.finish();
-                self.note_overrun("blocking", &blocking_watchdog);
-                pairs
-            }
-            block_based => {
-                let governed = self.build_blocks(collection, block_based, &budget);
-                report.blocking_time = t0.elapsed();
-                report.shed_comparisons = governed.shed_comparisons;
-                let blocked = governed.blocks.distinct_pairs(collection);
-                blocking_span.finish();
-                self.note_overrun("blocking", &blocking_watchdog);
-                report.blocked_comparisons = blocked.len() as u64;
-                // ---- meta-blocking ------------------------------------------
-                // Never skipped under pressure: pruning *reduces* downstream
-                // work, so running it is the cheapest path to the deadline.
-                if let Some(mb) = self.meta_blocking {
-                    let t1 = Instant::now();
-                    let mb_watchdog = self.limits.stage_watchdog();
-                    let mb_span = self.obs.span("pipeline.meta_blocking");
-                    let kept = self.meta_block(collection, &governed.blocks, mb, &budget);
-                    mb_span.finish();
-                    self.note_overrun("meta_blocking", &mb_watchdog);
-                    report.meta_blocking_time = t1.elapsed();
-                    kept
-                } else {
-                    blocked
-                }
-            }
-        };
-        if report.blocked_comparisons == 0 {
-            report.blocked_comparisons = candidates.len() as u64;
-            report.blocking_time = t0.elapsed();
-        }
-        report.scheduled_comparisons = candidates.len() as u64;
+    /// Runs the pipeline under a fault-tolerance policy: per-stage retry
+    /// with deterministic backoff, optional checkpoint/resume, and graceful
+    /// degradation of meta-blocking. It is the walk of [`Pipeline::run`]
+    /// with the recovery hooks of `opts` around each stage, so a run that
+    /// completes without degradation produces the same [`Resolution`].
+    pub fn run_with_recovery(
+        &self,
+        collection: &EntityCollection,
+        opts: &RecoveryOptions,
+    ) -> Result<RecoveryOutcome, PipelineError> {
+        self.resolve(collection, Hooks::recovering(self, collection, opts))
+    }
 
-        // ---- matching -------------------------------------------------------
-        let t2 = Instant::now();
-        let matching_span = self.obs.span("pipeline.matching");
-        let match_watchdog = self.limits.stage_watchdog();
-        let (scored_matches, skipped) =
-            self.score_candidates_governed(collection, &candidates, &match_watchdog);
-        matching_span.finish();
-        report.matching_time = t2.elapsed();
-        report.skipped_comparisons = skipped;
-        report.matched_comparisons = candidates.len() as u64 - skipped;
+    /// The whole walk with the configured matching stage as its matching
+    /// step, under the given recovery hooks.
+    fn resolve(
+        &self,
+        collection: &EntityCollection,
+        hooks: Hooks,
+    ) -> Result<RecoveryOutcome, PipelineError> {
+        Walk::begin(self, collection, hooks).resolve(&|candidates, watchdog| {
+            self.score_candidates_governed(collection, candidates, watchdog)
+        })
+    }
 
-        // ---- clustering -----------------------------------------------------
-        let clustering_span = self.obs.span("pipeline.clustering");
-        let (matches, clusters) = self.cluster(collection, scored_matches);
-        clustering_span.finish();
-        self.record_run_counters(&report, &matches, &clusters);
-        run_span.finish();
-        Resolution {
-            matches,
-            clusters,
-            report,
-        }
+    /// Runs the pipeline with a caller-supplied matcher instead of the
+    /// configured matching stage (e.g. an oracle for calibration). The
+    /// comparisons run serially — `M` need not be `Sync` — but under the
+    /// same stage watchdog, spans and run counters as [`Pipeline::run`].
+    pub fn run_with_matcher<M: Matcher>(
+        &self,
+        collection: &EntityCollection,
+        matcher: &M,
+    ) -> Resolution {
+        Walk::begin(self, collection, Hooks::none(&self.obs))
+            .resolve(&|candidates, watchdog| {
+                self.governed_decide(candidates, watchdog, |slice| {
+                    slice
+                        .iter()
+                        .filter_map(|&p| {
+                            let d = er_core::matching::compare_pair(collection, matcher, p);
+                            d.is_match.then_some((p, d.score))
+                        })
+                        .collect()
+                })
+            })
+            .expect(NO_HOOKS)
+            .resolution
+    }
+
+    /// The candidate comparisons the configured blocking + cleaning +
+    /// meta-blocking stages produce (no matching) — the input a progressive
+    /// scheduler would consume.
+    pub fn candidates(&self, collection: &EntityCollection) -> Vec<Pair> {
+        Walk::begin(self, collection, Hooks::none(&self.obs))
+            .schedule()
+            .expect(NO_HOOKS)
     }
 
     /// Records the per-run pipeline counters (cumulative across runs).
-    fn record_run_counters(
+    pub(crate) fn record_run_counters(
         &self,
         report: &StageReport,
         matches: &[Pair],
@@ -344,21 +343,18 @@ impl Pipeline {
         if !self.obs.is_enabled() {
             return;
         }
-        self.obs
-            .counter("pipeline.blocked_comparisons")
-            .add(report.blocked_comparisons);
-        self.obs
-            .counter("pipeline.scheduled_comparisons")
-            .add(report.scheduled_comparisons);
-        self.obs
-            .counter("pipeline.matched_comparisons")
-            .add(report.matched_comparisons);
-        self.obs
-            .counter("pipeline.matches")
-            .add(matches.len() as u64);
-        self.obs
-            .counter("pipeline.clusters")
-            .add(clusters.len() as u64);
+        for (name, value) in [
+            ("pipeline.blocked_comparisons", report.blocked_comparisons),
+            (
+                "pipeline.scheduled_comparisons",
+                report.scheduled_comparisons,
+            ),
+            ("pipeline.matched_comparisons", report.matched_comparisons),
+            ("pipeline.matches", matches.len() as u64),
+            ("pipeline.clusters", clusters.len() as u64),
+        ] {
+            self.obs.counter(name).add(value);
+        }
     }
 
     /// Runs the configured matching stage over the candidates under a stage
@@ -366,15 +362,6 @@ impl Pipeline {
     /// The comparisons run under the configured parallelism as an
     /// order-preserving map, so the match list is identical at every thread
     /// count.
-    ///
-    /// Disarmed, this is the exact whole-slice call (bit-identical,
-    /// no chunking overhead). Armed, the candidates run in fixed-size chunks
-    /// with the deadline checked cooperatively between chunks; once it
-    /// expires the remaining comparisons are *skipped* — the count is
-    /// returned, mirrored as `matching.comparisons_skipped` and announced as
-    /// a warning event. The chunked prefix is bit-identical to the
-    /// whole-slice run because the parallel decide is an order-preserving
-    /// pure map.
     fn score_candidates_governed(
         &self,
         collection: &EntityCollection,
@@ -382,34 +369,51 @@ impl Pipeline {
         watchdog: &Watchdog,
     ) -> (Vec<(Pair, f64)>, u64) {
         match &self.matching {
-            MatchingStage::Threshold(measure, threshold) => self.governed_decide(
-                collection,
-                candidates,
-                &ThresholdMatcher::new(*measure, *threshold),
-                watchdog,
-            ),
-            MatchingStage::TfIdf(threshold) => self.governed_decide(
-                collection,
-                candidates,
-                &TfIdfMatcher::from_collection(collection, *threshold),
-                watchdog,
-            ),
+            MatchingStage::Threshold(measure, threshold) => {
+                let m = ThresholdMatcher::new(*measure, *threshold);
+                self.governed_decide(candidates, watchdog, |slice| {
+                    self.par_matches(collection, &m, slice)
+                })
+            }
+            MatchingStage::TfIdf(threshold) => {
+                let m = TfIdfMatcher::from_collection(collection, *threshold);
+                self.governed_decide(candidates, watchdog, |slice| {
+                    self.par_matches(collection, &m, slice)
+                })
+            }
         }
     }
 
-    fn governed_decide<M: Matcher + Sync>(
+    /// The accepted pairs of a candidate slice with their scores, decided
+    /// under the configured parallelism (an order-preserving map).
+    fn par_matches<M: Matcher + Sync>(
         &self,
         collection: &EntityCollection,
-        candidates: &[Pair],
         m: &M,
+        slice: &[Pair],
+    ) -> Vec<(Pair, f64)> {
+        er_core::matching::par_decide_candidates(collection, m, slice, self.parallelism)
+            .into_iter()
+            .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
+            .collect()
+    }
+
+    /// Runs a matching step (`decide`: slice → accepted pairs with scores)
+    /// over the candidates under the stage watchdog.
+    ///
+    /// Disarmed, this is the exact whole-slice call (bit-identical,
+    /// no chunking overhead). Armed, the candidates run in fixed-size chunks
+    /// with the deadline checked cooperatively between chunks; once it
+    /// expires the remaining comparisons are *skipped* — the count is
+    /// returned, mirrored as `matching.comparisons_skipped` and announced as
+    /// a warning event. The chunked prefix is bit-identical to the
+    /// whole-slice run because `decide` is an order-preserving pure map.
+    fn governed_decide(
+        &self,
+        candidates: &[Pair],
         watchdog: &Watchdog,
+        decide: impl Fn(&[Pair]) -> Vec<(Pair, f64)>,
     ) -> (Vec<(Pair, f64)>, u64) {
-        let decide = |slice: &[Pair]| -> Vec<(Pair, f64)> {
-            er_core::matching::par_decide_candidates(collection, m, slice, self.parallelism)
-                .into_iter()
-                .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
-                .collect()
-        };
         if !watchdog.is_armed() {
             return (decide(candidates), 0);
         }
@@ -438,25 +442,10 @@ impl Pipeline {
         (scored, skipped)
     }
 
-    /// Records a stage that finished *after* its deadline. Blocking and
-    /// meta-blocking have no safe early-exit point (a partial index is
-    /// silently wrong, not degraded), so they run to completion and the
-    /// overrun is reported instead: `resource.stage_overruns` plus a warning.
-    fn note_overrun(&self, stage: &str, watchdog: &Watchdog) {
-        if !watchdog.expired() {
-            return;
-        }
-        self.obs.counter("resource.stage_overruns").incr();
-        self.obs.emit(Event::Warning {
-            stage: stage.to_string(),
-            reason: "stage overran its wall-clock deadline (completed late)".to_string(),
-        });
-    }
-
     /// Applies the configured clustering stage to scored match pairs,
     /// returning the (possibly constraint-filtered) match pairs and the
     /// clusters.
-    fn cluster(
+    pub(crate) fn cluster(
         &self,
         collection: &EntityCollection,
         scored_matches: Vec<(Pair, f64)>,
@@ -488,59 +477,6 @@ impl Pipeline {
         }
     }
 
-    /// Runs the pipeline with a caller-supplied matcher instead of the
-    /// configured matching stage (e.g. an oracle for calibration).
-    pub fn run_with_matcher<M: Matcher>(
-        &self,
-        collection: &EntityCollection,
-        matcher: &M,
-    ) -> Resolution {
-        let t0 = Instant::now();
-        let candidates = self.candidates(collection);
-        let blocking_time = t0.elapsed();
-        let t1 = Instant::now();
-        let scored: Vec<(Pair, f64)> = candidates
-            .iter()
-            .filter_map(|&p| {
-                let d = er_core::matching::compare_pair(collection, matcher, p);
-                d.is_match.then_some((p, d.score))
-            })
-            .collect();
-        let matching_time = t1.elapsed();
-        let (matches, clusters) = self.cluster(collection, scored);
-        Resolution {
-            matches,
-            clusters,
-            report: StageReport {
-                blocked_comparisons: candidates.len() as u64,
-                scheduled_comparisons: candidates.len() as u64,
-                matched_comparisons: candidates.len() as u64,
-                blocking_time,
-                matching_time,
-                ..StageReport::default()
-            },
-        }
-    }
-
-    /// The candidate comparisons the configured blocking + cleaning +
-    /// meta-blocking stages produce (no matching) — the input a progressive
-    /// scheduler would consume.
-    pub fn candidates(&self, collection: &EntityCollection) -> Vec<Pair> {
-        match &self.blocking {
-            BlockingStage::SortedNeighborhood(keys, window) => {
-                MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(collection)
-            }
-            block_based => {
-                let budget = self.limits.budget();
-                let governed = self.build_blocks(collection, block_based, &budget);
-                match self.meta_blocking {
-                    Some(mb) => self.meta_block(collection, &governed.blocks, mb, &budget),
-                    None => governed.blocks.distinct_pairs(collection),
-                }
-            }
-        }
-    }
-
     /// Builds and cleans the blocking collection for a block-producing
     /// stage, running the hot blocking kernels under the configured
     /// parallelism, then charges the cleaned index against the memory budget
@@ -554,17 +490,12 @@ impl Pipeline {
     ) -> er_blocking::governance::GovernedBlocks {
         let blocks = match stage {
             BlockingStage::Token => match self.backend {
+                // Forced out-of-core: postings stream through sorted on-disk
+                // runs; the build's working set is governed by the budget
+                // (run buffer + resident merge pages), so the in-memory
+                // admission charge below is skipped.
                 Backend::InProcess if self.out_of_core => {
-                    // Forced out-of-core: postings stream through sorted
-                    // on-disk runs; the build's working set is governed by
-                    // the budget (run buffer + resident merge pages), so the
-                    // in-memory admission charge below is skipped.
-                    let cfg = self.ooc_config(collection, "blocking", budget);
-                    let blocks = TokenBlocking::new()
-                        .par_build_ooc_obs(collection, self.parallelism, &self.obs, &cfg)
-                        .unwrap_or_else(|e| panic!("out-of-core blocking failed: {e}"));
-                    let _ = std::fs::remove_dir(&cfg.segment_dir);
-                    blocks
+                    self.ooc_token_blocks(collection, "blocking", &self.obs, budget)
                 }
                 Backend::InProcess => {
                     TokenBlocking::new().par_build_obs(collection, self.parallelism, &self.obs)
@@ -574,40 +505,31 @@ impl Pipeline {
                     self.dist_token_blocks(collection, &mut transport, workers)
                 }
             },
-            BlockingStage::AttributeClustering => {
-                let b = AttributeClusteringBlocking::new().par_build(collection, self.parallelism);
+            other => {
+                let b = match other {
+                    BlockingStage::AttributeClustering => {
+                        AttributeClusteringBlocking::new().par_build(collection, self.parallelism)
+                    }
+                    BlockingStage::StandardKey(attr) => {
+                        StandardBlocking::on_attribute(attr.clone()).build(collection)
+                    }
+                    BlockingStage::QGrams(q) => QGramsBlocking::new(*q).build(collection),
+                    BlockingStage::MinHash(bands, rows) => {
+                        MinHashBlocking::new(*bands, *rows).build(collection)
+                    }
+                    BlockingStage::Token | BlockingStage::SortedNeighborhood(..) => {
+                        unreachable!("token handled above, pair-producing stage by the walk")
+                    }
+                };
                 b.record_obs(&self.obs);
                 b
-            }
-            BlockingStage::StandardKey(attr) => {
-                let b = StandardBlocking::on_attribute(attr.clone()).build(collection);
-                b.record_obs(&self.obs);
-                b
-            }
-            BlockingStage::QGrams(q) => {
-                let b = QGramsBlocking::new(*q).build(collection);
-                b.record_obs(&self.obs);
-                b
-            }
-            BlockingStage::MinHash(bands, rows) => {
-                let b = MinHashBlocking::new(*bands, *rows).build(collection);
-                b.record_obs(&self.obs);
-                b
-            }
-            BlockingStage::SortedNeighborhood(..) => {
-                unreachable!("pair-producing stage handled by callers")
             }
         };
         let cleaned = self.clean_blocks(blocks, collection, &self.obs);
         if self.out_of_core && self.ooc_blocking_applies(stage) {
             // The out-of-core build already ran under the budget's pager
             // governance — the cleaned index is admitted whole, zero shed.
-            return er_blocking::governance::GovernedBlocks {
-                blocks: cleaned,
-                reserved_bytes: 0,
-                shed_blocks: 0,
-                shed_comparisons: 0,
-            };
+            return admitted_uncharged(cleaned);
         }
         if budget.is_enabled() && self.segment_dir.is_some() && self.ooc_blocking_applies(stage) {
             // Spill-to-segment rescue: probe the admission charge first, and
@@ -676,12 +598,8 @@ impl Pipeline {
         index_bytes: u64,
         budget: &MemoryBudget,
     ) -> er_blocking::governance::GovernedBlocks {
-        let cfg = self.ooc_config(collection, "blocking-rescue", budget);
         let quiet = Obs::disabled();
-        let rebuilt = TokenBlocking::new()
-            .par_build_ooc_obs(collection, self.parallelism, &quiet, &cfg)
-            .unwrap_or_else(|e| panic!("out-of-core blocking rescue failed: {e}"));
-        let _ = std::fs::remove_dir(&cfg.segment_dir);
+        let rebuilt = self.ooc_token_blocks(collection, "blocking-rescue", &quiet, budget);
         let cleaned = self.clean_blocks(rebuilt, collection, &quiet);
         self.obs.counter("colstore.spill_rescues").incr();
         self.obs.emit(Event::Warning {
@@ -692,18 +610,30 @@ impl Pipeline {
                 budget.limit().unwrap_or(0)
             ),
         });
-        er_blocking::governance::GovernedBlocks {
-            blocks: cleaned,
-            reserved_bytes: 0,
-            shed_blocks: 0,
-            shed_comparisons: 0,
-        }
+        admitted_uncharged(cleaned)
+    }
+
+    /// Token blocking streamed through sorted on-disk runs under a fresh
+    /// spill directory for `stage`.
+    fn ooc_token_blocks(
+        &self,
+        collection: &EntityCollection,
+        stage: &str,
+        obs: &Obs,
+        budget: &MemoryBudget,
+    ) -> BlockCollection {
+        let cfg = self.ooc_config(collection, stage, budget);
+        let blocks = TokenBlocking::new()
+            .par_build_ooc_obs(collection, self.parallelism, obs, &cfg)
+            .unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"));
+        let _ = std::fs::remove_dir(&cfg.segment_dir);
+        blocks
     }
 
     /// Prunes candidates with the configured meta-blocking stage, routing
     /// through the out-of-core graph builder when
     /// [`out_of_core`](PipelineBuilder::out_of_core) is set.
-    fn meta_block(
+    pub(crate) fn meta_block(
         &self,
         collection: &EntityCollection,
         blocks: &BlockCollection,
@@ -866,6 +796,17 @@ impl Pipeline {
     }
 }
 
+/// Admits an index whole without charging it: the build that produced it
+/// already ran under the budget's pager governance.
+fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::GovernedBlocks {
+    er_blocking::governance::GovernedBlocks {
+        blocks,
+        reserved_bytes: 0,
+        shed_blocks: 0,
+        shed_comparisons: 0,
+    }
+}
+
 /// Serializes a collection for the distributed `token-blocking` job: one
 /// record per entity in id order, `id \t token \t token …` with the entity's
 /// distinct tokens — the same per-entity token *set* the in-process build
@@ -922,54 +863,43 @@ fn cluster_pairs(clusters: &[Vec<EntityId>]) -> Vec<Pair> {
 /// Fluent builder for [`Pipeline`].
 #[derive(Clone, Debug)]
 pub struct PipelineBuilder {
-    blocking: BlockingStage,
-    cleaning: CleaningStage,
-    meta_blocking: Option<MetaBlockingStage>,
-    matching: MatchingStage,
-    clustering: ClusteringStage,
-    parallelism: Parallelism,
-    obs: Obs,
-    limits: ResourceLimits,
-    backend: Backend,
-    worker_program: Option<PathBuf>,
-    segment_dir: Option<PathBuf>,
-    out_of_core: bool,
+    pipeline: Pipeline,
 }
 
 impl PipelineBuilder {
     /// Selects the blocking stage.
     pub fn blocking(mut self, stage: BlockingStage) -> Self {
-        self.blocking = stage;
+        self.pipeline.blocking = stage;
         self
     }
 
     /// Selects the cleaning stage.
     pub fn cleaning(mut self, stage: CleaningStage) -> Self {
-        self.cleaning = stage;
+        self.pipeline.cleaning = stage;
         self
     }
 
     /// Selects the meta-blocking stage.
     pub fn meta_blocking(mut self, stage: MetaBlockingStage) -> Self {
-        self.meta_blocking = Some(stage);
+        self.pipeline.meta_blocking = Some(stage);
         self
     }
 
     /// Disables meta-blocking.
     pub fn no_meta_blocking(mut self) -> Self {
-        self.meta_blocking = None;
+        self.pipeline.meta_blocking = None;
         self
     }
 
     /// Selects the matching stage.
     pub fn matching(mut self, stage: MatchingStage) -> Self {
-        self.matching = stage;
+        self.pipeline.matching = stage;
         self
     }
 
     /// Selects the clustering stage.
     pub fn clustering(mut self, stage: ClusteringStage) -> Self {
-        self.clustering = stage;
+        self.pipeline.clustering = stage;
         self
     }
 
@@ -977,7 +907,7 @@ impl PipelineBuilder {
     /// meta-blocking, matching). The result of a run is bit-identical at
     /// every setting — parallelism only changes wall-clock time.
     pub fn parallelism(mut self, par: Parallelism) -> Self {
-        self.parallelism = par;
+        self.pipeline.parallelism = par;
         self
     }
 
@@ -986,7 +916,7 @@ impl PipelineBuilder {
     /// event sink. The default is [`Obs::disabled`], whose record paths are
     /// no-ops.
     pub fn observability(mut self, obs: Obs) -> Self {
-        self.obs = obs;
+        self.pipeline.obs = obs;
         self
     }
 
@@ -998,7 +928,7 @@ impl PipelineBuilder {
     /// and report the overrun). The default, [`ResourceLimits::none`], makes
     /// every governed path a no-op — an ungoverned run is bit-identical.
     pub fn resource_limits(mut self, limits: ResourceLimits) -> Self {
-        self.limits = limits;
+        self.pipeline.limits = limits;
         self
     }
 
@@ -1007,7 +937,7 @@ impl PipelineBuilder {
     /// blocking on supervised worker processes with real crash isolation.
     /// The resolution is bit-identical either way.
     pub fn backend(mut self, backend: Backend) -> Self {
-        self.backend = backend;
+        self.pipeline.backend = backend;
         self
     }
 
@@ -1017,7 +947,7 @@ impl PipelineBuilder {
     /// first in `main` (the `er` CLI does); test harnesses point this at a
     /// dedicated worker binary instead.
     pub fn worker_program(mut self, program: impl Into<PathBuf>) -> Self {
-        self.worker_program = Some(program.into());
+        self.pipeline.worker_program = Some(program.into());
         self
     }
 
@@ -1029,7 +959,7 @@ impl PipelineBuilder {
     /// subdirectory, so concurrent pipelines sharing one segment dir never
     /// collide; spill files are removed before the stage returns.
     pub fn segment_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.segment_dir = Some(dir.into());
+        self.pipeline.segment_dir = Some(dir.into());
         self
     }
 
@@ -1041,26 +971,13 @@ impl PipelineBuilder {
     /// Spill files land under [`segment_dir`](PipelineBuilder::segment_dir)
     /// when set, the system temp dir otherwise.
     pub fn out_of_core(mut self, enabled: bool) -> Self {
-        self.out_of_core = enabled;
+        self.pipeline.out_of_core = enabled;
         self
     }
 
     /// Finalizes the pipeline.
     pub fn build(self) -> Pipeline {
-        Pipeline {
-            blocking: self.blocking,
-            cleaning: self.cleaning,
-            meta_blocking: self.meta_blocking,
-            matching: self.matching,
-            clustering: self.clustering,
-            parallelism: self.parallelism,
-            obs: self.obs,
-            limits: self.limits,
-            backend: self.backend,
-            worker_program: self.worker_program,
-            segment_dir: self.segment_dir,
-            out_of_core: self.out_of_core,
-        }
+        self.pipeline
     }
 }
 
@@ -1068,6 +985,7 @@ impl PipelineBuilder {
 mod tests {
     use super::*;
     use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+    use std::time::Duration;
 
     fn dataset() -> DirtyDataset {
         DirtyDataset::generate(&DirtyConfig::sized(300, NoiseModel::light(), 101))
@@ -1118,9 +1036,17 @@ mod tests {
                 vec![SortKey::FlattenedValue],
                 8,
             ))
+            .observability(Obs::enabled())
             .build();
         let res = p.run(&ds.collection);
-        assert!(res.report.meta_blocking_time.is_zero());
+        let snap = p.metrics();
+        assert!(snap.span("pipeline.blocking").is_some());
+        assert!(snap.span("pipeline.cleaning").is_none());
+        assert!(snap.span("pipeline.meta_blocking").is_none());
+        assert_eq!(
+            res.report.scheduled_comparisons,
+            res.report.blocked_comparisons
+        );
         assert!(!res.matches.is_empty());
     }
 

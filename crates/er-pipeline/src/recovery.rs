@@ -2,7 +2,11 @@
 //! graceful degradation.
 //!
 //! The tutorial's web-scale systems assume the *runtime* masks failures; this
-//! module gives the in-process pipeline the same contract:
+//! module gives the in-process pipeline the same contract. It does not drive
+//! the stages itself: the one stage walk (`walk.rs`) calls three hooks around
+//! each stage — load its checkpoint, attempt it, save its checkpoint — which
+//! are direct calls unless [`RecoveryOptions`] are given
+//! ([`Pipeline::run_with_recovery`]):
 //!
 //! * **Stage retry** — each stage (blocking → meta-blocking → matching) runs
 //!   under a [`RetryPolicy`]: per-stage panics and transient errors are
@@ -28,23 +32,19 @@
 //! [`RecoveryOutcome`], so callers (and tests) can assert on exactly what
 //! happened.
 
-use crate::{BlockingStage, Pipeline, Resolution, StageReport};
+use crate::{Pipeline, Resolution};
 use er_blocking::block::{Block, BlockCollection};
-use er_blocking::sorted_neighborhood::MultiPassSortedNeighborhood;
 use er_core::codec::{escape, header_field, unescape, LineCodec};
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
 use er_core::fault::{FaultInjector, RetryPolicy};
 use er_core::obs::{Event, Obs};
 use er_core::pair::Pair;
-use er_core::resource::{MemoryBudget, Watchdog};
-use er_metablocking::par_meta_block_obs;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::thread;
-use std::time::Instant;
 
 /// Stage name used for fault keys, events and errors.
 pub const STAGE_BLOCKING: &str = "blocking";
@@ -278,349 +278,158 @@ impl RecoveryOutcome {
     }
 }
 
-impl Pipeline {
-    /// Runs the pipeline under a fault-tolerance policy: per-stage retry
-    /// with deterministic backoff, optional checkpoint/resume, and graceful
-    /// degradation of meta-blocking. A run that completes without
-    /// degradation produces a [`Resolution`] bit-identical to
-    /// [`Pipeline::run`].
-    pub fn run_with_recovery(
-        &self,
+/// The three recovery hooks the stage walk ([`crate::walk`]) calls around a
+/// stage: load its checkpoint, attempt it, save its checkpoint.
+///
+/// Built with [`Hooks::none`] every hook is the direct path — `load` finds
+/// nothing, `attempt` is a plain call (no `catch_unwind`, so a stage panic
+/// propagates) and `save` does no I/O — which is how `Pipeline::run` and
+/// `Pipeline::run_with_recovery` are one walk under two configurations.
+pub(crate) struct Hooks<'a> {
+    obs: &'a Obs,
+    opts: Option<&'a RecoveryOptions>,
+    store: Option<CheckpointStore>,
+    /// Every recovery action (and degradation) of the walk so far, in order.
+    pub(crate) events: Vec<RecoveryEvent>,
+    /// The deepest stage restored from a checkpoint, if any.
+    pub(crate) resumed_from: Option<&'static str>,
+}
+
+impl<'a> Hooks<'a> {
+    /// No recovery: every hook is the direct path.
+    pub(crate) fn none(obs: &'a Obs) -> Self {
+        Hooks {
+            obs,
+            opts: None,
+            store: None,
+            events: Vec::new(),
+            resumed_from: None,
+        }
+    }
+
+    /// Hooks for one fault-tolerant run of `pipeline` over `collection`.
+    pub(crate) fn recovering(
+        pipeline: &'a Pipeline,
         collection: &EntityCollection,
-        opts: &RecoveryOptions,
-    ) -> Result<RecoveryOutcome, PipelineError> {
-        let run_span = self.obs().span("pipeline.run");
+        opts: &'a RecoveryOptions,
+    ) -> Self {
         // Pre-register the retry counter so a fault-free snapshot reports an
         // explicit 0 instead of a missing key — the CI checker asserts on it.
-        self.obs().counter("recovery.stage_retries");
-        let mut events: Vec<RecoveryEvent> = Vec::new();
-        let mut report = StageReport::default();
-        let budget = self.limits.budget();
-        let store = opts
-            .checkpoint_dir
-            .as_ref()
-            .map(|dir| CheckpointStore::new(dir.clone(), fingerprint(self, collection)));
-        let mut resumed_from: Option<&'static str> = None;
+        pipeline.obs().counter("recovery.stage_retries");
+        Hooks {
+            opts: Some(opts),
+            store: opts
+                .checkpoint_dir
+                .as_ref()
+                .map(|dir| CheckpointStore::new(dir.clone(), fingerprint(pipeline, collection))),
+            ..Hooks::none(pipeline.obs())
+        }
+    }
 
-        // ---- deepest checkpoint first: matched ------------------------------
-        if opts.resume {
-            if let Some(s) = &store {
-                match s.load_matched() {
-                    Ok(Some(m)) => {
-                        report.blocked_comparisons = m.blocked;
-                        report.scheduled_comparisons = m.scheduled;
-                        report.matched_comparisons = m.scheduled;
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_MATCHING,
-                        });
-                        let clustering_span = self.obs().span("pipeline.clustering");
-                        let (matches, clusters) = self.cluster(collection, m.scored);
-                        clustering_span.finish();
-                        run_span.finish();
-                        return Ok(RecoveryOutcome {
-                            resolution: Resolution {
-                                matches,
-                                clusters,
-                                report,
-                            },
-                            events,
-                            resumed_from: Some(STAGE_MATCHING),
-                            scheduled: None,
-                        });
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), &mut events, STAGE_MATCHING, reason),
-                }
+    /// Loads a stage's checkpoint when resuming. A corrupt, truncated or
+    /// foreign checkpoint is rejected with a warning and the stage runs from
+    /// scratch.
+    pub(crate) fn load<T>(
+        &mut self,
+        stage: &'static str,
+        read: impl FnOnce(&CheckpointStore) -> Result<Option<T>, String>,
+    ) -> Option<T> {
+        let store = self.store.as_ref()?;
+        if !self.opts.is_some_and(|o| o.resume) {
+            return None;
+        }
+        match read(store) {
+            Ok(Some(loaded)) => {
+                self.events.push(RecoveryEvent::CheckpointLoaded { stage });
+                self.resumed_from = Some(stage);
+                Some(loaded)
+            }
+            Ok(None) => None,
+            Err(reason) => {
+                self.obs.emit(Event::Warning {
+                    stage: stage.to_string(),
+                    reason: format!(
+                        "checkpoint rejected ({reason}); running the stage from scratch"
+                    ),
+                });
+                self.events
+                    .push(RecoveryEvent::CheckpointRejected { stage, reason });
+                None
             }
         }
+    }
 
-        // ---- candidates: scheduled checkpoint, else blocking (+ meta) -------
-        let mut candidates: Option<Vec<Pair>> = None;
-        if opts.resume {
-            if let Some(s) = &store {
-                match s.load_scheduled() {
-                    Ok(Some(sc)) => {
-                        report.blocked_comparisons = sc.blocked;
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_META_BLOCKING,
-                        });
-                        resumed_from = Some(STAGE_META_BLOCKING);
-                        candidates = Some(sc.pairs);
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), &mut events, STAGE_META_BLOCKING, reason),
-                }
-            }
-        }
-
-        let candidates: Vec<Pair> = match candidates {
-            Some(c) => c,
-            None => {
-                let c = self.blocked_candidates(
-                    collection,
-                    opts,
-                    &budget,
-                    &store,
-                    &mut events,
-                    &mut report,
-                    &mut resumed_from,
-                )?;
-                // A schedule derived from a budget-shed index is a degraded
-                // artifact — don't checkpoint it (see the matched guard).
-                if report.shed_comparisons == 0 {
-                    if let Some(s) = &store {
-                        match s.save_scheduled(&c, report.blocked_comparisons) {
-                            Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                                stage: STAGE_META_BLOCKING,
-                            }),
-                            Err(e) => warn_write(self.obs(), &mut events, STAGE_META_BLOCKING, e),
-                        }
-                    }
-                }
-                c
-            }
+    /// Runs one stage: directly without recovery, else under the retry
+    /// policy — panics and injected transient faults are caught and the
+    /// stage is re-run after a deterministic backoff until it succeeds or
+    /// the attempt budget is exhausted. Stages are pure functions of the
+    /// collection, so a retried run is bit-identical to an undisturbed one.
+    pub(crate) fn attempt<T>(
+        &mut self,
+        stage: &'static str,
+        f: impl Fn() -> T,
+    ) -> Result<T, PipelineError> {
+        let Some(opts) = self.opts else {
+            return Ok(f());
         };
-        report.scheduled_comparisons = candidates.len() as u64;
-
-        // ---- matching -------------------------------------------------------
-        let t2 = Instant::now();
-        let matching_span = self.obs().span("pipeline.matching");
-        // A fresh watchdog per attempt: a retried stage gets the full stage
-        // deadline again, like an undisturbed run of that attempt.
-        let (scored, skipped) = run_stage(self.obs(), STAGE_MATCHING, opts, &mut events, || {
-            let watchdog = self.limits.stage_watchdog();
-            self.score_candidates_governed(collection, &candidates, &watchdog)
-        })?;
-        matching_span.finish();
-        report.matching_time = t2.elapsed();
-        report.skipped_comparisons = skipped;
-        report.matched_comparisons = candidates.len() as u64 - skipped;
-        if skipped > 0 {
-            events.push(RecoveryEvent::MatchingTruncatedByDeadline {
-                skipped_comparisons: skipped,
-            });
-        }
-        // Never checkpoint a deadline-truncated or shed-derived match set:
-        // checkpoints are reserved for complete stage outputs, so a resume
-        // can't silently replay a degraded result.
-        if skipped == 0 && report.shed_comparisons == 0 {
-            if let Some(s) = &store {
-                match s.save_matched(
-                    &scored,
-                    report.blocked_comparisons,
-                    report.scheduled_comparisons,
-                ) {
-                    Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                        stage: STAGE_MATCHING,
-                    }),
-                    Err(e) => warn_write(self.obs(), &mut events, STAGE_MATCHING, e),
+        let max = opts.retry.max_attempts.max(1);
+        let mut last_error = String::new();
+        for attempt in 0..max {
+            let outcome = catch_unwind(AssertUnwindSafe(|| {
+                if let Some(inj) = &opts.injector {
+                    inj.fire(stage, 0, attempt)?;
+                }
+                Ok::<T, er_core::fault::TransientFault>(f())
+            }));
+            match outcome {
+                Ok(Ok(v)) => return Ok(v),
+                Ok(Err(transient)) => last_error = transient.to_string(),
+                Err(payload) => last_error = panic_message(payload.as_ref()),
+            }
+            if attempt + 1 < max {
+                self.obs.counter("recovery.stage_retries").incr();
+                self.events.push(RecoveryEvent::StageRetried {
+                    stage,
+                    failed_attempt: attempt,
+                    error: last_error.clone(),
+                });
+                let backoff = opts.retry.backoff_for(stage, 0, attempt + 1);
+                if !backoff.is_zero() {
+                    thread::sleep(backoff);
                 }
             }
         }
-
-        // ---- clustering (cheap; always re-run) ------------------------------
-        let clustering_span = self.obs().span("pipeline.clustering");
-        let (matches, clusters) = self.cluster(collection, scored);
-        clustering_span.finish();
-        self.record_run_counters(&report, &matches, &clusters);
-        run_span.finish();
-        Ok(RecoveryOutcome {
-            resolution: Resolution {
-                matches,
-                clusters,
-                report,
-            },
-            events,
-            resumed_from,
-            scheduled: Some(candidates),
+        Err(PipelineError {
+            stage,
+            attempts: max,
+            message: last_error,
         })
     }
 
-    /// Produces the scheduled candidate comparisons under fault tolerance:
-    /// blocking (checkpointed, retried) followed by meta-blocking (retried,
-    /// degradable to the unpruned blocked pairs).
-    #[allow(clippy::too_many_arguments)]
-    fn blocked_candidates(
-        &self,
-        collection: &EntityCollection,
-        opts: &RecoveryOptions,
-        budget: &MemoryBudget,
-        store: &Option<CheckpointStore>,
-        events: &mut Vec<RecoveryEvent>,
-        report: &mut StageReport,
-        resumed_from: &mut Option<&'static str>,
-    ) -> Result<Vec<Pair>, PipelineError> {
-        if let BlockingStage::SortedNeighborhood(keys, window) = &self.blocking {
-            // Pair-producing method: blocking directly yields the schedule.
-            let t0 = Instant::now();
-            let blocking_span = self.obs().span("pipeline.blocking");
-            let watchdog = self.limits.stage_watchdog();
-            let pairs = run_stage(self.obs(), STAGE_BLOCKING, opts, events, || {
-                MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(collection)
-            })?;
-            blocking_span.finish();
-            self.overrun_event(STAGE_BLOCKING, &watchdog, events);
-            report.blocking_time = t0.elapsed();
-            report.blocked_comparisons = pairs.len() as u64;
-            return Ok(pairs);
-        }
-
-        // ---- blocking: checkpoint or retried run ---------------------------
-        let mut blocks: Option<BlockCollection> = None;
-        if opts.resume {
-            if let Some(s) = store {
-                match s.load_blocked() {
-                    Ok(Some(b)) => {
-                        events.push(RecoveryEvent::CheckpointLoaded {
-                            stage: STAGE_BLOCKING,
-                        });
-                        *resumed_from = Some(STAGE_BLOCKING);
-                        blocks = Some(b);
-                    }
-                    Ok(None) => {}
-                    Err(reason) => reject(self.obs(), events, STAGE_BLOCKING, reason),
-                }
-            }
-        }
-        let blocks = match blocks {
-            Some(b) => b,
-            None => {
-                let t0 = Instant::now();
-                let blocking_span = self.obs().span("pipeline.blocking");
-                let watchdog = self.limits.stage_watchdog();
-                let governed = run_stage(self.obs(), STAGE_BLOCKING, opts, events, || {
-                    self.build_blocks(collection, &self.blocking, budget)
-                })?;
-                blocking_span.finish();
-                self.overrun_event(STAGE_BLOCKING, &watchdog, events);
-                report.blocking_time = t0.elapsed();
-                report.shed_comparisons = governed.shed_comparisons;
-                if governed.degraded() {
-                    events.push(RecoveryEvent::BlocksShedUnderPressure {
-                        shed_blocks: governed.shed_blocks,
-                        shed_comparisons: governed.shed_comparisons,
-                    });
-                }
-                // Only a complete (unshed) index is worth checkpointing: a
-                // resume must never silently replay a degraded artifact.
-                if !governed.degraded() {
-                    if let Some(s) = store {
-                        match s.save_blocked(&governed.blocks) {
-                            Ok(()) => events.push(RecoveryEvent::CheckpointSaved {
-                                stage: STAGE_BLOCKING,
-                            }),
-                            Err(e) => warn_write(self.obs(), events, STAGE_BLOCKING, e),
-                        }
-                    }
-                }
-                governed.blocks
-            }
-        };
-        let blocked_pairs = blocks.distinct_pairs(collection);
-        report.blocked_comparisons = blocked_pairs.len() as u64;
-
-        // ---- meta-blocking: retried, degradable ----------------------------
-        match self.meta_blocking {
-            Some(mb) => {
-                let t1 = Instant::now();
-                let mb_span = self.obs().span("pipeline.meta_blocking");
-                let watchdog = self.limits.stage_watchdog();
-                let outcome = run_stage(self.obs(), STAGE_META_BLOCKING, opts, events, || {
-                    par_meta_block_obs(
-                        collection,
-                        &blocks,
-                        mb.weighting,
-                        mb.pruning,
-                        self.parallelism,
-                        self.obs(),
-                    )
-                });
-                mb_span.finish();
-                self.overrun_event(STAGE_META_BLOCKING, &watchdog, events);
-                match outcome {
-                    Ok(kept) => {
-                        report.meta_blocking_time = t1.elapsed();
-                        Ok(kept)
-                    }
-                    Err(err) => {
-                        // Degrade, loudly: recall is preserved because the
-                        // unpruned blocked comparisons are a superset of
-                        // anything meta-blocking would schedule. The warning
-                        // goes through the event sink (stderr by default).
-                        self.obs().emit(Event::Warning {
-                            stage: STAGE_META_BLOCKING.to_string(),
-                            reason: format!(
-                                "{err}; degrading to {} unpruned blocked comparisons",
-                                blocked_pairs.len()
-                            ),
-                        });
-                        events.push(RecoveryEvent::MetaBlockingDegraded { error: err.message });
-                        Ok(blocked_pairs)
-                    }
-                }
-            }
-            None => Ok(blocked_pairs),
-        }
-    }
-
-    /// Records a stage that finished after its deadline: the obs warning +
-    /// counter plus a [`RecoveryEvent::StageOverranDeadline`]. A disarmed or
-    /// unexpired watchdog is a no-op.
-    fn overrun_event(
-        &self,
+    /// Saves a stage's checkpoint when checkpointing is on; a write failure
+    /// warns and the run continues uncheckpointed.
+    pub(crate) fn save(
+        &mut self,
         stage: &'static str,
-        watchdog: &Watchdog,
-        events: &mut Vec<RecoveryEvent>,
+        write: impl FnOnce(&CheckpointStore) -> std::io::Result<()>,
     ) {
-        if watchdog.expired() {
-            self.note_overrun(stage, watchdog);
-            events.push(RecoveryEvent::StageOverranDeadline { stage });
-        }
-    }
-}
-
-/// Runs one stage under the retry policy: panics and injected transient
-/// faults are caught; the stage is re-run after a deterministic backoff
-/// until it succeeds or the attempt budget is exhausted.
-fn run_stage<T>(
-    obs: &Obs,
-    stage: &'static str,
-    opts: &RecoveryOptions,
-    events: &mut Vec<RecoveryEvent>,
-    f: impl Fn() -> T,
-) -> Result<T, PipelineError> {
-    let max = opts.retry.max_attempts.max(1);
-    let mut last_error = String::new();
-    for attempt in 0..max {
-        let outcome = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inj) = &opts.injector {
-                inj.fire(stage, 0, attempt)?;
-            }
-            Ok::<T, er_core::fault::TransientFault>(f())
-        }));
-        match outcome {
-            Ok(Ok(v)) => return Ok(v),
-            Ok(Err(transient)) => last_error = transient.to_string(),
-            Err(payload) => last_error = panic_message(payload.as_ref()),
-        }
-        if attempt + 1 < max {
-            obs.counter("recovery.stage_retries").incr();
-            events.push(RecoveryEvent::StageRetried {
-                stage,
-                failed_attempt: attempt,
-                error: last_error.clone(),
-            });
-            let backoff = opts.retry.backoff_for(stage, 0, attempt + 1);
-            if !backoff.is_zero() {
-                thread::sleep(backoff);
+        let Some(store) = &self.store else {
+            return;
+        };
+        match write(store) {
+            Ok(()) => self.events.push(RecoveryEvent::CheckpointSaved { stage }),
+            Err(err) => {
+                self.obs.emit(Event::Warning {
+                    stage: stage.to_string(),
+                    reason: format!("checkpoint write failed ({err}); continuing uncheckpointed"),
+                });
+                self.events.push(RecoveryEvent::CheckpointWriteFailed {
+                    stage,
+                    reason: err.to_string(),
+                });
             }
         }
     }
-    Err(PipelineError {
-        stage,
-        attempts: max,
-        message: last_error,
-    })
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -631,30 +440,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
     } else {
         "panic: <non-string payload>".to_string()
     }
-}
-
-fn reject(obs: &Obs, events: &mut Vec<RecoveryEvent>, stage: &'static str, reason: String) {
-    obs.emit(Event::Warning {
-        stage: stage.to_string(),
-        reason: format!("checkpoint rejected ({reason}); running the stage from scratch"),
-    });
-    events.push(RecoveryEvent::CheckpointRejected { stage, reason });
-}
-
-fn warn_write(
-    obs: &Obs,
-    events: &mut Vec<RecoveryEvent>,
-    stage: &'static str,
-    err: std::io::Error,
-) {
-    obs.emit(Event::Warning {
-        stage: stage.to_string(),
-        reason: format!("checkpoint write failed ({err}); continuing uncheckpointed"),
-    });
-    events.push(RecoveryEvent::CheckpointWriteFailed {
-        stage,
-        reason: err.to_string(),
-    });
 }
 
 // ---------------------------------------------------------------------------
@@ -680,33 +465,28 @@ fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
         pipeline.clustering,
         pipeline.limits,
     );
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in summary.bytes() {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
+    er_core::intern::Fnv1a::hash(summary.as_bytes())
 }
 
 const CKPT_MAGIC: &str = "er-checkpoint";
 const CKPT_VERSION: &str = "v1";
 
-struct CheckpointStore {
+pub(crate) struct CheckpointStore {
     dir: PathBuf,
     codec: LineCodec,
 }
 
 /// A loaded `scheduled.ckpt`.
-struct ScheduledCkpt {
-    pairs: Vec<Pair>,
-    blocked: u64,
+pub(crate) struct ScheduledCkpt {
+    pub(crate) pairs: Vec<Pair>,
+    pub(crate) blocked: u64,
 }
 
 /// A loaded `matched.ckpt`.
-struct MatchedCkpt {
-    scored: Vec<(Pair, f64)>,
-    blocked: u64,
-    scheduled: u64,
+pub(crate) struct MatchedCkpt {
+    pub(crate) scored: Vec<(Pair, f64)>,
+    pub(crate) blocked: u64,
+    pub(crate) scheduled: u64,
 }
 
 impl CheckpointStore {
@@ -717,33 +497,9 @@ impl CheckpointStore {
         }
     }
 
-    fn path(&self, name: &str) -> PathBuf {
-        self.dir.join(name)
-    }
-
-    /// Writes `lines` through the shared [`LineCodec`]: atomic temp-file +
-    /// rename under a fingerprinted header and a truncation-detecting footer.
-    fn write_file(
-        &self,
-        name: &str,
-        stage: &str,
-        extra: &str,
-        lines: impl Iterator<Item = String>,
-    ) -> std::io::Result<()> {
-        self.codec
-            .write_atomic(&self.path(name), stage, extra, lines)
-    }
-
-    /// Reads a checkpoint: `Ok(None)` when absent, `Err(reason)` when the
-    /// header, fingerprint or footer is wrong, `Ok(Some(body_lines))`
-    /// otherwise.
-    fn read_file(&self, name: &str, stage: &str) -> Result<Option<(String, Vec<String>)>, String> {
-        self.codec.read(&self.path(name), stage)
-    }
-
-    fn save_blocked(&self, blocks: &BlockCollection) -> std::io::Result<()> {
-        self.write_file(
-            "blocked.ckpt",
+    pub(crate) fn save_blocked(&self, blocks: &BlockCollection) -> std::io::Result<()> {
+        self.codec.write_atomic(
+            &self.dir.join("blocked.ckpt"),
             STAGE_BLOCKING,
             "",
             blocks.blocks().iter().map(|b| {
@@ -753,8 +509,9 @@ impl CheckpointStore {
         )
     }
 
-    fn load_blocked(&self) -> Result<Option<BlockCollection>, String> {
-        let Some((_, body)) = self.read_file("blocked.ckpt", STAGE_BLOCKING)? else {
+    pub(crate) fn load_blocked(&self) -> Result<Option<BlockCollection>, String> {
+        let path = self.dir.join("blocked.ckpt");
+        let Some((_, body)) = self.codec.read(&path, STAGE_BLOCKING)? else {
             return Ok(None);
         };
         let mut blocks = Vec::with_capacity(body.len());
@@ -773,9 +530,9 @@ impl CheckpointStore {
         Ok(Some(BlockCollection::new(blocks)))
     }
 
-    fn save_scheduled(&self, pairs: &[Pair], blocked: u64) -> std::io::Result<()> {
-        self.write_file(
-            "scheduled.ckpt",
+    pub(crate) fn save_scheduled(&self, pairs: &[Pair], blocked: u64) -> std::io::Result<()> {
+        self.codec.write_atomic(
+            &self.dir.join("scheduled.ckpt"),
             STAGE_META_BLOCKING,
             &format!(" blocked={blocked}"),
             pairs
@@ -784,8 +541,9 @@ impl CheckpointStore {
         )
     }
 
-    fn load_scheduled(&self) -> Result<Option<ScheduledCkpt>, String> {
-        let Some((header, body)) = self.read_file("scheduled.ckpt", STAGE_META_BLOCKING)? else {
+    pub(crate) fn load_scheduled(&self) -> Result<Option<ScheduledCkpt>, String> {
+        let path = self.dir.join("scheduled.ckpt");
+        let Some((header, body)) = self.codec.read(&path, STAGE_META_BLOCKING)? else {
             return Ok(None);
         };
         let blocked = header_field(&header, "blocked")?;
@@ -802,14 +560,14 @@ impl CheckpointStore {
         Ok(Some(ScheduledCkpt { pairs, blocked }))
     }
 
-    fn save_matched(
+    pub(crate) fn save_matched(
         &self,
         scored: &[(Pair, f64)],
         blocked: u64,
         scheduled: u64,
     ) -> std::io::Result<()> {
-        self.write_file(
-            "matched.ckpt",
+        self.codec.write_atomic(
+            &self.dir.join("matched.ckpt"),
             STAGE_MATCHING,
             &format!(" blocked={blocked} scheduled={scheduled}"),
             scored.iter().map(|(p, s)| {
@@ -819,8 +577,9 @@ impl CheckpointStore {
         )
     }
 
-    fn load_matched(&self) -> Result<Option<MatchedCkpt>, String> {
-        let Some((header, body)) = self.read_file("matched.ckpt", STAGE_MATCHING)? else {
+    pub(crate) fn load_matched(&self) -> Result<Option<MatchedCkpt>, String> {
+        let path = self.dir.join("matched.ckpt");
+        let Some((header, body)) = self.codec.read(&path, STAGE_MATCHING)? else {
             return Ok(None);
         };
         let blocked = header_field(&header, "blocked")?;
@@ -862,20 +621,6 @@ mod tests {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("er-recovery-test-{}-{tag}-{n}", std::process::id()))
-    }
-
-    #[test]
-    fn fault_free_recovery_run_matches_plain_run() {
-        let ds = dataset();
-        let p = Pipeline::builder().build();
-        let plain = p.run(&ds.collection);
-        let out = p
-            .run_with_recovery(&ds.collection, &RecoveryOptions::default())
-            .unwrap();
-        assert_eq!(out.resolution.matches, plain.matches);
-        assert_eq!(out.resolution.clusters, plain.clusters);
-        assert!(out.events.is_empty());
-        assert_eq!(out.resumed_from, None);
     }
 
     #[test]

@@ -1,0 +1,96 @@
+//! Golden values for every on-disk / on-wire artifact derived from the one
+//! FNV-1a hasher (`er_core::intern::Fnv1a`). Each constant was measured at the
+//! commit *before* the five private copies of the loop were merged, so a
+//! passing suite proves — rather than assumes — that worker handshakes,
+//! checkpoints, spill segments and MinHash block keys written by an older
+//! build are still accepted by this one.
+//!
+//! `protocol_fingerprint()` hashes `CARGO_PKG_VERSION`; re-pin it (and only
+//! it) when the workspace version is bumped.
+
+use er_blocking::minhash::MinHashBlocking;
+use er_core::collection::{EntityCollection, ResolutionMode};
+use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN};
+use er_core::entity::{EntityBuilder, EntityId, KbId};
+use er_core::intern::Symbol;
+use er_pipeline::{Pipeline, RecoveryOptions};
+
+fn fixture() -> EntityCollection {
+    let mut c = EntityCollection::new(ResolutionMode::Dirty);
+    for (name, city) in [
+        ("Alan Turing", "London"),
+        ("Alan M. Turing", "London"),
+        ("Grace Hopper", "New York"),
+    ] {
+        c.push_entity(
+            KbId(0),
+            EntityBuilder::new().attr("name", name).attr("city", city),
+        );
+    }
+    c
+}
+
+fn tmp(tag: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("er-fnv-golden-{}-{tag}", std::process::id()))
+}
+
+#[test]
+fn protocol_fingerprint_is_pinned() {
+    assert_eq!(
+        er_mapreduce::proto::protocol_fingerprint(),
+        0xf524_516c_6838_3fc2,
+        "{:#018x}",
+        er_mapreduce::proto::protocol_fingerprint()
+    );
+}
+
+#[test]
+fn collection_fingerprint_is_pinned() {
+    let got = collection_fingerprint(&fixture());
+    assert_eq!(got, 0x3dad_c121_524a_c210, "{got:#018x}");
+}
+
+#[test]
+fn checkpoint_fingerprint_is_pinned() {
+    let dir = tmp("ckpt");
+    let _ = std::fs::remove_dir_all(&dir);
+    Pipeline::builder()
+        .build()
+        .run_with_recovery(&fixture(), &RecoveryOptions::default().checkpoint_dir(&dir))
+        .unwrap();
+    let blocked = std::fs::read_to_string(dir.join("blocked.ckpt")).unwrap();
+    let header = blocked.lines().next().unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(
+        header,
+        "er-checkpoint v1 stage=blocking fingerprint=ec680b0c66a2f8b6"
+    );
+}
+
+#[test]
+fn segment_footer_checksum_is_pinned() {
+    let dir = tmp("segment");
+    let _ = std::fs::remove_dir_all(&dir);
+    let path = dir.join("golden.seg");
+    let mut w = SegmentWriter::create(&path, 0xfeed_beef).unwrap();
+    w.postings_run(&[
+        (Symbol(0), EntityId(0)),
+        (Symbol(0), EntityId(1)),
+        (Symbol(3), EntityId(2)),
+    ])
+    .unwrap();
+    let len = w.finish().unwrap();
+    let bytes = std::fs::read(&path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(bytes.len() as u64, len);
+    let footer = &bytes[bytes.len() - FOOTER_LEN as usize..];
+    let checksum = u64::from_le_bytes(footer[24..32].try_into().unwrap());
+    assert_eq!(checksum, 0x7af5_52ab_dc05_f16f, "{checksum:#018x}");
+}
+
+#[test]
+fn minhash_block_key_is_pinned() {
+    let blocks = MinHashBlocking::new(2, 2).build(&fixture());
+    let keys: Vec<&str> = blocks.blocks().iter().map(|b| b.key()).collect();
+    assert_eq!(keys, ["b1:ff3bf330e677d1de"]);
+}

@@ -110,6 +110,74 @@ fn recovery_run_counters_match_plain_run() {
     assert_eq!(recovered.counter("recovery.stage_retries"), Some(0));
 }
 
+/// Observation belongs to the stage walk, not to one entry point: the
+/// schedule-only and caller-matcher entries open the same span tree as `run`,
+/// and `run_with_matcher` records the same run counters. (Both used to walk
+/// the stages on their own, with no span and no counter.)
+#[test]
+fn every_entry_point_records_the_walk_spans_and_run_counters() {
+    let ds = dataset();
+    let plain = run_once(&ds.collection, 1);
+    let stages_under_run = |snapshot: &MetricsSnapshot, spans: &[&str], entry: &str| {
+        assert_eq!(snapshot.span("pipeline.run").map(|s| s.count), Some(1));
+        for name in spans {
+            let span = snapshot
+                .span(name)
+                .unwrap_or_else(|| panic!("{entry}: missing span {name}"));
+            assert_eq!(
+                span.parent.as_deref(),
+                Some("pipeline.run"),
+                "{entry}: {name}"
+            );
+        }
+    };
+
+    let scheduling = instrumented_pipeline(1);
+    let candidates = scheduling.candidates(&ds.collection);
+    let snapshot = scheduling.metrics();
+    stages_under_run(
+        &snapshot,
+        &["pipeline.blocking", "pipeline.meta_blocking"],
+        "candidates",
+    );
+    assert!(snapshot.span("pipeline.matching").is_none());
+    assert_eq!(
+        snapshot.counter("pipeline.matches"),
+        None,
+        "no resolve half"
+    );
+    assert_eq!(
+        Some(candidates.len() as u64),
+        plain.counter("pipeline.scheduled_comparisons")
+    );
+
+    let matching = instrumented_pipeline(1);
+    let matcher =
+        er_core::matching::ThresholdMatcher::new(er_core::similarity::SetMeasure::Jaccard, 0.4);
+    matching.run_with_matcher(&ds.collection, &matcher);
+    let snapshot = matching.metrics();
+    stages_under_run(
+        &snapshot,
+        &[
+            "pipeline.blocking",
+            "pipeline.meta_blocking",
+            "pipeline.matching",
+            "pipeline.clustering",
+        ],
+        "run_with_matcher",
+    );
+    for key in [
+        "pipeline.blocked_comparisons",
+        "pipeline.scheduled_comparisons",
+        "pipeline.matched_comparisons",
+        "pipeline.matches",
+        "pipeline.clusters",
+    ] {
+        assert!(plain.counter(key).is_some(), "{key}");
+        assert_eq!(snapshot.counter(key), plain.counter(key), "{key}");
+    }
+}
+
 /// The log2 bucket boundaries are a wire format: recorded snapshots (and
 /// the docs/observability.md catalog) depend on them, so they are locked
 /// here value by value.

@@ -33,7 +33,7 @@ use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_metablocking::{
     par_meta_block, par_meta_block_ooc_obs, BlockingGraph, PruningScheme, WeightingScheme,
 };
-use er_pipeline::Pipeline;
+use er_pipeline::{Pipeline, RecoveryOptions};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -225,6 +225,46 @@ fn forced_out_of_core_pipeline_matches_the_default_run() {
             assert_eq!(ooc.report.shed_comparisons, 0, "ooc never sheds");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Forced out-of-core is a property of the stage walk, not of one entry
+/// point: `run` and `run_with_recovery` spill the same segments, merge the
+/// same runs and record the same meta-blocking ledger. (They drifted once —
+/// the recovery driver built the graph in memory, 1 segment against 2.)
+#[test]
+fn out_of_core_entry_points_write_the_same_segments() {
+    let ds = dataset(300, NoiseModel::moderate(), 42);
+    let snapshot_of = |recovered: bool| {
+        let dir = ooc_dir("entry_points");
+        let p = Pipeline::builder()
+            .observability(Obs::enabled())
+            .segment_dir(&dir)
+            .out_of_core(true)
+            .build();
+        if recovered {
+            p.run_with_recovery(&ds.collection, &RecoveryOptions::default())
+                .expect("fault-free recovery run");
+        } else {
+            p.run(&ds.collection);
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+        p.metrics()
+    };
+    let (plain, recovered) = (snapshot_of(false), snapshot_of(true));
+    for key in [
+        "colstore.segments_written",
+        "colstore.runs_merged",
+        "meta_blocking.edges_weighted",
+        "meta_blocking.comparisons_before",
+        "meta_blocking.comparisons_after",
+        "meta_blocking.comparisons_pruned",
+    ] {
+        assert!(
+            plain.counter(key).unwrap_or(0) > 0,
+            "{key} must be recorded"
+        );
+        assert_eq!(plain.counter(key), recovered.counter(key), "{key}");
     }
 }
 
