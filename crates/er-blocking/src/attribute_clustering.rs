@@ -13,18 +13,27 @@
 //! *glue* cluster, preserving token blocking's recall for them.
 
 use crate::block::{blocks_from_grouped_keys, blocks_from_keys, BlockCollection};
+use crate::token::{all_interned_postings, PostingKey};
 use er_core::collection::EntityCollection;
-use er_core::entity::EntityId;
-use er_core::intern::{Interner, Symbol};
-use er_core::parallel::{par_map, par_map_chunks, Parallelism};
+use er_core::intern::Symbol;
+use er_core::parallel::{par_map, Parallelism};
 use er_core::similarity::SetMeasure;
 use er_core::tokenize::Tokenizer;
 use std::collections::{BTreeMap, BTreeSet};
 
-/// Fixed chunk size of the compact build's interning pass — same rationale
-/// as the token-blocking constant: chunk boundaries must not depend on the
-/// thread count so the left-to-right interner merge is deterministic.
-const INTERN_CHUNK_ENTITIES: usize = 64;
+/// A `(cluster, token)` key: tokens of an attribute are keyed under the
+/// attribute's cluster id.
+impl PostingKey for (usize, Symbol) {
+    type Tag = usize;
+
+    fn new(cluster: usize, symbol: Symbol) -> Self {
+        (cluster, symbol)
+    }
+
+    fn remap(self, remap: &[Symbol]) -> Self {
+        (self.0, remap[self.1.index()])
+    }
+}
 
 /// Attribute-clustering blocking.
 #[derive(Clone, Debug)]
@@ -153,71 +162,17 @@ impl AttributeClusteringBlocking {
 
     /// Compact build: `(cluster, token)` keys are carried as
     /// `(usize, Symbol)` pairs — no per-key `format!` until one string per
-    /// *distinct* key is rendered at grouping time. Chunked interning +
-    /// left-to-right absorb as in token blocking; final block order is by
+    /// *distinct* key is rendered at grouping time. The postings come from
+    /// the same producer as token blocking's; final block order is by
     /// rendered string, so `"c10:x"` still sorts before `"c2:x"` exactly as
     /// the `BTreeMap<String, _>` reference orders them.
     fn build_impl(&self, collection: &EntityCollection, par: Parallelism) -> BlockCollection {
         let clusters = self.attribute_clusters_impl(collection, par);
-        let entities: Vec<_> = collection.iter().collect();
-        let (interner, entries) = if par.is_serial() {
-            // Serial fast path: one global interner, no per-chunk absorb
-            // (same argument as token blocking — symbol numbering never
-            // reaches the output).
-            let mut interner = Interner::new();
-            let mut scratch = String::new();
-            let mut buf: Vec<Symbol> = Vec::new();
-            let mut keys: Vec<(usize, Symbol)> = Vec::new();
-            let mut entries: Vec<((usize, Symbol), EntityId)> = Vec::new();
-            for e in &entities {
-                keys.clear();
-                for (a, v) in e.attributes() {
-                    let cid = clusters.get(a).copied().unwrap_or(0);
-                    buf.clear();
-                    self.tokenizer
-                        .symbols_into(v, &mut interner, &mut scratch, &mut buf);
-                    keys.extend(buf.iter().map(|&s| (cid, s)));
-                }
-                // Per-entity key *set*, as the reference BTreeSet provides.
-                keys.sort_unstable();
-                keys.dedup();
-                entries.extend(keys.iter().map(|&k| (k, e.id())));
-            }
-            (interner, entries)
-        } else {
-            let chunks = par_map_chunks(par, &entities, INTERN_CHUNK_ENTITIES, |chunk| {
-                let mut local = Interner::new();
-                let mut scratch = String::new();
-                let mut buf: Vec<Symbol> = Vec::new();
-                let mut entries: Vec<((usize, Symbol), EntityId)> = Vec::new();
-                for e in chunk {
-                    let mut keys: Vec<(usize, Symbol)> = Vec::new();
-                    for (a, v) in e.attributes() {
-                        let cid = clusters.get(a).copied().unwrap_or(0);
-                        buf.clear();
-                        self.tokenizer
-                            .symbols_into(v, &mut local, &mut scratch, &mut buf);
-                        keys.extend(buf.iter().map(|&s| (cid, s)));
-                    }
-                    keys.sort_unstable();
-                    keys.dedup();
-                    entries.extend(keys.into_iter().map(|k| (k, e.id())));
-                }
-                (local, entries)
+        let (interner, entries) =
+            all_interned_postings(&self.tokenizer, collection, par, |a: &str| {
+                clusters.get(a).copied().unwrap_or(0)
             });
-            let mut interner = Interner::new();
-            let mut entries = Vec::with_capacity(chunks.iter().map(|(_, e)| e.len()).sum());
-            for (local, local_entries) in chunks {
-                let remap = interner.absorb(local);
-                entries.extend(
-                    local_entries
-                        .into_iter()
-                        .map(|((cid, s), e)| ((cid, remap[s.index()]), e)),
-                );
-            }
-            (interner, entries)
-        };
-        blocks_from_grouped_keys(entries, |&(cid, s)| {
+        blocks_from_grouped_keys(entries, |&(cid, s): &(usize, Symbol)| {
             format!("c{cid}:{}", interner.resolve(s))
         })
     }

@@ -1,152 +1,42 @@
-//! Out-of-core token blocking: external-sort build over segment files.
+//! Out-of-core token blocking: the in-memory build with an external sort in
+//! place of its posting vector.
 //!
 //! The in-memory compact build (`TokenBlocking::par_build`) materializes the
 //! full flat `(Symbol, EntityId)` posting vector before its sort +
 //! run-length grouping pass — the dominant allocation of the blocking stage
 //! and, past the memory budget, the reason governance starts shedding
-//! blocks. This module generalizes the spill/merge machinery of the shuffle
-//! layer (`er_mapreduce::try_run_spilling`) into the *build* path:
+//! blocks. Here the same producer (`token::interned_postings`) hands its
+//! postings batch by batch to an [`ExternalSorter`], which spills them as
+//! sorted, deduplicated [`er_core::colstore`] runs, and the run-length
+//! grouping pass folds over the sorter's merged stream — the full vector
+//! never exists in memory.
 //!
-//! 1. postings accumulate in a bounded, budget-charged run buffer;
-//! 2. each full buffer is sorted, deduplicated and spilled as one
-//!    [`er_core::colstore`] posting-run segment (atomic, checksummed);
-//! 3. a k-way merge over the sorted on-disk runs streams the globally
-//!    sorted, deduplicated posting sequence straight into the run-length
-//!    grouping pass — the full vector never exists in memory.
-//!
-//! **Bit-identity.** The merge of sorted+deduped runs with cross-run
-//! deduplication reproduces exactly the `sort_unstable(); dedup();` the
-//! in-memory path applies to the concatenated entries, because sorting is
-//! order-insensitive and the per-run buffers partition the same entry
-//! sequence. Interning is shared with the in-memory path byte for byte:
-//! the same fixed 64-entity chunks, the same left-to-right absorb (see
-//! `TokenBlocking::build_impl`), so symbols resolve to the same strings and
-//! the rendered-string block order is unchanged. The in-memory build stays
-//! in the tree as the oracle — `tests/out_of_core_equivalence.rs` pins
-//! equality across seeds × thread counts × run sizes.
+//! **Bit-identity.** The sorter's merged stream is the stable sort of what
+//! was pushed, with equal postings coalesced — exactly the
+//! `sort_unstable(); dedup();` the in-memory path applies to the same
+//! posting sequence. Interning is not merely equal to the in-memory path's,
+//! it *is* the in-memory path's: one producer, the same fixed chunks, the
+//! same left-to-right absorb, so symbols resolve to the same strings and the
+//! rendered-string block order is unchanged. The in-memory build stays in
+//! the tree as the oracle — `tests/out_of_core_equivalence.rs` pins equality
+//! across seeds × thread counts × run sizes.
 //!
 //! The interner itself stays in memory: it is the dictionary that renders
 //! block keys and its footprint is charged at admission via
 //! [`crate::governance::block_bytes`].
 
 use crate::block::{Block, BlockCollection};
-use crate::token::TokenBlocking;
+use crate::token::{interned_postings, record_index_obs, TokenBlocking, CHUNK_ENTITIES};
 use er_core::collection::EntityCollection;
-use er_core::colstore::{OocConfig, Segment, SegmentError, SegmentWriter};
+use er_core::colstore::{ExternalSorter, OocConfig, SegmentError};
 use er_core::entity::EntityId;
-use er_core::intern::{Interner, Symbol};
+use er_core::intern::Symbol;
 use er_core::obs::Obs;
-use er_core::parallel::{par_map_chunks, Parallelism};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fs;
-use std::path::PathBuf;
+use er_core::parallel::Parallelism;
 
-/// Entities tokenized per chunk — **must** equal the in-memory path's
-/// `INTERN_CHUNK_ENTITIES` so per-chunk interners absorb into the identical
-/// id space. Asserted against it in the equivalence tests.
-const CHUNK_ENTITIES: usize = 64;
-
-/// Entities handed to the thread pool per parallel batch. A multiple of
-/// [`CHUNK_ENTITIES`] so batch boundaries always align with chunk
-/// boundaries; batching bounds the tokenized-but-not-yet-spilled working
-/// set instead of materializing every chunk's entries at once.
+/// Entities tokenized per batch handed to the sorter: bounds the
+/// tokenized-but-not-yet-spilled working set.
 const BATCH_ENTITIES: usize = 64 * CHUNK_ENTITIES;
-
-/// Floor of the adaptive run-buffer shrink.
-const MIN_RUN_ENTRIES: usize = 64;
-
-/// Merge steps between watchdog checks.
-const MERGE_CHECK_EVERY: u64 = 4096;
-
-/// The token-blocking external-sort builder state.
-struct SpillState<'a> {
-    cfg: &'a OocConfig,
-    /// Bounded run buffer; capacity charged against the budget.
-    buf: Vec<(Symbol, EntityId)>,
-    /// Bytes reserved for the buffer (released on drop of the build).
-    reserved: u64,
-    /// Capacity after adaptive shrink.
-    run_entries: usize,
-    /// Paths of the spilled run segments, in spill order.
-    runs: Vec<PathBuf>,
-}
-
-impl<'a> SpillState<'a> {
-    /// Reserves the run buffer, halving until the budget admits it (typed
-    /// error below the floor — the caller cannot build with no buffer).
-    fn new(cfg: &'a OocConfig) -> Result<SpillState<'a>, SegmentError> {
-        let mut run_entries = cfg.run_entries.max(MIN_RUN_ENTRIES);
-        let reserved = loop {
-            let bytes = (run_entries * std::mem::size_of::<(Symbol, EntityId)>()) as u64;
-            match cfg.budget.try_reserve("blocking-ooc", bytes) {
-                Ok(()) => break bytes,
-                Err(e) => {
-                    if run_entries == MIN_RUN_ENTRIES {
-                        return Err(SegmentError::Resource(e));
-                    }
-                    run_entries = (run_entries / 2).max(MIN_RUN_ENTRIES);
-                }
-            }
-        };
-        Ok(SpillState {
-            cfg,
-            buf: Vec::with_capacity(run_entries),
-            reserved,
-            run_entries,
-            runs: Vec::new(),
-        })
-    }
-
-    /// Sorts, deduplicates and spills the current buffer as one segment.
-    fn spill(&mut self) -> Result<(), SegmentError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.cfg.watchdog.check("blocking-ooc")?;
-        self.buf.sort_unstable();
-        self.buf.dedup();
-        let path = self
-            .cfg
-            .segment_dir
-            .join(format!("token-run-{:05}.seg", self.runs.len()));
-        let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
-        w.postings_run(&self.buf)?;
-        let bytes = w.finish()?;
-        self.cfg.metrics.segment_written(bytes);
-        self.runs.push(path);
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Appends postings, spilling at the run boundary.
-    fn push_all(
-        &mut self,
-        entries: impl IntoIterator<Item = (Symbol, EntityId)>,
-    ) -> Result<(), SegmentError> {
-        for entry in entries {
-            if self.buf.len() >= self.run_entries {
-                self.spill()?;
-            }
-            self.buf.push(entry);
-        }
-        Ok(())
-    }
-
-    fn release(&mut self) {
-        self.cfg.budget.release(self.reserved);
-        self.reserved = 0;
-    }
-}
-
-impl Drop for SpillState<'_> {
-    fn drop(&mut self) {
-        self.release();
-        for path in &self.runs {
-            let _ = fs::remove_file(path);
-        }
-    }
-}
 
 impl TokenBlocking {
     /// Out-of-core [`par_build_obs`](TokenBlocking::par_build_obs):
@@ -162,162 +52,58 @@ impl TokenBlocking {
         obs: &Obs,
         cfg: &OocConfig,
     ) -> Result<BlockCollection, SegmentError> {
-        fs::create_dir_all(&cfg.segment_dir).map_err(|e| SegmentError::Io {
-            path: cfg.segment_dir.clone(),
-            offset: 0,
-            reason: e.to_string(),
-        })?;
         let entities: Vec<_> = collection.iter().collect();
-        let mut state = SpillState::new(cfg)?;
-        let mut interner = Interner::new();
+        let mut sorter: ExternalSorter<'_, (Symbol, EntityId)> =
+            ExternalSorter::new(cfg, "blocking-ooc")?;
         let mut indexed: u64 = 0;
-        if par.is_serial() {
-            // Mirrors the in-memory serial fast path: one global interner,
-            // per-entity token sets appended in entity order.
-            let mut scratch = String::new();
-            let mut buf: Vec<Symbol> = Vec::new();
-            for e in &entities {
-                buf.clear();
-                for (_, v) in e.attributes() {
-                    self.tokenizer()
-                        .symbols_into(v, &mut interner, &mut scratch, &mut buf);
-                }
-                buf.sort_unstable();
-                buf.dedup();
-                indexed += buf.len() as u64;
-                let id = e.id();
-                state.push_all(buf.iter().map(|&s| (s, id)))?;
-            }
-        } else {
-            // Mirrors the chunked path: fixed 64-entity chunks, per-chunk
-            // interners absorbed left-to-right. Batching the chunks bounds
-            // memory without moving any chunk boundary (batch size is a
-            // multiple of the chunk size).
-            for batch in entities.chunks(BATCH_ENTITIES) {
-                state.cfg.watchdog.check("blocking-ooc")?;
-                let chunks = par_map_chunks(par, batch, CHUNK_ENTITIES, |chunk| {
-                    let mut local = Interner::new();
-                    let mut scratch = String::new();
-                    let mut buf: Vec<Symbol> = Vec::new();
-                    let mut entries: Vec<(Symbol, EntityId)> = Vec::new();
-                    for e in chunk {
-                        buf.clear();
-                        for (_, v) in e.attributes() {
-                            self.tokenizer()
-                                .symbols_into(v, &mut local, &mut scratch, &mut buf);
-                        }
-                        buf.sort_unstable();
-                        buf.dedup();
-                        entries.extend(buf.iter().map(|&s| (s, e.id())));
-                    }
-                    (local, entries)
-                });
-                for (local, local_entries) in chunks {
-                    let remap = interner.absorb(local);
-                    indexed += local_entries.len() as u64;
-                    state.push_all(
-                        local_entries
-                            .into_iter()
-                            .map(|(s, e)| (remap[s.index()], e)),
-                    )?;
+        let interner = interned_postings(
+            self.tokenizer(),
+            &entities,
+            par,
+            BATCH_ENTITIES,
+            |_| (),
+            |batch| {
+                indexed += batch.len() as u64;
+                sorter.push_all(batch)
+            },
+        )?;
+        record_index_obs(obs, indexed, &interner);
+        // Run-length grouping over the sorted, deduplicated stream — the
+        // streaming `blocks_from_sorted_grouped_keys`.
+        let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
+        let mut current: Option<(Symbol, Vec<EntityId>)> = None;
+        sorter.merge(|(sym, entity)| match &mut current {
+            Some((s, members)) if *s == sym => members.push(entity),
+            _ => {
+                if let Some((s, members)) = current.replace((sym, vec![entity])) {
+                    groups.push((interner.resolve(s).to_string(), members));
                 }
             }
+        })?;
+        if let Some((s, members)) = current {
+            groups.push((interner.resolve(s).to_string(), members));
         }
-        state.spill()?;
-        if obs.is_enabled() {
-            obs.counter("blocking.tokens_indexed").add(indexed);
-            obs.counter("blocking.interner_symbols")
-                .add(interner.len() as u64);
-        }
-        // The merge no longer needs the run buffer's reservation — hand the
-        // bytes back before the page cache starts charging.
-        state.release();
-        let blocks = merge_runs_to_blocks(&state, &interner)?;
+        // Same final ordering pass as the in-memory grouping: distinct keys
+        // are ordered by rendered string, members arrive sorted.
+        groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
+        let blocks = BlockCollection::new(
+            groups
+                .into_iter()
+                .map(|(key, members)| Block::from_sorted(key, members))
+                .collect(),
+        );
         blocks.record_obs(obs);
         Ok(blocks)
     }
-}
-
-/// K-way merges the sorted run segments, deduplicates across runs, and
-/// groups the streamed postings into blocks — the out-of-core equivalent of
-/// `blocks_from_sorted_grouped_keys` over the globally sorted entries.
-fn merge_runs_to_blocks(
-    state: &SpillState<'_>,
-    interner: &Interner,
-) -> Result<BlockCollection, SegmentError> {
-    let cfg = state.cfg;
-    if state.runs.is_empty() {
-        return Ok(BlockCollection::default());
-    }
-    cfg.metrics.runs_merged(state.runs.len() as u64);
-    let segments: Vec<Segment> = state
-        .runs
-        .iter()
-        .map(|p| Segment::open(p, cfg.segment_options()))
-        .collect::<Result<_, _>>()?;
-    let mut cursors = Vec::with_capacity(segments.len());
-    for seg in &segments {
-        cursors.push(seg.postings(0)?);
-    }
-    // Min-heap on (posting, run index): runs hold disjoint positions of the
-    // same logical sequence, so any cross-run tie is a duplicate posting and
-    // the tie-break order is immaterial after dedup.
-    let mut heap: BinaryHeap<Reverse<((Symbol, EntityId), usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        if let Some(p) = c.next()? {
-            heap.push(Reverse((p, i)));
-        }
-    }
-    let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
-    let mut current: Option<(Symbol, Vec<EntityId>)> = None;
-    let mut last: Option<(Symbol, EntityId)> = None;
-    let mut steps: u64 = 0;
-    while let Some(Reverse((posting, run))) = heap.pop() {
-        steps += 1;
-        if steps.is_multiple_of(MERGE_CHECK_EVERY) {
-            cfg.watchdog.check("blocking-ooc")?;
-        }
-        if let Some(p) = cursors[run].next()? {
-            heap.push(Reverse((p, run)));
-        }
-        if last == Some(posting) {
-            continue; // cross-run duplicate
-        }
-        last = Some(posting);
-        let (sym, entity) = posting;
-        match &mut current {
-            Some((s, members)) if *s == sym => members.push(entity),
-            _ => {
-                if let Some((s, members)) = current.take() {
-                    groups.push((interner.resolve(s).to_string(), members));
-                }
-                current = Some((sym, vec![entity]));
-            }
-        }
-    }
-    if let Some((s, members)) = current.take() {
-        groups.push((interner.resolve(s).to_string(), members));
-    }
-    // Same final ordering pass as the in-memory grouping: distinct keys are
-    // ordered by rendered string, members arrive sorted + deduplicated.
-    groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-    Ok(BlockCollection::new(
-        groups
-            .into_iter()
-            .map(|(key, members)| Block::from_sorted(key, members))
-            .collect(),
-    ))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use er_core::collection::ResolutionMode;
-    use er_core::colstore::{collection_fingerprint, StoreMetrics};
+    use er_core::colstore::collection_fingerprint;
     use er_core::entity::{EntityBuilder, KbId};
-    use er_core::resource::{MemoryBudget, Watchdog};
     use std::path::PathBuf;
-    use std::time::Duration;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -370,71 +156,23 @@ mod tests {
         let tb = TokenBlocking::new();
         for threads in [1, 4] {
             let par = Parallelism::threads(threads);
-            let oracle = tb.par_build(&c, par);
+            let (obs, ooc_obs) = (Obs::enabled(), Obs::enabled());
+            let oracle = tb.par_build_obs(&c, par, &obs);
             let dir = tmp_dir("par");
             let cfg = OocConfig::new(&dir).with_run_entries(128);
-            let got = tb
-                .par_build_ooc_obs(&c, par, &Obs::disabled(), &cfg)
-                .unwrap();
+            let got = tb.par_build_ooc_obs(&c, par, &ooc_obs, &cfg).unwrap();
             assert_eq!(got, oracle, "threads {threads}");
+            let (want, got) = (obs.snapshot(), ooc_obs.snapshot());
+            for key in ["blocking.tokens_indexed", "blocking.interner_symbols"] {
+                assert!(want.counter(key).unwrap() > 0, "{key}");
+                assert_eq!(
+                    got.counter(key),
+                    want.counter(key),
+                    "{key} threads {threads}"
+                );
+            }
             let _ = std::fs::remove_dir_all(&dir);
         }
-    }
-
-    #[test]
-    fn ooc_build_records_metrics_and_charges_budget() {
-        let c = synthetic(200);
-        let obs = Obs::enabled();
-        let metrics = StoreMetrics::new(obs.clone());
-        let budget = MemoryBudget::bytes(1 << 20);
-        let dir = tmp_dir("metrics");
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(128)
-            .with_budget(budget.clone())
-            .with_metrics(metrics.clone());
-        let blocks = TokenBlocking::new()
-            .par_build_ooc_obs(&c, Parallelism::serial(), &obs, &cfg)
-            .unwrap();
-        assert!(!blocks.is_empty());
-        let snap = obs.snapshot();
-        let written = snap.counter("colstore.segments_written").unwrap();
-        assert!(written > 1, "multiple runs spilled: {written}");
-        assert_eq!(snap.counter("colstore.runs_merged"), Some(written));
-        assert!(snap.counter("colstore.segment_bytes").unwrap() > 0);
-        assert!(snap.counter("blocking.tokens_indexed").unwrap() > 0);
-        assert_eq!(budget.used(), 0, "all reservations drained");
-        assert_eq!(metrics.resident_bytes(), 0, "all pages released");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn expired_watchdog_is_a_typed_error_not_partial_output() {
-        let c = synthetic(200);
-        let dir = tmp_dir("watchdog");
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(64)
-            .with_watchdog(Watchdog::timeout(Duration::ZERO));
-        let err = TokenBlocking::new()
-            .par_build_ooc_obs(&c, Parallelism::serial(), &Obs::disabled(), &cfg)
-            .unwrap_err();
-        assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
-        assert!(
-            std::fs::read_dir(&dir).unwrap().next().is_none(),
-            "spill files removed on error"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn starved_budget_is_a_typed_error() {
-        let c = synthetic(50);
-        let dir = tmp_dir("starved");
-        let cfg = OocConfig::new(&dir).with_budget(MemoryBudget::bytes(16));
-        let err = TokenBlocking::new()
-            .par_build_ooc_obs(&c, Parallelism::serial(), &Obs::disabled(), &cfg)
-            .unwrap_err();
-        assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

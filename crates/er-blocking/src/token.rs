@@ -9,16 +9,137 @@
 
 use crate::block::{blocks_from_keys, blocks_from_symbols, BlockCollection};
 use er_core::collection::EntityCollection;
+use er_core::entity::{Entity, EntityId};
 use er_core::intern::{Interner, Symbol};
 use er_core::obs::Obs;
 use er_core::parallel::{par_map, par_map_chunks, Parallelism};
 use er_core::tokenize::Tokenizer;
+use std::convert::Infallible;
 
-/// Entities interned per chunk on the compact build path. Fixed (never a
-/// function of the thread count) so the chunk boundaries — and with them the
-/// per-chunk interners absorbed left-to-right — are identical at every
-/// parallelism level.
-const INTERN_CHUNK_ENTITIES: usize = 64;
+/// Entities interned per chunk by [`interned_postings`]. Fixed (never a
+/// function of the thread count or of the batch length) so the chunk
+/// boundaries — and with them the per-chunk interners absorbed
+/// left-to-right — are identical at every parallelism level, in memory and
+/// out of core.
+pub(crate) const CHUNK_ENTITIES: usize = 64;
+
+/// A block key built from interned tokens: a bare [`Symbol`] (token
+/// blocking) or a `(cluster, Symbol)` pair (attribute clustering).
+pub(crate) trait PostingKey: Copy + Ord + Send {
+    /// What an attribute name contributes to the keys of its tokens.
+    type Tag: Copy;
+    /// The key of token `symbol` under an attribute tagged `tag`.
+    fn new(tag: Self::Tag, symbol: Symbol) -> Self;
+    /// The key with its chunk-local symbol renumbered by an
+    /// [`Interner::absorb`] table.
+    fn remap(self, remap: &[Symbol]) -> Self;
+}
+
+impl PostingKey for Symbol {
+    type Tag = ();
+
+    fn new(_: (), symbol: Symbol) -> Symbol {
+        symbol
+    }
+
+    fn remap(self, remap: &[Symbol]) -> Symbol {
+        remap[self.index()]
+    }
+}
+
+/// The one interned-postings producer: tokenizes `entities` straight into
+/// interned keys (one shared normalization buffer per chunk, no per-token
+/// `String`) and hands the flat `(key, entity)` postings — per-entity key
+/// *sets*, in entity order — to `sink`, one vector per `batch_entities`
+/// entities. Returns the interner the keys resolve against.
+///
+/// Serial runs intern into one global interner; parallel runs intern fixed
+/// [`CHUNK_ENTITIES`] chunks separately and absorb them left-to-right.
+/// Both number symbols differently and build the same blocks, because block
+/// order is a function of resolved strings only. `batch_entities` bounds
+/// the tokenized-but-not-yet-consumed working set and must be a multiple of
+/// [`CHUNK_ENTITIES`] (or `usize::MAX`: one batch) so it never moves a chunk
+/// boundary.
+pub(crate) fn interned_postings<K: PostingKey, E>(
+    tokenizer: &Tokenizer,
+    entities: &[&Entity],
+    par: Parallelism,
+    batch_entities: usize,
+    tag: impl Fn(&str) -> K::Tag + Sync,
+    mut sink: impl FnMut(Vec<(K, EntityId)>) -> Result<(), E>,
+) -> Result<Interner, E> {
+    assert!(batch_entities == usize::MAX || batch_entities.is_multiple_of(CHUNK_ENTITIES));
+    let tokenize = |slice: &[&Entity], interner: &mut Interner| {
+        let mut scratch = String::new();
+        let mut symbols: Vec<Symbol> = Vec::new();
+        let mut keys: Vec<K> = Vec::new();
+        let mut postings: Vec<(K, EntityId)> = Vec::new();
+        for e in slice {
+            keys.clear();
+            for (a, v) in e.attributes() {
+                let tag = tag(a);
+                symbols.clear();
+                tokenizer.symbols_into(v, interner, &mut scratch, &mut symbols);
+                keys.extend(symbols.iter().map(|&s| K::new(tag, s)));
+            }
+            keys.sort_unstable();
+            keys.dedup();
+            postings.extend(keys.iter().map(|&k| (k, e.id())));
+        }
+        postings
+    };
+    let mut interner = Interner::new();
+    for batch in entities.chunks(batch_entities) {
+        let postings = if par.is_serial() {
+            tokenize(batch, &mut interner)
+        } else {
+            let chunks = par_map_chunks(par, batch, CHUNK_ENTITIES, |chunk| {
+                let mut local = Interner::new();
+                let postings = tokenize(chunk, &mut local);
+                (local, postings)
+            });
+            let mut postings = Vec::with_capacity(chunks.iter().map(|(_, p)| p.len()).sum());
+            for (local, local_postings) in chunks {
+                let remap = interner.absorb(local);
+                postings.extend(
+                    local_postings
+                        .into_iter()
+                        .map(|(k, e)| (k.remap(&remap), e)),
+                );
+            }
+            postings
+        };
+        sink(postings)?;
+    }
+    Ok(interner)
+}
+
+/// [`interned_postings`] as one batch: the in-memory builds' whole flat
+/// posting vector and its interner.
+pub(crate) fn all_interned_postings<K: PostingKey>(
+    tokenizer: &Tokenizer,
+    collection: &EntityCollection,
+    par: Parallelism,
+    tag: impl Fn(&str) -> K::Tag + Sync,
+) -> (Interner, Vec<(K, EntityId)>) {
+    let entities: Vec<_> = collection.iter().collect();
+    let mut postings = Vec::new();
+    let Ok(interner) = interned_postings(tokenizer, &entities, par, usize::MAX, tag, |batch| {
+        postings = batch; // the only batch
+        Ok::<(), Infallible>(())
+    });
+    (interner, postings)
+}
+
+/// Records `blocking.tokens_indexed` (token–entity index entries before
+/// grouping) and `blocking.interner_symbols`.
+pub(crate) fn record_index_obs(obs: &Obs, indexed: u64, interner: &Interner) {
+    if obs.is_enabled() {
+        obs.counter("blocking.tokens_indexed").add(indexed);
+        obs.counter("blocking.interner_symbols")
+            .add(interner.len() as u64);
+    }
+}
 
 /// Token blocking over all attribute values.
 #[derive(Clone, Debug, Default)]
@@ -75,81 +196,22 @@ impl TokenBlocking {
         self.build_impl(collection, par, obs)
     }
 
-    /// Compact build: entities are tokenized straight into interned
-    /// [`Symbol`]s (one shared normalization buffer per chunk, no per-token
-    /// `String`), postings accumulate as flat `(Symbol, EntityId)` vectors,
-    /// and grouping is a sort + run-length pass instead of a string-keyed
-    /// tree map.
+    /// Compact build: the flat postings of [`interned_postings`], grouped by
+    /// a sort + run-length pass instead of a string-keyed tree map.
     ///
     /// Bit-identity with [`build_reference`](TokenBlocking::build_reference)
-    /// at every thread count: chunk boundaries are fixed
-    /// ([`INTERN_CHUNK_ENTITIES`]), per-chunk interners are absorbed
-    /// left-to-right into one id space, and `blocks_from_symbols` orders
-    /// blocks by *resolved string* — so symbol numbering never reaches the
-    /// output.
+    /// at every thread count: chunk boundaries are fixed, per-chunk
+    /// interners are absorbed left-to-right into one id space, and
+    /// `blocks_from_symbols` orders blocks by *resolved string* — so symbol
+    /// numbering never reaches the output.
     fn build_impl(
         &self,
         collection: &EntityCollection,
         par: Parallelism,
         obs: &Obs,
     ) -> BlockCollection {
-        let entities: Vec<_> = collection.iter().collect();
-        let (interner, entries) = if par.is_serial() {
-            // Serial fast path: one global interner, no per-chunk absorb.
-            // Identical output to the chunked path because block order is a
-            // function of resolved strings only, never of symbol numbering.
-            let mut interner = Interner::new();
-            let mut scratch = String::new();
-            let mut buf: Vec<Symbol> = Vec::new();
-            let mut entries: Vec<(Symbol, er_core::entity::EntityId)> = Vec::new();
-            for e in &entities {
-                buf.clear();
-                for (_, v) in e.attributes() {
-                    self.tokenizer
-                        .symbols_into(v, &mut interner, &mut scratch, &mut buf);
-                }
-                // Per-entity token *set*, as in the reference path.
-                buf.sort_unstable();
-                buf.dedup();
-                entries.extend(buf.iter().map(|&s| (s, e.id())));
-            }
-            (interner, entries)
-        } else {
-            let chunks = par_map_chunks(par, &entities, INTERN_CHUNK_ENTITIES, |chunk| {
-                let mut local = Interner::new();
-                let mut scratch = String::new();
-                let mut buf: Vec<Symbol> = Vec::new();
-                let mut entries: Vec<(Symbol, er_core::entity::EntityId)> = Vec::new();
-                for e in chunk {
-                    buf.clear();
-                    for (_, v) in e.attributes() {
-                        self.tokenizer
-                            .symbols_into(v, &mut local, &mut scratch, &mut buf);
-                    }
-                    buf.sort_unstable();
-                    buf.dedup();
-                    entries.extend(buf.iter().map(|&s| (s, e.id())));
-                }
-                (local, entries)
-            });
-            let mut interner = Interner::new();
-            let mut entries = Vec::with_capacity(chunks.iter().map(|(_, e)| e.len()).sum());
-            for (local, local_entries) in chunks {
-                let remap = interner.absorb(local);
-                entries.extend(
-                    local_entries
-                        .into_iter()
-                        .map(|(s, e)| (remap[s.index()], e)),
-                );
-            }
-            (interner, entries)
-        };
-        if obs.is_enabled() {
-            obs.counter("blocking.tokens_indexed")
-                .add(entries.len() as u64);
-            obs.counter("blocking.interner_symbols")
-                .add(interner.len() as u64);
-        }
+        let (interner, entries) = all_interned_postings(&self.tokenizer, collection, par, |_| ());
+        record_index_obs(obs, entries.len() as u64, &interner);
         let blocks = blocks_from_symbols(&interner, entries);
         blocks.record_obs(obs);
         blocks

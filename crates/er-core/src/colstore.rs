@@ -35,6 +35,10 @@
 //! * `DESC` — columnar interned entity descriptions: KB column, URI symbol
 //!   column, attribute offsets, flat `(name_sym, value_sym)` pairs.
 //!
+//! The two run kinds share one fixed-width codec ([`RunRecord`]), one writer
+//! method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and one
+//! external sort ([`ExternalSorter`]).
+//!
 //! ## "mmap" without `unsafe`
 //!
 //! The workspace forbids `unsafe` and vendors no mmap crate, so segments are
@@ -52,11 +56,13 @@ use crate::intern::{Fnv1a, Interner, Symbol};
 use crate::obs::Obs;
 use crate::resource::{MemoryBudget, ResourceError};
 use crate::{EntityCollection, ResolutionMode};
-use std::collections::HashMap;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hasher;
 use std::io::{BufWriter, Read, Write};
+use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -85,11 +91,6 @@ pub const KIND_POSTINGS: u32 = 2;
 pub const KIND_EDGES: u32 = 3;
 /// Section kind: columnar interned entity descriptions.
 pub const KIND_DESC: u32 = 4;
-
-/// Bytes of one on-disk posting record.
-pub const POSTING_BYTES: u64 = 8;
-/// Bytes of one on-disk edge record.
-pub const EDGE_BYTES: u64 = 20;
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -307,6 +308,82 @@ pub struct EdgeRecord {
     pub weight_bits: u64,
 }
 
+/// A fixed-width record of a sorted-run section — the one codec behind
+/// [`SegmentWriter::run`], [`RunCursor`] and [`ExternalSorter`].
+pub trait RunRecord: Copy {
+    /// Section kind its runs are written as.
+    const KIND: u32;
+    /// Bytes of one on-disk record.
+    const BYTES: usize;
+    /// Whether records with equal keys are one record: a sorted run then
+    /// keeps the first of equal neighbours, and the merge drops cross-run
+    /// repeats. Records that carry a payload beyond their key must not
+    /// coalesce.
+    const COALESCE: bool;
+    /// What runs are sorted and merged by.
+    type Key: Ord + Copy;
+    /// The record's sort key.
+    fn key(&self) -> Self::Key;
+    /// Appends the [`BYTES`](Self::BYTES) little-endian bytes of the record.
+    fn encode(&self, out: &mut Vec<u8>);
+    /// Decodes a record from exactly [`BYTES`](Self::BYTES) bytes.
+    fn decode(bytes: &[u8]) -> Self;
+}
+
+/// A token-blocking posting: a [`KIND_POSTINGS`] record, `(u32, u32)`.
+impl RunRecord for (Symbol, EntityId) {
+    const KIND: u32 = KIND_POSTINGS;
+    const BYTES: usize = 8;
+    const COALESCE: bool = true;
+    type Key = (Symbol, EntityId);
+
+    fn key(&self) -> Self::Key {
+        *self
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.0 .0.to_le_bytes());
+        out.extend_from_slice(&self.1 .0.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> Self {
+        (
+            Symbol(u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"))),
+            EntityId(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"))),
+        )
+    }
+}
+
+/// An edge contribution: a [`KIND_EDGES`] record, `(u32, u32, u32, u64)`,
+/// keyed by its pair. Contributions of one pair stay apart — the graph fold
+/// adds them in arrival order.
+impl RunRecord for EdgeRecord {
+    const KIND: u32 = KIND_EDGES;
+    const BYTES: usize = 20;
+    const COALESCE: bool = false;
+    type Key = (u32, u32);
+
+    fn key(&self) -> Self::Key {
+        (self.a, self.b)
+    }
+
+    fn encode(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.a.to_le_bytes());
+        out.extend_from_slice(&self.b.to_le_bytes());
+        out.extend_from_slice(&self.count.to_le_bytes());
+        out.extend_from_slice(&self.weight_bits.to_le_bytes());
+    }
+
+    fn decode(bytes: &[u8]) -> Self {
+        EdgeRecord {
+            a: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
+            b: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
+            count: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
+            weight_bits: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
+        }
+    }
+}
+
 /// Atomic writer for one segment file: accumulates sections into
 /// `<path>.tmp` under a running checksum, then [`finish`](Self::finish)
 /// seals the footer and renames into place — a crash can never leave a
@@ -381,29 +458,15 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Appends one sorted `(Symbol, EntityId)` posting run as a
-    /// [`KIND_POSTINGS`] section.
-    pub fn postings_run(&mut self, run: &[(Symbol, EntityId)]) -> Result<(), SegmentError> {
-        let mut payload = Vec::with_capacity(8 + run.len() * POSTING_BYTES as usize);
-        payload.extend_from_slice(&(run.len() as u64).to_le_bytes());
-        for &(s, e) in run {
-            payload.extend_from_slice(&s.0.to_le_bytes());
-            payload.extend_from_slice(&e.0.to_le_bytes());
-        }
-        self.section(KIND_POSTINGS, &payload)
-    }
-
-    /// Appends one pair-sorted edge run as a [`KIND_EDGES`] section.
-    pub fn edge_run(&mut self, run: &[EdgeRecord]) -> Result<(), SegmentError> {
-        let mut payload = Vec::with_capacity(8 + run.len() * EDGE_BYTES as usize);
+    /// Appends one sorted run as an `R::KIND` section: `count u64`, then the
+    /// fixed-width records.
+    pub fn run<R: RunRecord>(&mut self, run: &[R]) -> Result<(), SegmentError> {
+        let mut payload = Vec::with_capacity(8 + run.len() * R::BYTES);
         payload.extend_from_slice(&(run.len() as u64).to_le_bytes());
         for r in run {
-            payload.extend_from_slice(&r.a.to_le_bytes());
-            payload.extend_from_slice(&r.b.to_le_bytes());
-            payload.extend_from_slice(&r.count.to_le_bytes());
-            payload.extend_from_slice(&r.weight_bits.to_le_bytes());
+            r.encode(&mut payload);
         }
-        self.section(KIND_EDGES, &payload)
+        self.section(R::KIND, &payload)
     }
 
     /// Appends the interner as a columnar [`KIND_DICT`] section: symbol `i`
@@ -977,29 +1040,17 @@ impl Segment {
         Ok((count, info.payload_offset + 8))
     }
 
-    /// A streaming cursor over a [`KIND_POSTINGS`] run.
-    pub fn postings(&self, index: usize) -> Result<PostingsCursor<'_>, SegmentError> {
-        let info = self.section_checked(index, KIND_POSTINGS)?;
-        let (count, start) = self.run_geometry(info, POSTING_BYTES)?;
-        Ok(PostingsCursor {
+    /// A streaming cursor over the sorted run in section `index`.
+    pub fn run<R: RunRecord>(&self, index: usize) -> Result<RunCursor<'_, R>, SegmentError> {
+        let info = self.section_checked(index, R::KIND)?;
+        let (count, start) = self.run_geometry(info, R::BYTES as u64)?;
+        Ok(RunCursor {
             seg: self,
             offset: start,
             remaining: count,
             buf: Vec::new(),
             pos: 0,
-        })
-    }
-
-    /// A streaming cursor over a [`KIND_EDGES`] run.
-    pub fn edges(&self, index: usize) -> Result<EdgeCursor<'_>, SegmentError> {
-        let info = self.section_checked(index, KIND_EDGES)?;
-        let (count, start) = self.run_geometry(info, EDGE_BYTES)?;
-        Ok(EdgeCursor {
-            seg: self,
-            offset: start,
-            remaining: count,
-            buf: Vec::new(),
-            pos: 0,
+            record: PhantomData,
         })
     }
 
@@ -1199,93 +1250,56 @@ impl Segment {
     }
 }
 
-/// Streaming, buffered cursor over one posting run. Decodes
-/// [`CURSOR_CHUNK`] records per page-cache visit.
-pub struct PostingsCursor<'a> {
+/// Records decoded per cursor refill.
+pub const CURSOR_CHUNK: u64 = 4096;
+
+/// Streaming, buffered cursor over one sorted run. Decodes
+/// [`CURSOR_CHUNK`] records per page-cache visit and releases the pages
+/// behind its position.
+pub struct RunCursor<'a, R> {
     seg: &'a Segment,
     offset: u64,
     remaining: u64,
     buf: Vec<u8>,
     pos: usize,
+    record: PhantomData<R>,
 }
 
-impl fmt::Debug for PostingsCursor<'_> {
+impl<R> fmt::Debug for RunCursor<'_, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PostingsCursor")
+        f.debug_struct("RunCursor")
             .field("path", &self.seg.pager.path)
             .field("remaining", &self.remaining)
             .finish_non_exhaustive()
     }
 }
 
-/// Records decoded per cursor refill.
-pub const CURSOR_CHUNK: u64 = 4096;
-
-impl PostingsCursor<'_> {
-    /// The next posting, or `None` at end of run.
+impl<R: RunRecord> RunCursor<'_, R> {
+    /// The next record, or `None` at end of run.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<(Symbol, EntityId)>, SegmentError> {
+    pub fn next(&mut self) -> Result<Option<R>, SegmentError> {
         if self.pos >= self.buf.len() {
             if self.remaining == 0 {
                 return Ok(None);
             }
             let take = self.remaining.min(CURSOR_CHUNK);
-            self.buf.resize((take * POSTING_BYTES) as usize, 0);
+            self.buf.resize(take as usize * R::BYTES, 0);
             self.seg.pager.read_exact(self.offset, &mut self.buf)?;
             self.seg.pager.release_cached();
-            self.offset += take * POSTING_BYTES;
+            self.offset += take * R::BYTES as u64;
             self.remaining -= take;
             self.pos = 0;
         }
-        let rec = &self.buf[self.pos..self.pos + POSTING_BYTES as usize];
-        self.pos += POSTING_BYTES as usize;
-        Ok(Some((
-            Symbol(u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes"))),
-            EntityId(u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes"))),
-        )))
+        let record = R::decode(&self.buf[self.pos..self.pos + R::BYTES]);
+        self.pos += R::BYTES;
+        Ok(Some(record))
     }
 }
 
-/// Streaming, buffered cursor over one edge run.
-pub struct EdgeCursor<'a> {
-    seg: &'a Segment,
-    offset: u64,
-    remaining: u64,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl EdgeCursor<'_> {
-    /// The next edge record, or `None` at end of run.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<EdgeRecord>, SegmentError> {
-        if self.pos >= self.buf.len() {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            let take = self.remaining.min(CURSOR_CHUNK);
-            self.buf.resize((take * EDGE_BYTES) as usize, 0);
-            self.seg.pager.read_exact(self.offset, &mut self.buf)?;
-            self.seg.pager.release_cached();
-            self.offset += take * EDGE_BYTES;
-            self.remaining -= take;
-            self.pos = 0;
-        }
-        let rec = &self.buf[self.pos..self.pos + EDGE_BYTES as usize];
-        self.pos += EDGE_BYTES as usize;
-        Ok(Some(EdgeRecord {
-            a: u32::from_le_bytes(rec[0..4].try_into().expect("4 bytes")),
-            b: u32::from_le_bytes(rec[4..8].try_into().expect("4 bytes")),
-            count: u32::from_le_bytes(rec[8..12].try_into().expect("4 bytes")),
-            weight_bits: u64::from_le_bytes(rec[12..20].try_into().expect("8 bytes")),
-        }))
-    }
-}
-
-/// Shared configuration of the external-sort builders in `er-blocking` and
-/// `er-metablocking`: where spill segments live, how large a sorted run may
-/// grow, and which governance handles (budget, watchdog, metrics) the
-/// spill/merge machinery reports to.
+/// Configuration of an [`ExternalSorter`] and so of the out-of-core builders
+/// in `er-blocking` and `er-metablocking`: where spill segments live, how
+/// large a sorted run may grow, and which governance handles (budget,
+/// watchdog, metrics) the spill/merge machinery reports to.
 #[derive(Clone, Debug)]
 pub struct OocConfig {
     /// Directory holding this run's spill segments.
@@ -1375,6 +1389,161 @@ impl OocConfig {
     }
 }
 
+/// Floor of the adaptive run-buffer shrink.
+const MIN_RUN_ENTRIES: usize = 64;
+
+/// Merge steps between watchdog checks.
+const MERGE_CHECK_EVERY: u64 = 4096;
+
+/// The external sort both out-of-core builders stream through: records
+/// accumulate in a bounded, budget-charged run buffer; each full buffer is
+/// stable-sorted by [`RunRecord::key`] and spilled as one run segment under
+/// `cfg.segment_dir`; [`merge`](Self::merge) streams the runs back in
+/// `(key, run index)` order. The merged stream is therefore the **stable
+/// sort of the pushed sequence** — runs are contiguous windows of it, so
+/// records with equal keys come out in arrival order (coalesced to one when
+/// [`RunRecord::COALESCE`]). Run files are removed and the buffer's
+/// reservation returned when the sorter drops, on success and on error.
+pub struct ExternalSorter<'a, R: RunRecord> {
+    cfg: &'a OocConfig,
+    /// Names the budget reservation, the watchdog checks and the run files.
+    stage: &'static str,
+    /// The run buffer; `reserved` bytes of the budget are held for it.
+    buf: Vec<R>,
+    reserved: u64,
+    /// Run size after the adaptive shrink.
+    run_entries: usize,
+    /// Spilled run segments, in spill order.
+    runs: Vec<PathBuf>,
+}
+
+impl<'a, R: RunRecord> ExternalSorter<'a, R> {
+    /// Creates the spill directory and reserves the run buffer, halving it
+    /// until the budget admits it — a typed error below the 64-record floor.
+    pub fn new(cfg: &'a OocConfig, stage: &'static str) -> Result<Self, SegmentError> {
+        fs::create_dir_all(&cfg.segment_dir).map_err(|e| SegmentError::Io {
+            path: cfg.segment_dir.clone(),
+            offset: 0,
+            reason: e.to_string(),
+        })?;
+        let mut run_entries = cfg.run_entries.max(MIN_RUN_ENTRIES);
+        let reserved = loop {
+            let bytes = (run_entries * std::mem::size_of::<R>()) as u64;
+            match cfg.budget.try_reserve(stage, bytes) {
+                Ok(()) => break bytes,
+                Err(e) if run_entries == MIN_RUN_ENTRIES => return Err(e.into()),
+                Err(_) => run_entries = (run_entries / 2).max(MIN_RUN_ENTRIES),
+            }
+        };
+        Ok(ExternalSorter {
+            cfg,
+            stage,
+            buf: Vec::with_capacity(run_entries),
+            reserved,
+            run_entries,
+            runs: Vec::new(),
+        })
+    }
+
+    /// Appends records in arrival order, spilling at each run boundary.
+    /// Checks the watchdog once per call and at every spill.
+    pub fn push_all(&mut self, records: impl IntoIterator<Item = R>) -> Result<(), SegmentError> {
+        self.cfg.watchdog.check(self.stage)?;
+        for record in records {
+            if self.buf.len() >= self.run_entries {
+                self.spill()?;
+            }
+            self.buf.push(record);
+        }
+        Ok(())
+    }
+
+    /// Sorts the buffered records and spills them as one run segment.
+    fn spill(&mut self) -> Result<(), SegmentError> {
+        if self.buf.is_empty() {
+            return Ok(());
+        }
+        self.cfg.watchdog.check(self.stage)?;
+        self.buf.sort_by_key(R::key);
+        if R::COALESCE {
+            self.buf.dedup_by_key(|r| r.key());
+        }
+        let name = format!("{}-run-{:05}.seg", self.stage, self.runs.len());
+        let path = self.cfg.segment_dir.join(name);
+        let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
+        w.run(&self.buf)?;
+        self.cfg.metrics.segment_written(w.finish()?);
+        self.runs.push(path);
+        self.buf.clear();
+        Ok(())
+    }
+
+    /// Spills the last partial run — a non-empty input always writes at
+    /// least one segment — and streams every record to `sink` in sorted
+    /// order. On `Err` the caller must discard whatever `sink` accumulated.
+    pub fn merge(mut self, mut sink: impl FnMut(R)) -> Result<(), SegmentError> {
+        self.spill()?;
+        // The merge no longer needs the run buffer: hand its bytes back
+        // before the page cache starts charging.
+        self.cfg.budget.release(std::mem::take(&mut self.reserved));
+        if self.runs.is_empty() {
+            return Ok(());
+        }
+        let cfg = self.cfg;
+        cfg.metrics.runs_merged(self.runs.len() as u64);
+        let segments: Vec<Segment> = self
+            .runs
+            .iter()
+            .map(|p| Segment::open(p, cfg.segment_options()))
+            .collect::<Result<_, _>>()?;
+        let mut cursors = Vec::with_capacity(segments.len());
+        for seg in &segments {
+            cursors.push(seg.run::<R>(0)?);
+        }
+        // Min-heap on (key, run index); `heads[run]` is the record behind
+        // the heap entry of `run`. Runs are contiguous arrival windows, so
+        // draining equal keys in run order replays global arrival order.
+        let mut heap: BinaryHeap<Reverse<(R::Key, usize)>> = BinaryHeap::new();
+        let mut heads: Vec<Option<R>> = Vec::with_capacity(cursors.len());
+        for (run, cursor) in cursors.iter_mut().enumerate() {
+            let head = cursor.next()?;
+            if let Some(r) = &head {
+                heap.push(Reverse((r.key(), run)));
+            }
+            heads.push(head);
+        }
+        let mut last: Option<R::Key> = None;
+        let mut steps: u64 = 0;
+        while let Some(Reverse((key, run))) = heap.pop() {
+            steps += 1;
+            if steps.is_multiple_of(MERGE_CHECK_EVERY) {
+                cfg.watchdog.check(self.stage)?;
+            }
+            let next = cursors[run].next()?;
+            if let Some(r) = &next {
+                heap.push(Reverse((r.key(), run)));
+            }
+            let head = std::mem::replace(&mut heads[run], next);
+            if R::COALESCE && last.replace(key) == Some(key) {
+                continue; // cross-run repeat
+            }
+            if let Some(record) = head {
+                sink(record);
+            }
+        }
+        Ok(())
+    }
+}
+
+impl<R: RunRecord> Drop for ExternalSorter<'_, R> {
+    fn drop(&mut self) {
+        self.cfg.budget.release(self.reserved);
+        for path in &self.runs {
+            let _ = fs::remove_file(path);
+        }
+    }
+}
+
 /// A cheap structural fingerprint of a collection (mode, cardinality, and
 /// the per-entity KB/arity shape), stamped into spill segments so a reader
 /// can never merge runs produced from a different collection.
@@ -1456,13 +1625,13 @@ mod tests {
         let path = tmp_seg("postings");
         let run = sample_postings(100);
         let mut w = SegmentWriter::create(&path, 42).unwrap();
-        w.postings_run(&run).unwrap();
+        w.run(&run).unwrap();
         let bytes = w.finish().unwrap();
         assert_eq!(bytes, fs::metadata(&path).unwrap().len());
         let seg = Segment::open(&path, SegmentOptions::new(42)).unwrap();
         assert_eq!(seg.sections().len(), 1);
         assert_eq!(seg.sections()[0].kind, KIND_POSTINGS);
-        let mut cursor = seg.postings(0).unwrap();
+        let mut cursor = seg.run::<(Symbol, EntityId)>(0).unwrap();
         let mut got = Vec::new();
         while let Some(p) = cursor.next().unwrap() {
             got.push(p);
@@ -1483,10 +1652,10 @@ mod tests {
             })
             .collect();
         let mut w = SegmentWriter::create(&path, 7).unwrap();
-        w.edge_run(&run).unwrap();
+        w.run(&run).unwrap();
         w.finish().unwrap();
         let seg = Segment::open(&path, SegmentOptions::new(7)).unwrap();
-        let mut cursor = seg.edges(0).unwrap();
+        let mut cursor = seg.run::<EdgeRecord>(0).unwrap();
         let mut got = Vec::new();
         while let Some(e) = cursor.next().unwrap() {
             got.push(e);
@@ -1549,7 +1718,7 @@ mod tests {
     fn tmp_file_never_survives_finish() {
         let path = tmp_seg("tmpgone");
         let mut w = SegmentWriter::create(&path, 5).unwrap();
-        w.postings_run(&sample_postings(4)).unwrap();
+        w.run(&sample_postings(4)).unwrap();
         w.finish().unwrap();
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".tmp");
@@ -1561,7 +1730,7 @@ mod tests {
     fn truncation_is_a_typed_error_with_offset() {
         let path = tmp_seg("trunc");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.postings_run(&sample_postings(64)).unwrap();
+        w.run(&sample_postings(64)).unwrap();
         w.finish().unwrap();
         let good = fs::read(&path).unwrap();
         for cut in [0, 10, HEADER_LEN as usize, good.len() - 1, good.len() - 40] {
@@ -1583,7 +1752,7 @@ mod tests {
     fn single_byte_mutations_are_caught() {
         let path = tmp_seg("mutate");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.postings_run(&sample_postings(32)).unwrap();
+        w.run(&sample_postings(32)).unwrap();
         w.finish().unwrap();
         let good = fs::read(&path).unwrap();
         let step = (good.len() / 23).max(1);
@@ -1603,7 +1772,7 @@ mod tests {
     fn wrong_fingerprint_and_version_are_typed() {
         let path = tmp_seg("fp");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.postings_run(&sample_postings(4)).unwrap();
+        w.run(&sample_postings(4)).unwrap();
         w.finish().unwrap();
         match Segment::open(&path, SegmentOptions::new(4)).unwrap_err() {
             SegmentError::Fingerprint {
@@ -1626,7 +1795,7 @@ mod tests {
     fn pager_charges_and_drains_the_budget() {
         let path = tmp_seg("budget");
         let mut w = SegmentWriter::create(&path, 11).unwrap();
-        w.postings_run(&sample_postings(10_000)).unwrap();
+        w.run(&sample_postings(10_000)).unwrap();
         w.finish().unwrap();
         let budget = MemoryBudget::bytes(8 * 1024);
         let metrics = StoreMetrics::new(Obs::enabled());
@@ -1639,7 +1808,7 @@ mod tests {
                     .with_page_bytes(2048),
             )
             .unwrap();
-            let mut cursor = seg.postings(0).unwrap();
+            let mut cursor = seg.run::<(Symbol, EntityId)>(0).unwrap();
             let mut n = 0u64;
             while cursor.next().unwrap().is_some() {
                 n += 1;
@@ -1666,7 +1835,7 @@ mod tests {
     fn starved_budget_is_a_typed_error_not_a_panic() {
         let path = tmp_seg("starved");
         let mut w = SegmentWriter::create(&path, 11).unwrap();
-        w.postings_run(&sample_postings(1000)).unwrap();
+        w.run(&sample_postings(1000)).unwrap();
         w.finish().unwrap();
         // A budget smaller than one page: the pager can never reserve.
         let budget = MemoryBudget::bytes(64);
@@ -1677,8 +1846,200 @@ mod tests {
                 .with_page_bytes(4096),
         )
         .unwrap();
-        let err = seg.postings(0).unwrap_err();
+        let err = seg.run::<(Symbol, EntityId)>(0).unwrap_err();
         assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
+    }
+
+    // ------------------------------------------------------ ExternalSorter
+    //
+    // The mechanism tests of the one external sort. They replace the
+    // per-builder copies that `er-blocking::ooc` / `er-metablocking::ooc`
+    // carried while each had its own spill/merge loop:
+    //
+    // * `…::ooc_build_records_metrics_and_charges_budget` (blocking) and
+    //   `…::ooc_build_drains_budget_and_records_metrics` (meta-blocking)
+    //   → `sorted_stream_is_the_stable_sort_of_the_input`
+    // * `…::starved_budget_is_a_typed_error` (blocking)
+    //   → `run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed`
+    // * `…::expired_watchdog_is_a_typed_error_not_partial_output` (both)
+    //   → `expired_watchdog_is_typed_never_partial_and_leaves_no_runs`
+
+    fn files_in(dir: &Path) -> usize {
+        fs::read_dir(dir).map_or(0, |d| d.count())
+    }
+
+    /// Seeded 64-bit LCG (Knuth's MMIX constants), high bits returned.
+    fn lcg(state: &mut u64) -> u32 {
+        *state = state
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
+        (*state >> 33) as u32
+    }
+
+    fn random_postings(seed: u64, n: usize) -> Vec<(Symbol, EntityId)> {
+        let mut state = seed;
+        (0..n)
+            .map(|_| {
+                (
+                    Symbol(lcg(&mut state) % 200),
+                    EntityId(lcg(&mut state) % 40),
+                )
+            })
+            .collect()
+    }
+
+    /// Few distinct pairs, every weight distinct: equal pairs are only told
+    /// apart by their arrival position.
+    fn random_edges(seed: u64, n: usize) -> Vec<EdgeRecord> {
+        let mut state = seed;
+        (0..n)
+            .map(|i| {
+                let a = lcg(&mut state) % 12;
+                EdgeRecord {
+                    a,
+                    b: a + 1 + lcg(&mut state) % 4,
+                    count: 1,
+                    weight_bits: (1.0 / (i + 1) as f64).to_bits(),
+                }
+            })
+            .collect()
+    }
+
+    fn sorted_by<R: RunRecord>(cfg: &OocConfig, input: &[R]) -> Result<Vec<R>, SegmentError> {
+        let mut sorter = ExternalSorter::new(cfg, "sorter-test")?;
+        // Several calls: arrival order spans `push_all` boundaries.
+        for part in input.chunks(1000) {
+            sorter.push_all(part.iter().copied())?;
+        }
+        let mut out = Vec::new();
+        sorter.merge(|r| out.push(r))?;
+        Ok(out)
+    }
+
+    #[test]
+    fn sorted_stream_is_the_stable_sort_of_the_input() {
+        const N: usize = 10_000;
+        for seed in [1u64, 0xE9, 0xfeed_beef] {
+            for run_entries in [64usize, 65, 4096] {
+                let dir = tmp_seg("sorter-stable");
+                let obs = Obs::enabled();
+                let metrics = StoreMetrics::new(obs.clone());
+                let budget = MemoryBudget::bytes(1 << 20);
+                let cfg = OocConfig::new(&dir)
+                    .with_run_entries(run_entries)
+                    .with_budget(budget.clone())
+                    .with_metrics(metrics.clone());
+                let cell = format!("seed {seed} run {run_entries}");
+
+                // Postings coalesce: the stream is sort + dedup.
+                let postings = random_postings(seed, N);
+                let mut want = postings.clone();
+                want.sort();
+                want.dedup();
+                assert!(want.len() < N, "{cell}: the input has repeats");
+                assert_eq!(sorted_by(&cfg, &postings).unwrap(), want, "{cell}");
+
+                // Edge records do not: equal pairs with distinct weights come
+                // out in arrival order — what ARCS bit-identity rests on.
+                let edges = random_edges(seed, N);
+                let mut want = edges.clone();
+                want.sort_by_key(|r| (r.a, r.b));
+                assert_eq!(sorted_by(&cfg, &edges).unwrap(), want, "{cell}");
+
+                let runs = 2 * N.div_ceil(run_entries) as u64;
+                let snap = obs.snapshot();
+                assert_eq!(snap.counter("colstore.segments_written"), Some(runs));
+                assert_eq!(snap.counter("colstore.runs_merged"), Some(runs));
+                assert!(snap.counter("colstore.segment_bytes").unwrap() > 0);
+                assert_eq!(budget.used(), 0, "{cell}: reservations drained");
+                assert_eq!(metrics.resident_bytes(), 0, "{cell}: pages released");
+                assert_eq!(files_in(&dir), 0, "{cell}: run files removed");
+                let _ = fs::remove_dir_all(&dir);
+            }
+        }
+    }
+
+    #[test]
+    fn run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed() {
+        // 4096 postings × 8 B do not fit 4 KiB; 512 do. The merge then
+        // streams 20 runs through 512 B pages inside the same budget.
+        let dir = tmp_seg("sorter-shrink");
+        let obs = Obs::enabled();
+        let budget = MemoryBudget::bytes(4096);
+        let cfg = OocConfig::new(&dir)
+            .with_run_entries(4096)
+            .with_page_bytes(512)
+            .with_budget(budget.clone())
+            .with_metrics(StoreMetrics::new(obs.clone()));
+        let postings = random_postings(7, 10_000);
+        let got = sorted_by(&cfg, &postings).unwrap();
+        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
+        let written = obs.snapshot().counter("colstore.segments_written");
+        assert_eq!(written, Some(10_000u64.div_ceil(512)));
+        assert_eq!(budget.used(), 0);
+
+        // Below the 64-record floor there is no buffer to build with.
+        let starved = OocConfig::new(&dir).with_budget(MemoryBudget::bytes(16));
+        let err = sorted_by(&starved, &postings).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SegmentError::Resource(ResourceError::BudgetExhausted { .. })
+            ),
+            "{err:?}"
+        );
+        assert_eq!(
+            files_in(&dir),
+            0,
+            "run files removed after success and error"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn expired_watchdog_is_typed_never_partial_and_leaves_no_runs() {
+        use crate::resource::Watchdog;
+        use std::time::Duration;
+        let edges = random_edges(3, 5_000);
+        let deadline = |err: SegmentError| {
+            assert!(
+                matches!(
+                    err,
+                    SegmentError::Resource(ResourceError::DeadlineExceeded { .. })
+                ),
+                "{err:?}"
+            );
+        };
+
+        // Expired before the first record.
+        let dir = tmp_seg("sorter-watchdog");
+        let cfg = OocConfig::new(&dir)
+            .with_run_entries(64)
+            .with_watchdog(Watchdog::timeout(Duration::ZERO));
+        deadline(sorted_by(&cfg, &edges).unwrap_err());
+        assert_eq!(files_in(&dir), 0);
+
+        // Expired between spill and merge: runs are on disk, the merge
+        // still refuses and hands `sink` nothing.
+        let budget = MemoryBudget::bytes(1 << 20);
+        let cfg = OocConfig::new(&dir)
+            .with_run_entries(64)
+            .with_budget(budget.clone())
+            .with_watchdog(Watchdog::timeout(Duration::from_millis(250)));
+        let mut sorter = ExternalSorter::new(&cfg, "sorter-test").unwrap();
+        let mut delivered = 0u64;
+        let outcome = sorter.push_all(edges.iter().copied()).and_then(|()| {
+            assert!(files_in(&dir) > 1, "runs spilled before the deadline");
+            std::thread::sleep(Duration::from_millis(300));
+            sorter.merge(|_| delivered += 1)
+        });
+        // (On a machine too slow to spill 5k records in 250 ms the push
+        // itself hits the deadline — the same typed refusal.)
+        deadline(outcome.unwrap_err());
+        assert_eq!(delivered, 0, "never partial output");
+        assert_eq!(files_in(&dir), 0, "run files removed on error");
+        assert_eq!(budget.used(), 0, "reservation returned on error");
+        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -13,6 +13,7 @@ use er_core::collection::EntityCollection;
 use er_core::pair::Pair;
 use er_core::parallel::{par_map_chunks, Parallelism};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Per-edge co-occurrence statistics gathered while scanning the blocks.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -64,18 +65,19 @@ impl PartialEq for BlockingGraph {
     }
 }
 
-/// Blocks per accumulation chunk for [`BlockingGraph::build`].
+/// Blocks per accumulation chunk of [`chunk_partials`].
 ///
-/// Fixed (never derived from the thread count) so that the left-to-right
-/// merge of per-chunk partials performs the exact same sequence of `f64`
-/// additions on the ARCS accumulator at every parallelism level — the
-/// serial and parallel builds are bit-identical by construction.
-const GRAPH_CHUNK_BLOCKS: usize = 32;
+/// Fixed (never derived from the thread count or the batch length) so that
+/// the left-to-right merge of per-chunk partials performs the exact same
+/// sequence of `f64` additions on the ARCS accumulator at every parallelism
+/// level, in memory and out of core — all builds are bit-identical by
+/// construction.
+pub(crate) const CHUNK_BLOCKS: usize = 32;
 
 /// Per-chunk partial aggregation of the block scan: edge partials sorted by
 /// pair, block counts sorted by entity index — both produced by sort +
 /// run-length merge over flat contribution vectors.
-struct ChunkPartial {
+pub(crate) struct ChunkPartial {
     edges: Vec<(Pair, EdgeInfo)>,
     block_counts: Vec<(u32, u32)>,
     /// Raw contribution entries emitted before run-merging (for the
@@ -83,24 +85,114 @@ struct ChunkPartial {
     raw_entries: u64,
 }
 
-/// Merges runs of equal pairs in a pair-sorted contribution vector,
-/// accumulating **in place, left to right**. With a *stable* sort in front,
-/// entries of an equal pair keep their emission order, so the accumulation
-/// performs the exact `f64` addition sequence the `BTreeMap` reference path
-/// performs (`or_default()` seeds 0.0, and `0.0 + x == x` bitwise for the
-/// strictly positive ARCS contributions).
+/// Adds one contribution to a pair-sorted edge vector under construction:
+/// **in place, left to right**. Fed a *stably* pair-sorted sequence, entries
+/// of an equal pair arrive in emission order, so the accumulation performs
+/// the exact `f64` addition sequence the `BTreeMap` reference path performs
+/// (`or_default()` seeds 0.0, and `0.0 + x == x` bitwise for the strictly
+/// positive ARCS contributions).
+pub(crate) fn accumulate(out: &mut Vec<(Pair, EdgeInfo)>, (p, info): (Pair, EdgeInfo)) {
+    match out.last_mut() {
+        Some((last, acc)) if *last == p => {
+            acc.common_blocks += info.common_blocks;
+            acc.arcs += info.arcs;
+        }
+        _ => out.push((p, info)),
+    }
+}
+
+/// Merges runs of equal pairs in a pair-sorted contribution vector
+/// ([`accumulate`] over every entry).
 pub(crate) fn merge_runs(sorted: Vec<(Pair, EdgeInfo)>) -> Vec<(Pair, EdgeInfo)> {
     let mut out: Vec<(Pair, EdgeInfo)> = Vec::new();
-    for (p, info) in sorted {
-        match out.last_mut() {
-            Some((last, acc)) if *last == p => {
-                acc.common_blocks += info.common_blocks;
-                acc.arcs += info.arcs;
-            }
-            _ => out.push((p, info)),
-        }
+    for entry in sorted {
+        accumulate(&mut out, entry);
     }
     out
+}
+
+/// The one chunk-partial producer: scans `blocks` in fixed [`CHUNK_BLOCKS`]
+/// chunks and hands the partials to `sink` in chunk order, one vector per
+/// `batch_blocks` blocks. Each chunk emits one flat `(Pair, EdgeInfo)`
+/// contribution per block-pair occurrence, stable-sorts it by pair and
+/// merges runs into a sorted partial. `batch_blocks` bounds how many
+/// partials exist at once and must be a multiple of [`CHUNK_BLOCKS`] (or
+/// `usize::MAX`: one batch) so it never moves a chunk boundary.
+pub(crate) fn chunk_partials<E>(
+    collection: &EntityCollection,
+    blocks: &[Block],
+    par: Parallelism,
+    batch_blocks: usize,
+    mut sink: impl FnMut(Vec<ChunkPartial>) -> Result<(), E>,
+) -> Result<(), E> {
+    assert!(batch_blocks == usize::MAX || batch_blocks.is_multiple_of(CHUNK_BLOCKS));
+    for batch in blocks.chunks(batch_blocks) {
+        sink(par_map_chunks(par, batch, CHUNK_BLOCKS, |chunk| {
+            let mut contribs: Vec<(Pair, EdgeInfo)> = Vec::new();
+            let mut counted: Vec<u32> = Vec::new();
+            for b in chunk {
+                let card = b.comparisons(collection);
+                counted.extend(b.entities().iter().map(|e| e.index() as u32));
+                if card == 0 {
+                    continue;
+                }
+                let w = 1.0 / card as f64;
+                contribs.extend(b.pairs(collection).map(|p| {
+                    (
+                        p,
+                        EdgeInfo {
+                            common_blocks: 1,
+                            arcs: w,
+                        },
+                    )
+                }));
+            }
+            let raw_entries = contribs.len() as u64;
+            // Stable: equal pairs keep block order within the chunk.
+            contribs.sort_by_key(|&(p, _)| p);
+            let mut block_counts: Vec<(u32, u32)> = Vec::new();
+            counted.sort_unstable();
+            for idx in counted {
+                match block_counts.last_mut() {
+                    Some((last, c)) if *last == idx => *c += 1,
+                    _ => block_counts.push((idx, 1)),
+                }
+            }
+            ChunkPartial {
+                edges: merge_runs(contribs),
+                block_counts,
+                raw_entries,
+            }
+        }))?;
+    }
+    Ok(())
+}
+
+/// The node-level side of a build: what the partials contribute besides
+/// their edges.
+pub(crate) struct PartialTally {
+    entity_block_counts: Vec<u32>,
+    /// Entries that flowed through the aggregation buffers: raw
+    /// contributions plus partial edges.
+    sort_entries: u64,
+}
+
+impl PartialTally {
+    pub(crate) fn new(n_entities: usize) -> PartialTally {
+        PartialTally {
+            entity_block_counts: vec![0; n_entities],
+            sort_entries: 0,
+        }
+    }
+
+    /// Books a partial's block counts and entry counts; returns its edges.
+    pub(crate) fn take(&mut self, partial: ChunkPartial) -> Vec<(Pair, EdgeInfo)> {
+        for (idx, count) in partial.block_counts {
+            self.entity_block_counts[idx as usize] += count;
+        }
+        self.sort_entries += partial.raw_entries + partial.edges.len() as u64;
+        partial.edges
+    }
 }
 
 impl BlockingGraph {
@@ -123,78 +215,42 @@ impl BlockingGraph {
         Self::build_impl(collection, blocks, par)
     }
 
-    /// Sort-based aggregation. Each chunk emits one flat `(Pair, EdgeInfo)`
-    /// contribution per block-pair occurrence, stable-sorts it by pair and
-    /// merges runs into a sorted partial; the partials are then concatenated
-    /// **in chunk order** and merged the same way. The two-level grouping —
-    /// within-chunk sums first, then partial sums in chunk order — performs
-    /// the exact `f64` addition sequence of the reference `BTreeMap` fold,
-    /// so serial, parallel and reference builds are all bit-identical.
+    /// Sort-based aggregation. The partials of [`chunk_partials`] are
+    /// concatenated **in chunk order**, stable-sorted by pair and merged.
+    /// The two-level grouping — within-chunk sums first, then partial sums
+    /// in chunk order — performs the exact `f64` addition sequence of the
+    /// reference `BTreeMap` fold, so serial, parallel and reference builds
+    /// are all bit-identical.
     fn build_impl(
         collection: &EntityCollection,
         blocks: &BlockCollection,
         par: Parallelism,
     ) -> Self {
-        let n = collection.len();
-        let partials = par_map_chunks(
-            par,
-            blocks.blocks(),
-            GRAPH_CHUNK_BLOCKS,
-            |chunk: &[Block]| {
-                let mut contribs: Vec<(Pair, EdgeInfo)> = Vec::new();
-                let mut counted: Vec<u32> = Vec::new();
-                for b in chunk {
-                    let card = b.comparisons(collection);
-                    counted.extend(b.entities().iter().map(|e| e.index() as u32));
-                    if card == 0 {
-                        continue;
-                    }
-                    let w = 1.0 / card as f64;
-                    contribs.extend(b.pairs(collection).map(|p| {
-                        (
-                            p,
-                            EdgeInfo {
-                                common_blocks: 1,
-                                arcs: w,
-                            },
-                        )
-                    }));
-                }
-                let raw_entries = contribs.len() as u64;
-                // Stable: equal pairs keep block order within the chunk.
-                contribs.sort_by_key(|&(p, _)| p);
-                let mut block_counts: Vec<(u32, u32)> = Vec::new();
-                counted.sort_unstable();
-                for idx in counted {
-                    match block_counts.last_mut() {
-                        Some((last, c)) if *last == idx => *c += 1,
-                        _ => block_counts.push((idx, 1)),
-                    }
-                }
-                ChunkPartial {
-                    edges: merge_runs(contribs),
-                    block_counts,
-                    raw_entries,
-                }
-            },
-        );
-        // Concatenate partials in chunk order; a stable sort then keeps each
-        // pair's partial sums in chunk order, and the run merge adds them
-        // left-to-right — the same grouping as the reference fold.
-        let raw_entries: u64 = partials.iter().map(|c| c.raw_entries).sum();
-        let mut flat: Vec<(Pair, EdgeInfo)> =
-            Vec::with_capacity(partials.iter().map(|c| c.edges.len()).sum());
-        let mut entity_block_counts = vec![0u32; n];
-        for partial in partials {
-            flat.extend(partial.edges);
-            for (idx, count) in partial.block_counts {
-                entity_block_counts[idx as usize] += count;
+        let mut tally = PartialTally::new(collection.len());
+        let mut flat: Vec<(Pair, EdgeInfo)> = Vec::new();
+        let Ok(()) = chunk_partials(collection, blocks.blocks(), par, usize::MAX, |partials| {
+            flat.reserve(partials.iter().map(|c| c.edges.len()).sum());
+            for partial in partials {
+                flat.extend(tally.take(partial));
             }
-        }
-        let entry = std::mem::size_of::<(Pair, EdgeInfo)>() as u64;
-        let edge_sort_bytes = (raw_entries + flat.len() as u64) * entry;
+            Ok::<(), Infallible>(())
+        });
+        // A stable sort keeps each pair's partial sums in chunk order, and
+        // the run merge adds them left-to-right — the same grouping as the
+        // reference fold.
         flat.sort_by_key(|&(p, _)| p);
-        let edges = merge_runs(flat);
+        Self::finish(collection, blocks, merge_runs(flat), tally)
+    }
+
+    /// The one graph finisher: degrees from the merged edges, node counts
+    /// and `edge_sort_bytes` from the tally.
+    pub(crate) fn finish(
+        collection: &EntityCollection,
+        blocks: &BlockCollection,
+        edges: Vec<(Pair, EdgeInfo)>,
+        tally: PartialTally,
+    ) -> Self {
+        let n = collection.len();
         let mut degrees = vec![0u32; n];
         for &(p, _) in &edges {
             degrees[p.first().index()] += 1;
@@ -202,12 +258,12 @@ impl BlockingGraph {
         }
         BlockingGraph {
             edges,
-            entity_block_counts,
+            entity_block_counts: tally.entity_block_counts,
             degrees,
             total_blocks: blocks.len() as u64,
             total_assignments: blocks.assignments(),
             n_entities: n,
-            edge_sort_bytes,
+            edge_sort_bytes: tally.sort_entries * std::mem::size_of::<(Pair, EdgeInfo)>() as u64,
         }
     }
 
@@ -227,31 +283,26 @@ impl BlockingGraph {
         par: Parallelism,
     ) -> Self {
         let n = collection.len();
-        let partials = par_map_chunks(
-            par,
-            blocks.blocks(),
-            GRAPH_CHUNK_BLOCKS,
-            |chunk: &[Block]| {
-                let mut edges: BTreeMap<Pair, EdgeInfo> = BTreeMap::new();
-                let mut block_counts: BTreeMap<usize, u32> = BTreeMap::new();
-                for b in chunk {
-                    let card = b.comparisons(collection);
-                    for &e in b.entities() {
-                        *block_counts.entry(e.index()).or_insert(0) += 1;
-                    }
-                    if card == 0 {
-                        continue;
-                    }
-                    let w = 1.0 / card as f64;
-                    for p in b.pairs(collection) {
-                        let info = edges.entry(p).or_default();
-                        info.common_blocks += 1;
-                        info.arcs += w;
-                    }
+        let partials = par_map_chunks(par, blocks.blocks(), CHUNK_BLOCKS, |chunk: &[Block]| {
+            let mut edges: BTreeMap<Pair, EdgeInfo> = BTreeMap::new();
+            let mut block_counts: BTreeMap<usize, u32> = BTreeMap::new();
+            for b in chunk {
+                let card = b.comparisons(collection);
+                for &e in b.entities() {
+                    *block_counts.entry(e.index()).or_insert(0) += 1;
                 }
-                (edges, block_counts)
-            },
-        );
+                if card == 0 {
+                    continue;
+                }
+                let w = 1.0 / card as f64;
+                for p in b.pairs(collection) {
+                    let info = edges.entry(p).or_default();
+                    info.common_blocks += 1;
+                    info.arcs += w;
+                }
+            }
+            (edges, block_counts)
+        });
         // Merge partials left-to-right (chunk order): each edge's ARCS
         // contributions are added in the same grouping regardless of how
         // many threads produced the partials.

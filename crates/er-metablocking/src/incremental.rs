@@ -21,7 +21,7 @@
 //! pairs are weighted at the current `1/‖b‖` and the block's old pairs are
 //! re-weighted by the difference `1/‖b‖_new − 1/‖b‖_old` — but not exactly
 //! *in bits*: the incremental addition order differs from the batch
-//! builder's chunked left-to-right `f64` fold (`GRAPH_CHUNK_BLOCKS` sums),
+//! builder's chunked left-to-right `f64` fold (`CHUNK_BLOCKS` sums),
 //! so the accumulators agree only up to floating-point rounding between
 //! refreshes. [`IncrementalGraph::refresh`] — a full
 //! [`BlockingGraph::par_build`], bit-identical to the batch path at every

@@ -1,57 +1,40 @@
-//! Out-of-core blocking-graph construction: external-sort aggregation over
-//! segment files.
+//! Out-of-core blocking-graph construction: the in-memory build with an
+//! external sort in place of its contribution vector.
 //!
 //! The compact in-memory build ([`BlockingGraph::par_build`]) concatenates
 //! every per-chunk edge partial into one flat `(Pair, EdgeInfo)` vector,
 //! stable-sorts it by pair and merges runs left-to-right — the flat vector
 //! (`edge_sort_bytes`) is the dominant allocation of the meta-blocking
-//! stage. This module spills the partials as **pair-sorted edge runs** in
-//! [`er_core::colstore`] segments and performs the run merge over a k-way
-//! streaming merge of those runs instead, so the full contribution vector
-//! never exists in memory.
+//! stage. Here the same producer (`graph::chunk_partials`) hands its
+//! partials batch by batch to an [`ExternalSorter`], which spills them as
+//! **pair-sorted edge runs** in [`er_core::colstore`] segments, and the same
+//! accumulation (`graph::accumulate`) folds over the sorter's merged stream,
+//! so the full contribution vector never exists in memory.
 //!
-//! **Bit-identity, including the non-associative `f64` ARCS sums.** Spilled
-//! runs are *not* pre-accumulated: each run holds raw contributions,
-//! stable-sorted by pair, so contributions of an equal pair keep their
-//! arrival (chunk) order inside the run. Runs partition the arrival
-//! sequence into contiguous windows, so the k-way merge ordered by
-//! `(pair, run index)` replays, for every pair, its contributions in exactly
-//! the global arrival order — the same permutation the in-memory stable
-//! sort produces — and the left-to-right accumulation of
-//! [`merge_runs`](crate::graph) then performs the identical `f64` addition
+//! **Bit-identity, including the non-associative `f64` ARCS sums.** Edge
+//! records do not coalesce: each run holds raw partial sums, stable-sorted
+//! by pair, and the sorter's merged stream is the stable sort of the pushed
+//! sequence — for every pair, its partial sums in global arrival (chunk)
+//! order, the same permutation the in-memory stable sort produces. The
+//! left-to-right accumulation then performs the identical `f64` addition
 //! sequence. Weights travel through disk as raw bits
 //! ([`f64::to_bits`]/[`f64::from_bits`]), never reformatted.
 
-use crate::graph::{merge_runs, BlockingGraph, EdgeInfo};
-use crate::pruning::PruningScheme;
-use crate::weights::WeightingScheme;
-use er_blocking::block::{Block, BlockCollection};
+use crate::graph::{
+    accumulate, chunk_partials, BlockingGraph, EdgeInfo, PartialTally, CHUNK_BLOCKS,
+};
+use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
-use er_core::colstore::{EdgeRecord, OocConfig, Segment, SegmentError, SegmentWriter};
+use er_core::colstore::{EdgeRecord, ExternalSorter, OocConfig, SegmentError};
 use er_core::entity::EntityId;
-use er_core::obs::Obs;
 use er_core::pair::Pair;
-use er_core::parallel::{par_map_chunks, Parallelism};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
-use std::fs;
-use std::path::PathBuf;
+use er_core::parallel::Parallelism;
 
-/// Blocks per aggregation chunk — **must** equal the in-memory path's
-/// `GRAPH_CHUNK_BLOCKS` so per-chunk partials cover the same block windows.
-const CHUNK_BLOCKS: usize = 32;
-
-/// Blocks handed to the thread pool per batch; a multiple of
-/// [`CHUNK_BLOCKS`] so batch boundaries never move a chunk boundary.
+/// Blocks scanned per batch handed to the sorter: bounds how many partials
+/// exist at once.
 const BATCH_BLOCKS: usize = 64 * CHUNK_BLOCKS;
 
-/// Floor of the adaptive run-buffer shrink.
-const MIN_RUN_ENTRIES: usize = 64;
-
-/// Merge steps between watchdog checks.
-const MERGE_CHECK_EVERY: u64 = 4096;
-
-fn to_record(p: Pair, info: EdgeInfo) -> EdgeRecord {
+fn to_record((p, info): (Pair, EdgeInfo)) -> EdgeRecord {
     EdgeRecord {
         a: p.first().0,
         b: p.second().0,
@@ -70,95 +53,6 @@ fn from_record(r: EdgeRecord) -> (Pair, EdgeInfo) {
     )
 }
 
-/// Spill state of the edge-contribution stream.
-struct EdgeSpill<'a> {
-    cfg: &'a OocConfig,
-    buf: Vec<(Pair, EdgeInfo)>,
-    reserved: u64,
-    run_entries: usize,
-    runs: Vec<PathBuf>,
-    /// Records written across all runs (the spilled counterpart of the
-    /// in-memory `flat.len()`).
-    spilled_records: u64,
-}
-
-impl<'a> EdgeSpill<'a> {
-    fn new(cfg: &'a OocConfig) -> Result<EdgeSpill<'a>, SegmentError> {
-        let mut run_entries = cfg.run_entries.max(MIN_RUN_ENTRIES);
-        let reserved = loop {
-            let bytes = (run_entries * std::mem::size_of::<(Pair, EdgeInfo)>()) as u64;
-            match cfg.budget.try_reserve("metablocking-ooc", bytes) {
-                Ok(()) => break bytes,
-                Err(e) => {
-                    if run_entries == MIN_RUN_ENTRIES {
-                        return Err(SegmentError::Resource(e));
-                    }
-                    run_entries = (run_entries / 2).max(MIN_RUN_ENTRIES);
-                }
-            }
-        };
-        Ok(EdgeSpill {
-            cfg,
-            buf: Vec::with_capacity(run_entries),
-            reserved,
-            run_entries,
-            runs: Vec::new(),
-            spilled_records: 0,
-        })
-    }
-
-    /// Stable-sorts the buffered contributions by pair (arrival order kept
-    /// within equal pairs — no accumulation happens before the merge) and
-    /// spills them as one segment.
-    fn spill(&mut self) -> Result<(), SegmentError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.cfg.watchdog.check("metablocking-ooc")?;
-        self.buf.sort_by_key(|&(p, _)| p);
-        let records: Vec<EdgeRecord> = self.buf.iter().map(|&(p, i)| to_record(p, i)).collect();
-        let path = self
-            .cfg
-            .segment_dir
-            .join(format!("edge-run-{:05}.seg", self.runs.len()));
-        let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
-        w.edge_run(&records)?;
-        let bytes = w.finish()?;
-        self.cfg.metrics.segment_written(bytes);
-        self.spilled_records += records.len() as u64;
-        self.runs.push(path);
-        self.buf.clear();
-        Ok(())
-    }
-
-    fn push_all(
-        &mut self,
-        entries: impl IntoIterator<Item = (Pair, EdgeInfo)>,
-    ) -> Result<(), SegmentError> {
-        for entry in entries {
-            if self.buf.len() >= self.run_entries {
-                self.spill()?;
-            }
-            self.buf.push(entry);
-        }
-        Ok(())
-    }
-
-    fn release(&mut self) {
-        self.cfg.budget.release(self.reserved);
-        self.reserved = 0;
-    }
-}
-
-impl Drop for EdgeSpill<'_> {
-    fn drop(&mut self) {
-        self.release();
-        for path in &self.runs {
-            let _ = fs::remove_file(path);
-        }
-    }
-}
-
 impl BlockingGraph {
     /// Out-of-core [`par_build`](BlockingGraph::par_build): bit-identical
     /// graph — ARCS bits included — with the edge-contribution vector
@@ -171,181 +65,30 @@ impl BlockingGraph {
         par: Parallelism,
         cfg: &OocConfig,
     ) -> Result<BlockingGraph, SegmentError> {
-        fs::create_dir_all(&cfg.segment_dir).map_err(|e| SegmentError::Io {
-            path: cfg.segment_dir.clone(),
-            offset: 0,
-            reason: e.to_string(),
+        let mut sorter: ExternalSorter<'_, EdgeRecord> =
+            ExternalSorter::new(cfg, "metablocking-ooc")?;
+        let mut tally = PartialTally::new(collection.len());
+        chunk_partials(collection, blocks.blocks(), par, BATCH_BLOCKS, |partials| {
+            partials.into_iter().try_for_each(|partial| {
+                sorter.push_all(tally.take(partial).into_iter().map(to_record))
+            })
         })?;
-        let n = collection.len();
-        let mut spill = EdgeSpill::new(cfg)?;
-        let mut entity_block_counts = vec![0u32; n];
-        let mut raw_entries: u64 = 0;
-        // Identical chunking to the in-memory build: fixed 32-block chunks,
-        // partials consumed in chunk order. Batching bounds how many
-        // partials exist at once without moving any chunk boundary.
-        for batch in blocks.blocks().chunks(BATCH_BLOCKS) {
-            cfg.watchdog.check("metablocking-ooc")?;
-            let partials = par_map_chunks(par, batch, CHUNK_BLOCKS, |chunk: &[Block]| {
-                let mut contribs: Vec<(Pair, EdgeInfo)> = Vec::new();
-                let mut counted: Vec<u32> = Vec::new();
-                for b in chunk {
-                    let card = b.comparisons(collection);
-                    counted.extend(b.entities().iter().map(|e| e.index() as u32));
-                    if card == 0 {
-                        continue;
-                    }
-                    let w = 1.0 / card as f64;
-                    contribs.extend(b.pairs(collection).map(|p| {
-                        (
-                            p,
-                            EdgeInfo {
-                                common_blocks: 1,
-                                arcs: w,
-                            },
-                        )
-                    }));
-                }
-                let raw = contribs.len() as u64;
-                // Stable: equal pairs keep block order within the chunk.
-                contribs.sort_by_key(|&(p, _)| p);
-                let mut block_counts: Vec<(u32, u32)> = Vec::new();
-                counted.sort_unstable();
-                for idx in counted {
-                    match block_counts.last_mut() {
-                        Some((last, c)) if *last == idx => *c += 1,
-                        _ => block_counts.push((idx, 1)),
-                    }
-                }
-                (merge_runs(contribs), block_counts, raw)
-            });
-            for (edges, block_counts, raw) in partials {
-                raw_entries += raw;
-                for (idx, count) in block_counts {
-                    entity_block_counts[idx as usize] += count;
-                }
-                spill.push_all(edges)?;
-            }
-        }
-        spill.spill()?;
-        spill.release();
-        let entry = std::mem::size_of::<(Pair, EdgeInfo)>() as u64;
-        let edge_sort_bytes = (raw_entries + spill.spilled_records) * entry;
-        let edges = merge_edge_runs(&spill)?;
-        let mut degrees = vec![0u32; n];
-        for &(p, _) in &edges {
-            degrees[p.first().index()] += 1;
-            degrees[p.second().index()] += 1;
-        }
-        Ok(BlockingGraph {
-            edges,
-            entity_block_counts,
-            degrees,
-            total_blocks: blocks.len() as u64,
-            total_assignments: blocks.assignments(),
-            n_entities: n,
-            edge_sort_bytes,
-        })
+        let mut edges: Vec<(Pair, EdgeInfo)> = Vec::new();
+        sorter.merge(|r| accumulate(&mut edges, from_record(r)))?;
+        Ok(Self::finish(collection, blocks, edges, tally))
     }
-}
-
-/// K-way merges the spilled edge runs ordered by `(pair, run index)` and
-/// accumulates equal pairs left-to-right — the streaming equivalent of the
-/// in-memory stable sort + [`merge_runs`] over the concatenated partials.
-fn merge_edge_runs(spill: &EdgeSpill<'_>) -> Result<Vec<(Pair, EdgeInfo)>, SegmentError> {
-    let cfg = spill.cfg;
-    if spill.runs.is_empty() {
-        return Ok(Vec::new());
-    }
-    cfg.metrics.runs_merged(spill.runs.len() as u64);
-    let segments: Vec<Segment> = spill
-        .runs
-        .iter()
-        .map(|p| Segment::open(p, cfg.segment_options()))
-        .collect::<Result<_, _>>()?;
-    let mut cursors = Vec::with_capacity(segments.len());
-    for seg in &segments {
-        cursors.push(seg.edges(0)?);
-    }
-    let mut heads: Vec<Option<(Pair, EdgeInfo)>> = Vec::with_capacity(cursors.len());
-    // Min-heap on (pair, run index): runs are contiguous arrival windows,
-    // so draining equal pairs in run order replays global arrival order —
-    // the f64 accumulation sequence of the in-memory path.
-    let mut heap: BinaryHeap<Reverse<(Pair, usize)>> = BinaryHeap::new();
-    for (i, c) in cursors.iter_mut().enumerate() {
-        let head = c.next()?.map(from_record);
-        if let Some((p, _)) = head {
-            heap.push(Reverse((p, i)));
-        }
-        heads.push(head);
-    }
-    let mut out: Vec<(Pair, EdgeInfo)> = Vec::new();
-    let mut steps: u64 = 0;
-    while let Some(Reverse((_, run))) = heap.pop() {
-        steps += 1;
-        if steps.is_multiple_of(MERGE_CHECK_EVERY) {
-            cfg.watchdog.check("metablocking-ooc")?;
-        }
-        let (p, info) = heads[run].take().expect("heap entry has a head");
-        let next = cursors[run].next()?.map(from_record);
-        if let Some((np, _)) = next {
-            heap.push(Reverse((np, run)));
-        }
-        heads[run] = next;
-        match out.last_mut() {
-            Some((last, acc)) if *last == p => {
-                acc.common_blocks += info.common_blocks;
-                acc.arcs += info.arcs;
-            }
-            _ => out.push((p, info)),
-        }
-    }
-    Ok(out)
-}
-
-/// Out-of-core [`par_meta_block_obs`](crate::pipeline::par_meta_block_obs):
-/// the graph is built through [`BlockingGraph::par_build_ooc`], then weighted
-/// and pruned in memory exactly as the in-memory pipeline does, recording
-/// the same `meta_blocking.*` series.
-pub fn par_meta_block_ooc_obs(
-    collection: &EntityCollection,
-    blocks: &BlockCollection,
-    weighting: WeightingScheme,
-    pruning: PruningScheme,
-    par: Parallelism,
-    obs: &Obs,
-    cfg: &OocConfig,
-) -> Result<Vec<Pair>, SegmentError> {
-    let graph = BlockingGraph::par_build_ooc(collection, blocks, par, cfg)?;
-    let kept = pruning.par_prune(&graph, weighting, par);
-    if obs.is_enabled() {
-        let before = graph.n_edges() as u64;
-        let after = kept.len() as u64;
-        obs.counter("meta_blocking.edges_weighted").add(before);
-        obs.counter("meta_blocking.comparisons_before").add(before);
-        obs.counter("meta_blocking.comparisons_after").add(after);
-        obs.counter("meta_blocking.comparisons_pruned")
-            .add(before.saturating_sub(after));
-        obs.counter("metablocking.edge_sort_bytes")
-            .add(graph.edge_sort_bytes());
-        let ratio = if before == 0 {
-            0.0
-        } else {
-            (before.saturating_sub(after)) as f64 / before as f64
-        };
-        obs.gauge("meta_blocking.pruning_ratio").set(ratio);
-    }
-    Ok(kept)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::pruning::PruningScheme;
+    use crate::weights::WeightingScheme;
     use er_blocking::TokenBlocking;
-    use er_core::collection::ResolutionMode;
-    use er_core::colstore::StoreMetrics;
+    use er_core::collection::{EntityCollection, ResolutionMode};
     use er_core::entity::{EntityBuilder, KbId};
-    use er_core::resource::{MemoryBudget, Watchdog};
-    use std::time::Duration;
+    use er_core::obs::Obs;
+    use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -382,6 +125,8 @@ mod tests {
                 let cfg = OocConfig::new(&dir).with_run_entries(run_entries);
                 let got = BlockingGraph::par_build_ooc(&c, &blocks, par, &cfg).unwrap();
                 assert_eq!(got, oracle, "threads {threads} run {run_entries}");
+                assert!(got.edge_sort_bytes() > 0);
+                assert_eq!(got.edge_sort_bytes(), oracle.edge_sort_bytes());
                 for ((p1, i1), (p2, i2)) in got.edges().zip(oracle.edges()) {
                     assert_eq!(p1, p2);
                     assert_eq!(i1.arcs.to_bits(), i2.arcs.to_bits(), "ARCS bits at {p1:?}");
@@ -409,7 +154,7 @@ mod tests {
         let dir = tmp_dir("pipeline");
         let cfg = OocConfig::new(&dir).with_run_entries(128);
         let obs = Obs::enabled();
-        let got = par_meta_block_ooc_obs(
+        let got = crate::pipeline::par_meta_block_ooc_obs(
             &c,
             &blocks,
             WeightingScheme::Arcs,
@@ -422,44 +167,6 @@ mod tests {
         assert_eq!(got, oracle);
         let snap = obs.snapshot();
         assert!(snap.counter("meta_blocking.edges_weighted").unwrap() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn ooc_build_drains_budget_and_records_metrics() {
-        let (c, blocks) = fixture();
-        let obs = Obs::enabled();
-        let metrics = StoreMetrics::new(obs.clone());
-        let budget = MemoryBudget::bytes(1 << 20);
-        let dir = tmp_dir("budget");
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(128)
-            .with_budget(budget.clone())
-            .with_metrics(metrics.clone());
-        let g = BlockingGraph::par_build_ooc(&c, &blocks, Parallelism::serial(), &cfg).unwrap();
-        assert!(g.n_edges() > 0);
-        assert!(g.edge_sort_bytes() > 0);
-        let snap = obs.snapshot();
-        let written = snap.counter("colstore.segments_written").unwrap();
-        assert!(written > 1, "multiple edge runs spilled: {written}");
-        assert_eq!(snap.counter("colstore.runs_merged"), Some(written));
-        assert_eq!(budget.used(), 0, "all reservations drained");
-        assert_eq!(metrics.resident_bytes(), 0, "all pages released");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn expired_watchdog_is_a_typed_error_not_partial_output() {
-        let (c, blocks) = fixture();
-        let dir = tmp_dir("watchdog");
-        let cfg = OocConfig::new(&dir).with_watchdog(Watchdog::timeout(Duration::ZERO));
-        let err =
-            BlockingGraph::par_build_ooc(&c, &blocks, Parallelism::serial(), &cfg).unwrap_err();
-        assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
-        assert!(
-            std::fs::read_dir(&dir).unwrap().next().is_none(),
-            "spill files removed on error"
-        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

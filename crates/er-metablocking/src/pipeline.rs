@@ -5,6 +5,7 @@ use crate::pruning::PruningScheme;
 use crate::weights::WeightingScheme;
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
+use er_core::colstore::{OocConfig, SegmentError};
 use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
@@ -36,8 +37,8 @@ pub fn par_meta_block(
     pruning: PruningScheme,
     par: Parallelism,
 ) -> Vec<Pair> {
-    let graph = BlockingGraph::par_build(collection, blocks, par);
-    pruning.par_prune(&graph, weighting, par)
+    let obs = Obs::disabled();
+    par_meta_block_obs(collection, blocks, weighting, pruning, par, &obs)
 }
 
 /// [`par_meta_block`] with observability: records the number of weighted
@@ -57,7 +58,34 @@ pub fn par_meta_block_obs(
     obs: &Obs,
 ) -> Vec<Pair> {
     let graph = BlockingGraph::par_build(collection, blocks, par);
-    let kept = pruning.par_prune(&graph, weighting, par);
+    prune_and_record(&graph, weighting, pruning, par, obs)
+}
+
+/// Out-of-core [`par_meta_block_obs`]: the graph is built through
+/// [`BlockingGraph::par_build_ooc`], then weighted and pruned in memory by
+/// the same step, recording the same `meta_blocking.*` series.
+pub fn par_meta_block_ooc_obs(
+    collection: &EntityCollection,
+    blocks: &BlockCollection,
+    weighting: WeightingScheme,
+    pruning: PruningScheme,
+    par: Parallelism,
+    obs: &Obs,
+    cfg: &OocConfig,
+) -> Result<Vec<Pair>, SegmentError> {
+    let graph = BlockingGraph::par_build_ooc(collection, blocks, par, cfg)?;
+    Ok(prune_and_record(&graph, weighting, pruning, par, obs))
+}
+
+/// Weighs and prunes a built graph and records the `meta_blocking.*` series.
+fn prune_and_record(
+    graph: &BlockingGraph,
+    weighting: WeightingScheme,
+    pruning: PruningScheme,
+    par: Parallelism,
+    obs: &Obs,
+) -> Vec<Pair> {
+    let kept = pruning.par_prune(graph, weighting, par);
     if obs.is_enabled() {
         let before = graph.n_edges() as u64;
         let after = kept.len() as u64;

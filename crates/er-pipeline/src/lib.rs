@@ -613,8 +613,7 @@ impl Pipeline {
         admitted_uncharged(cleaned)
     }
 
-    /// Token blocking streamed through sorted on-disk runs under a fresh
-    /// spill directory for `stage`.
+    /// Token blocking streamed through sorted on-disk runs.
     fn ooc_token_blocks(
         &self,
         collection: &EntityCollection,
@@ -622,12 +621,9 @@ impl Pipeline {
         obs: &Obs,
         budget: &MemoryBudget,
     ) -> BlockCollection {
-        let cfg = self.ooc_config(collection, stage, budget);
-        let blocks = TokenBlocking::new()
-            .par_build_ooc_obs(collection, self.parallelism, obs, &cfg)
-            .unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"));
-        let _ = std::fs::remove_dir(&cfg.segment_dir);
-        blocks
+        self.with_spill_dir(collection, stage, budget, |cfg| {
+            TokenBlocking::new().par_build_ooc_obs(collection, self.parallelism, obs, cfg)
+        })
     }
 
     /// Prunes candidates with the configured meta-blocking stage, routing
@@ -640,30 +636,30 @@ impl Pipeline {
         mb: MetaBlockingStage,
         budget: &MemoryBudget,
     ) -> Vec<Pair> {
+        let (par, obs) = (self.parallelism, &self.obs);
         if self.out_of_core {
-            let cfg = self.ooc_config(collection, "metablocking", budget);
-            let kept = par_meta_block_ooc_obs(
-                collection,
-                blocks,
-                mb.weighting,
-                mb.pruning,
-                self.parallelism,
-                &self.obs,
-                &cfg,
-            )
-            .unwrap_or_else(|e| panic!("out-of-core meta-blocking failed: {e}"));
-            let _ = std::fs::remove_dir(&cfg.segment_dir);
-            kept
+            self.with_spill_dir(collection, "metablocking", budget, |cfg| {
+                par_meta_block_ooc_obs(collection, blocks, mb.weighting, mb.pruning, par, obs, cfg)
+            })
         } else {
-            par_meta_block_obs(
-                collection,
-                blocks,
-                mb.weighting,
-                mb.pruning,
-                self.parallelism,
-                &self.obs,
-            )
+            par_meta_block_obs(collection, blocks, mb.weighting, mb.pruning, par, obs)
         }
+    }
+
+    /// Runs one out-of-core stage under a fresh spill directory and removes
+    /// the directory **before** surfacing the stage's error, so a failed
+    /// attempt — and each retry of it — leaves nothing behind.
+    fn with_spill_dir<T>(
+        &self,
+        collection: &EntityCollection,
+        stage: &str,
+        budget: &MemoryBudget,
+        run: impl FnOnce(&OocConfig) -> Result<T, er_core::SegmentError>,
+    ) -> T {
+        let cfg = self.ooc_config(collection, stage, budget);
+        let result = run(&cfg);
+        let _ = std::fs::remove_dir(&cfg.segment_dir);
+        result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
     }
 
     /// The out-of-core configuration for one stage of one run: a fresh
@@ -1385,6 +1381,25 @@ mod tests {
         let snap = obs.snapshot();
         assert_eq!(snap.counter("colstore.spill_rescues"), None);
         assert_eq!(snap.counter("colstore.segments_written"), None);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn failed_out_of_core_stage_leaves_no_spill_directory() {
+        // 256 B cannot hold the 64-record run buffer, so every attempt of
+        // the streamed blocking build is refused — once per retry.
+        let ds = dataset();
+        let dir = ooc_tmp_dir("leak");
+        std::fs::create_dir_all(&dir).unwrap();
+        let outcome = Pipeline::builder()
+            .resource_limits(ResourceLimits::none().with_memory_bytes(256))
+            .segment_dir(&dir)
+            .out_of_core(true)
+            .build()
+            .run_with_recovery(&ds.collection, &RecoveryOptions::default());
+        assert!(outcome.is_err(), "a starved budget fails the stage");
+        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
+        assert!(left.is_empty(), "spill directories left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -687,7 +687,7 @@ fn segment_bytes() -> &'static Vec<u8> {
         let postings: Vec<(Symbol, EntityId)> = (0..200u32)
             .map(|i| (Symbol(i / 4), EntityId(i % 20)))
             .collect();
-        w.postings_run(&postings).unwrap();
+        w.run(&postings).unwrap();
         let edges: Vec<EdgeRecord> = (0..100u32)
             .map(|i| EdgeRecord {
                 a: i,
@@ -696,7 +696,7 @@ fn segment_bytes() -> &'static Vec<u8> {
                 weight_bits: (0.25_f64 * f64::from(i)).to_bits(),
             })
             .collect();
-        w.edge_run(&edges).unwrap();
+        w.run(&edges).unwrap();
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -719,11 +719,11 @@ fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
                 seg.read_collection(i, d)?;
             }
             KIND_POSTINGS => {
-                let mut cur = seg.postings(i)?;
+                let mut cur = seg.run::<(er_core::Symbol, er_core::EntityId)>(i)?;
                 while cur.next()?.is_some() {}
             }
             KIND_EDGES => {
-                let mut cur = seg.edges(i)?;
+                let mut cur = seg.run::<er_core::EdgeRecord>(i)?;
                 while cur.next()?.is_some() {}
             }
             _ => {}

@@ -10,9 +10,12 @@
 //! `bench/src/staged.rs` does. Each cell must reproduce its matches,
 //! clusters and comparison counts exactly.
 //!
-//! Configurations: default, 4 threads, forced out-of-core, a binding memory
-//! budget rescued through `segment_dir`, and the subprocess backend on two
-//! `er-test-worker` processes. Entries: `run`, `run_with_recovery` with
+//! Configurations: default, 4 threads, forced out-of-core (serial, on 4
+//! threads — the chunked producers feeding the external sort — and under
+//! the subprocess backend, where blocks come from the workers and only the
+//! graph build streams), a binding memory budget rescued through
+//! `segment_dir`, and the subprocess backend on two `er-test-worker`
+//! processes. Entries: `run`, `run_with_recovery` with
 //! default options, `run_with_recovery` resumed from each of the three
 //! checkpoints, and `run_with_matcher` given the configured matcher.
 
@@ -154,6 +157,29 @@ fn four_threads() {
 fn forced_out_of_core() {
     let dir = scratch("ooc", "segments");
     check_configuration("ooc", |b| b.segment_dir(&dir).out_of_core(true));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forced_out_of_core_on_four_threads() {
+    let dir = scratch("ooc-threads4", "segments");
+    check_configuration("ooc-threads4", |b| {
+        b.parallelism(Parallelism::threads(4))
+            .segment_dir(&dir)
+            .out_of_core(true)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn forced_out_of_core_under_the_subprocess_backend() {
+    let dir = scratch("ooc-subprocess", "segments");
+    check_configuration("ooc-subprocess", |b| {
+        b.backend(Backend::Subprocess { workers: 2 })
+            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+            .segment_dir(&dir)
+            .out_of_core(true)
+    });
     let _ = std::fs::remove_dir_all(&dir);
 }
 

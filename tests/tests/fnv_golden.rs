@@ -73,7 +73,7 @@ fn segment_footer_checksum_is_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     let path = dir.join("golden.seg");
     let mut w = SegmentWriter::create(&path, 0xfeed_beef).unwrap();
-    w.postings_run(&[
+    w.run(&[
         (Symbol(0), EntityId(0)),
         (Symbol(0), EntityId(1)),
         (Symbol(3), EntityId(2)),
