@@ -11,7 +11,6 @@ use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::EntityId;
 use er_core::intern::{Interner, Symbol};
 use er_core::pair::Pair;
-use std::collections::BTreeSet;
 
 /// One block: a key and the (sorted, deduplicated) descriptions that share it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -158,14 +157,17 @@ impl BlockCollection {
         self.blocks.iter().map(|b| b.len() as u64).sum()
     }
 
-    /// The distinct admissible candidate pairs across all blocks — the
-    /// redundancy-free comparison set used for quality metrics.
+    /// The distinct admissible candidate pairs across all blocks, sorted —
+    /// the redundancy-free comparison set used for quality metrics.
     pub fn distinct_pairs(&self, collection: &EntityCollection) -> Vec<Pair> {
-        let mut set = BTreeSet::new();
-        for b in &self.blocks {
-            set.extend(b.pairs(collection));
-        }
-        set.into_iter().collect()
+        let mut pairs: Vec<Pair> = self
+            .blocks
+            .iter()
+            .flat_map(|b| b.pairs(collection))
+            .collect();
+        pairs.sort_unstable();
+        pairs.dedup();
+        pairs
     }
 
     /// Per-entity index: for each entity, the indexes of the blocks that

@@ -13,15 +13,10 @@ use er_core::entity::{Entity, EntityId};
 use er_core::intern::{Interner, Symbol};
 use er_core::obs::Obs;
 use er_core::parallel::{par_map, par_map_chunks, Parallelism};
+use er_core::profiles::EntityTokens;
+pub(crate) use er_core::profiles::CHUNK_ENTITIES;
 use er_core::tokenize::Tokenizer;
 use std::convert::Infallible;
-
-/// Entities interned per chunk by [`interned_postings`]. Fixed (never a
-/// function of the thread count or of the batch length) so the chunk
-/// boundaries — and with them the per-chunk interners absorbed
-/// left-to-right — are identical at every parallelism level, in memory and
-/// out of core.
-pub(crate) const CHUNK_ENTITIES: usize = 64;
 
 /// A block key built from interned tokens: a bare [`Symbol`] (token
 /// blocking) or a `(cluster, Symbol)` pair (attribute clustering).
@@ -48,10 +43,11 @@ impl PostingKey for Symbol {
 }
 
 /// The one interned-postings producer: tokenizes `entities` straight into
-/// interned keys (one shared normalization buffer per chunk, no per-token
-/// `String`) and hands the flat `(key, entity)` postings — per-entity key
-/// *sets*, in entity order — to `sink`, one vector per `batch_entities`
-/// entities. Returns the interner the keys resolve against.
+/// interned keys (er-core's [`EntityTokens`]: one shared normalization
+/// buffer per chunk, no per-token `String`) and hands the flat
+/// `(key, entity)` postings — per-entity key *sets*, in entity order — to
+/// `sink`, one vector per `batch_entities` entities. Returns the interner
+/// the keys resolve against.
 ///
 /// Serial runs intern into one global interner; parallel runs intern fixed
 /// [`CHUNK_ENTITIES`] chunks separately and absorb them left-to-right.
@@ -70,20 +66,11 @@ pub(crate) fn interned_postings<K: PostingKey, E>(
 ) -> Result<Interner, E> {
     assert!(batch_entities == usize::MAX || batch_entities.is_multiple_of(CHUNK_ENTITIES));
     let tokenize = |slice: &[&Entity], interner: &mut Interner| {
-        let mut scratch = String::new();
-        let mut symbols: Vec<Symbol> = Vec::new();
+        let mut tokens = EntityTokens::new(tokenizer, interner);
         let mut keys: Vec<K> = Vec::new();
         let mut postings: Vec<(K, EntityId)> = Vec::new();
         for e in slice {
-            keys.clear();
-            for (a, v) in e.attributes() {
-                let tag = tag(a);
-                symbols.clear();
-                tokenizer.symbols_into(v, interner, &mut scratch, &mut symbols);
-                keys.extend(symbols.iter().map(|&s| K::new(tag, s)));
-            }
-            keys.sort_unstable();
-            keys.dedup();
+            tokens.sorted_keys_into(e, &tag, K::new, &mut keys);
             postings.extend(keys.iter().map(|&k| (k, e.id())));
         }
         postings

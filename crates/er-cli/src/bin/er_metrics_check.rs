@@ -21,6 +21,10 @@
 //!   up, and the `meta_blocking.pruning_ratio` gauge is strictly positive;
 //! - every Fig. 1 stage span is present under the `pipeline.run` parent:
 //!   blocking, cleaning, meta-blocking, matching, clustering;
+//! - the matching stage decided from token profiles: whenever
+//!   `pipeline.matched_comparisons` > 0, the `matching.profiles` span exists
+//!   as a child of `pipeline.matching` and `matching.profile_symbols` and
+//!   `matching.vocabulary` are both > 0 (see `docs/data_layout.md`);
 //! - with `--expect-fault-free`: `recovery.stage_retries` exists and is 0;
 //! - with `--require-ingest` (a run that used the streaming ingest path,
 //!   `--ingest-queue-bytes` / `--quarantine-out`): `ingest.records_seen` > 0
@@ -238,6 +242,31 @@ fn check(
         }
     }
 
+    // A matching stage that compared anything did so from token profiles
+    // built inside it: the build's span sits under pipeline.matching and
+    // both of its size counters are positive.
+    if snapshot
+        .counter("pipeline.matched_comparisons")
+        .unwrap_or(0)
+        > 0
+    {
+        match snapshot.span("matching.profiles") {
+            None => fail("matching.profiles span is missing".to_string()),
+            Some(s) if s.parent.as_deref() != Some("pipeline.matching") => fail(format!(
+                "matching.profiles span is a child of {:?}, not of pipeline.matching",
+                s.parent
+            )),
+            Some(_) => {}
+        }
+        for name in ["matching.profile_symbols", "matching.vocabulary"] {
+            if snapshot.counter(name).unwrap_or(0) == 0 {
+                fail(format!(
+                    "{name} is 0 or missing although comparisons were matched"
+                ));
+            }
+        }
+    }
+
     // A fault-free run must report an explicit zero retry count.
     if expect_fault_free {
         match snapshot.counter("recovery.stage_retries") {
@@ -396,6 +425,9 @@ mod tests {
         s.counters
             .insert("meta_blocking.comparisons_pruned".into(), 60);
         s.counters.insert("recovery.stage_retries".into(), 0);
+        s.counters.insert("pipeline.matched_comparisons".into(), 40);
+        s.counters.insert("matching.profile_symbols".into(), 90);
+        s.counters.insert("matching.vocabulary".into(), 25);
         s.gauges.insert("meta_blocking.pruning_ratio".into(), 0.6);
         s.histograms.insert(
             "blocking.block_size".into(),
@@ -423,6 +455,14 @@ mod tests {
                 },
             );
         }
+        s.spans.insert(
+            "matching.profiles".into(),
+            SpanSnapshot {
+                count: 1,
+                total_micros: 4,
+                parent: Some("pipeline.matching".into()),
+            },
+        );
         s
     }
 
@@ -519,6 +559,32 @@ mod tests {
             failures.iter().any(|f| f.contains("not nested")),
             "{failures:?}"
         );
+    }
+
+    #[test]
+    fn matching_without_its_profile_metrics_is_caught() {
+        let mut s = healthy();
+        s.spans.get_mut("matching.profiles").unwrap().parent = Some("pipeline.run".into());
+        s.counters.insert("matching.vocabulary".into(), 0);
+        s.counters.remove("matching.profile_symbols");
+        let failures = check(&s, false, false, false, false, false);
+        for what in [
+            "not of pipeline.matching",
+            "matching.vocabulary",
+            "matching.profile_symbols",
+        ] {
+            assert!(failures.iter().any(|f| f.contains(what)), "{failures:?}");
+        }
+        s.spans.remove("matching.profiles");
+        let failures = check(&s, false, false, false, false, false);
+        assert!(
+            failures.iter().any(|f| f.contains("span is missing")),
+            "{failures:?}"
+        );
+        // A run that matched nothing (every comparison skipped at the
+        // deadline, or a schedule-only walk) owes none of the three.
+        s.counters.insert("pipeline.matched_comparisons".into(), 0);
+        assert!(check(&s, false, false, false, false, false).is_empty());
     }
 
     #[test]

@@ -156,6 +156,12 @@ impl Interner {
         self.strings.is_empty()
     }
 
+    /// Consumes the interner, yielding its strings in symbol order
+    /// (`strings[sym.index()]` is the text of `sym`).
+    pub fn into_strings(self) -> Vec<String> {
+        self.strings
+    }
+
     /// Estimated heap footprint: owned string payloads (twice — owned copy
     /// plus lookup key) plus table entries. Used by the layout experiment's
     /// memory columns.

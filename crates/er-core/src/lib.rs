@@ -14,6 +14,9 @@
 //!   meta-blocking ([`intern`]);
 //! * a library of **similarity functions** over strings and token sets
 //!   ([`similarity`]);
+//! * **token profiles** — every description tokenized once into sorted,
+//!   rank-ordered symbols in one CSR, the layout the token-set matchers
+//!   decide from ([`profiles`]);
 //! * **matching** abstractions — threshold matchers, rule matchers and a
 //!   ground-truth oracle — with comparison accounting ([`matching`]);
 //! * **merging** of matched descriptions satisfying the ICAR properties
@@ -69,6 +72,7 @@ pub mod metrics;
 pub mod obs;
 pub mod pair;
 pub mod parallel;
+pub mod profiles;
 pub mod resource;
 pub mod similarity;
 pub mod tokenize;

@@ -12,6 +12,8 @@ use crate::collection::EntityCollection;
 use crate::entity::{Entity, EntityId};
 use crate::ground_truth::GroundTruth;
 use crate::pair::Pair;
+use crate::parallel::{par_map, Parallelism};
+use crate::profiles::{shared, TokenProfiles};
 use crate::similarity::{CorpusStats, SetMeasure};
 use crate::tokenize::Tokenizer;
 use std::cell::Cell;
@@ -35,6 +37,25 @@ pub trait Matcher {
     /// Convenience: just the boolean outcome.
     fn is_match(&self, a: &Entity, b: &Entity) -> bool {
         self.compare(a, b).is_match
+    }
+
+    /// The batch hook behind [`par_decide_candidates`]: the decision of
+    /// every candidate, in candidate order, equal to [`compare`] pair by
+    /// pair. The default is that per-pair loop; a matcher that can decide
+    /// from data prepared once per batch overrides it (the token-set
+    /// matchers do, see [`PreparedMatcher`]).
+    ///
+    /// [`compare`]: Matcher::compare
+    fn decide_batch(
+        &self,
+        collection: &EntityCollection,
+        candidates: &[Pair],
+        par: Parallelism,
+    ) -> Vec<(Pair, Decision)>
+    where
+        Self: Sized + Sync,
+    {
+        par_map(par, candidates, |&p| (p, compare_pair(collection, self, p)))
     }
 }
 
@@ -67,6 +88,16 @@ impl ThresholdMatcher {
     pub fn threshold(&self) -> f64 {
         self.threshold
     }
+
+    /// Tokenizes `collection` once (with this matcher's tokenizer) for
+    /// deciding many of its pairs.
+    pub fn prepare(&self, collection: &EntityCollection, par: Parallelism) -> PreparedMatcher {
+        PreparedMatcher {
+            profiles: TokenProfiles::build(collection, &self.tokenizer, par),
+            kernel: Kernel::Set(self.measure),
+            threshold: self.threshold,
+        }
+    }
 }
 
 impl Matcher for ThresholdMatcher {
@@ -78,6 +109,15 @@ impl Matcher for ThresholdMatcher {
             score,
             is_match: score >= self.threshold,
         }
+    }
+
+    fn decide_batch(
+        &self,
+        collection: &EntityCollection,
+        candidates: &[Pair],
+        par: Parallelism,
+    ) -> Vec<(Pair, Decision)> {
+        self.prepare(collection, par).decide_batch(candidates, par)
     }
 }
 
@@ -96,12 +136,32 @@ impl TfIdfMatcher {
     /// Builds the matcher, deriving corpus statistics from `collection`.
     pub fn from_collection(collection: &EntityCollection, threshold: f64) -> Self {
         let tokenizer = Tokenizer::default();
-        let docs: Vec<_> = collection.iter().map(|e| e.token_set(&tokenizer)).collect();
-        let stats = CorpusStats::from_documents(docs.iter());
+        let profiles = TokenProfiles::build(collection, &tokenizer, Parallelism::serial());
         TfIdfMatcher {
-            stats,
+            stats: CorpusStats::from_profiles(&profiles),
             threshold,
             tokenizer,
+        }
+    }
+
+    /// Tokenizes `collection` once for deciding many of its pairs, and
+    /// looks every token's weight up once: a squared-idf table over the
+    /// vocabulary and each description's norm.
+    pub fn prepare(&self, collection: &EntityCollection, par: Parallelism) -> PreparedMatcher {
+        let profiles = TokenProfiles::build(collection, &self.tokenizer, par);
+        let idf2: Vec<f64> = profiles
+            .vocabulary()
+            .iter()
+            .map(|t| self.stats.idf(t).powi(2))
+            .collect();
+        let norms = profiles
+            .iter()
+            .map(|row| row.iter().map(|s| idf2[s.index()]).sum::<f64>().sqrt())
+            .collect();
+        PreparedMatcher {
+            profiles,
+            kernel: Kernel::TfIdf { idf2, norms },
+            threshold: self.threshold,
         }
     }
 }
@@ -115,6 +175,75 @@ impl Matcher for TfIdfMatcher {
             score,
             is_match: score >= self.threshold,
         }
+    }
+
+    fn decide_batch(
+        &self,
+        collection: &EntityCollection,
+        candidates: &[Pair],
+        par: Parallelism,
+    ) -> Vec<(Pair, Decision)> {
+        self.prepare(collection, par).decide_batch(candidates, par)
+    }
+}
+
+/// How a [`PreparedMatcher`] scores a pair of profiles.
+#[derive(Clone, Debug)]
+enum Kernel {
+    /// A set measure of `|A|`, `|B|` and `|A∩B|` ([`SetMeasure::score`]).
+    Set(SetMeasure),
+    /// TF-IDF cosine: squared idf per symbol, norm per entity. Every sum
+    /// runs in symbol (= token) order, the order
+    /// [`CorpusStats::tfidf_cosine`] adds in.
+    TfIdf { idf2: Vec<f64>, norms: Vec<f64> },
+}
+
+/// A token-set matcher bound to one collection: the collection's
+/// [`TokenProfiles`] plus the matcher's measure and threshold, built by
+/// [`ThresholdMatcher::prepare`] / [`TfIdfMatcher::prepare`].
+///
+/// [`decide`](PreparedMatcher::decide) returns the decision
+/// [`Matcher::compare`] returns for the same pair — the same score to the
+/// last bit — from a merge of two integer slices instead of two
+/// tokenizations.
+#[derive(Clone, Debug)]
+pub struct PreparedMatcher {
+    profiles: TokenProfiles,
+    kernel: Kernel,
+    threshold: f64,
+}
+
+impl PreparedMatcher {
+    /// The token profiles the decisions are read from.
+    pub fn profiles(&self) -> &TokenProfiles {
+        &self.profiles
+    }
+
+    /// Decides one pair of the prepared collection.
+    pub fn decide(&self, pair: Pair) -> Decision {
+        let a = self.profiles.symbols(pair.first());
+        let b = self.profiles.symbols(pair.second());
+        let score = match &self.kernel {
+            Kernel::Set(measure) => measure.score(a.len(), b.len(), shared(a, b).count()),
+            Kernel::TfIdf { idf2, norms } => {
+                let dot: f64 = shared(a, b).map(|s| idf2[s.index()]).sum();
+                let denom = norms[pair.first().index()] * norms[pair.second().index()];
+                if dot == 0.0 || denom == 0.0 {
+                    0.0
+                } else {
+                    dot / denom
+                }
+            }
+        };
+        Decision {
+            score,
+            is_match: score >= self.threshold,
+        }
+    }
+
+    /// Decides every candidate, in candidate order.
+    pub fn decide_batch(&self, candidates: &[Pair], par: Parallelism) -> Vec<(Pair, Decision)> {
+        par_map(par, candidates, |&p| (p, self.decide(p)))
     }
 }
 
@@ -355,29 +484,29 @@ pub fn par_resolve_candidates<M: Matcher + Sync>(
     collection: &EntityCollection,
     matcher: &M,
     candidates: &[Pair],
-    par: crate::parallel::Parallelism,
+    par: Parallelism,
 ) -> Vec<Pair> {
-    crate::parallel::par_map(par, candidates, |&p| {
-        compare_pair(collection, matcher, p).is_match
-    })
-    .into_iter()
-    .zip(candidates.iter().copied())
-    .filter_map(|(is_match, p)| is_match.then_some(p))
-    .collect()
+    matcher
+        .decide_batch(collection, candidates, par)
+        .into_iter()
+        .filter_map(|(p, d)| d.is_match.then_some(p))
+        .collect()
 }
 
 /// Parallel batch scoring: compares every candidate and returns the full
 /// decision per pair, in candidate order. Used by rankers and progressive
 /// schedulers that need scores for non-matches too.
+///
+/// This is [`Matcher::decide_batch`]: the token-set matchers tokenize the
+/// whole collection once per call and decide from the profiles, so it pays
+/// off on schedules that touch most of the collection.
 pub fn par_decide_candidates<M: Matcher + Sync>(
     collection: &EntityCollection,
     matcher: &M,
     candidates: &[Pair],
-    par: crate::parallel::Parallelism,
+    par: Parallelism,
 ) -> Vec<(Pair, Decision)> {
-    crate::parallel::par_map(par, candidates, |&p| {
-        (p, compare_pair(collection, matcher, p))
-    })
+    matcher.decide_batch(collection, candidates, par)
 }
 
 /// Identifier alias re-export for matcher implementors.
@@ -521,6 +650,108 @@ mod tests {
         let m = MongeElkanMatcher::new(0.85);
         assert!(m.is_match(c.entity(EntityId(0)), c.entity(EntityId(1))));
         assert!(!m.is_match(c.entity(EntityId(0)), c.entity(EntityId(2))));
+    }
+
+    const MEASURES: [SetMeasure; 4] = [
+        SetMeasure::Jaccard,
+        SetMeasure::Dice,
+        SetMeasure::Cosine,
+        SetMeasure::Overlap,
+    ];
+
+    /// The batch path must return `compare_pair`'s decision for every pair,
+    /// score bits included.
+    fn assert_batch_is_per_pair<M: Matcher + Sync>(c: &EntityCollection, m: &M, what: &str) {
+        let pairs = c.all_pairs();
+        for threads in [1, 2] {
+            let batch = par_decide_candidates(c, m, &pairs, Parallelism::threads(threads));
+            assert_eq!(batch.len(), pairs.len());
+            for (&p, (q, d)) in pairs.iter().zip(batch) {
+                let want = compare_pair(c, m, p);
+                assert_eq!(q, p, "{what}: candidate order");
+                assert_eq!(d.score.to_bits(), want.score.to_bits(), "{what}: {p:?}");
+                assert_eq!(d.is_match, want.is_match, "{what}: {p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn batch_path_tokenizes_with_the_matchers_tokenizer() {
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        c.push_entity(KbId(0), EntityBuilder::new().attr("t", "the cat of a"));
+        c.push_entity(KbId(0), EntityBuilder::new().attr("t", "the dog of a"));
+        c.push_entity(KbId(0), EntityBuilder::new().attr("t", "cat sat"));
+        let stops = Tokenizer::raw().with_stopwords(["cat"]);
+        for tokenizer in [
+            Tokenizer::raw(),
+            stops,
+            Tokenizer::default().with_min_len(4),
+        ] {
+            for measure in MEASURES {
+                let m = ThresholdMatcher::new(measure, 0.3).with_tokenizer(tokenizer.clone());
+                assert_batch_is_per_pair(&c, &m, measure.name());
+            }
+        }
+        // The tokenizers really disagree: only the raw one sees "the of a".
+        let pair = Pair::new(EntityId(0), EntityId(1));
+        let raw = ThresholdMatcher::new(SetMeasure::Jaccard, 0.3).with_tokenizer(Tokenizer::raw());
+        let default = ThresholdMatcher::new(SetMeasure::Jaccard, 0.3);
+        let decide =
+            |m: &ThresholdMatcher| par_decide_candidates(&c, m, &[pair], Parallelism::serial());
+        assert_eq!(decide(&raw)[0].1.score, 0.6);
+        assert_eq!(decide(&default)[0].1.score, 0.0);
+    }
+
+    #[test]
+    fn batch_path_keeps_the_degenerate_scores() {
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        c.push_entity(KbId(0), EntityBuilder::new()); // no attributes
+        c.push_entity(KbId(0), EntityBuilder::new().attr("a", "")); // empty value
+        c.push_entity(KbId(0), EntityBuilder::new().attr("a", "the of")); // stop words only
+        c.push_entity(
+            KbId(0),
+            EntityBuilder::new().attr("a", "x y").attr("b", "x y"),
+        );
+        c.push_entity(KbId(0), EntityBuilder::new().attr("a", "x y z"));
+        let empty_pair = Pair::new(EntityId(0), EntityId(1));
+        for measure in MEASURES {
+            let m = ThresholdMatcher::new(measure, 0.0);
+            assert_batch_is_per_pair(&c, &m, measure.name());
+            let d = m.prepare(&c, Parallelism::serial()).decide(empty_pair);
+            assert_eq!(
+                d.score.to_bits(),
+                0.0f64.to_bits(),
+                "empty vs empty is 0, not NaN"
+            );
+        }
+        let tfidf = TfIdfMatcher::from_collection(&c, 0.0);
+        assert_batch_is_per_pair(&c, &tfidf, "tfidf");
+        let d = tfidf.prepare(&c, Parallelism::serial()).decide(empty_pair);
+        assert_eq!(d.score.to_bits(), 0.0f64.to_bits());
+        // A value repeated across attributes counts once.
+        let repeated = Pair::new(EntityId(3), EntityId(4));
+        let jaccard = ThresholdMatcher::new(SetMeasure::Jaccard, 0.0);
+        assert_eq!(
+            jaccard
+                .prepare(&c, Parallelism::serial())
+                .decide(repeated)
+                .score,
+            2.0 / 3.0
+        );
+    }
+
+    #[test]
+    fn tfidf_statistics_from_profiles_equal_the_document_statistics() {
+        let c = collection();
+        let t = Tokenizer::default();
+        let docs: Vec<_> = c.iter().map(|e| e.token_set(&t)).collect();
+        let reference = CorpusStats::from_documents(docs.iter());
+        let stats = TfIdfMatcher::from_collection(&c, 0.4).stats;
+        assert_eq!(stats.doc_count(), reference.doc_count());
+        for token in docs.iter().flatten() {
+            assert_eq!(stats.doc_freq(token), reference.doc_freq(token), "{token}");
+        }
+        assert_eq!(stats.doc_freq("absent"), 0);
     }
 
     #[test]

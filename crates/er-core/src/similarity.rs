@@ -8,6 +8,7 @@
 //! All functions return values in `[0, 1]`, are symmetric, and score
 //! identical non-empty inputs as `1`.
 
+use crate::profiles::TokenProfiles;
 use std::collections::{BTreeSet, HashMap};
 
 // ---------------------------------------------------------------------------
@@ -26,46 +27,22 @@ pub fn overlap_size<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> usize {
 /// evidence is treated as no similarity, the convention of the blocking
 /// literature).
 pub fn jaccard<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    let inter = overlap_size(a, b);
-    let union = a.len() + b.len() - inter;
-    if union == 0 {
-        0.0
-    } else {
-        inter as f64 / union as f64
-    }
+    SetMeasure::Jaccard.score(a.len(), b.len(), overlap_size(a, b))
 }
 
 /// Dice coefficient `2|A∩B| / (|A| + |B|)`.
 pub fn dice<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    let inter = overlap_size(a, b);
-    let denom = a.len() + b.len();
-    if denom == 0 {
-        0.0
-    } else {
-        2.0 * inter as f64 / denom as f64
-    }
+    SetMeasure::Dice.score(a.len(), b.len(), overlap_size(a, b))
 }
 
 /// Overlap coefficient `|A∩B| / min(|A|, |B|)`.
 pub fn overlap_coefficient<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    let inter = overlap_size(a, b);
-    let denom = a.len().min(b.len());
-    if denom == 0 {
-        0.0
-    } else {
-        inter as f64 / denom as f64
-    }
+    SetMeasure::Overlap.score(a.len(), b.len(), overlap_size(a, b))
 }
 
 /// Unweighted set cosine `|A∩B| / sqrt(|A|·|B|)`.
 pub fn cosine<T: Ord>(a: &BTreeSet<T>, b: &BTreeSet<T>) -> f64 {
-    let inter = overlap_size(a, b);
-    let denom = ((a.len() * b.len()) as f64).sqrt();
-    if denom == 0.0 {
-        0.0
-    } else {
-        inter as f64 / denom
-    }
+    SetMeasure::Cosine.score(a.len(), b.len(), overlap_size(a, b))
 }
 
 // ---------------------------------------------------------------------------
@@ -214,6 +191,20 @@ impl CorpusStats {
         stats
     }
 
+    /// Builds statistics with one document per profiled entity — equal to
+    /// [`from_documents`](CorpusStats::from_documents) over the entities'
+    /// token sets, without materializing them.
+    pub fn from_profiles(profiles: &TokenProfiles) -> Self {
+        let mut freq = vec![0usize; profiles.vocabulary().len()];
+        for s in profiles.iter().flatten() {
+            freq[s.index()] += 1;
+        }
+        CorpusStats {
+            doc_count: profiles.len(),
+            doc_freq: profiles.vocabulary().iter().cloned().zip(freq).collect(),
+        }
+    }
+
     /// Adds one document's token set.
     pub fn add_document(&mut self, tokens: &BTreeSet<String>) {
         self.doc_count += 1;
@@ -278,11 +269,24 @@ pub enum SetMeasure {
 impl SetMeasure {
     /// Evaluates the measure on two token sets.
     pub fn eval(self, a: &BTreeSet<String>, b: &BTreeSet<String>) -> f64 {
-        match self {
-            SetMeasure::Jaccard => jaccard(a, b),
-            SetMeasure::Dice => dice(a, b),
-            SetMeasure::Cosine => cosine(a, b),
-            SetMeasure::Overlap => overlap_coefficient(a, b),
+        self.score(a.len(), b.len(), overlap_size(a, b))
+    }
+
+    /// The measure from the three integers it depends on: `|A|`, `|B|` and
+    /// `|A∩B|`. The one place each formula is written — the set functions
+    /// above and the profile-based matching kernel both end here, so they
+    /// agree to the last bit. A zero denominator scores 0.
+    pub fn score(self, a: usize, b: usize, shared: usize) -> f64 {
+        let (numerator, denominator) = match self {
+            SetMeasure::Jaccard => (shared as f64, (a + b - shared) as f64),
+            SetMeasure::Dice => (2.0 * shared as f64, (a + b) as f64),
+            SetMeasure::Cosine => (shared as f64, ((a * b) as f64).sqrt()),
+            SetMeasure::Overlap => (shared as f64, a.min(b) as f64),
+        };
+        if denominator == 0.0 {
+            0.0
+        } else {
+            numerator / denominator
         }
     }
 

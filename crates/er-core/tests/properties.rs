@@ -2,11 +2,17 @@
 //! merge ICAR properties, union–find/closure laws, metric ranges.
 
 use er_core::clusters::{transitive_closure, UnionFind};
+use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::{Entity, EntityId, KbId};
 use er_core::ground_truth::GroundTruth;
+use er_core::matching::{
+    compare_pair, par_decide_candidates, Matcher, TfIdfMatcher, ThresholdMatcher,
+};
 use er_core::merge::Profile;
 use er_core::metrics::{BlockingQuality, ProgressiveCurve};
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
+use er_core::profiles::TokenProfiles;
 use er_core::similarity::*;
 use er_core::tokenize::{normalize, qgrams, Tokenizer};
 use proptest::prelude::*;
@@ -18,6 +24,62 @@ fn token_set() -> impl Strategy<Value = BTreeSet<String>> {
 
 fn word() -> impl Strategy<Value = String> {
     "[a-z]{0,8}"
+}
+
+/// Descriptions with few distinct tokens (so pairs overlap), mixed case and
+/// punctuation, stop words, repeated and empty values — up to 150 of them,
+/// so a parallel profile build spans several 64-entity chunks.
+fn descriptions() -> impl Strategy<Value = Vec<Vec<(String, String)>>> {
+    let value = "([a-eA-E]{1,2}[ ,-]?){0,5}( the)?( OF)?";
+    proptest::collection::vec(proptest::collection::vec(("[p-r]", value), 0..4), 0..150)
+}
+
+fn collection_of(descriptions: Vec<Vec<(String, String)>>) -> EntityCollection {
+    let mut c = EntityCollection::new(ResolutionMode::Dirty);
+    for attributes in descriptions {
+        c.push(KbId(0), attributes);
+    }
+    c
+}
+
+/// The batch path at threads {1, 2, 4} against the per-pair `compare_pair`
+/// map: same pairs in candidate order, same decision, same score bits.
+fn batch_equals_per_pair<M: Matcher + Sync>(
+    c: &EntityCollection,
+    m: &M,
+    candidates: &[Pair],
+    what: &str,
+) -> Result<(), TestCaseError> {
+    let want: Vec<_> = candidates
+        .iter()
+        .map(|&p| (p, compare_pair(c, m, p)))
+        .collect();
+    for threads in [1, 2, 4] {
+        let got = par_decide_candidates(c, m, candidates, Parallelism::threads(threads));
+        prop_assert_eq!(got.len(), want.len());
+        for ((p, d), (q, w)) in got.iter().zip(&want) {
+            prop_assert_eq!(p, q, "{}: candidate order", what);
+            prop_assert_eq!(
+                d.is_match,
+                w.is_match,
+                "{} at {} threads: {:?}",
+                what,
+                threads,
+                p
+            );
+            prop_assert_eq!(
+                d.score.to_bits(),
+                w.score.to_bits(),
+                "{} at {} threads: {:?} scored {} vs {}",
+                what,
+                threads,
+                p,
+                d.score,
+                w.score
+            );
+        }
+    }
+    Ok(())
 }
 
 proptest! {
@@ -84,6 +146,45 @@ proptest! {
         let s = stats.tfidf_cosine(&a, &b);
         prop_assert!((0.0..=1.0 + 1e-9).contains(&s));
         prop_assert!((s - stats.tfidf_cosine(&b, &a)).abs() < 1e-12);
+    }
+
+    // ---------------- token profiles and the matching kernel ----------------
+
+    #[test]
+    fn token_profiles_are_the_token_sets_at_every_thread_count(descriptions in descriptions()) {
+        let c = collection_of(descriptions);
+        for tokenizer in [Tokenizer::default(), Tokenizer::raw()] {
+            for threads in [1, 2, 4] {
+                let p = TokenProfiles::build(&c, &tokenizer, Parallelism::threads(threads));
+                prop_assert_eq!(p.len(), c.len());
+                for e in c.iter() {
+                    let resolved: Vec<&str> = p.symbols(e.id()).iter()
+                        .map(|s| p.vocabulary()[s.index()].as_str()).collect();
+                    let set = e.token_set(&tokenizer);
+                    let want: Vec<&str> = set.iter().map(String::as_str).collect();
+                    prop_assert_eq!(resolved, want, "{:?} at {} threads", e.id(), threads);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn batch_decisions_are_bit_identical_to_per_pair_compare(
+        descriptions in descriptions(),
+        raw in proptest::collection::vec((0u32..150, 0u32..150), 0..200),
+    ) {
+        let c = collection_of(descriptions);
+        let n = c.len() as u32;
+        let candidates: Vec<Pair> = raw.into_iter()
+            .filter(|(a, b)| a != b && *a < n && *b < n)
+            .map(|(a, b)| Pair::new(EntityId(a), EntityId(b)))
+            .collect();
+        for measure in [SetMeasure::Jaccard, SetMeasure::Dice, SetMeasure::Cosine, SetMeasure::Overlap] {
+            let m = ThresholdMatcher::new(measure, 0.3);
+            batch_equals_per_pair(&c, &m, &candidates, measure.name())?;
+        }
+        let tfidf = TfIdfMatcher::from_collection(&c, 0.3);
+        batch_equals_per_pair(&c, &tfidf, &candidates, "tfidf")?;
     }
 
     // ---------------- tokenization ----------------

@@ -77,8 +77,11 @@ pub fn par_meta_block_ooc_obs(
     Ok(prune_and_record(&graph, weighting, pruning, par, obs))
 }
 
-/// Weighs and prunes a built graph and records the `meta_blocking.*` series.
-fn prune_and_record(
+/// Weighs and prunes a built graph and records the `meta_blocking.*` series
+/// of [`par_meta_block_obs`] — the step after the graph build, for callers
+/// that also read the graph (its edge count is the number of distinct
+/// blocked comparisons).
+pub fn prune_and_record(
     graph: &BlockingGraph,
     weighting: WeightingScheme,
     pruning: PruningScheme,

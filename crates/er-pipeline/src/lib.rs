@@ -59,7 +59,7 @@ use er_core::parallel::Parallelism;
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
-use er_metablocking::{par_meta_block_obs, par_meta_block_ooc_obs, PruningScheme, WeightingScheme};
+use er_metablocking::{prune_and_record, BlockingGraph, PruningScheme, WeightingScheme};
 use recovery::Hooks;
 use std::path::PathBuf;
 use walk::Walk;
@@ -359,43 +359,44 @@ impl Pipeline {
 
     /// Runs the configured matching stage over the candidates under a stage
     /// watchdog, keeping the scores the score-aware clustering stages need.
-    /// The comparisons run under the configured parallelism as an
-    /// order-preserving map, so the match list is identical at every thread
-    /// count.
+    /// The collection is tokenized once into the matcher's token profiles
+    /// (`matching.profiles`), before the governed loop, so deadline-checked
+    /// chunks only decide; the decisions run under the configured
+    /// parallelism as an order-preserving map, so the match list is
+    /// identical at every thread count.
     fn score_candidates_governed(
         &self,
         collection: &EntityCollection,
         candidates: &[Pair],
         watchdog: &Watchdog,
     ) -> (Vec<(Pair, f64)>, u64) {
-        match &self.matching {
+        let par = self.parallelism;
+        let span = self.obs.span("matching.profiles");
+        let matcher = match &self.matching {
             MatchingStage::Threshold(measure, threshold) => {
-                let m = ThresholdMatcher::new(*measure, *threshold);
-                self.governed_decide(candidates, watchdog, |slice| {
-                    self.par_matches(collection, &m, slice)
-                })
+                ThresholdMatcher::new(*measure, *threshold).prepare(collection, par)
             }
             MatchingStage::TfIdf(threshold) => {
-                let m = TfIdfMatcher::from_collection(collection, *threshold);
-                self.governed_decide(candidates, watchdog, |slice| {
-                    self.par_matches(collection, &m, slice)
-                })
+                TfIdfMatcher::from_collection(collection, *threshold).prepare(collection, par)
             }
+        };
+        span.finish();
+        if self.obs.is_enabled() {
+            let profiles = matcher.profiles();
+            self.obs
+                .counter("matching.profile_symbols")
+                .add(profiles.n_symbols() as u64);
+            self.obs
+                .counter("matching.vocabulary")
+                .add(profiles.vocabulary().len() as u64);
         }
-    }
-
-    /// The accepted pairs of a candidate slice with their scores, decided
-    /// under the configured parallelism (an order-preserving map).
-    fn par_matches<M: Matcher + Sync>(
-        &self,
-        collection: &EntityCollection,
-        m: &M,
-        slice: &[Pair],
-    ) -> Vec<(Pair, f64)> {
-        er_core::matching::par_decide_candidates(collection, m, slice, self.parallelism)
-            .into_iter()
-            .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
-            .collect()
+        self.governed_decide(candidates, watchdog, |slice| {
+            matcher
+                .decide_batch(slice, par)
+                .into_iter()
+                .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
+                .collect()
+        })
     }
 
     /// Runs a matching step (`decide`: slice → accepted pairs with scores)
@@ -626,24 +627,28 @@ impl Pipeline {
         })
     }
 
-    /// Prunes candidates with the configured meta-blocking stage, routing
-    /// through the out-of-core graph builder when
-    /// [`out_of_core`](PipelineBuilder::out_of_core) is set.
+    /// Prunes candidates with the configured meta-blocking stage, building
+    /// the blocking graph out of core when
+    /// [`out_of_core`](PipelineBuilder::out_of_core) is set. Returns the kept
+    /// pairs and the graph's edge count — the number of distinct blocked
+    /// comparisons, which the graph holds without anyone enumerating them.
     pub(crate) fn meta_block(
         &self,
         collection: &EntityCollection,
         blocks: &BlockCollection,
         mb: MetaBlockingStage,
         budget: &MemoryBudget,
-    ) -> Vec<Pair> {
-        let (par, obs) = (self.parallelism, &self.obs);
-        if self.out_of_core {
+    ) -> (Vec<Pair>, usize) {
+        let par = self.parallelism;
+        let graph = if self.out_of_core {
             self.with_spill_dir(collection, "metablocking", budget, |cfg| {
-                par_meta_block_ooc_obs(collection, blocks, mb.weighting, mb.pruning, par, obs, cfg)
+                BlockingGraph::par_build_ooc(collection, blocks, par, cfg)
             })
         } else {
-            par_meta_block_obs(collection, blocks, mb.weighting, mb.pruning, par, obs)
-        }
+            BlockingGraph::par_build(collection, blocks, par)
+        };
+        let kept = prune_and_record(&graph, mb.weighting, mb.pruning, par, &self.obs);
+        (kept, graph.n_edges())
     }
 
     /// Runs one out-of-core stage under a fresh spill directory and removes

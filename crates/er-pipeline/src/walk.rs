@@ -20,7 +20,7 @@ use crate::recovery::{
     CheckpointStore, Hooks, PipelineError, RecoveryEvent, RecoveryOutcome, STAGE_BLOCKING,
     STAGE_MATCHING, STAGE_META_BLOCKING,
 };
-use crate::{BlockingStage, Pipeline, Resolution, StageReport};
+use crate::{BlockingStage, MetaBlockingStage, Pipeline, Resolution, StageReport};
 use er_blocking::block::BlockCollection;
 use er_blocking::sorted_neighborhood::MultiPassSortedNeighborhood;
 use er_core::collection::EntityCollection;
@@ -32,6 +32,14 @@ use er_core::resource::{MemoryBudget, Watchdog};
 /// under the stage watchdog, returning the accepted pairs with their scores
 /// and the number of comparisons skipped at the deadline.
 pub(crate) type Decide<'a> = &'a dyn Fn(&[Pair], &Watchdog) -> (Vec<(Pair, f64)>, u64);
+
+/// What the blocking stage hands on.
+enum Blocked {
+    /// The schedule itself: meta-blocking is skipped.
+    Schedule(Vec<Pair>),
+    /// Blocks for the meta-blocking stage to prune.
+    Blocks(BlockCollection, MetaBlockingStage),
+}
 
 /// One walk of one pipeline over one collection.
 pub(crate) struct Walk<'a> {
@@ -108,33 +116,37 @@ impl<'a> Walk<'a> {
     }
 
     /// Blocking (with cleaning and admission) followed by meta-blocking.
+    ///
+    /// The distinct blocked pairs are enumerated only where they are the
+    /// schedule — a pair-producing method, a run without meta-blocking, a
+    /// meta-blocking stage that failed. Otherwise meta-blocking prunes the
+    /// blocks directly and `blocked_comparisons` is its graph's edge count.
     fn block_and_prune(&mut self) -> Result<Vec<Pair>, PipelineError> {
         let (p, c) = (self.pipeline, self.collection);
 
         let span = p.obs.span("pipeline.blocking");
         let watchdog = p.limits.stage_watchdog();
-        let (blocks, blocked) = match &p.blocking {
+        let blocked = match (&p.blocking, p.meta_blocking) {
             // A pair-producing method: blocking directly yields the
             // schedule, so cleaning and meta-blocking are skipped.
-            BlockingStage::SortedNeighborhood(keys, window) => {
-                let pairs = self.hooks.attempt(STAGE_BLOCKING, || {
+            (BlockingStage::SortedNeighborhood(keys, window), _) => {
+                Blocked::Schedule(self.hooks.attempt(STAGE_BLOCKING, || {
                     MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(c)
-                })?;
-                (None, pairs)
+                })?)
             }
-            block_based => {
-                let blocks = self.blocks(block_based)?;
-                let blocked = blocks.distinct_pairs(c);
-                (Some(blocks), blocked)
-            }
+            (block_based, None) => Blocked::Schedule(self.blocks(block_based)?.distinct_pairs(c)),
+            (block_based, Some(mb)) => Blocked::Blocks(self.blocks(block_based)?, mb),
         };
         span.finish();
         self.note_overrun(STAGE_BLOCKING, &watchdog);
-        self.report.blocked_comparisons = blocked.len() as u64;
-
-        let (Some(blocks), Some(mb)) = (blocks, p.meta_blocking) else {
-            return Ok(blocked);
+        let (blocks, mb) = match blocked {
+            Blocked::Schedule(pairs) => {
+                self.report.blocked_comparisons = pairs.len() as u64;
+                return Ok(pairs);
+            }
+            Blocked::Blocks(blocks, mb) => (blocks, mb),
         };
+
         // Never skipped under pressure: pruning *reduces* downstream work,
         // so running it is the cheapest path to the deadline.
         let span = p.obs.span("pipeline.meta_blocking");
@@ -145,10 +157,11 @@ impl<'a> Walk<'a> {
             .attempt(STAGE_META_BLOCKING, || p.meta_block(c, &blocks, mb, budget));
         span.finish();
         self.note_overrun(STAGE_META_BLOCKING, &watchdog);
-        Ok(outcome.unwrap_or_else(|err| {
+        let (schedule, blocked) = outcome.unwrap_or_else(|err| {
             // Degrade, loudly: recall is preserved because the unpruned
             // blocked comparisons are a superset of anything meta-blocking
-            // would schedule.
+            // would schedule. No graph counted them, so enumerate them now.
+            let blocked = blocks.distinct_pairs(c);
             p.obs.emit(Event::Warning {
                 stage: STAGE_META_BLOCKING.to_string(),
                 reason: format!(
@@ -159,8 +172,11 @@ impl<'a> Walk<'a> {
             self.hooks
                 .events
                 .push(RecoveryEvent::MetaBlockingDegraded { error: err.message });
-            blocked
-        }))
+            let n = blocked.len();
+            (blocked, n)
+        });
+        self.report.blocked_comparisons = blocked as u64;
+        Ok(schedule)
     }
 
     /// The cleaned, budget-admitted blocking collection: the blocked

@@ -16,9 +16,10 @@
 
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
+use er_core::matching::ThresholdMatcher;
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
-use er_core::tokenize::Tokenizer;
 use std::collections::BTreeSet;
 
 /// Hint 1: candidate pairs sorted by descending score (ties by pair order,
@@ -35,19 +36,17 @@ pub fn sorted_pair_list(scored: &[(Pair, f64)]) -> Vec<Pair> {
 
 /// Scores candidate pairs with a cheap token-set measure — the standard way
 /// to materialize the sorted-list hint when no meta-blocking weights exist.
+/// The scores are the matching kernel's: one tokenization of the collection,
+/// then a merge of two token profiles per pair.
 pub fn score_pairs(
     collection: &EntityCollection,
     candidates: &[Pair],
     measure: SetMeasure,
 ) -> Vec<(Pair, f64)> {
-    let tokenizer = Tokenizer::default();
-    let sets: Vec<BTreeSet<String>> = collection.iter().map(|e| e.token_set(&tokenizer)).collect();
+    let scorer = ThresholdMatcher::new(measure, 0.0).prepare(collection, Parallelism::serial());
     candidates
         .iter()
-        .map(|&p| {
-            let s = measure.eval(&sets[p.first().index()], &sets[p.second().index()]);
-            (p, s)
-        })
+        .map(|&p| (p, scorer.decide(p).score))
         .collect()
 }
 

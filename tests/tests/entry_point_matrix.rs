@@ -8,21 +8,30 @@
 //! blocking → auto purge → distinct pairs → ARCS graph → WNP pruning →
 //! Jaccard 0.4 → connected components), serially and in memory, the way
 //! `bench/src/staged.rs` does. Each cell must reproduce its matches,
-//! clusters and comparison counts exactly.
+//! clusters and comparison counts exactly. Two of the oracle's choices are
+//! deliberately not the pipeline's: it *enumerates* the distinct blocked
+//! pairs (the walk reads their number off the blocking graph), and it
+//! matches through a wrapper that only delegates `Matcher::compare`, so it
+//! takes the per-pair string-set path (the matching stage decides from
+//! token profiles).
 //!
 //! Configurations: default, 4 threads, forced out-of-core (serial, on 4
 //! threads — the chunked producers feeding the external sort — and under
 //! the subprocess backend, where blocks come from the workers and only the
 //! graph build streams), a binding memory budget rescued through
 //! `segment_dir`, and the subprocess backend on two `er-test-worker`
-//! processes. Entries: `run`, `run_with_recovery` with
-//! default options, `run_with_recovery` resumed from each of the three
-//! checkpoints, and `run_with_matcher` given the configured matcher.
+//! processes; the TF-IDF matching stage; and a run without meta-blocking
+//! (the schedule *is* the enumerated blocked pairs). Entries: `run`,
+//! `run_with_recovery` with default options, `run_with_recovery` resumed
+//! from each of the three checkpoints, and `run_with_matcher` given the
+//! configured matcher. One more cell fails meta-blocking on every attempt:
+//! the degraded schedule is the blocked pairs, enumerated only then.
 
 use er_blocking::{cleaning, TokenBlocking};
 use er_core::collection::EntityCollection;
-use er_core::entity::EntityId;
-use er_core::matching::{par_decide_candidates, ThresholdMatcher};
+use er_core::entity::{Entity, EntityId};
+use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
+use er_core::matching::{par_decide_candidates, Decision, Matcher, TfIdfMatcher, ThresholdMatcher};
 use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
@@ -31,15 +40,50 @@ use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_metablocking::{BlockingGraph, PruningScheme, WeightingScheme};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
-use er_pipeline::{Backend, Pipeline, PipelineBuilder, RecoveryOptions, Resolution};
+use er_pipeline::{
+    Backend, MatchingStage, Pipeline, PipelineBuilder, RecoveryEvent, RecoveryOptions, Resolution,
+};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 fn dataset() -> DirtyDataset {
     DirtyDataset::generate(&DirtyConfig::sized(200, NoiseModel::moderate(), 0xE9))
 }
 
-fn matcher() -> ThresholdMatcher {
-    ThresholdMatcher::new(SetMeasure::Jaccard, 0.4)
+/// The stages of the configuration under test that the oracle mirrors.
+#[derive(Clone, Copy)]
+struct Stages {
+    meta_blocking: bool,
+    /// `Some(threshold)`: TF-IDF matching; `None`: the default Jaccard 0.4.
+    tfidf: Option<f64>,
+}
+
+const DEFAULT_STAGES: Stages = Stages {
+    meta_blocking: true,
+    tfidf: None,
+};
+
+/// The configured matcher as the per-pair reference: only `compare` is
+/// delegated, so batch calls fall back to the per-pair loop.
+enum Reference {
+    Jaccard(ThresholdMatcher),
+    TfIdf(TfIdfMatcher),
+}
+
+impl Matcher for Reference {
+    fn compare(&self, a: &Entity, b: &Entity) -> Decision {
+        match self {
+            Reference::Jaccard(m) => m.compare(a, b),
+            Reference::TfIdf(m) => m.compare(a, b),
+        }
+    }
+}
+
+fn matcher(c: &EntityCollection, stages: Stages) -> Reference {
+    match stages.tfidf {
+        None => Reference::Jaccard(ThresholdMatcher::new(SetMeasure::Jaccard, 0.4)),
+        Some(threshold) => Reference::TfIdf(TfIdfMatcher::from_collection(c, threshold)),
+    }
 }
 
 /// What every cell must reproduce.
@@ -50,21 +94,25 @@ struct Expected {
     clusters: Vec<Vec<EntityId>>,
 }
 
-/// The default pipeline's stages, called one by one — no `er_pipeline`.
-fn staged_oracle(c: &EntityCollection) -> Expected {
+/// The pipeline's stages, called one by one — no `er_pipeline`.
+fn staged_oracle(c: &EntityCollection, stages: Stages) -> Expected {
     let par = Parallelism::serial();
     let blocks = cleaning::auto_purge(&TokenBlocking::new().par_build(c, par), c);
-    let blocked = blocks.distinct_pairs(c).len() as u64;
-    let graph = BlockingGraph::par_build(c, &blocks, par);
-    let kept = PruningScheme::Wnp.par_prune(&graph, WeightingScheme::Arcs, par);
-    let mut matches: Vec<Pair> = par_decide_candidates(c, &matcher(), &kept, par)
+    let blocked = blocks.distinct_pairs(c);
+    let kept = if stages.meta_blocking {
+        let graph = BlockingGraph::par_build(c, &blocks, par);
+        PruningScheme::Wnp.par_prune(&graph, WeightingScheme::Arcs, par)
+    } else {
+        blocked.clone()
+    };
+    let mut matches: Vec<Pair> = par_decide_candidates(c, &matcher(c, stages), &kept, par)
         .into_iter()
         .filter_map(|(p, d)| d.is_match.then_some(p))
         .collect();
     matches.sort();
     let clusters = er_core::clusters::components_from_matches(c.len(), &matches);
     Expected {
-        blocked,
+        blocked: blocked.len() as u64,
         scheduled: kept.len() as u64,
         matches,
         clusters,
@@ -89,13 +137,24 @@ fn scratch(config: &str, what: &str) -> PathBuf {
     ))
 }
 
-/// Runs every entry point of one configuration against the oracle.
+/// Runs every entry point of one default-stages configuration against the
+/// oracle.
 fn check_configuration(config: &str, configure: impl Fn(PipelineBuilder) -> PipelineBuilder) {
+    check_stages(config, DEFAULT_STAGES, configure);
+}
+
+/// Runs every entry point of one configuration against the oracle of its
+/// stages.
+fn check_stages(
+    config: &str,
+    stages: Stages,
+    configure: impl Fn(PipelineBuilder) -> PipelineBuilder,
+) {
     let ds = dataset();
     let c = &ds.collection;
-    let want = staged_oracle(c);
+    let want = staged_oracle(c, stages);
     assert!(
-        want.scheduled < want.blocked && !want.matches.is_empty(),
+        (want.scheduled < want.blocked) == stages.meta_blocking && !want.matches.is_empty(),
         "the corpus must exercise pruning and matching"
     );
     let p = configure(Pipeline::builder()).build();
@@ -137,7 +196,7 @@ fn check_configuration(config: &str, configure: impl Fn(PipelineBuilder) -> Pipe
     }
 
     assert_cell(
-        &p.run_with_matcher(c, &matcher()),
+        &p.run_with_matcher(c, &matcher(c, stages)),
         &want,
         &format!("{config} × run_with_matcher"),
     );
@@ -207,4 +266,63 @@ fn subprocess_backend_on_two_workers() {
         b.backend(Backend::Subprocess { workers: 2 })
             .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
     });
+}
+
+#[test]
+fn tfidf_matching_stage() {
+    let stages = Stages {
+        tfidf: Some(0.5),
+        ..DEFAULT_STAGES
+    };
+    check_stages("tfidf", stages, |b| b.matching(MatchingStage::TfIdf(0.5)));
+    check_stages("tfidf-threads4", stages, |b| {
+        b.matching(MatchingStage::TfIdf(0.5))
+            .parallelism(Parallelism::threads(4))
+    });
+}
+
+#[test]
+fn without_meta_blocking() {
+    let stages = Stages {
+        meta_blocking: false,
+        ..DEFAULT_STAGES
+    };
+    check_stages("no-meta-blocking", stages, |b| b.no_meta_blocking());
+    let dir = scratch("no-meta-blocking-ooc", "segments");
+    check_stages("no-meta-blocking-ooc", stages, |b| {
+        b.no_meta_blocking().segment_dir(&dir).out_of_core(true)
+    });
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn meta_blocking_degraded_schedules_the_blocked_pairs() {
+    // Meta-blocking fails on every attempt, so no blocking graph is ever
+    // built: the walk has to enumerate the blocked pairs itself, and both
+    // the schedule and `blocked_comparisons` must be that enumeration.
+    let ds = dataset();
+    let c = &ds.collection;
+    let unpruned = Stages {
+        meta_blocking: false,
+        ..DEFAULT_STAGES
+    };
+    let want = staged_oracle(c, unpruned);
+    let plan =
+        FaultPlan::none().inject_all_attempts(STAGE_META_BLOCKING, 0, 2, FaultKind::Transient);
+    let opts = RecoveryOptions::retrying(RetryPolicy::attempts(2))
+        .with_injector(Arc::new(FaultInjector::new(plan)));
+    let out = Pipeline::builder()
+        .build()
+        .run_with_recovery(c, &opts)
+        .unwrap();
+    assert!(
+        out.events
+            .iter()
+            .any(|e| matches!(e, RecoveryEvent::MetaBlockingDegraded { .. })),
+        "{:?}",
+        out.events
+    );
+    assert_cell(&out.resolution, &want, "meta-blocking degraded");
+    let blocks = cleaning::auto_purge(&TokenBlocking::new().build(c), c);
+    assert_eq!(out.scheduled, Some(blocks.distinct_pairs(c)));
 }

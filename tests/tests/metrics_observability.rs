@@ -76,6 +76,15 @@ fn counters_identical_across_thread_counts_and_reruns() {
     assert_eq!(serial.gauges, parallel.gauges);
     assert!(serial.counter("blocking.blocks_built").unwrap() > 0);
     assert!(serial.counter("pipeline.matches").is_some());
+    // The matching stage's token profiles are among them: rank-ordering
+    // makes the CSR a function of the collection alone.
+    let vocabulary = serial.counter("matching.vocabulary").unwrap();
+    assert!(vocabulary > 0);
+    assert!(serial.counter("matching.profile_symbols").unwrap() >= vocabulary);
+    for snapshot in [&serial, &parallel] {
+        let span = snapshot.span("matching.profiles").unwrap();
+        assert_eq!(span.parent.as_deref(), Some("pipeline.matching"));
+    }
 
     // Histogram contents (counts per bucket) are value-deterministic too;
     // only span durations may differ between runs.
