@@ -740,20 +740,6 @@ pub fn maybe_print_relock(results: &[CellResult]) {
 // Scorecards
 // ---------------------------------------------------------------------------
 
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// Renders the matrix results as a deterministic JSON scorecard
 /// (`er-scenario-scorecard-v1`). Fixed-precision floats and no
 /// timestamps/thread counts: the bytes are identical for identical quality,
@@ -767,7 +753,7 @@ pub fn scorecard_json(results: &[CellResult]) -> String {
     out.push_str("  \"cells\": [\n");
     for (i, c) in results.iter().enumerate() {
         let breach = match &c.breach {
-            Some(b) => format!("\"{}\"", escape_json(b)),
+            Some(b) => er_core::obs::json_string(b),
             None => "null".to_string(),
         };
         out.push_str(&format!(

@@ -41,7 +41,10 @@
 //!   ledger `spawned == exited + crashed` holds (every spawned worker was
 //!   reaped, one way or the other), `worker.restarted` ≤ `worker.crashed`
 //!   (restarts only replace crashed workers), and the `worker.running` gauge
-//!   exists and reads 0 — the pool was fully drained.
+//!   exists and reads 0 — the pool was fully drained; and the
+//!   `mapreduce.task_latency_micros` histogram holds exactly one sample per
+//!   task (`mapreduce.map_tasks + mapreduce.reduce_tasks` > 0) — the
+//!   coordinator's attempt ledger timed every task's first success.
 //! - with `--require-colstore` (a run that exercised the out-of-core
 //!   segment store, `er resolve --ooc` / a spill-to-segment rescue):
 //!   `colstore.segments_written` > 0 — sorted runs actually hit disk —
@@ -364,6 +367,18 @@ fn check(
                 "worker.running is {r} — the worker pool was not drained"
             )),
             Some(_) => {}
+        }
+        let tasks = snapshot.counter("mapreduce.map_tasks").unwrap_or(0)
+            + snapshot.counter("mapreduce.reduce_tasks").unwrap_or(0);
+        let timed = snapshot
+            .histograms
+            .get("mapreduce.task_latency_micros")
+            .map_or(0, |h| h.count);
+        if tasks == 0 || timed != tasks {
+            fail(format!(
+                "mapreduce.task_latency_micros holds {timed} sample(s) for {tasks} distributed \
+                 task(s) — every task's first success must be timed exactly once"
+            ));
         }
     }
 
@@ -696,7 +711,8 @@ mod tests {
 
     /// `healthy()` plus the counters a subprocess-backend run records: four
     /// workers spawned, three exited cleanly, one crashed and was restarted
-    /// (the restart is one of the four spawns), pool drained.
+    /// (the restart is one of the four spawns), pool drained, six distributed
+    /// tasks each timed once.
     fn healthy_with_backend() -> MetricsSnapshot {
         let mut s = healthy();
         s.counters.insert("worker.spawned".into(), 4);
@@ -704,7 +720,34 @@ mod tests {
         s.counters.insert("worker.crashed".into(), 1);
         s.counters.insert("worker.restarted".into(), 1);
         s.gauges.insert("worker.running".into(), 0.0);
+        s.counters.insert("mapreduce.map_tasks".into(), 4);
+        s.counters.insert("mapreduce.reduce_tasks".into(), 2);
+        s.histograms.insert(
+            "mapreduce.task_latency_micros".into(),
+            HistogramSnapshot {
+                count: 6,
+                sum: 600,
+                buckets: Vec::new(),
+            },
+        );
         s
+    }
+
+    #[test]
+    fn untimed_or_double_timed_tasks_are_caught() {
+        for count in [0, 5, 7] {
+            let mut s = healthy_with_backend();
+            if count == 0 {
+                s.histograms.remove("mapreduce.task_latency_micros");
+            } else if let Some(h) = s.histograms.get_mut("mapreduce.task_latency_micros") {
+                h.count = count;
+            }
+            let failures = check(&s, false, false, false, true, false);
+            assert!(
+                failures.iter().any(|f| f.contains("task_latency_micros")),
+                "count={count}: {failures:?}"
+            );
+        }
     }
 
     #[test]

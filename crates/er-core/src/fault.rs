@@ -214,31 +214,44 @@ impl FaultInjector {
         }
     }
 
+    /// The scheduler-side form of [`fire`](FaultInjector::fire): decides the
+    /// attempt's fault and counts it without acting on it, so a
+    /// single-threaded scheduler can consult the plan without sleeping or
+    /// unwinding. `Ok(stall)` — run the attempt after stalling *it alone*
+    /// for `stall` (zero unless a delay is scheduled); `Err` — the attempt
+    /// fails with this typed fault (a scheduled panic included).
+    pub fn decide(
+        &self,
+        stage: &str,
+        task: usize,
+        attempt: u32,
+    ) -> Result<Duration, TransientFault> {
+        let Some(kind) = self.plan.fault_for(stage, task, attempt) else {
+            return Ok(Duration::ZERO);
+        };
+        self.injected.fetch_add(1, Ordering::Relaxed);
+        let message = match kind {
+            FaultKind::Delay(d) => return Ok(d),
+            FaultKind::Transient => "injected transient fault",
+            FaultKind::Panic => "injected panic",
+        };
+        Err(TransientFault {
+            stage: stage.to_string(),
+            task,
+            attempt,
+            message: message.into(),
+        })
+    }
+
     /// Called by an executor at the start of a task attempt. Depending on
     /// the plan this returns `Ok` (no fault), sleeps then returns `Ok`
     /// (delay), returns `Err` (transient), or panics.
     pub fn fire(&self, stage: &str, task: usize, attempt: u32) -> Result<(), TransientFault> {
-        match self.plan.fault_for(stage, task, attempt) {
-            None => Ok(()),
-            Some(FaultKind::Delay(d)) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(d);
-                Ok(())
-            }
-            Some(FaultKind::Transient) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                Err(TransientFault {
-                    stage: stage.to_string(),
-                    task,
-                    attempt,
-                    message: "injected transient fault".into(),
-                })
-            }
-            Some(FaultKind::Panic) => {
-                self.injected.fetch_add(1, Ordering::Relaxed);
-                panic!("injected panic in stage {stage:?}, task {task}, attempt {attempt}");
-            }
+        if self.plan.fault_for(stage, task, attempt) == Some(FaultKind::Panic) {
+            self.injected.fetch_add(1, Ordering::Relaxed);
+            panic!("injected panic in stage {stage:?}, task {task}, attempt {attempt}");
         }
+        self.decide(stage, task, attempt).map(std::thread::sleep)
     }
 
     /// Number of faults fired so far.
@@ -499,6 +512,24 @@ mod tests {
     fn injector_panics_on_panic_fault() {
         let inj = FaultInjector::new(FaultPlan::none().inject("s", 0, 0, FaultKind::Panic));
         let _ = inj.fire("s", 0, 0);
+    }
+
+    #[test]
+    fn decide_counts_but_never_sleeps_or_unwinds() {
+        let hour = Duration::from_secs(3600);
+        let inj = FaultInjector::new(
+            FaultPlan::none()
+                .inject("s", 0, 0, FaultKind::Panic)
+                .inject("s", 1, 0, FaultKind::Delay(hour))
+                .inject("s", 2, 0, FaultKind::Transient),
+        );
+        let panic = inj.decide("s", 0, 0).unwrap_err();
+        assert_eq!((panic.task, panic.attempt), (0, 0));
+        assert!(panic.to_string().contains("injected panic"), "{panic}");
+        assert_eq!(inj.decide("s", 1, 0), Ok(hour));
+        assert!(inj.decide("s", 2, 0).is_err());
+        assert_eq!(inj.decide("s", 3, 0), Ok(Duration::ZERO));
+        assert_eq!(inj.injected(), 3);
     }
 
     #[test]

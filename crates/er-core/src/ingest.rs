@@ -26,7 +26,7 @@
 //! suite.
 
 use crate::entity::KbId;
-use crate::obs::{Event, Obs};
+use crate::obs::{json_string, Event, Obs};
 use crate::resource::MemoryBudget;
 use std::collections::{BTreeMap, HashSet, VecDeque};
 use std::fmt;
@@ -246,37 +246,21 @@ impl QuarantineReport {
         out.push_str("},\n  \"records\": [\n");
         for (i, r) in self.records.iter().enumerate() {
             let id = match &r.id {
-                Some(id) => format!("\"{}\"", escape_json(id)),
+                Some(id) => json_string(id),
                 None => "null".to_string(),
             };
             out.push_str(&format!(
-                "    {{\"sequence\": {}, \"id\": {}, \"reason\": \"{}\", \"detail\": \"{}\"}}{}\n",
+                "    {{\"sequence\": {}, \"id\": {}, \"reason\": \"{}\", \"detail\": {}}}{}\n",
                 r.sequence,
                 id,
                 r.reason.code(),
-                escape_json(&r.reason.to_string()),
+                json_string(&r.reason.to_string()),
                 if i + 1 < self.records.len() { "," } else { "" }
             ));
         }
         out.push_str("  ]\n}\n");
         out
     }
-}
-
-fn escape_json(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 // ---------------------------------------------------------------------------

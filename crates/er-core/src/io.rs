@@ -26,6 +26,7 @@
 //! names/values are escaped (`\t`, `\n`, `\r`, `\\`); entity ids are
 //! implicit (order of `entity` lines), so a round-trip preserves ids exactly.
 
+use crate::codec::escape;
 use crate::collection::{EntityCollection, ResolutionMode};
 use crate::entity::{EntityId, KbId};
 use crate::ground_truth::GroundTruth;
@@ -65,45 +66,10 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '\\' => out.push_str("\\\\"),
-            '\t' => out.push_str("\\t"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
+/// [`codec::unescape`](crate::codec::unescape) with the failure placed on
+/// its line.
 fn unescape(s: &str, line: usize) -> Result<String, ParseError> {
-    let mut out = String::with_capacity(s.len());
-    let mut chars = s.chars();
-    while let Some(c) = chars.next() {
-        if c != '\\' {
-            out.push(c);
-            continue;
-        }
-        match chars.next() {
-            Some('\\') => out.push('\\'),
-            Some('t') => out.push('\t'),
-            Some('n') => out.push('\n'),
-            Some('r') => out.push('\r'),
-            other => {
-                return Err(ParseError::Syntax {
-                    line,
-                    message: format!(
-                        "invalid escape \\{}",
-                        other.map(String::from).unwrap_or_default()
-                    ),
-                })
-            }
-        }
-    }
-    Ok(out)
+    crate::codec::unescape(s).map_err(|message| ParseError::Syntax { line, message })
 }
 
 /// Writes a collection in the v1 text format.

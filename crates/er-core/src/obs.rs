@@ -782,8 +782,9 @@ fn write_f64(out: &mut String, v: f64) {
     }
 }
 
-/// JSON string escaping for metric names and span parents.
-fn json_string(s: &str) -> String {
+/// `s` as a quoted JSON string literal — the workspace's one JSON string
+/// escaper (snapshots, quarantine reports, scenario scorecards).
+pub fn json_string(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     out.push('"');
     for c in s.chars() {

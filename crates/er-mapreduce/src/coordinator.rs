@@ -11,29 +11,34 @@
 //! * **Liveness** — workers heartbeat on a fixed cadence; a worker silent
 //!   past the liveness deadline is killed and treated as crashed. A worker
 //!   whose pipe closes (SIGKILL, OOM-kill, panic) is detected immediately.
-//! * **Crash reassignment** — a task in flight on a dead worker is requeued
-//!   with a fresh attempt number, exactly like a straggler that never
-//!   reports. Crashes do **not** consume the task's typed-failure retry
-//!   budget; they draw from the pool-wide `max_restarts` budget instead, so
-//!   a crash loop terminates in a typed [`ExecError`], never a hang.
+//! * **Crash reassignment** — an attempt in flight on a dead worker is
+//!   reported to the attempt ledger as *lost* (requeued at the front, no
+//!   retry budget consumed); the death itself draws from the pool-wide
+//!   `max_restarts` budget, so a crash loop terminates in a typed
+//!   [`ExecError`], never a hang.
 //! * **Reaping** — every spawned child is `wait()`ed on every exit path
 //!   (success, typed failure, coordinator panic) via the transport's `Drop`;
 //!   no zombies and no leaked PIDs survive a failed run.
+//!
+//! Which attempt runs next, what a failure costs and when a straggler gets a
+//! backup is decided by the ledger (`ledger.rs`) — the same one the in-process
+//! engine drives — so this module only turns frames, pipe EOFs and missed
+//! heartbeats into ledger reports.
 //!
 //! Obs counters: `worker.spawned`, `worker.exited` (clean), `worker.crashed`
 //! (involuntary), `worker.restarted`, `worker.heartbeats_missed`, and the
 //! `worker.running` gauge (0 once the pool is drained).
 
 use crate::engine::ExecError;
+use crate::ledger::Ledger;
 use crate::proto::{
     protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, PROTOCOL_VERSION,
 };
 use crate::transport::{StageOutput, Transport};
 use er_core::fault::ExecPolicy;
-use std::collections::VecDeque;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
-use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -63,7 +68,8 @@ pub struct SubprocessConfig {
     /// Total memory budget split into per-worker allotments at handshake
     /// (0 = unlimited).
     pub budget_total: u64,
-    /// Retry/speculation/obs bundle (the PR 2 rules, applied to processes).
+    /// Retry/speculation/injection/obs bundle, applied by the attempt ledger
+    /// exactly as on the in-process backend.
     pub policy: ExecPolicy,
     /// Test hook: send this `(version, fingerprint)` in `Hello` instead of
     /// the real ones, to exercise handshake rejection.
@@ -140,8 +146,10 @@ enum SlotState {
     Busy {
         task: usize,
         attempt: u32,
-        started: Instant,
     },
+    /// Still running an attempt of a stage that already ended (a losing
+    /// backup or straggler); its reply frees the worker and is dropped.
+    Abandoned,
     Dead,
 }
 
@@ -150,57 +158,18 @@ struct WorkerSlot {
     pid: u32,
     child: Child,
     /// Frames queued here are written by a dedicated writer thread, so the
-    /// coordinator never blocks on a wedged worker's stdin.
-    sender: Option<Sender<Frame>>,
+    /// coordinator never blocks on a wedged worker's stdin. The duration is
+    /// an injected stall the writer sleeps out before that frame — it holds
+    /// back this worker's attempt and nothing else.
+    sender: Option<Sender<(Duration, Frame)>>,
     reader: Option<std::thread::JoinHandle<()>>,
     writer: Option<std::thread::JoinHandle<()>>,
     state: SlotState,
     last_seen: Instant,
 }
 
-/// Per-stage scheduler state (the engine's `ExecState`, crash-aware).
-struct StageSched {
-    n: usize,
-    results: Vec<Option<String>>,
-    completed: usize,
-    queue: VecDeque<(usize, u32, Instant)>,
-    next_attempt: Vec<u32>,
-    /// Typed `TaskError` failures per task — crashes are *not* counted here.
-    typed_failures: Vec<u32>,
-    /// Live (queued or in-flight) attempts per task.
-    live: Vec<u32>,
-    speculated: Vec<bool>,
-    durations: Vec<Duration>,
-    retried: u64,
-    speculated_count: u64,
-    reassigned: u64,
-    fatal: Option<ExecError>,
-}
-
-impl StageSched {
-    fn new(n: usize) -> StageSched {
-        let now = Instant::now();
-        StageSched {
-            n,
-            results: (0..n).map(|_| None).collect(),
-            completed: 0,
-            queue: (0..n).map(|t| (t, 0, now)).collect(),
-            next_attempt: vec![1; n],
-            typed_failures: vec![0; n],
-            live: vec![1; n],
-            speculated: vec![false; n],
-            durations: Vec::with_capacity(n),
-            retried: 0,
-            speculated_count: 0,
-            reassigned: 0,
-            fatal: None,
-        }
-    }
-
-    fn first_incomplete(&self) -> usize {
-        self.results.iter().position(|r| r.is_none()).unwrap_or(0)
-    }
-}
+/// The ledger of one stage: result payloads are strings.
+type StageLedger<'a> = Ledger<'a, String>;
 
 /// The multi-process transport: a supervised pool of worker child processes.
 pub struct SubprocessTransport {
@@ -302,13 +271,14 @@ impl SubprocessTransport {
             })
             .map_err(|e| format!("cannot spawn reader thread: {e}"))?;
 
-        let (frame_tx, frame_rx) = channel::<Frame>();
+        let (frame_tx, frame_rx) = channel::<(Duration, Frame)>();
         let tx = self.events_tx.clone();
         let writer = std::thread::Builder::new()
             .name(format!("er-worker-write-{id}"))
             .spawn(move || {
                 let mut w = FrameWriter::new(stdin);
-                for frame in frame_rx {
+                for (stall, frame) in frame_rx {
+                    std::thread::sleep(stall);
                     if w.write(&frame).is_err() {
                         let _ = tx.send(Event::WriteErr(id));
                         return;
@@ -335,7 +305,7 @@ impl SubprocessTransport {
             budget_bytes: budget,
             heartbeat_ms: self.cfg.heartbeat.as_millis().max(1) as u64,
         };
-        let _ = frame_tx.send(hello); // a failed send surfaces as WriteErr/Eof
+        let _ = frame_tx.send((Duration::ZERO, hello)); // a failed send surfaces as WriteErr/Eof
 
         let now = Instant::now();
         self.slots.push(WorkerSlot {
@@ -371,81 +341,76 @@ impl SubprocessTransport {
         self.slots.iter().position(|s| s.id == id)
     }
 
-    /// Kills (best effort), reaps, and unregisters a worker; requeues its
-    /// in-flight task; spawns a replacement while the restart budget lasts.
-    fn handle_death(&mut self, idx: usize, sched: &mut StageSched, why: &str) {
+    /// Kills (best effort), reaps, and unregisters a worker; reports its
+    /// in-flight attempt lost; spawns a replacement while the restart budget
+    /// lasts.
+    fn handle_death(&mut self, idx: usize, ledger: &mut StageLedger, why: &str) {
         if matches!(self.slots[idx].state, SlotState::Dead) {
             return;
         }
         let obs = self.cfg.policy.obs.clone();
-        {
-            let slot = &mut self.slots[idx];
-            slot.sender = None; // closes stdin via the writer thread
-            let _ = slot.child.kill();
-            let _ = slot.child.wait(); // reap: no zombie survives this path
-            let pid = slot.pid;
-            let prior = std::mem::replace(&mut slot.state, SlotState::Dead);
-            self.monitor.remove(pid);
-            obs.counter("worker.crashed").incr();
-            if let SlotState::Busy { task, attempt, .. } = prior {
-                if sched.results[task].is_none() {
-                    // A killed worker is a straggler that never reports: the
-                    // attempt is reassigned with a fresh number and does NOT
-                    // consume the task's typed-failure retry budget.
-                    let next = sched.next_attempt[task];
-                    sched.next_attempt[task] += 1;
-                    sched.queue.push_front((task, next, Instant::now()));
-                    sched.reassigned += 1;
-                    obs.emit(er_core::obs::Event::Warning {
-                        stage: "worker".to_string(),
-                        reason: format!(
-                            "worker {pid} died ({why}); task {task} attempt {attempt} reassigned"
-                        ),
-                    });
-                } else {
-                    sched.live[task] = sched.live[task].saturating_sub(1);
-                }
-            }
+        let slot = &mut self.slots[idx];
+        slot.sender = None; // closes stdin via the writer thread
+        let _ = slot.child.kill();
+        let _ = slot.child.wait(); // reap: no zombie survives this path
+        let pid = slot.pid;
+        let prior = std::mem::replace(&mut slot.state, SlotState::Dead);
+        self.monitor.remove(pid);
+        obs.counter("worker.crashed").incr();
+        if let SlotState::Busy { task, attempt } = prior {
+            // A killed worker is a straggler that never reports.
+            ledger.lost(task, attempt, Instant::now());
+            obs.emit(er_core::obs::Event::Warning {
+                stage: "worker".to_string(),
+                reason: format!("worker {pid} died ({why}); task {task} attempt {attempt} lost"),
+            });
         }
         self.update_running_gauge();
-        if self.setup_fatal.is_some() || sched.fatal.is_some() {
+        if self.setup_fatal.is_some() || ledger.failed() {
             return;
         }
         if self.restarts_used < self.cfg.max_restarts {
             self.restarts_used += 1;
             match self.spawn_worker() {
-                Ok(()) => {
-                    self.cfg.policy.obs.counter("worker.restarted").incr();
-                }
-                Err(m) => {
-                    sched.fatal = Some(ExecError {
-                        stage: "spawn".to_string(),
-                        task: sched.first_incomplete(),
-                        attempts: 0,
-                        message: format!("cannot restart worker: {m}"),
-                    });
-                }
+                Ok(()) => obs.counter("worker.restarted").incr(),
+                Err(m) => ledger.abort("spawn", format!("cannot restart worker: {m}")),
             }
-        } else if self.live_count() == 0 && sched.completed < sched.n {
-            sched.fatal = Some(ExecError {
-                stage: "supervise".to_string(),
-                task: sched.first_incomplete(),
-                attempts: 0,
-                message: format!(
+        } else if self.live_count() == 0 && !ledger.done() {
+            ledger.abort(
+                "supervise",
+                format!(
                     "worker pool exhausted: restart budget ({}) spent and no live workers remain",
                     self.cfg.max_restarts
                 ),
-            });
+            );
         }
     }
 
-    fn handle_event(&mut self, ev: Event, sched: &mut StageSched) {
+    /// A reply frame frees its worker; returns the attempt the worker was
+    /// running unless that attempt belongs to a stage that already ended.
+    fn release(&mut self, idx: usize) -> Option<(usize, u32)> {
+        let state = &mut self.slots[idx].state;
+        match *state {
+            SlotState::Busy { task, attempt } => {
+                *state = SlotState::Idle;
+                Some((task, attempt))
+            }
+            SlotState::Abandoned => {
+                *state = SlotState::Idle;
+                None
+            }
+            _ => None,
+        }
+    }
+
+    fn handle_event(&mut self, ev: Event, ledger: &mut StageLedger) {
         match ev {
             Event::Frame(id, frame) => {
                 let Some(idx) = self.slot_index(id) else {
                     return;
                 };
-                self.slots[idx].last_seen = Instant::now();
+                let now = Instant::now();
+                self.slots[idx].last_seen = now;
                 match frame {
                     Frame::Heartbeat { .. } => {}
                     Frame::HelloAck { budget_bytes, .. } => {
@@ -461,186 +426,76 @@ impl SubprocessTransport {
                     Frame::HelloRej { reason } => {
                         let message = format!("worker rejected handshake: {reason}");
                         self.setup_fatal = Some(message.clone());
-                        sched.fatal = Some(ExecError {
-                            stage: "handshake".to_string(),
-                            task: sched.first_incomplete(),
-                            attempts: 0,
-                            message,
-                        });
-                        self.handle_death(idx, sched, "handshake rejected");
+                        ledger.abort("handshake", message);
+                        self.handle_death(idx, ledger, "handshake rejected");
                     }
-                    Frame::TaskResult {
-                        task,
-                        attempt: _,
-                        payload,
-                    } => {
-                        let started = match self.slots[idx].state {
-                            SlotState::Busy { started, .. } => Some(started),
-                            _ => None,
-                        };
-                        if !matches!(self.slots[idx].state, SlotState::Dead) {
-                            self.slots[idx].state = SlotState::Idle;
-                        }
-                        if task < sched.n {
-                            sched.live[task] = sched.live[task].saturating_sub(1);
-                            if sched.results[task].is_none() {
-                                sched.results[task] = Some(payload);
-                                sched.completed += 1;
-                                if let Some(s) = started {
-                                    sched.durations.push(s.elapsed());
-                                }
-                            }
-                            // A slower duplicate (speculation / reassignment
-                            // race) is dropped: result identity decides.
+                    // A worker runs one task at a time and its frames arrive
+                    // in order, so a reply always answers the slot's current
+                    // assignment.
+                    Frame::TaskResult { payload, .. } => {
+                        if let Some((task, attempt)) = self.release(idx) {
+                            ledger.success(task, attempt, payload, now);
                         }
                     }
-                    Frame::TaskError {
-                        task,
-                        attempt: _,
-                        message,
-                    } => {
-                        if !matches!(self.slots[idx].state, SlotState::Dead) {
-                            self.slots[idx].state = SlotState::Idle;
-                        }
-                        if task < sched.n {
-                            self.record_typed_failure(task, message, sched);
+                    Frame::TaskError { message, .. } => {
+                        if let Some((task, attempt)) = self.release(idx) {
+                            ledger.failure(task, attempt, message, now);
                         }
                     }
                     other => {
                         // A worker must never send coordinator frames; treat
                         // it as corrupt and recycle the process.
-                        self.handle_death(idx, sched, &format!("unexpected frame {other:?}"));
+                        self.handle_death(idx, ledger, &format!("unexpected frame {other:?}"));
                     }
                 }
             }
             Event::Eof(id) | Event::WriteErr(id) => {
                 if let Some(idx) = self.slot_index(id) {
-                    self.handle_death(idx, sched, "pipe closed");
+                    self.handle_death(idx, ledger, "pipe closed");
                 }
             }
             Event::ReadErr(id, e) => {
                 if let Some(idx) = self.slot_index(id) {
-                    self.handle_death(idx, sched, &format!("protocol error: {e}"));
+                    self.handle_death(idx, ledger, &format!("protocol error: {e}"));
                 }
             }
         }
     }
 
-    fn record_typed_failure(&mut self, task: usize, message: String, sched: &mut StageSched) {
-        sched.live[task] = sched.live[task].saturating_sub(1);
-        if sched.results[task].is_some() {
-            return; // a backup already completed the task
-        }
-        sched.typed_failures[task] += 1;
-        if sched.typed_failures[task] < self.cfg.policy.retry.max_attempts {
-            let attempt = sched.next_attempt[task];
-            sched.next_attempt[task] += 1;
-            sched.live[task] += 1;
-            sched.retried += 1;
-            let backoff =
-                self.cfg
-                    .policy
-                    .retry
-                    .backoff_for("stage", task, sched.typed_failures[task]);
-            sched
-                .queue
-                .push_back((task, attempt, Instant::now() + backoff));
-        } else if sched.live[task] == 0 {
-            sched.fatal = Some(ExecError {
-                stage: String::new(), // filled by run_stage
-                task,
-                attempts: sched.typed_failures[task],
-                message,
-            });
-        }
-    }
-
-    fn dispatch(&mut self, job: &str, stage: &str, payloads: &[String], sched: &mut StageSched) {
-        loop {
-            let now = Instant::now();
-            let Some(qpos) = sched.queue.iter().position(|&(_, _, nb)| nb <= now) else {
+    /// Hands ready attempts to idle workers, as long as there are both.
+    fn dispatch(&mut self, job: &str, stage: &str, payloads: &[String], ledger: &mut StageLedger) {
+        while let Some(widx) = self
+            .slots
+            .iter()
+            .position(|s| matches!(s.state, SlotState::Idle))
+        {
+            let Some(claim) = ledger.claim(Instant::now()) else {
                 return;
             };
-            let Some(widx) = self
-                .slots
-                .iter()
-                .position(|s| matches!(s.state, SlotState::Idle))
-            else {
-                return;
-            };
-            let (task, attempt, _) = sched.queue.remove(qpos).expect("position exists");
-            // Coordinator-side fault injection: a scheduled fault consumes
-            // the attempt before it ever reaches a worker, so the PR 2
-            // injection tests mean the same thing on both backends.
-            if let Some(inj) = &self.cfg.policy.injector {
-                if let Err(e) = inj.fire(stage, task, attempt) {
-                    self.record_typed_failure(task, e.to_string(), sched);
-                    continue;
-                }
-            }
             let frame = Frame::Task {
                 job: job.to_string(),
                 stage: stage.to_string(),
-                task,
-                attempt,
-                payload: payloads[task].clone(),
+                task: claim.task,
+                attempt: claim.attempt,
+                payload: payloads[claim.task].clone(),
             };
-            let sent = self.slots[widx]
+            let slot = &mut self.slots[widx];
+            slot.state = SlotState::Busy {
+                task: claim.task,
+                attempt: claim.attempt,
+            };
+            let sent = slot
                 .sender
                 .as_ref()
-                .map(|s| s.send(frame).is_ok())
-                .unwrap_or(false);
-            if sent {
-                self.slots[widx].state = SlotState::Busy {
-                    task,
-                    attempt,
-                    started: now,
-                };
-            } else {
-                sched.queue.push_front((task, attempt, now));
-                self.handle_death(widx, sched, "stdin closed");
+                .is_some_and(|s| s.send((claim.stall, frame)).is_ok());
+            if !sent {
+                self.handle_death(widx, ledger, "stdin closed");
                 return;
             }
         }
     }
 
-    fn speculate(&mut self, sched: &mut StageSched) {
-        let Some(spec) = self.cfg.policy.speculation else {
-            return;
-        };
-        if sched.durations.len() < spec.min_completed {
-            return;
-        }
-        let mut ds = sched.durations.clone();
-        ds.sort_unstable();
-        let median = ds[ds.len() / 2];
-        let threshold = median.mul_f64(spec.straggler_factor).max(spec.min_runtime);
-        let now = Instant::now();
-        let stragglers: Vec<usize> = self
-            .slots
-            .iter()
-            .filter_map(|s| match s.state {
-                SlotState::Busy { task, started, .. }
-                    if sched.results[task].is_none()
-                        && !sched.speculated[task]
-                        && now.duration_since(started) > threshold =>
-                {
-                    Some(task)
-                }
-                _ => None,
-            })
-            .collect();
-        for task in stragglers {
-            let attempt = sched.next_attempt[task];
-            sched.next_attempt[task] += 1;
-            sched.live[task] += 1;
-            sched.speculated[task] = true;
-            sched.speculated_count += 1;
-            sched.queue.push_back((task, attempt, now));
-        }
-    }
-
-    fn liveness_scan(&mut self, sched: &mut StageSched) {
+    fn liveness_scan(&mut self, ledger: &mut StageLedger) {
         let now = Instant::now();
         let overdue: Vec<usize> = self
             .slots
@@ -661,7 +516,7 @@ impl SubprocessTransport {
                 .obs
                 .counter("worker.heartbeats_missed")
                 .incr();
-            self.handle_death(idx, sched, "missed heartbeats");
+            self.handle_death(idx, ledger, "missed heartbeats");
         }
     }
 
@@ -675,7 +530,7 @@ impl SubprocessTransport {
                 continue;
             }
             if let Some(sender) = &slot.sender {
-                let _ = sender.send(Frame::Shutdown);
+                let _ = sender.send((Duration::ZERO, Frame::Shutdown));
             }
             slot.sender = None; // writer drains, then closes the pipe (EOF)
         }
@@ -743,64 +598,39 @@ impl Transport for SubprocessTransport {
             return Ok(StageOutput::default());
         }
         self.ensure_pool()?;
-        let mut sched = StageSched::new(payloads.len());
+        for slot in &mut self.slots {
+            if matches!(slot.state, SlotState::Busy { .. }) {
+                slot.state = SlotState::Abandoned;
+            }
+        }
+        let policy = self.cfg.policy.clone();
         let started = Instant::now();
-        loop {
-            if sched.completed == sched.n {
-                break;
-            }
-            if let Some(mut fatal) = sched.fatal.take() {
-                if fatal.stage.is_empty() {
-                    fatal.stage = stage.to_string();
-                }
-                return Err(fatal);
-            }
+        let mut ledger = Ledger::new(stage, payloads.len(), &policy, started);
+        while !ledger.done() {
             if let Some(deadline) = self.cfg.stage_deadline {
                 if started.elapsed() > deadline {
-                    return Err(ExecError {
-                        stage: stage.to_string(),
-                        task: sched.first_incomplete(),
-                        attempts: 0,
-                        message: format!(
+                    ledger.abort(
+                        stage,
+                        format!(
                             "stage deadline exceeded after {:.1}s (watchdog bound on hangs)",
                             deadline.as_secs_f64()
                         ),
-                    });
+                    );
+                    break;
                 }
             }
-            self.dispatch(job, stage, payloads, &mut sched);
-            self.speculate(&mut sched);
-            match self.events_rx.recv_timeout(Duration::from_millis(10)) {
-                Ok(ev) => {
-                    self.handle_event(ev, &mut sched);
-                    while let Ok(ev) = self.events_rx.try_recv() {
-                        self.handle_event(ev, &mut sched);
-                    }
+            self.dispatch(job, stage, payloads, &mut ledger);
+            // A timeout is the tick; the channel cannot disconnect while this
+            // transport holds `events_tx`.
+            if let Ok(ev) = self.events_rx.recv_timeout(Duration::from_millis(10)) {
+                self.handle_event(ev, &mut ledger);
+                while let Ok(ev) = self.events_rx.try_recv() {
+                    self.handle_event(ev, &mut ledger);
                 }
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => unreachable!("coordinator holds a sender"),
             }
-            self.liveness_scan(&mut sched);
+            self.liveness_scan(&mut ledger);
         }
-        let results: Vec<String> = sched
-            .results
-            .iter_mut()
-            .enumerate()
-            .map(|(i, slot)| {
-                slot.take().ok_or_else(|| ExecError {
-                    stage: stage.to_string(),
-                    task: i,
-                    attempts: sched.next_attempt[i],
-                    message: "task completed with no recorded result (scheduler invariant broken)"
-                        .to_string(),
-                })
-            })
-            .collect::<Result<_, _>>()?;
-        Ok(StageOutput {
-            results,
-            retried: sched.retried,
-            speculated: sched.speculated_count,
-            reassigned: sched.reassigned,
-        })
+        let (results, counters) = ledger.finish()?;
+        Ok(StageOutput::new(results, counters))
     }
 }

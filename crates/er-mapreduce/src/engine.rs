@@ -31,17 +31,18 @@
 //! There is one job walk (`run_job`); the entry points differ only in the
 //! mapper-side `PartitionBuffer` they hand it.
 
+use crate::ledger::{Counters, Ledger};
 use crate::spill::{ShuffleBounds, SpillCodec};
 use er_core::codec::{escape, unescape, LineCodec};
 use er_core::fault::ExecPolicy;
 use std::collections::hash_map::{DefaultHasher, Entry};
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::fs;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Job statistics, mirroring the counters a Hadoop job would report.
@@ -126,41 +127,6 @@ impl std::error::Error for ExecError {}
 /// crate panicked on every attempt — a bug, reported with the typed error.
 pub(crate) const INFALLIBLE_JOB: &str = "in-crate job failed under the default policy";
 
-/// Retry/speculation accounting of one stage.
-#[derive(Clone, Copy, Debug, Default)]
-pub(crate) struct TaskCounters {
-    pub(crate) retried: u64,
-    pub(crate) speculated: u64,
-}
-
-/// One queued task attempt; `not_before` implements backoff without
-/// blocking a worker slot.
-struct QueuedAttempt {
-    task: usize,
-    attempt: u32,
-    not_before: Instant,
-}
-
-/// Shared scheduler state of [`execute_tasks`].
-struct ExecState<O> {
-    queue: VecDeque<QueuedAttempt>,
-    /// First-finisher-wins result slot per task.
-    results: Vec<Option<O>>,
-    completed: usize,
-    /// Durations of completed tasks (support for the straggler median).
-    durations: Vec<Duration>,
-    /// Currently running attempts: `(task, attempt, started)`.
-    running: Vec<(usize, u32, Instant)>,
-    /// Live (queued or running) attempts per task.
-    live: Vec<u32>,
-    /// Next attempt number to issue per task.
-    next_attempt: Vec<u32>,
-    /// Whether a speculative backup was already launched per task.
-    speculated: Vec<bool>,
-    counters: TaskCounters,
-    fatal: Option<ExecError>,
-}
-
 /// Runs `tasks` on `workers` threads under a fault-tolerance policy.
 ///
 /// Each task is a pure function of its (shared, re-borrowable) input, so a
@@ -169,242 +135,70 @@ struct ExecState<O> {
 /// successful attempt, and all successful attempts produce the same value.
 /// Results are returned in task order, which keeps the caller's merge order
 /// identical to the fault-free engine.
+///
+/// This is only the thread shell: every scheduling decision is the
+/// [`Ledger`]'s. Threads claim an attempt under the lock, run it outside the
+/// lock (a typed `Err` and a caught panic are both typed failures) and
+/// report the outcome back.
 pub(crate) fn execute_tasks<T, O, F>(
     stage: &str,
     tasks: &[T],
     workers: usize,
     policy: &ExecPolicy,
     run: F,
-) -> Result<(Vec<O>, TaskCounters), ExecError>
+) -> Result<(Vec<O>, Counters), ExecError>
 where
     T: Sync,
     O: Send,
-    F: Fn(&T) -> O + Sync,
+    F: Fn(&T) -> Result<O, String> + Sync,
 {
-    if tasks.is_empty() {
-        return Ok((Vec::new(), TaskCounters::default()));
-    }
-    let n = tasks.len();
-    let now = Instant::now();
-    let state = Mutex::new(ExecState {
-        queue: (0..n)
-            .map(|task| QueuedAttempt {
-                task,
-                attempt: 0,
-                not_before: now,
-            })
-            .collect(),
-        results: (0..n).map(|_| None).collect(),
-        completed: 0,
-        durations: Vec::with_capacity(n),
-        running: Vec::new(),
-        live: vec![1; n],
-        next_attempt: vec![1; n],
-        speculated: vec![false; n],
-        counters: TaskCounters::default(),
-        fatal: None,
-    });
+    let ledger = Mutex::new(Ledger::new(stage, tasks.len(), policy, Instant::now()));
     let cv = Condvar::new();
-    // Handle created once per stage, outside the workers: recording on it is
-    // plain relaxed atomics, so the hot path never touches the registry lock.
-    let latency = policy.obs.histogram("mapreduce.task_latency_micros");
-    let state = &state;
-    let cv = &cv;
-    let run = &run;
-    let latency = &latency;
-    crossbeam::thread::scope(|s| {
-        for _ in 0..workers.min(n) {
-            s.spawn(move |_| worker_loop(stage, tasks, policy, state, cv, run, latency));
-        }
-    })
-    .expect("task executor scope failed");
-    let mut st = state.lock().expect("executor state poisoned");
-    collect_results(stage, &mut st)
-}
-
-/// Moves the completed results out of the scheduler state in task order.
-///
-/// The scheduler invariant says every slot is filled when no fatal error was
-/// recorded — but an invariant is exactly what a speculation race or future
-/// scheduling bug would break, and a broken invariant must surface as a
-/// typed [`ExecError`], never abort the process.
-fn collect_results<O>(
-    stage: &str,
-    st: &mut ExecState<O>,
-) -> Result<(Vec<O>, TaskCounters), ExecError> {
-    if let Some(e) = &st.fatal {
-        return Err(e.clone());
-    }
-    let counters = st.counters;
-    let slots = std::mem::take(&mut st.results);
-    let mut results = Vec::with_capacity(slots.len());
-    for (i, slot) in slots.into_iter().enumerate() {
-        match slot {
-            Some(out) => results.push(out),
-            None => {
-                return Err(ExecError {
-                    stage: stage.to_string(),
-                    task: i,
-                    attempts: st.next_attempt.get(i).copied().unwrap_or(0),
-                    message: "task finished with no recorded result (scheduler invariant broken)"
-                        .to_string(),
-                })
-            }
-        }
-    }
-    Ok((results, counters))
-}
-
-/// One worker thread of [`execute_tasks`]: claim an eligible attempt, run it
-/// with injection + panic catching, record the outcome, repeat.
-fn worker_loop<T, O, F>(
-    stage: &str,
-    tasks: &[T],
-    policy: &ExecPolicy,
-    state: &Mutex<ExecState<O>>,
-    cv: &Condvar,
-    run: &F,
-    latency: &er_core::obs::Histogram,
-) where
-    T: Sync,
-    O: Send,
-    F: Fn(&T) -> O + Sync,
-{
-    let n = tasks.len();
-    loop {
-        // ---- claim an attempt (or exit) ------------------------------------
-        let claimed = {
-            let mut st = state.lock().expect("executor state poisoned");
-            loop {
-                if st.fatal.is_some() || st.completed == n {
-                    cv.notify_all();
-                    return;
-                }
-                let now = Instant::now();
-                if let Some(spec) = &policy.speculation {
-                    launch_speculative_backups(&mut st, spec, &policy.retry, now);
-                }
-                if let Some(pos) = st.queue.iter().position(|q| q.not_before <= now) {
-                    let q = st.queue.remove(pos).expect("position exists");
-                    st.running.push((q.task, q.attempt, now));
-                    break (q.task, q.attempt);
-                }
-                // Nothing ready: sleep until the earliest backoff expires, a
-                // speculation poll is due, or another worker wakes us. Only
-                // speculation needs periodic polling; otherwise idle workers
-                // park until notified, so they don't steal cycles from the
-                // threads doing real work.
-                let mut wait = if policy.speculation.is_some() {
-                    Duration::from_millis(2)
-                } else {
-                    Duration::from_secs(60)
+    // Only speculation needs periodic polling; otherwise idle workers park
+    // until notified or the earliest backoff expires, so they don't steal
+    // cycles from the threads doing real work.
+    let poll = if policy.speculation.is_some() {
+        Duration::from_millis(2)
+    } else {
+        Duration::from_secs(60)
+    };
+    // A poisoned lock means a sibling panicked inside the ledger — a bug.
+    // The thread that sees it stops; the scope re-raises the sibling's panic.
+    std::thread::scope(|s| {
+        for _ in 0..workers.min(tasks.len()) {
+            s.spawn(|| loop {
+                let Ok(mut l) = ledger.lock() else { return };
+                let claim = loop {
+                    let now = Instant::now();
+                    if let Some(claim) = l.claim(now) {
+                        break claim;
+                    }
+                    if l.done() {
+                        cv.notify_all();
+                        return;
+                    }
+                    let ready_in = l.next_ready().map(|at| at.saturating_duration_since(now));
+                    let wait = ready_in.map_or(poll, |d| d.min(poll));
+                    match cv.wait_timeout(l, wait.max(Duration::from_micros(100))) {
+                        Ok((guard, _)) => l = guard,
+                        Err(_) => return,
+                    }
                 };
-                if let Some(earliest) = st.queue.iter().map(|q| q.not_before).min() {
-                    wait = wait.min(earliest.saturating_duration_since(now));
+                drop(l);
+                std::thread::sleep(claim.stall);
+                let outcome = catch_unwind(AssertUnwindSafe(|| run(&tasks[claim.task])))
+                    .unwrap_or_else(|payload| Err(panic_message(&*payload)));
+                let Ok(mut l) = ledger.lock() else { return };
+                match outcome {
+                    Ok(out) => l.success(claim.task, claim.attempt, out, Instant::now()),
+                    Err(message) => l.failure(claim.task, claim.attempt, message, Instant::now()),
                 }
-                let (g, _) = cv
-                    .wait_timeout(st, wait.max(Duration::from_micros(100)))
-                    .expect("executor state poisoned");
-                st = g;
-            }
-        };
-        let (task, attempt) = claimed;
-
-        // ---- run the attempt outside the lock ------------------------------
-        let started = Instant::now();
-        let outcome: Result<O, String> = catch_unwind(AssertUnwindSafe(|| {
-            if let Some(inj) = &policy.injector {
-                inj.fire(stage, task, attempt).map_err(|e| e.to_string())?;
-            }
-            Ok(run(&tasks[task]))
-        }))
-        .unwrap_or_else(|panic_payload| Err(panic_message(&*panic_payload)));
-
-        // ---- record the outcome --------------------------------------------
-        let mut st = state.lock().expect("executor state poisoned");
-        st.running.retain(|&(t, a, _)| !(t == task && a == attempt));
-        st.live[task] -= 1;
-        match outcome {
-            Ok(out) => {
-                if st.results[task].is_none() {
-                    st.results[task] = Some(out);
-                    st.completed += 1;
-                    let elapsed = started.elapsed();
-                    st.durations.push(elapsed);
-                    latency.record(elapsed.as_micros() as u64);
-                }
-                // A slower duplicate of an already-completed task is simply
-                // dropped: result identity, not timing, decides the output.
-            }
-            Err(message) => {
-                if st.results[task].is_some() {
-                    // A backup already completed the task; this failure is
-                    // moot.
-                } else if st.next_attempt[task] < policy.retry.max_attempts {
-                    let next = st.next_attempt[task];
-                    st.next_attempt[task] += 1;
-                    st.live[task] += 1;
-                    st.counters.retried += 1;
-                    let backoff = policy.retry.backoff_for(stage, task, next);
-                    st.queue.push_back(QueuedAttempt {
-                        task,
-                        attempt: next,
-                        not_before: Instant::now() + backoff,
-                    });
-                } else if st.live[task] == 0 {
-                    st.fatal = Some(ExecError {
-                        stage: stage.to_string(),
-                        task,
-                        attempts: st.next_attempt[task],
-                        message,
-                    });
-                }
-            }
+                cv.notify_all();
+            });
         }
-        cv.notify_all();
-    }
-}
-
-/// The Hadoop speculative-execution rule: any running attempt older than
-/// `straggler_factor ×` the median completed-task duration (and the
-/// configured floor) gets one backup attempt, provided the task still has
-/// attempt budget. Called with the state lock held.
-fn launch_speculative_backups<O>(
-    st: &mut ExecState<O>,
-    spec: &er_core::fault::SpeculationConfig,
-    retry: &er_core::fault::RetryPolicy,
-    now: Instant,
-) {
-    if st.durations.len() < spec.min_completed {
-        return;
-    }
-    let mut ds = st.durations.clone();
-    ds.sort_unstable();
-    let median = ds[ds.len() / 2];
-    let threshold = median.mul_f64(spec.straggler_factor).max(spec.min_runtime);
-    let stragglers: Vec<usize> = st
-        .running
-        .iter()
-        .filter(|&&(task, _, started)| {
-            st.results[task].is_none()
-                && !st.speculated[task]
-                && now.duration_since(started) > threshold
-                && st.next_attempt[task] < retry.max_attempts
-        })
-        .map(|&(task, _, _)| task)
-        .collect();
-    for task in stragglers {
-        let attempt = st.next_attempt[task];
-        st.next_attempt[task] += 1;
-        st.live[task] += 1;
-        st.speculated[task] = true;
-        st.counters.speculated += 1;
-        st.queue.push_back(QueuedAttempt {
-            task,
-            attempt,
-            not_before: now,
-        });
-    }
+    });
+    let ledger = ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
+    ledger.finish()
 }
 
 /// Best-effort extraction of a panic payload message.
@@ -711,7 +505,7 @@ where
                 map_fn(input, &mut emit);
             }
             let shuffled: u64 = buffers.iter_mut().map(|b| b.seal()).sum();
-            (buffers, emitted, shuffled)
+            Ok((buffers, emitted, shuffled))
         })?;
 
     // ---- shuffle: transpose to per-partition lists, in mapper order --------
@@ -750,12 +544,12 @@ where
     // ---- reduce phase: one task per partition ------------------------------
     // Outputs are positional (entry order); keys are moved out of
     // `merged_partitions` afterwards.
-    let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, TaskCounters) = execute_tasks(
+    let (reducer_outputs, reduce_counters): (Vec<Vec<Vec<R>>>, Counters) = execute_tasks(
         "reduce",
         &merged_partitions,
         workers,
         policy,
-        |entries: &Vec<(K, B::Group)>| entries.iter().map(|(k, g)| reduce_fn(k, g)).collect(),
+        |entries: &Vec<(K, B::Group)>| Ok(entries.iter().map(|(k, g)| reduce_fn(k, g)).collect()),
     )?;
     stats.reduce_groups = merged_partitions.iter().map(|p| p.len() as u64).sum();
     let mut keyed: Vec<(K, Vec<R>)> = merged_partitions
@@ -1247,24 +1041,46 @@ mod tests {
     }
 
     #[test]
-    fn missing_result_slot_is_a_typed_error_not_a_panic() {
-        let mut st: ExecState<u32> = ExecState {
-            queue: VecDeque::new(),
-            results: vec![Some(1), None, Some(3)],
-            completed: 2,
-            durations: Vec::new(),
-            running: Vec::new(),
-            live: vec![0; 3],
-            next_attempt: vec![1, 2, 1],
-            speculated: vec![false; 3],
-            counters: TaskCounters::default(),
-            fatal: None,
-        };
-        let err = collect_results("map", &mut st).unwrap_err();
-        assert_eq!(err.stage, "map");
-        assert_eq!(err.task, 1);
-        assert_eq!(err.attempts, 2);
-        assert!(err.to_string().contains("no recorded result"));
+    fn a_panicking_task_body_is_caught_retried_and_finally_typed() {
+        // Injected panics never unwind (the ledger books them as typed
+        // failures), so this is the test that holds `catch_unwind` to its
+        // job: a map function that really panics, once and then always.
+        let texts = ["a b", "c d", "e f"];
+        let tripped = std::sync::atomic::AtomicBool::new(false);
+        let mr: MapReduce<&str, String, u64, (String, u64)> = MapReduce::new(3);
+        let reduce = |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())];
+        let (out, stats) = mr
+            .try_run(
+                &texts,
+                &ExecPolicy::retrying(fast_retry(2)),
+                |text, emit| {
+                    if *text == "c d" && !tripped.swap(true, Ordering::Relaxed) {
+                        panic!("first attempt dies");
+                    }
+                    map_words(text, emit)
+                },
+                reduce,
+            )
+            .unwrap();
+        assert_eq!(out, reference(&texts));
+        assert_eq!(stats.tasks_retried, 1);
+
+        let err = mr
+            .try_run(
+                &texts,
+                &ExecPolicy::retrying(fast_retry(2)),
+                |text, emit| {
+                    assert!(*text != "e f", "always dies");
+                    map_words(text, emit)
+                },
+                reduce,
+            )
+            .unwrap_err();
+        assert_eq!((err.stage.as_str(), err.task, err.attempts), ("map", 2, 2));
+        assert!(
+            err.message.starts_with("task panicked: always dies"),
+            "{err}"
+        );
     }
 
     // ---- bounded shuffle / spilling ----------------------------------------

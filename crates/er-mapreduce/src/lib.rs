@@ -4,12 +4,15 @@
 //! blocking (Dedoop \[18\], parallel meta-blocking \[10\]/\[11\]). The real systems
 //! run on Hadoop clusters we cannot ship, so this crate substitutes an
 //! **in-process MapReduce engine** with the same programming model — `map →
-//! combine → partition/shuffle → reduce` — executing over crossbeam scoped
+//! combine → partition/shuffle → reduce` — executing over scoped
 //! threads. "Cluster nodes" become worker threads; job decompositions are
 //! taken from the surveyed papers, so speedup-vs-workers experiments keep
 //! their shape at laptop scale.
 //!
 //! * [`engine`] — the generic engine, deterministic for any worker count.
+//! * `ledger` (private) — the attempt ledger: the one statement of the
+//!   retry / backoff / speculation / reassignment / injection rules, driven
+//!   by the engine's threads and by the process coordinator alike.
 //! * [`spill`] — bounded shuffle buffers: codecs and byte bounds for
 //!   spilling oversized partitions to fingerprinted segment files.
 //! * [`proto`] — the length-prefixed framed worker protocol (handshake,
@@ -35,6 +38,7 @@ pub mod blocking;
 pub mod coordinator;
 pub mod dist;
 pub mod engine;
+mod ledger;
 pub mod metablocking;
 pub mod proto;
 pub mod sorted_neighborhood;

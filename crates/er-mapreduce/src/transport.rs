@@ -4,18 +4,19 @@
 //! stage's task payloads to a [`Transport`] and gets results back in task
 //! order. Two implementations exist:
 //!
-//! * [`InProcessTransport`] — tasks run on the crossbeam scheduler of the
-//!   existing engine (threads in this process). Unchanged semantics; this is
-//!   the bit-exactness oracle.
+//! * [`InProcessTransport`] — tasks run on the engine's scoped threads in
+//!   this process. This is the bit-exactness oracle.
 //! * [`SubprocessTransport`](crate::coordinator::SubprocessTransport) —
 //!   tasks run in spawned OS child processes speaking the framed protocol of
 //!   [`proto`](crate::proto), with real crash isolation.
 //!
-//! Both execute the same [`run_task`] bytes, so for a
-//! fixed driver configuration the outputs are bit-identical.
+//! Both execute the same [`run_task`] bytes and schedule attempts through the
+//! same attempt ledger, so for a fixed driver configuration the outputs are
+//! bit-identical and a fault plan means the same thing on either.
 
 use crate::dist::{run_task, TaskRegistry};
 use crate::engine::{execute_tasks, ExecError};
+use crate::ledger::Counters;
 use er_core::fault::ExecPolicy;
 
 /// One stage's results plus scheduling telemetry.
@@ -31,6 +32,17 @@ pub struct StageOutput {
     pub reassigned: u64,
 }
 
+impl StageOutput {
+    pub(crate) fn new(results: Vec<String>, counters: Counters) -> StageOutput {
+        StageOutput {
+            results,
+            retried: counters.retried,
+            speculated: counters.speculated,
+            reassigned: counters.reassigned,
+        }
+    }
+}
+
 /// Executes the tasks of one stage and returns results in task order.
 pub trait Transport {
     /// Runs `payloads` as the tasks of `stage` of the registered job `job`.
@@ -42,8 +54,8 @@ pub trait Transport {
     ) -> Result<StageOutput, ExecError>;
 }
 
-/// The in-process backend: the PR 2 retry/speculation scheduler over worker
-/// threads, executing [`run_task`] directly.
+/// The in-process backend: the engine's worker threads executing
+/// [`run_task`] directly.
 pub struct InProcessTransport {
     workers: usize,
     registry: TaskRegistry,
@@ -71,19 +83,9 @@ impl Transport for InProcessTransport {
         let registry = &self.registry;
         let (results, counters) =
             execute_tasks(stage, payloads, self.workers, &self.policy, |payload| {
-                // A typed task error becomes a panic so the engine's existing
-                // catch_unwind retry machinery applies unchanged.
-                match run_task(registry, job, stage, payload, 0) {
-                    Ok(out) => out,
-                    Err(message) => panic!("{message}"),
-                }
+                run_task(registry, job, stage, payload, 0)
             })?;
-        Ok(StageOutput {
-            results,
-            retried: counters.retried,
-            speculated: counters.speculated,
-            reassigned: 0,
-        })
+        Ok(StageOutput::new(results, counters))
     }
 }
 

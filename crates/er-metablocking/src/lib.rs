@@ -34,8 +34,6 @@ pub mod weights;
 
 pub use graph::BlockingGraph;
 pub use incremental::IncrementalGraph;
-pub use pipeline::{
-    meta_block, par_meta_block, par_meta_block_obs, par_meta_block_ooc_obs, prune_and_record,
-};
+pub use pipeline::{meta_block, par_meta_block, par_meta_block_ooc_obs, prune_and_record};
 pub use pruning::PruningScheme;
 pub use weights::WeightingScheme;

@@ -37,33 +37,14 @@ pub fn par_meta_block(
     pruning: PruningScheme,
     par: Parallelism,
 ) -> Vec<Pair> {
-    let obs = Obs::disabled();
-    par_meta_block_obs(collection, blocks, weighting, pruning, par, &obs)
-}
-
-/// [`par_meta_block`] with observability: records the number of weighted
-/// graph edges (`meta_blocking.edges_weighted`), comparisons before and
-/// after pruning (`meta_blocking.comparisons_{before,after}` — before is the
-/// edge count, i.e. the distinct candidate pairs entering the graph), the
-/// comparisons discarded (`meta_blocking.comparisons_pruned`), the
-/// pruning ratio gauge (`meta_blocking.pruning_ratio` = pruned / before),
-/// and the bytes moved through the sort-based edge aggregation
-/// (`metablocking.edge_sort_bytes` — the compact-layout build statistic).
-pub fn par_meta_block_obs(
-    collection: &EntityCollection,
-    blocks: &BlockCollection,
-    weighting: WeightingScheme,
-    pruning: PruningScheme,
-    par: Parallelism,
-    obs: &Obs,
-) -> Vec<Pair> {
     let graph = BlockingGraph::par_build(collection, blocks, par);
-    prune_and_record(&graph, weighting, pruning, par, obs)
+    prune_and_record(&graph, weighting, pruning, par, &Obs::disabled())
 }
 
-/// Out-of-core [`par_meta_block_obs`]: the graph is built through
-/// [`BlockingGraph::par_build_ooc`], then weighted and pruned in memory by
-/// the same step, recording the same `meta_blocking.*` series.
+/// Out-of-core [`par_meta_block`] with observability: the graph is built
+/// through [`BlockingGraph::par_build_ooc`], then weighted and pruned in
+/// memory by [`prune_and_record`], which records the `meta_blocking.*`
+/// series into `obs`.
 pub fn par_meta_block_ooc_obs(
     collection: &EntityCollection,
     blocks: &BlockCollection,
@@ -77,10 +58,16 @@ pub fn par_meta_block_ooc_obs(
     Ok(prune_and_record(&graph, weighting, pruning, par, obs))
 }
 
-/// Weighs and prunes a built graph and records the `meta_blocking.*` series
-/// of [`par_meta_block_obs`] — the step after the graph build, for callers
-/// that also read the graph (its edge count is the number of distinct
-/// blocked comparisons).
+/// Weighs and prunes a built graph — the step after the graph build, for
+/// callers that also read the graph (its edge count is the number of
+/// distinct blocked comparisons) — and records the number of weighted graph
+/// edges (`meta_blocking.edges_weighted`), comparisons before and after
+/// pruning (`meta_blocking.comparisons_{before,after}` — before is the edge
+/// count, i.e. the distinct candidate pairs entering the graph), the
+/// comparisons discarded (`meta_blocking.comparisons_pruned`), the pruning
+/// ratio gauge (`meta_blocking.pruning_ratio` = pruned / before), and the
+/// bytes moved through the sort-based edge aggregation
+/// (`metablocking.edge_sort_bytes` — the compact-layout build statistic).
 pub fn prune_and_record(
     graph: &BlockingGraph,
     weighting: WeightingScheme,

@@ -56,6 +56,7 @@ use er_core::metrics::{BlockingQuality, MatchQuality};
 use er_core::obs::{Event, MetricsSnapshot, Obs};
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
+use er_core::profiles::TokenProfiles;
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
@@ -810,22 +811,21 @@ fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::Gover
 
 /// Serializes a collection for the distributed `token-blocking` job: one
 /// record per entity in id order, `id \t token \t token …` with the entity's
-/// distinct tokens — the same per-entity token *set* the in-process build
-/// indexes (tokens are alphanumeric after normalization, so the tab framing
-/// is unambiguous).
+/// distinct tokens in token order — the rows of the same [`TokenProfiles`]
+/// the matching kernel builds, so the per-entity tokenise-sort-dedup step is
+/// `EntityTokens::sorted_keys_into` here too (tokens are alphanumeric after
+/// normalization, so the tab framing is unambiguous).
 fn dist_blocking_records(collection: &EntityCollection) -> Vec<String> {
     let tokenizer = er_core::tokenize::Tokenizer::default();
-    collection
+    let profiles = TokenProfiles::build(collection, &tokenizer, Parallelism::serial());
+    profiles
         .iter()
-        .map(|e| {
-            let mut tokens = std::collections::BTreeSet::new();
-            for (_, v) in e.attributes() {
-                tokens.extend(tokenizer.tokens(v));
-            }
-            let mut record = e.id().0.to_string();
-            for t in &tokens {
+        .enumerate()
+        .map(|(id, symbols)| {
+            let mut record = id.to_string();
+            for s in symbols {
                 record.push('\t');
-                record.push_str(t);
+                record.push_str(&profiles.vocabulary()[s.index()]);
             }
             record
         })
@@ -1110,14 +1110,13 @@ mod tests {
         let ds = dataset();
         let records = dist_blocking_records(&ds.collection);
         assert_eq!(records.len(), ds.collection.len());
-        for (i, r) in records.iter().enumerate() {
+        let tokenizer = er_core::tokenize::Tokenizer::default();
+        for (e, r) in ds.collection.iter().zip(&records) {
             let mut fields = r.split('\t');
-            assert_eq!(fields.next().unwrap(), i.to_string(), "id order");
+            assert_eq!(fields.next().unwrap(), e.id().0.to_string(), "id order");
             let tokens: Vec<&str> = fields.collect();
-            let mut sorted = tokens.clone();
-            sorted.sort_unstable();
-            sorted.dedup();
-            assert_eq!(tokens, sorted, "distinct sorted tokens: {r:?}");
+            // A `BTreeSet<String>` iterates distinct tokens in token order.
+            assert!(tokens.iter().eq(&e.token_set(&tokenizer)), "{r:?}");
         }
     }
 

@@ -16,6 +16,11 @@
 //!
 //! * `ER_FAULT_SEED=n`  — check only schedule seed `n` (default: seeds 0..24)
 //! * `ER_FAULT_WORKERS=n` — check only `n` workers (default: {1, 2, 4})
+//!
+//! The last section is the first cell of the *mode × fault plan* product:
+//! the same plans through the in-process and the subprocess transport must
+//! mean the same thing — equal output, equal retries, equal typed error —
+//! because both schedule attempts through the one attempt ledger.
 
 use er_core::collection::EntityCollection;
 use er_core::fault::{
@@ -24,7 +29,11 @@ use er_core::fault::{
 };
 use er_core::metrics::MatchQuality;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_mapreduce::engine::{JobStats, MapReduce};
+use er_mapreduce::engine::{ExecError, JobStats, MapReduce};
+use er_mapreduce::{
+    default_registry, run_dist, DistOptions, DistOutput, InProcessTransport, SubprocessConfig,
+    SubprocessTransport,
+};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions};
 use std::path::PathBuf;
@@ -375,4 +384,203 @@ fn progressive_deadline_expiry_emits_partial_results() {
     let unlimited = p.run_progressive(&ds.collection, &ds.truth, er_progressive::Budget::Unlimited);
     assert_eq!(full.matches, unlimited.matches);
     assert_eq!(full.comparisons, unlimited.comparisons);
+}
+
+// ---------------------------------------------------------------------------
+// Cross-backend parity: one fault plan, two transports
+// ---------------------------------------------------------------------------
+
+const PARITY_WORKERS: usize = 2;
+
+/// Token-blocking records with overlapping vocabulary, so blocks span map
+/// chunks and every reduce partition has work.
+fn tb_inputs(n: u32) -> Vec<String> {
+    (0..n)
+        .map(|i| {
+            format!(
+                "{i}\ttok{}\ttok{}\tcommon{}",
+                i % 7,
+                (i * 3 + 1) % 11,
+                i % 2
+            )
+        })
+        .collect()
+}
+
+/// Task counts fixed independently of the worker count: the fault plan is
+/// keyed by task index, so every cell draws from the same schedule.
+fn parity_opts(workers: usize) -> DistOptions {
+    DistOptions {
+        map_tasks: 8,
+        partitions: 4,
+        ..DistOptions::for_workers(workers)
+    }
+}
+
+fn parity_policy(plan: FaultPlan, max_attempts: u32, jitter_seed: u64) -> ExecPolicy {
+    ExecPolicy::retrying(RetryPolicy {
+        max_attempts,
+        base_backoff: std::time::Duration::from_micros(100),
+        max_backoff: std::time::Duration::from_millis(2),
+        jitter_seed,
+    })
+    .with_injector(Arc::new(FaultInjector::new(plan)))
+}
+
+/// One run of the `token-blocking` job: the outcome and the faults fired.
+type ParityRun = (Result<DistOutput, ExecError>, u64);
+
+fn in_process_run(inputs: &[String], workers: usize, policy: ExecPolicy) -> ParityRun {
+    let mut t = InProcessTransport::new(workers, default_registry(), policy.clone());
+    let out = run_dist(&mut t, "token-blocking", inputs, &parity_opts(workers));
+    (out, policy.faults_injected())
+}
+
+fn subprocess_run(inputs: &[String], mut cfg: SubprocessConfig, policy: ExecPolicy) -> ParityRun {
+    cfg.program = Some(PathBuf::from(env!("CARGO_BIN_EXE_er-test-worker")));
+    cfg.policy = policy.clone();
+    let opts = parity_opts(cfg.workers);
+    let mut t = SubprocessTransport::new(cfg);
+    let out = run_dist(&mut t, "token-blocking", inputs, &opts);
+    (out, policy.faults_injected())
+}
+
+/// One explicit plan — a transient error, a panic and a delay — costs each
+/// targeted attempt and nothing else on both backends. On the subprocess
+/// side that means the coordinator neither unwinds on the injected panic nor
+/// sleeps its event loop through the delay: the delay outlasts the liveness
+/// deadline, and no healthy worker may be declared dead for it.
+#[test]
+fn an_explicit_fault_plan_means_the_same_on_both_backends() {
+    let inputs = tb_inputs(96);
+    let delay = std::time::Duration::from_millis(600);
+    let plan = || {
+        FaultPlan::none()
+            .inject("map", 0, 0, FaultKind::Transient)
+            .inject("map", 1, 0, FaultKind::Panic)
+            .inject("reduce", 0, 0, FaultKind::Delay(delay))
+    };
+    let reference = in_process_run(&inputs, PARITY_WORKERS, ExecPolicy::default())
+        .0
+        .expect("fault-free run cannot fail");
+
+    let (threads, thread_faults) =
+        in_process_run(&inputs, PARITY_WORKERS, parity_policy(plan(), 3, 5));
+    let threads = threads.expect("absorbable plan, in-process");
+
+    let obs = er_core::obs::Obs::enabled();
+    let mut cfg = SubprocessConfig::new(PARITY_WORKERS);
+    cfg.heartbeat = std::time::Duration::from_millis(20);
+    cfg.liveness_deadline = delay / 2;
+    let policy = parity_policy(plan(), 3, 5).with_obs(obs.clone());
+    let (procs, proc_faults) = subprocess_run(&inputs, cfg, policy);
+    let procs = procs.expect("absorbable plan, subprocess");
+
+    assert_eq!(threads.pairs, reference.pairs);
+    assert_eq!(procs.pairs, reference.pairs);
+    assert_eq!((threads.stats.retried, thread_faults), (2, 3));
+    assert_eq!((procs.stats.retried, proc_faults), (2, 3));
+    assert_eq!(procs.stats, threads.stats);
+    let snap = obs.snapshot();
+    assert_eq!(
+        snap.counter("worker.crashed").unwrap_or(0),
+        0,
+        "delay killed a worker"
+    );
+    assert_eq!(snap.counter("worker.heartbeats_missed").unwrap_or(0), 0);
+    assert_eq!(snap.counter("worker.spawned"), Some(PARITY_WORKERS as u64));
+}
+
+/// A delayed attempt is a straggler on both backends: one backup, first
+/// finisher wins, same output. On the subprocess side the map stage ends
+/// while the delayed `map/0/0` is still in flight; its late reply arrives
+/// while the (also delayed) `reduce/0/0` is running and must be dropped
+/// there, not booked as that reduce task's result.
+#[test]
+fn a_straggler_gets_one_backup_on_both_backends() {
+    let inputs = tb_inputs(96);
+    let policy = || {
+        let delay = |ms| FaultKind::Delay(std::time::Duration::from_millis(ms));
+        let plan =
+            FaultPlan::none()
+                .inject("map", 0, 0, delay(500))
+                .inject("reduce", 0, 0, delay(700));
+        parity_policy(plan, 3, 2).with_speculation(SpeculationConfig {
+            straggler_factor: 2.0,
+            min_completed: 1,
+            min_runtime: std::time::Duration::from_millis(100),
+        })
+    };
+    let reference = in_process_run(&inputs, PARITY_WORKERS, ExecPolicy::default())
+        .0
+        .expect("fault-free run cannot fail");
+    let threads = in_process_run(&inputs, PARITY_WORKERS, policy())
+        .0
+        .expect("in-process");
+    let procs = subprocess_run(&inputs, SubprocessConfig::new(PARITY_WORKERS), policy())
+        .0
+        .expect("subprocess");
+    assert_eq!(threads.pairs, reference.pairs);
+    assert_eq!(procs.pairs, reference.pairs);
+    assert_eq!((threads.stats.speculated, threads.stats.retried), (2, 0));
+    assert_eq!(procs.stats, threads.stats);
+}
+
+/// With the retry budget exhausted, both backends report the same typed
+/// error — stage, task, typed failures observed, final message.
+#[test]
+fn an_unabsorbable_fault_plan_is_the_same_typed_error_on_both_backends() {
+    let inputs = tb_inputs(96);
+    for kind in [FaultKind::Transient, FaultKind::Panic] {
+        let plan = || {
+            FaultPlan::none()
+                .inject("map", 0, 0, FaultKind::Transient)
+                .inject_all_attempts("reduce", 1, 8, kind)
+        };
+        let threads = in_process_run(&inputs, PARITY_WORKERS, parity_policy(plan(), 2, 1))
+            .0
+            .expect_err("schedule must exhaust the retry budget, in-process");
+        let cfg = SubprocessConfig::new(PARITY_WORKERS);
+        let procs = subprocess_run(&inputs, cfg, parity_policy(plan(), 2, 1))
+            .0
+            .expect_err("schedule must exhaust the retry budget, subprocess");
+        assert_eq!(
+            (threads.stage.as_str(), threads.task, threads.attempts),
+            ("reduce", 1, 2),
+            "{threads}"
+        );
+        assert_eq!(procs, threads, "{kind:?}");
+    }
+}
+
+/// The seeded schedules of the CI `fault-matrix` (`ER_FAULT_SEED` ×
+/// `ER_FAULT_WORKERS`), through both backends: equal output, equal retries,
+/// equal faults fired.
+#[test]
+fn seeded_fault_plans_mean_the_same_on_both_backends() {
+    let inputs = tb_inputs(96);
+    let reference = in_process_run(&inputs, 1, ExecPolicy::default())
+        .0
+        .expect("fault-free run cannot fail");
+    let mut faults_seen = 0u64;
+    for seed in fault_seeds() {
+        for workers in worker_counts() {
+            let policy =
+                || parity_policy(FaultPlan::seeded(SeededFaults::absorbable(seed)), 3, seed);
+            let cell = format!("seed={seed} workers={workers}");
+            let (threads, thread_faults) = in_process_run(&inputs, workers, policy());
+            let threads = threads.unwrap_or_else(|e| panic!("{cell} in-process: {e}"));
+            let (procs, proc_faults) =
+                subprocess_run(&inputs, SubprocessConfig::new(workers), policy());
+            let procs = procs.unwrap_or_else(|e| panic!("{cell} subprocess: {e}"));
+            assert_eq!(threads.pairs, reference.pairs, "{cell}");
+            assert_eq!(procs.pairs, reference.pairs, "{cell}");
+            assert_eq!(procs.stats, threads.stats, "{cell}");
+            assert_eq!(proc_faults, thread_faults, "{cell}");
+            faults_seen += proc_faults;
+        }
+    }
+    if fault_seeds().len() > 1 {
+        assert!(faults_seen > 0, "the sweep must actually inject faults");
+    }
 }

@@ -187,6 +187,64 @@ fn every_entry_point_records_the_walk_spans_and_run_counters() {
     }
 }
 
+/// `mapreduce.task_latency_micros` is recorded by the attempt ledger, so it
+/// exists on both backends and holds one sample per *task* — the first
+/// success — however many attempts (retries here) the task took. This is the
+/// equality `er-metrics-check --require-backend` gates on.
+#[test]
+fn task_latency_is_timed_once_per_task_on_both_backends() {
+    use er_core::fault::{ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
+    use er_mapreduce::{
+        default_registry, run_dist, DistOptions, InProcessTransport, SubprocessConfig,
+        SubprocessTransport, Transport,
+    };
+    let inputs: Vec<String> = (0..60)
+        .map(|i| format!("{i}\ttok{}\ttok{}", i % 5, i % 3))
+        .collect();
+    let policy = |obs: &Obs| {
+        let plan = FaultPlan::none()
+            .inject("map", 0, 0, FaultKind::Transient)
+            .inject("reduce", 1, 0, FaultKind::Panic);
+        ExecPolicy::retrying(RetryPolicy::attempts(3))
+            .with_injector(Arc::new(FaultInjector::new(plan)))
+            .with_obs(obs.clone())
+    };
+    let timed_once = |backend: &str, obs: &Obs, transport: &mut dyn Transport| {
+        let out = run_dist(
+            transport,
+            "token-blocking",
+            &inputs,
+            &DistOptions::for_workers(2),
+        )
+        .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        out.stats.record_obs(obs);
+        let snapshot = obs.snapshot();
+        let tasks = out.stats.map_tasks + out.stats.reduce_tasks;
+        assert_eq!(out.stats.retried, 2, "{backend}");
+        assert_eq!(
+            snapshot.counter("mapreduce.map_tasks").unwrap_or(0)
+                + snapshot.counter("mapreduce.reduce_tasks").unwrap_or(0),
+            tasks,
+            "{backend}"
+        );
+        let timed = snapshot
+            .histograms
+            .get("mapreduce.task_latency_micros")
+            .map_or(0, |h| h.count);
+        assert_eq!(timed, tasks, "{backend}");
+    };
+
+    let obs = Obs::enabled();
+    let mut threads = InProcessTransport::new(2, default_registry(), policy(&obs));
+    timed_once("in-process", &obs, &mut threads);
+
+    let obs = Obs::enabled();
+    let mut cfg = SubprocessConfig::new(2);
+    cfg.program = Some(env!("CARGO_BIN_EXE_er-test-worker").into());
+    cfg.policy = policy(&obs);
+    timed_once("subprocess", &obs, &mut SubprocessTransport::new(cfg));
+}
+
 /// The log2 bucket boundaries are a wire format: recorded snapshots (and
 /// the docs/observability.md catalog) depend on them, so they are locked
 /// here value by value.
