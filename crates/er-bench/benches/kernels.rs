@@ -102,6 +102,20 @@ fn bench_metablocking(c: &mut Criterion) {
             &format!("metablocking/wnp_{}_1000", weighting.name()),
             |b| b.iter(|| PruningScheme::Wnp.prune(black_box(&graph), weighting)),
         );
+        // The same result without the graph: build + prune in one scan.
+        c.bench_function(
+            &format!("metablocking/scan_wnp_{}_1000", weighting.name()),
+            |b| {
+                b.iter(|| {
+                    er_metablocking::meta_block(
+                        black_box(&ds.collection),
+                        black_box(&blocks),
+                        weighting,
+                        PruningScheme::Wnp,
+                    )
+                })
+            },
+        );
     }
 }
 

@@ -12,13 +12,14 @@
 //!
 //! - blocking did real work: `blocking.blocks_built` > 0 and the
 //!   `blocking.block_size` histogram is non-empty;
-//! - the compact layouts were exercised: `blocking.interner_symbols` > 0
-//!   (token blocking interned a vocabulary) and
-//!   `metablocking.edge_sort_bytes` > 0 (the graph was built via the flat
-//!   sort-aggregated path — see `docs/data_layout.md`);
-//! - meta-blocking is consistent: `meta_blocking.comparisons_after` ≤
-//!   `meta_blocking.comparisons_before`, the pruned/before/after ledger adds
-//!   up, and the `meta_blocking.pruning_ratio` gauge is strictly positive;
+//! - the compact layout was exercised: `blocking.interner_symbols` > 0
+//!   (token blocking interned a vocabulary — see `docs/data_layout.md`);
+//! - meta-blocking is consistent: `meta_blocking.contributions` ≥
+//!   `meta_blocking.comparisons_before` ≥ `meta_blocking.comparisons_after`
+//!   (the node scan folds at least one block-pair occurrence into every
+//!   edge, and pruning never grows the edge set), the pruned/before/after
+//!   ledger adds up, and the `meta_blocking.pruning_ratio` gauge is strictly
+//!   positive;
 //! - every Fig. 1 stage span is present under the `pipeline.run` parent:
 //!   blocking, cleaning, meta-blocking, matching, clustering;
 //! - the matching stage decided from token profiles: whenever
@@ -178,24 +179,27 @@ fn check(
         Some(_) => {}
     }
 
-    // The compact data layouts ran: a non-trivial collection interns at
-    // least one token symbol, and the flat graph build reports the bytes it
-    // moved through its sort buffers (see docs/data_layout.md).
+    // The compact data layout ran: a non-trivial collection interns at
+    // least one token symbol (see docs/data_layout.md).
     match snapshot.counter("blocking.interner_symbols") {
         None => fail("blocking.interner_symbols counter is missing".to_string()),
         Some(0) => fail("blocking.interner_symbols is 0 — no vocabulary interned".to_string()),
         Some(_) => {}
     }
-    match snapshot.counter("metablocking.edge_sort_bytes") {
-        None => fail("metablocking.edge_sort_bytes counter is missing".to_string()),
-        Some(0) => {
-            fail("metablocking.edge_sort_bytes is 0 — flat graph build did not run".to_string())
-        }
-        Some(_) => {}
-    }
 
-    // Meta-blocking prunes (never grows) the comparison set, and its
+    // Every edge the node scan weighs folds at least one block-pair
+    // occurrence, pruning never grows the comparison set, and the
     // before/after/pruned ledger is internally consistent.
+    match (
+        snapshot.counter("meta_blocking.contributions"),
+        snapshot.counter("meta_blocking.comparisons_before"),
+    ) {
+        (None, _) => fail("meta_blocking.contributions counter is missing".to_string()),
+        (Some(c), Some(b)) if c < b => fail(format!(
+            "meta_blocking.contributions ({c}) is below comparisons_before ({b})"
+        )),
+        _ => {}
+    }
     let before = snapshot.counter("meta_blocking.comparisons_before");
     let after = snapshot.counter("meta_blocking.comparisons_after");
     let pruned = snapshot.counter("meta_blocking.comparisons_pruned");
@@ -431,8 +435,7 @@ mod tests {
         let mut s = MetricsSnapshot::default();
         s.counters.insert("blocking.blocks_built".into(), 10);
         s.counters.insert("blocking.interner_symbols".into(), 25);
-        s.counters
-            .insert("metablocking.edge_sort_bytes".into(), 4096);
+        s.counters.insert("meta_blocking.contributions".into(), 250);
         s.counters
             .insert("meta_blocking.comparisons_before".into(), 100);
         s.counters
@@ -550,17 +553,31 @@ mod tests {
     }
 
     #[test]
-    fn missing_or_zero_layout_counters_are_caught() {
+    fn missing_layout_counter_is_caught() {
         let mut s = healthy();
         s.counters.remove("blocking.interner_symbols");
-        s.counters.insert("metablocking.edge_sort_bytes".into(), 0);
         let failures = check(&s, false, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("interner_symbols")),
             "{failures:?}"
         );
+    }
+
+    #[test]
+    fn contributions_missing_or_below_the_edge_count_are_caught() {
+        let mut s = healthy();
+        s.counters.insert("meta_blocking.contributions".into(), 99);
+        let failures = check(&s, false, false, false, false, false);
         assert!(
-            failures.iter().any(|f| f.contains("edge_sort_bytes")),
+            failures.iter().any(|f| f.contains("is below")),
+            "{failures:?}"
+        );
+        s.counters.remove("meta_blocking.contributions");
+        let failures = check(&s, false, false, false, false, false);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("contributions counter is missing")),
             "{failures:?}"
         );
     }

@@ -398,7 +398,7 @@ impl BlockingGraph {
             .edges()
             .filter_map(|(p, _)| weighting.weight(self, p).map(|w| (p, w)))
             .collect();
-        weighted.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("weights are finite"));
+        weighted.sort_by(|a, b| b.1.total_cmp(&a.1));
         let truncated = weighted.len() > max_edges;
         weighted.truncate(max_edges);
         let mut out = String::from("graph blocking {\n");

@@ -7,7 +7,13 @@
 //! co-occurrence **weights**, comparisons between unlikely-to-match
 //! descriptions can be **pruned**.
 //!
-//! * [`graph::BlockingGraph`] — the graph, built in one pass over the blocks.
+//! * [`scan`] — meta-blocking without the graph: each node's neighbourhood
+//!   is accumulated from the entity→blocks index, weighed and pruned on the
+//!   spot. This is what [`meta_block`] and `er-pipeline` run.
+//! * [`graph::BlockingGraph`] — the materialised graph, built in one pass
+//!   over the blocks: the reference the scan is bit-identical to, and the
+//!   structure behind incremental maintenance, supervised pruning and DOT
+//!   export.
 //! * [`incremental::IncrementalGraph`] — the graph maintained under
 //!   streaming entity arrivals: integer statistics exact per batch, ARCS
 //!   restored bit-exactly at every checkpoint refresh.
@@ -19,7 +25,8 @@
 //! * [`pipeline`] — the end-to-end convenience API.
 //! * [`ooc`] — out-of-core graph construction: edge contributions spilled
 //!   as pair-sorted segment runs and merged streaming, bit-identical to
-//!   the in-memory build (ARCS bits included).
+//!   the in-memory build (ARCS bits included). The scan has nothing to
+//!   spill, so no pipeline path builds the graph this way any more.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -29,11 +36,13 @@ pub mod incremental;
 pub mod ooc;
 pub mod pipeline;
 pub mod pruning;
+pub mod scan;
 pub mod supervised;
 pub mod weights;
 
 pub use graph::BlockingGraph;
 pub use incremental::IncrementalGraph;
-pub use pipeline::{meta_block, par_meta_block, par_meta_block_ooc_obs, prune_and_record};
+pub use pipeline::{meta_block, par_meta_block};
 pub use pruning::PruningScheme;
+pub use scan::{node_scan, Pruned};
 pub use weights::WeightingScheme;

@@ -82,12 +82,9 @@ impl BlockingGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pruning::PruningScheme;
-    use crate::weights::WeightingScheme;
     use er_blocking::TokenBlocking;
     use er_core::collection::{EntityCollection, ResolutionMode};
     use er_core::entity::{EntityBuilder, KbId};
-    use er_core::obs::Obs;
     use std::path::PathBuf;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -138,36 +135,6 @@ mod tests {
                 let _ = std::fs::remove_dir_all(&dir);
             }
         }
-    }
-
-    #[test]
-    fn ooc_meta_block_matches_in_memory_pipeline() {
-        let (c, blocks) = fixture();
-        let par = Parallelism::threads(2);
-        let oracle = crate::pipeline::par_meta_block(
-            &c,
-            &blocks,
-            WeightingScheme::Arcs,
-            PruningScheme::Wep,
-            par,
-        );
-        let dir = tmp_dir("pipeline");
-        let cfg = OocConfig::new(&dir).with_run_entries(128);
-        let obs = Obs::enabled();
-        let got = crate::pipeline::par_meta_block_ooc_obs(
-            &c,
-            &blocks,
-            WeightingScheme::Arcs,
-            PruningScheme::Wep,
-            par,
-            &obs,
-            &cfg,
-        )
-        .unwrap();
-        assert_eq!(got, oracle);
-        let snap = obs.snapshot();
-        assert!(snap.counter("meta_blocking.edges_weighted").unwrap() > 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -16,9 +16,10 @@
 
 use crate::graph::BlockingGraph;
 use crate::weights::WeightingScheme;
+use er_core::entity::EntityId;
 use er_core::pair::Pair;
 use er_core::parallel::{par_map, Parallelism};
-use std::collections::BTreeSet;
+use std::ops::Range;
 
 /// The pruning schemes.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -46,6 +47,16 @@ impl PruningScheme {
         PruningScheme::Cnp,
     ];
 
+    /// All six schemes: the canonical four and the reciprocal variants.
+    pub const ALL: [PruningScheme; 6] = [
+        PruningScheme::Wep,
+        PruningScheme::Cep,
+        PruningScheme::Wnp,
+        PruningScheme::Cnp,
+        PruningScheme::ReciprocalWnp,
+        PruningScheme::ReciprocalCnp,
+    ];
+
     /// Name for experiment output.
     pub fn name(self) -> &'static str {
         match self {
@@ -56,6 +67,20 @@ impl PruningScheme {
             PruningScheme::ReciprocalWnp => "rWNP",
             PruningScheme::ReciprocalCnp => "rCNP",
         }
+    }
+
+    /// Whether a node-centric scheme needs an edge to survive in *both*
+    /// endpoints' neighbourhoods.
+    pub(crate) fn is_reciprocal(self) -> bool {
+        matches!(
+            self,
+            PruningScheme::ReciprocalWnp | PruningScheme::ReciprocalCnp
+        )
+    }
+
+    /// CEP's global budget `⌊BC/2⌋` (at least 1).
+    pub(crate) fn edge_budget(total_assignments: u64) -> usize {
+        ((total_assignments / 2) as usize).max(1)
     }
 
     /// Applies the scheme to a graph under a weighting scheme, returning the
@@ -90,10 +115,21 @@ impl PruningScheme {
         if weighted.is_empty() {
             return Vec::new();
         }
+        if let Some(rule) = NodeRule::of(self, graph.total_assignments(), graph.n_entities()) {
+            return self.node_centric(graph, &weighted, rule, par);
+        }
         match self {
-            PruningScheme::Wep => {
-                // Serial sum in edge order: the mean is identical at every
-                // thread count because `weighted` is.
+            PruningScheme::Cep => {
+                let k = Self::edge_budget(graph.total_assignments());
+                let mut sorted = weighted;
+                sorted.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+                let mut kept: Vec<Pair> = sorted.into_iter().take(k).map(|(p, _)| p).collect();
+                kept.sort();
+                kept
+            }
+            _ => {
+                // WEP. Serial sum in edge order: the mean is identical at
+                // every thread count because `weighted` is.
                 let mean: f64 =
                     weighted.iter().map(|(_, w)| w).sum::<f64>() / weighted.len() as f64;
                 weighted
@@ -101,21 +137,6 @@ impl PruningScheme {
                     .filter(|(_, w)| *w >= mean)
                     .map(|(p, _)| p)
                     .collect()
-            }
-            PruningScheme::Cep => {
-                let k = ((graph.total_assignments() / 2) as usize).max(1);
-                let mut sorted = weighted;
-                sorted.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
-                let mut kept: Vec<Pair> = sorted.into_iter().take(k).map(|(p, _)| p).collect();
-                kept.sort();
-                kept
-            }
-            PruningScheme::Wnp | PruningScheme::ReciprocalWnp => {
-                self.node_centric(graph, &weighted, NodeRule::MeanThreshold, par)
-            }
-            PruningScheme::Cnp | PruningScheme::ReciprocalCnp => {
-                let k = (graph.total_assignments() as usize / graph.n_entities().max(1)).max(1);
-                self.node_centric(graph, &weighted, NodeRule::TopK(k), par)
             }
         }
     }
@@ -127,60 +148,159 @@ impl PruningScheme {
         rule: NodeRule,
         par: Parallelism,
     ) -> Vec<Pair> {
+        // Adjacency as a CSR over the pair-sorted edges: every edge lands in
+        // both endpoints' rows, and because the edges arrive in pair order
+        // each row holds its neighbours in ascending id order.
         let n = graph.n_entities();
-        // Adjacency of (weight, pair) per node.
-        let mut adj: Vec<Vec<(f64, Pair)>> = vec![Vec::new(); n];
+        let ends = weighted.iter().flat_map(|(p, _)| [p.first(), p.second()]);
+        let offsets = csr_offsets(n, ends.map(EntityId::index));
+        let mut cursor = offsets.clone();
+        let mut neighbours = vec![EntityId(0); offsets[n]];
+        let mut weights = vec![0.0f64; offsets[n]];
         for &(p, w) in weighted {
-            adj[p.first().index()].push((w, p));
-            adj[p.second().index()].push((w, p));
+            for (u, v) in [(p.first(), p.second()), (p.second(), p.first())] {
+                let at = &mut cursor[u.index()];
+                neighbours[*at] = v;
+                weights[*at] = w;
+                *at += 1;
+            }
         }
-        // Per-node survivors: each neighborhood's decision is a pure
-        // function of its own adjacency list, so the scan parallelizes as an
-        // order-preserving map; survivors are then merged in node order.
-        let keeps = par_map(par, &adj, |edges| {
-            if edges.is_empty() {
-                return Vec::new();
+        // Each neighbourhood's decision is a pure function of its own row,
+        // so node ranges run independently and only the survivors meet.
+        let ranges = balanced_ranges(&offsets, par.effective());
+        let survivors = par_map(par, &ranges, |nodes| {
+            let mut out: Vec<Pair> = Vec::new();
+            let mut order = Vec::new();
+            for u in nodes.clone() {
+                let row = offsets[u]..offsets[u + 1];
+                let ids = &neighbours[row.clone()];
+                rule.survivors(&weights[row], &mut order, |i| {
+                    out.push(Pair::new(EntityId(u as u32), ids[i]))
+                });
             }
-            match rule {
-                NodeRule::MeanThreshold => {
-                    let mean: f64 = edges.iter().map(|(w, _)| w).sum::<f64>() / edges.len() as f64;
-                    edges
-                        .iter()
-                        .filter(|(w, _)| *w >= mean)
-                        .map(|(_, p)| *p)
-                        .collect()
-                }
-                NodeRule::TopK(k) => {
-                    let mut sorted = edges.clone();
-                    sorted.sort_by(|a, b| b.0.partial_cmp(&a.0).unwrap().then(a.1.cmp(&b.1)));
-                    sorted.into_iter().take(k).map(|(_, p)| p).collect()
-                }
-            }
+            out
         });
-        let mut survivor_count: std::collections::BTreeMap<Pair, u8> = Default::default();
-        for keep in keeps {
-            for p in keep {
-                *survivor_count.entry(p).or_insert(0) += 1;
-            }
-        }
-        let reciprocal = matches!(
-            self,
-            PruningScheme::ReciprocalWnp | PruningScheme::ReciprocalCnp
-        );
-        let needed = if reciprocal { 2 } else { 1 };
-        let kept: BTreeSet<Pair> = survivor_count
-            .into_iter()
-            .filter(|(_, c)| *c >= needed)
-            .map(|(p, _)| p)
-            .collect();
-        kept.into_iter().collect()
+        merge_survivors(survivors.concat(), self.is_reciprocal())
     }
 }
 
+/// The per-neighbourhood criterion of the node-centric schemes.
 #[derive(Clone, Copy)]
-enum NodeRule {
+pub(crate) enum NodeRule {
+    /// WNP / rWNP: keep edges at or above the neighbourhood's mean weight.
     MeanThreshold,
+    /// CNP / rCNP: keep the `k` heaviest edges of the neighbourhood.
     TopK(usize),
+}
+
+impl NodeRule {
+    /// The rule of a node-centric scheme (`k = ⌊BC/|V|⌋`, at least 1, for
+    /// the cardinality ones); `None` for the edge-centric WEP and CEP.
+    pub(crate) fn of(
+        scheme: PruningScheme,
+        total_assignments: u64,
+        n_entities: usize,
+    ) -> Option<NodeRule> {
+        match scheme {
+            PruningScheme::Wnp | PruningScheme::ReciprocalWnp => Some(NodeRule::MeanThreshold),
+            PruningScheme::Cnp | PruningScheme::ReciprocalCnp => Some(NodeRule::TopK(
+                (total_assignments as usize / n_entities.max(1)).max(1),
+            )),
+            PruningScheme::Wep | PruningScheme::Cep => None,
+        }
+    }
+
+    /// Judges one neighbourhood: `weights` holds its edge weights with the
+    /// neighbours in **ascending id order**, and `keep(i)` is called for
+    /// every surviving position. The order is part of the contract twice
+    /// over: the mean is summed left to right (`f64` addition does not
+    /// associate), and top-`k` breaks weight ties towards the smaller
+    /// neighbour id — which is the canonical pair order of the node's edges.
+    /// `order` is selection scratch, reused across calls.
+    pub(crate) fn survivors(
+        self,
+        weights: &[f64],
+        order: &mut Vec<u32>,
+        mut keep: impl FnMut(usize),
+    ) {
+        match self {
+            NodeRule::TopK(k) if k < weights.len() => {
+                order.clear();
+                order.extend(0..weights.len() as u32);
+                let heaviest_first = |&a: &u32, &b: &u32| {
+                    weights[b as usize]
+                        .total_cmp(&weights[a as usize])
+                        .then(a.cmp(&b))
+                };
+                order.select_nth_unstable_by(k.saturating_sub(1), heaviest_first);
+                order[..k].iter().for_each(|&i| keep(i as usize));
+            }
+            NodeRule::TopK(_) => (0..weights.len()).for_each(keep),
+            NodeRule::MeanThreshold => {
+                let mean: f64 = weights.iter().sum::<f64>() / weights.len() as f64;
+                (0..weights.len())
+                    .filter(|&i| weights[i] >= mean)
+                    .for_each(keep);
+            }
+        }
+    }
+}
+
+/// The flat survivor merge of the node-centric schemes: every node has
+/// pushed the pairs that survive in its neighbourhood, so a pair occurs once
+/// per endpoint that kept it. One sort, then a run-length read: any
+/// occurrence keeps the pair, or both must when `reciprocal`.
+pub(crate) fn merge_survivors(mut survivors: Vec<Pair>, reciprocal: bool) -> Vec<Pair> {
+    survivors.sort_unstable();
+    if reciprocal {
+        survivors
+            .windows(2)
+            .filter(|w| w[0] == w[1])
+            .map(|w| w[0])
+            .collect()
+    } else {
+        survivors.dedup();
+        survivors
+    }
+}
+
+/// Row offsets of a CSR with `n` rows holding one entry per item of `rows`
+/// (each item names its row): `n + 1` entries, row `r` owning
+/// `offsets[r]..offsets[r + 1]`.
+pub(crate) fn csr_offsets(n: usize, rows: impl Iterator<Item = usize>) -> Vec<usize> {
+    let mut offsets = vec![0usize; n + 1];
+    for row in rows {
+        offsets[row + 1] += 1;
+    }
+    for r in 0..n {
+        offsets[r + 1] += offsets[r];
+    }
+    offsets
+}
+
+/// Splits the nodes `0..n` of a CSR (or any `n + 1` non-decreasing
+/// cumulative costs starting at 0) into at most `parts` contiguous ranges
+/// of near-equal cost — the unit of node-parallel work. Per-node results
+/// never depend on where the boundaries fall.
+pub(crate) fn balanced_ranges(cumulative: &[usize], parts: usize) -> Vec<Range<usize>> {
+    let parts = parts.max(1);
+    let n = cumulative.len().saturating_sub(1);
+    let total = cumulative.last().copied().unwrap_or(0);
+    let mut ranges = Vec::new();
+    let mut start = 0;
+    for part in 1..=parts {
+        let end = if part == parts {
+            n
+        } else {
+            let target = total / parts * part;
+            cumulative.partition_point(|&c| c < target).clamp(start, n)
+        };
+        if end > start {
+            ranges.push(start..end);
+            start = end;
+        }
+    }
+    ranges
 }
 
 #[cfg(test)]
@@ -189,6 +309,7 @@ mod tests {
     use er_blocking::block::{Block, BlockCollection};
     use er_core::collection::{EntityCollection, ResolutionMode};
     use er_core::entity::{EntityId, KbId};
+    use std::collections::BTreeSet;
 
     fn id(n: u32) -> EntityId {
         EntityId(n)
@@ -279,14 +400,7 @@ mod tests {
     #[test]
     fn pruned_edges_are_graph_edges() {
         let g = graph();
-        for pruning in [
-            PruningScheme::Wep,
-            PruningScheme::Cep,
-            PruningScheme::Wnp,
-            PruningScheme::Cnp,
-            PruningScheme::ReciprocalWnp,
-            PruningScheme::ReciprocalCnp,
-        ] {
+        for pruning in PruningScheme::ALL {
             for weighting in WeightingScheme::ALL {
                 for p in pruning.prune(&g, weighting) {
                     assert!(g.edge(p).is_some());

@@ -31,6 +31,16 @@ pub enum WeightingScheme {
     Arcs,
 }
 
+/// What an edge weight reads of one endpoint.
+#[derive(Clone, Copy)]
+pub(crate) struct NodeStats {
+    /// Blocks containing the node.
+    pub(crate) blocks: u32,
+    /// [`WeightingScheme::node_discount`] of the node under ECBS / EJS
+    /// (unread by the other schemes).
+    pub(crate) discount: f64,
+}
+
 impl WeightingScheme {
     /// All schemes, for experiment grids.
     pub const ALL: [WeightingScheme; 5] = [
@@ -62,38 +72,67 @@ impl WeightingScheme {
             .map(|info| self.weight_of(graph, pair, info))
     }
 
+    /// The factor ECBS and EJS multiply into every edge incident to a node:
+    /// `ln(total / count)`, with `total` the number of blocks (ECBS) or edges
+    /// (EJS) and `count` the node's block count or degree. `max(…, 0)`: an
+    /// entity can be in every block, making the log 0.
+    pub(crate) fn node_discount(total: f64, count: u32) -> f64 {
+        (total / count.max(1) as f64).ln().max(0.0)
+    }
+
+    /// The weight formulas, written once for the graph and for the
+    /// node-centric scan ([`crate::scan`]). `ends` yields the statistics of
+    /// the smaller and the larger endpoint; it is called only by the schemes
+    /// that read them, so CBS and ARCS never touch a node table.
+    pub(crate) fn edge_weight(
+        self,
+        info: EdgeInfo,
+        ends: impl FnOnce() -> (NodeStats, NodeStats),
+    ) -> f64 {
+        let common = info.common_blocks as f64;
+        let js = |a: NodeStats, b: NodeStats| {
+            let union = a.blocks as f64 + b.blocks as f64 - common;
+            if union == 0.0 {
+                0.0
+            } else {
+                common / union
+            }
+        };
+        match self {
+            WeightingScheme::Cbs => common,
+            WeightingScheme::Ecbs => {
+                let (a, b) = ends();
+                common * a.discount * b.discount
+            }
+            WeightingScheme::Js => {
+                let (a, b) = ends();
+                js(a, b)
+            }
+            WeightingScheme::Ejs => {
+                let (a, b) = ends();
+                js(a, b) * a.discount * b.discount
+            }
+            WeightingScheme::Arcs => info.arcs,
+        }
+    }
+
     /// Weight of a known edge given its co-occurrence info — the infallible
     /// hot path behind [`weight`](WeightingScheme::weight) and
     /// [`par_weigh_all`](WeightingScheme::par_weigh_all).
     fn weight_of(self, graph: &BlockingGraph, pair: Pair, info: EdgeInfo) -> f64 {
-        let (a, b) = pair.ids();
-        let common = info.common_blocks as f64;
-        match self {
-            WeightingScheme::Cbs => common,
-            WeightingScheme::Ecbs => {
-                let total = graph.total_blocks() as f64;
-                let ba = graph.block_count(a).max(1) as f64;
-                let bb = graph.block_count(b).max(1) as f64;
-                // max(…, 0): an entity can be in every block, making the log 0.
-                common * (total / ba).ln().max(0.0) * (total / bb).ln().max(0.0)
-            }
-            WeightingScheme::Js => {
-                let union = graph.block_count(a) as f64 + graph.block_count(b) as f64 - common;
-                if union == 0.0 {
-                    0.0
-                } else {
-                    common / union
+        let stats = |e| NodeStats {
+            blocks: graph.block_count(e),
+            discount: match self {
+                WeightingScheme::Ecbs => {
+                    Self::node_discount(graph.total_blocks() as f64, graph.block_count(e))
                 }
-            }
-            WeightingScheme::Ejs => {
-                let js = WeightingScheme::Js.weight_of(graph, pair, info);
-                let e = graph.n_edges().max(1) as f64;
-                let da = graph.degree(a).max(1) as f64;
-                let db = graph.degree(b).max(1) as f64;
-                js * (e / da).ln().max(0.0) * (e / db).ln().max(0.0)
-            }
-            WeightingScheme::Arcs => info.arcs,
-        }
+                WeightingScheme::Ejs => {
+                    Self::node_discount(graph.n_edges().max(1) as f64, graph.degree(e))
+                }
+                _ => 1.0,
+            },
+        };
+        self.edge_weight(info, || (stats(pair.first()), stats(pair.second())))
     }
 
     /// Materializes all edge weights, in edge order.
@@ -107,8 +146,7 @@ impl WeightingScheme {
     ///
     /// [`weigh_all`]: WeightingScheme::weigh_all
     pub fn par_weigh_all(self, graph: &BlockingGraph, par: Parallelism) -> Vec<(Pair, f64)> {
-        let edges: Vec<(Pair, EdgeInfo)> = graph.edges().collect();
-        par_map(par, &edges, |&(p, info)| {
+        par_map(par, &graph.edges, |&(p, info)| {
             (p, self.weight_of(graph, p, info))
         })
     }

@@ -1,12 +1,19 @@
 //! Dataset-level properties of meta-blocking: pruning never invents pairs,
 //! cuts comparisons substantially, and retains most of the recall — the
-//! headline result of \[22\].
+//! headline result of \[22\] — and, over random micro block collections, the
+//! node-centric scan is the materialised graph's equal for every scheme pair.
 
+use er_blocking::block::{Block, BlockCollection};
 use er_blocking::TokenBlocking;
+use er_core::collection::{EntityCollection, ResolutionMode};
+use er_core::entity::{EntityId, KbId};
 use er_core::metrics::BlockingQuality;
+use er_core::obs::Obs;
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
 use er_datagen::{CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{meta_block, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{meta_block, node_scan, BlockingGraph, PruningScheme, WeightingScheme};
+use proptest::prelude::*;
 use std::collections::BTreeSet;
 
 fn dirty() -> DirtyDataset {
@@ -151,5 +158,57 @@ fn reciprocal_variants_nest_inside_union_variants() {
             .into_iter()
             .collect();
         assert!(rcnp.is_subset(&cnp), "{}", weighting.name());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// The scan equals reference graph + prune — kept pairs and blocked
+    /// count — on arbitrary small block collections: dirty and clean–clean,
+    /// no entities or no blocks at all, a clean–clean collection that is one
+    /// KB (every block has cardinality 0), blocks drawn from a single KB
+    /// among cross-KB ones, and enough blocks to cross a 32-block chunk.
+    #[test]
+    fn prop_scan_equals_graph_and_prune(
+        n in 0usize..14,
+        clean_clean in any::<bool>(),
+        kbs in 1u16..3,
+        members in proptest::collection::vec(proptest::collection::vec(0usize..14, 0..7), 0..80),
+    ) {
+        let mode = if clean_clean { ResolutionMode::CleanClean } else { ResolutionMode::Dirty };
+        let mut c = EntityCollection::new(mode);
+        for e in 0..n {
+            c.push(KbId(((e * 7) % 3) as u16 % kbs), vec![]);
+        }
+        // Members out of range are dropped; `BlockCollection::new` then
+        // drops the blocks left with fewer than two of them.
+        let blocks: BlockCollection = members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let ids = m.iter().filter(|&&e| e < n).map(|&e| EntityId(e as u32));
+                Block::new(format!("b{i}"), ids.collect())
+            })
+            .collect();
+        let graph = BlockingGraph::build_reference(&c, &blocks);
+        for weighting in WeightingScheme::ALL {
+            for pruning in PruningScheme::ALL {
+                let expected = pruning.prune(&graph, weighting);
+                for threads in [1, 3] {
+                    let got = node_scan(
+                        &c, &blocks, weighting, pruning, Parallelism::threads(threads), &Obs::disabled(),
+                    );
+                    prop_assert_eq!(
+                        got.blocked_comparisons, graph.n_edges() as u64,
+                        "{}/{} threads={}", weighting.name(), pruning.name(), threads
+                    );
+                    prop_assert_eq!(
+                        &got.kept, &expected,
+                        "{}/{} threads={}", weighting.name(), pruning.name(), threads
+                    );
+                }
+            }
+        }
     }
 }

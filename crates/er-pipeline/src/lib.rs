@@ -60,7 +60,7 @@ use er_core::profiles::TokenProfiles;
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
-use er_metablocking::{prune_and_record, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 use recovery::Hooks;
 use std::path::PathBuf;
 use walk::Walk;
@@ -615,7 +615,10 @@ impl Pipeline {
         admitted_uncharged(cleaned)
     }
 
-    /// Token blocking streamed through sorted on-disk runs.
+    /// Token blocking streamed through sorted on-disk runs under a fresh
+    /// spill directory, which is removed **before** the build's error is
+    /// surfaced, so a failed attempt — and each retry of it — leaves nothing
+    /// behind.
     fn ooc_token_blocks(
         &self,
         collection: &EntityCollection,
@@ -623,49 +626,34 @@ impl Pipeline {
         obs: &Obs,
         budget: &MemoryBudget,
     ) -> BlockCollection {
-        self.with_spill_dir(collection, stage, budget, |cfg| {
-            TokenBlocking::new().par_build_ooc_obs(collection, self.parallelism, obs, cfg)
-        })
+        let cfg = self.ooc_config(collection, stage, budget);
+        let result =
+            TokenBlocking::new().par_build_ooc_obs(collection, self.parallelism, obs, &cfg);
+        let _ = std::fs::remove_dir(&cfg.segment_dir);
+        result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
     }
 
-    /// Prunes candidates with the configured meta-blocking stage, building
-    /// the blocking graph out of core when
-    /// [`out_of_core`](PipelineBuilder::out_of_core) is set. Returns the kept
-    /// pairs and the graph's edge count — the number of distinct blocked
-    /// comparisons, which the graph holds without anyone enumerating them.
+    /// Prunes candidates with the configured meta-blocking stage: the
+    /// node-centric scan, in every execution mode — it reads the blocks and
+    /// holds nothing worth spilling, so an out-of-core run differs from an
+    /// in-memory one only in how its blocks were built. Returns the kept
+    /// pairs and the number of distinct blocked comparisons, which the scan
+    /// counts without anyone enumerating them.
     pub(crate) fn meta_block(
         &self,
         collection: &EntityCollection,
         blocks: &BlockCollection,
         mb: MetaBlockingStage,
-        budget: &MemoryBudget,
-    ) -> (Vec<Pair>, usize) {
-        let par = self.parallelism;
-        let graph = if self.out_of_core {
-            self.with_spill_dir(collection, "metablocking", budget, |cfg| {
-                BlockingGraph::par_build_ooc(collection, blocks, par, cfg)
-            })
-        } else {
-            BlockingGraph::par_build(collection, blocks, par)
-        };
-        let kept = prune_and_record(&graph, mb.weighting, mb.pruning, par, &self.obs);
-        (kept, graph.n_edges())
-    }
-
-    /// Runs one out-of-core stage under a fresh spill directory and removes
-    /// the directory **before** surfacing the stage's error, so a failed
-    /// attempt — and each retry of it — leaves nothing behind.
-    fn with_spill_dir<T>(
-        &self,
-        collection: &EntityCollection,
-        stage: &str,
-        budget: &MemoryBudget,
-        run: impl FnOnce(&OocConfig) -> Result<T, er_core::SegmentError>,
-    ) -> T {
-        let cfg = self.ooc_config(collection, stage, budget);
-        let result = run(&cfg);
-        let _ = std::fs::remove_dir(&cfg.segment_dir);
-        result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
+    ) -> (Vec<Pair>, u64) {
+        let pruned = node_scan(
+            collection,
+            blocks,
+            mb.weighting,
+            mb.pruning,
+            self.parallelism,
+            &self.obs,
+        );
+        (pruned.kept, pruned.blocked_comparisons)
     }
 
     /// The out-of-core configuration for one stage of one run: a fresh
@@ -964,11 +952,12 @@ impl PipelineBuilder {
         self
     }
 
-    /// Forces the out-of-core build paths unconditionally: token blocking
-    /// streams its postings through sorted on-disk runs and meta-blocking
-    /// spills its edge contributions the same way, regardless of budget
-    /// pressure. Output is bit-identical to the in-memory paths (the
-    /// equivalence is property-tested); the point is bounded stage memory.
+    /// Forces the out-of-core build path unconditionally: token blocking
+    /// streams its postings through sorted on-disk runs regardless of
+    /// budget pressure. (Meta-blocking scans the resulting blocks node by
+    /// node in every mode and has nothing to spill.) Output is bit-identical
+    /// to the in-memory path (the equivalence is property-tested); the point
+    /// is bounded stage memory.
     /// Spill files land under [`segment_dir`](PipelineBuilder::segment_dir)
     /// when set, the system temp dir otherwise.
     pub fn out_of_core(mut self, enabled: bool) -> Self {

@@ -120,7 +120,7 @@ impl<'a> Walk<'a> {
     /// The distinct blocked pairs are enumerated only where they are the
     /// schedule — a pair-producing method, a run without meta-blocking, a
     /// meta-blocking stage that failed. Otherwise meta-blocking prunes the
-    /// blocks directly and `blocked_comparisons` is its graph's edge count.
+    /// blocks directly and `blocked_comparisons` is the scan's edge count.
     fn block_and_prune(&mut self) -> Result<Vec<Pair>, PipelineError> {
         let (p, c) = (self.pipeline, self.collection);
 
@@ -151,16 +151,15 @@ impl<'a> Walk<'a> {
         // so running it is the cheapest path to the deadline.
         let span = p.obs.span("pipeline.meta_blocking");
         let watchdog = p.limits.stage_watchdog();
-        let budget = &self.budget;
         let outcome = self
             .hooks
-            .attempt(STAGE_META_BLOCKING, || p.meta_block(c, &blocks, mb, budget));
+            .attempt(STAGE_META_BLOCKING, || p.meta_block(c, &blocks, mb));
         span.finish();
         self.note_overrun(STAGE_META_BLOCKING, &watchdog);
         let (schedule, blocked) = outcome.unwrap_or_else(|err| {
             // Degrade, loudly: recall is preserved because the unpruned
             // blocked comparisons are a superset of anything meta-blocking
-            // would schedule. No graph counted them, so enumerate them now.
+            // would schedule. No scan counted them, so enumerate them now.
             let blocked = blocks.distinct_pairs(c);
             p.obs.emit(Event::Warning {
                 stage: STAGE_META_BLOCKING.to_string(),
@@ -172,10 +171,10 @@ impl<'a> Walk<'a> {
             self.hooks
                 .events
                 .push(RecoveryEvent::MetaBlockingDegraded { error: err.message });
-            let n = blocked.len();
+            let n = blocked.len() as u64;
             (blocked, n)
         });
-        self.report.blocked_comparisons = blocked as u64;
+        self.report.blocked_comparisons = blocked;
         Ok(schedule)
     }
 

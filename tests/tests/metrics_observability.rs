@@ -86,6 +86,14 @@ fn counters_identical_across_thread_counts_and_reruns() {
         assert_eq!(span.parent.as_deref(), Some("pipeline.matching"));
     }
 
+    // So is the scan's meta-blocking ledger: every edge folds at least one
+    // block-pair occurrence, and no node has more neighbours than edges.
+    let before = serial.counter("meta_blocking.comparisons_before").unwrap();
+    assert!(serial.counter("meta_blocking.contributions").unwrap() >= before);
+    assert!(before >= serial.counter("meta_blocking.comparisons_after").unwrap());
+    let widest = serial.gauge("meta_blocking.max_neighbourhood").unwrap();
+    assert!(widest >= 1.0 && widest <= before as f64);
+
     // Histogram contents (counts per bucket) are value-deterministic too;
     // only span durations may differ between runs.
     assert_eq!(serial.histograms, parallel.histograms);

@@ -11,8 +11,10 @@
 //! 2. streamed graph construction vs `BlockingGraph::par_build` — ARCS
 //!    weights compared via `f64::to_bits`, so "close enough" is measurably
 //!    not the contract,
-//! 3. streamed meta-blocking (build + prune) vs `par_meta_block`,
-//! 4. the whole pipeline under `out_of_core(true)` vs the default run,
+//! 3. the streamed graph, pruned, vs `par_meta_block` — the node-centric
+//!    scan, which never builds a graph and so has no streamed twin,
+//! 4. the whole pipeline under `out_of_core(true)` vs the default run —
+//!    where only blocking spills,
 //!
 //! across generator seeds × noise levels × worker counts {1, 4} × run sizes
 //! (from runt-sized runs that force deep k-way merges up to
@@ -30,10 +32,8 @@ use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_core::resource::{MemoryBudget, ResourceError, Watchdog};
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{
-    par_meta_block, par_meta_block_ooc_obs, BlockingGraph, PruningScheme, WeightingScheme,
-};
-use er_pipeline::{Pipeline, RecoveryOptions};
+use er_metablocking::{par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
+use er_pipeline::{MetaBlockingStage, Pipeline, RecoveryOptions};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -161,15 +161,19 @@ fn streamed_graph_equals_in_memory_build_bitwise() {
 
 // ----------------------------------------------------------- meta-blocking
 
+/// The scheme pairs the meta-blocking cells run: edge- and node-centric,
+/// weight- and cardinality-based, union and reciprocal.
+const SCHEME_PAIRS: [(WeightingScheme, PruningScheme); 3] = [
+    (WeightingScheme::Arcs, PruningScheme::Wep),
+    (WeightingScheme::Cbs, PruningScheme::Cnp),
+    (WeightingScheme::Js, PruningScheme::ReciprocalWnp),
+];
+
 #[test]
-fn streamed_meta_blocking_keeps_identical_pairs() {
+fn streamed_graph_prunes_to_the_pairs_the_scan_keeps() {
     let ds = dataset(220, NoiseModel::moderate(), 1234);
     let blocks = TokenBlocking::new().build(&ds.collection);
-    for (weighting, pruning) in [
-        (WeightingScheme::Arcs, PruningScheme::Wep),
-        (WeightingScheme::Cbs, PruningScheme::Cnp),
-        (WeightingScheme::Js, PruningScheme::ReciprocalWnp),
-    ] {
+    for (weighting, pruning) in SCHEME_PAIRS {
         let oracle = par_meta_block(
             &ds.collection,
             &blocks,
@@ -179,18 +183,12 @@ fn streamed_meta_blocking_keeps_identical_pairs() {
         );
         for threads in THREAD_COUNTS {
             let cfg = cfg_for("meta", &ds.collection, 256);
-            let streamed = par_meta_block_ooc_obs(
-                &ds.collection,
-                &blocks,
-                weighting,
-                pruning,
-                Parallelism::threads(threads),
-                &Obs::disabled(),
-                &cfg,
-            )
-            .expect("streamed meta-blocking succeeds");
+            let par = Parallelism::threads(threads);
+            let graph = BlockingGraph::par_build_ooc(&ds.collection, &blocks, par, &cfg)
+                .expect("streamed graph build succeeds");
             assert_eq!(
-                streamed, oracle,
+                pruning.par_prune(&graph, weighting, par),
+                oracle,
                 "kept pairs diverged: {weighting:?}/{pruning:?} threads={threads}"
             );
             let _ = std::fs::remove_dir_all(&cfg.segment_dir);
@@ -225,6 +223,55 @@ fn forced_out_of_core_pipeline_matches_the_default_run() {
             assert_eq!(ooc.report.shed_comparisons, 0, "ooc never sheds");
             let _ = std::fs::remove_dir_all(&dir);
         }
+    }
+}
+
+/// Meta-blocking has nothing to spill: an out-of-core run resolves exactly
+/// as the in-memory one under any scheme pair, and writes no segment beyond
+/// those of its blocking stage (the same pipeline without meta-blocking).
+#[test]
+fn out_of_core_pipeline_spills_blocking_and_nothing_else() {
+    let ds = dataset(260, NoiseModel::moderate(), 42);
+    let segments_of = |stage: Option<MetaBlockingStage>| {
+        let dir = ooc_dir("scan_only");
+        let builder = Pipeline::builder()
+            .observability(Obs::enabled())
+            .parallelism(Parallelism::threads(2))
+            .segment_dir(&dir)
+            .out_of_core(true);
+        let p = match stage {
+            Some(stage) => builder.meta_blocking(stage),
+            None => builder.no_meta_blocking(),
+        }
+        .build();
+        let resolution = p.run(&ds.collection);
+        let _ = std::fs::remove_dir_all(&dir);
+        let written = p.metrics().counter("colstore.segments_written");
+        (resolution, written.expect("an out-of-core run spills"))
+    };
+    let (_, blocking_alone) = segments_of(None);
+    assert!(blocking_alone > 0);
+    for (weighting, pruning) in SCHEME_PAIRS {
+        let stage = MetaBlockingStage { weighting, pruning };
+        let in_memory = Pipeline::builder()
+            .meta_blocking(stage)
+            .build()
+            .run(&ds.collection);
+        let (ooc, written) = segments_of(Some(stage));
+        assert_eq!(ooc.matches, in_memory.matches, "{weighting:?}/{pruning:?}");
+        assert_eq!(
+            ooc.clusters, in_memory.clusters,
+            "{weighting:?}/{pruning:?}"
+        );
+        assert_eq!(
+            ooc.report.blocked_comparisons, in_memory.report.blocked_comparisons,
+            "{weighting:?}/{pruning:?}"
+        );
+        assert_eq!(
+            ooc.report.scheduled_comparisons, in_memory.report.scheduled_comparisons,
+            "{weighting:?}/{pruning:?}"
+        );
+        assert_eq!(written, blocking_alone, "{weighting:?}/{pruning:?}");
     }
 }
 
@@ -295,16 +342,8 @@ fn expired_watchdog_yields_typed_deadline_errors_not_partial_output() {
 
     let cfg =
         cfg_for("wd_graph", &ds.collection, 64).with_watchdog(Watchdog::timeout(Duration::ZERO));
-    let err = par_meta_block_ooc_obs(
-        &ds.collection,
-        &blocks,
-        WeightingScheme::Arcs,
-        PruningScheme::Wep,
-        Parallelism::serial(),
-        &Obs::disabled(),
-        &cfg,
-    )
-    .expect_err("expired watchdog must abort the streamed graph build");
+    let err = BlockingGraph::par_build_ooc(&ds.collection, &blocks, Parallelism::serial(), &cfg)
+        .expect_err("expired watchdog must abort the streamed graph build");
     assert!(
         matches!(
             err,
@@ -366,16 +405,8 @@ fn successful_builds_remove_every_run_file() {
     let _ = std::fs::remove_dir_all(&cfg.segment_dir);
 
     let cfg = cfg_for("cleanup_graph", &ds.collection, 64);
-    par_meta_block_ooc_obs(
-        &ds.collection,
-        &blocks,
-        WeightingScheme::Arcs,
-        PruningScheme::Wep,
-        Parallelism::threads(4),
-        &Obs::disabled(),
-        &cfg,
-    )
-    .expect("streamed meta-blocking succeeds");
+    BlockingGraph::par_build_ooc(&ds.collection, &blocks, Parallelism::threads(4), &cfg)
+        .expect("streamed graph build succeeds");
     let leftovers: Vec<_> = std::fs::read_dir(&cfg.segment_dir)
         .expect("spill dir exists")
         .collect();

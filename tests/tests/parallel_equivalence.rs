@@ -9,7 +9,9 @@
 //!    `AttributeClusteringBlocking::par_build`),
 //! 2. meta-blocking graph build, edge weighting and pruning
 //!    (`BlockingGraph::par_build`, `par_weigh_all`, `par_prune`,
-//!    `par_meta_block`),
+//!    `par_meta_block`), and — section *scan ≡ graph* — the node-centric
+//!    scan that `par_meta_block` and the pipeline run (`node_scan`) against
+//!    the materialised reference graph, for every scheme pair,
 //! 3. similarity-join candidate verification (`SimilarityJoin::par_run`),
 //! 4. batch pair matching (`par_resolve_candidates`, `par_decide_candidates`)
 //!
@@ -27,10 +29,13 @@ use er_core::entity::KbId;
 use er_core::matching::{
     par_decide_candidates, par_resolve_candidates, resolve_candidates, ThresholdMatcher,
 };
+use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
-use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{meta_block, par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
+use er_datagen::{CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, NoiseModel};
+use er_metablocking::{
+    meta_block, node_scan, par_meta_block, BlockingGraph, PruningScheme, WeightingScheme,
+};
 use proptest::prelude::*;
 
 /// The worker counts every kernel is checked at.
@@ -128,16 +133,8 @@ fn pruning_parallel_equals_serial_for_every_scheme_pair() {
     let ds = dataset(250, NoiseModel::moderate(), 5);
     let blocks = TokenBlocking::new().build(&ds.collection);
     let graph = BlockingGraph::build(&ds.collection, &blocks);
-    let all_prunings = [
-        PruningScheme::Wep,
-        PruningScheme::Cep,
-        PruningScheme::Wnp,
-        PruningScheme::Cnp,
-        PruningScheme::ReciprocalWnp,
-        PruningScheme::ReciprocalCnp,
-    ];
     for weighting in WeightingScheme::ALL {
-        for pruning in all_prunings {
+        for pruning in PruningScheme::ALL {
             let serial = pruning.prune(&graph, weighting);
             for threads in THREAD_COUNTS {
                 let par = pruning.par_prune(&graph, weighting, Parallelism::threads(threads));
@@ -175,6 +172,82 @@ fn meta_block_end_to_end_parallel_equals_serial() {
             assert_eq!(par, serial, "seed={seed} threads={threads}");
         }
     }
+}
+
+// ------------------------------------------------------------ scan ≡ graph
+
+/// The scan against the tree-map reference graph + serial prune, for all 30
+/// scheme pairs at every thread count: equal kept pairs, and a blocked count
+/// equal to the graph's edge count.
+fn assert_scan_equals_graph(
+    collection: &EntityCollection,
+    blocks: &er_blocking::block::BlockCollection,
+    what: &str,
+) {
+    let graph = BlockingGraph::build_reference(collection, blocks);
+    assert!(graph.n_edges() > 0, "{what}: needs a non-empty graph");
+    for weighting in WeightingScheme::ALL {
+        for pruning in PruningScheme::ALL {
+            let expected = pruning.prune(&graph, weighting);
+            for threads in THREAD_COUNTS {
+                let got = node_scan(
+                    collection,
+                    blocks,
+                    weighting,
+                    pruning,
+                    Parallelism::threads(threads),
+                    &Obs::disabled(),
+                );
+                let cell = format!(
+                    "{what} {}/{} threads={threads}",
+                    weighting.name(),
+                    pruning.name()
+                );
+                assert_eq!(got.blocked_comparisons, graph.n_edges() as u64, "{cell}");
+                assert_eq!(got.kept, expected, "{cell}");
+            }
+        }
+    }
+}
+
+#[test]
+fn scan_equals_graph_on_dirty_collections_purged_and_unpurged() {
+    // Unpurged token blocks put many neighbourhoods exactly on their mean
+    // weight, so one wrong ARCS bit flips a kept pair; they also span many
+    // 32-block chunks, which is where the two-level fold order matters.
+    for seed in [7u64, 1234] {
+        let ds = dataset(260, NoiseModel::moderate(), seed);
+        let blocks = TokenBlocking::new().build(&ds.collection);
+        assert!(blocks.len() > 64, "must span several graph chunks");
+        assert_scan_equals_graph(&ds.collection, &blocks, &format!("dirty seed={seed}"));
+        let purged = er_blocking::cleaning::auto_purge(&blocks, &ds.collection);
+        assert!(purged.len() < blocks.len(), "purging must drop blocks");
+        assert_scan_equals_graph(&ds.collection, &purged, &format!("purged seed={seed}"));
+    }
+}
+
+#[test]
+fn scan_equals_graph_on_clean_clean_collections() {
+    // Clean–clean: same-KB pairs are inadmissible and blocks drawn from one
+    // KB have cardinality 0 — they count towards an entity's blocks (ECBS,
+    // JS) but contribute no edge.
+    let ds = CleanCleanDataset::generate(&CleanCleanConfig {
+        shared_entities: 90,
+        only_first: 40,
+        only_second: 40,
+        ..CleanCleanConfig::default()
+    });
+    let blocks = TokenBlocking::new().build(&ds.collection);
+    assert!(
+        blocks
+            .blocks()
+            .iter()
+            .any(|b| b.comparisons(&ds.collection) == 0),
+        "needs a single-KB block"
+    );
+    assert_scan_equals_graph(&ds.collection, &blocks, "clean-clean");
+    let purged = er_blocking::cleaning::auto_purge(&blocks, &ds.collection);
+    assert_scan_equals_graph(&ds.collection, &purged, "clean-clean purged");
 }
 
 // ---------------------------------------------------------------- kernel 3
