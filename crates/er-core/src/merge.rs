@@ -10,7 +10,9 @@
 use crate::entity::{Entity, EntityId};
 use crate::similarity::SetMeasure;
 use crate::tokenize::Tokenizer;
-use std::collections::BTreeSet;
+use std::cell::RefCell;
+use std::collections::{BTreeSet, HashMap};
+use std::rc::Rc;
 
 /// A (possibly merged) entity profile: the set of base descriptions it
 /// consolidates and the union of their attribute–value pairs.
@@ -69,6 +71,21 @@ impl Profile {
         }
     }
 
+    /// [`merge`](Profile::merge) by move: the smaller id set and the smaller
+    /// attribute set are moved into the larger, so no string is cloned. The
+    /// result equals `self.merge(&other)`.
+    pub fn absorb(self, other: Profile) -> Profile {
+        fn union<T: Ord>(a: BTreeSet<T>, b: BTreeSet<T>) -> BTreeSet<T> {
+            let (mut large, small) = if a.len() >= b.len() { (a, b) } else { (b, a) };
+            large.extend(small);
+            large
+        }
+        Profile {
+            ids: union(self.ids, other.ids),
+            attributes: union(self.attributes, other.attributes),
+        }
+    }
+
     /// Normalized tokens over all attribute values of the profile.
     pub fn token_set(&self, tokenizer: &Tokenizer) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
@@ -84,6 +101,60 @@ impl Profile {
 pub trait ProfileMatcher {
     /// Whether two profiles describe the same real-world entity.
     fn profiles_match(&self, a: &Profile, b: &Profile) -> bool;
+
+    /// The same decision from the three integers a token-set matcher depends
+    /// on — `|A|`, `|B|` and `|A∩B|` over the profiles' distinct
+    /// [`Tokenizer::default`] tokens — or `None` when the matcher needs the
+    /// profiles themselves (the default).
+    ///
+    /// A caller that already holds the counts — `IncrementalResolver`'s index
+    /// probe yields `|A∩B|` for every candidate it finds — asks here first and
+    /// falls back to [`profiles_match`](ProfileMatcher::profiles_match) on
+    /// `None`. An implementation must answer exactly what `profiles_match`
+    /// would. [`SharedTokenMatcher`] and [`ProfileThresholdMatcher`] can:
+    /// neither can be built with a non-default tokenizer, so counts taken
+    /// under `Tokenizer::default()` are the matcher's own.
+    fn match_counts(&self, _a_len: usize, _b_len: usize, _shared: usize) -> Option<bool> {
+        None
+    }
+}
+
+/// Token sets memoized per consolidated-id set, for the matchers'
+/// [`ProfileMatcher::profiles_match`]: within one resolution run two profiles
+/// with identical id sets are identical (merge is a pure function of the
+/// sources), so each distinct profile is tokenized once — this turns the
+/// Swoosh inner loop from `O(tokenize)` to `O(set intersection)` per
+/// comparison.
+///
+/// The cache grows with every distinct merged profile it is shown and is
+/// never evicted; it lives as long as its matcher. R-Swoosh and iterative
+/// blocking feed it; `IncrementalResolver` decides through
+/// [`ProfileMatcher::match_counts`] and no longer touches it.
+#[derive(Clone, Debug, Default)]
+struct TokenCache {
+    tokenizer: Tokenizer,
+    sets: RefCell<HashMap<Vec<EntityId>, Rc<BTreeSet<String>>>>,
+}
+
+impl TokenCache {
+    fn tokens_of(&self, p: &Profile) -> Rc<BTreeSet<String>> {
+        let key: Vec<EntityId> = p.ids().iter().copied().collect();
+        if let Some(t) = self.sets.borrow().get(&key) {
+            return t.clone();
+        }
+        let t = Rc::new(p.token_set(&self.tokenizer));
+        self.sets.borrow_mut().insert(key, t.clone());
+        t
+    }
+
+    fn overlap(&self, a: &Profile, b: &Profile) -> (usize, usize, usize) {
+        let (sa, sb) = (self.tokens_of(a), self.tokens_of(b));
+        (
+            sa.len(),
+            sb.len(),
+            crate::similarity::overlap_size(&sa, &sb),
+        )
+    }
 }
 
 /// Token-overlap threshold matcher over profiles. With union-based merges
@@ -92,18 +163,12 @@ pub trait ProfileMatcher {
 /// cannot shrink the score below either source's), giving the
 /// representativity ICAR needs in practice.
 ///
-/// Token sets are memoized per consolidated-id set: within one resolution
-/// run two profiles with identical id sets are identical (merge is a pure
-/// function of the sources), so each distinct profile is tokenized once —
-/// this turns the Swoosh inner loop from `O(tokenize)` to `O(set
-/// intersection)` per comparison.
+/// Token sets are memoized per consolidated-id set (`TokenCache`).
 #[derive(Clone, Debug)]
 pub struct ProfileThresholdMatcher {
     measure: SetMeasure,
     threshold: f64,
-    tokenizer: Tokenizer,
-    cache:
-        std::cell::RefCell<std::collections::HashMap<Vec<EntityId>, std::rc::Rc<BTreeSet<String>>>>,
+    cache: TokenCache,
 }
 
 impl ProfileThresholdMatcher {
@@ -112,27 +177,23 @@ impl ProfileThresholdMatcher {
         ProfileThresholdMatcher {
             measure,
             threshold,
-            tokenizer: Tokenizer::default(),
-            cache: Default::default(),
+            cache: TokenCache::default(),
         }
     }
 
-    fn tokens_of(&self, p: &Profile) -> std::rc::Rc<BTreeSet<String>> {
-        let key: Vec<EntityId> = p.ids().iter().copied().collect();
-        if let Some(t) = self.cache.borrow().get(&key) {
-            return t.clone();
-        }
-        let t = std::rc::Rc::new(p.token_set(&self.tokenizer));
-        self.cache.borrow_mut().insert(key, t.clone());
-        t
+    fn decide(&self, a_len: usize, b_len: usize, shared: usize) -> bool {
+        self.measure.score(a_len, b_len, shared) >= self.threshold
     }
 }
 
 impl ProfileMatcher for ProfileThresholdMatcher {
     fn profiles_match(&self, a: &Profile, b: &Profile) -> bool {
-        let sa = self.tokens_of(a);
-        let sb = self.tokens_of(b);
-        self.measure.eval(&sa, &sb) >= self.threshold
+        let (a_len, b_len, shared) = self.cache.overlap(a, b);
+        self.decide(a_len, b_len, shared)
+    }
+
+    fn match_counts(&self, a_len: usize, b_len: usize, shared: usize) -> Option<bool> {
+        Some(self.decide(a_len, b_len, shared))
     }
 }
 
@@ -147,9 +208,7 @@ impl ProfileMatcher for ProfileThresholdMatcher {
 #[derive(Clone, Debug)]
 pub struct SharedTokenMatcher {
     min_shared: usize,
-    tokenizer: Tokenizer,
-    cache:
-        std::cell::RefCell<std::collections::HashMap<Vec<EntityId>, std::rc::Rc<BTreeSet<String>>>>,
+    cache: TokenCache,
 }
 
 impl SharedTokenMatcher {
@@ -158,27 +217,18 @@ impl SharedTokenMatcher {
         assert!(min_shared >= 1, "zero shared tokens would match everything");
         SharedTokenMatcher {
             min_shared,
-            tokenizer: Tokenizer::default(),
-            cache: Default::default(),
+            cache: TokenCache::default(),
         }
-    }
-
-    fn tokens_of(&self, p: &Profile) -> std::rc::Rc<BTreeSet<String>> {
-        let key: Vec<EntityId> = p.ids().iter().copied().collect();
-        if let Some(t) = self.cache.borrow().get(&key) {
-            return t.clone();
-        }
-        let t = std::rc::Rc::new(p.token_set(&self.tokenizer));
-        self.cache.borrow_mut().insert(key, t.clone());
-        t
     }
 }
 
 impl ProfileMatcher for SharedTokenMatcher {
     fn profiles_match(&self, a: &Profile, b: &Profile) -> bool {
-        let sa = self.tokens_of(a);
-        let sb = self.tokens_of(b);
-        crate::similarity::overlap_size(&sa, &sb) >= self.min_shared
+        self.cache.overlap(a, b).2 >= self.min_shared
+    }
+
+    fn match_counts(&self, _a_len: usize, _b_len: usize, shared: usize) -> Option<bool> {
+        Some(shared >= self.min_shared)
     }
 }
 
@@ -238,6 +288,64 @@ mod tests {
         assert_eq!(m.ids().len(), 2);
         assert_eq!(m.attributes().len(), 2, "duplicate attr-value collapses");
         assert_eq!(m.representative(), EntityId(0));
+    }
+
+    #[test]
+    fn absorb_equals_merge_whichever_side_is_larger() {
+        let small = Profile::from_entity(&entity(4, &[("n", "x")]));
+        let large = Profile::from_entity(&entity(1, &[("n", "x"), ("m", "y"), ("k", "z")]));
+        let both = large.merge(&Profile::from_entity(&entity(7, &[("q", "w")])));
+        for (a, b) in [
+            (&small, &large),
+            (&large, &small),
+            (&both, &small),
+            (&small, &small),
+        ] {
+            // `Profile` equality is ids and attributes.
+            assert_eq!(a.clone().absorb(b.clone()), a.merge(b));
+        }
+    }
+
+    #[test]
+    fn match_counts_answers_what_profiles_match_answers() {
+        let t = Tokenizer::default();
+        let profiles: Vec<Profile> = [
+            "alan turing logic",
+            "alan turing enigma machine",
+            "alan hopper cobol",
+            "the of",
+            "grace hopper",
+        ]
+        .iter()
+        .enumerate()
+        .map(|(i, v)| Profile::from_entity(&entity(i as u32, &[("n", v)])))
+        .collect();
+        let mut matchers: Vec<Box<dyn ProfileMatcher>> = vec![
+            Box::new(SharedTokenMatcher::new(1)),
+            Box::new(SharedTokenMatcher::new(2)),
+        ];
+        for measure in [
+            SetMeasure::Jaccard,
+            SetMeasure::Dice,
+            SetMeasure::Cosine,
+            SetMeasure::Overlap,
+        ] {
+            matchers.push(Box::new(ProfileThresholdMatcher::new(measure, 0.5)));
+        }
+        for m in &matchers {
+            for a in &profiles {
+                for b in &profiles {
+                    let (sa, sb) = (a.token_set(&t), b.token_set(&t));
+                    let shared = crate::similarity::overlap_size(&sa, &sb);
+                    assert_eq!(
+                        m.match_counts(sa.len(), sb.len(), shared),
+                        Some(m.profiles_match(a, b))
+                    );
+                }
+            }
+        }
+        let by_closure = FnProfileMatcher(|_: &Profile, _: &Profile| true);
+        assert_eq!(by_closure.match_counts(1, 1, 1), None, "needs the profiles");
     }
 
     #[test]

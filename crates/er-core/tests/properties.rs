@@ -243,6 +243,12 @@ proptest! {
         prop_assert_eq!(a.merge(&a), a.clone());
         prop_assert_eq!(a.merge(&b), b.merge(&a));
         prop_assert_eq!(a.merge(&b).merge(&c), a.merge(&b.merge(&c)));
+        // The consuming merge is the same function.
+        prop_assert_eq!(a.clone().absorb(b.clone()), a.merge(&b));
+        prop_assert_eq!(
+            a.clone().absorb(b.clone()).absorb(c.clone()),
+            a.merge(&b).merge(&c)
+        );
         // Merge only grows token sets (representativity precondition).
         let t = Tokenizer::default();
         prop_assert!(a.token_set(&t).is_subset(&a.merge(&b).token_set(&t)));

@@ -16,12 +16,21 @@
 //! Under an ICAR match/merge whose matches imply a shared token (any
 //! token-overlap matcher), the final resolution equals batch R-Swoosh over
 //! the same descriptions — verified by the tests.
+//!
+//! The state is interned (`docs/data_layout.md`, layer 5): an arrival is
+//! tokenized once into a sorted row of symbols, a merge unions two rows, and
+//! the probe that finds a candidate has by then counted the tokens it shares
+//! with the record — `|A∩B|`, which with the two row lengths is all a
+//! token-set matcher needs ([`ProfileMatcher::match_counts`]).
 
-use er_core::entity::Entity;
+use er_core::collection::EntityCollection;
+use er_core::entity::{Entity, EntityId};
+use er_core::intern::{Interner, Symbol};
 use er_core::merge::{Profile, ProfileMatcher};
+use er_core::profiles::EntityTokens;
 use er_core::resource::{ResourceError, Watchdog};
 use er_core::tokenize::Tokenizer;
-use std::collections::{BTreeSet, HashMap};
+use std::cmp::Ordering;
 
 /// Statistics of an incremental run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,15 +43,31 @@ pub struct IncrementalStats {
     pub merges: u64,
 }
 
+/// A settled profile and its distinct tokens as symbols of the resolver's
+/// interner, ascending.
+struct Settled {
+    profile: Profile,
+    row: Vec<Symbol>,
+}
+
 /// The maintained resolution state.
 pub struct IncrementalResolver<M> {
     matcher: M,
     tokenizer: Tokenizer,
-    /// Live profiles, keyed by slot (slots of merged-away profiles are None).
-    profiles: Vec<Option<Profile>>,
-    /// Inverted index: token → profile slots (may contain stale slots,
-    /// lazily skipped — cheaper than eager deletion on merge).
-    index: HashMap<String, Vec<u32>>,
+    interner: Interner,
+    /// Settled profiles by slot; a settle takes a fresh slot and a merge
+    /// empties the slot it absorbed, so slot order is settle order.
+    slots: Vec<Option<Settled>>,
+    /// `postings[symbol]`: the slots whose row holds the symbol, ascending.
+    /// A merge leaves the emptied slot behind; the next probe that walks a
+    /// list drops it.
+    postings: Vec<Vec<u32>>,
+    /// Probe scratch: tokens shared with the probing row, per slot; all zero
+    /// between probes (reset through `candidates`, never swept).
+    count: Vec<u32>,
+    /// Probe output: `(shared tokens, slot)` of every live slot sharing a
+    /// token with the probing row, in comparison order.
+    candidates: Vec<(u32, u32)>,
     stats: IncrementalStats,
 }
 
@@ -52,8 +77,11 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
         IncrementalResolver {
             matcher,
             tokenizer: Tokenizer::default(),
-            profiles: Vec::new(),
-            index: HashMap::new(),
+            interner: Interner::new(),
+            slots: Vec::new(),
+            postings: Vec::new(),
+            count: Vec::new(),
+            candidates: Vec::new(),
             stats: IncrementalStats::default(),
         }
     }
@@ -65,12 +93,12 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
 
     /// Live resolved profiles.
     pub fn profiles(&self) -> impl Iterator<Item = &Profile> {
-        self.profiles.iter().flatten()
+        self.slots.iter().flatten().map(|s| &s.profile)
     }
 
     /// Current clusters (base-description id sets), sorted.
-    pub fn clusters(&self) -> Vec<Vec<er_core::entity::EntityId>> {
-        let mut out: Vec<Vec<er_core::entity::EntityId>> = self
+    pub fn clusters(&self) -> Vec<Vec<EntityId>> {
+        let mut out: Vec<Vec<EntityId>> = self
             .profiles()
             .map(|p| p.ids().iter().copied().collect())
             .collect();
@@ -82,51 +110,82 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
     pub fn insert(&mut self, entity: &Entity) -> &Profile {
         self.stats.inserted += 1;
         let mut record = Profile::from_entity(entity);
+        let mut row = Vec::new();
+        EntityTokens::new(&self.tokenizer, &mut self.interner).sorted_keys_into(
+            entity,
+            |_| (),
+            |(), symbol| symbol,
+            &mut row,
+        );
+        self.postings.resize_with(self.interner.len(), Vec::new);
+        // Compare against the candidates, likeliest first; a match is merged
+        // into the record, and the merged record probes again.
         loop {
-            // Candidate slots: profiles sharing any token, ranked by shared-
-            // token count so the likeliest match is compared first.
-            let tokens = record.token_set(&self.tokenizer);
-            let mut shared: HashMap<u32, u32> = HashMap::new();
-            for t in &tokens {
-                if let Some(slots) = self.index.get(t) {
-                    for &s in slots {
-                        if self.profiles[s as usize].is_some() {
-                            *shared.entry(s).or_insert(0) += 1;
-                        }
-                    }
-                }
-            }
-            let mut candidates: Vec<(u32, u32)> = shared.into_iter().map(|(s, c)| (c, s)).collect();
-            candidates.sort_unstable_by(|a, b| b.cmp(a));
-            let mut merged_with: Option<u32> = None;
-            for (_, slot) in candidates {
-                let settled = self.profiles[slot as usize]
-                    .as_ref()
-                    .expect("stale slots filtered above");
+            self.probe(&row);
+            let mut matched = None;
+            for &(shared, slot) in &self.candidates {
+                // The probe lists live slots only.
+                let Some(settled) = &self.slots[slot as usize] else {
+                    continue;
+                };
                 self.stats.comparisons += 1;
-                if self.matcher.profiles_match(&record, settled) {
-                    merged_with = Some(slot);
+                let is_match = self
+                    .matcher
+                    .match_counts(row.len(), settled.row.len(), shared as usize)
+                    .unwrap_or_else(|| self.matcher.profiles_match(&record, &settled.profile));
+                if is_match {
+                    matched = Some(slot);
                     break;
                 }
             }
-            match merged_with {
-                Some(slot) => {
-                    let settled = self.profiles[slot as usize].take().expect("slot was live");
-                    record = record.merge(&settled);
-                    self.stats.merges += 1;
-                    // Loop: the merged record re-probes the index.
-                }
-                None => break,
-            }
+            let Some(settled) = matched.and_then(|slot| self.slots[slot as usize].take()) else {
+                break;
+            };
+            record = record.absorb(settled.profile);
+            row = union(&row, &settled.row);
+            self.stats.merges += 1;
         }
         // Settle: index and store.
-        let slot = self.profiles.len() as u32;
-        let tokens: BTreeSet<String> = record.token_set(&self.tokenizer);
-        for t in tokens {
-            self.index.entry(t).or_default().push(slot);
+        let slot = self.slots.len();
+        for symbol in &row {
+            self.postings[symbol.index()].push(slot as u32);
         }
-        self.profiles.push(Some(record));
-        self.profiles[slot as usize].as_ref().expect("just stored")
+        self.count.push(0);
+        self.slots.push(None);
+        &self.slots[slot]
+            .insert(Settled {
+                profile: record,
+                row,
+            })
+            .profile
+    }
+
+    /// Fills `candidates` with every live slot sharing a token with `row`,
+    /// ordered `(shared desc, slot desc)`, and drops the emptied slots from
+    /// each posting list it walks.
+    ///
+    /// A slot is in `postings[t]` once iff `t` is in its row, so the number
+    /// of `row`'s lists it is met in is the size of the intersection of the
+    /// two rows.
+    fn probe(&mut self, row: &[Symbol]) {
+        self.candidates.clear();
+        for symbol in row {
+            self.postings[symbol.index()].retain(|&slot| {
+                if self.slots[slot as usize].is_none() {
+                    return false;
+                }
+                let count = &mut self.count[slot as usize];
+                if *count == 0 {
+                    self.candidates.push((0, slot));
+                }
+                *count += 1;
+                true
+            });
+        }
+        for (shared, slot) in &mut self.candidates {
+            *shared = std::mem::take(&mut self.count[*slot as usize]);
+        }
+        self.candidates.sort_unstable_by(|a, b| b.cmp(a));
     }
 
     /// [`insert`](IncrementalResolver::insert) under watchdog coverage: the
@@ -151,7 +210,7 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
     /// never leaves half-resolved state behind.
     pub fn re_resolve(
         &mut self,
-        collection: &er_core::collection::EntityCollection,
+        collection: &EntityCollection,
         watchdog: &Watchdog,
     ) -> Result<IncrementalStats, ResourceError>
     where
@@ -169,6 +228,33 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
     }
 }
 
+/// The union of two sorted distinct symbol rows, sorted and distinct — a
+/// linear merge.
+fn union(a: &[Symbol], b: &[Symbol]) -> Vec<Symbol> {
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        match a[i].cmp(&b[j]) {
+            Ordering::Less => {
+                out.push(a[i]);
+                i += 1;
+            }
+            Ordering::Greater => {
+                out.push(b[j]);
+                j += 1;
+            }
+            Ordering::Equal => {
+                out.push(a[i]);
+                i += 1;
+                j += 1;
+            }
+        }
+    }
+    out.extend_from_slice(&a[i..]);
+    out.extend_from_slice(&b[j..]);
+    out
+}
+
 /// Insertions between watchdog checks during
 /// [`IncrementalResolver::re_resolve`] — frequent enough that a skewed
 /// checkpoint is interrupted promptly, rare enough that the clock read never
@@ -181,6 +267,7 @@ mod tests {
     use er_core::collection::{EntityCollection, ResolutionMode};
     use er_core::entity::{EntityBuilder, EntityId, KbId};
     use er_core::merge::SharedTokenMatcher;
+    use std::collections::BTreeSet;
 
     fn collection(values: &[&str]) -> EntityCollection {
         let mut c = EntityCollection::new(ResolutionMode::Dirty);
@@ -309,6 +396,84 @@ mod tests {
         }
         assert!(drifted.re_resolve(&c, &expired).is_err());
         assert_eq!(drifted.clusters(), before, "failed rebuild is discarded");
+    }
+
+    /// The layout obligations of `docs/data_layout.md` (layer 5).
+    fn check_layout(r: &IncrementalResolver<SharedTokenMatcher>) -> Result<(), String> {
+        let live = |slot: u32| r.slots[slot as usize].as_ref();
+        for settled in r.slots.iter().flatten() {
+            if !settled.row.windows(2).all(|w| w[0] < w[1]) {
+                return Err(format!("row not sorted distinct: {:?}", settled.row));
+            }
+            let resolved: BTreeSet<String> = settled
+                .row
+                .iter()
+                .map(|&s| r.interner.resolve(s).to_string())
+                .collect();
+            if resolved != settled.profile.token_set(&r.tokenizer) {
+                return Err(format!("row is not the profile's token set: {resolved:?}"));
+            }
+        }
+        for (symbol, list) in r.postings.iter().enumerate() {
+            let symbol = Symbol(symbol as u32);
+            let listed: Vec<u32> = list
+                .iter()
+                .copied()
+                .filter(|&s| live(s).is_some())
+                .collect();
+            let holders: Vec<u32> = (0..r.slots.len() as u32)
+                .filter(|&s| live(s).is_some_and(|l| l.row.binary_search(&symbol).is_ok()))
+                .collect();
+            if listed != holders {
+                return Err(format!("{symbol:?} lists {listed:?}, held by {holders:?}"));
+            }
+        }
+        // The settling record's last probe walked every list of its row.
+        if let Some(Some(last)) = r.slots.last() {
+            for symbol in &last.row {
+                if let Some(dead) = r.postings[symbol.index()]
+                    .iter()
+                    .find(|&&s| live(s).is_none())
+                {
+                    return Err(format!("{symbol:?} still lists emptied slot {dead}"));
+                }
+            }
+        }
+        if r.count.iter().any(|&c| c != 0) {
+            return Err("probe scratch not reset".to_string());
+        }
+        Ok(())
+    }
+
+    proptest::proptest! {
+        /// Small vocabularies (so descriptions overlap and chains form), stop
+        /// words and empty descriptions, arrivals in a random order.
+        #[test]
+        fn random_streams_agree_with_r_swoosh_and_keep_the_layout(
+            arrivals in proptest::collection::vec(
+                (proptest::prelude::any::<u16>(),
+                 proptest::collection::vec(("[p-q]", "([a-f]{1,2} ?){0,4}( the)?"), 0..3)),
+                0..40,
+            ),
+        ) {
+            let mut c = EntityCollection::new(ResolutionMode::Dirty);
+            for (_, attributes) in &arrivals {
+                c.push(KbId(0), attributes.clone());
+            }
+            let mut order: Vec<usize> = (0..arrivals.len()).collect();
+            order.sort_by_key(|&i| arrivals[i].0);
+            for k in 1..=3 {
+                let mut r = IncrementalResolver::new(SharedTokenMatcher::new(k));
+                for &i in &order {
+                    r.insert(c.entity(EntityId(i as u32)));
+                    if let Err(broken) = check_layout(&r) {
+                        proptest::prop_assert!(false, "k = {}: {}", k, broken);
+                    }
+                }
+                let batch = crate::swoosh::r_swoosh(&c, &SharedTokenMatcher::new(k));
+                proptest::prop_assert_eq!(r.clusters(), batch.clusters(), "k = {}", k);
+            }
+        }
     }
 
     #[test]

@@ -78,8 +78,11 @@ pub struct StreamingSession {
     index: IncrementalTokenIndex,
     graph: IncrementalGraph,
     resolver: IncrementalResolver<SharedTokenMatcher>,
-    /// Accepted entity ids not yet pushed through the incremental stages.
-    staged: Vec<EntityId>,
+    /// `collection[..indexed]` is in the blocking index and graph.
+    indexed: usize,
+    /// `collection[..resolved]` is in the resolver; `resolved ≤ indexed`, and
+    /// below it only after a flush the stage watchdog interrupted.
+    resolved: usize,
     batches: u64,
     checkpoints: u64,
     obs: Obs,
@@ -105,7 +108,8 @@ impl StreamingSession {
             graph: IncrementalGraph::new().with_obs(&obs),
             resolver,
             collection: EntityCollection::new(config.mode),
-            staged: Vec::new(),
+            indexed: 0,
+            resolved: 0,
             batches: 0,
             checkpoints: 0,
             queue,
@@ -134,8 +138,7 @@ impl StreamingSession {
             builder = builder.attr(name, value);
         }
         let id = self.collection.push_entity(accepted.kb, builder);
-        self.staged.push(id);
-        if self.staged.len() >= self.config.batch_size {
+        if self.collection.len() - self.indexed >= self.config.batch_size {
             self.flush()?;
         }
         Ok(Some(id))
@@ -156,28 +159,51 @@ impl StreamingSession {
 
     /// Pushes the staged partial batch through the incremental index, graph
     /// and resolver. A no-op when nothing is staged.
+    ///
+    /// The stage watchdog can interrupt the resolver between two entities.
+    /// The typed error then leaves the batch indexed and its unresolved tail
+    /// staged — every accepted entity is in a cluster or still counted by
+    /// [`staged_len`](StreamingSession::staged_len) — and the next `flush` or
+    /// `checkpoint` resumes at the first unresolved entity.
     pub fn flush(&mut self) -> Result<(), ResourceError> {
-        if self.staged.is_empty() {
+        let accepted = self.collection.len();
+        if self.resolved == accepted {
             return Ok(());
         }
         let span = self.obs.span("streaming.batch");
-        let staged = std::mem::take(&mut self.staged);
-        let delta = self
-            .index
-            .insert_batch(staged.iter().map(|&id| self.collection.entity(id)));
-        self.graph
-            .apply_delta(&self.index, &delta, &self.collection);
-        let watchdog = self.limits.stage_watchdog();
-        for &id in &staged {
-            self.resolver
-                .insert_guarded(self.collection.entity(id), &watchdog)?;
+        if self.indexed < accepted {
+            let delta = self
+                .index
+                .insert_batch(self.collection.iter().skip(self.indexed));
+            self.graph
+                .apply_delta(&self.index, &delta, &self.collection);
+            if self.obs.is_enabled() {
+                self.obs
+                    .counter("streaming.entities_indexed")
+                    .add((accepted - self.indexed) as u64);
+            }
+            self.indexed = accepted;
         }
+        let watchdog = self.limits.stage_watchdog();
+        let before = self.resolver.stats();
+        let outcome = self
+            .collection
+            .iter()
+            .skip(self.resolved)
+            .try_for_each(|entity| {
+                self.resolver.insert_guarded(entity, &watchdog)?;
+                self.resolved += 1;
+                Ok(())
+            });
+        let after = self.resolver.stats();
+        self.record_resolver_work(
+            after.comparisons - before.comparisons,
+            after.merges - before.merges,
+        );
+        outcome?;
         self.batches += 1;
         if self.obs.is_enabled() {
             self.obs.counter("streaming.batches").incr();
-            self.obs
-                .counter("streaming.entities_indexed")
-                .add(staged.len() as u64);
         }
         span.finish();
         if self.config.refresh_every > 0
@@ -192,6 +218,17 @@ impl StreamingSession {
             );
         }
         Ok(())
+    }
+
+    /// Counts resolver work — incremental inserts and checkpoint rebuilds
+    /// alike — into `streaming.resolver_{comparisons,merges}`.
+    fn record_resolver_work(&self, comparisons: u64, merges: u64) {
+        if self.obs.is_enabled() {
+            self.obs
+                .counter("streaming.resolver_comparisons")
+                .add(comparisons);
+            self.obs.counter("streaming.resolver_merges").add(merges);
+        }
     }
 
     /// Checkpoint: flushes staged arrivals, refreshes the blocking graph
@@ -209,6 +246,7 @@ impl StreamingSession {
         );
         let watchdog = self.limits.stage_watchdog();
         let stats = self.resolver.re_resolve(&self.collection, &watchdog)?;
+        self.record_resolver_work(stats.comparisons, stats.merges);
         self.checkpoints += 1;
         if self.obs.is_enabled() {
             self.obs.counter("streaming.checkpoints").incr();
@@ -263,9 +301,11 @@ impl StreamingSession {
         self.checkpoints
     }
 
-    /// Entities accepted but not yet flushed into the incremental stages.
+    /// Entities accepted but not yet through every incremental stage: not
+    /// flushed, or flushed into the index and graph by a flush the watchdog
+    /// interrupted before the resolver reached them.
     pub fn staged_len(&self) -> usize {
-        self.staged.len()
+        self.collection.len() - self.resolved
     }
 
     /// Finishes the session: closes the queue, drains what is left, flushes
@@ -396,6 +436,60 @@ mod tests {
         }
         assert_eq!(s.clusters(), from_scratch.clusters());
         assert_eq!(s.checkpoints(), 1);
+    }
+
+    #[test]
+    fn interrupted_flush_keeps_its_unresolved_tail_staged() {
+        // A zero stage deadline interrupts every flush before its first
+        // resolver insert: the batch is indexed, and must stay pending.
+        let mut s = StreamingSession::new(
+            StreamingConfig {
+                batch_size: 3,
+                ..Default::default()
+            },
+            ResourceLimits::none().with_stage_timeout(std::time::Duration::ZERO),
+        );
+        let mut interrupted = 0;
+        for (i, v) in VALUES.iter().enumerate() {
+            match s.offer(record(&format!("r{i}"), v)) {
+                Ok(_) => {}
+                Err(ResourceError::DeadlineExceeded { .. }) => interrupted += 1,
+                Err(other) => panic!("unexpected {other:?}"),
+            }
+        }
+        assert!(interrupted > 0);
+        assert!(matches!(
+            s.checkpoint(),
+            Err(ResourceError::DeadlineExceeded { .. })
+        ));
+        let clustered: usize = s.clusters().iter().map(Vec::len).sum();
+        assert_eq!(clustered + s.staged_len(), VALUES.len(), "no id dropped");
+        assert_eq!(s.batches(), 0, "no flush completed");
+        // Retried flushes index nothing twice.
+        assert_eq!(
+            s.blocks(),
+            TokenBlocking::new().build(&batch_collection(VALUES))
+        );
+
+        // Generous limits: the same arrivals all resolve, flush by flush.
+        let mut s = StreamingSession::new(
+            StreamingConfig {
+                batch_size: 3,
+                ..Default::default()
+            },
+            ResourceLimits::none().with_stage_timeout(std::time::Duration::from_secs(3600)),
+        );
+        for (i, v) in VALUES.iter().enumerate() {
+            s.offer(record(&format!("r{i}"), v)).unwrap();
+            assert_eq!(s.staged_len(), (i + 1) % 3);
+        }
+        s.flush().unwrap();
+        let mut from_scratch = IncrementalResolver::new(SharedTokenMatcher::new(2));
+        for e in s.collection().iter() {
+            from_scratch.insert(e);
+        }
+        assert_eq!(s.clusters(), from_scratch.clusters());
+        assert_eq!((s.staged_len(), s.batches()), (0, 3));
     }
 
     #[test]

@@ -5,7 +5,9 @@
 use er_core::collection::EntityCollection;
 use er_core::obs::{CaptureSink, Event, Histogram, MetricsSnapshot, Obs, HISTOGRAM_BUCKETS};
 use er_core::parallel::Parallelism;
+use er_core::resource::ResourceLimits;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_pipeline::streaming::{raw_record_from_entity, StreamingConfig, StreamingSession};
 use er_pipeline::{
     BlockingStage, CleaningStage, ClusteringStage, MatchingStage, Pipeline, RecoveryOptions,
 };
@@ -358,6 +360,36 @@ fn pipeline_snapshot_round_trips_through_json() {
     ] {
         assert!(parsed.span(span).is_some(), "missing span {span}");
     }
+}
+
+#[test]
+fn streaming_session_counts_its_batches_and_resolver_work() {
+    let ds = dataset();
+    let obs = Obs::enabled();
+    let mut session = StreamingSession::with_obs(
+        StreamingConfig::default(),
+        ResourceLimits::none(),
+        obs.clone(),
+    );
+    for e in ds.collection.iter() {
+        session.offer(raw_record_from_entity(e)).unwrap();
+    }
+    let rebuilt = session.checkpoint().unwrap();
+    let snapshot = obs.snapshot();
+    let counter = |name: &str| snapshot.counter(name).unwrap_or(0);
+    let arrivals = ds.collection.len() as u64;
+    assert_eq!(counter("streaming.entities_indexed"), arrivals);
+    assert_eq!(counter("streaming.batches"), arrivals.div_ceil(64));
+    assert_eq!(counter("streaming.checkpoints"), 1);
+    // Resolver work is deterministic: the incremental pass and the
+    // checkpoint's rebuild integrate the same arrivals in the same order, so
+    // each costs what the rebuild reports.
+    assert_eq!(
+        counter("streaming.resolver_comparisons"),
+        2 * rebuilt.comparisons
+    );
+    assert_eq!(counter("streaming.resolver_merges"), 2 * rebuilt.merges);
+    assert_eq!((rebuilt.comparisons, rebuilt.merges), (13_865, 444));
 }
 
 #[test]
