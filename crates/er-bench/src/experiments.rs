@@ -15,6 +15,7 @@ use er_core::collection::EntityCollection;
 use er_core::ground_truth::GroundTruth;
 use er_core::matching::OracleMatcher;
 use er_core::metrics::BlockingQuality;
+use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
@@ -24,12 +25,13 @@ use er_mapreduce::balance::balanced_loads;
 use er_mapreduce::blocking::ParallelTokenBlocking;
 use er_mapreduce::metablocking::ParallelMetaBlocking;
 use er_metablocking::{meta_block, BlockingGraph, PruningScheme, WeightingScheme};
-use er_progressive::budget::{random_schedule, run_schedule, Budget};
+use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{
     ordered_blocks_schedule, score_pairs, sorted_pair_list, PartitionHierarchy,
 };
 use er_progressive::psnm::ProgressiveSnm;
 use er_progressive::scheduler::{SchedulerConfig, WindowScheduler};
+use er_progressive::{ProgressiveOutcome, Scheduler};
 use std::time::Instant;
 
 fn quality(pairs: &[Pair], truth: &GroundTruth, collection: &EntityCollection) -> BlockingQuality {
@@ -359,7 +361,6 @@ pub fn e6_progressive() {
     banner("E6", "progressive ER: recall within a comparison budget");
     let ds = DirtyDataset::generate(&dirty_preset(1500));
     let c = &ds.collection;
-    let oracle = OracleMatcher::new(&ds.truth);
     let blocks = TokenBlocking::new().build(c);
     let candidates = blocks.distinct_pairs(c);
     let total = candidates.len() as u64;
@@ -379,7 +380,7 @@ pub fn e6_progressive() {
         ("AUC", 7),
     ]);
     let budgets = [total / 100, total / 20, total / 10, total / 4, total];
-    let report = |name: &str, out: er_progressive::ProgressiveOutcome| {
+    let report = |name: &str, out: ProgressiveOutcome| {
         let mut cells = vec![name.to_string()];
         for b in budgets {
             cells.push(f3(out.curve.recall_at(b)));
@@ -387,78 +388,43 @@ pub fn e6_progressive() {
         cells.push(f3(out.curve.auc(total)));
         table.row(&cells);
     };
-    report(
-        "random",
-        run_schedule(
+    fn run(ds: &DirtyDataset, schedule: impl Scheduler) -> ProgressiveOutcome {
+        let oracle = OracleMatcher::new(&ds.truth);
+        let (c, truth) = (&ds.collection, &ds.truth);
+        er_progressive::run(
             c,
             &oracle,
-            random_schedule(&candidates, 5),
+            schedule,
             Budget::Unlimited,
-            &ds.truth,
-        ),
+            truth,
+            &Obs::disabled(),
+        )
+    }
+    report(
+        "random",
+        run(&ds, random_schedule(&candidates, 5).into_iter()),
     );
     let scored = score_pairs(c, &candidates, SetMeasure::Jaccard);
     report(
         "sorted-pairs",
-        run_schedule(
-            c,
-            &oracle,
-            sorted_pair_list(&scored),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
+        run(&ds, sorted_pair_list(&scored).into_iter()),
     );
     let hierarchy = PartitionHierarchy::build(&scored, &[0.8, 0.6, 0.4, 0.2]);
-    report(
-        "hierarchy",
-        run_schedule(
-            c,
-            &oracle,
-            hierarchy.schedule(),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
-    );
+    report("hierarchy", run(&ds, hierarchy.schedule().into_iter()));
     report(
         "ordered-blocks",
-        run_schedule(
-            c,
-            &oracle,
-            ordered_blocks_schedule(c, &blocks),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
+        run(&ds, ordered_blocks_schedule(c, &blocks).into_iter()),
     );
-    report(
-        "psnm",
-        ProgressiveSnm::new(SortKey::FlattenedValue, 30, false).run(
-            c,
-            &oracle,
-            Budget::Unlimited,
-            &ds.truth,
-        ),
-    );
-    report(
-        "psnm+lookahead",
-        ProgressiveSnm::new(SortKey::FlattenedValue, 30, true).run(
-            c,
-            &oracle,
-            Budget::Unlimited,
-            &ds.truth,
-        ),
-    );
-    let sched = WindowScheduler::new(
-        c,
-        &scored,
-        &[],
-        SchedulerConfig {
-            window_size: 250,
-            influence_boost: 0.25,
-        },
-    );
+    let psnm = |lookahead| ProgressiveSnm::new(SortKey::FlattenedValue, 30, lookahead);
+    report("psnm", run(&ds, psnm(false).schedule(c)));
+    report("psnm+lookahead", run(&ds, psnm(true).schedule(c)));
+    let window = SchedulerConfig {
+        window_size: 250,
+        influence_boost: 0.25,
+    };
     report(
         "window-scheduler",
-        sched.run(&oracle, Budget::Unlimited, &ds.truth),
+        run(&ds, WindowScheduler::new(c, &scored, &[], window)),
     );
     println!(
         "shape: every informed method dominates random at small budgets; \
@@ -1005,7 +971,6 @@ pub fn e15_fault_overhead() {
 /// disabled default (acceptance: enabled-path overhead below 5%, outputs
 /// identical, snapshot covers every pipeline stage).
 pub fn e16_obs_overhead() {
-    use er_core::obs::Obs;
     use er_pipeline::Pipeline;
 
     banner("E16", "observability overhead and snapshot coverage");
@@ -1131,7 +1096,6 @@ pub fn e16_obs_overhead() {
 /// largest-comparisons-first, and the run completes with explicit,
 /// reported recall loss.
 pub fn e17_resource_overhead() {
-    use er_core::obs::Obs;
     use er_core::resource::ResourceLimits;
     use er_pipeline::{CleaningStage, Pipeline};
     use std::time::Duration;
@@ -1804,7 +1768,6 @@ pub fn e19_streaming() {
 /// `ER_PRINT_SCENARIOS=1` prints a paste-ready re-lock table.
 pub fn e20_scenario_matrix() {
     use crate::scenarios::{self, Scenario};
-    use er_core::obs::Obs;
 
     banner(
         "E20",
@@ -2120,7 +2083,6 @@ pub fn e21_backend_overhead() {
 pub fn e22_out_of_core() {
     use er_blocking::governance::block_bytes;
     use er_core::colstore::{collection_fingerprint, OocConfig, StoreMetrics};
-    use er_core::obs::Obs;
     use er_core::parallel::Parallelism;
     use er_core::resource::ResourceLimits;
     use er_metablocking::BlockingGraph as Graph;

@@ -9,15 +9,25 @@
 //! 2. **iteration**: pop the best pair, compare it, and let an *update hook*
 //!    react to the decision by enqueueing new pairs or re-prioritizing
 //!    existing ones;
-//! 3. terminate when the queue is empty (or a budget is exhausted — the
-//!    bridge to progressive ER, §IV).
+//! 3. terminate when the queue is empty or a stopping rule fires — the
+//!    bridge to progressive ER, §IV.
+//!
+//! That is Fig. 1's scheduling → matching → update loop with the queue as
+//! the scheduler and the hook as its update phase, so the iteration is
+//! [`er_progressive::run`]: budgets, stopping rules, the recall curve and the
+//! `progressive.*` metrics apply to it as to every progressive method.
 //!
 //! Merging-based and relationship-based methods differ only in their update
 //! hooks, which is exactly how the tutorial contrasts them.
 
 use er_core::collection::EntityCollection;
+use er_core::ground_truth::GroundTruth;
 use er_core::matching::Matcher;
+use er_core::obs::Obs;
 use er_core::pair::Pair;
+use er_progressive::hints::best_first;
+use er_progressive::{ProgressiveOutcome, Scheduler, StoppingRule};
+use std::cmp::Ordering;
 use std::collections::{BTreeSet, BinaryHeap};
 
 /// A prioritized queue of candidate pairs that never yields the same pair
@@ -26,7 +36,7 @@ use std::collections::{BTreeSet, BinaryHeap};
 /// modeled by the update hook instead).
 #[derive(Clone, Debug, Default)]
 pub struct PairQueue {
-    heap: BinaryHeap<(ordered::F64, std::cmp::Reverse<Pair>)>,
+    heap: BinaryHeap<Queued>,
     seen: BTreeSet<Pair>,
 }
 
@@ -36,22 +46,19 @@ impl PairQueue {
         Self::default()
     }
 
-    /// Enqueues a pair with a priority (higher pops first). Returns `false`
-    /// if the pair was already enqueued at some point.
+    /// Enqueues a pair with a priority (higher pops first, ties by ascending
+    /// pair). Returns `false` if the pair was already enqueued at some point.
     pub fn push(&mut self, pair: Pair, priority: f64) -> bool {
         if !self.seen.insert(pair) {
             return false;
         }
-        self.heap
-            .push((ordered::F64(priority), std::cmp::Reverse(pair)));
+        self.heap.push(Queued((pair, priority)));
         true
     }
 
     /// Pops the highest-priority pair.
     pub fn pop(&mut self) -> Option<(Pair, f64)> {
-        self.heap
-            .pop()
-            .map(|(p, std::cmp::Reverse(pair))| (pair, p.0))
+        self.heap.pop().map(|Queued(entry)| entry)
     }
 
     /// Pairs currently waiting.
@@ -70,6 +77,30 @@ impl PairQueue {
     }
 }
 
+/// A waiting pair, ordered so the max-heap pops [`best_first`].
+#[derive(Clone, Copy, Debug)]
+struct Queued((Pair, f64));
+
+impl Ord for Queued {
+    fn cmp(&self, other: &Self) -> Ordering {
+        best_first(&other.0, &self.0)
+    }
+}
+
+impl PartialOrd for Queued {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl PartialEq for Queued {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for Queued {}
+
 /// Statistics of an iterative run.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IterationStats {
@@ -85,7 +116,7 @@ impl IterationStats {
     /// Mirrors these counters into an observability registry under the
     /// `iterative.*` names (cumulative across runs). No-op on a disabled
     /// handle.
-    pub fn record_obs(&self, obs: &er_core::obs::Obs) {
+    pub fn record_obs(&self, obs: &Obs) {
         if !obs.is_enabled() {
             return;
         }
@@ -95,7 +126,7 @@ impl IterationStats {
     }
 }
 
-/// The iterative resolver: owns the queue and drives the loop.
+/// The iterative resolver: owns the queue the loop schedules from.
 pub struct IterativeResolver<'a, M> {
     collection: &'a EntityCollection,
     matcher: &'a M,
@@ -122,51 +153,49 @@ impl<'a, M: Matcher> IterativeResolver<'a, M> {
         }
     }
 
-    /// Iterative phase: pops pairs until the queue drains, invoking
-    /// `on_decision(pair, is_match, queue)` after every comparison so the
-    /// strategy can enqueue newly relevant pairs. Returns the declared
-    /// matches and run statistics.
-    pub fn run<F>(mut self, mut on_decision: F) -> (Vec<Pair>, IterationStats)
+    /// Iterative phase: pops pairs until the queue drains or `stop` fires,
+    /// invoking `on_decision(pair, is_match, queue)` after every comparison
+    /// so the strategy can enqueue newly relevant pairs. Returns the run's
+    /// outcome (matches in discovery order, recall curve against `truth` —
+    /// pass an empty one when there is none) and its statistics.
+    pub fn run<F, R>(
+        mut self,
+        on_decision: F,
+        stop: R,
+        truth: &GroundTruth,
+        obs: &Obs,
+    ) -> (ProgressiveOutcome, IterationStats)
     where
         F: FnMut(Pair, bool, &mut PairQueue),
+        R: StoppingRule,
     {
-        let mut stats = IterationStats::default();
-        let mut matches = Vec::new();
-        while let Some((pair, _)) = self.queue.pop() {
-            stats.comparisons += 1;
-            let decision = er_core::matching::compare_pair(self.collection, self.matcher, pair);
-            if decision.is_match {
-                stats.matches += 1;
-                matches.push(pair);
-            }
-            on_decision(pair, decision.is_match, &mut self.queue);
-        }
-        stats.discovered = (self.queue.seen.len() - self.initial_seen) as u64;
-        matches.sort();
-        (matches, stats)
+        let schedule = QueueSchedule {
+            queue: &mut self.queue,
+            on_decision,
+        };
+        let out = er_progressive::run(self.collection, self.matcher, schedule, stop, truth, obs);
+        let stats = IterationStats {
+            comparisons: out.comparisons,
+            matches: out.matches.len() as u64,
+            discovered: (self.queue.seen.len() - self.initial_seen) as u64,
+        };
+        (out, stats)
     }
 }
 
-/// Total-order wrapper for f64 priorities (NaN priorities are rejected).
-mod ordered {
-    /// An f64 with `Ord`, panicking on NaN at construction time.
-    #[derive(Clone, Copy, Debug, PartialEq)]
-    pub struct F64(pub f64);
+/// The §III scheduler: the queue yields, the hook updates.
+struct QueueSchedule<'q, F> {
+    queue: &'q mut PairQueue,
+    on_decision: F,
+}
 
-    impl Eq for F64 {}
-
-    impl PartialOrd for F64 {
-        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-            Some(self.cmp(other))
-        }
+impl<F: FnMut(Pair, bool, &mut PairQueue)> Scheduler for QueueSchedule<'_, F> {
+    fn next_pair(&mut self) -> Option<Pair> {
+        self.queue.pop().map(|(pair, _)| pair)
     }
 
-    impl Ord for F64 {
-        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-            self.0
-                .partial_cmp(&other.0)
-                .expect("priorities must not be NaN")
-        }
+    fn update(&mut self, pair: Pair, is_match: bool) {
+        (self.on_decision)(pair, is_match, self.queue);
     }
 }
 
@@ -177,6 +206,11 @@ mod tests {
     use er_core::entity::{EntityBuilder, EntityId, KbId};
     use er_core::matching::ThresholdMatcher;
     use er_core::similarity::SetMeasure;
+    use er_progressive::Budget;
+
+    fn no_truth() -> GroundTruth {
+        GroundTruth::from_pairs([])
+    }
 
     fn id(n: u32) -> EntityId {
         EntityId(n)
@@ -216,8 +250,13 @@ mod tests {
         let m = ThresholdMatcher::new(SetMeasure::Jaccard, 0.8);
         let seeds = c.all_pairs().into_iter().map(|p| (p, 1.0));
         let resolver = IterativeResolver::new(&c, &m, seeds);
-        let (matches, stats) = resolver.run(|_, _, _| {});
-        assert_eq!(matches, vec![Pair::new(id(0), id(1))]);
+        let (out, stats) = resolver.run(
+            |_, _, _| {},
+            Budget::Unlimited,
+            &no_truth(),
+            &Obs::disabled(),
+        );
+        assert_eq!(out.matches, vec![Pair::new(id(0), id(1))]);
         assert_eq!(stats.comparisons, 3);
         assert_eq!(stats.matches, 1);
         assert_eq!(stats.discovered, 0);
@@ -233,7 +272,7 @@ mod tests {
         }
         let m = ThresholdMatcher::new(SetMeasure::Jaccard, 0.5);
         let resolver = IterativeResolver::new(&c, &m, vec![(Pair::new(id(0), id(1)), 1.0)]);
-        let (matches, stats) = resolver.run(|pair, is_match, q| {
+        let discover = |pair: Pair, is_match: bool, q: &mut PairQueue| {
             if is_match {
                 for next in [Pair::new(id(1), id(2)), Pair::new(id(0), id(2))] {
                     if next != pair {
@@ -241,18 +280,23 @@ mod tests {
                     }
                 }
             }
-        });
-        assert_eq!(matches.len(), 3, "iteration reaches the whole cluster");
+        };
+        let (out, stats) = resolver.run(discover, Budget::Unlimited, &no_truth(), &Obs::disabled());
+        assert_eq!(out.matches.len(), 3, "iteration reaches the whole cluster");
         assert_eq!(stats.comparisons, 3);
         assert_eq!(stats.discovered, 2);
-    }
 
-    #[test]
-    #[should_panic(expected = "NaN")]
-    fn nan_priority_panics_on_pop_ordering() {
-        let mut q = PairQueue::new();
-        q.push(Pair::new(id(0), id(1)), f64::NAN);
-        q.push(Pair::new(id(2), id(3)), 1.0);
-        let _ = q.pop();
+        // The same iteration under a budget, against ground truth, observed:
+        // what the module doc calls the bridge to progressive ER.
+        let truth = GroundTruth::from_clusters(vec![vec![id(0), id(1), id(2)]]);
+        let obs = Obs::enabled();
+        let resolver = IterativeResolver::new(&c, &m, vec![(Pair::new(id(0), id(1)), 1.0)]);
+        let (out, stats) = resolver.run(discover, Budget::Comparisons(2), &truth, &obs);
+        assert_eq!(stats.comparisons, 2);
+        assert_eq!(stats.discovered, 2, "discovered but not all compared");
+        assert!((out.curve.final_recall() - 2.0 / 3.0).abs() < 1e-12);
+        let snap = obs.snapshot();
+        assert_eq!(snap.counter("progressive.comparisons_consumed"), Some(2));
+        assert_eq!(snap.counter("progressive.matches_emitted"), Some(2));
     }
 }

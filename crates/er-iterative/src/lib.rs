@@ -7,6 +7,10 @@
 //! * [`framework`] — the general two-phase skeleton of \[16\]: an
 //!   *initialization* phase builds a (prioritized) queue of pairs, an
 //!   *iterative* phase pops, compares, and — on a match — updates the queue.
+//!   The iteration is Fig. 1's one scheduling → matching → update loop,
+//!   `er_progressive::run`, with the queue as its scheduler: one loop, N
+//!   schedulers (the method × stop table is in `er-progressive`'s crate
+//!   docs), so it stops under any budget or stopping rule.
 //! * [`swoosh`] — merging-based iteration: R-Swoosh (optimal under the ICAR
 //!   properties) and G-Swoosh (no assumptions) from Benjelloun et al. \[2\].
 //! * [`collective`] — relationship-based iteration: matches between related

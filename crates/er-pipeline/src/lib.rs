@@ -748,11 +748,14 @@ impl Pipeline {
         blocks
     }
 
-    /// Runs the pipeline *progressively*: candidates are scheduled by the
-    /// sorted-pairs hint (cheap Jaccard scores) and executed under the given
-    /// comparison budget, recording the progressive-recall curve against
-    /// `truth` with the configured matcher's decisions oracle-checked — the
-    /// §IV workflow on top of this pipeline's blocking stages.
+    /// Runs the pipeline *progressively*: this pipeline's blocking stages
+    /// produce the candidates, the sorted-pairs hint (cheap Jaccard scores)
+    /// schedules them, and [`er_progressive::run`] executes the schedule
+    /// under `budget` with `truth` as an oracle matcher — the configured
+    /// `MatchingStage` is not consulted, so the recall curve measures the
+    /// schedule alone. The `pipeline.progressive` span covers scoring,
+    /// sorting and the run: the scheduling phase is what §IV adds to the
+    /// workflow.
     pub fn run_progressive(
         &self,
         collection: &EntityCollection,
@@ -760,13 +763,18 @@ impl Pipeline {
         budget: er_progressive::Budget,
     ) -> er_progressive::ProgressiveOutcome {
         let candidates = self.candidates(collection);
+        let span = self.obs.span("pipeline.progressive");
         let scored =
             er_progressive::hints::score_pairs(collection, &candidates, SetMeasure::Jaccard);
         let schedule = er_progressive::hints::sorted_pair_list(&scored);
         let oracle = er_core::matching::OracleMatcher::new(truth);
-        let span = self.obs.span("pipeline.progressive");
-        let out = er_progressive::run_schedule_obs(
-            collection, &oracle, schedule, budget, truth, &self.obs,
+        let out = er_progressive::run(
+            collection,
+            &oracle,
+            schedule.into_iter(),
+            budget,
+            truth,
+            &self.obs,
         );
         span.finish();
         out

@@ -1,5 +1,6 @@
-//! Budgets and schedule execution.
+//! Budgets and the one scheduling → matching → update loop.
 
+use crate::stopping::StoppingRule;
 use er_core::collection::EntityCollection;
 use er_core::ground_truth::GroundTruth;
 use er_core::matching::Matcher;
@@ -23,9 +24,16 @@ pub enum Budget {
 }
 
 impl Budget {
+    /// A deadline budget expiring after `timeout` from now.
+    pub fn timeout(timeout: std::time::Duration) -> Budget {
+        Budget::Deadline(Instant::now() + timeout)
+    }
+}
+
+impl StoppingRule for Budget {
     /// Whether `executed` comparisons exhaust the budget. Deadline budgets
     /// consult the wall clock instead of the comparison count.
-    pub fn exhausted(&self, executed: u64) -> bool {
+    fn exhausted(&self, executed: u64) -> bool {
         match self {
             Budget::Comparisons(b) => executed >= *b,
             Budget::Deadline(d) => Instant::now() >= *d,
@@ -33,9 +41,11 @@ impl Budget {
         }
     }
 
-    /// A deadline budget expiring after `timeout` from now.
-    pub fn timeout(timeout: std::time::Duration) -> Budget {
-        Budget::Deadline(Instant::now() + timeout)
+    fn comparison_budget(&self) -> Option<u64> {
+        match self {
+            Budget::Comparisons(b) => Some(*b),
+            Budget::Deadline(_) | Budget::Unlimited => None,
+        }
     }
 }
 
@@ -50,77 +60,78 @@ pub struct ProgressiveOutcome {
     pub comparisons: u64,
 }
 
-/// Executes a static schedule of comparisons under a budget, recording the
-/// progressive-recall curve against ground truth. Repeated pairs in the
-/// schedule are skipped without consuming budget (a scheduler must not pay
-/// twice for one comparison).
-pub fn run_schedule<M, I>(
-    collection: &EntityCollection,
-    matcher: &M,
-    schedule: I,
-    budget: Budget,
-    truth: &GroundTruth,
-) -> ProgressiveOutcome
-where
-    M: Matcher,
-    I: IntoIterator<Item = Pair>,
-{
-    run_schedule_obs(
-        collection,
-        matcher,
-        schedule,
-        budget,
-        truth,
-        &Obs::disabled(),
-    )
+/// The scheduling phase of Fig. 1's loop: which pair to compare next, and —
+/// the update phase — what the decision on it changes about what follows.
+/// Every iterator over pairs is a static scheduler (a sorted pair list, a
+/// partition hierarchy, ordered blocks, a random order).
+pub trait Scheduler {
+    /// The next pair to compare; `None` once the schedule has drained.
+    fn next_pair(&mut self) -> Option<Pair>;
+
+    /// Told the decision on the pair [`next_pair`](Self::next_pair) last
+    /// yielded, once it has been compared.
+    fn update(&mut self, _pair: Pair, _is_match: bool) {}
 }
 
-/// [`run_schedule`] with observability: records comparisons consumed
+impl<I: Iterator<Item = Pair>> Scheduler for I {
+    fn next_pair(&mut self) -> Option<Pair> {
+        self.next()
+    }
+}
+
+/// The scheduling → matching → update loop, the only place a scheduled
+/// comparison is executed: until `stop` fires or `scheduler` drains, take the
+/// next pair, compare it once (a pair the scheduler repeats costs no budget
+/// and feeds nothing back), record recall against `truth`, and tell the
+/// stopping rule and the scheduler the decision.
+///
+/// With an enabled `obs` every run records comparisons consumed
 /// (`progressive.comparisons_consumed`), matches emitted
 /// (`progressive.matches_emitted`), the comparison budget as a gauge
-/// (`progressive.budget_comparisons`; 0 for deadline/unlimited budgets) and
-/// the schedule position of every emitted match in the
-/// `progressive.match_position` log2 histogram — the "matches over time"
-/// shape a progressive scheduler is judged by.
-pub fn run_schedule_obs<M, I>(
+/// (`progressive.budget_comparisons`, when the rule has one) and the
+/// position of every emitted match in the `progressive.match_position` log2
+/// histogram — the "matches over time" shape a scheduler is judged by.
+pub fn run<M, S, R>(
     collection: &EntityCollection,
     matcher: &M,
-    schedule: I,
-    budget: Budget,
+    mut scheduler: S,
+    mut stop: R,
     truth: &GroundTruth,
     obs: &Obs,
 ) -> ProgressiveOutcome
 where
     M: Matcher,
-    I: IntoIterator<Item = Pair>,
+    S: Scheduler,
+    R: StoppingRule,
 {
     let match_position = obs.histogram("progressive.match_position");
     let mut curve = ProgressiveCurve::new(truth.len() as u64);
     let mut seen: BTreeSet<Pair> = BTreeSet::new();
     let mut matches = Vec::new();
     let mut executed = 0u64;
-    for pair in schedule {
-        if budget.exhausted(executed) {
+    while !stop.exhausted(executed) {
+        let Some(pair) = scheduler.next_pair() else {
             break;
-        }
+        };
         if !seen.insert(pair) {
             continue;
         }
         executed += 1;
-        let decision = er_core::matching::compare_pair(collection, matcher, pair);
-        let is_true_match = decision.is_match && truth.contains(pair);
-        if decision.is_match {
+        let is_match = er_core::matching::compare_pair(collection, matcher, pair).is_match;
+        if is_match {
             matches.push(pair);
             match_position.record(executed);
         }
-        curve.record(is_true_match);
+        curve.record(is_match && truth.contains(pair));
+        stop.observe(is_match);
+        scheduler.update(pair, is_match);
     }
     if obs.is_enabled() {
         obs.counter("progressive.comparisons_consumed")
             .add(executed);
         obs.counter("progressive.matches_emitted")
             .add(matches.len() as u64);
-        if let Budget::Comparisons(b) = budget {
+        if let Some(b) = stop.comparison_budget() {
             obs.gauge("progressive.budget_comparisons").set(b as f64);
         }
     }
@@ -158,6 +169,23 @@ mod tests {
     use er_core::entity::{EntityBuilder, EntityId, KbId};
     use er_core::matching::OracleMatcher;
 
+    fn run_static(
+        c: &EntityCollection,
+        oracle: &OracleMatcher<'_>,
+        schedule: Vec<Pair>,
+        budget: Budget,
+        truth: &GroundTruth,
+    ) -> ProgressiveOutcome {
+        run(
+            c,
+            oracle,
+            schedule.into_iter(),
+            budget,
+            truth,
+            &Obs::disabled(),
+        )
+    }
+
     fn id(n: u32) -> EntityId {
         EntityId(n)
     }
@@ -176,7 +204,7 @@ mod tests {
         let (c, truth) = setup();
         let oracle = OracleMatcher::new(&truth);
         let schedule = c.all_pairs();
-        let out = run_schedule(&c, &oracle, schedule, Budget::Comparisons(4), &truth);
+        let out = run_static(&c, &oracle, schedule, Budget::Comparisons(4), &truth);
         assert_eq!(out.comparisons, 4);
         assert_eq!(out.curve.comparisons(), 4);
     }
@@ -185,7 +213,7 @@ mod tests {
     fn unlimited_budget_runs_everything() {
         let (c, truth) = setup();
         let oracle = OracleMatcher::new(&truth);
-        let out = run_schedule(&c, &oracle, c.all_pairs(), Budget::Unlimited, &truth);
+        let out = run_static(&c, &oracle, c.all_pairs(), Budget::Unlimited, &truth);
         assert_eq!(out.comparisons, 15);
         assert_eq!(out.curve.final_recall(), 1.0);
         assert_eq!(out.matches.len(), 2);
@@ -196,7 +224,7 @@ mod tests {
         let (c, truth) = setup();
         let oracle = OracleMatcher::new(&truth);
         let p = Pair::new(id(0), id(1));
-        let out = run_schedule(&c, &oracle, vec![p, p, p], Budget::Unlimited, &truth);
+        let out = run_static(&c, &oracle, vec![p, p, p], Budget::Unlimited, &truth);
         assert_eq!(out.comparisons, 1);
         assert_eq!(out.matches, vec![p]);
     }
@@ -215,8 +243,8 @@ mod tests {
             Pair::new(id(2), id(3)),
             Pair::new(id(0), id(1)),
         ];
-        let g = run_schedule(&c, &oracle, good, Budget::Unlimited, &truth);
-        let b = run_schedule(&c, &oracle, bad, Budget::Unlimited, &truth);
+        let g = run_static(&c, &oracle, good, Budget::Unlimited, &truth);
+        let b = run_static(&c, &oracle, bad, Budget::Unlimited, &truth);
         assert!(g.curve.auc(3) > b.curve.auc(3));
         assert_eq!(g.curve.final_recall(), b.curve.final_recall());
     }
@@ -248,7 +276,7 @@ mod tests {
         let (c, truth) = setup();
         let oracle = OracleMatcher::new(&truth);
         let expired = Budget::Deadline(Instant::now());
-        let out = run_schedule(&c, &oracle, c.all_pairs(), expired, &truth);
+        let out = run_static(&c, &oracle, c.all_pairs(), expired, &truth);
         assert_eq!(out.comparisons, 0, "no budget, no comparisons");
         assert_eq!(out.curve.final_recall(), 0.0);
     }
@@ -258,7 +286,7 @@ mod tests {
         let (c, truth) = setup();
         let oracle = OracleMatcher::new(&truth);
         let generous = Budget::timeout(std::time::Duration::from_secs(3600));
-        let out = run_schedule(&c, &oracle, c.all_pairs(), generous, &truth);
+        let out = run_static(&c, &oracle, c.all_pairs(), generous, &truth);
         assert_eq!(out.comparisons, 15);
         assert_eq!(out.curve.final_recall(), 1.0);
     }

@@ -20,17 +20,20 @@ use er_core::matching::ThresholdMatcher;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
+use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
-/// Hint 1: candidate pairs sorted by descending score (ties by pair order,
-/// so schedules are deterministic).
+/// The one order every scheduler ranks scored pairs by: descending score,
+/// ties by ascending pair, so schedules are deterministic. `total_cmp` makes
+/// it total; scores are similarities and boosts, never NaN or −0.0.
+pub fn best_first(a: &(Pair, f64), b: &(Pair, f64)) -> Ordering {
+    b.1.total_cmp(&a.1).then(a.0.cmp(&b.0))
+}
+
+/// Hint 1: candidate pairs sorted [`best_first`].
 pub fn sorted_pair_list(scored: &[(Pair, f64)]) -> Vec<Pair> {
     let mut v: Vec<(Pair, f64)> = scored.to_vec();
-    v.sort_by(|a, b| {
-        b.1.partial_cmp(&a.1)
-            .expect("scores must not be NaN")
-            .then(a.0.cmp(&b.0))
-    });
+    v.sort_by(best_first);
     v.into_iter().map(|(p, _)| p).collect()
 }
 
@@ -136,6 +139,9 @@ mod tests {
     use er_blocking::block::Block;
     use er_core::collection::ResolutionMode;
     use er_core::entity::{EntityBuilder, EntityId, KbId};
+    use er_core::ground_truth::GroundTruth;
+    use er_core::matching::OracleMatcher;
+    use er_core::obs::Obs;
 
     fn id(n: u32) -> EntityId {
         EntityId(n)
@@ -232,5 +238,24 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn ordered_blocks_schedule_respects_budget() {
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        for _ in 0..6 {
+            c.push(KbId(0), vec![]);
+        }
+        let truth = GroundTruth::from_pairs([Pair::new(id(0), id(1))]);
+        let blocks = BlockCollection::new(vec![Block::new("all", (0..6).map(id).collect())]);
+        let out = crate::run(
+            &c,
+            &OracleMatcher::new(&truth),
+            ordered_blocks_schedule(&c, &blocks).into_iter(),
+            crate::Budget::Comparisons(4),
+            &truth,
+            &Obs::disabled(),
+        );
+        assert_eq!(out.comparisons, 4);
     }
 }

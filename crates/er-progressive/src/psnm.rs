@@ -9,20 +9,18 @@
 //! The **local lookahead** extension targets the dense-match regions the sort
 //! tends to create: when `(i, j)` matches, the pairs `(i+1, j)` and
 //! `(i, j+1)` are compared immediately (they have a high chance of matching
-//! too), jumping the queue. **Progressive blocking** applies the same idea to
-//! blocks: process block pairs small-first and, whenever a block yields a
-//! match, prioritize the rest of that block.
+//! too), jumping the queue — the method's update phase.
+//!
+//! \[23\]'s *progressive blocking* is not implemented: its small-blocks-first
+//! order is [`crate::hints::ordered_blocks_schedule`], and nothing here
+//! re-ranks blocks by the matches they yield.
 
-use crate::budget::{Budget, ProgressiveOutcome};
-use er_blocking::block::BlockCollection;
-use er_blocking::sorted_neighborhood::SortKey;
+use crate::budget::Scheduler;
+use er_blocking::sorted_neighborhood::{SortKey, SortedNeighborhood};
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
-use er_core::ground_truth::GroundTruth;
-use er_core::matching::Matcher;
-use er_core::metrics::ProgressiveCurve;
 use er_core::pair::Pair;
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
 /// Progressive sorted neighborhood with optional local lookahead.
 #[derive(Clone, Debug)]
@@ -48,184 +46,109 @@ impl ProgressiveSnm {
         }
     }
 
-    /// Runs under a budget, recording progressive recall against `truth`.
-    pub fn run<M: Matcher>(
-        &self,
-        collection: &EntityCollection,
-        matcher: &M,
-        budget: Budget,
-        truth: &GroundTruth,
-    ) -> ProgressiveOutcome {
-        let order = er_blocking::sorted_neighborhood::SortedNeighborhood::new(
-            self.key.clone(),
-            2, // the window is irrelevant here; we only need the sort order
-        )
-        .sorted_ids(collection);
-        let n = order.len();
-        let position_pair = |i: usize, j: usize| -> Option<Pair> {
-            if i >= n || j >= n || i == j {
-                return None;
-            }
-            collection.comparable_pair(order[i], order[j])
-        };
-
-        let mut curve = ProgressiveCurve::new(truth.len() as u64);
-        let mut seen: BTreeSet<Pair> = BTreeSet::new();
-        let mut matches = Vec::new();
-        let mut executed = 0u64;
-        // Lookahead queue of position pairs, processed before the main order.
-        let mut lookahead_queue: VecDeque<(usize, usize)> = VecDeque::new();
-
-        let compare = |i: usize,
-                       j: usize,
-                       executed: &mut u64,
-                       seen: &mut BTreeSet<Pair>,
-                       curve: &mut ProgressiveCurve,
-                       matches: &mut Vec<Pair>,
-                       lookahead_queue: &mut VecDeque<(usize, usize)>|
-         -> bool {
-            let Some(pair) = position_pair(i, j) else {
-                return false;
-            };
-            if !seen.insert(pair) {
-                return false;
-            }
-            *executed += 1;
-            let d = er_core::matching::compare_pair(collection, matcher, pair);
-            if d.is_match {
-                matches.push(pair);
-                if self.lookahead {
-                    // The (i+1, j) and (i, j+1) neighbors of a match have
-                    // a high chance of matching too [23].
-                    lookahead_queue.push_back((i + 1, j));
-                    lookahead_queue.push_back((i, j + 1));
-                }
-            }
-            curve.record(d.is_match && truth.contains(pair));
-            true
-        };
-
-        'outer: for distance in 1..=self.max_distance.min(n.saturating_sub(1)) {
-            for i in 0..n.saturating_sub(distance) {
-                // Drain lookahead first: those pairs jump the queue.
-                while let Some((li, lj)) = lookahead_queue.pop_front() {
-                    if budget.exhausted(executed) {
-                        break 'outer;
-                    }
-                    compare(
-                        li,
-                        lj,
-                        &mut executed,
-                        &mut seen,
-                        &mut curve,
-                        &mut matches,
-                        &mut lookahead_queue,
-                    );
-                }
-                if budget.exhausted(executed) {
-                    break 'outer;
-                }
-                compare(
-                    i,
-                    i + distance,
-                    &mut executed,
-                    &mut seen,
-                    &mut curve,
-                    &mut matches,
-                    &mut lookahead_queue,
-                );
-            }
-        }
-        ProgressiveOutcome {
-            curve,
-            matches,
-            comparisons: executed,
+    /// Sorts `collection` and returns the rank-distance sweep over it, the
+    /// scheduler to hand to [`crate::run`].
+    pub fn schedule<'a>(&self, collection: &'a EntityCollection) -> PsnmSchedule<'a> {
+        // The window is irrelevant here; only the sort order is used.
+        let order = SortedNeighborhood::new(self.key.clone(), 2).sorted_ids(collection);
+        PsnmSchedule {
+            collection,
+            max_distance: self.max_distance.min(order.len().saturating_sub(1)),
+            order,
+            lookahead: self.lookahead,
+            distance: 1,
+            i: 0,
+            jumped: VecDeque::new(),
+            last: (0, 0),
         }
     }
 }
 
-/// Progressive blocking \[23\]: block pairs are scheduled block-by-block in
-/// ascending cardinality, but a block that yields a match has its remaining
-/// pairs promoted to the front — matches cluster inside blocks.
-pub fn progressive_blocking<M: Matcher>(
-    collection: &EntityCollection,
-    blocks: &BlockCollection,
-    matcher: &M,
-    budget: Budget,
-    truth: &GroundTruth,
-) -> ProgressiveOutcome {
-    // Per block: pending pair list (lazily consumed).
-    let mut order: Vec<(u64, usize)> = blocks
-        .blocks()
-        .iter()
-        .enumerate()
-        .map(|(i, b)| (b.comparisons(collection), i))
-        .collect();
-    order.sort();
-    let mut pending: Vec<VecDeque<Pair>> = blocks
-        .blocks()
-        .iter()
-        .map(|b| b.pairs(collection).collect())
-        .collect();
+/// The state of one PSNM run: where the sweep stands and which lookahead
+/// positions jump the queue.
+pub struct PsnmSchedule<'a> {
+    collection: &'a EntityCollection,
+    order: Vec<EntityId>,
+    max_distance: usize,
+    lookahead: bool,
+    /// The sweep's next position pair is `(i, i + distance)`.
+    distance: usize,
+    i: usize,
+    /// Lookahead position pairs, yielded before the sweep continues.
+    jumped: VecDeque<(usize, usize)>,
+    /// Positions of the pair last yielded.
+    last: (usize, usize),
+}
 
-    let mut curve = ProgressiveCurve::new(truth.len() as u64);
-    let mut seen: BTreeSet<Pair> = BTreeSet::new();
-    let mut matches = Vec::new();
-    let mut executed = 0u64;
-    // Hot blocks: found a match recently, drain them first.
-    let mut hot: VecDeque<usize> = VecDeque::new();
-    let mut cold: VecDeque<usize> = order.into_iter().map(|(_, i)| i).collect();
-
-    while !budget.exhausted(executed) {
-        let Some(bi) = hot.pop_front().or_else(|| cold.pop_front()) else {
-            break;
-        };
-        let mut found_in_block = false;
-        while let Some(pair) = pending[bi].pop_front() {
-            if budget.exhausted(executed) {
-                break;
-            }
-            if !seen.insert(pair) {
+impl Scheduler for PsnmSchedule<'_> {
+    fn next_pair(&mut self) -> Option<Pair> {
+        let n = self.order.len();
+        loop {
+            let (i, j) = match self.jumped.pop_front() {
+                Some(position) => position,
+                None => {
+                    if self.i + self.distance >= n {
+                        self.distance += 1;
+                        self.i = 0;
+                    }
+                    if self.distance > self.max_distance {
+                        return None;
+                    }
+                    let i = self.i;
+                    self.i += 1;
+                    (i, i + self.distance)
+                }
+            };
+            if i >= n || j >= n || i == j {
                 continue;
             }
-            executed += 1;
-            let d = er_core::matching::compare_pair(collection, matcher, pair);
-            if d.is_match {
-                matches.push(pair);
-                found_in_block = true;
-            }
-            curve.record(d.is_match && truth.contains(pair));
-            if found_in_block {
-                break; // re-enqueue hot and continue there
-            }
-        }
-        if !pending[bi].is_empty() {
-            if found_in_block {
-                hot.push_front(bi);
-            } else {
-                cold.push_back(bi);
+            if let Some(pair) = self
+                .collection
+                .comparable_pair(self.order[i], self.order[j])
+            {
+                self.last = (i, j);
+                return Some(pair);
             }
         }
     }
-    ProgressiveOutcome {
-        curve,
-        matches,
-        comparisons: executed,
-    }
-}
 
-/// The sorted ids used by PSNM — re-exported for experiment code that wants
-/// to inspect rank distances of truth pairs.
-pub fn sorted_positions(collection: &EntityCollection, key: &SortKey) -> Vec<EntityId> {
-    er_blocking::sorted_neighborhood::SortedNeighborhood::new(key.clone(), 2).sorted_ids(collection)
+    fn update(&mut self, _pair: Pair, is_match: bool) {
+        if is_match && self.lookahead {
+            // The (i+1, j) and (i, j+1) neighbors of a match have a high
+            // chance of matching too [23].
+            let (i, j) = self.last;
+            self.jumped.push_back((i + 1, j));
+            self.jumped.push_back((i, j + 1));
+        }
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{run, Budget, ProgressiveOutcome};
     use er_core::collection::ResolutionMode;
     use er_core::entity::{EntityBuilder, KbId};
+    use er_core::ground_truth::GroundTruth;
     use er_core::matching::OracleMatcher;
+    use er_core::obs::Obs;
+
+    fn run_psnm(
+        psnm: ProgressiveSnm,
+        c: &EntityCollection,
+        budget: Budget,
+        truth: &GroundTruth,
+    ) -> ProgressiveOutcome {
+        let oracle = OracleMatcher::new(truth);
+        run(
+            c,
+            &oracle,
+            psnm.schedule(c),
+            budget,
+            truth,
+            &Obs::disabled(),
+        )
+    }
 
     fn id(n: u32) -> EntityId {
         EntityId(n)
@@ -250,9 +173,8 @@ mod tests {
     #[test]
     fn distance_one_pairs_come_first() {
         let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let psnm = ProgressiveSnm::new(key(), 5, false);
-        let out = psnm.run(&c, &oracle, Budget::Comparisons(5), &truth);
+        let out = run_psnm(psnm, &c, Budget::Comparisons(5), &truth);
         assert_eq!(out.comparisons, 5, "all rank-distance-1 pairs");
         // Those five include (a0,a1), (a1,a2) and (b0,b1): recall = 3/4.
         assert!((out.curve.final_recall() - 0.75).abs() < 1e-12);
@@ -261,9 +183,8 @@ mod tests {
     #[test]
     fn full_run_reaches_total_recall() {
         let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let psnm = ProgressiveSnm::new(key(), 5, false);
-        let out = psnm.run(&c, &oracle, Budget::Unlimited, &truth);
+        let out = run_psnm(psnm, &c, Budget::Unlimited, &truth);
         assert_eq!(out.curve.final_recall(), 1.0);
         assert_eq!(out.comparisons, 15);
     }
@@ -271,10 +192,18 @@ mod tests {
     #[test]
     fn lookahead_pulls_dense_region_pairs_forward() {
         let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
-        let plain =
-            ProgressiveSnm::new(key(), 5, false).run(&c, &oracle, Budget::Unlimited, &truth);
-        let look = ProgressiveSnm::new(key(), 5, true).run(&c, &oracle, Budget::Unlimited, &truth);
+        let plain = run_psnm(
+            ProgressiveSnm::new(key(), 5, false),
+            &c,
+            Budget::Unlimited,
+            &truth,
+        );
+        let look = run_psnm(
+            ProgressiveSnm::new(key(), 5, true),
+            &c,
+            Budget::Unlimited,
+            &truth,
+        );
         assert_eq!(plain.curve.final_recall(), 1.0);
         assert_eq!(look.curve.final_recall(), 1.0);
         // (a0,a2) sits at rank distance 2; lookahead reaches it immediately
@@ -302,38 +231,9 @@ mod tests {
     #[test]
     fn budget_zero_executes_nothing() {
         let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
-        let out =
-            ProgressiveSnm::new(key(), 3, true).run(&c, &oracle, Budget::Comparisons(0), &truth);
+        let psnm = ProgressiveSnm::new(key(), 3, true);
+        let out = run_psnm(psnm, &c, Budget::Comparisons(0), &truth);
         assert_eq!(out.comparisons, 0);
         assert!(out.matches.is_empty());
-    }
-
-    #[test]
-    fn progressive_blocking_promotes_matchy_blocks() {
-        let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
-        let blocks = er_blocking::block::BlockCollection::new(vec![
-            er_blocking::block::Block::new("as", vec![id(0), id(1), id(2), id(5)]),
-            er_blocking::block::Block::new("bs", vec![id(3), id(4)]),
-        ]);
-        let out = progressive_blocking(&c, &blocks, &oracle, Budget::Unlimited, &truth);
-        assert_eq!(out.curve.final_recall(), 1.0);
-        // The small (b) block runs first; the a-block then stays hot while
-        // it keeps matching.
-        assert_eq!(out.matches[0], Pair::new(id(3), id(4)));
-    }
-
-    #[test]
-    fn progressive_blocking_respects_budget() {
-        let (c, truth) = setup();
-        let oracle = OracleMatcher::new(&truth);
-        let blocks =
-            er_blocking::block::BlockCollection::new(vec![er_blocking::block::Block::new(
-                "all",
-                (0..6).map(id).collect(),
-            )]);
-        let out = progressive_blocking(&c, &blocks, &oracle, Budget::Comparisons(4), &truth);
-        assert_eq!(out.comparisons, 4);
     }
 }

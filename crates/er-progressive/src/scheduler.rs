@@ -10,11 +10,10 @@
 //! a window executes, the **update phase** propagates the new matches, so the
 //! next window's choices reflect them.
 
-use crate::budget::{Budget, ProgressiveOutcome};
+use crate::budget::Scheduler;
+use crate::hints::best_first;
 use er_core::collection::EntityCollection;
-use er_core::ground_truth::GroundTruth;
-use er_core::matching::Matcher;
-use er_core::metrics::ProgressiveCurve;
+use er_core::entity::EntityId;
 use er_core::pair::Pair;
 use std::collections::{BTreeMap, BTreeSet};
 
@@ -37,24 +36,28 @@ impl Default for SchedulerConfig {
 }
 
 /// The window scheduler over scored candidate pairs and an optional
-/// description-level relationship graph.
-pub struct WindowScheduler<'a> {
-    collection: &'a EntityCollection,
+/// description-level relationship graph; hand it to [`crate::run`].
+pub struct WindowScheduler {
     config: SchedulerConfig,
-    /// Initial benefit (match likelihood estimate) per pending pair.
-    base_score: BTreeMap<Pair, f64>,
+    /// Current benefit (match likelihood estimate plus boosts) per pair not
+    /// yet put in a window.
+    pending: BTreeMap<Pair, f64>,
     /// Relationship edges between descriptions (for relational influence).
     related: Vec<BTreeSet<u32>>,
+    /// What is left of the current window, best first.
+    window: std::vec::IntoIter<Pair>,
+    /// The current window's matches, propagated when it runs dry.
+    new_matches: Vec<Pair>,
 }
 
-impl<'a> WindowScheduler<'a> {
+impl WindowScheduler {
     /// Creates the scheduler from scored candidates. `relations` lists
     /// undirected related-description edges (may be empty: influence then
     /// flows only through shared entities).
     pub fn new(
-        collection: &'a EntityCollection,
+        collection: &EntityCollection,
         scored_candidates: &[(Pair, f64)],
-        relations: &[(er_core::entity::EntityId, er_core::entity::EntityId)],
+        relations: &[(EntityId, EntityId)],
         config: SchedulerConfig,
     ) -> Self {
         assert!(
@@ -69,82 +72,54 @@ impl<'a> WindowScheduler<'a> {
             }
         }
         WindowScheduler {
-            collection,
             config,
-            base_score: scored_candidates.iter().copied().collect(),
+            pending: scored_candidates.iter().copied().collect(),
             related,
+            window: Vec::new().into_iter(),
+            new_matches: Vec::new(),
         }
     }
 
     /// Whether resolving `done` influences `pending`: they share an entity,
     /// or an entity of `done` is related to an entity of `pending`.
-    fn influences(&self, done: Pair, pending: Pair) -> bool {
-        let ids = [done.first(), done.second()];
-        for d in ids {
-            if pending.contains(d) {
-                return true;
-            }
-            for p in [pending.first(), pending.second()] {
-                if self.related[d.index()].contains(&p.0) {
-                    return true;
+    fn influences(related: &[BTreeSet<u32>], done: Pair, pending: Pair) -> bool {
+        [done.first(), done.second()].into_iter().any(|d| {
+            pending.contains(d)
+                || [pending.first(), pending.second()]
+                    .into_iter()
+                    .any(|p| related[d.index()].contains(&p.0))
+        })
+    }
+}
+
+impl Scheduler for WindowScheduler {
+    fn next_pair(&mut self) -> Option<Pair> {
+        if let Some(pair) = self.window.next() {
+            return Some(pair);
+        }
+        // Update phase: propagate the finished window's matches.
+        for done in self.new_matches.drain(..) {
+            for (pair, score) in self.pending.iter_mut() {
+                if Self::influences(&self.related, done, *pair) {
+                    *score += self.config.influence_boost;
                 }
             }
         }
-        false
+        // Scheduling phase: the next window is the best of what is pending.
+        let mut ranked: Vec<(Pair, f64)> = self.pending.iter().map(|(p, s)| (*p, *s)).collect();
+        ranked.sort_by(best_first);
+        ranked.truncate(self.config.window_size as usize);
+        let window: Vec<Pair> = ranked.into_iter().map(|(p, _)| p).collect();
+        for pair in &window {
+            self.pending.remove(pair);
+        }
+        self.window = window.into_iter();
+        self.window.next()
     }
 
-    /// Runs the scheduler under a budget.
-    pub fn run<M: Matcher>(
-        &self,
-        matcher: &M,
-        budget: Budget,
-        truth: &GroundTruth,
-    ) -> ProgressiveOutcome {
-        let mut pending: BTreeMap<Pair, f64> = self.base_score.clone();
-        let mut curve = ProgressiveCurve::new(truth.len() as u64);
-        let mut matches: Vec<Pair> = Vec::new();
-        let mut executed = 0u64;
-
-        while !pending.is_empty() && !budget.exhausted(executed) {
-            // --- scheduling phase: pick this window's comparisons ---------
-            let remaining = match budget {
-                Budget::Comparisons(b) => (b - executed).min(self.config.window_size),
-                // A deadline is re-checked before every window; within one
-                // window the full size is scheduled.
-                Budget::Deadline(_) | Budget::Unlimited => self.config.window_size,
-            };
-            let mut window: Vec<(Pair, f64)> = pending.iter().map(|(p, s)| (*p, *s)).collect();
-            window.sort_by(|a, b| {
-                b.1.partial_cmp(&a.1)
-                    .expect("scores must not be NaN")
-                    .then(a.0.cmp(&b.0))
-            });
-            window.truncate(remaining as usize);
-            // --- execution phase -------------------------------------------
-            let mut new_matches: Vec<Pair> = Vec::new();
-            for (pair, _) in &window {
-                pending.remove(pair);
-                executed += 1;
-                let d = er_core::matching::compare_pair(self.collection, matcher, *pair);
-                if d.is_match {
-                    new_matches.push(*pair);
-                    matches.push(*pair);
-                }
-                curve.record(d.is_match && truth.contains(*pair));
-            }
-            // --- update phase: propagate influence -------------------------
-            for done in &new_matches {
-                for (pair, score) in pending.iter_mut() {
-                    if self.influences(*done, *pair) {
-                        *score += self.config.influence_boost;
-                    }
-                }
-            }
-        }
-        ProgressiveOutcome {
-            curve,
-            matches,
-            comparisons: executed,
+    fn update(&mut self, pair: Pair, is_match: bool) {
+        if is_match {
+            self.new_matches.push(pair);
         }
     }
 }
@@ -152,9 +127,22 @@ impl<'a> WindowScheduler<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::{run, Budget, ProgressiveOutcome};
     use er_core::collection::ResolutionMode;
-    use er_core::entity::{EntityBuilder, EntityId, KbId};
+    use er_core::entity::{EntityBuilder, KbId};
+    use er_core::ground_truth::GroundTruth;
     use er_core::matching::OracleMatcher;
+    use er_core::obs::Obs;
+
+    fn run_window(
+        c: &EntityCollection,
+        sched: WindowScheduler,
+        budget: Budget,
+        truth: &GroundTruth,
+    ) -> ProgressiveOutcome {
+        let oracle = OracleMatcher::new(truth);
+        run(c, &oracle, sched, budget, truth, &Obs::disabled())
+    }
 
     fn id(n: u32) -> EntityId {
         EntityId(n)
@@ -183,7 +171,6 @@ mod tests {
     #[test]
     fn windows_execute_best_first() {
         let (c, truth, scored) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let sched = WindowScheduler::new(
             &c,
             &scored,
@@ -193,7 +180,7 @@ mod tests {
                 influence_boost: 0.3,
             },
         );
-        let out = sched.run(&oracle, Budget::Comparisons(2), &truth);
+        let out = run_window(&c, sched, Budget::Comparisons(2), &truth);
         assert_eq!(out.comparisons, 2);
         assert_eq!(
             out.matches,
@@ -205,7 +192,6 @@ mod tests {
     #[test]
     fn influence_promotes_low_scored_true_pair() {
         let (c, truth, scored) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let sched = WindowScheduler::new(
             &c,
             &scored,
@@ -218,7 +204,7 @@ mod tests {
         // Window 1: (0,1), (1,2) → both match → (0,2) boosted twice:
         // 0.1 + 1.0 = 1.1. Window 2 then executes (0,2) and (4,5): all four
         // truth pairs in four comparisons, with zero wasted on distractors.
-        let out = sched.run(&oracle, Budget::Comparisons(4), &truth);
+        let out = run_window(&c, sched, Budget::Comparisons(4), &truth);
         assert!(out.matches.contains(&Pair::new(id(0), id(2))));
         assert!(out.matches.contains(&Pair::new(id(4), id(5))));
         assert_eq!(
@@ -231,7 +217,6 @@ mod tests {
     #[test]
     fn without_influence_the_low_pair_waits() {
         let (c, truth, scored) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let sched = WindowScheduler::new(
             &c,
             &scored,
@@ -241,7 +226,7 @@ mod tests {
                 influence_boost: 0.0,
             },
         );
-        let out = sched.run(&oracle, Budget::Comparisons(4), &truth);
+        let out = run_window(&c, sched, Budget::Comparisons(4), &truth);
         assert!(
             !out.matches.contains(&Pair::new(id(0), id(2))),
             "with no boost, distractors outrank the low-scored true pair"
@@ -253,7 +238,6 @@ mod tests {
         let (c, truth, mut scored) = setup();
         // Pair (4,5) influences (6,7)… only when 4–6 are declared related.
         scored.push((Pair::new(id(3), id(7)), 0.45));
-        let oracle = OracleMatcher::new(&truth);
         let relations = vec![(id(4), id(6))];
         let sched = WindowScheduler::new(
             &c,
@@ -264,7 +248,7 @@ mod tests {
                 influence_boost: 0.3,
             },
         );
-        let out = sched.run(&oracle, Budget::Comparisons(3), &truth);
+        let out = run_window(&c, sched, Budget::Comparisons(3), &truth);
         // Window order: (0,1) 0.9 → match (influences (1,2),(0,2)).
         // (1,2) boosted to 1.1 → match. Third: (0,2) at 0.1+0.6=0.7 ties
         // (4,5) 0.7 — pair order breaks the tie toward (0,2).
@@ -275,9 +259,8 @@ mod tests {
     #[test]
     fn unlimited_budget_drains_all_candidates() {
         let (c, truth, scored) = setup();
-        let oracle = OracleMatcher::new(&truth);
         let sched = WindowScheduler::new(&c, &scored, &[], SchedulerConfig::default());
-        let out = sched.run(&oracle, Budget::Unlimited, &truth);
+        let out = run_window(&c, sched, Budget::Unlimited, &truth);
         assert_eq!(out.comparisons, scored.len() as u64);
         // All scheduled truth pairs found; (0,2)… is in candidates: recall
         // 3/4 (the (4,5) pair is the 4th truth pair and is scheduled too).

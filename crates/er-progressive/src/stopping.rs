@@ -1,23 +1,26 @@
-//! Early-termination rules for progressive runs.
+//! Stopping rules for progressive runs.
 //!
 //! A fixed comparison budget is one way to bound a pay-as-you-go run; the
 //! other is to *watch the run itself* and stop when further comparisons stop
-//! paying. This module provides composable stopping rules and a schedule
-//! executor that consults them after every comparison.
+//! paying. Both are [`StoppingRule`]s: [`crate::run`] consults the one it is
+//! given before every comparison and tells it every decision, so any rule
+//! (and any [`Either`] of two) stops any scheduler.
 
-use crate::budget::ProgressiveOutcome;
-use er_core::collection::EntityCollection;
-use er_core::ground_truth::GroundTruth;
-use er_core::matching::Matcher;
-use er_core::metrics::ProgressiveCurve;
-use er_core::pair::Pair;
-use std::collections::BTreeSet;
-
-/// A rule consulted after each executed comparison.
+/// What bounds a progressive run. [`crate::Budget`] is the rule that counts
+/// comparisons or watches the clock; the rules here watch the decisions.
 pub trait StoppingRule {
-    /// Notifies the rule of one executed comparison and whether it was
-    /// declared a match; returns `true` to stop the run.
-    fn observe(&mut self, was_match: bool) -> bool;
+    /// Consulted before each comparison with the number executed so far;
+    /// `true` ends the run.
+    fn exhausted(&self, executed: u64) -> bool;
+
+    /// Told whether each executed comparison was declared a match.
+    fn observe(&mut self, _was_match: bool) {}
+
+    /// The comparison count this rule caps the run at, if it has one
+    /// (reported as the `progressive.budget_comparisons` gauge).
+    fn comparison_budget(&self) -> Option<u64> {
+        None
+    }
 }
 
 /// Stop when the last `window` comparisons produced fewer than `min_matches`
@@ -48,128 +51,84 @@ impl DiminishingReturns {
 }
 
 impl StoppingRule for DiminishingReturns {
-    fn observe(&mut self, was_match: bool) -> bool {
+    fn exhausted(&self, _executed: u64) -> bool {
+        self.recent.len() == self.window && self.matches_in_window < self.min_matches
+    }
+
+    fn observe(&mut self, was_match: bool) {
         if self.recent.len() == self.window && self.recent.pop_front() == Some(true) {
             self.matches_in_window -= 1;
         }
         self.recent.push_back(was_match);
         self.matches_in_window += u64::from(was_match);
-        self.recent.len() == self.window && self.matches_in_window < self.min_matches
     }
 }
 
-/// Stop after a fixed number of comparisons (the budget, as a rule).
-#[derive(Clone, Copy, Debug)]
-pub struct AfterComparisons {
-    remaining: u64,
-}
-
-impl AfterComparisons {
-    /// Creates the rule.
-    pub fn new(budget: u64) -> Self {
-        AfterComparisons { remaining: budget }
-    }
-}
-
-impl StoppingRule for AfterComparisons {
-    fn observe(&mut self, _was_match: bool) -> bool {
-        self.remaining = self.remaining.saturating_sub(1);
-        self.remaining == 0
-    }
-}
-
-/// Stop when either of two rules fires.
+/// Stop when either of two rules fires; both observe every comparison.
 pub struct Either<A, B>(pub A, pub B);
 
 impl<A: StoppingRule, B: StoppingRule> StoppingRule for Either<A, B> {
-    fn observe(&mut self, was_match: bool) -> bool {
-        // Both rules must observe every comparison (no short-circuit).
-        let a = self.0.observe(was_match);
-        let b = self.1.observe(was_match);
-        a || b
+    fn exhausted(&self, executed: u64) -> bool {
+        self.0.exhausted(executed) || self.1.exhausted(executed)
     }
-}
 
-/// Executes a schedule until the stopping rule fires (or it drains),
-/// recording progressive recall against ground truth.
-pub fn run_until<M, I, S>(
-    collection: &EntityCollection,
-    matcher: &M,
-    schedule: I,
-    mut rule: S,
-    truth: &GroundTruth,
-) -> ProgressiveOutcome
-where
-    M: Matcher,
-    I: IntoIterator<Item = Pair>,
-    S: StoppingRule,
-{
-    let mut curve = ProgressiveCurve::new(truth.len() as u64);
-    let mut seen: BTreeSet<Pair> = BTreeSet::new();
-    let mut matches = Vec::new();
-    let mut executed = 0u64;
-    for pair in schedule {
-        if !seen.insert(pair) {
-            continue;
-        }
-        executed += 1;
-        let d = er_core::matching::compare_pair(collection, matcher, pair);
-        if d.is_match {
-            matches.push(pair);
-        }
-        curve.record(d.is_match && truth.contains(pair));
-        if rule.observe(d.is_match) {
-            break;
-        }
+    fn observe(&mut self, was_match: bool) {
+        self.0.observe(was_match);
+        self.1.observe(was_match);
     }
-    ProgressiveOutcome {
-        curve,
-        matches,
-        comparisons: executed,
+
+    fn comparison_budget(&self) -> Option<u64> {
+        match (self.0.comparison_budget(), self.1.comparison_budget()) {
+            (Some(a), Some(b)) => Some(a.min(b)),
+            (a, b) => a.or(b),
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::budget::random_schedule;
+    use crate::budget::{random_schedule, run, Budget};
     use crate::hints::{score_pairs, sorted_pair_list};
     use er_blocking::TokenBlocking;
     use er_core::matching::OracleMatcher;
+    use er_core::obs::Obs;
     use er_core::similarity::SetMeasure;
     use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+
+    /// Feeds one decision and asks the rule what the loop would ask next.
+    fn fed(rule: &mut impl StoppingRule, was_match: bool) -> bool {
+        rule.observe(was_match);
+        rule.exhausted(0)
+    }
 
     #[test]
     fn diminishing_returns_fires_when_matches_dry_up() {
         let mut rule = DiminishingReturns::new(3, 1);
-        assert!(!rule.observe(true));
-        assert!(!rule.observe(false));
-        assert!(!rule.observe(false), "window still contains the match");
-        assert!(rule.observe(false), "three consecutive misses");
+        assert!(!fed(&mut rule, true));
+        assert!(!fed(&mut rule, false));
+        assert!(!fed(&mut rule, false), "window still contains the match");
+        assert!(fed(&mut rule, false), "three consecutive misses");
     }
 
     #[test]
     fn diminishing_returns_waits_for_full_window() {
         let mut rule = DiminishingReturns::new(5, 1);
         for _ in 0..4 {
-            assert!(!rule.observe(false), "window not yet full");
+            assert!(!fed(&mut rule, false), "window not yet full");
         }
-        assert!(rule.observe(false));
-    }
-
-    #[test]
-    fn after_comparisons_counts_down() {
-        let mut rule = AfterComparisons::new(2);
-        assert!(!rule.observe(true));
-        assert!(rule.observe(false));
+        assert!(fed(&mut rule, false));
     }
 
     #[test]
     fn either_combines() {
-        let mut rule = Either(DiminishingReturns::new(100, 1), AfterComparisons::new(3));
-        assert!(!rule.observe(false));
-        assert!(!rule.observe(false));
-        assert!(rule.observe(false), "budget leg fires first");
+        let mut rule = Either(DiminishingReturns::new(100, 1), Budget::Comparisons(3));
+        assert_eq!(rule.comparison_budget(), Some(3));
+        for executed in 0..3 {
+            assert!(!rule.exhausted(executed));
+            rule.observe(false);
+        }
+        assert!(rule.exhausted(3), "budget leg fires first");
     }
 
     #[test]
@@ -179,13 +138,13 @@ mod tests {
         let candidates = blocks.distinct_pairs(&ds.collection);
         let oracle = OracleMatcher::new(&ds.truth);
         let scored = score_pairs(&ds.collection, &candidates, SetMeasure::Jaccard);
-        let schedule = sorted_pair_list(&scored);
-        let out = run_until(
+        let out = run(
             &ds.collection,
             &oracle,
-            schedule,
+            sorted_pair_list(&scored).into_iter(),
             DiminishingReturns::new(500, 1),
             &ds.truth,
+            &Obs::disabled(),
         );
         assert!(
             out.comparisons < candidates.len() as u64 / 2,
@@ -211,12 +170,13 @@ mod tests {
         let blocks = TokenBlocking::new().build(&ds.collection);
         let candidates = blocks.distinct_pairs(&ds.collection);
         let oracle = OracleMatcher::new(&ds.truth);
-        let out = run_until(
+        let out = run(
             &ds.collection,
             &oracle,
-            random_schedule(&candidates, 7),
+            random_schedule(&candidates, 7).into_iter(),
             DiminishingReturns::new(500, 1),
             &ds.truth,
+            &Obs::disabled(),
         );
         // Matches are sparse under random order, so the rule fires early and
         // recall is poor — the rule is only as good as the schedule.

@@ -10,12 +10,14 @@
 use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::TokenBlocking;
 use er_core::matching::OracleMatcher;
+use er_core::obs::Obs;
 use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_progressive::budget::{random_schedule, run_schedule, Budget};
+use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{ordered_blocks_schedule, score_pairs, sorted_pair_list};
 use er_progressive::psnm::ProgressiveSnm;
 use er_progressive::scheduler::{SchedulerConfig, WindowScheduler};
+use er_progressive::{ProgressiveOutcome, Scheduler};
 
 fn main() {
     let ds = DirtyDataset::generate(&DirtyConfig {
@@ -35,7 +37,6 @@ fn main() {
     // quality from matcher quality, as in the surveyed evaluations.
     let blocks = TokenBlocking::new().build(&ds.collection);
     let candidates = blocks.distinct_pairs(&ds.collection);
-    let oracle = OracleMatcher::new(&ds.truth);
     let total = candidates.len() as u64;
     println!("{total} candidate comparisons from token blocking\n");
 
@@ -45,7 +46,20 @@ fn main() {
         "schedule", "1%", "5%", "10%", "25%", "100%", "AUC"
     );
 
-    let report = |name: &str, outcome: er_progressive::ProgressiveOutcome| {
+    // Every method is a scheduler under the one loop, `er_progressive::run`.
+    fn race(ds: &DirtyDataset, schedule: impl Scheduler) -> ProgressiveOutcome {
+        let oracle = OracleMatcher::new(&ds.truth);
+        let (c, truth) = (&ds.collection, &ds.truth);
+        er_progressive::run(
+            c,
+            &oracle,
+            schedule,
+            Budget::Unlimited,
+            truth,
+            &Obs::disabled(),
+        )
+    }
+    let report = |name: &str, outcome: ProgressiveOutcome| {
         print!("{name:<20}");
         for b in budgets {
             print!(" {:>9.3}", outcome.curve.recall_at(b));
@@ -56,65 +70,31 @@ fn main() {
     // Baseline: random order over the same candidates.
     report(
         "random",
-        run_schedule(
-            &ds.collection,
-            &oracle,
-            random_schedule(&candidates, 1),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
+        race(&ds, random_schedule(&candidates, 1).into_iter()),
     );
 
     // Hint 1: sorted pair list by cheap Jaccard score.
     let scored = score_pairs(&ds.collection, &candidates, SetMeasure::Jaccard);
     report(
         "sorted-pairs",
-        run_schedule(
-            &ds.collection,
-            &oracle,
-            sorted_pair_list(&scored),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
+        race(&ds, sorted_pair_list(&scored).into_iter()),
     );
 
     // Hint 3: ordered blocks, small (discriminative) blocks first.
-    report(
-        "ordered-blocks",
-        run_schedule(
-            &ds.collection,
-            &oracle,
-            ordered_blocks_schedule(&ds.collection, &blocks),
-            Budget::Unlimited,
-            &ds.truth,
-        ),
-    );
+    let by_block = ordered_blocks_schedule(&ds.collection, &blocks);
+    report("ordered-blocks", race(&ds, by_block.into_iter()));
 
     // PSNM with local lookahead.
-    report(
-        "psnm+lookahead",
-        ProgressiveSnm::new(SortKey::FlattenedValue, 25, true).run(
-            &ds.collection,
-            &oracle,
-            Budget::Unlimited,
-            &ds.truth,
-        ),
-    );
+    let psnm = ProgressiveSnm::new(SortKey::FlattenedValue, 25, true);
+    report("psnm+lookahead", race(&ds, psnm.schedule(&ds.collection)));
 
     // Cost-window scheduler with influence propagation.
-    let sched = WindowScheduler::new(
-        &ds.collection,
-        &scored,
-        &[],
-        SchedulerConfig {
-            window_size: 200,
-            influence_boost: 0.25,
-        },
-    );
-    report(
-        "window-scheduler",
-        sched.run(&oracle, Budget::Unlimited, &ds.truth),
-    );
+    let window = SchedulerConfig {
+        window_size: 200,
+        influence_boost: 0.25,
+    };
+    let sched = WindowScheduler::new(&ds.collection, &scored, &[], window);
+    report("window-scheduler", race(&ds, sched));
 
     println!(
         "\nReading: every informed schedule dominates random at small budgets. \

@@ -8,6 +8,7 @@ use er_core::clusters::components_from_matches;
 use er_core::matching::{resolve_candidates, CountingMatcher, OracleMatcher, ThresholdMatcher};
 use er_core::merge::ProfileThresholdMatcher;
 use er_core::metrics::{BlockingQuality, MatchQuality};
+use er_core::obs::Obs;
 use er_core::similarity::SetMeasure;
 use er_datagen::{
     CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, LodConfig, LodDataset,
@@ -17,8 +18,8 @@ use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
 use er_mapreduce::blocking::ParallelTokenBlocking;
 use er_mapreduce::metablocking::ParallelMetaBlocking;
 use er_metablocking::{meta_block, PruningScheme, WeightingScheme};
-use er_progressive::budget::{run_schedule, Budget};
 use er_progressive::hints::{score_pairs, sorted_pair_list};
+use er_progressive::{run, Budget};
 
 /// The canonical batch pipeline: token blocking → meta-blocking → threshold
 /// matching → clustering; asserts healthy precision/recall on moderate noise.
@@ -181,15 +182,23 @@ fn progressive_on_metablocked_candidates() {
     let scored = score_pairs(&ds.collection, &candidates, SetMeasure::Jaccard);
     let schedule = sorted_pair_list(&scored);
     let ten_pct = Budget::Comparisons((candidates.len() / 10).max(1) as u64);
-    let out = run_schedule(&ds.collection, &oracle, schedule, ten_pct, &ds.truth);
-    // Meta-blocking already concentrates matches; a sorted schedule should
-    // recover a large share of the reachable recall in 10% of the work.
-    let full = run_schedule(
+    let out = run(
         &ds.collection,
         &oracle,
-        candidates,
+        schedule.into_iter(),
+        ten_pct,
+        &ds.truth,
+        &Obs::disabled(),
+    );
+    // Meta-blocking already concentrates matches; a sorted schedule should
+    // recover a large share of the reachable recall in 10% of the work.
+    let full = run(
+        &ds.collection,
+        &oracle,
+        candidates.into_iter(),
         Budget::Unlimited,
         &ds.truth,
+        &Obs::disabled(),
     );
     assert!(
         out.curve.final_recall() > 0.5 * full.curve.final_recall(),
@@ -338,20 +347,22 @@ fn stopping_rule_on_pipeline_candidates() {
     let scored = score_pairs(&ds.collection, &candidates, SetMeasure::Jaccard);
     let schedule = sorted_pair_list(&scored);
     let oracle = OracleMatcher::new(&ds.truth);
-    let out = er_progressive::stopping::run_until(
+    let out = run(
         &ds.collection,
         &oracle,
-        schedule,
+        schedule.into_iter(),
         er_progressive::stopping::DiminishingReturns::new(400, 1),
         &ds.truth,
+        &Obs::disabled(),
     );
     assert!(out.comparisons < candidates.len() as u64 / 2);
-    let full = run_schedule(
+    let full = run(
         &ds.collection,
         &oracle,
-        candidates,
+        candidates.into_iter(),
         Budget::Unlimited,
         &ds.truth,
+        &Obs::disabled(),
     );
     assert!(
         out.curve.final_recall() > 0.75 * full.curve.final_recall(),
