@@ -13,27 +13,14 @@
 //! *glue* cluster, preserving token blocking's recall for them.
 
 use crate::block::{blocks_from_grouped_keys, blocks_from_keys, BlockCollection};
-use crate::token::{all_interned_postings, PostingKey};
 use er_core::collection::EntityCollection;
-use er_core::intern::Symbol;
-use er_core::parallel::{par_map, Parallelism};
+use er_core::entity::Entity;
+use er_core::intern::Interner;
+use er_core::parallel::{par_map, par_map_chunks, Parallelism};
+use er_core::profiles::{EntityTokens, CHUNK_ENTITIES};
 use er_core::similarity::SetMeasure;
 use er_core::tokenize::Tokenizer;
 use std::collections::{BTreeMap, BTreeSet};
-
-/// A `(cluster, token)` key: tokens of an attribute are keyed under the
-/// attribute's cluster id.
-impl PostingKey for (usize, Symbol) {
-    type Tag = usize;
-
-    fn new(cluster: usize, symbol: Symbol) -> Self {
-        (cluster, symbol)
-    }
-
-    fn remap(self, remap: &[Symbol]) -> Self {
-        (self.0, remap[self.1.index()])
-    }
-}
 
 /// Attribute-clustering blocking.
 #[derive(Clone, Debug)]
@@ -162,17 +149,44 @@ impl AttributeClusteringBlocking {
 
     /// Compact build: `(cluster, token)` keys are carried as
     /// `(usize, Symbol)` pairs — no per-key `format!` until one string per
-    /// *distinct* key is rendered at grouping time. The postings come from
-    /// the same producer as token blocking's; final block order is by
-    /// rendered string, so `"c10:x"` still sorts before `"c2:x"` exactly as
-    /// the `BTreeMap<String, _>` reference orders them.
+    /// *distinct* key is rendered at grouping time — and each entity's key
+    /// set is tokenized straight into interned symbols
+    /// ([`EntityTokens::sorted_keys_into`]). Serial runs intern into one
+    /// interner; parallel runs intern fixed [`CHUNK_ENTITIES`] chunks
+    /// separately and absorb them left-to-right. The two number symbols
+    /// differently and build the same blocks: block order is by rendered
+    /// string, so `"c10:x"` still sorts before `"c2:x"` exactly as the
+    /// `BTreeMap<String, _>` reference orders them.
     fn build_impl(&self, collection: &EntityCollection, par: Parallelism) -> BlockCollection {
         let clusters = self.attribute_clusters_impl(collection, par);
-        let (interner, entries) =
-            all_interned_postings(&self.tokenizer, collection, par, |a: &str| {
-                clusters.get(a).copied().unwrap_or(0)
-            });
-        blocks_from_grouped_keys(entries, |&(cid, s): &(usize, Symbol)| {
+        let cluster_of = |a: &str| clusters.get(a).copied().unwrap_or(0);
+        let entities: Vec<&Entity> = collection.iter().collect();
+        let chunk = if par.is_serial() {
+            entities.len().max(1)
+        } else {
+            CHUNK_ENTITIES
+        };
+        let mut chunks = par_map_chunks(par, &entities, chunk, |slice| {
+            let mut interner = Interner::new();
+            let mut tokens = EntityTokens::new(&self.tokenizer, &mut interner);
+            let (mut keys, mut postings) = (Vec::new(), Vec::new());
+            for e in slice {
+                tokens.sorted_keys_into(e, cluster_of, |c, s| (c, s), &mut keys);
+                postings.extend(keys.iter().map(|&k| (k, e.id())));
+            }
+            (interner, postings)
+        })
+        .into_iter();
+        let (mut interner, mut postings) = chunks.next().unwrap_or_default();
+        for (local, local_postings) in chunks {
+            let remap = interner.absorb(local);
+            postings.extend(
+                local_postings
+                    .into_iter()
+                    .map(|((c, s), e)| ((c, remap[s.index()]), e)),
+            );
+        }
+        blocks_from_grouped_keys(postings, |&(cid, s)| {
             format!("c{cid}:{}", interner.resolve(s))
         })
     }

@@ -330,16 +330,7 @@ where
     )
 }
 
-/// [`blocks_from_grouped_keys`] specialized to interned token keys — the
-/// token-blocking fast path.
-pub fn blocks_from_symbols(
-    interner: &Interner,
-    entries: Vec<(Symbol, EntityId)>,
-) -> BlockCollection {
-    blocks_from_grouped_keys(entries, |&s| interner.resolve(s).to_string())
-}
-
-/// [`blocks_from_symbols`] for already-sorted, deduplicated postings — the
+/// [`blocks_from_sorted_grouped_keys`] over interned token keys — the
 /// incremental token index's snapshot path.
 pub fn blocks_from_sorted_symbols(
     interner: &Interner,
@@ -484,7 +475,8 @@ mod tests {
             (zeta, id(1)), // duplicate posting collapses
             (mid, id(1)),
         ];
-        let compact = blocks_from_symbols(&interner, entries.clone());
+        let compact =
+            blocks_from_grouped_keys(entries.clone(), |&s| interner.resolve(s).to_string());
         let reference = blocks_from_keys(
             entries
                 .into_iter()
@@ -520,13 +512,12 @@ mod tests {
         let mut interner = Interner::new();
         let solo = interner.intern("solo");
         let pairk = interner.intern("pair");
-        let bc = blocks_from_symbols(
-            &interner,
-            vec![(solo, id(0)), (pairk, id(1)), (pairk, id(2))],
-        );
+        let render = |s: &Symbol| interner.resolve(*s).to_string();
+        let bc =
+            blocks_from_grouped_keys(vec![(solo, id(0)), (pairk, id(1)), (pairk, id(2))], render);
         assert_eq!(bc.len(), 1);
         assert_eq!(bc.by_key("pair").unwrap().entities(), &[id(1), id(2)]);
-        assert!(blocks_from_symbols(&interner, Vec::new()).is_empty());
+        assert!(blocks_from_grouped_keys(Vec::new(), render).is_empty());
     }
 
     #[test]

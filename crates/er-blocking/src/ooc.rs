@@ -1,50 +1,37 @@
-//! Out-of-core token blocking: the in-memory build with an external sort in
-//! place of its posting vector.
+//! Out-of-core token blocking: the transpose of the token profiles with an
+//! external sort in place of the counting sort.
 //!
-//! The in-memory compact build (`TokenBlocking::par_build`) materializes the
-//! full flat `(Symbol, EntityId)` posting vector before its sort +
-//! run-length grouping pass — the dominant allocation of the blocking stage
-//! and, past the memory budget, the reason governance starts shedding
-//! blocks. Here the same producer (`token::interned_postings`) hands its
-//! postings batch by batch to an [`ExternalSorter`], which spills them as
-//! sorted, deduplicated [`er_core::colstore`] runs, and the run-length
-//! grouping pass folds over the sorter's merged stream — the full vector
-//! never exists in memory.
+//! The in-memory build
+//! ([`blocks_from_profiles`](crate::token::blocks_from_profiles)) groups the
+//! profiles' postings into blocks in memory. Here every `(symbol, entity)`
+//! posting of the profile rows is handed to an [`ExternalSorter`], which
+//! spills them as sorted [`er_core::colstore`] runs, and the blocks are
+//! grouped from the sorter's merged stream.
 //!
-//! **Bit-identity.** The sorter's merged stream is the stable sort of what
-//! was pushed, with equal postings coalesced — exactly the
-//! `sort_unstable(); dedup();` the in-memory path applies to the same
-//! posting sequence. Interning is not merely equal to the in-memory path's,
-//! it *is* the in-memory path's: one producer, the same fixed chunks, the
-//! same left-to-right absorb, so symbols resolve to the same strings and the
-//! rendered-string block order is unchanged. The in-memory build stays in
-//! the tree as the oracle — `tests/out_of_core_equivalence.rs` pins equality
-//! across seeds × thread counts × run sizes.
+//! **Bit-identity.** The merged stream is sorted by `(symbol, entity)`.
+//! Profile symbols are ranks in the sorted vocabulary, so that is block-key
+//! order, then ascending members — the order the in-memory transpose emits,
+//! and no final re-sort by rendered key is needed. The in-memory build stays
+//! the oracle: `tests/out_of_core_equivalence.rs` pins equality across
+//! seeds × thread counts × run sizes.
 //!
-//! The interner itself stays in memory: it is the dictionary that renders
-//! block keys and its footprint is charged at admission via
-//! [`crate::governance::block_bytes`].
+//! What stays resident is the profiles themselves — the CSR at 4 bytes per
+//! posting plus the vocabulary that renders block keys, both of which the
+//! matching stage reads anyway (see `docs/out_of_core.md`).
 
 use crate::block::{Block, BlockCollection};
-use crate::token::{interned_postings, record_index_obs, TokenBlocking, CHUNK_ENTITIES};
+use crate::token::{record_index_obs, TokenBlocking};
 use er_core::collection::EntityCollection;
 use er_core::colstore::{ExternalSorter, OocConfig, SegmentError};
 use er_core::entity::EntityId;
 use er_core::intern::Symbol;
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
-
-/// Entities tokenized per batch handed to the sorter: bounds the
-/// tokenized-but-not-yet-spilled working set.
-const BATCH_ENTITIES: usize = 64 * CHUNK_ENTITIES;
+use er_core::profiles::TokenProfiles;
 
 impl TokenBlocking {
     /// Out-of-core [`par_build_obs`](TokenBlocking::par_build_obs):
-    /// bit-identical blocks, bounded posting memory. Postings spill to
-    /// sorted run segments under `cfg.segment_dir` and the blocks are
-    /// grouped from a streaming k-way merge; the spill files are removed
-    /// before returning. Typed errors — budget refusal, watchdog expiry
-    /// mid-merge, segment corruption — never partial output.
+    /// [`blocks_from_profiles_ooc`] over a fresh tokenization.
     pub fn par_build_ooc_obs(
         &self,
         collection: &EntityCollection,
@@ -52,49 +39,42 @@ impl TokenBlocking {
         obs: &Obs,
         cfg: &OocConfig,
     ) -> Result<BlockCollection, SegmentError> {
-        let entities: Vec<_> = collection.iter().collect();
-        let mut sorter: ExternalSorter<'_, (Symbol, EntityId)> =
-            ExternalSorter::new(cfg, "blocking-ooc")?;
-        let mut indexed: u64 = 0;
-        let interner = interned_postings(
-            self.tokenizer(),
-            &entities,
-            par,
-            BATCH_ENTITIES,
-            |_| (),
-            |batch| {
-                indexed += batch.len() as u64;
-                sorter.push_all(batch)
-            },
-        )?;
-        record_index_obs(obs, indexed, &interner);
-        // Run-length grouping over the sorted, deduplicated stream — the
-        // streaming `blocks_from_sorted_grouped_keys`.
-        let mut groups: Vec<(String, Vec<EntityId>)> = Vec::new();
-        let mut current: Option<(Symbol, Vec<EntityId>)> = None;
-        sorter.merge(|(sym, entity)| match &mut current {
-            Some((s, members)) if *s == sym => members.push(entity),
-            _ => {
-                if let Some((s, members)) = current.replace((sym, vec![entity])) {
-                    groups.push((interner.resolve(s).to_string(), members));
-                }
-            }
-        })?;
-        if let Some((s, members)) = current {
-            groups.push((interner.resolve(s).to_string(), members));
-        }
-        // Same final ordering pass as the in-memory grouping: distinct keys
-        // are ordered by rendered string, members arrive sorted.
-        groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-        let blocks = BlockCollection::new(
-            groups
-                .into_iter()
-                .map(|(key, members)| Block::from_sorted(key, members))
-                .collect(),
-        );
-        blocks.record_obs(obs);
-        Ok(blocks)
+        blocks_from_profiles_ooc(&self.profiles(collection, par), obs, cfg)
     }
+}
+
+/// [`blocks_from_profiles`](crate::token::blocks_from_profiles) through an
+/// external sort: bit-identical blocks, with the postings spilled to sorted
+/// run segments under `cfg.segment_dir` (removed before returning) instead
+/// of grouped in memory. Typed errors — budget refusal, watchdog expiry at a
+/// spill or mid-merge, segment corruption — never partial output.
+pub fn blocks_from_profiles_ooc(
+    profiles: &TokenProfiles,
+    obs: &Obs,
+    cfg: &OocConfig,
+) -> Result<BlockCollection, SegmentError> {
+    let mut sorter: ExternalSorter<'_, (Symbol, EntityId)> =
+        ExternalSorter::new(cfg, "blocking-ooc")?;
+    sorter.push_all(profiles.iter().enumerate().flat_map(|(e, row)| {
+        let entity = EntityId(e as u32);
+        row.iter().map(move |&s| (s, entity))
+    }))?;
+    record_index_obs(obs, profiles);
+    // Run-length grouping over the sorted stream: one run per symbol.
+    let mut runs: Vec<(Symbol, Vec<EntityId>)> = Vec::new();
+    sorter.merge(|(symbol, entity)| match runs.last_mut() {
+        Some((s, members)) if *s == symbol => members.push(entity),
+        _ => runs.push((symbol, vec![entity])),
+    })?;
+    let vocabulary = profiles.vocabulary();
+    let blocks = BlockCollection::new(
+        runs.into_iter()
+            .filter(|(_, members)| members.len() >= 2)
+            .map(|(s, members)| Block::from_sorted(vocabulary[s.index()].clone(), members))
+            .collect(),
+    );
+    blocks.record_obs(obs);
+    Ok(blocks)
 }
 
 #[cfg(test)]
@@ -130,18 +110,26 @@ mod tests {
 
     #[test]
     fn ooc_build_matches_in_memory_across_run_sizes() {
+        // The pipeline's path: one set of profiles, transposed in memory and
+        // through the external sort at every run size.
         let c = synthetic(300);
-        let tb = TokenBlocking::new();
-        let oracle = tb.par_build(&c, Parallelism::serial());
+        let profiles = TokenBlocking::new().profiles(&c, Parallelism::serial());
+        let obs = Obs::enabled();
+        let oracle = crate::token::blocks_from_profiles(&profiles, &obs);
+        let want = obs.snapshot();
         for run_entries in [64, 257, 100_000] {
             let dir = tmp_dir("runsize");
             let cfg = OocConfig::new(&dir)
                 .with_run_entries(run_entries)
                 .with_fingerprint(collection_fingerprint(&c));
-            let got = tb
-                .par_build_ooc_obs(&c, Parallelism::serial(), &Obs::disabled(), &cfg)
-                .unwrap();
+            let ooc_obs = Obs::enabled();
+            let got = blocks_from_profiles_ooc(&profiles, &ooc_obs, &cfg).unwrap();
             assert_eq!(got, oracle, "run_entries {run_entries}");
+            let got = ooc_obs.snapshot();
+            for key in ["blocking.tokens_indexed", "blocking.interner_symbols"] {
+                assert!(want.counter(key).unwrap() > 0, "{key}");
+                assert_eq!(got.counter(key), want.counter(key), "{key} {run_entries}");
+            }
             assert!(
                 std::fs::read_dir(&dir).unwrap().next().is_none(),
                 "spill files removed"

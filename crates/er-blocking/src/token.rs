@@ -7,125 +7,70 @@
 //! superfluous comparisons — which block cleaning and meta-blocking then
 //! remove.
 
-use crate::block::{blocks_from_keys, blocks_from_symbols, BlockCollection};
+use crate::block::{blocks_from_keys, Block, BlockCollection};
 use er_core::collection::EntityCollection;
-use er_core::entity::{Entity, EntityId};
-use er_core::intern::{Interner, Symbol};
+use er_core::entity::EntityId;
 use er_core::obs::Obs;
-use er_core::parallel::{par_map, par_map_chunks, Parallelism};
-use er_core::profiles::EntityTokens;
-pub(crate) use er_core::profiles::CHUNK_ENTITIES;
+use er_core::parallel::{par_map, Parallelism};
+use er_core::profiles::TokenProfiles;
 use er_core::tokenize::Tokenizer;
-use std::convert::Infallible;
 
-/// A block key built from interned tokens: a bare [`Symbol`] (token
-/// blocking) or a `(cluster, Symbol)` pair (attribute clustering).
-pub(crate) trait PostingKey: Copy + Ord + Send {
-    /// What an attribute name contributes to the keys of its tokens.
-    type Tag: Copy;
-    /// The key of token `symbol` under an attribute tagged `tag`.
-    fn new(tag: Self::Tag, symbol: Symbol) -> Self;
-    /// The key with its chunk-local symbol renumbered by an
-    /// [`Interner::absorb`] table.
-    fn remap(self, remap: &[Symbol]) -> Self;
-}
-
-impl PostingKey for Symbol {
-    type Tag = ();
-
-    fn new(_: (), symbol: Symbol) -> Symbol {
-        symbol
-    }
-
-    fn remap(self, remap: &[Symbol]) -> Symbol {
-        remap[self.index()]
-    }
-}
-
-/// The one interned-postings producer: tokenizes `entities` straight into
-/// interned keys (er-core's [`EntityTokens`]: one shared normalization
-/// buffer per chunk, no per-token `String`) and hands the flat
-/// `(key, entity)` postings — per-entity key *sets*, in entity order — to
-/// `sink`, one vector per `batch_entities` entities. Returns the interner
-/// the keys resolve against.
-///
-/// Serial runs intern into one global interner; parallel runs intern fixed
-/// [`CHUNK_ENTITIES`] chunks separately and absorb them left-to-right.
-/// Both number symbols differently and build the same blocks, because block
-/// order is a function of resolved strings only. `batch_entities` bounds
-/// the tokenized-but-not-yet-consumed working set and must be a multiple of
-/// [`CHUNK_ENTITIES`] (or `usize::MAX`: one batch) so it never moves a chunk
-/// boundary.
-pub(crate) fn interned_postings<K: PostingKey, E>(
-    tokenizer: &Tokenizer,
-    entities: &[&Entity],
-    par: Parallelism,
-    batch_entities: usize,
-    tag: impl Fn(&str) -> K::Tag + Sync,
-    mut sink: impl FnMut(Vec<(K, EntityId)>) -> Result<(), E>,
-) -> Result<Interner, E> {
-    assert!(batch_entities == usize::MAX || batch_entities.is_multiple_of(CHUNK_ENTITIES));
-    let tokenize = |slice: &[&Entity], interner: &mut Interner| {
-        let mut tokens = EntityTokens::new(tokenizer, interner);
-        let mut keys: Vec<K> = Vec::new();
-        let mut postings: Vec<(K, EntityId)> = Vec::new();
-        for e in slice {
-            tokens.sorted_keys_into(e, &tag, K::new, &mut keys);
-            postings.extend(keys.iter().map(|&k| (k, e.id())));
-        }
-        postings
-    };
-    let mut interner = Interner::new();
-    for batch in entities.chunks(batch_entities) {
-        let postings = if par.is_serial() {
-            tokenize(batch, &mut interner)
-        } else {
-            let chunks = par_map_chunks(par, batch, CHUNK_ENTITIES, |chunk| {
-                let mut local = Interner::new();
-                let postings = tokenize(chunk, &mut local);
-                (local, postings)
-            });
-            let mut postings = Vec::with_capacity(chunks.iter().map(|(_, p)| p.len()).sum());
-            for (local, local_postings) in chunks {
-                let remap = interner.absorb(local);
-                postings.extend(
-                    local_postings
-                        .into_iter()
-                        .map(|(k, e)| (k.remap(&remap), e)),
-                );
-            }
-            postings
-        };
-        sink(postings)?;
-    }
-    Ok(interner)
-}
-
-/// [`interned_postings`] as one batch: the in-memory builds' whole flat
-/// posting vector and its interner.
-pub(crate) fn all_interned_postings<K: PostingKey>(
-    tokenizer: &Tokenizer,
-    collection: &EntityCollection,
-    par: Parallelism,
-    tag: impl Fn(&str) -> K::Tag + Sync,
-) -> (Interner, Vec<(K, EntityId)>) {
-    let entities: Vec<_> = collection.iter().collect();
-    let mut postings = Vec::new();
-    let Ok(interner) = interned_postings(tokenizer, &entities, par, usize::MAX, tag, |batch| {
-        postings = batch; // the only batch
-        Ok::<(), Infallible>(())
-    });
-    (interner, postings)
-}
-
-/// Records `blocking.tokens_indexed` (token–entity index entries before
-/// grouping) and `blocking.interner_symbols`.
-pub(crate) fn record_index_obs(obs: &Obs, indexed: u64, interner: &Interner) {
+/// Records `blocking.tokens_indexed` (token–entity index entries: the
+/// profiles' CSR length) and `blocking.interner_symbols` (their vocabulary).
+pub(crate) fn record_index_obs(obs: &Obs, profiles: &TokenProfiles) {
     if obs.is_enabled() {
-        obs.counter("blocking.tokens_indexed").add(indexed);
+        obs.counter("blocking.tokens_indexed")
+            .add(profiles.n_symbols() as u64);
         obs.counter("blocking.interner_symbols")
-            .add(interner.len() as u64);
+            .add(profiles.vocabulary().len() as u64);
     }
+}
+
+/// Token blocks as the transpose of `profiles`: one block per token that at
+/// least two descriptions share, keyed by the token — a counting sort by
+/// symbol, with the block counters of [`BlockCollection::record_obs`].
+///
+/// This is the string-keyed build
+/// ([`build_reference`](TokenBlocking::build_reference)) bit for bit, with
+/// the profiles' tokenizer: symbols are ranks in the sorted vocabulary, so
+/// symbol order is the lexicographic key order of a `BTreeMap<String, _>`;
+/// entities are visited in id order, so members come out ascending; and a
+/// profile row holds distinct tokens, so nothing needs deduplicating.
+pub fn blocks_from_profiles(profiles: &TokenProfiles, obs: &Obs) -> BlockCollection {
+    const NO_BLOCK: u32 = u32::MAX;
+    record_index_obs(obs, profiles);
+    let vocabulary = profiles.vocabulary();
+    // Every token's block size, then its block's slot: shared tokens get
+    // one in symbol (= key) order, the rest none.
+    let mut slot = vec![0u32; vocabulary.len()];
+    for s in profiles.iter().flatten() {
+        slot[s.index()] += 1;
+    }
+    let mut blocks: Vec<(usize, Vec<EntityId>)> = Vec::new();
+    for (symbol, size) in slot.iter_mut().enumerate() {
+        if *size >= 2 {
+            blocks.push((symbol, Vec::with_capacity(*size as usize)));
+            *size = (blocks.len() - 1) as u32;
+        } else {
+            *size = NO_BLOCK;
+        }
+    }
+    for (e, row) in profiles.iter().enumerate() {
+        for s in row {
+            let b = slot[s.index()];
+            if b != NO_BLOCK {
+                blocks[b as usize].1.push(EntityId(e as u32));
+            }
+        }
+    }
+    let blocks = BlockCollection::new(
+        blocks
+            .into_iter()
+            .map(|(symbol, members)| Block::from_sorted(vocabulary[symbol].clone(), members))
+            .collect(),
+    );
+    blocks.record_obs(obs);
+    blocks
 }
 
 /// Token blocking over all attribute values.
@@ -146,32 +91,35 @@ impl TokenBlocking {
         self
     }
 
-    /// The tokenizer — the out-of-core builder (`crate::ooc`) tokenizes with
-    /// exactly the same instance to stay bit-identical.
-    pub(crate) fn tokenizer(&self) -> &Tokenizer {
-        &self.tokenizer
+    /// The collection's token profiles under this method's tokenizer — what
+    /// the in-memory and out-of-core builds transpose.
+    pub(crate) fn profiles(
+        &self,
+        collection: &EntityCollection,
+        par: Parallelism,
+    ) -> TokenProfiles {
+        TokenProfiles::build(collection, &self.tokenizer, par)
     }
 
     /// Builds the blocking collection: one block per distinct token.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        self.build_impl(collection, Parallelism::serial(), &Obs::disabled())
+        self.par_build(collection, Parallelism::serial())
     }
 
     /// Parallel [`build`]: tokenizes entities across worker threads.
     ///
     /// Output is bit-identical to the serial path at every thread count:
-    /// per-entity key lists are produced independently (tokenization is
-    /// pure) and concatenated in entity order, so the inverted index sees
-    /// the exact entry sequence the serial path would.
+    /// the token profiles are (rank-ordering erases the per-chunk interning
+    /// order), and the blocks are their transpose.
     ///
     /// [`build`]: TokenBlocking::build
     pub fn par_build(&self, collection: &EntityCollection, par: Parallelism) -> BlockCollection {
-        self.build_impl(collection, par, &Obs::disabled())
+        self.par_build_obs(collection, par, &Obs::disabled())
     }
 
-    /// [`par_build`] with observability: records `blocking.tokens_indexed`
-    /// (token–entity index entries before grouping) plus the block counters
-    /// and block-size histogram of [`BlockCollection::record_obs`].
+    /// [`par_build`] with observability: [`blocks_from_profiles`] over a
+    /// fresh tokenization — a pipeline run transposes the profiles it already
+    /// holds instead.
     ///
     /// [`par_build`]: TokenBlocking::par_build
     pub fn par_build_obs(
@@ -180,28 +128,7 @@ impl TokenBlocking {
         par: Parallelism,
         obs: &Obs,
     ) -> BlockCollection {
-        self.build_impl(collection, par, obs)
-    }
-
-    /// Compact build: the flat postings of [`interned_postings`], grouped by
-    /// a sort + run-length pass instead of a string-keyed tree map.
-    ///
-    /// Bit-identity with [`build_reference`](TokenBlocking::build_reference)
-    /// at every thread count: chunk boundaries are fixed, per-chunk
-    /// interners are absorbed left-to-right into one id space, and
-    /// `blocks_from_symbols` orders blocks by *resolved string* — so symbol
-    /// numbering never reaches the output.
-    fn build_impl(
-        &self,
-        collection: &EntityCollection,
-        par: Parallelism,
-        obs: &Obs,
-    ) -> BlockCollection {
-        let (interner, entries) = all_interned_postings(&self.tokenizer, collection, par, |_| ());
-        record_index_obs(obs, entries.len() as u64, &interner);
-        let blocks = blocks_from_symbols(&interner, entries);
-        blocks.record_obs(obs);
-        blocks
+        blocks_from_profiles(&self.profiles(collection, par), obs)
     }
 
     /// The pre-compact, string-keyed build: per-entity `BTreeSet<String>`

@@ -5,11 +5,15 @@ use er_blocking::cleaning;
 use er_blocking::qgrams::QGramsBlocking;
 use er_blocking::simjoin::{JoinAlgorithm, JoinOutput, SimilarityJoin};
 use er_blocking::sorted_neighborhood::{SortKey, SortedNeighborhood};
-use er_blocking::token::TokenBlocking;
+use er_blocking::token::{blocks_from_profiles, TokenBlocking};
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::KbId;
 use er_core::metrics::BlockingQuality;
+use er_core::obs::Obs;
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
+use er_core::profiles::TokenProfiles;
+use er_core::tokenize::Tokenizer;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -24,6 +28,84 @@ fn collection_from_values(values: &[String]) -> EntityCollection {
 
 fn values_strategy() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-d]{1,3}( [a-d]{1,3}){0,4}", 0..20)
+}
+
+/// The words the transpose property draws values from: stop words, a
+/// spelling that normalizes onto another word, and tokens on both sides of
+/// a four-character length floor.
+const WORDS: [&str; 9] = [
+    "the", "of", "alan", "Alan!", "turing", "ab", "grace", "hopper", "x",
+];
+
+/// One description: its KB (clean–clean only), up to three values of up to
+/// four words each — so empty descriptions, empty values and stop-word-only
+/// values all occur — and whether its first value repeats under a second
+/// attribute.
+type Description = (u16, Vec<Vec<usize>>, bool);
+
+fn descriptions_strategy() -> impl Strategy<Value = Vec<Description>> {
+    let value = proptest::collection::vec(0..WORDS.len(), 0..5);
+    let description = (
+        0u16..2,
+        proptest::collection::vec(value, 0..4),
+        any::<bool>(),
+    );
+    // Up to 160 descriptions: parallel builds span several interning chunks.
+    proptest::collection::vec(description, 0..160)
+}
+
+fn collection_of(clean_clean: bool, descriptions: &[Description]) -> EntityCollection {
+    let mode = if clean_clean {
+        ResolutionMode::CleanClean
+    } else {
+        ResolutionMode::Dirty
+    };
+    let mut c = EntityCollection::new(mode);
+    for (kb, values, repeat) in descriptions {
+        let mut attributes: Vec<(String, String)> = values
+            .iter()
+            .enumerate()
+            .map(|(i, words)| {
+                let value: Vec<&str> = words.iter().map(|&w| WORDS[w]).collect();
+                (format!("a{i}"), value.join(" "))
+            })
+            .collect();
+        if let (true, Some((_, first))) = (*repeat, attributes.first().cloned()) {
+            attributes.push(("again".to_string(), first));
+        }
+        c.push(KbId(if clean_clean { *kb } else { 0 }), attributes);
+    }
+    c
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Token blocks as the transpose of the token profiles are the
+    /// string-keyed reference build — block order, keys and members — for
+    /// every tokenizer, at every thread count, in both resolution modes.
+    #[test]
+    fn token_blocks_from_profiles_equal_the_reference_build(
+        clean_clean in any::<bool>(),
+        descriptions in descriptions_strategy(),
+    ) {
+        let c = collection_of(clean_clean, &descriptions);
+        for tokenizer in [
+            Tokenizer::default(),
+            Tokenizer::raw(),
+            Tokenizer::raw().with_stopwords(["alan", "x"]),
+            Tokenizer::default().with_min_len(4),
+        ] {
+            let reference = TokenBlocking::new()
+                .with_tokenizer(tokenizer.clone())
+                .build_reference(&c, Parallelism::serial());
+            for threads in [1, 2, 4] {
+                let profiles = TokenProfiles::build(&c, &tokenizer, Parallelism::threads(threads));
+                let blocks = blocks_from_profiles(&profiles, &Obs::disabled());
+                prop_assert_eq!(&blocks, &reference, "{:?} threads={}", tokenizer, threads);
+            }
+        }
+    }
 }
 
 proptest! {

@@ -22,10 +22,11 @@
 //!   positive;
 //! - every Fig. 1 stage span is present under the `pipeline.run` parent:
 //!   blocking, cleaning, meta-blocking, matching, clustering;
-//! - the matching stage decided from token profiles: whenever
-//!   `pipeline.matched_comparisons` > 0, the `matching.profiles` span exists
-//!   as a child of `pipeline.matching` and `matching.profile_symbols` and
-//!   `matching.vocabulary` are both > 0 (see `docs/data_layout.md`);
+//! - the run tokenized once: whenever `pipeline.matched_comparisons` > 0,
+//!   the `pipeline.profiles` span exists as a child of `pipeline.run` and
+//!   `profiles.symbols` and `profiles.vocabulary` are both > 0; and the span
+//!   never closed more often than `pipeline.run` — at most one tokenization
+//!   per walk (see `docs/data_layout.md`);
 //! - with `--expect-fault-free`: `recovery.stage_retries` exists and is 0;
 //! - with `--require-ingest` (a run that used the streaming ingest path,
 //!   `--ingest-queue-bytes` / `--quarantine-out`): `ingest.records_seen` > 0
@@ -249,29 +250,37 @@ fn check(
         }
     }
 
-    // A matching stage that compared anything did so from token profiles
-    // built inside it: the build's span sits under pipeline.matching and
-    // both of its size counters are positive.
+    // A matching stage that compared anything did so from the run's token
+    // profiles: their build's span sits directly under pipeline.run and both
+    // of its size counters are positive. No walk tokenizes twice.
     if snapshot
         .counter("pipeline.matched_comparisons")
         .unwrap_or(0)
         > 0
     {
-        match snapshot.span("matching.profiles") {
-            None => fail("matching.profiles span is missing".to_string()),
-            Some(s) if s.parent.as_deref() != Some("pipeline.matching") => fail(format!(
-                "matching.profiles span is a child of {:?}, not of pipeline.matching",
+        match snapshot.span("pipeline.profiles") {
+            None => fail("pipeline.profiles span is missing".to_string()),
+            Some(s) if s.parent.as_deref() != Some("pipeline.run") => fail(format!(
+                "pipeline.profiles span is a child of {:?}, not of pipeline.run",
                 s.parent
             )),
             Some(_) => {}
         }
-        for name in ["matching.profile_symbols", "matching.vocabulary"] {
+        for name in ["profiles.symbols", "profiles.vocabulary"] {
             if snapshot.counter(name).unwrap_or(0) == 0 {
                 fail(format!(
                     "{name} is 0 or missing although comparisons were matched"
                 ));
             }
         }
+    }
+    let count = |name: &str| snapshot.span(name).map_or(0, |s| s.count);
+    if count("pipeline.profiles") > count("pipeline.run") {
+        fail(format!(
+            "pipeline.profiles closed {} times in {} run(s) — a walk tokenized twice",
+            count("pipeline.profiles"),
+            count("pipeline.run")
+        ));
     }
 
     // A fault-free run must report an explicit zero retry count.
@@ -444,8 +453,8 @@ mod tests {
             .insert("meta_blocking.comparisons_pruned".into(), 60);
         s.counters.insert("recovery.stage_retries".into(), 0);
         s.counters.insert("pipeline.matched_comparisons".into(), 40);
-        s.counters.insert("matching.profile_symbols".into(), 90);
-        s.counters.insert("matching.vocabulary".into(), 25);
+        s.counters.insert("profiles.symbols".into(), 90);
+        s.counters.insert("profiles.vocabulary".into(), 25);
         s.gauges.insert("meta_blocking.pruning_ratio".into(), 0.6);
         s.histograms.insert(
             "blocking.block_size".into(),
@@ -474,11 +483,11 @@ mod tests {
             );
         }
         s.spans.insert(
-            "matching.profiles".into(),
+            "pipeline.profiles".into(),
             SpanSnapshot {
                 count: 1,
                 total_micros: 4,
-                parent: Some("pipeline.matching".into()),
+                parent: Some("pipeline.run".into()),
             },
         );
         s
@@ -596,18 +605,18 @@ mod tests {
     #[test]
     fn matching_without_its_profile_metrics_is_caught() {
         let mut s = healthy();
-        s.spans.get_mut("matching.profiles").unwrap().parent = Some("pipeline.run".into());
-        s.counters.insert("matching.vocabulary".into(), 0);
-        s.counters.remove("matching.profile_symbols");
+        s.spans.get_mut("pipeline.profiles").unwrap().parent = Some("pipeline.matching".into());
+        s.counters.insert("profiles.vocabulary".into(), 0);
+        s.counters.remove("profiles.symbols");
         let failures = check(&s, false, false, false, false, false);
         for what in [
-            "not of pipeline.matching",
-            "matching.vocabulary",
-            "matching.profile_symbols",
+            "not of pipeline.run",
+            "profiles.vocabulary",
+            "profiles.symbols",
         ] {
             assert!(failures.iter().any(|f| f.contains(what)), "{failures:?}");
         }
-        s.spans.remove("matching.profiles");
+        s.spans.remove("pipeline.profiles");
         let failures = check(&s, false, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("span is missing")),
@@ -616,6 +625,19 @@ mod tests {
         // A run that matched nothing (every comparison skipped at the
         // deadline, or a schedule-only walk) owes none of the three.
         s.counters.insert("pipeline.matched_comparisons".into(), 0);
+        assert!(check(&s, false, false, false, false, false).is_empty());
+    }
+
+    #[test]
+    fn a_second_tokenization_per_run_is_caught() {
+        let mut s = healthy();
+        s.spans.get_mut("pipeline.profiles").unwrap().count = 2;
+        let failures = check(&s, false, false, false, false, false);
+        assert!(
+            failures.iter().any(|f| f.contains("tokenized twice")),
+            "{failures:?}"
+        );
+        s.spans.get_mut("pipeline.run").unwrap().count = 2;
         assert!(check(&s, false, false, false, false, false).is_empty());
     }
 

@@ -12,10 +12,12 @@
 //!
 //! Determinism note: symbol ids depend on first-encounter order, so two
 //! interners built from different traversals number the same token set
-//! differently. The blocking kernels therefore never let ids leak into
-//! output — blocks are emitted in *resolved-string* order (see
-//! `er_blocking::block::blocks_from_symbols`), which is a pure function of
-//! the token set and bit-identical to the string-keyed reference path.
+//! differently. The kernels therefore never let ids leak into output: blocks
+//! are emitted in *resolved-string* order (see
+//! `er_blocking::block::blocks_from_grouped_keys`), and token profiles
+//! renumber every symbol to its token's rank (see [`crate::profiles`]) — both
+//! pure functions of the token set, bit-identical to the string-keyed
+//! reference paths.
 
 use std::collections::HashMap;
 

@@ -16,6 +16,7 @@ use crate::parallel::{par_map, Parallelism};
 use crate::profiles::{shared, TokenProfiles};
 use crate::similarity::{CorpusStats, SetMeasure};
 use crate::tokenize::Tokenizer;
+use std::borrow::Cow;
 use std::cell::Cell;
 
 /// A pairwise match decision with its evidence score.
@@ -91,9 +92,25 @@ impl ThresholdMatcher {
 
     /// Tokenizes `collection` once (with this matcher's tokenizer) for
     /// deciding many of its pairs.
-    pub fn prepare(&self, collection: &EntityCollection, par: Parallelism) -> PreparedMatcher {
+    pub fn prepare(
+        &self,
+        collection: &EntityCollection,
+        par: Parallelism,
+    ) -> PreparedMatcher<'static> {
+        let profiles = TokenProfiles::build(collection, &self.tokenizer, par);
+        self.prepared(Cow::Owned(profiles))
+    }
+
+    /// [`prepare`](ThresholdMatcher::prepare) on profiles built elsewhere —
+    /// the pipeline walk's one tokenization. They must have been built with
+    /// this matcher's tokenizer.
+    pub fn prepare_on<'p>(&self, profiles: &'p TokenProfiles) -> PreparedMatcher<'p> {
+        self.prepared(Cow::Borrowed(profiles))
+    }
+
+    fn prepared<'p>(&self, profiles: Cow<'p, TokenProfiles>) -> PreparedMatcher<'p> {
         PreparedMatcher {
-            profiles: TokenProfiles::build(collection, &self.tokenizer, par),
+            profiles,
             kernel: Kernel::Set(self.measure),
             threshold: self.threshold,
         }
@@ -137,18 +154,38 @@ impl TfIdfMatcher {
     pub fn from_collection(collection: &EntityCollection, threshold: f64) -> Self {
         let tokenizer = Tokenizer::default();
         let profiles = TokenProfiles::build(collection, &tokenizer, Parallelism::serial());
+        Self::from_profiles(&profiles, threshold)
+    }
+
+    /// Builds the matcher from the collection's default-tokenizer profiles
+    /// (the pipeline walk's), without tokenizing again.
+    pub fn from_profiles(profiles: &TokenProfiles, threshold: f64) -> Self {
         TfIdfMatcher {
-            stats: CorpusStats::from_profiles(&profiles),
+            stats: CorpusStats::from_profiles(profiles),
             threshold,
-            tokenizer,
+            tokenizer: Tokenizer::default(),
         }
     }
 
-    /// Tokenizes `collection` once for deciding many of its pairs, and
-    /// looks every token's weight up once: a squared-idf table over the
-    /// vocabulary and each description's norm.
-    pub fn prepare(&self, collection: &EntityCollection, par: Parallelism) -> PreparedMatcher {
+    /// Tokenizes `collection` once for deciding many of its pairs; see
+    /// [`prepare_on`](TfIdfMatcher::prepare_on).
+    pub fn prepare(
+        &self,
+        collection: &EntityCollection,
+        par: Parallelism,
+    ) -> PreparedMatcher<'static> {
         let profiles = TokenProfiles::build(collection, &self.tokenizer, par);
+        self.prepared(Cow::Owned(profiles))
+    }
+
+    /// Decides on profiles built elsewhere (with this matcher's tokenizer),
+    /// looking every token's weight up once: a squared-idf table over the
+    /// vocabulary and each description's norm.
+    pub fn prepare_on<'p>(&self, profiles: &'p TokenProfiles) -> PreparedMatcher<'p> {
+        self.prepared(Cow::Borrowed(profiles))
+    }
+
+    fn prepared<'p>(&self, profiles: Cow<'p, TokenProfiles>) -> PreparedMatcher<'p> {
         let idf2: Vec<f64> = profiles
             .vocabulary()
             .iter()
@@ -199,26 +236,22 @@ enum Kernel {
 }
 
 /// A token-set matcher bound to one collection: the collection's
-/// [`TokenProfiles`] plus the matcher's measure and threshold, built by
-/// [`ThresholdMatcher::prepare`] / [`TfIdfMatcher::prepare`].
+/// [`TokenProfiles`] (its own, or borrowed for `'p`) plus the matcher's
+/// measure and threshold, built by [`ThresholdMatcher::prepare`] /
+/// [`TfIdfMatcher::prepare`] or their `prepare_on` twins.
 ///
 /// [`decide`](PreparedMatcher::decide) returns the decision
 /// [`Matcher::compare`] returns for the same pair — the same score to the
 /// last bit — from a merge of two integer slices instead of two
 /// tokenizations.
 #[derive(Clone, Debug)]
-pub struct PreparedMatcher {
-    profiles: TokenProfiles,
+pub struct PreparedMatcher<'p> {
+    profiles: Cow<'p, TokenProfiles>,
     kernel: Kernel,
     threshold: f64,
 }
 
-impl PreparedMatcher {
-    /// The token profiles the decisions are read from.
-    pub fn profiles(&self) -> &TokenProfiles {
-        &self.profiles
-    }
-
+impl PreparedMatcher<'_> {
     /// Decides one pair of the prepared collection.
     pub fn decide(&self, pair: Pair) -> Decision {
         let a = self.profiles.symbols(pair.first());

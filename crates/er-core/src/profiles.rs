@@ -18,9 +18,12 @@
 //! tokens (TF-IDF) adds its terms in the same order as the string-set
 //! reference and rounds to the same bits. See `docs/data_layout.md`.
 //!
-//! The module also owns the one per-entity "tokenize → sort → dedup" step of
-//! the workspace, [`EntityTokens::sorted_keys_into`]; the interned postings
-//! of `er-blocking` are built from the same routine.
+//! The profiles are also the pipeline's one tokenization of a run: token
+//! blocking is their transpose (`er_blocking::token::blocks_from_profiles`)
+//! and the matcher decides on them, so blocking and matching read one
+//! inverted index. The module owns the one per-entity "tokenize → sort →
+//! dedup" step of the workspace, [`EntityTokens::sorted_keys_into`];
+//! attribute-clustering blocking's `(cluster, token)` keys use it too.
 
 use crate::collection::EntityCollection;
 use crate::entity::{Entity, EntityId};
@@ -29,7 +32,7 @@ use crate::parallel::{par_map_chunks, Parallelism};
 use crate::tokenize::Tokenizer;
 
 /// Entities tokenized per chunk by the parallel interned builds
-/// ([`TokenProfiles::build`], `er_blocking`'s interned postings). Fixed —
+/// ([`TokenProfiles::build`], `er_blocking`'s attribute clustering). Fixed —
 /// never a function of the thread count — so chunk boundaries, and with them
 /// the per-chunk interners absorbed left-to-right, are the same at every
 /// parallelism level.

@@ -43,10 +43,11 @@ use er_blocking::attribute_clustering::AttributeClusteringBlocking;
 use er_blocking::block::{Block, BlockCollection};
 use er_blocking::cleaning;
 use er_blocking::minhash::MinHashBlocking;
+use er_blocking::ooc::blocks_from_profiles_ooc;
 use er_blocking::qgrams::QGramsBlocking;
 use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::standard::StandardBlocking;
-use er_blocking::TokenBlocking;
+use er_blocking::token::blocks_from_profiles;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{collection_fingerprint, OocConfig, StoreMetrics};
 use er_core::entity::EntityId;
@@ -63,7 +64,7 @@ use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport,
 use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 use recovery::Hooks;
 use std::path::PathBuf;
-use walk::Walk;
+use walk::{Decide, RunProfiles, Walk};
 
 /// `expect` message of the entry points that walk without recovery hooks:
 /// there every stage is a direct call, so no [`PipelineError`] can arise.
@@ -295,9 +296,7 @@ impl Pipeline {
         collection: &EntityCollection,
         hooks: Hooks,
     ) -> Result<RecoveryOutcome, PipelineError> {
-        Walk::begin(self, collection, hooks).resolve(&|candidates, watchdog| {
-            self.score_candidates_governed(collection, candidates, watchdog)
-        })
+        Walk::begin(self, collection, hooks).resolve(Decide::Configured)
     }
 
     /// Runs the pipeline with a caller-supplied matcher instead of the
@@ -310,17 +309,15 @@ impl Pipeline {
         matcher: &M,
     ) -> Resolution {
         Walk::begin(self, collection, Hooks::none(&self.obs))
-            .resolve(&|candidates, watchdog| {
-                self.governed_decide(candidates, watchdog, |slice| {
-                    slice
-                        .iter()
-                        .filter_map(|&p| {
-                            let d = er_core::matching::compare_pair(collection, matcher, p);
-                            d.is_match.then_some((p, d.score))
-                        })
-                        .collect()
-                })
-            })
+            .resolve(Decide::Caller(&|slice| {
+                slice
+                    .iter()
+                    .filter_map(|&p| {
+                        let d = er_core::matching::compare_pair(collection, matcher, p);
+                        d.is_match.then_some((p, d.score))
+                    })
+                    .collect()
+            }))
             .expect(NO_HOOKS)
             .resolution
     }
@@ -329,9 +326,15 @@ impl Pipeline {
     /// meta-blocking stages produce (no matching) — the input a progressive
     /// scheduler would consume.
     pub fn candidates(&self, collection: &EntityCollection) -> Vec<Pair> {
-        Walk::begin(self, collection, Hooks::none(&self.obs))
-            .schedule()
-            .expect(NO_HOOKS)
+        self.scheduled(collection).1
+    }
+
+    /// The schedule half of a walk without recovery hooks, and the walk —
+    /// still open, so its profiles can be read.
+    fn scheduled<'a>(&'a self, collection: &'a EntityCollection) -> (Walk<'a>, Vec<Pair>) {
+        let mut walk = Walk::begin(self, collection, Hooks::none(&self.obs));
+        let candidates = walk.schedule().expect(NO_HOOKS);
+        (walk, candidates)
     }
 
     /// Records the per-run pipeline counters (cumulative across runs).
@@ -360,37 +363,26 @@ impl Pipeline {
 
     /// Runs the configured matching stage over the candidates under a stage
     /// watchdog, keeping the scores the score-aware clustering stages need.
-    /// The collection is tokenized once into the matcher's token profiles
-    /// (`matching.profiles`), before the governed loop, so deadline-checked
-    /// chunks only decide; the decisions run under the configured
-    /// parallelism as an order-preserving map, so the match list is
-    /// identical at every thread count.
-    fn score_candidates_governed(
+    /// The matcher decides on the run's token profiles (TF-IDF derives its
+    /// corpus statistics from them too), so deadline-checked chunks only
+    /// decide; the decisions run under the configured parallelism as an
+    /// order-preserving map, so the match list is identical at every thread
+    /// count.
+    pub(crate) fn score_candidates_governed(
         &self,
-        collection: &EntityCollection,
+        profiles: &TokenProfiles,
         candidates: &[Pair],
         watchdog: &Watchdog,
     ) -> (Vec<(Pair, f64)>, u64) {
         let par = self.parallelism;
-        let span = self.obs.span("matching.profiles");
         let matcher = match &self.matching {
             MatchingStage::Threshold(measure, threshold) => {
-                ThresholdMatcher::new(*measure, *threshold).prepare(collection, par)
+                ThresholdMatcher::new(*measure, *threshold).prepare_on(profiles)
             }
             MatchingStage::TfIdf(threshold) => {
-                TfIdfMatcher::from_collection(collection, *threshold).prepare(collection, par)
+                TfIdfMatcher::from_profiles(profiles, *threshold).prepare_on(profiles)
             }
         };
-        span.finish();
-        if self.obs.is_enabled() {
-            let profiles = matcher.profiles();
-            self.obs
-                .counter("matching.profile_symbols")
-                .add(profiles.n_symbols() as u64);
-            self.obs
-                .counter("matching.vocabulary")
-                .add(profiles.vocabulary().len() as u64);
-        }
         self.governed_decide(candidates, watchdog, |slice| {
             matcher
                 .decide_batch(slice, par)
@@ -410,7 +402,7 @@ impl Pipeline {
     /// returned, mirrored as `matching.comparisons_skipped` and announced as
     /// a warning event. The chunked prefix is bit-identical to the
     /// whole-slice run because `decide` is an order-preserving pure map.
-    fn governed_decide(
+    pub(crate) fn governed_decide(
         &self,
         candidates: &[Pair],
         watchdog: &Watchdog,
@@ -483,12 +475,14 @@ impl Pipeline {
     /// stage, running the hot blocking kernels under the configured
     /// parallelism, then charges the cleaned index against the memory budget
     /// (shedding oversized blocks largest-first on a breach — a disabled
-    /// budget admits everything untouched).
+    /// budget admits everything untouched). Token blocking, on every backend,
+    /// reads the run's `profiles`.
     pub(crate) fn build_blocks(
         &self,
         collection: &EntityCollection,
         stage: &BlockingStage,
         budget: &MemoryBudget,
+        profiles: &RunProfiles,
     ) -> er_blocking::governance::GovernedBlocks {
         let blocks = match stage {
             BlockingStage::Token => match self.backend {
@@ -497,14 +491,12 @@ impl Pipeline {
                 // (run buffer + resident merge pages), so the in-memory
                 // admission charge below is skipped.
                 Backend::InProcess if self.out_of_core => {
-                    self.ooc_token_blocks(collection, "blocking", &self.obs, budget)
+                    self.ooc_token_blocks(collection, profiles.get(), "blocking", &self.obs, budget)
                 }
-                Backend::InProcess => {
-                    TokenBlocking::new().par_build_obs(collection, self.parallelism, &self.obs)
-                }
+                Backend::InProcess => blocks_from_profiles(profiles.get(), &self.obs),
                 Backend::Subprocess { workers } => {
                     let mut transport = SubprocessTransport::new(self.subprocess_config(workers));
-                    self.dist_token_blocks(collection, &mut transport, workers)
+                    self.dist_token_blocks(profiles.get(), &mut transport, workers)
                 }
             },
             other => {
@@ -547,7 +539,7 @@ impl Pipeline {
                 budget.release(total);
             } else {
                 drop(cleaned); // free the trial index before the rebuild
-                return self.spill_rescue(collection, total, budget);
+                return self.spill_rescue(collection, profiles.get(), total, budget);
             }
         }
         er_blocking::governance::charge_or_shed(cleaned, collection, budget, &self.obs)
@@ -597,11 +589,13 @@ impl Pipeline {
     fn spill_rescue(
         &self,
         collection: &EntityCollection,
+        profiles: &TokenProfiles,
         index_bytes: u64,
         budget: &MemoryBudget,
     ) -> er_blocking::governance::GovernedBlocks {
         let quiet = Obs::disabled();
-        let rebuilt = self.ooc_token_blocks(collection, "blocking-rescue", &quiet, budget);
+        let rebuilt =
+            self.ooc_token_blocks(collection, profiles, "blocking-rescue", &quiet, budget);
         let cleaned = self.clean_blocks(rebuilt, collection, &quiet);
         self.obs.counter("colstore.spill_rescues").incr();
         self.obs.emit(Event::Warning {
@@ -622,13 +616,13 @@ impl Pipeline {
     fn ooc_token_blocks(
         &self,
         collection: &EntityCollection,
+        profiles: &TokenProfiles,
         stage: &str,
         obs: &Obs,
         budget: &MemoryBudget,
     ) -> BlockCollection {
         let cfg = self.ooc_config(collection, stage, budget);
-        let result =
-            TokenBlocking::new().par_build_ooc_obs(collection, self.parallelism, obs, &cfg);
+        let result = blocks_from_profiles_ooc(profiles, obs, &cfg);
         let _ = std::fs::remove_dir(&cfg.segment_dir);
         result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
     }
@@ -706,21 +700,20 @@ impl Pipeline {
 
     /// Token blocking as the distributed `token-blocking` job on `transport`.
     ///
-    /// The driver tokenizes entities with the default tokenizer (the one
-    /// [`TokenBlocking::new`] uses) and ships per-entity token *sets*; the
-    /// key-sorted reduce output is exactly the lexicographic block order of
-    /// the in-process build, so the returned collection is bit-identical to
-    /// [`TokenBlocking::par_build_obs`]. A typed [`er_mapreduce`] execution
-    /// error (worker crash loop, handshake rejection, stage deadline) panics
-    /// with its message, which the recovery layer catches and retries like
-    /// any other blocking-stage fault.
+    /// The driver ships the run's profile rows — per-entity token *sets* —
+    /// and the key-sorted reduce output is exactly the lexicographic block
+    /// order of the in-process transpose, so the returned collection is
+    /// bit-identical to [`blocks_from_profiles`]. A typed [`er_mapreduce`]
+    /// execution error (worker crash loop, handshake rejection, stage
+    /// deadline) panics with its message, which the recovery layer catches
+    /// and retries like any other blocking-stage fault.
     fn dist_token_blocks(
         &self,
-        collection: &EntityCollection,
+        profiles: &TokenProfiles,
         transport: &mut dyn Transport,
         workers: usize,
     ) -> BlockCollection {
-        let records = dist_blocking_records(collection);
+        let records = dist_blocking_records(profiles);
         let out = run_dist(
             transport,
             "token-blocking",
@@ -749,11 +742,12 @@ impl Pipeline {
     }
 
     /// Runs the pipeline *progressively*: this pipeline's blocking stages
-    /// produce the candidates, the sorted-pairs hint (cheap Jaccard scores)
-    /// schedules them, and [`er_progressive::run`] executes the schedule
-    /// under `budget` with `truth` as an oracle matcher — the configured
-    /// `MatchingStage` is not consulted, so the recall curve measures the
-    /// schedule alone. The `pipeline.progressive` span covers scoring,
+    /// produce the candidates, the sorted-pairs hint (cheap Jaccard scores,
+    /// read off the walk's token profiles) schedules them, and
+    /// [`er_progressive::run`] executes the schedule under `budget` with
+    /// `truth` as an oracle matcher — the configured `MatchingStage` is not
+    /// consulted, so the recall curve measures the schedule alone. The
+    /// `pipeline.progressive` span, under `pipeline.run`, covers scoring,
     /// sorting and the run: the scheduling phase is what §IV adds to the
     /// workflow.
     pub fn run_progressive(
@@ -762,10 +756,12 @@ impl Pipeline {
         truth: &GroundTruth,
         budget: er_progressive::Budget,
     ) -> er_progressive::ProgressiveOutcome {
-        let candidates = self.candidates(collection);
+        let (walk, candidates) = self.scheduled(collection);
+        // The schedule is scored from the profiles that blocked it.
+        let profiles = walk.profiles();
         let span = self.obs.span("pipeline.progressive");
         let scored =
-            er_progressive::hints::score_pairs(collection, &candidates, SetMeasure::Jaccard);
+            er_progressive::hints::score_pairs_on(profiles, &candidates, SetMeasure::Jaccard);
         let schedule = er_progressive::hints::sorted_pair_list(&scored);
         let oracle = er_core::matching::OracleMatcher::new(truth);
         let out = er_progressive::run(
@@ -805,15 +801,11 @@ fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::Gover
     }
 }
 
-/// Serializes a collection for the distributed `token-blocking` job: one
-/// record per entity in id order, `id \t token \t token …` with the entity's
-/// distinct tokens in token order — the rows of the same [`TokenProfiles`]
-/// the matching kernel builds, so the per-entity tokenise-sort-dedup step is
-/// `EntityTokens::sorted_keys_into` here too (tokens are alphanumeric after
+/// Serializes the run's profiles for the distributed `token-blocking` job:
+/// one record per entity in id order, `id \t token \t token …` with the
+/// entity's distinct tokens in token order (tokens are alphanumeric after
 /// normalization, so the tab framing is unambiguous).
-fn dist_blocking_records(collection: &EntityCollection) -> Vec<String> {
-    let tokenizer = er_core::tokenize::Tokenizer::default();
-    let profiles = TokenProfiles::build(collection, &tokenizer, Parallelism::serial());
+fn dist_blocking_records(profiles: &TokenProfiles) -> Vec<String> {
     profiles
         .iter()
         .enumerate()
@@ -1085,11 +1077,9 @@ mod tests {
         // BlockCollection the thread kernels produce — block keys, order,
         // and members — at several worker counts.
         let ds = dataset();
-        let reference = TokenBlocking::new().par_build_obs(
-            &ds.collection,
-            Parallelism::serial(),
-            &Obs::disabled(),
-        );
+        let tokenizer = er_core::tokenize::Tokenizer::default();
+        let profiles = TokenProfiles::build(&ds.collection, &tokenizer, Parallelism::serial());
+        let reference = er_blocking::TokenBlocking::new().build(&ds.collection);
         let p = Pipeline::builder().build();
         for workers in [1usize, 3] {
             let mut t = er_mapreduce::InProcessTransport::new(
@@ -1097,7 +1087,7 @@ mod tests {
                 er_mapreduce::default_registry(),
                 er_core::fault::ExecPolicy::default(),
             );
-            let got = p.dist_token_blocks(&ds.collection, &mut t, workers);
+            let got = p.dist_token_blocks(&profiles, &mut t, workers);
             assert_eq!(got, reference, "workers={workers}");
         }
     }
@@ -1105,9 +1095,10 @@ mod tests {
     #[test]
     fn dist_blocking_records_carry_sorted_token_sets() {
         let ds = dataset();
-        let records = dist_blocking_records(&ds.collection);
-        assert_eq!(records.len(), ds.collection.len());
         let tokenizer = er_core::tokenize::Tokenizer::default();
+        let profiles = TokenProfiles::build(&ds.collection, &tokenizer, Parallelism::serial());
+        let records = dist_blocking_records(&profiles);
+        assert_eq!(records.len(), ds.collection.len());
         for (e, r) in ds.collection.iter().zip(&records) {
             let mut fields = r.split('\t');
             assert_eq!(fields.next().unwrap(), e.id().0.to_string(), "id order");

@@ -15,6 +15,12 @@
 //! watchdogs and fills the [`StageReport`]; the stage kernels it calls
 //! (`build_blocks`, `meta_block`, `cluster` on [`Pipeline`]) route between
 //! the in-memory, out-of-core and subprocess paths.
+//!
+//! It also owns the run's one tokenization, [`RunProfiles`]: token blocking
+//! (every backend, and the spill rescue) transposes it, the configured
+//! matching stage decides on it and `run_progressive` scores its schedule
+//! from it. It is built on first use, under a `pipeline.profiles` span the
+//! walk opens before the span of the first stage that needs it.
 
 use crate::recovery::{
     CheckpointStore, Hooks, PipelineError, RecoveryEvent, RecoveryOutcome, STAGE_BLOCKING,
@@ -26,12 +32,58 @@ use er_blocking::sorted_neighborhood::MultiPassSortedNeighborhood;
 use er_core::collection::EntityCollection;
 use er_core::obs::{Event, Span};
 use er_core::pair::Pair;
+use er_core::profiles::TokenProfiles;
 use er_core::resource::{MemoryBudget, Watchdog};
+use er_core::tokenize::Tokenizer;
+use std::cell::OnceCell;
 
-/// The matching step, the walk's one parameter: scores a candidate slice
-/// under the stage watchdog, returning the accepted pairs with their scores
-/// and the number of comparisons skipped at the deadline.
-pub(crate) type Decide<'a> = &'a dyn Fn(&[Pair], &Watchdog) -> (Vec<(Pair, f64)>, u64);
+/// Accepted pairs with their match scores.
+pub(crate) type Scored = Vec<(Pair, f64)>;
+
+/// The matching step, the walk's one parameter.
+#[derive(Clone, Copy)]
+pub(crate) enum Decide<'a> {
+    /// The configured matching stage, deciding on the run's token profiles.
+    Configured,
+    /// A caller's step: the accepted pairs of a candidate slice, decided
+    /// pair by pair.
+    Caller(&'a dyn Fn(&[Pair]) -> Scored),
+}
+
+/// The run's one tokenization: the collection's token profiles under the
+/// default tokenizer — the one [`TokenBlocking::new`] and every
+/// [`MatchingStage`](crate::MatchingStage) matcher use — built on first use.
+///
+/// [`TokenBlocking::new`]: er_blocking::TokenBlocking::new
+pub(crate) struct RunProfiles<'a> {
+    pipeline: &'a Pipeline,
+    collection: &'a EntityCollection,
+    built: OnceCell<TokenProfiles>,
+}
+
+impl RunProfiles<'_> {
+    /// The profiles, building them (span `pipeline.profiles`, counters
+    /// `profiles.symbols` / `profiles.vocabulary`) on the first call.
+    pub(crate) fn get(&self) -> &TokenProfiles {
+        self.built.get_or_init(|| {
+            let obs = &self.pipeline.obs;
+            let span = obs.span("pipeline.profiles");
+            let profiles = TokenProfiles::build(
+                self.collection,
+                &Tokenizer::default(),
+                self.pipeline.parallelism,
+            );
+            span.finish();
+            if obs.is_enabled() {
+                obs.counter("profiles.symbols")
+                    .add(profiles.n_symbols() as u64);
+                obs.counter("profiles.vocabulary")
+                    .add(profiles.vocabulary().len() as u64);
+            }
+            profiles
+        })
+    }
+}
 
 /// What the blocking stage hands on.
 enum Blocked {
@@ -48,6 +100,7 @@ pub(crate) struct Walk<'a> {
     hooks: Hooks<'a>,
     report: StageReport,
     budget: MemoryBudget,
+    profiles: RunProfiles<'a>,
     /// Closes `pipeline.run` when the walk is dropped.
     _run_span: Span,
 }
@@ -63,10 +116,21 @@ impl<'a> Walk<'a> {
             _run_span: pipeline.obs.span("pipeline.run"),
             budget: pipeline.limits.budget(),
             report: StageReport::default(),
+            profiles: RunProfiles {
+                pipeline,
+                collection,
+                built: OnceCell::new(),
+            },
             pipeline,
             collection,
             hooks,
         }
+    }
+
+    /// The run's token profiles (built here if no stage has needed them
+    /// yet).
+    pub(crate) fn profiles(&self) -> &TokenProfiles {
+        self.profiles.get()
     }
 
     /// The whole walk: the matched checkpoint if there is one, else the
@@ -84,6 +148,8 @@ impl<'a> Walk<'a> {
         }
         let candidates = self.schedule()?;
         let scored = self.matching(&candidates, decide)?;
+        // Clustering reads no token: free the profiles before it allocates.
+        self.profiles.built.take();
         Ok(self.finish(scored, Some(candidates)))
     }
 
@@ -124,6 +190,11 @@ impl<'a> Walk<'a> {
     fn block_and_prune(&mut self) -> Result<Vec<Pair>, PipelineError> {
         let (p, c) = (self.pipeline, self.collection);
 
+        // Token blocking transposes the run's profiles: build them before
+        // the stage span opens, so `pipeline.profiles` sits beside it.
+        if matches!(p.blocking, BlockingStage::Token) {
+            self.profiles.get();
+        }
         let span = p.obs.span("pipeline.blocking");
         let watchdog = p.limits.stage_watchdog();
         let blocked = match (&p.blocking, p.meta_blocking) {
@@ -187,10 +258,11 @@ impl<'a> Walk<'a> {
         {
             return Ok(blocks);
         }
-        let (p, c, budget) = (self.pipeline, self.collection, &self.budget);
-        let governed = self
-            .hooks
-            .attempt(STAGE_BLOCKING, || p.build_blocks(c, stage, budget))?;
+        let (p, c, budget, profiles) =
+            (self.pipeline, self.collection, &self.budget, &self.profiles);
+        let governed = self.hooks.attempt(STAGE_BLOCKING, || {
+            p.build_blocks(c, stage, budget, profiles)
+        })?;
         self.report.shed_comparisons = governed.shed_comparisons;
         if governed.degraded() {
             self.hooks
@@ -235,11 +307,23 @@ impl<'a> Walk<'a> {
         decide: Decide,
     ) -> Result<Vec<(Pair, f64)>, PipelineError> {
         let p = self.pipeline;
+        // The configured stage decides on the run's profiles: build them (if
+        // blocking did not) before the stage span opens.
+        if let Decide::Configured = decide {
+            self.profiles.get();
+        }
         let span = p.obs.span("pipeline.matching");
-        // A fresh watchdog per attempt: a retried stage gets the full stage
-        // deadline again, like an undisturbed run of that attempt.
+        let profiles = &self.profiles;
         let (scored, skipped) = self.hooks.attempt(STAGE_MATCHING, || {
-            decide(candidates, &p.limits.stage_watchdog())
+            // A fresh watchdog per attempt: a retried stage gets the full
+            // stage deadline again, like an undisturbed run of that attempt.
+            let watchdog = p.limits.stage_watchdog();
+            match decide {
+                Decide::Configured => {
+                    p.score_candidates_governed(profiles.get(), candidates, &watchdog)
+                }
+                Decide::Caller(step) => p.governed_decide(candidates, &watchdog, step),
+            }
         })?;
         span.finish();
         self.report.skipped_comparisons = skipped;

@@ -19,7 +19,9 @@ use er_core::collection::EntityCollection;
 use er_core::matching::ThresholdMatcher;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
+use er_core::profiles::TokenProfiles;
 use er_core::similarity::SetMeasure;
+use er_core::tokenize::Tokenizer;
 use std::cmp::Ordering;
 use std::collections::BTreeSet;
 
@@ -40,13 +42,26 @@ pub fn sorted_pair_list(scored: &[(Pair, f64)]) -> Vec<Pair> {
 /// Scores candidate pairs with a cheap token-set measure — the standard way
 /// to materialize the sorted-list hint when no meta-blocking weights exist.
 /// The scores are the matching kernel's: one tokenization of the collection,
-/// then a merge of two token profiles per pair.
+/// then [`score_pairs_on`] its profiles.
 pub fn score_pairs(
     collection: &EntityCollection,
     candidates: &[Pair],
     measure: SetMeasure,
 ) -> Vec<(Pair, f64)> {
-    let scorer = ThresholdMatcher::new(measure, 0.0).prepare(collection, Parallelism::serial());
+    let tokenizer = Tokenizer::default();
+    let profiles = TokenProfiles::build(collection, &tokenizer, Parallelism::serial());
+    score_pairs_on(&profiles, candidates, measure)
+}
+
+/// [`score_pairs`] on the collection's default-tokenizer profiles, already
+/// built — a pipeline run scores its schedule from the profiles that
+/// blocked it.
+pub fn score_pairs_on(
+    profiles: &TokenProfiles,
+    candidates: &[Pair],
+    measure: SetMeasure,
+) -> Vec<(Pair, f64)> {
+    let scorer = ThresholdMatcher::new(measure, 0.0).prepare_on(profiles);
     candidates
         .iter()
         .map(|&p| (p, scorer.decide(p).score))

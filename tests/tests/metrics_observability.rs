@@ -7,9 +7,11 @@ use er_core::obs::{CaptureSink, Event, Histogram, MetricsSnapshot, Obs, HISTOGRA
 use er_core::parallel::Parallelism;
 use er_core::resource::ResourceLimits;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING};
 use er_pipeline::streaming::{raw_record_from_entity, StreamingConfig, StreamingSession};
 use er_pipeline::{
-    BlockingStage, CleaningStage, ClusteringStage, MatchingStage, Pipeline, RecoveryOptions,
+    Backend, BlockingStage, CleaningStage, ClusteringStage, MatchingStage, Pipeline,
+    RecoveryOptions,
 };
 use std::sync::Arc;
 
@@ -78,14 +80,14 @@ fn counters_identical_across_thread_counts_and_reruns() {
     assert_eq!(serial.gauges, parallel.gauges);
     assert!(serial.counter("blocking.blocks_built").unwrap() > 0);
     assert!(serial.counter("pipeline.matches").is_some());
-    // The matching stage's token profiles are among them: rank-ordering
-    // makes the CSR a function of the collection alone.
-    let vocabulary = serial.counter("matching.vocabulary").unwrap();
+    // The run's token profiles are among them: rank-ordering makes the CSR
+    // a function of the collection alone.
+    let vocabulary = serial.counter("profiles.vocabulary").unwrap();
     assert!(vocabulary > 0);
-    assert!(serial.counter("matching.profile_symbols").unwrap() >= vocabulary);
+    assert!(serial.counter("profiles.symbols").unwrap() >= vocabulary);
     for snapshot in [&serial, &parallel] {
-        let span = snapshot.span("matching.profiles").unwrap();
-        assert_eq!(span.parent.as_deref(), Some("pipeline.matching"));
+        let span = snapshot.span("pipeline.profiles").unwrap();
+        assert_eq!(span.parent.as_deref(), Some("pipeline.run"));
     }
 
     // So is the scan's meta-blocking ledger: every edge folds at least one
@@ -195,6 +197,98 @@ fn every_entry_point_records_the_walk_spans_and_run_counters() {
         assert!(plain.counter(key).is_some(), "{key}");
         assert_eq!(snapshot.counter(key), plain.counter(key), "{key}");
     }
+}
+
+/// The default pipeline's blocking and meta-blocking counters on
+/// [`dataset`], measured before token blocking became the transpose of the
+/// run's profiles: the index and the scan's ledger did not move.
+const BLOCKING_AND_SCAN: [(&str, u64); 8] = [
+    ("blocking.blocks_built", 538),
+    ("blocking.interner_symbols", 1982),
+    ("blocking.tokens_indexed", 3601),
+    ("meta_blocking.comparisons_after", 636),
+    ("meta_blocking.comparisons_before", 1396),
+    ("meta_blocking.comparisons_pruned", 760),
+    ("meta_blocking.contributions", 1817),
+    ("meta_blocking.edges_weighted", 1396),
+];
+
+/// The spill traffic of the same run forced out of core, measured likewise.
+const SPILL: [(&str, u64); 4] = [
+    ("colstore.pages_loaded", 3),
+    ("colstore.runs_merged", 1),
+    ("colstore.segment_bytes", 28888),
+    ("colstore.segments_written", 1),
+];
+
+/// One tokenization per run, in every entry point: the walk's
+/// `pipeline.profiles` closes once per walk that blocks by token or matches
+/// — blocking (in memory, out of core, on worker processes), matching and
+/// the progressive schedule all read it — and never when a resume starts
+/// past matching. On token runs the blocking index counters are the
+/// profiles' own, and every counter equals its pinned value from before.
+#[test]
+fn every_entry_point_tokenizes_once() {
+    let ds = dataset();
+    let c = &ds.collection;
+    let enabled = || Pipeline::builder().observability(Obs::enabled());
+    let tokenized = |s: &MetricsSnapshot| s.span("pipeline.profiles").map_or(0, |s| s.count);
+    let token_run = |entry: &str, s: &MetricsSnapshot, spilled: bool| {
+        assert_eq!(tokenized(s), 1, "{entry}");
+        for (index, profiles) in [
+            ("blocking.tokens_indexed", "profiles.symbols"),
+            ("blocking.interner_symbols", "profiles.vocabulary"),
+        ] {
+            assert_eq!(s.counter(index), s.counter(profiles), "{entry}: {index}");
+        }
+        let spill: &[(&str, u64)] = if spilled { &SPILL } else { &[] };
+        for &(key, value) in BLOCKING_AND_SCAN.iter().chain(spill) {
+            assert_eq!(s.counter(key), Some(value), "{entry}: {key}");
+        }
+    };
+
+    let p = enabled().build();
+    p.run(c);
+    token_run("run", &p.metrics(), false);
+
+    let p = enabled().build();
+    p.candidates(c);
+    token_run("candidates", &p.metrics(), false);
+
+    let p = enabled().build();
+    p.run_progressive(c, &ds.truth, er_progressive::Budget::Unlimited);
+    token_run("run_progressive", &p.metrics(), false);
+
+    let dir = std::env::temp_dir().join(format!("er-tokenize-once-{}", std::process::id()));
+    let p = enabled().out_of_core(true).segment_dir(&dir).build();
+    p.run(c);
+    token_run("out_of_core", &p.metrics(), true);
+
+    let p = enabled()
+        .backend(Backend::Subprocess { workers: 2 })
+        .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+        .build();
+    p.run(c);
+    token_run("subprocess", &p.metrics(), false);
+
+    let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+    let p = enabled().build();
+    p.run_with_recovery(c, &opts).unwrap();
+    token_run("run_with_recovery", &p.metrics(), false);
+    // Resumed past matching, nothing tokenizes; resumed from the blocked
+    // checkpoint, matching still does, once.
+    for (resume_point, tokenizations) in [(STAGE_MATCHING, 0), (STAGE_BLOCKING, 1)] {
+        if resume_point == STAGE_BLOCKING {
+            for f in ["matched.ckpt", "scheduled.ckpt"] {
+                std::fs::remove_file(dir.join(f)).unwrap();
+            }
+        }
+        let p = enabled().build();
+        let out = p.run_with_recovery(c, &opts.clone().resume(true)).unwrap();
+        assert_eq!(out.resumed_from, Some(resume_point));
+        assert_eq!(tokenized(&p.metrics()), tokenizations, "{resume_point}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// `mapreduce.task_latency_micros` is recorded by the attempt ledger, so it
