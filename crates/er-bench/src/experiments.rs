@@ -22,9 +22,7 @@ use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
 use er_iterative::swoosh::{naive_iterate, r_swoosh};
 use er_mapreduce::balance::balanced_loads;
-use er_mapreduce::blocking::ParallelTokenBlocking;
-use er_mapreduce::metablocking::ParallelMetaBlocking;
-use er_metablocking::{meta_block, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{meta_block, par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
 use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{
     ordered_blocks_schedule, score_pairs, sorted_pair_list, PartitionHierarchy,
@@ -209,11 +207,14 @@ pub fn e3_metablocking() {
 
 /// E4 — parallel blocking / meta-blocking scaling (\[10\], \[18\]).
 ///
+/// Times the parallel kernels `Pipeline` runs: `TokenBlocking::par_build` and
+/// `par_meta_block` (the entity-based node scan over contiguous node ranges).
 /// On a multi-core host the wall-clock column shows real speedup; on a
 /// single-core container (the common CI case) it is flat, so the experiment
 /// also reports *simulated speedup* — total work over critical-path worker
 /// load under BlockSplit balancing — which is hardware-independent.
 pub fn e4_parallel_scaling() {
+    use er_core::parallel::Parallelism;
     banner("E4", "parallel token blocking and meta-blocking scaling");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -221,7 +222,6 @@ pub fn e4_parallel_scaling() {
     println!("host parallelism: {cores} core(s)");
     let ds = DirtyDataset::generate(&dirty_preset(4000));
     let c = &ds.collection;
-    let blocks = TokenBlocking::new().build(c);
     let table = Table::new(&[
         ("workers", 8),
         ("blocking", 12),
@@ -229,26 +229,20 @@ pub fn e4_parallel_scaling() {
         ("simulated", 10),
         ("agree", 6),
     ]);
-    let t0 = Instant::now();
     let seq_blocks = TokenBlocking::new().build(c);
-    let _ = t0.elapsed();
     let seq_meta = meta_block(c, &seq_blocks, WeightingScheme::Arcs, PruningScheme::Wnp);
-    let total_work: u64 = balanced_loads(blocks.blocks(), 10_000, 1)[0];
+    let total_work: u64 = balanced_loads(seq_blocks.blocks(), 10_000, 1)[0];
     for workers in [1usize, 2, 4, 8] {
+        let par = Parallelism::threads(workers);
         let t0 = Instant::now();
-        let (pb, _) = ParallelTokenBlocking::new(workers).build(c);
+        let pb = TokenBlocking::new().par_build(c, par);
         let t_b = t0.elapsed();
         let t0 = Instant::now();
-        let pm = ParallelMetaBlocking::new(workers).run(
-            c,
-            &pb,
-            WeightingScheme::Arcs,
-            PruningScheme::Wnp,
-        );
+        let pm = par_meta_block(c, &pb, WeightingScheme::Arcs, PruningScheme::Wnp, par);
         let t_m = t0.elapsed();
-        let loads = balanced_loads(blocks.blocks(), 10_000, workers);
+        let loads = balanced_loads(seq_blocks.blocks(), 10_000, workers);
         let critical = *loads.iter().max().unwrap();
-        let agree = pb.len() == seq_blocks.len() && pm == seq_meta;
+        let agree = pb == seq_blocks && pm == seq_meta;
         table.row(&[
             workers.to_string(),
             format!("{:.0?}", t_b),

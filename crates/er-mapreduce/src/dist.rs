@@ -756,6 +756,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(&base);
     }
 
+    /// In-process transport that cuts the first segment of the first map
+    /// task to `keep(bytes)` bytes before the reduce stage reads it.
+    struct Truncating {
+        inner: InProcessTransport,
+        keep: fn(&[u8]) -> usize,
+        partition: Option<usize>,
+    }
+
+    impl Transport for Truncating {
+        fn run_stage(
+            &mut self,
+            job: &str,
+            stage: &str,
+            payloads: &[String],
+        ) -> Result<crate::transport::StageOutput, ExecError> {
+            let out = self.inner.run_stage(job, stage, payloads)?;
+            if stage == "map" {
+                let seg = decode_map_result(&out.results[0]).unwrap().segments[0].clone();
+                let bytes = std::fs::read(&seg.path).unwrap();
+                std::fs::write(&seg.path, &bytes[..(self.keep)(&bytes)]).unwrap();
+                self.partition = Some(seg.partition);
+            }
+            Ok(out)
+        }
+    }
+
+    #[test]
+    fn truncated_segment_is_a_typed_reduce_error_naming_the_truncation() {
+        let cuts: [fn(&[u8]) -> usize; 3] = [
+            // Half the footer line, the whole footer line, the whole body.
+            |b| b.len() - 2,
+            |b| b.len() - 4,
+            |b| b.iter().position(|&c| c == b'\n').map_or(0, |i| i + 1),
+        ];
+        for keep in cuts {
+            let mut t = Truncating {
+                inner: InProcessTransport::new(
+                    2,
+                    default_registry(),
+                    ExecPolicy::retrying(er_core::fault::RetryPolicy::attempts(2)),
+                ),
+                keep,
+                partition: None,
+            };
+            let err = run_dist(
+                &mut t,
+                "wordcount",
+                &wc_inputs(),
+                &DistOptions::for_workers(2),
+            )
+            .expect_err("a truncated segment must fail the run, never yield pairs");
+            assert_eq!(err.stage, "reduce", "{err}");
+            assert_eq!(Some(err.task), t.partition, "{err}");
+            assert_eq!(err.attempts, 2, "{err}");
+            assert!(err.message.contains("truncated er-dist"), "{err}");
+        }
+    }
+
     #[test]
     fn unknown_job_is_a_typed_error() {
         let mut t = InProcessTransport::new(1, default_registry(), ExecPolicy::default());

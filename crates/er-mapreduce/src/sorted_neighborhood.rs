@@ -9,7 +9,7 @@
 //! still evaluated by exactly one reducer. The tests verify exact agreement
 //! with sequential `SortedNeighborhood` for every worker count.
 
-use crate::engine::{MapReduce, INFALLIBLE_JOB};
+use crate::engine::MapReduce;
 use er_blocking::sorted_neighborhood::{SortKey, SortedNeighborhood};
 use er_core::collection::EntityCollection;
 use er_core::entity::EntityId;
@@ -95,7 +95,9 @@ impl ParallelSortedNeighborhood {
                 },
                 |_i, pairs| pairs.to_vec(),
             )
-            .expect(INFALLIBLE_JOB);
+            // The default policy injects nothing, so an error here means the
+            // map or reduce closure above panicked on every attempt — a bug.
+            .expect("RepSN job failed under the default policy");
         let distinct: BTreeSet<Pair> = pairs.into_iter().collect();
         distinct.into_iter().collect()
     }

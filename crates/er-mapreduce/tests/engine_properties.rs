@@ -1,12 +1,11 @@
-//! Property tests for the MapReduce engine: every entry point — grouping
-//! (with and without a combiner), folding, fault-free and under absorbable
-//! fault schedules, at any worker count — must equal a serial group-by that
-//! shares no code with the engine.
+//! Property tests for the MapReduce engine: `MapReduce::try_run`, fault-free
+//! and under absorbable fault schedules, at any worker count, must equal a
+//! serial group-by that shares no code with the engine.
 
 use er_core::fault::{
     ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults, SpeculationConfig,
 };
-use er_mapreduce::engine::{FoldMapReduce, MapReduce};
+use er_mapreduce::engine::MapReduce;
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
@@ -29,31 +28,8 @@ fn map_words(text: &String, emit: &mut dyn FnMut(String, u64)) {
     }
 }
 
-fn run_mr(texts: &[String], workers: usize, combiner: bool) -> Vec<(String, u64)> {
-    let mr: MapReduce<String, String, u64, (String, u64)> = MapReduce::new(workers);
-    mr.try_run_with_combiner(
-        texts,
-        &ExecPolicy::default(),
-        map_words,
-        combiner.then_some(|_k: &String, vs: Vec<u64>| vec![vs.into_iter().sum::<u64>()]),
-        |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())],
-    )
-    .expect("fault-free run cannot fail")
-    .0
-}
-
-fn run_fold(texts: &[String], workers: usize) -> Vec<(String, u64)> {
-    let mr: FoldMapReduce<String, String, u64, (String, u64)> = FoldMapReduce::new(workers);
-    mr.try_run(
-        texts,
-        &ExecPolicy::default(),
-        map_words,
-        |acc, v| *acc += v,
-        |acc, other| *acc += other,
-        |k, acc| vec![(k.clone(), *acc)],
-    )
-    .expect("fault-free run cannot fail")
-    .0
+fn run_mr(texts: &[String], workers: usize) -> Vec<(String, u64)> {
+    run_try(texts, workers, &ExecPolicy::default()).0
 }
 
 /// Word count under `policy`, returning the output and
@@ -85,96 +61,24 @@ proptest! {
     fn engine_matches_sequential_reference(
         texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
         workers in 1usize..9,
-        combiner in any::<bool>(),
     ) {
-        prop_assert_eq!(run_mr(&texts, workers, combiner), reference(&texts));
-    }
-
-    #[test]
-    fn fold_engine_matches_sequential_reference(
-        texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
-        workers in 1usize..9,
-    ) {
-        prop_assert_eq!(run_fold(&texts, workers), reference(&texts));
+        prop_assert_eq!(run_mr(&texts, workers), reference(&texts));
     }
 
     /// The engine's output must not depend on how many workers partition the
-    /// map phase: every worker count from 1 to 8 yields the same result, with
-    /// and without a combiner.
+    /// map phase: every worker count from 1 to 8 yields the same result.
     #[test]
     fn output_is_independent_of_worker_count(
         texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
-        combiner in any::<bool>(),
     ) {
-        let baseline = run_mr(&texts, 1, combiner);
+        let baseline = run_mr(&texts, 1);
         for workers in 2usize..=8 {
             prop_assert_eq!(
-                run_mr(&texts, workers, combiner),
+                run_mr(&texts, workers),
                 baseline.clone(),
                 "workers={}", workers
             );
         }
-    }
-
-    /// An associative combiner must not change the reduce result, no matter
-    /// how the worker partitioning groups the intermediate values. Checked
-    /// for two associative operations (sum and max) across worker counts.
-    #[test]
-    fn combiner_associativity_preserves_output(
-        texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
-        workers in 1usize..9,
-        use_max in any::<bool>(),
-    ) {
-        let run = |with_combiner: bool| -> Vec<(String, u64)> {
-            let mr: MapReduce<String, String, u64, (String, u64)> = MapReduce::new(workers);
-            let map_fn = |text: &String, emit: &mut dyn FnMut(String, u64)| {
-                for (i, w) in text.split_whitespace().enumerate() {
-                    emit(w.to_string(), if use_max { i as u64 + 1 } else { 1 });
-                }
-            };
-            let op = move |vs: &[u64]| -> u64 {
-                if use_max {
-                    vs.iter().copied().max().unwrap_or(0)
-                } else {
-                    vs.iter().sum()
-                }
-            };
-            mr.try_run_with_combiner(
-                &texts,
-                &ExecPolicy::default(),
-                map_fn,
-                with_combiner.then_some(move |_k: &String, vs: Vec<u64>| vec![op(&vs)]),
-                move |k: &String, vs: &[u64]| vec![(k.clone(), op(vs))],
-            )
-            .expect("fault-free run cannot fail")
-            .0
-        };
-        prop_assert_eq!(run(true), run(false));
-    }
-
-    /// A combiner can only shrink the intermediate record stream: it merges
-    /// same-key values within a partition, never invents new ones.
-    #[test]
-    fn combiner_never_grows_record_stream(
-        texts in proptest::collection::vec("[a-c ]{0,16}", 0..12),
-        workers in 1usize..9,
-    ) {
-        let mr: MapReduce<String, String, u64, (String, u64)> = MapReduce::new(workers);
-        let (_, stats) = mr
-            .try_run_with_combiner(
-                &texts,
-                &ExecPolicy::default(),
-                map_words,
-                Some(|_k: &String, vs: Vec<u64>| vec![vs.into_iter().sum::<u64>()]),
-                |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())],
-            )
-            .expect("fault-free run cannot fail");
-        prop_assert!(
-            stats.combined_records <= stats.map_output_records,
-            "combined {} > map output {}",
-            stats.combined_records,
-            stats.map_output_records
-        );
     }
 
     #[test]
@@ -193,7 +97,6 @@ proptest! {
             .map(|t| t.split_whitespace().count() as u64)
             .sum();
         prop_assert_eq!(stats.map_output_records, total_words);
-        prop_assert_eq!(stats.combined_records, total_words, "no combiner configured");
         prop_assert_eq!(stats.reduce_groups as usize, out.len());
         let summed: u64 = out.iter().map(|(_, c)| c).sum();
         prop_assert_eq!(summed, total_words);

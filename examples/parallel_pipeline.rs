@@ -1,19 +1,19 @@
-//! Parallel blocking + meta-blocking on the in-process MapReduce engine:
-//! the Dedoop / parallel-meta-blocking scenario of §II at laptop scale.
+//! Parallel blocking + meta-blocking: the Dedoop / parallel-meta-blocking
+//! scenario of §II at laptop scale.
 //!
-//! Generates a larger dirty collection, runs token blocking and
-//! meta-blocking as MapReduce jobs with 1..N workers, verifies the results
-//! match the sequential reference, and prints the speedup table. Also
-//! demonstrates BlockSplit load balancing on the skewed block sizes.
+//! Generates a larger dirty collection, runs token blocking
+//! (`TokenBlocking::par_build`) and meta-blocking (`par_meta_block`, the
+//! entity-based node scan) with 1..N threads, verifies the results match the
+//! sequential reference, and prints the speedup table. Also demonstrates
+//! BlockSplit load balancing on the skewed block sizes.
 //!
 //! Run with: `cargo run -p er-examples --release --bin parallel_pipeline`
 
 use er_blocking::TokenBlocking;
+use er_core::parallel::Parallelism;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_mapreduce::balance::balanced_loads;
-use er_mapreduce::blocking::ParallelTokenBlocking;
-use er_mapreduce::metablocking::ParallelMetaBlocking;
-use er_metablocking::{meta_block, PruningScheme, WeightingScheme};
+use er_metablocking::{meta_block, par_meta_block, PruningScheme, WeightingScheme};
 use std::time::Instant;
 
 fn main() {
@@ -60,18 +60,20 @@ fn main() {
         "workers", "blocking", "speedup", "meta-block", "speedup"
     );
     for workers in [1usize, 2, 4, 8] {
+        let par = Parallelism::threads(workers);
         let t0 = Instant::now();
-        let (blocks, _) = ParallelTokenBlocking::new(workers).build(&ds.collection);
+        let blocks = TokenBlocking::new().par_build(&ds.collection, par);
         let t_b = t0.elapsed();
         let t0 = Instant::now();
-        let meta = ParallelMetaBlocking::new(workers).run(
+        let meta = par_meta_block(
             &ds.collection,
             &blocks,
             WeightingScheme::Arcs,
             PruningScheme::Cnp,
+            par,
         );
         let t_m = t0.elapsed();
-        let ok = blocks.len() == seq_blocks.len() && meta == seq_meta;
+        let ok = blocks == seq_blocks && meta == seq_meta;
         println!(
             "{:>7} {:>14?} {:>8.2}x {:>14?} {:>8.2}x  {}",
             workers,

@@ -26,8 +26,7 @@ use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFa
 use er_core::obs::{MetricsSnapshot, Obs};
 use er_core::resource::ResourceLimits;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_mapreduce::engine::MapReduce;
-use er_mapreduce::spill::ShuffleBounds;
+use er_mapreduce::{default_registry, run_dist, DistOptions, InProcessTransport};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions, Resolution};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -186,9 +185,10 @@ proptest! {
         }
     }
 
-    /// Spilling MapReduce under seeded faults, random bounds and worker
-    /// counts: every completed run is bit-identical to the unbounded
-    /// fault-free job; exhausted retry budgets are typed errors.
+    /// The bounded MapReduce shuffle (`run_dist`'s spill files) under seeded
+    /// faults, spill bounds and worker counts: every completed run is
+    /// bit-identical to the unbounded fault-free job; exhausted retry budgets
+    /// are typed errors.
     #[test]
     fn spilling_mapreduce_chaos_is_bit_identical_or_typed(
         seed in 0u64..=u64::MAX,
@@ -199,29 +199,6 @@ proptest! {
         let seed = seed ^ chaos_seed_env().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let workers = chaos_workers_env().unwrap_or([1, 2, 4][workers_ix]);
         let bound = [1u64, 256, 1 << 20][bound_ix];
-        let ds = dataset();
-        let inputs: Vec<String> = (0..ds.collection.len())
-            .map(|i| {
-                ds.collection
-                    .entity(er_core::entity::EntityId(i as u32))
-                    .attributes()
-                    .iter()
-                    .map(|(_, v)| v.clone())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect();
-        let map_fn = |line: &String, emit: &mut dyn FnMut(String, u64)| {
-            for tok in line.split_whitespace() {
-                emit(tok.to_lowercase(), 1);
-            }
-        };
-        let reduce_fn = |k: &String, vs: &[u64]| vec![(k.clone(), vs.iter().sum::<u64>())];
-        let expected = MapReduce::<String, String, u64, (String, u64)>::new(1)
-            .try_run(&inputs, &ExecPolicy::default(), map_fn, reduce_fn)
-            .expect("fault-free reference")
-            .0;
-
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(
             SeededFaults::absorbable(seed),
         )));
@@ -232,18 +209,56 @@ proptest! {
             jitter_seed: seed,
         })
         .with_injector(injector);
-        let bounds = ShuffleBounds::new(
-            bound,
-            std::env::temp_dir().join(format!("er-chaos-{}", std::process::id())),
-        );
-        match MapReduce::<String, String, u64, (String, u64)>::new(workers)
-            .try_run_spilling(&inputs, &policy, &bounds, map_fn, reduce_fn)
-        {
-            Ok((out, _)) => prop_assert_eq!(out, expected),
-            Err(e) => prop_assert!(attempts < 3 || !e.stage.is_empty(),
-                "absorbable schedules only exhaust small retry budgets"),
+        let spill_root = std::env::temp_dir().join(format!("er-chaos-{}", std::process::id()));
+        let opts = DistOptions {
+            spill_bound: bound,
+            spill_dir: Some(spill_root),
+            ..DistOptions::for_workers(workers)
+        };
+        let mut transport = InProcessTransport::new(workers, default_registry(), policy);
+        match run_dist(&mut transport, "wordcount", wordcount_inputs(), &opts) {
+            Ok(out) => prop_assert_eq!(&out.pairs, unbounded_wordcount()),
+            Err(e) => {
+                prop_assert!(attempts < 3, "absorbable schedules exhaust only small budgets: {e}");
+                prop_assert!(e.stage == "map" || e.stage == "reduce", "{e}");
+                prop_assert!(!e.message.is_empty());
+            }
         }
     }
+}
+
+/// One line of attribute values per description of the chaos dataset.
+fn wordcount_inputs() -> &'static [String] {
+    static INPUTS: OnceLock<Vec<String>> = OnceLock::new();
+    INPUTS.get_or_init(|| {
+        dataset()
+            .collection
+            .iter()
+            .map(|e| {
+                e.attributes()
+                    .iter()
+                    .map(|(_, v)| v.as_str())
+                    .collect::<Vec<_>>()
+                    .join(" ")
+            })
+            .collect()
+    })
+}
+
+/// The fault-free, unbounded `wordcount` run the spilling cells must equal.
+fn unbounded_wordcount() -> &'static Vec<(String, String)> {
+    static PAIRS: OnceLock<Vec<(String, String)>> = OnceLock::new();
+    PAIRS.get_or_init(|| {
+        let mut transport = InProcessTransport::new(1, default_registry(), ExecPolicy::default());
+        run_dist(
+            &mut transport,
+            "wordcount",
+            wordcount_inputs(),
+            &DistOptions::for_workers(1),
+        )
+        .expect("fault-free reference")
+        .pairs
+    })
 }
 
 // ---------------------------------------------------------------------------

@@ -15,8 +15,6 @@ use er_datagen::{
     NoiseModel,
 };
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
-use er_mapreduce::blocking::ParallelTokenBlocking;
-use er_mapreduce::metablocking::ParallelMetaBlocking;
 use er_metablocking::{meta_block, PruningScheme, WeightingScheme};
 use er_progressive::hints::{score_pairs, sorted_pair_list};
 use er_progressive::{run, Budget};
@@ -105,31 +103,6 @@ fn lod_center_periphery_regimes() {
         pc_center > 0.8,
         "highly similar pairs must mostly block: {pc_center}"
     );
-}
-
-/// Parallel jobs agree with their sequential references on a full dataset.
-#[test]
-fn parallel_pipeline_agrees_with_sequential() {
-    let ds = DirtyDataset::generate(&DirtyConfig::sized(300, NoiseModel::moderate(), 43));
-    let (par_blocks, _) = ParallelTokenBlocking::new(4).build(&ds.collection);
-    let seq_blocks = TokenBlocking::new().build(&ds.collection);
-    assert_eq!(
-        par_blocks.distinct_pairs(&ds.collection),
-        seq_blocks.distinct_pairs(&ds.collection)
-    );
-    let par = ParallelMetaBlocking::new(4).run(
-        &ds.collection,
-        &seq_blocks,
-        WeightingScheme::Ecbs,
-        PruningScheme::Cnp,
-    );
-    let seq = meta_block(
-        &ds.collection,
-        &seq_blocks,
-        WeightingScheme::Ecbs,
-        PruningScheme::Cnp,
-    );
-    assert_eq!(par, seq);
 }
 
 /// Iterative blocking on generated data: at least as many truth pairs as the
