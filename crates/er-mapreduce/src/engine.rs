@@ -584,4 +584,42 @@ mod tests {
         }
         assert!(total_faults > 0, "the sweep must actually inject faults");
     }
+
+    #[test]
+    fn spilling_composes_with_seeded_faults() {
+        // The bounded shuffle is run_dist's spill bound: a 1-byte bound
+        // flushes every record to its own segment, and absorbable seeded
+        // faults on top must still leave the output equal to the oracle.
+        use crate::dist::{default_registry, run_dist, DistOptions};
+        use crate::transport::InProcessTransport;
+        let texts: Vec<String> = (0..40)
+            .map(|i| format!("t{} t{} shared", i % 7, i % 3))
+            .collect();
+        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
+        let reference: Vec<(String, String)> = reference(&refs)
+            .into_iter()
+            .map(|(k, n)| (k, n.to_string()))
+            .collect();
+        let mut total_faults = 0;
+        for seed in 0..4u64 {
+            let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
+            let injector = Arc::new(FaultInjector::new(plan));
+            let policy = ExecPolicy {
+                retry: fast_retry(4),
+                injector: Some(Arc::clone(&injector)),
+                speculation: None,
+                obs: Default::default(),
+            };
+            let mut t = InProcessTransport::new(3, default_registry(), policy);
+            let opts = DistOptions {
+                spill_bound: 1,
+                ..DistOptions::for_workers(3)
+            };
+            let out = run_dist(&mut t, "wordcount", &texts, &opts).unwrap();
+            assert_eq!(out.pairs, reference, "seed={seed}");
+            assert!(out.stats.spills > 0);
+            total_faults += injector.injected();
+        }
+        assert!(total_faults > 0, "the sweep must actually inject faults");
+    }
 }
