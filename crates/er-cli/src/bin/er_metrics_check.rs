@@ -46,7 +46,10 @@
 //!   exists and reads 0 — the pool was fully drained; and the
 //!   `mapreduce.task_latency_micros` histogram holds exactly one sample per
 //!   task (`mapreduce.map_tasks + mapreduce.reduce_tasks` > 0) — the
-//!   coordinator's attempt ledger timed every task's first success.
+//!   coordinator's attempt ledger timed every task's first success. With
+//!   `--expect-fault-free` as well, `worker.crashed` is 0 and `worker.exited
+//!   == worker.spawned`: every worker exited when told, none was killed at
+//!   the shutdown grace deadline.
 //! - with `--require-colstore` (a run that exercised the out-of-core
 //!   segment store, `er resolve --ooc` / a spill-to-segment rescue):
 //!   `colstore.segments_written` > 0 — sorted runs actually hit disk —
@@ -367,6 +370,14 @@ fn check(
                     ));
                 }
             }
+        }
+        let spawned = snapshot.counter("worker.spawned").unwrap_or(0);
+        if expect_fault_free && (crashed > 0 || exited != spawned) {
+            fail(format!(
+                "worker.crashed is {crashed} and worker.exited ({exited}) != worker.spawned \
+                 ({spawned}) on a run expected to be fault-free — a worker crashed or was \
+                 killed at the shutdown grace deadline"
+            ));
         }
         if restarted > crashed {
             fail(format!(
@@ -803,7 +814,30 @@ mod tests {
             failures.iter().any(|f| f.contains("worker.running")),
             "{failures:?}"
         );
-        assert!(check(&healthy_with_backend(), true, false, false, true, false).is_empty());
+        assert!(check(&healthy_with_backend(), false, false, false, true, false).is_empty());
+    }
+
+    #[test]
+    fn a_crashed_or_killed_worker_fails_a_fault_free_backend_run() {
+        // The fixture's one crash is fine unless the run was to be fault-free.
+        let s = healthy_with_backend();
+        let failures = check(&s, true, false, false, true, false);
+        assert!(
+            failures.iter().any(|f| f.contains("worker.crashed is 1")),
+            "{failures:?}"
+        );
+        // A pool killed at the shutdown grace deadline: both workers crashed.
+        let mut s = healthy_with_backend();
+        s.counters.insert("worker.spawned".into(), 2);
+        s.counters.insert("worker.exited".into(), 0);
+        s.counters.insert("worker.crashed".into(), 2);
+        s.counters.remove("worker.restarted");
+        assert!(check(&s, false, false, false, true, false).is_empty());
+        let failures = check(&s, true, false, false, true, false);
+        assert!(
+            failures.iter().any(|f| f.contains("fault-free")),
+            "{failures:?}"
+        );
     }
 
     #[test]

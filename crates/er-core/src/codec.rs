@@ -13,8 +13,9 @@
 //! typed `Err(reason)`, never a panic — the property suite fuzzes this
 //! parser with truncated and mutated byte streams.
 
+use std::borrow::Cow;
 use std::fs;
-use std::io::{BufRead, BufReader, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 
 /// The truncation-detecting last line of every file.
@@ -50,14 +51,15 @@ impl LineCodec {
     }
 
     /// Writes `lines` to `path` atomically (temp file + rename) under a
-    /// fingerprinted header and the truncation-detecting [`FOOTER`].
-    /// `extra` is appended verbatim to the header line (lead with a space).
+    /// fingerprinted header and the truncation-detecting [`FOOTER`]; an item
+    /// may hold several `\n`-joined lines. `extra` is appended verbatim to
+    /// the header line (lead with a space).
     pub fn write_atomic(
         &self,
         path: &Path,
         stage: &str,
         extra: &str,
-        lines: impl Iterator<Item = String>,
+        lines: impl IntoIterator<Item = impl AsRef<str>>,
     ) -> std::io::Result<()> {
         if let Some(dir) = path.parent() {
             fs::create_dir_all(dir)?;
@@ -71,7 +73,7 @@ impl LineCodec {
                 self.magic, self.version, self.fingerprint
             )?;
             for line in lines {
-                writeln!(w, "{line}")?;
+                writeln!(w, "{}", line.as_ref())?;
             }
             writeln!(w, "{FOOTER}")?;
             w.flush()?;
@@ -79,42 +81,47 @@ impl LineCodec {
         fs::rename(&tmp, path)
     }
 
-    /// Reads a file written by [`write_atomic`](LineCodec::write_atomic):
-    /// `Ok(None)` when absent, `Err(reason)` when the magic, version, stage,
-    /// fingerprint or footer is wrong, `Ok(Some((header, body_lines)))`
-    /// otherwise. Never panics on malformed input, and every truncation or
-    /// decode error names the byte offset where the defect begins.
-    pub fn read(&self, path: &Path, stage: &str) -> Result<Option<(String, Vec<String>)>, String> {
-        let file = match fs::File::open(path) {
-            Ok(f) => f,
+    /// Reads a file written by [`write_atomic`](LineCodec::write_atomic)
+    /// whole: `Ok(None)` when absent, `Err(reason)` when the magic, version,
+    /// stage, fingerprint or footer is wrong, `Ok(Some(file))` otherwise.
+    /// Never panics on malformed input, and every truncation or decode error
+    /// names the byte offset where the defect begins.
+    pub fn read(&self, path: &Path, stage: &str) -> Result<Option<LineFile>, String> {
+        let bytes = match fs::read(path) {
+            Ok(b) => b,
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
-            Err(e) => return Err(format!("cannot open {}: {e}", path.display())),
+            Err(e) => return Err(format!("cannot read {}: {e}", path.display())),
         };
-        let mut reader = BufReader::new(file);
-        // Byte offset of the line currently being read; reported on error so
-        // a truncated or mutated file can be diagnosed without re-parsing.
-        let mut offset: u64 = 0;
-        let mut next_line = |offset: &mut u64| -> Result<Option<String>, String> {
-            let mut raw = String::new();
-            let at = *offset;
-            match reader.read_line(&mut raw) {
-                Ok(0) => Ok(None),
-                Ok(n) => {
-                    *offset += n as u64;
-                    if raw.ends_with('\n') {
-                        raw.pop();
-                        if raw.ends_with('\r') {
-                            raw.pop();
-                        }
-                    }
-                    Ok(Some(raw))
-                }
-                Err(e) => Err(format!("read error at byte {at}: {e}")),
-            }
-        };
-        let header = match next_line(&mut offset)? {
-            Some(h) => h,
-            None => return Err(format!("empty {} (at byte 0)", self.magic)),
+        let mut text = String::from_utf8(bytes).map_err(|e| {
+            // Name the line holding the first bad byte, unless the header
+            // before it is wrong: a line-by-line read judges that first.
+            let valid = &e.as_bytes()[..e.utf8_error().valid_up_to()];
+            let at = valid.iter().rposition(|&b| b == b'\n').map_or(0, |i| i + 1);
+            let head = std::str::from_utf8(&valid[..at]).unwrap_or_default();
+            let bad_header = self.body_start(head, stage).err().filter(|_| at > 0);
+            bad_header.unwrap_or_else(|| format!("read error at byte {at}: not valid UTF-8"))
+        })?;
+        let body_start = self.body_start(&text, stage)?;
+        // The last line is the footer; the lines between it and the header
+        // are the body.
+        let rest = &text[body_start..];
+        let last = rest.strip_suffix('\n').unwrap_or(rest);
+        let at = body_start + last.rfind('\n').map_or(0, |i| i + 1);
+        if text[at..].lines().next() != Some(FOOTER) {
+            return Err(format!(
+                "truncated {} (missing footer at byte {at})",
+                self.magic
+            ));
+        }
+        text.truncate(at);
+        Ok(Some(LineFile { text, body_start }))
+    }
+
+    /// Validates the header line opening `text`; returns where the body
+    /// begins.
+    fn body_start(&self, text: &str, stage: &str) -> Result<usize, String> {
+        let Some(header) = text.lines().next() else {
+            return Err(format!("empty {} (at byte 0)", self.magic));
         };
         let mut fields = header.split(' ');
         if fields.next() != Some(self.magic) || fields.next() != Some(self.version) {
@@ -135,25 +142,27 @@ impl LineCodec {
             }
             None => return Err("missing fingerprint (at byte 0)".to_string()),
         }
-        let mut body = Vec::new();
-        let mut last_line_at = offset;
-        loop {
-            let at = offset;
-            match next_line(&mut offset)? {
-                Some(line) => {
-                    last_line_at = at;
-                    body.push(line);
-                }
-                None => break,
-            }
-        }
-        if body.pop().as_deref() != Some(FOOTER) {
-            return Err(format!(
-                "truncated {} (missing footer at byte {last_line_at})",
-                self.magic
-            ));
-        }
-        Ok(Some((header, body)))
+        Ok(text.find('\n').map_or(text.len(), |i| i + 1))
+    }
+}
+
+/// A file [`LineCodec::read`] accepted: its text up to the footer, with the
+/// header and the body lines borrowed from it.
+#[derive(Debug, PartialEq, Eq)]
+pub struct LineFile {
+    text: String,
+    body_start: usize,
+}
+
+impl LineFile {
+    /// The header line.
+    pub fn header(&self) -> &str {
+        self.text.lines().next().unwrap_or_default()
+    }
+
+    /// The body lines, in file order.
+    pub fn lines(&self) -> std::str::Lines<'_> {
+        self.text[self.body_start..].lines()
     }
 }
 
@@ -171,6 +180,12 @@ pub fn header_field(header: &str, name: &str) -> Result<u64, String> {
 /// newline, carriage return).
 pub fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len());
+    escape_into(&mut out, s);
+    out
+}
+
+/// [`escape`], appending to `out`.
+pub fn escape_into(out: &mut String, s: &str) {
     for c in s.chars() {
         match c {
             '\\' => out.push_str("\\\\"),
@@ -180,11 +195,14 @@ pub fn escape(s: &str) -> String {
             _ => out.push(c),
         }
     }
-    out
 }
 
 /// Inverse of [`escape`]; a dangling or unknown escape is a typed error.
-pub fn unescape(s: &str) -> Result<String, String> {
+/// Borrows `s` when it holds no escape.
+pub fn unescape(s: &str) -> Result<Cow<'_, str>, String> {
+    if !s.contains('\\') {
+        return Ok(Cow::Borrowed(s));
+    }
     let mut out = String::with_capacity(s.len());
     let mut chars = s.chars();
     while let Some(c) = chars.next() {
@@ -200,7 +218,7 @@ pub fn unescape(s: &str) -> Result<String, String> {
             other => return Err(format!("bad escape: \\{other:?}")),
         }
     }
-    Ok(out)
+    Ok(Cow::Owned(out))
 }
 
 #[cfg(test)]
@@ -229,16 +247,52 @@ mod tests {
             &path,
             "shuffle",
             " part=3",
-            ["a\t1".to_string(), "b\t2".to_string()].into_iter(),
+            ["a\t1".to_string(), "b\t2".to_string()],
         )
         .unwrap();
-        let (header, body) = c.read(&path, "shuffle").unwrap().unwrap();
-        assert_eq!(header_field(&header, "part").unwrap(), 3);
-        assert_eq!(body, vec!["a\t1", "b\t2"]);
+        let file = c.read(&path, "shuffle").unwrap().unwrap();
+        assert_eq!(header_field(file.header(), "part").unwrap(), 3);
+        assert_eq!(file.lines().collect::<Vec<_>>(), vec!["a\t1", "b\t2"]);
         assert!(
             !LineCodec::tmp_path(&path).exists(),
             "tmp file must be renamed away"
         );
+        // One item holding `\n`-joined lines writes the same bytes.
+        let bytes = fs::read(&path).unwrap();
+        c.write_atomic(&path, "shuffle", " part=3", ["a\t1\nb\t2"])
+            .unwrap();
+        assert_eq!(fs::read(&path).unwrap(), bytes);
+        let _ = fs::remove_file(&path);
+    }
+
+    #[test]
+    fn reader_names_the_offset_of_each_defect() {
+        let path = tmp_file("offsets");
+        let c = codec();
+        let header = "er-test v1 stage=s fingerprint=00000000deadbeef";
+        let at = header.len() + 1;
+        // CRLF line ends are accepted, a footer without a final newline too.
+        fs::write(&path, format!("{header}\r\nx\r\n\r\nend")).unwrap();
+        let file = c.read(&path, "s").unwrap().unwrap();
+        assert_eq!(file.header(), header);
+        assert_eq!(file.lines().collect::<Vec<_>>(), vec!["x", ""]);
+        // A missing footer is reported at the start of the last line.
+        fs::write(&path, format!("{header}\nx\ny\n")).unwrap();
+        let err = c.read(&path, "s").unwrap_err();
+        assert!(err.contains(&format!("at byte {}", at + 2)), "{err}");
+        fs::write(&path, header).unwrap();
+        let err = c.read(&path, "s").unwrap_err();
+        assert!(err.contains(&format!("at byte {}", header.len())), "{err}");
+        // Bad UTF-8 names its line; a bad header outranks it.
+        let mut bytes = format!("{header}\nx\n").into_bytes();
+        bytes.extend_from_slice(b"\xff\nend\n");
+        fs::write(&path, &bytes).unwrap();
+        let err = c.read(&path, "s").unwrap_err();
+        assert!(
+            err.contains(&format!("read error at byte {}", at + 2)),
+            "{err}"
+        );
+        assert!(c.read(&path, "t").unwrap_err().contains("wrong stage"));
         let _ = fs::remove_file(&path);
     }
 
@@ -282,9 +336,18 @@ mod tests {
 
     #[test]
     fn escaping_round_trips() {
-        for key in ["plain", "tab\there", "multi\nline", "back\\slash", "", "\r"] {
+        for key in [
+            "plain",
+            "tab\there",
+            "multi\nline",
+            "back\\slash",
+            "",
+            "\r",
+            "ünï\tcödé\\",
+        ] {
             assert_eq!(unescape(&escape(key)).unwrap(), key);
         }
+        assert!(matches!(unescape("plain"), Ok(Cow::Borrowed("plain"))));
         assert!(unescape("dangling\\").is_err());
         assert!(unescape("bad\\q").is_err());
     }

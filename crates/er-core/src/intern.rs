@@ -62,7 +62,8 @@ impl std::hash::Hasher for Fnv1a {
     }
 }
 
-type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
+/// Builds [`Fnv1a`] hashers for maps keyed by short program-made strings.
+pub type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
 
 /// An interned string: a dense `u32` id valid for the [`Interner`] that
 /// produced it.

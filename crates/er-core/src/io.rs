@@ -69,7 +69,9 @@ impl From<std::io::Error> for ParseError {
 /// [`codec::unescape`](crate::codec::unescape) with the failure placed on
 /// its line.
 fn unescape(s: &str, line: usize) -> Result<String, ParseError> {
-    crate::codec::unescape(s).map_err(|message| ParseError::Syntax { line, message })
+    crate::codec::unescape(s)
+        .map(std::borrow::Cow::into_owned)
+        .map_err(|message| ParseError::Syntax { line, message })
 }
 
 /// Writes a collection in the v1 text format.

@@ -243,8 +243,9 @@ impl SubprocessTransport {
         let id = self.next_worker_id;
         self.next_worker_id += 1;
         let pid = child.id();
-        let stdout = child.stdout.take().expect("piped stdout");
-        let stdin = child.stdin.take().expect("piped stdin");
+        let (Some(stdout), Some(stdin)) = (child.stdout.take(), child.stdin.take()) else {
+            return Err("worker spawned without piped stdio".to_string());
+        };
 
         let tx = self.events_tx.clone();
         let reader = std::thread::Builder::new()
@@ -520,46 +521,30 @@ impl SubprocessTransport {
         }
     }
 
-    /// Sends `Shutdown` to every live worker, waits out the grace period,
-    /// kills laggards, and reaps everything. Called by `Drop`, so it runs on
-    /// success, typed failure, and coordinator panic alike.
+    /// Sends `Shutdown` to every live worker and reaps each as its stdout
+    /// reaches EOF; kills whatever still runs at the grace deadline. Called
+    /// by `Drop`, so it runs on success, typed failure, and coordinator
+    /// panic alike.
     fn shutdown_pool(&mut self) {
-        let obs = self.cfg.policy.obs.clone();
         for slot in &mut self.slots {
-            if matches!(slot.state, SlotState::Dead) {
-                continue;
-            }
-            if let Some(sender) = &slot.sender {
+            if let Some(sender) = slot.sender.take() {
+                // The writer drains, then closes the pipe (EOF).
                 let _ = sender.send((Duration::ZERO, Frame::Shutdown));
             }
-            slot.sender = None; // writer drains, then closes the pipe (EOF)
         }
         let deadline = Instant::now() + self.cfg.shutdown_grace;
-        for slot in &mut self.slots {
-            if matches!(slot.state, SlotState::Dead) {
-                continue;
+        while self.live_count() > 0 {
+            let wait = deadline.saturating_duration_since(Instant::now());
+            // A protocol error leaves the process running: it is killed.
+            match self.events_rx.recv_timeout(wait) {
+                Ok(Event::Eof(id)) => self.reap(id, true),
+                Ok(Event::ReadErr(id, _)) => self.reap(id, false),
+                Ok(_) if !wait.is_zero() => {}
+                _ => break,
             }
-            let clean = loop {
-                match slot.child.try_wait() {
-                    Ok(Some(status)) => break status.success(),
-                    Ok(None) => {
-                        if Instant::now() >= deadline {
-                            let _ = slot.child.kill();
-                            let _ = slot.child.wait();
-                            break false;
-                        }
-                        std::thread::sleep(Duration::from_millis(5));
-                    }
-                    Err(_) => break false,
-                }
-            };
-            slot.state = SlotState::Dead;
-            self.monitor.remove(slot.pid);
-            if clean {
-                obs.counter("worker.exited").incr();
-            } else {
-                obs.counter("worker.crashed").incr();
-            }
+        }
+        for idx in 0..self.slots.len() {
+            self.reap(self.slots[idx].id, false);
         }
         for slot in &mut self.slots {
             if let Some(r) = slot.reader.take() {
@@ -570,6 +555,27 @@ impl SubprocessTransport {
             }
         }
         self.update_running_gauge();
+    }
+
+    /// Reaps live worker `id` — killed first unless its stdout closed — and
+    /// counts it as a clean exit or a crash by its exit status.
+    fn reap(&mut self, id: u64, exited: bool) {
+        let live = |s: &&mut WorkerSlot| s.id == id && !matches!(s.state, SlotState::Dead);
+        let Some(slot) = self.slots.iter_mut().find(live) else {
+            return;
+        };
+        if !exited {
+            let _ = slot.child.kill();
+        }
+        let clean = slot.child.wait().is_ok_and(|status| status.success());
+        slot.state = SlotState::Dead;
+        self.monitor.remove(slot.pid);
+        let obs = &self.cfg.policy.obs;
+        if clean {
+            obs.counter("worker.exited").incr();
+        } else {
+            obs.counter("worker.crashed").incr();
+        }
     }
 }
 

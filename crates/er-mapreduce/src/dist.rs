@@ -9,17 +9,21 @@
 //! backend remains the bit-exactness oracle for the multi-process one.
 //!
 //! The data plane is the spill-file format of PR 4 promoted to first class:
-//! every map task writes its partitioned output to fingerprinted
-//! [`LineCodec`] segment files and returns only the manifest (partition,
-//! record count, path); reduce tasks stream the segments back in mapper
-//! order. Payloads and results never carry bulk data, so frames stay small
-//! and a killed worker leaves at most an unreferenced segment file behind.
+//! map tasks write their partitioned output to fingerprinted [`LineCodec`]
+//! segment files and return only the manifest; reduce tasks read the
+//! segments whole, in mapper order, and group rows in an FNV-keyed hash map.
+//! The shuffle never rides in frames — though a map payload carries its input
+//! records inline and a reduce result its output pairs — so a killed worker
+//! leaves at most an unreferenced segment file behind.
 
 use crate::engine::{partition_of, ExecError};
 use crate::transport::Transport;
-use er_core::codec::{escape, unescape, LineCodec};
-use std::collections::BTreeMap;
+use er_core::codec::{escape, escape_into, unescape, LineCodec};
+use er_core::intern::FnvBuild;
+use std::borrow::Cow;
+use std::collections::{BTreeMap, HashMap};
 use std::path::{Path, PathBuf};
+use std::str::{Lines, Split};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -39,9 +43,9 @@ static DIST_SEQ: AtomicU64 = AtomicU64::new(0);
 /// killed worker indistinguishable from a straggler that never reports.
 pub trait DistJob: Send + Sync {
     /// Maps one input record to zero or more `(key, value)` pairs.
-    fn map(&self, record: &str, emit: &mut dyn FnMut(String, String));
+    fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str));
     /// Reduces one key group. `values` arrive in deterministic mapper order.
-    fn reduce(&self, key: &str, values: &[String]) -> Vec<String>;
+    fn reduce(&self, key: &str, values: &[&str]) -> Vec<String>;
 }
 
 /// Named jobs a worker process knows how to run.
@@ -85,13 +89,13 @@ pub fn default_registry() -> TaskRegistry {
 pub struct WordCountJob;
 
 impl DistJob for WordCountJob {
-    fn map(&self, record: &str, emit: &mut dyn FnMut(String, String)) {
+    fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str)) {
         for word in record.split_whitespace() {
-            emit(word.to_string(), "1".to_string());
+            emit(word, "1");
         }
     }
 
-    fn reduce(&self, _key: &str, values: &[String]) -> Vec<String> {
+    fn reduce(&self, _key: &str, values: &[&str]) -> Vec<String> {
         let total: u64 = values.iter().filter_map(|v| v.parse::<u64>().ok()).sum();
         vec![total.to_string()]
     }
@@ -107,17 +111,17 @@ impl DistJob for WordCountJob {
 pub struct TokenBlockingJob;
 
 impl DistJob for TokenBlockingJob {
-    fn map(&self, record: &str, emit: &mut dyn FnMut(String, String)) {
+    fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str)) {
         let mut fields = record.split('\t');
         let Some(id) = fields.next() else { return };
         for token in fields {
             if !token.is_empty() {
-                emit(token.to_string(), id.to_string());
+                emit(token, id);
             }
         }
     }
 
-    fn reduce(&self, _key: &str, values: &[String]) -> Vec<String> {
+    fn reduce(&self, _key: &str, values: &[&str]) -> Vec<String> {
         if values.len() >= 2 {
             vec![values.join(" ")]
         } else {
@@ -148,7 +152,7 @@ pub fn encode_map_task(
     );
     for r in records {
         out.push('\n');
-        out.push_str(&escape(r));
+        escape_into(&mut out, r);
     }
     out
 }
@@ -158,7 +162,7 @@ pub fn encode_reduce_task(partition: usize, fingerprint: u64, segments: &[String
     let mut out = format!("r\t{partition}\t{fingerprint:016x}");
     for s in segments {
         out.push('\n');
-        out.push_str(&escape(s));
+        escape_into(&mut out, s);
     }
     out
 }
@@ -188,12 +192,7 @@ pub struct MapResult {
 
 /// Parses a map-task result payload.
 pub fn decode_map_result(payload: &str) -> Result<MapResult, String> {
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap_or("");
-    let mut f = header.split('\t');
-    if f.next() != Some("map") {
-        return Err(format!("bad map result header: {header:?}"));
-    }
+    let (mut f, lines) = header(payload, "map", "map result")?;
     let emitted = parse_field(f.next(), "emitted")?;
     let spills = parse_field(f.next(), "spills")?;
     let mut segments = Vec::new();
@@ -202,7 +201,7 @@ pub fn decode_map_result(payload: &str) -> Result<MapResult, String> {
         segments.push(SegmentRef {
             partition: parse_field(f.next(), "partition")? as usize,
             records: parse_field(f.next(), "records")?,
-            path: unescape(f.next().ok_or("missing segment path")?)?,
+            path: unescape(f.next().ok_or("missing segment path")?)?.into_owned(),
         });
     }
     Ok(MapResult {
@@ -223,21 +222,28 @@ pub struct ReduceResult {
 
 /// Parses a reduce-task result payload.
 pub fn decode_reduce_result(payload: &str) -> Result<ReduceResult, String> {
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap_or("");
-    let mut f = header.split('\t');
-    if f.next() != Some("red") {
-        return Err(format!("bad reduce result header: {header:?}"));
-    }
+    let (mut f, lines) = header(payload, "red", "reduce result")?;
     let groups = parse_field(f.next(), "groups")?;
     let mut pairs = Vec::new();
     for line in lines {
         let (k, v) = line
             .split_once('\t')
             .ok_or_else(|| format!("bad reduce output line: {line:?}"))?;
-        pairs.push((unescape(k)?, unescape(v)?));
+        pairs.push((unescape(k)?.into_owned(), unescape(v)?.into_owned()));
     }
     Ok(ReduceResult { groups, pairs })
+}
+
+/// Splits payload `s` into the tab-separated fields of its header line,
+/// whose first field must be `tag`, and the lines after it.
+fn header<'a>(s: &'a str, tag: &str, what: &str) -> Result<(Split<'a, char>, Lines<'a>), String> {
+    let mut lines = s.lines();
+    let header = lines.next().unwrap_or("");
+    let mut fields = header.split('\t');
+    if fields.next() != Some(tag) {
+        return Err(format!("bad {what} header: {header:?}"));
+    }
+    Ok((fields, lines))
 }
 
 fn parse_field(field: Option<&str>, what: &str) -> Result<u64, String> {
@@ -276,16 +282,11 @@ pub fn run_task(
 }
 
 fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<String, String> {
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap_or("");
-    let mut f = header.split('\t');
-    if f.next() != Some("m") {
-        return Err(format!("bad map task header: {header:?}"));
-    }
+    let (mut f, lines) = header(payload, "m", "map task")?;
     let partitions = parse_field(f.next(), "partitions")? as usize;
     let spill_bound = parse_field(f.next(), "spill_bound")?;
     let fingerprint = parse_hex(f.next())?;
-    let dir = PathBuf::from(unescape(f.next().ok_or("missing spill dir")?)?);
+    let dir = PathBuf::from(&*unescape(f.next().ok_or("missing spill dir")?)?);
     if partitions == 0 {
         return Err("map task with zero partitions".to_string());
     }
@@ -297,104 +298,107 @@ fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<S
     };
     let codec = LineCodec::new(DIST_MAGIC, DIST_VERSION, fingerprint);
 
-    let mut buffers: Vec<Vec<String>> = vec![Vec::new(); partitions];
-    let mut buffer_bytes: Vec<u64> = vec![0; partitions];
+    // Per partition: escaped `key \t value \n` rows, and the unescaped bytes
+    // the spill bound is charged with.
+    let mut buffers: Vec<(String, u64)> = vec![(String::new(), 0); partitions];
+    let mut spilled: Vec<(usize, String)> = Vec::new();
     let mut emitted: u64 = 0;
     let mut spills: u64 = 0;
     let mut segments: Vec<SegmentRef> = Vec::new();
 
-    let flush =
-        |p: usize, buf: &mut Vec<String>, segments: &mut Vec<SegmentRef>| -> Result<(), String> {
-            if buf.is_empty() {
-                return Ok(());
-            }
-            let seq = DIST_SEQ.fetch_add(1, Ordering::Relaxed);
-            let path = dir.join(format!("seg-{}-{seq}-p{p}.lines", std::process::id()));
-            let n = buf.len() as u64;
-            codec
-                .write_atomic(
-                    &path,
-                    "shuffle",
-                    &format!(" part={p} records={n}"),
-                    buf.drain(..),
-                )
-                .map_err(|e| format!("cannot write segment {}: {e}", path.display()))?;
-            segments.push(SegmentRef {
-                partition: p,
-                records: n,
-                path: path.display().to_string(),
-            });
-            Ok(())
+    let flush = |p: usize, rows: &str, segments: &mut Vec<SegmentRef>| -> Result<(), String> {
+        let Some(rows) = rows.strip_suffix('\n') else {
+            return Ok(());
         };
+        let seq = DIST_SEQ.fetch_add(1, Ordering::Relaxed);
+        let path = dir.join(format!("seg-{}-{seq}-p{p}.lines", std::process::id()));
+        let n = rows.matches('\n').count() as u64 + 1;
+        let extra = format!(" part={p} records={n}");
+        codec
+            .write_atomic(&path, "shuffle", &extra, [rows])
+            .map_err(|e| format!("cannot write segment {}: {e}", path.display()))?;
+        segments.push(SegmentRef {
+            partition: p,
+            records: n,
+            path: path.display().to_string(),
+        });
+        Ok(())
+    };
 
     for line in lines {
         let record = unescape(line)?;
-        let mut pending: Vec<(usize, String, u64)> = Vec::new();
         job.map(&record, &mut |k, v| {
             let p = partition_of(&k, partitions);
-            let bytes = (k.len() + v.len()) as u64;
-            pending.push((p, format!("{}\t{}", escape(&k), escape(&v)), bytes));
-        });
-        for (p, encoded, bytes) in pending {
+            let (rows, bytes) = &mut buffers[p];
+            escape_into(rows, k);
+            rows.push('\t');
+            escape_into(rows, v);
+            rows.push('\n');
+            *bytes += (k.len() + v.len()) as u64;
             emitted += 1;
-            buffers[p].push(encoded);
-            buffer_bytes[p] += bytes;
-            if bound > 0 && buffer_bytes[p] > bound {
-                flush(p, &mut buffers[p], &mut segments)?;
-                buffer_bytes[p] = 0;
-                spills += 1;
+            if bound > 0 && *bytes > bound {
+                spilled.push((p, std::mem::take(rows)));
+                *bytes = 0;
             }
+        });
+        spills += spilled.len() as u64;
+        for (p, rows) in spilled.drain(..) {
+            flush(p, &rows, &mut segments)?;
         }
     }
-    for (p, buf) in buffers.iter_mut().enumerate() {
-        flush(p, buf, &mut segments)?;
+    for (p, (rows, _)) in buffers.iter().enumerate() {
+        flush(p, rows, &mut segments)?;
     }
 
     let mut out = format!("map\t{emitted}\t{spills}");
     for s in &segments {
-        out.push_str(&format!(
-            "\n{}\t{}\t{}",
-            s.partition,
-            s.records,
-            escape(&s.path)
-        ));
+        out.push_str(&format!("\n{}\t{}\t", s.partition, s.records));
+        escape_into(&mut out, &s.path);
     }
     Ok(out)
 }
 
 fn run_reduce_task(job: &dyn DistJob, payload: &str) -> Result<String, String> {
-    let mut lines = payload.lines();
-    let header = lines.next().unwrap_or("");
-    let mut f = header.split('\t');
-    if f.next() != Some("r") {
-        return Err(format!("bad reduce task header: {header:?}"));
-    }
+    let (mut f, lines) = header(payload, "r", "reduce task")?;
     let _partition = parse_field(f.next(), "partition")?;
     let fingerprint = parse_hex(f.next())?;
     let codec = LineCodec::new(DIST_MAGIC, DIST_VERSION, fingerprint);
 
-    // Replay segments in manifest (mapper) order; group preserving first-seen
-    // arrival order of values, then reduce keys in sorted order so the output
-    // is independent of partition count and worker schedule.
-    let mut groups: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    // Segments are read whole in manifest (mapper) order, so each key's values
+    // keep arrival order; rows are borrowed unless they hold an escape. Keys
+    // reduce in sorted order: the output is independent of partition count
+    // and worker schedule.
+    let mut files = Vec::new();
     for line in lines {
-        let path = PathBuf::from(unescape(line)?);
-        let (_, body) = codec
+        let path = PathBuf::from(&*unescape(line)?);
+        let file = codec
             .read(&path, "shuffle")
             .map_err(|e| format!("segment {}: {e}", path.display()))?
             .ok_or_else(|| format!("segment {} vanished", path.display()))?;
-        for row in body {
+        files.push((path, file));
+    }
+    let mut rows: Vec<(Cow<str>, Cow<str>)> = Vec::new();
+    for (path, file) in &files {
+        for row in file.lines() {
             let (ek, ev) = row
                 .split_once('\t')
                 .ok_or_else(|| format!("bad segment row in {}: {row:?}", path.display()))?;
-            groups.entry(unescape(ek)?).or_default().push(unescape(ev)?);
+            rows.push((unescape(ek)?, unescape(ev)?));
         }
     }
-
+    let mut groups: HashMap<&str, Vec<&str>, FnvBuild> = HashMap::default();
+    for (k, v) in &rows {
+        groups.entry(k).or_default().push(v);
+    }
+    let mut groups: Vec<_> = groups.into_iter().collect();
+    groups.sort_unstable_by_key(|&(key, _)| key);
     let mut out = format!("red\t{}", groups.len());
-    for (key, values) in &groups {
-        for output in job.reduce(key, values) {
-            out.push_str(&format!("\n{}\t{}", escape(key), escape(&output)));
+    for (key, values) in groups {
+        for output in job.reduce(key, &values) {
+            out.push('\n');
+            escape_into(&mut out, key);
+            out.push('\t');
+            escape_into(&mut out, &output);
         }
     }
     Ok(out)
@@ -706,6 +710,89 @@ mod tests {
         };
         assert_eq!(unbounded.pairs, tiny.pairs);
         assert!(tiny.stats.spills > 0, "1-byte bound must force spills");
+    }
+
+    /// `key=value` pairs split on `;`; keys and values hold every character
+    /// the line format escapes. Reduce emits one output per value plus one
+    /// joining them, so value order within a key shows in the output.
+    struct EscapingJob;
+
+    impl DistJob for EscapingJob {
+        fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str)) {
+            for (k, v) in record.split(';').filter_map(|pair| pair.split_once('=')) {
+                emit(k, v);
+            }
+        }
+
+        fn reduce(&self, key: &str, values: &[&str]) -> Vec<String> {
+            let mut out: Vec<String> = values.iter().map(|v| format!("{key}->{v}")).collect();
+            out.push(values.join("|"));
+            out
+        }
+    }
+
+    /// A draw in `0..n` from a 64-bit LCG.
+    fn lcg(x: &mut u64, n: u64) -> usize {
+        *x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+        ((*x >> 33) % n) as usize
+    }
+
+    /// Up to `max - 1` symbols, each plain, escaped by the line format, or
+    /// non-ASCII.
+    fn text(x: &mut u64, max: u64) -> String {
+        const ALPHABET: [&str; 9] = ["a", "b", "\t", "\n", "\r", "\\", "é", "日本", " "];
+        (0..lcg(x, max)).map(|_| ALPHABET[lcg(x, 9)]).collect()
+    }
+
+    fn escaping_inputs() -> Vec<String> {
+        let mut x: u64 = 0x5eed;
+        (0..60)
+            .map(|_| {
+                let pairs: Vec<String> = (0..=lcg(&mut x, 4))
+                    .map(|_| format!("{}={}", text(&mut x, 3), text(&mut x, 5)))
+                    .collect();
+                pairs.join(";")
+            })
+            .collect()
+    }
+
+    #[test]
+    fn escaped_keys_and_values_match_a_serial_group_by() {
+        let inputs = escaping_inputs();
+        let mut groups: BTreeMap<String, Vec<String>> = BTreeMap::new();
+        for record in &inputs {
+            EscapingJob.map(record, &mut |k, v| {
+                groups.entry(k.to_string()).or_default().push(v.to_string());
+            });
+        }
+        let mut expected = Vec::new();
+        for (key, values) in &groups {
+            let values: Vec<&str> = values.iter().map(String::as_str).collect();
+            for output in EscapingJob.reduce(key, &values) {
+                expected.push((key.clone(), output));
+            }
+        }
+        assert!(expected
+            .iter()
+            .any(|(k, _)| k.contains(['\t', '\n', '\r', '\\'])));
+        let mut registry = default_registry();
+        registry.register("escaping", Arc::new(EscapingJob));
+        for workers in [1usize, 2, 4] {
+            for spill_bound in [0u64, 1, 256] {
+                let mut t =
+                    InProcessTransport::new(workers, registry.clone(), ExecPolicy::default());
+                let opts = DistOptions {
+                    spill_bound,
+                    ..DistOptions::for_workers(workers)
+                };
+                let out = run_dist(&mut t, "escaping", &inputs, &opts).unwrap();
+                assert_eq!(
+                    out.pairs, expected,
+                    "workers={workers} spill_bound={spill_bound}"
+                );
+                assert_eq!(out.stats.reduce_groups, groups.len() as u64);
+            }
+        }
     }
 
     #[test]

@@ -260,17 +260,17 @@ impl Frame {
             "hello-rej" => {
                 let f = take_exact(1)?;
                 Ok(Frame::HelloRej {
-                    reason: unescape(f[0]).map_err(&malformed)?,
+                    reason: unescape(f[0]).map_err(&malformed)?.into_owned(),
                 })
             }
             "task" => {
                 let f = take_exact(5)?;
                 Ok(Frame::Task {
-                    job: unescape(f[0]).map_err(&malformed)?,
-                    stage: unescape(f[1]).map_err(&malformed)?,
+                    job: unescape(f[0]).map_err(&malformed)?.into_owned(),
+                    stage: unescape(f[1]).map_err(&malformed)?.into_owned(),
                     task: parse_u64(f[2], "task")? as usize,
                     attempt: parse_u64(f[3], "attempt")? as u32,
-                    payload: unescape(f[4]).map_err(&malformed)?,
+                    payload: unescape(f[4]).map_err(&malformed)?.into_owned(),
                 })
             }
             "result" => {
@@ -278,7 +278,7 @@ impl Frame {
                 Ok(Frame::TaskResult {
                     task: parse_u64(f[0], "task")? as usize,
                     attempt: parse_u64(f[1], "attempt")? as u32,
-                    payload: unescape(f[2]).map_err(&malformed)?,
+                    payload: unescape(f[2]).map_err(&malformed)?.into_owned(),
                 })
             }
             "task-err" => {
@@ -286,7 +286,7 @@ impl Frame {
                 Ok(Frame::TaskError {
                     task: parse_u64(f[0], "task")? as usize,
                     attempt: parse_u64(f[1], "attempt")? as u32,
-                    message: unescape(f[2]).map_err(&malformed)?,
+                    message: unescape(f[2]).map_err(&malformed)?.into_owned(),
                 })
             }
             "heartbeat" => {

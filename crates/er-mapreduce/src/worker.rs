@@ -17,7 +17,7 @@ use crate::dist::{run_task, TaskRegistry};
 use crate::proto::{protocol_fingerprint, Frame, FrameReader, FrameWriter, PROTOCOL_VERSION};
 use std::io::{Read, Write};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{self, RecvTimeoutError};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -86,14 +86,14 @@ where
     };
 
     // ---- heartbeats --------------------------------------------------------
-    let stop = Arc::new(AtomicBool::new(false));
-    let hb_stop = Arc::clone(&stop);
+    // The thread waits on a channel instead of sleeping: dropping `stop` when
+    // the task loop ends wakes it at once, whatever the interval.
+    let (stop, stopped) = mpsc::channel::<()>();
     let hb_writer = Arc::clone(&writer);
     let hb = std::thread::spawn(move || {
         let mut seq: u64 = 0;
         let interval = Duration::from_millis(heartbeat_ms.max(1));
-        while !hb_stop.load(Ordering::Relaxed) {
-            std::thread::sleep(interval);
+        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(interval) {
             seq += 1;
             let ok = hb_writer
                 .lock()
@@ -146,7 +146,7 @@ where
             }
         }
     };
-    stop.store(true, Ordering::Relaxed);
+    drop(stop);
     let _ = hb.join();
     code
 }
@@ -222,6 +222,24 @@ mod tests {
         let (code, replies) = session(&[hello(), Frame::Shutdown]);
         assert_eq!(code, 0);
         assert!(matches!(replies[0], Frame::HelloAck { worker_id: 1, .. }));
+    }
+
+    #[test]
+    fn shutdown_ends_the_worker_without_waiting_out_its_heartbeat() {
+        let (input, mut feed) = std::io::pipe().unwrap();
+        let mut w = FrameWriter::new(&mut feed);
+        w.write(&hello()).unwrap(); // a 10 s heartbeat interval
+        w.write(&Frame::Shutdown).unwrap();
+        // `feed` stays open: the worker must exit on `Shutdown`, not on EOF.
+        let started = std::time::Instant::now();
+        let sink = SharedSink(Arc::new(Mutex::new(Vec::new())));
+        assert_eq!(worker_loop(&default_registry(), input, sink), 0);
+        let took = started.elapsed();
+        assert!(
+            took < Duration::from_secs(2),
+            "worker took {took:?} to exit"
+        );
+        drop(feed);
     }
 
     #[test]

@@ -734,7 +734,7 @@ impl Pipeline {
                 .add(out.stats.reduce_groups);
         }
         out.stats.record_obs(&self.obs);
-        let blocks = blocks_from_dist_pairs(&out.pairs)
+        let blocks = blocks_from_dist_pairs(out.pairs)
             .unwrap_or_else(|e| panic!("distributed blocking returned a malformed block: {e}"));
         let blocks = BlockCollection::new(blocks);
         blocks.record_obs(&self.obs);
@@ -824,9 +824,9 @@ fn dist_blocking_records(profiles: &TokenProfiles) -> Vec<String> {
 /// distributed job. Pair order is the lexicographic key order of the
 /// in-process build, and [`Block::new`] re-sorts members, so the resulting
 /// collection is bit-identical to it.
-fn blocks_from_dist_pairs(pairs: &[(String, String)]) -> Result<Vec<Block>, String> {
+fn blocks_from_dist_pairs(pairs: Vec<(String, String)>) -> Result<Vec<Block>, String> {
     pairs
-        .iter()
+        .into_iter()
         .map(|(key, ids)| {
             let members = ids
                 .split(' ')
@@ -836,7 +836,7 @@ fn blocks_from_dist_pairs(pairs: &[(String, String)]) -> Result<Vec<Block>, Stri
                         .map_err(|_| format!("bad entity id {id:?} in block {key:?}"))
                 })
                 .collect::<Result<Vec<_>, _>>()?;
-            Ok(Block::new(key.clone(), members))
+            Ok(Block::new(key, members))
         })
         .collect()
 }
@@ -1110,7 +1110,7 @@ mod tests {
 
     #[test]
     fn malformed_dist_pairs_are_typed_errors() {
-        let err = blocks_from_dist_pairs(&[("tok".to_string(), "0 x".to_string())]).unwrap_err();
+        let err = blocks_from_dist_pairs(vec![("tok".to_string(), "0 x".to_string())]).unwrap_err();
         assert!(err.contains("bad entity id"), "{err}");
     }
 

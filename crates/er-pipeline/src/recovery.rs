@@ -511,11 +511,11 @@ impl CheckpointStore {
 
     pub(crate) fn load_blocked(&self) -> Result<Option<BlockCollection>, String> {
         let path = self.dir.join("blocked.ckpt");
-        let Some((_, body)) = self.codec.read(&path, STAGE_BLOCKING)? else {
+        let Some(file) = self.codec.read(&path, STAGE_BLOCKING)? else {
             return Ok(None);
         };
-        let mut blocks = Vec::with_capacity(body.len());
-        for (i, line) in body.iter().enumerate() {
+        let mut blocks = Vec::new();
+        for (i, line) in file.lines().enumerate() {
             let (key, ids) = line
                 .split_once('\t')
                 .ok_or_else(|| format!("line {}: missing tab", i + 2))?;
@@ -525,7 +525,7 @@ impl CheckpointStore {
                 .map(|s| s.parse::<u32>().map(EntityId))
                 .collect::<Result<Vec<_>, _>>()
                 .map_err(|e| format!("line {}: bad entity id: {e}", i + 2))?;
-            blocks.push(Block::new(unescape(key)?, entities));
+            blocks.push(Block::new(unescape(key)?.into_owned(), entities));
         }
         Ok(Some(BlockCollection::new(blocks)))
     }
@@ -543,12 +543,12 @@ impl CheckpointStore {
 
     pub(crate) fn load_scheduled(&self) -> Result<Option<ScheduledCkpt>, String> {
         let path = self.dir.join("scheduled.ckpt");
-        let Some((header, body)) = self.codec.read(&path, STAGE_META_BLOCKING)? else {
+        let Some(file) = self.codec.read(&path, STAGE_META_BLOCKING)? else {
             return Ok(None);
         };
-        let blocked = header_field(&header, "blocked")?;
-        let mut pairs = Vec::with_capacity(body.len());
-        for (i, line) in body.iter().enumerate() {
+        let blocked = header_field(file.header(), "blocked")?;
+        let mut pairs = Vec::new();
+        for (i, line) in file.lines().enumerate() {
             let mut it = line.split(' ');
             let (Some(a), Some(b), None) = (it.next(), it.next(), it.next()) else {
                 return Err(format!("line {}: expected two ids", i + 2));
@@ -579,13 +579,13 @@ impl CheckpointStore {
 
     pub(crate) fn load_matched(&self) -> Result<Option<MatchedCkpt>, String> {
         let path = self.dir.join("matched.ckpt");
-        let Some((header, body)) = self.codec.read(&path, STAGE_MATCHING)? else {
+        let Some(file) = self.codec.read(&path, STAGE_MATCHING)? else {
             return Ok(None);
         };
-        let blocked = header_field(&header, "blocked")?;
-        let scheduled = header_field(&header, "scheduled")?;
-        let mut scored = Vec::with_capacity(body.len());
-        for (i, line) in body.iter().enumerate() {
+        let blocked = header_field(file.header(), "blocked")?;
+        let scheduled = header_field(file.header(), "scheduled")?;
+        let mut scored = Vec::new();
+        for (i, line) in file.lines().enumerate() {
             let mut it = line.split(' ');
             let (Some(a), Some(b), Some(bits), None) = (it.next(), it.next(), it.next(), it.next())
             else {

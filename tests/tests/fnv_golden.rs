@@ -3,7 +3,9 @@
 //! commit *before* the five private copies of the loop were merged, so a
 //! passing suite proves — rather than assumes — that worker handshakes,
 //! checkpoints, spill segments and MinHash block keys written by an older
-//! build are still accepted by this one.
+//! build are still accepted by this one. The shuffle segment's hash was
+//! measured before the map runner stopped building a string per posting: the
+//! `er-dist` bytes it writes are unchanged.
 //!
 //! `protocol_fingerprint()` hashes `CARGO_PKG_VERSION`; re-pin it (and only
 //! it) when the workspace version is bumped.
@@ -12,7 +14,8 @@ use er_blocking::minhash::MinHashBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN};
 use er_core::entity::{EntityBuilder, EntityId, KbId};
-use er_core::intern::Symbol;
+use er_core::intern::{Fnv1a, Symbol};
+use er_mapreduce::dist::{decode_map_result, default_registry, encode_map_task, run_task};
 use er_pipeline::{Pipeline, RecoveryOptions};
 
 fn fixture() -> EntityCollection {
@@ -93,4 +96,26 @@ fn minhash_block_key_is_pinned() {
     let blocks = MinHashBlocking::new(2, 2).build(&fixture());
     let keys: Vec<&str> = blocks.blocks().iter().map(|b| b.key()).collect();
     assert_eq!(keys, ["b1:ff3bf330e677d1de"]);
+}
+
+#[test]
+fn shuffle_segment_checksum_is_pinned() {
+    let dir = tmp("shuffle");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // Tokens holding a backslash, a newline and non-ASCII text exercise the
+    // row escaping; one partition keeps every posting in one segment.
+    let records = [
+        "0\tturing\tlondon".to_string(),
+        "1\talan\tturing\tlon\\don".to_string(),
+        "2\tgrace\tnew york\nny\tzürich".to_string(),
+    ];
+    let payload = encode_map_task(1, 0, 0xfeed_beef, &dir, &records);
+    let result = run_task(&default_registry(), "token-blocking", "map", &payload, 0).unwrap();
+    let segments = decode_map_result(&result).unwrap().segments;
+    let bytes = std::fs::read(&segments[0].path).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(segments.len(), 1);
+    let got = Fnv1a::hash(&bytes);
+    assert_eq!(got, 0x9415_00ba_0fd0_138b, "{got:#018x}");
 }

@@ -18,8 +18,11 @@
 //! 4. **Pools do not cross-talk** — two coordinators running concurrently
 //!    over the same spill root produce their own correct, independent
 //!    results.
+//! 5. **A pool exits when told** — dropping a transport ends every worker on
+//!    `Shutdown` and reaps it on EOF, without waiting out a heartbeat.
 
 use er_core::fault::ExecPolicy;
+use er_core::obs::Obs;
 use er_mapreduce::proto::{
     protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
@@ -30,6 +33,7 @@ use er_mapreduce::{
 };
 use proptest::prelude::*;
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 /// The dedicated worker executable built from this package (test harnesses
 /// cannot re-exec themselves, so `program` must point at a real worker).
@@ -312,4 +316,29 @@ fn double_spawn_pools_do_not_cross_talk() {
     for h in handles {
         h.join().expect("no pool may panic");
     }
+}
+
+/// (5) Dropping a pool after a stage returns as soon as its workers exit:
+/// `Shutdown` ends each worker at once instead of after its next heartbeat
+/// (5 s here), and the coordinator reaps on EOF instead of polling. Every
+/// worker counts as a clean exit — none is killed at the grace deadline.
+#[test]
+fn dropping_a_pool_reaps_its_workers_without_waiting_out_a_heartbeat() {
+    let obs = Obs::enabled();
+    let mut cfg = subprocess_cfg(2);
+    cfg.heartbeat = Duration::from_secs(5);
+    cfg.policy = ExecPolicy::default().with_obs(obs.clone());
+    let mut t = SubprocessTransport::new(cfg);
+    let inputs = vec!["a b a".to_string(), "b c".to_string()];
+    run_dist(&mut t, "wordcount", &inputs, &DistOptions::for_workers(2)).unwrap();
+    let started = Instant::now();
+    drop(t);
+    let took = started.elapsed();
+    assert!(
+        took < Duration::from_secs(1),
+        "dropping the pool took {took:?}"
+    );
+    let snapshot = obs.snapshot();
+    assert_eq!(snapshot.counter("worker.exited"), Some(2));
+    assert_eq!(snapshot.counter("worker.crashed").unwrap_or(0), 0);
 }
