@@ -1,7 +1,5 @@
-//! Runs the complete experiment suite (E1–E8). The output of this binary is
-//! what EXPERIMENTS.md records.
+//! Runs the complete experiment suite (E1–E13, E16, E17). The output of
+//! this binary is what EXPERIMENTS.md records.
 fn main() {
-    // E21's subprocess cells re-exec this binary as their worker pool.
-    er_mapreduce::maybe_worker_entry(&er_mapreduce::default_registry());
     er_bench::experiments::run_all();
 }

@@ -1,13 +1,13 @@
 //! # er-bench — the experiment harness
 //!
-//! One binary per experiment of DESIGN.md's index (`src/bin/exp_*.rs`), each
-//! regenerating the table/series of an evaluation family surveyed by the
-//! ICDE 2017 tutorial, plus Criterion microbenches over the hot kernels
+//! One binary per live experiment of DESIGN.md's index (`src/bin/exp_*.rs`),
+//! each regenerating the table/series of an evaluation family surveyed by
+//! the ICDE 2017 tutorial, plus Criterion microbenches over the hot kernels
 //! (`benches/kernels.rs`). `exp_all` runs every experiment in sequence —
 //! its output is the data recorded in EXPERIMENTS.md.
 //!
-//! This module holds the shared plumbing: deterministic dataset presets and
-//! plain-text table rendering.
+//! This module holds the shared plumbing: deterministic dataset presets,
+//! plain-text table rendering, and the paired A/B estimator.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -90,6 +90,66 @@ pub fn banner(id: &str, title: &str) {
     println!("\n=== {id}: {title} ===");
 }
 
+/// The result of [`paired_ab`].
+#[derive(Debug, Clone, Copy)]
+pub struct PairedAb {
+    /// Fastest timed rep of the A side, in seconds.
+    pub a_s: f64,
+    /// Fastest timed rep of the B side, in seconds.
+    pub b_s: f64,
+    /// Median over timed reps of the per-rep ratio B/A, as a percentage
+    /// above 1 (`+3.0` means B is 3% slower).
+    pub overhead_pct: f64,
+    /// Whether `same` held on every rep, warmup included.
+    pub identical: bool,
+}
+
+/// Times `b` against `a` with a paired estimator: one warmup rep, then
+/// `reps` timed reps, each running both sides back-to-back in alternating
+/// order so ambient load cancels within the pair. Times are min-of-reps;
+/// the overhead is the median of per-rep ratios. `same` compares the two
+/// outputs of every rep.
+pub fn paired_ab<A, B>(
+    reps: usize,
+    mut a: impl FnMut() -> A,
+    mut b: impl FnMut() -> B,
+    mut same: impl FnMut(&A, &B) -> bool,
+) -> PairedAb {
+    fn timed<T>(f: &mut impl FnMut() -> T) -> (T, f64) {
+        let t0 = std::time::Instant::now();
+        let out = f();
+        (out, t0.elapsed().as_secs_f64())
+    }
+    let (mut a_s, mut b_s, mut ratios) = (f64::INFINITY, f64::INFINITY, Vec::new());
+    let mut identical = true;
+    for rep in 0..=reps {
+        let ((a_out, ta), (b_out, tb)) = if rep % 2 == 0 {
+            let a_run = timed(&mut a);
+            (a_run, timed(&mut b))
+        } else {
+            let b_run = timed(&mut b);
+            (timed(&mut a), b_run)
+        };
+        identical &= same(&a_out, &b_out);
+        if rep > 0 {
+            // rep 0 is a warmup (allocator + cache state)
+            a_s = a_s.min(ta);
+            b_s = b_s.min(tb);
+            ratios.push(tb / ta);
+        }
+    }
+    ratios.sort_by(f64::total_cmp);
+    let overhead_pct = ratios
+        .get(ratios.len() / 2)
+        .map_or(0.0, |r| 100.0 * (r - 1.0));
+    PairedAb {
+        a_s,
+        b_s,
+        overhead_pct,
+        identical,
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -107,6 +167,24 @@ mod tests {
     fn formatters() {
         assert_eq!(f3(0.12345), "0.123");
         assert_eq!(f4(0.00012), "0.0001");
+    }
+
+    #[test]
+    fn paired_ab_runs_warmup_plus_reps_and_checks_every_pair() {
+        let mut b_calls = 0;
+        let ab = paired_ab(
+            4,
+            || 1,
+            || {
+                b_calls += 1;
+                b_calls
+            },
+            |a, b| a == b,
+        );
+        assert_eq!(b_calls, 5, "one warmup rep plus four timed reps");
+        assert!(!ab.identical, "reps after the warmup differ");
+        assert!(ab.a_s.is_finite() && ab.b_s.is_finite());
+        assert!(paired_ab(3, || 7, || 7, |a, b| a == b).identical);
     }
 }
 

@@ -14,7 +14,8 @@
 //! Scorecards ([`scorecard_json`]) are deterministic byte-for-byte at every
 //! thread count: the pipeline kernels are bit-identical under parallelism
 //! and floats are rendered at fixed precision. Re-lock after an intentional
-//! quality change with `ER_PRINT_SCENARIOS=1` (see `docs/scenarios.md`).
+//! quality change with `ER_PRINT_SCENARIOS=1 er scenario run` (see
+//! `docs/scenarios.md`).
 
 use crate::dirty_preset;
 use er_core::collection::ResolutionMode;
@@ -396,8 +397,9 @@ const fn lock(
 }
 
 /// The locked envelopes, one row per matrix cell. Measured once on the
-/// committed fixtures; re-lock with `ER_PRINT_SCENARIOS=1` after an
-/// intentional quality change (the knob prints this table ready to paste).
+/// committed fixtures; re-lock with `ER_PRINT_SCENARIOS=1 er scenario run`
+/// after an intentional quality change (the knob prints this table ready to
+/// paste).
 pub const ENVELOPES: &[Envelope] = &[
     lock("census", "token", "arcs", 38, 1.000000, 0.315789, 0.918280),
     lock("census", "token", "ecbs", 33, 1.000000, 0.363636, 0.929032),

@@ -193,8 +193,8 @@ impl AttributeClusteringBlocking {
 
     /// The pre-compact, string-keyed build (per-entity
     /// `BTreeSet<(usize, String)>`, `format!` per posting, `BTreeMap`
-    /// grouping). Kept as the **A/B reference** for the layout experiment
-    /// (E18) and equivalence tests; bit-identical to
+    /// grouping). Kept as the reference for the layout-equivalence tests;
+    /// bit-identical to
     /// [`par_build`](AttributeClusteringBlocking::par_build).
     pub fn build_reference(
         &self,

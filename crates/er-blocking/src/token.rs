@@ -133,8 +133,8 @@ impl TokenBlocking {
 
     /// The pre-compact, string-keyed build: per-entity `BTreeSet<String>`
     /// token sets fed to the `BTreeMap`-backed [`blocks_from_keys`]. Kept as
-    /// the **A/B reference** for the layout experiment (E18) and the
-    /// layout-equivalence property tests; output is bit-identical to
+    /// the reference for the layout-equivalence property tests; output is
+    /// bit-identical to
     /// [`par_build`](TokenBlocking::par_build).
     pub fn build_reference(
         &self,

@@ -127,7 +127,8 @@ fn print_usage() {
          \x20        across the blocking × weighting matrix and checks every\n\
          \x20        cell against its locked PC/PQ/RR envelope; any breach\n\
          \x20        exits nonzero. --scorecard-out writes the deterministic\n\
-         \x20        per-cell JSON scorecard (byte-identical at any --threads)."
+         \x20        per-cell JSON scorecard (byte-identical at any --threads);\n\
+         \x20        ER_PRINT_SCENARIOS=1 also prints paste-ready lock(...) rows."
     );
 }
 
@@ -414,9 +415,10 @@ fn streaming_load(
 /// `er scenario list|run` — the committed benchmark matrix (see
 /// `er_bench::scenarios` and docs/scenarios.md). `run` executes the selected
 /// scenarios across the blocking × weighting matrix, prints one row per cell
-/// with its lock verdict, optionally writes the deterministic scorecard JSON
-/// and a metrics snapshot, and exits nonzero when any locked cell drifts out
-/// of its PC/PQ/RR envelope.
+/// with its lock verdict (plus the re-lock rows under `ER_PRINT_SCENARIOS`),
+/// optionally writes the deterministic scorecard JSON and a metrics
+/// snapshot, and exits nonzero when any locked cell drifts out of its
+/// PC/PQ/RR envelope.
 fn cmd_scenario(args: &[String]) -> Result<(), String> {
     match args.first().map(String::as_str) {
         Some("list") => {
@@ -515,6 +517,7 @@ fn cmd_scenario_run(args: &[String]) -> Result<(), String> {
         results.iter().filter(|c| c.locked).count(),
         breached.len()
     );
+    scenarios::maybe_print_relock(&results);
     if let Some(path) = flags.get("scorecard-out") {
         std::fs::write(path, scenarios::scorecard_json(&results))
             .map_err(|e| format!("{path}: {e}"))?;

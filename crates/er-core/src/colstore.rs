@@ -25,15 +25,14 @@
 //!
 //! Section payloads:
 //!
-//! * `DICT` — a columnar [`Interner`] dump: `count u64`, `(count+1)` `u64`
-//!   offsets, UTF-8 blob. Symbol ids are the array positions.
 //! * `POSTINGS` — one sorted `(Symbol, EntityId)` run: `count u64`, then
 //!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
 //! * `EDGES` — one pair-sorted edge run: `count u64`, then
 //!   `count × (u32, u32, u32, u64)` with the `f64` ARCS weight stored as
 //!   raw bits ([`f64::to_bits`]) for bit-exact round-trips.
-//! * `DESC` — columnar interned entity descriptions: KB column, URI symbol
-//!   column, attribute offsets, flat `(name_sym, value_sym)` pairs.
+//!
+//! Kinds 1 and 4 are unassigned; the run kinds keep their numbers so a
+//! spilled segment's bytes do not depend on which kinds exist.
 //!
 //! The two run kinds share one fixed-width codec ([`RunRecord`]), one writer
 //! method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and one
@@ -51,8 +50,8 @@
 //! The `colstore.resident_bytes` gauge mirrors the account and must drain
 //! to zero when the last reader drops.
 
-use crate::entity::{EntityBuilder, EntityId, KbId};
-use crate::intern::{Fnv1a, Interner, Symbol};
+use crate::entity::EntityId;
+use crate::intern::{Fnv1a, Symbol};
 use crate::obs::Obs;
 use crate::resource::{MemoryBudget, ResourceError};
 use crate::{EntityCollection, ResolutionMode};
@@ -83,14 +82,10 @@ pub const FOOTER_LEN: u64 = 32;
 /// Default page size of the demand-paged reader.
 pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 
-/// Section kind: columnar interner dictionary.
-pub const KIND_DICT: u32 = 1;
 /// Section kind: sorted `(Symbol, EntityId)` posting run.
 pub const KIND_POSTINGS: u32 = 2;
 /// Section kind: pair-sorted edge run with bit-exact `f64` weights.
 pub const KIND_EDGES: u32 = 3;
-/// Section kind: columnar interned entity descriptions.
-pub const KIND_DESC: u32 = 4;
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -467,80 +462,6 @@ impl SegmentWriter {
             r.encode(&mut payload);
         }
         self.section(R::KIND, &payload)
-    }
-
-    /// Appends the interner as a columnar [`KIND_DICT`] section: symbol `i`
-    /// is the `i`-th string.
-    pub fn dict(&mut self, interner: &Interner) -> Result<(), SegmentError> {
-        let n = interner.len();
-        let mut offsets = Vec::with_capacity(n + 1);
-        let mut blob = Vec::new();
-        offsets.push(0u64);
-        for i in 0..n {
-            blob.extend_from_slice(interner.resolve(Symbol(i as u32)).as_bytes());
-            offsets.push(blob.len() as u64);
-        }
-        let mut payload = Vec::with_capacity(8 + (n + 1) * 8 + blob.len());
-        payload.extend_from_slice(&(n as u64).to_le_bytes());
-        for o in offsets {
-            payload.extend_from_slice(&o.to_le_bytes());
-        }
-        payload.extend_from_slice(&blob);
-        self.section(KIND_DICT, &payload)
-    }
-
-    /// Appends columnar interned entity descriptions as a [`KIND_DESC`]
-    /// section. `dict` must already hold every attribute name, value and
-    /// URI of the collection (use [`collection_dict`]).
-    pub fn descriptions(
-        &mut self,
-        collection: &EntityCollection,
-        dict: &Interner,
-    ) -> Result<(), SegmentError> {
-        let n = collection.len();
-        let mode = match collection.mode() {
-            ResolutionMode::Dirty => 0u8,
-            ResolutionMode::CleanClean => 1u8,
-        };
-        let sym = |s: &str| -> Result<u32, SegmentError> {
-            dict.lookup(s).map(|x| x.0).ok_or_else(|| SegmentError::Io {
-                path: self.path.clone(),
-                offset: 0,
-                reason: format!("dictionary is missing string {s:?}"),
-            })
-        };
-        let mut kbs = Vec::with_capacity(n * 2);
-        let mut uris = Vec::with_capacity(n * 4);
-        let mut offsets: Vec<u64> = Vec::with_capacity(n + 1);
-        let mut pairs: Vec<u8> = Vec::new();
-        let mut total: u64 = 0;
-        offsets.push(0);
-        for e in collection.iter() {
-            kbs.extend_from_slice(&e.kb().0.to_le_bytes());
-            let uri_sym = match e.uri() {
-                Some(u) => sym(u)?,
-                None => u32::MAX,
-            };
-            uris.extend_from_slice(&uri_sym.to_le_bytes());
-            for (name, value) in e.attributes() {
-                pairs.extend_from_slice(&sym(name)?.to_le_bytes());
-                pairs.extend_from_slice(&sym(value)?.to_le_bytes());
-                total += 1;
-            }
-            offsets.push(total);
-        }
-        let mut payload =
-            Vec::with_capacity(16 + kbs.len() + uris.len() + (n + 1) * 8 + pairs.len());
-        payload.extend_from_slice(&(n as u64).to_le_bytes());
-        payload.push(mode);
-        payload.extend_from_slice(&[0u8; 7]);
-        payload.extend_from_slice(&kbs);
-        payload.extend_from_slice(&uris);
-        for o in offsets {
-            payload.extend_from_slice(&o.to_le_bytes());
-        }
-        payload.extend_from_slice(&pairs);
-        self.section(KIND_DESC, &payload)
     }
 
     /// Seals the footer (section count, payload end, checksum), flushes, and
@@ -1053,201 +974,6 @@ impl Segment {
             record: PhantomData,
         })
     }
-
-    /// Reconstructs the [`Interner`] of a [`KIND_DICT`] section (symbol ids
-    /// are preserved: symbol `i` interns `i`-th).
-    pub fn read_dict(&self, index: usize) -> Result<Interner, SegmentError> {
-        let info = self.section_checked(index, KIND_DICT)?;
-        let malformed = |offset: u64, reason: String| SegmentError::Malformed {
-            path: self.pager.path.clone(),
-            offset,
-            reason,
-        };
-        if info.payload_len < 8 {
-            return Err(malformed(
-                info.payload_offset,
-                "dictionary payload shorter than its count".to_string(),
-            ));
-        }
-        let mut count_buf = [0u8; 8];
-        self.pager.read_exact(info.payload_offset, &mut count_buf)?;
-        let count = u64::from_le_bytes(count_buf);
-        let offsets_bytes = count
-            .checked_add(1)
-            .and_then(|n| n.checked_mul(8))
-            .ok_or_else(|| {
-                malformed(
-                    info.payload_offset,
-                    format!("dictionary count {count} overflows"),
-                )
-            })?;
-        if info.payload_len < 8 + offsets_bytes {
-            return Err(malformed(
-                info.payload_offset,
-                format!(
-                    "dictionary count {count} needs {offsets_bytes} offset byte(s), payload has {}",
-                    info.payload_len - 8
-                ),
-            ));
-        }
-        let mut offsets = vec![0u8; offsets_bytes as usize];
-        self.pager
-            .read_exact(info.payload_offset + 8, &mut offsets)?;
-        let offset_at = |i: u64| -> u64 {
-            let s = (i * 8) as usize;
-            u64::from_le_bytes(offsets[s..s + 8].try_into().expect("8 bytes"))
-        };
-        let blob_at = info.payload_offset + 8 + offsets_bytes;
-        let blob_len = info.payload_len - 8 - offsets_bytes;
-        if offset_at(count) != blob_len {
-            return Err(malformed(
-                blob_at,
-                format!(
-                    "dictionary blob is {blob_len} byte(s) but offsets end at {}",
-                    offset_at(count)
-                ),
-            ));
-        }
-        let mut interner = Interner::with_capacity(count as usize);
-        let mut scratch = Vec::new();
-        for i in 0..count {
-            let (a, b) = (offset_at(i), offset_at(i + 1));
-            if a > b || b > blob_len {
-                return Err(malformed(
-                    info.payload_offset + 8 + i * 8,
-                    format!("dictionary offsets not monotone at entry {i}"),
-                ));
-            }
-            scratch.resize((b - a) as usize, 0);
-            self.pager.read_exact(blob_at + a, &mut scratch)?;
-            let s = std::str::from_utf8(&scratch).map_err(|e| {
-                malformed(
-                    blob_at + a,
-                    format!("dictionary entry {i} is not UTF-8: {e}"),
-                )
-            })?;
-            let sym = interner.intern(s);
-            if sym.0 as u64 != i {
-                return Err(malformed(
-                    blob_at + a,
-                    format!("dictionary entry {i} duplicates an earlier string"),
-                ));
-            }
-        }
-        // The dictionary is now owned by the interner; its pages are dead.
-        self.pager.release_cached();
-        Ok(interner)
-    }
-
-    /// Reconstructs an [`EntityCollection`] from a [`KIND_DESC`] section and
-    /// its dictionary — the inverse of [`write_collection`].
-    pub fn read_collection(
-        &self,
-        desc_index: usize,
-        dict: &Interner,
-    ) -> Result<EntityCollection, SegmentError> {
-        let info = self.section_checked(desc_index, KIND_DESC)?;
-        let malformed = |offset: u64, reason: String| SegmentError::Malformed {
-            path: self.pager.path.clone(),
-            offset,
-            reason,
-        };
-        if info.payload_len < 16 {
-            return Err(malformed(
-                info.payload_offset,
-                "description payload shorter than its fixed header".to_string(),
-            ));
-        }
-        let mut head = [0u8; 16];
-        self.pager.read_exact(info.payload_offset, &mut head)?;
-        let n = u64::from_le_bytes(head[0..8].try_into().expect("8 bytes"));
-        let mode = match head[8] {
-            0 => ResolutionMode::Dirty,
-            1 => ResolutionMode::CleanClean,
-            other => {
-                return Err(malformed(
-                    info.payload_offset + 8,
-                    format!("unknown resolution mode byte {other}"),
-                ))
-            }
-        };
-        let fixed = n
-            .checked_mul(2) // kb column
-            .and_then(|b| n.checked_mul(4).map(|u| b + u)) // uri column
-            .and_then(|b| (n + 1).checked_mul(8).map(|o| b + o)) // offsets
-            .and_then(|b| b.checked_add(16))
-            .ok_or_else(|| malformed(info.payload_offset, format!("entity count {n} overflows")))?;
-        if info.payload_len < fixed {
-            return Err(malformed(
-                info.payload_offset,
-                format!(
-                    "entity count {n} needs {fixed} fixed byte(s), payload has {}",
-                    info.payload_len
-                ),
-            ));
-        }
-        let kb_at = info.payload_offset + 16;
-        let uri_at = kb_at + n * 2;
-        let offsets_at = uri_at + n * 4;
-        let pairs_at = offsets_at + (n + 1) * 8;
-        let pairs_len = info.payload_len - fixed;
-        let mut offsets = vec![0u8; ((n + 1) * 8) as usize];
-        self.pager.read_exact(offsets_at, &mut offsets)?;
-        let offset_at = |i: u64| -> u64 {
-            let s = (i * 8) as usize;
-            u64::from_le_bytes(offsets[s..s + 8].try_into().expect("8 bytes"))
-        };
-        if offset_at(n).checked_mul(8) != Some(pairs_len) {
-            return Err(malformed(
-                pairs_at,
-                format!(
-                    "attribute pairs area is {pairs_len} byte(s) but offsets end at entry {}",
-                    offset_at(n)
-                ),
-            ));
-        }
-        let resolve = |raw: u32, at: u64| -> Result<String, SegmentError> {
-            if (raw as usize) < dict.len() {
-                Ok(dict.resolve(Symbol(raw)).to_string())
-            } else {
-                Err(malformed(
-                    at,
-                    format!("symbol {raw} out of dictionary range {}", dict.len()),
-                ))
-            }
-        };
-        let mut collection = EntityCollection::new(mode);
-        for i in 0..n {
-            let mut kb = [0u8; 2];
-            self.pager.read_exact(kb_at + i * 2, &mut kb)?;
-            let mut uri = [0u8; 4];
-            self.pager.read_exact(uri_at + i * 4, &mut uri)?;
-            let uri = u32::from_le_bytes(uri);
-            let (a, b) = (offset_at(i), offset_at(i + 1));
-            if a > b {
-                return Err(malformed(
-                    offsets_at + i * 8,
-                    format!("attribute offsets not monotone at entity {i}"),
-                ));
-            }
-            let mut builder = EntityBuilder::new();
-            for j in a..b {
-                let at = pairs_at + j * 8;
-                let mut pair = [0u8; 8];
-                self.pager.read_exact(at, &mut pair)?;
-                let name = u32::from_le_bytes(pair[0..4].try_into().expect("4 bytes"));
-                let value = u32::from_le_bytes(pair[4..8].try_into().expect("4 bytes"));
-                builder = builder.attr(resolve(name, at)?, resolve(value, at + 4)?);
-            }
-            if uri != u32::MAX {
-                builder = builder.uri(resolve(uri, uri_at + i * 4)?);
-            }
-            collection.push_entity(KbId(u16::from_le_bytes(kb)), builder);
-        }
-        // The descriptions are now owned by the collection; pages are dead.
-        self.pager.release_cached();
-        Ok(collection)
-    }
 }
 
 /// Records decoded per cursor refill.
@@ -1561,48 +1287,6 @@ pub fn collection_fingerprint(collection: &EntityCollection) -> u64 {
     h.finish()
 }
 
-/// The dictionary a [`SegmentWriter::descriptions`] section needs: every
-/// attribute name, attribute value and URI of the collection, interned in
-/// deterministic scan order.
-pub fn collection_dict(collection: &EntityCollection) -> Interner {
-    let mut dict = Interner::new();
-    for e in collection.iter() {
-        if let Some(u) = e.uri() {
-            dict.intern(u);
-        }
-        for (name, value) in e.attributes() {
-            dict.intern(name);
-            dict.intern(value);
-        }
-    }
-    dict
-}
-
-/// Writes `collection` as a two-section segment (`DICT` + `DESC`) — the
-/// columnar interned entity-description store. Returns the file size.
-pub fn write_collection(
-    path: impl Into<PathBuf>,
-    collection: &EntityCollection,
-    fingerprint: u64,
-) -> Result<u64, SegmentError> {
-    let dict = collection_dict(collection);
-    let mut w = SegmentWriter::create(path, fingerprint)?;
-    w.dict(&dict)?;
-    w.descriptions(collection, &dict)?;
-    w.finish()
-}
-
-/// Reads a segment written by [`write_collection`] back into an
-/// [`EntityCollection`] (sections 0 = dict, 1 = descriptions).
-pub fn read_collection(
-    path: impl Into<PathBuf>,
-    opts: SegmentOptions,
-) -> Result<EntityCollection, SegmentError> {
-    let seg = Segment::open(path, opts)?;
-    let dict = seg.read_dict(0)?;
-    seg.read_collection(1, &dict)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1661,56 +1345,6 @@ mod tests {
             got.push(e);
         }
         assert_eq!(got, run);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn dict_round_trips_symbol_ids() {
-        let path = tmp_seg("dict");
-        let mut dict = Interner::new();
-        for w in ["zeta", "alpha", "", "Ω-unicode", "alpha-2"] {
-            dict.intern(w);
-        }
-        let mut w = SegmentWriter::create(&path, 1).unwrap();
-        w.dict(&dict).unwrap();
-        w.finish().unwrap();
-        let seg = Segment::open(&path, SegmentOptions::new(1)).unwrap();
-        let got = seg.read_dict(0).unwrap();
-        assert_eq!(got.len(), dict.len());
-        for i in 0..dict.len() as u32 {
-            assert_eq!(got.resolve(Symbol(i)), dict.resolve(Symbol(i)));
-        }
-        let _ = fs::remove_file(&path);
-    }
-
-    fn sample_collection() -> EntityCollection {
-        let mut c = EntityCollection::new(ResolutionMode::CleanClean);
-        c.push_entity(
-            KbId(0),
-            EntityBuilder::new()
-                .attr("name", "alan turing")
-                .attr("born", "1912")
-                .uri("http://ex/0"),
-        );
-        c.push_entity(KbId(1), EntityBuilder::new().attr("name", "a. m. turing"));
-        c.push_entity(KbId(1), EntityBuilder::new());
-        c
-    }
-
-    #[test]
-    fn collection_round_trips() {
-        let path = tmp_seg("collection");
-        let c = sample_collection();
-        write_collection(&path, &c, 99).unwrap();
-        let got = read_collection(&path, SegmentOptions::new(99)).unwrap();
-        assert_eq!(got.mode(), c.mode());
-        assert_eq!(got.len(), c.len());
-        for (a, b) in got.iter().zip(c.iter()) {
-            assert_eq!(a.id(), b.id());
-            assert_eq!(a.kb(), b.kb());
-            assert_eq!(a.uri(), b.uri());
-            assert_eq!(a.attributes(), b.attributes());
-        }
         let _ = fs::remove_file(&path);
     }
 

@@ -116,14 +116,6 @@ impl Interner {
         Self::default()
     }
 
-    /// Creates an empty interner with room for `capacity` distinct strings.
-    pub fn with_capacity(capacity: usize) -> Self {
-        Interner {
-            strings: Vec::with_capacity(capacity),
-            lookup: HashMap::with_capacity_and_hasher(capacity, FnvBuild::default()),
-        }
-    }
-
     /// Interns `s`, allocating only on first sight.
     pub fn intern(&mut self, s: &str) -> Symbol {
         if let Some(&id) = self.lookup.get(s) {

@@ -1,6 +1,6 @@
 //! Format loaders for real-world benchmark fixtures.
 //!
-//! The scenario matrix (E20, `docs/scenarios.md`) runs the blocking zoo over
+//! The scenario matrix (`er scenario run`, `docs/scenarios.md`) runs the blocking zoo over
 //! small-but-real datasets in the families the blocking benchmarks use
 //! (census/restaurant/cora-style delimited tables, LOD-style RDF). This
 //! module parses those fixture formats into an [`EntityCollection`] plus

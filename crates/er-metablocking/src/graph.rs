@@ -5,8 +5,7 @@
 //! stable sort, run merge) instead of `BTreeMap` accumulation — see
 //! `docs/data_layout.md` for the layout and the bit-identity argument. The
 //! pre-compact tree-map builder survives as
-//! [`BlockingGraph::build_reference`] for the layout A/B experiment (E18) and
-//! the equivalence tests.
+//! [`BlockingGraph::build_reference`] for the equivalence tests.
 
 use er_blocking::block::{Block, BlockCollection};
 use er_core::collection::EntityCollection;
@@ -269,8 +268,8 @@ impl BlockingGraph {
 
     /// The pre-compact builder: per-chunk `BTreeMap` accumulation merged
     /// left-to-right into a global `BTreeMap`, exactly as shipped before the
-    /// flat layout. Kept as the **A/B reference** for the layout experiment
-    /// (E18) and the equivalence tests; bit-identical to
+    /// flat layout. Kept as the reference for the layout-equivalence tests;
+    /// bit-identical to
     /// [`par_build`](BlockingGraph::par_build) at every thread count.
     pub fn build_reference(collection: &EntityCollection, blocks: &BlockCollection) -> Self {
         Self::par_build_reference(collection, blocks, Parallelism::serial())

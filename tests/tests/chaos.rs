@@ -677,8 +677,8 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
 /// Fingerprint every chaos segment is written (and opened) with.
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
-/// A valid four-section segment (dict + descriptions + postings + edges)
-/// exercising every codec the out-of-core paths read back.
+/// A valid two-section segment (postings + edges) exercising every codec
+/// the out-of-core paths read back.
 fn segment_bytes() -> &'static Vec<u8> {
     use er_core::colstore::SegmentWriter;
     use er_core::entity::EntityId;
@@ -686,19 +686,8 @@ fn segment_bytes() -> &'static Vec<u8> {
     use er_core::EdgeRecord;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let mut c =
-            er_core::collection::EntityCollection::new(er_core::collection::ResolutionMode::Dirty);
-        for i in 0..20u32 {
-            c.push(
-                er_core::KbId(0),
-                vec![("name".to_string(), format!("entity alpha {i}"))],
-            );
-        }
-        let dict = er_core::colstore::collection_dict(&c);
         let path = chaos_file("segment-template", 0);
         let mut w = SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
-        w.dict(&dict).unwrap();
-        w.descriptions(&c, &dict).unwrap();
         let postings: Vec<(Symbol, EntityId)> = (0..200u32)
             .map(|i| (Symbol(i / 4), EntityId(i % 20)))
             .collect();
@@ -720,19 +709,13 @@ fn segment_bytes() -> &'static Vec<u8> {
 }
 
 /// Opens `path` as a segment and, if the envelope validates, decodes every
-/// section through its codec — the full read surface a k-way merge or a
-/// collection reload would touch. Any failure is returned, never panicked.
+/// section through its codec — the full read surface a k-way merge would
+/// touch. Any failure is returned, never panicked.
 fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
-    use er_core::colstore::{KIND_DESC, KIND_DICT, KIND_EDGES, KIND_POSTINGS};
+    use er_core::colstore::{KIND_EDGES, KIND_POSTINGS};
     let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))?;
-    let mut dict = None;
-    for (i, info) in seg.sections().to_vec().iter().enumerate() {
+    for (i, info) in seg.sections().iter().enumerate() {
         match info.kind {
-            KIND_DICT => dict = Some(seg.read_dict(i)?),
-            KIND_DESC => {
-                let d = dict.as_ref().expect("template writes dict before desc");
-                seg.read_collection(i, d)?;
-            }
             KIND_POSTINGS => {
                 let mut cur = seg.run::<(er_core::Symbol, er_core::EntityId)>(i)?;
                 while cur.next()?.is_some() {}

@@ -1,11 +1,11 @@
-//! Layout-equivalence harness for the compact data paths (E18 tentpole).
+//! Layout-equivalence harness for the compact data paths.
 //!
 //! The compact layouts — interned-symbol token postings grouped by sort +
 //! run-length (`er_blocking`), and the flat sort-aggregated blocking graph
 //! (`er_metablocking`) — promise output **bit-identical** to the string-keyed
 //! / `BTreeMap`-backed reference implementations they replaced. The reference
 //! paths are kept alive as `build_reference` / `par_build_reference` exactly
-//! so this suite (and the E18 A/B benchmark) can hold the promise to account:
+//! so this suite can hold the promise to account:
 //!
 //! 1. `TokenBlocking::par_build` (compact) vs `build_reference`,
 //! 2. `AttributeClusteringBlocking::par_build` (compact) vs `build_reference`,

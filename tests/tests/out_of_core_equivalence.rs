@@ -1,11 +1,10 @@
-//! Out-of-core equivalence harness (E22 tentpole).
+//! Out-of-core equivalence harness.
 //!
 //! The external-sort paths — token blocking spilled as sorted `(Symbol,
 //! EntityId)` posting runs (`er_blocking::ooc`) and the blocking graph built
 //! from pair-sorted edge-contribution runs (`er_metablocking::ooc`) — promise
 //! output **bit-identical** to the in-memory builds they shadow, at any run
-//! size and any worker count. The in-memory paths are kept alive exactly so
-//! this suite (and the E22 A/B benchmark) can hold that promise to account:
+//! size and any worker count. This suite holds that promise to account:
 //!
 //! 1. streamed token blocking vs `TokenBlocking::par_build`,
 //! 2. streamed graph construction vs `BlockingGraph::par_build` — ARCS
@@ -14,7 +13,8 @@
 //! 3. the streamed graph, pruned, vs `par_meta_block` — the node-centric
 //!    scan, which never builds a graph and so has no streamed twin,
 //! 4. the whole pipeline under `out_of_core(true)` vs the default run —
-//!    where only blocking spills,
+//!    where only blocking spills — including under a memory budget of a
+//!    quarter of the blocking index, which must spill and shed nothing,
 //!
 //! across generator seeds × noise levels × worker counts {1, 4} × run sizes
 //! (from runt-sized runs that force deep k-way merges up to
@@ -24,13 +24,14 @@
 //! panic, never partial output — and a successful build removes every
 //! on-disk run it wrote.
 
+use er_blocking::governance::block_bytes;
 use er_blocking::TokenBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::colstore::{collection_fingerprint, OocConfig, SegmentError};
 use er_core::entity::KbId;
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
-use er_core::resource::{MemoryBudget, ResourceError, Watchdog};
+use er_core::resource::{MemoryBudget, ResourceError, ResourceLimits, Watchdog};
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_metablocking::{par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
 use er_pipeline::{MetaBlockingStage, Pipeline, RecoveryOptions};
@@ -223,6 +224,45 @@ fn forced_out_of_core_pipeline_matches_the_default_run() {
             assert_eq!(ooc.report.shed_comparisons, 0, "ooc never sheds");
             let _ = std::fs::remove_dir_all(&dir);
         }
+
+        // Budget-bound cell: a memory budget of a quarter of the blocking
+        // index resolves exactly as the unbudgeted run — spilled, not shed —
+        // and every segment page drains back to the budget.
+        let index_bytes: u64 = TokenBlocking::new()
+            .build(&ds.collection)
+            .blocks()
+            .iter()
+            .map(block_bytes)
+            .sum();
+        let dir = ooc_dir("pipeline_budget");
+        let obs = Obs::enabled();
+        let governed = Pipeline::builder()
+            .observability(obs.clone())
+            .resource_limits(ResourceLimits::none().with_memory_bytes(index_bytes / 4))
+            .segment_dir(&dir)
+            .out_of_core(true)
+            .build()
+            .run(&ds.collection);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(governed.matches, plain.matches, "seed={seed} budget-bound");
+        assert_eq!(
+            governed.clusters, plain.clusters,
+            "seed={seed} budget-bound"
+        );
+        assert_eq!(
+            governed.report.shed_comparisons, 0,
+            "seed={seed}: the budget-bound run spills, it does not shed"
+        );
+        let snap = obs.snapshot();
+        assert!(
+            snap.counter("colstore.segments_written").unwrap_or(0) > 0,
+            "seed={seed}: no segment reached disk"
+        );
+        assert_eq!(
+            snap.gauge("colstore.resident_bytes"),
+            Some(0.0),
+            "seed={seed}: segment pages must drain back to the budget"
+        );
     }
 }
 

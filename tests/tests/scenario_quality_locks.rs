@@ -9,7 +9,7 @@
 //!   [`Envelope`](er_bench::scenarios::Envelope) and stays inside it — an
 //!   algorithmic change that silently shifts quality on any family fails
 //!   here, with the drifting metric named (re-lock intentionally via
-//!   `ER_PRINT_SCENARIOS=1`, see docs/scenarios.md);
+//!   `ER_PRINT_SCENARIOS=1 er scenario run`, see docs/scenarios.md);
 //! - the matrix is bit-deterministic: loading is reproducible and the JSON
 //!   scorecard bytes are identical at 1 and 4 threads;
 //! - the delimited and N-Triples loaders agree: the dual-encoded fixture
