@@ -8,8 +8,11 @@
 //! (merged) into the sorted main run, the classic LSM-style maintenance the
 //! blocking/filtering survey motivates for posting lists under updates.
 //!
-//! The equivalence contract — locked by `tests/streaming_equivalence.rs` —
-//! is that [`snapshot_blocks`](IncrementalTokenIndex::snapshot_blocks) is
+//! No pipeline or streaming session reads this index: it is a library
+//! primitive whose [`IndexDelta`] feeds the incremental blocking graph
+//! (`er_metablocking::IncrementalGraph`). The equivalence contract — locked
+//! by `tests/streaming_equivalence.rs`, which drives both directly — is
+//! that [`snapshot_blocks`](IncrementalTokenIndex::snapshot_blocks) is
 //! **bit-identical** to a full [`TokenBlocking::build`] /
 //! [`TokenBlocking::par_build`] over the same entities, at every batch size,
 //! arrival order and thread count. The argument:
@@ -31,7 +34,6 @@
 use crate::block::{blocks_from_sorted_symbols, BlockCollection};
 use er_core::entity::{Entity, EntityId};
 use er_core::intern::{Interner, Symbol};
-use er_core::obs::Obs;
 use er_core::tokenize::Tokenizer;
 
 /// Pending postings that trigger a compaction into the main run. Compaction
@@ -67,7 +69,6 @@ pub struct IncrementalTokenIndex {
     symbol_counts: Vec<u32>,
     next_entity: u32,
     compactions: u64,
-    obs: Obs,
 }
 
 impl Default for IncrementalTokenIndex {
@@ -88,7 +89,6 @@ impl IncrementalTokenIndex {
             symbol_counts: Vec::new(),
             next_entity: 0,
             compactions: 0,
-            obs: Obs::disabled(),
         }
     }
 
@@ -102,13 +102,6 @@ impl IncrementalTokenIndex {
     /// output is identical at every threshold).
     pub fn with_compact_threshold(mut self, threshold: usize) -> Self {
         self.compact_threshold = threshold.max(1);
-        self
-    }
-
-    /// Attaches an observability registry: `blocking.incremental_postings`
-    /// counter and `blocking.incremental_compactions` counter.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
         self
     }
 
@@ -164,11 +157,6 @@ impl IncrementalTokenIndex {
         }
         grown.sort_unstable_by_key(|&(s, _)| s);
         grown.dedup_by_key(|&mut (s, _)| s);
-        if self.obs.is_enabled() {
-            self.obs
-                .counter("blocking.incremental_postings")
-                .add((self.main.len() + self.pending.len()) as u64);
-        }
         IndexDelta { batch_start, grown }
     }
 
@@ -184,9 +172,6 @@ impl IncrementalTokenIndex {
             std::mem::take(&mut self.pending),
         );
         self.compactions += 1;
-        if self.obs.is_enabled() {
-            self.obs.counter("blocking.incremental_compactions").incr();
-        }
     }
 
     /// The current blocking collection — **bit-identical** to
@@ -239,8 +224,7 @@ impl IncrementalTokenIndex {
         self.compactions
     }
 
-    /// Heap bytes held by the posting runs and per-symbol counts — what the
-    /// streaming session charges against the memory budget.
+    /// Heap bytes held by the posting runs and per-symbol counts.
     pub fn posting_bytes(&self) -> u64 {
         let entry = std::mem::size_of::<(Symbol, EntityId)>() as u64;
         (self.main.capacity() + self.pending.capacity()) as u64 * entry

@@ -118,7 +118,8 @@ fn print_usage() {
          \x20        default in-process backend (see docs/distributed.md).\n\
          STREAM:  --ingest-queue-bytes BYTES replays the collection through\n\
          \x20        the bounded arrival queue (producers feel back-pressure\n\
-         \x20        past the budget); --quarantine-out FILE validates every\n\
+         \x20        past the budget; a record costing more than the whole\n\
+         \x20        budget is an error); --quarantine-out FILE validates every\n\
          \x20        record and writes the typed quarantine ledger as JSON.\n\
          \x20        Either flag opts into the streaming ingest path; the\n\
          \x20        accepted collection is identical to the batch load.\n\
@@ -357,12 +358,38 @@ fn recovery_options_from(flags: &BTreeMap<String, String>) -> Result<RecoveryOpt
     Ok(opts)
 }
 
+/// The arrival queue refused a record during a streaming replay: a record
+/// costing more than the whole `--ingest-queue-bytes` budget can never be
+/// admitted, and replaying past it would resolve a silently truncated
+/// collection.
+#[derive(Debug)]
+struct ReplayRefused {
+    /// 0-based position of the record in the loaded collection.
+    position: usize,
+    /// The record's queue cost in bytes (`RawRecord::bytes`).
+    cost: u64,
+    /// The `--ingest-queue-bytes` budget.
+    budget: u64,
+}
+
+impl std::fmt::Display for ReplayRefused {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "streaming ingest: record {} costs {} bytes, more than the whole \
+             --ingest-queue-bytes budget of {} bytes; refusing to resolve a truncated collection",
+            self.position, self.cost, self.budget
+        )
+    }
+}
+
 /// Replays a loaded collection through the streaming ingest path: a producer
 /// thread feeds raw records into the budget-bounded arrival queue
 /// (`--ingest-queue-bytes`), the session validates and quarantines them, and
 /// the accepted collection — bit-identical to the input minus quarantined
 /// records — is handed to the pipeline. `--quarantine-out FILE` writes the
-/// quarantine ledger as deterministic JSON.
+/// quarantine ledger as deterministic JSON. A record the queue refuses is a
+/// [`ReplayRefused`] error.
 fn streaming_load(
     collection: &EntityCollection,
     queue_bytes: Option<u64>,
@@ -380,13 +407,21 @@ fn streaming_load(
     let mut session = StreamingSession::with_obs(config, limits, obs);
     let records: Vec<_> = collection.iter().map(raw_record_from_entity).collect();
     let producer_queue = session.queue();
+    let budget = queue_bytes.unwrap_or(u64::MAX);
     let producer = std::thread::spawn(move || {
-        for r in records {
-            if producer_queue.push(r).is_err() {
-                break;
-            }
-        }
+        let outcome = records
+            .into_iter()
+            .enumerate()
+            .try_for_each(|(position, r)| {
+                let cost = r.bytes();
+                producer_queue.push(r).map_err(|_| ReplayRefused {
+                    position,
+                    cost,
+                    budget,
+                })
+            });
         producer_queue.close();
+        outcome
     });
     let consumer_queue = session.queue();
     while let Some(record) = consumer_queue.pop() {
@@ -394,7 +429,8 @@ fn streaming_load(
     }
     producer
         .join()
-        .map_err(|_| "streaming producer thread panicked".to_string())?;
+        .map_err(|_| "streaming producer thread panicked".to_string())?
+        .map_err(|e| e.to_string())?;
     session.flush().map_err(|e| e.to_string())?;
     let report = session.quarantine_report();
     println!(
@@ -1233,6 +1269,50 @@ mod tests {
         assert_eq!(snapshot.counter("ingest.records_quarantined"), None);
         assert!(snapshot.counter("blocking.blocks_built").unwrap() > 0);
         let _ = std::fs::remove_file(&mpath);
+    }
+
+    #[test]
+    fn record_over_the_whole_queue_budget_fails_the_replay() {
+        let dir = std::env::temp_dir().join("er_cli_test_oversized");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cpath = dir.join("oversized.collection.txt");
+        let mut c = EntityCollection::new(er_core::collection::ResolutionMode::Dirty);
+        let oversized = "x".repeat(4096);
+        for value in [
+            "alan turing",
+            oversized.as_str(),
+            "grace hopper",
+            "alan kay",
+        ] {
+            c.push(
+                er_core::entity::KbId(0),
+                vec![("name".to_string(), value.to_string())],
+            );
+        }
+        let costs: Vec<u64> = c
+            .iter()
+            .map(|e| raw_record_from_entity(e).bytes())
+            .collect();
+        // A budget between the small records' cost and the oversized one's.
+        let budget = 1024;
+        assert!(costs[1] > budget && [0, 2, 3].iter().all(|&i| costs[i] < budget));
+        er_core::io::write_collection(&mut std::fs::File::create(&cpath).unwrap(), &c).unwrap();
+
+        let err = cmd_resolve(&s(&[
+            "--collection",
+            &cpath.to_string_lossy(),
+            "--ingest-queue-bytes",
+            "1k",
+        ]))
+        .unwrap_err();
+        for part in [
+            "record 1 ".to_string(),
+            format!("costs {} bytes", costs[1]),
+            format!("budget of {budget} bytes"),
+        ] {
+            assert!(err.contains(&part), "{err:?} lacks {part:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,16 +25,18 @@
 //! so the accumulators agree only up to floating-point rounding between
 //! refreshes. [`IncrementalGraph::refresh`] — a full
 //! [`BlockingGraph::par_build`], bit-identical to the batch path at every
-//! thread count — restores bit-exact agreement; streaming sessions run it
-//! at every checkpoint. The batch builder thus remains the retained A/B
-//! oracle, exactly as `docs/data_layout.md` prescribes for the compact
-//! layouts.
+//! thread count — restores bit-exact agreement before a weight-consuming
+//! read. The batch builder thus remains the retained A/B oracle, exactly as
+//! `docs/data_layout.md` prescribes for the compact layouts.
+//!
+//! No pipeline or streaming session reads this graph: it is a library
+//! primitive, locked by `tests/streaming_equivalence.rs`, which drives it
+//! directly.
 
 use crate::graph::{merge_runs, BlockingGraph, EdgeInfo};
 use er_blocking::block::{Block, BlockCollection};
 use er_blocking::incremental::{IncrementalTokenIndex, IndexDelta};
 use er_core::collection::EntityCollection;
-use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
 
@@ -43,9 +45,6 @@ use er_core::parallel::Parallelism;
 #[derive(Clone)]
 pub struct IncrementalGraph {
     graph: BlockingGraph,
-    refreshes: u64,
-    deltas_applied: u64,
-    obs: Obs,
 }
 
 impl Default for IncrementalGraph {
@@ -67,17 +66,7 @@ impl IncrementalGraph {
                 n_entities: 0,
                 edge_sort_bytes: 0,
             },
-            refreshes: 0,
-            deltas_applied: 0,
-            obs: Obs::disabled(),
         }
-    }
-
-    /// Attaches an observability registry: `metablocking.incremental_deltas`
-    /// and `metablocking.incremental_refreshes` counters.
-    pub fn with_obs(mut self, obs: &Obs) -> Self {
-        self.obs = obs.clone();
-        self
     }
 
     /// The current graph. Integer statistics are always exact; ARCS weights
@@ -85,16 +74,6 @@ impl IncrementalGraph {
     /// (see the module docs).
     pub fn graph(&self) -> &BlockingGraph {
         &self.graph
-    }
-
-    /// Refreshes performed so far.
-    pub fn refreshes(&self) -> u64 {
-        self.refreshes
-    }
-
-    /// Deltas applied since construction.
-    pub fn deltas_applied(&self) -> u64 {
-        self.deltas_applied
     }
 
     /// Applies one batch's delta: patches grown blocks' statistics and edges
@@ -185,10 +164,6 @@ impl IncrementalGraph {
         if !fresh.is_empty() {
             self.merge_fresh_edges(fresh);
         }
-        self.deltas_applied += 1;
-        if self.obs.is_enabled() {
-            self.obs.counter("metablocking.incremental_deltas").incr();
-        }
     }
 
     /// Merges pair-sorted fresh contributions into the pair-sorted edge
@@ -231,8 +206,7 @@ impl IncrementalGraph {
 
     /// Rebuilds the graph from scratch with the batch builder, restoring
     /// **bit-exact** agreement (ARCS included) with
-    /// [`BlockingGraph::par_build`] — the A/B oracle. Streaming sessions call
-    /// this at every checkpoint.
+    /// [`BlockingGraph::par_build`] — the A/B oracle.
     pub fn refresh(
         &mut self,
         collection: &EntityCollection,
@@ -240,12 +214,6 @@ impl IncrementalGraph {
         par: Parallelism,
     ) {
         self.graph = BlockingGraph::par_build(collection, blocks, par);
-        self.refreshes += 1;
-        if self.obs.is_enabled() {
-            self.obs
-                .counter("metablocking.incremental_refreshes")
-                .incr();
-        }
     }
 }
 
@@ -354,7 +322,7 @@ mod tests {
     #[test]
     fn refresh_restores_bit_identity() {
         let c = collection(VALUES);
-        let (idx, mut g) = stream(&c, 3);
+        let (idx, g) = stream(&c, 3);
         let blocks = idx.snapshot_blocks();
         for n in [1, 4] {
             let oracle = BlockingGraph::par_build(&c, &blocks, Parallelism::threads(n));
@@ -370,8 +338,6 @@ mod tests {
                 );
             }
         }
-        g.refresh(&c, &blocks, Parallelism::serial());
-        assert_eq!(g.refreshes(), 1);
     }
 
     #[test]
@@ -395,6 +361,5 @@ mod tests {
         let g = IncrementalGraph::new();
         assert_eq!(g.graph().n_edges(), 0);
         assert_eq!(g.graph().n_entities(), 0);
-        assert_eq!(g.deltas_applied(), 0);
     }
 }

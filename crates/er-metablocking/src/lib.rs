@@ -16,7 +16,8 @@
 //!   export.
 //! * [`incremental::IncrementalGraph`] — the graph maintained under
 //!   streaming entity arrivals: integer statistics exact per batch, ARCS
-//!   restored bit-exactly at every checkpoint refresh.
+//!   restored bit-exactly by a refresh. A library primitive: no pipeline or
+//!   streaming session reads it.
 //! * [`weights::WeightingScheme`] — CBS, ECBS, JS, EJS and ARCS edge weights.
 //! * [`pruning`] — weight-based and cardinality-based, edge-centric and
 //!   node-centric pruning: WEP, CEP, WNP, CNP plus reciprocal variants.

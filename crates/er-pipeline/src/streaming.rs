@@ -1,11 +1,10 @@
 //! The streaming ingest session: bounded arrival queue → quarantine →
-//! incremental blocking index → incremental blocking graph → incremental
-//! resolution, as one stateful value.
+//! incremental resolution, as one stateful value.
 //!
 //! The batch pipeline ([`crate::Pipeline`]) assumes the collection is
 //! complete before the first stage runs. Web KBs are not like that — the
 //! tutorial's introduction stresses that descriptions keep arriving — so
-//! this module maintains the pipeline's state *under* arrivals:
+//! this module maintains a resolution *under* arrivals:
 //!
 //! 1. raw records enter through a budget-bounded [`ArrivalQueue`] (producers
 //!    feel typed back-pressure instead of growing an unbounded buffer);
@@ -13,20 +12,16 @@
 //!    reasons — rejects never receive an [`EntityId`], so the accepted
 //!    collection (and everything downstream) is bit-identical to a run that
 //!    never saw them;
-//! 3. accepted entities are staged and indexed in fixed-size batches by the
-//!    [`IncrementalTokenIndex`] (snapshots bit-identical to a full
-//!    `TokenBlocking` rebuild) and the [`IncrementalGraph`] (integer
-//!    statistics exact per batch);
-//! 4. each entity is integrated by the [`IncrementalResolver`] under
-//!    watchdog coverage;
-//! 5. [`StreamingSession::checkpoint`] re-anchors everything against the
-//!    batch oracles: a full graph rebuild (bit-exact ARCS) and a guarded
-//!    re-resolution of the accepted collection.
+//! 3. accepted entities are staged and, a fixed-size batch at a time,
+//!    integrated by the [`IncrementalResolver`] under watchdog coverage —
+//!    its token postings are the session's only index;
+//! 4. [`StreamingSession::checkpoint`] re-anchors the resolver against the
+//!    batch oracle: a guarded re-resolution of the accepted collection.
 //!
-//! The equivalence contract is locked by `tests/streaming_equivalence.rs`.
+//! The contract — clusters equal batch R-Swoosh over the accepted collection
+//! with the same `SharedTokenMatcher` — is locked by
+//! `tests/streaming_equivalence.rs`.
 
-use er_blocking::incremental::IncrementalTokenIndex;
-use er_blocking::BlockCollection;
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::EntityId;
 use er_core::ingest::{ArrivalQueue, IngestConfig, IngestValidator, QuarantineReport, RawRecord};
@@ -35,21 +30,22 @@ use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_core::resource::{ResourceError, ResourceLimits};
 use er_iterative::incremental::{IncrementalResolver, IncrementalStats};
-use er_metablocking::IncrementalGraph;
 
 /// Configuration of a [`StreamingSession`].
 #[derive(Clone, Debug)]
 pub struct StreamingConfig {
-    /// Accepted entities per blocking-index batch.
+    /// Accepted entities staged before an automatic
+    /// [`flush`](StreamingSession::flush).
     pub batch_size: usize,
-    /// Batches between automatic graph refreshes (`0` disables automatic
-    /// refreshes; [`StreamingSession::checkpoint`] always refreshes).
+    /// Not read by the session; kept only because `bench/` names it; delete
+    /// with ROADMAP direction 1.
     pub refresh_every: usize,
     /// Malformed-record policy (oversize limit).
     pub ingest: IngestConfig,
     /// Minimum shared normalized tokens for the incremental matcher.
     pub match_overlap: usize,
-    /// Parallelism of the checkpoint rebuilds.
+    /// Not read by the session; kept only because `bench/` names it; delete
+    /// with ROADMAP direction 1.
     pub parallelism: Parallelism,
     /// Resolution mode of the accepted collection.
     pub mode: ResolutionMode,
@@ -75,13 +71,8 @@ pub struct StreamingSession {
     queue: ArrivalQueue,
     validator: IngestValidator,
     collection: EntityCollection,
-    index: IncrementalTokenIndex,
-    graph: IncrementalGraph,
     resolver: IncrementalResolver<SharedTokenMatcher>,
-    /// `collection[..indexed]` is in the blocking index and graph.
-    indexed: usize,
-    /// `collection[..resolved]` is in the resolver; `resolved ≤ indexed`, and
-    /// below it only after a flush the stage watchdog interrupted.
+    /// `collection[..resolved]` is in the resolver; the rest is staged.
     resolved: usize,
     batches: u64,
     checkpoints: u64,
@@ -97,18 +88,15 @@ impl StreamingSession {
     }
 
     /// [`new`](StreamingSession::new) with an observability registry: ingest
-    /// counters/events, incremental-maintenance counters and streaming spans
-    /// are recorded into it.
+    /// counters/events, streaming counters and streaming spans are recorded
+    /// into it.
     pub fn with_obs(config: StreamingConfig, limits: ResourceLimits, obs: Obs) -> Self {
         let queue = ArrivalQueue::with_obs(limits.budget(), &obs);
         let validator = IngestValidator::new(config.ingest.clone()).with_obs(&obs);
         let resolver = IncrementalResolver::new(SharedTokenMatcher::new(config.match_overlap));
         StreamingSession {
-            index: IncrementalTokenIndex::new().with_obs(&obs),
-            graph: IncrementalGraph::new().with_obs(&obs),
             resolver,
             collection: EntityCollection::new(config.mode),
-            indexed: 0,
             resolved: 0,
             batches: 0,
             checkpoints: 0,
@@ -138,7 +126,7 @@ impl StreamingSession {
             builder = builder.attr(name, value);
         }
         let id = self.collection.push_entity(accepted.kb, builder);
-        if self.collection.len() - self.indexed >= self.config.batch_size {
+        if self.staged_len() >= self.config.batch_size {
             self.flush()?;
         }
         Ok(Some(id))
@@ -157,33 +145,20 @@ impl StreamingSession {
         Ok(taken)
     }
 
-    /// Pushes the staged partial batch through the incremental index, graph
-    /// and resolver. A no-op when nothing is staged.
+    /// Integrates every staged entity into the resolver. A no-op when nothing
+    /// is staged.
     ///
     /// The stage watchdog can interrupt the resolver between two entities.
-    /// The typed error then leaves the batch indexed and its unresolved tail
-    /// staged — every accepted entity is in a cluster or still counted by
-    /// [`staged_len`](StreamingSession::staged_len) — and the next `flush` or
-    /// `checkpoint` resumes at the first unresolved entity.
+    /// The typed error then leaves the unresolved tail staged — every
+    /// accepted entity is in a cluster or still counted by
+    /// [`staged_len`](StreamingSession::staged_len) — and the next `flush`
+    /// (the next `offer` retries once a batch is staged) or `checkpoint`
+    /// resumes at the first unresolved entity.
     pub fn flush(&mut self) -> Result<(), ResourceError> {
-        let accepted = self.collection.len();
-        if self.resolved == accepted {
+        if self.staged_len() == 0 {
             return Ok(());
         }
         let span = self.obs.span("streaming.batch");
-        if self.indexed < accepted {
-            let delta = self
-                .index
-                .insert_batch(self.collection.iter().skip(self.indexed));
-            self.graph
-                .apply_delta(&self.index, &delta, &self.collection);
-            if self.obs.is_enabled() {
-                self.obs
-                    .counter("streaming.entities_indexed")
-                    .add((accepted - self.indexed) as u64);
-            }
-            self.indexed = accepted;
-        }
         let watchdog = self.limits.stage_watchdog();
         let before = self.resolver.stats();
         let outcome = self
@@ -206,17 +181,6 @@ impl StreamingSession {
             self.obs.counter("streaming.batches").incr();
         }
         span.finish();
-        if self.config.refresh_every > 0
-            && self
-                .batches
-                .is_multiple_of(self.config.refresh_every as u64)
-        {
-            self.graph.refresh(
-                &self.collection,
-                &self.index.snapshot_blocks(),
-                self.config.parallelism,
-            );
-        }
         Ok(())
     }
 
@@ -231,19 +195,13 @@ impl StreamingSession {
         }
     }
 
-    /// Checkpoint: flushes staged arrivals, refreshes the blocking graph
-    /// against the batch builder (restoring bit-exact ARCS) and re-resolves
-    /// the accepted collection under a fresh stage watchdog. On watchdog
+    /// Checkpoint: flushes staged arrivals and re-resolves the accepted
+    /// collection from scratch under a fresh stage watchdog. On watchdog
     /// expiry the resolver keeps its incremental state — the typed error
     /// reports the interruption, nothing is left half-rebuilt.
     pub fn checkpoint(&mut self) -> Result<IncrementalStats, ResourceError> {
         let span = self.obs.span("streaming.checkpoint");
         self.flush()?;
-        self.graph.refresh(
-            &self.collection,
-            &self.index.snapshot_blocks(),
-            self.config.parallelism,
-        );
         let watchdog = self.limits.stage_watchdog();
         let stats = self.resolver.re_resolve(&self.collection, &watchdog)?;
         self.record_resolver_work(stats.comparisons, stats.merges);
@@ -258,22 +216,6 @@ impl StreamingSession {
     /// The accepted collection (dense ids, arrival order).
     pub fn collection(&self) -> &EntityCollection {
         &self.collection
-    }
-
-    /// The current blocking collection over every *flushed* entity —
-    /// bit-identical to a full `TokenBlocking` rebuild.
-    pub fn blocks(&self) -> BlockCollection {
-        self.index.snapshot_blocks()
-    }
-
-    /// The incremental blocking index.
-    pub fn index(&self) -> &IncrementalTokenIndex {
-        &self.index
-    }
-
-    /// The incrementally maintained blocking graph.
-    pub fn graph(&self) -> &IncrementalGraph {
-        &self.graph
     }
 
     /// Current clusters of the incremental resolver.
@@ -301,9 +243,8 @@ impl StreamingSession {
         self.checkpoints
     }
 
-    /// Entities accepted but not yet through every incremental stage: not
-    /// flushed, or flushed into the index and graph by a flush the watchdog
-    /// interrupted before the resolver reached them.
+    /// Entities accepted but not yet in the resolver: not flushed, or left
+    /// behind by a flush the watchdog interrupted.
     pub fn staged_len(&self) -> usize {
         self.collection.len() - self.resolved
     }
@@ -341,9 +282,7 @@ pub fn raw_record_from_entity(entity: &er_core::entity::Entity) -> RawRecord {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_blocking::TokenBlocking;
     use er_core::entity::KbId;
-    use er_metablocking::BlockingGraph;
 
     fn missing_id() -> RawRecord {
         RawRecord {
@@ -381,8 +320,14 @@ mod tests {
         c
     }
 
+    /// Batch R-Swoosh over `values` with the session's default matcher.
+    fn r_swoosh_clusters(values: &[&str]) -> Vec<Vec<EntityId>> {
+        er_iterative::swoosh::r_swoosh(&batch_collection(values), &SharedTokenMatcher::new(2))
+            .clusters()
+    }
+
     #[test]
-    fn session_blocks_match_batch_blocking() {
+    fn session_clusters_match_batch_r_swoosh() {
         let mut s = StreamingSession::new(
             StreamingConfig {
                 batch_size: 2,
@@ -394,8 +339,9 @@ mod tests {
             s.offer(record(&format!("r{i}"), v)).unwrap();
         }
         s.flush().unwrap();
-        let batch = batch_collection(VALUES);
-        assert_eq!(s.blocks(), TokenBlocking::new().build(&batch));
+        let want = r_swoosh_clusters(VALUES);
+        assert!(want.iter().any(|c| c.len() > 1), "something merges");
+        assert_eq!(s.clusters(), want);
         assert_eq!(s.collection().len(), VALUES.len());
         assert_eq!(s.quarantine_report().quarantined(), 0);
     }
@@ -408,18 +354,17 @@ mod tests {
         s.offer(record("a", "duplicate id")).unwrap();
         s.offer(record("b", VALUES[1])).unwrap();
         s.flush().unwrap();
-        let clean = batch_collection(&VALUES[..2]);
-        assert_eq!(s.blocks(), TokenBlocking::new().build(&clean));
+        assert_eq!(s.collection().len(), 2);
+        assert_eq!(s.clusters(), r_swoosh_clusters(&VALUES[..2]));
         assert_eq!(s.quarantine_report().quarantined(), 2);
         assert_eq!(s.quarantine_report().accepted(), 2);
     }
 
     #[test]
-    fn checkpoint_restores_bit_exact_graph_and_matches_resolution() {
+    fn checkpoint_matches_from_scratch_resolution() {
         let mut s = StreamingSession::new(
             StreamingConfig {
                 batch_size: 3,
-                refresh_every: 0,
                 ..Default::default()
             },
             ResourceLimits::none(),
@@ -428,8 +373,6 @@ mod tests {
             s.offer(record(&format!("r{i}"), v)).unwrap();
         }
         s.checkpoint().unwrap();
-        let oracle = BlockingGraph::build(s.collection(), &s.blocks());
-        assert_eq!(s.graph().graph(), &oracle);
         let mut from_scratch = IncrementalResolver::new(SharedTokenMatcher::new(2));
         for e in s.collection().iter() {
             from_scratch.insert(e);
@@ -441,7 +384,7 @@ mod tests {
     #[test]
     fn interrupted_flush_keeps_its_unresolved_tail_staged() {
         // A zero stage deadline interrupts every flush before its first
-        // resolver insert: the batch is indexed, and must stay pending.
+        // resolver insert: the batch must stay pending.
         let mut s = StreamingSession::new(
             StreamingConfig {
                 batch_size: 3,
@@ -465,11 +408,8 @@ mod tests {
         let clustered: usize = s.clusters().iter().map(Vec::len).sum();
         assert_eq!(clustered + s.staged_len(), VALUES.len(), "no id dropped");
         assert_eq!(s.batches(), 0, "no flush completed");
-        // Retried flushes index nothing twice.
-        assert_eq!(
-            s.blocks(),
-            TokenBlocking::new().build(&batch_collection(VALUES))
-        );
+        // Retried flushes resolve nothing twice.
+        assert_eq!(s.resolver_stats().inserted as usize, clustered);
 
         // Generous limits: the same arrivals all resolve, flush by flush.
         let mut s = StreamingSession::new(
@@ -500,7 +440,7 @@ mod tests {
                 s.offer(record(&format!("r{i}"), v)).unwrap();
             }
             s.flush().unwrap();
-            s.blocks()
+            s.clusters()
         };
         let mut s = StreamingSession::new(StreamingConfig::default(), ResourceLimits::none());
         let q = s.queue();
@@ -509,7 +449,8 @@ mod tests {
         }
         assert_eq!(s.drain().unwrap(), VALUES.len());
         s.flush().unwrap();
-        assert_eq!(s.blocks(), direct);
+        assert_eq!(s.clusters(), direct);
+        assert_eq!(s.collection().len(), VALUES.len());
         assert!(q.is_empty());
     }
 

@@ -284,8 +284,8 @@ proptest! {
     ///    per-quarantine warning events and the `QuarantineReport` all tell
     ///    the same story, and every produced record is accounted for as
     ///    accepted, quarantined, or shed at the queue door.
-    /// 4. **Chaos cannot bend the blocking contract** — whatever subset got
-    ///    through, the incremental snapshot equals a full rebuild of it.
+    /// 4. **Chaos cannot bend the resolution contract** — whatever subset got
+    ///    through, the session's clusters are batch R-Swoosh's over it.
     #[test]
     fn streaming_ingest_chaos_never_overruns_and_accounts_exactly(
         seed in 0u64..=u64::MAX,
@@ -421,12 +421,16 @@ proptest! {
             prop_assert!(shed <= oversized, "shed {shed} > over-budget records {oversized}");
         }
 
-        // (4) Bit-identity is chaos-proof: whatever subset was admitted, the
-        // incremental index equals a full rebuild of it.
+        // (4) Equivalence is chaos-proof: whatever subset was admitted, the
+        // session resolved it as batch R-Swoosh does.
         prop_assert_eq!(session.collection().len() as u64, report.accepted());
         prop_assert_eq!(
-            session.blocks(),
-            er_blocking::TokenBlocking::new().build(session.collection())
+            session.clusters(),
+            er_iterative::swoosh::r_swoosh(
+                session.collection(),
+                &er_core::merge::SharedTokenMatcher::new(2)
+            )
+            .clusters()
         );
     }
 }

@@ -1,12 +1,13 @@
 //! Regression lock on incremental blocking quality over a stream.
 //!
-//! An evolving stream (300 latent entities, seed 0xE5) is fed through a
-//! [`StreamingSession`] and PC / PQ / candidate counts are measured at four
-//! stream checkpoints (25 / 50 / 75 / 100 %of arrivals), each against the
-//! ground-truth pairs fully contained in the prefix. Two locks:
+//! An evolving stream (300 latent entities, seed 0xE5) is fed through an
+//! [`IncrementalTokenIndex`] in batches of 16 and PC / PQ / candidate counts
+//! are measured at four stream checkpoints (25 / 50 / 75 / 100 % of
+//! arrivals), each against the ground-truth pairs fully contained in the
+//! prefix. Two locks:
 //!
 //! 1. **Equivalence is quality-preserving** (the structural claim): at every
-//!    checkpoint the incremental session's blocks yield *exactly* the same
+//!    checkpoint the incremental index's blocks yield *exactly* the same
 //!    candidate set — hence bit-equal PC / PQ — as a from-scratch
 //!    `TokenBlocking` rebuild of the same prefix. Incremental maintenance
 //!    can never cost recall, not even transiently.
@@ -17,11 +18,10 @@
 //!    test -p er-integration-tests --test incremental_recall_regression --
 //!    --nocapture`) and refresh the constants in the same commit.
 
-use er_blocking::TokenBlocking;
+use er_blocking::{IncrementalTokenIndex, TokenBlocking};
+use er_core::collection::EntityCollection;
 use er_core::pair::Pair;
-use er_core::resource::ResourceLimits;
 use er_datagen::evolving::{EvolvingConfig, EvolvingStream};
-use er_pipeline::streaming::{raw_record_from_entity, StreamingConfig, StreamingSession};
 
 /// One locked checkpoint row: after `arrivals` records, the candidate count
 /// and the prefix-truth PC / PQ of the (incremental ≡ batch) token blocks.
@@ -103,31 +103,30 @@ fn incremental_recall_matches_batch_and_locked_values() {
     let checkpoints = [n / 4, n / 2, 3 * n / 4, n];
     let print = std::env::var("ER_PRINT_RECALL").is_ok();
 
-    let mut session = StreamingSession::new(
-        StreamingConfig {
-            batch_size: 16,
-            ..Default::default()
-        },
-        ResourceLimits::none(),
-    );
-    let mut fed = 0usize;
+    let mut index = IncrementalTokenIndex::new();
+    let mut prefix = EntityCollection::new(s.collection.mode());
     for (ci, &cp) in checkpoints.iter().enumerate() {
-        for e in s.collection.iter().skip(fed).take(cp - fed) {
-            session
-                .offer(raw_record_from_entity(e))
-                .expect("generous limits")
-                .expect("evolving stream records are well-formed");
+        let arrived: Vec<_> = s
+            .collection
+            .iter()
+            .skip(prefix.len())
+            .take(cp - prefix.len())
+            .collect();
+        for batch in arrived.chunks(16) {
+            let start = prefix.len();
+            for e in batch {
+                prefix.push(e.kb(), e.attributes().to_vec());
+            }
+            index.insert_batch(prefix.iter().skip(start));
         }
-        fed = cp;
-        session.flush().expect("generous limits");
 
         // Structural lock: the incremental snapshot *is* the batch rebuild,
         // so candidates — and any quality metric over them — are identical.
-        let incremental = session.blocks();
-        let batch = TokenBlocking::new().build(session.collection());
+        let incremental = index.snapshot_blocks();
+        let batch = TokenBlocking::new().build(&prefix);
         assert_eq!(incremental, batch, "checkpoint {ci}: blocks diverged");
-        let inc_pairs = incremental.distinct_pairs(session.collection());
-        let batch_pairs = batch.distinct_pairs(session.collection());
+        let inc_pairs = incremental.distinct_pairs(&prefix);
+        let batch_pairs = batch.distinct_pairs(&prefix);
         assert_eq!(
             inc_pairs, batch_pairs,
             "checkpoint {ci}: candidates diverged"

@@ -190,5 +190,5 @@ fn corruption_rate_extremes() {
         hostile.records.len()
     );
     assert_eq!(s.collection().len(), 0);
-    assert!(s.blocks().blocks().is_empty());
+    assert!(s.clusters().is_empty());
 }
