@@ -7,6 +7,9 @@
 //! segment pair — `Self(i)` for within-segment comparisons and
 //! `Cross(i, j)` for between-segment ones — so every task stays under a
 //! comparison budget and the union of tasks covers exactly the block's pairs.
+//!
+//! No execution path schedules by these tasks: E4 reports the per-worker
+//! loads they would give as its hardware-independent simulated speedup.
 
 use er_blocking::block::Block;
 use er_core::collection::EntityCollection;

@@ -1,6 +1,7 @@
 //! The experiments of DESIGN.md's index, one function each. Binaries in
 //! `src/bin/` are thin wrappers; `exp_all` runs the full suite.
 
+use crate::balance::balanced_loads;
 use crate::{banner, clean_clean_preset, dirty_preset, f3, f4, paired_ab, Table};
 use er_blocking::attribute_clustering::AttributeClusteringBlocking;
 use er_blocking::canopy::CanopyBlocking;
@@ -21,7 +22,6 @@ use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
 use er_iterative::swoosh::{naive_iterate, r_swoosh};
-use er_mapreduce::balance::balanced_loads;
 use er_metablocking::{meta_block, par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
 use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{

@@ -188,5 +188,6 @@ mod tests {
     }
 }
 
+pub mod balance;
 pub mod experiments;
 pub mod scenarios;

@@ -294,4 +294,23 @@ mod tests {
         let esn = ExtendedSortedNeighborhood::new(SortKey::FlattenedValue, 2);
         assert!(esn.build(&c).is_empty());
     }
+
+    #[test]
+    fn empty_and_singleton_collections() {
+        // A window needs two entities: fewer yield no pair on any pass.
+        let keys = vec![SortKey::FlattenedValue, SortKey::Attribute("n".into())];
+        for values in [&[][..], &["only"][..]] {
+            let c = collection(values);
+            let sn = SortedNeighborhood::new(SortKey::FlattenedValue, 3);
+            assert!(sn.candidate_pairs(&c).is_empty(), "{values:?}");
+            let mp = MultiPassSortedNeighborhood::new(keys.clone(), 3);
+            assert!(mp.candidate_pairs(&c).is_empty(), "{values:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "window")]
+    fn window_of_one_rejected() {
+        let _ = SortedNeighborhood::new(SortKey::FlattenedValue, 1);
+    }
 }

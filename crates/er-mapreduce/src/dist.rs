@@ -328,7 +328,7 @@ fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<S
     for line in lines {
         let record = unescape(line)?;
         job.map(&record, &mut |k, v| {
-            let p = partition_of(&k, partitions);
+            let p = partition_of(k, partitions);
             let (rows, bytes) = &mut buffers[p];
             escape_into(rows, k);
             rows.push('\t');
@@ -470,9 +470,9 @@ pub struct DistStats {
 }
 
 impl DistStats {
-    /// Mirrors the run's statistics into the obs registry under the same
-    /// names the in-process engine uses, so `er-metrics-check` invariants
-    /// hold regardless of backend.
+    /// Mirrors the run's statistics into the obs registry under the
+    /// `mapreduce.*` names, the same on either transport, so
+    /// `er-metrics-check` invariants hold regardless of backend.
     pub fn record_obs(&self, obs: &er_core::obs::Obs) {
         obs.counter("mapreduce.map_tasks").add(self.map_tasks);
         obs.counter("mapreduce.reduce_tasks").add(self.reduce_tasks);

@@ -35,7 +35,7 @@ use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
 /// Retry / speculation / reassignment accounting of one stage — the one
-/// record `StageOutput`, `JobStats` and `DistStats` are filled from.
+/// record `StageOutput` and `DistStats` are filled from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub(crate) retried: u64,

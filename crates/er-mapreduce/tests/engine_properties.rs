@@ -1,47 +1,41 @@
-//! Property tests for the MapReduce engine: `MapReduce::try_run`, fault-free
-//! and under absorbable fault schedules, at any worker count, must equal a
-//! serial group-by that shares no code with the engine.
+//! Property tests for the MapReduce engine: `run_dist` over
+//! `InProcessTransport`, fault-free and under absorbable fault schedules, at
+//! any worker count, must equal a serial group-by that shares no code with
+//! the engine.
 
 use er_core::fault::{
     ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults, SpeculationConfig,
 };
-use er_mapreduce::engine::MapReduce;
+use er_mapreduce::{default_registry, run_dist, DistOptions, DistOutput, InProcessTransport};
 use proptest::prelude::*;
 use std::sync::Arc;
 use std::time::Duration;
 
 /// Sequential word-count reference.
-fn reference(texts: &[String]) -> Vec<(String, u64)> {
+fn reference(texts: &[String]) -> Vec<(String, String)> {
     let mut m = std::collections::BTreeMap::new();
     for t in texts {
         for w in t.split_whitespace() {
             *m.entry(w.to_string()).or_insert(0u64) += 1;
         }
     }
-    m.into_iter().collect()
+    m.into_iter().map(|(w, n)| (w, n.to_string())).collect()
 }
 
-#[allow(clippy::ptr_arg)] // must match `Fn(&I, …)` with I = String exactly
-fn map_words(text: &String, emit: &mut dyn FnMut(String, u64)) {
-    for w in text.split_whitespace() {
-        emit(w.to_string(), 1);
-    }
+fn run_mr(texts: &[String], workers: usize) -> Vec<(String, String)> {
+    run_try(texts, workers, &ExecPolicy::default()).pairs
 }
 
-fn run_mr(texts: &[String], workers: usize) -> Vec<(String, u64)> {
-    run_try(texts, workers, &ExecPolicy::default()).0
-}
-
-/// Word count under `policy`, returning the output and
-/// `JobStats.reduce_groups`.
-fn run_try(texts: &[String], workers: usize, policy: &ExecPolicy) -> (Vec<(String, u64)>, u64) {
-    let mr: MapReduce<String, String, u64, (String, u64)> = MapReduce::new(workers);
-    let (out, stats) = mr
-        .try_run(texts, policy, map_words, |k: &String, vs: &[u64]| {
-            vec![(k.clone(), vs.iter().sum::<u64>())]
-        })
-        .expect("absorbable schedule must complete");
-    (out, stats.reduce_groups)
+/// The `wordcount` job on `workers` threads under `policy`.
+fn run_try(texts: &[String], workers: usize, policy: &ExecPolicy) -> DistOutput {
+    let mut t = InProcessTransport::new(workers, default_registry(), policy.clone());
+    run_dist(
+        &mut t,
+        "wordcount",
+        texts,
+        &DistOptions::for_workers(workers),
+    )
+    .expect("absorbable schedule must complete")
 }
 
 /// A fast-backoff policy so fault-heavy property cases stay quick.
@@ -86,25 +80,20 @@ proptest! {
         texts in proptest::collection::vec("[a-c ]{0,16}", 0..12),
         workers in 1usize..5,
     ) {
-        let mr: MapReduce<String, String, u64, (String, u64)> = MapReduce::new(workers);
-        let (out, stats) = mr
-            .try_run(&texts, &ExecPolicy::default(), map_words, |k: &String, vs: &[u64]| {
-                vec![(k.clone(), vs.iter().sum::<u64>())]
-            })
-            .expect("fault-free run cannot fail");
+        let out = run_try(&texts, workers, &ExecPolicy::default());
         let total_words: u64 = texts
             .iter()
             .map(|t| t.split_whitespace().count() as u64)
             .sum();
-        prop_assert_eq!(stats.map_output_records, total_words);
-        prop_assert_eq!(stats.reduce_groups as usize, out.len());
-        let summed: u64 = out.iter().map(|(_, c)| c).sum();
+        prop_assert_eq!(out.stats.map_output_records, total_words);
+        prop_assert_eq!(out.stats.reduce_groups as usize, out.pairs.len());
+        let summed: u64 = out.pairs.iter().map(|(_, c)| c.parse::<u64>().unwrap()).sum();
         prop_assert_eq!(summed, total_words);
     }
 
     /// Retry under transient faults never changes the reducer output or
-    /// `JobStats.reduce_groups`, for any (seed, workers, max_attempts): both
-    /// equal the serial reference, the engine's fault-free-equivalence
+    /// `DistStats::reduce_groups`, for any (seed, workers, max_attempts):
+    /// both equal the serial reference, the engine's fault-free-equivalence
     /// contract as a property.
     #[test]
     fn retries_never_change_reduce_groups_or_output(
@@ -127,15 +116,15 @@ proptest! {
         let policy = ExecPolicy::retrying(fast_retry(max_attempts))
             .with_injector(Arc::new(FaultInjector::new(plan)));
         let faulty = run_try(&texts, workers, &policy);
-        prop_assert_eq!(faulty.1 as usize, expected.len(), "reduce_groups drifted");
-        prop_assert_eq!(faulty.0, expected, "reducer output drifted");
+        prop_assert_eq!(faulty.stats.reduce_groups as usize, expected.len(), "reduce_groups drifted");
+        prop_assert_eq!(faulty.pairs, expected, "reducer output drifted");
     }
 
     /// Worker-count invariance of the fault-tolerant path, with speculation
     /// toggled on and off: an aggressive speculation config (every task
     /// slower than the median gets a backup) must not change the output.
     #[test]
-    fn try_run_output_is_independent_of_workers_and_speculation(
+    fn run_dist_output_is_independent_of_workers_and_speculation(
         texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
         speculate in any::<bool>(),
     ) {
@@ -153,8 +142,8 @@ proptest! {
         let expected = reference(&texts);
         for workers in 1usize..=8 {
             let got = run_try(&texts, workers, &policy(speculate));
-            prop_assert_eq!(got.1 as usize, expected.len(), "workers={}", workers);
-            prop_assert_eq!(&got.0, &expected, "workers={}", workers);
+            prop_assert_eq!(got.stats.reduce_groups as usize, expected.len(), "workers={}", workers);
+            prop_assert_eq!(&got.pairs, &expected, "workers={}", workers);
         }
     }
 }

@@ -9,10 +9,10 @@
 //!
 //! Run with: `cargo run -p er-examples --release --bin parallel_pipeline`
 
+use er_bench::balance::balanced_loads;
 use er_blocking::TokenBlocking;
 use er_core::parallel::Parallelism;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_mapreduce::balance::balanced_loads;
 use er_metablocking::{meta_block, par_meta_block, PruningScheme, WeightingScheme};
 use std::time::Instant;
 

@@ -4,7 +4,7 @@
 //! The resource-governance contract under test:
 //!
 //! 1. **Never a panic.** Every cell either completes or returns a typed
-//!    error ([`er_pipeline::PipelineError`], `er_mapreduce::engine::ExecError`).
+//!    error ([`er_pipeline::PipelineError`], `er_mapreduce::ExecError`).
 //! 2. **Complete ⇒ bit-identical or flagged.** A run that completes without
 //!    degradation equals the plain ungoverned run bit-for-bit; a degraded run
 //!    says so — [`RecoveryEvent::BlocksShedUnderPressure`] /

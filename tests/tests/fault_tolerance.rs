@@ -2,7 +2,7 @@
 //!
 //! PR 1 established that every parallel kernel is bit-identical to its serial
 //! counterpart at any worker count. This suite extends the contract to
-//! *failure schedules*: any MapReduce job or pipeline run that **completes**
+//! *failure schedules*: any `run_dist` job or pipeline run that **completes**
 //! under injected faults — panics, transient errors, artificial delays,
 //! retried under a [`RetryPolicy`] — produces output bit-identical to the
 //! fault-free run; any run that cannot complete degrades gracefully (typed
@@ -29,10 +29,9 @@ use er_core::fault::{
 };
 use er_core::metrics::MatchQuality;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_mapreduce::engine::{ExecError, JobStats, MapReduce};
 use er_mapreduce::{
-    default_registry, run_dist, DistOptions, DistOutput, InProcessTransport, SubprocessConfig,
-    SubprocessTransport,
+    default_registry, run_dist, DistOptions, DistOutput, ExecError, InProcessTransport,
+    SubprocessConfig, SubprocessTransport,
 };
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions};
@@ -63,8 +62,8 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// A representative MapReduce job: token frequencies over a dirty
-/// collection, reduced to (token, count) pairs.
+/// A representative MapReduce job: word frequencies over a dirty
+/// collection's attribute values, run by the `wordcount` job.
 fn token_count_inputs(c: &EntityCollection) -> Vec<String> {
     (0..c.len())
         .map(|i| {
@@ -78,22 +77,19 @@ fn token_count_inputs(c: &EntityCollection) -> Vec<String> {
         .collect()
 }
 
-#[allow(clippy::ptr_arg)] // must match `Fn(&I, …)` with I = String exactly
-fn map_tokens(line: &String, emit: &mut dyn FnMut(String, u64)) {
-    for tok in line.split_whitespace() {
-        emit(tok.to_lowercase(), 1);
-    }
-}
-
-#[allow(clippy::ptr_arg)] // must match `Fn(&K, …)` with K = String exactly
-fn reduce_count(k: &String, vs: &[u64]) -> Vec<(String, u64)> {
-    vec![(k.clone(), vs.iter().sum())]
-}
-
-fn fault_free_reference(inputs: &[String], workers: usize) -> (Vec<(String, u64)>, JobStats) {
-    MapReduce::new(workers)
-        .try_run(inputs, &ExecPolicy::default(), map_tokens, reduce_count)
-        .expect("fault-free run cannot fail")
+/// `run_dist`'s `wordcount` job over `workers` in-process threads.
+fn word_count(
+    inputs: &[String],
+    workers: usize,
+    policy: ExecPolicy,
+) -> Result<DistOutput, ExecError> {
+    let mut t = InProcessTransport::new(workers, default_registry(), policy);
+    run_dist(
+        &mut t,
+        "wordcount",
+        inputs,
+        &DistOptions::for_workers(workers),
+    )
 }
 
 // ---------------------------------------------------------------------------
@@ -108,7 +104,9 @@ fn fault_free_reference(inputs: &[String], workers: usize) -> (Vec<(String, u64)
 fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
     let ds = dataset(250, 42);
     let inputs = token_count_inputs(&ds.collection);
-    let reference = fault_free_reference(&inputs, 1).0;
+    let reference = word_count(&inputs, 1, ExecPolicy::default())
+        .expect("fault-free run cannot fail")
+        .pairs;
     let mut faults_seen = 0u64;
     for seed in fault_seeds() {
         for workers in worker_counts() {
@@ -126,16 +124,14 @@ fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
                 if speculate {
                     policy = policy.with_speculation(SpeculationConfig::default());
                 }
-                let (out, stats) = MapReduce::new(workers)
-                    .try_run(&inputs, &policy, map_tokens, reduce_count)
-                    .unwrap_or_else(|e| {
-                        panic!("absorbable schedule seed={seed} workers={workers}: {e}")
-                    });
+                let out = word_count(&inputs, workers, policy).unwrap_or_else(|e| {
+                    panic!("absorbable schedule seed={seed} workers={workers}: {e}")
+                });
                 assert_eq!(
-                    out, reference,
+                    out.pairs, reference,
                     "seed={seed} workers={workers} speculate={speculate}"
                 );
-                faults_seen += stats.faults_injected;
+                faults_seen += injector.injected();
             }
         }
     }
@@ -157,8 +153,7 @@ fn unabsorbable_mapreduce_schedule_errors_gracefully() {
         let plan = FaultPlan::none().inject_all_attempts("map", 0, 3, FaultKind::Panic);
         let policy = ExecPolicy::retrying(RetryPolicy::attempts(3))
             .with_injector(Arc::new(FaultInjector::new(plan)));
-        let err = MapReduce::new(workers)
-            .try_run(&inputs, &policy, map_tokens, reduce_count)
+        let err = word_count(&inputs, workers, policy)
             .expect_err("schedule must exhaust the retry budget");
         assert_eq!(err.stage, "map");
         assert_eq!(err.attempts, 3);
