@@ -12,12 +12,12 @@
 //! best-match links. Attributes with no similar partner fall into a single
 //! *glue* cluster, preserving token blocking's recall for them.
 
-use crate::block::{blocks_from_grouped_keys, blocks_from_keys, BlockCollection};
+use crate::block::{blocks_from_profiles, BlockCollection};
 use er_core::collection::EntityCollection;
 use er_core::entity::Entity;
-use er_core::intern::Interner;
-use er_core::parallel::{par_map, par_map_chunks, Parallelism};
-use er_core::profiles::{EntityTokens, CHUNK_ENTITIES};
+use er_core::obs::Obs;
+use er_core::parallel::{par_map, Parallelism};
+use er_core::profiles::{KeyRows, KeySink};
 use er_core::similarity::SetMeasure;
 use er_core::tokenize::Tokenizer;
 use std::collections::{BTreeMap, BTreeSet};
@@ -135,7 +135,7 @@ impl AttributeClusteringBlocking {
 
     /// Builds the blocking collection with `(cluster, token)` keys.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        self.build_impl(collection, Parallelism::serial())
+        self.par_build(collection, Parallelism::serial())
     }
 
     /// Parallel [`build`]: parallelizes the O(A²) attribute-similarity scan
@@ -144,58 +144,36 @@ impl AttributeClusteringBlocking {
     ///
     /// [`build`]: AttributeClusteringBlocking::build
     pub fn par_build(&self, collection: &EntityCollection, par: Parallelism) -> BlockCollection {
-        self.build_impl(collection, par)
+        blocks_from_profiles(&self.key_rows(collection, par), &Obs::disabled())
     }
 
-    /// Compact build: `(cluster, token)` keys are carried as
-    /// `(usize, Symbol)` pairs — no per-key `format!` until one string per
-    /// *distinct* key is rendered at grouping time — and each entity's key
-    /// set is tokenized straight into interned symbols
-    /// ([`EntityTokens::sorted_keys_into`]). Serial runs intern into one
-    /// interner; parallel runs intern fixed [`CHUNK_ENTITIES`] chunks
-    /// separately and absorb them left-to-right. The two number symbols
-    /// differently and build the same blocks: block order is by rendered
-    /// string, so `"c10:x"` still sorts before `"c2:x"` exactly as the
+    /// Every entity's `(cluster, token)` keys, rendered `c{cluster}:{token}`
+    /// — the rows every build transposes. Rank order is the rendered
+    /// string's, so `"c10:x"` sorts before `"c2:x"` exactly as the
     /// `BTreeMap<String, _>` reference orders them.
-    fn build_impl(&self, collection: &EntityCollection, par: Parallelism) -> BlockCollection {
-        let clusters = self.attribute_clusters_impl(collection, par);
-        let cluster_of = |a: &str| clusters.get(a).copied().unwrap_or(0);
-        let entities: Vec<&Entity> = collection.iter().collect();
-        let chunk = if par.is_serial() {
-            entities.len().max(1)
-        } else {
-            CHUNK_ENTITIES
-        };
-        let mut chunks = par_map_chunks(par, &entities, chunk, |slice| {
-            let mut interner = Interner::new();
-            let mut tokens = EntityTokens::new(&self.tokenizer, &mut interner);
-            let (mut keys, mut postings) = (Vec::new(), Vec::new());
-            for e in slice {
-                tokens.sorted_keys_into(e, cluster_of, |c, s| (c, s), &mut keys);
-                postings.extend(keys.iter().map(|&k| (k, e.id())));
+    pub fn key_rows(&self, collection: &EntityCollection, par: Parallelism) -> KeyRows {
+        let tags: BTreeMap<String, String> = self
+            .attribute_clusters_impl(collection, par)
+            .into_iter()
+            .map(|(attribute, cid)| (attribute, format!("c{cid}:")))
+            .collect();
+        let scheme = |entity: &Entity, sink: &mut KeySink<'_>| {
+            for (attribute, value) in entity.attributes() {
+                // An attribute the clustering never saw is in the glue
+                // cluster.
+                let tag = tags.get(attribute).map_or("c0:", String::as_str);
+                sink.push_tokens(&self.tokenizer, tag, value);
             }
-            (interner, postings)
-        })
-        .into_iter();
-        let (mut interner, mut postings) = chunks.next().unwrap_or_default();
-        for (local, local_postings) in chunks {
-            let remap = interner.absorb(local);
-            postings.extend(
-                local_postings
-                    .into_iter()
-                    .map(|((c, s), e)| ((c, remap[s.index()]), e)),
-            );
-        }
-        blocks_from_grouped_keys(postings, |&(cid, s)| {
-            format!("c{cid}:{}", interner.resolve(s))
-        })
+        };
+        KeyRows::build(collection, &scheme, par)
     }
 
     /// The pre-compact, string-keyed build (per-entity
     /// `BTreeSet<(usize, String)>`, `format!` per posting, `BTreeMap`
-    /// grouping). Kept as the reference for the layout-equivalence tests;
+    /// grouping). Kept as the oracle of the layout-equivalence tests;
     /// bit-identical to
     /// [`par_build`](AttributeClusteringBlocking::par_build).
+    #[cfg(any(test, feature = "test-support"))]
     pub fn build_reference(
         &self,
         collection: &EntityCollection,
@@ -215,7 +193,7 @@ impl AttributeClusteringBlocking {
                 .map(|(cid, t)| (format!("c{cid}:{t}"), e.id()))
                 .collect::<Vec<_>>()
         });
-        blocks_from_keys(keys.into_iter().flatten())
+        crate::block::blocks_from_keys(keys.into_iter().flatten())
     }
 }
 

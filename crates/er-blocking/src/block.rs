@@ -9,8 +9,10 @@
 
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::EntityId;
-use er_core::intern::{Interner, Symbol};
+use er_core::obs::Obs;
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
+use er_core::profiles::{KeyRows, KeyScheme};
 
 /// One block: a key and the (sorted, deduplicated) descriptions that share it.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -249,8 +251,83 @@ impl BlockStats {
     }
 }
 
-/// Builds an inverted index `key → entities` and converts it into a
-/// [`BlockCollection`] — the shared skeleton of every key-based method.
+/// Records `blocking.tokens_indexed` (key–entity index entries: the rows'
+/// CSR length) and `blocking.interner_symbols` (their vocabulary).
+pub(crate) fn record_index_obs(obs: &Obs, rows: &KeyRows) {
+    if obs.is_enabled() {
+        obs.counter("blocking.tokens_indexed")
+            .add(rows.n_symbols() as u64);
+        obs.counter("blocking.interner_symbols")
+            .add(rows.vocabulary().len() as u64);
+    }
+}
+
+/// The blocks of a key-row build: one block per key that at least two
+/// descriptions share, keyed by the key — the transpose of `rows`, a
+/// counting sort by symbol, with the block counters of
+/// [`BlockCollection::record_obs`]. Every block-producing family is this
+/// over its own key scheme's rows (out of core:
+/// [`blocks_from_profiles_ooc`](crate::ooc::blocks_from_profiles_ooc)).
+///
+/// This is the string-keyed `BTreeMap<String, Vec<EntityId>>` grouping of
+/// the same keys bit for bit: symbols are ranks in the sorted vocabulary,
+/// so symbol order is the map's lexicographic key order; entities are
+/// visited in id order, so members come out ascending; and a row holds
+/// distinct keys, so nothing needs deduplicating.
+pub fn blocks_from_profiles(rows: &KeyRows, obs: &Obs) -> BlockCollection {
+    const NO_BLOCK: u32 = u32::MAX;
+    record_index_obs(obs, rows);
+    let vocabulary = rows.vocabulary();
+    // Every key's block size, then its block's slot: shared keys get one in
+    // symbol (= key) order, the rest none.
+    let mut slot = vec![0u32; vocabulary.len()];
+    for s in rows.iter().flatten() {
+        slot[s.index()] += 1;
+    }
+    let mut blocks: Vec<(usize, Vec<EntityId>)> = Vec::new();
+    for (symbol, size) in slot.iter_mut().enumerate() {
+        if *size >= 2 {
+            blocks.push((symbol, Vec::with_capacity(*size as usize)));
+            *size = (blocks.len() - 1) as u32;
+        } else {
+            *size = NO_BLOCK;
+        }
+    }
+    for (e, row) in rows.iter().enumerate() {
+        for s in row {
+            let b = slot[s.index()];
+            if b != NO_BLOCK {
+                blocks[b as usize].1.push(EntityId(e as u32));
+            }
+        }
+    }
+    let blocks = BlockCollection::new(
+        blocks
+            .into_iter()
+            .map(|(symbol, members)| Block::from_sorted(vocabulary[symbol].clone(), members))
+            .collect(),
+    );
+    blocks.record_obs(obs);
+    blocks
+}
+
+/// The blocks of `scheme` over `collection`: its key rows, built serially,
+/// transposed without observability — the `build` of every key-based
+/// family.
+pub fn blocks_from_scheme<S: KeyScheme + ?Sized>(
+    collection: &EntityCollection,
+    scheme: &S,
+) -> BlockCollection {
+    blocks_from_profiles(
+        &KeyRows::build(collection, scheme, Parallelism::serial()),
+        &Obs::disabled(),
+    )
+}
+
+/// The string-keyed grouping the key-row transpose replaced: an inverted
+/// index `key → entities` in a `BTreeMap`, kept as the equivalence tests'
+/// oracle.
+#[cfg(any(test, feature = "test-support"))]
 pub fn blocks_from_keys<I>(entries: I) -> BlockCollection
 where
     I: IntoIterator<Item = (String, EntityId)>,
@@ -261,82 +338,6 @@ where
         index.entry(key).or_default().push(id);
     }
     index.into_iter().map(|(k, v)| Block::new(k, v)).collect()
-}
-
-/// Compact-layout counterpart of [`blocks_from_keys`]: groups flat
-/// `(key, entity)` postings by **sort + run-length grouping** instead of a
-/// string-keyed tree map. `K` is any cheap ordered key (a [`Symbol`], a
-/// `(cluster, Symbol)` pair, …); `key_to_string` renders it to the owned
-/// block key — called once per *distinct* key, not per posting.
-///
-/// Output is identical to `blocks_from_keys` fed the rendered keys, provided
-/// `key_to_string` is injective over the distinct keys present:
-/// * members: sort by `(K, EntityId)` + dedup ⇔ the per-key push + sort +
-///   dedup of [`Block::new`];
-/// * block order: distinct keys are ordered by their *rendered string*,
-///   reproducing the `BTreeMap<String, _>` lexicographic iteration order
-///   (symbol ids are first-encounter order and never leak into output).
-pub fn blocks_from_grouped_keys<K>(
-    mut entries: Vec<(K, EntityId)>,
-    key_to_string: impl Fn(&K) -> String,
-) -> BlockCollection
-where
-    K: Ord + Copy,
-{
-    entries.sort_unstable();
-    entries.dedup();
-    blocks_from_sorted_grouped_keys(entries, key_to_string)
-}
-
-/// [`blocks_from_grouped_keys`] for entries that are **already sorted and
-/// deduplicated** — the incremental index maintains its posting vectors as
-/// sorted runs, so re-sorting on every snapshot would be pure overhead.
-/// Debug-asserted, not re-checked in release.
-pub fn blocks_from_sorted_grouped_keys<K>(
-    entries: Vec<(K, EntityId)>,
-    key_to_string: impl Fn(&K) -> String,
-) -> BlockCollection
-where
-    K: Ord + Copy,
-{
-    debug_assert!(entries.windows(2).all(|w| w[0] < w[1]), "sorted + deduped");
-    // Run-length group: each distinct key owns a contiguous range of entries.
-    // The distinct-key count is a cheap scan over already-sorted entries;
-    // pre-reserving with it removes every reallocation of the groups vector
-    // on the sort path (the output of a web-scale token build has millions
-    // of distinct keys, each push otherwise a doubling candidate).
-    let distinct = if entries.is_empty() {
-        0
-    } else {
-        1 + entries.windows(2).filter(|w| w[0].0 != w[1].0).count()
-    };
-    let mut groups: Vec<(String, std::ops::Range<usize>)> = Vec::with_capacity(distinct);
-    let mut start = 0;
-    for i in 1..=entries.len() {
-        if i == entries.len() || entries[i].0 != entries[start].0 {
-            groups.push((key_to_string(&entries[start].0), start..i));
-            start = i;
-        }
-    }
-    groups.sort_unstable_by(|(a, _), (b, _)| a.cmp(b));
-    BlockCollection::new(
-        groups
-            .into_iter()
-            .map(|(key, range)| {
-                let members = entries[range].iter().map(|&(_, e)| e).collect();
-                Block::from_sorted(key, members)
-            })
-            .collect(),
-    )
-}
-
-/// [`blocks_from_sorted_grouped_keys`] over interned token keys — the
-/// incremental token index's snapshot path.
-pub fn blocks_from_sorted_symbols(
-    interner: &Interner,
-    entries: Vec<(Symbol, EntityId)>,
-) -> BlockCollection {
-    blocks_from_sorted_grouped_keys(entries, |&s| interner.resolve(s).to_string())
 }
 
 #[cfg(test)]
@@ -458,66 +459,64 @@ mod tests {
         assert_eq!(bc.by_key("a").unwrap().entities(), &[id(0), id(1)]);
     }
 
+    /// Key rows over `keys[e]` per entity `e`, interned in first-encounter
+    /// order — deliberately not the lexicographic one.
+    fn rows(keys: &[&[&str]]) -> KeyRows {
+        let mut interner = er_core::intern::Interner::new();
+        let mut symbols = Vec::new();
+        let mut lens = Vec::new();
+        for row in keys {
+            let mut row: Vec<_> = row.iter().map(|k| interner.intern(k)).collect();
+            row.sort_unstable();
+            row.dedup();
+            lens.push(row.len());
+            symbols.extend(row);
+        }
+        KeyRows::from_rows(interner.into_strings(), &lens, symbols)
+    }
+
+    /// The string-keyed postings of the same rows.
+    fn postings(keys: &[&[&str]]) -> Vec<(String, EntityId)> {
+        let mut out = Vec::new();
+        for (e, row) in keys.iter().enumerate() {
+            out.extend(row.iter().map(|k| (k.to_string(), id(e as u32))));
+        }
+        out
+    }
+
     #[test]
     fn grouped_keys_match_string_keys() {
-        // Same postings through both skeletons; symbols interned in an order
-        // deliberately different from lexicographic.
-        let mut interner = Interner::new();
-        let zeta = interner.intern("zeta");
-        let alpha = interner.intern("alpha");
-        let mid = interner.intern("mid");
-        let entries = vec![
-            (zeta, id(1)),
-            (alpha, id(2)),
-            (zeta, id(0)),
-            (mid, id(3)),
-            (alpha, id(0)),
-            (zeta, id(1)), // duplicate posting collapses
-            (mid, id(1)),
+        let keys: &[&[&str]] = &[
+            &["zeta", "alpha"],
+            &["zeta", "mid", "zeta"], // repeated key collapses
+            &["alpha"],
+            &["mid"],
         ];
-        let compact =
-            blocks_from_grouped_keys(entries.clone(), |&s| interner.resolve(s).to_string());
-        let reference = blocks_from_keys(
-            entries
-                .into_iter()
-                .map(|(s, e)| (interner.resolve(s).to_string(), e)),
-        );
-        assert_eq!(compact, reference);
-        let keys: Vec<&str> = compact.blocks().iter().map(|b| b.key()).collect();
+        let transposed = blocks_from_profiles(&rows(keys), &Obs::disabled());
+        assert_eq!(transposed, blocks_from_keys(postings(keys)));
+        let keys: Vec<&str> = transposed.blocks().iter().map(|b| b.key()).collect();
         assert_eq!(keys, vec!["alpha", "mid", "zeta"], "lexicographic order");
     }
 
     #[test]
     fn grouped_keys_order_by_rendered_string_not_key() {
-        // (cluster, symbol) keys render as "c{cid}:{token}"; "c10:a" sorts
-        // *before* "c2:a" as a string even though 10 > 2 numerically — the
-        // compact path must reproduce the string order.
-        let mut interner = Interner::new();
-        let a = interner.intern("a");
-        let entries: Vec<((usize, Symbol), EntityId)> = vec![
-            ((2, a), id(0)),
-            ((2, a), id(1)),
-            ((10, a), id(2)),
-            ((10, a), id(3)),
-        ];
-        let compact = blocks_from_grouped_keys(entries, |&(cid, s)| {
-            format!("c{cid}:{}", interner.resolve(s))
-        });
-        let keys: Vec<&str> = compact.blocks().iter().map(|b| b.key()).collect();
+        // Attribute clustering keys render as "c{cid}:{token}"; "c10:a"
+        // sorts *before* "c2:a" as a string even though 10 > 2 numerically,
+        // and the transpose reproduces the string order.
+        let keys: &[&[&str]] = &[&["c2:a"], &["c2:a"], &["c10:a"], &["c10:a"]];
+        let transposed = blocks_from_profiles(&rows(keys), &Obs::disabled());
+        let keys: Vec<&str> = transposed.blocks().iter().map(|b| b.key()).collect();
         assert_eq!(keys, vec!["c10:a", "c2:a"]);
     }
 
     #[test]
     fn grouped_keys_drop_singletons_and_empty_input() {
-        let mut interner = Interner::new();
-        let solo = interner.intern("solo");
-        let pairk = interner.intern("pair");
-        let render = |s: &Symbol| interner.resolve(*s).to_string();
-        let bc =
-            blocks_from_grouped_keys(vec![(solo, id(0)), (pairk, id(1)), (pairk, id(2))], render);
+        let keys: &[&[&str]] = &[&["solo"], &["pair"], &["pair"]];
+        let bc = blocks_from_profiles(&rows(keys), &Obs::disabled());
         assert_eq!(bc.len(), 1);
         assert_eq!(bc.by_key("pair").unwrap().entities(), &[id(1), id(2)]);
-        assert!(blocks_from_grouped_keys(Vec::new(), render).is_empty());
+        assert!(blocks_from_profiles(&rows(&[]), &Obs::disabled()).is_empty());
+        assert!(blocks_from_profiles(&rows(&[&[], &[]]), &Obs::disabled()).is_empty());
     }
 
     #[test]

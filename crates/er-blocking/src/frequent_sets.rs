@@ -17,8 +17,10 @@
 //! 2. count co-occurrences of frequent-token pairs per description;
 //! 3. every pair with support ≥ `min_support` becomes a block key.
 
-use crate::block::{blocks_from_keys, BlockCollection};
+use crate::block::{blocks_from_scheme, BlockCollection};
 use er_core::collection::EntityCollection;
+use er_core::entity::Entity;
+use er_core::profiles::KeySink;
 use er_core::tokenize::Tokenizer;
 use std::collections::{BTreeSet, HashMap};
 
@@ -97,17 +99,19 @@ impl FrequentSetBlocking {
             .collect()
     }
 
-    /// Builds the blocking collection: one block per frequent token pair.
+    /// Builds the blocking collection: one block per frequent token pair,
+    /// keyed `{a}+{b}`, of the descriptions with both tokens.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        let pairs = self.frequent_pairs(collection);
-        let keys: BTreeSet<(String, String)> = pairs.into_keys().collect();
-        blocks_from_keys(collection.iter().flat_map(|e| {
-            let ts = e.token_set(&self.tokenizer);
-            keys.iter()
-                .filter(|(a, b)| ts.contains(a) && ts.contains(b))
-                .map(move |(a, b)| (format!("{a}+{b}"), e.id()))
-                .collect::<Vec<_>>()
-        }))
+        let pairs: BTreeSet<(String, String)> =
+            self.frequent_pairs(collection).into_keys().collect();
+        blocks_from_scheme(collection, &|entity: &Entity, sink: &mut KeySink<'_>| {
+            let tokens = entity.token_set(&self.tokenizer);
+            for (a, b) in &pairs {
+                if tokens.contains(a) && tokens.contains(b) {
+                    sink.push(&format!("{a}+{b}"));
+                }
+            }
+        })
     }
 }
 

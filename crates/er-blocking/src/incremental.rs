@@ -21,19 +21,19 @@
 //!   entries unique, and entity ids never repeat across batches — so the
 //!   merged main+pending run is exactly the globally sorted, deduplicated
 //!   entry vector the batch path produces;
-//! * block order is a function of **rendered key strings** only
-//!   ([`blocks_from_sorted_symbols`]), so the interner's first-encounter
-//!   symbol numbering — which *does* depend on arrival order — never reaches
-//!   the output;
-//! * members within a block are sorted by [`EntityId`], which the sorted
-//!   runs maintain for free.
+//! * a snapshot hands the postings, as entity rows, to the batch path's own
+//!   transpose ([`blocks_from_profiles`]), whose rank-ordering renumbers the
+//!   interner's first-encounter symbols — which *do* depend on arrival order
+//!   — before they can reach the output.
 //!
 //! [`TokenBlocking::build`]: crate::token::TokenBlocking::build
 //! [`TokenBlocking::par_build`]: crate::token::TokenBlocking::par_build
 
-use crate::block::{blocks_from_sorted_symbols, BlockCollection};
+use crate::block::{blocks_from_profiles, BlockCollection};
 use er_core::entity::{Entity, EntityId};
 use er_core::intern::{Interner, Symbol};
+use er_core::obs::Obs;
+use er_core::profiles::KeyRows;
 use er_core::tokenize::Tokenizer;
 
 /// Pending postings that trigger a compaction into the main run. Compaction
@@ -177,8 +177,20 @@ impl IncrementalTokenIndex {
     /// The current blocking collection — **bit-identical** to
     /// `TokenBlocking::build` over the entities indexed so far.
     pub fn snapshot_blocks(&self) -> BlockCollection {
-        let merged = merged_runs(&self.main, &self.pending);
-        blocks_from_sorted_symbols(&self.interner, merged)
+        let mut by_entity: Vec<(EntityId, Symbol)> = self
+            .main
+            .iter()
+            .chain(&self.pending)
+            .map(|&(s, e)| (e, s))
+            .collect();
+        by_entity.sort_unstable();
+        let mut lens = vec![0; self.next_entity as usize];
+        for &(e, _) in &by_entity {
+            lens[e.index()] += 1;
+        }
+        let symbols = by_entity.into_iter().map(|(_, s)| s).collect();
+        let rows = KeyRows::from_rows(self.interner.clone().into_strings(), &lens, symbols);
+        blocks_from_profiles(&rows, &Obs::disabled())
     }
 
     /// Member entities of one token block (empty if the symbol has no
@@ -244,24 +256,6 @@ fn merge_sorted_runs(
     if b.is_empty() {
         return a;
     }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
-}
-
-/// Non-consuming [`merge_sorted_runs`] for snapshots.
-fn merged_runs(a: &[(Symbol, EntityId)], b: &[(Symbol, EntityId)]) -> Vec<(Symbol, EntityId)> {
     let mut out = Vec::with_capacity(a.len() + b.len());
     let (mut i, mut j) = (0, 0);
     while i < a.len() && j < b.len() {

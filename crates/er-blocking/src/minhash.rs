@@ -9,9 +9,11 @@
 //! constant-time candidate generation per description. A standard tool for
 //! web-scale blocking where even PPJoin's index is too expensive.
 
-use crate::block::{blocks_from_keys, BlockCollection};
+use crate::block::{blocks_from_scheme, BlockCollection};
 use er_core::collection::EntityCollection;
+use er_core::entity::Entity;
 use er_core::intern::Fnv1a;
+use er_core::profiles::{KeyScheme, KeySink};
 use er_core::tokenize::Tokenizer;
 
 /// MinHash-LSH blocking with `bands` bands of `rows` rows.
@@ -74,23 +76,25 @@ impl MinHashBlocking {
 
     /// Builds the blocking collection: one block key per (band, band-hash).
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        blocks_from_keys(collection.iter().flat_map(|e| {
-            let tokens = e.token_set(&self.tokenizer);
-            if tokens.is_empty() {
-                return Vec::new();
+        blocks_from_scheme(collection, self)
+    }
+}
+
+/// One key per band, `b{band}:{band-hash}`, for descriptions with a token.
+impl KeyScheme for MinHashBlocking {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        let tokens = entity.token_set(&self.tokenizer);
+        if tokens.is_empty() {
+            return;
+        }
+        let sig = self.signature(&tokens);
+        for (b, band) in sig.chunks(self.rows).enumerate() {
+            let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (b as u64);
+            for &v in band {
+                h = mix(h ^ v);
             }
-            let sig = self.signature(&tokens);
-            (0..self.bands)
-                .map(|b| {
-                    let band = &sig[b * self.rows..(b + 1) * self.rows];
-                    let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (b as u64);
-                    for &v in band {
-                        h = mix(h ^ v);
-                    }
-                    (format!("b{b}:{h:016x}"), e.id())
-                })
-                .collect::<Vec<_>>()
-        }))
+            sink.push(&format!("b{b}:{h:016x}"));
+        }
     }
 }
 

@@ -1,33 +1,34 @@
-//! Out-of-core token blocking: the transpose of the token profiles with an
+//! Out-of-core blocking: the transpose of a family's key rows with an
 //! external sort in place of the counting sort.
 //!
 //! The in-memory build
-//! ([`blocks_from_profiles`](crate::token::blocks_from_profiles)) groups the
-//! profiles' postings into blocks in memory. Here every `(symbol, entity)`
-//! posting of the profile rows is handed to an [`ExternalSorter`], which
-//! spills them as sorted [`er_core::colstore`] runs, and the blocks are
-//! grouped from the sorter's merged stream.
+//! ([`blocks_from_profiles`](crate::block::blocks_from_profiles)) groups the
+//! rows' postings into blocks in memory. Here every `(symbol, entity)`
+//! posting of the rows is handed to an [`ExternalSorter`], which spills them
+//! as sorted [`er_core::colstore`] runs, and the blocks are grouped from the
+//! sorter's merged stream. Every block-producing family spills this way: its
+//! key rows are all the build needs.
 //!
 //! **Bit-identity.** The merged stream is sorted by `(symbol, entity)`.
-//! Profile symbols are ranks in the sorted vocabulary, so that is block-key
+//! Row symbols are ranks in the sorted vocabulary, so that is block-key
 //! order, then ascending members — the order the in-memory transpose emits,
 //! and no final re-sort by rendered key is needed. The in-memory build stays
 //! the oracle: `tests/out_of_core_equivalence.rs` pins equality across
 //! seeds × thread counts × run sizes.
 //!
-//! What stays resident is the profiles themselves — the CSR at 4 bytes per
-//! posting plus the vocabulary that renders block keys, both of which the
-//! matching stage reads anyway (see `docs/out_of_core.md`).
+//! What stays resident is the rows themselves — the CSR at 4 bytes per
+//! posting plus the vocabulary that renders block keys; under token
+//! blocking the matching stage reads both anyway (see `docs/out_of_core.md`).
 
-use crate::block::{Block, BlockCollection};
-use crate::token::{record_index_obs, TokenBlocking};
+use crate::block::{record_index_obs, Block, BlockCollection};
+use crate::token::TokenBlocking;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{ExternalSorter, OocConfig, SegmentError};
 use er_core::entity::EntityId;
 use er_core::intern::Symbol;
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
-use er_core::profiles::TokenProfiles;
+use er_core::profiles::KeyRows;
 
 impl TokenBlocking {
     /// Out-of-core [`par_build_obs`](TokenBlocking::par_build_obs):
@@ -39,34 +40,34 @@ impl TokenBlocking {
         obs: &Obs,
         cfg: &OocConfig,
     ) -> Result<BlockCollection, SegmentError> {
-        blocks_from_profiles_ooc(&self.profiles(collection, par), obs, cfg)
+        blocks_from_profiles_ooc(&self.key_rows(collection, par), obs, cfg)
     }
 }
 
-/// [`blocks_from_profiles`](crate::token::blocks_from_profiles) through an
+/// [`blocks_from_profiles`](crate::block::blocks_from_profiles) through an
 /// external sort: bit-identical blocks, with the postings spilled to sorted
 /// run segments under `cfg.segment_dir` (removed before returning) instead
 /// of grouped in memory. Typed errors — budget refusal, watchdog expiry at a
 /// spill or mid-merge, segment corruption — never partial output.
 pub fn blocks_from_profiles_ooc(
-    profiles: &TokenProfiles,
+    rows: &KeyRows,
     obs: &Obs,
     cfg: &OocConfig,
 ) -> Result<BlockCollection, SegmentError> {
     let mut sorter: ExternalSorter<'_, (Symbol, EntityId)> =
         ExternalSorter::new(cfg, "blocking-ooc")?;
-    sorter.push_all(profiles.iter().enumerate().flat_map(|(e, row)| {
+    sorter.push_all(rows.iter().enumerate().flat_map(|(e, row)| {
         let entity = EntityId(e as u32);
         row.iter().map(move |&s| (s, entity))
     }))?;
-    record_index_obs(obs, profiles);
+    record_index_obs(obs, rows);
     // Run-length grouping over the sorted stream: one run per symbol.
     let mut runs: Vec<(Symbol, Vec<EntityId>)> = Vec::new();
     sorter.merge(|(symbol, entity)| match runs.last_mut() {
         Some((s, members)) if *s == symbol => members.push(entity),
         _ => runs.push((symbol, vec![entity])),
     })?;
-    let vocabulary = profiles.vocabulary();
+    let vocabulary = rows.vocabulary();
     let blocks = BlockCollection::new(
         runs.into_iter()
             .filter(|(_, members)| members.len() >= 2)
@@ -113,9 +114,9 @@ mod tests {
         // The pipeline's path: one set of profiles, transposed in memory and
         // through the external sort at every run size.
         let c = synthetic(300);
-        let profiles = TokenBlocking::new().profiles(&c, Parallelism::serial());
+        let profiles = TokenBlocking::new().key_rows(&c, Parallelism::serial());
         let obs = Obs::enabled();
-        let oracle = crate::token::blocks_from_profiles(&profiles, &obs);
+        let oracle = crate::block::blocks_from_profiles(&profiles, &obs);
         let want = obs.snapshot();
         for run_entries in [64, 257, 100_000] {
             let dir = tmp_dir("runsize");

@@ -6,9 +6,10 @@
 //! instead keys on concatenations of large q-gram subsets, trading some of
 //! that recall for far fewer, cleaner blocks.
 
-use crate::block::{blocks_from_keys, BlockCollection};
+use crate::block::{blocks_from_scheme, BlockCollection};
 use er_core::collection::EntityCollection;
 use er_core::entity::Entity;
+use er_core::profiles::{KeyScheme, KeySink};
 use er_core::tokenize::qgrams;
 
 /// Which text a character-level method keys on.
@@ -60,15 +61,16 @@ impl QGramsBlocking {
 
     /// Builds the blocking collection.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        blocks_from_keys(collection.iter().flat_map(|e| {
-            let text = self.source.text(e);
-            let grams: std::collections::BTreeSet<String> =
-                qgrams(&text, self.q).into_iter().collect();
-            grams
-                .into_iter()
-                .map(move |g| (g, e.id()))
-                .collect::<Vec<_>>()
-        }))
+        blocks_from_scheme(collection, self)
+    }
+}
+
+/// Every q-gram of the key text.
+impl KeyScheme for QGramsBlocking {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        for gram in qgrams(&self.source.text(entity), self.q) {
+            sink.push(&gram);
+        }
     }
 }
 
@@ -140,13 +142,16 @@ impl ExtendedQGramsBlocking {
 
     /// Builds the blocking collection.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        blocks_from_keys(collection.iter().flat_map(|e| {
-            let text = self.source.text(e);
-            self.keys(&text)
-                .into_iter()
-                .map(move |g| (g, e.id()))
-                .collect::<Vec<_>>()
-        }))
+        blocks_from_scheme(collection, self)
+    }
+}
+
+/// Every q-gram-subset key of the key text.
+impl KeyScheme for ExtendedQGramsBlocking {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        for key in self.keys(&self.source.text(entity)) {
+            sink.push(&key);
+        }
     }
 }
 

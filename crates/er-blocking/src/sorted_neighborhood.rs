@@ -11,6 +11,7 @@ use crate::block::{Block, BlockCollection};
 use er_core::collection::EntityCollection;
 use er_core::entity::{Entity, EntityId};
 use er_core::pair::Pair;
+use er_core::parallel::{par_map, Parallelism};
 use std::collections::BTreeSet;
 
 /// Sort-key extraction for sorted neighborhood.
@@ -72,17 +73,27 @@ impl SortedNeighborhood {
 
     /// The entity ids sorted by key (ties broken by id for determinism).
     pub fn sorted_ids(&self, collection: &EntityCollection) -> Vec<EntityId> {
-        let mut keyed: Vec<(String, EntityId)> = collection
-            .iter()
-            .map(|e| (self.key.key(e), e.id()))
-            .collect();
+        self.order(collection, Parallelism::serial())
+    }
+
+    /// [`sorted_ids`](SortedNeighborhood::sorted_ids) with the keys computed
+    /// under `par` — the same order at every thread count.
+    fn order(&self, collection: &EntityCollection, par: Parallelism) -> Vec<EntityId> {
+        let entities: Vec<&Entity> = collection.iter().collect();
+        let mut keyed = par_map(par, &entities, |e| (self.key.key(e), e.id()));
         keyed.sort();
         keyed.into_iter().map(|(_, id)| id).collect()
     }
 
     /// The distinct admissible candidate pairs of one pass.
     pub fn candidate_pairs(&self, collection: &EntityCollection) -> Vec<Pair> {
-        let order = self.sorted_ids(collection);
+        self.pairs(collection, Parallelism::serial())
+    }
+
+    /// [`candidate_pairs`](SortedNeighborhood::candidate_pairs), keyed under
+    /// `par`.
+    fn pairs(&self, collection: &EntityCollection, par: Parallelism) -> Vec<Pair> {
+        let order = self.order(collection, par);
         let mut out = BTreeSet::new();
         for i in 0..order.len() {
             for j in (i + 1)..(i + self.window).min(order.len()) {
@@ -112,11 +123,12 @@ impl MultiPassSortedNeighborhood {
         }
     }
 
-    /// Union of all passes' candidate pairs.
-    pub fn candidate_pairs(&self, collection: &EntityCollection) -> Vec<Pair> {
+    /// Union of all passes' candidate pairs, each pass keying the
+    /// descriptions under `par`; identical at every thread count.
+    pub fn candidate_pairs(&self, collection: &EntityCollection, par: Parallelism) -> Vec<Pair> {
         let mut out = BTreeSet::new();
         for p in &self.passes {
-            out.extend(p.candidate_pairs(collection));
+            out.extend(p.pairs(collection, par));
         }
         out.into_iter().collect()
     }
@@ -257,7 +269,7 @@ mod tests {
             ],
             2,
         );
-        let pairs = mp.candidate_pairs(&c);
+        let pairs = mp.candidate_pairs(&c, Parallelism::serial());
         assert!(
             pairs.contains(&Pair::new(EntityId(0), EntityId(2))),
             "close on a"
@@ -266,6 +278,29 @@ mod tests {
             pairs.contains(&Pair::new(EntityId(0), EntityId(1))),
             "close on b"
         );
+    }
+
+    #[test]
+    fn multipass_is_identical_at_every_thread_count() {
+        let values: Vec<String> = (0..300)
+            .map(|i| format!("v{} w{}", i % 37, i % 11))
+            .collect();
+        let c = collection(&values.iter().map(String::as_str).collect::<Vec<_>>());
+        let mp = MultiPassSortedNeighborhood::new(
+            vec![
+                SortKey::FlattenedValue,
+                SortKey::AttributeSortedTokens("n".into()),
+            ],
+            4,
+        );
+        let serial = mp.candidate_pairs(&c, Parallelism::serial());
+        assert!(!serial.is_empty());
+        for threads in [2, 4] {
+            assert_eq!(
+                mp.candidate_pairs(&c, Parallelism::threads(threads)),
+                serial
+            );
+        }
     }
 
     #[test]
@@ -304,7 +339,10 @@ mod tests {
             let sn = SortedNeighborhood::new(SortKey::FlattenedValue, 3);
             assert!(sn.candidate_pairs(&c).is_empty(), "{values:?}");
             let mp = MultiPassSortedNeighborhood::new(keys.clone(), 3);
-            assert!(mp.candidate_pairs(&c).is_empty(), "{values:?}");
+            assert!(
+                mp.candidate_pairs(&c, Parallelism::serial()).is_empty(),
+                "{values:?}"
+            );
         }
     }
 

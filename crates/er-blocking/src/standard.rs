@@ -7,24 +7,25 @@
 //! recall). Included both as a baseline and for experiments on the
 //! schema-heterogeneity regime.
 
-use crate::block::{blocks_from_keys, BlockCollection};
+use crate::block::{blocks_from_scheme, BlockCollection};
 use er_core::collection::EntityCollection;
 use er_core::entity::Entity;
+use er_core::profiles::{KeyScheme, KeySink};
 use er_core::tokenize::normalize;
 
 /// How the blocking key is derived from an entity.
 #[derive(Clone, Debug)]
-pub enum KeyScheme {
+pub enum AttributeKey {
     /// The normalized first value of an attribute (empty string if missing).
     Attribute(String),
     /// First `n` characters of the normalized first value of an attribute —
     /// the common "prefix of surname" style key.
     AttributePrefix(String, usize),
     /// Concatenation of several attribute-derived keys.
-    Composite(Vec<KeyScheme>),
+    Composite(Vec<AttributeKey>),
 }
 
-impl KeyScheme {
+impl AttributeKey {
     /// Computes the key for an entity; `None` when every component is empty
     /// (such descriptions are left unblocked).
     pub fn key(&self, e: &Entity) -> Option<String> {
@@ -38,12 +39,12 @@ impl KeyScheme {
 
     fn raw_key(&self, e: &Entity) -> String {
         match self {
-            KeyScheme::Attribute(a) => e.value_of(a).map(normalize).unwrap_or_default(),
-            KeyScheme::AttributePrefix(a, n) => {
+            AttributeKey::Attribute(a) => e.value_of(a).map(normalize).unwrap_or_default(),
+            AttributeKey::AttributePrefix(a, n) => {
                 let v = e.value_of(a).map(normalize).unwrap_or_default();
                 v.chars().take(*n).collect()
             }
-            KeyScheme::Composite(parts) => {
+            AttributeKey::Composite(parts) => {
                 let joined: Vec<String> = parts.iter().map(|p| p.raw_key(e)).collect();
                 joined.join("|")
             }
@@ -51,32 +52,37 @@ impl KeyScheme {
     }
 }
 
-/// Standard blocking under a [`KeyScheme`].
+/// Standard blocking under an [`AttributeKey`].
 #[derive(Clone, Debug)]
 pub struct StandardBlocking {
-    scheme: KeyScheme,
+    scheme: AttributeKey,
 }
 
 impl StandardBlocking {
     /// Blocks on the normalized value of one attribute.
     pub fn on_attribute(attribute: impl Into<String>) -> Self {
         StandardBlocking {
-            scheme: KeyScheme::Attribute(attribute.into()),
+            scheme: AttributeKey::Attribute(attribute.into()),
         }
     }
 
     /// Blocks with an arbitrary scheme.
-    pub fn new(scheme: KeyScheme) -> Self {
+    pub fn new(scheme: AttributeKey) -> Self {
         StandardBlocking { scheme }
     }
 
     /// Builds the blocking collection: one block per distinct key.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        blocks_from_keys(
-            collection
-                .iter()
-                .filter_map(|e| self.scheme.key(e).map(|k| (k, e.id()))),
-        )
+        blocks_from_scheme(collection, self)
+    }
+}
+
+/// An entity's one key, if it has one.
+impl KeyScheme for StandardBlocking {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        if let Some(key) = self.scheme.key(entity) {
+            sink.push(&key);
+        }
     }
 }
 
@@ -131,7 +137,7 @@ mod tests {
     #[test]
     fn prefix_key_tolerates_suffix_variation() {
         let c = collection();
-        let bc = StandardBlocking::new(KeyScheme::AttributePrefix("name".into(), 5)).build(&c);
+        let bc = StandardBlocking::new(AttributeKey::AttributePrefix("name".into(), 5)).build(&c);
         let b = bc.by_key("turin").expect("prefix block");
         assert_eq!(b.entities(), &[EntityId(0), EntityId(1), EntityId(2)]);
     }
@@ -139,9 +145,9 @@ mod tests {
     #[test]
     fn composite_key_conjunction() {
         let c = collection();
-        let scheme = KeyScheme::Composite(vec![
-            KeyScheme::AttributePrefix("name".into(), 5),
-            KeyScheme::Attribute("y".into()),
+        let scheme = AttributeKey::Composite(vec![
+            AttributeKey::AttributePrefix("name".into(), 5),
+            AttributeKey::Attribute("y".into()),
         ]);
         let bc = StandardBlocking::new(scheme).build(&c);
         let b = bc.by_key("turin|1912").expect("composite block");

@@ -5,9 +5,11 @@
 //! discarded by `max_block_size`, as in the original method from the record-
 //! linkage literature surveyed in \[7\].
 
-use crate::block::{blocks_from_keys, Block, BlockCollection};
+use crate::block::{blocks_from_scheme, BlockCollection};
 use crate::qgrams::KeySource;
 use er_core::collection::EntityCollection;
+use er_core::entity::Entity;
+use er_core::profiles::{KeyScheme, KeySink};
 use er_core::tokenize::suffixes;
 
 /// Suffix-array blocking.
@@ -37,23 +39,23 @@ impl SuffixBlocking {
         self
     }
 
-    /// Builds the blocking collection.
+    /// Builds the blocking collection: the suffix blocks of at most
+    /// `max_block_size` members.
     pub fn build(&self, collection: &EntityCollection) -> BlockCollection {
-        let raw = blocks_from_keys(collection.iter().flat_map(|e| {
-            let text = self.source.text(e);
-            let sfx: std::collections::BTreeSet<String> =
-                suffixes(&text, self.min_len).into_iter().collect();
-            sfx.into_iter()
-                .map(move |s| (s, e.id()))
-                .collect::<Vec<_>>()
-        }));
-        raw.blocks()
-            .iter()
-            .filter(|b| b.len() <= self.max_block_size)
-            .cloned()
-            .collect::<Vec<Block>>()
+        blocks_from_scheme(collection, self)
+            .into_blocks()
             .into_iter()
+            .filter(|b| b.len() <= self.max_block_size)
             .collect()
+    }
+}
+
+/// Every suffix of the key text of at least `min_len` characters.
+impl KeyScheme for SuffixBlocking {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        for suffix in suffixes(&self.source.text(entity), self.min_len) {
+            sink.push(&suffix);
+        }
     }
 }
 

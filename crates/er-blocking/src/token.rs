@@ -7,71 +7,13 @@
 //! superfluous comparisons — which block cleaning and meta-blocking then
 //! remove.
 
-use crate::block::{blocks_from_keys, Block, BlockCollection};
+pub use crate::block::blocks_from_profiles;
+use crate::block::BlockCollection;
 use er_core::collection::EntityCollection;
-use er_core::entity::EntityId;
 use er_core::obs::Obs;
-use er_core::parallel::{par_map, Parallelism};
+use er_core::parallel::Parallelism;
 use er_core::profiles::TokenProfiles;
 use er_core::tokenize::Tokenizer;
-
-/// Records `blocking.tokens_indexed` (token–entity index entries: the
-/// profiles' CSR length) and `blocking.interner_symbols` (their vocabulary).
-pub(crate) fn record_index_obs(obs: &Obs, profiles: &TokenProfiles) {
-    if obs.is_enabled() {
-        obs.counter("blocking.tokens_indexed")
-            .add(profiles.n_symbols() as u64);
-        obs.counter("blocking.interner_symbols")
-            .add(profiles.vocabulary().len() as u64);
-    }
-}
-
-/// Token blocks as the transpose of `profiles`: one block per token that at
-/// least two descriptions share, keyed by the token — a counting sort by
-/// symbol, with the block counters of [`BlockCollection::record_obs`].
-///
-/// This is the string-keyed build
-/// ([`build_reference`](TokenBlocking::build_reference)) bit for bit, with
-/// the profiles' tokenizer: symbols are ranks in the sorted vocabulary, so
-/// symbol order is the lexicographic key order of a `BTreeMap<String, _>`;
-/// entities are visited in id order, so members come out ascending; and a
-/// profile row holds distinct tokens, so nothing needs deduplicating.
-pub fn blocks_from_profiles(profiles: &TokenProfiles, obs: &Obs) -> BlockCollection {
-    const NO_BLOCK: u32 = u32::MAX;
-    record_index_obs(obs, profiles);
-    let vocabulary = profiles.vocabulary();
-    // Every token's block size, then its block's slot: shared tokens get
-    // one in symbol (= key) order, the rest none.
-    let mut slot = vec![0u32; vocabulary.len()];
-    for s in profiles.iter().flatten() {
-        slot[s.index()] += 1;
-    }
-    let mut blocks: Vec<(usize, Vec<EntityId>)> = Vec::new();
-    for (symbol, size) in slot.iter_mut().enumerate() {
-        if *size >= 2 {
-            blocks.push((symbol, Vec::with_capacity(*size as usize)));
-            *size = (blocks.len() - 1) as u32;
-        } else {
-            *size = NO_BLOCK;
-        }
-    }
-    for (e, row) in profiles.iter().enumerate() {
-        for s in row {
-            let b = slot[s.index()];
-            if b != NO_BLOCK {
-                blocks[b as usize].1.push(EntityId(e as u32));
-            }
-        }
-    }
-    let blocks = BlockCollection::new(
-        blocks
-            .into_iter()
-            .map(|(symbol, members)| Block::from_sorted(vocabulary[symbol].clone(), members))
-            .collect(),
-    );
-    blocks.record_obs(obs);
-    blocks
-}
 
 /// Token blocking over all attribute values.
 #[derive(Clone, Debug, Default)]
@@ -91,13 +33,9 @@ impl TokenBlocking {
         self
     }
 
-    /// The collection's token profiles under this method's tokenizer — what
-    /// the in-memory and out-of-core builds transpose.
-    pub(crate) fn profiles(
-        &self,
-        collection: &EntityCollection,
-        par: Parallelism,
-    ) -> TokenProfiles {
+    /// The collection's token profiles under this method's tokenizer — the
+    /// key rows its in-memory, out-of-core and distributed builds transpose.
+    pub fn key_rows(&self, collection: &EntityCollection, par: Parallelism) -> TokenProfiles {
         TokenProfiles::build(collection, &self.tokenizer, par)
     }
 
@@ -128,27 +66,27 @@ impl TokenBlocking {
         par: Parallelism,
         obs: &Obs,
     ) -> BlockCollection {
-        blocks_from_profiles(&self.profiles(collection, par), obs)
+        blocks_from_profiles(&self.key_rows(collection, par), obs)
     }
 
     /// The pre-compact, string-keyed build: per-entity `BTreeSet<String>`
-    /// token sets fed to the `BTreeMap`-backed [`blocks_from_keys`]. Kept as
-    /// the reference for the layout-equivalence property tests; output is
-    /// bit-identical to
-    /// [`par_build`](TokenBlocking::par_build).
+    /// token sets fed to the `BTreeMap`-backed `blocks_from_keys`. Kept as
+    /// the oracle of the layout-equivalence tests; output is bit-identical
+    /// to [`par_build`](TokenBlocking::par_build).
+    #[cfg(any(test, feature = "test-support"))]
     pub fn build_reference(
         &self,
         collection: &EntityCollection,
         par: Parallelism,
     ) -> BlockCollection {
         let entities: Vec<_> = collection.iter().collect();
-        let keys = par_map(par, &entities, |e| {
+        let keys = er_core::parallel::par_map(par, &entities, |e| {
             e.token_set(&self.tokenizer)
                 .into_iter()
                 .map(|t| (t, e.id()))
                 .collect::<Vec<_>>()
         });
-        blocks_from_keys(keys.into_iter().flatten())
+        crate::block::blocks_from_keys(keys.into_iter().flatten())
     }
 }
 

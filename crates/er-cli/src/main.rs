@@ -106,16 +106,18 @@ fn print_usage() {
          \x20        rebuilt out-of-core (sorted on-disk runs under DIR)\n\
          \x20        instead of shedding blocks — bit-identical output, zero\n\
          \x20        recall loss, at a reported slowdown. --ooc forces the\n\
-         \x20        out-of-core blocking and meta-blocking paths\n\
-         \x20        unconditionally (see docs/out_of_core.md).\n\
+         \x20        out-of-core blocking build unconditionally, for every\n\
+         \x20        blocking method but sn, which rejects it (see\n\
+         \x20        docs/out_of_core.md).\n\
          METRICS: --metrics-out FILE enables the observability registry and\n\
          \x20        writes the per-stage metrics snapshot as sorted-key JSON\n\
          \x20        (validate it with the er-metrics-check companion binary).\n\
-         BACKEND: --backend subprocess runs token blocking on --workers N\n\
-         \x20        (default 2) supervised worker processes with real crash\n\
-         \x20        isolation: crashed workers are restarted and their tasks\n\
-         \x20        reassigned, and the resolution is bit-identical to the\n\
-         \x20        default in-process backend (see docs/distributed.md).\n\
+         BACKEND: --backend subprocess runs blocking (every method but sn,\n\
+         \x20        which rejects it) on --workers N (default 2) supervised\n\
+         \x20        worker processes with real crash isolation: crashed\n\
+         \x20        workers are restarted and their tasks reassigned, and\n\
+         \x20        the resolution is bit-identical to the default\n\
+         \x20        in-process backend (see docs/distributed.md).\n\
          STREAM:  --ingest-queue-bytes BYTES replays the collection through\n\
          \x20        the bounded arrival queue (producers feel back-pressure\n\
          \x20        past the budget; a record costing more than the whole\n\
@@ -609,6 +611,20 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     let opts = recovery_options_from(&flags)?;
     let limits = resource_limits_from(&flags)?;
     let backend = backend_from(&flags)?;
+    if flags.get("blocking").map(String::as_str) == Some("sn") {
+        // Sorted neighborhood yields pairs, not blocks: there is no index to
+        // spill or to ship to workers, so refuse the flags rather than
+        // ignore them.
+        if flags.contains_key("ooc") {
+            return Err("--ooc does not apply to --blocking sn (it has no blocks)".to_string());
+        }
+        if backend != Backend::InProcess {
+            return Err(
+                "--backend subprocess does not apply to --blocking sn (it has no blocks)"
+                    .to_string(),
+            );
+        }
+    }
     let ingest_queue_bytes = flags
         .get("ingest-queue-bytes")
         .map(|v| parse_bytes(v))
@@ -721,7 +737,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     if flags.contains_key("ooc") {
         builder = builder.out_of_core(true);
         println!(
-            "out-of-core: blocking and meta-blocking stream through sorted segment runs ({})",
+            "out-of-core: blocking streams through sorted segment runs ({})",
             flags
                 .get("segment-dir")
                 .map(String::as_str)
@@ -1040,6 +1056,29 @@ mod tests {
         ]))
         .unwrap_err();
         assert!(err.contains("bad --workers"), "{err}");
+    }
+
+    #[test]
+    fn sorted_neighborhood_rejects_the_block_index_flags() {
+        // Every block-producing method honours --ooc and the subprocess
+        // backend; sorted neighborhood has no blocks, so it refuses both
+        // before reading the collection.
+        let sn = ["--collection", "x.txt", "--blocking", "sn"];
+        let err = cmd_resolve(&s(&[&sn[..], &["--ooc"]].concat())).unwrap_err();
+        assert!(
+            err.contains("--ooc does not apply to --blocking sn"),
+            "{err}"
+        );
+        let subprocess = ["--backend", "subprocess"];
+        let err = cmd_resolve(&s(&[&sn[..], &subprocess].concat())).unwrap_err();
+        assert!(
+            err.contains("--backend subprocess does not apply to --blocking sn"),
+            "{err}"
+        );
+        // The in-process default is no refusal: the run gets as far as the
+        // missing collection.
+        let err = cmd_resolve(&s(&sn)).unwrap_err();
+        assert!(err.contains("x.txt"), "{err}");
     }
 
     #[test]

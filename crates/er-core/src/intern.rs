@@ -12,11 +12,10 @@
 //!
 //! Determinism note: symbol ids depend on first-encounter order, so two
 //! interners built from different traversals number the same token set
-//! differently. The kernels therefore never let ids leak into output: blocks
-//! are emitted in *resolved-string* order (see
-//! `er_blocking::block::blocks_from_grouped_keys`), and token profiles
-//! renumber every symbol to its token's rank (see [`crate::profiles`]) — both
-//! pure functions of the token set, bit-identical to the string-keyed
+//! differently. The kernels therefore never let ids leak into output: key
+//! rows renumber every symbol to its key's rank (see [`crate::profiles`]),
+//! so the blocks transposed from them come out in *resolved-string* order —
+//! a pure function of the key set, bit-identical to the string-keyed
 //! reference paths.
 
 use std::collections::HashMap;

@@ -14,9 +14,11 @@
 //!   meta-blocking ([`intern`]);
 //! * a library of **similarity functions** over strings and token sets
 //!   ([`similarity`]);
-//! * **token profiles** — every description tokenized once into sorted,
-//!   rank-ordered symbols in one CSR, the layout the token-set matchers
-//!   decide from ([`profiles`]);
+//! * **key rows** — every description's blocking keys under a key scheme,
+//!   computed once into sorted, rank-ordered symbols in one CSR: the layout
+//!   every block-producing family transposes and, under the tokenizer
+//!   scheme, the token profiles the token-set matchers decide from
+//!   ([`profiles`]);
 //! * **matching** abstractions — threshold matchers, rule matchers and a
 //!   ground-truth oracle — with comparison accounting ([`matching`]);
 //! * **merging** of matched descriptions satisfying the ICAR properties

@@ -1,29 +1,26 @@
-//! Rank-ordered interned token profiles — the compact layout under the
-//! matching kernel.
+//! Key rows: every description's blocking keys as rank-ordered interned
+//! symbols in one CSR — the layout every block-producing family transposes
+//! and the token-set matchers decide from.
 //!
-//! A token-set matcher needs, per candidate pair, the two descriptions'
-//! token sets. Tokenizing both into fresh `BTreeSet<String>`s per pair makes
-//! the cost of a comparison the cost of two tokenizations; [`TokenProfiles`]
-//! tokenizes every description **once** and stores the sets as sorted `u32`
-//! slices in one CSR, so a comparison is a linear merge of two integer
-//! slices ([`shared`]).
+//! Signature-based blocking (the survey of arXiv 1905.06167) has one shape:
+//! a [`KeyScheme`] emits each description's keys, and a block is one key's
+//! posting list. [`KeyRows::build`] runs a scheme over a collection **once**
+//! and stores each description's distinct keys as a sorted `u32` slice; the
+//! blocks are then the rows' transpose (`er_blocking::block::blocks_from_profiles`),
+//! whatever the family. Under the tokenizer scheme the rows are the run's
+//! [`TokenProfiles`], so a token-set comparison is a linear merge of two
+//! integer slices ([`shared`]).
 //!
 //! Symbols are **rank-ordered**: after interning, the vocabulary is sorted
-//! and every symbol renumbered to its token's lexicographic rank. Symbol
-//! order then *is* token order, which buys two things. The profiles are a
-//! pure function of the collection and the tokenizer — identical at every
-//! thread count, although the interner underneath numbers tokens by first
-//! encounter. And a merge-walk over two profiles visits the shared tokens in
-//! the order a `BTreeSet<String>` iterates them, so a float sum over shared
-//! tokens (TF-IDF) adds its terms in the same order as the string-set
-//! reference and rounds to the same bits. See `docs/data_layout.md`.
-//!
-//! The profiles are also the pipeline's one tokenization of a run: token
-//! blocking is their transpose (`er_blocking::token::blocks_from_profiles`)
-//! and the matcher decides on them, so blocking and matching read one
-//! inverted index. The module owns the one per-entity "tokenize → sort →
-//! dedup" step of the workspace, [`EntityTokens::sorted_keys_into`];
-//! attribute-clustering blocking's `(cluster, token)` keys use it too.
+//! and every symbol renumbered to its key's lexicographic rank. Symbol order
+//! then *is* key order, which buys two things. The rows are a pure function
+//! of the collection and the scheme — identical at every thread count,
+//! although the interner underneath numbers keys by first encounter. And the
+//! transpose emits blocks in the order a `BTreeMap<String, _>` iterates its
+//! keys, while a merge-walk over two token profiles visits the shared tokens
+//! in the order a `BTreeSet<String>` does, so a float sum over shared tokens
+//! (TF-IDF) adds its terms in the same order as the string-set reference and
+//! rounds to the same bits. See `docs/data_layout.md`.
 
 use crate::collection::EntityCollection;
 use crate::entity::{Entity, EntityId};
@@ -31,60 +28,118 @@ use crate::intern::{Interner, Symbol};
 use crate::parallel::{par_map_chunks, Parallelism};
 use crate::tokenize::Tokenizer;
 
-/// Entities tokenized per chunk by the parallel interned builds
-/// ([`TokenProfiles::build`], `er_blocking`'s attribute clustering). Fixed —
-/// never a function of the thread count — so chunk boundaries, and with them
-/// the per-chunk interners absorbed left-to-right, are the same at every
+/// Entities keyed per chunk by a parallel [`KeyRows::build`]. Fixed — never
+/// a function of the thread count — so chunk boundaries, and with them the
+/// per-chunk interners absorbed left-to-right, are the same at every
 /// parallelism level.
 pub const CHUNK_ENTITIES: usize = 64;
 
-/// Tokenizes entities into interned keys: a tokenizer, the interner its
-/// symbols go to, and the buffers reused from one entity to the next (no
-/// per-token or per-value allocation).
-pub struct EntityTokens<'a> {
-    tokenizer: &'a Tokenizer,
-    interner: &'a mut Interner,
-    normalized: String,
-    symbols: Vec<Symbol>,
+/// How a blocking family derives a description's keys. Two descriptions
+/// share a block iff they share a key; keys may repeat and come in any
+/// order — each row is sorted and deduplicated after the scheme has run.
+///
+/// ```
+/// use er_core::collection::{EntityCollection, ResolutionMode};
+/// use er_core::entity::{Entity, EntityBuilder, EntityId, KbId};
+/// use er_core::parallel::Parallelism;
+/// use er_core::profiles::{KeyRows, KeySink};
+///
+/// // Keys a description on the first three characters of its name.
+/// let name_prefix = |entity: &Entity, sink: &mut KeySink<'_>| {
+///     if let Some(name) = entity.value_of("name") {
+///         sink.push(&name.chars().take(3).collect::<String>());
+///     }
+/// };
+///
+/// let mut c = EntityCollection::new(ResolutionMode::Dirty);
+/// for name in ["Turing", "Hopper", "Turin"] {
+///     c.push_entity(KbId(0), EntityBuilder::new().attr("name", name));
+/// }
+/// let rows = KeyRows::build(&c, &name_prefix, Parallelism::serial());
+/// assert_eq!(rows.vocabulary(), ["Hop", "Tur"]);
+/// assert_eq!(rows.symbols(EntityId(0)), rows.symbols(EntityId(2)));
+/// ```
+pub trait KeyScheme: Sync {
+    /// Emits `entity`'s keys into `sink`.
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>);
 }
 
-impl<'a> EntityTokens<'a> {
-    /// Tokenizes with `tokenizer`, interning into `interner`.
-    pub fn new(tokenizer: &'a Tokenizer, interner: &'a mut Interner) -> Self {
-        EntityTokens {
-            tokenizer,
+/// A closure is a scheme: the families whose keys depend on what they
+/// learned from the collection (attribute clusters, frequent token pairs)
+/// capture it.
+impl<F: Fn(&Entity, &mut KeySink<'_>) + Sync> KeyScheme for F {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        self(entity, sink);
+    }
+}
+
+/// Token blocking's scheme: every kept token of every attribute value.
+impl KeyScheme for Tokenizer {
+    fn keys_into(&self, entity: &Entity, sink: &mut KeySink<'_>) {
+        for (_, value) in entity.attributes() {
+            sink.push_tokens(self, "", value);
+        }
+    }
+}
+
+/// Where a [`KeyScheme`] emits keys: interns each one, reusing its buffers
+/// from one description to the next (no per-key allocation beyond a key's
+/// first sight).
+pub struct KeySink<'a> {
+    interner: &'a mut Interner,
+    keys: Vec<Symbol>,
+    normalized: String,
+    key: String,
+}
+
+impl<'a> KeySink<'a> {
+    /// A sink interning into `interner`.
+    pub fn new(interner: &'a mut Interner) -> Self {
+        KeySink {
             interner,
+            keys: Vec::new(),
             normalized: String::new(),
-            symbols: Vec::new(),
+            key: String::new(),
         }
     }
 
-    /// Replaces `keys` with the entity's sorted distinct keys: every token
-    /// of every attribute value, interned, turned into a key by
-    /// `key(tag(attribute), symbol)` — `tag` runs once per attribute, `key`
-    /// once per token. With the identity key this is the interned form of
-    /// [`Entity::token_set`].
-    pub fn sorted_keys_into<T: Copy, K: Ord>(
+    /// Replaces `row` with `entity`'s distinct keys under `scheme`, sorted
+    /// by symbol.
+    pub fn row_into<S: KeyScheme + ?Sized>(
         &mut self,
+        scheme: &S,
         entity: &Entity,
-        tag: impl Fn(&str) -> T,
-        key: impl Fn(T, Symbol) -> K,
-        keys: &mut Vec<K>,
+        row: &mut Vec<Symbol>,
     ) {
-        keys.clear();
-        for (attribute, value) in entity.attributes() {
-            let tag = tag(attribute);
-            self.symbols.clear();
-            self.tokenizer.symbols_into(
-                value,
-                self.interner,
-                &mut self.normalized,
-                &mut self.symbols,
-            );
-            keys.extend(self.symbols.iter().map(|&s| key(tag, s)));
-        }
-        keys.sort_unstable();
-        keys.dedup();
+        std::mem::swap(&mut self.keys, row);
+        self.keys.clear();
+        scheme.keys_into(entity, self);
+        self.keys.sort_unstable();
+        self.keys.dedup();
+        std::mem::swap(&mut self.keys, row);
+    }
+
+    /// Emits one key.
+    pub fn push(&mut self, key: &str) {
+        let symbol = self.interner.intern(key);
+        self.keys.push(symbol);
+    }
+
+    /// Emits every token `tokenizer` keeps in `value` as the key
+    /// `tag + token` (the bare token when `tag` is empty).
+    pub fn push_tokens(&mut self, tokenizer: &Tokenizer, tag: &str, value: &str) {
+        let (interner, keys, key) = (&mut *self.interner, &mut self.keys, &mut self.key);
+        tokenizer.for_each_token(value, &mut self.normalized, |token| {
+            let symbol = if tag.is_empty() {
+                interner.intern(token)
+            } else {
+                key.clear();
+                key.push_str(tag);
+                key.push_str(token);
+                interner.intern(key)
+            };
+            keys.push(symbol);
+        });
     }
 }
 
@@ -108,27 +163,35 @@ pub fn shared<'a>(a: &'a [Symbol], b: &'a [Symbol]) -> impl Iterator<Item = Symb
     })
 }
 
-/// Every entity's distinct tokens as rank-ordered symbols, in one CSR.
+/// Every entity's distinct keys as rank-ordered symbols, in one CSR.
 ///
-/// `symbols[offsets[e] .. offsets[e + 1]]` are the tokens of entity `e`,
-/// ascending; `vocabulary[s]` is the token of symbol `s`, and the vocabulary
-/// is sorted, so comparing symbols compares tokens.
+/// `symbols[offsets[e] .. offsets[e + 1]]` are the keys of entity `e`,
+/// ascending; `vocabulary[s]` is the key of symbol `s`, and the vocabulary
+/// is sorted, so comparing symbols compares keys.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct TokenProfiles {
+pub struct KeyRows {
     offsets: Vec<u32>,
     symbols: Vec<Symbol>,
     vocabulary: Vec<String>,
 }
 
-impl TokenProfiles {
-    /// Tokenizes every entity of `collection` once.
+/// The key rows of the tokenizer scheme: every entity's distinct tokens.
+/// Token blocking transposes them; the token-set matchers decide on them.
+pub type TokenProfiles = KeyRows;
+
+impl KeyRows {
+    /// Runs `scheme` over every entity of `collection` once.
     ///
     /// Serial runs intern into one interner; parallel runs intern fixed
     /// [`CHUNK_ENTITIES`] chunks separately and absorb them left-to-right.
-    /// The two number tokens differently, and the rank-ordering that follows
+    /// The two number keys differently, and the rank-ordering that follows
     /// erases the difference: the result depends on `collection` and
-    /// `tokenizer` only.
-    pub fn build(collection: &EntityCollection, tokenizer: &Tokenizer, par: Parallelism) -> Self {
+    /// `scheme` only.
+    pub fn build<S: KeyScheme + ?Sized>(
+        collection: &EntityCollection,
+        scheme: &S,
+        par: Parallelism,
+    ) -> Self {
         let entities: Vec<&Entity> = collection.iter().collect();
         let chunk = if par.is_serial() {
             entities.len().max(1)
@@ -137,12 +200,12 @@ impl TokenProfiles {
         };
         let mut chunks = par_map_chunks(par, &entities, chunk, |slice| {
             let mut interner = Interner::new();
-            let mut tokens = EntityTokens::new(tokenizer, &mut interner);
+            let mut sink = KeySink::new(&mut interner);
             let mut row = Vec::new();
             let mut lens = Vec::with_capacity(slice.len());
             let mut symbols = Vec::new();
             for e in slice {
-                tokens.sorted_keys_into(e, |_| (), |(), s| s, &mut row);
+                sink.row_into(scheme, e, &mut row);
                 lens.push(row.len());
                 symbols.extend_from_slice(&row);
             }
@@ -158,29 +221,39 @@ impl TokenProfiles {
             symbols.extend(local_symbols.into_iter().map(|s| remap[s.index()]));
             lens.extend(local_lens);
         }
+        Self::from_rows(interner.into_strings(), &lens, symbols)
+    }
+
+    /// Key rows from rows of first-encounter symbols: `lens[e]` symbols of
+    /// `symbols` per entity, each row's symbols distinct, and
+    /// `vocabulary[s]` the key of symbol `s`. Rank-orders the vocabulary and
+    /// re-sorts every row.
+    ///
+    /// # Panics
+    /// Panics if the rows hold more than `u32::MAX` symbols.
+    pub fn from_rows(vocabulary: Vec<String>, lens: &[usize], mut symbols: Vec<Symbol>) -> Self {
         assert!(
             u32::try_from(symbols.len()).is_ok(),
-            "token profiles overflow: > u32::MAX symbols"
+            "key rows overflow: > u32::MAX symbols"
         );
         let mut offsets = Vec::with_capacity(lens.len() + 1);
         let mut end = 0u32;
         offsets.push(end);
-        for len in lens {
+        for &len in lens {
             end += len as u32;
             offsets.push(end);
         }
 
-        // Rank-order: renumber each symbol to its token's position in the
+        // Rank-order: renumber each symbol to its key's position in the
         // sorted vocabulary, then restore the per-entity sort.
-        let mut by_token: Vec<(String, usize)> = interner
-            .into_strings()
+        let mut by_key: Vec<(String, usize)> = vocabulary
             .into_iter()
             .enumerate()
-            .map(|(id, token)| (token, id))
+            .map(|(id, key)| (key, id))
             .collect();
-        by_token.sort_unstable();
-        let mut rank = vec![Symbol(0); by_token.len()];
-        for (r, (_, id)) in by_token.iter().enumerate() {
+        by_key.sort_unstable();
+        let mut rank = vec![Symbol(0); by_key.len()];
+        for (r, (_, id)) in by_key.iter().enumerate() {
             rank[*id] = Symbol(r as u32);
         }
         for s in &mut symbols {
@@ -189,47 +262,46 @@ impl TokenProfiles {
         for row in offsets.windows(2) {
             symbols[row[0] as usize..row[1] as usize].sort_unstable();
         }
-        TokenProfiles {
+        KeyRows {
             offsets,
             symbols,
-            vocabulary: by_token.into_iter().map(|(token, _)| token).collect(),
+            vocabulary: by_key.into_iter().map(|(key, _)| key).collect(),
         }
     }
 
-    /// Number of entities profiled.
+    /// Number of entities keyed.
     pub fn len(&self) -> usize {
         self.offsets.len() - 1
     }
 
-    /// Whether no entity was profiled.
+    /// Whether no entity was keyed.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }
 
-    /// The entity's distinct tokens as symbols, ascending (= in token
-    /// order).
+    /// The entity's distinct keys as symbols, ascending (= in key order).
     ///
     /// # Panics
-    /// Panics if `entity` is not an entity of the profiled collection.
+    /// Panics if `entity` is not an entity of the keyed collection.
     pub fn symbols(&self, entity: EntityId) -> &[Symbol] {
         let e = entity.index();
         &self.symbols[self.offsets[e] as usize..self.offsets[e + 1] as usize]
     }
 
-    /// Every entity's profile, in entity order.
+    /// Every entity's row, in entity order.
     pub fn iter(&self) -> impl Iterator<Item = &[Symbol]> + '_ {
         self.offsets
             .windows(2)
             .map(|row| &self.symbols[row[0] as usize..row[1] as usize])
     }
 
-    /// Length of the CSR: the sum of all profile sizes.
+    /// Length of the CSR: the sum of all row sizes.
     pub fn n_symbols(&self) -> usize {
         self.symbols.len()
     }
 
-    /// The distinct tokens of the collection, sorted; `vocabulary()[s]` is
-    /// the token of symbol `s`.
+    /// The distinct keys of the collection, sorted; `vocabulary()[s]` is the
+    /// key of symbol `s`.
     pub fn vocabulary(&self) -> &[String] {
         &self.vocabulary
     }
@@ -252,7 +324,7 @@ mod tests {
         c
     }
 
-    fn resolved(p: &TokenProfiles, e: EntityId) -> Vec<&str> {
+    fn resolved(p: &KeyRows, e: EntityId) -> Vec<&str> {
         p.symbols(e)
             .iter()
             .map(|s| p.vocabulary()[s.index()].as_str())
@@ -282,6 +354,41 @@ mod tests {
                 assert_eq!(chunked, serial, "{n} threads");
             }
         }
+    }
+
+    /// Keys tagged by attribute, `"{attribute}:"` + token, and two plain
+    /// keys: a closure scheme through both sink entry points.
+    fn tagged(entity: &Entity, sink: &mut KeySink<'_>) {
+        for (attribute, value) in entity.attributes() {
+            sink.push_tokens(&Tokenizer::default(), &format!("{attribute}:"), value);
+        }
+        sink.push(&format!("n{}", entity.attributes().len()));
+        sink.push("all");
+    }
+
+    #[test]
+    fn any_scheme_builds_rank_ordered_rows_at_every_thread_count() {
+        let c = collection(150);
+        let serial = KeyRows::build(&c, &tagged, Parallelism::serial());
+        assert!(serial.vocabulary().windows(2).all(|w| w[0] < w[1]));
+        let first = c.iter().next().unwrap();
+        assert_eq!(
+            resolved(&serial, first.id()),
+            vec!["all", "n2", "p:delta", "p:x0", "q:delta"],
+            "stop words dropped, repeated keys deduplicated"
+        );
+        assert_eq!(KeyRows::build(&c, &tagged, Parallelism::threads(3)), serial);
+    }
+
+    #[test]
+    fn from_rows_rank_orders_any_first_encounter_numbering() {
+        let vocabulary = ["zeta", "alpha", "mid"].map(String::from).to_vec();
+        let s = |ids: &[u32]| ids.iter().map(|&i| Symbol(i)).collect::<Vec<_>>();
+        let rows = KeyRows::from_rows(vocabulary, &[2, 0, 3], s(&[0, 1, 2, 0, 1]));
+        assert_eq!(rows.vocabulary(), ["alpha", "mid", "zeta"]);
+        assert_eq!(rows.symbols(EntityId(0)), s(&[0, 2]).as_slice());
+        assert!(rows.symbols(EntityId(1)).is_empty());
+        assert_eq!(rows.symbols(EntityId(2)), s(&[0, 1, 2]).as_slice());
     }
 
     #[test]

@@ -147,10 +147,17 @@ impl Tokenizer {
         scratch: &mut String,
         out: &mut Vec<Symbol>,
     ) {
+        self.for_each_token(value, scratch, |t| out.push(interner.intern(t)));
+    }
+
+    /// Calls `f` with every token [`tokens`](Tokenizer::tokens) keeps in
+    /// `value`, in order, borrowed from `scratch` (the reusable
+    /// normalization buffer) — nothing is allocated per token.
+    pub fn for_each_token(&self, value: &str, scratch: &mut String, mut f: impl FnMut(&str)) {
         normalize_into(value, scratch);
         for t in scratch.split_whitespace() {
             if self.keeps(t) {
-                out.push(interner.intern(t));
+                f(t);
             }
         }
     }

@@ -27,7 +27,7 @@ use er_core::collection::EntityCollection;
 use er_core::entity::{Entity, EntityId};
 use er_core::intern::{Interner, Symbol};
 use er_core::merge::{Profile, ProfileMatcher};
-use er_core::profiles::EntityTokens;
+use er_core::profiles::KeySink;
 use er_core::resource::{ResourceError, Watchdog};
 use er_core::tokenize::Tokenizer;
 use std::cmp::Ordering;
@@ -111,12 +111,7 @@ impl<M: ProfileMatcher> IncrementalResolver<M> {
         self.stats.inserted += 1;
         let mut record = Profile::from_entity(entity);
         let mut row = Vec::new();
-        EntityTokens::new(&self.tokenizer, &mut self.interner).sorted_keys_into(
-            entity,
-            |_| (),
-            |(), symbol| symbol,
-            &mut row,
-        );
+        KeySink::new(&mut self.interner).row_into(&self.tokenizer, entity, &mut row);
         self.postings.resize_with(self.interner.len(), Vec::new);
         // Compare against the candidates, likeliest first; a match is merged
         // into the record, and the merged record probes again.

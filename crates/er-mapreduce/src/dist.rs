@@ -101,13 +101,14 @@ impl DistJob for WordCountJob {
     }
 }
 
-/// Dedoop-style token blocking over pre-tokenized entities.
+/// Dedoop-style blocking over pre-keyed entities — token blocking when the
+/// keys are tokens, and any other key-based family when they are its keys.
 ///
-/// Input record: `entity_id \t token \t token …` (the entity's distinct
-/// tokens). Emits one `(token, entity_id)` posting per token; the reducer
-/// keeps groups of ≥ 2 entities (singleton blocks produce no comparisons)
-/// and outputs the entity ids joined by spaces, in arrival order — which is
-/// ascending entity order when the driver feeds entities in id order.
+/// Input record: `entity_id \t key \t key …` (the entity's distinct keys).
+/// Emits one `(key, entity_id)` posting per key; the reducer keeps groups of
+/// ≥ 2 entities (singleton blocks produce no comparisons) and outputs the
+/// entity ids joined by spaces, in arrival order — which is ascending entity
+/// order when the driver feeds entities in id order.
 pub struct TokenBlockingJob;
 
 impl DistJob for TokenBlockingJob {

@@ -9,11 +9,12 @@
 //! processes. "Cluster nodes" become worker threads or processes. The crate
 //! depends on `er-core` alone.
 //!
-//! The stages themselves are not re-implemented here: Dedoop-style token
-//! blocking is the `token-blocking` [`DistJob`] that `Pipeline`'s subprocess
-//! backend runs, in-process parallel token blocking is
-//! `er_blocking::TokenBlocking::par_build`, and parallel meta-blocking is the
-//! entity-based node scan of `er_metablocking::scan` (`par_meta_block`).
+//! The stages themselves are not re-implemented here: Dedoop-style blocking
+//! is the `token-blocking` [`DistJob`] that `Pipeline`'s subprocess backend
+//! runs over any blocking family's key rows, in-process parallel token
+//! blocking is `er_blocking::TokenBlocking::par_build`, and parallel
+//! meta-blocking is the entity-based node scan of `er_metablocking::scan`
+//! (`par_meta_block`).
 //!
 //! * [`engine`] — the in-process task scheduler (`execute_tasks`) under
 //!   [`InProcessTransport`] and the typed [`ExecError`]

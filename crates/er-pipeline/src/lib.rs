@@ -40,14 +40,13 @@ pub use recovery::{PipelineError, RecoveryEvent, RecoveryOptions, RecoveryOutcom
 pub use streaming::{StreamingConfig, StreamingSession};
 
 use er_blocking::attribute_clustering::AttributeClusteringBlocking;
-use er_blocking::block::{Block, BlockCollection};
+use er_blocking::block::{blocks_from_profiles, Block, BlockCollection};
 use er_blocking::cleaning;
 use er_blocking::minhash::MinHashBlocking;
 use er_blocking::ooc::blocks_from_profiles_ooc;
 use er_blocking::qgrams::QGramsBlocking;
 use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::standard::StandardBlocking;
-use er_blocking::token::blocks_from_profiles;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{collection_fingerprint, OocConfig, StoreMetrics};
 use er_core::entity::EntityId;
@@ -57,7 +56,7 @@ use er_core::metrics::{BlockingQuality, MatchQuality};
 use er_core::obs::{Event, MetricsSnapshot, Obs};
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
-use er_core::profiles::TokenProfiles;
+use er_core::profiles::{KeyRows, TokenProfiles};
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
 use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
@@ -101,10 +100,13 @@ pub enum Backend {
     #[default]
     InProcess,
     /// On supervised OS worker processes speaking the framed protocol of
-    /// [`er_mapreduce::proto`], with real crash isolation: token blocking
-    /// runs as the distributed `token-blocking` MapReduce job and the output
-    /// is bit-identical to [`Backend::InProcess`]; blocking stages without a
-    /// distributed decomposition fall back to the in-process kernels.
+    /// [`er_mapreduce::proto`], with real crash isolation: every
+    /// block-producing stage ships its key rows to the distributed
+    /// `token-blocking` MapReduce job (a key-blocking job: it groups
+    /// whatever keys a record carries) and the output is bit-identical to
+    /// [`Backend::InProcess`]. The pair-producing
+    /// [`BlockingStage::SortedNeighborhood`] has no blocks and runs in
+    /// process (`er resolve` rejects the combination).
     Subprocess {
         /// Worker process count.
         workers: usize,
@@ -472,11 +474,19 @@ impl Pipeline {
     }
 
     /// Builds and cleans the blocking collection for a block-producing
-    /// stage, running the hot blocking kernels under the configured
-    /// parallelism, then charges the cleaned index against the memory budget
-    /// (shedding oversized blocks largest-first on a breach — a disabled
-    /// budget admits everything untouched). Token blocking, on every backend,
-    /// reads the run's `profiles`.
+    /// stage, then admits it under the memory budget. Every family is the
+    /// transpose of its key rows — token blocking's are the run's
+    /// `profiles`, the others' are keyed here under the configured
+    /// parallelism — so every family builds the same three ways: in memory,
+    /// out of core, or as the distributed key-blocking job on the
+    /// subprocess backend.
+    ///
+    /// An in-memory index is charged against the budget (shedding oversized
+    /// blocks largest-first on a breach — a disabled budget admits
+    /// everything untouched), unless a segment dir is set and the charge
+    /// would breach: then it is rebuilt out of core instead. An out-of-core
+    /// build already ran under the budget's pager governance and is
+    /// admitted whole.
     pub(crate) fn build_blocks(
         &self,
         collection: &EntityCollection,
@@ -484,65 +494,71 @@ impl Pipeline {
         budget: &MemoryBudget,
         profiles: &RunProfiles,
     ) -> er_blocking::governance::GovernedBlocks {
-        let blocks = match stage {
-            BlockingStage::Token => match self.backend {
-                // Forced out-of-core: postings stream through sorted on-disk
-                // runs; the build's working set is governed by the budget
-                // (run buffer + resident merge pages), so the in-memory
-                // admission charge below is skipped.
-                Backend::InProcess if self.out_of_core => {
-                    self.ooc_token_blocks(collection, profiles.get(), "blocking", &self.obs, budget)
-                }
-                Backend::InProcess => blocks_from_profiles(profiles.get(), &self.obs),
-                Backend::Subprocess { workers } => {
-                    let mut transport = SubprocessTransport::new(self.subprocess_config(workers));
-                    self.dist_token_blocks(profiles.get(), &mut transport, workers)
-                }
-            },
+        let family_rows;
+        let rows = match stage {
+            BlockingStage::Token => profiles.get(),
             other => {
-                let b = match other {
-                    BlockingStage::AttributeClustering => {
-                        AttributeClusteringBlocking::new().par_build(collection, self.parallelism)
-                    }
-                    BlockingStage::StandardKey(attr) => {
-                        StandardBlocking::on_attribute(attr.clone()).build(collection)
-                    }
-                    BlockingStage::QGrams(q) => QGramsBlocking::new(*q).build(collection),
-                    BlockingStage::MinHash(bands, rows) => {
-                        MinHashBlocking::new(*bands, *rows).build(collection)
-                    }
-                    BlockingStage::Token | BlockingStage::SortedNeighborhood(..) => {
-                        unreachable!("token handled above, pair-producing stage by the walk")
-                    }
-                };
-                b.record_obs(&self.obs);
-                b
+                family_rows = self.key_rows(collection, other);
+                &family_rows
             }
         };
-        let cleaned = self.clean_blocks(blocks, collection, &self.obs);
-        if self.out_of_core && self.ooc_blocking_applies(stage) {
-            // The out-of-core build already ran under the budget's pager
-            // governance — the cleaned index is admitted whole, zero shed.
-            return admitted_uncharged(cleaned);
-        }
-        if budget.is_enabled() && self.segment_dir.is_some() && self.ooc_blocking_applies(stage) {
-            // Spill-to-segment rescue: probe the admission charge first, and
-            // when it would breach, rebuild out-of-core instead of letting
-            // `charge_or_shed` drop blocks — bounded memory *and* zero
-            // recall loss, at a reported slowdown.
-            let total: u64 = cleaned
-                .blocks()
-                .iter()
-                .map(er_blocking::governance::block_bytes)
-                .sum();
-            if budget.try_reserve("blocking", total).is_ok() {
-                budget.release(total);
-            } else {
-                drop(cleaned); // free the trial index before the rebuild
-                return self.spill_rescue(collection, profiles.get(), total, budget);
+        let clean = |blocks| self.clean_blocks(blocks, collection, &self.obs);
+        let cleaned = match self.backend {
+            Backend::Subprocess { workers } => {
+                let mut transport = SubprocessTransport::new(self.subprocess_config(workers));
+                clean(self.dist_blocks(rows, &mut transport, workers))
+            }
+            Backend::InProcess if self.out_of_core => {
+                let blocks = self.ooc_blocks(collection, rows, "blocking", &self.obs, budget);
+                return admitted_uncharged(clean(blocks));
+            }
+            Backend::InProcess => {
+                let cleaned = clean(blocks_from_profiles(rows, &self.obs));
+                if budget.is_enabled() && self.segment_dir.is_some() {
+                    // Spill-to-segment rescue: probe the admission charge
+                    // first, and when it would breach, rebuild out-of-core
+                    // instead of letting `charge_or_shed` drop blocks —
+                    // bounded memory *and* zero recall loss, at a reported
+                    // slowdown.
+                    let total: u64 = cleaned
+                        .blocks()
+                        .iter()
+                        .map(er_blocking::governance::block_bytes)
+                        .sum();
+                    if budget.try_reserve("blocking", total).is_err() {
+                        drop(cleaned); // free the trial index before the rebuild
+                        return self.spill_rescue(collection, rows, total, budget);
+                    }
+                    budget.release(total);
+                }
+                cleaned
+            }
+        };
+        er_blocking::governance::charge_or_shed(cleaned, collection, budget, &self.obs)
+    }
+
+    /// The key rows of a block-producing family other than token blocking,
+    /// keyed under the configured parallelism (token blocking's rows are the
+    /// run's profiles).
+    fn key_rows(&self, collection: &EntityCollection, stage: &BlockingStage) -> KeyRows {
+        let par = self.parallelism;
+        match stage {
+            BlockingStage::AttributeClustering => {
+                AttributeClusteringBlocking::new().key_rows(collection, par)
+            }
+            BlockingStage::StandardKey(attr) => KeyRows::build(
+                collection,
+                &StandardBlocking::on_attribute(attr.clone()),
+                par,
+            ),
+            BlockingStage::QGrams(q) => KeyRows::build(collection, &QGramsBlocking::new(*q), par),
+            BlockingStage::MinHash(bands, rows) => {
+                KeyRows::build(collection, &MinHashBlocking::new(*bands, *rows), par)
+            }
+            BlockingStage::Token | BlockingStage::SortedNeighborhood(..) => {
+                unreachable!("token rows are the run's profiles; a pair-producing stage has none")
             }
         }
-        er_blocking::governance::charge_or_shed(cleaned, collection, budget, &self.obs)
     }
 
     /// Applies the configured cleaning stage. The cleaning span is recorded
@@ -571,13 +587,6 @@ impl Pipeline {
         cleaned
     }
 
-    /// Whether the out-of-core blocking paths cover this stage: only token
-    /// blocking has a streamed builder, and only the in-process backend runs
-    /// it (the subprocess backend already bounds memory per worker).
-    fn ooc_blocking_applies(&self, stage: &BlockingStage) -> bool {
-        matches!(stage, BlockingStage::Token) && self.backend == Backend::InProcess
-    }
-
     /// Rebuilds the blocking index out-of-core after the in-memory index
     /// failed admission. The duplicated stage counters (`blocking.*`, block
     /// histogram, cleaning) were already recorded by the trial build, so the
@@ -589,13 +598,12 @@ impl Pipeline {
     fn spill_rescue(
         &self,
         collection: &EntityCollection,
-        profiles: &TokenProfiles,
+        rows: &KeyRows,
         index_bytes: u64,
         budget: &MemoryBudget,
     ) -> er_blocking::governance::GovernedBlocks {
         let quiet = Obs::disabled();
-        let rebuilt =
-            self.ooc_token_blocks(collection, profiles, "blocking-rescue", &quiet, budget);
+        let rebuilt = self.ooc_blocks(collection, rows, "blocking-rescue", &quiet, budget);
         let cleaned = self.clean_blocks(rebuilt, collection, &quiet);
         self.obs.counter("colstore.spill_rescues").incr();
         self.obs.emit(Event::Warning {
@@ -609,20 +617,20 @@ impl Pipeline {
         admitted_uncharged(cleaned)
     }
 
-    /// Token blocking streamed through sorted on-disk runs under a fresh
-    /// spill directory, which is removed **before** the build's error is
-    /// surfaced, so a failed attempt — and each retry of it — leaves nothing
-    /// behind.
-    fn ooc_token_blocks(
+    /// The transpose of `rows` streamed through sorted on-disk runs under a
+    /// fresh spill directory, which is removed **before** the build's error
+    /// is surfaced, so a failed attempt — and each retry of it — leaves
+    /// nothing behind.
+    fn ooc_blocks(
         &self,
         collection: &EntityCollection,
-        profiles: &TokenProfiles,
+        rows: &KeyRows,
         stage: &str,
         obs: &Obs,
         budget: &MemoryBudget,
     ) -> BlockCollection {
         let cfg = self.ooc_config(collection, stage, budget);
-        let result = blocks_from_profiles_ooc(profiles, obs, &cfg);
+        let result = blocks_from_profiles_ooc(rows, obs, &cfg);
         let _ = std::fs::remove_dir(&cfg.segment_dir);
         result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
     }
@@ -698,22 +706,24 @@ impl Pipeline {
         cfg
     }
 
-    /// Token blocking as the distributed `token-blocking` job on `transport`.
+    /// The transpose of `rows` as the distributed `token-blocking` job on
+    /// `transport` — a key-blocking job: it groups whatever keys the records
+    /// carry.
     ///
-    /// The driver ships the run's profile rows — per-entity token *sets* —
-    /// and the key-sorted reduce output is exactly the lexicographic block
-    /// order of the in-process transpose, so the returned collection is
-    /// bit-identical to [`blocks_from_profiles`]. A typed [`er_mapreduce`]
-    /// execution error (worker crash loop, handshake rejection, stage
-    /// deadline) panics with its message, which the recovery layer catches
-    /// and retries like any other blocking-stage fault.
-    fn dist_token_blocks(
+    /// The driver ships the rows — per-entity key *sets* — and the
+    /// key-sorted reduce output is exactly the lexicographic block order of
+    /// the in-process transpose, so the returned collection is bit-identical
+    /// to [`blocks_from_profiles`]. A typed [`er_mapreduce`] execution error
+    /// (worker crash loop, handshake rejection, stage deadline) panics with
+    /// its message, which the recovery layer catches and retries like any
+    /// other blocking-stage fault.
+    fn dist_blocks(
         &self,
-        profiles: &TokenProfiles,
+        rows: &KeyRows,
         transport: &mut dyn Transport,
         workers: usize,
     ) -> BlockCollection {
-        let records = dist_blocking_records(profiles);
+        let records = dist_blocking_records(rows);
         let out = run_dist(
             transport,
             "token-blocking",
@@ -722,9 +732,9 @@ impl Pipeline {
         )
         .unwrap_or_else(|e| panic!("distributed blocking failed: {e}"));
         if self.obs.is_enabled() {
-            // Mirror the layout counters of the in-process token build so
+            // Mirror the layout counters of the in-process build so
             // er-metrics-check invariants hold on either backend: each map
-            // posting is one token-index entry, each distinct reduce key one
+            // posting is one key-index entry, each distinct reduce key one
             // vocabulary symbol.
             self.obs
                 .counter("blocking.tokens_indexed")
@@ -801,19 +811,19 @@ fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::Gover
     }
 }
 
-/// Serializes the run's profiles for the distributed `token-blocking` job:
-/// one record per entity in id order, `id \t token \t token …` with the
-/// entity's distinct tokens in token order (tokens are alphanumeric after
-/// normalization, so the tab framing is unambiguous).
-fn dist_blocking_records(profiles: &TokenProfiles) -> Vec<String> {
-    profiles
-        .iter()
+/// Serializes key rows for the distributed `token-blocking` job: one record
+/// per entity in id order, `id \t key \t key …` with the entity's distinct
+/// keys in key order. Every family keys on normalized text, in which a
+/// non-alphanumeric character such as a tab never survives, so the tab
+/// framing is unambiguous.
+fn dist_blocking_records(rows: &KeyRows) -> Vec<String> {
+    rows.iter()
         .enumerate()
         .map(|(id, symbols)| {
             let mut record = id.to_string();
             for s in symbols {
                 record.push('\t');
-                record.push_str(&profiles.vocabulary()[s.index()]);
+                record.push_str(&rows.vocabulary()[s.index()]);
             }
             record
         })
@@ -922,8 +932,9 @@ impl PipelineBuilder {
     }
 
     /// Selects the execution backend: [`Backend::InProcess`] (default,
-    /// unchanged semantics) or [`Backend::Subprocess`], which runs token
-    /// blocking on supervised worker processes with real crash isolation.
+    /// unchanged semantics) or [`Backend::Subprocess`], which runs the
+    /// blocking of every block-producing stage on supervised worker
+    /// processes with real crash isolation.
     /// The resolution is bit-identical either way.
     pub fn backend(mut self, backend: Backend) -> Self {
         self.pipeline.backend = backend;
@@ -941,10 +952,10 @@ impl PipelineBuilder {
     }
 
     /// Sets the directory for out-of-core segment spill files. With a
-    /// memory budget configured, token blocking whose index would breach the
-    /// budget is **rebuilt out-of-core** under this directory instead of
-    /// shedding blocks — bit-identical output, zero recall loss, at a
-    /// reported slowdown. Each run spills into a fresh per-run
+    /// memory budget configured, an in-process blocking index that would
+    /// breach the budget is **rebuilt out-of-core** under this directory
+    /// instead of shedding blocks — bit-identical output, zero recall loss,
+    /// at a reported slowdown. Each run spills into a fresh per-run
     /// subdirectory, so concurrent pipelines sharing one segment dir never
     /// collide; spill files are removed before the stage returns.
     pub fn segment_dir(mut self, dir: impl Into<PathBuf>) -> Self {
@@ -952,12 +963,15 @@ impl PipelineBuilder {
         self
     }
 
-    /// Forces the out-of-core build path unconditionally: token blocking
-    /// streams its postings through sorted on-disk runs regardless of
-    /// budget pressure. (Meta-blocking scans the resulting blocks node by
-    /// node in every mode and has nothing to spill.) Output is bit-identical
-    /// to the in-memory path (the equivalence is property-tested); the point
-    /// is bounded stage memory.
+    /// Forces the out-of-core build path unconditionally: every
+    /// block-producing stage streams its key postings through sorted on-disk
+    /// runs regardless of budget pressure. Nothing else spills: the
+    /// subprocess backend's job already shuffles through its own segment
+    /// files, meta-blocking scans the blocks node by node, and
+    /// [`BlockingStage::SortedNeighborhood`] builds no blocks (`er resolve`
+    /// rejects `--ooc` with it). Output is bit-identical to the in-memory
+    /// path (the equivalence is property-tested); the point is bounded
+    /// stage memory.
     /// Spill files land under [`segment_dir`](PipelineBuilder::segment_dir)
     /// when set, the system temp dir otherwise.
     pub fn out_of_core(mut self, enabled: bool) -> Self {
@@ -1087,7 +1101,7 @@ mod tests {
                 er_mapreduce::default_registry(),
                 er_core::fault::ExecPolicy::default(),
             );
-            let got = p.dist_token_blocks(&profiles, &mut t, workers);
+            let got = p.dist_blocks(&profiles, &mut t, workers);
             assert_eq!(got, reference, "workers={workers}");
         }
     }

@@ -17,9 +17,9 @@
 //! the in-memory, out-of-core and subprocess paths.
 //!
 //! It also owns the run's one tokenization, [`RunProfiles`]: token blocking
-//! (every backend, and the spill rescue) transposes it, the configured
-//! matching stage decides on it and `run_progressive` scores its schedule
-//! from it. It is built on first use, under a `pipeline.profiles` span the
+//! (every backend, and the spill rescue) transposes it as its key rows, the
+//! configured matching stage decides on it and `run_progressive` scores its
+//! schedule from it. It is built on first use, under a `pipeline.profiles` span the
 //! walk opens before the span of the first stage that needs it.
 
 use crate::recovery::{
@@ -202,7 +202,8 @@ impl<'a> Walk<'a> {
             // schedule, so cleaning and meta-blocking are skipped.
             (BlockingStage::SortedNeighborhood(keys, window), _) => {
                 Blocked::Schedule(self.hooks.attempt(STAGE_BLOCKING, || {
-                    MultiPassSortedNeighborhood::new(keys.clone(), *window).candidate_pairs(c)
+                    MultiPassSortedNeighborhood::new(keys.clone(), *window)
+                        .candidate_pairs(c, p.parallelism)
                 })?)
             }
             (block_based, None) => Blocked::Schedule(self.blocks(block_based)?.distinct_pairs(c)),

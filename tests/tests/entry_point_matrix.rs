@@ -26,8 +26,17 @@
 //! from each of the three checkpoints, and `run_with_matcher` given the
 //! configured matcher. One more cell fails meta-blocking on every attempt:
 //! the degraded schedule is the blocked pairs, enumerated only then.
+//!
+//! The other block-producing families (attribute clustering, standard key,
+//! q-grams, MinHash) get a cell per execution mode, against their own
+//! serial `build` as the oracle: every family is a transpose of its key
+//! rows, so every mode must reproduce every family.
 
-use er_blocking::{cleaning, TokenBlocking};
+use er_blocking::attribute_clustering::AttributeClusteringBlocking;
+use er_blocking::minhash::MinHashBlocking;
+use er_blocking::qgrams::QGramsBlocking;
+use er_blocking::standard::StandardBlocking;
+use er_blocking::{cleaning, BlockCollection, TokenBlocking};
 use er_core::collection::EntityCollection;
 use er_core::entity::{Entity, EntityId};
 use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
@@ -41,7 +50,8 @@ use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_metablocking::{BlockingGraph, PruningScheme, WeightingScheme};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{
-    Backend, MatchingStage, Pipeline, PipelineBuilder, RecoveryEvent, RecoveryOptions, Resolution,
+    Backend, BlockingStage, MatchingStage, Pipeline, PipelineBuilder, RecoveryEvent,
+    RecoveryOptions, Resolution,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -325,4 +335,96 @@ fn meta_blocking_degraded_schedules_the_blocked_pairs() {
     assert_cell(&out.resolution, &want, "meta-blocking degraded");
     let blocks = cleaning::auto_purge(&TokenBlocking::new().build(c), c);
     assert_eq!(out.scheduled, Some(blocks.distinct_pairs(c)));
+}
+
+#[test]
+fn every_block_family_in_every_mode() {
+    // Meta-blocking is off, so the oracle is the family's serial build →
+    // auto purge → the enumerated blocked pairs → Jaccard 0.4 → connected
+    // components, with no second kernel in it.
+    let ds = dataset();
+    let c = &ds.collection;
+    let families: [(&str, BlockingStage, BlockCollection); 4] = [
+        (
+            "attrcluster",
+            BlockingStage::AttributeClustering,
+            AttributeClusteringBlocking::new().build(c),
+        ),
+        (
+            "standard",
+            BlockingStage::StandardKey("name".into()),
+            StandardBlocking::on_attribute("name").build(c),
+        ),
+        (
+            "qgrams",
+            BlockingStage::QGrams(3),
+            QGramsBlocking::new(3).build(c),
+        ),
+        (
+            "minhash",
+            BlockingStage::MinHash(6, 2),
+            MinHashBlocking::new(6, 2).build(c),
+        ),
+    ];
+    let dir = scratch("families", "segments");
+    let threads4 = |b: PipelineBuilder| b.parallelism(Parallelism::threads(4));
+    let ooc = |b: PipelineBuilder| b.segment_dir(&dir).out_of_core(true);
+    let rescue = |b: PipelineBuilder| {
+        b.resource_limits(ResourceLimits::none().with_memory_bytes(1024))
+            .segment_dir(&dir)
+    };
+    let subprocess = |b: PipelineBuilder| {
+        b.backend(Backend::Subprocess { workers: 2 })
+            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+    };
+    type Configure<'a> = &'a dyn Fn(PipelineBuilder) -> PipelineBuilder;
+    let modes: [(&str, Configure, &str); 5] = [
+        ("threads4", &threads4, "profiles.symbols"),
+        ("ooc", &ooc, "colstore.segments_written"),
+        (
+            "ooc-threads4",
+            &|b| ooc(threads4(b)),
+            "colstore.segments_written",
+        ),
+        ("rescue", &rescue, "colstore.spill_rescues"),
+        ("subprocess", &subprocess, "worker.spawned"),
+    ];
+    for (family, stage, blocks) in families {
+        let blocked = cleaning::auto_purge(&blocks, c).distinct_pairs(c);
+        let reference = matcher(c, DEFAULT_STAGES);
+        let mut matches: Vec<Pair> =
+            par_decide_candidates(c, &reference, &blocked, Parallelism::serial())
+                .into_iter()
+                .filter_map(|(p, d)| d.is_match.then_some(p))
+                .collect();
+        matches.sort();
+        let want = Expected {
+            blocked: blocked.len() as u64,
+            scheduled: blocked.len() as u64,
+            clusters: er_core::clusters::components_from_matches(c.len(), &matches),
+            matches,
+        };
+        assert!(!want.matches.is_empty(), "{family}: the corpus must match");
+        for (mode, configure, ran) in modes {
+            let obs = Obs::enabled();
+            let builder = Pipeline::builder()
+                .blocking(stage.clone())
+                .no_meta_blocking()
+                .observability(obs.clone());
+            let res = configure(builder).build().run(c);
+            let cell = format!("{family} × {mode}");
+            assert_cell(&res, &want, &cell);
+            // The mode really ran: its path left its counter behind. And
+            // every family reports its key index, as `er-metrics-check`
+            // requires of any blocking run.
+            let snapshot = obs.snapshot();
+            for counter in [ran, "blocking.interner_symbols", "blocking.tokens_indexed"] {
+                assert!(
+                    snapshot.counter(counter).unwrap_or(0) > 0,
+                    "{cell}: {counter}"
+                );
+            }
+        }
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }
