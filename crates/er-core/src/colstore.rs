@@ -14,25 +14,29 @@
 //! ```text
 //! header   (24 B)  magic "ERSEGMT1" | version u32 | reserved u32 | fingerprint u64
 //! section  (16 B)  kind u32 | reserved u32 | payload_len u64        ┐ repeated
-//! payload  (var)   kind-specific columnar payload                   ┘ section_count times
+//! payload  (var)   kind-specific payload                            ┘ section_count times
 //! footer   (32 B)  magic "ERSEGEND" | section_count u64 | payload_end u64 | checksum u64
 //! ```
 //!
 //! The checksum is FNV-1a over every byte before the footer, so truncation,
-//! single-byte mutation and byte-soup corruption are all caught at open —
-//! the same defensive ladder as the [`crate::codec::LineCodec`] checkpoints,
-//! upgraded to a binary dialect. Writes are atomic (temp file + rename).
+//! single-byte mutation and byte-soup corruption are all caught at open.
+//! Writes are atomic (temp file + rename). Every fixed-width field — header,
+//! section headers, footer, run records — is read through the one bounded
+//! [`wire::Decoder`](crate::wire::Decoder).
 //!
 //! Section payloads:
 //!
-//! * `POSTINGS` — one sorted `(Symbol, EntityId)` run: `count u64`, then
+//! * `BYTES` (1) — opaque [`wire`](crate::wire) records, read whole
+//!   ([`Segment::bytes`]): the `er-dist` shuffle segments and the pipeline's
+//!   stage checkpoints are one-section segments of this kind.
+//! * `POSTINGS` (2) — one sorted `(Symbol, EntityId)` run: `count u64`, then
 //!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
-//! * `EDGES` — one pair-sorted edge run: `count u64`, then
+//! * `EDGES` (3) — one pair-sorted edge run: `count u64`, then
 //!   `count × (u32, u32, u32, u64)` with the `f64` ARCS weight stored as
 //!   raw bits ([`f64::to_bits`]) for bit-exact round-trips.
 //!
-//! Kinds 1 and 4 are unassigned; the run kinds keep their numbers so a
-//! spilled segment's bytes do not depend on which kinds exist.
+//! Kind 4 is unassigned; every kind keeps its number so a segment's bytes do
+//! not depend on which kinds exist.
 //!
 //! The two run kinds share one fixed-width codec ([`RunRecord`]), one writer
 //! method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and one
@@ -54,18 +58,19 @@ use crate::entity::EntityId;
 use crate::intern::{Fnv1a, Symbol};
 use crate::obs::Obs;
 use crate::resource::{MemoryBudget, ResourceError};
+use crate::wire::{put_u32, put_u64, Decoder, WireError};
 use crate::{EntityCollection, ResolutionMode};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, HashMap};
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hasher;
-use std::io::{BufWriter, Read, Write};
+use std::io::{BufWriter, Write};
 use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 /// Header magic of a segment file.
 pub const MAGIC: &[u8; 8] = b"ERSEGMT1";
@@ -82,6 +87,8 @@ pub const FOOTER_LEN: u64 = 32;
 /// Default page size of the demand-paged reader.
 pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 
+/// Section kind: opaque [`wire`](crate::wire) records, read whole.
+pub const KIND_BYTES: u32 = 1;
 /// Section kind: sorted `(Symbol, EntityId)` posting run.
 pub const KIND_POSTINGS: u32 = 2;
 /// Section kind: pair-sorted edge run with bit-exact `f64` weights.
@@ -231,6 +238,17 @@ impl From<ResourceError> for SegmentError {
     }
 }
 
+impl SegmentError {
+    /// A failed field read of `path`, at the offset the decoder named.
+    fn wire(path: &Path, e: WireError) -> SegmentError {
+        SegmentError::Malformed {
+            path: path.to_path_buf(),
+            offset: e.offset,
+            reason: e.to_string(),
+        }
+    }
+}
+
 /// The `colstore.*` observability series, shared by writers, readers and
 /// merge drivers. Cloneable; clones share one resident-bytes account so the
 /// `colstore.resident_bytes` gauge reflects *all* open segments of a run
@@ -321,8 +339,8 @@ pub trait RunRecord: Copy {
     fn key(&self) -> Self::Key;
     /// Appends the [`BYTES`](Self::BYTES) little-endian bytes of the record.
     fn encode(&self, out: &mut Vec<u8>);
-    /// Decodes a record from exactly [`BYTES`](Self::BYTES) bytes.
-    fn decode(bytes: &[u8]) -> Self;
+    /// Reads one record ([`BYTES`](Self::BYTES) bytes) from `d`.
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError>;
 }
 
 /// A token-blocking posting: a [`KIND_POSTINGS`] record, `(u32, u32)`.
@@ -337,15 +355,13 @@ impl RunRecord for (Symbol, EntityId) {
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.0 .0.to_le_bytes());
-        out.extend_from_slice(&self.1 .0.to_le_bytes());
+        put_u32(out, self.0 .0);
+        put_u32(out, self.1 .0);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        (
-            Symbol(u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes"))),
-            EntityId(u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes"))),
-        )
+    #[inline]
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok((Symbol(d.u32()?), EntityId(d.u32()?)))
     }
 }
 
@@ -363,19 +379,20 @@ impl RunRecord for EdgeRecord {
     }
 
     fn encode(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.a.to_le_bytes());
-        out.extend_from_slice(&self.b.to_le_bytes());
-        out.extend_from_slice(&self.count.to_le_bytes());
-        out.extend_from_slice(&self.weight_bits.to_le_bytes());
+        put_u32(out, self.a);
+        put_u32(out, self.b);
+        put_u32(out, self.count);
+        put_u64(out, self.weight_bits);
     }
 
-    fn decode(bytes: &[u8]) -> Self {
-        EdgeRecord {
-            a: u32::from_le_bytes(bytes[0..4].try_into().expect("4 bytes")),
-            b: u32::from_le_bytes(bytes[4..8].try_into().expect("4 bytes")),
-            count: u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")),
-            weight_bits: u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")),
-        }
+    #[inline]
+    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
+        Ok(EdgeRecord {
+            a: d.u32()?,
+            b: d.u32()?,
+            count: d.u32()?,
+            weight_bits: d.u64()?,
+        })
     }
 }
 
@@ -424,9 +441,9 @@ impl SegmentWriter {
         };
         let mut header = Vec::with_capacity(HEADER_LEN as usize);
         header.extend_from_slice(MAGIC);
-        header.extend_from_slice(&VERSION.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&fingerprint.to_le_bytes());
+        put_u32(&mut header, VERSION);
+        put_u32(&mut header, 0);
+        put_u64(&mut header, fingerprint);
         w.put(&header)?;
         Ok(w)
     }
@@ -444,9 +461,9 @@ impl SegmentWriter {
 
     fn section(&mut self, kind: u32, payload: &[u8]) -> Result<(), SegmentError> {
         let mut header = Vec::with_capacity(SECTION_HEADER_LEN as usize);
-        header.extend_from_slice(&kind.to_le_bytes());
-        header.extend_from_slice(&0u32.to_le_bytes());
-        header.extend_from_slice(&(payload.len() as u64).to_le_bytes());
+        put_u32(&mut header, kind);
+        put_u32(&mut header, 0);
+        put_u64(&mut header, payload.len() as u64);
         self.put(&header)?;
         self.put(payload)?;
         self.sections += 1;
@@ -457,11 +474,17 @@ impl SegmentWriter {
     /// fixed-width records.
     pub fn run<R: RunRecord>(&mut self, run: &[R]) -> Result<(), SegmentError> {
         let mut payload = Vec::with_capacity(8 + run.len() * R::BYTES);
-        payload.extend_from_slice(&(run.len() as u64).to_le_bytes());
+        put_u64(&mut payload, run.len() as u64);
         for r in run {
             r.encode(&mut payload);
         }
         self.section(R::KIND, &payload)
+    }
+
+    /// Appends `payload` — encoded [`wire`](crate::wire) records — as one
+    /// [`KIND_BYTES`] section.
+    pub fn bytes(&mut self, payload: &[u8]) -> Result<(), SegmentError> {
+        self.section(KIND_BYTES, payload)
     }
 
     /// Seals the footer (section count, payload end, checksum), flushes, and
@@ -473,9 +496,9 @@ impl SegmentWriter {
         let checksum = self.hash.finish();
         let mut footer = Vec::with_capacity(FOOTER_LEN as usize);
         footer.extend_from_slice(FOOTER_MAGIC);
-        footer.extend_from_slice(&sections.to_le_bytes());
-        footer.extend_from_slice(&payload_end.to_le_bytes());
-        footer.extend_from_slice(&checksum.to_le_bytes());
+        put_u64(&mut footer, sections);
+        put_u64(&mut footer, payload_end);
+        put_u64(&mut footer, checksum);
         self.out.write_all(&footer).map_err(|e| SegmentError::Io {
             path: self.tmp.clone(),
             offset: payload_end,
@@ -567,6 +590,9 @@ struct Pager {
     cache: Mutex<PagerCache>,
 }
 
+/// Every update keeps `pages` and `resident` in step with nothing fallible
+/// between them, so a lock poisoned by a panicking reader still guards a
+/// valid cache and is recovered with `PoisonError::into_inner`.
 #[derive(Default)]
 struct PagerCache {
     pages: HashMap<u64, PageSlot>,
@@ -585,7 +611,7 @@ impl Pager {
     /// evicted and the budget still refusing, the typed
     /// [`SegmentError::Resource`] verdict surfaces — never a panic.
     fn page(&self, page: u64) -> Result<Arc<Vec<u8>>, SegmentError> {
-        let mut cache = self.cache.lock().expect("pager lock poisoned");
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         cache.tick += 1;
         let tick = cache.tick;
         if let Some(slot) = cache.pages.get_mut(&page) {
@@ -655,7 +681,7 @@ impl Pager {
     /// starve tiny budgets. Not counted as `pages_evicted` — that counter
     /// means eviction under budget pressure.
     fn release_cached(&self) {
-        let mut cache = self.cache.lock().expect("pager lock poisoned");
+        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
         if cache.resident > 0 {
             self.budget.release(cache.resident);
             self.metrics.page_released(cache.resident);
@@ -691,13 +717,7 @@ impl Pager {
 
 impl Drop for Pager {
     fn drop(&mut self) {
-        let cache = self.cache.get_mut().expect("pager lock poisoned");
-        if cache.resident > 0 {
-            self.budget.release(cache.resident);
-            self.metrics.page_released(cache.resident);
-            cache.pages.clear();
-            cache.resident = 0;
-        }
+        self.release_cached();
     }
 }
 
@@ -752,20 +772,23 @@ impl Segment {
                     reason: e.to_string(),
                 })
         };
+        let wire = |e: WireError| SegmentError::wire(&path, e);
         // Header.
         let mut header = [0u8; HEADER_LEN as usize];
         read_at(0, &mut header)?;
-        if &header[0..8] != MAGIC {
+        let mut d = Decoder::new(&header);
+        if d.array::<8>().map_err(wire)? != *MAGIC {
             return Err(SegmentError::BadMagic { path, offset: 0 });
         }
-        let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+        let version = d.u32().map_err(wire)?;
+        let _reserved = d.u32().map_err(wire)?;
+        let fingerprint = d.u64().map_err(wire)?;
         if version != VERSION {
             return Err(SegmentError::Version {
                 path,
                 found: version,
             });
         }
-        let fingerprint = u64::from_le_bytes(header[16..24].try_into().expect("8 bytes"));
         if fingerprint != opts.fingerprint {
             return Err(SegmentError::Fingerprint {
                 path,
@@ -777,16 +800,17 @@ impl Segment {
         let footer_at = file_len - FOOTER_LEN;
         let mut footer = [0u8; FOOTER_LEN as usize];
         read_at(footer_at, &mut footer)?;
-        if &footer[0..8] != FOOTER_MAGIC {
+        let mut d = Decoder::at(&footer, footer_at);
+        if d.array::<8>().map_err(wire)? != *FOOTER_MAGIC {
             return Err(SegmentError::Truncated {
                 path,
                 offset: footer_at,
                 expected: "the segment footer magic".to_string(),
             });
         }
-        let section_count = u64::from_le_bytes(footer[8..16].try_into().expect("8 bytes"));
-        let payload_end = u64::from_le_bytes(footer[16..24].try_into().expect("8 bytes"));
-        let stored_checksum = u64::from_le_bytes(footer[24..32].try_into().expect("8 bytes"));
+        let section_count = d.u64().map_err(wire)?;
+        let payload_end = d.u64().map_err(wire)?;
+        let stored_checksum = d.u64().map_err(wire)?;
         if payload_end != footer_at || payload_end < HEADER_LEN {
             return Err(SegmentError::Malformed {
                 path,
@@ -796,39 +820,24 @@ impl Segment {
                 ),
             });
         }
-        // Streaming checksum over [0, payload_end).
-        {
-            let mut hasher = Fnv1a::default();
-            let mut reader = File::open(&path).map_err(|e| SegmentError::Io {
-                path: path.clone(),
-                offset: 0,
-                reason: e.to_string(),
-            })?;
-            let mut remaining = payload_end;
-            let mut buf = vec![0u8; 64 * 1024];
-            let mut at = 0u64;
-            while remaining > 0 {
-                let take = buf.len().min(remaining as usize);
-                reader
-                    .read_exact(&mut buf[..take])
-                    .map_err(|e| SegmentError::Io {
-                        path: path.clone(),
-                        offset: at,
-                        reason: e.to_string(),
-                    })?;
-                hasher.write(&buf[..take]);
-                at += take as u64;
-                remaining -= take as u64;
-            }
-            let computed = hasher.finish();
-            if computed != stored_checksum {
-                return Err(SegmentError::Checksum {
-                    path,
-                    offset: footer_at + 24,
-                    computed,
-                    stored: stored_checksum,
-                });
-            }
+        // Streaming checksum over [0, payload_end), in bounded chunks.
+        let mut hasher = Fnv1a::default();
+        let mut buf = vec![0u8; 64 * 1024];
+        let mut at = 0u64;
+        while at < payload_end {
+            let take = buf.len().min((payload_end - at) as usize);
+            read_at(at, &mut buf[..take])?;
+            hasher.write(&buf[..take]);
+            at += take as u64;
+        }
+        let computed = hasher.finish();
+        if computed != stored_checksum {
+            return Err(SegmentError::Checksum {
+                path,
+                offset: footer_at + 24,
+                computed,
+                stored: stored_checksum,
+            });
         }
         // Section table walk.
         let mut sections = Vec::new();
@@ -843,8 +852,10 @@ impl Segment {
             }
             let mut sh = [0u8; SECTION_HEADER_LEN as usize];
             read_at(off, &mut sh)?;
-            let kind = u32::from_le_bytes(sh[0..4].try_into().expect("4 bytes"));
-            let payload_len = u64::from_le_bytes(sh[8..16].try_into().expect("8 bytes"));
+            let mut d = Decoder::at(&sh, off);
+            let kind = d.u32().map_err(wire)?;
+            let _reserved = d.u32().map_err(wire)?;
+            let payload_len = d.u64().map_err(wire)?;
             let payload_offset = off + SECTION_HEADER_LEN;
             if payload_len > payload_end - payload_offset {
                 return Err(SegmentError::Malformed {
@@ -902,7 +913,7 @@ impl Segment {
         self.pager
             .cache
             .lock()
-            .expect("pager lock poisoned")
+            .unwrap_or_else(PoisonError::into_inner)
             .resident
     }
 
@@ -961,6 +972,16 @@ impl Segment {
         Ok((count, info.payload_offset + 8))
     }
 
+    /// The whole payload of the [`KIND_BYTES`] section `index`. The pages it
+    /// passed through are released before it returns.
+    pub fn bytes(&self, index: usize) -> Result<Vec<u8>, SegmentError> {
+        let info = self.section_checked(index, KIND_BYTES)?;
+        let mut payload = vec![0u8; info.payload_len as usize];
+        let read = self.pager.read_exact(info.payload_offset, &mut payload);
+        self.pager.release_cached();
+        read.map(|()| payload)
+    }
+
     /// A streaming cursor over the sorted run in section `index`.
     pub fn run<R: RunRecord>(&self, index: usize) -> Result<RunCursor<'_, R>, SegmentError> {
         let info = self.section_checked(index, R::KIND)?;
@@ -1016,7 +1037,10 @@ impl<R: RunRecord> RunCursor<'_, R> {
             self.remaining -= take;
             self.pos = 0;
         }
-        let record = R::decode(&self.buf[self.pos..self.pos + R::BYTES]);
+        // The record's file offset (the refill ends at `self.offset`).
+        let at = self.offset - (self.buf.len() - self.pos) as u64;
+        let mut d = Decoder::at(&self.buf[self.pos..self.pos + R::BYTES], at);
+        let record = R::decode(&mut d).map_err(|e| SegmentError::wire(&self.seg.pager.path, e))?;
         self.pos += R::BYTES;
         Ok(Some(record))
     }
@@ -1416,6 +1440,62 @@ mod tests {
             }
             other => panic!("unexpected {other:?}"),
         }
+        let _ = fs::remove_file(&path);
+    }
+
+    /// The one-section bytes segment shuffle segments and checkpoints are
+    /// written as: the payload round-trips byte for byte, the tmp file is
+    /// gone, and each defect a reader must catch is a typed error.
+    #[test]
+    fn bytes_section_round_trips_and_rejects_each_defect() {
+        let path = tmp_seg("bytes");
+        let payload: Vec<u8> = (0..=255u8).chain(*b"tab\tnew\nline").collect();
+        let mut w = SegmentWriter::create(&path, 9).unwrap();
+        w.bytes(&payload).unwrap();
+        w.finish().unwrap();
+        let mut name = path.file_name().unwrap().to_os_string();
+        name.push(".tmp");
+        assert!(!path.with_file_name(name).exists());
+        let seg = Segment::open(&path, SegmentOptions::new(9)).unwrap();
+        assert_eq!(seg.sections()[0].kind, KIND_BYTES);
+        assert_eq!(seg.bytes(0).unwrap(), payload);
+        assert_eq!(seg.resident_bytes(), 0, "the read released its pages");
+        // A run cursor over a bytes section, and a bytes read of a run
+        // section, are kind mismatches.
+        assert!(matches!(
+            seg.run::<(Symbol, EntityId)>(0).unwrap_err(),
+            SegmentError::Malformed { .. }
+        ));
+        assert!(matches!(
+            seg.bytes(1).unwrap_err(),
+            SegmentError::Malformed { .. }
+        ));
+        drop(seg);
+        let good = fs::read(&path).unwrap();
+        // Truncated: the footer is cut.
+        fs::write(&path, &good[..good.len() - 1]).unwrap();
+        assert!(matches!(
+            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            SegmentError::Truncated { .. }
+        ));
+        // Wrong fingerprint, wrong version, empty file.
+        fs::write(&path, &good).unwrap();
+        assert!(matches!(
+            Segment::open(&path, SegmentOptions::new(8)).unwrap_err(),
+            SegmentError::Fingerprint { .. }
+        ));
+        let mut bad = good;
+        bad[8] = 2;
+        fs::write(&path, &bad).unwrap();
+        assert!(matches!(
+            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            SegmentError::Version { found: 2, .. }
+        ));
+        fs::write(&path, b"").unwrap();
+        assert!(matches!(
+            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            SegmentError::Truncated { offset: 0, .. }
+        ));
         let _ = fs::remove_file(&path);
     }
 

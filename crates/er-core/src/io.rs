@@ -26,7 +26,6 @@
 //! names/values are escaped (`\t`, `\n`, `\r`, `\\`); entity ids are
 //! implicit (order of `entity` lines), so a round-trip preserves ids exactly.
 
-use crate::codec::escape;
 use crate::collection::{EntityCollection, ResolutionMode};
 use crate::entity::{EntityId, KbId};
 use crate::ground_truth::GroundTruth;
@@ -66,12 +65,35 @@ impl From<std::io::Error> for ParseError {
     }
 }
 
-/// [`codec::unescape`](crate::codec::unescape) with the failure placed on
-/// its line.
+/// Escapes a name or value for the one-record-per-line format (backslash,
+/// tab, newline, carriage return).
+fn escape(s: &str) -> String {
+    let s = s.replace('\\', "\\\\").replace('\t', "\\t");
+    s.replace('\n', "\\n").replace('\r', "\\r")
+}
+
+/// Inverse of [`escape`]; a dangling or unknown escape is a syntax error on
+/// `line`.
 fn unescape(s: &str, line: usize) -> Result<String, ParseError> {
-    crate::codec::unescape(s)
-        .map(std::borrow::Cow::into_owned)
-        .map_err(|message| ParseError::Syntax { line, message })
+    let mut out = String::with_capacity(s.len());
+    let mut chars = s.chars();
+    while let Some(c) = chars.next() {
+        if c != '\\' {
+            out.push(c);
+            continue;
+        }
+        match chars.next() {
+            Some('\\') => out.push('\\'),
+            Some('t') => out.push('\t'),
+            Some('n') => out.push('\n'),
+            Some('r') => out.push('\r'),
+            other => {
+                let message = format!("bad escape: \\{other:?}");
+                return Err(ParseError::Syntax { line, message });
+            }
+        }
+    }
+    Ok(out)
 }
 
 /// Writes a collection in the v1 text format.
@@ -321,6 +343,23 @@ mod tests {
         let mut input =
             "#webscale-er collection v1\nmode dirty\nentity 0\nattr a\tbad\\q\n".as_bytes();
         assert!(read_collection(&mut input).is_err());
+    }
+
+    #[test]
+    fn escaping_round_trips() {
+        for key in [
+            "plain",
+            "tab\there",
+            "multi\nline",
+            "back\\slash",
+            "",
+            "\r",
+            "ünï\tcödé\\",
+        ] {
+            assert_eq!(unescape(&escape(key), 1).unwrap(), key);
+        }
+        assert!(unescape("dangling\\", 1).is_err());
+        assert!(unescape("bad\\q", 1).is_err());
     }
 
     #[test]

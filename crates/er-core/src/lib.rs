@@ -46,8 +46,9 @@
 //!   wall-clock watchdogs, typed exhaustion errors and the pressure
 //!   (degradation) ladder the execution layers consult under skewed,
 //!   web-scale load ([`resource`]);
-//! * the fingerprinted, truncation-detecting **line-file codec** shared by
-//!   stage checkpoints and shuffle spill files ([`codec`]).
+//! * the one bounded binary **field codec** under worker frames, task
+//!   payloads, shuffle segments and stage checkpoints ([`wire`]), which live
+//!   in fingerprinted, checksummed **segment files** ([`colstore`]).
 //!
 //! Downstream crates build the tutorial's pipeline on top of this: blocking
 //! (`er-blocking`), meta-blocking (`er-metablocking`), parallel execution
@@ -58,7 +59,6 @@
 #![warn(missing_docs)]
 
 pub mod clusters;
-pub mod codec;
 pub mod collection;
 pub mod colstore;
 pub mod entity;
@@ -78,6 +78,7 @@ pub mod profiles;
 pub mod resource;
 pub mod similarity;
 pub mod tokenize;
+pub mod wire;
 
 pub use collection::{EntityCollection, ResolutionMode};
 pub use colstore::{

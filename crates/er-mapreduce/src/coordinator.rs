@@ -168,8 +168,8 @@ struct WorkerSlot {
     last_seen: Instant,
 }
 
-/// The ledger of one stage: result payloads are strings.
-type StageLedger<'a> = Ledger<'a, String>;
+/// The ledger of one stage: result payloads are wire bytes.
+type StageLedger<'a> = Ledger<'a, Vec<u8>>;
 
 /// The multi-process transport: a supervised pool of worker child processes.
 pub struct SubprocessTransport {
@@ -464,7 +464,7 @@ impl SubprocessTransport {
     }
 
     /// Hands ready attempts to idle workers, as long as there are both.
-    fn dispatch(&mut self, job: &str, stage: &str, payloads: &[String], ledger: &mut StageLedger) {
+    fn dispatch(&mut self, job: &str, stage: &str, payloads: &[Vec<u8>], ledger: &mut StageLedger) {
         while let Some(widx) = self
             .slots
             .iter()
@@ -590,7 +590,7 @@ impl Transport for SubprocessTransport {
         &mut self,
         job: &str,
         stage: &str,
-        payloads: &[String],
+        payloads: &[Vec<u8>],
     ) -> Result<StageOutput, ExecError> {
         if let Some(m) = &self.setup_fatal {
             return Err(ExecError {

@@ -2,35 +2,33 @@
 //!
 //! The multi-process backend cannot ship closures to a child process, so
 //! distributable jobs are *named*: a [`TaskRegistry`] maps a job name to a
-//! [`DistJob`] implementation, and every task is an opaque string payload the
-//! worker decodes with [`run_task`]. Both transports execute the exact same
+//! [`DistJob`] implementation, and every task is an opaque byte payload (an
+//! [`er_core::wire`] record) the worker decodes with [`run_task`]. Both
+//! transports execute the exact same
 //! `run_task` bytes — the in-process transport calls it on a thread, the
 //! subprocess transport calls it inside `er --worker` — so the in-process
 //! backend remains the bit-exactness oracle for the multi-process one.
 //!
 //! The data plane is the spill-file format of PR 4 promoted to first class:
-//! map tasks write their partitioned output to fingerprinted [`LineCodec`]
-//! segment files and return only the manifest; reduce tasks read the
-//! segments whole, in mapper order, and group rows in an FNV-keyed hash map.
-//! The shuffle never rides in frames — though a map payload carries its input
-//! records inline and a reduce result its output pairs — so a killed worker
-//! leaves at most an unreferenced segment file behind.
+//! map tasks write their partitioned output as wire `(key, value)` rows into
+//! one-section [`colstore`](er_core::colstore) segments and return only the
+//! manifest; reduce tasks read the segments whole, in mapper order, and group
+//! the rows, borrowed from the segment bytes, in an FNV-keyed map. The shuffle
+//! never rides in frames — though a map payload carries its input records
+//! inline and a reduce result its output pairs — so a killed worker leaves at
+//! most an unreferenced segment file behind.
 
 use crate::engine::{partition_of, ExecError};
 use crate::transport::Transport;
-use er_core::codec::{escape, escape_into, unescape, LineCodec};
+use er_core::colstore::{Segment, SegmentOptions, SegmentWriter};
 use er_core::intern::FnvBuild;
-use std::borrow::Cow;
+use er_core::wire::{put_bytes, put_str, put_u64, Decoder, WireError};
 use std::collections::{BTreeMap, HashMap};
+use std::ffi::OsStr;
+use std::os::unix::ffi::OsStrExt;
 use std::path::{Path, PathBuf};
-use std::str::{Lines, Split};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
-
-/// Magic word of distributed shuffle segment files.
-pub const DIST_MAGIC: &str = "er-dist";
-/// Format version of distributed shuffle segment files.
-pub const DIST_VERSION: &str = "v1";
 
 /// Process-unique sequence for job directories and segment files; combined
 /// with the pid, two concurrent runs can never collide on a path.
@@ -135,9 +133,14 @@ impl DistJob for TokenBlockingJob {
 // Task payloads
 // ---------------------------------------------------------------------------
 //
-// A payload is a multi-line string: a tab-separated header line, then one
-// escaped record (map) or segment path (reduce) per line. The frame layer
-// escapes the payload as a whole, so nesting is safe.
+// A payload is a one-byte tag, header fields, then zero or more records, all
+// in the `er_core::wire` codec; records run to the end of the payload. Paths
+// travel as their OS bytes.
+
+const MAP_TASK: u8 = b'm';
+const REDUCE_TASK: u8 = b'r';
+const MAP_RESULT: u8 = b'M';
+const REDUCE_RESULT: u8 = b'R';
 
 /// Builds a map-task payload.
 pub fn encode_map_task(
@@ -146,37 +149,36 @@ pub fn encode_map_task(
     fingerprint: u64,
     dir: &Path,
     records: &[String],
-) -> String {
-    let mut out = format!(
-        "m\t{partitions}\t{spill_bound}\t{fingerprint:016x}\t{}",
-        escape(&dir.display().to_string())
-    );
+) -> Vec<u8> {
+    let mut out = vec![MAP_TASK];
+    put_u64(&mut out, partitions as u64);
+    put_u64(&mut out, spill_bound);
+    put_u64(&mut out, fingerprint);
+    put_bytes(&mut out, dir.as_os_str().as_bytes());
     for r in records {
-        out.push('\n');
-        escape_into(&mut out, r);
+        put_str(&mut out, r);
     }
     out
 }
 
 /// Builds a reduce-task payload.
-pub fn encode_reduce_task(partition: usize, fingerprint: u64, segments: &[String]) -> String {
-    let mut out = format!("r\t{partition}\t{fingerprint:016x}");
+pub fn encode_reduce_task(partition: usize, fingerprint: u64, segments: &[PathBuf]) -> Vec<u8> {
+    let mut out = vec![REDUCE_TASK];
+    put_u64(&mut out, partition as u64);
+    put_u64(&mut out, fingerprint);
     for s in segments {
-        out.push('\n');
-        escape_into(&mut out, s);
+        put_bytes(&mut out, s.as_os_str().as_bytes());
     }
     out
 }
 
-/// One segment a map task wrote: `(partition, records, path)`.
+/// One segment a map task wrote: `(partition, path)`.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct SegmentRef {
     /// Partition the segment belongs to.
     pub partition: usize,
-    /// Records in the segment.
-    pub records: u64,
     /// Segment file path.
-    pub path: String,
+    pub path: PathBuf,
 }
 
 /// Decoded map-task result: emission count, mid-task spill count, segments
@@ -192,17 +194,16 @@ pub struct MapResult {
 }
 
 /// Parses a map-task result payload.
-pub fn decode_map_result(payload: &str) -> Result<MapResult, String> {
-    let (mut f, lines) = header(payload, "map", "map result")?;
-    let emitted = parse_field(f.next(), "emitted")?;
-    let spills = parse_field(f.next(), "spills")?;
+pub fn decode_map_result(payload: &[u8]) -> Result<MapResult, String> {
+    let bad = |e: WireError| format!("bad map result: {e}");
+    let mut d = tagged(payload, MAP_RESULT, "map result")?;
+    let emitted = d.u64().map_err(bad)?;
+    let spills = d.u64().map_err(bad)?;
     let mut segments = Vec::new();
-    for line in lines {
-        let mut f = line.split('\t');
+    while !d.is_empty() {
         segments.push(SegmentRef {
-            partition: parse_field(f.next(), "partition")? as usize,
-            records: parse_field(f.next(), "records")?,
-            path: unescape(f.next().ok_or("missing segment path")?)?.into_owned(),
+            partition: d.usize().map_err(bad)?,
+            path: path(&mut d).map_err(bad)?,
         });
     }
     Ok(MapResult {
@@ -222,36 +223,30 @@ pub struct ReduceResult {
 }
 
 /// Parses a reduce-task result payload.
-pub fn decode_reduce_result(payload: &str) -> Result<ReduceResult, String> {
-    let (mut f, lines) = header(payload, "red", "reduce result")?;
-    let groups = parse_field(f.next(), "groups")?;
+pub fn decode_reduce_result(payload: &[u8]) -> Result<ReduceResult, String> {
+    let bad = |e: WireError| format!("bad reduce result: {e}");
+    let mut d = tagged(payload, REDUCE_RESULT, "reduce result")?;
+    let groups = d.u64().map_err(bad)?;
     let mut pairs = Vec::new();
-    for line in lines {
-        let (k, v) = line
-            .split_once('\t')
-            .ok_or_else(|| format!("bad reduce output line: {line:?}"))?;
-        pairs.push((unescape(k)?.into_owned(), unescape(v)?.into_owned()));
+    while !d.is_empty() {
+        let key = d.str().map_err(bad)?.to_string();
+        pairs.push((key, d.str().map_err(bad)?.to_string()));
     }
     Ok(ReduceResult { groups, pairs })
 }
 
-/// Splits payload `s` into the tab-separated fields of its header line,
-/// whose first field must be `tag`, and the lines after it.
-fn header<'a>(s: &'a str, tag: &str, what: &str) -> Result<(Split<'a, char>, Lines<'a>), String> {
-    let mut lines = s.lines();
-    let header = lines.next().unwrap_or("");
-    let mut fields = header.split('\t');
-    if fields.next() != Some(tag) {
-        return Err(format!("bad {what} header: {header:?}"));
+/// A decoder past the tag of `payload`, which must be `tag`.
+fn tagged<'a>(payload: &'a [u8], tag: u8, what: &str) -> Result<Decoder<'a>, String> {
+    let mut d = Decoder::new(payload);
+    match d.u8() {
+        Ok(t) if t == tag => Ok(d),
+        Ok(t) => Err(format!("bad {what} header: tag {t}, expected {tag}")),
+        Err(e) => Err(format!("bad {what} header: {e}")),
     }
-    Ok((fields, lines))
 }
 
-fn parse_field(field: Option<&str>, what: &str) -> Result<u64, String> {
-    field
-        .ok_or_else(|| format!("missing {what}"))?
-        .parse::<u64>()
-        .map_err(|_| format!("bad {what}: {field:?}"))
+fn path(d: &mut Decoder<'_>) -> Result<PathBuf, WireError> {
+    Ok(PathBuf::from(OsStr::from_bytes(d.bytes()?)))
 }
 
 // ---------------------------------------------------------------------------
@@ -269,9 +264,9 @@ pub fn run_task(
     registry: &TaskRegistry,
     job: &str,
     stage: &str,
-    payload: &str,
+    payload: &[u8],
     budget_bytes: u64,
-) -> Result<String, String> {
+) -> Result<Vec<u8>, String> {
     let j = registry
         .get(job)
         .ok_or_else(|| format!("unknown job {job:?} (registered: {:?})", registry.names()))?;
@@ -282,12 +277,13 @@ pub fn run_task(
     }
 }
 
-fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<String, String> {
-    let (mut f, lines) = header(payload, "m", "map task")?;
-    let partitions = parse_field(f.next(), "partitions")? as usize;
-    let spill_bound = parse_field(f.next(), "spill_bound")?;
-    let fingerprint = parse_hex(f.next())?;
-    let dir = PathBuf::from(&*unescape(f.next().ok_or("missing spill dir")?)?);
+fn run_map_task(job: &dyn DistJob, payload: &[u8], budget_bytes: u64) -> Result<Vec<u8>, String> {
+    let header = |e: WireError| format!("bad map task header: {e}");
+    let mut d = tagged(payload, MAP_TASK, "map task")?;
+    let partitions = d.usize().map_err(header)?;
+    let spill_bound = d.u64().map_err(header)?;
+    let fingerprint = d.u64().map_err(header)?;
+    let dir = path(&mut d).map_err(header)?;
     if partitions == 0 {
         return Err("map task with zero partitions".to_string());
     }
@@ -297,44 +293,35 @@ fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<S
         (a, 0) => a,
         (a, b) => a.min(b),
     };
-    let codec = LineCodec::new(DIST_MAGIC, DIST_VERSION, fingerprint);
 
-    // Per partition: escaped `key \t value \n` rows, and the unescaped bytes
-    // the spill bound is charged with.
-    let mut buffers: Vec<(String, u64)> = vec![(String::new(), 0); partitions];
-    let mut spilled: Vec<(usize, String)> = Vec::new();
+    // Per partition: wire `(key, value)` rows, and the key + value bytes the
+    // spill bound is charged with.
+    let mut buffers: Vec<(Vec<u8>, u64)> = vec![(Vec::new(), 0); partitions];
+    let mut spilled: Vec<(usize, Vec<u8>)> = Vec::new();
     let mut emitted: u64 = 0;
     let mut spills: u64 = 0;
     let mut segments: Vec<SegmentRef> = Vec::new();
 
-    let flush = |p: usize, rows: &str, segments: &mut Vec<SegmentRef>| -> Result<(), String> {
-        let Some(rows) = rows.strip_suffix('\n') else {
+    let flush = |p: usize, rows: &[u8], segments: &mut Vec<SegmentRef>| {
+        if rows.is_empty() {
             return Ok(());
-        };
+        }
         let seq = DIST_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = dir.join(format!("seg-{}-{seq}-p{p}.lines", std::process::id()));
-        let n = rows.matches('\n').count() as u64 + 1;
-        let extra = format!(" part={p} records={n}");
-        codec
-            .write_atomic(&path, "shuffle", &extra, [rows])
-            .map_err(|e| format!("cannot write segment {}: {e}", path.display()))?;
-        segments.push(SegmentRef {
-            partition: p,
-            records: n,
-            path: path.display().to_string(),
-        });
-        Ok(())
+        let path = dir.join(format!("seg-{}-{seq}-p{p}.seg", std::process::id()));
+        let mut w = SegmentWriter::create(&path, fingerprint).map_err(|e| e.to_string())?;
+        w.bytes(rows).map_err(|e| e.to_string())?;
+        w.finish().map_err(|e| e.to_string())?;
+        segments.push(SegmentRef { partition: p, path });
+        Ok::<(), String>(())
     };
 
-    for line in lines {
-        let record = unescape(line)?;
-        job.map(&record, &mut |k, v| {
+    while !d.is_empty() {
+        let record = d.str().map_err(|e| format!("bad map task record: {e}"))?;
+        job.map(record, &mut |k, v| {
             let p = partition_of(k, partitions);
             let (rows, bytes) = &mut buffers[p];
-            escape_into(rows, k);
-            rows.push('\t');
-            escape_into(rows, v);
-            rows.push('\n');
+            put_str(rows, k);
+            put_str(rows, v);
             *bytes += (k.len() + v.len()) as u64;
             emitted += 1;
             if bound > 0 && *bytes > bound {
@@ -351,63 +338,54 @@ fn run_map_task(job: &dyn DistJob, payload: &str, budget_bytes: u64) -> Result<S
         flush(p, rows, &mut segments)?;
     }
 
-    let mut out = format!("map\t{emitted}\t{spills}");
+    let mut out = vec![MAP_RESULT];
+    put_u64(&mut out, emitted);
+    put_u64(&mut out, spills);
     for s in &segments {
-        out.push_str(&format!("\n{}\t{}\t", s.partition, s.records));
-        escape_into(&mut out, &s.path);
+        put_u64(&mut out, s.partition as u64);
+        put_bytes(&mut out, s.path.as_os_str().as_bytes());
     }
     Ok(out)
 }
 
-fn run_reduce_task(job: &dyn DistJob, payload: &str) -> Result<String, String> {
-    let (mut f, lines) = header(payload, "r", "reduce task")?;
-    let _partition = parse_field(f.next(), "partition")?;
-    let fingerprint = parse_hex(f.next())?;
-    let codec = LineCodec::new(DIST_MAGIC, DIST_VERSION, fingerprint);
+fn run_reduce_task(job: &dyn DistJob, payload: &[u8]) -> Result<Vec<u8>, String> {
+    let header = |e: WireError| format!("bad reduce task header: {e}");
+    let mut d = tagged(payload, REDUCE_TASK, "reduce task")?;
+    let _partition = d.u64().map_err(header)?;
+    let fingerprint = d.u64().map_err(header)?;
 
     // Segments are read whole in manifest (mapper) order, so each key's values
-    // keep arrival order; rows are borrowed unless they hold an escape. Keys
+    // keep arrival order; rows are borrowed from the segment bytes. Keys
     // reduce in sorted order: the output is independent of partition count
     // and worker schedule.
     let mut files = Vec::new();
-    for line in lines {
-        let path = PathBuf::from(&*unescape(line)?);
-        let file = codec
-            .read(&path, "shuffle")
-            .map_err(|e| format!("segment {}: {e}", path.display()))?
-            .ok_or_else(|| format!("segment {} vanished", path.display()))?;
-        files.push((path, file));
-    }
-    let mut rows: Vec<(Cow<str>, Cow<str>)> = Vec::new();
-    for (path, file) in &files {
-        for row in file.lines() {
-            let (ek, ev) = row
-                .split_once('\t')
-                .ok_or_else(|| format!("bad segment row in {}: {row:?}", path.display()))?;
-            rows.push((unescape(ek)?, unescape(ev)?));
-        }
+    while !d.is_empty() {
+        let path = path(&mut d).map_err(|e| format!("bad reduce task segment path: {e}"))?;
+        let rows = Segment::open(&path, SegmentOptions::new(fingerprint))
+            .and_then(|seg| seg.bytes(0))
+            .map_err(|e| format!("shuffle {e}"))?;
+        files.push((path, rows));
     }
     let mut groups: HashMap<&str, Vec<&str>, FnvBuild> = HashMap::default();
-    for (k, v) in &rows {
-        groups.entry(k).or_default().push(v);
+    for (path, rows) in &files {
+        let bad = |e: WireError| format!("bad row in shuffle segment {}: {e}", path.display());
+        let mut d = Decoder::new(rows);
+        while !d.is_empty() {
+            let key = d.str().map_err(bad)?;
+            groups.entry(key).or_default().push(d.str().map_err(bad)?);
+        }
     }
     let mut groups: Vec<_> = groups.into_iter().collect();
     groups.sort_unstable_by_key(|&(key, _)| key);
-    let mut out = format!("red\t{}", groups.len());
+    let mut out = vec![REDUCE_RESULT];
+    put_u64(&mut out, groups.len() as u64);
     for (key, values) in groups {
         for output in job.reduce(key, &values) {
-            out.push('\n');
-            escape_into(&mut out, key);
-            out.push('\t');
-            escape_into(&mut out, &output);
+            put_str(&mut out, key);
+            put_str(&mut out, &output);
         }
     }
     Ok(out)
-}
-
-fn parse_hex(field: Option<&str>) -> Result<u64, String> {
-    let hex = field.ok_or("missing fingerprint")?;
-    u64::from_str_radix(hex, 16).map_err(|_| format!("bad fingerprint: {hex:?}"))
 }
 
 // ---------------------------------------------------------------------------
@@ -542,7 +520,7 @@ pub fn run_dist(
 
     // ---- map ---------------------------------------------------------------
     let chunk = inputs.len().div_ceil(map_tasks);
-    let map_payloads: Vec<String> = inputs
+    let map_payloads: Vec<Vec<u8>> = inputs
         .chunks(chunk)
         .map(|c| encode_map_task(partitions, opts.spill_bound, opts.fingerprint, &dir, c))
         .collect();
@@ -560,7 +538,7 @@ pub fn run_dist(
         attempts: 0,
         message,
     };
-    let mut per_partition: Vec<Vec<String>> = vec![Vec::new(); partitions];
+    let mut per_partition: Vec<Vec<PathBuf>> = vec![Vec::new(); partitions];
     for (task, payload) in map_out.results.iter().enumerate() {
         let r = decode_map_result(payload).map_err(|m| collect_err(task, m))?;
         stats.map_output_records += r.emitted;
@@ -578,7 +556,7 @@ pub fn run_dist(
     }
 
     // ---- reduce ------------------------------------------------------------
-    let reduce_payloads: Vec<String> = per_partition
+    let reduce_payloads: Vec<Vec<u8>> = per_partition
         .iter()
         .enumerate()
         .map(|(p, segs)| encode_reduce_task(p, opts.fingerprint, segs))
@@ -713,8 +691,8 @@ mod tests {
         assert!(tiny.stats.spills > 0, "1-byte bound must force spills");
     }
 
-    /// `key=value` pairs split on `;`; keys and values hold every character
-    /// the line format escapes. Reduce emits one output per value plus one
+    /// `key=value` pairs split on `;`; keys and values hold tabs, newlines,
+    /// carriage returns, backslashes and non-ASCII text. Reduce emits one output per value plus one
     /// joining them, so value order within a key shows in the output.
     struct EscapingJob;
 
@@ -738,7 +716,7 @@ mod tests {
         ((*x >> 33) % n) as usize
     }
 
-    /// Up to `max - 1` symbols, each plain, escaped by the line format, or
+    /// Up to `max - 1` symbols, each plain, a control or escape character, or
     /// non-ASCII.
     fn text(x: &mut u64, max: u64) -> String {
         const ALPHABET: [&str; 9] = ["a", "b", "\t", "\n", "\r", "\\", "é", "日本", " "];
@@ -857,7 +835,7 @@ mod tests {
             &mut self,
             job: &str,
             stage: &str,
-            payloads: &[String],
+            payloads: &[Vec<u8>],
         ) -> Result<crate::transport::StageOutput, ExecError> {
             let out = self.inner.run_stage(job, stage, payloads)?;
             if stage == "map" {
@@ -872,11 +850,12 @@ mod tests {
 
     #[test]
     fn truncated_segment_is_a_typed_reduce_error_naming_the_truncation() {
+        use er_core::colstore::{FOOTER_LEN, HEADER_LEN};
         let cuts: [fn(&[u8]) -> usize; 3] = [
-            // Half the footer line, the whole footer line, the whole body.
+            // Part of the footer, the whole footer, everything past the header.
             |b| b.len() - 2,
-            |b| b.len() - 4,
-            |b| b.iter().position(|&c| c == b'\n').map_or(0, |i| i + 1),
+            |b| b.len() - FOOTER_LEN as usize,
+            |_| HEADER_LEN as usize,
         ];
         for keep in cuts {
             let mut t = Truncating {
@@ -898,7 +877,8 @@ mod tests {
             assert_eq!(err.stage, "reduce", "{err}");
             assert_eq!(Some(err.task), t.partition, "{err}");
             assert_eq!(err.attempts, 2, "{err}");
-            assert!(err.message.contains("truncated er-dist"), "{err}");
+            assert!(err.message.contains("shuffle segment"), "{err}");
+            assert!(err.message.contains("truncated at byte"), "{err}");
         }
     }
 

@@ -2,25 +2,26 @@
 //!
 //! The multi-process backend (Dedoop \[18\] direction, §II) speaks this
 //! protocol between the coordinator and each worker child process over the
-//! worker's stdin/stdout. It reuses the escaping discipline of
-//! [`er_core::codec`]: a frame payload is one UTF-8 line of tab-separated,
-//! [`escape`]d fields, the first field being the frame kind tag. On the wire
-//! every payload is preceded by a `u32` big-endian byte length, so the stream
-//! is self-delimiting and a killed writer leaves a cleanly detectable
-//! truncation instead of a garbled tail.
+//! worker's stdin/stdout. A frame payload is a one-byte kind tag, then the
+//! frame's [`er_core::wire`] fields: integers at their declared width,
+//! strings and task payload bytes behind a `u32` length (no escaping, no
+//! nesting). On the wire every payload is preceded by a `u32` big-endian
+//! byte length, so the stream is self-delimiting and a killed writer leaves
+//! a cleanly detectable truncation instead of a garbled tail.
 //!
-//! Decoding is total: EOF mid-frame, an oversized length prefix, invalid
-//! UTF-8, and malformed payloads are all typed [`FrameError`]s carrying the
-//! byte offset of the offending frame — never a panic, and never an
-//! allocation sized by untrusted input (the length is validated against
-//! [`MAX_FRAME_BYTES`] *before* any buffer is reserved).
+//! Decoding is total: EOF mid-frame, an oversized length prefix, a payload
+//! cut short or carrying a byte past its last field, a non-UTF-8 string and
+//! an unknown tag are all typed [`FrameError`]s carrying the byte offset of
+//! the offending frame — never a panic, and never an allocation sized by
+//! untrusted input (the length is validated against [`MAX_FRAME_BYTES`]
+//! *before* any buffer is reserved).
 
-use er_core::codec::{escape, unescape};
+use er_core::wire::{put_bytes, put_str, put_u32, put_u64, Decoder, WireError};
 use std::io::{Read, Write};
 
 /// Protocol revision; bumped whenever the frame schema changes. A handshake
 /// between binaries speaking different revisions is rejected.
-pub const PROTOCOL_VERSION: u32 = 1;
+pub const PROTOCOL_VERSION: u32 = 2;
 
 /// Upper bound on a single frame payload. A length prefix above this is a
 /// typed [`FrameError::Oversized`], not an allocation attempt: a corrupt or
@@ -59,7 +60,9 @@ pub enum FrameError {
         /// The declared (rejected) payload length.
         declared: u32,
     },
-    /// The payload is not valid UTF-8 or does not parse as a known frame.
+    /// The payload does not decode as a known frame: an unknown tag, a
+    /// field cut short, a string that is not UTF-8, or bytes past the last
+    /// field.
     Malformed {
         /// Stream offset of the malformed frame.
         offset: u64,
@@ -139,8 +142,8 @@ pub enum Frame {
         task: usize,
         /// Attempt number (0-based; retries and speculative backups bump it).
         attempt: u32,
-        /// Opaque task payload (already line-escaped by the sender).
-        payload: String,
+        /// Opaque task payload (`dist`'s wire-encoded map or reduce task).
+        payload: Vec<u8>,
     },
     /// Worker → coordinator: a task attempt succeeded.
     TaskResult {
@@ -149,7 +152,7 @@ pub enum Frame {
         /// Echo of the attempt number.
         attempt: u32,
         /// Opaque result payload.
-        payload: String,
+        payload: Vec<u8>,
     },
     /// Worker → coordinator: a task attempt failed (typed, not a crash).
     TaskError {
@@ -169,10 +172,21 @@ pub enum Frame {
     Shutdown,
 }
 
+// Frame kind tags: the first byte of every payload.
+const TAG_HELLO: u8 = 1;
+const TAG_HELLO_ACK: u8 = 2;
+const TAG_HELLO_REJ: u8 = 3;
+const TAG_TASK: u8 = 4;
+const TAG_RESULT: u8 = 5;
+const TAG_TASK_ERR: u8 = 6;
+const TAG_HEARTBEAT: u8 = 7;
+const TAG_SHUTDOWN: u8 = 8;
+
 impl Frame {
-    /// Encodes the frame payload as one escaped, tab-separated line
-    /// (without the length prefix).
-    pub fn encode_payload(&self) -> String {
+    /// Encodes the frame payload (without the length prefix): the kind tag,
+    /// then the frame's [`wire`](er_core::wire) fields in declaration order.
+    pub fn encode_payload(&self) -> Vec<u8> {
+        let mut out = Vec::new();
         match self {
             Frame::Hello {
                 version,
@@ -180,127 +194,121 @@ impl Frame {
                 worker_id,
                 budget_bytes,
                 heartbeat_ms,
-            } => format!(
-                "hello\t{version}\t{fingerprint:016x}\t{worker_id}\t{budget_bytes}\t{heartbeat_ms}"
-            ),
+            } => {
+                out.push(TAG_HELLO);
+                put_u32(&mut out, *version);
+                put_u64(&mut out, *fingerprint);
+                put_u64(&mut out, *worker_id);
+                put_u64(&mut out, *budget_bytes);
+                put_u64(&mut out, *heartbeat_ms);
+            }
             Frame::HelloAck {
                 worker_id,
                 pid,
                 budget_bytes,
-            } => format!("hello-ack\t{worker_id}\t{pid}\t{budget_bytes}"),
-            Frame::HelloRej { reason } => format!("hello-rej\t{}", escape(reason)),
+            } => {
+                out.push(TAG_HELLO_ACK);
+                put_u64(&mut out, *worker_id);
+                put_u32(&mut out, *pid);
+                put_u64(&mut out, *budget_bytes);
+            }
+            Frame::HelloRej { reason } => {
+                out.push(TAG_HELLO_REJ);
+                put_str(&mut out, reason);
+            }
             Frame::Task {
                 job,
                 stage,
                 task,
                 attempt,
                 payload,
-            } => format!(
-                "task\t{}\t{}\t{task}\t{attempt}\t{}",
-                escape(job),
-                escape(stage),
-                escape(payload)
-            ),
+            } => {
+                out.push(TAG_TASK);
+                put_str(&mut out, job);
+                put_str(&mut out, stage);
+                put_u64(&mut out, *task as u64);
+                put_u32(&mut out, *attempt);
+                put_bytes(&mut out, payload);
+            }
             Frame::TaskResult {
                 task,
                 attempt,
                 payload,
-            } => format!("result\t{task}\t{attempt}\t{}", escape(payload)),
+            } => {
+                out.push(TAG_RESULT);
+                put_u64(&mut out, *task as u64);
+                put_u32(&mut out, *attempt);
+                put_bytes(&mut out, payload);
+            }
             Frame::TaskError {
                 task,
                 attempt,
                 message,
-            } => format!("task-err\t{task}\t{attempt}\t{}", escape(message)),
-            Frame::Heartbeat { seq } => format!("heartbeat\t{seq}"),
-            Frame::Shutdown => "shutdown".to_string(),
+            } => {
+                out.push(TAG_TASK_ERR);
+                put_u64(&mut out, *task as u64);
+                put_u32(&mut out, *attempt);
+                put_str(&mut out, message);
+            }
+            Frame::Heartbeat { seq } => {
+                out.push(TAG_HEARTBEAT);
+                put_u64(&mut out, *seq);
+            }
+            Frame::Shutdown => out.push(TAG_SHUTDOWN),
         }
+        out
     }
 
-    /// Parses a frame payload line produced by
-    /// [`encode_payload`](Frame::encode_payload). `offset` is only used to
-    /// tag errors.
-    pub fn decode_payload(line: &str, offset: u64) -> Result<Frame, FrameError> {
-        let malformed = |reason: String| FrameError::Malformed { offset, reason };
-        let mut fields = line.split('\t');
-        let kind = fields.next().unwrap_or("");
-        let mut rest: Vec<&str> = fields.collect();
-        let mut take_exact = |n: usize| -> Result<Vec<&str>, FrameError> {
-            if rest.len() != n {
-                return Err(malformed(format!(
-                    "frame {kind:?} expects {n} field(s), got {}",
-                    rest.len()
-                )));
-            }
-            Ok(std::mem::take(&mut rest))
+    /// Decodes a payload produced by [`encode_payload`](Frame::encode_payload).
+    /// Every field is read at its declared width and the payload must end
+    /// with the frame's last field; any defect is
+    /// [`FrameError::Malformed`] at `offset`, the start of the frame.
+    pub fn decode_payload(payload: &[u8], offset: u64) -> Result<Frame, FrameError> {
+        let mut d = Decoder::new(payload);
+        let mut decode = || -> Result<Frame, WireError> {
+            let frame = match d.u8()? {
+                TAG_HELLO => Frame::Hello {
+                    version: d.u32()?,
+                    fingerprint: d.u64()?,
+                    worker_id: d.u64()?,
+                    budget_bytes: d.u64()?,
+                    heartbeat_ms: d.u64()?,
+                },
+                TAG_HELLO_ACK => Frame::HelloAck {
+                    worker_id: d.u64()?,
+                    pid: d.u32()?,
+                    budget_bytes: d.u64()?,
+                },
+                TAG_HELLO_REJ => Frame::HelloRej {
+                    reason: d.str()?.to_string(),
+                },
+                TAG_TASK => Frame::Task {
+                    job: d.str()?.to_string(),
+                    stage: d.str()?.to_string(),
+                    task: d.usize()?,
+                    attempt: d.u32()?,
+                    payload: d.bytes()?.to_vec(),
+                },
+                TAG_RESULT => Frame::TaskResult {
+                    task: d.usize()?,
+                    attempt: d.u32()?,
+                    payload: d.bytes()?.to_vec(),
+                },
+                TAG_TASK_ERR => Frame::TaskError {
+                    task: d.usize()?,
+                    attempt: d.u32()?,
+                    message: d.str()?.to_string(),
+                },
+                TAG_HEARTBEAT => Frame::Heartbeat { seq: d.u64()? },
+                TAG_SHUTDOWN => Frame::Shutdown,
+                other => return Err(WireError::invalid(0, format!("unknown frame kind {other}"))),
+            };
+            d.finish().map(|()| frame)
         };
-        let parse_u64 = |s: &str, what: &str| -> Result<u64, FrameError> {
-            s.parse::<u64>()
-                .map_err(|_| malformed(format!("bad {what}: {s:?}")))
-        };
-        match kind {
-            "hello" => {
-                let f = take_exact(5)?;
-                Ok(Frame::Hello {
-                    version: parse_u64(f[0], "version")? as u32,
-                    fingerprint: u64::from_str_radix(f[1], 16)
-                        .map_err(|_| malformed(format!("bad fingerprint: {:?}", f[1])))?,
-                    worker_id: parse_u64(f[2], "worker_id")?,
-                    budget_bytes: parse_u64(f[3], "budget_bytes")?,
-                    heartbeat_ms: parse_u64(f[4], "heartbeat_ms")?,
-                })
-            }
-            "hello-ack" => {
-                let f = take_exact(3)?;
-                Ok(Frame::HelloAck {
-                    worker_id: parse_u64(f[0], "worker_id")?,
-                    pid: parse_u64(f[1], "pid")? as u32,
-                    budget_bytes: parse_u64(f[2], "budget_bytes")?,
-                })
-            }
-            "hello-rej" => {
-                let f = take_exact(1)?;
-                Ok(Frame::HelloRej {
-                    reason: unescape(f[0]).map_err(&malformed)?.into_owned(),
-                })
-            }
-            "task" => {
-                let f = take_exact(5)?;
-                Ok(Frame::Task {
-                    job: unescape(f[0]).map_err(&malformed)?.into_owned(),
-                    stage: unescape(f[1]).map_err(&malformed)?.into_owned(),
-                    task: parse_u64(f[2], "task")? as usize,
-                    attempt: parse_u64(f[3], "attempt")? as u32,
-                    payload: unescape(f[4]).map_err(&malformed)?.into_owned(),
-                })
-            }
-            "result" => {
-                let f = take_exact(3)?;
-                Ok(Frame::TaskResult {
-                    task: parse_u64(f[0], "task")? as usize,
-                    attempt: parse_u64(f[1], "attempt")? as u32,
-                    payload: unescape(f[2]).map_err(&malformed)?.into_owned(),
-                })
-            }
-            "task-err" => {
-                let f = take_exact(3)?;
-                Ok(Frame::TaskError {
-                    task: parse_u64(f[0], "task")? as usize,
-                    attempt: parse_u64(f[1], "attempt")? as u32,
-                    message: unescape(f[2]).map_err(&malformed)?.into_owned(),
-                })
-            }
-            "heartbeat" => {
-                let f = take_exact(1)?;
-                Ok(Frame::Heartbeat {
-                    seq: parse_u64(f[0], "seq")?,
-                })
-            }
-            "shutdown" => {
-                take_exact(0)?;
-                Ok(Frame::Shutdown)
-            }
-            other => Err(malformed(format!("unknown frame kind {other:?}"))),
-        }
+        decode().map_err(|e| FrameError::Malformed {
+            offset,
+            reason: format!("payload {e}"),
+        })
     }
 }
 
@@ -320,25 +328,19 @@ impl<W: Write> FrameWriter<W> {
     /// Encodes, length-prefixes, writes, and flushes one frame.
     pub fn write(&mut self, frame: &Frame) -> Result<(), FrameError> {
         let payload = frame.encode_payload();
-        let bytes = payload.as_bytes();
-        if bytes.len() as u64 > u64::from(MAX_FRAME_BYTES) {
-            return Err(FrameError::Oversized {
-                offset: self.offset,
-                declared: u32::try_from(bytes.len()).unwrap_or(u32::MAX),
-            });
+        let offset = self.offset;
+        let declared = u32::try_from(payload.len()).unwrap_or(u32::MAX);
+        if declared > MAX_FRAME_BYTES {
+            return Err(FrameError::Oversized { offset, declared });
         }
-        let io = |offset: u64| {
-            move |e: std::io::Error| FrameError::Io {
-                offset,
-                reason: e.to_string(),
-            }
+        let io = |e: std::io::Error| FrameError::Io {
+            offset,
+            reason: e.to_string(),
         };
-        self.inner
-            .write_all(&(bytes.len() as u32).to_be_bytes())
-            .map_err(io(self.offset))?;
-        self.inner.write_all(bytes).map_err(io(self.offset))?;
-        self.inner.flush().map_err(io(self.offset))?;
-        self.offset += 4 + bytes.len() as u64;
+        self.inner.write_all(&declared.to_be_bytes()).map_err(io)?;
+        self.inner.write_all(&payload).map_err(io)?;
+        self.inner.flush().map_err(io)?;
+        self.offset += 4 + u64::from(declared);
         Ok(())
     }
 }
@@ -365,72 +367,54 @@ impl<R: Read> FrameReader<R> {
     /// a frame boundary); EOF anywhere inside a frame is
     /// [`FrameError::Truncated`].
     pub fn read(&mut self) -> Result<Option<Frame>, FrameError> {
-        let frame_start = self.offset;
+        let start = self.offset;
         let mut prefix = [0u8; 4];
-        match read_exact_or_eof(&mut self.inner, &mut prefix) {
-            Ok(0) => return Ok(None),
-            Ok(4) => {}
-            Ok(got) => {
-                return Err(FrameError::Truncated {
-                    offset: frame_start,
-                    missing: 4 - got as u64,
-                })
-            }
-            Err(e) => {
-                return Err(FrameError::Io {
-                    offset: frame_start,
-                    reason: e.to_string(),
-                })
-            }
+        if !self.fill(&mut prefix, start, true)? {
+            return Ok(None);
         }
-        self.offset += 4;
         let len = u32::from_be_bytes(prefix);
         if len > MAX_FRAME_BYTES {
             return Err(FrameError::Oversized {
-                offset: frame_start,
+                offset: start,
                 declared: len,
             });
         }
         // The cap above bounds this allocation; an adversarial prefix can
         // never reserve more than MAX_FRAME_BYTES.
         let mut payload = vec![0u8; len as usize];
-        match read_exact_or_eof(&mut self.inner, &mut payload) {
-            Ok(got) if got == len as usize => {}
-            Ok(got) => {
-                return Err(FrameError::Truncated {
-                    offset: frame_start,
-                    missing: u64::from(len) - got as u64,
-                })
-            }
-            Err(e) => {
-                return Err(FrameError::Io {
-                    offset: frame_start,
-                    reason: e.to_string(),
-                })
-            }
-        }
-        self.offset += u64::from(len);
-        let line = std::str::from_utf8(&payload).map_err(|e| FrameError::Malformed {
-            offset: frame_start,
-            reason: format!("payload is not UTF-8: {e}"),
-        })?;
-        Frame::decode_payload(line, frame_start).map(Some)
+        self.fill(&mut payload, start, false)?;
+        Frame::decode_payload(&payload, start).map(Some)
     }
-}
 
-/// Like `read_exact`, but reports how many bytes arrived before EOF instead
-/// of failing with an untyped error.
-fn read_exact_or_eof<R: Read>(r: &mut R, buf: &mut [u8]) -> std::io::Result<usize> {
-    let mut filled = 0;
-    while filled < buf.len() {
-        match r.read(&mut buf[filled..]) {
-            Ok(0) => break,
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
-            Err(e) => return Err(e),
+    /// Fills `buf` from the stream for the frame at `start`. EOF before the
+    /// first byte is `Ok(false)` when `eof_ok` (a frame boundary); any other
+    /// short read is [`FrameError::Truncated`] naming the bytes missing.
+    fn fill(&mut self, buf: &mut [u8], start: u64, eof_ok: bool) -> Result<bool, FrameError> {
+        let mut got = 0;
+        while got < buf.len() {
+            match self.inner.read(&mut buf[got..]) {
+                Ok(0) if got == 0 && eof_ok => return Ok(false),
+                Ok(0) => {
+                    let missing = (buf.len() - got) as u64;
+                    return Err(FrameError::Truncated {
+                        offset: start,
+                        missing,
+                    });
+                }
+                Ok(n) => got += n,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(e) => {
+                    let reason = e.to_string();
+                    return Err(FrameError::Io {
+                        offset: start,
+                        reason,
+                    });
+                }
+            }
         }
+        self.offset += got as u64;
+        Ok(true)
     }
-    Ok(filled)
 }
 
 #[cfg(test)]
@@ -459,12 +443,12 @@ mod tests {
                 stage: "map".to_string(),
                 task: 7,
                 attempt: 2,
-                payload: "line one\nline\ttwo\\three".to_string(),
+                payload: b"line one\nline\ttwo\\three\xff".to_vec(),
             },
             Frame::TaskResult {
                 task: 7,
                 attempt: 2,
-                payload: "k\tv\r\n".to_string(),
+                payload: b"k\tv\r\n".to_vec(),
             },
             Frame::TaskError {
                 task: 1,
@@ -568,10 +552,25 @@ mod tests {
             FrameReader::new(&buf[..]).read(),
             Err(FrameError::Malformed { offset: 0, .. })
         ));
-        // Wrong field count.
-        assert!(Frame::decode_payload("heartbeat\t1\t2", 0).is_err());
-        // Dangling escape in a payload field.
-        assert!(Frame::decode_payload("result\t0\t0\tbad\\q", 0).is_err());
+        // A field past the frame's last, a field cut short, a string that is
+        // not UTF-8: each is typed at the frame's offset.
+        let mut heartbeat = Frame::Heartbeat { seq: 1 }.encode_payload();
+        heartbeat.push(2);
+        assert!(matches!(
+            Frame::decode_payload(&heartbeat, 9),
+            Err(FrameError::Malformed { offset: 9, .. })
+        ));
+        assert!(matches!(
+            Frame::decode_payload(&heartbeat[..5], 9),
+            Err(FrameError::Malformed { offset: 9, .. })
+        ));
+        let mut err = vec![TAG_TASK_ERR];
+        err.extend_from_slice(&[0; 12]);
+        er_core::wire::put_bytes(&mut err, &[0xff]);
+        assert!(matches!(
+            Frame::decode_payload(&err, 0),
+            Err(FrameError::Malformed { offset: 0, .. })
+        ));
     }
 
     #[test]

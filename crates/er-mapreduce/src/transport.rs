@@ -23,7 +23,7 @@ use er_core::fault::ExecPolicy;
 #[derive(Clone, Debug, Default)]
 pub struct StageOutput {
     /// Result payloads in task order.
-    pub results: Vec<String>,
+    pub results: Vec<Vec<u8>>,
     /// Attempts retried after typed task failures.
     pub retried: u64,
     /// Speculative backup attempts launched.
@@ -33,7 +33,7 @@ pub struct StageOutput {
 }
 
 impl StageOutput {
-    pub(crate) fn new(results: Vec<String>, counters: Counters) -> StageOutput {
+    pub(crate) fn new(results: Vec<Vec<u8>>, counters: Counters) -> StageOutput {
         StageOutput {
             results,
             retried: counters.retried,
@@ -50,7 +50,7 @@ pub trait Transport {
         &mut self,
         job: &str,
         stage: &str,
-        payloads: &[String],
+        payloads: &[Vec<u8>],
     ) -> Result<StageOutput, ExecError>;
 }
 
@@ -78,7 +78,7 @@ impl Transport for InProcessTransport {
         &mut self,
         job: &str,
         stage: &str,
-        payloads: &[String],
+        payloads: &[Vec<u8>],
     ) -> Result<StageOutput, ExecError> {
         let registry = &self.registry;
         let (results, counters) =
@@ -102,7 +102,7 @@ mod tests {
         // "map" with degenerate single-record payloads through wordcount.
         let dir = std::env::temp_dir().join(format!("er-transport-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let payloads: Vec<String> = (0..8)
+        let payloads: Vec<Vec<u8>> = (0..8)
             .map(|i| crate::dist::encode_map_task(1, 0, 7, &dir, &[format!("word{i}")]))
             .collect();
         let out = t.run_stage("wordcount", "map", &payloads).unwrap();
@@ -122,7 +122,7 @@ mod tests {
             ExecPolicy::retrying(RetryPolicy::attempts(2)),
         );
         let err = t
-            .run_stage("wordcount", "map", &["not a valid payload".to_string()])
+            .run_stage("wordcount", "map", &[b"not a valid payload".to_vec()])
             .unwrap_err();
         assert_eq!(err.stage, "map");
         assert_eq!(err.attempts, 2);
@@ -138,7 +138,7 @@ mod tests {
         let policy = ExecPolicy::retrying(RetryPolicy::attempts(10)).with_injector(injector);
         let dir = std::env::temp_dir().join(format!("er-transport-inj-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let payloads: Vec<String> = (0..6)
+        let payloads: Vec<Vec<u8>> = (0..6)
             .map(|i| crate::dist::encode_map_task(1, 0, 7, &dir, &[format!("w{i}")]))
             .collect();
         let mut t = InProcessTransport::new(3, default_registry(), policy);

@@ -289,7 +289,7 @@ mod tests {
             stage: "map".to_string(),
             task: 1,
             attempt: 0,
-            payload: "garbage".to_string(),
+            payload: b"garbage".to_vec(),
         };
         let (code, replies) = session(&[hello(), good, bad, Frame::Shutdown]);
         assert_eq!(code, 0);

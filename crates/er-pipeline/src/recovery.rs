@@ -14,14 +14,15 @@
 //!   Stages are pure functions of the input collection, so a retried run is
 //!   bit-identical to an undisturbed one.
 //! * **Checkpoint/resume** — with a checkpoint directory configured, the
-//!   output of each completed stage is serialized (`blocked.ckpt`,
-//!   `scheduled.ckpt`, `matched.ckpt`) in a line-oriented text format.
-//!   A resumed run loads the deepest valid checkpoint and skips everything
-//!   before it. Checkpoints carry a fingerprint of the collection and the
-//!   pipeline configuration; a mismatched, corrupted or truncated checkpoint
-//!   is rejected with a warning and the run proceeds from scratch instead of
-//!   crashing. Match scores are stored as the hex IEEE-754 bit pattern, so a
-//!   resumed run is bit-identical to an uninterrupted one.
+//!   output of each completed stage is saved (`blocked.ckpt`,
+//!   `scheduled.ckpt`, `matched.ckpt`) as a one-section colstore segment of
+//!   wire records, stage name first, fingerprinted by the collection and the
+//!   pipeline configuration. A resumed run loads the deepest valid
+//!   checkpoint and skips everything before it; a mismatched, corrupted or
+//!   truncated checkpoint, or one naming an entity the collection lacks (or
+//!   a self-pair), is rejected with a warning and the stage runs from
+//!   scratch instead of crashing. Match scores are stored as their IEEE-754
+//!   bit pattern, so a resumed run is bit-identical to an uninterrupted one.
 //! * **Graceful degradation** — if meta-blocking fails even after retries,
 //!   the run falls back to the unpruned blocked comparisons with a loud
 //!   warning instead of aborting: correctness (recall) is preserved at the
@@ -34,12 +35,13 @@
 
 use crate::{Pipeline, Resolution};
 use er_blocking::block::{Block, BlockCollection};
-use er_core::codec::{escape, header_field, unescape, LineCodec};
 use er_core::collection::EntityCollection;
+use er_core::colstore::{Segment, SegmentError, SegmentOptions, SegmentWriter};
 use er_core::entity::EntityId;
 use er_core::fault::{FaultInjector, RetryPolicy};
 use er_core::obs::{Event, Obs};
 use er_core::pair::Pair;
+use er_core::wire::{put_str, put_u32, put_u64, Decoder, WireError};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -321,7 +323,7 @@ impl<'a> Hooks<'a> {
             store: opts
                 .checkpoint_dir
                 .as_ref()
-                .map(|dir| CheckpointStore::new(dir.clone(), fingerprint(pipeline, collection))),
+                .map(|dir| CheckpointStore::new(dir.clone(), pipeline, collection)),
             ..Hooks::none(pipeline.obs())
         }
     }
@@ -411,7 +413,7 @@ impl<'a> Hooks<'a> {
     pub(crate) fn save(
         &mut self,
         stage: &'static str,
-        write: impl FnOnce(&CheckpointStore) -> std::io::Result<()>,
+        write: impl FnOnce(&CheckpointStore) -> Result<(), SegmentError>,
     ) {
         let Some(store) = &self.store else {
             return;
@@ -468,12 +470,14 @@ fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
     er_core::intern::Fnv1a::hash(summary.as_bytes())
 }
 
-const CKPT_MAGIC: &str = "er-checkpoint";
-const CKPT_VERSION: &str = "v1";
+/// What saving a checkpoint returns.
+type Saved = Result<(), SegmentError>;
 
 pub(crate) struct CheckpointStore {
     dir: PathBuf,
-    codec: LineCodec,
+    fingerprint: u64,
+    /// Every entity id a checkpoint names must be below this.
+    entities: usize,
 }
 
 /// A loaded `scheduled.ckpt`.
@@ -490,74 +494,112 @@ pub(crate) struct MatchedCkpt {
 }
 
 impl CheckpointStore {
-    fn new(dir: PathBuf, fingerprint: u64) -> Self {
+    fn new(dir: PathBuf, pipeline: &Pipeline, collection: &EntityCollection) -> Self {
         CheckpointStore {
             dir,
-            codec: LineCodec::new(CKPT_MAGIC, CKPT_VERSION, fingerprint),
+            fingerprint: fingerprint(pipeline, collection),
+            entities: collection.len(),
         }
     }
 
-    pub(crate) fn save_blocked(&self, blocks: &BlockCollection) -> std::io::Result<()> {
-        self.codec.write_atomic(
-            &self.dir.join("blocked.ckpt"),
-            STAGE_BLOCKING,
-            "",
-            blocks.blocks().iter().map(|b| {
-                let ids: Vec<String> = b.entities().iter().map(|e| e.0.to_string()).collect();
-                format!("{}\t{}", escape(b.key()), ids.join(","))
-            }),
-        )
+    /// Writes `file` as a one-section segment under the store's fingerprint:
+    /// the stage name, then the fields `body` appends.
+    fn write(&self, file: &str, stage: &str, body: impl FnOnce(&mut Vec<u8>)) -> Saved {
+        let mut payload = Vec::new();
+        put_str(&mut payload, stage);
+        body(&mut payload);
+        let mut w = SegmentWriter::create(self.dir.join(file), self.fingerprint)?;
+        w.bytes(&payload)?;
+        w.finish().map(drop)
+    }
+
+    /// Reads `file` back through `decode`: `Ok(None)` when absent, `Err` when
+    /// the segment, the stage name or a record is wrong.
+    fn load<T>(
+        &self,
+        file: &str,
+        stage: &str,
+        decode: impl FnOnce(&mut Decoder<'_>) -> Result<T, WireError>,
+    ) -> Result<Option<T>, String> {
+        let path = self.dir.join(file);
+        if !path.exists() {
+            return Ok(None);
+        }
+        let payload = Segment::open(&path, SegmentOptions::new(self.fingerprint))
+            .and_then(|seg| seg.bytes(0))
+            .map_err(|e| e.to_string())?;
+        let mut d = Decoder::new(&payload);
+        let found = d.str().map_err(|e| e.to_string())?;
+        if found != stage {
+            return Err(format!("checkpoint of stage {found:?}, expected {stage:?}"));
+        }
+        decode(&mut d).map(Some).map_err(|e| e.to_string())
+    }
+
+    /// Reads an entity id, which must name an entity of the collection.
+    fn entity(&self, d: &mut Decoder<'_>) -> Result<EntityId, WireError> {
+        let at = d.offset();
+        let id = d.u32()?;
+        if id as usize >= self.entities {
+            let reason = format!("entity id {id} out of range ({} entities)", self.entities);
+            return Err(WireError::invalid(at, reason));
+        }
+        Ok(EntityId(id))
+    }
+
+    /// Reads a pair of two distinct entity ids.
+    fn pair(&self, d: &mut Decoder<'_>) -> Result<Pair, WireError> {
+        let at = d.offset();
+        let (a, b) = (self.entity(d)?, self.entity(d)?);
+        Pair::try_new(a, b)
+            .ok_or_else(|| WireError::invalid(at, format!("self-pair of entity {}", a.0)))
+    }
+
+    pub(crate) fn save_blocked(&self, blocks: &BlockCollection) -> Saved {
+        self.write("blocked.ckpt", STAGE_BLOCKING, |out| {
+            for b in blocks.blocks() {
+                put_str(out, b.key());
+                put_u32(out, b.entities().len() as u32);
+                for e in b.entities() {
+                    put_u32(out, e.0);
+                }
+            }
+        })
     }
 
     pub(crate) fn load_blocked(&self) -> Result<Option<BlockCollection>, String> {
-        let path = self.dir.join("blocked.ckpt");
-        let Some(file) = self.codec.read(&path, STAGE_BLOCKING)? else {
-            return Ok(None);
-        };
-        let mut blocks = Vec::new();
-        for (i, line) in file.lines().enumerate() {
-            let (key, ids) = line
-                .split_once('\t')
-                .ok_or_else(|| format!("line {}: missing tab", i + 2))?;
-            let entities = ids
-                .split(',')
-                .filter(|s| !s.is_empty())
-                .map(|s| s.parse::<u32>().map(EntityId))
-                .collect::<Result<Vec<_>, _>>()
-                .map_err(|e| format!("line {}: bad entity id: {e}", i + 2))?;
-            blocks.push(Block::new(unescape(key)?.into_owned(), entities));
-        }
-        Ok(Some(BlockCollection::new(blocks)))
+        self.load("blocked.ckpt", STAGE_BLOCKING, |d| {
+            let mut blocks = Vec::new();
+            while !d.is_empty() {
+                let key = d.str()?.to_string();
+                let entities = (0..d.u32()?)
+                    .map(|_| self.entity(d))
+                    .collect::<Result<Vec<_>, _>>()?;
+                blocks.push(Block::new(key, entities));
+            }
+            Ok(BlockCollection::new(blocks))
+        })
     }
 
-    pub(crate) fn save_scheduled(&self, pairs: &[Pair], blocked: u64) -> std::io::Result<()> {
-        self.codec.write_atomic(
-            &self.dir.join("scheduled.ckpt"),
-            STAGE_META_BLOCKING,
-            &format!(" blocked={blocked}"),
-            pairs
-                .iter()
-                .map(|p| format!("{} {}", p.first().0, p.second().0)),
-        )
+    pub(crate) fn save_scheduled(&self, pairs: &[Pair], blocked: u64) -> Saved {
+        self.write("scheduled.ckpt", STAGE_META_BLOCKING, |out| {
+            put_u64(out, blocked);
+            for p in pairs {
+                put_u32(out, p.first().0);
+                put_u32(out, p.second().0);
+            }
+        })
     }
 
     pub(crate) fn load_scheduled(&self) -> Result<Option<ScheduledCkpt>, String> {
-        let path = self.dir.join("scheduled.ckpt");
-        let Some(file) = self.codec.read(&path, STAGE_META_BLOCKING)? else {
-            return Ok(None);
-        };
-        let blocked = header_field(file.header(), "blocked")?;
-        let mut pairs = Vec::new();
-        for (i, line) in file.lines().enumerate() {
-            let mut it = line.split(' ');
-            let (Some(a), Some(b), None) = (it.next(), it.next(), it.next()) else {
-                return Err(format!("line {}: expected two ids", i + 2));
-            };
-            let a: u32 = a.parse().map_err(|e| format!("line {}: {e}", i + 2))?;
-            let b: u32 = b.parse().map_err(|e| format!("line {}: {e}", i + 2))?;
-            pairs.push(Pair::new(EntityId(a), EntityId(b)));
-        }
-        Ok(Some(ScheduledCkpt { pairs, blocked }))
+        self.load("scheduled.ckpt", STAGE_META_BLOCKING, |d| {
+            let blocked = d.u64()?;
+            let mut pairs = Vec::new();
+            while !d.is_empty() {
+                pairs.push(self.pair(d)?);
+            }
+            Ok(ScheduledCkpt { pairs, blocked })
+        })
     }
 
     pub(crate) fn save_matched(
@@ -565,49 +607,39 @@ impl CheckpointStore {
         scored: &[(Pair, f64)],
         blocked: u64,
         scheduled: u64,
-    ) -> std::io::Result<()> {
-        self.codec.write_atomic(
-            &self.dir.join("matched.ckpt"),
-            STAGE_MATCHING,
-            &format!(" blocked={blocked} scheduled={scheduled}"),
-            scored.iter().map(|(p, s)| {
+    ) -> Saved {
+        self.write("matched.ckpt", STAGE_MATCHING, |out| {
+            put_u64(out, blocked);
+            put_u64(out, scheduled);
+            for (p, score) in scored {
+                put_u32(out, p.first().0);
+                put_u32(out, p.second().0);
                 // Scores as IEEE-754 bit patterns: bit-identical round-trip.
-                format!("{} {} {:016x}", p.first().0, p.second().0, s.to_bits())
-            }),
-        )
+                put_u64(out, score.to_bits());
+            }
+        })
     }
 
     pub(crate) fn load_matched(&self) -> Result<Option<MatchedCkpt>, String> {
-        let path = self.dir.join("matched.ckpt");
-        let Some(file) = self.codec.read(&path, STAGE_MATCHING)? else {
-            return Ok(None);
-        };
-        let blocked = header_field(file.header(), "blocked")?;
-        let scheduled = header_field(file.header(), "scheduled")?;
-        let mut scored = Vec::new();
-        for (i, line) in file.lines().enumerate() {
-            let mut it = line.split(' ');
-            let (Some(a), Some(b), Some(bits), None) = (it.next(), it.next(), it.next(), it.next())
-            else {
-                return Err(format!("line {}: expected id id score", i + 2));
-            };
-            let a: u32 = a.parse().map_err(|e| format!("line {}: {e}", i + 2))?;
-            let b: u32 = b.parse().map_err(|e| format!("line {}: {e}", i + 2))?;
-            let bits = u64::from_str_radix(bits, 16).map_err(|e| format!("line {}: {e}", i + 2))?;
-            scored.push((Pair::new(EntityId(a), EntityId(b)), f64::from_bits(bits)));
-        }
-        Ok(Some(MatchedCkpt {
-            scored,
-            blocked,
-            scheduled,
-        }))
+        self.load("matched.ckpt", STAGE_MATCHING, |d| {
+            let (blocked, scheduled) = (d.u64()?, d.u64()?);
+            let mut scored = Vec::new();
+            while !d.is_empty() {
+                let pair = self.pair(d)?;
+                scored.push((pair, f64::from_bits(d.u64()?)));
+            }
+            Ok(MatchedCkpt {
+                scored,
+                blocked,
+                scheduled,
+            })
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::codec::FOOTER;
     use er_core::fault::{FaultKind, FaultPlan};
     use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
     use std::fs;
@@ -707,11 +739,11 @@ mod tests {
         let dir = tmp_dir("corrupt");
         let opts = RecoveryOptions::default().checkpoint_dir(&dir);
         p.run_with_recovery(&ds.collection, &opts).unwrap();
-        // Truncate matched.ckpt (drop the footer) and scribble over
-        // scheduled.ckpt.
+        // Truncate matched.ckpt (cut into its segment footer) and scribble
+        // over scheduled.ckpt.
         let matched = dir.join("matched.ckpt");
-        let contents = fs::read_to_string(&matched).unwrap();
-        fs::write(&matched, &contents[..contents.len() - FOOTER.len() - 1]).unwrap();
+        let contents = fs::read(&matched).unwrap();
+        fs::write(&matched, &contents[..contents.len() - 1]).unwrap();
         fs::write(dir.join("scheduled.ckpt"), "garbage\n").unwrap();
         let out = p
             .run_with_recovery(&ds.collection, &opts.resume(true))
@@ -859,8 +891,115 @@ mod tests {
 
     #[test]
     fn block_key_escaping_round_trips() {
-        for key in ["plain", "tab\there", "multi\nline", "back\\slash", ""] {
-            assert_eq!(unescape(&escape(key)).unwrap(), key);
+        // Block keys are length-prefixed wire strings: any byte a key holds
+        // survives the checkpoint, with nothing to escape.
+        let dir = tmp_dir("keys");
+        let store = CheckpointStore::new(
+            dir.clone(),
+            &Pipeline::builder().build(),
+            &dataset().collection,
+        );
+        let keys = [
+            "plain",
+            "tab\there",
+            "multi\nline",
+            "back\\slash",
+            "",
+            "ünï\r",
+        ];
+        let blocks = BlockCollection::new(
+            keys.iter()
+                .map(|k| Block::new(k.to_string(), vec![EntityId(0), EntityId(2)]))
+                .collect(),
+        );
+        store.save_blocked(&blocks).unwrap();
+        let loaded = store.load_blocked().unwrap().unwrap();
+        let got: Vec<&str> = loaded.blocks().iter().map(|b| b.key()).collect();
+        let want: Vec<&str> = blocks.blocks().iter().map(|b| b.key()).collect();
+        assert_eq!(got, want);
+        assert_eq!(loaded.blocks()[0].entities(), &[EntityId(0), EntityId(2)]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint naming an entity the collection lacks, or pairing an
+    /// entity with itself, is written with a valid fingerprint and checksum
+    /// through the store's own writer. Loading it must reject it (never
+    /// panic, never fail matching later), and the resumed run must equal
+    /// the undisturbed one.
+    #[test]
+    fn checkpoints_with_bad_records_are_rejected_not_trusted() {
+        let ds = dataset();
+        let p = Pipeline::builder().build();
+        let plain = p.run(&ds.collection);
+        let n = ds.collection.len() as u32;
+        let dir = tmp_dir("bad-records");
+        let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+        let store = CheckpointStore::new(dir.clone(), &p, &ds.collection);
+        // (file, stage, bad record appended to the valid body, deeper
+        // checkpoints to remove so this one is the deepest).
+        let cases: [(&str, &str, Vec<u32>, &[&str]); 6] = [
+            (
+                "scheduled.ckpt",
+                STAGE_META_BLOCKING,
+                vec![0, 0],
+                &["matched.ckpt"],
+            ),
+            (
+                "scheduled.ckpt",
+                STAGE_META_BLOCKING,
+                vec![0, n],
+                &["matched.ckpt"],
+            ),
+            ("matched.ckpt", STAGE_MATCHING, vec![1, 1, 0, 0], &[]),
+            ("matched.ckpt", STAGE_MATCHING, vec![0, n + 98, 0, 0], &[]),
+            (
+                "blocked.ckpt",
+                STAGE_BLOCKING,
+                // Block key "" (length 0) with entities {0, n}.
+                vec![0, 2, 0, n],
+                &["matched.ckpt", "scheduled.ckpt"],
+            ),
+            (
+                "blocked.ckpt",
+                STAGE_BLOCKING,
+                vec![0, 1, u32::MAX],
+                &["matched.ckpt", "scheduled.ckpt"],
+            ),
+        ];
+        for (file, stage, record, deeper) in cases {
+            let _ = fs::remove_dir_all(&dir);
+            p.run_with_recovery(&ds.collection, &opts).unwrap();
+            let payload = Segment::open(dir.join(file), SegmentOptions::new(store.fingerprint))
+                .and_then(|seg| seg.bytes(0))
+                .unwrap();
+            // The body follows the stage name (a `u32` length, then its bytes).
+            let body = &payload[4 + stage.len()..];
+            store
+                .write(file, stage, |out| {
+                    out.extend_from_slice(body);
+                    for w in &record {
+                        put_u32(out, *w);
+                    }
+                })
+                .unwrap();
+            for d in deeper {
+                fs::remove_file(dir.join(d)).unwrap();
+            }
+            let out = p
+                .run_with_recovery(&ds.collection, &opts.clone().resume(true))
+                .unwrap();
+            let cell = format!("{file} + {record:?}");
+            assert!(
+                out.events.iter().any(|e| matches!(
+                    e,
+                    RecoveryEvent::CheckpointRejected { stage: s, .. } if *s == stage
+                )),
+                "{cell}: {:?}",
+                out.events
+            );
+            assert_eq!(out.resolution.matches, plain.matches, "{cell}");
+            assert_eq!(out.resolution.clusters, plain.clusters, "{cell}");
         }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

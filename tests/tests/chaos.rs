@@ -21,7 +21,6 @@
 //! * `ER_CHAOS_SEED=n` — mixed into every generated fault seed
 //! * `ER_CHAOS_WORKERS=n` — overrides the generated worker count
 
-use er_core::codec::LineCodec;
 use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults};
 use er_core::obs::{MetricsSnapshot, Obs};
 use er_core::resource::ResourceLimits;
@@ -567,10 +566,10 @@ proptest! {
         }
     }
 
-    /// A mutated *valid* frame stream (truncate / flip / splice, the same
-    /// mutation kinds as the snapshot and checkpoint parsers above) parses
-    /// or fails typed — the framed protocol gives a crashed or corrupted
-    /// worker pipe no way to panic the coordinator.
+    /// A mutated *valid* frame stream (truncate / flip / splice /
+    /// duplicate, the byte-level [`mutate_bytes`] kinds) parses or fails
+    /// typed — the framed protocol gives a crashed or corrupted worker pipe
+    /// no way to panic the coordinator.
     #[test]
     fn frame_decoder_survives_mutated_streams(seed in 0u64..=u64::MAX) {
         use er_mapreduce::proto::{Frame, FrameReader, FrameWriter};
@@ -590,13 +589,13 @@ proptest! {
                 stage: "map".to_string(),
                 task: 3,
                 attempt: 1,
-                payload: "a\tb\nc\\d".to_string(),
+                payload: b"a\tb\nc\\d\xff".to_vec(),
             })
             .unwrap();
             w.write(&Frame::Shutdown).unwrap();
         }
-        let corrupted = mutate(&String::from_utf8_lossy(&bytes), seed);
-        let mut r = FrameReader::new(corrupted.as_bytes());
+        let corrupted = mutate_bytes(&bytes, seed);
+        let mut r = FrameReader::new(&corrupted[..]);
         loop {
             match r.read() {
                 Ok(Some(_)) => {}
@@ -609,33 +608,109 @@ proptest! {
         }
     }
 
-    /// The checkpoint codec (header + fingerprint + footer parser) on
-    /// truncated/mutated files: any mutation that damages the envelope is a
-    /// typed `Err`; an undamaged envelope round-trips the body. Never a
-    /// panic.
+    /// The wire decoder, which reads every frame, task payload, shuffle row
+    /// and checkpoint record. On byte soup it decodes or fails typed, and
+    /// `Ok` means the bytes are exactly the encoding of what it returned.
+    /// Stored the way every durable record is — one bytes section of a
+    /// segment — and hit by the four [`mutate_bytes`] kinds, `Ok` means
+    /// exactly the original records. Every `Err` names an offset inside the
+    /// input. Never a panic.
     #[test]
-    fn line_codec_reader_survives_hostile_input(seed in 0u64..=u64::MAX) {
-        let codec = LineCodec::new("er-chaos", "v1", 0xfeed_beef);
-        let path = chaos_file("codec", seed % 64);
-        let lines = ["alpha\t1", "beta\t2", "gamma\t3"];
-        codec
-            .write_atomic(&path, "soak", " records=3", lines.iter().map(|s| s.to_string()))
-            .unwrap();
-        let text = std::fs::read_to_string(&path).unwrap();
-        prop_assert!(codec.read(&path, "soak").is_ok());
+    fn wire_decoder_survives_hostile_input(
+        seed in 0u64..=u64::MAX,
+        soup in proptest::collection::vec(any::<u8>(), 0..512),
+    ) {
+        match decode_wire_records(&soup, 0) {
+            Ok(records) => prop_assert_eq!(encode_wire_records(&records), soup),
+            Err(e) => prop_assert!(e.offset <= soup.len() as u64, "{e}"),
+        }
 
-        let bad = mutate(&text, seed);
+        let original = wire_records();
+        let path = chaos_file("wire", seed % 64);
+        let mut w = er_core::SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
+        w.bytes(&encode_wire_records(&original)).unwrap();
+        w.finish().unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let bad = mutate_bytes(&good, seed);
         std::fs::write(&path, &bad).unwrap();
-        match codec.read(&path, "soak") {
-            // Accepted ⇒ the envelope (header, fingerprint, footer)
-            // survived the mutation — possible for benign body edits; the
-            // property is the absence of panics, not rejection of every
-            // mutation.
-            Ok(_) => {}
-            Err(reason) => prop_assert!(!reason.is_empty()),
+        match read_wire_segment(&path) {
+            Ok(records) => prop_assert_eq!(records, original),
+            Err(offset) => prop_assert!(
+                offset <= bad.len() as u64,
+                "error offset {} past file length {}", offset, bad.len()
+            ),
         }
         let _ = std::fs::remove_file(&path);
     }
+}
+
+/// One record of every wire field kind.
+#[derive(Debug, PartialEq)]
+struct WireRecord {
+    tag: u8,
+    id: u32,
+    weight: u64,
+    key: String,
+    blob: Vec<u8>,
+}
+
+fn wire_records() -> Vec<WireRecord> {
+    ["alpha", "tab\tnew\nline", "", "zürich \\ 日本"]
+        .iter()
+        .enumerate()
+        .map(|(i, key)| WireRecord {
+            tag: i as u8,
+            id: 0xfeed_0000 + i as u32,
+            weight: (0.5_f64 * i as f64).to_bits(),
+            key: key.to_string(),
+            blob: vec![0xff; i],
+        })
+        .collect()
+}
+
+fn encode_wire_records(records: &[WireRecord]) -> Vec<u8> {
+    use er_core::wire::{put_bytes, put_str, put_u32, put_u64};
+    let mut out = Vec::new();
+    for r in records {
+        out.push(r.tag);
+        put_u32(&mut out, r.id);
+        put_u64(&mut out, r.weight);
+        put_str(&mut out, &r.key);
+        put_bytes(&mut out, &r.blob);
+    }
+    out
+}
+
+/// Decodes records up to the end of `bytes`, which lie at offset `base` of
+/// their file.
+fn decode_wire_records(
+    bytes: &[u8],
+    base: u64,
+) -> Result<Vec<WireRecord>, er_core::wire::WireError> {
+    let mut d = er_core::wire::Decoder::at(bytes, base);
+    let mut records = Vec::new();
+    while !d.is_empty() {
+        records.push(WireRecord {
+            tag: d.u8()?,
+            id: d.u32()?,
+            weight: d.u64()?,
+            key: d.str()?.to_string(),
+            blob: d.bytes()?.to_vec(),
+        });
+    }
+    d.finish()?;
+    Ok(records)
+}
+
+/// Opens a one-section segment of wire records and decodes them; an error
+/// is returned as the file offset it names (0 when it names none).
+fn read_wire_segment(path: &std::path::Path) -> Result<Vec<WireRecord>, u64> {
+    let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))
+        .map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
+    let payload = seg
+        .bytes(0)
+        .map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
+    decode_wire_records(&payload, seg.sections()[0].payload_offset).map_err(|e| e.offset)
 }
 
 // ---------------------------------------------------------------------------
@@ -681,8 +756,9 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
 /// Fingerprint every chaos segment is written (and opened) with.
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
-/// A valid two-section segment (postings + edges) exercising every codec
-/// the out-of-core paths read back.
+/// A valid three-section segment (postings + edges + a bytes section of wire
+/// records) exercising every codec the out-of-core, shuffle and checkpoint
+/// paths read back.
 fn segment_bytes() -> &'static Vec<u8> {
     use er_core::colstore::SegmentWriter;
     use er_core::entity::EntityId;
@@ -705,6 +781,7 @@ fn segment_bytes() -> &'static Vec<u8> {
             })
             .collect();
         w.run(&edges).unwrap();
+        w.bytes(&encode_wire_records(&wire_records())).unwrap();
         w.finish().unwrap();
         let bytes = std::fs::read(&path).unwrap();
         let _ = std::fs::remove_file(&path);
@@ -716,7 +793,7 @@ fn segment_bytes() -> &'static Vec<u8> {
 /// section through its codec — the full read surface a k-way merge would
 /// touch. Any failure is returned, never panicked.
 fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
-    use er_core::colstore::{KIND_EDGES, KIND_POSTINGS};
+    use er_core::colstore::{KIND_BYTES, KIND_EDGES, KIND_POSTINGS};
     let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))?;
     for (i, info) in seg.sections().iter().enumerate() {
         match info.kind {
@@ -727,6 +804,16 @@ fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
             KIND_EDGES => {
                 let mut cur = seg.run::<er_core::EdgeRecord>(i)?;
                 while cur.next()?.is_some() {}
+            }
+            KIND_BYTES => {
+                let payload = seg.bytes(i)?;
+                decode_wire_records(&payload, info.payload_offset).map_err(|e| {
+                    er_core::SegmentError::Malformed {
+                        path: path.to_path_buf(),
+                        offset: e.offset,
+                        reason: e.to_string(),
+                    }
+                })?;
             }
             _ => {}
         }

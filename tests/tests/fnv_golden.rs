@@ -1,18 +1,33 @@
 //! Golden values for every on-disk / on-wire artifact derived from the one
 //! FNV-1a hasher (`er_core::intern::Fnv1a`). Each constant was measured at the
 //! commit *before* the five private copies of the loop were merged, so a
-//! passing suite proves — rather than assumes — that worker handshakes,
-//! checkpoints, spill segments and MinHash block keys written by an older
-//! build are still accepted by this one. The shuffle segment's hash was
-//! measured before the map runner stopped building a string per posting: the
-//! `er-dist` bytes it writes are unchanged.
+//! passing suite proves — rather than assumes — that checkpoint
+//! fingerprints, spill segments and MinHash block keys are computed as an
+//! older build computed them.
 //!
-//! `protocol_fingerprint()` hashes `CARGO_PKG_VERSION`; re-pin it (and only
-//! it) when the workspace version is bumped.
+//! Two pins moved, deliberately, when frames, shuffle segments and
+//! checkpoints moved onto the one wire codec and the colstore segment
+//! envelope:
+//!
+//! * `protocol_fingerprint_is_pinned` — `PROTOCOL_VERSION` went 1 → 2 (frame
+//!   payloads are a tag plus wire fields, not an escaped text line), and the
+//!   fingerprint hashes the version, so a worker built before the change
+//!   cannot join a pool built after it.
+//! * `shuffle_segment_checksum_is_pinned` — a shuffle segment is now a
+//!   one-section colstore segment of wire `(key, value)` rows instead of an
+//!   escaped `er-dist` line file, so its bytes changed; the new value was
+//!   measured at that change and pins its bytes from here on.
+//!
+//! `checkpoint_fingerprint_is_pinned` did not move: the checkpoint
+//! fingerprint is the same hash, now read from the segment header's
+//! fingerprint field instead of a text header.
+//!
+//! `protocol_fingerprint()` also hashes `CARGO_PKG_VERSION`; re-pin it (and
+//! only it) when the workspace version is bumped.
 
 use er_blocking::minhash::MinHashBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
-use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN};
+use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN, MAGIC};
 use er_core::entity::{EntityBuilder, EntityId, KbId};
 use er_core::intern::{Fnv1a, Symbol};
 use er_mapreduce::dist::{decode_map_result, default_registry, encode_map_task, run_task};
@@ -41,7 +56,7 @@ fn tmp(tag: &str) -> std::path::PathBuf {
 fn protocol_fingerprint_is_pinned() {
     assert_eq!(
         er_mapreduce::proto::protocol_fingerprint(),
-        0xf524_516c_6838_3fc2,
+        0x1844_8548_c72b_6059,
         "{:#018x}",
         er_mapreduce::proto::protocol_fingerprint()
     );
@@ -61,13 +76,12 @@ fn checkpoint_fingerprint_is_pinned() {
         .build()
         .run_with_recovery(&fixture(), &RecoveryOptions::default().checkpoint_dir(&dir))
         .unwrap();
-    let blocked = std::fs::read_to_string(dir.join("blocked.ckpt")).unwrap();
-    let header = blocked.lines().next().unwrap();
+    let blocked = std::fs::read(dir.join("blocked.ckpt")).unwrap();
     let _ = std::fs::remove_dir_all(&dir);
-    assert_eq!(
-        header,
-        "er-checkpoint v1 stage=blocking fingerprint=ec680b0c66a2f8b6"
-    );
+    // The segment header: magic, version, reserved, then the fingerprint.
+    assert_eq!(&blocked[..8], MAGIC);
+    let got = u64::from_le_bytes(blocked[16..24].try_into().unwrap());
+    assert_eq!(got, 0xec68_0b0c_66a2_f8b6, "{got:#018x}");
 }
 
 #[test]
@@ -103,8 +117,9 @@ fn shuffle_segment_checksum_is_pinned() {
     let dir = tmp("shuffle");
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    // Tokens holding a backslash, a newline and non-ASCII text exercise the
-    // row escaping; one partition keeps every posting in one segment.
+    // Tokens holding a backslash, a newline and non-ASCII text travel as
+    // length-prefixed wire strings; one partition keeps every posting in one
+    // segment.
     let records = [
         "0\tturing\tlondon".to_string(),
         "1\talan\tturing\tlon\\don".to_string(),
@@ -117,5 +132,5 @@ fn shuffle_segment_checksum_is_pinned() {
     let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(segments.len(), 1);
     let got = Fnv1a::hash(&bytes);
-    assert_eq!(got, 0x9415_00ba_0fd0_138b, "{got:#018x}");
+    assert_eq!(got, 0xd8a9_71eb_de9d_6541, "{got:#018x}");
 }

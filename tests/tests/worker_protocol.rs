@@ -10,7 +10,8 @@
 //! 2. **Hostile bytes are typed errors** — truncation mid-prefix or
 //!    mid-payload is `FrameError::Truncated` with the byte offset of the
 //!    damaged frame; a length prefix past `MAX_FRAME_BYTES` is
-//!    `FrameError::Oversized` *before* any allocation; garbage payloads are
+//!    `FrameError::Oversized` *before* any allocation; garbage payloads, and
+//!    payloads cut short or extended past their last field, are
 //!    `FrameError::Malformed`. Never a panic.
 //! 3. **Mismatched binaries cannot join a pool** — a worker process served a
 //!    wrong protocol version or fingerprint answers `HelloRej` and the run
@@ -61,8 +62,9 @@ fn decode_all(bytes: &[u8]) -> Result<Vec<Frame>, FrameError> {
     Ok(frames)
 }
 
-/// A hostile-payload string: raw bytes through lossy UTF-8, so it exercises
-/// tabs, newlines, backslashes (the escape alphabet) and replacement chars.
+/// A hostile string: raw bytes through lossy UTF-8, so it exercises tabs,
+/// newlines, backslashes and replacement chars. Task payloads take the raw
+/// bytes themselves.
 fn payload_from(bytes: &[u8]) -> String {
     String::from_utf8_lossy(bytes).into_owned()
 }
@@ -90,12 +92,12 @@ fn frame_menu(raw: &[u8], a: u64, b: u64) -> Vec<Frame> {
             stage: if a & 1 == 0 { "map" } else { "reduce" }.to_string(),
             task: (b % 1024) as usize,
             attempt: (a % 5) as u32,
-            payload: s.clone(),
+            payload: raw.to_vec(),
         },
         Frame::TaskResult {
             task: (a % 1024) as usize,
             attempt: (b % 5) as u32,
-            payload: s.clone(),
+            payload: raw.to_vec(),
         },
         Frame::TaskError {
             task: (b % 1024) as usize,
@@ -184,6 +186,37 @@ proptest! {
             | Err(FrameError::Oversized { .. })
             | Err(FrameError::Malformed { .. }) => {}
             Err(FrameError::Io { .. }) => prop_assert!(false, "in-memory reads cannot be I/O errors"),
+        }
+    }
+}
+
+/// (2d) Every frame kind, with a length prefix that matches its payload:
+/// cutting the payload at any byte, or appending one byte after its last
+/// field, is `Malformed` at that frame's offset — the payload's fields are
+/// read at their declared widths and must end exactly where it ends. Never
+/// a panic, never a frame decoded from a damaged payload.
+#[test]
+fn every_cut_or_extended_payload_is_malformed_at_its_frame() {
+    // Values past `u32` in the 64-bit fields.
+    let frames = frame_menu(b"p\tq\n\xff", 0x1_0000_0001, 0xffff_ffff_0000_0002);
+    let lead = encode_frames(&[Frame::Heartbeat { seq: 5 }]);
+    for frame in &frames {
+        let payload = frame.encode_payload();
+        let damaged = (0..payload.len())
+            .map(|cut| payload[..cut].to_vec())
+            .chain([[&payload[..], &[0x2a]].concat()]);
+        for bad in damaged {
+            let mut stream = lead.clone();
+            stream.extend_from_slice(&(bad.len() as u32).to_be_bytes());
+            stream.extend_from_slice(&bad);
+            let mut r = FrameReader::new(&stream[..]);
+            assert_eq!(r.read().unwrap(), Some(Frame::Heartbeat { seq: 5 }));
+            match r.read() {
+                Err(FrameError::Malformed { offset, .. }) => {
+                    assert_eq!(offset, lead.len() as u64, "{frame:?} as {bad:?}")
+                }
+                other => panic!("{frame:?} as {bad:?}: expected Malformed, got {other:?}"),
+            }
         }
     }
 }
