@@ -9,6 +9,7 @@
 
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::EntityId;
+use er_core::intern::Symbol;
 use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
@@ -253,7 +254,7 @@ impl BlockStats {
 
 /// Records `blocking.tokens_indexed` (key–entity index entries: the rows'
 /// CSR length) and `blocking.interner_symbols` (their vocabulary).
-pub(crate) fn record_index_obs(obs: &Obs, rows: &KeyRows) {
+fn record_index_obs(obs: &Obs, rows: &KeyRows) {
     if obs.is_enabled() {
         obs.counter("blocking.tokens_indexed")
             .add(rows.n_symbols() as u64);
@@ -276,18 +277,16 @@ pub(crate) fn record_index_obs(obs: &Obs, rows: &KeyRows) {
 /// distinct keys, so nothing needs deduplicating.
 pub fn blocks_from_profiles(rows: &KeyRows, obs: &Obs) -> BlockCollection {
     const NO_BLOCK: u32 = u32::MAX;
-    record_index_obs(obs, rows);
-    let vocabulary = rows.vocabulary();
     // Every key's block size, then its block's slot: shared keys get one in
     // symbol (= key) order, the rest none.
-    let mut slot = vec![0u32; vocabulary.len()];
+    let mut slot = vec![0u32; rows.vocabulary().len()];
     for s in rows.iter().flatten() {
         slot[s.index()] += 1;
     }
-    let mut blocks: Vec<(usize, Vec<EntityId>)> = Vec::new();
+    let mut blocks: Vec<(Symbol, Vec<EntityId>)> = Vec::new();
     for (symbol, size) in slot.iter_mut().enumerate() {
         if *size >= 2 {
-            blocks.push((symbol, Vec::with_capacity(*size as usize)));
+            blocks.push((Symbol(symbol as u32), Vec::with_capacity(*size as usize)));
             *size = (blocks.len() - 1) as u32;
         } else {
             *size = NO_BLOCK;
@@ -301,10 +300,30 @@ pub fn blocks_from_profiles(rows: &KeyRows, obs: &Obs) -> BlockCollection {
             }
         }
     }
+    blocks_from_groups(rows, blocks, obs)
+}
+
+/// The blocks of a transpose of `rows` that grouped its postings elsewhere
+/// — in memory, through an external sort, or on worker processes: one block
+/// per `(symbol, members)` group with ≥ 2 members, keyed by rendering the
+/// symbol through the rows' vocabulary once, with the index counters of
+/// `rows` and the block counters of [`BlockCollection::record_obs`].
+///
+/// Groups must come in ascending symbol order, members ascending and
+/// distinct, and every symbol must be one of `rows`' vocabulary (it
+/// indexes it).
+pub fn blocks_from_groups(
+    rows: &KeyRows,
+    groups: impl IntoIterator<Item = (Symbol, Vec<EntityId>)>,
+    obs: &Obs,
+) -> BlockCollection {
+    record_index_obs(obs, rows);
+    let vocabulary = rows.vocabulary();
     let blocks = BlockCollection::new(
-        blocks
+        groups
             .into_iter()
-            .map(|(symbol, members)| Block::from_sorted(vocabulary[symbol].clone(), members))
+            .filter(|(_, members)| members.len() >= 2)
+            .map(|(s, members)| Block::from_sorted(vocabulary[s.index()].clone(), members))
             .collect(),
     );
     blocks.record_obs(obs);

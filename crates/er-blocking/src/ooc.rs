@@ -20,7 +20,7 @@
 //! posting plus the vocabulary that renders block keys; under token
 //! blocking the matching stage reads both anyway (see `docs/out_of_core.md`).
 
-use crate::block::{record_index_obs, Block, BlockCollection};
+use crate::block::{blocks_from_groups, BlockCollection};
 use crate::token::TokenBlocking;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{ExternalSorter, OocConfig, SegmentError};
@@ -60,22 +60,13 @@ pub fn blocks_from_profiles_ooc(
         let entity = EntityId(e as u32);
         row.iter().map(move |&s| (s, entity))
     }))?;
-    record_index_obs(obs, rows);
     // Run-length grouping over the sorted stream: one run per symbol.
     let mut runs: Vec<(Symbol, Vec<EntityId>)> = Vec::new();
     sorter.merge(|(symbol, entity)| match runs.last_mut() {
         Some((s, members)) if *s == symbol => members.push(entity),
         _ => runs.push((symbol, vec![entity])),
     })?;
-    let vocabulary = rows.vocabulary();
-    let blocks = BlockCollection::new(
-        runs.into_iter()
-            .filter(|(_, members)| members.len() >= 2)
-            .map(|(s, members)| Block::from_sorted(vocabulary[s.index()].clone(), members))
-            .collect(),
-    );
-    blocks.record_obs(obs);
-    Ok(blocks)
+    Ok(blocks_from_groups(rows, runs, obs))
 }
 
 #[cfg(test)]

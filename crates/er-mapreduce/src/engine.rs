@@ -1,11 +1,13 @@
 //! The in-process task engine and the typed stage error.
 //!
-//! [`run_dist`](crate::dist::run_dist) is the crate's one MapReduce driver:
-//! chunk the inputs into map tasks, hash-**partition** their output by key
-//! into spill segments, and reduce each partition's keys in sorted order.
-//! Results come back sorted by key, which makes the output independent of the
-//! worker count — the property every equivalence test in this workspace
-//! relies on. On [`InProcessTransport`](crate::transport::InProcessTransport)
+//! The crate has one MapReduce job walk, under two drivers
+//! ([`run_dist`](crate::dist::run_dist) for string jobs,
+//! [`run_key_transpose`](crate::dist::run_key_transpose) for key rows):
+//! chunk the inputs into map tasks, **partition** their output by key — by
+//! hash, or by symbol range — into spill segments, and reduce each
+//! partition's keys in sorted order. Results come back sorted by key, which
+//! makes the output independent of the worker count — the property every
+//! equivalence test in this workspace relies on. On [`InProcessTransport`](crate::transport::InProcessTransport)
 //! each stage's tasks run here, on `execute_tasks`'s scoped threads; the
 //! subprocess coordinator drives the same attempt ledger from frames.
 //!

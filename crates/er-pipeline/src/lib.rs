@@ -40,7 +40,7 @@ pub use recovery::{PipelineError, RecoveryEvent, RecoveryOptions, RecoveryOutcom
 pub use streaming::{StreamingConfig, StreamingSession};
 
 use er_blocking::attribute_clustering::AttributeClusteringBlocking;
-use er_blocking::block::{blocks_from_profiles, Block, BlockCollection};
+use er_blocking::block::{blocks_from_groups, blocks_from_profiles, BlockCollection};
 use er_blocking::cleaning;
 use er_blocking::minhash::MinHashBlocking;
 use er_blocking::ooc::blocks_from_profiles_ooc;
@@ -59,7 +59,9 @@ use er_core::parallel::Parallelism;
 use er_core::profiles::{KeyRows, TokenProfiles};
 use er_core::resource::{MemoryBudget, ResourceLimits, Watchdog};
 use er_core::similarity::SetMeasure;
-use er_mapreduce::{run_dist, DistOptions, SubprocessConfig, SubprocessTransport, Transport};
+use er_mapreduce::{
+    run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport, Transport,
+};
 use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 use recovery::Hooks;
 use std::path::PathBuf;
@@ -101,10 +103,10 @@ pub enum Backend {
     InProcess,
     /// On supervised OS worker processes speaking the framed protocol of
     /// [`er_mapreduce::proto`], with real crash isolation: every
-    /// block-producing stage ships its key rows to the distributed
-    /// `token-blocking` MapReduce job (a key-blocking job: it groups
-    /// whatever keys a record carries) and the output is bit-identical to
-    /// [`Backend::InProcess`]. The pair-producing
+    /// block-producing stage ships its key rows, as `u32` symbols, to the
+    /// distributed `key-transpose` MapReduce job
+    /// ([`er_mapreduce::run_key_transpose`]) and the output is
+    /// bit-identical to [`Backend::InProcess`]. The pair-producing
     /// [`BlockingStage::SortedNeighborhood`] has no blocks and runs in
     /// process (`er resolve` rejects the combination).
     Subprocess {
@@ -706,49 +708,28 @@ impl Pipeline {
         cfg
     }
 
-    /// The transpose of `rows` as the distributed `token-blocking` job on
-    /// `transport` — a key-blocking job: it groups whatever keys the records
-    /// carry.
+    /// The transpose of `rows` as the distributed `key-transpose` job on
+    /// `transport`: the rows travel as `u32` symbols, and each block's key
+    /// is rendered once, from the rows' vocabulary, here.
     ///
-    /// The driver ships the rows — per-entity key *sets* — and the
-    /// key-sorted reduce output is exactly the lexicographic block order of
-    /// the in-process transpose, so the returned collection is bit-identical
-    /// to [`blocks_from_profiles`]. A typed [`er_mapreduce`] execution error
-    /// (worker crash loop, handshake rejection, stage deadline) panics with
-    /// its message, which the recovery layer catches and retries like any
-    /// other blocking-stage fault.
+    /// The job returns every shared symbol's members in symbol order, which
+    /// is the lexicographic key order of the in-process transpose, so the
+    /// returned collection — and every `blocking.*` counter — is
+    /// bit-identical to [`blocks_from_profiles`]. A typed [`er_mapreduce`]
+    /// execution error (worker crash loop, handshake rejection, stage
+    /// deadline, a malformed shuffle segment or result) panics with its
+    /// message, which the recovery layer catches and retries like any other
+    /// blocking-stage fault.
     fn dist_blocks(
         &self,
         rows: &KeyRows,
         transport: &mut dyn Transport,
         workers: usize,
     ) -> BlockCollection {
-        let records = dist_blocking_records(rows);
-        let out = run_dist(
-            transport,
-            "token-blocking",
-            &records,
-            &DistOptions::for_workers(workers),
-        )
-        .unwrap_or_else(|e| panic!("distributed blocking failed: {e}"));
-        if self.obs.is_enabled() {
-            // Mirror the layout counters of the in-process build so
-            // er-metrics-check invariants hold on either backend: each map
-            // posting is one key-index entry, each distinct reduce key one
-            // vocabulary symbol.
-            self.obs
-                .counter("blocking.tokens_indexed")
-                .add(out.stats.map_output_records);
-            self.obs
-                .counter("blocking.interner_symbols")
-                .add(out.stats.reduce_groups);
-        }
+        let out = run_key_transpose(transport, rows, &DistOptions::for_workers(workers))
+            .unwrap_or_else(|e| panic!("distributed blocking failed: {e}"));
         out.stats.record_obs(&self.obs);
-        let blocks = blocks_from_dist_pairs(out.pairs)
-            .unwrap_or_else(|e| panic!("distributed blocking returned a malformed block: {e}"));
-        let blocks = BlockCollection::new(blocks);
-        blocks.record_obs(&self.obs);
-        blocks
+        blocks_from_groups(rows, out.blocks, &self.obs)
     }
 
     /// Runs the pipeline *progressively*: this pipeline's blocking stages
@@ -809,46 +790,6 @@ fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::Gover
         shed_blocks: 0,
         shed_comparisons: 0,
     }
-}
-
-/// Serializes key rows for the distributed `token-blocking` job: one record
-/// per entity in id order, `id \t key \t key …` with the entity's distinct
-/// keys in key order. Every family keys on normalized text, in which a
-/// non-alphanumeric character such as a tab never survives, so the tab
-/// framing is unambiguous.
-fn dist_blocking_records(rows: &KeyRows) -> Vec<String> {
-    rows.iter()
-        .enumerate()
-        .map(|(id, symbols)| {
-            let mut record = id.to_string();
-            for s in symbols {
-                record.push('\t');
-                record.push_str(&rows.vocabulary()[s.index()]);
-            }
-            record
-        })
-        .collect()
-}
-
-/// Rebuilds blocks from the key-sorted `(token, "id id …")` pairs of the
-/// distributed job. Pair order is the lexicographic key order of the
-/// in-process build, and [`Block::new`] re-sorts members, so the resulting
-/// collection is bit-identical to it.
-fn blocks_from_dist_pairs(pairs: Vec<(String, String)>) -> Result<Vec<Block>, String> {
-    pairs
-        .into_iter()
-        .map(|(key, ids)| {
-            let members = ids
-                .split(' ')
-                .map(|id| {
-                    id.parse::<u32>()
-                        .map(EntityId)
-                        .map_err(|_| format!("bad entity id {id:?} in block {key:?}"))
-                })
-                .collect::<Result<Vec<_>, _>>()?;
-            Ok(Block::new(key, members))
-        })
-        .collect()
 }
 
 /// Within-cluster pairs of a clustering (sorted), used when a clustering
@@ -1086,7 +1027,7 @@ mod tests {
 
     #[test]
     fn dist_token_blocking_matches_the_in_process_build() {
-        // The distributed token-blocking path (here on the in-process
+        // The distributed key-transpose path (here on the in-process
         // transport, the oracle both backends share) rebuilds the exact
         // BlockCollection the thread kernels produce — block keys, order,
         // and members — at several worker counts.
@@ -1104,28 +1045,6 @@ mod tests {
             let got = p.dist_blocks(&profiles, &mut t, workers);
             assert_eq!(got, reference, "workers={workers}");
         }
-    }
-
-    #[test]
-    fn dist_blocking_records_carry_sorted_token_sets() {
-        let ds = dataset();
-        let tokenizer = er_core::tokenize::Tokenizer::default();
-        let profiles = TokenProfiles::build(&ds.collection, &tokenizer, Parallelism::serial());
-        let records = dist_blocking_records(&profiles);
-        assert_eq!(records.len(), ds.collection.len());
-        for (e, r) in ds.collection.iter().zip(&records) {
-            let mut fields = r.split('\t');
-            assert_eq!(fields.next().unwrap(), e.id().0.to_string(), "id order");
-            let tokens: Vec<&str> = fields.collect();
-            // A `BTreeSet<String>` iterates distinct tokens in token order.
-            assert!(tokens.iter().eq(&e.token_set(&tokenizer)), "{r:?}");
-        }
-    }
-
-    #[test]
-    fn malformed_dist_pairs_are_typed_errors() {
-        let err = blocks_from_dist_pairs(vec![("tok".to_string(), "0 x".to_string())]).unwrap_err();
-        assert!(err.contains("bad entity id"), "{err}");
     }
 
     #[test]

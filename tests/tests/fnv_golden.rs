@@ -18,6 +18,11 @@
 //!   escaped `er-dist` line file, so its bytes changed; the new value was
 //!   measured at that change and pins its bytes from here on.
 //!
+//! `symbol_shuffle_segment_checksum_is_pinned` was added with the
+//! `key-transpose` job: its shuffle segment is a one-section colstore segment
+//! holding one key-sorted `KIND_POSTINGS` run, measured when the job landed.
+//! It pins the symbol data plane beside the string one, which still holds.
+//!
 //! `checkpoint_fingerprint_is_pinned` did not move: the checkpoint
 //! fingerprint is the same hash, now read from the segment header's
 //! fingerprint field instead of a text header.
@@ -30,7 +35,13 @@ use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN, MAGIC};
 use er_core::entity::{EntityBuilder, EntityId, KbId};
 use er_core::intern::{Fnv1a, Symbol};
-use er_mapreduce::dist::{decode_map_result, default_registry, encode_map_task, run_task};
+use er_core::parallel::Parallelism;
+use er_core::profiles::TokenProfiles;
+use er_core::tokenize::Tokenizer;
+use er_mapreduce::dist::{
+    decode_map_result, default_registry, encode_map_task, encode_transpose_map_task, run_task,
+    KEY_TRANSPOSE,
+};
 use er_pipeline::{Pipeline, RecoveryOptions};
 
 fn fixture() -> EntityCollection {
@@ -133,4 +144,35 @@ fn shuffle_segment_checksum_is_pinned() {
     assert_eq!(segments.len(), 1);
     let got = Fnv1a::hash(&bytes);
     assert_eq!(got, 0xd8a9_71eb_de9d_6541, "{got:#018x}");
+}
+
+#[test]
+fn symbol_shuffle_segment_checksum_is_pinned() {
+    let dir = tmp("symbol-shuffle");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    // The fixture's token rows as one `key-transpose` map task; one
+    // partition keeps every posting in one key-sorted `KIND_POSTINGS` run.
+    let rows = TokenProfiles::build(&fixture(), &Tokenizer::default(), Parallelism::serial());
+    let payload = encode_transpose_map_task(1, 0, 0xfeed_beef, &dir, &rows, 0..rows.len());
+    let result = run_task(&default_registry(), KEY_TRANSPOSE, "map", &payload, 0).unwrap();
+    let segments = decode_map_result(&result).unwrap().segments;
+    let bytes = std::fs::read(&segments[0].path).unwrap();
+    // It is the out-of-core build's posting run, byte for byte.
+    let mut postings: Vec<(Symbol, EntityId)> = rows
+        .iter()
+        .enumerate()
+        .flat_map(|(e, row)| row.iter().map(move |&s| (s, EntityId(e as u32))))
+        .collect();
+    postings.sort_unstable();
+    let run = dir.join("run.seg");
+    let mut w = SegmentWriter::create(&run, 0xfeed_beef).unwrap();
+    w.run(&postings).unwrap();
+    w.finish().unwrap();
+    let run = std::fs::read(&run).unwrap();
+    let _ = std::fs::remove_dir_all(&dir);
+    assert_eq!(segments.len(), 1);
+    assert_eq!(bytes, run);
+    let got = Fnv1a::hash(&bytes);
+    assert_eq!(got, 0xf22e_72ad_1d4b_9851, "{got:#018x}");
 }

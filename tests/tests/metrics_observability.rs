@@ -3,7 +3,9 @@
 //! routing, and JSON snapshot round-trips through a real pipeline.
 
 use er_core::collection::EntityCollection;
-use er_core::obs::{CaptureSink, Event, Histogram, MetricsSnapshot, Obs, HISTOGRAM_BUCKETS};
+use er_core::obs::{
+    CaptureSink, Event, Histogram, HistogramSnapshot, MetricsSnapshot, Obs, HISTOGRAM_BUCKETS,
+};
 use er_core::parallel::Parallelism;
 use er_core::resource::ResourceLimits;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
@@ -13,6 +15,7 @@ use er_pipeline::{
     Backend, BlockingStage, CleaningStage, ClusteringStage, MatchingStage, Pipeline,
     RecoveryOptions,
 };
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 fn dataset() -> DirtyDataset {
@@ -289,6 +292,82 @@ fn every_entry_point_tokenizes_once() {
         assert_eq!(tokenized(&p.metrics()), tokenizations, "{resume_point}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The `blocking.*` counters and histograms of a snapshot.
+fn blocking_series(
+    s: &MetricsSnapshot,
+) -> (
+    BTreeMap<&String, &u64>,
+    BTreeMap<&String, &HistogramSnapshot>,
+) {
+    let ours = |k: &&String| k.starts_with("blocking.");
+    let counters = s.counters.iter().filter(|(k, _)| ours(k)).collect();
+    let histograms = s.histograms.iter().filter(|(k, _)| ours(k)).collect();
+    (counters, histograms)
+}
+
+/// Every `blocking.*` series of a run — the index counters
+/// (`record_index_obs` over the run's key rows), the block counters and the
+/// block-size histogram — is recorded by the same calls on either backend,
+/// so a two-worker subprocess run reads exactly what the in-process run
+/// reads, for token blocking and for another key family alike.
+#[test]
+fn blocking_series_agree_across_backends() {
+    let ds = dataset();
+    let snapshot = |stage: &BlockingStage, backend: Backend| {
+        let p = Pipeline::builder()
+            .blocking(stage.clone())
+            .observability(Obs::enabled())
+            .backend(backend)
+            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+            .build();
+        p.run(&ds.collection);
+        p.metrics()
+    };
+    for stage in [BlockingStage::Token, BlockingStage::MinHash(4, 2)] {
+        let in_process = snapshot(&stage, Backend::InProcess);
+        let subprocess = snapshot(&stage, Backend::Subprocess { workers: 2 });
+        for key in ["blocking.tokens_indexed", "blocking.interner_symbols"] {
+            assert!(in_process.counter(key).unwrap_or(0) > 0, "{stage:?}: {key}");
+        }
+        assert_eq!(
+            blocking_series(&subprocess),
+            blocking_series(&in_process),
+            "{stage:?}"
+        );
+        assert_eq!(subprocess.counter("mapreduce.jobs"), Some(1), "{stage:?}");
+    }
+}
+
+/// The subprocess map honours the spill bound its worker's budget allotment
+/// sets: under a 4 KiB memory limit (2 KiB per worker) the symbol map
+/// flushes sorted runs mid-task, and the run resolves exactly as the
+/// in-process run under the same limit — whose transpose buffers no shuffle
+/// at all, and whose budget sheds the same blocks.
+#[test]
+fn subprocess_spills_under_the_memory_limit_and_resolves_the_same() {
+    let ds = dataset();
+    let limits = ResourceLimits::none().with_memory_bytes(4096);
+    let run = |backend: Backend| {
+        let p = Pipeline::builder()
+            .observability(Obs::enabled())
+            .resource_limits(limits)
+            .backend(backend)
+            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+            .build();
+        let resolution = p.run(&ds.collection);
+        (resolution, p.metrics())
+    };
+    let (want, _) = run(Backend::InProcess);
+    let (got, snapshot) = run(Backend::Subprocess { workers: 2 });
+    let spilled = snapshot
+        .counter("mapreduce.partitions_spilled")
+        .unwrap_or(0);
+    assert!(spilled > 0, "a 2 KiB allotment must spill: {spilled}");
+    assert_eq!(got.matches, want.matches);
+    assert_eq!(got.clusters, want.clusters);
+    assert_eq!(format!("{:?}", got.report), format!("{:?}", want.report));
 }
 
 /// `mapreduce.task_latency_micros` is recorded by the attempt ledger, so it
