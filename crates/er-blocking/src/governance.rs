@@ -24,12 +24,16 @@ use er_core::resource::MemoryBudget;
 
 /// Estimated resident footprint of one block: fixed struct overhead, the
 /// key's heap payload, a 4-byte entity id per posting entry, **plus the
-/// block's share of the interner** that backs the compact build. Every block
-/// key is also a vocabulary entry held twice by the
-/// [`Interner`](er_core::intern::Interner) (owned
-/// copy and lookup key) with ~68 bytes of table overhead — see
-/// `Interner::heap_bytes` — so omitting it undercounts admission cost on
+/// block's share of the interner** that backs the compact build, charged as
+/// `2 * key + 68` bytes — omitting it undercounts admission cost on
 /// token-heavy corpora where the dictionary rivals the posting lists.
+///
+/// That share is conservative: the
+/// [`Interner`](er_core::intern::Interner) keeps each key once, in its
+/// arena, plus a 4-byte span end and two to four 8-byte table slots (past
+/// its first 16 slots the table is between a quarter and half full) — at
+/// most `key + 36` bytes. The formula stays as it is, byte for byte, because shed
+/// decisions, and the locks that pin them, depend on it.
 pub fn block_bytes(block: &Block) -> u64 {
     let key = block.key().len() as u64;
     48 + key + 4 * block.entities().len() as u64 + (2 * key + 68)

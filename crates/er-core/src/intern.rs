@@ -18,8 +18,6 @@
 //! a pure function of the key set, bit-identical to the string-keyed
 //! reference paths.
 
-use std::collections::HashMap;
-
 /// Streaming 64-bit FNV-1a — the interner's hash, and the workspace's one
 /// deterministic hash: segment checksums, collection / checkpoint / protocol
 /// fingerprints and MinHash token hashes all feed this hasher through
@@ -89,6 +87,12 @@ impl std::fmt::Debug for Symbol {
 /// A string interner: owns each distinct string once, maps it to a dense
 /// [`Symbol`].
 ///
+/// Every key lives once, in one `String` arena; symbol `i` is the arena
+/// slice `ends[i - 1] .. ends[i]`. The reverse lookup is an open-addressed
+/// table of `(fnv_hash, id + 1)` slots, the hash's low 32 bits, probed
+/// linearly from `hash & mask` (`id + 1 == 0` marks an empty slot); a probe
+/// compares the stored hash before it touches the arena.
+///
 /// ```
 /// use er_core::intern::Interner;
 /// let mut i = Interner::new();
@@ -101,12 +105,13 @@ impl std::fmt::Debug for Symbol {
 /// ```
 #[derive(Clone, Debug, Default)]
 pub struct Interner {
-    /// `strings[sym.index()]` is the interned text of `sym`.
-    strings: Vec<String>,
-    /// Reverse lookup; keys are clones of the owned strings. (A borrowed-key
-    /// scheme would avoid the duplicate, but needs unsafe self-reference —
-    /// the workspace forbids unsafe, and token strings are short.)
-    lookup: HashMap<String, u32, FnvBuild>,
+    /// Every interned string, back to back in symbol order.
+    arena: String,
+    /// `ends[i]` is the arena offset one past symbol `i`'s text.
+    ends: Vec<u32>,
+    /// Open-addressed lookup: `(low 32 hash bits, id + 1)`, a power-of-two
+    /// length kept at most half full; `id + 1 == 0` is an empty slot.
+    table: Vec<(u32, u32)>,
 }
 
 impl Interner {
@@ -115,21 +120,81 @@ impl Interner {
         Self::default()
     }
 
-    /// Interns `s`, allocating only on first sight.
+    /// Interns `s`, copying it into the arena only on first sight.
     pub fn intern(&mut self, s: &str) -> Symbol {
-        if let Some(&id) = self.lookup.get(s) {
-            return Symbol(id);
+        self.intern_hashed(s, Fnv1a::hash(s.as_bytes()))
+    }
+
+    /// [`intern`](Interner::intern) with `hash == Fnv1a::hash(s)` already
+    /// computed by the caller.
+    pub(crate) fn intern_hashed(&mut self, s: &str, hash: u64) -> Symbol {
+        if 2 * (self.ends.len() + 1) > self.table.len() {
+            self.grow();
         }
-        let id = u32::try_from(self.strings.len()).expect("interner overflow: > u32::MAX symbols");
-        self.strings.push(s.to_string());
-        self.lookup.insert(s.to_string(), id);
+        let slot = match self.find(s, hash as u32) {
+            Ok(sym) => return sym,
+            Err(slot) => slot,
+        };
+        let id = self.ends.len() as u32;
+        self.arena.push_str(s);
+        let end = u32::try_from(self.arena.len())
+            .ok()
+            .filter(|_| id < u32::MAX);
+        self.ends
+            .push(end.expect("interner overflow: > u32::MAX symbols or arena bytes"));
+        self.table[slot] = (hash as u32, id + 1);
         Symbol(id)
+    }
+
+    /// Probes the (non-empty) table for `s`, whose hash has low bits
+    /// `hash`: its symbol, or the empty slot where it would go.
+    fn find(&self, s: &str, hash: u32) -> Result<Symbol, usize> {
+        let mask = self.table.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            let (h, id1) = self.table[slot];
+            if id1 == 0 {
+                return Err(slot);
+            }
+            if h == hash && self.text(id1 as usize - 1) == s {
+                return Ok(Symbol(id1 - 1));
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the table (16 slots at first) and re-seats every entry by
+    /// its stored hash bits.
+    fn grow(&mut self) {
+        let capacity = (2 * self.table.len()).max(16);
+        let old = std::mem::replace(&mut self.table, vec![(0, 0); capacity]);
+        let mask = capacity - 1;
+        for entry in old.into_iter().filter(|&(_, id1)| id1 != 0) {
+            let mut slot = entry.0 as usize & mask;
+            while self.table[slot].1 != 0 {
+                slot = (slot + 1) & mask;
+            }
+            self.table[slot] = entry;
+        }
     }
 
     /// The symbol of an already-interned string, without interning it —
     /// lookups against a shared index must not mint new ids.
     pub fn lookup(&self, s: &str) -> Option<Symbol> {
-        self.lookup.get(s).map(|&id| Symbol(id))
+        if self.table.is_empty() {
+            return None;
+        }
+        self.find(s, Fnv1a::hash(s.as_bytes()) as u32).ok()
+    }
+
+    /// The arena slice of symbol id `id`.
+    fn text(&self, id: usize) -> &str {
+        let start = if id == 0 {
+            0
+        } else {
+            self.ends[id - 1] as usize
+        };
+        &self.arena[start..self.ends[id] as usize]
     }
 
     /// The text of a symbol produced by this interner.
@@ -137,59 +202,28 @@ impl Interner {
     /// # Panics
     /// Panics if `sym` came from a different interner (out of range).
     pub fn resolve(&self, sym: Symbol) -> &str {
-        &self.strings[sym.index()]
+        self.text(sym.index())
     }
 
     /// Number of distinct strings interned.
     pub fn len(&self) -> usize {
-        self.strings.len()
+        self.ends.len()
     }
 
     /// Whether nothing has been interned.
     pub fn is_empty(&self) -> bool {
-        self.strings.is_empty()
+        self.ends.is_empty()
+    }
+
+    /// Every interned string, in symbol order.
+    pub(crate) fn strings(&self) -> impl ExactSizeIterator<Item = &str> + '_ {
+        (0..self.len()).map(|id| self.text(id))
     }
 
     /// Consumes the interner, yielding its strings in symbol order
     /// (`strings[sym.index()]` is the text of `sym`).
     pub fn into_strings(self) -> Vec<String> {
-        self.strings
-    }
-
-    /// Estimated heap footprint: owned string payloads (twice — owned copy
-    /// plus lookup key) plus table entries. Used by the layout experiment's
-    /// memory columns.
-    pub fn heap_bytes(&self) -> u64 {
-        let payload: u64 = self.strings.iter().map(|s| s.len() as u64).sum();
-        let entries = self.strings.len() as u64;
-        // String header (24) per owned copy and per key, plus the u32 value
-        // and map bucket overhead (~16) per entry.
-        2 * payload + entries * (24 + 24 + 4 + 16)
-    }
-
-    /// Absorbs another interner built over a disjoint traversal (e.g. one
-    /// chunk of a parallel scan), returning the remap table
-    /// `table[other_sym.index()] == self_sym`.
-    ///
-    /// Strings already known keep their existing symbol; new strings are
-    /// moved (not copied) in, numbered in `other`'s encounter order — so
-    /// absorbing per-chunk interners in fixed chunk order yields ids
-    /// independent of how many threads produced the chunks.
-    pub fn absorb(&mut self, other: Interner) -> Vec<Symbol> {
-        let mut table = Vec::with_capacity(other.strings.len());
-        for s in other.strings {
-            match self.lookup.get(&s) {
-                Some(&id) => table.push(Symbol(id)),
-                None => {
-                    let id = u32::try_from(self.strings.len())
-                        .expect("interner overflow: > u32::MAX symbols");
-                    self.lookup.insert(s.clone(), id);
-                    self.strings.push(s);
-                    table.push(Symbol(id));
-                }
-            }
-        }
-        table
+        self.strings().map(str::to_string).collect()
     }
 }
 
@@ -222,53 +256,40 @@ mod tests {
     }
 
     #[test]
-    fn absorb_remaps_and_moves_new_strings() {
-        let mut global = Interner::new();
-        let g_shared = global.intern("shared");
-        let mut local = Interner::new();
-        let l_new = local.intern("fresh");
-        let l_shared = local.intern("shared");
-        let table = global.absorb(local);
-        assert_eq!(table.len(), 2);
-        assert_eq!(table[l_shared.index()], g_shared);
-        let g_new = table[l_new.index()];
-        assert_eq!(global.resolve(g_new), "fresh");
-        assert_eq!(global.len(), 2);
-    }
-
-    #[test]
-    fn absorb_in_chunk_order_is_thread_count_independent() {
-        // Simulates the parallel blocking merge: chunks interned separately,
-        // absorbed left-to-right, must equal the serial single-interner ids.
-        let chunks = [vec!["a", "b"], vec!["b", "c"], vec!["d", "a"]];
-        let mut serial = Interner::new();
-        for c in &chunks {
-            for w in c {
-                serial.intern(w);
-            }
-        }
-        let mut merged = Interner::new();
-        for c in &chunks {
-            let mut local = Interner::new();
-            for w in c {
-                local.intern(w);
-            }
-            merged.absorb(local);
-        }
-        assert_eq!(merged.len(), serial.len());
-        for id in 0..serial.len() {
-            assert_eq!(
-                merged.resolve(Symbol(id as u32)),
-                serial.resolve(Symbol(id as u32))
-            );
-        }
-    }
-
-    #[test]
-    fn heap_bytes_grows_with_content() {
+    fn many_keys_survive_table_growth() {
+        // 120k distinct keys, the empty one first: the table doubles from
+        // 16 slots to 256k, re-seating every entry each time.
+        let keys: Vec<String> = (0..120_000).map(|n| format!("k{n:x}")).collect();
         let mut i = Interner::new();
-        let empty = i.heap_bytes();
-        i.intern("some token");
-        assert!(i.heap_bytes() > empty);
+        assert_eq!(i.lookup(""), None, "empty interner");
+        assert_eq!(i.intern(""), Symbol(0));
+        for (n, key) in keys.iter().enumerate() {
+            assert_eq!(i.intern(key), Symbol(n as u32 + 1));
+        }
+        assert_eq!(i.len(), keys.len() + 1);
+        for (n, key) in keys.iter().enumerate().step_by(97) {
+            assert_eq!(
+                i.intern(key),
+                Symbol(n as u32 + 1),
+                "re-intern after growth"
+            );
+            assert_eq!(i.lookup(key), Some(Symbol(n as u32 + 1)));
+        }
+        assert_eq!(i.lookup(""), Some(Symbol(0)));
+        assert_eq!(i.resolve(Symbol(0)), "");
+
+        // `lookup` never mints an id.
+        for missing in ["k", "k1ffff", "absent", "k0 "] {
+            assert_eq!(i.lookup(missing), None, "{missing:?}");
+        }
+        assert_eq!(i.len(), keys.len() + 1);
+
+        let strings = i.into_strings();
+        assert_eq!(strings[0], "");
+        assert_eq!(
+            &strings[1..],
+            keys.as_slice(),
+            "into_strings is symbol order"
+        );
     }
 }

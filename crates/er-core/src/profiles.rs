@@ -22,17 +22,13 @@
 //! (TF-IDF) adds its terms in the same order as the string-set reference and
 //! rounds to the same bits. See `docs/data_layout.md`.
 
+use std::borrow::Cow;
+
 use crate::collection::EntityCollection;
 use crate::entity::{Entity, EntityId};
-use crate::intern::{Interner, Symbol};
-use crate::parallel::{par_map_chunks, Parallelism};
+use crate::intern::{Fnv1a, Interner, Symbol};
+use crate::parallel::{par_map, Parallelism};
 use crate::tokenize::Tokenizer;
-
-/// Entities keyed per chunk by a parallel [`KeyRows::build`]. Fixed — never
-/// a function of the thread count — so chunk boundaries, and with them the
-/// per-chunk interners absorbed left-to-right, are the same at every
-/// parallelism level.
-pub const CHUNK_ENTITIES: usize = 64;
 
 /// How a blocking family derives a description's keys. Two descriptions
 /// share a block iff they share a key; keys may repeat and come in any
@@ -85,18 +81,49 @@ impl KeyScheme for Tokenizer {
 /// Where a [`KeyScheme`] emits keys: interns each one, reusing its buffers
 /// from one description to the next (no per-key allocation beyond a key's
 /// first sight).
+///
+/// A sink over `2^b` shard interners (inside a parallel
+/// [`KeyRows::build`]) routes each key to a shard by the top bits of its
+/// FNV-1a hash and numbers it `id << b | shard`; over one interner a key's
+/// symbol is its interner id.
 pub struct KeySink<'a> {
-    interner: &'a mut Interner,
+    shards: &'a mut [Interner],
     keys: Vec<Symbol>,
     normalized: String,
     key: String,
 }
 
+/// The shard of a key with FNV-1a hash `hash` among `shards`: the top 32
+/// bits scaled onto `0..shards`, leaving the low bits, which pick the slot
+/// inside a shard's table, uniform.
+fn shard_of(hash: u64, shards: usize) -> usize {
+    (((hash >> 32) * shards as u64) >> 32) as usize
+}
+
+/// Interns `key` into its shard (of a power-of-two count), as a sink
+/// symbol (see [`KeySink`]).
+fn intern_routed(shards: &mut [Interner], key: &str) -> Symbol {
+    let hash = Fnv1a::hash(key.as_bytes());
+    if let [interner] = shards {
+        return interner.intern_hashed(key, hash);
+    }
+    let shard = shard_of(hash, shards.len());
+    let id = u64::from(shards[shard].intern_hashed(key, hash).0);
+    let symbol = u32::try_from(id << shards.len().trailing_zeros() | shard as u64).ok();
+    Symbol(symbol.expect("key rows overflow: > u32::MAX sharded symbols"))
+}
+
 impl<'a> KeySink<'a> {
     /// A sink interning into `interner`.
     pub fn new(interner: &'a mut Interner) -> Self {
+        Self::sharded(std::slice::from_mut(interner))
+    }
+
+    /// A sink routing each key to one of `shards` (a power-of-two count)
+    /// by hash.
+    fn sharded(shards: &'a mut [Interner]) -> Self {
         KeySink {
-            interner,
+            shards,
             keys: Vec::new(),
             normalized: String::new(),
             key: String::new(),
@@ -121,22 +148,22 @@ impl<'a> KeySink<'a> {
 
     /// Emits one key.
     pub fn push(&mut self, key: &str) {
-        let symbol = self.interner.intern(key);
+        let symbol = intern_routed(self.shards, key);
         self.keys.push(symbol);
     }
 
     /// Emits every token `tokenizer` keeps in `value` as the key
     /// `tag + token` (the bare token when `tag` is empty).
     pub fn push_tokens(&mut self, tokenizer: &Tokenizer, tag: &str, value: &str) {
-        let (interner, keys, key) = (&mut *self.interner, &mut self.keys, &mut self.key);
+        let (shards, keys, key) = (&mut *self.shards, &mut self.keys, &mut self.key);
         tokenizer.for_each_token(value, &mut self.normalized, |token| {
             let symbol = if tag.is_empty() {
-                interner.intern(token)
+                intern_routed(shards, token)
             } else {
                 key.clear();
                 key.push_str(tag);
                 key.push_str(token);
-                interner.intern(key)
+                intern_routed(shards, key)
             };
             keys.push(symbol);
         });
@@ -182,46 +209,63 @@ pub type TokenProfiles = KeyRows;
 impl KeyRows {
     /// Runs `scheme` over every entity of `collection` once.
     ///
-    /// Serial runs intern into one interner; parallel runs intern fixed
-    /// [`CHUNK_ENTITIES`] chunks separately and absorb them left-to-right.
-    /// The two number keys differently, and the rank-ordering that follows
-    /// erases the difference: the result depends on `collection` and
-    /// `scheme` only.
+    /// With `P` workers the entities split into `P` contiguous ranges, and
+    /// each range interns its keys into `S` shard interners (`P` rounded up
+    /// to a power of two), routed by the top bits of the key's hash, so
+    /// shard `s` of every range holds the same slice of the key space.
+    /// Shard `s` then merges its per-range interners and sorts its keys; a
+    /// k-way merge of the `S` sorted shards ranks every key; and each range
+    /// renumbers its rows to the ranks. A serial build is the case
+    /// `P = S = 1`. Ranks are the keys' lexicographic order, a function of
+    /// the key set alone, so however the keys were ranged and sharded the
+    /// result depends on `collection` and `scheme` only.
     pub fn build<S: KeyScheme + ?Sized>(
         collection: &EntityCollection,
         scheme: &S,
         par: Parallelism,
     ) -> Self {
         let entities: Vec<&Entity> = collection.iter().collect();
-        let chunk = if par.is_serial() {
-            entities.len().max(1)
-        } else {
-            CHUNK_ENTITIES
-        };
-        let mut chunks = par_map_chunks(par, &entities, chunk, |slice| {
-            let mut interner = Interner::new();
-            let mut sink = KeySink::new(&mut interner);
-            let mut row = Vec::new();
-            let mut lens = Vec::with_capacity(slice.len());
-            let mut symbols = Vec::new();
-            for e in slice {
-                sink.row_into(scheme, e, &mut row);
-                lens.push(row.len());
-                symbols.extend_from_slice(&row);
-            }
-            (interner, lens, symbols)
-        })
-        .into_iter();
+        let p = par.effective().max(1);
+        let shards = p.next_power_of_two();
+        let ranges: Vec<(usize, &[&Entity])> = entities
+            .chunks(entities.len().div_ceil(p).max(1))
+            .enumerate()
+            .collect();
 
-        // The first chunk's interner is the base the others are absorbed
-        // into, so a serial (one-chunk) build never re-hashes its vocabulary.
-        let (mut interner, mut lens, mut symbols) = chunks.next().unwrap_or_default();
-        for (local, local_lens, local_symbols) in chunks {
-            let remap = interner.absorb(local);
-            symbols.extend(local_symbols.into_iter().map(|s| remap[s.index()]));
-            lens.extend(local_lens);
+        let (keyed, interners): (Vec<_>, Vec<_>) = par_map(par, &ranges, |&(index, range)| {
+            RangeRows::key(index, range, scheme, shards)
+        })
+        .into_iter()
+        .unzip();
+        // Shard s gets every range's shard-s interner, in range order.
+        let mut by_shard: Vec<Vec<Interner>> = (0..shards).map(|_| Vec::new()).collect();
+        for range_shards in interners {
+            for (s, interner) in range_shards.into_iter().enumerate() {
+                by_shard[s].push(interner);
+            }
         }
-        Self::from_rows(interner.into_strings(), &lens, symbols)
+        let (shard_keys, tables): (Vec<_>, Vec<_>) =
+            par_map(par, &by_shard, |parts| rank_shard(parts))
+                .into_iter()
+                .unzip();
+        drop(by_shard);
+        let (vocabulary, global) = merge_sorted(par, shard_keys);
+
+        let ranked = par_map(par, &keyed, |range| {
+            range.ranked(shards, |s, local| {
+                global[s][tables[s][range.index][local] as usize]
+            })
+        });
+        let lens: Vec<usize> = keyed
+            .iter()
+            .flat_map(|range| range.lens.iter().copied())
+            .collect();
+        let symbols = ranked.concat();
+        KeyRows {
+            offsets: offsets(&lens, symbols.len()),
+            symbols,
+            vocabulary,
+        }
     }
 
     /// Key rows from rows of first-encounter symbols: `lens[e]` symbols of
@@ -231,30 +275,16 @@ impl KeyRows {
     ///
     /// # Panics
     /// Panics if the rows hold more than `u32::MAX` symbols.
-    pub fn from_rows(vocabulary: Vec<String>, lens: &[usize], mut symbols: Vec<Symbol>) -> Self {
-        assert!(
-            u32::try_from(symbols.len()).is_ok(),
-            "key rows overflow: > u32::MAX symbols"
-        );
-        let mut offsets = Vec::with_capacity(lens.len() + 1);
-        let mut end = 0u32;
-        offsets.push(end);
-        for &len in lens {
-            end += len as u32;
-            offsets.push(end);
-        }
-
-        // Rank-order: renumber each symbol to its key's position in the
-        // sorted vocabulary, then restore the per-entity sort.
-        let mut by_key: Vec<(String, usize)> = vocabulary
-            .into_iter()
-            .enumerate()
-            .map(|(id, key)| (key, id))
-            .collect();
-        by_key.sort_unstable();
-        let mut rank = vec![Symbol(0); by_key.len()];
-        for (r, (_, id)) in by_key.iter().enumerate() {
-            rank[*id] = Symbol(r as u32);
+    pub fn from_rows(
+        mut vocabulary: Vec<String>,
+        lens: &[usize],
+        mut symbols: Vec<Symbol>,
+    ) -> Self {
+        let offsets = offsets(lens, symbols.len());
+        let order = sorted_ids(&vocabulary);
+        let mut rank = vec![Symbol(0); order.len()];
+        for (r, &id) in order.iter().enumerate() {
+            rank[id as usize] = Symbol(r as u32);
         }
         for s in &mut symbols {
             *s = rank[s.index()];
@@ -262,10 +292,14 @@ impl KeyRows {
         for row in offsets.windows(2) {
             symbols[row[0] as usize..row[1] as usize].sort_unstable();
         }
+        let vocabulary = order
+            .iter()
+            .map(|&id| std::mem::take(&mut vocabulary[id as usize]))
+            .collect();
         KeyRows {
             offsets,
             symbols,
-            vocabulary: by_key.into_iter().map(|(key, _)| key).collect(),
+            vocabulary,
         }
     }
 
@@ -305,6 +339,178 @@ impl KeyRows {
     pub fn vocabulary(&self) -> &[String] {
         &self.vocabulary
     }
+}
+
+/// The CSR offsets of rows of `lens` symbols, `n_symbols` in all.
+///
+/// # Panics
+/// Panics if the rows hold more than `u32::MAX` symbols.
+fn offsets(lens: &[usize], n_symbols: usize) -> Vec<u32> {
+    assert!(
+        u32::try_from(n_symbols).is_ok(),
+        "key rows overflow: > u32::MAX symbols"
+    );
+    let mut offsets = Vec::with_capacity(lens.len() + 1);
+    let mut end = 0u32;
+    offsets.push(end);
+    for &len in lens {
+        end += len as u32;
+        offsets.push(end);
+    }
+    offsets
+}
+
+/// The ids `0..keys.len()` in the order of their keys. Sorts `(prefix,
+/// id)` pairs, `prefix` the key's first 8 bytes zero-padded and read
+/// big-endian, so most comparisons never leave the pair; equal prefixes
+/// fall back to the keys.
+fn sorted_ids<K: AsRef<str>>(keys: &[K]) -> Vec<u32> {
+    let prefix = |key: &str| {
+        let mut bytes = [0u8; 8];
+        let n = key.len().min(8);
+        bytes[..n].copy_from_slice(&key.as_bytes()[..n]);
+        u64::from_be_bytes(bytes)
+    };
+    let mut order: Vec<(u64, u32)> = keys
+        .iter()
+        .enumerate()
+        .map(|(id, key)| (prefix(key.as_ref()), id as u32))
+        .collect();
+    order.sort_unstable_by(|a, b| {
+        a.0.cmp(&b.0)
+            .then_with(|| keys[a.1 as usize].as_ref().cmp(keys[b.1 as usize].as_ref()))
+    });
+    order.into_iter().map(|(_, id)| id).collect()
+}
+
+/// One contiguous entity range of a [`KeyRows::build`]: its rows as
+/// [`KeySink`] symbols over its shard interners.
+struct RangeRows {
+    /// Position of the range among the build's ranges.
+    index: usize,
+    /// Row length per entity of the range.
+    lens: Vec<usize>,
+    /// The rows, back to back.
+    symbols: Vec<Symbol>,
+}
+
+impl RangeRows {
+    /// Keys every entity of `range` into `shards` fresh shard interners,
+    /// returned beside the rows.
+    fn key<S: KeyScheme + ?Sized>(
+        index: usize,
+        range: &[&Entity],
+        scheme: &S,
+        shards: usize,
+    ) -> (Self, Vec<Interner>) {
+        let mut interners = vec![Interner::new(); shards];
+        let mut sink = KeySink::sharded(&mut interners);
+        let mut row = Vec::new();
+        let mut lens = Vec::with_capacity(range.len());
+        let mut symbols = Vec::new();
+        for e in range {
+            sink.row_into(scheme, e, &mut row);
+            lens.push(row.len());
+            symbols.extend_from_slice(&row);
+        }
+        let rows = RangeRows {
+            index,
+            lens,
+            symbols,
+        };
+        (rows, interners)
+    }
+
+    /// The rows, keyed over `shards` interners (a power of two), with every
+    /// symbol renumbered to `rank(shard, local id)` and each row re-sorted.
+    fn ranked(&self, shards: usize, rank: impl Fn(usize, usize) -> u32) -> Vec<Symbol> {
+        let bits = shards.trailing_zeros();
+        let mut out: Vec<Symbol> = self
+            .symbols
+            .iter()
+            .map(|sym| Symbol(rank(sym.index() & (shards - 1), sym.index() >> bits)))
+            .collect();
+        let mut start = 0;
+        for &len in &self.lens {
+            out[start..start + len].sort_unstable();
+            start += len;
+        }
+        out
+    }
+}
+
+/// k-way merge of sorted, pairwise disjoint key lists: the merged keys
+/// and, per list, `ranks[i]` = the merged rank of the list's `i`-th key.
+///
+/// A key's rank is its index in its own list plus, for every other list,
+/// the number of that list's keys that sort before it — one two-pointer
+/// walk per pair of lists, parallel over the lists. The keys then move to
+/// their ranks.
+fn merge_sorted(par: Parallelism, lists: Vec<Vec<String>>) -> (Vec<String>, Vec<Vec<u32>>) {
+    let lists = match <[Vec<String>; 1]>::try_from(lists) {
+        Ok([keys]) => {
+            let ranks = (0..keys.len() as u32).collect();
+            return (keys, vec![ranks]);
+        }
+        Err(lists) => lists,
+    };
+    let ids: Vec<usize> = (0..lists.len()).collect();
+    let ranks = par_map(par, &ids, |&l| {
+        let mut ranks: Vec<u32> = (0..lists[l].len() as u32).collect();
+        for other in lists.iter().take(l).chain(lists.iter().skip(l + 1)) {
+            let mut before = 0;
+            for (rank, key) in ranks.iter_mut().zip(&lists[l]) {
+                while before < other.len() && other[before] < *key {
+                    before += 1;
+                }
+                *rank += before as u32;
+            }
+        }
+        ranks
+    });
+    let mut merged = vec![String::new(); lists.iter().map(Vec::len).sum()];
+    for (keys, ranks) in lists.into_iter().zip(&ranks) {
+        for (key, &rank) in keys.into_iter().zip(ranks) {
+            merged[rank as usize] = key;
+        }
+    }
+    (merged, ranks)
+}
+
+/// One shard of a parallel [`KeyRows::build`]: merges the shard's
+/// per-range interners `parts` (the first is the base the others intern
+/// into) and sorts the merged keys. Returns the keys in order and, per
+/// part, `table[local id] = rank within the shard`.
+fn rank_shard(parts: &[Interner]) -> (Vec<String>, Vec<Vec<u32>>) {
+    let Some((first, rest)) = parts.split_first() else {
+        return (Vec::new(), Vec::new());
+    };
+    let mut merged = Cow::Borrowed(first);
+    let remaps: Vec<Vec<u32>> = rest
+        .iter()
+        .map(|part| {
+            let merged = merged.to_mut();
+            part.strings().map(|key| merged.intern(key).0).collect()
+        })
+        .collect();
+    let texts: Vec<&str> = merged.strings().collect();
+    let order = sorted_ids(&texts);
+    let mut rank = vec![0u32; order.len()];
+    for (r, &id) in order.iter().enumerate() {
+        rank[id as usize] = r as u32;
+    }
+    let keys = order
+        .iter()
+        .map(|&id| texts[id as usize].to_string())
+        .collect();
+    let mut tables: Vec<Vec<u32>> = remaps
+        .into_iter()
+        .map(|remap| remap.into_iter().map(|id| rank[id as usize]).collect())
+        .collect();
+    // The first part's ids are the merged interner's first ids.
+    rank.truncate(first.len());
+    tables.insert(0, rank);
+    (keys, tables)
 }
 
 #[cfg(test)]

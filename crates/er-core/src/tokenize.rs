@@ -30,8 +30,32 @@ pub fn normalize(s: &str) -> String {
 /// [`normalize`] into a caller-supplied buffer (cleared first) — the
 /// allocation-free variant the interned tokenization path reuses across
 /// values.
+///
+/// An ASCII value takes a byte path: on ASCII, `is_ascii_alphanumeric` and
+/// `to_ascii_lowercase` are exactly `char::is_alphanumeric` and
+/// `char::to_lowercase`, so both paths normalize it identically.
 pub fn normalize_into(s: &str, out: &mut String) {
     out.clear();
+    if s.is_ascii() {
+        let bytes = s.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+                continue;
+            }
+            let start = i;
+            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+            }
+            if !out.is_empty() {
+                out.push(' ');
+            }
+            out.push_str(&s[start..i]);
+        }
+        out.make_ascii_lowercase();
+        return;
+    }
     let mut last_space = true;
     for c in s.chars() {
         if c.is_alphanumeric() {
@@ -73,6 +97,13 @@ impl Stopwords {
 pub struct Tokenizer {
     min_len: usize,
     stopwords: Stopwords,
+    /// Byte length of the longest stopword: a longer token is none.
+    longest_stopword: usize,
+}
+
+/// Byte length of the longest of `words` (0 when there are none).
+fn longest<S: AsRef<str>>(words: &[S]) -> usize {
+    words.iter().map(|w| w.as_ref().len()).max().unwrap_or(0)
 }
 
 impl Default for Tokenizer {
@@ -83,6 +114,7 @@ impl Default for Tokenizer {
         Tokenizer {
             min_len: 1,
             stopwords: Stopwords::Static(DEFAULT_STOPWORDS),
+            longest_stopword: longest(DEFAULT_STOPWORDS),
         }
     }
 }
@@ -93,6 +125,7 @@ impl Tokenizer {
         Tokenizer {
             min_len: 1,
             stopwords: Stopwords::Owned(Vec::new()),
+            longest_stopword: 0,
         }
     }
 
@@ -112,13 +145,18 @@ impl Tokenizer {
         let mut list: Vec<String> = words.into_iter().map(Into::into).collect();
         list.sort_unstable();
         list.dedup();
+        self.longest_stopword = longest(&list);
         self.stopwords = Stopwords::Owned(list);
         self
     }
 
-    /// Whether `token` passes the length and stopword filters.
+    /// Whether `token` passes the length and stopword filters. Tokens are
+    /// never empty, and a token has no more chars than bytes: the char
+    /// count is only walked when neither settles the length test.
     fn keeps(&self, token: &str) -> bool {
-        token.chars().count() >= self.min_len && !self.stopwords.contains(token)
+        let long_enough = self.min_len <= 1
+            || (token.len() >= self.min_len && token.chars().count() >= self.min_len);
+        long_enough && (token.len() > self.longest_stopword || !self.stopwords.contains(token))
     }
 
     /// Tokenizes a raw value: normalize, split on whitespace, drop stopwords
@@ -153,9 +191,15 @@ impl Tokenizer {
     /// Calls `f` with every token [`tokens`](Tokenizer::tokens) keeps in
     /// `value`, in order, borrowed from `scratch` (the reusable
     /// normalization buffer) — nothing is allocated per token.
+    ///
+    /// A normalized value separates its tokens by single spaces, with none
+    /// leading or trailing, so splitting it on `' '` is `split_whitespace`.
     pub fn for_each_token(&self, value: &str, scratch: &mut String, mut f: impl FnMut(&str)) {
         normalize_into(value, scratch);
-        for t in scratch.split_whitespace() {
+        if scratch.is_empty() {
+            return;
+        }
+        for t in scratch.split(' ') {
             if self.keeps(t) {
                 f(t);
             }
@@ -265,6 +309,60 @@ mod tests {
     #[test]
     fn normalize_handles_unicode() {
         assert_eq!(normalize("Müller-Straße"), "müller straße");
+    }
+
+    /// The normalizer's definition, one char at a time: lower-case every
+    /// alphanumeric char, collapse every run of other chars into one space,
+    /// trim.
+    fn normalize_reference(s: &str) -> String {
+        let mut out = String::new();
+        let mut last_space = true;
+        for c in s.chars() {
+            if c.is_alphanumeric() {
+                out.extend(c.to_lowercase());
+                last_space = false;
+            } else if !last_space {
+                out.push(' ');
+                last_space = true;
+            }
+        }
+        out.trim_end().to_string()
+    }
+
+    #[test]
+    fn normalize_pins_lowercasings_that_change_length() {
+        assert_eq!(normalize("Straße"), "straße");
+        assert_eq!(
+            normalize("İstanbul"),
+            "i\u{307}stanbul",
+            "İ lowercases to two chars"
+        );
+        assert_eq!(
+            normalize("ΣΊΣΥΦΟΣ"),
+            "σίσυφοσ",
+            "per-char lowercasing: no final sigma"
+        );
+        for s in ["Straße", "İstanbul", "ΣΊΣΥΦΟΣ"] {
+            assert_eq!(normalize(s), normalize_reference(s));
+        }
+    }
+
+    proptest::proptest! {
+        /// ASCII text mixed with chars whose lowercasing is not ASCII's
+        /// (`İ`, `ß`, `Σ`, `é`), a combining mark and a non-ASCII digit: the
+        /// byte path (all-ASCII values) and the char path agree with the
+        /// reference.
+        #[test]
+        fn normalize_into_matches_the_char_reference(
+            values in proptest::collection::vec("[a-dA-D0-9 ,.İßΣé\u{301}٣]{0,12}", 1..6),
+            ascii in "[a-zA-Z0-9 ,._-]{0,24}",
+        ) {
+            let mut out = String::from("stale");
+            for v in values.iter().chain([&ascii]) {
+                normalize_into(v, &mut out);
+                proptest::prop_assert_eq!(&out, &normalize_reference(v), "{:?}", v);
+            }
+        }
     }
 
     #[test]

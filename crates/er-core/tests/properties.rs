@@ -12,7 +12,7 @@ use er_core::merge::Profile;
 use er_core::metrics::{BlockingQuality, ProgressiveCurve};
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
-use er_core::profiles::TokenProfiles;
+use er_core::profiles::{KeyRows, KeySink, TokenProfiles};
 use er_core::similarity::*;
 use er_core::tokenize::{normalize, qgrams, Tokenizer};
 use proptest::prelude::*;
@@ -28,7 +28,7 @@ fn word() -> impl Strategy<Value = String> {
 
 /// Descriptions with few distinct tokens (so pairs overlap), mixed case and
 /// punctuation, stop words, repeated and empty values — up to 150 of them,
-/// so a parallel profile build spans several 64-entity chunks.
+/// so a parallel profile build splits them into several entity ranges.
 fn descriptions() -> impl Strategy<Value = Vec<Vec<(String, String)>>> {
     let value = "([a-eA-E]{1,2}[ ,-]?){0,5}( the)?( OF)?";
     proptest::collection::vec(proptest::collection::vec(("[p-r]", value), 0..4), 0..150)
@@ -348,5 +348,99 @@ proptest! {
         // Rebuilding from the closed set is a fixpoint.
         let gt2 = GroundTruth::from_pairs(gt.iter());
         prop_assert_eq!(gt.len(), gt2.len());
+    }
+}
+
+/// 4 500 descriptions over a few thousand distinct words, a quarter of the
+/// values non-ASCII (so both normalizer paths run), drawn by a fixed LCG.
+fn mixed_script_collection() -> EntityCollection {
+    const SYLLABLES: [&str; 16] = [
+        "ka", "Lo", "mi", "ST", "ra", "ße", "İs", "ΣΊ", "é", "ný", "٣", "Zu", "qo", "pe", "an",
+        "th",
+    ];
+    let mut state = 0x2545_f491_4f6c_dd1du64;
+    let mut next = |n: u64| {
+        state = state
+            .wrapping_mul(6_364_136_223_846_793_005)
+            .wrapping_add(1_442_695_040_888_963_407);
+        (state >> 33) % n
+    };
+    let mut c = EntityCollection::new(ResolutionMode::Dirty);
+    for _ in 0..4_500 {
+        let attributes = (0..1 + next(3))
+            .map(|a| {
+                let ascii_only = next(4) != 0;
+                let words: Vec<String> = (0..1 + next(5))
+                    .map(|_| {
+                        (0..1 + next(3))
+                            .map(|_| loop {
+                                let s = SYLLABLES[next(16) as usize];
+                                if !ascii_only || s.is_ascii() {
+                                    break s;
+                                }
+                            })
+                            .collect()
+                    })
+                    .collect();
+                (
+                    format!("a{a}"),
+                    words.join(if next(2) == 0 { " " } else { ", the " }),
+                )
+            })
+            .collect();
+        c.push(KbId(0), attributes);
+    }
+    c
+}
+
+/// Hash-sharded key rows are one result at every thread count: the token
+/// scheme (checked against each description's token set) and a tagged
+/// closure scheme through both sink entry points.
+#[test]
+fn key_rows_are_thread_count_independent_on_mixed_script_values() {
+    let c = mixed_script_collection();
+    assert!(c
+        .iter()
+        .any(|e| e.attributes().iter().any(|(_, v)| !v.is_ascii())));
+    let tokenizer = Tokenizer::default();
+    let tagged = |entity: &Entity, sink: &mut KeySink<'_>| {
+        for (attribute, value) in entity.attributes() {
+            sink.push_tokens(&tokenizer, attribute, value);
+        }
+        sink.push(&format!("n{}", entity.attributes().len()));
+    };
+    let serial = TokenProfiles::build(&c, &tokenizer, Parallelism::serial());
+    assert!(
+        serial.vocabulary().len() > 1_000,
+        "{}",
+        serial.vocabulary().len()
+    );
+    for e in c.iter() {
+        let want = e.token_set(&tokenizer);
+        let got: Vec<&str> = serial
+            .symbols(e.id())
+            .iter()
+            .map(|s| serial.vocabulary()[s.index()].as_str())
+            .collect();
+        assert_eq!(
+            got,
+            want.iter().map(String::as_str).collect::<Vec<_>>(),
+            "{:?}",
+            e.id()
+        );
+    }
+    let tagged_serial = KeyRows::build(&c, &tagged, Parallelism::serial());
+    for threads in [2, 3, 8] {
+        let par = Parallelism::threads(threads);
+        assert_eq!(
+            TokenProfiles::build(&c, &tokenizer, par),
+            serial,
+            "{threads} threads"
+        );
+        assert_eq!(
+            KeyRows::build(&c, &tagged, par),
+            tagged_serial,
+            "tagged, {threads} threads"
+        );
     }
 }
