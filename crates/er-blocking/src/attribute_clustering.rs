@@ -22,10 +22,12 @@ use er_core::similarity::SetMeasure;
 use er_core::tokenize::Tokenizer;
 use std::collections::{BTreeMap, BTreeSet};
 
+/// How similar two attributes' value token-sets are.
+const ATTRIBUTE_MEASURE: SetMeasure = SetMeasure::Jaccard;
+
 /// Attribute-clustering blocking.
 #[derive(Clone, Debug)]
 pub struct AttributeClusteringBlocking {
-    measure: SetMeasure,
     /// Minimum similarity for a best-match link (exclusive).
     link_threshold: f64,
     tokenizer: Tokenizer,
@@ -34,7 +36,6 @@ pub struct AttributeClusteringBlocking {
 impl Default for AttributeClusteringBlocking {
     fn default() -> Self {
         AttributeClusteringBlocking {
-            measure: SetMeasure::Jaccard,
             link_threshold: 0.0,
             tokenizer: Tokenizer::default(),
         }
@@ -46,12 +47,6 @@ impl AttributeClusteringBlocking {
     /// links).
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Overrides the attribute-similarity measure.
-    pub fn with_measure(mut self, measure: SetMeasure) -> Self {
-        self.measure = measure;
-        self
     }
 
     /// Overrides the link threshold.
@@ -94,9 +89,7 @@ impl AttributeClusteringBlocking {
                 if i == j {
                     continue;
                 }
-                let s = self
-                    .measure
-                    .eval(&attr_tokens[names[i]], &attr_tokens[names[j]]);
+                let s = ATTRIBUTE_MEASURE.eval(&attr_tokens[names[i]], &attr_tokens[names[j]]);
                 if s > self.link_threshold && best.map(|(_, bs)| s > bs).unwrap_or(true) {
                     best = Some((j, s));
                 }

@@ -30,11 +30,12 @@ pub struct FrequentSetBlocking {
     /// Minimum number of descriptions a token (and token pair) must appear
     /// in to key a block.
     min_support: usize,
-    /// Cap on frequent tokens per description considered for pairing —
-    /// guards the quadratic pair enumeration on long descriptions.
-    max_tokens_per_description: usize,
     tokenizer: Tokenizer,
 }
+
+/// Cap on frequent tokens per description considered for pairing — guards
+/// the quadratic pair enumeration on long descriptions.
+const MAX_TOKENS_PER_DESCRIPTION: usize = 24;
 
 impl FrequentSetBlocking {
     /// Creates the method.
@@ -46,15 +47,8 @@ impl FrequentSetBlocking {
         assert!(min_support >= 2, "support below 2 cannot block anything");
         FrequentSetBlocking {
             min_support,
-            max_tokens_per_description: 24,
             tokenizer: Tokenizer::default(),
         }
-    }
-
-    /// Overrides the per-description token cap.
-    pub fn with_max_tokens(mut self, cap: usize) -> Self {
-        self.max_tokens_per_description = cap.max(2);
-        self
     }
 
     /// Mines the frequent token pairs with their supports.
@@ -84,7 +78,7 @@ impl FrequentSetBlocking {
                 .iter()
                 .map(String::as_str)
                 .filter(|t| support[t] >= self.min_support)
-                .take(self.max_tokens_per_description)
+                .take(MAX_TOKENS_PER_DESCRIPTION)
                 .collect();
             for i in 0..frequent.len() {
                 for j in (i + 1)..frequent.len() {

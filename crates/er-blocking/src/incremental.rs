@@ -226,11 +226,6 @@ impl IncrementalTokenIndex {
         self.main.len() + self.pending.len()
     }
 
-    /// Postings still in the pending run.
-    pub fn pending_postings(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Compactions performed so far.
     pub fn compactions(&self) -> u64 {
         self.compactions

@@ -47,8 +47,9 @@ impl TokenBlocking {
 /// [`blocks_from_profiles`](crate::block::blocks_from_profiles) through an
 /// external sort: bit-identical blocks, with the postings spilled to sorted
 /// run segments under `cfg.segment_dir` (removed before returning) instead
-/// of grouped in memory. Typed errors — budget refusal, watchdog expiry at a
-/// spill or mid-merge, segment corruption — never partial output.
+/// of grouped in memory. Typed errors — a budget too small for the
+/// 64-record run buffer or for one merge page, spill I/O failure, segment
+/// corruption — never partial output.
 pub fn blocks_from_profiles_ooc(
     rows: &KeyRows,
     obs: &Obs,

@@ -42,17 +42,19 @@
 //! method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and one
 //! external sort ([`ExternalSorter`]).
 //!
-//! ## "mmap" without `unsafe`
+//! ## Reads without `mmap`
 //!
-//! The workspace forbids `unsafe` and vendors no mmap crate, so segments are
-//! *demand-paged in safe code*: an explicit page cache over positional
-//! [`FileExt::read_at`] reads. This is deliberately **better** than a real
-//! `mmap` for governance — resident bytes are charged against the shared
-//! [`MemoryBudget`] as pages load and released as they evict, so the PR 4
-//! pressure ladder sees file-backed pages exactly, deterministically, and
-//! on every platform, instead of guessing at kernel page-cache behavior.
-//! The `colstore.resident_bytes` gauge mirrors the account and must drain
-//! to zero when the last reader drops.
+//! The workspace forbids `unsafe` and vendors no mmap crate, and every
+//! reader of a segment is a forward scan (a run cursor's refill, a whole
+//! bytes section, a run's count header), so reads go straight from the file
+//! into the caller's buffer with positional [`FileExt::read_exact_at`]
+//! calls; nothing is cached. Each read is page-granular: every page it
+//! touches is charged at its full length against the shared
+//! [`MemoryBudget`] while that page's bytes are read, and released before
+//! the next page, so a read needs one page of headroom and a budget below
+//! one page is a typed [`SegmentError::Resource`]. The `colstore.pages_loaded`
+//! counter counts page reads and the `colstore.resident_bytes` gauge the
+//! bytes being read, which is zero between reads.
 
 use crate::entity::EntityId;
 use crate::intern::{Fnv1a, Symbol};
@@ -61,7 +63,7 @@ use crate::resource::{MemoryBudget, ResourceError};
 use crate::wire::{put_u32, put_u64, Decoder, WireError};
 use crate::{EntityCollection, ResolutionMode};
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap};
+use std::collections::BinaryHeap;
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hasher;
@@ -70,7 +72,7 @@ use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::Arc;
 
 /// Header magic of a segment file.
 pub const MAGIC: &[u8; 8] = b"ERSEGMT1";
@@ -84,7 +86,7 @@ pub const HEADER_LEN: u64 = 24;
 pub const SECTION_HEADER_LEN: u64 = 16;
 /// Fixed footer length in bytes.
 pub const FOOTER_LEN: u64 = 32;
-/// Default page size of the demand-paged reader.
+/// Default page size of the segment reader.
 pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 
 /// Section kind: opaque [`wire`](crate::wire) records, read whole.
@@ -161,8 +163,8 @@ pub enum SegmentError {
         /// What is wrong there.
         reason: String,
     },
-    /// Resource governance stopped the operation: the memory budget refused
-    /// a page the reader needed, or a stage watchdog expired mid-merge.
+    /// The memory budget refused a read: a page the reader had to charge,
+    /// or an external sort's run buffer even at its 64-record floor.
     Resource(ResourceError),
 }
 
@@ -251,8 +253,8 @@ impl SegmentError {
 
 /// The `colstore.*` observability series, shared by writers, readers and
 /// merge drivers. Cloneable; clones share one resident-bytes account so the
-/// `colstore.resident_bytes` gauge reflects *all* open segments of a run
-/// and drains to zero when the last reader drops.
+/// `colstore.resident_bytes` gauge reflects the pages *all* readers of a run
+/// are reading, and reads zero between reads.
 #[derive(Clone, Debug, Default)]
 pub struct StoreMetrics {
     obs: Obs,
@@ -286,8 +288,8 @@ impl StoreMetrics {
         self.obs.counter("colstore.runs_merged").add(runs);
     }
 
-    /// Currently resident file-backed bytes across all readers sharing this
-    /// handle.
+    /// File-backed bytes being read right now across all readers sharing
+    /// this handle.
     pub fn resident_bytes(&self) -> u64 {
         self.resident.load(Ordering::Relaxed)
     }
@@ -534,11 +536,11 @@ pub struct SectionInfo {
 pub struct SegmentOptions {
     /// Producer fingerprint the file must carry.
     pub fingerprint: u64,
-    /// Budget charged by resident pages (unlimited for none).
+    /// Budget each read's pages are charged against (unlimited for none).
     pub budget: MemoryBudget,
     /// The `colstore.*` metrics handle.
     pub metrics: StoreMetrics,
-    /// Page size of the demand-paged reader.
+    /// Page size of the reader: the granularity of the budget charge.
     pub page_bytes: u64,
 }
 
@@ -553,7 +555,7 @@ impl SegmentOptions {
         }
     }
 
-    /// Charges resident pages against `budget`.
+    /// Charges each read's pages against `budget`.
     pub fn with_budget(mut self, budget: MemoryBudget) -> SegmentOptions {
         self.budget = budget;
         self
@@ -572,125 +574,22 @@ impl SegmentOptions {
     }
 }
 
-/// A loaded page and its LRU tick.
-struct PageSlot {
-    data: Arc<Vec<u8>>,
-    tick: u64,
-}
-
-/// The demand-paged reader state: an explicit page cache whose resident
-/// bytes are charged against the budget — the safe-code mmap emulation.
-struct Pager {
+/// The positional reader under every segment read. It holds no pages:
+/// each read goes straight into the caller's buffer.
+struct Reader {
     file: File,
     path: PathBuf,
     file_len: u64,
     page_bytes: u64,
     budget: MemoryBudget,
     metrics: StoreMetrics,
-    cache: Mutex<PagerCache>,
 }
 
-/// Every update keeps `pages` and `resident` in step with nothing fallible
-/// between them, so a lock poisoned by a panicking reader still guards a
-/// valid cache and is recovered with `PoisonError::into_inner`.
-#[derive(Default)]
-struct PagerCache {
-    pages: HashMap<u64, PageSlot>,
-    resident: u64,
-    tick: u64,
-}
-
-impl Pager {
-    fn page_len(&self, page: u64) -> u64 {
-        let start = page * self.page_bytes;
-        self.page_bytes.min(self.file_len.saturating_sub(start))
-    }
-
-    /// Loads (or returns the cached) page, evicting least-recently-used
-    /// pages when the budget refuses the reservation. With every page
-    /// evicted and the budget still refusing, the typed
-    /// [`SegmentError::Resource`] verdict surfaces — never a panic.
-    fn page(&self, page: u64) -> Result<Arc<Vec<u8>>, SegmentError> {
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        cache.tick += 1;
-        let tick = cache.tick;
-        if let Some(slot) = cache.pages.get_mut(&page) {
-            slot.tick = tick;
-            return Ok(Arc::clone(&slot.data));
-        }
-        let len = self.page_len(page);
-        loop {
-            match self.budget.try_reserve("colstore", len) {
-                Ok(()) => break,
-                Err(e) => {
-                    // Evict the least-recently-used page and retry; an empty
-                    // cache means the budget is exhausted by other holders.
-                    let lru = cache
-                        .pages
-                        .iter()
-                        .min_by_key(|(_, slot)| slot.tick)
-                        .map(|(&p, _)| p);
-                    match lru {
-                        Some(p) => self.evict(&mut cache, p),
-                        None => return Err(SegmentError::Resource(e)),
-                    }
-                }
-            }
-        }
-        let start = page * self.page_bytes;
-        let mut data = vec![0u8; len as usize];
-        if let Err(e) = self.file.read_exact_at(&mut data, start) {
-            self.budget.release(len);
-            return Err(SegmentError::Io {
-                path: self.path.clone(),
-                offset: start,
-                reason: e.to_string(),
-            });
-        }
-        let data = Arc::new(data);
-        cache.pages.insert(
-            page,
-            PageSlot {
-                data: Arc::clone(&data),
-                tick,
-            },
-        );
-        cache.resident += len;
-        self.metrics.page_loaded(len);
-        Ok(data)
-    }
-
-    fn evict(&self, cache: &mut PagerCache, page: u64) {
-        if cache.pages.remove(&page).is_some() {
-            let len = self.page_len(page);
-            cache.resident = cache.resident.saturating_sub(len);
-            self.budget.release(len);
-            self.metrics.page_released(len);
-            self.obs_evicted();
-        }
-    }
-
-    fn obs_evicted(&self) {
-        self.metrics.obs.counter("colstore.pages_evicted").incr();
-    }
-
-    /// Releases every cached page and its budget reservation. Sequential
-    /// readers (the run cursors) call this after copying a refill out of the
-    /// cache: a cursor never revisits bytes behind its position, so keeping
-    /// them resident would let a k-way merge pin one page per run and
-    /// starve tiny budgets. Not counted as `pages_evicted` — that counter
-    /// means eviction under budget pressure.
-    fn release_cached(&self) {
-        let mut cache = self.cache.lock().unwrap_or_else(PoisonError::into_inner);
-        if cache.resident > 0 {
-            self.budget.release(cache.resident);
-            self.metrics.page_released(cache.resident);
-            cache.pages.clear();
-            cache.resident = 0;
-        }
-    }
-
-    /// Copies `buf.len()` bytes starting at `offset` out of the page cache.
+impl Reader {
+    /// Reads `buf.len()` bytes starting at `offset`, one page at a time.
+    /// Each page's full length is reserved against the budget while its
+    /// bytes are read and released before the next page; a budget that
+    /// cannot hold the page is the typed [`SegmentError::Resource`].
     fn read_exact(&self, offset: u64, buf: &mut [u8]) -> Result<(), SegmentError> {
         let end = offset
             .checked_add(buf.len() as u64)
@@ -703,11 +602,21 @@ impl Pager {
         let mut pos = offset;
         let mut filled = 0usize;
         while pos < end {
-            let page = pos / self.page_bytes;
-            let data = self.page(page)?;
-            let in_page = (pos - page * self.page_bytes) as usize;
-            let take = (data.len() - in_page).min((end - pos) as usize);
-            buf[filled..filled + take].copy_from_slice(&data[in_page..in_page + take]);
+            let page_start = pos - pos % self.page_bytes;
+            let page_len = self.page_bytes.min(self.file_len - page_start);
+            let take = ((page_start + page_len).min(end) - pos) as usize;
+            self.budget.try_reserve("colstore", page_len)?;
+            self.metrics.page_loaded(page_len);
+            let read = self
+                .file
+                .read_exact_at(&mut buf[filled..filled + take], pos);
+            self.metrics.page_released(page_len);
+            self.budget.release(page_len);
+            read.map_err(|e| SegmentError::Io {
+                path: self.path.clone(),
+                offset: pos,
+                reason: e.to_string(),
+            })?;
             filled += take;
             pos += take as u64;
         }
@@ -715,22 +624,16 @@ impl Pager {
     }
 }
 
-impl Drop for Pager {
-    fn drop(&mut self) {
-        self.release_cached();
-    }
-}
-
-/// An open, validated segment file with a demand-paged read path.
+/// An open, validated segment file.
 pub struct Segment {
     sections: Vec<SectionInfo>,
-    pager: Pager,
+    reader: Reader,
 }
 
 impl fmt::Debug for Segment {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Segment")
-            .field("path", &self.pager.path)
+            .field("path", &self.reader.path)
             .field("sections", &self.sections)
             .finish_non_exhaustive()
     }
@@ -886,14 +789,13 @@ impl Segment {
         }
         Ok(Segment {
             sections,
-            pager: Pager {
+            reader: Reader {
                 file,
                 path,
                 file_len,
                 page_bytes: opts.page_bytes,
                 budget: opts.budget,
                 metrics: opts.metrics,
-                cache: Mutex::new(PagerCache::default()),
             },
         })
     }
@@ -905,16 +807,7 @@ impl Segment {
 
     /// The segment file path.
     pub fn path(&self) -> &Path {
-        &self.pager.path
-    }
-
-    /// Currently resident (cached) bytes of this segment's pager.
-    pub fn resident_bytes(&self) -> u64 {
-        self.pager
-            .cache
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .resident
+        &self.reader.path
     }
 
     fn section_checked(&self, index: usize, kind: u32) -> Result<SectionInfo, SegmentError> {
@@ -922,13 +815,13 @@ impl Segment {
             .sections
             .get(index)
             .ok_or_else(|| SegmentError::Malformed {
-                path: self.pager.path.clone(),
-                offset: self.pager.file_len,
+                path: self.reader.path.clone(),
+                offset: self.reader.file_len,
                 reason: format!("no section at index {index}"),
             })?;
         if info.kind != kind {
             return Err(SegmentError::Malformed {
-                path: self.pager.path.clone(),
+                path: self.reader.path.clone(),
                 offset: info.payload_offset - SECTION_HEADER_LEN,
                 reason: format!("section {index} has kind {}, expected {kind}", info.kind),
             });
@@ -945,20 +838,21 @@ impl Segment {
     ) -> Result<(u64, u64), SegmentError> {
         if info.payload_len < 8 {
             return Err(SegmentError::Truncated {
-                path: self.pager.path.clone(),
+                path: self.reader.path.clone(),
                 offset: info.payload_offset,
                 expected: "an 8-byte record count".to_string(),
             });
         }
         let mut count_buf = [0u8; 8];
-        self.pager.read_exact(info.payload_offset, &mut count_buf)?;
+        self.reader
+            .read_exact(info.payload_offset, &mut count_buf)?;
         let count = u64::from_le_bytes(count_buf);
         let body = count
             .checked_mul(record_bytes)
             .and_then(|b| b.checked_add(8));
         if body != Some(info.payload_len) {
             return Err(SegmentError::Malformed {
-                path: self.pager.path.clone(),
+                path: self.reader.path.clone(),
                 offset: info.payload_offset,
                 reason: format!(
                     "record count {count} disagrees with payload length {}",
@@ -966,20 +860,15 @@ impl Segment {
                 ),
             });
         }
-        // The count header's page is dead weight once decoded — release it
-        // so opening many runs for a k-way merge pins nothing per segment.
-        self.pager.release_cached();
         Ok((count, info.payload_offset + 8))
     }
 
-    /// The whole payload of the [`KIND_BYTES`] section `index`. The pages it
-    /// passed through are released before it returns.
+    /// The whole payload of the [`KIND_BYTES`] section `index`.
     pub fn bytes(&self, index: usize) -> Result<Vec<u8>, SegmentError> {
         let info = self.section_checked(index, KIND_BYTES)?;
         let mut payload = vec![0u8; info.payload_len as usize];
-        let read = self.pager.read_exact(info.payload_offset, &mut payload);
-        self.pager.release_cached();
-        read.map(|()| payload)
+        self.reader.read_exact(info.payload_offset, &mut payload)?;
+        Ok(payload)
     }
 
     /// A streaming cursor over the sorted run in section `index`.
@@ -1000,9 +889,8 @@ impl Segment {
 /// Records decoded per cursor refill.
 pub const CURSOR_CHUNK: u64 = 4096;
 
-/// Streaming, buffered cursor over one sorted run. Decodes
-/// [`CURSOR_CHUNK`] records per page-cache visit and releases the pages
-/// behind its position.
+/// Streaming, buffered cursor over one sorted run. Each refill reads the
+/// next [`CURSOR_CHUNK`] records into the cursor's own buffer.
 pub struct RunCursor<'a, R> {
     seg: &'a Segment,
     offset: u64,
@@ -1015,7 +903,7 @@ pub struct RunCursor<'a, R> {
 impl<R> fmt::Debug for RunCursor<'_, R> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunCursor")
-            .field("path", &self.seg.pager.path)
+            .field("path", &self.seg.reader.path)
             .field("remaining", &self.remaining)
             .finish_non_exhaustive()
     }
@@ -1031,8 +919,7 @@ impl<R: RunRecord> RunCursor<'_, R> {
             }
             let take = self.remaining.min(CURSOR_CHUNK);
             self.buf.resize(take as usize * R::BYTES, 0);
-            self.seg.pager.read_exact(self.offset, &mut self.buf)?;
-            self.seg.pager.release_cached();
+            self.seg.reader.read_exact(self.offset, &mut self.buf)?;
             self.offset += take * R::BYTES as u64;
             self.remaining -= take;
             self.pos = 0;
@@ -1040,7 +927,7 @@ impl<R: RunRecord> RunCursor<'_, R> {
         // The record's file offset (the refill ends at `self.offset`).
         let at = self.offset - (self.buf.len() - self.pos) as u64;
         let mut d = Decoder::at(&self.buf[self.pos..self.pos + R::BYTES], at);
-        let record = R::decode(&mut d).map_err(|e| SegmentError::wire(&self.seg.pager.path, e))?;
+        let record = R::decode(&mut d).map_err(|e| SegmentError::wire(&self.seg.reader.path, e))?;
         self.pos += R::BYTES;
         Ok(Some(record))
     }
@@ -1048,8 +935,8 @@ impl<R: RunRecord> RunCursor<'_, R> {
 
 /// Configuration of an [`ExternalSorter`] and so of the out-of-core builders
 /// in `er-blocking` and `er-metablocking`: where spill segments live, how
-/// large a sorted run may grow, and which governance handles (budget,
-/// watchdog, metrics) the spill/merge machinery reports to.
+/// large a sorted run may grow, which fingerprint binds the segments to
+/// their input, and the budget and metrics the spill and merge report to.
 #[derive(Clone, Debug)]
 pub struct OocConfig {
     /// Directory holding this run's spill segments.
@@ -1062,15 +949,14 @@ pub struct OocConfig {
     /// Producer fingerprint stamped into every segment
     /// (see [`collection_fingerprint`]).
     pub fingerprint: u64,
-    /// Budget charged by run buffers and resident pages.
+    /// Budget charged by the run buffer while records are pushed, then by
+    /// the page each merge read is reading.
     pub budget: MemoryBudget,
-    /// Stage watchdog checked at spill boundaries and mid-merge.
-    pub watchdog: crate::resource::Watchdog,
     /// The `colstore.*` metrics handle.
     pub metrics: StoreMetrics,
-    /// Page size of the demand-paged merge readers. Smaller than
-    /// [`DEFAULT_PAGE_BYTES`] because a k-way merge keeps one hot page per
-    /// run resident.
+    /// Page size of the merge readers, and so the budget headroom a merge
+    /// read needs. Smaller than [`DEFAULT_PAGE_BYTES`] so a merge fits in a
+    /// small budget.
     pub page_bytes: u64,
 }
 
@@ -1080,15 +966,14 @@ pub const DEFAULT_RUN_ENTRIES: usize = 64 * 1024;
 pub const DEFAULT_MERGE_PAGE_BYTES: u64 = 16 * 1024;
 
 impl OocConfig {
-    /// Defaults: 64 Ki records per run, no budget, no watchdog, no metrics,
-    /// 16 KiB merge pages, zero fingerprint.
+    /// Defaults: 64 Ki records per run, no budget, no metrics, 16 KiB merge
+    /// pages, zero fingerprint.
     pub fn new(segment_dir: impl Into<PathBuf>) -> OocConfig {
         OocConfig {
             segment_dir: segment_dir.into(),
             run_entries: DEFAULT_RUN_ENTRIES,
             fingerprint: 0,
             budget: MemoryBudget::unlimited(),
-            watchdog: crate::resource::Watchdog::disarmed(),
             metrics: StoreMetrics::disabled(),
             page_bytes: DEFAULT_MERGE_PAGE_BYTES,
         }
@@ -1106,15 +991,9 @@ impl OocConfig {
         self
     }
 
-    /// Charges run buffers and resident pages against `budget`.
+    /// Charges the run buffer and merge reads against `budget`.
     pub fn with_budget(mut self, budget: MemoryBudget) -> OocConfig {
         self.budget = budget;
-        self
-    }
-
-    /// Checks `watchdog` at spill boundaries and mid-merge.
-    pub fn with_watchdog(mut self, watchdog: crate::resource::Watchdog) -> OocConfig {
-        self.watchdog = watchdog;
         self
     }
 
@@ -1142,9 +1021,6 @@ impl OocConfig {
 /// Floor of the adaptive run-buffer shrink.
 const MIN_RUN_ENTRIES: usize = 64;
 
-/// Merge steps between watchdog checks.
-const MERGE_CHECK_EVERY: u64 = 4096;
-
 /// The external sort both out-of-core builders stream through: records
 /// accumulate in a bounded, budget-charged run buffer; each full buffer is
 /// stable-sorted by [`RunRecord::key`] and spilled as one run segment under
@@ -1152,11 +1028,13 @@ const MERGE_CHECK_EVERY: u64 = 4096;
 /// `(key, run index)` order. The merged stream is therefore the **stable
 /// sort of the pushed sequence** — runs are contiguous windows of it, so
 /// records with equal keys come out in arrival order (coalesced to one when
-/// [`RunRecord::COALESCE`]). Run files are removed and the buffer's
-/// reservation returned when the sorter drops, on success and on error.
+/// [`RunRecord::COALESCE`]). The run buffer's reservation is returned
+/// before the merge reads, so the merge needs only one page of budget
+/// headroom. Run files are removed and any reservation returned when the
+/// sorter drops, on success and on error.
 pub struct ExternalSorter<'a, R: RunRecord> {
     cfg: &'a OocConfig,
-    /// Names the budget reservation, the watchdog checks and the run files.
+    /// Names the budget reservation and the run files.
     stage: &'static str,
     /// The run buffer; `reserved` bytes of the budget are held for it.
     buf: Vec<R>,
@@ -1196,9 +1074,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
     }
 
     /// Appends records in arrival order, spilling at each run boundary.
-    /// Checks the watchdog once per call and at every spill.
     pub fn push_all(&mut self, records: impl IntoIterator<Item = R>) -> Result<(), SegmentError> {
-        self.cfg.watchdog.check(self.stage)?;
         for record in records {
             if self.buf.len() >= self.run_entries {
                 self.spill()?;
@@ -1213,7 +1089,6 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.cfg.watchdog.check(self.stage)?;
         self.buf.sort_by_key(R::key);
         if R::COALESCE {
             self.buf.dedup_by_key(|r| r.key());
@@ -1234,7 +1109,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
     pub fn merge(mut self, mut sink: impl FnMut(R)) -> Result<(), SegmentError> {
         self.spill()?;
         // The merge no longer needs the run buffer: hand its bytes back
-        // before the page cache starts charging.
+        // before the merge reads start charging pages.
         self.cfg.budget.release(std::mem::take(&mut self.reserved));
         if self.runs.is_empty() {
             return Ok(());
@@ -1263,12 +1138,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
             heads.push(head);
         }
         let mut last: Option<R::Key> = None;
-        let mut steps: u64 = 0;
         while let Some(Reverse((key, run))) = heap.pop() {
-            steps += 1;
-            if steps.is_multiple_of(MERGE_CHECK_EVERY) {
-                cfg.watchdog.check(self.stage)?;
-            }
             let next = cursors[run].next()?;
             if let Some(r) = &next {
                 heap.push(Reverse((r.key(), run)));
@@ -1456,10 +1326,11 @@ mod tests {
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".tmp");
         assert!(!path.with_file_name(name).exists());
-        let seg = Segment::open(&path, SegmentOptions::new(9)).unwrap();
+        let budget = MemoryBudget::bytes(DEFAULT_PAGE_BYTES);
+        let seg = Segment::open(&path, SegmentOptions::new(9).with_budget(budget.clone())).unwrap();
         assert_eq!(seg.sections()[0].kind, KIND_BYTES);
         assert_eq!(seg.bytes(0).unwrap(), payload);
-        assert_eq!(seg.resident_bytes(), 0, "the read released its pages");
+        assert_eq!(budget.used(), 0, "the read released its pages");
         // A run cursor over a bytes section, and a bytes read of a run
         // section, are kind mismatches.
         assert!(matches!(
@@ -1505,43 +1376,58 @@ mod tests {
         assert!(matches!(err, SegmentError::Io { .. }), "{err:?}");
     }
 
+    /// Budgets of 8 KiB and of exactly one 2 KiB page both stream a run of
+    /// ~118 pages: each read charges one page at a time and holds nothing
+    /// once it returns. One byte below a page refuses the first read.
     #[test]
-    fn pager_charges_and_drains_the_budget() {
+    fn reader_charges_and_drains_the_budget() {
+        const PAGE: u64 = 2048;
         let path = tmp_seg("budget");
         let mut w = SegmentWriter::create(&path, 11).unwrap();
         w.run(&sample_postings(10_000)).unwrap();
         w.finish().unwrap();
-        let budget = MemoryBudget::bytes(8 * 1024);
-        let metrics = StoreMetrics::new(Obs::enabled());
-        {
+        for limit in [8 * 1024, PAGE, PAGE - 1] {
+            let budget = MemoryBudget::bytes(limit);
+            let metrics = StoreMetrics::new(Obs::enabled());
             let seg = Segment::open(
                 &path,
                 SegmentOptions::new(11)
                     .with_budget(budget.clone())
                     .with_metrics(metrics.clone())
-                    .with_page_bytes(2048),
+                    .with_page_bytes(PAGE),
             )
             .unwrap();
+            if limit < PAGE {
+                let err = seg.run::<(Symbol, EntityId)>(0).unwrap_err();
+                assert!(
+                    matches!(
+                        err,
+                        SegmentError::Resource(ResourceError::BudgetExhausted { .. })
+                    ),
+                    "{err:?}"
+                );
+                assert_eq!(budget.used(), 0, "a refused read holds nothing");
+                continue;
+            }
             let mut cursor = seg.run::<(Symbol, EntityId)>(0).unwrap();
             let mut n = 0u64;
             while cursor.next().unwrap().is_some() {
                 n += 1;
-                assert!(budget.used() <= 8 * 1024, "resident pages within budget");
+                assert_eq!(
+                    budget.used(),
+                    0,
+                    "limit {limit}: nothing held between refills"
+                );
             }
             assert_eq!(n, 30_000);
             let snap = metrics.obs.snapshot();
             assert!(
                 snap.counter("colstore.pages_loaded").unwrap_or(0) > 1,
-                "the scan demand-paged: {snap:?}"
+                "limit {limit}: the scan read page by page: {snap:?}"
             );
-            // Sequential scans release consumed pages at every refill, so
-            // nothing stays resident between reads — the property that lets
-            // a k-way merge over many runs live inside a tiny budget.
-            assert_eq!(metrics.resident_bytes(), 0, "refills drain the cache");
-            assert_eq!(budget.used(), metrics.resident_bytes());
+            assert_eq!(snap.gauge("colstore.resident_bytes"), Some(0.0));
+            assert_eq!(metrics.resident_bytes(), 0);
         }
-        assert_eq!(budget.used(), 0, "drop releases every page");
-        assert_eq!(metrics.resident_bytes(), 0);
         let _ = fs::remove_file(&path);
     }
 
@@ -1551,7 +1437,7 @@ mod tests {
         let mut w = SegmentWriter::create(&path, 11).unwrap();
         w.run(&sample_postings(1000)).unwrap();
         w.finish().unwrap();
-        // A budget smaller than one page: the pager can never reserve.
+        // A budget smaller than one page: the reader can never reserve.
         let budget = MemoryBudget::bytes(64);
         let seg = Segment::open(
             &path,
@@ -1575,8 +1461,6 @@ mod tests {
     //   → `sorted_stream_is_the_stable_sort_of_the_input`
     // * `…::starved_budget_is_a_typed_error` (blocking)
     //   → `run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed`
-    // * `…::expired_watchdog_is_a_typed_error_not_partial_output` (both)
-    //   → `expired_watchdog_is_typed_never_partial_and_leaves_no_runs`
 
     fn files_in(dir: &Path) -> usize {
         fs::read_dir(dir).map_or(0, |d| d.count())
@@ -1707,52 +1591,6 @@ mod tests {
             0,
             "run files removed after success and error"
         );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn expired_watchdog_is_typed_never_partial_and_leaves_no_runs() {
-        use crate::resource::Watchdog;
-        use std::time::Duration;
-        let edges = random_edges(3, 5_000);
-        let deadline = |err: SegmentError| {
-            assert!(
-                matches!(
-                    err,
-                    SegmentError::Resource(ResourceError::DeadlineExceeded { .. })
-                ),
-                "{err:?}"
-            );
-        };
-
-        // Expired before the first record.
-        let dir = tmp_seg("sorter-watchdog");
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(64)
-            .with_watchdog(Watchdog::timeout(Duration::ZERO));
-        deadline(sorted_by(&cfg, &edges).unwrap_err());
-        assert_eq!(files_in(&dir), 0);
-
-        // Expired between spill and merge: runs are on disk, the merge
-        // still refuses and hands `sink` nothing.
-        let budget = MemoryBudget::bytes(1 << 20);
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(64)
-            .with_budget(budget.clone())
-            .with_watchdog(Watchdog::timeout(Duration::from_millis(250)));
-        let mut sorter = ExternalSorter::new(&cfg, "sorter-test").unwrap();
-        let mut delivered = 0u64;
-        let outcome = sorter.push_all(edges.iter().copied()).and_then(|()| {
-            assert!(files_in(&dir) > 1, "runs spilled before the deadline");
-            std::thread::sleep(Duration::from_millis(300));
-            sorter.merge(|_| delivered += 1)
-        });
-        // (On a machine too slow to spill 5k records in 250 ms the push
-        // itself hits the deadline — the same typed refusal.)
-        deadline(outcome.unwrap_err());
-        assert_eq!(delivered, 0, "never partial output");
-        assert_eq!(files_in(&dir), 0, "run files removed on error");
-        assert_eq!(budget.used(), 0, "reservation returned on error");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -74,12 +74,6 @@ impl Entity {
         }
     }
 
-    /// Attaches an external URI / name to the description.
-    pub fn with_uri(mut self, uri: impl Into<String>) -> Self {
-        self.uri = Some(uri.into());
-        self
-    }
-
     /// The collection-assigned identifier.
     pub fn id(&self) -> EntityId {
         self.id

@@ -418,6 +418,18 @@ pub fn fault_seed_from_env() -> Option<u64> {
     std::env::var("ER_FAULT_SEED").ok()?.trim().parse().ok()
 }
 
+/// The message of a caught panic: `task panicked: <payload>` for a string
+/// payload, `task panicked` for any other.
+pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        format!("task panicked: {s}")
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        format!("task panicked: {s}")
+    } else {
+        "task panicked".to_string()
+    }
+}
+
 /// SplitMix64-style avalanche hash over a task-attempt key. Stable across
 /// platforms and runs (unlike `DefaultHasher`, whose seeds may vary), which
 /// is what makes seeded fault schedules reproducible everywhere.

@@ -43,9 +43,8 @@
 //!   nesting, structured warning events with pluggable sinks, and
 //!   deterministic JSON snapshots ([`obs`]);
 //! * **resource governance** — cloneable atomic memory budgets, per-stage
-//!   wall-clock watchdogs, typed exhaustion errors and the pressure
-//!   (degradation) ladder the execution layers consult under skewed,
-//!   web-scale load ([`resource`]);
+//!   wall-clock watchdogs and the typed exhaustion errors the execution
+//!   layers return under skewed, web-scale load ([`resource`]);
 //! * the one bounded binary **field codec** under worker frames, task
 //!   payloads, shuffle segments and stage checkpoints ([`wire`]), which live
 //!   in fingerprinted, checksummed **segment files** ([`colstore`]).
@@ -96,4 +95,4 @@ pub use matching::{CountingMatcher, Matcher};
 pub use obs::{Event, EventSink, MetricsSnapshot, Obs};
 pub use pair::Pair;
 pub use parallel::Parallelism;
-pub use resource::{MemoryBudget, PressureLevel, ResourceError, ResourceLimits, Watchdog};
+pub use resource::{MemoryBudget, ResourceError, ResourceLimits, Watchdog};

@@ -9,7 +9,7 @@
 //! (RR, PQ, progressive recall) is expressed in number of comparisons.
 
 use crate::collection::EntityCollection;
-use crate::entity::{Entity, EntityId};
+use crate::entity::Entity;
 use crate::ground_truth::GroundTruth;
 use crate::pair::Pair;
 use crate::parallel::{par_map, Parallelism};
@@ -542,14 +542,11 @@ pub fn par_decide_candidates<M: Matcher + Sync>(
     matcher.decide_batch(collection, candidates, par)
 }
 
-/// Identifier alias re-export for matcher implementors.
-pub type EntityRef<'a> = (&'a EntityCollection, EntityId);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::collection::ResolutionMode;
-    use crate::entity::{EntityBuilder, KbId};
+    use crate::entity::{EntityBuilder, EntityId, KbId};
 
     fn collection() -> EntityCollection {
         let mut c = EntityCollection::new(ResolutionMode::Dirty);

@@ -539,8 +539,8 @@ mod tests {
 
     #[test]
     fn profiles_are_the_token_sets_in_token_order_at_every_thread_count() {
-        // 200 entities span several 64-entity chunks, each with its own
-        // first-encounter numbering.
+        // At n threads the 200 entities split into n entity ranges, each
+        // keyed into n hash shards with its own first-encounter numbering.
         let c = collection(200);
         for t in [Tokenizer::default(), Tokenizer::raw()] {
             let serial = TokenProfiles::build(&c, &t, Parallelism::serial());

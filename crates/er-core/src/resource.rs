@@ -1,5 +1,4 @@
-//! Resource governance: memory budgets, per-stage watchdogs, and the
-//! pressure/degradation ladder.
+//! Resource governance: memory budgets and per-stage watchdogs.
 //!
 //! Web-scale inputs are skewed: a handful of stop-word tokens can inflate
 //! the blocking index by orders of magnitude, and a pathological stage can
@@ -19,8 +18,6 @@
 //!   at task boundaries. Reuses the `Budget::Deadline` clock semantics of
 //!   the progressive layer (`Instant::now() >= deadline` ⇒ expired).
 //! * [`ResourceError`] — the typed exhaustion verdicts.
-//! * [`PressureLevel`] — the degradation ladder a governed stage consults to
-//!   decide how aggressively to shed work.
 //! * [`ResourceLimits`] — the plain-old-data configuration surface the
 //!   pipeline builder and CLI expose (`--memory-budget`, `--stage-timeout`).
 //!
@@ -84,60 +81,6 @@ impl fmt::Display for ResourceError {
 }
 
 impl std::error::Error for ResourceError {}
-
-/// The degradation ladder: how close a budget is to exhaustion, and thus how
-/// aggressively a governed stage should shed optional work. Ordered, so
-/// `level >= PressureLevel::Critical` reads naturally.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub enum PressureLevel {
-    /// Below half the budget — no action needed.
-    Normal,
-    /// Past half the budget — stages may start preferring cheaper variants.
-    Elevated,
-    /// Past 7/8 of the budget — stages should shed optional work now.
-    Critical,
-    /// At (or attempting past) the limit — reservations are failing; stages
-    /// must degrade (purge, spill, truncate) to make progress.
-    Exhausted,
-}
-
-impl PressureLevel {
-    /// Ladder rung for `used` bytes of a `limit`-byte budget. Integer
-    /// arithmetic in `u128` so no limit can overflow the thresholds.
-    pub fn from_usage(used: u64, limit: u64) -> PressureLevel {
-        if used >= limit {
-            return PressureLevel::Exhausted;
-        }
-        let (u, l) = (used as u128, limit as u128);
-        if u.saturating_mul(2) < l {
-            PressureLevel::Normal
-        } else if u.saturating_mul(8) < l.saturating_mul(7) {
-            PressureLevel::Elevated
-        } else {
-            PressureLevel::Critical
-        }
-    }
-
-    /// Stable lowercase name for events and logs.
-    pub fn name(self) -> &'static str {
-        match self {
-            PressureLevel::Normal => "normal",
-            PressureLevel::Elevated => "elevated",
-            PressureLevel::Critical => "critical",
-            PressureLevel::Exhausted => "exhausted",
-        }
-    }
-
-    /// Numeric rung (0–3) for recording as a gauge.
-    pub fn as_gauge(self) -> f64 {
-        match self {
-            PressureLevel::Normal => 0.0,
-            PressureLevel::Elevated => 1.0,
-            PressureLevel::Critical => 2.0,
-            PressureLevel::Exhausted => 3.0,
-        }
-    }
-}
 
 /// Shared accounting state behind enabled [`MemoryBudget`] handles.
 #[derive(Debug)]
@@ -236,15 +179,6 @@ impl MemoryBudget {
                 });
         }
     }
-
-    /// Current rung of the degradation ladder ([`PressureLevel::Normal`] for
-    /// a disabled budget).
-    pub fn pressure(&self) -> PressureLevel {
-        match &self.core {
-            None => PressureLevel::Normal,
-            Some(c) => PressureLevel::from_usage(c.used.load(Ordering::Relaxed), c.limit),
-        }
-    }
 }
 
 /// A per-stage wall-clock deadline, checked cooperatively at task
@@ -282,12 +216,6 @@ impl Watchdog {
     /// Whether the deadline has passed (always `false` when disarmed).
     pub fn expired(&self) -> bool {
         self.deadline.is_some_and(|d| Instant::now() >= d)
-    }
-
-    /// Time left before expiry (`None` when disarmed, zero once expired).
-    pub fn remaining(&self) -> Option<Duration> {
-        self.deadline
-            .map(|d| d.saturating_duration_since(Instant::now()))
     }
 
     /// Task-boundary check: `Ok` while the deadline holds, a typed
@@ -374,7 +302,6 @@ mod tests {
         b.release(123);
         assert_eq!(b.used(), 0);
         assert_eq!(b.remaining(), u64::MAX);
-        assert_eq!(b.pressure(), PressureLevel::Normal);
     }
 
     #[test]
@@ -467,40 +394,10 @@ mod tests {
     }
 
     #[test]
-    fn pressure_ladder_rungs() {
-        assert_eq!(PressureLevel::from_usage(0, 100), PressureLevel::Normal);
-        assert_eq!(PressureLevel::from_usage(49, 100), PressureLevel::Normal);
-        assert_eq!(PressureLevel::from_usage(50, 100), PressureLevel::Elevated);
-        assert_eq!(PressureLevel::from_usage(87, 100), PressureLevel::Elevated);
-        assert_eq!(PressureLevel::from_usage(88, 100), PressureLevel::Critical);
-        assert_eq!(
-            PressureLevel::from_usage(100, 100),
-            PressureLevel::Exhausted
-        );
-        assert_eq!(PressureLevel::from_usage(5, 0), PressureLevel::Exhausted);
-        assert!(PressureLevel::Critical > PressureLevel::Elevated);
-        assert_eq!(PressureLevel::Critical.name(), "critical");
-        assert_eq!(PressureLevel::Exhausted.as_gauge(), 3.0);
-    }
-
-    #[test]
-    fn budget_pressure_tracks_usage() {
-        let b = MemoryBudget::bytes(100);
-        assert_eq!(b.pressure(), PressureLevel::Normal);
-        b.try_reserve("s", 60).unwrap();
-        assert_eq!(b.pressure(), PressureLevel::Elevated);
-        b.try_reserve("s", 30).unwrap();
-        assert_eq!(b.pressure(), PressureLevel::Critical);
-        b.try_reserve("s", 10).unwrap();
-        assert_eq!(b.pressure(), PressureLevel::Exhausted);
-    }
-
-    #[test]
     fn disarmed_watchdog_never_expires() {
         let w = Watchdog::disarmed();
         assert!(!w.is_armed());
         assert!(!w.expired());
-        assert_eq!(w.remaining(), None);
         assert!(w.check("matching").is_ok());
     }
 
@@ -525,7 +422,6 @@ mod tests {
         let w = Watchdog::timeout(Duration::from_secs(3600));
         assert!(!w.expired());
         assert!(w.check("blocking").is_ok());
-        assert!(w.remaining().unwrap() > Duration::from_secs(3000));
     }
 
     #[test]

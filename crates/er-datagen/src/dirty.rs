@@ -132,27 +132,6 @@ impl DirtyDataset {
             clusters,
         }
     }
-
-    /// [`generate`] with observability: times generation under a
-    /// `datagen.generate` span and records `datagen.descriptions` (emitted
-    /// descriptions), `datagen.true_entities` (distinct source entities) and
-    /// `datagen.truth_pairs` counters.
-    ///
-    /// [`generate`]: DirtyDataset::generate
-    pub fn generate_obs(config: &DirtyConfig, obs: &er_core::obs::Obs) -> Self {
-        let span = obs.span("datagen.generate");
-        let ds = Self::generate(config);
-        span.finish();
-        if obs.is_enabled() {
-            obs.counter("datagen.descriptions")
-                .add(ds.collection.len() as u64);
-            obs.counter("datagen.true_entities")
-                .add(config.entities as u64);
-            obs.counter("datagen.truth_pairs")
-                .add(ds.truth.len() as u64);
-        }
-        ds
-    }
 }
 
 #[cfg(test)]

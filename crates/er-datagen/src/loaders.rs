@@ -552,16 +552,6 @@ impl DatasetBuilder {
             gold_skipped,
         })
     }
-
-    /// Finalizes without gold (empty [`GroundTruth`]).
-    pub fn finish_without_gold(self) -> LoadedScenario {
-        LoadedScenario {
-            collection: self.collection,
-            truth: GroundTruth::default(),
-            quarantine: self.validator.into_report(),
-            gold_skipped: 0,
-        }
-    }
 }
 
 #[cfg(test)]

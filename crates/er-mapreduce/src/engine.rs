@@ -27,7 +27,7 @@
 //! or speculated and the policy costs one `catch_unwind` per task.
 
 use crate::ledger::{Counters, Ledger};
-use er_core::fault::ExecPolicy;
+use er_core::fault::{panic_message, ExecPolicy};
 use std::collections::hash_map::DefaultHasher;
 use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -135,17 +135,6 @@ where
     });
     let ledger = ledger.into_inner().unwrap_or_else(PoisonError::into_inner);
     ledger.finish()
-}
-
-/// Best-effort extraction of a panic payload message.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("task panicked: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("task panicked: {s}")
-    } else {
-        "task panicked".to_string()
-    }
 }
 
 /// Deterministic hash partitioner. `DefaultHasher::new()` uses fixed keys,

@@ -118,7 +118,7 @@ where
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
                     run_task(registry, &job, &stage, &payload, budget_bytes)
                 }))
-                .unwrap_or_else(|p| Err(crate::engine::panic_message(p.as_ref())));
+                .unwrap_or_else(|p| Err(er_core::fault::panic_message(p.as_ref())));
                 let reply = match outcome {
                     Ok(payload) => Frame::TaskResult {
                         task,

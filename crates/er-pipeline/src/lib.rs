@@ -487,8 +487,8 @@ impl Pipeline {
     /// blocks largest-first on a breach — a disabled budget admits
     /// everything untouched), unless a segment dir is set and the charge
     /// would breach: then it is rebuilt out of core instead. An out-of-core
-    /// build already ran under the budget's pager governance and is
-    /// admitted whole.
+    /// build already charged its run buffer and merge reads against the
+    /// budget and is admitted whole.
     pub(crate) fn build_blocks(
         &self,
         collection: &EntityCollection,
@@ -664,12 +664,11 @@ impl Pipeline {
     /// per-call spill directory (concurrent runs never collide on run
     /// files), the collection's fingerprint binding every segment to its
     /// input, the run's budget, and store metrics flowing into the
-    /// pipeline's obs handle. Index-building stages have no safe early-exit
-    /// point (`note_overrun` reports late completion instead), so the
-    /// config's watchdog stays disarmed — deadline-aborted merges are an
-    /// `OocConfig` capability for callers that *want* typed mid-merge
-    /// failure. With a budget configured, the run buffer and merge pages are
-    /// sized to fractions of it so the spill machinery itself fits inside.
+    /// pipeline's obs handle. The stage watchdog does not reach the spill
+    /// or the merge: index-building stages have no safe early-exit point,
+    /// so `note_overrun` reports late completion instead. With a budget
+    /// configured, the run buffer and merge pages are sized to fractions of
+    /// it so the spill machinery itself fits inside.
     fn ooc_config(
         &self,
         collection: &EntityCollection,
@@ -782,7 +781,7 @@ impl Pipeline {
 }
 
 /// Admits an index whole without charging it: the build that produced it
-/// already ran under the budget's pager governance.
+/// already charged its run buffer and merge reads against the budget.
 fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::GovernedBlocks {
     er_blocking::governance::GovernedBlocks {
         blocks,

@@ -38,7 +38,7 @@ use er_blocking::block::{Block, BlockCollection};
 use er_core::collection::EntityCollection;
 use er_core::colstore::{Segment, SegmentError, SegmentOptions, SegmentWriter};
 use er_core::entity::EntityId;
-use er_core::fault::{FaultInjector, RetryPolicy};
+use er_core::fault::{panic_message, FaultInjector, RetryPolicy};
 use er_core::obs::{Event, Obs};
 use er_core::pair::Pair;
 use er_core::wire::{put_str, put_u32, put_u64, Decoder, WireError};
@@ -431,16 +431,6 @@ impl<'a> Hooks<'a> {
                 });
             }
         }
-    }
-}
-
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        format!("panic: {s}")
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        format!("panic: {s}")
-    } else {
-        "panic: <non-string payload>".to_string()
     }
 }
 

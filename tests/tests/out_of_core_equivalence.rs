@@ -19,25 +19,23 @@
 //! across generator seeds × noise levels × worker counts {1, 4} × run sizes
 //! (from runt-sized runs that force deep k-way merges up to
 //! everything-in-one-run), plus property tests over random
-//! micro-collections. Governance is part of the contract too: an armed
-//! watchdog expiring mid-merge yields a typed [`SegmentError`] — never a
-//! panic, never partial output — and a successful build removes every
-//! on-disk run it wrote.
+//! micro-collections. Governance is part of the contract too: a budget far
+//! below the blocking index still streams to completion and drains, and a
+//! successful build removes every on-disk run it wrote.
 
 use er_blocking::governance::block_bytes;
 use er_blocking::TokenBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
-use er_core::colstore::{collection_fingerprint, OocConfig, SegmentError};
+use er_core::colstore::{collection_fingerprint, OocConfig};
 use er_core::entity::KbId;
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
-use er_core::resource::{MemoryBudget, ResourceError, ResourceLimits, Watchdog};
+use er_core::resource::{MemoryBudget, ResourceLimits};
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_metablocking::{par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
 use er_pipeline::{MetaBlockingStage, Pipeline, RecoveryOptions};
 use proptest::prelude::*;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::time::Duration;
 
 /// Worker counts the streamed paths are checked at: 1 exercises the serial
 /// spill loop, 4 the chunked spill with runs interleaved across workers.
@@ -356,70 +354,6 @@ fn out_of_core_entry_points_write_the_same_segments() {
 }
 
 // --------------------------------------------------------------- governance
-
-#[test]
-fn expired_watchdog_yields_typed_deadline_errors_not_partial_output() {
-    let ds = dataset(180, NoiseModel::moderate(), 7);
-    let blocks = TokenBlocking::new().build(&ds.collection);
-
-    let cfg =
-        cfg_for("wd_token", &ds.collection, 64).with_watchdog(Watchdog::timeout(Duration::ZERO));
-    let err = TokenBlocking::new()
-        .par_build_ooc_obs(
-            &ds.collection,
-            Parallelism::serial(),
-            &Obs::disabled(),
-            &cfg,
-        )
-        .expect_err("expired watchdog must abort the streamed build");
-    match &err {
-        SegmentError::Resource(ResourceError::DeadlineExceeded { stage, .. }) => {
-            assert!(!stage.is_empty(), "deadline names its stage: {err}");
-        }
-        other => panic!("expected a typed deadline error, got {other:?}"),
-    }
-    let _ = std::fs::remove_dir_all(&cfg.segment_dir);
-
-    let cfg =
-        cfg_for("wd_graph", &ds.collection, 64).with_watchdog(Watchdog::timeout(Duration::ZERO));
-    let err = BlockingGraph::par_build_ooc(&ds.collection, &blocks, Parallelism::serial(), &cfg)
-        .expect_err("expired watchdog must abort the streamed graph build");
-    assert!(
-        matches!(
-            err,
-            SegmentError::Resource(ResourceError::DeadlineExceeded { .. })
-        ),
-        "expected a typed deadline error, got {err:?}"
-    );
-    let _ = std::fs::remove_dir_all(&cfg.segment_dir);
-}
-
-#[test]
-fn mid_merge_watchdog_expiry_is_typed_with_runs_already_on_disk() {
-    // Arm a watchdog generous enough to survive the spill phase on a fast
-    // machine but guaranteed expired by the time the merge loop checks it:
-    // spill, then busy-wait past the deadline before merging is not
-    // something the API exposes, so instead arm a deadline shorter than the
-    // spill phase itself — the check at the first merge boundary (or spill
-    // boundary) fires after runs already exist on disk, proving expiry
-    // after partial on-disk state still yields an error, not output.
-    let ds = dataset(220, NoiseModel::moderate(), 77);
-    let cfg = cfg_for("wd_mid", &ds.collection, 64)
-        .with_watchdog(Watchdog::timeout(Duration::from_nanos(1)));
-    std::thread::sleep(Duration::from_millis(2));
-    let result = TokenBlocking::new().par_build_ooc_obs(
-        &ds.collection,
-        Parallelism::threads(4),
-        &Obs::disabled(),
-        &cfg,
-    );
-    match result {
-        Err(SegmentError::Resource(ResourceError::DeadlineExceeded { .. })) => {}
-        Err(other) => panic!("expected a typed deadline error, got {other:?}"),
-        Ok(_) => panic!("an expired watchdog must never let the build complete"),
-    }
-    let _ = std::fs::remove_dir_all(&cfg.segment_dir);
-}
 
 #[test]
 fn successful_builds_remove_every_run_file() {
