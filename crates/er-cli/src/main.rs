@@ -9,9 +9,9 @@
 //!
 //! `generate` writes `<out>.collection.txt` and `<out>.truth.txt` in the
 //! `er_core::io` text format; `resolve` runs the fault-tolerant pipeline —
-//! blocking → (optional) meta-blocking → threshold matching → clustering —
-//! and, when ground truth is supplied, prints PC/PQ/RR for the candidates
-//! and precision/recall/F1 for the final matches. Stage failures are retried
+//! blocking → block cleaning → (optional) meta-blocking → threshold
+//! matching → clustering — and, when ground truth is supplied, prints
+//! PC/PQ/RR for the candidates and precision/recall/F1 for the final matches. Stage failures are retried
 //! under `--retries`; `--checkpoint-dir`/`--resume` persist and restore
 //! per-stage snapshots; `--fail-stage` injects a one-shot panic into a stage
 //! to demo recovery. Any unrecoverable pipeline error exits nonzero.
@@ -79,6 +79,7 @@ fn print_usage() {
          \x20            [--threads N] [--scorecard-out FILE] [--metrics-out FILE]\n\
          \x20 er resolve --collection FILE [--truth FILE]\n\
          \x20            [--blocking token|attrcluster|sn|minhash]\n\
+         \x20            [--cleaning none|purge]\n\
          \x20            [--weighting cbs|ecbs|js|ejs|arcs] [--pruning wep|cep|wnp|cnp|none]\n\
          \x20            [--threshold T] [--clustering closure|center|umc]\n\
          \x20            [--threads N] [--show-matches N]\n\
@@ -90,6 +91,8 @@ fn print_usage() {
          \x20            [--ingest-queue-bytes BYTES] [--quarantine-out FILE]\n\
          \x20            [--backend inprocess|subprocess] [--workers N]\n\n\
          NOISE LEVELS: clean, light, moderate (default), heavy\n\
+         CLEANING: purge (default) drops the blocks above the automatic\n\
+         \x20        cardinality limit; none feeds every block to meta-blocking.\n\
          THREADS: worker threads for the hot kernels; 0 = all cores,\n\
          \x20        default 1 (serial). The output is identical either way.\n\
          FAULTS:  --retries N retries a failed stage up to N attempts (default 3);\n\
@@ -211,6 +214,17 @@ fn resource_limits_from(flags: &BTreeMap<String, String>) -> Result<ResourceLimi
         limits = limits.with_stage_timeout(std::time::Duration::from_secs_f64(secs));
     }
     Ok(limits)
+}
+
+/// `--cleaning none|purge`; `None` when the flag is absent, which leaves
+/// the pipeline's default (auto purging) in place.
+fn cleaning_from(flags: &BTreeMap<String, String>) -> Result<Option<CleaningStage>, String> {
+    match flags.get("cleaning").map(String::as_str) {
+        None => Ok(None),
+        Some("none") => Ok(Some(CleaningStage::None)),
+        Some("purge") => Ok(Some(CleaningStage::AutoPurge)),
+        Some(v) => Err(format!("bad --cleaning {v:?}")),
+    }
 }
 
 /// Builds the execution backend from the resolve flags: `--backend
@@ -581,6 +595,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
             "collection",
             "truth",
             "blocking",
+            "cleaning",
             "weighting",
             "pruning",
             "threshold",
@@ -611,10 +626,11 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     let opts = recovery_options_from(&flags)?;
     let limits = resource_limits_from(&flags)?;
     let backend = backend_from(&flags)?;
+    let cleaning = cleaning_from(&flags)?;
     if flags.get("blocking").map(String::as_str) == Some("sn") {
         // Sorted neighborhood yields pairs, not blocks: there is no index to
-        // spill or to ship to workers, so refuse the flags rather than
-        // ignore them.
+        // spill, to ship to workers or to clean, so refuse the flags rather
+        // than ignore them.
         if flags.contains_key("ooc") {
             return Err("--ooc does not apply to --blocking sn (it has no blocks)".to_string());
         }
@@ -622,6 +638,11 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
             return Err(
                 "--backend subprocess does not apply to --blocking sn (it has no blocks)"
                     .to_string(),
+            );
+        }
+        if cleaning.is_some_and(|c| c != CleaningStage::None) {
+            return Err(
+                "--cleaning purge does not apply to --blocking sn (it has no blocks)".to_string(),
             );
         }
     }
@@ -669,7 +690,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
         .transpose()?;
 
     // Stage selection mirrors the historical flag vocabulary onto the
-    // er-pipeline stages (no cleaning, matching the CLI's past behavior).
+    // er-pipeline stages.
     let blocking = flags.get("blocking").map(String::as_str).unwrap_or("token");
     let blocking_stage = match blocking {
         "token" => BlockingStage::Token,
@@ -720,13 +741,15 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
 
     let mut builder = Pipeline::builder()
         .blocking(blocking_stage)
-        .cleaning(CleaningStage::None)
         .matching(MatchingStage::jaccard(threshold))
         .clustering(clustering)
         .parallelism(par)
         .resource_limits(limits)
         .backend(backend)
         .observability(obs);
+    if let Some(cleaning) = cleaning {
+        builder = builder.cleaning(cleaning);
+    }
     builder = match meta {
         Some(mb) => builder.meta_blocking(mb),
         None => builder.no_meta_blocking(),
@@ -979,6 +1002,29 @@ mod tests {
     fn zero_retries_is_a_proper_error() {
         let err = cmd_resolve(&s(&["--collection", "x.txt", "--retries", "0"])).unwrap_err();
         assert!(err.contains("--retries"), "{err}");
+    }
+
+    #[test]
+    fn cleaning_flag_parses_and_rejects_junk() {
+        let parse = |v: &str| cleaning_from(&BTreeMap::from([("cleaning".into(), v.into())]));
+        assert_eq!(cleaning_from(&BTreeMap::new()), Ok(None));
+        assert_eq!(parse("none"), Ok(Some(CleaningStage::None)));
+        assert_eq!(parse("purge"), Ok(Some(CleaningStage::AutoPurge)));
+        for bad in ["filter:0.8", "", "purged"] {
+            assert_eq!(parse(bad), Err(format!("bad --cleaning {bad:?}")));
+        }
+        let err = cmd_resolve(&s(&["--collection", "x.txt", "--cleaning", "all"])).unwrap_err();
+        assert_eq!(err, "bad --cleaning \"all\"");
+        // Sorted neighborhood has no blocks to clean: it refuses purging and
+        // accepts an explicit `none`, getting as far as the missing file.
+        let sn = ["--collection", "x.txt", "--blocking", "sn", "--cleaning"];
+        let err = cmd_resolve(&s(&[&sn[..], &["purge"]].concat())).unwrap_err();
+        assert!(
+            err.contains("--cleaning purge does not apply to --blocking sn"),
+            "{err}"
+        );
+        let err = cmd_resolve(&s(&[&sn[..], &["none"]].concat())).unwrap_err();
+        assert!(err.contains("x.txt"), "{err}");
     }
 
     #[test]

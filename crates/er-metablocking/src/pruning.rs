@@ -212,11 +212,11 @@ impl NodeRule {
 
     /// Judges one neighbourhood: `weights` holds its edge weights with the
     /// neighbours in **ascending id order**, and `keep(i)` is called for
-    /// every surviving position. The order is part of the contract twice
-    /// over: the mean is summed left to right (`f64` addition does not
-    /// associate), and top-`k` breaks weight ties towards the smaller
-    /// neighbour id — which is the canonical pair order of the node's edges.
-    /// `order` is selection scratch, reused across calls.
+    /// every surviving position, in ascending order. The order is part of
+    /// the contract twice over: the mean is summed left to right (`f64`
+    /// addition does not associate), and top-`k` breaks weight ties towards
+    /// the smaller neighbour id — which is the canonical pair order of the
+    /// node's edges. `order` is selection scratch, reused across calls.
     pub(crate) fn survivors(
         self,
         weights: &[f64],
@@ -232,8 +232,14 @@ impl NodeRule {
                         .total_cmp(&weights[a as usize])
                         .then(a.cmp(&b))
                 };
-                order.select_nth_unstable_by(k.saturating_sub(1), heaviest_first);
-                order[..k].iter().for_each(|&i| keep(i as usize));
+                // The `k` heaviest are exactly the positions that rank no
+                // later than the `k`-th; reading them off in position order
+                // keeps the output ascending.
+                let (_, &mut kth, _) =
+                    order.select_nth_unstable_by(k.saturating_sub(1), heaviest_first);
+                (0..weights.len() as u32)
+                    .filter(|i| heaviest_first(i, &kth).is_le())
+                    .for_each(|i| keep(i as usize));
             }
             NodeRule::TopK(_) => (0..weights.len()).for_each(keep),
             NodeRule::MeanThreshold => {
@@ -246,11 +252,11 @@ impl NodeRule {
     }
 }
 
-/// The flat survivor merge of the node-centric schemes: every node has
-/// pushed the pairs that survive in its neighbourhood, so a pair occurs once
-/// per endpoint that kept it. One sort, then a run-length read: any
-/// occurrence keeps the pair, or both must when `reciprocal`.
-pub(crate) fn merge_survivors(mut survivors: Vec<Pair>, reciprocal: bool) -> Vec<Pair> {
+/// The graph oracle's survivor merge: every node has pushed the pairs that
+/// survive in its neighbourhood, so a pair occurs once per endpoint that
+/// kept it. One sort, then a run-length read: any occurrence keeps the pair,
+/// or both must when `reciprocal`. (The scan merges in linear time instead.)
+fn merge_survivors(mut survivors: Vec<Pair>, reciprocal: bool) -> Vec<Pair> {
     survivors.sort_unstable();
     if reciprocal {
         survivors
@@ -334,6 +340,26 @@ mod tests {
 
     fn good_pairs() -> [Pair; 2] {
         [Pair::new(id(0), id(1)), Pair::new(id(2), id(3))]
+    }
+
+    #[test]
+    fn top_k_survivors_come_in_ascending_position_order() {
+        // Ties at the cut (positions 1, 4 and 6 weigh 3.0) go to the smaller
+        // positions.
+        let weights = [1.0, 3.0, 5.0, 0.5, 3.0, 5.0, 3.0];
+        let mut order = Vec::new();
+        for (k, expected) in [
+            (1, vec![2]),
+            (3, vec![1, 2, 5]),
+            (4, vec![1, 2, 4, 5]),
+            (6, vec![0, 1, 2, 4, 5, 6]),
+            (7, (0..7).collect()),
+            (9, (0..7).collect()),
+        ] {
+            let mut kept = Vec::new();
+            NodeRule::TopK(k).survivors(&weights, &mut order, |i| kept.push(i));
+            assert_eq!(kept, expected, "k={k}");
+        }
     }
 
     #[test]

@@ -3,11 +3,15 @@
 //!
 //! The blocking graph is never materialised. For each entity the scan walks
 //! the blocks that contain it, accumulates every co-occurring neighbour's
-//! `common_blocks` and ARCS in a dense per-entity scratch array (reset
-//! through a touched-list), weighs the neighbourhood, and judges it on the
-//! spot. Memory is O(entities + postings + largest neighbourhood + kept
-//! pairs); nodes are independent, so the parallel path hands contiguous node
-//! ranges to workers and only concatenates what they return.
+//! `common_blocks` and ARCS in a dense per-entity scratch array, marks each
+//! first touch in a two-level bitmap whose read-back lists the neighbourhood
+//! in ascending id order without a sort (`Touched`), weighs the
+//! neighbourhood, and judges it on the spot. Survivors are pushed in pair
+//! order, or in an order one counting sort turns into it, so a linear merge
+//! replaces a survivor sort. Memory is O(entities + postings + largest
+//! neighbourhood + kept pairs); nodes are independent, so the parallel path
+//! hands contiguous node ranges to workers and only concatenates what they
+//! return.
 //!
 //! **Bit-identical to [`BlockingGraph::par_build`] +
 //! [`PruningScheme::par_prune`]** for every pruning × weighting pair, at
@@ -24,7 +28,7 @@
 //! [`BlockingGraph::par_build`]: crate::graph::BlockingGraph::par_build
 
 use crate::graph::{EdgeInfo, CHUNK_BLOCKS};
-use crate::pruning::{balanced_ranges, csr_offsets, merge_survivors, NodeRule, PruningScheme};
+use crate::pruning::{balanced_ranges, csr_offsets, NodeRule, PruningScheme};
 use crate::weights::{NodeStats, WeightingScheme};
 use er_blocking::block::{Block, BlockCollection};
 use er_core::collection::{EntityCollection, ResolutionMode};
@@ -229,7 +233,8 @@ impl<'a> Index<'a> {
     }
 
     /// Contiguous node ranges of near-equal walk cost (a node costs the
-    /// total size of its blocks), one per worker.
+    /// total size of the blocks the walk visits, i.e. those with an
+    /// admissible pair), one per worker.
     fn node_ranges(&self, parts: usize) -> Vec<Range<usize>> {
         let mut cumulative = Vec::with_capacity(self.offsets.len());
         let mut cost = 0usize;
@@ -237,6 +242,7 @@ impl<'a> Index<'a> {
         for row in self.offsets.windows(2) {
             cost += self.block_ids[row[0]..row[1]]
                 .iter()
+                .filter(|&&bi| self.inv_card[bi as usize] != 0.0)
                 .map(|&bi| self.blocks[bi as usize].len())
                 .sum::<usize>();
             cumulative.push(cost);
@@ -247,8 +253,10 @@ impl<'a> Index<'a> {
     /// Visits every node of `nodes` with its neighbours (ascending ids) and
     /// the scratch slots holding their accumulated co-occurrence statistics.
     fn walk(&self, nodes: Range<usize>, mut visit: impl FnMut(usize, &[u32], &[Slot])) -> Tally {
-        let mut slots = vec![Slot::default(); self.offsets.len() - 1];
-        let mut touched: Vec<u32> = Vec::new();
+        let n = self.offsets.len() - 1;
+        let mut slots = vec![Slot::default(); n];
+        let mut touched = Touched::new(n);
+        let mut neighbours: Vec<u32> = Vec::new();
         let mut tally = Tally::default();
         for u in nodes {
             let kb_u = self.kbs.get(u);
@@ -268,7 +276,7 @@ impl<'a> Index<'a> {
                     }
                     let slot = &mut slots[v as usize];
                     if slot.common == 0 {
-                        touched.push(v);
+                        touched.insert(v);
                         *slot = Slot {
                             common: 1,
                             chunk_of: chunk,
@@ -287,14 +295,14 @@ impl<'a> Index<'a> {
                     }
                 }
             }
-            touched.sort_unstable();
-            tally.blocked += (touched.len() - above(u, &touched)) as u64;
-            tally.max_neighbourhood = tally.max_neighbourhood.max(touched.len());
-            visit(u, &touched, &slots);
-            for &v in &touched {
+            touched.drain_into(&mut neighbours);
+            tally.blocked += (neighbours.len() - above(u, &neighbours)) as u64;
+            tally.max_neighbourhood = tally.max_neighbourhood.max(neighbours.len());
+            visit(u, &neighbours, &slots);
+            for &v in &neighbours {
                 slots[v as usize].common = 0;
             }
-            touched.clear();
+            neighbours.clear();
         }
         tally
     }
@@ -328,7 +336,11 @@ impl<'a> Index<'a> {
     }
 
     /// WNP / CNP and their reciprocal variants: one walk, each node pushing
-    /// the pairs that survive in its own neighbourhood, then the flat merge.
+    /// the pairs that survive in its own neighbourhood, then one linear
+    /// merge. Node `u` keeps its survivors in ascending neighbour order, so
+    /// its pairs `(u, v > u)` arrive in pair order across the walk and its
+    /// pairs `(v < u, u)` in order of their second member; a counting sort
+    /// by the first member puts the latter in pair order too.
     fn prune_nodes(
         &self,
         rule: NodeRule,
@@ -337,18 +349,29 @@ impl<'a> Index<'a> {
         par: Parallelism,
     ) -> (Vec<Pair>, Tally) {
         let parts = par_map(par, ranges, |nodes| {
-            let mut survivors: Vec<Pair> = Vec::new();
+            let (mut owned, mut below) = (Vec::new(), Vec::new());
             let mut order = Vec::new();
             let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights| {
                 rule.survivors(weights, &mut order, |i| {
-                    survivors.push(pair(u, neighbours[i]))
+                    let v = neighbours[i];
+                    let to = if v as usize > u {
+                        &mut owned
+                    } else {
+                        &mut below
+                    };
+                    to.push(pair(u, v));
                 });
             });
-            (survivors, tally)
+            (owned, below, tally)
         });
-        let tally = parts.iter().fold(Tally::default(), |t, p| t.merge(p.1));
-        let survivors: Vec<Pair> = parts.into_iter().flat_map(|p| p.0).collect();
-        (merge_survivors(survivors, reciprocal), tally)
+        let (mut owned, mut below, mut tally) = (Vec::new(), Vec::new(), Tally::default());
+        for (o, b, t) in parts {
+            owned.extend(o);
+            below.extend(b);
+            tally = tally.merge(t);
+        }
+        let below = by_first(self.offsets.len() - 1, below);
+        (merge_sorted(&owned, &below, reciprocal), tally)
     }
 
     /// WEP / CEP: the criterion is global, so a first walk lists the weights
@@ -430,6 +453,94 @@ impl<'a> Index<'a> {
     }
 }
 
+/// A set of node ids that lists itself in ascending order: bit `v` of
+/// `words` marks node `v`, and bit `w` of `summary` marks a non-zero
+/// `words[w]`. Draining sweeps the summary words from the lowest to the
+/// highest one marked (`lo..hi`, at most `n / 4096`) and visits only the
+/// marked words, so listing a neighbourhood costs its size plus that sweep
+/// instead of a sort. `n / 8` bytes per worker.
+struct Touched {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+    lo: usize,
+    hi: usize,
+}
+
+impl Touched {
+    fn new(n: usize) -> Self {
+        let words = n.div_ceil(64);
+        Touched {
+            words: vec![0; words],
+            summary: vec![0; words.div_ceil(64)],
+            lo: usize::MAX,
+            hi: 0,
+        }
+    }
+
+    fn insert(&mut self, v: u32) {
+        let w = (v >> 6) as usize;
+        self.words[w] |= 1 << (v & 63);
+        self.summary[w >> 6] |= 1 << (w & 63);
+        self.lo = self.lo.min(w >> 6);
+        self.hi = self.hi.max((w >> 6) + 1);
+    }
+
+    /// Appends the marked ids to `out` in ascending order and empties the set.
+    fn drain_into(&mut self, out: &mut Vec<u32>) {
+        let span = std::mem::replace(&mut self.lo, usize::MAX)..std::mem::take(&mut self.hi);
+        let Touched { words, summary, .. } = self;
+        for s in span {
+            let mut marks = std::mem::take(&mut summary[s]);
+            while marks != 0 {
+                let w = s * 64 + marks.trailing_zeros() as usize;
+                marks &= marks - 1;
+                let mut bits = std::mem::take(&mut words[w]);
+                while bits != 0 {
+                    out.push((w * 64) as u32 + bits.trailing_zeros());
+                    bits &= bits - 1;
+                }
+            }
+        }
+    }
+}
+
+/// Stable counting sort of `pairs` by first member over nodes `0..n`:
+/// pairs already ordered by second member come out in pair order.
+fn by_first(n: usize, pairs: Vec<Pair>) -> Vec<Pair> {
+    let mut cursor = csr_offsets(n, pairs.iter().map(|p| p.first().index()));
+    let mut sorted = vec![Pair::new(EntityId(0), EntityId(1)); pairs.len()];
+    for &p in &pairs {
+        let at = &mut cursor[p.first().index()];
+        sorted[*at] = p;
+        *at += 1;
+    }
+    sorted
+}
+
+/// The union of two pair-ordered, duplicate-free lists — or, when `both`,
+/// their intersection — in pair order.
+fn merge_sorted(a: &[Pair], b: &[Pair], both: bool) -> Vec<Pair> {
+    let mut out = Vec::with_capacity(a.len().max(b.len()));
+    let (mut i, mut j) = (0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        if x <= y {
+            i += 1;
+        }
+        if y <= x {
+            j += 1;
+        }
+        if x == y || !both {
+            out.push(x.min(y));
+        }
+    }
+    if !both {
+        out.extend_from_slice(&a[i..]);
+        out.extend_from_slice(&b[j..]);
+    }
+    out
+}
+
 /// Position of the first neighbour above `u` in an ascending neighbour list:
 /// the edges `(u, v > u)` are the ones node `u` owns in pair order.
 fn above(u: usize, neighbours: &[u32]) -> usize {
@@ -509,5 +620,24 @@ mod tests {
             let covered: Vec<usize> = ranges.iter().flat_map(|r| r.clone()).collect();
             assert_eq!(covered, (0..c.len()).collect::<Vec<_>>(), "parts={parts}");
         }
+    }
+
+    #[test]
+    fn touched_lists_ids_across_summary_words_in_order_and_empties() {
+        let mut t = Touched::new(3 * 4096 + 100);
+        let mut out = Vec::new();
+        for v in [8291, 5, 4095, 4096, 12_300, 64, 63, 8291] {
+            t.insert(v);
+        }
+        t.drain_into(&mut out);
+        assert_eq!(out, [5, 63, 64, 4095, 4096, 8291, 12_300]);
+        out.clear();
+        t.drain_into(&mut out);
+        assert!(out.is_empty());
+        // A later set below the previous span is swept too.
+        t.insert(1);
+        t.insert(4100);
+        t.drain_into(&mut out);
+        assert_eq!(out, [1, 4100]);
     }
 }

@@ -212,3 +212,52 @@ proptest! {
         }
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// [`prop_scan_equals_graph_and_prune`] with the member indices spread
+    /// over ids `e * 4099 % n` of a collection of `n > 8192` mostly empty
+    /// entities, so one neighbourhood spans several words of the scan's
+    /// touched bitmap and at least three words of its summary.
+    #[test]
+    fn prop_scan_equals_graph_and_prune_on_sparse_ids(
+        n in 8193usize..13_000,
+        clean_clean in any::<bool>(),
+        kbs in 1u16..3,
+        members in proptest::collection::vec(proptest::collection::vec(0usize..14, 0..7), 0..80),
+    ) {
+        let mode = if clean_clean { ResolutionMode::CleanClean } else { ResolutionMode::Dirty };
+        let mut c = EntityCollection::new(mode);
+        for e in 0..n {
+            c.push(KbId(((e * 7) % 3) as u16 % kbs), vec![]);
+        }
+        let blocks: BlockCollection = members
+            .iter()
+            .enumerate()
+            .map(|(i, m)| {
+                let ids = m.iter().map(|&e| EntityId((e * 4099 % n) as u32));
+                Block::new(format!("b{i}"), ids.collect())
+            })
+            .collect();
+        let graph = BlockingGraph::build_reference(&c, &blocks);
+        for weighting in WeightingScheme::ALL {
+            for pruning in PruningScheme::ALL {
+                let expected = pruning.prune(&graph, weighting);
+                for threads in [1, 3] {
+                    let got = node_scan(
+                        &c, &blocks, weighting, pruning, Parallelism::threads(threads), &Obs::disabled(),
+                    );
+                    prop_assert_eq!(
+                        got.blocked_comparisons, graph.n_edges() as u64,
+                        "{}/{} threads={}", weighting.name(), pruning.name(), threads
+                    );
+                    prop_assert_eq!(
+                        &got.kept, &expected,
+                        "{}/{} threads={}", weighting.name(), pruning.name(), threads
+                    );
+                }
+            }
+        }
+    }
+}
