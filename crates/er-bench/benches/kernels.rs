@@ -8,10 +8,12 @@
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use er_blocking::simjoin::{JoinAlgorithm, SimilarityJoin};
 use er_blocking::TokenBlocking;
+use er_core::obs::Obs;
+use er_core::parallel::Parallelism;
 use er_core::similarity::{jaccard, jaro_winkler, levenshtein_distance, CorpusStats};
 use er_core::tokenize::{qgrams, Tokenizer};
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, BlockingGraph, PruningScheme, WeightingScheme};
 use std::collections::BTreeSet;
 use std::hint::black_box;
 
@@ -107,12 +109,15 @@ fn bench_metablocking(c: &mut Criterion) {
             &format!("metablocking/scan_wnp_{}_1000", weighting.name()),
             |b| {
                 b.iter(|| {
-                    er_metablocking::meta_block(
+                    node_scan(
                         black_box(&ds.collection),
                         black_box(&blocks),
                         weighting,
                         PruningScheme::Wnp,
+                        Parallelism::serial(),
+                        &Obs::disabled(),
                     )
+                    .kept
                 })
             },
         );
@@ -207,12 +212,12 @@ fn bench_pipeline(c: &mut Criterion) {
 /// the speedup recorded in EXPERIMENTS.md's thread-scaling section; the
 /// outputs themselves are bit-identical by the determinism contract.
 fn bench_parallel_kernels(c: &mut Criterion) {
-    use er_core::parallel::Parallelism;
     let ds = dataset(1500);
     let col = &ds.collection;
     let blocks = TokenBlocking::new().build(col);
-    let candidates =
-        er_metablocking::meta_block(col, &blocks, WeightingScheme::Arcs, PruningScheme::Wnp);
+    let (arcs, wnp) = (WeightingScheme::Arcs, PruningScheme::Wnp);
+    let serial = Parallelism::serial();
+    let candidates = node_scan(col, &blocks, arcs, wnp, serial, &Obs::disabled()).kept;
     let matcher =
         er_core::matching::ThresholdMatcher::new(er_core::similarity::SetMeasure::Jaccard, 0.4);
     for threads in [1usize, 4] {
@@ -222,13 +227,15 @@ fn bench_parallel_kernels(c: &mut Criterion) {
         });
         c.bench_function(&format!("parallel/meta_blocking_1500_t{threads}"), |b| {
             b.iter(|| {
-                er_metablocking::par_meta_block(
+                node_scan(
                     black_box(col),
                     black_box(&blocks),
-                    WeightingScheme::Arcs,
-                    PruningScheme::Wnp,
+                    arcs,
+                    wnp,
                     par,
+                    &Obs::disabled(),
                 )
+                .kept
             })
         });
         c.bench_function(&format!("parallel/simjoin_ppjoin_1500_t{threads}"), |b| {

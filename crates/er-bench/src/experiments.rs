@@ -22,7 +22,7 @@ use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
 use er_iterative::swoosh::{naive_iterate, r_swoosh};
-use er_metablocking::{meta_block, par_meta_block, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, BlockingGraph, PruningScheme, WeightingScheme};
 use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{
     ordered_blocks_schedule, score_pairs, sorted_pair_list, PartitionHierarchy,
@@ -208,7 +208,7 @@ pub fn e3_metablocking() {
 /// E4 — parallel blocking / meta-blocking scaling (\[10\], \[18\]).
 ///
 /// Times the parallel kernels `Pipeline` runs: `TokenBlocking::par_build` and
-/// `par_meta_block` (the entity-based node scan over contiguous node ranges).
+/// `node_scan` (the entity-based meta-blocking scan over contiguous node ranges).
 /// On a multi-core host the wall-clock column shows real speedup; on a
 /// single-core container (the common CI case) it is flat, so the experiment
 /// also reports *simulated speedup* — total work over critical-path worker
@@ -230,7 +230,8 @@ pub fn e4_parallel_scaling() {
         ("agree", 6),
     ]);
     let seq_blocks = TokenBlocking::new().build(c);
-    let seq_meta = meta_block(c, &seq_blocks, WeightingScheme::Arcs, PruningScheme::Wnp);
+    let (arcs, wnp, off) = (WeightingScheme::Arcs, PruningScheme::Wnp, Obs::disabled());
+    let seq_meta = node_scan(c, &seq_blocks, arcs, wnp, Parallelism::serial(), &off).kept;
     let total_work: u64 = balanced_loads(seq_blocks.blocks(), 10_000, 1)[0];
     for workers in [1usize, 2, 4, 8] {
         let par = Parallelism::threads(workers);
@@ -238,7 +239,7 @@ pub fn e4_parallel_scaling() {
         let pb = TokenBlocking::new().par_build(c, par);
         let t_b = t0.elapsed();
         let t0 = Instant::now();
-        let pm = par_meta_block(c, &pb, WeightingScheme::Arcs, PruningScheme::Wnp, par);
+        let pm = node_scan(c, &pb, arcs, wnp, par, &off).kept;
         let t_m = t0.elapsed();
         let loads = balanced_loads(seq_blocks.blocks(), 10_000, workers);
         let critical = *loads.iter().max().unwrap();
@@ -453,7 +454,15 @@ pub fn e7_scalability() {
         let purged = cleaning::auto_purge(&blocks, c);
         let t_block = t0.elapsed();
         let t0 = Instant::now();
-        let kept = meta_block(c, &purged, WeightingScheme::Arcs, PruningScheme::Wnp);
+        let kept = node_scan(
+            c,
+            &purged,
+            WeightingScheme::Arcs,
+            PruningScheme::Wnp,
+            er_core::parallel::Parallelism::serial(),
+            &Obs::disabled(),
+        )
+        .kept;
         let t_meta = t0.elapsed();
         let q = quality(&kept, &ds.truth, c);
         table.row(&[

@@ -27,7 +27,8 @@ use er_datagen::loaders::{DatasetBuilder, DelimitedSchema, LoadedScenario};
 use er_datagen::DirtyDataset;
 use er_metablocking::{PruningScheme, WeightingScheme};
 use er_pipeline::{
-    BlockingStage, CleaningStage, MatchingStage, MetaBlockingStage, Pipeline, RecoveryOptions,
+    BlockingStage, CleaningStage, MatchingStage, MetaBlockingStage, Pipeline, PipelineBuilder,
+    RecoveryOptions,
 };
 
 // ---------------------------------------------------------------------------
@@ -261,6 +262,20 @@ pub struct CellResult {
     pub breach: Option<String>,
 }
 
+/// The pipeline of one matrix cell before its execution mode: `blocking`,
+/// then `weighting` under WNP pruning, no block cleaning and the fixed
+/// Jaccard matcher. [`run_matrix`] adds its thread count and registry.
+pub fn cell_builder(blocking: &str, weighting: &str) -> PipelineBuilder {
+    Pipeline::builder()
+        .blocking(blocking_stage(blocking))
+        .cleaning(CleaningStage::None)
+        .meta_blocking(MetaBlockingStage {
+            weighting: weighting_scheme(weighting),
+            pruning: PruningScheme::Wnp,
+        })
+        .matching(MatchingStage::jaccard(MATCH_THRESHOLD))
+}
+
 /// Runs the full matrix for the given scenarios at the given thread count.
 /// Each cell increments `scenario.cells_run` (and `scenario.cells_failed` on
 /// a lock breach) on `obs`; pipeline stages record their usual spans and
@@ -274,14 +289,7 @@ pub fn run_matrix(scenarios: &[&Scenario], threads: usize, obs: &Obs) -> Vec<Cel
         let loaded = scenario.load();
         for &blocking in BLOCKING_METHODS {
             for &weighting in WEIGHTING_SCHEMES {
-                let pipeline = Pipeline::builder()
-                    .blocking(blocking_stage(blocking))
-                    .cleaning(CleaningStage::None)
-                    .meta_blocking(MetaBlockingStage {
-                        weighting: weighting_scheme(weighting),
-                        pruning: PruningScheme::Wnp,
-                    })
-                    .matching(MatchingStage::jaccard(MATCH_THRESHOLD))
+                let pipeline = cell_builder(blocking, weighting)
                     .parallelism(par)
                     .observability(obs.clone())
                     .build();

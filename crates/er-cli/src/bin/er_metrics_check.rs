@@ -56,8 +56,10 @@
 //!   `colstore.runs_merged` ≥ `colstore.segments_written` (every written
 //!   run was consumed by a k-way merge; a run merged but never written
 //!   would be fabricated data), and the `colstore.resident_bytes` gauge
-//!   exists and reads 0 — every mapped page was released back to the
-//!   memory budget when its reader closed.
+//!   exists and reads 0. The store maps and caches nothing: the gauge is
+//!   the bytes charged to the memory budget by segment reads in flight, so
+//!   it is 0 between reads, and anything else is a read that never
+//!   released its charge.
 //!
 //! Every violated invariant is reported (not just the first); any violation
 //! exits nonzero so the CI job fails loudly.
@@ -408,7 +410,8 @@ fn check(
 
     // A run through the out-of-core segment store must show sorted runs
     // actually reaching disk, every written run being consumed by a merge,
-    // and every mapped page released back to the memory budget. An absent
+    // and every segment read's charge released back to the memory budget
+    // (the store holds no pages between reads). An absent
     // runs_merged with segments written means the merge never ran.
     if require_colstore {
         let written = snapshot.counter("colstore.segments_written");
@@ -432,12 +435,11 @@ fn check(
         }
         match snapshot.gauge("colstore.resident_bytes") {
             None => fail(
-                "colstore.resident_bytes gauge is missing — no segment page was ever mapped"
-                    .to_string(),
+                "colstore.resident_bytes gauge is missing — no segment was ever read".to_string(),
             ),
             Some(b) if b != 0.0 => fail(format!(
-                "colstore.resident_bytes is {b} — mapped pages were not released back to the \
-                 memory budget"
+                "colstore.resident_bytes is {b} — bytes charged by segment reads were not \
+                 released back to the memory budget"
             )),
             Some(_) => {}
         }
@@ -902,7 +904,7 @@ mod tests {
 
     /// `healthy()` plus the counters an out-of-core run records: six sorted
     /// runs written across the blocking and graph stages, all six consumed
-    /// by k-way merges, every page released back to the budget.
+    /// by k-way merges, every read's charge released back to the budget.
     fn healthy_with_colstore() -> MetricsSnapshot {
         let mut s = healthy();
         s.counters.insert("colstore.segments_written".into(), 6);

@@ -17,7 +17,7 @@
 //! builds its blocks with it. The other stages are not re-implemented here:
 //! in-process parallel token blocking is
 //! `er_blocking::TokenBlocking::par_build`, and parallel meta-blocking is the
-//! entity-based node scan of `er_metablocking::scan` (`par_meta_block`).
+//! entity-based node scan `er_metablocking::node_scan`.
 //!
 //! * [`engine`] — the in-process task scheduler (`execute_tasks`) under
 //!   [`InProcessTransport`] and the typed [`ExecError`]

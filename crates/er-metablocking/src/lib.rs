@@ -9,7 +9,7 @@
 //!
 //! * [`scan`] — meta-blocking without the graph: each node's neighbourhood
 //!   is accumulated from the entity→blocks index, weighed and pruned on the
-//!   spot. This is what [`meta_block`] and `er-pipeline` run.
+//!   spot. This is what `er-pipeline` runs.
 //! * [`graph::BlockingGraph`] — the materialised graph, built in one pass
 //!   over the blocks: the reference the scan is bit-identical to, and the
 //!   structure behind incremental maintenance, supervised pruning and DOT
@@ -23,7 +23,6 @@
 //!   node-centric pruning: WEP, CEP, WNP, CNP plus reciprocal variants.
 //! * [`supervised`] — supervised pruning: edge features + an averaged
 //!   perceptron learned from a labeled edge sample.
-//! * [`pipeline`] — the end-to-end convenience API.
 //! * [`ooc`] — out-of-core graph construction: edge contributions spilled
 //!   as pair-sorted segment runs and merged streaming, bit-identical to
 //!   the in-memory build (ARCS bits included). The scan has nothing to
@@ -35,7 +34,6 @@
 pub mod graph;
 pub mod incremental;
 pub mod ooc;
-pub mod pipeline;
 pub mod pruning;
 pub mod scan;
 pub mod supervised;
@@ -43,7 +41,6 @@ pub mod weights;
 
 pub use graph::BlockingGraph;
 pub use incremental::IncrementalGraph;
-pub use pipeline::{meta_block, par_meta_block};
 pub use pruning::PruningScheme;
 pub use scan::{node_scan, Pruned};
 pub use weights::WeightingScheme;

@@ -640,4 +640,30 @@ mod tests {
         t.drain_into(&mut out);
         assert_eq!(out, [1, 4100]);
     }
+
+    #[test]
+    fn node_scan_reduces_comparisons_and_keeps_duplicates() {
+        // Two duplicate pairs plus noise entities sharing a common token.
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        for value in ["alan turing", "alan turing", "grace hopper", "grace hopper"] {
+            c.push(KbId(0), vec![("n".into(), format!("{value} common"))]);
+        }
+        for i in 0..6 {
+            c.push(KbId(0), vec![("n".into(), format!("noise{i} common"))]);
+        }
+        let blocks = er_blocking::TokenBlocking::new().build(&c);
+        let all = blocks.distinct_pairs(&c).len();
+        let kept = node_scan(
+            &c,
+            &blocks,
+            WeightingScheme::Arcs,
+            PruningScheme::Wep,
+            Parallelism::serial(),
+            &Obs::disabled(),
+        )
+        .kept;
+        assert!(kept.len() < all, "pruning must discard comparisons");
+        assert!(kept.contains(&Pair::new(EntityId(0), EntityId(1))));
+        assert!(kept.contains(&Pair::new(EntityId(2), EntityId(3))));
+    }
 }

@@ -12,7 +12,7 @@ use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
 use er_datagen::{CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{meta_block, node_scan, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, BlockingGraph, PruningScheme, WeightingScheme};
 use proptest::prelude::*;
 use std::collections::BTreeSet;
 
@@ -27,7 +27,15 @@ fn pruned_pairs_are_subset_of_blocking_pairs() {
     let all: BTreeSet<Pair> = blocks.distinct_pairs(&ds.collection).into_iter().collect();
     for weighting in WeightingScheme::ALL {
         for pruning in PruningScheme::CANONICAL {
-            let kept = meta_block(&ds.collection, &blocks, weighting, pruning);
+            let kept = node_scan(
+                &ds.collection,
+                &blocks,
+                weighting,
+                pruning,
+                Parallelism::serial(),
+                &Obs::disabled(),
+            )
+            .kept;
             for p in &kept {
                 assert!(all.contains(p), "{}/{}", weighting.name(), pruning.name());
             }
@@ -60,7 +68,15 @@ fn weight_pruning_retains_most_recall() {
         WeightingScheme::Ecbs,
         WeightingScheme::Js,
     ] {
-        let kept = meta_block(&ds.collection, &blocks, weighting, PruningScheme::Wnp);
+        let kept = node_scan(
+            &ds.collection,
+            &blocks,
+            weighting,
+            PruningScheme::Wnp,
+            Parallelism::serial(),
+            &Obs::disabled(),
+        )
+        .kept;
         let q = BlockingQuality::measure(&kept, &ds.truth, brute);
         assert!(
             q.pc() >= 0.80 * base.pc(),
@@ -89,18 +105,24 @@ fn weight_pruning_retains_most_recall() {
 fn cardinality_pruning_is_more_aggressive_than_weight_pruning() {
     let ds = dirty();
     let blocks = TokenBlocking::new().build(&ds.collection);
-    let wep = meta_block(
+    let wep = node_scan(
         &ds.collection,
         &blocks,
         WeightingScheme::Arcs,
         PruningScheme::Wep,
-    );
-    let cep = meta_block(
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
+    let cep = node_scan(
         &ds.collection,
         &blocks,
         WeightingScheme::Arcs,
         PruningScheme::Cep,
-    );
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
     // CEP's budget is ⌊BC/2⌋ — on redundancy-light collections this is far
     // below what a mean-weight threshold keeps.
     assert!(
@@ -122,7 +144,15 @@ fn clean_clean_metablocking_respects_kb_boundaries() {
     });
     let blocks = TokenBlocking::new().build(&ds.collection);
     for pruning in PruningScheme::CANONICAL {
-        let kept = meta_block(&ds.collection, &blocks, WeightingScheme::Js, pruning);
+        let kept = node_scan(
+            &ds.collection,
+            &blocks,
+            WeightingScheme::Js,
+            pruning,
+            Parallelism::serial(),
+            &Obs::disabled(),
+        )
+        .kept;
         for p in kept {
             assert_ne!(
                 ds.collection.entity(p.first()).kb(),

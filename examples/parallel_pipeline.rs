@@ -2,7 +2,7 @@
 //! scenario of §II at laptop scale.
 //!
 //! Generates a larger dirty collection, runs token blocking
-//! (`TokenBlocking::par_build`) and meta-blocking (`par_meta_block`, the
+//! (`TokenBlocking::par_build`) and meta-blocking (`node_scan`, the
 //! entity-based node scan) with 1..N threads, verifies the results match the
 //! sequential reference, and prints the speedup table. Also demonstrates
 //! BlockSplit load balancing on the skewed block sizes.
@@ -11,9 +11,10 @@
 
 use er_bench::balance::balanced_loads;
 use er_blocking::TokenBlocking;
+use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
-use er_metablocking::{meta_block, par_meta_block, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 use std::time::Instant;
 
 fn main() {
@@ -40,12 +41,17 @@ fn main() {
     let seq_blocks = TokenBlocking::new().build(&ds.collection);
     let t_seq_blocking = t0.elapsed();
     let t0 = Instant::now();
-    let seq_meta = meta_block(
+    let (arcs, cnp) = (WeightingScheme::Arcs, PruningScheme::Cnp);
+    let serial = Parallelism::serial();
+    let seq_meta = node_scan(
         &ds.collection,
         &seq_blocks,
-        WeightingScheme::Arcs,
-        PruningScheme::Cnp,
-    );
+        arcs,
+        cnp,
+        serial,
+        &Obs::disabled(),
+    )
+    .kept;
     let t_seq_meta = t0.elapsed();
     println!(
         "sequential: blocking {:?} ({} blocks), meta-blocking {:?} ({} kept pairs)\n",
@@ -65,13 +71,7 @@ fn main() {
         let blocks = TokenBlocking::new().par_build(&ds.collection, par);
         let t_b = t0.elapsed();
         let t0 = Instant::now();
-        let meta = par_meta_block(
-            &ds.collection,
-            &blocks,
-            WeightingScheme::Arcs,
-            PruningScheme::Cnp,
-            par,
-        );
+        let meta = node_scan(&ds.collection, &blocks, arcs, cnp, par, &Obs::disabled()).kept;
         let t_m = t0.elapsed();
         let ok = blocks == seq_blocks && meta == seq_meta;
         println!(

@@ -11,8 +11,10 @@ use er_core::clusters::components_from_matches;
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::entity::{EntityBuilder, KbId};
 use er_core::matching::{resolve_candidates, ThresholdMatcher};
+use er_core::obs::Obs;
+use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
-use er_metablocking::{meta_block, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 
 fn main() {
     // 1. A hand-built collection of entity descriptions. Note the schema
@@ -42,13 +44,17 @@ fn main() {
         println!("  [{}] -> {:?}", b.key(), b.entities());
     }
 
-    // 3. Meta-blocking: weigh co-occurrence evidence and prune weak edges.
-    let candidates = meta_block(
+    // 3. Meta-blocking: weigh co-occurrence evidence and prune weak edges,
+    //    one node neighbourhood at a time on the calling thread.
+    let candidates = node_scan(
         &collection,
         &blocks,
         WeightingScheme::Arcs,
         PruningScheme::Wnp,
-    );
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
     println!(
         "\nmeta-blocking kept {} candidate comparisons:",
         candidates.len()

@@ -24,11 +24,11 @@
 use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults};
 use er_core::obs::{MetricsSnapshot, Obs};
 use er_core::resource::ResourceLimits;
-use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_datagen::{DirtyDataset, NoiseModel};
+use er_integration_tests::ScratchDir;
 use er_mapreduce::{default_registry, run_dist, DistOptions, InProcessTransport};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions, Resolution};
 use proptest::prelude::*;
-use std::path::PathBuf;
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
 
@@ -49,7 +49,7 @@ fn chaos_workers_env() -> Option<usize> {
 
 fn dataset() -> &'static DirtyDataset {
     static DS: OnceLock<DirtyDataset> = OnceLock::new();
-    DS.get_or_init(|| DirtyDataset::generate(&DirtyConfig::sized(150, NoiseModel::light(), 37)))
+    DS.get_or_init(|| er_integration_tests::dataset(150, NoiseModel::light(), 37))
 }
 
 /// The ungoverned, fault-free reference resolution.
@@ -208,10 +208,10 @@ proptest! {
             jitter_seed: seed,
         })
         .with_injector(injector);
-        let spill_root = std::env::temp_dir().join(format!("er-chaos-{}", std::process::id()));
+        let spill_root = ScratchDir::new("chaos-spill");
         let opts = DistOptions {
             spill_bound: bound,
-            spill_dir: Some(spill_root),
+            spill_dir: Some(spill_root.to_path_buf()),
             ..DistOptions::for_workers(workers)
         };
         let mut transport = InProcessTransport::new(workers, default_registry(), policy);
@@ -517,10 +517,6 @@ fn snapshot_json() -> &'static str {
     })
 }
 
-fn chaos_file(tag: &str, n: u64) -> PathBuf {
-    std::env::temp_dir().join(format!("er-chaos-parse-{}-{tag}-{n}", std::process::id()))
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -626,7 +622,8 @@ proptest! {
         }
 
         let original = wire_records();
-        let path = chaos_file("wire", seed % 64);
+        let dir = ScratchDir::new("chaos-wire");
+        let path = dir.join("wire.seg");
         let mut w = er_core::SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
         w.bytes(&encode_wire_records(&original)).unwrap();
         w.finish().unwrap();
@@ -640,7 +637,6 @@ proptest! {
                 "error offset {} past file length {}", offset, bad.len()
             ),
         }
-        let _ = std::fs::remove_file(&path);
     }
 }
 
@@ -766,7 +762,8 @@ fn segment_bytes() -> &'static Vec<u8> {
     use er_core::EdgeRecord;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
-        let path = chaos_file("segment-template", 0);
+        let dir = ScratchDir::new("chaos-segment-template");
+        let path = dir.join("template.seg");
         let mut w = SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
         let postings: Vec<(Symbol, EntityId)> = (0..200u32)
             .map(|i| (Symbol(i / 4), EntityId(i % 20)))
@@ -783,9 +780,7 @@ fn segment_bytes() -> &'static Vec<u8> {
         w.run(&edges).unwrap();
         w.bytes(&encode_wire_records(&wire_records())).unwrap();
         w.finish().unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        let _ = std::fs::remove_file(&path);
-        bytes
+        std::fs::read(&path).unwrap()
     })
 }
 
@@ -847,7 +842,8 @@ proptest! {
     fn segment_reader_survives_truncation_at_any_offset(seed in 0u64..=u64::MAX) {
         let good = segment_bytes();
         let cut = (seed as usize) % good.len();
-        let path = chaos_file("seg-trunc", seed % 64);
+        let dir = ScratchDir::created("chaos-seg-trunc");
+        let path = dir.join("trunc.seg");
         std::fs::write(&path, &good[..cut]).unwrap();
         let err = scan_segment(&path).expect_err("a truncated segment must be rejected");
         prop_assert!(!err.to_string().is_empty());
@@ -857,7 +853,6 @@ proptest! {
                 "error offset {offset} past truncated length {cut}: {err}"
             );
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// A mutated segment (truncate / bit-flip / splice-out / duplicated
@@ -868,7 +863,8 @@ proptest! {
     fn segment_reader_survives_mutated_files(seed in 0u64..=u64::MAX) {
         let good = segment_bytes();
         let bad = mutate_bytes(good, seed);
-        let path = chaos_file("seg-mut", seed % 64);
+        let dir = ScratchDir::created("chaos-seg-mut");
+        let path = dir.join("mut.seg");
         std::fs::write(&path, &bad).unwrap();
         match scan_segment(&path) {
             // The FNV checksum covers every payload byte, so acceptance
@@ -885,7 +881,6 @@ proptest! {
                 }
             }
         }
-        let _ = std::fs::remove_file(&path);
     }
 
     /// Arbitrary byte soup presented as a segment: always a typed error
@@ -896,7 +891,8 @@ proptest! {
     fn segment_reader_survives_arbitrary_byte_soup(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),
     ) {
-        let path = chaos_file("seg-soup", (bytes.len() as u64) % 64);
+        let dir = ScratchDir::created("chaos-seg-soup");
+        let path = dir.join("soup.seg");
         std::fs::write(&path, &bytes).unwrap();
         let err = scan_segment(&path).expect_err("byte soup must be rejected");
         prop_assert!(!err.to_string().is_empty());
@@ -906,6 +902,5 @@ proptest! {
                 "error offset {} past file length {}: {}", offset, bytes.len(), err
             );
         }
-        let _ = std::fs::remove_file(&path);
     }
 }

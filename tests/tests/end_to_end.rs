@@ -9,13 +9,14 @@ use er_core::matching::{resolve_candidates, CountingMatcher, OracleMatcher, Thre
 use er_core::merge::ProfileThresholdMatcher;
 use er_core::metrics::{BlockingQuality, MatchQuality};
 use er_core::obs::Obs;
+use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
 use er_datagen::{
     CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, LodConfig, LodDataset,
     NoiseModel,
 };
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
-use er_metablocking::{meta_block, PruningScheme, WeightingScheme};
+use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
 use er_progressive::hints::{score_pairs, sorted_pair_list};
 use er_progressive::{run, Budget};
 
@@ -26,12 +27,15 @@ fn batch_pipeline_dirty_er() {
     let ds = DirtyDataset::generate(&DirtyConfig::sized(500, NoiseModel::light(), 31));
     let blocks = TokenBlocking::new().build(&ds.collection);
     let purged = cleaning::auto_purge(&blocks, &ds.collection);
-    let candidates = meta_block(
+    let candidates = node_scan(
         &ds.collection,
         &purged,
         WeightingScheme::Arcs,
         PruningScheme::Wnp,
-    );
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
     let matcher = CountingMatcher::new(ThresholdMatcher::new(SetMeasure::Jaccard, 0.4));
     let matches = resolve_candidates(&ds.collection, &matcher, &candidates);
     assert_eq!(matcher.comparisons(), candidates.len() as u64);
@@ -145,12 +149,15 @@ fn iterative_blocking_dominates_independent_baseline() {
 fn progressive_on_metablocked_candidates() {
     let ds = DirtyDataset::generate(&DirtyConfig::sized(400, NoiseModel::light(), 53));
     let blocks = TokenBlocking::new().build(&ds.collection);
-    let candidates = meta_block(
+    let candidates = node_scan(
         &ds.collection,
         &blocks,
         WeightingScheme::Arcs,
         PruningScheme::Cnp,
-    );
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
     let oracle = OracleMatcher::new(&ds.truth);
     let scored = score_pairs(&ds.collection, &candidates, SetMeasure::Jaccard);
     let schedule = sorted_pair_list(&scored);
@@ -270,12 +277,15 @@ fn pipeline_crate_agrees_with_hand_wired_stages() {
     // Hand-wired equivalent.
     let blocks = TokenBlocking::new().build(&ds.collection);
     let purged = cleaning::auto_purge(&blocks, &ds.collection);
-    let kept = meta_block(
+    let kept = node_scan(
         &ds.collection,
         &purged,
         WeightingScheme::Arcs,
         PruningScheme::Wnp,
-    );
+        Parallelism::serial(),
+        &Obs::disabled(),
+    )
+    .kept;
     assert_eq!(res.report.scheduled_comparisons, kept.len() as u64);
     let matcher = ThresholdMatcher::new(SetMeasure::Jaccard, 0.4);
     let matches = resolve_candidates(&ds.collection, &matcher, &kept);

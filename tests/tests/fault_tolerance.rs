@@ -28,19 +28,15 @@ use er_core::fault::{
     SeededFaults, SpeculationConfig,
 };
 use er_core::metrics::MatchQuality;
-use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_datagen::NoiseModel;
+use er_integration_tests::{dataset, worker_program, ScratchDir};
 use er_mapreduce::{
     default_registry, run_dist, DistOptions, DistOutput, ExecError, InProcessTransport,
     SubprocessConfig, SubprocessTransport,
 };
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions};
-use std::path::PathBuf;
 use std::sync::Arc;
-
-fn dataset(entities: usize, seed: u64) -> DirtyDataset {
-    DirtyDataset::generate(&DirtyConfig::sized(entities, NoiseModel::light(), seed))
-}
 
 /// Schedule seeds under test: the CI matrix pins one via `ER_FAULT_SEED`,
 /// a bare `cargo test` sweeps two dozen.
@@ -102,7 +98,7 @@ fn word_count(
 /// count, with and without speculation.
 #[test]
 fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
-    let ds = dataset(250, 42);
+    let ds = dataset(250, NoiseModel::light(), 42);
     let inputs = token_count_inputs(&ds.collection);
     let reference = word_count(&inputs, 1, ExecPolicy::default())
         .expect("fault-free run cannot fail")
@@ -147,7 +143,7 @@ fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
 /// a typed error — never a panic, never a partial/corrupt result.
 #[test]
 fn unabsorbable_mapreduce_schedule_errors_gracefully() {
-    let ds = dataset(120, 7);
+    let ds = dataset(120, NoiseModel::light(), 7);
     let inputs = token_count_inputs(&ds.collection);
     for workers in worker_counts() {
         let plan = FaultPlan::none().inject_all_attempts("map", 0, 3, FaultKind::Panic);
@@ -169,7 +165,7 @@ fn unabsorbable_mapreduce_schedule_errors_gracefully() {
 /// `Pipeline::run`.
 #[test]
 fn pipeline_output_under_absorbable_stage_faults_is_bit_identical() {
-    let ds = dataset(200, 9);
+    let ds = dataset(200, NoiseModel::light(), 9);
     let p = Pipeline::builder().build();
     let plain = p.run(&ds.collection);
     let mut faults_seen = 0u64;
@@ -206,7 +202,7 @@ fn pipeline_output_under_absorbable_stage_faults_is_bit_identical() {
 /// than the pruned run — and the degradation is recorded, not silent.
 #[test]
 fn meta_blocking_degradation_preserves_recall() {
-    let ds = dataset(200, 11);
+    let ds = dataset(200, NoiseModel::light(), 11);
     let p = Pipeline::builder().build();
     let plan =
         FaultPlan::none().inject_all_attempts(STAGE_META_BLOCKING, 0, 3, FaultKind::Transient);
@@ -236,7 +232,7 @@ fn meta_blocking_degradation_preserves_recall() {
 /// `PipelineError` (the CLI maps it to a nonzero exit), never a panic.
 #[test]
 fn unabsorbable_pipeline_schedules_error_gracefully() {
-    let ds = dataset(120, 13);
+    let ds = dataset(120, NoiseModel::light(), 13);
     let p = Pipeline::builder().build();
     for stage in [STAGE_BLOCKING, STAGE_MATCHING] {
         let plan = FaultPlan::none().inject_all_attempts(stage, 0, 2, FaultKind::Panic);
@@ -252,16 +248,12 @@ fn unabsorbable_pipeline_schedules_error_gracefully() {
 // Checkpoint/resume at every stage boundary
 // ---------------------------------------------------------------------------
 
-fn tmp_dir(tag: &str) -> PathBuf {
-    std::env::temp_dir().join(format!("er-ft-suite-{}-{tag}", std::process::id()))
-}
-
 /// For each stage boundary, a run resumed from exactly that checkpoint (the
 /// deeper ones removed, simulating a crash mid-pipeline) reproduces the
 /// uninterrupted output bit-for-bit.
 #[test]
 fn resume_from_each_stage_boundary_is_bit_identical() {
-    let ds = dataset(200, 17);
+    let ds = dataset(200, NoiseModel::light(), 17);
     let p = Pipeline::builder().build();
     let plain = p.run(&ds.collection);
     let boundaries: [(&str, &[&str]); 3] = [
@@ -271,9 +263,8 @@ fn resume_from_each_stage_boundary_is_bit_identical() {
         (STAGE_BLOCKING, &["matched.ckpt", "scheduled.ckpt"]),
     ];
     for (expect_stage, delete) in boundaries {
-        let dir = tmp_dir(&format!("boundary-{expect_stage}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+        let dir = ScratchDir::new("boundary");
+        let opts = RecoveryOptions::default().checkpoint_dir(&*dir);
         p.run_with_recovery(&ds.collection, &opts).unwrap();
         for f in delete {
             std::fs::remove_file(dir.join(f)).unwrap();
@@ -295,7 +286,6 @@ fn resume_from_each_stage_boundary_is_bit_identical() {
             resumed.resolution.report.scheduled_comparisons, plain.report.scheduled_comparisons,
             "{expect_stage}"
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }
 
@@ -303,12 +293,11 @@ fn resume_from_each_stage_boundary_is_bit_identical() {
 /// rejects, output still bit-identical, no crash.
 #[test]
 fn fully_corrupted_checkpoints_fall_back_to_a_clean_run() {
-    let ds = dataset(150, 19);
+    let ds = dataset(150, NoiseModel::light(), 19);
     let p = Pipeline::builder().build();
     let plain = p.run(&ds.collection);
-    let dir = tmp_dir("corrupt-all");
-    let _ = std::fs::remove_dir_all(&dir);
-    let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+    let dir = ScratchDir::new("corrupt-all");
+    let opts = RecoveryOptions::default().checkpoint_dir(&*dir);
     p.run_with_recovery(&ds.collection, &opts).unwrap();
     for f in ["blocked.ckpt", "scheduled.ckpt", "matched.ckpt"] {
         std::fs::write(dir.join(f), "not a checkpoint\n").unwrap();
@@ -324,25 +313,23 @@ fn fully_corrupted_checkpoints_fall_back_to_a_clean_run() {
         .count();
     assert_eq!(rejects, 3, "{:?}", out.events);
     assert_eq!(out.resolution.matches, plain.matches);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// Faults during a checkpointed run and a resume after a simulated crash
 /// compose: the final output still equals the undisturbed pipeline.
 #[test]
 fn faults_and_resume_compose_bit_identically() {
-    let ds = dataset(150, 23);
+    let ds = dataset(150, NoiseModel::light(), 23);
     let p = Pipeline::builder().build();
     let plain = p.run(&ds.collection);
-    let dir = tmp_dir("faults-resume");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("faults-resume");
     // First run: transient faults on first attempts, checkpoints written.
     let plan = FaultPlan::none()
         .inject(STAGE_BLOCKING, 0, 0, FaultKind::Transient)
         .inject(STAGE_META_BLOCKING, 0, 0, FaultKind::Transient);
     let opts = RecoveryOptions::retrying(RetryPolicy::attempts(3))
         .with_injector(Arc::new(FaultInjector::new(plan)))
-        .checkpoint_dir(&dir);
+        .checkpoint_dir(&*dir);
     let first = p.run_with_recovery(&ds.collection, &opts).unwrap();
     assert_eq!(first.resolution.matches, plain.matches);
     assert_eq!(first.stage_retries(), 2);
@@ -351,13 +338,12 @@ fn faults_and_resume_compose_bit_identically() {
     let resume_plan = FaultPlan::none().inject_all_attempts(STAGE_BLOCKING, 0, 3, FaultKind::Panic);
     let resume_opts = RecoveryOptions::retrying(RetryPolicy::attempts(3))
         .with_injector(Arc::new(FaultInjector::new(resume_plan)))
-        .checkpoint_dir(&dir)
+        .checkpoint_dir(&*dir)
         .resume(true);
     let resumed = p.run_with_recovery(&ds.collection, &resume_opts).unwrap();
     assert_eq!(resumed.resumed_from, Some(STAGE_MATCHING));
     assert_eq!(resumed.resolution.matches, plain.matches);
     assert_eq!(resumed.resolution.clusters, plain.clusters);
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 // ---------------------------------------------------------------------------
@@ -368,7 +354,7 @@ fn faults_and_resume_compose_bit_identically() {
 /// and honest stats — the "graceful degradation" half of progressive ER.
 #[test]
 fn progressive_deadline_expiry_emits_partial_results() {
-    let ds = dataset(150, 29);
+    let ds = dataset(150, NoiseModel::light(), 29);
     let p = Pipeline::builder().build();
     let expired = er_progressive::Budget::Deadline(std::time::Instant::now());
     let out = p.run_progressive(&ds.collection, &ds.truth, expired);
@@ -432,7 +418,7 @@ fn in_process_run(inputs: &[String], workers: usize, policy: ExecPolicy) -> Pari
 }
 
 fn subprocess_run(inputs: &[String], mut cfg: SubprocessConfig, policy: ExecPolicy) -> ParityRun {
-    cfg.program = Some(PathBuf::from(env!("CARGO_BIN_EXE_er-test-worker")));
+    cfg.program = Some(worker_program!().into());
     cfg.policy = policy.clone();
     let opts = parity_opts(cfg.workers);
     let mut t = SubprocessTransport::new(cfg);

@@ -38,6 +38,7 @@ use er_core::intern::{Fnv1a, Symbol};
 use er_core::parallel::Parallelism;
 use er_core::profiles::TokenProfiles;
 use er_core::tokenize::Tokenizer;
+use er_integration_tests::ScratchDir;
 use er_mapreduce::dist::{
     decode_map_result, default_registry, encode_map_task, encode_transpose_map_task, run_task,
     KEY_TRANSPOSE,
@@ -59,10 +60,6 @@ fn fixture() -> EntityCollection {
     c
 }
 
-fn tmp(tag: &str) -> std::path::PathBuf {
-    std::env::temp_dir().join(format!("er-fnv-golden-{}-{tag}", std::process::id()))
-}
-
 #[test]
 fn protocol_fingerprint_is_pinned() {
     assert_eq!(
@@ -81,14 +78,15 @@ fn collection_fingerprint_is_pinned() {
 
 #[test]
 fn checkpoint_fingerprint_is_pinned() {
-    let dir = tmp("ckpt");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("fnv-ckpt");
     Pipeline::builder()
         .build()
-        .run_with_recovery(&fixture(), &RecoveryOptions::default().checkpoint_dir(&dir))
+        .run_with_recovery(
+            &fixture(),
+            &RecoveryOptions::default().checkpoint_dir(&*dir),
+        )
         .unwrap();
     let blocked = std::fs::read(dir.join("blocked.ckpt")).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     // The segment header: magic, version, reserved, then the fingerprint.
     assert_eq!(&blocked[..8], MAGIC);
     let got = u64::from_le_bytes(blocked[16..24].try_into().unwrap());
@@ -97,8 +95,7 @@ fn checkpoint_fingerprint_is_pinned() {
 
 #[test]
 fn segment_footer_checksum_is_pinned() {
-    let dir = tmp("segment");
-    let _ = std::fs::remove_dir_all(&dir);
+    let dir = ScratchDir::new("fnv-segment");
     let path = dir.join("golden.seg");
     let mut w = SegmentWriter::create(&path, 0xfeed_beef).unwrap();
     w.run(&[
@@ -109,7 +106,6 @@ fn segment_footer_checksum_is_pinned() {
     .unwrap();
     let len = w.finish().unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(bytes.len() as u64, len);
     let footer = &bytes[bytes.len() - FOOTER_LEN as usize..];
     let checksum = u64::from_le_bytes(footer[24..32].try_into().unwrap());
@@ -125,9 +121,7 @@ fn minhash_block_key_is_pinned() {
 
 #[test]
 fn shuffle_segment_checksum_is_pinned() {
-    let dir = tmp("shuffle");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::created("fnv-shuffle");
     // Tokens holding a backslash, a newline and non-ASCII text travel as
     // length-prefixed wire strings; one partition keeps every posting in one
     // segment.
@@ -140,7 +134,6 @@ fn shuffle_segment_checksum_is_pinned() {
     let result = run_task(&default_registry(), "token-blocking", "map", &payload, 0).unwrap();
     let segments = decode_map_result(&result).unwrap().segments;
     let bytes = std::fs::read(&segments[0].path).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(segments.len(), 1);
     let got = Fnv1a::hash(&bytes);
     assert_eq!(got, 0xd8a9_71eb_de9d_6541, "{got:#018x}");
@@ -148,9 +141,7 @@ fn shuffle_segment_checksum_is_pinned() {
 
 #[test]
 fn symbol_shuffle_segment_checksum_is_pinned() {
-    let dir = tmp("symbol-shuffle");
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).unwrap();
+    let dir = ScratchDir::created("fnv-symbol-shuffle");
     // The fixture's token rows as one `key-transpose` map task; one
     // partition keeps every posting in one key-sorted `KIND_POSTINGS` run.
     let rows = TokenProfiles::build(&fixture(), &Tokenizer::default(), Parallelism::serial());
@@ -170,7 +161,6 @@ fn symbol_shuffle_segment_checksum_is_pinned() {
     w.run(&postings).unwrap();
     w.finish().unwrap();
     let run = std::fs::read(&run).unwrap();
-    let _ = std::fs::remove_dir_all(&dir);
     assert_eq!(segments.len(), 1);
     assert_eq!(bytes, run);
     let got = Fnv1a::hash(&bytes);

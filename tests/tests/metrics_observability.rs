@@ -8,7 +8,8 @@ use er_core::obs::{
 };
 use er_core::parallel::Parallelism;
 use er_core::resource::ResourceLimits;
-use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_datagen::{DirtyDataset, NoiseModel};
+use er_integration_tests::{dataset, worker_program, ScratchDir};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING};
 use er_pipeline::streaming::{raw_record_from_entity, StreamingConfig, StreamingSession};
 use er_pipeline::{
@@ -18,8 +19,8 @@ use er_pipeline::{
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-fn dataset() -> DirtyDataset {
-    DirtyDataset::generate(&DirtyConfig::sized(300, NoiseModel::moderate(), 97))
+fn corpus() -> DirtyDataset {
+    dataset(300, NoiseModel::moderate(), 97)
 }
 
 fn instrumented_pipeline(threads: usize) -> Pipeline {
@@ -71,7 +72,7 @@ fn json_keys(json: &str) -> Vec<String> {
 
 #[test]
 fn counters_identical_across_thread_counts_and_reruns() {
-    let ds = dataset();
+    let ds = corpus();
     let serial = run_once(&ds.collection, 1);
     let serial_again = run_once(&ds.collection, 1);
     let parallel = run_once(&ds.collection, 4);
@@ -115,7 +116,7 @@ fn counters_identical_across_thread_counts_and_reruns() {
 
 #[test]
 fn recovery_run_counters_match_plain_run() {
-    let ds = dataset();
+    let ds = corpus();
     let plain = run_once(&ds.collection, 1);
     let pipeline = instrumented_pipeline(1);
     pipeline
@@ -140,7 +141,7 @@ fn recovery_run_counters_match_plain_run() {
 /// the stages on their own, with no span and no counter.)
 #[test]
 fn every_entry_point_records_the_walk_spans_and_run_counters() {
-    let ds = dataset();
+    let ds = corpus();
     let plain = run_once(&ds.collection, 1);
     let stages_under_run = |snapshot: &MetricsSnapshot, spans: &[&str], entry: &str| {
         assert_eq!(snapshot.span("pipeline.run").map(|s| s.count), Some(1));
@@ -232,7 +233,7 @@ const SPILL: [(&str, u64); 4] = [
 /// profiles' own, and every counter equals its pinned value from before.
 #[test]
 fn every_entry_point_tokenizes_once() {
-    let ds = dataset();
+    let ds = corpus();
     let c = &ds.collection;
     let enabled = || Pipeline::builder().observability(Obs::enabled());
     let tokenized = |s: &MetricsSnapshot| s.span("pipeline.profiles").map_or(0, |s| s.count);
@@ -262,19 +263,19 @@ fn every_entry_point_tokenizes_once() {
     p.run_progressive(c, &ds.truth, er_progressive::Budget::Unlimited);
     token_run("run_progressive", &p.metrics(), false);
 
-    let dir = std::env::temp_dir().join(format!("er-tokenize-once-{}", std::process::id()));
-    let p = enabled().out_of_core(true).segment_dir(&dir).build();
+    let dir = ScratchDir::new("tokenize-once");
+    let p = enabled().out_of_core(true).segment_dir(&*dir).build();
     p.run(c);
     token_run("out_of_core", &p.metrics(), true);
 
     let p = enabled()
         .backend(Backend::Subprocess { workers: 2 })
-        .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+        .worker_program(worker_program!())
         .build();
     p.run(c);
     token_run("subprocess", &p.metrics(), false);
 
-    let opts = RecoveryOptions::default().checkpoint_dir(&dir);
+    let opts = RecoveryOptions::default().checkpoint_dir(&*dir);
     let p = enabled().build();
     p.run_with_recovery(c, &opts).unwrap();
     token_run("run_with_recovery", &p.metrics(), false);
@@ -291,7 +292,6 @@ fn every_entry_point_tokenizes_once() {
         assert_eq!(out.resumed_from, Some(resume_point));
         assert_eq!(tokenized(&p.metrics()), tokenizations, "{resume_point}");
     }
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// The `blocking.*` counters and histograms of a snapshot.
@@ -314,13 +314,13 @@ fn blocking_series(
 /// reads, for token blocking and for another key family alike.
 #[test]
 fn blocking_series_agree_across_backends() {
-    let ds = dataset();
+    let ds = corpus();
     let snapshot = |stage: &BlockingStage, backend: Backend| {
         let p = Pipeline::builder()
             .blocking(stage.clone())
             .observability(Obs::enabled())
             .backend(backend)
-            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+            .worker_program(worker_program!())
             .build();
         p.run(&ds.collection);
         p.metrics()
@@ -347,14 +347,14 @@ fn blocking_series_agree_across_backends() {
 /// at all, and whose budget sheds the same blocks.
 #[test]
 fn subprocess_spills_under_the_memory_limit_and_resolves_the_same() {
-    let ds = dataset();
+    let ds = corpus();
     let limits = ResourceLimits::none().with_memory_bytes(4096);
     let run = |backend: Backend| {
         let p = Pipeline::builder()
             .observability(Obs::enabled())
             .resource_limits(limits)
             .backend(backend)
-            .worker_program(env!("CARGO_BIN_EXE_er-test-worker"))
+            .worker_program(worker_program!())
             .build();
         let resolution = p.run(&ds.collection);
         (resolution, p.metrics())
@@ -423,7 +423,7 @@ fn task_latency_is_timed_once_per_task_on_both_backends() {
 
     let obs = Obs::enabled();
     let mut cfg = SubprocessConfig::new(2);
-    cfg.program = Some(env!("CARGO_BIN_EXE_er-test-worker").into());
+    cfg.program = Some(worker_program!().into());
     cfg.policy = policy(&obs);
     timed_once("subprocess", &obs, &mut SubprocessTransport::new(cfg));
 }
@@ -475,7 +475,7 @@ fn histogram_bucket_boundaries_are_locked() {
 fn capture_sink_collects_degradation_warnings_silently() {
     // A meta-blocking fault degrades the run; the warning must reach the
     // installed sink (and the counter) instead of being lost.
-    let ds = dataset();
+    let ds = corpus();
     let obs = Obs::enabled();
     let sink = Arc::new(CaptureSink::default());
     obs.set_sink(sink.clone());
@@ -514,7 +514,7 @@ fn capture_sink_collects_degradation_warnings_silently() {
 
 #[test]
 fn pipeline_snapshot_round_trips_through_json() {
-    let ds = dataset();
+    let ds = corpus();
     let pipeline = instrumented_pipeline(2);
     pipeline.run(&ds.collection);
     let snapshot = pipeline.metrics();
@@ -537,7 +537,7 @@ fn pipeline_snapshot_round_trips_through_json() {
 
 #[test]
 fn streaming_session_counts_its_batches_and_resolver_work() {
-    let ds = dataset();
+    let ds = corpus();
     let obs = Obs::enabled();
     let mut session = StreamingSession::with_obs(
         StreamingConfig::default(),
@@ -566,7 +566,7 @@ fn streaming_session_counts_its_batches_and_resolver_work() {
 
 #[test]
 fn disabled_obs_records_nothing() {
-    let ds = dataset();
+    let ds = corpus();
     let pipeline = Pipeline::builder()
         .blocking(BlockingStage::Token)
         .matching(MatchingStage::jaccard(0.4))

@@ -2,10 +2,10 @@
 //!
 //! The crash-isolation contract under test (see `docs/distributed.md`):
 //!
-//! 1. **Bit-identity** — the subprocess backend produces exactly the output
-//!    of the in-process oracle, at every worker count, with and without
-//!    crashes. A run that completes is bit-identical; there is no "mostly
-//!    right" mode.
+//! 1. **Bit-identity** — a run that completes under crashes produces
+//!    exactly the output of the in-process oracle; there is no "mostly
+//!    right" mode. (Crash-free identity, for `run_dist` and the pipeline,
+//!    is the product oracle's subprocess rows: `entry_point_matrix`.)
 //! 2. **Typed failure, never a hang** — a run that cannot complete (restart
 //!    budget spent, workers that die on arrival) returns a typed
 //!    `ExecError`; the stage deadline backstops everything else.
@@ -22,21 +22,16 @@
 
 use er_core::fault::ExecPolicy;
 use er_core::obs::Obs;
-use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_integration_tests::{assert_pool_drained, token_lines, worker_program};
 use er_mapreduce::{
     default_registry, run_dist, DistOptions, DistOutput, InProcessTransport, SubprocessConfig,
     SubprocessTransport,
 };
-use er_pipeline::{Backend, Pipeline};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::Duration;
-
-fn worker_program() -> PathBuf {
-    PathBuf::from(env!("CARGO_BIN_EXE_er-test-worker"))
-}
 
 fn chaos_seed_env() -> u64 {
     std::env::var("ER_CHAOS_SEED")
@@ -51,88 +46,10 @@ fn chaos_workers_env() -> Option<usize> {
         .and_then(|v| v.parse().ok())
 }
 
-/// Token-blocking inputs with overlapping vocabulary so blocks span map
-/// chunks and every reduce partition has work.
-fn tb_inputs(n: u32) -> Vec<String> {
-    (0..n)
-        .map(|i| {
-            format!(
-                "{i}\ttok{}\ttok{}\tcommon{}",
-                i % 7,
-                (i * 3 + 1) % 11,
-                i % 2
-            )
-        })
-        .collect()
-}
-
 /// The in-process oracle for one (inputs, opts) cell.
 fn oracle(inputs: &[String], opts: &DistOptions, workers: usize) -> DistOutput {
     let mut t = InProcessTransport::new(workers, default_registry(), ExecPolicy::default());
     run_dist(&mut t, "token-blocking", inputs, opts).expect("oracle never fails")
-}
-
-fn subprocess_cfg(workers: usize) -> SubprocessConfig {
-    let mut cfg = SubprocessConfig::new(workers);
-    cfg.program = Some(worker_program());
-    cfg
-}
-
-/// Asserts that no PID the pool ever spawned is still our zombie child: a
-/// reaped process either vanished from /proc or (PID reuse) belongs to
-/// someone else now.
-fn assert_no_leaked_pids(all_pids: &[u32]) {
-    let me = std::process::id();
-    for &pid in all_pids {
-        let Ok(stat) = std::fs::read_to_string(format!("/proc/{pid}/stat")) else {
-            continue; // gone: reaped and recycled
-        };
-        // Fields after the parenthesised comm: state, ppid.
-        let after = stat.rsplit(')').next().unwrap_or("");
-        let mut fields = after.split_whitespace();
-        let state = fields.next().unwrap_or("");
-        let ppid: u32 = fields.next().and_then(|p| p.parse().ok()).unwrap_or(0);
-        assert!(
-            !(state == "Z" && ppid == me),
-            "worker {pid} leaked as a zombie child (stat: {})",
-            stat.trim()
-        );
-    }
-}
-
-/// (1) Crash-free subprocess runs are bit-identical to the in-process
-/// oracle at every worker count, and the supervision ledger balances.
-#[test]
-fn subprocess_backend_is_bit_identical_to_in_process() {
-    let inputs = tb_inputs(80);
-    for workers in [1usize, 2, 4] {
-        let opts = DistOptions::for_workers(workers);
-        let expected = oracle(&inputs, &opts, workers);
-        let obs = Obs::enabled();
-        let mut cfg = subprocess_cfg(workers);
-        cfg.policy = ExecPolicy::default().with_obs(obs.clone());
-        let mut t = SubprocessTransport::new(cfg);
-        let monitor = t.monitor();
-        let got = run_dist(&mut t, "token-blocking", &inputs, &opts)
-            .unwrap_or_else(|e| panic!("workers={workers}: {e}"));
-        assert_eq!(got.pairs, expected.pairs, "workers={workers}");
-        assert_eq!(
-            got.stats.map_output_records,
-            expected.stats.map_output_records
-        );
-        assert_eq!(got.stats.reduce_groups, expected.stats.reduce_groups);
-        drop(t); // shutdown + reap
-
-        let snap = obs.snapshot();
-        let spawned = snap.counter("worker.spawned").unwrap_or(0);
-        let exited = snap.counter("worker.exited").unwrap_or(0);
-        let crashed = snap.counter("worker.crashed").unwrap_or(0);
-        assert_eq!(spawned, workers as u64, "workers={workers}");
-        assert_eq!(spawned, exited + crashed, "ledger, workers={workers}");
-        assert_eq!(snap.gauge("worker.running"), Some(0.0), "pool drained");
-        assert!(monitor.live_pids().is_empty());
-        assert_no_leaked_pids(&monitor.all_pids());
-    }
 }
 
 /// (1)+(2)+(3) The kill -9 soak: a killer thread SIGKILLs random live
@@ -141,7 +58,7 @@ fn subprocess_backend_is_bit_identical_to_in_process() {
 /// never silent data loss — and must leak no processes.
 #[test]
 fn kill_nine_soak_is_bit_identical_or_typed() {
-    let inputs = tb_inputs(120);
+    let inputs = token_lines(120);
     let mut completed = 0u32;
     let mut failed_typed = 0u32;
     for seed in [3u64, 17, 40] {
@@ -152,7 +69,8 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
             let expected = oracle(&inputs, &opts, workers);
 
             let obs = Obs::enabled();
-            let mut cfg = subprocess_cfg(workers);
+            let mut cfg = SubprocessConfig::new(workers);
+            cfg.program = Some(worker_program!().into());
             cfg.policy = ExecPolicy::default().with_obs(obs.clone());
             // Generous restart budget: the soak exercises recovery, and the
             // exhaustion path has its own dedicated test below.
@@ -205,22 +123,10 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
                 }
             }
 
-            // (3) No leaks on either path.
-            assert!(
-                monitor.live_pids().is_empty(),
-                "seed={seed} workers={workers}"
-            );
-            assert_no_leaked_pids(&monitor.all_pids());
-
-            // (4) The ledger balances on either path.
-            let snap = obs.snapshot();
-            let spawned = snap.counter("worker.spawned").unwrap_or(0);
-            let exited = snap.counter("worker.exited").unwrap_or(0);
-            let crashed = snap.counter("worker.crashed").unwrap_or(0);
-            let restarted = snap.counter("worker.restarted").unwrap_or(0);
-            assert_eq!(spawned, exited + crashed, "seed={seed} workers={workers}");
-            assert!(restarted <= crashed, "seed={seed} workers={workers}");
-            assert_eq!(snap.gauge("worker.running"), Some(0.0));
+            // (3) + (4) No leaks, and a balanced ledger, on either path.
+            let cell = format!("seed={seed} workers={workers}");
+            assert!(monitor.live_pids().is_empty(), "{cell}");
+            assert_pool_drained(&obs.snapshot(), &monitor.all_pids(), &cell);
         }
     }
     // The soak must actually exercise both a completion and/or recovery —
@@ -236,8 +142,10 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
 /// — and every spawned PID is reaped.
 #[test]
 fn dead_on_arrival_workers_exhaust_into_a_typed_error() {
+    let obs = Obs::enabled();
     let mut cfg = SubprocessConfig::new(2);
     cfg.program = Some(PathBuf::from("/bin/true")); // exits before Hello
+    cfg.policy = ExecPolicy::default().with_obs(obs.clone());
     cfg.max_restarts = 3;
     cfg.stage_deadline = Some(Duration::from_secs(60));
     let mut t = SubprocessTransport::new(cfg);
@@ -245,7 +153,7 @@ fn dead_on_arrival_workers_exhaust_into_a_typed_error() {
     let err = run_dist(
         &mut t,
         "token-blocking",
-        &tb_inputs(10),
+        &token_lines(10),
         &DistOptions::for_workers(2),
     )
     .expect_err("a pool that cannot hold workers must fail typed");
@@ -257,41 +165,5 @@ fn dead_on_arrival_workers_exhaust_into_a_typed_error() {
     assert!(monitor.live_pids().is_empty());
     // 2 initial + 3 restarts, all reaped.
     assert_eq!(monitor.all_pids().len(), 5);
-    assert_no_leaked_pids(&monitor.all_pids());
-}
-
-fn dataset() -> &'static DirtyDataset {
-    static DS: OnceLock<DirtyDataset> = OnceLock::new();
-    DS.get_or_init(|| DirtyDataset::generate(&DirtyConfig::sized(120, NoiseModel::light(), 91)))
-}
-
-/// (1) End to end through the pipeline: `Backend::Subprocess` resolves the
-/// same matches and clusters as the default in-process backend, and the
-/// worker counters land in the pipeline's metrics snapshot — the exact
-/// artifact `er-metrics-check --require-backend` gates on.
-#[test]
-fn pipeline_subprocess_backend_matches_in_process_end_to_end() {
-    let ds = dataset();
-    let reference = Pipeline::builder().build().run(&ds.collection);
-    for workers in [2usize, 4] {
-        let obs = Obs::enabled();
-        let p = Pipeline::builder()
-            .backend(Backend::Subprocess { workers })
-            .worker_program(worker_program())
-            .observability(obs.clone())
-            .build();
-        let out = p.run(&ds.collection);
-        assert_eq!(out.matches, reference.matches, "workers={workers}");
-        assert_eq!(out.clusters, reference.clusters, "workers={workers}");
-
-        let snap = obs.snapshot();
-        let spawned = snap.counter("worker.spawned").unwrap_or(0);
-        assert!(spawned >= workers as u64, "workers={workers}");
-        assert_eq!(
-            spawned,
-            snap.counter("worker.exited").unwrap_or(0)
-                + snap.counter("worker.crashed").unwrap_or(0)
-        );
-        assert_eq!(snap.gauge("worker.running"), Some(0.0));
-    }
+    assert_pool_drained(&obs.snapshot(), &monitor.all_pids(), "dead on arrival");
 }
