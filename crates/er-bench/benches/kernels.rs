@@ -207,7 +207,7 @@ fn bench_pipeline(c: &mut Criterion) {
     });
 }
 
-/// Serial-vs-parallel benches over the four rayon-parallel hot kernels.
+/// Serial-vs-parallel benches over the four parallel hot kernels.
 /// Comparing `*_t1` (serial path) against `*_t4` on a multi-core host gives
 /// the speedup recorded in EXPERIMENTS.md's thread-scaling section; the
 /// outputs themselves are bit-identical by the determinism contract.

@@ -25,20 +25,21 @@ use er_bench::scenarios;
 use er_blocking::sorted_neighborhood::SortKey;
 use er_core::collection::EntityCollection;
 use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
+use er_core::ingest::ArrivalQueue;
 use er_core::metrics::{BlockingQuality, MatchQuality};
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
-use er_core::resource::ResourceLimits;
+use er_core::resource::{MemoryBudget, ResourceLimits};
 use er_datagen::{
-    CleanCleanConfig, CleanCleanDataset, DirtyConfig, DirtyDataset, LodConfig, LodDataset,
-    NoiseModel,
+    CleanCleanConfig, CleanCleanDataset, DatasetBuilder, DirtyConfig, DirtyDataset, LodConfig,
+    LodDataset, NoiseModel,
 };
 use er_metablocking::{PruningScheme, WeightingScheme};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::streaming::raw_record_from_entity;
 use er_pipeline::{
     Backend, BlockingStage, CleaningStage, ClusteringStage, MatchingStage, MetaBlockingStage,
-    Pipeline, RecoveryOptions, StreamingConfig, StreamingSession,
+    Pipeline, RecoveryOptions,
 };
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -399,30 +400,27 @@ impl std::fmt::Display for ReplayRefused {
     }
 }
 
-/// Replays a loaded collection through the streaming ingest path: a producer
-/// thread feeds raw records into the budget-bounded arrival queue
-/// (`--ingest-queue-bytes`), the session validates and quarantines them, and
-/// the accepted collection — bit-identical to the input minus quarantined
-/// records — is handed to the pipeline. `--quarantine-out FILE` writes the
+/// Replays a loaded collection through the ingest path: a producer thread
+/// feeds raw records into the budget-bounded arrival queue
+/// (`--ingest-queue-bytes`), the ingest validator quarantines the malformed
+/// ones, and the accepted collection — bit-identical to the input minus
+/// quarantined records — is handed to the pipeline, which resolves it; the
+/// replay itself resolves nothing. `--quarantine-out FILE` writes the
 /// quarantine ledger as deterministic JSON. A record the queue refuses is a
 /// [`ReplayRefused`] error.
 fn streaming_load(
     collection: &EntityCollection,
     queue_bytes: Option<u64>,
     quarantine_out: Option<&String>,
-    obs: Obs,
+    obs: &Obs,
 ) -> Result<EntityCollection, String> {
-    let limits = match queue_bytes {
-        Some(b) => ResourceLimits::none().with_memory_bytes(b),
-        None => ResourceLimits::none(),
-    };
-    let config = StreamingConfig {
-        mode: collection.mode(),
-        ..StreamingConfig::default()
-    };
-    let mut session = StreamingSession::with_obs(config, limits, obs);
+    let queue = ArrivalQueue::with_obs(
+        queue_bytes.map_or_else(MemoryBudget::unlimited, MemoryBudget::bytes),
+        obs,
+    );
+    let mut loader = DatasetBuilder::new(collection.mode()).with_obs(obs);
     let records: Vec<_> = collection.iter().map(raw_record_from_entity).collect();
-    let producer_queue = session.queue();
+    let producer_queue = queue.clone();
     let budget = queue_bytes.unwrap_or(u64::MAX);
     let producer = std::thread::spawn(move || {
         let outcome = records
@@ -439,29 +437,27 @@ fn streaming_load(
         producer_queue.close();
         outcome
     });
-    let consumer_queue = session.queue();
-    while let Some(record) = consumer_queue.pop() {
-        session.offer(record).map_err(|e| e.to_string())?;
+    while let Some(record) = queue.pop() {
+        loader.offer(record);
     }
     producer
         .join()
         .map_err(|_| "streaming producer thread panicked".to_string())?
         .map_err(|e| e.to_string())?;
-    session.flush().map_err(|e| e.to_string())?;
-    let report = session.quarantine_report();
+    let report = loader.report();
     println!(
         "streaming ingest: {} accepted, {} quarantined (queue high watermark {} bytes, {} \
          backpressure wait(s))",
         report.accepted(),
         report.quarantined(),
-        consumer_queue.high_watermark(),
-        consumer_queue.backpressure_waits()
+        queue.high_watermark(),
+        queue.backpressure_waits()
     );
     if let Some(path) = quarantine_out {
         std::fs::write(path, report.to_json()).map_err(|e| format!("{path}: {e}"))?;
         println!("quarantine report written to {path}");
     }
-    Ok(session.collection().clone())
+    Ok(loader.collection().clone())
 }
 
 /// `er scenario list|run` — the committed benchmark matrix (see
@@ -676,7 +672,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     // byte-for-byte unaffected.
     let quarantine_out = flags.get("quarantine-out");
     let collection = if ingest_queue_bytes.is_some() || quarantine_out.is_some() {
-        streaming_load(&collection, ingest_queue_bytes, quarantine_out, obs.clone())?
+        streaming_load(&collection, ingest_queue_bytes, quarantine_out, &obs)?
     } else {
         collection
     };
@@ -1353,6 +1349,9 @@ mod tests {
         // the quarantine counter, so "absent" is the correct zero here.
         assert_eq!(snapshot.counter("ingest.records_quarantined"), None);
         assert!(snapshot.counter("blocking.blocks_built").unwrap() > 0);
+        // The replay only validates: the pipeline resolves the collection once.
+        let mut names = snapshot.counters.keys().chain(snapshot.spans.keys());
+        assert!(!names.any(|name| name.starts_with("streaming.")), "{text}");
         let _ = std::fs::remove_file(&mpath);
     }
 

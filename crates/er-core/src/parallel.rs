@@ -15,8 +15,6 @@
 //!   partials left-to-right; the float association order is then a property
 //!   of the algorithm, not of the hardware.
 
-use rayon::prelude::*;
-
 /// Degree of data parallelism for the workspace's `par_*` kernels.
 ///
 /// `Parallelism::serial()` (the default) runs everything on the calling
@@ -67,15 +65,33 @@ impl Parallelism {
     pub fn is_serial(&self) -> bool {
         self.effective() <= 1
     }
+}
 
-    /// Runs `op` inside a thread pool of this size.
-    pub fn install<R>(&self, op: impl FnOnce() -> R) -> R {
-        rayon::ThreadPoolBuilder::new()
-            .num_threads(self.effective())
-            .build()
-            .expect("thread pool construction is infallible")
-            .install(op)
-    }
+/// Runs `span(start, end)` on one scoped thread per contiguous span of
+/// `n.div_ceil(min(threads, n))` covering `[0, n)` (`n ≥ 1`) and concatenates
+/// the results in span order. A worker's panic is re-raised with its own
+/// payload, so what a caller catches does not depend on the thread count.
+fn par_spans<U, F>(par: Parallelism, n: usize, span: F) -> Vec<U>
+where
+    U: Send,
+    F: Fn(usize, usize) -> Vec<U> + Sync,
+{
+    let len = n.div_ceil(par.effective().min(n));
+    let span = &span;
+    std::thread::scope(|s| {
+        let workers: Vec<_> = (0..n)
+            .step_by(len)
+            .map(|start| s.spawn(move || span(start, (start + len).min(n))))
+            .collect();
+        let mut out = Vec::with_capacity(n);
+        for worker in workers {
+            match worker.join() {
+                Ok(part) => out.extend(part),
+                Err(payload) => std::panic::resume_unwind(payload),
+            }
+        }
+        out
+    })
 }
 
 /// Order-preserving parallel map: `out[i] == f(&items[i])` for every `i`,
@@ -90,7 +106,9 @@ where
     if par.is_serial() || items.len() < 2 {
         items.iter().map(f).collect()
     } else {
-        par.install(|| items.par_iter().map(f).collect())
+        par_spans(par, items.len(), |start, end| {
+            items[start..end].iter().map(&f).collect()
+        })
     }
 }
 
@@ -110,7 +128,10 @@ where
     if par.is_serial() || items.len() <= chunk {
         items.chunks(chunk).map(&f).collect()
     } else {
-        par.install(|| items.par_chunks(chunk).map(f).collect())
+        par_spans(par, items.len().div_ceil(chunk), |start, end| {
+            let end = (end * chunk).min(items.len());
+            items[start * chunk..end].chunks(chunk).map(&f).collect()
+        })
     }
 }
 
@@ -142,23 +163,28 @@ mod tests {
 
     #[test]
     fn par_map_matches_serial_at_all_thread_counts() {
-        let items: Vec<u64> = (0..1013).collect();
-        let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
-        for n in [1, 2, 4, 8] {
-            let par = par_map(Parallelism::threads(n), &items, |x| x * x + 1);
-            assert_eq!(par, serial, "thread count {n}");
+        for len in [2, 3, 7, 1013] {
+            let items: Vec<u64> = (0..len).collect();
+            let serial: Vec<u64> = items.iter().map(|x| x * x + 1).collect();
+            for n in [1, 2, 3, 4, 8] {
+                let par = par_map(Parallelism::threads(n), &items, |x| x * x + 1);
+                assert_eq!(par, serial, "{len} items, thread count {n}");
+            }
         }
     }
 
     #[test]
     fn par_map_chunks_order_and_coverage() {
-        let items: Vec<u32> = (0..103).collect();
-        let serial: Vec<u32> = items.chunks(10).map(|c| c.iter().sum()).collect();
-        for n in [1, 2, 4, 8] {
-            let par = par_map_chunks(Parallelism::threads(n), &items, 10, |c| {
-                c.iter().sum::<u32>()
-            });
-            assert_eq!(par, serial, "thread count {n}");
+        // 2, 3 and 7 chunks: fewer chunks than threads, uneven last spans.
+        for len in [20, 30, 70, 103] {
+            let items: Vec<u32> = (0..len).collect();
+            let serial: Vec<u32> = items.chunks(10).map(|c| c.iter().sum()).collect();
+            for n in [1, 2, 3, 4, 8] {
+                let par = par_map_chunks(Parallelism::threads(n), &items, 10, |c| {
+                    c.iter().sum::<u32>()
+                });
+                assert_eq!(par, serial, "{len} items, thread count {n}");
+            }
         }
     }
 
@@ -186,5 +212,26 @@ mod tests {
         let empty: Vec<u32> = vec![];
         assert!(par_map(Parallelism::threads(4), &empty, |x| *x).is_empty());
         assert!(par_map_chunks(Parallelism::threads(4), &empty, 8, |c| c.len()).is_empty());
+    }
+
+    #[test]
+    fn worker_panic_message_is_thread_count_independent() {
+        let items: Vec<u32> = (0..100).collect();
+        let boom = |x: &u32| if *x == 37 { panic!("boom at {x}") } else { *x };
+        for n in [1, 4] {
+            let par = Parallelism::threads(n);
+            let by_item = || drop(par_map(par, &items, boom));
+            let by_chunk = || {
+                drop(par_map_chunks(par, &items, 10, |c| {
+                    c.iter().map(boom).max()
+                }))
+            };
+            for run in [&by_item as &dyn Fn(), &by_chunk] {
+                let payload = std::panic::catch_unwind(std::panic::AssertUnwindSafe(run))
+                    .expect_err("item 37 panics");
+                let message = crate::fault::panic_message(payload.as_ref());
+                assert_eq!(message, "task panicked: boom at 37", "{n} threads");
+            }
+        }
     }
 }
