@@ -1,18 +1,18 @@
 //! The blocking graph.
 //!
 //! Stored compactly: edges live in one flat `Vec<(Pair, EdgeInfo)>` sorted by
-//! pair, built by **sort-based aggregation** (per-chunk contribution vectors,
-//! stable sort, run merge) instead of `BTreeMap` accumulation — see
-//! `docs/data_layout.md` for the layout and the bit-identity argument. The
-//! pre-compact tree-map builder survives as
-//! [`BlockingGraph::build_reference`] for the equivalence tests.
+//! pair. [`BlockingGraph::par_build`] fills it with the node scan's walk
+//! keeping every edge (`scan::graph_edges`), so a pair's ARCS is the plain
+//! block-order sum the scan weighs — see `docs/data_layout.md`. The
+//! tree-map fold over the blocks in order survives as
+//! [`BlockingGraph::build_reference`], the oracle of the equivalence tests.
 
-use er_blocking::block::{Block, BlockCollection};
+use crate::scan::graph_edges;
+use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
 use er_core::pair::Pair;
-use er_core::parallel::{par_map_chunks, Parallelism};
+use er_core::parallel::Parallelism;
 use std::collections::BTreeMap;
-use std::convert::Infallible;
 
 /// Per-edge co-occurrence statistics gathered while scanning the blocks.
 #[derive(Clone, Copy, Debug, Default, PartialEq)]
@@ -41,18 +41,17 @@ pub struct BlockingGraph {
     /// Total entity–block assignments (`BC`), used by cardinality pruning.
     pub(crate) total_assignments: u64,
     pub(crate) n_entities: usize,
-    /// Bytes that flowed through the sort-based aggregation buffers (raw
-    /// contributions + concatenated partials) — a build-path statistic, not
-    /// part of the graph's value (excluded from `PartialEq`; 0 on the
-    /// reference builder).
+    /// Bytes of edge contributions the build sorted — a build-path
+    /// statistic, not part of the graph's value (excluded from `PartialEq`;
+    /// 0 for the in-memory and reference builds, which sort nothing).
     pub(crate) edge_sort_bytes: u64,
 }
 
 /// Equality is over the graph's *value* — edges, node statistics, totals —
 /// not over build-path diagnostics like
-/// [`edge_sort_bytes`](BlockingGraph::edge_sort_bytes), so the compact and
-/// reference builders compare equal when (and only when) their outputs are
-/// bit-identical.
+/// [`edge_sort_bytes`](BlockingGraph::edge_sort_bytes), so the in-memory,
+/// out-of-core and reference builders compare equal when (and only when)
+/// their outputs are bit-identical.
 impl PartialEq for BlockingGraph {
     fn eq(&self, other: &Self) -> bool {
         self.edges == other.edges
@@ -64,32 +63,12 @@ impl PartialEq for BlockingGraph {
     }
 }
 
-/// Blocks per accumulation chunk of [`chunk_partials`].
-///
-/// Fixed (never derived from the thread count or the batch length) so that
-/// the left-to-right merge of per-chunk partials performs the exact same
-/// sequence of `f64` additions on the ARCS accumulator at every parallelism
-/// level, in memory and out of core — all builds are bit-identical by
-/// construction.
-pub(crate) const CHUNK_BLOCKS: usize = 32;
-
-/// Per-chunk partial aggregation of the block scan: edge partials sorted by
-/// pair, block counts sorted by entity index — both produced by sort +
-/// run-length merge over flat contribution vectors.
-pub(crate) struct ChunkPartial {
-    edges: Vec<(Pair, EdgeInfo)>,
-    block_counts: Vec<(u32, u32)>,
-    /// Raw contribution entries emitted before run-merging (for the
-    /// `edge_sort_bytes` statistic).
-    raw_entries: u64,
-}
-
 /// Adds one contribution to a pair-sorted edge vector under construction:
-/// **in place, left to right**. Fed a *stably* pair-sorted sequence, entries
-/// of an equal pair arrive in emission order, so the accumulation performs
-/// the exact `f64` addition sequence the `BTreeMap` reference path performs
-/// (`or_default()` seeds 0.0, and `0.0 + x == x` bitwise for the strictly
-/// positive ARCS contributions).
+/// **in place, left to right**. Fed a *stably* pair-sorted contribution
+/// stream in block order, a pair's contributions arrive in block order, so
+/// its ARCS is the plain block-order sum (the first contribution lands on
+/// an empty slot as is, and `0.0 + x == x` bitwise for the strictly
+/// positive contributions).
 pub(crate) fn accumulate(out: &mut Vec<(Pair, EdgeInfo)>, (p, info): (Pair, EdgeInfo)) {
     match out.last_mut() {
         Some((last, acc)) if *last == p => {
@@ -100,110 +79,16 @@ pub(crate) fn accumulate(out: &mut Vec<(Pair, EdgeInfo)>, (p, info): (Pair, Edge
     }
 }
 
-/// Merges runs of equal pairs in a pair-sorted contribution vector
-/// ([`accumulate`] over every entry).
-pub(crate) fn merge_runs(sorted: Vec<(Pair, EdgeInfo)>) -> Vec<(Pair, EdgeInfo)> {
-    let mut out: Vec<(Pair, EdgeInfo)> = Vec::new();
-    for entry in sorted {
-        accumulate(&mut out, entry);
-    }
-    out
-}
-
-/// The one chunk-partial producer: scans `blocks` in fixed [`CHUNK_BLOCKS`]
-/// chunks and hands the partials to `sink` in chunk order, one vector per
-/// `batch_blocks` blocks. Each chunk emits one flat `(Pair, EdgeInfo)`
-/// contribution per block-pair occurrence, stable-sorts it by pair and
-/// merges runs into a sorted partial. `batch_blocks` bounds how many
-/// partials exist at once and must be a multiple of [`CHUNK_BLOCKS`] (or
-/// `usize::MAX`: one batch) so it never moves a chunk boundary.
-pub(crate) fn chunk_partials<E>(
-    collection: &EntityCollection,
-    blocks: &[Block],
-    par: Parallelism,
-    batch_blocks: usize,
-    mut sink: impl FnMut(Vec<ChunkPartial>) -> Result<(), E>,
-) -> Result<(), E> {
-    assert!(batch_blocks == usize::MAX || batch_blocks.is_multiple_of(CHUNK_BLOCKS));
-    for batch in blocks.chunks(batch_blocks) {
-        sink(par_map_chunks(par, batch, CHUNK_BLOCKS, |chunk| {
-            let mut contribs: Vec<(Pair, EdgeInfo)> = Vec::new();
-            let mut counted: Vec<u32> = Vec::new();
-            for b in chunk {
-                let card = b.comparisons(collection);
-                counted.extend(b.entities().iter().map(|e| e.index() as u32));
-                if card == 0 {
-                    continue;
-                }
-                let w = 1.0 / card as f64;
-                contribs.extend(b.pairs(collection).map(|p| {
-                    (
-                        p,
-                        EdgeInfo {
-                            common_blocks: 1,
-                            arcs: w,
-                        },
-                    )
-                }));
-            }
-            let raw_entries = contribs.len() as u64;
-            // Stable: equal pairs keep block order within the chunk.
-            contribs.sort_by_key(|&(p, _)| p);
-            let mut block_counts: Vec<(u32, u32)> = Vec::new();
-            counted.sort_unstable();
-            for idx in counted {
-                match block_counts.last_mut() {
-                    Some((last, c)) if *last == idx => *c += 1,
-                    _ => block_counts.push((idx, 1)),
-                }
-            }
-            ChunkPartial {
-                edges: merge_runs(contribs),
-                block_counts,
-                raw_entries,
-            }
-        }))?;
-    }
-    Ok(())
-}
-
-/// The node-level side of a build: what the partials contribute besides
-/// their edges.
-pub(crate) struct PartialTally {
-    entity_block_counts: Vec<u32>,
-    /// Entries that flowed through the aggregation buffers: raw
-    /// contributions plus partial edges.
-    sort_entries: u64,
-}
-
-impl PartialTally {
-    pub(crate) fn new(n_entities: usize) -> PartialTally {
-        PartialTally {
-            entity_block_counts: vec![0; n_entities],
-            sort_entries: 0,
-        }
-    }
-
-    /// Books a partial's block counts and entry counts; returns its edges.
-    pub(crate) fn take(&mut self, partial: ChunkPartial) -> Vec<(Pair, EdgeInfo)> {
-        for (idx, count) in partial.block_counts {
-            self.entity_block_counts[idx as usize] += count;
-        }
-        self.sort_entries += partial.raw_entries + partial.edges.len() as u64;
-        partial.edges
-    }
-}
-
 impl BlockingGraph {
     /// Builds the graph in one pass over the blocks.
     pub fn build(collection: &EntityCollection, blocks: &BlockCollection) -> Self {
-        Self::build_impl(collection, blocks, Parallelism::serial())
+        Self::par_build(collection, blocks, Parallelism::serial())
     }
 
-    /// Parallel [`build`]: blocks are aggregated in fixed-size chunks across
-    /// worker threads and the partials merged in chunk order, so the output
-    /// (including the non-associative `f64` ARCS sums) is bit-identical to
-    /// the serial path at every thread count.
+    /// Parallel [`build`]: the node scan's walk over contiguous node ranges,
+    /// keeping every edge. A pair's ARCS is folded inside one node's walk,
+    /// so the output is bit-identical to the serial path at every thread
+    /// count.
     ///
     /// [`build`]: BlockingGraph::build
     pub fn par_build(
@@ -211,43 +96,16 @@ impl BlockingGraph {
         blocks: &BlockCollection,
         par: Parallelism,
     ) -> Self {
-        Self::build_impl(collection, blocks, par)
+        Self::from_edges(collection, blocks, graph_edges(collection, blocks, par), 0)
     }
 
-    /// Sort-based aggregation. The partials of [`chunk_partials`] are
-    /// concatenated **in chunk order**, stable-sorted by pair and merged.
-    /// The two-level grouping — within-chunk sums first, then partial sums
-    /// in chunk order — performs the exact `f64` addition sequence of the
-    /// reference `BTreeMap` fold, so serial, parallel and reference builds
-    /// are all bit-identical.
-    fn build_impl(
-        collection: &EntityCollection,
-        blocks: &BlockCollection,
-        par: Parallelism,
-    ) -> Self {
-        let mut tally = PartialTally::new(collection.len());
-        let mut flat: Vec<(Pair, EdgeInfo)> = Vec::new();
-        let Ok(()) = chunk_partials(collection, blocks.blocks(), par, usize::MAX, |partials| {
-            flat.reserve(partials.iter().map(|c| c.edges.len()).sum());
-            for partial in partials {
-                flat.extend(tally.take(partial));
-            }
-            Ok::<(), Infallible>(())
-        });
-        // A stable sort keeps each pair's partial sums in chunk order, and
-        // the run merge adds them left-to-right — the same grouping as the
-        // reference fold.
-        flat.sort_by_key(|&(p, _)| p);
-        Self::finish(collection, blocks, merge_runs(flat), tally)
-    }
-
-    /// The one graph finisher: degrees from the merged edges, node counts
-    /// and `edge_sort_bytes` from the tally.
-    pub(crate) fn finish(
+    /// The graph of pair-sorted `edges`, the one finisher of every builder:
+    /// degrees from the edges, block counts and totals from `blocks`.
+    pub(crate) fn from_edges(
         collection: &EntityCollection,
         blocks: &BlockCollection,
         edges: Vec<(Pair, EdgeInfo)>,
-        tally: PartialTally,
+        edge_sort_bytes: u64,
     ) -> Self {
         let n = collection.len();
         let mut degrees = vec![0u32; n];
@@ -255,82 +113,40 @@ impl BlockingGraph {
             degrees[p.first().index()] += 1;
             degrees[p.second().index()] += 1;
         }
+        let mut entity_block_counts = vec![0u32; n];
+        for e in blocks.blocks().iter().flat_map(|b| b.entities()) {
+            entity_block_counts[e.index()] += 1;
+        }
         BlockingGraph {
             edges,
-            entity_block_counts: tally.entity_block_counts,
-            degrees,
-            total_blocks: blocks.len() as u64,
-            total_assignments: blocks.assignments(),
-            n_entities: n,
-            edge_sort_bytes: tally.sort_entries * std::mem::size_of::<(Pair, EdgeInfo)>() as u64,
-        }
-    }
-
-    /// The pre-compact builder: per-chunk `BTreeMap` accumulation merged
-    /// left-to-right into a global `BTreeMap`, exactly as shipped before the
-    /// flat layout. Kept as the reference for the layout-equivalence tests;
-    /// bit-identical to
-    /// [`par_build`](BlockingGraph::par_build) at every thread count.
-    pub fn build_reference(collection: &EntityCollection, blocks: &BlockCollection) -> Self {
-        Self::par_build_reference(collection, blocks, Parallelism::serial())
-    }
-
-    /// Parallel [`build_reference`](BlockingGraph::build_reference).
-    pub fn par_build_reference(
-        collection: &EntityCollection,
-        blocks: &BlockCollection,
-        par: Parallelism,
-    ) -> Self {
-        let n = collection.len();
-        let partials = par_map_chunks(par, blocks.blocks(), CHUNK_BLOCKS, |chunk: &[Block]| {
-            let mut edges: BTreeMap<Pair, EdgeInfo> = BTreeMap::new();
-            let mut block_counts: BTreeMap<usize, u32> = BTreeMap::new();
-            for b in chunk {
-                let card = b.comparisons(collection);
-                for &e in b.entities() {
-                    *block_counts.entry(e.index()).or_insert(0) += 1;
-                }
-                if card == 0 {
-                    continue;
-                }
-                let w = 1.0 / card as f64;
-                for p in b.pairs(collection) {
-                    let info = edges.entry(p).or_default();
-                    info.common_blocks += 1;
-                    info.arcs += w;
-                }
-            }
-            (edges, block_counts)
-        });
-        // Merge partials left-to-right (chunk order): each edge's ARCS
-        // contributions are added in the same grouping regardless of how
-        // many threads produced the partials.
-        let mut edges: BTreeMap<Pair, EdgeInfo> = BTreeMap::new();
-        let mut entity_block_counts = vec![0u32; n];
-        for (chunk_edges, chunk_counts) in partials {
-            for (p, part) in chunk_edges {
-                let info = edges.entry(p).or_default();
-                info.common_blocks += part.common_blocks;
-                info.arcs += part.arcs;
-            }
-            for (idx, count) in chunk_counts {
-                entity_block_counts[idx] += count;
-            }
-        }
-        let mut degrees = vec![0u32; n];
-        for p in edges.keys() {
-            degrees[p.first().index()] += 1;
-            degrees[p.second().index()] += 1;
-        }
-        BlockingGraph {
-            edges: edges.into_iter().collect(),
             entity_block_counts,
             degrees,
             total_blocks: blocks.len() as u64,
             total_assignments: blocks.assignments(),
             n_entities: n,
-            edge_sort_bytes: 0,
+            edge_sort_bytes,
         }
+    }
+
+    /// The reference builder: one `BTreeMap` fold over the blocks in order,
+    /// each block adding `1/‖b‖` to every pair it holds — ARCS by its
+    /// definition. The oracle of the equivalence tests; bit-identical to
+    /// [`par_build`](BlockingGraph::par_build) at every thread count.
+    pub fn build_reference(collection: &EntityCollection, blocks: &BlockCollection) -> Self {
+        let mut edges: BTreeMap<Pair, EdgeInfo> = BTreeMap::new();
+        for b in blocks.blocks() {
+            let card = b.comparisons(collection);
+            if card == 0 {
+                continue;
+            }
+            let w = 1.0 / card as f64;
+            for p in b.pairs(collection) {
+                let info = edges.entry(p).or_default();
+                info.common_blocks += 1;
+                info.arcs += w;
+            }
+        }
+        Self::from_edges(collection, blocks, edges.into_iter().collect(), 0)
     }
 
     /// Number of nodes (all collection entities, including isolated ones).
@@ -357,12 +173,12 @@ impl BlockingGraph {
             .map(|i| self.edges[i].1)
     }
 
-    /// Bytes that flowed through the sort-based edge-aggregation buffers
-    /// during the build (0 for [`build_reference`]-built graphs) — the
-    /// `metablocking.edge_sort_bytes` observability statistic and a memory
-    /// column of the layout experiment.
+    /// Bytes of edge contributions the build sorted: the raw records × the
+    /// record size for [`par_build_ooc`], 0 for the in-memory and reference
+    /// builds, which sort nothing — the `metablocking.edge_sort_bytes`
+    /// statistic.
     ///
-    /// [`build_reference`]: BlockingGraph::build_reference
+    /// [`par_build_ooc`]: BlockingGraph::par_build_ooc
     pub fn edge_sort_bytes(&self) -> u64 {
         self.edge_sort_bytes
     }
@@ -516,7 +332,7 @@ mod tests {
         assert_eq!(g.n_entities(), 0);
     }
 
-    /// A collection + blocking large enough to span many chunks, with skew.
+    /// A collection + blocking with many overlapping blocks, with skew.
     fn chunk_spanning() -> (EntityCollection, BlockCollection) {
         let mut c = EntityCollection::new(ResolutionMode::Dirty);
         for _ in 0..60 {
@@ -526,7 +342,7 @@ mod tests {
         for b in 0..150u32 {
             // Overlapping, varying-cardinality blocks: entity e joins block b
             // when they agree modulo a small prime — pairs recur across many
-            // blocks, exercising the multi-chunk ARCS accumulation.
+            // blocks, exercising long ARCS sums.
             let members: Vec<EntityId> = (0..60u32)
                 .filter(|e| (e + b) % (2 + b % 5) == 0)
                 .map(id)
@@ -555,10 +371,15 @@ mod tests {
     #[test]
     fn edge_sort_bytes_is_a_build_statistic_not_graph_value() {
         let (c, blocks) = chunk_spanning();
-        let compact = BlockingGraph::build(&c, &blocks);
+        let mut compact = BlockingGraph::build(&c, &blocks);
         let reference = BlockingGraph::build_reference(&c, &blocks);
-        assert!(compact.edge_sort_bytes() > 0);
+        assert_eq!(
+            compact.edge_sort_bytes(),
+            0,
+            "the in-memory build sorts nothing"
+        );
         assert_eq!(reference.edge_sort_bytes(), 0);
+        compact.edge_sort_bytes = 1;
         assert_eq!(compact, reference, "stat must not affect equality");
     }
 

@@ -20,20 +20,18 @@
 //! exactly *in value* — when a block grows its cardinality changes, so new
 //! pairs are weighted at the current `1/‖b‖` and the block's old pairs are
 //! re-weighted by the difference `1/‖b‖_new − 1/‖b‖_old` — but not exactly
-//! *in bits*: the incremental addition order differs from the batch
-//! builder's chunked left-to-right `f64` fold (`CHUNK_BLOCKS` sums),
-//! so the accumulators agree only up to floating-point rounding between
-//! refreshes. [`IncrementalGraph::refresh`] — a full
-//! [`BlockingGraph::par_build`], bit-identical to the batch path at every
-//! thread count — restores bit-exact agreement before a weight-consuming
-//! read. The batch builder thus remains the retained A/B oracle, exactly as
-//! `docs/data_layout.md` prescribes for the compact layouts.
+//! *in bits*: re-weighting by differences is not the batch builder's plain
+//! block-order sum of `1/‖b‖`, so the accumulators agree only up to
+//! floating-point rounding between refreshes. [`IncrementalGraph::refresh`]
+//! — a full [`BlockingGraph::par_build`], bit-identical to the batch path
+//! at every thread count — restores bit-exact agreement before a
+//! weight-consuming read.
 //!
 //! No pipeline or streaming session reads this graph: it is a library
 //! primitive, locked by `tests/streaming_equivalence.rs`, which drives it
 //! directly.
 
-use crate::graph::{merge_runs, BlockingGraph, EdgeInfo};
+use crate::graph::{accumulate, BlockingGraph, EdgeInfo};
 use er_blocking::block::{Block, BlockCollection};
 use er_blocking::incremental::{IncrementalTokenIndex, IndexDelta};
 use er_core::collection::EntityCollection;
@@ -157,10 +155,13 @@ impl IncrementalGraph {
                 }
             }));
         }
-        // Same aggregation shape as the batch builder: stable sort keeps a
-        // pair's contributions in block order, merge_runs adds left-to-right.
+        // The stable sort keeps a pair's contributions in block order, and
+        // the fold adds them left to right.
         contribs.sort_by_key(|&(p, _)| p);
-        let fresh = merge_runs(contribs);
+        let mut fresh: Vec<(Pair, EdgeInfo)> = Vec::new();
+        for entry in contribs {
+            accumulate(&mut fresh, entry);
+        }
         if !fresh.is_empty() {
             self.merge_fresh_edges(fresh);
         }

@@ -10,10 +10,10 @@
 //! * [`scan`] — meta-blocking without the graph: each node's neighbourhood
 //!   is accumulated from the entity→blocks index, weighed and pruned on the
 //!   spot. This is what `er-pipeline` runs.
-//! * [`graph::BlockingGraph`] — the materialised graph, built in one pass
-//!   over the blocks: the reference the scan is bit-identical to, and the
-//!   structure behind incremental maintenance, supervised pruning and DOT
-//!   export.
+//! * [`graph::BlockingGraph`] — the materialised graph: what the scan's
+//!   walk emits when it keeps every edge, so the scan is bit-identical to
+//!   it; the structure behind incremental maintenance, supervised pruning
+//!   and DOT export.
 //! * [`incremental::IncrementalGraph`] — the graph maintained under
 //!   streaming entity arrivals: integer statistics exact per batch, ARCS
 //!   restored bit-exactly by a refresh. A library primitive: no pipeline or
@@ -23,9 +23,9 @@
 //!   node-centric pruning: WEP, CEP, WNP, CNP plus reciprocal variants.
 //! * [`supervised`] — supervised pruning: edge features + an averaged
 //!   perceptron learned from a labeled edge sample.
-//! * [`ooc`] — out-of-core graph construction: edge contributions spilled
-//!   as pair-sorted segment runs and merged streaming, bit-identical to
-//!   the in-memory build (ARCS bits included). The scan has nothing to
+//! * [`ooc`] — out-of-core graph construction: block-order edge
+//!   contributions spilled as pair-sorted segment runs and merged
+//!   streaming, bit-identical to the in-memory build (ARCS bits included). The scan has nothing to
 //!   spill, so no pipeline path builds the graph this way any more.
 
 #![forbid(unsafe_code)]

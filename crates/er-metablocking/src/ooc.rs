@@ -1,47 +1,31 @@
-//! Out-of-core blocking-graph construction: the in-memory build with an
-//! external sort in place of its contribution vector.
+//! Out-of-core blocking-graph construction: the block-order contribution
+//! stream, sorted externally.
 //!
-//! The compact in-memory build ([`BlockingGraph::par_build`]) concatenates
-//! every per-chunk edge partial into one flat `(Pair, EdgeInfo)` vector,
-//! stable-sorts it by pair and merges runs left-to-right — the flat vector
-//! (`edge_sort_bytes`) is the dominant allocation of the meta-blocking
-//! stage. Here the same producer (`graph::chunk_partials`) hands its
-//! partials batch by batch to an [`ExternalSorter`], which spills them as
-//! **pair-sorted edge runs** in [`er_core::colstore`] segments, and the same
-//! accumulation (`graph::accumulate`) folds over the sorter's merged stream,
-//! so the full contribution vector never exists in memory.
+//! The build pushes one raw `(pair, 1, 1/‖b‖)` [`EdgeRecord`] per
+//! block-pair occurrence, blocks in order, into an [`ExternalSorter`], which
+//! spills them as **pair-sorted runs** in [`er_core::colstore`] segments,
+//! and folds the sorter's merged stream with `graph::accumulate`, so no
+//! contribution vector of the whole graph ever exists in memory.
 //!
-//! **Bit-identity, including the non-associative `f64` ARCS sums.** Edge
-//! records do not coalesce: each run holds raw partial sums, stable-sorted
-//! by pair, and the sorter's merged stream is the stable sort of the pushed
-//! sequence — for every pair, its partial sums in global arrival (chunk)
-//! order, the same permutation the in-memory stable sort produces. The
-//! left-to-right accumulation then performs the identical `f64` addition
-//! sequence. Weights travel through disk as raw bits
+//! **Bit-identity, including the non-associative `f64` ARCS sums.** The
+//! sorter's merged stream is the stable sort of the pushed sequence, so
+//! each pair's contributions come back in block order, and the
+//! left-to-right accumulation is the plain block-order sum the in-memory
+//! build ([`BlockingGraph::par_build`]) and the reference fold compute.
+//! Weights travel through disk as raw bits
 //! ([`f64::to_bits`]/[`f64::from_bits`]), never reformatted.
 
-use crate::graph::{
-    accumulate, chunk_partials, BlockingGraph, EdgeInfo, PartialTally, CHUNK_BLOCKS,
-};
+use crate::graph::{accumulate, BlockingGraph, EdgeInfo};
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
 use er_core::colstore::{EdgeRecord, ExternalSorter, OocConfig, SegmentError};
 use er_core::entity::EntityId;
 use er_core::pair::Pair;
-use er_core::parallel::Parallelism;
+use er_core::parallel::{par_map_chunks, Parallelism};
 
-/// Blocks scanned per batch handed to the sorter: bounds how many partials
-/// exist at once.
-const BATCH_BLOCKS: usize = 64 * CHUNK_BLOCKS;
-
-fn to_record((p, info): (Pair, EdgeInfo)) -> EdgeRecord {
-    EdgeRecord {
-        a: p.first().0,
-        b: p.second().0,
-        count: info.common_blocks,
-        weight_bits: info.arcs.to_bits(),
-    }
-}
+/// Blocks whose contributions are generated at once before they reach the
+/// sorter: bounds the working set, nothing else.
+const BATCH_BLOCKS: usize = 2048;
 
 fn from_record(r: EdgeRecord) -> (Pair, EdgeInfo) {
     (
@@ -55,10 +39,10 @@ fn from_record(r: EdgeRecord) -> (Pair, EdgeInfo) {
 
 impl BlockingGraph {
     /// Out-of-core [`par_build`](BlockingGraph::par_build): bit-identical
-    /// graph — ARCS bits included — with the edge-contribution vector
-    /// spilled to sorted segment runs under `cfg.segment_dir` instead of
-    /// held in memory. Spill files are removed before returning; typed
-    /// errors, never partial output.
+    /// graph — ARCS bits included — with the edge contributions spilled to
+    /// sorted segment runs under `cfg.segment_dir` instead of held in
+    /// memory. Spill files are removed before returning; typed errors, never
+    /// partial output.
     pub fn par_build_ooc(
         collection: &EntityCollection,
         blocks: &BlockCollection,
@@ -67,15 +51,35 @@ impl BlockingGraph {
     ) -> Result<BlockingGraph, SegmentError> {
         let mut sorter: ExternalSorter<'_, EdgeRecord> =
             ExternalSorter::new(cfg, "metablocking-ooc")?;
-        let mut tally = PartialTally::new(collection.len());
-        chunk_partials(collection, blocks.blocks(), par, BATCH_BLOCKS, |partials| {
-            partials.into_iter().try_for_each(|partial| {
-                sorter.push_all(tally.take(partial).into_iter().map(to_record))
-            })
-        })?;
+        let mut raw = 0u64;
+        for batch in blocks.blocks().chunks(BATCH_BLOCKS) {
+            let per_worker = batch.len().div_ceil(par.effective());
+            let parts = par_map_chunks(par, batch, per_worker, |part| {
+                let mut records = Vec::new();
+                for b in part {
+                    let card = b.comparisons(collection);
+                    if card == 0 {
+                        continue;
+                    }
+                    let weight_bits = (1.0 / card as f64).to_bits();
+                    records.extend(b.pairs(collection).map(|p| EdgeRecord {
+                        a: p.first().0,
+                        b: p.second().0,
+                        count: 1,
+                        weight_bits,
+                    }));
+                }
+                records
+            });
+            for records in parts {
+                raw += records.len() as u64;
+                sorter.push_all(records)?;
+            }
+        }
         let mut edges: Vec<(Pair, EdgeInfo)> = Vec::new();
         sorter.merge(|r| accumulate(&mut edges, from_record(r)))?;
-        Ok(Self::finish(collection, blocks, edges, tally))
+        let sorted_bytes = raw * std::mem::size_of::<EdgeRecord>() as u64;
+        Ok(Self::from_edges(collection, blocks, edges, sorted_bytes))
     }
 }
 
@@ -114,6 +118,8 @@ mod tests {
     #[test]
     fn ooc_graph_is_bit_identical_across_run_sizes_and_threads() {
         let (c, blocks) = fixture();
+        let contributions: u64 = blocks.blocks().iter().map(|b| b.comparisons(&c)).sum();
+        let record = std::mem::size_of::<EdgeRecord>() as u64;
         for threads in [1, 4] {
             let par = Parallelism::threads(threads);
             let oracle = BlockingGraph::par_build(&c, &blocks, par);
@@ -122,8 +128,7 @@ mod tests {
                 let cfg = OocConfig::new(&dir).with_run_entries(run_entries);
                 let got = BlockingGraph::par_build_ooc(&c, &blocks, par, &cfg).unwrap();
                 assert_eq!(got, oracle, "threads {threads} run {run_entries}");
-                assert!(got.edge_sort_bytes() > 0);
-                assert_eq!(got.edge_sort_bytes(), oracle.edge_sort_bytes());
+                assert_eq!(got.edge_sort_bytes(), contributions * record);
                 for ((p1, i1), (p2, i2)) in got.edges().zip(oracle.edges()) {
                     assert_eq!(p1, p2);
                     assert_eq!(i1.arcs.to_bits(), i2.arcs.to_bits(), "ARCS bits at {p1:?}");

@@ -13,21 +13,24 @@
 //! hands contiguous node ranges to workers and only concatenates what they
 //! return.
 //!
-//! **Bit-identical to [`BlockingGraph::par_build`] +
-//! [`PruningScheme::par_prune`]** for every pruning × weighting pair, at
-//! every thread count. Integer statistics are order-free; two `f64` folds are
-//! not, and the scan pins both (see `docs/data_layout.md`):
+//! The same walk, keeping every edge (`graph_edges`), is what fills
+//! [`BlockingGraph::par_build`], so the scan and the graph +
+//! [`PruningScheme::par_prune`] are **bit-identical** for every pruning ×
+//! weighting pair, at every thread count. Integer statistics are
+//! order-free; two `f64` folds are not, and both are fixed (see
+//! `docs/data_layout.md`):
 //!
-//! * a pair's **ARCS** is folded as the graph folds it — contributions in
-//!   block order inside each `CHUNK_BLOCKS = 32` chunk, then the chunk
-//!   partials left to right (`Slot`);
+//! * a pair's **ARCS** is the plain block-order sum `0.0 + w₁ + w₂ + …` of
+//!   `1/‖b‖` over its shared blocks in ascending block id — the order the
+//!   walk meets them in. A pair's sum is folded entirely inside one node's
+//!   walk, so no split of the nodes can regroup it;
 //! * a neighbourhood's **mean**, and the global WEP mean, are summed over
 //!   neighbours in ascending id order — the order of the pair-sorted edge
 //!   list (`NodeRule::survivors`).
 //!
 //! [`BlockingGraph::par_build`]: crate::graph::BlockingGraph::par_build
 
-use crate::graph::{EdgeInfo, CHUNK_BLOCKS};
+use crate::graph::EdgeInfo;
 use crate::pruning::{balanced_ranges, csr_offsets, NodeRule, PruningScheme};
 use crate::weights::{NodeStats, WeightingScheme};
 use er_blocking::block::{Block, BlockCollection};
@@ -57,7 +60,10 @@ pub struct Pruned {
 /// pruned}`), the `meta_blocking.pruning_ratio` gauge (pruned / before), the
 /// block-pair occurrences folded into edges (`meta_blocking.contributions` =
 /// `Σ ‖b‖`) and the `meta_blocking.max_neighbourhood` gauge (the largest
-/// node degree, which sizes the scan's per-node work lists).
+/// node degree, which sizes the scan's per-node work lists), and times its
+/// three phases as spans: `meta_blocking.index` (the entity→blocks index,
+/// node ranges and discounts), `meta_blocking.walk` (the walks) and
+/// `meta_blocking.merge` (putting the survivors in pair order).
 pub fn node_scan(
     collection: &EntityCollection,
     blocks: &BlockCollection,
@@ -66,6 +72,7 @@ pub fn node_scan(
     par: Parallelism,
     obs: &Obs,
 ) -> Pruned {
+    let span = obs.span("meta_blocking.index");
     let mut index = Index::build(collection, blocks, weighting);
     let ranges = index.node_ranges(par.effective());
     match weighting {
@@ -95,10 +102,11 @@ pub fn node_scan(
         }
         _ => {}
     }
+    span.finish();
     let assignments = blocks.assignments();
     let (kept, tally) = match NodeRule::of(pruning, assignments, collection.len()) {
-        Some(rule) => index.prune_nodes(rule, pruning.is_reciprocal(), &ranges, par),
-        None => index.prune_edges(pruning, assignments, &ranges, par),
+        Some(rule) => index.prune_nodes(rule, pruning.is_reciprocal(), &ranges, par, obs),
+        None => index.prune_edges(pruning, assignments, &ranges, par, obs),
     };
     if obs.is_enabled() {
         let before = tally.blocked;
@@ -125,21 +133,50 @@ pub fn node_scan(
     }
 }
 
-/// Per-neighbour accumulator of the node being scanned.
+/// The walk keeping every edge: the edges `(u, v > u)` of every node `u`
+/// with their [`EdgeInfo`], in pair order — what fills
+/// [`BlockingGraph::par_build`]. Node ranges are walked through `par_map`
+/// and concatenated in order; a pair's ARCS is folded inside one node's
+/// walk, so the output is the same at every thread count.
 ///
-/// `total` / `partial` / `chunk_of` replay the graph build's two-level ARCS
-/// fold: `partial` sums the contributions of the blocks of chunk `chunk_of`
-/// in block order, and moving on to a later chunk adds it to `total` — the
-/// left-to-right merge of chunk partials. `total` starts at `0.0`, and
-/// `0.0 + x == x` bitwise for the strictly positive contributions, so a
-/// pair's ARCS is `total + partial` whether it spans one chunk or many.
+/// [`BlockingGraph::par_build`]: crate::graph::BlockingGraph::par_build
+pub(crate) fn graph_edges(
+    collection: &EntityCollection,
+    blocks: &BlockCollection,
+    par: Parallelism,
+) -> Vec<(Pair, EdgeInfo)> {
+    let index = Index::build(collection, blocks, WeightingScheme::Arcs);
+    par_map(par, &index.node_ranges(par.effective()), |nodes| {
+        let mut edges = Vec::new();
+        index.walk(nodes.clone(), |u, neighbours, slots| {
+            let owned = &neighbours[above(u, neighbours)..];
+            edges.extend(
+                owned
+                    .iter()
+                    .map(|&v| (pair(u, v), slots[v as usize].info())),
+            );
+        });
+        edges
+    })
+    .concat()
+}
+
+/// Per-neighbour accumulator of the node being scanned.
 #[derive(Clone, Copy, Default)]
 struct Slot {
     /// Shared blocks so far; `0` marks a slot no block has touched.
     common: u32,
-    chunk_of: u32,
-    total: f64,
-    partial: f64,
+    /// `1/‖b‖` summed over the shared blocks so far, in block order.
+    arcs: f64,
+}
+
+impl Slot {
+    fn info(self) -> EdgeInfo {
+        EdgeInfo {
+            common_blocks: self.common,
+            arcs: self.arcs,
+        }
+    }
 }
 
 /// What one walk over a node range counted.
@@ -171,8 +208,8 @@ struct EdgeRule {
 /// node-level inputs of the weighting scheme.
 struct Index<'a> {
     blocks: &'a [Block],
-    /// CSR entity → ids of the blocks containing it, ascending (the walk
-    /// must meet a pair's blocks in the graph's fold order).
+    /// CSR entity → ids of the blocks containing it, ascending: the walk
+    /// meets a pair's blocks in block order, the order ARCS is summed in.
     offsets: Vec<usize>,
     block_ids: Vec<u32>,
     /// `1/‖b‖` per block; `0.0` marks a block without an admissible pair.
@@ -265,7 +302,6 @@ impl<'a> Index<'a> {
                 if w == 0.0 {
                     continue;
                 }
-                let chunk = bi / CHUNK_BLOCKS as u32;
                 for &EntityId(v) in self.blocks[bi as usize].entities() {
                     let admissible = match kb_u {
                         None => v as usize != u,
@@ -277,21 +313,10 @@ impl<'a> Index<'a> {
                     let slot = &mut slots[v as usize];
                     if slot.common == 0 {
                         touched.insert(v);
-                        *slot = Slot {
-                            common: 1,
-                            chunk_of: chunk,
-                            total: 0.0,
-                            partial: w,
-                        };
-                        continue;
-                    }
-                    slot.common += 1;
-                    if slot.chunk_of == chunk {
-                        slot.partial += w;
+                        *slot = Slot { common: 1, arcs: w };
                     } else {
-                        slot.total += slot.partial;
-                        slot.partial = w;
-                        slot.chunk_of = chunk;
+                        slot.common += 1;
+                        slot.arcs += w;
                     }
                 }
             }
@@ -318,11 +343,7 @@ impl<'a> Index<'a> {
         self.walk(nodes, |u, neighbours, slots| {
             weights.clear();
             weights.extend(neighbours.iter().map(|&v| {
-                let slot = slots[v as usize];
-                let info = EdgeInfo {
-                    common_blocks: slot.common,
-                    arcs: slot.total + slot.partial,
-                };
+                let info = slots[v as usize].info();
                 let stats = |e: usize| NodeStats {
                     blocks: self.block_count(e),
                     discount: self.discounts[e],
@@ -347,7 +368,9 @@ impl<'a> Index<'a> {
         reciprocal: bool,
         ranges: &[Range<usize>],
         par: Parallelism,
+        obs: &Obs,
     ) -> (Vec<Pair>, Tally) {
+        let walk = obs.span("meta_blocking.walk");
         let parts = par_map(par, ranges, |nodes| {
             let (mut owned, mut below) = (Vec::new(), Vec::new());
             let mut order = Vec::new();
@@ -364,6 +387,8 @@ impl<'a> Index<'a> {
             });
             (owned, below, tally)
         });
+        walk.finish();
+        let _merge = obs.span("meta_blocking.merge");
         let (mut owned, mut below, mut tally) = (Vec::new(), Vec::new(), Tally::default());
         for (o, b, t) in parts {
             owned.extend(o);
@@ -383,7 +408,9 @@ impl<'a> Index<'a> {
         assignments: u64,
         ranges: &[Range<usize>],
         par: Parallelism,
+        obs: &Obs,
     ) -> (Vec<Pair>, Tally) {
+        let walk = obs.span("meta_blocking.walk");
         let parts = par_map(par, ranges, |nodes| {
             let mut listed: Vec<f64> = Vec::new();
             let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights| {
@@ -447,9 +474,10 @@ impl<'a> Index<'a> {
                 }
             });
             kept
-        })
-        .concat();
-        (kept, tally)
+        });
+        walk.finish();
+        let _merge = obs.span("meta_blocking.merge");
+        (kept.concat(), tally)
     }
 }
 
@@ -558,9 +586,8 @@ mod tests {
     use er_core::entity::KbId;
 
     /// 60 entities in 150 overlapping blocks of varying cardinality: pairs
-    /// recur in several blocks of one chunk *and* across chunks, so a fold
-    /// that ignores either level of the graph's ARCS grouping lands on
-    /// different bits.
+    /// recur in many blocks, so a fold that adds a pair's `1/‖b‖` in any
+    /// order or grouping but block order lands on different bits.
     fn chunk_spanning(mode: ResolutionMode) -> (EntityCollection, BlockCollection) {
         let mut c = EntityCollection::new(mode);
         for e in 0..60u16 {
@@ -608,6 +635,57 @@ mod tests {
                 assert_eq!(scanned, expected, "{mode:?} {}", weighting.name());
             }
         }
+    }
+
+    /// ARCS is `0.0 + w₁ + w₂ + …` over a pair's shared blocks in block
+    /// order, in every producer. The pair (0, 1) shares 48 blocks of
+    /// distinct cardinalities, every fourth block of ids 0..192, so any
+    /// regrouping of the sum (per 32-block chunk, per worker, per run) shows.
+    #[test]
+    fn arcs_is_the_block_order_sum() {
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        for _ in 0..60 {
+            c.push(KbId(0), vec![]);
+        }
+        let blocks: BlockCollection = (0..192u32)
+            .map(|b| {
+                let members: Vec<u32> = match b % 4 {
+                    0 => (0..2 + b / 4).collect(),
+                    _ => vec![2 + b % 50, 3 + b % 50],
+                };
+                Block::new(format!("k{b}"), members.into_iter().map(EntityId).collect())
+            })
+            .collect();
+        let p = Pair::new(EntityId(0), EntityId(1));
+        let shares = |b: &&Block| b.entities().starts_with(&[EntityId(0), EntityId(1)]);
+        let shared = blocks.blocks().iter().filter(shares);
+        assert_eq!(shared.clone().count(), 48);
+        let want = shared
+            .fold(0.0, |a, b| a + 1.0 / b.comparisons(&c) as f64)
+            .to_bits();
+
+        let index = Index::build(&c, &blocks, WeightingScheme::Arcs);
+        let mut listed = None;
+        index.walk_weighted(0..1, |_, neighbours, weights| {
+            listed = Some(weights[neighbours.binary_search(&1).unwrap()]);
+        });
+        assert_eq!(listed.map(f64::to_bits), Some(want), "scan");
+
+        let arcs = |g: &BlockingGraph| g.edge(p).map(|e| e.arcs.to_bits());
+        for n in [1, 2, 4] {
+            let g = BlockingGraph::par_build(&c, &blocks, Parallelism::threads(n));
+            assert_eq!(arcs(&g), Some(want), "par_build threads={n}");
+        }
+        for run_entries in [64, 100_000] {
+            let dir = std::env::temp_dir()
+                .join(format!("er-arcs-fold-{}-{run_entries}", std::process::id()));
+            let cfg = er_core::colstore::OocConfig::new(&dir).with_run_entries(run_entries);
+            let g = BlockingGraph::par_build_ooc(&c, &blocks, Parallelism::threads(2), &cfg);
+            let _ = std::fs::remove_dir_all(&dir);
+            assert_eq!(arcs(&g.unwrap()), Some(want), "ooc run={run_entries}");
+        }
+        let reference = BlockingGraph::build_reference(&c, &blocks);
+        assert_eq!(arcs(&reference), Some(want), "build_reference");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Layout rows of the product oracle: the compact paths — interned-symbol
 //! postings grouped by sort + run length (`er_blocking`) and the flat
-//! sort-aggregated blocking graph (`er_metablocking`) — against the
-//! string-keyed / `BTreeMap` reference implementations they replaced, kept
-//! alive as `build_reference` / `par_build_reference` to be this oracle.
-//! Compact builds run serially and at threads {1, 2, 4, 8}; graphs compare
-//! bitwise, ARCS weights by `f64::to_bits`.
+//! blocking graph the node scan fills (`er_metablocking`) — against the
+//! string-keyed / `BTreeMap` reference implementations, kept alive as
+//! `build_reference` to be this oracle. Compact builds run serially and at
+//! threads {1, 2, 4, 8}; graphs compare bitwise, ARCS weights by
+//! `f64::to_bits`.
 
 use er_blocking::attribute_clustering::AttributeClusteringBlocking;
 use er_blocking::TokenBlocking;
@@ -26,17 +26,12 @@ fn token_blocking_cells(c: &EntityCollection, ctx: &str) {
     row(&tb.build_reference(c, Parallelism::serial()), ctx, variants);
 }
 
-/// The `BTreeMap` reference against the flat build, serial and at every
-/// thread count, and against the parallel reference on 1 and 4 threads.
+/// The `BTreeMap` block-order fold against the flat build, serial and at
+/// every thread count.
 fn graph_cells(c: &EntityCollection, ctx: &str) {
     let blocks = TokenBlocking::new().build(c);
     let mut variants = threaded("flat", |par| BlockingGraph::par_build(c, &blocks, par));
     variants.push(("flat serial".into(), BlockingGraph::build(c, &blocks)));
-    for threads in [1, 4] {
-        let par = Parallelism::threads(threads);
-        let graph = BlockingGraph::par_build_reference(c, &blocks, par);
-        variants.push((format!("reference threads={threads}"), graph));
-    }
     graph_row(&BlockingGraph::build_reference(c, &blocks), ctx, variants);
 }
 
@@ -95,7 +90,7 @@ proptest! {
         token_blocking_cells(&collection_from_values(&values), &format!("values={values:?}"));
     }
 
-    /// The two-level f64 grouping on irregular block-size distributions.
+    /// The block-order f64 fold on irregular block-size distributions.
     #[test]
     fn prop_flat_graph_equals_reference(values in values_strategy()) {
         graph_cells(&collection_from_values(&values), &format!("values={values:?}"));

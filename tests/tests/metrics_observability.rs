@@ -92,6 +92,16 @@ fn counters_identical_across_thread_counts_and_reruns() {
     for snapshot in [&serial, &parallel] {
         let span = snapshot.span("pipeline.profiles").unwrap();
         assert_eq!(span.parent.as_deref(), Some("pipeline.run"));
+        // The node scan's three phases, once each under its stage span.
+        for phase in [
+            "meta_blocking.index",
+            "meta_blocking.walk",
+            "meta_blocking.merge",
+        ] {
+            let span = snapshot.span(phase).unwrap();
+            assert_eq!(span.parent.as_deref(), Some("pipeline.meta_blocking"));
+            assert_eq!(span.count, 1, "{phase}");
+        }
     }
 
     // So is the scan's meta-blocking ledger: every edge folds at least one

@@ -52,8 +52,9 @@ fn attribute_clustering_parallel_equals_serial() {
 
 #[test]
 fn blocking_graph_parallel_build_is_bit_identical() {
-    // The ARCS accumulator is a non-associative f64 sum: the fold order
-    // must make it thread-count independent.
+    // The ARCS accumulator is a non-associative f64 sum: each pair's is
+    // folded in block order inside one node's walk, so no split of the nodes
+    // across threads can regroup it.
     for (ctx, ds) in noise_sweep(250, 99) {
         let c = &ds.collection;
         let blocks = TokenBlocking::new().build(c);
@@ -146,12 +147,12 @@ fn meta_block_end_to_end_parallel_equals_serial() {
 #[test]
 fn scan_equals_graph_on_dirty_collections_purged_and_unpurged() {
     // Unpurged token blocks put many neighbourhoods exactly on their mean
-    // weight, so one wrong ARCS bit flips a kept pair; they also span many
-    // 32-block chunks, which is where the two-level fold order matters.
+    // weight, so one wrong ARCS bit flips a kept pair; many pairs also share
+    // many blocks, whose long sums are where a wrong fold order shows.
     for seed in [7u64, 1234] {
         let c = dataset(260, NoiseModel::moderate(), seed).collection;
         let blocks = TokenBlocking::new().build(&c);
-        assert!(blocks.len() > 64, "must span several graph chunks");
+        assert!(blocks.len() > 64, "needs many blocks");
         purged_and_unpurged(&c, &blocks, &format!("dirty seed={seed}"));
     }
 }
