@@ -17,7 +17,10 @@
 //! - meta-blocking is consistent: `meta_blocking.contributions` ≥
 //!   `meta_blocking.comparisons_before` ≥ `meta_blocking.comparisons_after`
 //!   (the node scan folds at least one block-pair occurrence into every
-//!   edge, and pruning never grows the edge set), the pruned/before/after
+//!   edge, and pruning never grows the edge set), `meta_blocking.member_visits`
+//!   ≥ 2 × `meta_blocking.contributions` (a walked block of `|b|` members
+//!   is visited `|b|²` times and holds at most `|b|(|b|−1)/2` pairs in dirty
+//!   mode, `n₁n₂ ≤ (n₁+n₂)²/4` in clean–clean), the pruned/before/after
 //!   ledger adds up, and the `meta_blocking.pruning_ratio` gauge is strictly
 //!   positive;
 //! - every Fig. 1 stage span is present under the `pipeline.run` parent:
@@ -203,6 +206,16 @@ fn check(
         (None, _) => fail("meta_blocking.contributions counter is missing".to_string()),
         (Some(c), Some(b)) if c < b => fail(format!(
             "meta_blocking.contributions ({c}) is below comparisons_before ({b})"
+        )),
+        _ => {}
+    }
+    match (
+        snapshot.counter("meta_blocking.member_visits"),
+        snapshot.counter("meta_blocking.contributions"),
+    ) {
+        (None, _) => fail("meta_blocking.member_visits counter is missing".to_string()),
+        (Some(v), Some(c)) if v < c.saturating_mul(2) => fail(format!(
+            "meta_blocking.member_visits ({v}) is below 2 × contributions ({c})"
         )),
         _ => {}
     }
@@ -458,6 +471,7 @@ mod tests {
         s.counters.insert("blocking.blocks_built".into(), 10);
         s.counters.insert("blocking.interner_symbols".into(), 25);
         s.counters.insert("meta_blocking.contributions".into(), 250);
+        s.counters.insert("meta_blocking.member_visits".into(), 600);
         s.counters
             .insert("meta_blocking.comparisons_before".into(), 100);
         s.counters
@@ -600,6 +614,29 @@ mod tests {
             failures
                 .iter()
                 .any(|f| f.contains("contributions counter is missing")),
+            "{failures:?}"
+        );
+    }
+
+    #[test]
+    fn member_visits_missing_or_below_twice_the_contributions_are_caught() {
+        let mut s = healthy();
+        s.counters.insert("meta_blocking.member_visits".into(), 500);
+        assert!(check(&s, false, false, false, false, false).is_empty());
+        s.counters.insert("meta_blocking.member_visits".into(), 499);
+        let failures = check(&s, false, false, false, false, false);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("below 2 × contributions")),
+            "{failures:?}"
+        );
+        s.counters.remove("meta_blocking.member_visits");
+        let failures = check(&s, false, false, false, false, false);
+        assert!(
+            failures
+                .iter()
+                .any(|f| f.contains("member_visits counter is missing")),
             "{failures:?}"
         );
     }

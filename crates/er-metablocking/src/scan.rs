@@ -2,23 +2,27 @@
 //! neighbourhood, straight from the entity→blocks index.
 //!
 //! The blocking graph is never materialised. For each entity the scan walks
-//! the blocks that contain it, accumulates every co-occurring neighbour's
-//! `common_blocks` and ARCS in a dense per-entity scratch array, marks each
-//! first touch in a two-level bitmap whose read-back lists the neighbourhood
-//! in ascending id order without a sort (`Touched`), weighs the
-//! neighbourhood, and judges it on the spot. Survivors are pushed in pair
+//! the blocks that contain it and accumulates every co-occurring
+//! neighbour's `common_blocks` and ARCS in two dense per-entity arrays
+//! (`u32` and `f64`, 12 B per entity per worker). A block's members ascend,
+//! so they are marked a word at a time in a two-level bitmap whose
+//! read-back lists the neighbourhood in ascending id order without a sort
+//! (`Touched`). That read-back is also where each neighbour is weighed (or
+//! turned into whatever the caller emits) and its slots are zeroed; the
+//! neighbourhood is then judged on the spot. Survivors are pushed in pair
 //! order, or in an order one counting sort turns into it, so a linear merge
 //! replaces a survivor sort. Memory is O(entities + postings + largest
 //! neighbourhood + kept pairs); nodes are independent, so the parallel path
 //! hands contiguous node ranges to workers and only concatenates what they
 //! return.
 //!
-//! The same walk, keeping every edge (`graph_edges`), is what fills
-//! [`BlockingGraph::par_build`], so the scan and the graph +
-//! [`PruningScheme::par_prune`] are **bit-identical** for every pruning ×
-//! weighting pair, at every thread count. Integer statistics are
-//! order-free; two `f64` folds are not, and both are fixed (see
-//! `docs/data_layout.md`):
+//! One walk serves every caller: the node-centric and edge-centric
+//! prunings, EJS's degree pre-pass, and, keeping every edge
+//! (`graph_edges`), what fills [`BlockingGraph::par_build`]. So the scan
+//! and the graph + [`PruningScheme::par_prune`] are **bit-identical** for
+//! every pruning × weighting pair, at every thread count. Integer
+//! statistics are order-free; two `f64` folds are not, and both are fixed
+//! (see `docs/data_layout.md`):
 //!
 //! * a pair's **ARCS** is the plain block-order sum `0.0 + w₁ + w₂ + …` of
 //!   `1/‖b‖` over its shared blocks in ascending block id — the order the
@@ -59,11 +63,14 @@ pub struct Pruned {
 /// pruning and their difference (`meta_blocking.comparisons_{before,after,
 /// pruned}`), the `meta_blocking.pruning_ratio` gauge (pruned / before), the
 /// block-pair occurrences folded into edges (`meta_blocking.contributions` =
-/// `Σ ‖b‖`) and the `meta_blocking.max_neighbourhood` gauge (the largest
-/// node degree, which sizes the scan's per-node work lists), and times its
-/// three phases as spans: `meta_blocking.index` (the entity→blocks index,
-/// node ranges and discounts), `meta_blocking.walk` (the walks) and
-/// `meta_blocking.merge` (putting the survivors in pair order).
+/// `Σ ‖b‖`), the block members one walk visits
+/// (`meta_blocking.member_visits` = `Σ |b|²` over the blocks with an
+/// admissible pair) and the `meta_blocking.max_neighbourhood` gauge (the
+/// largest node degree, which sizes the scan's per-node work lists), and
+/// times its three phases as spans: `meta_blocking.index` (the
+/// entity→blocks index, node ranges and discounts), `meta_blocking.walk`
+/// (the walks) and `meta_blocking.merge` (putting the survivors in pair
+/// order).
 pub fn node_scan(
     collection: &EntityCollection,
     blocks: &BlockCollection,
@@ -87,9 +94,11 @@ pub fn node_scan(
             // count, which only a full walk knows.
             let degrees = par_map(par, &ranges, |nodes| {
                 let mut degrees = Vec::with_capacity(nodes.len());
-                index.walk(nodes.clone(), |_, neighbours, _| {
-                    degrees.push(neighbours.len() as u32)
-                });
+                index.walk(
+                    nodes.clone(),
+                    |_, _, _| (),
+                    |_, neighbours, _| degrees.push(neighbours.len() as u32),
+                );
                 degrees
             })
             .concat();
@@ -118,6 +127,8 @@ pub fn node_scan(
         obs.counter("meta_blocking.comparisons_pruned").add(pruned);
         obs.counter("meta_blocking.contributions")
             .add(index.contributions);
+        obs.counter("meta_blocking.member_visits")
+            .add(index.member_visits);
         obs.gauge("meta_blocking.pruning_ratio")
             .set(if before == 0 {
                 0.0
@@ -148,35 +159,18 @@ pub(crate) fn graph_edges(
     let index = Index::build(collection, blocks, WeightingScheme::Arcs);
     par_map(par, &index.node_ranges(par.effective()), |nodes| {
         let mut edges = Vec::new();
-        index.walk(nodes.clone(), |u, neighbours, slots| {
-            let owned = &neighbours[above(u, neighbours)..];
-            edges.extend(
-                owned
-                    .iter()
-                    .map(|&v| (pair(u, v), slots[v as usize].info())),
-            );
-        });
+        index.walk(
+            nodes.clone(),
+            |_, _, info| info,
+            |u, neighbours, infos| {
+                let from = above(u, neighbours);
+                let owned = neighbours[from..].iter().zip(&infos[from..]);
+                edges.extend(owned.map(|(&v, &info)| (pair(u, v), info)));
+            },
+        );
         edges
     })
     .concat()
-}
-
-/// Per-neighbour accumulator of the node being scanned.
-#[derive(Clone, Copy, Default)]
-struct Slot {
-    /// Shared blocks so far; `0` marks a slot no block has touched.
-    common: u32,
-    /// `1/‖b‖` summed over the shared blocks so far, in block order.
-    arcs: f64,
-}
-
-impl Slot {
-    fn info(self) -> EdgeInfo {
-        EdgeInfo {
-            common_blocks: self.common,
-            arcs: self.arcs,
-        }
-    }
 }
 
 /// What one walk over a node range counted.
@@ -216,6 +210,9 @@ struct Index<'a> {
     inv_card: Vec<f64>,
     /// `Σ ‖b‖`: block-pair occurrences, i.e. raw edge contributions.
     contributions: u64,
+    /// `Σ |b|²` over the blocks with an admissible pair: each member of
+    /// such a block walks all of its members.
+    member_visits: u64,
     /// Clean–clean only: each entity's KB (pairs inside one KB are not
     /// admissible). Empty in dirty mode, where only `u == v` is excluded.
     kbs: Vec<u16>,
@@ -236,7 +233,7 @@ impl<'a> Index<'a> {
         let offsets = csr_offsets(n, members.map(|e| e.index()));
         let mut cursor = offsets.clone();
         let mut block_ids = vec![0u32; offsets[n]];
-        let mut contributions = 0u64;
+        let (mut contributions, mut member_visits) = (0u64, 0u64);
         let mut inv_card = Vec::with_capacity(blocks.len());
         for (bi, b) in blocks.iter().enumerate() {
             for e in b.entities() {
@@ -246,6 +243,9 @@ impl<'a> Index<'a> {
             }
             let card = b.comparisons(collection);
             contributions += card;
+            if card != 0 {
+                member_visits += (b.len() as u64).pow(2);
+            }
             inv_card.push(if card == 0 { 0.0 } else { 1.0 / card as f64 });
         }
         let kbs = match collection.mode() {
@@ -258,6 +258,7 @@ impl<'a> Index<'a> {
             block_ids,
             inv_card,
             contributions,
+            member_visits,
             kbs,
             weighting,
             discounts: vec![1.0; n],
@@ -288,72 +289,103 @@ impl<'a> Index<'a> {
     }
 
     /// Visits every node of `nodes` with its neighbours (ascending ids) and
-    /// the scratch slots holding their accumulated co-occurrence statistics.
-    fn walk(&self, nodes: Range<usize>, mut visit: impl FnMut(usize, &[u32], &[Slot])) -> Tally {
+    /// what `emit` made of each neighbour's co-occurrence statistics,
+    /// parallel to the neighbour list.
+    ///
+    /// The worker's table is two arrays indexed by entity: `common` (shared
+    /// blocks) and `arcs` (`1/‖b‖` summed in block order from `0.0`, so the
+    /// first block's weight is stored exactly). Every admissible member of a
+    /// block bumps both and is marked in `touched` a word at a time; in dirty
+    /// mode that includes `u`, which sits in every block it walks and is
+    /// forgotten once after them. The drain lists the marked ids in
+    /// ascending order, hands each one's statistics to `emit` and zeroes its
+    /// slots, so the table is clean for the next node.
+    fn walk<T>(
+        &self,
+        nodes: Range<usize>,
+        mut emit: impl FnMut(usize, u32, EdgeInfo) -> T,
+        mut visit: impl FnMut(usize, &[u32], &[T]),
+    ) -> Tally {
         let n = self.offsets.len() - 1;
-        let mut slots = vec![Slot::default(); n];
+        let mut common = vec![0u32; n];
+        let mut arcs = vec![0.0f64; n];
         let mut touched = Touched::new(n);
-        let mut neighbours: Vec<u32> = Vec::new();
+        let (mut neighbours, mut emitted) = (Vec::new(), Vec::new());
         let mut tally = Tally::default();
         for u in nodes {
-            let kb_u = self.kbs.get(u);
             for &bi in &self.block_ids[self.offsets[u]..self.offsets[u + 1]] {
                 let w = self.inv_card[bi as usize];
                 if w == 0.0 {
                     continue;
                 }
-                for &EntityId(v) in self.blocks[bi as usize].entities() {
-                    let admissible = match kb_u {
-                        None => v as usize != u,
-                        Some(kb) => self.kbs[v as usize] != *kb,
-                    };
-                    if !admissible {
-                        continue;
-                    }
-                    let slot = &mut slots[v as usize];
-                    if slot.common == 0 {
-                        touched.insert(v);
-                        *slot = Slot { common: 1, arcs: w };
-                    } else {
-                        slot.common += 1;
-                        slot.arcs += w;
-                    }
+                let members = self.blocks[bi as usize].entities().iter().map(|e| e.0);
+                let mut add = |v: u32| {
+                    common[v as usize] += 1;
+                    arcs[v as usize] += w;
+                };
+                match self.kbs.get(u) {
+                    None => touched.insert_ascending(members.inspect(|&v| add(v))),
+                    Some(&kb) => touched.insert_ascending(
+                        members
+                            .filter(|&v| self.kbs[v as usize] != kb)
+                            .inspect(|&v| add(v)),
+                    ),
                 }
             }
-            touched.drain_into(&mut neighbours);
+            if self.kbs.is_empty() {
+                (common[u], arcs[u]) = (0, 0.0);
+                touched.remove(u as u32);
+            }
+            touched.drain(|v| {
+                let slot = v as usize;
+                let info = EdgeInfo {
+                    common_blocks: common[slot],
+                    arcs: arcs[slot],
+                };
+                (common[slot], arcs[slot]) = (0, 0.0);
+                neighbours.push(v);
+                emitted.push(emit(u, v, info));
+            });
             tally.blocked += (neighbours.len() - above(u, &neighbours)) as u64;
             tally.max_neighbourhood = tally.max_neighbourhood.max(neighbours.len());
-            visit(u, &neighbours, &slots);
-            for &v in &neighbours {
-                slots[v as usize].common = 0;
-            }
+            visit(u, &neighbours, &emitted);
             neighbours.clear();
+            emitted.clear();
         }
         tally
     }
 
-    /// [`walk`](Self::walk) with every neighbour's edge weight, parallel to
-    /// the neighbour list.
+    /// [`walk`](Self::walk) emitting every neighbour's edge weight. The
+    /// scheme is matched once here, so each walk has its formula inlined
+    /// instead of matching it per neighbour.
     fn walk_weighted(
         &self,
         nodes: Range<usize>,
-        mut visit: impl FnMut(usize, &[u32], &[f64]),
+        visit: impl FnMut(usize, &[u32], &[f64]),
     ) -> Tally {
-        let mut weights: Vec<f64> = Vec::new();
-        self.walk(nodes, |u, neighbours, slots| {
-            weights.clear();
-            weights.extend(neighbours.iter().map(|&v| {
-                let info = slots[v as usize].info();
-                let stats = |e: usize| NodeStats {
-                    blocks: self.block_count(e),
-                    discount: self.discounts[e],
-                };
-                let v = v as usize;
-                self.weighting
-                    .edge_weight(info, || (stats(u.min(v)), stats(u.max(v))))
-            }));
-            visit(u, neighbours, &weights);
-        })
+        let stats = |e: usize| NodeStats {
+            blocks: self.block_count(e),
+            discount: self.discounts[e],
+        };
+        macro_rules! walk_as {
+            ($scheme:expr) => {
+                self.walk(
+                    nodes,
+                    |u, v, info| {
+                        let v = v as usize;
+                        $scheme.edge_weight(info, || (stats(u.min(v)), stats(u.max(v))))
+                    },
+                    visit,
+                )
+            };
+        }
+        match self.weighting {
+            WeightingScheme::Cbs => walk_as!(WeightingScheme::Cbs),
+            WeightingScheme::Ecbs => walk_as!(WeightingScheme::Ecbs),
+            WeightingScheme::Js => walk_as!(WeightingScheme::Js),
+            WeightingScheme::Ejs => walk_as!(WeightingScheme::Ejs),
+            WeightingScheme::Arcs => walk_as!(WeightingScheme::Arcs),
+        }
     }
 
     /// WNP / CNP and their reciprocal variants: one walk, each node pushing
@@ -482,11 +514,12 @@ impl<'a> Index<'a> {
 }
 
 /// A set of node ids that lists itself in ascending order: bit `v` of
-/// `words` marks node `v`, and bit `w` of `summary` marks a non-zero
-/// `words[w]`. Draining sweeps the summary words from the lowest to the
-/// highest one marked (`lo..hi`, at most `n / 4096`) and visits only the
-/// marked words, so listing a neighbourhood costs its size plus that sweep
-/// instead of a sort. `n / 8` bytes per worker.
+/// `words` marks node `v`, and bit `w` of `summary` marks a `words[w]` that
+/// may be non-zero. Ascending ids are marked a word at a time. Draining
+/// sweeps the summary words from the lowest to the highest one marked
+/// (`lo..hi`, at most `n / 4096`) and visits only the marked words, so
+/// listing a neighbourhood costs its size plus that sweep instead of a
+/// sort. `n / 8` bytes per worker.
 struct Touched {
     words: Vec<u64>,
     summary: Vec<u64>,
@@ -505,16 +538,40 @@ impl Touched {
         }
     }
 
-    fn insert(&mut self, v: u32) {
-        let w = (v >> 6) as usize;
-        self.words[w] |= 1 << (v & 63);
+    /// Marks `ids`, which ascend: the bits of the current word gather in a
+    /// register and are stored, with the word's summary bit, when the ids
+    /// leave it.
+    fn insert_ascending(&mut self, mut ids: impl Iterator<Item = u32>) {
+        let Some(first) = ids.next() else {
+            return;
+        };
+        let (mut word, mut bits) = (first >> 6, 1u64 << (first & 63));
+        for v in ids {
+            debug_assert!(v >> 6 >= word, "ids must ascend");
+            if v >> 6 != word {
+                self.store(word as usize, bits);
+                (word, bits) = (v >> 6, 0);
+            }
+            bits |= 1 << (v & 63);
+        }
+        self.store(word as usize, bits);
+    }
+
+    fn store(&mut self, w: usize, bits: u64) {
+        self.words[w] |= bits;
         self.summary[w >> 6] |= 1 << (w & 63);
         self.lo = self.lo.min(w >> 6);
         self.hi = self.hi.max((w >> 6) + 1);
     }
 
-    /// Appends the marked ids to `out` in ascending order and empties the set.
-    fn drain_into(&mut self, out: &mut Vec<u32>) {
+    /// Unmarks `v`; its summary bit stays, and the drain skips the word if
+    /// it is left empty.
+    fn remove(&mut self, v: u32) {
+        self.words[(v >> 6) as usize] &= !(1 << (v & 63));
+    }
+
+    /// Calls `visit` on the marked ids in ascending order and empties the set.
+    fn drain(&mut self, mut visit: impl FnMut(u32)) {
         let span = std::mem::replace(&mut self.lo, usize::MAX)..std::mem::take(&mut self.hi);
         let Touched { words, summary, .. } = self;
         for s in span {
@@ -524,7 +581,7 @@ impl Touched {
                 marks &= marks - 1;
                 let mut bits = std::mem::take(&mut words[w]);
                 while bits != 0 {
-                    out.push((w * 64) as u32 + bits.trailing_zeros());
+                    visit((w * 64) as u32 + bits.trailing_zeros());
                     bits &= bits - 1;
                 }
             }
@@ -600,10 +657,41 @@ mod tests {
         (c, blocks.collect())
     }
 
+    /// 9 000 entities, so neighbourhoods reach across three summary words
+    /// of the touched bitmap: ascending runs crossing ids 64, 4 096 and
+    /// 8 192, runs scattered over the range, and strided sets spanning it.
+    /// In clean–clean the KB changes every 7 ids, so the KB filter cuts the
+    /// runs inside a word.
+    fn word_spanning(mode: ResolutionMode) -> (EntityCollection, BlockCollection) {
+        let n = 9_000u32;
+        let mut c = EntityCollection::new(mode);
+        for e in 0..n {
+            c.push(KbId(((e / 7) % 2) as u16), vec![]);
+        }
+        let blocks = (0..60u32).map(|b| {
+            let members: Vec<u32> = match b % 3 {
+                0 => {
+                    let start = [4_070, 8_170, 50][(b / 3 % 3) as usize] + b / 2;
+                    (start..start + 10 + b % 40).collect()
+                }
+                1 => (0..20).map(|k| (b * 131 + k * 307) % n).collect(),
+                _ => {
+                    let start = b * 1_531 % (n - 100);
+                    (start..start + 2 + b % 40).collect()
+                }
+            };
+            Block::new(format!("w{b}"), members.into_iter().map(EntityId).collect())
+        });
+        (c, blocks.collect())
+    }
+
+    const MODES: [ResolutionMode; 2] = [ResolutionMode::Dirty, ResolutionMode::CleanClean];
+
     #[test]
     fn scanned_weights_match_the_graphs_bit_for_bit() {
-        for mode in [ResolutionMode::Dirty, ResolutionMode::CleanClean] {
-            let (c, blocks) = chunk_spanning(mode);
+        let fixtures = [chunk_spanning, word_spanning];
+        for (mode, fixture) in MODES.into_iter().flat_map(|m| fixtures.map(|f| (m, f))) {
+            let (c, blocks) = fixture(mode);
             let graph = BlockingGraph::build_reference(&c, &blocks);
             assert!(graph.n_edges() > 100, "needs a non-trivial graph");
             for weighting in WeightingScheme::ALL {
@@ -688,6 +776,33 @@ mod tests {
         assert_eq!(arcs(&reference), Some(want), "build_reference");
     }
 
+    /// The scan keeps what graph + `par_prune` keeps, for every weighting ×
+    /// pruning at 1, 2 and 4 threads, on neighbourhoods spanning many
+    /// bitmap words.
+    #[test]
+    fn scan_equals_graph_and_prune_across_bitmap_words() {
+        for mode in MODES {
+            let (c, blocks) = word_spanning(mode);
+            let graph = BlockingGraph::build_reference(&c, &blocks);
+            for (weighting, pruning) in WeightingScheme::ALL
+                .into_iter()
+                .flat_map(|w| PruningScheme::ALL.map(|p| (w, p)))
+            {
+                for threads in [1, 2, 4] {
+                    let par = Parallelism::threads(threads);
+                    let got = node_scan(&c, &blocks, weighting, pruning, par, &Obs::disabled());
+                    let ctx = format!(
+                        "{mode:?} {}/{} threads={threads}",
+                        weighting.name(),
+                        pruning.name()
+                    );
+                    assert_eq!(got.blocked_comparisons, graph.n_edges() as u64, "{ctx}");
+                    assert_eq!(got.kept, pruning.par_prune(&graph, weighting, par), "{ctx}");
+                }
+            }
+        }
+    }
+
     #[test]
     fn node_ranges_cover_every_node_once_at_any_worker_count() {
         let (c, blocks) = chunk_spanning(ResolutionMode::Dirty);
@@ -700,23 +815,61 @@ mod tests {
         }
     }
 
+    /// Rounds of ascending runs that cross bitmap words and summary words,
+    /// single marks and unmarks (`u` forgotten after its blocks), each
+    /// drained against a `BTreeSet` model: the ids come out ascending and
+    /// both levels are empty after every drain.
     #[test]
     fn touched_lists_ids_across_summary_words_in_order_and_empties() {
-        let mut t = Touched::new(3 * 4096 + 100);
-        let mut out = Vec::new();
-        for v in [8291, 5, 4095, 4096, 12_300, 64, 63, 8291] {
-            t.insert(v);
+        enum Op {
+            Run(Vec<u32>),
+            Remove(u32),
         }
-        t.drain_into(&mut out);
-        assert_eq!(out, [5, 63, 64, 4095, 4096, 8291, 12_300]);
-        out.clear();
-        t.drain_into(&mut out);
-        assert!(out.is_empty());
-        // A later set below the previous span is swept too.
-        t.insert(1);
-        t.insert(4100);
-        t.drain_into(&mut out);
-        assert_eq!(out, [1, 4100]);
+        use Op::{Remove, Run};
+        let rounds = [
+            vec![
+                Run((4_030..4_170).collect()),
+                Run((8_150..8_250).collect()),
+                Run(vec![
+                    5, 63, 64, 127, 128, 4_095, 4_096, 8_191, 8_192, 12_300,
+                ]),
+                Remove(4_100),
+                Remove(12_300),
+            ],
+            // A later set below the previous span is swept too.
+            vec![Run(vec![1]), Run(vec![4_100]), Remove(4_101)],
+            vec![
+                Run((60..70).collect()),
+                Run((62..66).collect()),
+                Run(vec![12_287, 12_288, 12_290]),
+                Remove(64),
+                Run(vec![64]),
+                Remove(12_288),
+            ],
+            // Everything unmarked: only summary bits are left to sweep.
+            vec![Run(vec![7_000, 9_000]), Remove(7_000), Remove(9_000)],
+        ];
+        let mut t = Touched::new(3 * 4096 + 100);
+        for ops in rounds {
+            let mut model = std::collections::BTreeSet::new();
+            for op in ops {
+                match op {
+                    Run(ids) => {
+                        t.insert_ascending(ids.iter().copied());
+                        model.extend(ids);
+                    }
+                    Remove(v) => {
+                        t.remove(v);
+                        model.remove(&v);
+                    }
+                }
+            }
+            let mut out = Vec::new();
+            t.drain(|v| out.push(v));
+            assert_eq!(out, model.into_iter().collect::<Vec<_>>());
+            assert!(t.words.iter().chain(&t.summary).all(|&w| w == 0));
+            t.drain(|v| panic!("{v} left after a drain"));
+        }
     }
 
     #[test]

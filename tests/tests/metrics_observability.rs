@@ -107,7 +107,16 @@ fn counters_identical_across_thread_counts_and_reruns() {
     // So is the scan's meta-blocking ledger: every edge folds at least one
     // block-pair occurrence, and no node has more neighbours than edges.
     let before = serial.counter("meta_blocking.comparisons_before").unwrap();
-    assert!(serial.counter("meta_blocking.contributions").unwrap() >= before);
+    let contributions = serial.counter("meta_blocking.contributions").unwrap();
+    assert!(contributions >= before);
+    // The walk visits Σ|b|² block members, at least two per contribution,
+    // however the nodes are split across workers.
+    let visits = serial.counter("meta_blocking.member_visits").unwrap();
+    assert_eq!(
+        parallel.counter("meta_blocking.member_visits"),
+        Some(visits)
+    );
+    assert!(visits >= 2 * contributions);
     assert!(before >= serial.counter("meta_blocking.comparisons_after").unwrap());
     let widest = serial.gauge("meta_blocking.max_neighbourhood").unwrap();
     assert!(widest >= 1.0 && widest <= before as f64);
@@ -216,7 +225,8 @@ fn every_entry_point_records_the_walk_spans_and_run_counters() {
 /// The default pipeline's blocking and meta-blocking counters on
 /// [`dataset`], measured before token blocking became the transpose of the
 /// run's profiles: the index and the scan's ledger did not move.
-const BLOCKING_AND_SCAN: [(&str, u64); 8] = [
+/// `member_visits` was pinned when the counter was added.
+const BLOCKING_AND_SCAN: [(&str, u64); 9] = [
     ("blocking.blocks_built", 538),
     ("blocking.interner_symbols", 1982),
     ("blocking.tokens_indexed", 3601),
@@ -225,6 +235,7 @@ const BLOCKING_AND_SCAN: [(&str, u64); 8] = [
     ("meta_blocking.comparisons_pruned", 760),
     ("meta_blocking.contributions", 1817),
     ("meta_blocking.edges_weighted", 1396),
+    ("meta_blocking.member_visits", 5084),
 ];
 
 /// The spill traffic of the same run forced out of core, measured likewise.
