@@ -16,13 +16,15 @@ use er_core::collection::EntityCollection;
 use er_core::ground_truth::GroundTruth;
 use er_core::matching::OracleMatcher;
 use er_core::metrics::BlockingQuality;
-use er_core::obs::Obs;
+use er_core::obs::{MetricsSnapshot, Obs};
 use er_core::pair::Pair;
+use er_core::parallel::Parallelism;
 use er_core::similarity::SetMeasure;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_iterative::iterative_blocking::{independent_blocks, iterative_blocking};
 use er_iterative::swoosh::{naive_iterate, r_swoosh};
 use er_metablocking::{node_scan, BlockingGraph, PruningScheme, WeightingScheme};
+use er_pipeline::{CleaningStage, Pipeline};
 use er_progressive::budget::{random_schedule, Budget};
 use er_progressive::hints::{
     ordered_blocks_schedule, score_pairs, sorted_pair_list, PartitionHierarchy,
@@ -34,6 +36,27 @@ use std::time::Instant;
 
 fn quality(pairs: &[Pair], truth: &GroundTruth, collection: &EntityCollection) -> BlockingQuality {
     BlockingQuality::measure(pairs, truth, collection.total_possible_comparisons())
+}
+
+/// The spans of a `Pipeline` walk's blocking: token profiles, then blocks.
+const BLOCKING_SPANS: &[&str] = &["pipeline.profiles", "pipeline.blocking"];
+/// The span of a `Pipeline` walk's meta-blocking.
+const META_BLOCKING_SPANS: &[&str] = &["pipeline.meta_blocking"];
+/// The three phases of one `node_scan`.
+const SCAN_SPANS: &[&str] = &[
+    "meta_blocking.index",
+    "meta_blocking.walk",
+    "meta_blocking.merge",
+];
+
+/// Whole milliseconds spent in the named spans of `snapshot`, summed.
+fn span_ms(snapshot: &MetricsSnapshot, names: &[&str]) -> u64 {
+    let micros: u64 = names
+        .iter()
+        .filter_map(|name| snapshot.span(name))
+        .map(|span| span.total_micros)
+        .sum();
+    micros / 1000
 }
 
 /// E1 — blocking-quality comparison across schemes and noise levels
@@ -174,7 +197,6 @@ pub fn e3_metablocking() {
         f3(base.pc()),
         f4(base.pq())
     );
-    let graph = BlockingGraph::build(c, &blocks);
     let table = Table::new(&[
         ("pruning", 8),
         ("weighting", 10),
@@ -183,9 +205,10 @@ pub fn e3_metablocking() {
         ("PC", 7),
         ("PQ", 7),
     ]);
+    let (serial, off) = (Parallelism::serial(), Obs::disabled());
     for pruning in PruningScheme::CANONICAL {
         for weighting in WeightingScheme::ALL {
-            let kept = pruning.prune(&graph, weighting);
+            let kept = node_scan(c, &blocks, weighting, pruning, serial, &off).kept;
             let q = quality(&kept, &ds.truth, c);
             table.row(&[
                 pruning.name().to_string(),
@@ -207,14 +230,15 @@ pub fn e3_metablocking() {
 
 /// E4 — parallel blocking / meta-blocking scaling (\[10\], \[18\]).
 ///
-/// Times the parallel kernels `Pipeline` runs: `TokenBlocking::par_build` and
-/// `node_scan` (the entity-based meta-blocking scan over contiguous node ranges).
-/// On a multi-core host the wall-clock column shows real speedup; on a
-/// single-core container (the common CI case) it is flat, so the experiment
-/// also reports *simulated speedup* — total work over critical-path worker
-/// load under BlockSplit balancing — which is hardware-independent.
+/// Runs the schedule half of the pipeline (`Pipeline::candidates`: token
+/// blocking, no cleaning, the `node_scan` meta-blocking over contiguous node
+/// ranges) at each worker count and reads its `pipeline.*` spans. On a
+/// multi-core host the wall-clock columns show real speedup; on a
+/// single-core container (the common CI case) they are flat, so the
+/// experiment also reports *simulated speedup* — total work over
+/// critical-path worker load under BlockSplit balancing — which is
+/// hardware-independent.
 pub fn e4_parallel_scaling() {
-    use er_core::parallel::Parallelism;
     banner("E4", "parallel token blocking and meta-blocking scaling");
     let cores = std::thread::available_parallelism()
         .map(|n| n.get())
@@ -229,25 +253,31 @@ pub fn e4_parallel_scaling() {
         ("simulated", 10),
         ("agree", 6),
     ]);
-    let seq_blocks = TokenBlocking::new().build(c);
-    let (arcs, wnp, off) = (WeightingScheme::Arcs, PruningScheme::Wnp, Obs::disabled());
-    let seq_meta = node_scan(c, &seq_blocks, arcs, wnp, Parallelism::serial(), &off).kept;
-    let total_work: u64 = balanced_loads(seq_blocks.blocks(), 10_000, 1)[0];
+    // One uncleaned schedule run: its candidates, blocked-comparison count
+    // and metrics snapshot.
+    let run = |par| {
+        let pipeline = Pipeline::builder()
+            .cleaning(CleaningStage::None)
+            .parallelism(par)
+            .observability(Obs::enabled())
+            .build();
+        let kept = pipeline.candidates(c);
+        let snapshot = pipeline.metrics();
+        let blocked = snapshot.counter("meta_blocking.comparisons_before");
+        (kept, blocked, snapshot)
+    };
+    let (serial_kept, serial_blocked, _) = run(Parallelism::serial());
+    let blocks = TokenBlocking::new().build(c);
+    let total_work: u64 = balanced_loads(blocks.blocks(), 10_000, 1)[0];
     for workers in [1usize, 2, 4, 8] {
-        let par = Parallelism::threads(workers);
-        let t0 = Instant::now();
-        let pb = TokenBlocking::new().par_build(c, par);
-        let t_b = t0.elapsed();
-        let t0 = Instant::now();
-        let pm = node_scan(c, &pb, arcs, wnp, par, &off).kept;
-        let t_m = t0.elapsed();
-        let loads = balanced_loads(seq_blocks.blocks(), 10_000, workers);
+        let (kept, blocked, snapshot) = run(Parallelism::threads(workers));
+        let agree = kept == serial_kept && blocked == serial_blocked;
+        let loads = balanced_loads(blocks.blocks(), 10_000, workers);
         let critical = *loads.iter().max().unwrap();
-        let agree = pb == seq_blocks && pm == seq_meta;
         table.row(&[
             workers.to_string(),
-            format!("{:.0?}", t_b),
-            format!("{:.0?}", t_m),
+            format!("{}ms", span_ms(&snapshot, BLOCKING_SPANS)),
+            format!("{}ms", span_ms(&snapshot, META_BLOCKING_SPANS)),
             format!("{:.2}x", total_work as f64 / critical as f64),
             if agree { "yes" } else { "NO" }.to_string(),
         ]);
@@ -429,7 +459,9 @@ pub fn e6_progressive() {
     );
 }
 
-/// E7 — end-to-end scalability sweep of the batch pipeline.
+/// E7 — scalability sweep of the batch pipeline's schedule half: one
+/// `Pipeline::candidates` call per size under the default stages (token
+/// blocking, auto purging, ARCS/WNP), timed by its `pipeline.*` spans.
 pub fn e7_scalability() {
     banner("E7", "scalability: pipeline cost vs collection size");
     let table = Table::new(&[
@@ -449,30 +481,19 @@ pub fn e7_scalability() {
         cfg.profile.common_vocab = (entities / 5).max(100);
         let ds = DirtyDataset::generate(&cfg);
         let c = &ds.collection;
-        let t0 = Instant::now();
-        let blocks = TokenBlocking::new().build(c);
-        let purged = cleaning::auto_purge(&blocks, c);
-        let t_block = t0.elapsed();
-        let t0 = Instant::now();
-        let kept = node_scan(
-            c,
-            &purged,
-            WeightingScheme::Arcs,
-            PruningScheme::Wnp,
-            er_core::parallel::Parallelism::serial(),
-            &Obs::disabled(),
-        )
-        .kept;
-        let t_meta = t0.elapsed();
+        let pipeline = Pipeline::builder().observability(Obs::enabled()).build();
+        let kept = pipeline.candidates(c);
+        let snapshot = pipeline.metrics();
+        let blocked = snapshot.counter("meta_blocking.comparisons_before");
         let q = quality(&kept, &ds.truth, c);
         table.row(&[
             entities.to_string(),
             c.len().to_string(),
             c.total_possible_comparisons().to_string(),
-            purged.distinct_pairs(c).len().to_string(),
+            blocked.unwrap_or(0).to_string(),
             kept.len().to_string(),
-            t_block.as_millis().to_string(),
-            t_meta.as_millis().to_string(),
+            span_ms(&snapshot, BLOCKING_SPANS).to_string(),
+            span_ms(&snapshot, META_BLOCKING_SPANS).to_string(),
             f3(q.pc()),
         ]);
     }
@@ -531,8 +552,9 @@ pub fn e8_simjoin() {
 ///
 /// Parallel meta-blocking \[11\] prepends *block filtering* to the pipeline;
 /// this ablation sweeps the filtering ratio and reports its effect on graph
-/// size, retained comparisons and PC under a fixed weighting/pruning pair —
-/// the design-choice table DESIGN.md calls out.
+/// size (the distinct blocked comparisons), retained comparisons and PC under
+/// ARCS/WNP — the design-choice table DESIGN.md calls out. Meta-blocking is
+/// the `node_scan` every pipeline runs, timed by its `meta_blocking.*` spans.
 pub fn e9_filtering_ablation() {
     banner("E9", "ablation: block filtering ratio x meta-blocking");
     let ds = DirtyDataset::generate(&dirty_preset(2000));
@@ -548,23 +570,21 @@ pub fn e9_filtering_ablation() {
     ]);
     for ratio in [1.0, 0.8, 0.6, 0.4, 0.2] {
         let filtered = cleaning::filter_blocks(&blocks, c, ratio);
-        let t0 = Instant::now();
-        let graph = BlockingGraph::build(c, &filtered);
-        let kept = PruningScheme::Wnp.prune(&graph, WeightingScheme::Arcs);
-        let elapsed = t0.elapsed();
-        let q = quality(&kept, &ds.truth, c);
+        let (arcs, wnp, obs) = (WeightingScheme::Arcs, PruningScheme::Wnp, Obs::enabled());
+        let scan = node_scan(c, &filtered, arcs, wnp, Parallelism::serial(), &obs);
+        let q = quality(&scan.kept, &ds.truth, c);
         table.row(&[
             format!("{ratio:.1}"),
-            graph.n_edges().to_string(),
-            kept.len().to_string(),
+            scan.blocked_comparisons.to_string(),
+            scan.kept.len().to_string(),
             f3(q.pc()),
             f4(q.pq()),
-            elapsed.as_millis().to_string(),
+            span_ms(&obs.snapshot(), SCAN_SPANS).to_string(),
         ]);
     }
     println!(
         "shape: moderate filtering (r = 0.6-0.8) shrinks the blocking graph by \
-         4-10x and\nmeta-blocking cost with it, at single-digit relative PC loss; \
+         3-20x and\nmeta-blocking cost with it, at single-digit relative PC loss; \
          aggressive filtering\n(r <= 0.4) starts cutting into recall — the trade-off \
          [11] exploits to scale."
     );
@@ -818,8 +838,6 @@ pub fn e13_tokenizer_ablation() {
 /// disabled default (acceptance: enabled-path overhead below 5%, outputs
 /// identical, snapshot covers every pipeline stage).
 pub fn e16_obs_overhead() {
-    use er_pipeline::Pipeline;
-
     banner("E16", "observability overhead and snapshot coverage");
     let ds = DirtyDataset::generate(&dirty_preset(2500));
     let c = &ds.collection;
@@ -906,7 +924,6 @@ pub fn e16_obs_overhead() {
 /// reported recall loss.
 pub fn e17_resource_overhead() {
     use er_core::resource::ResourceLimits;
-    use er_pipeline::{CleaningStage, Pipeline};
     use std::time::Duration;
 
     banner("E17", "resource-governance overhead and skew shedding");

@@ -2,9 +2,10 @@
 //!
 //! One binary per live experiment of DESIGN.md's index (`src/bin/exp_*.rs`),
 //! each regenerating the table/series of an evaluation family surveyed by
-//! the ICDE 2017 tutorial, plus Criterion microbenches over the hot kernels
-//! (`benches/kernels.rs`). `exp_all` runs every experiment in sequence —
-//! its output is the data recorded in EXPERIMENTS.md.
+//! the ICDE 2017 tutorial. E4, E7 and E9 time the stages every `Pipeline`
+//! runs by reading the spans an `Obs::enabled()` handle records around
+//! them. `exp_all` runs every experiment in sequence — its output is the
+//! data recorded in EXPERIMENTS.md.
 //!
 //! This module holds the shared plumbing: deterministic dataset presets,
 //! plain-text table rendering, and the paired A/B estimator.

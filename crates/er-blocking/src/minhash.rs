@@ -14,6 +14,7 @@ use er_core::collection::EntityCollection;
 use er_core::entity::Entity;
 use er_core::intern::Fnv1a;
 use er_core::profiles::{KeyScheme, KeySink};
+use er_core::splitmix64;
 use er_core::tokenize::Tokenizer;
 
 /// MinHash-LSH blocking with `bands` bands of `rows` rows.
@@ -65,7 +66,7 @@ impl MinHashBlocking {
             let base = Fnv1a::hash(t.as_bytes());
             for (i, slot) in sig.iter_mut().enumerate() {
                 // One cheap independent hash per signature position.
-                let h = mix(base ^ self.seed.wrapping_add((i as u64) << 32));
+                let h = splitmix64(base ^ self.seed.wrapping_add((i as u64) << 32));
                 if h < *slot {
                     *slot = h;
                 }
@@ -91,19 +92,11 @@ impl KeyScheme for MinHashBlocking {
         for (b, band) in sig.chunks(self.rows).enumerate() {
             let mut h = 0xcbf2_9ce4_8422_2325u64 ^ (b as u64);
             for &v in band {
-                h = mix(h ^ v);
+                h = splitmix64(h ^ v);
             }
             sink.push(&format!("b{b}:{h:016x}"));
         }
     }
-}
-
-/// SplitMix64 finalizer.
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]

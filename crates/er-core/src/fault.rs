@@ -25,6 +25,7 @@
 //! only races two executions of the same pure function — so neither can
 //! change output, only wall-clock time. See `docs/fault_tolerance.md`.
 
+use crate::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
@@ -436,18 +437,11 @@ pub fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 fn hash_key(seed: u64, stage: &str, task: usize, attempt: u32) -> u64 {
     let mut z = seed ^ 0x9e37_79b9_7f4a_7c15;
     for b in stage.as_bytes() {
-        z = mix(z ^ u64::from(*b));
+        z = splitmix64(z ^ u64::from(*b));
     }
-    z = mix(z ^ task as u64);
-    z = mix(z ^ u64::from(attempt));
-    mix(z)
-}
-
-fn mix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
+    z = splitmix64(z ^ task as u64);
+    z = splitmix64(z ^ u64::from(attempt));
+    splitmix64(z)
 }
 
 #[cfg(test)]

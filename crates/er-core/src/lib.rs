@@ -96,3 +96,25 @@ pub use obs::{Event, EventSink, MetricsSnapshot, Obs};
 pub use pair::Pair;
 pub use parallel::Parallelism;
 pub use resource::{MemoryBudget, ResourceError, ResourceLimits, Watchdog};
+
+/// The SplitMix64 finalizer: a bijective avalanche mix of one `u64`, stable
+/// across platforms and runs. It keys the random progressive schedule, the
+/// MinHash signature positions and band keys, and the seeded fault plans.
+#[inline]
+pub fn splitmix64(mut z: u64) -> u64 {
+    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    z ^ (z >> 31)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::splitmix64;
+
+    #[test]
+    fn splitmix64_is_pinned() {
+        assert_eq!(splitmix64(0), 0xe220_a839_7b1d_cdaf);
+        assert_eq!(splitmix64(1), 0x910a_2dec_8902_5cc1);
+    }
+}

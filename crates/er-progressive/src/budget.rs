@@ -7,6 +7,7 @@ use er_core::matching::Matcher;
 use er_core::metrics::ProgressiveCurve;
 use er_core::obs::Obs;
 use er_core::pair::Pair;
+use er_core::splitmix64;
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -149,17 +150,10 @@ pub fn random_schedule(pairs: &[Pair], seed: u64) -> Vec<Pair> {
     let mut keyed: Vec<(u64, Pair)> = pairs
         .iter()
         .enumerate()
-        .map(|(i, &p)| (splitmix(seed.wrapping_add(i as u64)), p))
+        .map(|(i, &p)| (splitmix64(seed.wrapping_add(i as u64)), p))
         .collect();
     keyed.sort();
     keyed.into_iter().map(|(_, p)| p).collect()
-}
-
-fn splitmix(mut z: u64) -> u64 {
-    z = z.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    z ^ (z >> 31)
 }
 
 #[cfg(test)]
