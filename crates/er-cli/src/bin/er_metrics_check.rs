@@ -3,7 +3,7 @@
 //! ```text
 //! er-metrics-check metrics.json [--expect-fault-free] [--require-ingest]
 //!                               [--require-scenarios] [--require-backend]
-//!                               [--require-colstore]
+//!                               [--require-colstore] [--max-cluster-share F]
 //! ```
 //!
 //! Parses the sorted-key JSON written by the CLI back into an
@@ -62,7 +62,12 @@
 //!   exists and reads 0. The store maps and caches nothing: the gauge is
 //!   the bytes charged to the memory budget by segment reads in flight, so
 //!   it is 0 between reads, and anything else is a read that never
-//!   released its charge.
+//!   released its charge;
+//! - with `--max-cluster-share F` (`0 < F ≤ 1`): the last run's largest
+//!   cluster holds at most a share `F` of the entities it clustered
+//!   (`clustering.largest_cluster` / `clustering.entities`, both gauges) —
+//!   a clustering that chained most of the collection into one component
+//!   fails instead of passing silently.
 //!
 //! Every violated invariant is reported (not just the first); any violation
 //! exits nonzero so the CI job fails loudly.
@@ -93,20 +98,29 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: er-metrics-check SNAPSHOT.json [--expect-fault-free] \
                          [--require-ingest] [--require-scenarios] [--require-backend] \
-                         [--require-colstore]";
+                         [--require-colstore] [--max-cluster-share F]";
     let mut path = None;
     let mut expect_fault_free = false;
     let mut require_ingest = false;
     let mut require_scenarios = false;
     let mut require_backend = false;
     let mut require_colstore = false;
-    for a in args {
+    let mut max_cluster_share = None;
+    let mut args = args.iter();
+    while let Some(a) = args.next() {
         match a.as_str() {
             "--expect-fault-free" => expect_fault_free = true,
             "--require-ingest" => require_ingest = true,
             "--require-scenarios" => require_scenarios = true,
             "--require-backend" => require_backend = true,
             "--require-colstore" => require_colstore = true,
+            "--max-cluster-share" => {
+                let v = args.next().ok_or("--max-cluster-share needs a value")?;
+                match v.parse::<f64>() {
+                    Ok(f) if f > 0.0 && f <= 1.0 => max_cluster_share = Some(f),
+                    _ => return Err(format!("bad --max-cluster-share {v:?}")),
+                }
+            }
             "--help" | "-h" => {
                 println!("{USAGE}");
                 return Ok(());
@@ -125,7 +139,7 @@ fn run(args: &[String]) -> Result<(), String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
     let snapshot = MetricsSnapshot::from_json(&text).map_err(|e| format!("{path}: {e}"))?;
 
-    let failures = check(
+    let mut failures = check(
         &snapshot,
         expect_fault_free,
         require_ingest,
@@ -133,6 +147,9 @@ fn run(args: &[String]) -> Result<(), String> {
         require_backend,
         require_colstore,
     );
+    if let Some(max) = max_cluster_share {
+        failures.extend(cluster_share(&snapshot, max));
+    }
     if failures.is_empty() {
         println!(
             "ok: {} counters, {} gauges, {} histograms, {} spans — all invariants hold",
@@ -458,6 +475,27 @@ fn check(
         }
     }
     failures
+}
+
+/// The `--max-cluster-share` gate: a violation when the last run's largest
+/// cluster holds more than `max` of the entities it clustered, or when
+/// either gauge is missing.
+fn cluster_share(snapshot: &MetricsSnapshot, max: f64) -> Option<String> {
+    let largest = snapshot.gauge("clustering.largest_cluster");
+    let entities = snapshot.gauge("clustering.entities");
+    match (largest, entities) {
+        (Some(l), Some(n)) if n > 0.0 => (l / n > max).then(|| {
+            format!(
+                "clustering.largest_cluster ({l}) holds {:.3} of clustering.entities ({n}), \
+                 above --max-cluster-share {max}",
+                l / n
+            )
+        }),
+        _ => Some(
+            "clustering.largest_cluster / clustering.entities gauges are missing or empty"
+                .to_string(),
+        ),
+    }
 }
 
 #[cfg(test)]
@@ -1027,5 +1065,19 @@ mod tests {
         let mut s = healthy_with_colstore();
         s.counters.insert("colstore.runs_merged".into(), 9);
         assert!(check(&s, true, false, false, false, true).is_empty());
+    }
+
+    #[test]
+    fn cluster_share_gate_passes_and_fails_at_its_bound() {
+        let mut s = healthy();
+        assert!(cluster_share(&s, 0.5).is_some(), "gauges missing");
+        s.gauges.insert("clustering.largest_cluster".into(), 30.0);
+        s.gauges.insert("clustering.entities".into(), 100.0);
+        assert_eq!(cluster_share(&s, 0.3), None, "a share at the bound passes");
+        assert_eq!(cluster_share(&s, 1.0), None);
+        let failure = cluster_share(&s, 0.29).unwrap();
+        assert!(failure.contains("0.300"), "{failure}");
+        s.gauges.insert("clustering.entities".into(), 0.0);
+        assert!(cluster_share(&s, 1.0).is_some(), "no entities clustered");
     }
 }

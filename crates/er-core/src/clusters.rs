@@ -81,18 +81,25 @@ impl UnionFind {
     /// Materializes all sets as sorted member lists, ordered by smallest
     /// member. Singletons are included.
     pub fn clusters(&mut self) -> Vec<Vec<usize>> {
+        self.grouped(|x| x)
+    }
+
+    /// The sets as lists of `id(x)`, in one pass over `x` ascending: the
+    /// first member met of a set opens its list, sized to the set, so the
+    /// lists come out ordered by smallest member, each holding its members
+    /// in ascending order.
+    fn grouped<T>(&mut self, id: impl Fn(usize) -> T) -> Vec<Vec<T>> {
         let n = self.parent.len();
-        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> =
-            std::collections::BTreeMap::new();
+        let mut slot_of_root = vec![usize::MAX; n];
+        let mut out: Vec<Vec<T>> = Vec::with_capacity(self.components);
         for x in 0..n {
             let r = self.find(x);
-            by_root.entry(r).or_default().push(x);
+            if slot_of_root[r] == usize::MAX {
+                slot_of_root[r] = out.len();
+                out.push(Vec::with_capacity(self.size[r]));
+            }
+            out[slot_of_root[r]].push(id(x));
         }
-        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
-        for c in &mut out {
-            c.sort_unstable();
-        }
-        out.sort_by_key(|c| c[0]);
         out
     }
 }
@@ -104,10 +111,7 @@ pub fn components_from_matches(n: usize, matches: &[Pair]) -> Vec<Vec<EntityId>>
     for p in matches {
         uf.union(p.first().index(), p.second().index());
     }
-    uf.clusters()
-        .into_iter()
-        .map(|c| c.into_iter().map(|i| EntityId(i as u32)).collect())
-        .collect()
+    uf.grouped(|i| EntityId(i as u32))
 }
 
 /// The transitive closure of a set of match pairs over `n` entities: every
@@ -197,5 +201,47 @@ mod tests {
         assert_eq!(uf.component_count(), 1);
         assert_eq!(uf.set_size(0), n);
         assert!(uf.connected(0, n - 1));
+    }
+
+    /// The grouping `clusters` did before its one-pass form: members by
+    /// root in a `BTreeMap`, each group sorted, groups by smallest member.
+    fn clusters_by_map(uf: &mut UnionFind) -> Vec<Vec<usize>> {
+        let mut by_root: std::collections::BTreeMap<usize, Vec<usize>> = Default::default();
+        for x in 0..uf.len() {
+            let r = uf.find(x);
+            by_root.entry(r).or_default().push(x);
+        }
+        let mut out: Vec<Vec<usize>> = by_root.into_values().collect();
+        out.iter_mut().for_each(|c| c.sort_unstable());
+        out.sort_by_key(|c| c[0]);
+        out
+    }
+
+    proptest::proptest! {
+        /// One pass over the union–find lists the sets the map grouping
+        /// lists, in the same order, and `components_from_matches` is the
+        /// same lists as entity ids.
+        #[test]
+        fn one_pass_clusters_equal_the_map_grouping(
+            n in 1usize..80,
+            unions in proptest::collection::vec((0usize..80, 0usize..80), 0..70),
+        ) {
+            let mut uf = UnionFind::new(n);
+            let mut matches = Vec::new();
+            for &(a, b) in &unions {
+                let (a, b) = (a % n, b % n);
+                uf.union(a, b);
+                if a != b {
+                    matches.push(Pair::new(id(a as u32), id(b as u32)));
+                }
+            }
+            let want = clusters_by_map(&mut uf.clone());
+            proptest::prop_assert_eq!(&uf.clusters(), &want);
+            let ids: Vec<Vec<EntityId>> = want
+                .iter()
+                .map(|c| c.iter().map(|&x| id(x as u32)).collect())
+                .collect();
+            proptest::prop_assert_eq!(components_from_matches(n, &matches), ids);
+        }
     }
 }

@@ -12,8 +12,8 @@ use crate::collection::EntityCollection;
 use crate::entity::Entity;
 use crate::ground_truth::GroundTruth;
 use crate::pair::Pair;
-use crate::parallel::{par_map, Parallelism};
-use crate::profiles::{shared, TokenProfiles};
+use crate::parallel::{par_map, par_map_chunks, Parallelism};
+use crate::profiles::{shared, shared_count, TokenProfiles};
 use crate::similarity::{CorpusStats, SetMeasure};
 use crate::tokenize::Tokenizer;
 use std::borrow::Cow;
@@ -227,11 +227,13 @@ impl Matcher for TfIdfMatcher {
 /// How a [`PreparedMatcher`] scores a pair of profiles.
 #[derive(Clone, Debug)]
 enum Kernel {
-    /// A set measure of `|A|`, `|B|` and `|A∩B|` ([`SetMeasure::score`]).
+    /// A set measure of `|A|`, `|B|` and `|A∩B|` ([`SetMeasure::score`]);
+    /// `|A∩B|` is the branch-free [`shared_count`].
     Set(SetMeasure),
     /// TF-IDF cosine: squared idf per symbol, norm per entity. Every sum
     /// runs in symbol (= token) order, the order
-    /// [`CorpusStats::tfidf_cosine`] adds in.
+    /// [`CorpusStats::tfidf_cosine`] adds in, so the dot product walks the
+    /// shared symbols one by one ([`shared`]).
     TfIdf { idf2: Vec<f64>, norms: Vec<f64> },
 }
 
@@ -257,7 +259,7 @@ impl PreparedMatcher<'_> {
         let a = self.profiles.symbols(pair.first());
         let b = self.profiles.symbols(pair.second());
         let score = match &self.kernel {
-            Kernel::Set(measure) => measure.score(a.len(), b.len(), shared(a, b).count()),
+            Kernel::Set(measure) => measure.score(a.len(), b.len(), shared_count(a, b)),
             Kernel::TfIdf { idf2, norms } => {
                 let dot: f64 = shared(a, b).map(|s| idf2[s.index()]).sum();
                 let denom = norms[pair.first().index()] * norms[pair.second().index()];
@@ -277,6 +279,24 @@ impl PreparedMatcher<'_> {
     /// Decides every candidate, in candidate order.
     pub fn decide_batch(&self, candidates: &[Pair], par: Parallelism) -> Vec<(Pair, Decision)> {
         par_map(par, candidates, |&p| (p, self.decide(p)))
+    }
+
+    /// The accepted candidates with their scores, in candidate order: the
+    /// matches of [`decide_batch`](Self::decide_batch), without its
+    /// decision per candidate. Each worker decides one contiguous chunk and
+    /// keeps only its matches.
+    pub fn accepted(&self, candidates: &[Pair], par: Parallelism) -> Vec<(Pair, f64)> {
+        let chunk = candidates.len().div_ceil(par.effective()).max(1);
+        par_map_chunks(par, candidates, chunk, |pairs| {
+            pairs
+                .iter()
+                .filter_map(|&p| {
+                    let d = self.decide(p);
+                    d.is_match.then_some((p, d.score))
+                })
+                .collect::<Vec<_>>()
+        })
+        .concat()
     }
 }
 
@@ -768,6 +788,44 @@ mod tests {
                 .score,
             2.0 / 3.0
         );
+    }
+
+    /// `accepted` is `decide_batch` filtered to its matches — same pairs,
+    /// same order, same score bits — at every thread count, for a set
+    /// measure and for TF-IDF.
+    #[test]
+    fn accepted_is_the_filtered_batch() {
+        let mut c = EntityCollection::new(ResolutionMode::Dirty);
+        for e in 0..40u32 {
+            let name = format!("w{} w{} w{} x{}", e % 7, e % 5, e % 3, e);
+            c.push_entity(KbId(0), EntityBuilder::new().attr("name", name));
+        }
+        let pairs = c.all_pairs();
+        let matchers = [
+            ThresholdMatcher::new(SetMeasure::Jaccard, 0.3).prepare(&c, Parallelism::serial()),
+            TfIdfMatcher::from_collection(&c, 0.2).prepare(&c, Parallelism::serial()),
+        ];
+        for (m, what) in matchers.iter().zip(["jaccard", "tfidf"]) {
+            let bits = |v: Vec<(Pair, f64)>| -> Vec<(Pair, u64)> {
+                v.into_iter().map(|(p, s)| (p, s.to_bits())).collect()
+            };
+            let want = bits(
+                m.decide_batch(&pairs, Parallelism::serial())
+                    .into_iter()
+                    .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
+                    .collect(),
+            );
+            assert!(
+                want.len() > 10 && want.len() < pairs.len(),
+                "{what}: {}",
+                want.len()
+            );
+            for threads in [1, 2, 4] {
+                let got = bits(m.accepted(&pairs, Parallelism::threads(threads)));
+                assert_eq!(got, want, "{what} threads={threads}");
+            }
+            assert!(m.accepted(&[], Parallelism::threads(2)).is_empty());
+        }
     }
 
     #[test]

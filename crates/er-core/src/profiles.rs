@@ -9,7 +9,7 @@
 //! blocks are then the rows' transpose (`er_blocking::block::blocks_from_profiles`),
 //! whatever the family. Under the tokenizer scheme the rows are the run's
 //! [`TokenProfiles`], so a token-set comparison is a linear merge of two
-//! integer slices ([`shared`]).
+//! integer slices ([`shared`], [`shared_count`]).
 //!
 //! Symbols are **rank-ordered**: after interning, the vocabulary is sorted
 //! and every symbol renumbered to its key's lexicographic rank. Symbol order
@@ -188,6 +188,21 @@ pub fn shared<'a>(a: &'a [Symbol], b: &'a [Symbol]) -> impl Iterator<Item = Symb
         }
         None
     })
+}
+
+/// `|A ∩ B|` of two sorted distinct symbol slices — [`shared`]`(a, b).count()`
+/// without a branch per step: each step counts an equal pair and advances
+/// whichever side holds the smaller symbol (both on a match), so the loop's
+/// only branch is its bound.
+pub fn shared_count(a: &[Symbol], b: &[Symbol]) -> usize {
+    let (mut i, mut j, mut n) = (0, 0, 0);
+    while i < a.len() && j < b.len() {
+        let (x, y) = (a[i], b[j]);
+        n += usize::from(x == y);
+        i += usize::from(x <= y);
+        j += usize::from(y <= x);
+    }
+    n
 }
 
 /// Every entity's distinct keys as rank-ordered symbols, in one CSR.
@@ -622,5 +637,20 @@ mod tests {
         assert_eq!(shared(&b, &a).collect::<Vec<_>>(), s(&[3, 7, 9]));
         assert_eq!(shared(&a, &[]).count(), 0);
         assert_eq!(shared(&a, &a).count(), a.len());
+    }
+
+    proptest::proptest! {
+        /// The branch-free count is the merge's count.
+        #[test]
+        fn shared_count_is_the_merge_count(
+            a in proptest::collection::btree_set(0u32..64, 0..24),
+            b in proptest::collection::btree_set(0u32..64, 0..24),
+        ) {
+            let a: Vec<Symbol> = a.into_iter().map(Symbol).collect();
+            let b: Vec<Symbol> = b.into_iter().map(Symbol).collect();
+            proptest::prop_assert_eq!(shared_count(&a, &b), shared(&a, &b).count());
+            proptest::prop_assert_eq!(shared_count(&b, &a), shared(&a, &b).count());
+            proptest::prop_assert_eq!(shared_count(&a, &a), a.len());
+        }
     }
 }

@@ -28,8 +28,8 @@ pub fn normalize(s: &str) -> String {
 }
 
 /// [`normalize`] into a caller-supplied buffer (cleared first) — the
-/// allocation-free variant the interned tokenization path reuses across
-/// values.
+/// allocation-free variant the tokenizer reuses across non-ASCII values
+/// (it cuts an ASCII value's tokens without normalizing it first).
 ///
 /// An ASCII value takes a byte path: on ASCII, `is_ascii_alphanumeric` and
 /// `to_ascii_lowercase` are exactly `char::is_alphanumeric` and
@@ -163,11 +163,9 @@ impl Tokenizer {
     /// and too-short tokens. Duplicates are preserved (callers wanting sets
     /// collect into one).
     pub fn tokens(&self, value: &str) -> Vec<String> {
-        normalize(value)
-            .split_whitespace()
-            .filter(|t| self.keeps(t))
-            .map(|t| t.to_string())
-            .collect()
+        let mut out = Vec::new();
+        self.for_each_token(value, &mut String::new(), |t| out.push(t.to_string()));
+        out
     }
 
     /// [`tokens`](Tokenizer::tokens) as interned symbols, appended to `out`
@@ -189,19 +187,45 @@ impl Tokenizer {
     }
 
     /// Calls `f` with every token [`tokens`](Tokenizer::tokens) keeps in
-    /// `value`, in order, borrowed from `scratch` (the reusable
-    /// normalization buffer) — nothing is allocated per token.
+    /// `value`, in order — nothing is allocated per token.
     ///
-    /// A normalized value separates its tokens by single spaces, with none
-    /// leading or trailing, so splitting it on `' '` is `split_whitespace`.
+    /// The tokens of a normalized value are its maximal alphanumeric runs,
+    /// lowercased. An ASCII value's runs are cut straight from `value`: a
+    /// run without an uppercase byte is handed over as it stands, and only
+    /// a run with one is copied into `scratch` and lowercased there. Any
+    /// other value is normalized into `scratch` (single spaces between
+    /// tokens, none leading or trailing) and split on `' '`.
     pub fn for_each_token(&self, value: &str, scratch: &mut String, mut f: impl FnMut(&str)) {
-        normalize_into(value, scratch);
-        if scratch.is_empty() {
+        if !value.is_ascii() {
+            normalize_into(value, scratch);
+            scratch
+                .split(' ')
+                .filter(|t| !t.is_empty() && self.keeps(t))
+                .for_each(f);
             return;
         }
-        for t in scratch.split(' ') {
-            if self.keeps(t) {
-                f(t);
+        let bytes = value.as_bytes();
+        let mut i = 0;
+        while i < bytes.len() {
+            if !bytes[i].is_ascii_alphanumeric() {
+                i += 1;
+                continue;
+            }
+            let (start, mut upper) = (i, false);
+            while i < bytes.len() && bytes[i].is_ascii_alphanumeric() {
+                upper |= bytes[i].is_ascii_uppercase();
+                i += 1;
+            }
+            let token = if upper {
+                scratch.clear();
+                scratch.push_str(&value[start..i]);
+                scratch.make_ascii_lowercase();
+                scratch.as_str()
+            } else {
+                &value[start..i]
+            };
+            if self.keeps(token) {
+                f(token);
             }
         }
     }
@@ -361,6 +385,58 @@ mod tests {
             for v in values.iter().chain([&ascii]) {
                 normalize_into(v, &mut out);
                 proptest::prop_assert_eq!(&out, &normalize_reference(v), "{:?}", v);
+            }
+        }
+    }
+
+    /// What the tokenizer keeps, by its definition: normalize, split on
+    /// `' '`, filter.
+    fn tokens_reference(t: &Tokenizer, value: &str) -> Vec<String> {
+        let normalized = normalize(value);
+        normalized
+            .split(' ')
+            .filter(|x| !x.is_empty() && t.keeps(x))
+            .map(str::to_string)
+            .collect()
+    }
+
+    const WORDS: [&str; 12] = [
+        "The", "AND", "of", "a", "An", "to", "Turing", "x9", "ONE", "2017", "mIxEd", "ab",
+    ];
+
+    proptest::proptest! {
+        /// The tokens cut from a value — borrowed or lowercased runs of an
+        /// ASCII value, split normalized text otherwise — are the
+        /// normalize-then-split tokens, under default, length and custom
+        /// stopword filters: mixed case, digits, punctuation runs,
+        /// separators leading and trailing, stopwords in any case.
+        #[test]
+        fn cut_tokens_are_the_normalized_split(
+            lead in "[ ,.-]{0,2}",
+            words in proptest::collection::vec((0usize..12, "[ ,.;!_-]{1,3}"), 0..8),
+            free in "[a-zA-Z0-9 ,._-]{0,24}",
+            unicode in "[a-dA-D0-9 ,.İßΣé\u{301}٣]{0,12}",
+        ) {
+            let mut ascii = lead;
+            for (w, sep) in &words {
+                ascii.push_str(WORDS[*w]);
+                ascii.push_str(sep);
+            }
+            let tokenizers = [
+                Tokenizer::default(),
+                Tokenizer::default().with_min_len(3),
+                Tokenizer::raw().with_stopwords(["turing", "ab", "one"]),
+                Tokenizer::raw().with_min_len(2).with_stopwords(["x9", "2017"]),
+            ];
+            let mut scratch = String::from("stale");
+            for value in [&ascii, &free, &unicode, &format!("{ascii}Σ{free}")] {
+                for t in &tokenizers {
+                    let want = tokens_reference(t, value);
+                    proptest::prop_assert_eq!(&t.tokens(value), &want, "{:?}", value);
+                    let mut cut = Vec::new();
+                    t.for_each_token(value, &mut scratch, |x| cut.push(x.to_string()));
+                    proptest::prop_assert_eq!(&cut, &want, "{:?}", value);
+                }
             }
         }
     }

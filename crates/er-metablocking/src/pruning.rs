@@ -174,7 +174,8 @@ impl PruningScheme {
             for u in nodes.clone() {
                 let row = offsets[u]..offsets[u + 1];
                 let ids = &neighbours[row.clone()];
-                rule.survivors(&weights[row], &mut order, |i| {
+                let weights = &weights[row];
+                rule.survivors(weights, weights.iter().sum(), &mut order, |i| {
                     out.push(Pair::new(EntityId(u as u32), ids[i]))
                 });
             }
@@ -211,15 +212,18 @@ impl NodeRule {
     }
 
     /// Judges one neighbourhood: `weights` holds its edge weights with the
-    /// neighbours in **ascending id order**, and `keep(i)` is called for
-    /// every surviving position, in ascending order. The order is part of
-    /// the contract twice over: the mean is summed left to right (`f64`
-    /// addition does not associate), and top-`k` breaks weight ties towards
-    /// the smaller neighbour id — which is the canonical pair order of the
-    /// node's edges. `order` is selection scratch, reused across calls.
+    /// neighbours in **ascending id order**, `sum` is
+    /// `weights.iter().sum::<f64>()` (the scan folds it while it emits the
+    /// weights), and `keep(i)` is called for every surviving position, in
+    /// ascending order. The order is part of the contract twice over: the
+    /// mean's sum runs left to right (`f64` addition does not associate),
+    /// and top-`k` breaks weight ties towards the smaller neighbour id —
+    /// which is the canonical pair order of the node's edges. `order` is
+    /// selection scratch, reused across calls.
     pub(crate) fn survivors(
         self,
         weights: &[f64],
+        sum: f64,
         order: &mut Vec<u32>,
         mut keep: impl FnMut(usize),
     ) {
@@ -243,7 +247,7 @@ impl NodeRule {
             }
             NodeRule::TopK(_) => (0..weights.len()).for_each(keep),
             NodeRule::MeanThreshold => {
-                let mean: f64 = weights.iter().sum::<f64>() / weights.len() as f64;
+                let mean = sum / weights.len() as f64;
                 (0..weights.len())
                     .filter(|&i| weights[i] >= mean)
                     .for_each(keep);
@@ -357,7 +361,7 @@ mod tests {
             (9, (0..7).collect()),
         ] {
             let mut kept = Vec::new();
-            NodeRule::TopK(k).survivors(&weights, &mut order, |i| kept.push(i));
+            NodeRule::TopK(k).survivors(&weights, 0.0, &mut order, |i| kept.push(i));
             assert_eq!(kept, expected, "k={k}");
         }
     }

@@ -30,7 +30,8 @@
 //!   walk, so no split of the nodes can regroup it;
 //! * a neighbourhood's **mean**, and the global WEP mean, are summed over
 //!   neighbours in ascending id order — the order of the pair-sorted edge
-//!   list (`NodeRule::survivors`).
+//!   list (`NodeRule::survivors`). The scan folds a neighbourhood's sum as
+//!   its drain emits the weights, in that order.
 //!
 //! [`BlockingGraph::par_build`]: crate::graph::BlockingGraph::par_build
 
@@ -43,6 +44,7 @@ use er_core::entity::EntityId;
 use er_core::obs::Obs;
 use er_core::pair::Pair;
 use er_core::parallel::{par_map, Parallelism};
+use std::cell::Cell;
 use std::ops::Range;
 
 /// The outcome of [`node_scan`].
@@ -355,27 +357,33 @@ impl<'a> Index<'a> {
         tally
     }
 
-    /// [`walk`](Self::walk) emitting every neighbour's edge weight. The
+    /// [`walk`](Self::walk) emitting every neighbour's edge weight, and
+    /// handing `visit` their sum too. The sum is folded as the drain emits
+    /// the weights, in ascending neighbour order from `-0.0` — exactly
+    /// `weights.iter().sum::<f64>()`, to the bit, with no second pass. The
     /// scheme is matched once here, so each walk has its formula inlined
     /// instead of matching it per neighbour.
     fn walk_weighted(
         &self,
         nodes: Range<usize>,
-        visit: impl FnMut(usize, &[u32], &[f64]),
+        mut visit: impl FnMut(usize, &[u32], &[f64], f64),
     ) -> Tally {
         let stats = |e: usize| NodeStats {
             blocks: self.block_count(e),
             discount: self.discounts[e],
         };
+        let sum = Cell::new(-0.0f64);
         macro_rules! walk_as {
             ($scheme:expr) => {
                 self.walk(
                     nodes,
                     |u, v, info| {
                         let v = v as usize;
-                        $scheme.edge_weight(info, || (stats(u.min(v)), stats(u.max(v))))
+                        let w = $scheme.edge_weight(info, || (stats(u.min(v)), stats(u.max(v))));
+                        sum.set(sum.get() + w);
+                        w
                     },
-                    visit,
+                    |u, neighbours, weights| visit(u, neighbours, weights, sum.replace(-0.0)),
                 )
             };
         }
@@ -406,8 +414,8 @@ impl<'a> Index<'a> {
         let parts = par_map(par, ranges, |nodes| {
             let (mut owned, mut below) = (Vec::new(), Vec::new());
             let mut order = Vec::new();
-            let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights| {
-                rule.survivors(weights, &mut order, |i| {
+            let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights, sum| {
+                rule.survivors(weights, sum, &mut order, |i| {
                     let v = neighbours[i];
                     let to = if v as usize > u {
                         &mut owned
@@ -445,7 +453,7 @@ impl<'a> Index<'a> {
         let walk = obs.span("meta_blocking.walk");
         let parts = par_map(par, ranges, |nodes| {
             let mut listed: Vec<f64> = Vec::new();
-            let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights| {
+            let tally = self.walk_weighted(nodes.clone(), |u, neighbours, weights, _| {
                 listed.extend_from_slice(&weights[above(u, neighbours)..]);
             });
             (listed, tally)
@@ -494,7 +502,7 @@ impl<'a> Index<'a> {
         let kept = par_map(par, &rules, |(nodes, rule)| {
             let mut kept: Vec<Pair> = Vec::new();
             let mut ties = rule.ties;
-            self.walk_weighted(nodes.clone(), |u, neighbours, weights| {
+            self.walk_weighted(nodes.clone(), |u, neighbours, weights, _| {
                 for i in above(u, neighbours)..neighbours.len() {
                     let tie = weights[i] == rule.threshold && ties > 0;
                     if tie {
@@ -710,7 +718,7 @@ mod tests {
                     })
                     .collect();
                 let mut scanned: Vec<(Pair, u64)> = Vec::new();
-                index.walk_weighted(0..c.len(), |u, neighbours, weights| {
+                index.walk_weighted(0..c.len(), |u, neighbours, weights, _| {
                     for i in above(u, neighbours)..neighbours.len() {
                         scanned.push((pair(u, neighbours[i]), weights[i].to_bits()));
                     }
@@ -754,7 +762,7 @@ mod tests {
 
         let index = Index::build(&c, &blocks, WeightingScheme::Arcs);
         let mut listed = None;
-        index.walk_weighted(0..1, |_, neighbours, weights| {
+        index.walk_weighted(0..1, |_, neighbours, weights, _| {
             listed = Some(weights[neighbours.binary_search(&1).unwrap()]);
         });
         assert_eq!(listed.map(f64::to_bits), Some(want), "scan");
@@ -799,6 +807,31 @@ mod tests {
                     assert_eq!(got.blocked_comparisons, graph.n_edges() as u64, "{ctx}");
                     assert_eq!(got.kept, pruning.par_prune(&graph, weighting, par), "{ctx}");
                 }
+            }
+        }
+    }
+
+    /// The sum the drain folds is the two-pass `weights.iter().sum()` the
+    /// WNP mean was read from, bit for bit, for every weighting.
+    #[test]
+    fn drained_sum_is_the_two_pass_sum() {
+        let fixtures = [chunk_spanning, word_spanning];
+        for (mode, fixture) in MODES.into_iter().flat_map(|m| fixtures.map(|f| (m, f))) {
+            let (c, blocks) = fixture(mode);
+            for weighting in WeightingScheme::ALL {
+                let index = Index::build(&c, &blocks, weighting);
+                let mut nodes = 0;
+                index.walk_weighted(0..c.len(), |u, _, weights, sum| {
+                    let two_pass: f64 = weights.iter().sum();
+                    assert_eq!(
+                        sum.to_bits(),
+                        two_pass.to_bits(),
+                        "{mode:?} {} node {u}",
+                        weighting.name()
+                    );
+                    nodes += usize::from(!weights.is_empty());
+                });
+                assert!(nodes > 50, "{mode:?}: needs non-empty neighbourhoods");
             }
         }
     }

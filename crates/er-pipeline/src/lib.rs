@@ -341,7 +341,10 @@ impl Pipeline {
         (walk, candidates)
     }
 
-    /// Records the per-run pipeline counters (cumulative across runs).
+    /// Records the per-run pipeline counters (cumulative across runs) and
+    /// the shape of the run's clusters: the `clustering.largest_cluster` and
+    /// `clustering.entities` gauges (this run) and the
+    /// `clustering.multi_member_clusters` counter (cumulative).
     pub(crate) fn record_run_counters(
         &self,
         report: &StageReport,
@@ -363,15 +366,25 @@ impl Pipeline {
         ] {
             self.obs.counter(name).add(value);
         }
+        let largest = clusters.iter().map(Vec::len).max().unwrap_or(0);
+        let entities: usize = clusters.iter().map(Vec::len).sum();
+        let multi = clusters.iter().filter(|c| c.len() > 1).count();
+        self.obs
+            .gauge("clustering.largest_cluster")
+            .set(largest as f64);
+        self.obs.gauge("clustering.entities").set(entities as f64);
+        self.obs
+            .counter("clustering.multi_member_clusters")
+            .add(multi as u64);
     }
 
     /// Runs the configured matching stage over the candidates under a stage
     /// watchdog, keeping the scores the score-aware clustering stages need.
     /// The matcher decides on the run's token profiles (TF-IDF derives its
     /// corpus statistics from them too), so deadline-checked chunks only
-    /// decide; the decisions run under the configured parallelism as an
-    /// order-preserving map, so the match list is identical at every thread
-    /// count.
+    /// decide; each chunk's accepted pairs come out in candidate order under
+    /// the configured parallelism, so the match list is identical at every
+    /// thread count.
     pub(crate) fn score_candidates_governed(
         &self,
         profiles: &TokenProfiles,
@@ -387,13 +400,7 @@ impl Pipeline {
                 TfIdfMatcher::from_profiles(profiles, *threshold).prepare_on(profiles)
             }
         };
-        self.governed_decide(candidates, watchdog, |slice| {
-            matcher
-                .decide_batch(slice, par)
-                .into_iter()
-                .filter_map(|(p, d)| d.is_match.then_some((p, d.score)))
-                .collect()
-        })
+        self.governed_decide(candidates, watchdog, |slice| matcher.accepted(slice, par))
     }
 
     /// Runs a matching step (`decide`: slice → accepted pairs with scores)

@@ -27,6 +27,12 @@
 //! fingerprint is the same hash, now read from the segment header's
 //! fingerprint field instead of a text header.
 //!
+//! `default_resolution_is_pinned` pins what no other suite pins: the matches
+//! and clusters of the default `Pipeline::run` on a 2 000-entity corpus, as
+//! `er generate --kind dirty --entities 2000 --seed 2017` writes it. Its
+//! values were measured before the tokenizer, matching and clustering
+//! kernels were rewritten, so it proves those rewrites moved no output.
+//!
 //! `protocol_fingerprint()` also hashes `CARGO_PKG_VERSION`; re-pin it (and
 //! only it) when the workspace version is bumped.
 
@@ -38,6 +44,7 @@ use er_core::intern::{Fnv1a, Symbol};
 use er_core::parallel::Parallelism;
 use er_core::profiles::TokenProfiles;
 use er_core::tokenize::Tokenizer;
+use er_datagen::{DirtyConfig, DirtyDataset};
 use er_integration_tests::ScratchDir;
 use er_mapreduce::dist::{
     decode_map_result, default_registry, encode_map_task, encode_transpose_map_task, run_task,
@@ -165,4 +172,37 @@ fn symbol_shuffle_segment_checksum_is_pinned() {
     assert_eq!(bytes, run);
     let got = Fnv1a::hash(&bytes);
     assert_eq!(got, 0xf22e_72ad_1d4b_9851, "{got:#018x}");
+}
+
+#[test]
+fn default_resolution_is_pinned() {
+    use std::hash::Hasher;
+    let ds = DirtyDataset::generate(&DirtyConfig {
+        entities: 2000,
+        seed: 2017,
+        ..Default::default()
+    });
+    let resolution = Pipeline::builder().build().run(&ds.collection);
+    let mut matches = resolution.matches;
+    matches.sort_unstable();
+    let mut clusters = resolution.clusters;
+    clusters.iter_mut().for_each(|c| c.sort_unstable());
+    clusters.sort_unstable();
+    let mut h = Fnv1a::default();
+    for p in &matches {
+        h.write(&p.first().0.to_le_bytes());
+        h.write(&p.second().0.to_le_bytes());
+    }
+    for c in &clusters {
+        h.write(&(c.len() as u32).to_le_bytes());
+        c.iter().for_each(|e| h.write(&e.0.to_le_bytes()));
+    }
+    let got = (matches.len(), clusters.len(), h.finish());
+    assert_eq!(
+        got,
+        (459, 2740, 0xac33_a966_3789_fcf3),
+        "{:?} {:#018x}",
+        (got.0, got.1),
+        got.2
+    );
 }
