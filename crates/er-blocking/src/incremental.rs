@@ -1,30 +1,23 @@
-//! Incremental token-blocking index maintenance.
+//! Token blocking under entity arrivals.
 //!
-//! Batch token blocking ([`crate::token::TokenBlocking`]) re-tokenizes and
-//! re-groups the world on every call — a non-starter when descriptions
-//! arrive as a stream. The [`IncrementalTokenIndex`] maintains the same flat
-//! `(Symbol, EntityId)` posting vectors *under updates*: new entities append
-//! postings to a **sorted pending run** which is periodically **compacted**
-//! (merged) into the sorted main run, the classic LSM-style maintenance the
-//! blocking/filtering survey motivates for posting lists under updates.
+//! Batch token blocking ([`crate::token::TokenBlocking`]) re-tokenizes the
+//! world on every call. The [`IncrementalTokenIndex`] tokenizes each
+//! description once, on arrival, into one deduplicated symbol row, and a
+//! snapshot hands those rows to the batch path's own transpose.
 //!
-//! No pipeline or streaming session reads this index: it is a library
-//! primitive whose [`IndexDelta`] feeds the incremental blocking graph
-//! (`er_metablocking::IncrementalGraph`). The equivalence contract — locked
-//! by `tests/streaming_equivalence.rs`, which drives both directly — is
+//! No pipeline or streaming session reads this index: `StreamingSession`
+//! resolves without blocks. The equivalence contract — locked by
+//! `tests/streaming_equivalence.rs`, which drives the index directly — is
 //! that [`snapshot_blocks`](IncrementalTokenIndex::snapshot_blocks) is
 //! **bit-identical** to a full [`TokenBlocking::build`] /
 //! [`TokenBlocking::par_build`] over the same entities, at every batch size,
 //! arrival order and thread count. The argument:
 //!
-//! * postings are a set: per-entity `sort + dedup` makes `(Symbol, EntityId)`
-//!   entries unique, and entity ids never repeat across batches — so the
-//!   merged main+pending run is exactly the globally sorted, deduplicated
-//!   entry vector the batch path produces;
-//! * a snapshot hands the postings, as entity rows, to the batch path's own
-//!   transpose ([`blocks_from_profiles`]), whose rank-ordering renumbers the
-//!   interner's first-encounter symbols — which *do* depend on arrival order
-//!   — before they can reach the output.
+//! * each row is the entity's token *set* (`sort + dedup`), exactly as the
+//!   batch path keys it, and entity ids never repeat across batches;
+//! * the rows go through [`KeyRows::from_rows`] and [`blocks_from_profiles`],
+//!   whose rank-ordering renumbers the interner's first-encounter symbols —
+//!   which *do* depend on arrival order — before they can reach the output.
 //!
 //! [`TokenBlocking::build`]: crate::token::TokenBlocking::build
 //! [`TokenBlocking::par_build`]: crate::token::TokenBlocking::par_build
@@ -36,60 +29,29 @@ use er_core::obs::Obs;
 use er_core::profiles::KeyRows;
 use er_core::tokenize::Tokenizer;
 
-/// Pending postings that trigger a compaction into the main run. Compaction
-/// is O(main + pending); amortized maintenance cost stays linear in the
-/// stream length.
-const DEFAULT_COMPACT_THRESHOLD: usize = 8 * 1024;
-
-/// What one [`insert_batch`](IncrementalTokenIndex::insert_batch) changed —
-/// the delta the incremental blocking graph consumes.
+/// What one [`insert_batch`](IncrementalTokenIndex::insert_batch) indexed.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct IndexDelta {
-    /// First entity id of the batch: every id `>= batch_start` is new, so a
-    /// grown block's new members are exactly its sorted tail from
-    /// `partition_point(id >= batch_start)`.
+    /// First entity id of the batch: every id `>= batch_start` is new.
     pub batch_start: EntityId,
-    /// Symbols whose posting lists grew, with the posting count *before* the
-    /// batch — `(symbol, old_count)`, sorted by symbol.
-    pub grown: Vec<(Symbol, u32)>,
 }
 
-/// A token-blocking inverted index maintained under entity arrivals.
+/// A token-blocking index maintained under entity arrivals: one token row
+/// per entity, in id order.
+#[derive(Default)]
 pub struct IncrementalTokenIndex {
     tokenizer: Tokenizer,
     interner: Interner,
-    /// Older postings: sorted by `(Symbol, EntityId)`, deduplicated.
-    main: Vec<(Symbol, EntityId)>,
-    /// Recent postings, same invariant. Every pending id is greater than
-    /// every main id for the same symbol (ids arrive in increasing order),
-    /// so per-symbol member lists are `main ++ pending`.
-    pending: Vec<(Symbol, EntityId)>,
-    compact_threshold: usize,
-    /// Postings per symbol (main + pending), indexed by `Symbol::index`.
-    symbol_counts: Vec<u32>,
-    next_entity: u32,
-    compactions: u64,
-}
-
-impl Default for IncrementalTokenIndex {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Row length of each entity indexed so far (0 for skipped ids).
+    lens: Vec<usize>,
+    /// The rows, concatenated: each entity's distinct symbols, sorted.
+    symbols: Vec<Symbol>,
 }
 
 impl IncrementalTokenIndex {
     /// Creates an empty index with the default tokenizer.
     pub fn new() -> Self {
-        IncrementalTokenIndex {
-            tokenizer: Tokenizer::default(),
-            interner: Interner::new(),
-            main: Vec::new(),
-            pending: Vec::new(),
-            compact_threshold: DEFAULT_COMPACT_THRESHOLD,
-            symbol_counts: Vec::new(),
-            next_entity: 0,
-            compactions: 0,
-        }
+        Self::default()
     }
 
     /// Replaces the tokenizer (must match the batch oracle's).
@@ -98,117 +60,45 @@ impl IncrementalTokenIndex {
         self
     }
 
-    /// Overrides the pending-run compaction threshold (testing knob; the
-    /// output is identical at every threshold).
-    pub fn with_compact_threshold(mut self, threshold: usize) -> Self {
-        self.compact_threshold = threshold.max(1);
-        self
-    }
-
     /// Indexes a batch of newly arrived entities, returning the delta.
     ///
     /// Entities must arrive in increasing-id order (the dense order
-    /// `EntityCollection::push` assigns) — that monotonicity is what makes a
-    /// grown block's new members its sorted tail.
+    /// `EntityCollection::push` assigns).
     pub fn insert_batch<'a, I>(&mut self, entities: I) -> IndexDelta
     where
         I: IntoIterator<Item = &'a Entity>,
     {
-        let batch_start = EntityId(self.next_entity);
+        let batch_start = EntityId(self.lens.len() as u32);
         let mut scratch = String::new();
-        let mut buf: Vec<Symbol> = Vec::new();
-        let mut batch: Vec<(Symbol, EntityId)> = Vec::new();
-        // (symbol, count before this batch) for symbols first touched here.
-        let mut grown: Vec<(Symbol, u32)> = Vec::new();
+        let mut row: Vec<Symbol> = Vec::new();
         for e in entities {
             assert!(
-                e.id().0 >= self.next_entity,
+                e.id().index() >= self.lens.len(),
                 "entities must arrive in increasing id order: got {:?} after {}",
                 e.id(),
-                self.next_entity
+                self.lens.len()
             );
-            self.next_entity = e.id().0 + 1;
-            buf.clear();
+            self.lens.resize(e.id().index(), 0);
+            row.clear();
             for (_, v) in e.attributes() {
                 self.tokenizer
-                    .symbols_into(v, &mut self.interner, &mut scratch, &mut buf);
+                    .symbols_into(v, &mut self.interner, &mut scratch, &mut row);
             }
             // Per-entity token *set*, exactly as the batch path.
-            buf.sort_unstable();
-            buf.dedup();
-            if self.symbol_counts.len() < self.interner.len() {
-                self.symbol_counts.resize(self.interner.len(), 0);
-            }
-            for &s in &buf {
-                let count = &mut self.symbol_counts[s.index()];
-                if *count > 0 && !grown.iter().any(|&(g, _)| g == s) {
-                    grown.push((s, *count));
-                } else if *count == 0 {
-                    grown.push((s, 0));
-                }
-                *count += 1;
-                batch.push((s, e.id()));
-            }
+            row.sort_unstable();
+            row.dedup();
+            self.lens.push(row.len());
+            self.symbols.extend_from_slice(&row);
         }
-        batch.sort_unstable();
-        self.pending = merge_sorted_runs(std::mem::take(&mut self.pending), batch);
-        if self.pending.len() >= self.compact_threshold {
-            self.compact();
-        }
-        grown.sort_unstable_by_key(|&(s, _)| s);
-        grown.dedup_by_key(|&mut (s, _)| s);
-        IndexDelta { batch_start, grown }
-    }
-
-    /// Merges the pending run into the main run. Called automatically when
-    /// the pending run crosses the threshold; snapshots and lookups are
-    /// correct whether or not a compaction has happened.
-    pub fn compact(&mut self) {
-        if self.pending.is_empty() {
-            return;
-        }
-        self.main = merge_sorted_runs(
-            std::mem::take(&mut self.main),
-            std::mem::take(&mut self.pending),
-        );
-        self.compactions += 1;
+        IndexDelta { batch_start }
     }
 
     /// The current blocking collection — **bit-identical** to
     /// `TokenBlocking::build` over the entities indexed so far.
     pub fn snapshot_blocks(&self) -> BlockCollection {
-        let mut by_entity: Vec<(EntityId, Symbol)> = self
-            .main
-            .iter()
-            .chain(&self.pending)
-            .map(|&(s, e)| (e, s))
-            .collect();
-        by_entity.sort_unstable();
-        let mut lens = vec![0; self.next_entity as usize];
-        for &(e, _) in &by_entity {
-            lens[e.index()] += 1;
-        }
-        let symbols = by_entity.into_iter().map(|(_, s)| s).collect();
-        let rows = KeyRows::from_rows(self.interner.clone().into_strings(), &lens, symbols);
+        let vocabulary = self.interner.clone().into_strings();
+        let rows = KeyRows::from_rows(vocabulary, &self.lens, self.symbols.clone());
         blocks_from_profiles(&rows, &Obs::disabled())
-    }
-
-    /// Member entities of one token block (empty if the symbol has no
-    /// postings): the main-run range followed by the pending-run range, both
-    /// sorted by id.
-    pub fn members(&self, symbol: Symbol) -> Vec<EntityId> {
-        let mut out = Vec::new();
-        for run in [&self.main, &self.pending] {
-            let lo = run.partition_point(|&(s, _)| s < symbol);
-            let hi = run.partition_point(|&(s, _)| s <= symbol);
-            out.extend(run[lo..hi].iter().map(|&(_, e)| e));
-        }
-        out
-    }
-
-    /// Posting count of one symbol.
-    pub fn symbol_count(&self, symbol: Symbol) -> u32 {
-        self.symbol_counts.get(symbol.index()).copied().unwrap_or(0)
     }
 
     /// The interner mapping symbols to token strings.
@@ -218,53 +108,19 @@ impl IncrementalTokenIndex {
 
     /// Entities indexed so far.
     pub fn n_entities(&self) -> usize {
-        self.next_entity as usize
+        self.lens.len()
     }
 
-    /// Total postings (main + pending).
+    /// Total postings: the summed row lengths.
     pub fn postings(&self) -> usize {
-        self.main.len() + self.pending.len()
+        self.symbols.len()
     }
 
-    /// Compactions performed so far.
-    pub fn compactions(&self) -> u64 {
-        self.compactions
-    }
-
-    /// Heap bytes held by the posting runs and per-symbol counts.
+    /// Heap bytes held by the rows.
     pub fn posting_bytes(&self) -> u64 {
-        let entry = std::mem::size_of::<(Symbol, EntityId)>() as u64;
-        (self.main.capacity() + self.pending.capacity()) as u64 * entry
-            + self.symbol_counts.capacity() as u64 * 4
+        let lens = self.lens.capacity() * std::mem::size_of::<usize>();
+        (self.symbols.capacity() * std::mem::size_of::<Symbol>() + lens) as u64
     }
-}
-
-/// Merges two sorted, deduplicated runs into one. The runs never share an
-/// entry (entity ids are unique per batch), so this is a plain merge.
-fn merge_sorted_runs(
-    a: Vec<(Symbol, EntityId)>,
-    b: Vec<(Symbol, EntityId)>,
-) -> Vec<(Symbol, EntityId)> {
-    if a.is_empty() {
-        return b;
-    }
-    if b.is_empty() {
-        return a;
-    }
-    let mut out = Vec::with_capacity(a.len() + b.len());
-    let (mut i, mut j) = (0, 0);
-    while i < a.len() && j < b.len() {
-        if a[i] <= b[j] {
-            out.push(a[i]);
-            i += 1;
-        } else {
-            out.push(b[j]);
-            j += 1;
-        }
-    }
-    out.extend_from_slice(&a[i..]);
-    out.extend_from_slice(&b[j..]);
-    out
 }
 
 #[cfg(test)]
@@ -283,8 +139,8 @@ mod tests {
         c
     }
 
-    fn feed(c: &EntityCollection, batch: usize, threshold: usize) -> IncrementalTokenIndex {
-        let mut idx = IncrementalTokenIndex::new().with_compact_threshold(threshold);
+    fn feed(c: &EntityCollection, batch: usize) -> IncrementalTokenIndex {
+        let mut idx = IncrementalTokenIndex::new();
         let entities: Vec<_> = c.iter().collect();
         for chunk in entities.chunks(batch) {
             idx.insert_batch(chunk.iter().copied());
@@ -303,25 +159,18 @@ mod tests {
     ];
 
     #[test]
-    fn snapshot_matches_full_rebuild_at_every_batch_size_and_threshold() {
+    fn snapshot_matches_full_rebuild_at_every_batch_size() {
         let c = collection(VALUES);
         let full = TokenBlocking::new().build(&c);
         for batch in [1, 2, 3, 7] {
-            for threshold in [1, 4, 1024] {
-                let idx = feed(&c, batch, threshold);
-                assert_eq!(
-                    idx.snapshot_blocks(),
-                    full,
-                    "batch {batch} threshold {threshold}"
-                );
-            }
+            assert_eq!(feed(&c, batch).snapshot_blocks(), full, "batch {batch}");
         }
     }
 
     #[test]
     fn snapshot_matches_parallel_rebuild() {
         let c = collection(VALUES);
-        let idx = feed(&c, 2, 4);
+        let idx = feed(&c, 2);
         for n in [1, 4] {
             assert_eq!(
                 idx.snapshot_blocks(),
@@ -335,7 +184,7 @@ mod tests {
     fn mid_stream_snapshots_match_prefix_rebuilds() {
         let c = collection(VALUES);
         let entities: Vec<_> = c.iter().collect();
-        let mut idx = IncrementalTokenIndex::new().with_compact_threshold(3);
+        let mut idx = IncrementalTokenIndex::new();
         for (i, e) in entities.iter().enumerate() {
             idx.insert_batch(std::iter::once(*e));
             let prefix = collection(&VALUES[..=i]);
@@ -346,37 +195,50 @@ mod tests {
                 i + 1
             );
         }
-        assert!(idx.compactions() > 0, "threshold 3 must force compactions");
     }
 
     #[test]
     fn members_and_counts_track_the_postings() {
         let c = collection(VALUES);
-        let mut idx = IncrementalTokenIndex::new().with_compact_threshold(4);
+        let mut idx = IncrementalTokenIndex::new();
         let entities: Vec<_> = c.iter().collect();
+        let members = |idx: &IncrementalTokenIndex, key: &str| {
+            let blocks = idx.snapshot_blocks();
+            let block = blocks.blocks().iter().find(|b| b.key() == key);
+            block.map(|b| b.entities().to_vec())
+        };
         let d0 = idx.insert_batch(entities[..2].iter().copied());
         assert_eq!(d0.batch_start, EntityId(0));
-        let turing = idx.interner().lookup("turing").unwrap();
-        assert_eq!(idx.members(turing), vec![EntityId(0), EntityId(1)]);
-        assert_eq!(idx.symbol_count(turing), 2);
+        assert_eq!(
+            members(&idx, "turing"),
+            Some(vec![EntityId(0), EntityId(1)])
+        );
+        assert_eq!(members(&idx, "machine"), None, "one member is no block");
         let d1 = idx.insert_batch(entities[2..].iter().copied());
         assert_eq!(d1.batch_start, EntityId(2));
-        let machine = idx.interner().lookup("machine").unwrap();
-        assert_eq!(idx.members(machine), vec![EntityId(0), EntityId(5)]);
-        // "machine" grew from count 1: the delta reports the old count.
-        assert!(d1.grown.contains(&(machine, 1)));
-        // "turing" was untouched by the second batch.
-        assert!(!d1.grown.iter().any(|&(s, _)| s == turing));
+        assert_eq!(
+            members(&idx, "machine"),
+            Some(vec![EntityId(0), EntityId(5)])
+        );
+        assert_eq!(idx.n_entities(), VALUES.len());
+        assert_eq!(idx.postings() as u64, full_postings(&c));
     }
 
-    #[test]
-    fn delta_old_count_is_pre_batch_even_when_touched_twice_in_batch() {
-        let c = collection(&["x y", "x z", "x w"]);
-        let mut idx = IncrementalTokenIndex::new();
-        let d = idx.insert_batch(c.iter());
-        let x = idx.interner().lookup("x").unwrap();
-        assert!(d.grown.contains(&(x, 0)), "first touch this batch: old 0");
-        assert_eq!(idx.symbol_count(x), 3);
+    /// Postings of the batch build, singleton tokens included.
+    fn full_postings(c: &EntityCollection) -> u64 {
+        let tokenizer = er_core::tokenize::Tokenizer::default();
+        c.iter()
+            .map(|e| {
+                let mut tokens: Vec<String> = e
+                    .attributes()
+                    .iter()
+                    .flat_map(|(_, v)| tokenizer.tokens(v))
+                    .collect();
+                tokens.sort();
+                tokens.dedup();
+                tokens.len() as u64
+            })
+            .sum()
     }
 
     #[test]

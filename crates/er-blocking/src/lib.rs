@@ -30,10 +30,9 @@
 //!   the frequent-itemset view of \[19\]): [`frequent_sets`].
 //! * **Comparison propagation**: redundancy-free iteration over a blocking
 //!   collection without materializing the pair set: [`propagation`].
-//! * **Incremental index maintenance**: the token-blocking posting vectors
-//!   maintained under streaming entity arrivals (sorted-run insertion +
-//!   periodic compaction), bit-identical to a full rebuild at every
-//!   snapshot: [`incremental`].
+//! * **Incremental token index**: one token row per streaming arrival,
+//!   transposed on demand by the batch path, bit-identical to a full
+//!   rebuild at every snapshot: [`incremental`].
 //!
 //! All methods produce a [`block::BlockCollection`] (or directly a candidate
 //! pair list) whose quality is measured with `er_core::metrics`. Every

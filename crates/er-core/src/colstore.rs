@@ -1,13 +1,12 @@
 //! Out-of-core columnar segment store.
 //!
-//! The compact layouts of PR 5 made the hot structures of blocking and
-//! meta-blocking *flat*: interned dictionaries, `(Symbol, EntityId)` posting
-//! vectors, `(Pair, EdgeInfo)` edge vectors. This module puts those flat
-//! columns into a **versioned, fingerprinted, length-prefixed segment file**
-//! so the external-sort builders (`er_blocking::ooc`,
-//! `er_metablocking::ooc`) can stream over sorted on-disk runs instead of
-//! materializing the full vectors — the ROADMAP's "dataset 10× RAM resolves
-//! to bit-identical output at graceful slowdown" operating point.
+//! The compact layouts of PR 5 made the hot structures of blocking *flat*:
+//! interned dictionaries and `(Symbol, EntityId)` posting vectors. This
+//! module puts those flat columns into a **versioned, fingerprinted,
+//! length-prefixed segment file** so the external-sort blocking build
+//! (`er_blocking::ooc`) can stream over sorted on-disk runs instead of
+//! materializing the full posting vector — the ROADMAP's "dataset 10× RAM
+//! resolves to bit-identical output at graceful slowdown" operating point.
 //!
 //! ## File format (all integers little-endian)
 //!
@@ -31,16 +30,14 @@
 //!   stage checkpoints are one-section segments of this kind.
 //! * `POSTINGS` (2) — one sorted `(Symbol, EntityId)` run: `count u64`, then
 //!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
-//! * `EDGES` (3) — one pair-sorted edge run: `count u64`, then
-//!   `count × (u32, u32, u32, u64)` with the `f64` ARCS weight stored as
-//!   raw bits ([`f64::to_bits`]) for bit-exact round-trips.
 //!
-//! Kind 4 is unassigned; every kind keeps its number so a segment's bytes do
-//! not depend on which kinds exist.
+//! Kinds 3 (the retired edge runs of an out-of-core graph build) and 4 are
+//! unassigned; every kind keeps its number so a segment's bytes do not
+//! depend on which kinds exist.
 //!
-//! The two run kinds share one fixed-width codec ([`RunRecord`]), one writer
-//! method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and one
-//! external sort ([`ExternalSorter`]).
+//! The run kind goes through one fixed-width codec ([`RunRecord`]), one
+//! writer method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and
+//! one external sort ([`ExternalSorter`]).
 //!
 //! ## Reads without `mmap`
 //!
@@ -93,8 +90,6 @@ pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 pub const KIND_BYTES: u32 = 1;
 /// Section kind: sorted `(Symbol, EntityId)` posting run.
 pub const KIND_POSTINGS: u32 = 2;
-/// Section kind: pair-sorted edge run with bit-exact `f64` weights.
-pub const KIND_EDGES: u32 = 3;
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -307,22 +302,6 @@ impl StoreMetrics {
     }
 }
 
-/// One on-disk edge record: a canonical pair, its CBS count, and the ARCS
-/// weight as raw `f64` bits — the bit-exact currency the streamed graph
-/// build merges. (Defined here rather than in `er-metablocking` so the
-/// codec stays dependency-free; the graph layer maps to/from `EdgeInfo`.)
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct EdgeRecord {
-    /// First endpoint (canonical: `a < b`).
-    pub a: u32,
-    /// Second endpoint.
-    pub b: u32,
-    /// Common-block count contribution.
-    pub count: u32,
-    /// ARCS weight contribution, as [`f64::to_bits`].
-    pub weight_bits: u64,
-}
-
 /// A fixed-width record of a sorted-run section — the one codec behind
 /// [`SegmentWriter::run`], [`RunCursor`] and [`ExternalSorter`].
 pub trait RunRecord: Copy {
@@ -330,12 +309,9 @@ pub trait RunRecord: Copy {
     const KIND: u32;
     /// Bytes of one on-disk record.
     const BYTES: usize;
-    /// Whether records with equal keys are one record: a sorted run then
-    /// keeps the first of equal neighbours, and the merge drops cross-run
-    /// repeats. Records that carry a payload beyond their key must not
-    /// coalesce.
-    const COALESCE: bool;
-    /// What runs are sorted and merged by.
+    /// What runs are sorted and merged by. Records with equal keys are one
+    /// record: a sorted run keeps the first of equal neighbours, and the
+    /// merge drops cross-run repeats.
     type Key: Ord + Copy;
     /// The record's sort key.
     fn key(&self) -> Self::Key;
@@ -349,7 +325,6 @@ pub trait RunRecord: Copy {
 impl RunRecord for (Symbol, EntityId) {
     const KIND: u32 = KIND_POSTINGS;
     const BYTES: usize = 8;
-    const COALESCE: bool = true;
     type Key = (Symbol, EntityId);
 
     fn key(&self) -> Self::Key {
@@ -364,37 +339,6 @@ impl RunRecord for (Symbol, EntityId) {
     #[inline]
     fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
         Ok((Symbol(d.u32()?), EntityId(d.u32()?)))
-    }
-}
-
-/// An edge contribution: a [`KIND_EDGES`] record, `(u32, u32, u32, u64)`,
-/// keyed by its pair. Contributions of one pair stay apart — the graph fold
-/// adds them in arrival order.
-impl RunRecord for EdgeRecord {
-    const KIND: u32 = KIND_EDGES;
-    const BYTES: usize = 20;
-    const COALESCE: bool = false;
-    type Key = (u32, u32);
-
-    fn key(&self) -> Self::Key {
-        (self.a, self.b)
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.a);
-        put_u32(out, self.b);
-        put_u32(out, self.count);
-        put_u64(out, self.weight_bits);
-    }
-
-    #[inline]
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok(EdgeRecord {
-            a: d.u32()?,
-            b: d.u32()?,
-            count: d.u32()?,
-            weight_bits: d.u64()?,
-        })
     }
 }
 
@@ -933,18 +877,17 @@ impl<R: RunRecord> RunCursor<'_, R> {
     }
 }
 
-/// Configuration of an [`ExternalSorter`] and so of the out-of-core builders
-/// in `er-blocking` and `er-metablocking`: where spill segments live, how
-/// large a sorted run may grow, which fingerprint binds the segments to
-/// their input, and the budget and metrics the spill and merge report to.
+/// Configuration of an [`ExternalSorter`] and so of the out-of-core blocking
+/// build in `er-blocking`: where spill segments live, how large a sorted run
+/// may grow, which fingerprint binds the segments to their input, and the
+/// budget and metrics the spill and merge report to.
 #[derive(Clone, Debug)]
 pub struct OocConfig {
     /// Directory holding this run's spill segments.
     pub segment_dir: PathBuf,
-    /// Records buffered per sorted run before spilling (postings for the
-    /// blocking build, edge contributions for the graph build). The run
-    /// buffer is charged against the budget and adaptively halved — never
-    /// below a floor — when the reservation fails.
+    /// Postings buffered per sorted run before spilling. The run buffer is
+    /// charged against the budget and adaptively halved — never below a
+    /// floor — when the reservation fails.
     pub run_entries: usize,
     /// Producer fingerprint stamped into every segment
     /// (see [`collection_fingerprint`]).
@@ -1021,17 +964,16 @@ impl OocConfig {
 /// Floor of the adaptive run-buffer shrink.
 const MIN_RUN_ENTRIES: usize = 64;
 
-/// The external sort both out-of-core builders stream through: records
-/// accumulate in a bounded, budget-charged run buffer; each full buffer is
-/// stable-sorted by [`RunRecord::key`] and spilled as one run segment under
-/// `cfg.segment_dir`; [`merge`](Self::merge) streams the runs back in
-/// `(key, run index)` order. The merged stream is therefore the **stable
-/// sort of the pushed sequence** — runs are contiguous windows of it, so
-/// records with equal keys come out in arrival order (coalesced to one when
-/// [`RunRecord::COALESCE`]). The run buffer's reservation is returned
-/// before the merge reads, so the merge needs only one page of budget
-/// headroom. Run files are removed and any reservation returned when the
-/// sorter drops, on success and on error.
+/// The external sort the out-of-core blocking build streams through:
+/// records accumulate in a bounded, budget-charged run buffer; each full
+/// buffer is sorted by [`RunRecord::key`], deduplicated and spilled as one
+/// run segment under `cfg.segment_dir`; [`merge`](Self::merge) streams the
+/// runs back in `(key, run index)` order, dropping cross-run repeats. The
+/// merged stream is therefore the **sorted, deduplicated pushed
+/// sequence**. The run buffer's reservation is returned before the merge
+/// reads, so the merge needs only one page of budget headroom. Run files are
+/// removed and any reservation returned when the sorter drops, on success
+/// and on error.
 pub struct ExternalSorter<'a, R: RunRecord> {
     cfg: &'a OocConfig,
     /// Names the budget reservation and the run files.
@@ -1090,9 +1032,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
             return Ok(());
         }
         self.buf.sort_by_key(R::key);
-        if R::COALESCE {
-            self.buf.dedup_by_key(|r| r.key());
-        }
+        self.buf.dedup_by_key(|r| r.key());
         let name = format!("{}-run-{:05}.seg", self.stage, self.runs.len());
         let path = self.cfg.segment_dir.join(name);
         let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
@@ -1144,7 +1084,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
                 heap.push(Reverse((r.key(), run)));
             }
             let head = std::mem::replace(&mut heads[run], next);
-            if R::COALESCE && last.replace(key) == Some(key) {
+            if last.replace(key) == Some(key) {
                 continue; // cross-run repeat
             }
             if let Some(record) = head {
@@ -1213,30 +1153,6 @@ mod tests {
         let mut got = Vec::new();
         while let Some(p) = cursor.next().unwrap() {
             got.push(p);
-        }
-        assert_eq!(got, run);
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn edge_runs_round_trip_f64_bits() {
-        let path = tmp_seg("edges");
-        let run: Vec<EdgeRecord> = (0..50u32)
-            .map(|i| EdgeRecord {
-                a: i,
-                b: i + 1,
-                count: i % 7,
-                weight_bits: (1.0 / f64::from(i + 1)).to_bits(),
-            })
-            .collect();
-        let mut w = SegmentWriter::create(&path, 7).unwrap();
-        w.run(&run).unwrap();
-        w.finish().unwrap();
-        let seg = Segment::open(&path, SegmentOptions::new(7)).unwrap();
-        let mut cursor = seg.run::<EdgeRecord>(0).unwrap();
-        let mut got = Vec::new();
-        while let Some(e) = cursor.next().unwrap() {
-            got.push(e);
         }
         assert_eq!(got, run);
         let _ = fs::remove_file(&path);
@@ -1453,11 +1369,10 @@ mod tests {
     // ------------------------------------------------------ ExternalSorter
     //
     // The mechanism tests of the one external sort. They replace the
-    // per-builder copies that `er-blocking::ooc` / `er-metablocking::ooc`
-    // carried while each had its own spill/merge loop:
+    // per-builder copies the out-of-core builders carried while each had
+    // its own spill/merge loop:
     //
-    // * `…::ooc_build_records_metrics_and_charges_budget` (blocking) and
-    //   `…::ooc_build_drains_budget_and_records_metrics` (meta-blocking)
+    // * `…::ooc_build_records_metrics_and_charges_budget` (blocking)
     //   → `sorted_stream_is_the_stable_sort_of_the_input`
     // * `…::starved_budget_is_a_typed_error` (blocking)
     //   → `run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed`
@@ -1482,23 +1397,6 @@ mod tests {
                     Symbol(lcg(&mut state) % 200),
                     EntityId(lcg(&mut state) % 40),
                 )
-            })
-            .collect()
-    }
-
-    /// Few distinct pairs, every weight distinct: equal pairs are only told
-    /// apart by their arrival position.
-    fn random_edges(seed: u64, n: usize) -> Vec<EdgeRecord> {
-        let mut state = seed;
-        (0..n)
-            .map(|i| {
-                let a = lcg(&mut state) % 12;
-                EdgeRecord {
-                    a,
-                    b: a + 1 + lcg(&mut state) % 4,
-                    count: 1,
-                    weight_bits: (1.0 / (i + 1) as f64).to_bits(),
-                }
             })
             .collect()
     }
@@ -1529,7 +1427,7 @@ mod tests {
                     .with_metrics(metrics.clone());
                 let cell = format!("seed {seed} run {run_entries}");
 
-                // Postings coalesce: the stream is sort + dedup.
+                // Equal postings are one: the stream is sort + dedup.
                 let postings = random_postings(seed, N);
                 let mut want = postings.clone();
                 want.sort();
@@ -1537,14 +1435,7 @@ mod tests {
                 assert!(want.len() < N, "{cell}: the input has repeats");
                 assert_eq!(sorted_by(&cfg, &postings).unwrap(), want, "{cell}");
 
-                // Edge records do not: equal pairs with distinct weights come
-                // out in arrival order — what ARCS bit-identity rests on.
-                let edges = random_edges(seed, N);
-                let mut want = edges.clone();
-                want.sort_by_key(|r| (r.a, r.b));
-                assert_eq!(sorted_by(&cfg, &edges).unwrap(), want, "{cell}");
-
-                let runs = 2 * N.div_ceil(run_entries) as u64;
+                let runs = N.div_ceil(run_entries) as u64;
                 let snap = obs.snapshot();
                 assert_eq!(snap.counter("colstore.segments_written"), Some(runs));
                 assert_eq!(snap.counter("colstore.runs_merged"), Some(runs));

@@ -10,6 +10,7 @@
 use crate::scan::graph_edges;
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
+use er_core::colstore::{OocConfig, SegmentError};
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
 use std::collections::BTreeMap;
@@ -27,56 +28,19 @@ pub struct EdgeInfo {
 /// The blocking graph of a blocking collection: one node per description,
 /// one undirected edge per co-occurring admissible pair, plus the node-level
 /// statistics the weighting schemes need.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub struct BlockingGraph {
     /// All edges, sorted by pair — lookups are a binary search, iteration is
-    /// a cache-friendly linear scan. `pub(crate)` so the incremental
-    /// maintainer ([`crate::incremental`]) can patch the graph in place.
+    /// a cache-friendly linear scan.
     pub(crate) edges: Vec<(Pair, EdgeInfo)>,
     /// Blocks containing each entity.
-    pub(crate) entity_block_counts: Vec<u32>,
+    entity_block_counts: Vec<u32>,
     /// Distinct neighbors of each entity (node degree).
-    pub(crate) degrees: Vec<u32>,
-    pub(crate) total_blocks: u64,
+    degrees: Vec<u32>,
+    total_blocks: u64,
     /// Total entity–block assignments (`BC`), used by cardinality pruning.
-    pub(crate) total_assignments: u64,
-    pub(crate) n_entities: usize,
-    /// Bytes of edge contributions the build sorted — a build-path
-    /// statistic, not part of the graph's value (excluded from `PartialEq`;
-    /// 0 for the in-memory and reference builds, which sort nothing).
-    pub(crate) edge_sort_bytes: u64,
-}
-
-/// Equality is over the graph's *value* — edges, node statistics, totals —
-/// not over build-path diagnostics like
-/// [`edge_sort_bytes`](BlockingGraph::edge_sort_bytes), so the in-memory,
-/// out-of-core and reference builders compare equal when (and only when)
-/// their outputs are bit-identical.
-impl PartialEq for BlockingGraph {
-    fn eq(&self, other: &Self) -> bool {
-        self.edges == other.edges
-            && self.entity_block_counts == other.entity_block_counts
-            && self.degrees == other.degrees
-            && self.total_blocks == other.total_blocks
-            && self.total_assignments == other.total_assignments
-            && self.n_entities == other.n_entities
-    }
-}
-
-/// Adds one contribution to a pair-sorted edge vector under construction:
-/// **in place, left to right**. Fed a *stably* pair-sorted contribution
-/// stream in block order, a pair's contributions arrive in block order, so
-/// its ARCS is the plain block-order sum (the first contribution lands on
-/// an empty slot as is, and `0.0 + x == x` bitwise for the strictly
-/// positive contributions).
-pub(crate) fn accumulate(out: &mut Vec<(Pair, EdgeInfo)>, (p, info): (Pair, EdgeInfo)) {
-    match out.last_mut() {
-        Some((last, acc)) if *last == p => {
-            acc.common_blocks += info.common_blocks;
-            acc.arcs += info.arcs;
-        }
-        _ => out.push((p, info)),
-    }
+    total_assignments: u64,
+    n_entities: usize,
 }
 
 impl BlockingGraph {
@@ -96,16 +60,28 @@ impl BlockingGraph {
         blocks: &BlockCollection,
         par: Parallelism,
     ) -> Self {
-        Self::from_edges(collection, blocks, graph_edges(collection, blocks, par), 0)
+        Self::from_edges(collection, blocks, graph_edges(collection, blocks, par))
+    }
+
+    /// [`par_build`](BlockingGraph::par_build) under an out-of-core
+    /// configuration. `cfg` is not read: the graph is the build's in-memory
+    /// output either way, and the scan's walk holds no contribution stream
+    /// to spill, so nothing reaches `cfg.segment_dir` and no error arises.
+    pub fn par_build_ooc(
+        collection: &EntityCollection,
+        blocks: &BlockCollection,
+        par: Parallelism,
+        _cfg: &OocConfig,
+    ) -> Result<Self, SegmentError> {
+        Ok(Self::par_build(collection, blocks, par))
     }
 
     /// The graph of pair-sorted `edges`, the one finisher of every builder:
     /// degrees from the edges, block counts and totals from `blocks`.
-    pub(crate) fn from_edges(
+    fn from_edges(
         collection: &EntityCollection,
         blocks: &BlockCollection,
         edges: Vec<(Pair, EdgeInfo)>,
-        edge_sort_bytes: u64,
     ) -> Self {
         let n = collection.len();
         let mut degrees = vec![0u32; n];
@@ -124,7 +100,6 @@ impl BlockingGraph {
             total_blocks: blocks.len() as u64,
             total_assignments: blocks.assignments(),
             n_entities: n,
-            edge_sort_bytes,
         }
     }
 
@@ -146,7 +121,7 @@ impl BlockingGraph {
                 info.arcs += w;
             }
         }
-        Self::from_edges(collection, blocks, edges.into_iter().collect(), 0)
+        Self::from_edges(collection, blocks, edges.into_iter().collect())
     }
 
     /// Number of nodes (all collection entities, including isolated ones).
@@ -173,14 +148,12 @@ impl BlockingGraph {
             .map(|i| self.edges[i].1)
     }
 
-    /// Bytes of edge contributions the build sorted: the raw records × the
-    /// record size for [`par_build_ooc`], 0 for the in-memory and reference
-    /// builds, which sort nothing — the `metablocking.edge_sort_bytes`
-    /// statistic.
-    ///
-    /// [`par_build_ooc`]: BlockingGraph::par_build_ooc
+    /// Bytes of edge contributions the build sorted: always 0, since no
+    /// builder sorts contributions (the walk folds each pair inside one
+    /// node's neighbourhood). Kept as the `metablocking.edge_sort_bytes`
+    /// statistic's source.
     pub fn edge_sort_bytes(&self) -> u64 {
-        self.edge_sort_bytes
+        0
     }
 
     /// Number of blocks containing `entity`.
@@ -366,21 +339,6 @@ mod tests {
                 assert_eq!(i1.arcs.to_bits(), i2.arcs.to_bits(), "ARCS bits at {p1:?}");
             }
         }
-    }
-
-    #[test]
-    fn edge_sort_bytes_is_a_build_statistic_not_graph_value() {
-        let (c, blocks) = chunk_spanning();
-        let mut compact = BlockingGraph::build(&c, &blocks);
-        let reference = BlockingGraph::build_reference(&c, &blocks);
-        assert_eq!(
-            compact.edge_sort_bytes(),
-            0,
-            "the in-memory build sorts nothing"
-        );
-        assert_eq!(reference.edge_sort_bytes(), 0);
-        compact.edge_sort_bytes = 1;
-        assert_eq!(compact, reference, "stat must not affect equality");
     }
 
     #[test]

@@ -12,28 +12,23 @@
 //!   spot. This is what `er-pipeline` runs.
 //! * [`graph::BlockingGraph`] — the materialised graph: what the scan's
 //!   walk emits when it keeps every edge, so the scan is bit-identical to
-//!   it; the structure behind incremental maintenance, supervised pruning
-//!   and DOT export.
-//! * [`incremental::IncrementalGraph`] — the graph maintained under
-//!   streaming entity arrivals: integer statistics exact per batch, ARCS
-//!   restored bit-exactly by a refresh. A library primitive: no pipeline or
-//!   streaming session reads it.
+//!   it; the structure behind supervised pruning and DOT export. Its
+//!   out-of-core builder is the in-memory one: the walk has nothing to
+//!   spill.
+//! * [`incremental::IncrementalGraph`] — the graph of an incremental token
+//!   index, rebuilt over the index's snapshot at every batch. An adapter:
+//!   no pipeline or streaming session reads it.
 //! * [`weights::WeightingScheme`] — CBS, ECBS, JS, EJS and ARCS edge weights.
 //! * [`pruning`] — weight-based and cardinality-based, edge-centric and
 //!   node-centric pruning: WEP, CEP, WNP, CNP plus reciprocal variants.
 //! * [`supervised`] — supervised pruning: edge features + an averaged
 //!   perceptron learned from a labeled edge sample.
-//! * [`ooc`] — out-of-core graph construction: block-order edge
-//!   contributions spilled as pair-sorted segment runs and merged
-//!   streaming, bit-identical to the in-memory build (ARCS bits included). The scan has nothing to
-//!   spill, so no pipeline path builds the graph this way any more.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod graph;
 pub mod incremental;
-pub mod ooc;
 pub mod pruning;
 pub mod scan;
 pub mod supervised;

@@ -772,14 +772,6 @@ mod tests {
             let g = BlockingGraph::par_build(&c, &blocks, Parallelism::threads(n));
             assert_eq!(arcs(&g), Some(want), "par_build threads={n}");
         }
-        for run_entries in [64, 100_000] {
-            let dir = std::env::temp_dir()
-                .join(format!("er-arcs-fold-{}-{run_entries}", std::process::id()));
-            let cfg = er_core::colstore::OocConfig::new(&dir).with_run_entries(run_entries);
-            let g = BlockingGraph::par_build_ooc(&c, &blocks, Parallelism::threads(2), &cfg);
-            let _ = std::fs::remove_dir_all(&dir);
-            assert_eq!(arcs(&g.unwrap()), Some(want), "ooc run={run_entries}");
-        }
         let reference = BlockingGraph::build_reference(&c, &blocks);
         assert_eq!(arcs(&reference), Some(want), "build_reference");
     }

@@ -62,7 +62,7 @@ use er_core::similarity::SetMeasure;
 use er_mapreduce::{
     run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport, Transport,
 };
-use er_metablocking::{node_scan, PruningScheme, WeightingScheme};
+use er_metablocking::{PruningScheme, WeightingScheme};
 use recovery::Hooks;
 use std::path::PathBuf;
 use walk::{Decide, RunProfiles, Walk};
@@ -580,6 +580,7 @@ impl Pipeline {
         obs: &Obs,
     ) -> BlockCollection {
         let cleaning_span = obs.span("pipeline.cleaning");
+        let postings_in = obs.is_enabled().then(|| blocks.assignments());
         let cleaned = match self.cleaning {
             CleaningStage::None => blocks,
             CleaningStage::AutoPurge => cleaning::auto_purge(&blocks, collection),
@@ -589,9 +590,14 @@ impl Pipeline {
             }
         };
         cleaning_span.finish();
-        if obs.is_enabled() && self.cleaning != CleaningStage::None {
-            obs.counter("cleaning.blocks_kept")
-                .add(cleaned.len() as u64);
+        if let Some(postings_in) = postings_in {
+            if self.cleaning != CleaningStage::None {
+                obs.counter("cleaning.blocks_kept")
+                    .add(cleaned.len() as u64);
+            }
+            obs.counter("cleaning.postings_in").add(postings_in);
+            obs.counter("cleaning.postings_kept")
+                .add(cleaned.assignments());
         }
         cleaned
     }
@@ -642,29 +648,6 @@ impl Pipeline {
         let result = blocks_from_profiles_ooc(rows, obs, &cfg);
         let _ = std::fs::remove_dir(&cfg.segment_dir);
         result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
-    }
-
-    /// Prunes candidates with the configured meta-blocking stage: the
-    /// node-centric scan, in every execution mode — it reads the blocks and
-    /// holds nothing worth spilling, so an out-of-core run differs from an
-    /// in-memory one only in how its blocks were built. Returns the kept
-    /// pairs and the number of distinct blocked comparisons, which the scan
-    /// counts without anyone enumerating them.
-    pub(crate) fn meta_block(
-        &self,
-        collection: &EntityCollection,
-        blocks: &BlockCollection,
-        mb: MetaBlockingStage,
-    ) -> (Vec<Pair>, u64) {
-        let pruned = node_scan(
-            collection,
-            blocks,
-            mb.weighting,
-            mb.pruning,
-            self.parallelism,
-            &self.obs,
-        );
-        (pruned.kept, pruned.blocked_comparisons)
     }
 
     /// The out-of-core configuration for one stage of one run: a fresh

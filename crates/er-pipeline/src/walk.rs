@@ -35,6 +35,7 @@ use er_core::pair::Pair;
 use er_core::profiles::TokenProfiles;
 use er_core::resource::{MemoryBudget, Watchdog};
 use er_core::tokenize::Tokenizer;
+use er_metablocking::node_scan;
 use std::cell::OnceCell;
 
 /// Accepted pairs with their match scores.
@@ -220,12 +221,16 @@ impl<'a> Walk<'a> {
         };
 
         // Never skipped under pressure: pruning *reduces* downstream work,
-        // so running it is the cheapest path to the deadline.
+        // so running it is the cheapest path to the deadline. The node scan
+        // runs in every execution mode: it holds nothing worth spilling, and
+        // it counts the blocked comparisons without enumerating them.
         let span = p.obs.span("pipeline.meta_blocking");
         let watchdog = p.limits.stage_watchdog();
-        let outcome = self
-            .hooks
-            .attempt(STAGE_META_BLOCKING, || p.meta_block(c, &blocks, mb));
+        let outcome = self.hooks.attempt(STAGE_META_BLOCKING, || {
+            let (w, pruning, par) = (mb.weighting, mb.pruning, p.parallelism);
+            let pruned = node_scan(c, &blocks, w, pruning, par, &p.obs);
+            (pruned.kept, pruned.blocked_comparisons)
+        });
         span.finish();
         self.note_overrun(STAGE_META_BLOCKING, &watchdog);
         let (schedule, blocked) = outcome.unwrap_or_else(|err| {

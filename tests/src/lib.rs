@@ -54,13 +54,6 @@ pub fn graph_row(oracle: &BlockingGraph, ctx: &str, variants: Vec<(String, Block
     }
 }
 
-/// An out-of-core configuration for `c` spilling `run_entries`-record runs
-/// into `dir`.
-pub fn ooc_config(dir: &Path, c: &EntityCollection, run_entries: usize) -> OocConfig {
-    let cfg = OocConfig::new(dir).with_fingerprint(collection_fingerprint(c));
-    cfg.with_run_entries(run_entries)
-}
-
 /// `build` out of core at each `(workers, run entries)` cell, each in a
 /// fresh spill directory and, given a `budget`, under it with 512-byte
 /// pages. Every build must have written to its directory, leave it empty
@@ -74,7 +67,9 @@ pub fn spilled<T>(
     let cells = cells.iter().map(|&(threads, runs)| {
         let variant = format!("ooc threads={threads} runs={runs}");
         let dir = ScratchDir::new("ooc-row");
-        let mut cfg = ooc_config(&dir, c, runs);
+        let mut cfg = OocConfig::new(&*dir)
+            .with_fingerprint(collection_fingerprint(c))
+            .with_run_entries(runs);
         if let Some(budget) = budget {
             cfg = cfg.with_page_bytes(512).with_budget(budget.clone());
         }

@@ -752,14 +752,13 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
 /// Fingerprint every chaos segment is written (and opened) with.
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
-/// A valid three-section segment (postings + edges + a bytes section of wire
-/// records) exercising every codec the out-of-core, shuffle and checkpoint
-/// paths read back.
+/// A valid two-section segment (postings + a bytes section of wire records)
+/// exercising every codec the out-of-core, shuffle and checkpoint paths read
+/// back.
 fn segment_bytes() -> &'static Vec<u8> {
     use er_core::colstore::SegmentWriter;
     use er_core::entity::EntityId;
     use er_core::intern::Symbol;
-    use er_core::EdgeRecord;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let dir = ScratchDir::new("chaos-segment-template");
@@ -769,15 +768,6 @@ fn segment_bytes() -> &'static Vec<u8> {
             .map(|i| (Symbol(i / 4), EntityId(i % 20)))
             .collect();
         w.run(&postings).unwrap();
-        let edges: Vec<EdgeRecord> = (0..100u32)
-            .map(|i| EdgeRecord {
-                a: i,
-                b: i + 1,
-                count: 1 + i % 3,
-                weight_bits: (0.25_f64 * f64::from(i)).to_bits(),
-            })
-            .collect();
-        w.run(&edges).unwrap();
         w.bytes(&encode_wire_records(&wire_records())).unwrap();
         w.finish().unwrap();
         std::fs::read(&path).unwrap()
@@ -788,16 +778,12 @@ fn segment_bytes() -> &'static Vec<u8> {
 /// section through its codec — the full read surface a k-way merge would
 /// touch. Any failure is returned, never panicked.
 fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
-    use er_core::colstore::{KIND_BYTES, KIND_EDGES, KIND_POSTINGS};
+    use er_core::colstore::{KIND_BYTES, KIND_POSTINGS};
     let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))?;
     for (i, info) in seg.sections().iter().enumerate() {
         match info.kind {
             KIND_POSTINGS => {
                 let mut cur = seg.run::<(er_core::Symbol, er_core::EntityId)>(i)?;
-                while cur.next()?.is_some() {}
-            }
-            KIND_EDGES => {
-                let mut cur = seg.run::<er_core::EdgeRecord>(i)?;
                 while cur.next()?.is_some() {}
             }
             KIND_BYTES => {

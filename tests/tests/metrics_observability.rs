@@ -89,6 +89,22 @@ fn counters_identical_across_thread_counts_and_reruns() {
     let vocabulary = serial.counter("profiles.vocabulary").unwrap();
     assert!(vocabulary > 0);
     assert!(serial.counter("profiles.symbols").unwrap() >= vocabulary);
+    // Cleaning's postings ledger is present at every cleaning stage, and
+    // never keeps more than it got: all of it here (this pipeline cleans
+    // nothing), less under the default purge.
+    let postings = |s: &MetricsSnapshot| {
+        let postings_in = s.counter("cleaning.postings_in").unwrap();
+        let postings_kept = s.counter("cleaning.postings_kept").unwrap();
+        assert!(postings_kept <= postings_in);
+        (postings_in, postings_kept)
+    };
+    let (postings_in, postings_kept) = postings(&serial);
+    assert_eq!(postings_kept, postings_in);
+    let purging = Pipeline::builder().observability(Obs::enabled()).build();
+    purging.run(&ds.collection);
+    let (purged_in, purged_kept) = postings(&purging.metrics());
+    assert_eq!(purged_in, postings_in);
+    assert!(purged_kept < purged_in);
     for snapshot in [&serial, &parallel] {
         let span = snapshot.span("pipeline.profiles").unwrap();
         assert_eq!(span.parent.as_deref(), Some("pipeline.run"));

@@ -1,9 +1,10 @@
 //! Out-of-core rows of the product oracle: token blocking spilled as sorted
-//! `(Symbol, EntityId)` posting runs (`er_blocking::ooc`) and the blocking
-//! graph built from pair-sorted edge-contribution runs
-//! (`er_metablocking::ooc`) against the in-memory builds, at 1 and 4
-//! workers × run sizes from the spill floor to one run; and the pipeline
-//! under `out_of_core(true)` against the default run. Every streamed build
+//! `(Symbol, EntityId)` posting runs (`er_blocking::ooc`) against the
+//! in-memory build, at 1 and 4 workers × run sizes from the spill floor to
+//! one run; and the pipeline under `out_of_core(true)` against the default
+//! run, spilling blocking alone (meta-blocking has nothing to spill; the
+//! scan ≡ graph + prune row is `er_metablocking`'s
+//! `scan_equals_graph_and_prune_across_bitmap_words`). Every streamed build
 //! must also leave its spill directory empty, and a budget far below the
 //! index must still stream to completion and drain. The other execution
 //! modes, and forced out-of-core crossed with them, are in
@@ -17,10 +18,10 @@ use er_core::parallel::Parallelism;
 use er_core::resource::{MemoryBudget, ResourceLimits};
 use er_datagen::NoiseModel;
 use er_integration_tests::{
-    assert_same_resolution, collection_from_values, dataset, graph_row, noise_sweep, ooc_config,
-    row, spilled, values_strategy, ScratchDir, OOC_CELLS,
+    assert_same_resolution, collection_from_values, dataset, noise_sweep, row, spilled,
+    values_strategy, ScratchDir, OOC_CELLS,
 };
-use er_metablocking::{node_scan, BlockingGraph, PruningScheme, WeightingScheme};
+use er_metablocking::{PruningScheme, WeightingScheme};
 use er_pipeline::{MetaBlockingStage, Pipeline, PipelineBuilder, RecoveryOptions};
 use proptest::prelude::*;
 
@@ -39,29 +40,11 @@ fn token_blocking_cells(
     row(&tb.par_build(c, Parallelism::serial()), ctx, streamed);
 }
 
-/// The in-memory graph against the streamed build at `cells`, bitwise.
-fn graph_cells(c: &EntityCollection, cells: &[(usize, usize)], ctx: &str) {
-    let blocks = TokenBlocking::new().build(c);
-    let streamed = spilled(c, cells, None, |cfg, par| {
-        BlockingGraph::par_build_ooc(c, &blocks, par, cfg).expect("streamed graph build")
-    });
-    graph_row(&BlockingGraph::build(c, &blocks), ctx, streamed);
-}
-
 #[test]
 fn streamed_token_blocking_equals_in_memory_build() {
     for seed in [7u64, 0xBE9C] {
         for (ctx, ds) in noise_sweep(220, seed) {
             token_blocking_cells(&ds.collection, &OOC_CELLS, None, &ctx);
-        }
-    }
-}
-
-#[test]
-fn streamed_graph_equals_in_memory_build_bitwise() {
-    for seed in [99u64, 0xD1CE] {
-        for (ctx, ds) in noise_sweep(220, seed) {
-            graph_cells(&ds.collection, &OOC_CELLS, &ctx);
         }
     }
 }
@@ -73,24 +56,6 @@ const SCHEME_PAIRS: [(WeightingScheme, PruningScheme); 3] = [
     (WeightingScheme::Cbs, PruningScheme::Cnp),
     (WeightingScheme::Js, PruningScheme::ReciprocalWnp),
 ];
-
-#[test]
-fn streamed_graph_prunes_to_the_pairs_the_scan_keeps() {
-    // The node-centric scan never builds a graph, so it has no streamed
-    // twin: the streamed graph, pruned, must keep what it keeps.
-    let c = dataset(220, NoiseModel::moderate(), 1234).collection;
-    let blocks = TokenBlocking::new().build(&c);
-    for threads in [1, 4] {
-        let (par, dir) = (Parallelism::threads(threads), ScratchDir::new("ooc-scan"));
-        let cfg = ooc_config(&dir, &c, 256);
-        let graph = BlockingGraph::par_build_ooc(&c, &blocks, par, &cfg).expect("streamed graph");
-        for (w, p) in SCHEME_PAIRS {
-            let kept = node_scan(&c, &blocks, w, p, Parallelism::serial(), &Obs::disabled()).kept;
-            let ctx = format!("threads={threads} {w:?}/{p:?}");
-            assert_eq!(p.par_prune(&graph, w, par), kept, "{ctx}");
-        }
-    }
-}
 
 #[test]
 fn forced_out_of_core_pipeline_matches_the_default_run() {
@@ -195,7 +160,6 @@ fn successful_builds_remove_every_run_file() {
     // `spilled` asserts each build's spill directory is empty afterwards.
     let c = &dataset(220, NoiseModel::moderate(), 13).collection;
     token_blocking_cells(c, &[(4, 64)], None, "cleanup");
-    graph_cells(c, &[(4, 64)], "cleanup");
 }
 
 #[test]
@@ -220,9 +184,4 @@ proptest! {
         token_blocking_cells(&c, &FLOOR_CELLS, None, &format!("values={values:?}"));
     }
 
-    #[test]
-    fn prop_streamed_graph_equals_in_memory(values in values_strategy()) {
-        let c = collection_from_values(&values);
-        graph_cells(&c, &FLOOR_CELLS, &format!("values={values:?}"));
-    }
 }
