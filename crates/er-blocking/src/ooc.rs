@@ -55,8 +55,7 @@ pub fn blocks_from_profiles_ooc(
     obs: &Obs,
     cfg: &OocConfig,
 ) -> Result<BlockCollection, SegmentError> {
-    let mut sorter: ExternalSorter<'_, (Symbol, EntityId)> =
-        ExternalSorter::new(cfg, "blocking-ooc")?;
+    let mut sorter = ExternalSorter::new(cfg, "blocking-ooc")?;
     sorter.push_all(rows.iter().enumerate().flat_map(|(e, row)| {
         let entity = EntityId(e as u32);
         row.iter().map(move |&s| (s, entity))

@@ -26,18 +26,20 @@
 //! Section payloads:
 //!
 //! * `BYTES` (1) — opaque [`wire`](crate::wire) records, read whole
-//!   ([`Segment::bytes`]): the `er-dist` shuffle segments and the pipeline's
-//!   stage checkpoints are one-section segments of this kind.
-//! * `POSTINGS` (2) — one sorted `(Symbol, EntityId)` run: `count u64`, then
+//!   ([`Segment::bytes`]): the pipeline's stage checkpoints are one-section
+//!   segments of this kind.
+//! * `POSTINGS` (2) — one sorted [`Posting`] run: `count u64`, then
 //!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
+//!   The out-of-core blocking build spills these, and so does the
+//!   `key-transpose` MapReduce shuffle.
 //!
 //! Kinds 3 (the retired edge runs of an out-of-core graph build) and 4 are
 //! unassigned; every kind keeps its number so a segment's bytes do not
 //! depend on which kinds exist.
 //!
-//! The run kind goes through one fixed-width codec ([`RunRecord`]), one
-//! writer method ([`SegmentWriter::run`]), one cursor ([`RunCursor`]) and
-//! one external sort ([`ExternalSorter`]).
+//! The run kind goes through one fixed-width codec ([`POSTING_BYTES`] per
+//! record), one writer method ([`SegmentWriter::run`]), one cursor
+//! ([`RunCursor`]) and one external sort ([`ExternalSorter`]).
 //!
 //! ## Reads without `mmap`
 //!
@@ -65,7 +67,6 @@ use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hasher;
 use std::io::{BufWriter, Write};
-use std::marker::PhantomData;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -90,6 +91,11 @@ pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 pub const KIND_BYTES: u32 = 1;
 /// Section kind: sorted `(Symbol, EntityId)` posting run.
 pub const KIND_POSTINGS: u32 = 2;
+
+/// A key posting `(symbol, entity)`: the record of a [`KIND_POSTINGS`] run.
+pub type Posting = (Symbol, EntityId);
+/// Bytes of one on-disk [`Posting`]: two little-endian `u32`s.
+pub const POSTING_BYTES: usize = 8;
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -302,46 +308,6 @@ impl StoreMetrics {
     }
 }
 
-/// A fixed-width record of a sorted-run section — the one codec behind
-/// [`SegmentWriter::run`], [`RunCursor`] and [`ExternalSorter`].
-pub trait RunRecord: Copy {
-    /// Section kind its runs are written as.
-    const KIND: u32;
-    /// Bytes of one on-disk record.
-    const BYTES: usize;
-    /// What runs are sorted and merged by. Records with equal keys are one
-    /// record: a sorted run keeps the first of equal neighbours, and the
-    /// merge drops cross-run repeats.
-    type Key: Ord + Copy;
-    /// The record's sort key.
-    fn key(&self) -> Self::Key;
-    /// Appends the [`BYTES`](Self::BYTES) little-endian bytes of the record.
-    fn encode(&self, out: &mut Vec<u8>);
-    /// Reads one record ([`BYTES`](Self::BYTES) bytes) from `d`.
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError>;
-}
-
-/// A token-blocking posting: a [`KIND_POSTINGS`] record, `(u32, u32)`.
-impl RunRecord for (Symbol, EntityId) {
-    const KIND: u32 = KIND_POSTINGS;
-    const BYTES: usize = 8;
-    type Key = (Symbol, EntityId);
-
-    fn key(&self) -> Self::Key {
-        *self
-    }
-
-    fn encode(&self, out: &mut Vec<u8>) {
-        put_u32(out, self.0 .0);
-        put_u32(out, self.1 .0);
-    }
-
-    #[inline]
-    fn decode(d: &mut Decoder<'_>) -> Result<Self, WireError> {
-        Ok((Symbol(d.u32()?), EntityId(d.u32()?)))
-    }
-}
-
 /// Atomic writer for one segment file: accumulates sections into
 /// `<path>.tmp` under a running checksum, then [`finish`](Self::finish)
 /// seals the footer and renames into place — a crash can never leave a
@@ -416,15 +382,16 @@ impl SegmentWriter {
         Ok(())
     }
 
-    /// Appends one sorted run as an `R::KIND` section: `count u64`, then the
-    /// fixed-width records.
-    pub fn run<R: RunRecord>(&mut self, run: &[R]) -> Result<(), SegmentError> {
-        let mut payload = Vec::with_capacity(8 + run.len() * R::BYTES);
+    /// Appends one sorted run as a [`KIND_POSTINGS`] section: `count u64`,
+    /// then each posting's symbol and entity.
+    pub fn run(&mut self, run: &[Posting]) -> Result<(), SegmentError> {
+        let mut payload = Vec::with_capacity(8 + run.len() * POSTING_BYTES);
         put_u64(&mut payload, run.len() as u64);
-        for r in run {
-            r.encode(&mut payload);
+        for (s, e) in run {
+            put_u32(&mut payload, s.0);
+            put_u32(&mut payload, e.0);
         }
-        self.section(R::KIND, &payload)
+        self.section(KIND_POSTINGS, &payload)
     }
 
     /// Appends `payload` — encoded [`wire`](crate::wire) records — as one
@@ -774,12 +741,8 @@ impl Segment {
     }
 
     /// The record count and record area of a run section whose payload is
-    /// `count u64` followed by `count × record_bytes`.
-    fn run_geometry(
-        &self,
-        info: SectionInfo,
-        record_bytes: u64,
-    ) -> Result<(u64, u64), SegmentError> {
+    /// `count u64` followed by `count ×` [`POSTING_BYTES`].
+    fn run_geometry(&self, info: SectionInfo) -> Result<(u64, u64), SegmentError> {
         if info.payload_len < 8 {
             return Err(SegmentError::Truncated {
                 path: self.reader.path.clone(),
@@ -792,7 +755,7 @@ impl Segment {
             .read_exact(info.payload_offset, &mut count_buf)?;
         let count = u64::from_le_bytes(count_buf);
         let body = count
-            .checked_mul(record_bytes)
+            .checked_mul(POSTING_BYTES as u64)
             .and_then(|b| b.checked_add(8));
         if body != Some(info.payload_len) {
             return Err(SegmentError::Malformed {
@@ -816,16 +779,15 @@ impl Segment {
     }
 
     /// A streaming cursor over the sorted run in section `index`.
-    pub fn run<R: RunRecord>(&self, index: usize) -> Result<RunCursor<'_, R>, SegmentError> {
-        let info = self.section_checked(index, R::KIND)?;
-        let (count, start) = self.run_geometry(info, R::BYTES as u64)?;
+    pub fn run(&self, index: usize) -> Result<RunCursor<'_>, SegmentError> {
+        let info = self.section_checked(index, KIND_POSTINGS)?;
+        let (count, start) = self.run_geometry(info)?;
         Ok(RunCursor {
             seg: self,
             offset: start,
             remaining: count,
             buf: Vec::new(),
             pos: 0,
-            record: PhantomData,
         })
     }
 }
@@ -835,16 +797,15 @@ pub const CURSOR_CHUNK: u64 = 4096;
 
 /// Streaming, buffered cursor over one sorted run. Each refill reads the
 /// next [`CURSOR_CHUNK`] records into the cursor's own buffer.
-pub struct RunCursor<'a, R> {
+pub struct RunCursor<'a> {
     seg: &'a Segment,
     offset: u64,
     remaining: u64,
     buf: Vec<u8>,
     pos: usize,
-    record: PhantomData<R>,
 }
 
-impl<R> fmt::Debug for RunCursor<'_, R> {
+impl fmt::Debug for RunCursor<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("RunCursor")
             .field("path", &self.seg.reader.path)
@@ -853,27 +814,31 @@ impl<R> fmt::Debug for RunCursor<'_, R> {
     }
 }
 
-impl<R: RunRecord> RunCursor<'_, R> {
-    /// The next record, or `None` at end of run.
+impl RunCursor<'_> {
+    /// The next posting, or `None` at end of run.
     #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<R>, SegmentError> {
+    pub fn next(&mut self) -> Result<Option<Posting>, SegmentError> {
         if self.pos >= self.buf.len() {
             if self.remaining == 0 {
                 return Ok(None);
             }
             let take = self.remaining.min(CURSOR_CHUNK);
-            self.buf.resize(take as usize * R::BYTES, 0);
+            self.buf.resize(take as usize * POSTING_BYTES, 0);
             self.seg.reader.read_exact(self.offset, &mut self.buf)?;
-            self.offset += take * R::BYTES as u64;
+            self.offset += take * POSTING_BYTES as u64;
             self.remaining -= take;
             self.pos = 0;
         }
         // The record's file offset (the refill ends at `self.offset`).
         let at = self.offset - (self.buf.len() - self.pos) as u64;
-        let mut d = Decoder::at(&self.buf[self.pos..self.pos + R::BYTES], at);
-        let record = R::decode(&mut d).map_err(|e| SegmentError::wire(&self.seg.reader.path, e))?;
-        self.pos += R::BYTES;
-        Ok(Some(record))
+        let mut d = Decoder::at(&self.buf[self.pos..self.pos + POSTING_BYTES], at);
+        let wire = |e| SegmentError::wire(&self.seg.reader.path, e);
+        let posting = (
+            Symbol(d.u32().map_err(wire)?),
+            EntityId(d.u32().map_err(wire)?),
+        );
+        self.pos += POSTING_BYTES;
+        Ok(Some(posting))
     }
 }
 
@@ -965,21 +930,21 @@ impl OocConfig {
 const MIN_RUN_ENTRIES: usize = 64;
 
 /// The external sort the out-of-core blocking build streams through:
-/// records accumulate in a bounded, budget-charged run buffer; each full
-/// buffer is sorted by [`RunRecord::key`], deduplicated and spilled as one
-/// run segment under `cfg.segment_dir`; [`merge`](Self::merge) streams the
-/// runs back in `(key, run index)` order, dropping cross-run repeats. The
+/// postings accumulate in a bounded, budget-charged run buffer; each full
+/// buffer is sorted, deduplicated and spilled as one run segment under
+/// `cfg.segment_dir`; [`merge`](Self::merge) streams the runs back in
+/// `(posting, run index)` order, dropping cross-run repeats. The
 /// merged stream is therefore the **sorted, deduplicated pushed
 /// sequence**. The run buffer's reservation is returned before the merge
 /// reads, so the merge needs only one page of budget headroom. Run files are
 /// removed and any reservation returned when the sorter drops, on success
 /// and on error.
-pub struct ExternalSorter<'a, R: RunRecord> {
+pub struct ExternalSorter<'a> {
     cfg: &'a OocConfig,
     /// Names the budget reservation and the run files.
     stage: &'static str,
     /// The run buffer; `reserved` bytes of the budget are held for it.
-    buf: Vec<R>,
+    buf: Vec<Posting>,
     reserved: u64,
     /// Run size after the adaptive shrink.
     run_entries: usize,
@@ -987,7 +952,7 @@ pub struct ExternalSorter<'a, R: RunRecord> {
     runs: Vec<PathBuf>,
 }
 
-impl<'a, R: RunRecord> ExternalSorter<'a, R> {
+impl<'a> ExternalSorter<'a> {
     /// Creates the spill directory and reserves the run buffer, halving it
     /// until the budget admits it — a typed error below the 64-record floor.
     pub fn new(cfg: &'a OocConfig, stage: &'static str) -> Result<Self, SegmentError> {
@@ -998,7 +963,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
         })?;
         let mut run_entries = cfg.run_entries.max(MIN_RUN_ENTRIES);
         let reserved = loop {
-            let bytes = (run_entries * std::mem::size_of::<R>()) as u64;
+            let bytes = (run_entries * POSTING_BYTES) as u64;
             match cfg.budget.try_reserve(stage, bytes) {
                 Ok(()) => break bytes,
                 Err(e) if run_entries == MIN_RUN_ENTRIES => return Err(e.into()),
@@ -1016,7 +981,10 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
     }
 
     /// Appends records in arrival order, spilling at each run boundary.
-    pub fn push_all(&mut self, records: impl IntoIterator<Item = R>) -> Result<(), SegmentError> {
+    pub fn push_all(
+        &mut self,
+        records: impl IntoIterator<Item = Posting>,
+    ) -> Result<(), SegmentError> {
         for record in records {
             if self.buf.len() >= self.run_entries {
                 self.spill()?;
@@ -1031,8 +999,8 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
         if self.buf.is_empty() {
             return Ok(());
         }
-        self.buf.sort_by_key(R::key);
-        self.buf.dedup_by_key(|r| r.key());
+        self.buf.sort_unstable();
+        self.buf.dedup();
         let name = format!("{}-run-{:05}.seg", self.stage, self.runs.len());
         let path = self.cfg.segment_dir.join(name);
         let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
@@ -1046,7 +1014,7 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
     /// Spills the last partial run — a non-empty input always writes at
     /// least one segment — and streams every record to `sink` in sorted
     /// order. On `Err` the caller must discard whatever `sink` accumulated.
-    pub fn merge(mut self, mut sink: impl FnMut(R)) -> Result<(), SegmentError> {
+    pub fn merge(mut self, mut sink: impl FnMut(Posting)) -> Result<(), SegmentError> {
         self.spill()?;
         // The merge no longer needs the run buffer: hand its bytes back
         // before the merge reads start charging pages.
@@ -1063,39 +1031,29 @@ impl<'a, R: RunRecord> ExternalSorter<'a, R> {
             .collect::<Result<_, _>>()?;
         let mut cursors = Vec::with_capacity(segments.len());
         for seg in &segments {
-            cursors.push(seg.run::<R>(0)?);
+            cursors.push(seg.run(0)?);
         }
-        // Min-heap on (key, run index); `heads[run]` is the record behind
-        // the heap entry of `run`. Runs are contiguous arrival windows, so
-        // draining equal keys in run order replays global arrival order.
-        let mut heap: BinaryHeap<Reverse<(R::Key, usize)>> = BinaryHeap::new();
-        let mut heads: Vec<Option<R>> = Vec::with_capacity(cursors.len());
+        // Min-heap on (posting, run index): each run's head posting.
+        let mut heap: BinaryHeap<Reverse<(Posting, usize)>> = BinaryHeap::new();
         for (run, cursor) in cursors.iter_mut().enumerate() {
-            let head = cursor.next()?;
-            if let Some(r) = &head {
-                heap.push(Reverse((r.key(), run)));
+            if let Some(head) = cursor.next()? {
+                heap.push(Reverse((head, run)));
             }
-            heads.push(head);
         }
-        let mut last: Option<R::Key> = None;
-        while let Some(Reverse((key, run))) = heap.pop() {
-            let next = cursors[run].next()?;
-            if let Some(r) = &next {
-                heap.push(Reverse((r.key(), run)));
+        let mut last: Option<Posting> = None;
+        while let Some(Reverse((posting, run))) = heap.pop() {
+            if let Some(next) = cursors[run].next()? {
+                heap.push(Reverse((next, run)));
             }
-            let head = std::mem::replace(&mut heads[run], next);
-            if last.replace(key) == Some(key) {
-                continue; // cross-run repeat
-            }
-            if let Some(record) = head {
-                sink(record);
+            if last.replace(posting) != Some(posting) {
+                sink(posting); // a cross-run repeat is skipped
             }
         }
         Ok(())
     }
 }
 
-impl<R: RunRecord> Drop for ExternalSorter<'_, R> {
+impl Drop for ExternalSorter<'_> {
     fn drop(&mut self) {
         self.cfg.budget.release(self.reserved);
         for path in &self.runs {
@@ -1149,7 +1107,7 @@ mod tests {
         let seg = Segment::open(&path, SegmentOptions::new(42)).unwrap();
         assert_eq!(seg.sections().len(), 1);
         assert_eq!(seg.sections()[0].kind, KIND_POSTINGS);
-        let mut cursor = seg.run::<(Symbol, EntityId)>(0).unwrap();
+        let mut cursor = seg.run(0).unwrap();
         let mut got = Vec::new();
         while let Some(p) = cursor.next().unwrap() {
             got.push(p);
@@ -1250,7 +1208,7 @@ mod tests {
         // A run cursor over a bytes section, and a bytes read of a run
         // section, are kind mismatches.
         assert!(matches!(
-            seg.run::<(Symbol, EntityId)>(0).unwrap_err(),
+            seg.run(0).unwrap_err(),
             SegmentError::Malformed { .. }
         ));
         assert!(matches!(
@@ -1314,7 +1272,7 @@ mod tests {
             )
             .unwrap();
             if limit < PAGE {
-                let err = seg.run::<(Symbol, EntityId)>(0).unwrap_err();
+                let err = seg.run(0).unwrap_err();
                 assert!(
                     matches!(
                         err,
@@ -1325,7 +1283,7 @@ mod tests {
                 assert_eq!(budget.used(), 0, "a refused read holds nothing");
                 continue;
             }
-            let mut cursor = seg.run::<(Symbol, EntityId)>(0).unwrap();
+            let mut cursor = seg.run(0).unwrap();
             let mut n = 0u64;
             while cursor.next().unwrap().is_some() {
                 n += 1;
@@ -1362,7 +1320,7 @@ mod tests {
                 .with_page_bytes(4096),
         )
         .unwrap();
-        let err = seg.run::<(Symbol, EntityId)>(0).unwrap_err();
+        let err = seg.run(0).unwrap_err();
         assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
     }
 
@@ -1401,7 +1359,7 @@ mod tests {
             .collect()
     }
 
-    fn sorted_by<R: RunRecord>(cfg: &OocConfig, input: &[R]) -> Result<Vec<R>, SegmentError> {
+    fn sorted_by(cfg: &OocConfig, input: &[Posting]) -> Result<Vec<Posting>, SegmentError> {
         let mut sorter = ExternalSorter::new(cfg, "sorter-test")?;
         // Several calls: arrival order spans `push_all` boundaries.
         for part in input.chunks(1000) {

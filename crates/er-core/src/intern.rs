@@ -59,9 +59,6 @@ impl std::hash::Hasher for Fnv1a {
     }
 }
 
-/// Builds [`Fnv1a`] hashers for maps keyed by short program-made strings.
-pub type FnvBuild = std::hash::BuildHasherDefault<Fnv1a>;
-
 /// An interned string: a dense `u32` id valid for the [`Interner`] that
 /// produced it.
 ///

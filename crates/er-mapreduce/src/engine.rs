@@ -1,15 +1,16 @@
 //! The in-process task engine and the typed stage error.
 //!
-//! The crate has one MapReduce job walk, under two drivers
-//! ([`run_dist`](crate::dist::run_dist) for string jobs,
-//! [`run_key_transpose`](crate::dist::run_key_transpose) for key rows):
-//! chunk the inputs into map tasks, **partition** their output by key — by
-//! hash, or by symbol range — into spill segments, and reduce each
-//! partition's keys in sorted order. Results come back sorted by key, which
-//! makes the output independent of the worker count — the property every
-//! equivalence test in this workspace relies on. On [`InProcessTransport`](crate::transport::InProcessTransport)
-//! each stage's tasks run here, on `execute_tasks`'s scoped threads; the
-//! subprocess coordinator drives the same attempt ledger from frames.
+//! The crate has one MapReduce job,
+//! [`run_key_transpose`](crate::dist::run_key_transpose) over key rows
+//! (with [`run_dist`](crate::dist::run_dist), a frozen adapter that feeds it
+//! string records): chunk the rows into map tasks, **partition** their
+//! postings by symbol range into spill segments, and reduce each
+//! partition's symbols in ascending order. Results come back sorted by key,
+//! which makes the output independent of the worker count — the property
+//! every equivalence test in this workspace relies on. On
+//! [`InProcessTransport`](crate::transport::InProcessTransport) each stage's
+//! tasks run here, on `execute_tasks`'s scoped threads; the subprocess
+//! coordinator drives the same attempt ledger from frames.
 //!
 //! # Fault tolerance
 //!
@@ -28,8 +29,6 @@
 
 use crate::ledger::{Counters, Ledger};
 use er_core::fault::{panic_message, ExecPolicy};
-use std::collections::hash_map::DefaultHasher;
-use std::hash::{Hash, Hasher};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -137,67 +136,70 @@ where
     ledger.finish()
 }
 
-/// Deterministic hash partitioner. `DefaultHasher::new()` uses fixed keys,
-/// so coordinator and worker processes agree on every partition decision.
-pub(crate) fn partition_of(key: &str, partitions: usize) -> usize {
-    let mut h = DefaultHasher::new();
-    key.hash(&mut h);
-    (h.finish() % partitions as u64) as usize
-}
-
 #[cfg(test)]
 mod tests {
-    //! The engine as every caller meets it: `run_dist` over
+    //! The engine as every caller meets it: `run_key_transpose` over
     //! `InProcessTransport`, whose stages run on `execute_tasks`.
 
     use super::*;
-    use crate::dist::{default_registry, run_dist, DistJob, DistOptions, DistOutput, DistStats};
+    use crate::dist::tests::serial_transpose;
+    use crate::dist::{run_key_transpose, DistOptions, DistStats, SymbolBlock, TransposeOutput};
     use crate::transport::InProcessTransport;
     use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy, SpeculationConfig};
+    use er_core::intern::{Interner, Symbol};
+    use er_core::profiles::KeyRows;
     use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Arc;
 
-    /// The oracle every job below is held to: a serial group-by that shares
-    /// no code with the engine.
-    fn reference(texts: &[&str]) -> Vec<(String, String)> {
-        let mut counts = std::collections::BTreeMap::new();
-        for w in texts.iter().flat_map(|t| t.split_whitespace()) {
-            *counts.entry(w.to_string()).or_insert(0u64) += 1;
+    /// One key row per text: its distinct words.
+    fn word_rows(texts: &[&str]) -> KeyRows {
+        let mut interner = Interner::new();
+        let (mut lens, mut symbols) = (Vec::new(), Vec::new());
+        for text in texts {
+            let mut row: Vec<Symbol> = text
+                .split_whitespace()
+                .map(|w| interner.intern(w))
+                .collect();
+            row.sort_unstable();
+            row.dedup();
+            lens.push(row.len());
+            symbols.extend(row);
         }
-        counts
-            .into_iter()
-            .map(|(w, n)| (w, n.to_string()))
-            .collect()
+        KeyRows::from_rows(interner.into_strings(), &lens, symbols)
     }
 
-    fn owned(texts: &[&str]) -> Vec<String> {
-        texts.iter().map(|t| t.to_string()).collect()
+    /// The oracle every run below is held to: a serial group-by that shares
+    /// no code with the engine.
+    fn reference(texts: &[&str]) -> Vec<SymbolBlock> {
+        serial_transpose(&word_rows(texts)).0
     }
 
-    /// Word count, the canonical MapReduce example, on `workers` threads.
-    fn try_word_count(
+    /// The transpose of `texts`' word rows on `workers` threads.
+    fn try_transpose(
         texts: &[&str],
         workers: usize,
         policy: ExecPolicy,
-    ) -> Result<DistOutput, ExecError> {
-        let mut t = InProcessTransport::new(workers, default_registry(), policy);
-        run_dist(
+    ) -> Result<TransposeOutput, ExecError> {
+        let mut t = InProcessTransport::new(workers, policy);
+        run_key_transpose(
             &mut t,
-            "wordcount",
-            &owned(texts),
+            &word_rows(texts),
             &DistOptions::for_workers(workers),
         )
     }
 
-    fn word_count(texts: &[&str], workers: usize) -> DistOutput {
-        try_word_count(texts, workers, ExecPolicy::default()).unwrap()
+    fn transpose(texts: &[&str], workers: usize) -> TransposeOutput {
+        try_transpose(texts, workers, ExecPolicy::default()).unwrap()
     }
 
     #[test]
     fn word_count_basics() {
-        let out = word_count(&["a b a", "b c", "a"], 2);
-        assert_eq!(out.pairs, reference(&["a a a b b c"]));
-        assert_eq!(out.stats.map_output_records, 6);
+        // The transpose of word rows counts, per word, the texts holding it.
+        let out = transpose(&["a b a", "b c", "a"], 2);
+        let (a, b) = (Symbol(0), Symbol(1));
+        let texts = |ids: &[u32]| ids.iter().map(|&e| er_core::entity::EntityId(e)).collect();
+        assert_eq!(out.blocks, vec![(a, texts(&[0, 2])), (b, texts(&[0, 1]))]);
+        assert_eq!(out.stats.map_output_records, 5, "distinct words per text");
         assert_eq!(out.stats.reduce_groups, 3);
         assert_eq!(out.stats.retried, 0);
     }
@@ -207,7 +209,7 @@ mod tests {
         let texts = ["x y z", "y z w", "z w v", "w v u", "v u t"];
         for workers in 1..=8 {
             assert_eq!(
-                word_count(&texts, workers).pairs,
+                transpose(&texts, workers).blocks,
                 reference(&texts),
                 "workers={workers}"
             );
@@ -216,45 +218,17 @@ mod tests {
 
     #[test]
     fn empty_input() {
-        let out = word_count(&[], 4);
-        assert!(out.pairs.is_empty());
+        let out = transpose(&[], 4);
+        assert!(out.blocks.is_empty());
         assert_eq!(out.stats, DistStats::default());
     }
 
     #[test]
     fn more_workers_than_inputs() {
-        assert_eq!(word_count(&["only one"], 16).pairs.len(), 2);
-    }
-
-    /// `x` → `(x mod 5, x)`; the reducer reports its key's values sorted.
-    struct Residues;
-
-    impl DistJob for Residues {
-        fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str)) {
-            let x: u32 = record.parse().unwrap();
-            emit(&(x % 5).to_string(), record);
-        }
-
-        fn reduce(&self, _key: &str, values: &[&str]) -> Vec<String> {
-            let mut vs: Vec<u32> = values.iter().map(|v| v.parse().unwrap()).collect();
-            vs.sort_unstable();
-            vec![format!("{vs:?}")]
-        }
-    }
-
-    #[test]
-    fn reducers_see_all_values_of_a_key() {
-        let mut registry = default_registry();
-        registry.register("residues", Arc::new(Residues));
-        let mut t = InProcessTransport::new(3, registry, ExecPolicy::default());
-        let inputs: Vec<String> = (0..30).map(|x: u32| x.to_string()).collect();
-        let out = run_dist(&mut t, "residues", &inputs, &DistOptions::for_workers(3)).unwrap();
-        assert_eq!(out.pairs.len(), 5);
-        for (k, vs) in out.pairs {
-            let k: u32 = k.parse().unwrap();
-            let expected: Vec<u32> = (0..6).map(|i| k + 5 * i).collect();
-            assert_eq!(vs, format!("{expected:?}"));
-        }
+        let out = transpose(&["only one", "only two"], 16);
+        assert_eq!(out.blocks, reference(&["only one", "only two"]));
+        assert_eq!(out.blocks.len(), 1);
+        assert_eq!(out.stats.reduce_groups, 3);
     }
 
     #[test]
@@ -285,20 +259,20 @@ mod tests {
             .inject("map", 0, 0, FaultKind::Transient)
             .inject("reduce", 1, 0, FaultKind::Transient);
         let policy = injecting(fast_retry(3), plan);
-        let out = try_word_count(&texts, 2, policy.clone()).unwrap();
-        assert_eq!(out.pairs, reference(&texts));
+        let out = try_transpose(&texts, 2, policy.clone()).unwrap();
+        assert_eq!(out.blocks, reference(&texts));
         assert_eq!(out.stats.retried, 2);
         assert_eq!(policy.faults_injected(), 2);
     }
 
     #[test]
     fn panics_are_caught_and_retried() {
-        let texts = ["a b", "c d", "e f", "g h"];
+        let texts = ["a b", "c d", "a c", "b d"];
         let plan = FaultPlan::none()
             .inject("map", 2, 0, FaultKind::Panic)
             .inject("map", 2, 1, FaultKind::Panic);
-        let out = try_word_count(&texts, 4, injecting(fast_retry(3), plan)).unwrap();
-        assert_eq!(out.pairs, reference(&texts));
+        let out = try_transpose(&texts, 4, injecting(fast_retry(3), plan)).unwrap();
+        assert_eq!(out.blocks, reference(&texts));
         assert_eq!(out.stats.retried, 2);
     }
 
@@ -306,7 +280,7 @@ mod tests {
     fn exhausted_retries_surface_as_error_not_panic() {
         let texts = ["a b", "c d"];
         let plan = FaultPlan::none().inject_all_attempts("map", 0, 10, FaultKind::Panic);
-        let err = try_word_count(&texts, 2, injecting(fast_retry(2), plan)).unwrap_err();
+        let err = try_transpose(&texts, 2, injecting(fast_retry(2), plan)).unwrap_err();
         assert_eq!(err.stage, "map");
         assert_eq!(err.task, 0);
         assert_eq!(err.attempts, 2);
@@ -330,62 +304,33 @@ mod tests {
             min_completed: 1,
             min_runtime: Duration::from_millis(50),
         });
-        let out = try_word_count(&refs, 8, policy).unwrap();
-        assert_eq!(out.pairs, reference(&refs));
+        let out = try_transpose(&refs, 8, policy).unwrap();
+        assert_eq!(out.blocks, reference(&refs));
         assert_eq!(out.stats.speculated, 1, "one backup for the straggler");
-    }
-
-    /// Word count whose map really panics: on its first sight of `once`,
-    /// and on every sight of `always`.
-    struct Tripwire {
-        once: Option<&'static str>,
-        always: Option<&'static str>,
-        tripped: AtomicBool,
-    }
-
-    impl DistJob for Tripwire {
-        fn map(&self, record: &str, emit: &mut dyn FnMut(&str, &str)) {
-            if self.once == Some(record) && !self.tripped.swap(true, Ordering::Relaxed) {
-                panic!("first attempt dies");
-            }
-            assert!(self.always != Some(record), "always dies");
-            for w in record.split_whitespace() {
-                emit(w, "1");
-            }
-        }
-
-        fn reduce(&self, _key: &str, values: &[&str]) -> Vec<String> {
-            vec![values.len().to_string()]
-        }
     }
 
     #[test]
     fn a_panicking_task_body_is_caught_retried_and_finally_typed() {
         // Injected panics never unwind (the ledger books them as typed
         // failures), so this is the test that holds `catch_unwind` to its
-        // job: a map function that really panics, once and then always.
-        let texts = ["a b", "c d", "e f"];
-        let run = |once, always| {
-            let mut registry = default_registry();
-            let job = Tripwire {
-                once,
-                always,
-                tripped: AtomicBool::new(false),
-            };
-            registry.register("tripwire", Arc::new(job));
-            let mut t = InProcessTransport::new(3, registry, ExecPolicy::retrying(fast_retry(2)));
-            run_dist(
-                &mut t,
-                "tripwire",
-                &owned(&texts),
-                &DistOptions::for_workers(3),
-            )
+        // job: a task body that really panics, once and then always.
+        let tasks = [1u32, 2, 3];
+        let run = |once: Option<u32>, always: Option<u32>| {
+            let tripped = AtomicBool::new(false);
+            let policy = ExecPolicy::retrying(fast_retry(2));
+            execute_tasks("map", &tasks, 3, &policy, |&x| {
+                if once == Some(x) && !tripped.swap(true, Ordering::Relaxed) {
+                    panic!("first attempt dies");
+                }
+                assert!(always != Some(x), "always dies");
+                Ok(x * 10)
+            })
         };
-        let out = run(Some("c d"), None).unwrap();
-        assert_eq!(out.pairs, reference(&texts));
-        assert_eq!(out.stats.retried, 1);
+        let (out, counters) = run(Some(2), None).unwrap();
+        assert_eq!(out, vec![10, 20, 30]);
+        assert_eq!(counters.retried, 1);
 
-        let err = run(None, Some("e f")).unwrap_err();
+        let err = run(None, Some(3)).unwrap_err();
         assert_eq!((err.stage.as_str(), err.task, err.attempts), ("map", 2, 2));
         assert!(
             err.message.starts_with("task panicked: always dies"),
@@ -393,11 +338,16 @@ mod tests {
         );
     }
 
+    /// Forty texts over a few shared words.
+    fn shared_texts() -> Vec<String> {
+        (0..40)
+            .map(|i| format!("t{} t{} shared", i % 7, i % 3))
+            .collect()
+    }
+
     #[test]
     fn seeded_schedules_are_absorbed_bit_identically() {
-        let texts: Vec<String> = (0..40)
-            .map(|i| format!("t{} t{} shared", i % 7, i % 3))
-            .collect();
+        let texts = shared_texts();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let reference = reference(&refs);
         let mut total_faults = 0;
@@ -405,8 +355,8 @@ mod tests {
             for workers in [1, 2, 4] {
                 let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
                 let policy = injecting(fast_retry(4), plan);
-                let out = try_word_count(&refs, workers, policy.clone()).unwrap();
-                assert_eq!(out.pairs, reference, "seed={seed} workers={workers}");
+                let out = try_transpose(&refs, workers, policy.clone()).unwrap();
+                assert_eq!(out.blocks, reference, "seed={seed} workers={workers}");
                 total_faults += policy.faults_injected();
             }
         }
@@ -415,25 +365,23 @@ mod tests {
 
     #[test]
     fn spilling_composes_with_seeded_faults() {
-        // The bounded shuffle is run_dist's spill bound: a 1-byte bound
-        // flushes every record to its own segment, and absorbable seeded
+        // The bounded shuffle is the transpose's spill bound: a 1-byte bound
+        // flushes every posting to its own segment, and absorbable seeded
         // faults on top must still leave the output equal to the oracle.
-        let texts: Vec<String> = (0..40)
-            .map(|i| format!("t{} t{} shared", i % 7, i % 3))
-            .collect();
+        let texts = shared_texts();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let reference = reference(&refs);
+        let (rows, reference) = (word_rows(&refs), reference(&refs));
         let mut total_faults = 0;
         for seed in 0..4u64 {
             let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
             let policy = injecting(fast_retry(4), plan);
-            let mut t = InProcessTransport::new(3, default_registry(), policy.clone());
+            let mut t = InProcessTransport::new(3, policy.clone());
             let opts = DistOptions {
                 spill_bound: 1,
                 ..DistOptions::for_workers(3)
             };
-            let out = run_dist(&mut t, "wordcount", &texts, &opts).unwrap();
-            assert_eq!(out.pairs, reference, "seed={seed}");
+            let out = run_key_transpose(&mut t, &rows, &opts).unwrap();
+            assert_eq!(out.blocks, reference, "seed={seed}");
             assert!(out.stats.spills > 0);
             total_faults += policy.faults_injected();
         }

@@ -134,7 +134,7 @@ pub enum Frame {
     },
     /// Coordinator → worker: run one task attempt.
     Task {
-        /// Registered job name (see `dist::TaskRegistry`).
+        /// Job name (`dist::KEY_TRANSPOSE`, the one job a worker runs).
         job: String,
         /// Stage within the job (`"map"` or `"reduce"`).
         stage: String,
@@ -439,7 +439,7 @@ mod tests {
                 reason: "version\tmismatch\n".to_string(),
             },
             Frame::Task {
-                job: "wordcount".to_string(),
+                job: crate::dist::KEY_TRANSPOSE.to_string(),
                 stage: "map".to_string(),
                 task: 7,
                 attempt: 2,

@@ -23,7 +23,7 @@ use std::time::Duration;
 
 /// Runs the worker protocol over arbitrary streams (tests drive this with
 /// in-memory pipes). Returns the process exit code.
-pub fn worker_loop<R, W>(registry: &TaskRegistry, input: R, output: W) -> i32
+pub fn worker_loop<R, W>(input: R, output: W) -> i32
 where
     R: Read,
     W: Write + Send + 'static,
@@ -116,7 +116,7 @@ where
                 payload,
             })) => {
                 let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_task(registry, &job, &stage, &payload, budget_bytes)
+                    run_task(&job, &stage, &payload, budget_bytes)
                 }))
                 .unwrap_or_else(|p| Err(er_core::fault::panic_message(p.as_ref())));
                 let reply = match outcome {
@@ -154,24 +154,28 @@ where
 /// Production worker entry: speaks the protocol over this process's
 /// stdin/stdout and returns the exit code for the caller to pass to
 /// [`std::process::exit`].
-pub fn worker_main(registry: &TaskRegistry) -> i32 {
-    worker_loop(registry, std::io::stdin().lock(), std::io::stdout())
+pub fn worker_main() -> i32 {
+    worker_loop(std::io::stdin().lock(), std::io::stdout())
 }
 
 /// Re-exec guard: if the process was invoked as a worker (first argument
 /// `--worker`), run the worker protocol and exit — never returns in that
 /// case. Call this first in `main` of any binary that can act as its own
 /// worker pool (the CLI, benches).
-pub fn maybe_worker_entry(registry: &TaskRegistry) {
+///
+/// The [`TaskRegistry`] argument is ignored: it is kept only because
+/// `bench/` names this signature; delete it with ROADMAP direction 1.
+pub fn maybe_worker_entry(_registry: &TaskRegistry) {
     if std::env::args().nth(1).as_deref() == Some("--worker") {
-        std::process::exit(worker_main(registry));
+        std::process::exit(worker_main());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::dist::default_registry;
+    use crate::dist::tests::key_rows;
+    use crate::dist::{encode_transpose_map_task, KEY_TRANSPOSE};
     use crate::proto::{Frame, FrameReader, FrameWriter};
 
     /// Drives one worker session over in-memory buffers.
@@ -185,7 +189,7 @@ mod tests {
         }
         let out = Arc::new(Mutex::new(Vec::new()));
         let sink = SharedSink(Arc::clone(&out));
-        let code = worker_loop(&default_registry(), &input[..], sink);
+        let code = worker_loop(&input[..], sink);
         let bytes = out.lock().unwrap().clone();
         let mut r = FrameReader::new(&bytes[..]);
         let mut replies = Vec::new();
@@ -233,7 +237,7 @@ mod tests {
         // `feed` stays open: the worker must exit on `Shutdown`, not on EOF.
         let started = std::time::Instant::now();
         let sink = SharedSink(Arc::new(Mutex::new(Vec::new())));
-        assert_eq!(worker_loop(&default_registry(), input, sink), 0);
+        assert_eq!(worker_loop(input, sink), 0);
         let took = started.elapsed();
         assert!(
             took < Duration::from_secs(2),
@@ -277,25 +281,36 @@ mod tests {
     fn tasks_run_and_errors_are_typed_not_fatal() {
         let dir = std::env::temp_dir().join(format!("er-worker-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
+        let rows = key_rows(4, 3, 0xa11);
         let good = Frame::Task {
-            job: "wordcount".to_string(),
+            job: KEY_TRANSPOSE.to_string(),
             stage: "map".to_string(),
             task: 0,
             attempt: 0,
-            payload: crate::dist::encode_map_task(1, 0, 7, &dir, &["a b a".to_string()]),
+            payload: encode_transpose_map_task(1, 0, 7, &dir, &rows, 0..rows.len()),
         };
         let bad = Frame::Task {
-            job: "wordcount".to_string(),
+            job: KEY_TRANSPOSE.to_string(),
             stage: "map".to_string(),
             task: 1,
             attempt: 0,
             payload: b"garbage".to_vec(),
         };
-        let (code, replies) = session(&[hello(), good, bad, Frame::Shutdown]);
+        let unknown = Frame::Task {
+            job: "token-blocking".to_string(),
+            stage: "map".to_string(),
+            task: 2,
+            attempt: 0,
+            payload: Vec::new(),
+        };
+        let (code, replies) = session(&[hello(), good, bad, unknown, Frame::Shutdown]);
         assert_eq!(code, 0);
         assert!(matches!(replies[1], Frame::TaskResult { task: 0, .. }));
         assert!(
             matches!(&replies[2], Frame::TaskError { task: 1, message, .. } if message.contains("bad map task header"))
+        );
+        assert!(
+            matches!(&replies[3], Frame::TaskError { task: 2, message, .. } if message.contains("unknown job"))
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -1,4 +1,4 @@
-//! Property tests for the MapReduce engine: `run_dist` over
+//! Property tests for the MapReduce engine: `run_key_transpose` over
 //! `InProcessTransport`, fault-free and under absorbable fault schedules, at
 //! any worker count, must equal a serial group-by that shares no code with
 //! the engine.
@@ -6,36 +6,83 @@
 use er_core::fault::{
     ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults, SpeculationConfig,
 };
-use er_mapreduce::{default_registry, run_dist, DistOptions, DistOutput, InProcessTransport};
+use er_core::intern::{Interner, Symbol};
+use er_core::profiles::KeyRows;
+use er_mapreduce::{run_key_transpose, DistOptions, InProcessTransport, TransposeOutput};
 use proptest::prelude::*;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Sequential word-count reference.
-fn reference(texts: &[String]) -> Vec<(String, String)> {
-    let mut m = std::collections::BTreeMap::new();
-    for t in texts {
-        for w in t.split_whitespace() {
-            *m.entry(w.to_string()).or_insert(0u64) += 1;
+/// A block as words see it: the word and the indices of the texts holding it.
+type WordBlock = (String, Vec<u32>);
+
+/// Sequential reference: every word two or more texts share, with those
+/// texts, grouped over strings in a `BTreeMap`.
+fn reference(texts: &[String]) -> Vec<WordBlock> {
+    let mut groups: BTreeMap<&str, Vec<u32>> = BTreeMap::new();
+    for (i, t) in texts.iter().enumerate() {
+        for w in t.split_whitespace().collect::<BTreeSet<_>>() {
+            groups.entry(w).or_default().push(i as u32);
         }
     }
-    m.into_iter().map(|(w, n)| (w, n.to_string())).collect()
+    groups
+        .into_iter()
+        .filter(|(_, texts)| texts.len() >= 2)
+        .map(|(w, texts)| (w.to_string(), texts))
+        .collect()
 }
 
-fn run_mr(texts: &[String], workers: usize) -> Vec<(String, String)> {
-    run_try(texts, workers, &ExecPolicy::default()).pairs
+/// One key row per text: its distinct words.
+fn word_rows(texts: &[String]) -> KeyRows {
+    let mut interner = Interner::new();
+    let (mut lens, mut symbols) = (Vec::new(), Vec::new());
+    for t in texts {
+        let mut row: Vec<Symbol> = t.split_whitespace().map(|w| interner.intern(w)).collect();
+        row.sort_unstable();
+        row.dedup();
+        lens.push(row.len());
+        symbols.extend(row);
+    }
+    KeyRows::from_rows(interner.into_strings(), &lens, symbols)
 }
 
-/// The `wordcount` job on `workers` threads under `policy`.
-fn run_try(texts: &[String], workers: usize, policy: &ExecPolicy) -> DistOutput {
-    let mut t = InProcessTransport::new(workers, default_registry(), policy.clone());
-    run_dist(
-        &mut t,
-        "wordcount",
-        texts,
-        &DistOptions::for_workers(workers),
-    )
-    .expect("absorbable schedule must complete")
+/// The transpose's blocks with their symbols resolved to words.
+fn rendered(rows: &KeyRows, out: &TransposeOutput) -> Vec<WordBlock> {
+    out.blocks
+        .iter()
+        .map(|(s, members)| {
+            let texts = members.iter().map(|e| e.0).collect();
+            (rows.vocabulary()[s.index()].clone(), texts)
+        })
+        .collect()
+}
+
+fn run_mr(texts: &[String], workers: usize) -> Vec<WordBlock> {
+    run_try(texts, workers, &ExecPolicy::default()).0
+}
+
+/// The transpose of `texts`' word rows on `workers` threads under `policy`:
+/// its rendered blocks and the run itself.
+fn run_try(
+    texts: &[String],
+    workers: usize,
+    policy: &ExecPolicy,
+) -> (Vec<WordBlock>, TransposeOutput) {
+    let rows = word_rows(texts);
+    let mut t = InProcessTransport::new(workers, policy.clone());
+    let out = run_key_transpose(&mut t, &rows, &DistOptions::for_workers(workers))
+        .expect("absorbable schedule must complete");
+    (rendered(&rows, &out), out)
+}
+
+/// Distinct words across all texts.
+fn distinct_words(texts: &[String]) -> usize {
+    texts
+        .iter()
+        .flat_map(|t| t.split_whitespace())
+        .collect::<BTreeSet<_>>()
+        .len()
 }
 
 /// A fast-backoff policy so fault-heavy property cases stay quick.
@@ -80,15 +127,15 @@ proptest! {
         texts in proptest::collection::vec("[a-c ]{0,16}", 0..12),
         workers in 1usize..5,
     ) {
-        let out = run_try(&texts, workers, &ExecPolicy::default());
-        let total_words: u64 = texts
+        let (blocks, out) = run_try(&texts, workers, &ExecPolicy::default());
+        let postings: u64 = texts
             .iter()
-            .map(|t| t.split_whitespace().count() as u64)
+            .map(|t| t.split_whitespace().collect::<BTreeSet<_>>().len() as u64)
             .sum();
-        prop_assert_eq!(out.stats.map_output_records, total_words);
-        prop_assert_eq!(out.stats.reduce_groups as usize, out.pairs.len());
-        let summed: u64 = out.pairs.iter().map(|(_, c)| c.parse::<u64>().unwrap()).sum();
-        prop_assert_eq!(summed, total_words);
+        prop_assert_eq!(out.stats.map_output_records, postings);
+        prop_assert_eq!(out.stats.reduce_groups as usize, distinct_words(&texts));
+        let members: u64 = blocks.iter().map(|(_, texts)| texts.len() as u64).sum();
+        prop_assert!(members <= postings);
     }
 
     /// Retry under transient faults never changes the reducer output or
@@ -115,16 +162,16 @@ proptest! {
         });
         let policy = ExecPolicy::retrying(fast_retry(max_attempts))
             .with_injector(Arc::new(FaultInjector::new(plan)));
-        let faulty = run_try(&texts, workers, &policy);
-        prop_assert_eq!(faulty.stats.reduce_groups as usize, expected.len(), "reduce_groups drifted");
-        prop_assert_eq!(faulty.pairs, expected, "reducer output drifted");
+        let (blocks, faulty) = run_try(&texts, workers, &policy);
+        prop_assert_eq!(faulty.stats.reduce_groups as usize, distinct_words(&texts), "reduce_groups drifted");
+        prop_assert_eq!(blocks, expected, "reducer output drifted");
     }
 
     /// Worker-count invariance of the fault-tolerant path, with speculation
     /// toggled on and off: an aggressive speculation config (every task
     /// slower than the median gets a backup) must not change the output.
     #[test]
-    fn run_dist_output_is_independent_of_workers_and_speculation(
+    fn transpose_output_is_independent_of_workers_and_speculation(
         texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
         speculate in any::<bool>(),
     ) {
@@ -141,9 +188,9 @@ proptest! {
         };
         let expected = reference(&texts);
         for workers in 1usize..=8 {
-            let got = run_try(&texts, workers, &policy(speculate));
-            prop_assert_eq!(got.stats.reduce_groups as usize, expected.len(), "workers={}", workers);
-            prop_assert_eq!(&got.pairs, &expected, "workers={}", workers);
+            let (blocks, got) = run_try(&texts, workers, &policy(speculate));
+            prop_assert_eq!(got.stats.reduce_groups as usize, distinct_words(&texts), "workers={}", workers);
+            prop_assert_eq!(&blocks, &expected, "workers={}", workers);
         }
     }
 }

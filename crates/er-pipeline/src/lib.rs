@@ -1028,7 +1028,6 @@ mod tests {
         for workers in [1usize, 3] {
             let mut t = er_mapreduce::InProcessTransport::new(
                 workers,
-                er_mapreduce::default_registry(),
                 er_core::fault::ExecPolicy::default(),
             );
             let got = p.dist_blocks(&profiles, &mut t, workers);

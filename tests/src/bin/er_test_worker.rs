@@ -7,5 +7,5 @@
 //! It speaks the framed worker protocol on stdin/stdout and nothing else.
 
 fn main() {
-    std::process::exit(er_mapreduce::worker_main(&er_mapreduce::default_registry()));
+    std::process::exit(er_mapreduce::worker_main());
 }

@@ -1,7 +1,8 @@
 //! Fixtures shared by the integration suites: the seeded datasets, the
 //! micro-collection strategy, the thread and out-of-core cells, the kernel
-//! row helpers, the subprocess worker, the bitwise graph and resolution
-//! asserts, a scratch-directory guard and the worker-pool ledger assert.
+//! row helpers, the subprocess worker, the key rows and serial oracle of the
+//! MapReduce transpose, the bitwise graph and resolution asserts, a
+//! scratch-directory guard and the worker-pool ledger assert.
 //!
 //! The property rows run on the vendored `proptest` shim
 //! (`vendor/proptest`), which does **not** shrink: a failing case panics
@@ -11,14 +12,18 @@
 
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::colstore::{collection_fingerprint, OocConfig};
-use er_core::entity::KbId;
+use er_core::entity::{EntityId, KbId};
+use er_core::intern::{Interner, Symbol};
 use er_core::obs::MetricsSnapshot;
 use er_core::parallel::Parallelism;
+use er_core::profiles::{KeyRows, TokenProfiles};
 use er_core::resource::MemoryBudget;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
+use er_mapreduce::dist::SymbolBlock;
 use er_metablocking::BlockingGraph;
 use er_pipeline::Resolution;
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -125,8 +130,9 @@ pub fn values_strategy() -> impl Strategy<Value = Vec<String>> {
     proptest::collection::vec("[a-e]{1,3}( [a-e]{1,3}){0,5}", 0..25)
 }
 
-/// Token-blocking job inputs (`id \t token…`) with overlapping vocabulary,
-/// so blocks span map chunks and every reduce partition has work.
+/// `id \t token…` records with overlapping vocabulary, so blocks span map
+/// chunks and every reduce partition has work. Record `i` names
+/// `tok{i % 7}` and `tok{(3i + 1) % 11}`, which coincide at `i = 5`.
 pub fn token_lines(n: u32) -> Vec<String> {
     (0..n)
         .map(|i| {
@@ -138,6 +144,42 @@ pub fn token_lines(n: u32) -> Vec<String> {
             )
         })
         .collect()
+}
+
+/// Key rows from `id \t key…` lines: row `i` holds line `i`'s distinct,
+/// non-empty keys (the id field is dropped).
+pub fn key_rows_of_lines(lines: &[String]) -> KeyRows {
+    let mut interner = Interner::new();
+    let (mut lens, mut symbols) = (Vec::new(), Vec::new());
+    for line in lines {
+        let keys = line.split('\t').skip(1).filter(|k| !k.is_empty());
+        let mut row: Vec<Symbol> = keys.map(|k| interner.intern(k)).collect();
+        row.sort_unstable();
+        row.dedup();
+        lens.push(row.len());
+        symbols.extend(row);
+    }
+    KeyRows::from_rows(interner.into_strings(), &lens, symbols)
+}
+
+/// The token rows of `c`: what `Pipeline`'s subprocess backend ships to
+/// `er_mapreduce::run_key_transpose`.
+pub fn token_rows(c: &EntityCollection) -> KeyRows {
+    let tokenizer = er_core::tokenize::Tokenizer::default();
+    TokenProfiles::build(c, &tokenizer, Parallelism::serial())
+}
+
+/// The oracle of `er_mapreduce::run_key_transpose`: `rows` grouped serially
+/// in a `BTreeMap` — every symbol two or more rows share, with those rows,
+/// ascending. It shares no code with the engine.
+pub fn serial_transpose(rows: &KeyRows) -> Vec<SymbolBlock> {
+    let mut groups: BTreeMap<Symbol, Vec<EntityId>> = BTreeMap::new();
+    for (e, row) in rows.iter().enumerate() {
+        for &s in row {
+            groups.entry(s).or_default().push(EntityId(e as u32));
+        }
+    }
+    groups.into_iter().filter(|(_, m)| m.len() >= 2).collect()
 }
 
 /// Asserts two graphs carry the same edges in the same order with bitwise

@@ -23,10 +23,12 @@
 
 use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults};
 use er_core::obs::{MetricsSnapshot, Obs};
+use er_core::profiles::KeyRows;
 use er_core::resource::ResourceLimits;
 use er_datagen::{DirtyDataset, NoiseModel};
-use er_integration_tests::ScratchDir;
-use er_mapreduce::{default_registry, run_dist, DistOptions, InProcessTransport};
+use er_integration_tests::{serial_transpose, token_rows, ScratchDir};
+use er_mapreduce::dist::SymbolBlock;
+use er_mapreduce::{run_key_transpose, DistOptions, InProcessTransport};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions, Resolution};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -184,10 +186,10 @@ proptest! {
         }
     }
 
-    /// The bounded MapReduce shuffle (`run_dist`'s spill files) under seeded
-    /// faults, spill bounds and worker counts: every completed run is
-    /// bit-identical to the unbounded fault-free job; exhausted retry budgets
-    /// are typed errors.
+    /// The bounded MapReduce shuffle (`run_key_transpose`'s spill files) under
+    /// seeded faults, spill bounds and worker counts: every completed run is
+    /// bit-identical to the serial transpose; exhausted retry budgets are
+    /// typed errors.
     #[test]
     fn spilling_mapreduce_chaos_is_bit_identical_or_typed(
         seed in 0u64..=u64::MAX,
@@ -214,9 +216,10 @@ proptest! {
             spill_dir: Some(spill_root.to_path_buf()),
             ..DistOptions::for_workers(workers)
         };
-        let mut transport = InProcessTransport::new(workers, default_registry(), policy);
-        match run_dist(&mut transport, "wordcount", wordcount_inputs(), &opts) {
-            Ok(out) => prop_assert_eq!(&out.pairs, unbounded_wordcount()),
+        let mut transport = InProcessTransport::new(workers, policy);
+        let (rows, reference) = chaos_rows();
+        match run_key_transpose(&mut transport, rows, &opts) {
+            Ok(out) => prop_assert_eq!(&out.blocks, reference),
             Err(e) => {
                 prop_assert!(attempts < 3, "absorbable schedules exhaust only small budgets: {e}");
                 prop_assert!(e.stage == "map" || e.stage == "reduce", "{e}");
@@ -226,37 +229,15 @@ proptest! {
     }
 }
 
-/// One line of attribute values per description of the chaos dataset.
-fn wordcount_inputs() -> &'static [String] {
-    static INPUTS: OnceLock<Vec<String>> = OnceLock::new();
-    INPUTS.get_or_init(|| {
-        dataset()
-            .collection
-            .iter()
-            .map(|e| {
-                e.attributes()
-                    .iter()
-                    .map(|(_, v)| v.as_str())
-                    .collect::<Vec<_>>()
-                    .join(" ")
-            })
-            .collect()
-    })
-}
-
-/// The fault-free, unbounded `wordcount` run the spilling cells must equal.
-fn unbounded_wordcount() -> &'static Vec<(String, String)> {
-    static PAIRS: OnceLock<Vec<(String, String)>> = OnceLock::new();
-    PAIRS.get_or_init(|| {
-        let mut transport = InProcessTransport::new(1, default_registry(), ExecPolicy::default());
-        run_dist(
-            &mut transport,
-            "wordcount",
-            wordcount_inputs(),
-            &DistOptions::for_workers(1),
-        )
-        .expect("fault-free reference")
-        .pairs
+/// The token rows of the chaos dataset — what the subprocess backend's
+/// blocking ships — and their serial transpose, which every spilling cell
+/// must equal.
+fn chaos_rows() -> &'static (KeyRows, Vec<SymbolBlock>) {
+    static ROWS: OnceLock<(KeyRows, Vec<SymbolBlock>)> = OnceLock::new();
+    ROWS.get_or_init(|| {
+        let rows = token_rows(&dataset().collection);
+        let reference = serial_transpose(&rows);
+        (rows, reference)
     })
 }
 
@@ -581,7 +562,7 @@ proptest! {
             })
             .unwrap();
             w.write(&Frame::Task {
-                job: "token-blocking".to_string(),
+                job: er_mapreduce::KEY_TRANSPOSE.to_string(),
                 stage: "map".to_string(),
                 task: 3,
                 attempt: 1,
@@ -783,7 +764,7 @@ fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
     for (i, info) in seg.sections().iter().enumerate() {
         match info.kind {
             KIND_POSTINGS => {
-                let mut cur = seg.run::<(er_core::Symbol, er_core::EntityId)>(i)?;
+                let mut cur = seg.run(i)?;
                 while cur.next()?.is_some() {}
             }
             KIND_BYTES => {

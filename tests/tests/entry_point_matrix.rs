@@ -11,8 +11,9 @@
 //! `layout_equivalence.rs` (the compact layouts against the string-keyed /
 //! `BTreeMap` reference) and `out_of_core_equivalence.rs` (every run size
 //! and a 4 KiB budget against the in-memory build). Here: the
-//! similarity-join and matching rows, and the string `token-blocking` job
-//! on subprocess workers.
+//! similarity-join and matching rows, and `run_dist` — the frozen string
+//! adapter over the MapReduce key transpose — on threads and on subprocess
+//! workers.
 //!
 //! **Pipeline rows.** Every entry point is one stage walk under a
 //! configuration, so comparing entry points with each other would compare
@@ -64,13 +65,13 @@ use er_core::resource::ResourceLimits;
 use er_core::similarity::SetMeasure;
 use er_datagen::{CorruptConfig, CorruptStream, DirtyDataset, EvolvingConfig, NoiseModel};
 use er_integration_tests::{
-    assert_pool_drained, collection_from_values, dataset, noise_sweep, row, threaded, token_lines,
-    values_strategy, worker_program, ScratchDir,
+    assert_pool_drained, collection_from_values, dataset, key_rows_of_lines, noise_sweep, row,
+    threaded, token_lines, values_strategy, worker_program, ScratchDir,
 };
 use er_iterative::swoosh::r_swoosh;
 use er_mapreduce::{
-    default_registry, run_dist, DistOptions, DistOutput, InProcessTransport, SubprocessConfig,
-    SubprocessTransport,
+    run_dist, run_key_transpose, DistOptions, InProcessTransport, SubprocessConfig,
+    SubprocessTransport, Transport,
 };
 use er_metablocking::{BlockingGraph, PruningScheme, WeightingScheme};
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
@@ -80,7 +81,7 @@ use er_pipeline::{
     PipelineBuilder, RecoveryEvent, RecoveryOptions, Resolution,
 };
 use proptest::prelude::*;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -209,27 +210,65 @@ fn matching_row() {
     matching_cells(&c, &candidates, &matcher, "n=300 seed=13");
 }
 
-/// The string `token-blocking` job on worker processes against the
-/// in-process transport, crash-free, at 1, 2 and 4 workers — with the
-/// supervision ledger balanced and every worker reaped.
+/// `run_dist`, the frozen string adapter over `run_key_transpose`, on the
+/// in-process transport and on worker processes at 1, 2 and 4 workers. Its
+/// pairs equal the rendered transpose of the records' key rows and a serial
+/// group-by of each record's distinct keys; a record that repeats a key is
+/// one member of its block, so alone it makes no block (no self-pair); and
+/// an unknown job name is a typed `setup` error. Every pool's ledger
+/// balances and every worker is reaped.
 #[test]
 fn run_dist_subprocess_row() {
+    // Record 5 names `tok5` twice.
     let inputs = token_lines(80);
+    let rows = key_rows_of_lines(&inputs);
+    let mut groups: BTreeMap<&str, Vec<&str>> = BTreeMap::new();
+    for line in &inputs {
+        let (id, keys) = line.split_once('\t').expect("id field");
+        for key in keys.split('\t').collect::<BTreeSet<_>>() {
+            groups.entry(key).or_default().push(id);
+        }
+    }
+    let want: Vec<(String, String)> = groups
+        .into_iter()
+        .filter(|(_, ids)| ids.len() >= 2)
+        .map(|(key, ids)| (key.to_string(), ids.join(" ")))
+        .collect();
+    let lone = ["5\ttok5\ttok5".to_string()];
     for workers in [1usize, 2, 4] {
         let opts = DistOptions::for_workers(workers);
-        let mut t = InProcessTransport::new(workers, default_registry(), ExecPolicy::default());
-        let oracle = run_dist(&mut t, "token-blocking", &inputs, &opts).expect("in-process run");
         let obs = Obs::enabled();
         let mut cfg = SubprocessConfig::new(workers);
         cfg.program = Some(worker_program!().into());
         cfg.policy = ExecPolicy::default().with_obs(obs.clone());
-        let mut t = SubprocessTransport::new(cfg);
-        let monitor = t.monitor();
+        let mut procs = SubprocessTransport::new(cfg);
+        let monitor = procs.monitor();
+        let mut threads = InProcessTransport::new(workers, ExecPolicy::default());
+        let backends: [(&str, &mut dyn Transport); 2] =
+            [("threads", &mut threads), ("processes", &mut procs)];
+        for (backend, t) in backends {
+            let cell = format!("{backend} workers={workers}");
+            let got = run_dist(t, "token-blocking", &inputs, &opts).expect(&cell);
+            let transposed = run_key_transpose(t, &rows, &opts).expect(&cell);
+            let rendered: Vec<(String, String)> = transposed
+                .blocks
+                .iter()
+                .map(|(s, members)| {
+                    let ids: Vec<String> = members.iter().map(|e| e.0.to_string()).collect();
+                    (rows.vocabulary()[s.index()].clone(), ids.join(" "))
+                })
+                .collect();
+            assert_eq!(got.pairs, want, "{cell}: serial group-by");
+            assert_eq!(got.pairs, rendered, "{cell}: rendered transpose");
+            assert_eq!(got.stats, transposed.stats, "{cell}: stats");
+            let alone = run_dist(t, "token-blocking", &lone, &opts).expect(&cell);
+            assert_eq!(alone.pairs, Vec::new(), "{cell}: a self-pair block");
+            let err = run_dist(t, "word-count", &inputs, &opts).expect_err(&cell);
+            assert_eq!(err.stage, "setup", "{cell}: {err}");
+            assert!(err.message.contains("\"word-count\""), "{cell}: {err}");
+        }
+        drop(procs);
         let cell = format!("workers={workers}");
-        let got = run_dist(&mut t, "token-blocking", &inputs, &opts).expect(&cell);
-        drop(t);
-        let outcome = |o: DistOutput| (o.pairs, o.stats.map_output_records, o.stats.reduce_groups);
-        assert_eq!(outcome(got), outcome(oracle), "{cell}");
         let snap = obs.snapshot();
         assert_eq!(
             snap.counter("worker.spawned"),

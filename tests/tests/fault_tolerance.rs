@@ -2,7 +2,8 @@
 //!
 //! PR 1 established that every parallel kernel is bit-identical to its serial
 //! counterpart at any worker count. This suite extends the contract to
-//! *failure schedules*: any `run_dist` job or pipeline run that **completes**
+//! *failure schedules*: any `run_key_transpose` job or pipeline run that
+//! **completes**
 //! under injected faults — panics, transient errors, artificial delays,
 //! retried under a [`RetryPolicy`] — produces output bit-identical to the
 //! fault-free run; any run that cannot complete degrades gracefully (typed
@@ -22,17 +23,20 @@
 //! mean the same thing — equal output, equal retries, equal typed error —
 //! because both schedule attempts through the one attempt ledger.
 
-use er_core::collection::EntityCollection;
 use er_core::fault::{
     fault_seed_from_env, ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy,
     SeededFaults, SpeculationConfig,
 };
 use er_core::metrics::MatchQuality;
+use er_core::profiles::KeyRows;
 use er_datagen::NoiseModel;
-use er_integration_tests::{dataset, worker_program, ScratchDir};
+use er_integration_tests::{
+    dataset, key_rows_of_lines, serial_transpose, token_lines, token_rows, worker_program,
+    ScratchDir,
+};
 use er_mapreduce::{
-    default_registry, run_dist, DistOptions, DistOutput, ExecError, InProcessTransport,
-    SubprocessConfig, SubprocessTransport,
+    run_key_transpose, DistOptions, ExecError, InProcessTransport, SubprocessConfig,
+    SubprocessTransport, TransposeOutput,
 };
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions};
@@ -58,34 +62,15 @@ fn worker_counts() -> Vec<usize> {
     }
 }
 
-/// A representative MapReduce job: word frequencies over a dirty
-/// collection's attribute values, run by the `wordcount` job.
-fn token_count_inputs(c: &EntityCollection) -> Vec<String> {
-    (0..c.len())
-        .map(|i| {
-            c.entity(er_core::entity::EntityId(i as u32))
-                .attributes()
-                .iter()
-                .map(|(_, v)| v.clone())
-                .collect::<Vec<_>>()
-                .join(" ")
-        })
-        .collect()
-}
-
-/// `run_dist`'s `wordcount` job over `workers` in-process threads.
-fn word_count(
-    inputs: &[String],
+/// The job the pipeline's subprocess backend runs — the key transpose of a
+/// dirty collection's token rows — over `workers` in-process threads.
+fn transpose(
+    rows: &KeyRows,
     workers: usize,
     policy: ExecPolicy,
-) -> Result<DistOutput, ExecError> {
-    let mut t = InProcessTransport::new(workers, default_registry(), policy);
-    run_dist(
-        &mut t,
-        "wordcount",
-        inputs,
-        &DistOptions::for_workers(workers),
-    )
+) -> Result<TransposeOutput, ExecError> {
+    let mut t = InProcessTransport::new(workers, policy);
+    run_key_transpose(&mut t, rows, &DistOptions::for_workers(workers))
 }
 
 // ---------------------------------------------------------------------------
@@ -99,10 +84,10 @@ fn word_count(
 #[test]
 fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
     let ds = dataset(250, NoiseModel::light(), 42);
-    let inputs = token_count_inputs(&ds.collection);
-    let reference = word_count(&inputs, 1, ExecPolicy::default())
-        .expect("fault-free run cannot fail")
-        .pairs;
+    let rows = token_rows(&ds.collection);
+    let reference = serial_transpose(&rows);
+    let fault_free = transpose(&rows, 1, ExecPolicy::default()).expect("fault-free run");
+    assert_eq!(fault_free.blocks, reference, "fault-free run");
     let mut faults_seen = 0u64;
     for seed in fault_seeds() {
         for workers in worker_counts() {
@@ -120,11 +105,11 @@ fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
                 if speculate {
                     policy = policy.with_speculation(SpeculationConfig::default());
                 }
-                let out = word_count(&inputs, workers, policy).unwrap_or_else(|e| {
+                let out = transpose(&rows, workers, policy).unwrap_or_else(|e| {
                     panic!("absorbable schedule seed={seed} workers={workers}: {e}")
                 });
                 assert_eq!(
-                    out.pairs, reference,
+                    out.blocks, reference,
                     "seed={seed} workers={workers} speculate={speculate}"
                 );
                 faults_seen += injector.injected();
@@ -144,13 +129,13 @@ fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
 #[test]
 fn unabsorbable_mapreduce_schedule_errors_gracefully() {
     let ds = dataset(120, NoiseModel::light(), 7);
-    let inputs = token_count_inputs(&ds.collection);
+    let rows = token_rows(&ds.collection);
     for workers in worker_counts() {
         let plan = FaultPlan::none().inject_all_attempts("map", 0, 3, FaultKind::Panic);
         let policy = ExecPolicy::retrying(RetryPolicy::attempts(3))
             .with_injector(Arc::new(FaultInjector::new(plan)));
-        let err = word_count(&inputs, workers, policy)
-            .expect_err("schedule must exhaust the retry budget");
+        let err =
+            transpose(&rows, workers, policy).expect_err("schedule must exhaust the retry budget");
         assert_eq!(err.stage, "map");
         assert_eq!(err.attempts, 3);
     }
@@ -373,19 +358,10 @@ fn progressive_deadline_expiry_emits_partial_results() {
 
 const PARITY_WORKERS: usize = 2;
 
-/// Token-blocking records with overlapping vocabulary, so blocks span map
-/// chunks and every reduce partition has work.
-fn tb_inputs(n: u32) -> Vec<String> {
-    (0..n)
-        .map(|i| {
-            format!(
-                "{i}\ttok{}\ttok{}\tcommon{}",
-                i % 7,
-                (i * 3 + 1) % 11,
-                i % 2
-            )
-        })
-        .collect()
+/// Key rows with overlapping vocabulary, so blocks span map chunks and
+/// every reduce partition has work.
+fn parity_rows() -> KeyRows {
+    key_rows_of_lines(&token_lines(96))
 }
 
 /// Task counts fixed independently of the worker count: the fault plan is
@@ -408,21 +384,21 @@ fn parity_policy(plan: FaultPlan, max_attempts: u32, jitter_seed: u64) -> ExecPo
     .with_injector(Arc::new(FaultInjector::new(plan)))
 }
 
-/// One run of the `token-blocking` job: the outcome and the faults fired.
-type ParityRun = (Result<DistOutput, ExecError>, u64);
+/// One run of the key transpose: the outcome and the faults fired.
+type ParityRun = (Result<TransposeOutput, ExecError>, u64);
 
-fn in_process_run(inputs: &[String], workers: usize, policy: ExecPolicy) -> ParityRun {
-    let mut t = InProcessTransport::new(workers, default_registry(), policy.clone());
-    let out = run_dist(&mut t, "token-blocking", inputs, &parity_opts(workers));
+fn in_process_run(rows: &KeyRows, workers: usize, policy: ExecPolicy) -> ParityRun {
+    let mut t = InProcessTransport::new(workers, policy.clone());
+    let out = run_key_transpose(&mut t, rows, &parity_opts(workers));
     (out, policy.faults_injected())
 }
 
-fn subprocess_run(inputs: &[String], mut cfg: SubprocessConfig, policy: ExecPolicy) -> ParityRun {
+fn subprocess_run(rows: &KeyRows, mut cfg: SubprocessConfig, policy: ExecPolicy) -> ParityRun {
     cfg.program = Some(worker_program!().into());
     cfg.policy = policy.clone();
     let opts = parity_opts(cfg.workers);
     let mut t = SubprocessTransport::new(cfg);
-    let out = run_dist(&mut t, "token-blocking", inputs, &opts);
+    let out = run_key_transpose(&mut t, rows, &opts);
     (out, policy.faults_injected())
 }
 
@@ -433,7 +409,7 @@ fn subprocess_run(inputs: &[String], mut cfg: SubprocessConfig, policy: ExecPoli
 /// deadline, and no healthy worker may be declared dead for it.
 #[test]
 fn an_explicit_fault_plan_means_the_same_on_both_backends() {
-    let inputs = tb_inputs(96);
+    let rows = parity_rows();
     let delay = std::time::Duration::from_millis(600);
     let plan = || {
         FaultPlan::none()
@@ -441,12 +417,12 @@ fn an_explicit_fault_plan_means_the_same_on_both_backends() {
             .inject("map", 1, 0, FaultKind::Panic)
             .inject("reduce", 0, 0, FaultKind::Delay(delay))
     };
-    let reference = in_process_run(&inputs, PARITY_WORKERS, ExecPolicy::default())
+    let reference = in_process_run(&rows, PARITY_WORKERS, ExecPolicy::default())
         .0
         .expect("fault-free run cannot fail");
 
     let (threads, thread_faults) =
-        in_process_run(&inputs, PARITY_WORKERS, parity_policy(plan(), 3, 5));
+        in_process_run(&rows, PARITY_WORKERS, parity_policy(plan(), 3, 5));
     let threads = threads.expect("absorbable plan, in-process");
 
     let obs = er_core::obs::Obs::enabled();
@@ -454,11 +430,11 @@ fn an_explicit_fault_plan_means_the_same_on_both_backends() {
     cfg.heartbeat = std::time::Duration::from_millis(20);
     cfg.liveness_deadline = delay / 2;
     let policy = parity_policy(plan(), 3, 5).with_obs(obs.clone());
-    let (procs, proc_faults) = subprocess_run(&inputs, cfg, policy);
+    let (procs, proc_faults) = subprocess_run(&rows, cfg, policy);
     let procs = procs.expect("absorbable plan, subprocess");
 
-    assert_eq!(threads.pairs, reference.pairs);
-    assert_eq!(procs.pairs, reference.pairs);
+    assert_eq!(threads.blocks, reference.blocks);
+    assert_eq!(procs.blocks, reference.blocks);
     assert_eq!((threads.stats.retried, thread_faults), (2, 3));
     assert_eq!((procs.stats.retried, proc_faults), (2, 3));
     assert_eq!(procs.stats, threads.stats);
@@ -479,7 +455,7 @@ fn an_explicit_fault_plan_means_the_same_on_both_backends() {
 /// there, not booked as that reduce task's result.
 #[test]
 fn a_straggler_gets_one_backup_on_both_backends() {
-    let inputs = tb_inputs(96);
+    let rows = parity_rows();
     let policy = || {
         let delay = |ms| FaultKind::Delay(std::time::Duration::from_millis(ms));
         let plan =
@@ -492,17 +468,17 @@ fn a_straggler_gets_one_backup_on_both_backends() {
             min_runtime: std::time::Duration::from_millis(100),
         })
     };
-    let reference = in_process_run(&inputs, PARITY_WORKERS, ExecPolicy::default())
+    let reference = in_process_run(&rows, PARITY_WORKERS, ExecPolicy::default())
         .0
         .expect("fault-free run cannot fail");
-    let threads = in_process_run(&inputs, PARITY_WORKERS, policy())
+    let threads = in_process_run(&rows, PARITY_WORKERS, policy())
         .0
         .expect("in-process");
-    let procs = subprocess_run(&inputs, SubprocessConfig::new(PARITY_WORKERS), policy())
+    let procs = subprocess_run(&rows, SubprocessConfig::new(PARITY_WORKERS), policy())
         .0
         .expect("subprocess");
-    assert_eq!(threads.pairs, reference.pairs);
-    assert_eq!(procs.pairs, reference.pairs);
+    assert_eq!(threads.blocks, reference.blocks);
+    assert_eq!(procs.blocks, reference.blocks);
     assert_eq!((threads.stats.speculated, threads.stats.retried), (2, 0));
     assert_eq!(procs.stats, threads.stats);
 }
@@ -511,18 +487,18 @@ fn a_straggler_gets_one_backup_on_both_backends() {
 /// error — stage, task, typed failures observed, final message.
 #[test]
 fn an_unabsorbable_fault_plan_is_the_same_typed_error_on_both_backends() {
-    let inputs = tb_inputs(96);
+    let rows = parity_rows();
     for kind in [FaultKind::Transient, FaultKind::Panic] {
         let plan = || {
             FaultPlan::none()
                 .inject("map", 0, 0, FaultKind::Transient)
                 .inject_all_attempts("reduce", 1, 8, kind)
         };
-        let threads = in_process_run(&inputs, PARITY_WORKERS, parity_policy(plan(), 2, 1))
+        let threads = in_process_run(&rows, PARITY_WORKERS, parity_policy(plan(), 2, 1))
             .0
             .expect_err("schedule must exhaust the retry budget, in-process");
         let cfg = SubprocessConfig::new(PARITY_WORKERS);
-        let procs = subprocess_run(&inputs, cfg, parity_policy(plan(), 2, 1))
+        let procs = subprocess_run(&rows, cfg, parity_policy(plan(), 2, 1))
             .0
             .expect_err("schedule must exhaust the retry budget, subprocess");
         assert_eq!(
@@ -539,23 +515,24 @@ fn an_unabsorbable_fault_plan_is_the_same_typed_error_on_both_backends() {
 /// equal faults fired.
 #[test]
 fn seeded_fault_plans_mean_the_same_on_both_backends() {
-    let inputs = tb_inputs(96);
-    let reference = in_process_run(&inputs, 1, ExecPolicy::default())
+    let rows = parity_rows();
+    let reference = in_process_run(&rows, 1, ExecPolicy::default())
         .0
         .expect("fault-free run cannot fail");
+    assert_eq!(reference.blocks, serial_transpose(&rows));
     let mut faults_seen = 0u64;
     for seed in fault_seeds() {
         for workers in worker_counts() {
             let policy =
                 || parity_policy(FaultPlan::seeded(SeededFaults::absorbable(seed)), 3, seed);
             let cell = format!("seed={seed} workers={workers}");
-            let (threads, thread_faults) = in_process_run(&inputs, workers, policy());
+            let (threads, thread_faults) = in_process_run(&rows, workers, policy());
             let threads = threads.unwrap_or_else(|e| panic!("{cell} in-process: {e}"));
             let (procs, proc_faults) =
-                subprocess_run(&inputs, SubprocessConfig::new(workers), policy());
+                subprocess_run(&rows, SubprocessConfig::new(workers), policy());
             let procs = procs.unwrap_or_else(|e| panic!("{cell} subprocess: {e}"));
-            assert_eq!(threads.pairs, reference.pairs, "{cell}");
-            assert_eq!(procs.pairs, reference.pairs, "{cell}");
+            assert_eq!(threads.blocks, reference.blocks, "{cell}");
+            assert_eq!(procs.blocks, reference.blocks, "{cell}");
             assert_eq!(procs.stats, threads.stats, "{cell}");
             assert_eq!(proc_faults, thread_faults, "{cell}");
             faults_seen += proc_faults;

@@ -5,23 +5,16 @@
 //! fingerprints, spill segments and MinHash block keys are computed as an
 //! older build computed them.
 //!
-//! Two pins moved, deliberately, when frames, shuffle segments and
-//! checkpoints moved onto the one wire codec and the colstore segment
-//! envelope:
-//!
-//! * `protocol_fingerprint_is_pinned` — `PROTOCOL_VERSION` went 1 → 2 (frame
-//!   payloads are a tag plus wire fields, not an escaped text line), and the
-//!   fingerprint hashes the version, so a worker built before the change
-//!   cannot join a pool built after it.
-//! * `shuffle_segment_checksum_is_pinned` — a shuffle segment is now a
-//!   one-section colstore segment of wire `(key, value)` rows instead of an
-//!   escaped `er-dist` line file, so its bytes changed; the new value was
-//!   measured at that change and pins its bytes from here on.
+//! `protocol_fingerprint_is_pinned` moved, deliberately, when frames moved
+//! onto the one wire codec: `PROTOCOL_VERSION` went 1 → 2 (frame payloads
+//! are a tag plus wire fields, not an escaped text line), and the
+//! fingerprint hashes the version, so a worker built before the change
+//! cannot join a pool built after it.
 //!
 //! `symbol_shuffle_segment_checksum_is_pinned` was added with the
 //! `key-transpose` job: its shuffle segment is a one-section colstore segment
 //! holding one key-sorted `KIND_POSTINGS` run, measured when the job landed.
-//! It pins the symbol data plane beside the string one, which still holds.
+//! It pins the one MapReduce data plane there is.
 //!
 //! `checkpoint_fingerprint_is_pinned` did not move: the checkpoint
 //! fingerprint is the same hash, now read from the segment header's
@@ -46,10 +39,7 @@ use er_core::profiles::TokenProfiles;
 use er_core::tokenize::Tokenizer;
 use er_datagen::{DirtyConfig, DirtyDataset};
 use er_integration_tests::ScratchDir;
-use er_mapreduce::dist::{
-    decode_map_result, default_registry, encode_map_task, encode_transpose_map_task, run_task,
-    KEY_TRANSPOSE,
-};
+use er_mapreduce::dist::{decode_map_result, encode_transpose_map_task, run_task, KEY_TRANSPOSE};
 use er_pipeline::{Pipeline, RecoveryOptions};
 
 fn fixture() -> EntityCollection {
@@ -127,33 +117,13 @@ fn minhash_block_key_is_pinned() {
 }
 
 #[test]
-fn shuffle_segment_checksum_is_pinned() {
-    let dir = ScratchDir::created("fnv-shuffle");
-    // Tokens holding a backslash, a newline and non-ASCII text travel as
-    // length-prefixed wire strings; one partition keeps every posting in one
-    // segment.
-    let records = [
-        "0\tturing\tlondon".to_string(),
-        "1\talan\tturing\tlon\\don".to_string(),
-        "2\tgrace\tnew york\nny\tzürich".to_string(),
-    ];
-    let payload = encode_map_task(1, 0, 0xfeed_beef, &dir, &records);
-    let result = run_task(&default_registry(), "token-blocking", "map", &payload, 0).unwrap();
-    let segments = decode_map_result(&result).unwrap().segments;
-    let bytes = std::fs::read(&segments[0].path).unwrap();
-    assert_eq!(segments.len(), 1);
-    let got = Fnv1a::hash(&bytes);
-    assert_eq!(got, 0xd8a9_71eb_de9d_6541, "{got:#018x}");
-}
-
-#[test]
 fn symbol_shuffle_segment_checksum_is_pinned() {
     let dir = ScratchDir::created("fnv-symbol-shuffle");
     // The fixture's token rows as one `key-transpose` map task; one
     // partition keeps every posting in one key-sorted `KIND_POSTINGS` run.
     let rows = TokenProfiles::build(&fixture(), &Tokenizer::default(), Parallelism::serial());
     let payload = encode_transpose_map_task(1, 0, 0xfeed_beef, &dir, &rows, 0..rows.len());
-    let result = run_task(&default_registry(), KEY_TRANSPOSE, "map", &payload, 0).unwrap();
+    let result = run_task(KEY_TRANSPOSE, "map", &payload, 0).unwrap();
     let segments = decode_map_result(&result).unwrap().segments;
     let bytes = std::fs::read(&segments[0].path).unwrap();
     // It is the out-of-core build's posting run, byte for byte.

@@ -415,12 +415,13 @@ fn subprocess_spills_under_the_memory_limit_and_resolves_the_same() {
 fn task_latency_is_timed_once_per_task_on_both_backends() {
     use er_core::fault::{ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
     use er_mapreduce::{
-        default_registry, run_dist, DistOptions, InProcessTransport, SubprocessConfig,
-        SubprocessTransport, Transport,
+        run_key_transpose, DistOptions, InProcessTransport, SubprocessConfig, SubprocessTransport,
+        Transport,
     };
-    let inputs: Vec<String> = (0..60)
+    let lines: Vec<String> = (0..60)
         .map(|i| format!("{i}\ttok{}\ttok{}", i % 5, i % 3))
         .collect();
+    let rows = er_integration_tests::key_rows_of_lines(&lines);
     let policy = |obs: &Obs| {
         let plan = FaultPlan::none()
             .inject("map", 0, 0, FaultKind::Transient)
@@ -430,13 +431,8 @@ fn task_latency_is_timed_once_per_task_on_both_backends() {
             .with_obs(obs.clone())
     };
     let timed_once = |backend: &str, obs: &Obs, transport: &mut dyn Transport| {
-        let out = run_dist(
-            transport,
-            "token-blocking",
-            &inputs,
-            &DistOptions::for_workers(2),
-        )
-        .unwrap_or_else(|e| panic!("{backend}: {e}"));
+        let out = run_key_transpose(transport, &rows, &DistOptions::for_workers(2))
+            .unwrap_or_else(|e| panic!("{backend}: {e}"));
         out.stats.record_obs(obs);
         let snapshot = obs.snapshot();
         let tasks = out.stats.map_tasks + out.stats.reduce_tasks;
@@ -455,7 +451,7 @@ fn task_latency_is_timed_once_per_task_on_both_backends() {
     };
 
     let obs = Obs::enabled();
-    let mut threads = InProcessTransport::new(2, default_registry(), policy(&obs));
+    let mut threads = InProcessTransport::new(2, policy(&obs));
     timed_once("in-process", &obs, &mut threads);
 
     let obs = Obs::enabled();

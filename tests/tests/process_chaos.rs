@@ -2,10 +2,11 @@
 //!
 //! The crash-isolation contract under test (see `docs/distributed.md`):
 //!
-//! 1. **Bit-identity** — a run that completes under crashes produces
-//!    exactly the output of the in-process oracle; there is no "mostly
-//!    right" mode. (Crash-free identity, for `run_dist` and the pipeline,
-//!    is the product oracle's subprocess rows: `entry_point_matrix`.)
+//! 1. **Bit-identity** — a `run_key_transpose` that completes under crashes
+//!    produces exactly the serial transpose, which the in-process transport
+//!    also produces; there is no "mostly right" mode. (Crash-free identity,
+//!    for the transpose and the pipeline, is the product oracle's
+//!    subprocess rows: `entry_point_matrix`.)
 //! 2. **Typed failure, never a hang** — a run that cannot complete (restart
 //!    budget spent, workers that die on arrival) returns a typed
 //!    `ExecError`; the stage deadline backstops everything else.
@@ -22,11 +23,10 @@
 
 use er_core::fault::ExecPolicy;
 use er_core::obs::Obs;
-use er_integration_tests::{assert_pool_drained, token_lines, worker_program};
-use er_mapreduce::{
-    default_registry, run_dist, DistOptions, DistOutput, InProcessTransport, SubprocessConfig,
-    SubprocessTransport,
+use er_integration_tests::{
+    assert_pool_drained, key_rows_of_lines, serial_transpose, token_lines, worker_program,
 };
+use er_mapreduce::{run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport};
 use std::path::PathBuf;
 use std::process::Command;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -46,19 +46,14 @@ fn chaos_workers_env() -> Option<usize> {
         .and_then(|v| v.parse().ok())
 }
 
-/// The in-process oracle for one (inputs, opts) cell.
-fn oracle(inputs: &[String], opts: &DistOptions, workers: usize) -> DistOutput {
-    let mut t = InProcessTransport::new(workers, default_registry(), ExecPolicy::default());
-    run_dist(&mut t, "token-blocking", inputs, opts).expect("oracle never fails")
-}
-
 /// (1)+(2)+(3) The kill -9 soak: a killer thread SIGKILLs random live
 /// workers throughout the run, across seeds × worker counts. Every cell
 /// must end in a bit-identical output or a typed error — never a hang,
 /// never silent data loss — and must leak no processes.
 #[test]
 fn kill_nine_soak_is_bit_identical_or_typed() {
-    let inputs = token_lines(120);
+    let rows = key_rows_of_lines(&token_lines(120));
+    let expected = serial_transpose(&rows);
     let mut completed = 0u32;
     let mut failed_typed = 0u32;
     for seed in [3u64, 17, 40] {
@@ -66,7 +61,6 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
         for workers in [2usize, 4] {
             let workers = chaos_workers_env().unwrap_or(workers);
             let opts = DistOptions::for_workers(workers);
-            let expected = oracle(&inputs, &opts, workers);
 
             let obs = Obs::enabled();
             let mut cfg = SubprocessConfig::new(workers);
@@ -103,7 +97,7 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
                 })
             };
 
-            let outcome = run_dist(&mut t, "token-blocking", &inputs, &opts);
+            let outcome = run_key_transpose(&mut t, &rows, &opts);
             stop.store(true, Ordering::Relaxed);
             killer.join().expect("killer thread never panics");
             drop(t); // shutdown + reap on both outcomes
@@ -112,7 +106,7 @@ fn kill_nine_soak_is_bit_identical_or_typed() {
                 Ok(out) => {
                     completed += 1;
                     assert_eq!(
-                        out.pairs, expected.pairs,
+                        out.blocks, expected,
                         "seed={seed} workers={workers}: crashed runs must be bit-identical"
                     );
                 }
@@ -150,13 +144,9 @@ fn dead_on_arrival_workers_exhaust_into_a_typed_error() {
     cfg.stage_deadline = Some(Duration::from_secs(60));
     let mut t = SubprocessTransport::new(cfg);
     let monitor = t.monitor();
-    let err = run_dist(
-        &mut t,
-        "token-blocking",
-        &token_lines(10),
-        &DistOptions::for_workers(2),
-    )
-    .expect_err("a pool that cannot hold workers must fail typed");
+    let rows = key_rows_of_lines(&token_lines(10));
+    let err = run_key_transpose(&mut t, &rows, &DistOptions::for_workers(2))
+        .expect_err("a pool that cannot hold workers must fail typed");
     assert!(
         err.message.contains("restart budget") || err.message.contains("exhausted"),
         "{err}"

@@ -24,14 +24,13 @@
 
 use er_core::fault::ExecPolicy;
 use er_core::obs::Obs;
+use er_core::profiles::KeyRows;
+use er_integration_tests::{key_rows_of_lines, serial_transpose};
 use er_mapreduce::proto::{
     protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-use er_mapreduce::{
-    default_registry, run_dist, DistOptions, InProcessTransport, SubprocessConfig,
-    SubprocessTransport,
-};
+use er_mapreduce::{run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -252,10 +251,12 @@ fn oversized_prefix_is_rejected_with_offset() {
     }
 }
 
-fn tb_inputs(n: u32) -> Vec<String> {
-    (0..n)
+/// `n` key rows over five tokens and one key every row shares.
+fn tb_rows(n: u32) -> KeyRows {
+    let lines: Vec<String> = (0..n)
         .map(|i| format!("{i}\ttok{}\ttok{}\tshared", i % 5, (i + 1) % 5))
-        .collect()
+        .collect();
+    key_rows_of_lines(&lines)
 }
 
 fn subprocess_cfg(workers: usize) -> SubprocessConfig {
@@ -274,13 +275,8 @@ fn version_mismatch_handshake_is_a_typed_error() {
     cfg.handshake_overrides = Some((PROTOCOL_VERSION + 1, protocol_fingerprint()));
     let mut t = SubprocessTransport::new(cfg);
     let monitor = t.monitor();
-    let err = run_dist(
-        &mut t,
-        "token-blocking",
-        &tb_inputs(10),
-        &DistOptions::for_workers(2),
-    )
-    .expect_err("mismatched version must not run tasks");
+    let err = run_key_transpose(&mut t, &tb_rows(10), &DistOptions::for_workers(2))
+        .expect_err("mismatched version must not run tasks");
     assert_eq!(err.stage, "handshake", "{err}");
     assert!(err.message.contains("version"), "{err}");
     drop(t);
@@ -296,13 +292,8 @@ fn fingerprint_mismatch_handshake_is_a_typed_error() {
     let mut cfg = subprocess_cfg(2);
     cfg.handshake_overrides = Some((PROTOCOL_VERSION, protocol_fingerprint() ^ 0xbad_c0de));
     let mut t = SubprocessTransport::new(cfg);
-    let err = run_dist(
-        &mut t,
-        "token-blocking",
-        &tb_inputs(10),
-        &DistOptions::for_workers(2),
-    )
-    .expect_err("mismatched fingerprint must not run tasks");
+    let err = run_key_transpose(&mut t, &tb_rows(10), &DistOptions::for_workers(2))
+        .expect_err("mismatched fingerprint must not run tasks");
     assert_eq!(err.stage, "handshake", "{err}");
     assert!(err.message.contains("fingerprint"), "{err}");
 }
@@ -316,33 +307,30 @@ fn handshake_rejection_latches_across_stages() {
     cfg.handshake_overrides = Some((PROTOCOL_VERSION + 7, protocol_fingerprint()));
     let mut t = SubprocessTransport::new(cfg);
     let opts = DistOptions::for_workers(1);
-    let first = run_dist(&mut t, "token-blocking", &tb_inputs(4), &opts).unwrap_err();
-    let second = run_dist(&mut t, "token-blocking", &tb_inputs(4), &opts).unwrap_err();
+    let first = run_key_transpose(&mut t, &tb_rows(4), &opts).unwrap_err();
+    let second = run_key_transpose(&mut t, &tb_rows(4), &opts).unwrap_err();
     assert!(second.message.contains("rejected handshake"), "{second}");
     assert_eq!(first.message, second.message, "the latched error is stable");
 }
 
 /// (4) Two coordinators running concurrently — same worker binary, same
-/// spill root — never cross-talk: each gets exactly the output its own
-/// in-process oracle produces for its own inputs.
+/// spill root — never cross-talk: each gets exactly the serial transpose of
+/// its own rows.
 #[test]
 fn double_spawn_pools_do_not_cross_talk() {
     let handles: Vec<_> = [(2usize, 40u32), (3, 55)]
         .into_iter()
         .map(|(workers, n)| {
             std::thread::spawn(move || {
-                let inputs = tb_inputs(n);
+                let rows = tb_rows(n);
                 let opts = DistOptions::for_workers(workers);
-                let expected = {
-                    let mut t =
-                        InProcessTransport::new(workers, default_registry(), ExecPolicy::default());
-                    run_dist(&mut t, "token-blocking", &inputs, &opts)
-                        .unwrap()
-                        .pairs
-                };
                 let mut t = SubprocessTransport::new(subprocess_cfg(workers));
-                let got = run_dist(&mut t, "token-blocking", &inputs, &opts).unwrap();
-                assert_eq!(got.pairs, expected, "workers={workers} n={n}");
+                let got = run_key_transpose(&mut t, &rows, &opts).unwrap();
+                assert_eq!(
+                    got.blocks,
+                    serial_transpose(&rows),
+                    "workers={workers} n={n}"
+                );
             })
         })
         .collect();
@@ -362,8 +350,7 @@ fn dropping_a_pool_reaps_its_workers_without_waiting_out_a_heartbeat() {
     cfg.heartbeat = Duration::from_secs(5);
     cfg.policy = ExecPolicy::default().with_obs(obs.clone());
     let mut t = SubprocessTransport::new(cfg);
-    let inputs = vec!["a b a".to_string(), "b c".to_string()];
-    run_dist(&mut t, "wordcount", &inputs, &DistOptions::for_workers(2)).unwrap();
+    run_key_transpose(&mut t, &tb_rows(10), &DistOptions::for_workers(2)).unwrap();
     let started = Instant::now();
     drop(t);
     let took = started.elapsed();
