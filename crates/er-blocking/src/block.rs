@@ -267,8 +267,7 @@ fn record_index_obs(obs: &Obs, rows: &KeyRows) {
 /// descriptions share, keyed by the key — the transpose of `rows`, a
 /// counting sort by symbol, with the block counters of
 /// [`BlockCollection::record_obs`]. Every block-producing family is this
-/// over its own key scheme's rows (out of core:
-/// [`blocks_from_profiles_ooc`](crate::ooc::blocks_from_profiles_ooc)).
+/// over its own key scheme's rows.
 ///
 /// This is the string-keyed `BTreeMap<String, Vec<EntityId>>` grouping of
 /// the same keys bit for bit: symbols are ranks in the sorted vocabulary,
@@ -304,7 +303,7 @@ pub fn blocks_from_profiles(rows: &KeyRows, obs: &Obs) -> BlockCollection {
 }
 
 /// The blocks of a transpose of `rows` that grouped its postings elsewhere
-/// — in memory, through an external sort, or on worker processes: one block
+/// — in memory or on worker processes: one block
 /// per `(symbol, members)` group with ≥ 2 members, keyed by rendering the
 /// symbol through the rows' vocabulary once, with the index counters of
 /// `rows` and the block counters of [`BlockCollection::record_obs`].

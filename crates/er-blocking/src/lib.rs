@@ -23,9 +23,6 @@
 //! * **Memory-governed admission**: charging the token index against a byte
 //!   budget and shedding oversized blocks largest-first on a breach, with
 //!   the recall loss reported instead of aborting: [`governance`].
-//! * **Out-of-core blocking**: any family's key postings spilled as sorted
-//!   segment runs and grouped from a streaming k-way merge, bit-identical to
-//!   the in-memory build at a reported slowdown instead of shedding: [`ooc`].
 //! * **Frequent token-set blocking** (keys on co-occurring token pairs,
 //!   the frequent-itemset view of \[19\]): [`frequent_sets`].
 //! * **Comparison propagation**: redundancy-free iteration over a blocking
@@ -39,8 +36,7 @@
 //! key-based family — token, attribute clustering, standard, q-grams,
 //! suffix, MinHash, frequent sets — is an `er_core::profiles::KeyScheme`,
 //! and its blocks are the one transpose of its key rows,
-//! [`block::blocks_from_profiles`] (out of core:
-//! [`ooc::blocks_from_profiles_ooc`]).
+//! [`block::blocks_from_profiles`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -54,7 +50,6 @@ pub mod governance;
 pub mod incremental;
 pub mod minhash;
 pub mod multiblock;
-pub mod ooc;
 pub mod propagation;
 pub mod qgrams;
 pub mod simjoin;

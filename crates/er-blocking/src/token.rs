@@ -10,6 +10,7 @@
 pub use crate::block::blocks_from_profiles;
 use crate::block::BlockCollection;
 use er_core::collection::EntityCollection;
+use er_core::colstore::{OocConfig, SegmentError};
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_core::profiles::TokenProfiles;
@@ -34,7 +35,7 @@ impl TokenBlocking {
     }
 
     /// The collection's token profiles under this method's tokenizer — the
-    /// key rows its in-memory, out-of-core and distributed builds transpose.
+    /// key rows its in-memory and distributed builds transpose.
     pub fn key_rows(&self, collection: &EntityCollection, par: Parallelism) -> TokenProfiles {
         TokenProfiles::build(collection, &self.tokenizer, par)
     }
@@ -67,6 +68,19 @@ impl TokenBlocking {
         obs: &Obs,
     ) -> BlockCollection {
         blocks_from_profiles(&self.key_rows(collection, par), obs)
+    }
+
+    /// [`par_build_obs`](TokenBlocking::par_build_obs), kept only because
+    /// `bench/` names it; delete with ROADMAP direction 1. `cfg` is not
+    /// read and the result is always `Ok`: the transpose spills nothing.
+    pub fn par_build_ooc_obs(
+        &self,
+        collection: &EntityCollection,
+        par: Parallelism,
+        obs: &Obs,
+        _cfg: &OocConfig,
+    ) -> Result<BlockCollection, SegmentError> {
+        Ok(self.par_build_obs(collection, par, obs))
     }
 
     /// The pre-compact, string-keyed build: per-entity `BTreeSet<String>`

@@ -3,7 +3,7 @@
 //! ```text
 //! er-metrics-check metrics.json [--expect-fault-free] [--require-ingest]
 //!                               [--require-scenarios] [--require-backend]
-//!                               [--require-colstore] [--max-cluster-share F]
+//!                               [--max-cluster-share F]
 //! ```
 //!
 //! Parses the sorted-key JSON written by the CLI back into an
@@ -53,16 +53,6 @@
 //!   `--expect-fault-free` as well, `worker.crashed` is 0 and `worker.exited
 //!   == worker.spawned`: every worker exited when told, none was killed at
 //!   the shutdown grace deadline.
-//! - with `--require-colstore` (a run that exercised the out-of-core
-//!   segment store, `er resolve --ooc` / a spill-to-segment rescue):
-//!   `colstore.segments_written` > 0 — sorted runs actually hit disk —
-//!   `colstore.runs_merged` ≥ `colstore.segments_written` (every written
-//!   run was consumed by a k-way merge; a run merged but never written
-//!   would be fabricated data), and the `colstore.resident_bytes` gauge
-//!   exists and reads 0. The store maps and caches nothing: the gauge is
-//!   the bytes charged to the memory budget by segment reads in flight, so
-//!   it is 0 between reads, and anything else is a read that never
-//!   released its charge;
 //! - with `--max-cluster-share F` (`0 < F ≤ 1`): the last run's largest
 //!   cluster holds at most a share `F` of the entities it clustered
 //!   (`clustering.largest_cluster` / `clustering.entities`, both gauges) —
@@ -98,13 +88,12 @@ fn main() -> ExitCode {
 fn run(args: &[String]) -> Result<(), String> {
     const USAGE: &str = "usage: er-metrics-check SNAPSHOT.json [--expect-fault-free] \
                          [--require-ingest] [--require-scenarios] [--require-backend] \
-                         [--require-colstore] [--max-cluster-share F]";
+                         [--max-cluster-share F]";
     let mut path = None;
     let mut expect_fault_free = false;
     let mut require_ingest = false;
     let mut require_scenarios = false;
     let mut require_backend = false;
-    let mut require_colstore = false;
     let mut max_cluster_share = None;
     let mut args = args.iter();
     while let Some(a) = args.next() {
@@ -113,7 +102,6 @@ fn run(args: &[String]) -> Result<(), String> {
             "--require-ingest" => require_ingest = true,
             "--require-scenarios" => require_scenarios = true,
             "--require-backend" => require_backend = true,
-            "--require-colstore" => require_colstore = true,
             "--max-cluster-share" => {
                 let v = args.next().ok_or("--max-cluster-share needs a value")?;
                 match v.parse::<f64>() {
@@ -145,7 +133,6 @@ fn run(args: &[String]) -> Result<(), String> {
         require_ingest,
         require_scenarios,
         require_backend,
-        require_colstore,
     );
     if let Some(max) = max_cluster_share {
         failures.extend(cluster_share(&snapshot, max));
@@ -188,7 +175,6 @@ fn check(
     require_ingest: bool,
     require_scenarios: bool,
     require_backend: bool,
-    require_colstore: bool,
 ) -> Vec<String> {
     let mut failures = Vec::new();
     let mut fail = |msg: String| failures.push(msg);
@@ -438,42 +424,6 @@ fn check(
         }
     }
 
-    // A run through the out-of-core segment store must show sorted runs
-    // actually reaching disk, every written run being consumed by a merge,
-    // and every segment read's charge released back to the memory budget
-    // (the store holds no pages between reads). An absent
-    // runs_merged with segments written means the merge never ran.
-    if require_colstore {
-        let written = snapshot.counter("colstore.segments_written");
-        let merged = snapshot.counter("colstore.runs_merged").unwrap_or(0);
-        match written {
-            None => fail(
-                "colstore.segments_written counter is missing — the segment store never ran"
-                    .to_string(),
-            ),
-            Some(0) => {
-                fail("colstore.segments_written is 0 — no sorted run reached disk".to_string())
-            }
-            Some(w) => {
-                if merged < w {
-                    fail(format!(
-                        "colstore.runs_merged ({merged}) is below segments_written ({w}) — \
-                         written run(s) were never merged"
-                    ));
-                }
-            }
-        }
-        match snapshot.gauge("colstore.resident_bytes") {
-            None => fail(
-                "colstore.resident_bytes gauge is missing — no segment was ever read".to_string(),
-            ),
-            Some(b) if b != 0.0 => fail(format!(
-                "colstore.resident_bytes is {b} — bytes charged by segment reads were not \
-                 released back to the memory budget"
-            )),
-            Some(_) => {}
-        }
-    }
     failures
 }
 
@@ -560,19 +510,12 @@ mod tests {
 
     #[test]
     fn healthy_snapshot_passes() {
-        assert!(check(&healthy(), true, false, false, false, false).is_empty());
+        assert!(check(&healthy(), true, false, false, false).is_empty());
     }
 
     #[test]
     fn empty_snapshot_reports_every_missing_piece() {
-        let failures = check(
-            &MetricsSnapshot::default(),
-            true,
-            false,
-            false,
-            false,
-            false,
-        );
+        let failures = check(&MetricsSnapshot::default(), true, false, false, false);
         assert!(failures.len() >= 8, "{failures:?}");
     }
 
@@ -581,7 +524,7 @@ mod tests {
         let mut s = healthy();
         s.counters
             .insert("meta_blocking.comparisons_after".into(), 1000);
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("exceeds")),
             "{failures:?}"
@@ -596,7 +539,7 @@ mod tests {
             .insert("meta_blocking.comparisons_after".into(), 100);
         s.counters
             .insert("meta_blocking.comparisons_pruned".into(), 0);
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("pruning_ratio")),
             "{failures:?}"
@@ -607,7 +550,7 @@ mod tests {
     fn missing_stage_span_is_caught() {
         let mut s = healthy();
         s.spans.remove("pipeline.cleaning");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("pipeline.cleaning")),
             "{failures:?}"
@@ -618,8 +561,8 @@ mod tests {
     fn retries_only_checked_when_fault_free_expected() {
         let mut s = healthy();
         s.counters.insert("recovery.stage_retries".into(), 2);
-        assert!(check(&s, false, false, false, false, false).is_empty());
-        let failures = check(&s, true, false, false, false, false);
+        assert!(check(&s, false, false, false, false).is_empty());
+        let failures = check(&s, true, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("stage_retries")),
             "{failures:?}"
@@ -630,7 +573,7 @@ mod tests {
     fn missing_layout_counter_is_caught() {
         let mut s = healthy();
         s.counters.remove("blocking.interner_symbols");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("interner_symbols")),
             "{failures:?}"
@@ -641,13 +584,13 @@ mod tests {
     fn contributions_missing_or_below_the_edge_count_are_caught() {
         let mut s = healthy();
         s.counters.insert("meta_blocking.contributions".into(), 99);
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("is below")),
             "{failures:?}"
         );
         s.counters.remove("meta_blocking.contributions");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures
                 .iter()
@@ -660,9 +603,9 @@ mod tests {
     fn member_visits_missing_or_below_twice_the_contributions_are_caught() {
         let mut s = healthy();
         s.counters.insert("meta_blocking.member_visits".into(), 500);
-        assert!(check(&s, false, false, false, false, false).is_empty());
+        assert!(check(&s, false, false, false, false).is_empty());
         s.counters.insert("meta_blocking.member_visits".into(), 499);
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures
                 .iter()
@@ -670,7 +613,7 @@ mod tests {
             "{failures:?}"
         );
         s.counters.remove("meta_blocking.member_visits");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures
                 .iter()
@@ -683,7 +626,7 @@ mod tests {
     fn misparented_span_is_caught() {
         let mut s = healthy();
         s.spans.get_mut("pipeline.matching").unwrap().parent = None;
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("not nested")),
             "{failures:?}"
@@ -696,7 +639,7 @@ mod tests {
         s.spans.get_mut("pipeline.profiles").unwrap().parent = Some("pipeline.matching".into());
         s.counters.insert("profiles.vocabulary".into(), 0);
         s.counters.remove("profiles.symbols");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         for what in [
             "not of pipeline.run",
             "profiles.vocabulary",
@@ -705,7 +648,7 @@ mod tests {
             assert!(failures.iter().any(|f| f.contains(what)), "{failures:?}");
         }
         s.spans.remove("pipeline.profiles");
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("span is missing")),
             "{failures:?}"
@@ -713,27 +656,27 @@ mod tests {
         // A run that matched nothing (every comparison skipped at the
         // deadline, or a schedule-only walk) owes none of the three.
         s.counters.insert("pipeline.matched_comparisons".into(), 0);
-        assert!(check(&s, false, false, false, false, false).is_empty());
+        assert!(check(&s, false, false, false, false).is_empty());
     }
 
     #[test]
     fn a_second_tokenization_per_run_is_caught() {
         let mut s = healthy();
         s.spans.get_mut("pipeline.profiles").unwrap().count = 2;
-        let failures = check(&s, false, false, false, false, false);
+        let failures = check(&s, false, false, false, false);
         assert!(
             failures.iter().any(|f| f.contains("tokenized twice")),
             "{failures:?}"
         );
         s.spans.get_mut("pipeline.run").unwrap().count = 2;
-        assert!(check(&s, false, false, false, false, false).is_empty());
+        assert!(check(&s, false, false, false, false).is_empty());
     }
 
     #[test]
     fn transitive_nesting_is_accepted() {
         let mut s = healthy();
         s.spans.get_mut("pipeline.cleaning").unwrap().parent = Some("pipeline.blocking".into());
-        assert!(check(&s, true, false, false, false, false).is_empty());
+        assert!(check(&s, true, false, false, false).is_empty());
     }
 
     /// `healthy()` plus the counters a streaming-ingest run records.
@@ -750,8 +693,8 @@ mod tests {
     fn ingest_only_checked_when_required() {
         // Without the flag, a snapshot with no ingest metrics passes; with
         // it, every missing piece is called out.
-        assert!(check(&healthy(), true, false, false, false, false).is_empty());
-        let failures = check(&healthy(), true, true, false, false, false);
+        assert!(check(&healthy(), true, false, false, false).is_empty());
+        let failures = check(&healthy(), true, true, false, false);
         assert!(
             failures.iter().any(|f| f.contains("ingest.records_seen")),
             "{failures:?}"
@@ -760,14 +703,14 @@ mod tests {
             failures.iter().any(|f| f.contains("ingest.queue_bytes")),
             "{failures:?}"
         );
-        assert!(check(&healthy_with_ingest(), true, true, false, false, false).is_empty());
+        assert!(check(&healthy_with_ingest(), true, true, false, false).is_empty());
     }
 
     #[test]
     fn ingest_ledger_mismatch_is_caught() {
         let mut s = healthy_with_ingest();
         s.counters.insert("ingest.records_accepted".into(), 139);
-        let failures = check(&s, false, true, false, false, false);
+        let failures = check(&s, false, true, false, false);
         assert!(
             failures
                 .iter()
@@ -783,14 +726,14 @@ mod tests {
         let mut s = healthy_with_ingest();
         s.counters.remove("ingest.records_quarantined");
         s.counters.insert("ingest.records_accepted".into(), 150);
-        assert!(check(&s, true, true, false, false, false).is_empty());
+        assert!(check(&s, true, true, false, false).is_empty());
     }
 
     #[test]
     fn undrained_queue_is_caught() {
         let mut s = healthy_with_ingest();
         s.gauges.insert("ingest.queue_bytes".into(), 512.0);
-        let failures = check(&s, false, true, false, false, false);
+        let failures = check(&s, false, true, false, false);
         assert!(
             failures.iter().any(|f| f.contains("not drained")),
             "{failures:?}"
@@ -803,21 +746,21 @@ mod tests {
         // it, a missing cells_run is called out. An absent cells_failed reads
         // as 0, so cells_run alone satisfies the requirement.
         let mut s = healthy();
-        assert!(check(&s, true, false, false, false, false).is_empty());
-        let failures = check(&s, true, false, true, false, false);
+        assert!(check(&s, true, false, false, false).is_empty());
+        let failures = check(&s, true, false, true, false);
         assert!(
             failures.iter().any(|f| f.contains("scenario.cells_run")),
             "{failures:?}"
         );
         s.counters.insert("scenario.cells_run".into(), 45);
-        assert!(check(&s, true, false, true, false, false).is_empty());
+        assert!(check(&s, true, false, true, false).is_empty());
     }
 
     #[test]
     fn zero_scenario_cells_run_is_caught() {
         let mut s = healthy();
         s.counters.insert("scenario.cells_run".into(), 0);
-        let failures = check(&s, false, false, true, false, false);
+        let failures = check(&s, false, false, true, false);
         assert!(
             failures.iter().any(|f| f.contains("cells_run")),
             "{failures:?}"
@@ -829,7 +772,7 @@ mod tests {
         let mut s = healthy();
         s.counters.insert("scenario.cells_run".into(), 45);
         s.counters.insert("scenario.cells_failed".into(), 2);
-        let failures = check(&s, false, false, true, false, false);
+        let failures = check(&s, false, false, true, false);
         assert!(
             failures.iter().any(|f| f.contains("cells_failed")),
             "{failures:?}"
@@ -869,7 +812,7 @@ mod tests {
             } else if let Some(h) = s.histograms.get_mut("mapreduce.task_latency_micros") {
                 h.count = count;
             }
-            let failures = check(&s, false, false, false, true, false);
+            let failures = check(&s, false, false, false, true);
             assert!(
                 failures.iter().any(|f| f.contains("task_latency_micros")),
                 "count={count}: {failures:?}"
@@ -881,8 +824,8 @@ mod tests {
     fn backend_only_checked_when_required() {
         // Without the flag a snapshot with no worker metrics passes; with it,
         // every missing piece is called out.
-        assert!(check(&healthy(), true, false, false, false, false).is_empty());
-        let failures = check(&healthy(), true, false, false, true, false);
+        assert!(check(&healthy(), true, false, false, false).is_empty());
+        let failures = check(&healthy(), true, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("worker.spawned")),
             "{failures:?}"
@@ -891,14 +834,14 @@ mod tests {
             failures.iter().any(|f| f.contains("worker.running")),
             "{failures:?}"
         );
-        assert!(check(&healthy_with_backend(), false, false, false, true, false).is_empty());
+        assert!(check(&healthy_with_backend(), false, false, false, true).is_empty());
     }
 
     #[test]
     fn a_crashed_or_killed_worker_fails_a_fault_free_backend_run() {
         // The fixture's one crash is fine unless the run was to be fault-free.
         let s = healthy_with_backend();
-        let failures = check(&s, true, false, false, true, false);
+        let failures = check(&s, true, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("worker.crashed is 1")),
             "{failures:?}"
@@ -909,8 +852,8 @@ mod tests {
         s.counters.insert("worker.exited".into(), 0);
         s.counters.insert("worker.crashed".into(), 2);
         s.counters.remove("worker.restarted");
-        assert!(check(&s, false, false, false, true, false).is_empty());
-        let failures = check(&s, true, false, false, true, false);
+        assert!(check(&s, false, false, false, true).is_empty());
+        let failures = check(&s, true, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("fault-free")),
             "{failures:?}"
@@ -921,7 +864,7 @@ mod tests {
     fn worker_ledger_mismatch_is_caught() {
         let mut s = healthy_with_backend();
         s.counters.insert("worker.exited".into(), 2);
-        let failures = check(&s, false, false, false, true, false);
+        let failures = check(&s, false, false, false, true);
         assert!(
             failures
                 .iter()
@@ -938,14 +881,14 @@ mod tests {
         s.counters.remove("worker.crashed");
         s.counters.remove("worker.restarted");
         s.counters.insert("worker.exited".into(), 4);
-        assert!(check(&s, true, false, false, true, false).is_empty());
+        assert!(check(&s, true, false, false, true).is_empty());
     }
 
     #[test]
     fn undrained_worker_pool_is_caught() {
         let mut s = healthy_with_backend();
         s.gauges.insert("worker.running".into(), 2.0);
-        let failures = check(&s, false, false, false, true, false);
+        let failures = check(&s, false, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("not drained")),
             "{failures:?}"
@@ -956,7 +899,7 @@ mod tests {
     fn restarts_exceeding_crashes_are_caught() {
         let mut s = healthy_with_backend();
         s.counters.insert("worker.restarted".into(), 3);
-        let failures = check(&s, false, false, false, true, false);
+        let failures = check(&s, false, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("worker.restarted")),
             "{failures:?}"
@@ -970,101 +913,11 @@ mod tests {
         s.counters.remove("worker.exited");
         s.counters.remove("worker.crashed");
         s.counters.remove("worker.restarted");
-        let failures = check(&s, false, false, false, true, false);
+        let failures = check(&s, false, false, false, true);
         assert!(
             failures.iter().any(|f| f.contains("worker.spawned is 0")),
             "{failures:?}"
         );
-    }
-
-    /// `healthy()` plus the counters an out-of-core run records: six sorted
-    /// runs written across the blocking and graph stages, all six consumed
-    /// by k-way merges, every read's charge released back to the budget.
-    fn healthy_with_colstore() -> MetricsSnapshot {
-        let mut s = healthy();
-        s.counters.insert("colstore.segments_written".into(), 6);
-        s.counters.insert("colstore.runs_merged".into(), 6);
-        s.counters.insert("colstore.segment_bytes".into(), 8192);
-        s.gauges.insert("colstore.resident_bytes".into(), 0.0);
-        s
-    }
-
-    #[test]
-    fn colstore_only_checked_when_required() {
-        // Without the flag a snapshot with no colstore metrics passes; with
-        // it, every missing piece is called out.
-        assert!(check(&healthy(), true, false, false, false, false).is_empty());
-        let failures = check(&healthy(), true, false, false, false, true);
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("colstore.segments_written")),
-            "{failures:?}"
-        );
-        assert!(
-            failures
-                .iter()
-                .any(|f| f.contains("colstore.resident_bytes")),
-            "{failures:?}"
-        );
-        assert!(check(&healthy_with_colstore(), true, false, false, false, true).is_empty());
-    }
-
-    #[test]
-    fn zero_segments_written_is_caught() {
-        let mut s = healthy_with_colstore();
-        s.counters.insert("colstore.segments_written".into(), 0);
-        let failures = check(&s, false, false, false, false, true);
-        assert!(
-            failures.iter().any(|f| f.contains("segments_written is 0")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn unmerged_written_runs_are_caught() {
-        // Six runs hit disk but only four were consumed by a merge — two
-        // sorted runs never contributed to any output.
-        let mut s = healthy_with_colstore();
-        s.counters.insert("colstore.runs_merged".into(), 4);
-        let failures = check(&s, false, false, false, false, true);
-        assert!(
-            failures.iter().any(|f| f.contains("never merged")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn absent_runs_merged_counter_is_caught() {
-        // Counters register on first increment: an absent runs_merged reads
-        // as 0, which can never cover the written runs.
-        let mut s = healthy_with_colstore();
-        s.counters.remove("colstore.runs_merged");
-        let failures = check(&s, false, false, false, false, true);
-        assert!(
-            failures.iter().any(|f| f.contains("runs_merged")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn undrained_page_cache_is_caught() {
-        let mut s = healthy_with_colstore();
-        s.gauges.insert("colstore.resident_bytes".into(), 512.0);
-        let failures = check(&s, false, false, false, false, true);
-        assert!(
-            failures.iter().any(|f| f.contains("not released")),
-            "{failures:?}"
-        );
-    }
-
-    #[test]
-    fn rescue_merging_more_runs_than_segments_passes() {
-        // A spill rescue re-reads each run's geometry before the merge, so
-        // runs_merged strictly above segments_written is legitimate.
-        let mut s = healthy_with_colstore();
-        s.counters.insert("colstore.runs_merged".into(), 9);
-        assert!(check(&s, true, false, false, false, true).is_empty());
     }
 
     #[test]

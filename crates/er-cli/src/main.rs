@@ -87,7 +87,7 @@ fn print_usage() {
          \x20            [--retries N] [--checkpoint-dir DIR] [--resume]\n\
          \x20            [--fail-stage blocking|meta-blocking|matching]\n\
          \x20            [--memory-budget BYTES] [--stage-timeout SECONDS]\n\
-         \x20            [--segment-dir DIR] [--ooc]\n\
+         \x20            [--segment-dir DIR]\n\
          \x20            [--metrics-out FILE]\n\
          \x20            [--ingest-queue-bytes BYTES] [--quarantine-out FILE]\n\
          \x20            [--backend inprocess|subprocess] [--workers N]\n\n\
@@ -105,14 +105,10 @@ fn print_usage() {
          \x20        recall loss reported instead of aborting. --stage-timeout\n\
          \x20        SECONDS arms a per-stage watchdog; an expired matching\n\
          \x20        deadline truncates the schedule, loudly.\n\
-         OOC:     --segment-dir DIR enables spill-to-segment rescue: a\n\
-         \x20        blocking index that would breach --memory-budget is\n\
-         \x20        rebuilt out-of-core (sorted on-disk runs under DIR)\n\
-         \x20        instead of shedding blocks — bit-identical output, zero\n\
-         \x20        recall loss, at a reported slowdown. --ooc forces the\n\
-         \x20        out-of-core blocking build unconditionally, for every\n\
-         \x20        blocking method but sn, which rejects it (see\n\
-         \x20        docs/out_of_core.md).\n\
+         NO-SHED: --segment-dir DIR: a blocking index that would breach\n\
+         \x20        --memory-budget is admitted whole instead of shed — the\n\
+         \x20        unbudgeted output, zero recall loss, on either backend.\n\
+         \x20        Nothing is written under DIR (see docs/out_of_core.md).\n\
          METRICS: --metrics-out FILE enables the observability registry and\n\
          \x20        writes the per-stage metrics snapshot as sorted-key JSON\n\
          \x20        (validate it with the er-metrics-check companion binary).\n\
@@ -610,7 +606,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
             "backend",
             "workers",
         ],
-        &["resume", "ooc"],
+        &["resume"],
     )?;
     let par = Parallelism::threads(
         flags
@@ -625,11 +621,8 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     let cleaning = cleaning_from(&flags)?;
     if flags.get("blocking").map(String::as_str) == Some("sn") {
         // Sorted neighborhood yields pairs, not blocks: there is no index to
-        // spill, to ship to workers or to clean, so refuse the flags rather
-        // than ignore them.
-        if flags.contains_key("ooc") {
-            return Err("--ooc does not apply to --blocking sn (it has no blocks)".to_string());
-        }
+        // ship to workers or to clean, so refuse the flags rather than
+        // ignore them.
         if backend != Backend::InProcess {
             return Err(
                 "--backend subprocess does not apply to --blocking sn (it has no blocks)"
@@ -752,16 +745,6 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     };
     if let Some(dir) = flags.get("segment-dir") {
         builder = builder.segment_dir(dir);
-    }
-    if flags.contains_key("ooc") {
-        builder = builder.out_of_core(true);
-        println!(
-            "out-of-core: blocking streams through sorted segment runs ({})",
-            flags
-                .get("segment-dir")
-                .map(String::as_str)
-                .unwrap_or("system temp dir")
-        );
     }
     let pipeline = builder.build();
 
@@ -1102,15 +1085,10 @@ mod tests {
 
     #[test]
     fn sorted_neighborhood_rejects_the_block_index_flags() {
-        // Every block-producing method honours --ooc and the subprocess
-        // backend; sorted neighborhood has no blocks, so it refuses both
-        // before reading the collection.
+        // Every block-producing method honours the subprocess backend;
+        // sorted neighborhood has no blocks, so it refuses it before
+        // reading the collection.
         let sn = ["--collection", "x.txt", "--blocking", "sn"];
-        let err = cmd_resolve(&s(&[&sn[..], &["--ooc"]].concat())).unwrap_err();
-        assert!(
-            err.contains("--ooc does not apply to --blocking sn"),
-            "{err}"
-        );
         let subprocess = ["--backend", "subprocess"];
         let err = cmd_resolve(&s(&[&sn[..], &subprocess].concat())).unwrap_err();
         assert!(
@@ -1176,40 +1154,11 @@ mod tests {
     }
 
     #[test]
-    fn ooc_resolve_writes_segments_and_matches_the_in_memory_run() {
-        let dir = std::env::temp_dir().join("er_cli_test_ooc");
-        std::fs::create_dir_all(&dir).unwrap();
-        let prefix = dir.join("ooc").to_string_lossy().to_string();
-        let segdir = dir.join("segments").to_string_lossy().to_string();
-        let mpath = dir.join("ooc_metrics.json").to_string_lossy().to_string();
-        generate(&prefix, "dirty", "150");
-        cmd_resolve(&s(&[
-            "--collection",
-            &format!("{prefix}.collection.txt"),
-            "--truth",
-            &format!("{prefix}.truth.txt"),
-            "--ooc",
-            "--segment-dir",
-            &segdir,
-            "--metrics-out",
-            &mpath,
-        ]))
-        .unwrap();
-        let snapshot =
-            er_core::obs::MetricsSnapshot::from_json(&std::fs::read_to_string(&mpath).unwrap())
-                .unwrap();
-        assert!(
-            snapshot.counter("colstore.segments_written").unwrap() > 0,
-            "forced ooc spills runs"
-        );
-        assert_eq!(
-            snapshot.gauge("colstore.resident_bytes"),
-            Some(0.0),
-            "every resident page released by run end"
-        );
-        // Zero shed: the whole point of the out-of-core path.
-        assert_eq!(snapshot.counter("blocking.blocks_shed"), None);
-        let _ = std::fs::remove_dir_all(&dir);
+    fn ooc_is_an_unknown_flag() {
+        // `--memory-budget B --segment-dir D` is the no-shed resolve (see
+        // `tiny_budget_with_segment_dir_rescues_through_the_cli`).
+        let err = cmd_resolve(&s(&["--collection", "x.txt", "--ooc"])).unwrap_err();
+        assert!(err.contains("unknown flag --ooc"), "{err}");
     }
 
     #[test]
@@ -1241,6 +1190,10 @@ mod tests {
             snapshot.counter("blocking.comparisons_shed"),
             None,
             "the rescue sheds nothing"
+        );
+        assert!(
+            !std::path::Path::new(&segdir).exists(),
+            "nothing is written under the segment dir"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

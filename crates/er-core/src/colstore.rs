@@ -1,12 +1,12 @@
-//! Out-of-core columnar segment store.
+//! Columnar segment store: the on-disk format of the MapReduce shuffle and
+//! of the pipeline's stage checkpoints.
 //!
 //! The compact layouts of PR 5 made the hot structures of blocking *flat*:
 //! interned dictionaries and `(Symbol, EntityId)` posting vectors. This
 //! module puts those flat columns into a **versioned, fingerprinted,
-//! length-prefixed segment file** so the external-sort blocking build
-//! (`er_blocking::ooc`) can stream over sorted on-disk runs instead of
-//! materializing the full posting vector — the ROADMAP's "dataset 10× RAM
-//! resolves to bit-identical output at graceful slowdown" operating point.
+//! length-prefixed segment file**: the `key-transpose` job's map tasks
+//! spill their sorted posting runs as segments for the reduce tasks to
+//! read, and a checkpointed run writes each stage's result as one.
 //!
 //! ## File format (all integers little-endian)
 //!
@@ -30,47 +30,36 @@
 //!   segments of this kind.
 //! * `POSTINGS` (2) — one sorted [`Posting`] run: `count u64`, then
 //!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
-//!   The out-of-core blocking build spills these, and so does the
-//!   `key-transpose` MapReduce shuffle.
+//!   The `key-transpose` MapReduce shuffle spills these.
 //!
 //! Kinds 3 (the retired edge runs of an out-of-core graph build) and 4 are
 //! unassigned; every kind keeps its number so a segment's bytes do not
 //! depend on which kinds exist.
 //!
 //! The run kind goes through one fixed-width codec ([`POSTING_BYTES`] per
-//! record), one writer method ([`SegmentWriter::run`]), one cursor
-//! ([`RunCursor`]) and one external sort ([`ExternalSorter`]).
+//! record), one writer method ([`SegmentWriter::run`]) and one cursor
+//! ([`RunCursor`]).
 //!
 //! ## Reads without `mmap`
 //!
 //! The workspace forbids `unsafe` and vendors no mmap crate, and every
 //! reader of a segment is a forward scan (a run cursor's refill, a whole
-//! bytes section, a run's count header), so reads go straight from the file
-//! into the caller's buffer with positional [`FileExt::read_exact_at`]
-//! calls; nothing is cached. Each read is page-granular: every page it
-//! touches is charged at its full length against the shared
-//! [`MemoryBudget`] while that page's bytes are read, and released before
-//! the next page, so a read needs one page of headroom and a budget below
-//! one page is a typed [`SegmentError::Resource`]. The `colstore.pages_loaded`
-//! counter counts page reads and the `colstore.resident_bytes` gauge the
-//! bytes being read, which is zero between reads.
+//! bytes section, a run's count header), so each read goes straight from
+//! the file into the caller's buffer with one positional
+//! [`FileExt::read_exact_at`] call; nothing is cached.
 
 use crate::entity::EntityId;
 use crate::intern::{Fnv1a, Symbol};
 use crate::obs::Obs;
-use crate::resource::{MemoryBudget, ResourceError};
+use crate::resource::MemoryBudget;
 use crate::wire::{put_u32, put_u64, Decoder, WireError};
 use crate::{EntityCollection, ResolutionMode};
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::fmt;
 use std::fs::{self, File};
 use std::hash::Hasher;
 use std::io::{BufWriter, Write};
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 /// Header magic of a segment file.
 pub const MAGIC: &[u8; 8] = b"ERSEGMT1";
@@ -84,8 +73,6 @@ pub const HEADER_LEN: u64 = 24;
 pub const SECTION_HEADER_LEN: u64 = 16;
 /// Fixed footer length in bytes.
 pub const FOOTER_LEN: u64 = 32;
-/// Default page size of the segment reader.
-pub const DEFAULT_PAGE_BYTES: u64 = 64 * 1024;
 
 /// Section kind: opaque [`wire`](crate::wire) records, read whole.
 pub const KIND_BYTES: u32 = 1;
@@ -164,9 +151,6 @@ pub enum SegmentError {
         /// What is wrong there.
         reason: String,
     },
-    /// The memory budget refused a read: a page the reader had to charge,
-    /// or an external sort's run buffer even at its 64-record floor.
-    Resource(ResourceError),
 }
 
 impl fmt::Display for SegmentError {
@@ -228,18 +212,11 @@ impl fmt::Display for SegmentError {
                 "segment {}: malformed at byte {offset}: {reason}",
                 path.display()
             ),
-            SegmentError::Resource(e) => write!(f, "segment store governed: {e}"),
         }
     }
 }
 
 impl std::error::Error for SegmentError {}
-
-impl From<ResourceError> for SegmentError {
-    fn from(e: ResourceError) -> SegmentError {
-        SegmentError::Resource(e)
-    }
-}
 
 impl SegmentError {
     /// A failed field read of `path`, at the offset the decoder named.
@@ -252,59 +229,15 @@ impl SegmentError {
     }
 }
 
-/// The `colstore.*` observability series, shared by writers, readers and
-/// merge drivers. Cloneable; clones share one resident-bytes account so the
-/// `colstore.resident_bytes` gauge reflects the pages *all* readers of a run
-/// are reading, and reads zero between reads.
+/// A field-less handle kept only because `bench/` names it; delete with
+/// ROADMAP direction 1. Nothing in the store records `colstore.*` metrics.
 #[derive(Clone, Debug, Default)]
-pub struct StoreMetrics {
-    obs: Obs,
-    resident: Arc<AtomicU64>,
-}
+pub struct StoreMetrics;
 
 impl StoreMetrics {
-    /// Metrics recording into `obs` (pass [`Obs::disabled`] for no-ops).
-    pub fn new(obs: Obs) -> StoreMetrics {
-        StoreMetrics {
-            obs,
-            resident: Arc::new(AtomicU64::new(0)),
-        }
-    }
-
-    /// The no-op handle.
-    pub fn disabled() -> StoreMetrics {
-        StoreMetrics::default()
-    }
-
-    /// Records one finished segment of `bytes` bytes
-    /// (`colstore.segments_written`, `colstore.segment_bytes`).
-    pub fn segment_written(&self, bytes: u64) {
-        self.obs.counter("colstore.segments_written").incr();
-        self.obs.counter("colstore.segment_bytes").add(bytes);
-    }
-
-    /// Records `runs` sorted runs consumed by a k-way merge
-    /// (`colstore.runs_merged`).
-    pub fn runs_merged(&self, runs: u64) {
-        self.obs.counter("colstore.runs_merged").add(runs);
-    }
-
-    /// File-backed bytes being read right now across all readers sharing
-    /// this handle.
-    pub fn resident_bytes(&self) -> u64 {
-        self.resident.load(Ordering::Relaxed)
-    }
-
-    fn page_loaded(&self, bytes: u64) {
-        let now = self.resident.fetch_add(bytes, Ordering::Relaxed) + bytes;
-        self.obs.counter("colstore.pages_loaded").incr();
-        self.obs.gauge("colstore.resident_bytes").set(now as f64);
-    }
-
-    fn page_released(&self, bytes: u64) {
-        let before = self.resident.fetch_sub(bytes, Ordering::Relaxed);
-        let now = before.saturating_sub(bytes);
-        self.obs.gauge("colstore.resident_bytes").set(now as f64);
+    /// The shell; `obs` is not read.
+    pub fn new(_obs: Obs) -> StoreMetrics {
+        StoreMetrics
     }
 }
 
@@ -442,96 +375,33 @@ pub struct SectionInfo {
     pub payload_len: u64,
 }
 
-/// Open options for [`Segment::open`].
-#[derive(Clone, Debug)]
-pub struct SegmentOptions {
-    /// Producer fingerprint the file must carry.
-    pub fingerprint: u64,
-    /// Budget each read's pages are charged against (unlimited for none).
-    pub budget: MemoryBudget,
-    /// The `colstore.*` metrics handle.
-    pub metrics: StoreMetrics,
-    /// Page size of the reader: the granularity of the budget charge.
-    pub page_bytes: u64,
-}
-
-impl SegmentOptions {
-    /// Defaults: the given fingerprint, no budget, no metrics, 64 KiB pages.
-    pub fn new(fingerprint: u64) -> SegmentOptions {
-        SegmentOptions {
-            fingerprint,
-            budget: MemoryBudget::unlimited(),
-            metrics: StoreMetrics::disabled(),
-            page_bytes: DEFAULT_PAGE_BYTES,
-        }
-    }
-
-    /// Charges each read's pages against `budget`.
-    pub fn with_budget(mut self, budget: MemoryBudget) -> SegmentOptions {
-        self.budget = budget;
-        self
-    }
-
-    /// Records reader activity into `metrics`.
-    pub fn with_metrics(mut self, metrics: StoreMetrics) -> SegmentOptions {
-        self.metrics = metrics;
-        self
-    }
-
-    /// Overrides the page size (clamped to ≥ 512 B).
-    pub fn with_page_bytes(mut self, page_bytes: u64) -> SegmentOptions {
-        self.page_bytes = page_bytes.max(512);
-        self
-    }
-}
-
 /// The positional reader under every segment read. It holds no pages:
 /// each read goes straight into the caller's buffer.
 struct Reader {
     file: File,
     path: PathBuf,
     file_len: u64,
-    page_bytes: u64,
-    budget: MemoryBudget,
-    metrics: StoreMetrics,
 }
 
 impl Reader {
-    /// Reads `buf.len()` bytes starting at `offset`, one page at a time.
-    /// Each page's full length is reserved against the budget while its
-    /// bytes are read and released before the next page; a budget that
-    /// cannot hold the page is the typed [`SegmentError::Resource`].
+    /// Reads `buf.len()` bytes starting at `offset` in one positional read;
+    /// a range past the end of the file is [`SegmentError::Truncated`].
     fn read_exact(&self, offset: u64, buf: &mut [u8]) -> Result<(), SegmentError> {
-        let end = offset
-            .checked_add(buf.len() as u64)
-            .filter(|&e| e <= self.file_len)
-            .ok_or_else(|| SegmentError::Truncated {
+        let end = offset.checked_add(buf.len() as u64);
+        if end.is_none_or(|end| end > self.file_len) {
+            return Err(SegmentError::Truncated {
                 path: self.path.clone(),
                 offset: self.file_len,
                 expected: format!("{} byte(s) at byte {offset}", buf.len()),
-            })?;
-        let mut pos = offset;
-        let mut filled = 0usize;
-        while pos < end {
-            let page_start = pos - pos % self.page_bytes;
-            let page_len = self.page_bytes.min(self.file_len - page_start);
-            let take = ((page_start + page_len).min(end) - pos) as usize;
-            self.budget.try_reserve("colstore", page_len)?;
-            self.metrics.page_loaded(page_len);
-            let read = self
-                .file
-                .read_exact_at(&mut buf[filled..filled + take], pos);
-            self.metrics.page_released(page_len);
-            self.budget.release(page_len);
-            read.map_err(|e| SegmentError::Io {
-                path: self.path.clone(),
-                offset: pos,
-                reason: e.to_string(),
-            })?;
-            filled += take;
-            pos += take as u64;
+            });
         }
-        Ok(())
+        self.file
+            .read_exact_at(buf, offset)
+            .map_err(|e| SegmentError::Io {
+                path: self.path.clone(),
+                offset,
+                reason: e.to_string(),
+            })
     }
 }
 
@@ -555,8 +425,9 @@ impl Segment {
     /// footer magic and geometry, a streaming checksum pass over the payload
     /// (bounded buffer — validation never materializes the file), and the
     /// section table. Every defect is a typed [`SegmentError`] with the byte
-    /// offset where it was found.
-    pub fn open(path: impl Into<PathBuf>, opts: SegmentOptions) -> Result<Segment, SegmentError> {
+    /// offset where it was found. `fingerprint` is the producer fingerprint
+    /// the file must carry.
+    pub fn open(path: impl Into<PathBuf>, fingerprint: u64) -> Result<Segment, SegmentError> {
         let path = path.into();
         let file = File::open(&path).map_err(|e| SegmentError::Io {
             path: path.clone(),
@@ -596,18 +467,18 @@ impl Segment {
         }
         let version = d.u32().map_err(wire)?;
         let _reserved = d.u32().map_err(wire)?;
-        let fingerprint = d.u64().map_err(wire)?;
+        let found = d.u64().map_err(wire)?;
         if version != VERSION {
             return Err(SegmentError::Version {
                 path,
                 found: version,
             });
         }
-        if fingerprint != opts.fingerprint {
+        if found != fingerprint {
             return Err(SegmentError::Fingerprint {
                 path,
-                found: fingerprint,
-                expected: opts.fingerprint,
+                found,
+                expected: fingerprint,
             });
         }
         // Footer.
@@ -704,9 +575,6 @@ impl Segment {
                 file,
                 path,
                 file_len,
-                page_bytes: opts.page_bytes,
-                budget: opts.budget,
-                metrics: opts.metrics,
             },
         })
     }
@@ -842,229 +710,53 @@ impl RunCursor<'_> {
     }
 }
 
-/// Configuration of an [`ExternalSorter`] and so of the out-of-core blocking
-/// build in `er-blocking`: where spill segments live, how large a sorted run
-/// may grow, which fingerprint binds the segments to their input, and the
-/// budget and metrics the spill and merge report to.
+/// The configuration of the retired out-of-core blocking build, kept only
+/// because `bench/` names it; delete with ROADMAP direction 1. Its builders
+/// discard their arguments, and nothing reads it: the token transpose
+/// spills nothing (see `docs/out_of_core.md`).
 #[derive(Clone, Debug)]
 pub struct OocConfig {
-    /// Directory holding this run's spill segments.
+    /// The directory the caller names; nothing is written under it.
     pub segment_dir: PathBuf,
-    /// Postings buffered per sorted run before spilling. The run buffer is
-    /// charged against the budget and adaptively halved — never below a
-    /// floor — when the reservation fails.
-    pub run_entries: usize,
-    /// Producer fingerprint stamped into every segment
-    /// (see [`collection_fingerprint`]).
-    pub fingerprint: u64,
-    /// Budget charged by the run buffer while records are pushed, then by
-    /// the page each merge read is reading.
-    pub budget: MemoryBudget,
-    /// The `colstore.*` metrics handle.
-    pub metrics: StoreMetrics,
-    /// Page size of the merge readers, and so the budget headroom a merge
-    /// read needs. Smaller than [`DEFAULT_PAGE_BYTES`] so a merge fits in a
-    /// small budget.
-    pub page_bytes: u64,
 }
 
-/// Default records per sorted run.
-pub const DEFAULT_RUN_ENTRIES: usize = 64 * 1024;
-/// Default merge-reader page size.
-pub const DEFAULT_MERGE_PAGE_BYTES: u64 = 16 * 1024;
-
 impl OocConfig {
-    /// Defaults: 64 Ki records per run, no budget, no metrics, 16 KiB merge
-    /// pages, zero fingerprint.
+    /// A configuration naming `segment_dir`.
     pub fn new(segment_dir: impl Into<PathBuf>) -> OocConfig {
         OocConfig {
             segment_dir: segment_dir.into(),
-            run_entries: DEFAULT_RUN_ENTRIES,
-            fingerprint: 0,
-            budget: MemoryBudget::unlimited(),
-            metrics: StoreMetrics::disabled(),
-            page_bytes: DEFAULT_MERGE_PAGE_BYTES,
         }
     }
 
-    /// Overrides the run size (clamped to ≥ 64 records).
-    pub fn with_run_entries(mut self, run_entries: usize) -> OocConfig {
-        self.run_entries = run_entries.max(64);
+    /// No-op.
+    pub fn with_run_entries(self, _run_entries: usize) -> OocConfig {
         self
     }
 
-    /// Stamps segments with `fingerprint`.
-    pub fn with_fingerprint(mut self, fingerprint: u64) -> OocConfig {
-        self.fingerprint = fingerprint;
+    /// No-op.
+    pub fn with_fingerprint(self, _fingerprint: u64) -> OocConfig {
         self
     }
 
-    /// Charges the run buffer and merge reads against `budget`.
-    pub fn with_budget(mut self, budget: MemoryBudget) -> OocConfig {
-        self.budget = budget;
+    /// No-op.
+    pub fn with_budget(self, _budget: MemoryBudget) -> OocConfig {
         self
     }
 
-    /// Records spill/merge activity into `metrics`.
-    pub fn with_metrics(mut self, metrics: StoreMetrics) -> OocConfig {
-        self.metrics = metrics;
+    /// No-op.
+    pub fn with_metrics(self, _metrics: StoreMetrics) -> OocConfig {
         self
     }
 
-    /// Overrides the merge-reader page size (clamped to ≥ 512 B).
-    pub fn with_page_bytes(mut self, page_bytes: u64) -> OocConfig {
-        self.page_bytes = page_bytes.max(512);
+    /// No-op.
+    pub fn with_page_bytes(self, _page_bytes: u64) -> OocConfig {
         self
-    }
-
-    /// The [`SegmentOptions`] for opening one of this run's segments.
-    pub fn segment_options(&self) -> SegmentOptions {
-        SegmentOptions::new(self.fingerprint)
-            .with_budget(self.budget.clone())
-            .with_metrics(self.metrics.clone())
-            .with_page_bytes(self.page_bytes)
-    }
-}
-
-/// Floor of the adaptive run-buffer shrink.
-const MIN_RUN_ENTRIES: usize = 64;
-
-/// The external sort the out-of-core blocking build streams through:
-/// postings accumulate in a bounded, budget-charged run buffer; each full
-/// buffer is sorted, deduplicated and spilled as one run segment under
-/// `cfg.segment_dir`; [`merge`](Self::merge) streams the runs back in
-/// `(posting, run index)` order, dropping cross-run repeats. The
-/// merged stream is therefore the **sorted, deduplicated pushed
-/// sequence**. The run buffer's reservation is returned before the merge
-/// reads, so the merge needs only one page of budget headroom. Run files are
-/// removed and any reservation returned when the sorter drops, on success
-/// and on error.
-pub struct ExternalSorter<'a> {
-    cfg: &'a OocConfig,
-    /// Names the budget reservation and the run files.
-    stage: &'static str,
-    /// The run buffer; `reserved` bytes of the budget are held for it.
-    buf: Vec<Posting>,
-    reserved: u64,
-    /// Run size after the adaptive shrink.
-    run_entries: usize,
-    /// Spilled run segments, in spill order.
-    runs: Vec<PathBuf>,
-}
-
-impl<'a> ExternalSorter<'a> {
-    /// Creates the spill directory and reserves the run buffer, halving it
-    /// until the budget admits it — a typed error below the 64-record floor.
-    pub fn new(cfg: &'a OocConfig, stage: &'static str) -> Result<Self, SegmentError> {
-        fs::create_dir_all(&cfg.segment_dir).map_err(|e| SegmentError::Io {
-            path: cfg.segment_dir.clone(),
-            offset: 0,
-            reason: e.to_string(),
-        })?;
-        let mut run_entries = cfg.run_entries.max(MIN_RUN_ENTRIES);
-        let reserved = loop {
-            let bytes = (run_entries * POSTING_BYTES) as u64;
-            match cfg.budget.try_reserve(stage, bytes) {
-                Ok(()) => break bytes,
-                Err(e) if run_entries == MIN_RUN_ENTRIES => return Err(e.into()),
-                Err(_) => run_entries = (run_entries / 2).max(MIN_RUN_ENTRIES),
-            }
-        };
-        Ok(ExternalSorter {
-            cfg,
-            stage,
-            buf: Vec::with_capacity(run_entries),
-            reserved,
-            run_entries,
-            runs: Vec::new(),
-        })
-    }
-
-    /// Appends records in arrival order, spilling at each run boundary.
-    pub fn push_all(
-        &mut self,
-        records: impl IntoIterator<Item = Posting>,
-    ) -> Result<(), SegmentError> {
-        for record in records {
-            if self.buf.len() >= self.run_entries {
-                self.spill()?;
-            }
-            self.buf.push(record);
-        }
-        Ok(())
-    }
-
-    /// Sorts the buffered records and spills them as one run segment.
-    fn spill(&mut self) -> Result<(), SegmentError> {
-        if self.buf.is_empty() {
-            return Ok(());
-        }
-        self.buf.sort_unstable();
-        self.buf.dedup();
-        let name = format!("{}-run-{:05}.seg", self.stage, self.runs.len());
-        let path = self.cfg.segment_dir.join(name);
-        let mut w = SegmentWriter::create(&path, self.cfg.fingerprint)?;
-        w.run(&self.buf)?;
-        self.cfg.metrics.segment_written(w.finish()?);
-        self.runs.push(path);
-        self.buf.clear();
-        Ok(())
-    }
-
-    /// Spills the last partial run — a non-empty input always writes at
-    /// least one segment — and streams every record to `sink` in sorted
-    /// order. On `Err` the caller must discard whatever `sink` accumulated.
-    pub fn merge(mut self, mut sink: impl FnMut(Posting)) -> Result<(), SegmentError> {
-        self.spill()?;
-        // The merge no longer needs the run buffer: hand its bytes back
-        // before the merge reads start charging pages.
-        self.cfg.budget.release(std::mem::take(&mut self.reserved));
-        if self.runs.is_empty() {
-            return Ok(());
-        }
-        let cfg = self.cfg;
-        cfg.metrics.runs_merged(self.runs.len() as u64);
-        let segments: Vec<Segment> = self
-            .runs
-            .iter()
-            .map(|p| Segment::open(p, cfg.segment_options()))
-            .collect::<Result<_, _>>()?;
-        let mut cursors = Vec::with_capacity(segments.len());
-        for seg in &segments {
-            cursors.push(seg.run(0)?);
-        }
-        // Min-heap on (posting, run index): each run's head posting.
-        let mut heap: BinaryHeap<Reverse<(Posting, usize)>> = BinaryHeap::new();
-        for (run, cursor) in cursors.iter_mut().enumerate() {
-            if let Some(head) = cursor.next()? {
-                heap.push(Reverse((head, run)));
-            }
-        }
-        let mut last: Option<Posting> = None;
-        while let Some(Reverse((posting, run))) = heap.pop() {
-            if let Some(next) = cursors[run].next()? {
-                heap.push(Reverse((next, run)));
-            }
-            if last.replace(posting) != Some(posting) {
-                sink(posting); // a cross-run repeat is skipped
-            }
-        }
-        Ok(())
-    }
-}
-
-impl Drop for ExternalSorter<'_> {
-    fn drop(&mut self) {
-        self.cfg.budget.release(self.reserved);
-        for path in &self.runs {
-            let _ = fs::remove_file(path);
-        }
     }
 }
 
 /// A cheap structural fingerprint of a collection (mode, cardinality, and
-/// the per-entity KB/arity shape), stamped into spill segments so a reader
-/// can never merge runs produced from a different collection.
+/// the per-entity KB/arity shape). Kept only because `bench/` names it;
+/// delete with ROADMAP direction 1 (`tests/fnv_golden.rs` pins its value).
 pub fn collection_fingerprint(collection: &EntityCollection) -> u64 {
     let mut h = Fnv1a::default();
     h.write(&(collection.len() as u64).to_le_bytes());
@@ -1082,10 +774,10 @@ pub fn collection_fingerprint(collection: &EntityCollection) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64 as SeqCounter;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     fn tmp_seg(tag: &str) -> PathBuf {
-        static SEQ: SeqCounter = SeqCounter::new(0);
+        static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("er-colstore-{}-{tag}-{n}.seg", std::process::id()))
     }
@@ -1104,7 +796,7 @@ mod tests {
         w.run(&run).unwrap();
         let bytes = w.finish().unwrap();
         assert_eq!(bytes, fs::metadata(&path).unwrap().len());
-        let seg = Segment::open(&path, SegmentOptions::new(42)).unwrap();
+        let seg = Segment::open(&path, 42).unwrap();
         assert_eq!(seg.sections().len(), 1);
         assert_eq!(seg.sections()[0].kind, KIND_POSTINGS);
         let mut cursor = seg.run(0).unwrap();
@@ -1137,7 +829,7 @@ mod tests {
         let good = fs::read(&path).unwrap();
         for cut in [0, 10, HEADER_LEN as usize, good.len() - 1, good.len() - 40] {
             fs::write(&path, &good[..cut]).unwrap();
-            let err = Segment::open(&path, SegmentOptions::new(3)).unwrap_err();
+            let err = Segment::open(&path, 3).unwrap_err();
             match err {
                 SegmentError::Truncated { .. }
                 | SegmentError::Checksum { .. }
@@ -1163,7 +855,7 @@ mod tests {
             bad[at] ^= 0x41;
             fs::write(&path, &bad).unwrap();
             assert!(
-                Segment::open(&path, SegmentOptions::new(3)).is_err(),
+                Segment::open(&path, 3).is_err(),
                 "mutation at byte {at} must be detected"
             );
         }
@@ -1176,7 +868,7 @@ mod tests {
         let mut w = SegmentWriter::create(&path, 3).unwrap();
         w.run(&sample_postings(4)).unwrap();
         w.finish().unwrap();
-        match Segment::open(&path, SegmentOptions::new(4)).unwrap_err() {
+        match Segment::open(&path, 4).unwrap_err() {
             SegmentError::Fingerprint {
                 found, expected, ..
             } => {
@@ -1200,11 +892,9 @@ mod tests {
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".tmp");
         assert!(!path.with_file_name(name).exists());
-        let budget = MemoryBudget::bytes(DEFAULT_PAGE_BYTES);
-        let seg = Segment::open(&path, SegmentOptions::new(9).with_budget(budget.clone())).unwrap();
+        let seg = Segment::open(&path, 9).unwrap();
         assert_eq!(seg.sections()[0].kind, KIND_BYTES);
         assert_eq!(seg.bytes(0).unwrap(), payload);
-        assert_eq!(budget.used(), 0, "the read released its pages");
         // A run cursor over a bytes section, and a bytes read of a run
         // section, are kind mismatches.
         assert!(matches!(
@@ -1220,25 +910,25 @@ mod tests {
         // Truncated: the footer is cut.
         fs::write(&path, &good[..good.len() - 1]).unwrap();
         assert!(matches!(
-            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            Segment::open(&path, 9).unwrap_err(),
             SegmentError::Truncated { .. }
         ));
         // Wrong fingerprint, wrong version, empty file.
         fs::write(&path, &good).unwrap();
         assert!(matches!(
-            Segment::open(&path, SegmentOptions::new(8)).unwrap_err(),
+            Segment::open(&path, 8).unwrap_err(),
             SegmentError::Fingerprint { .. }
         ));
         let mut bad = good;
         bad[8] = 2;
         fs::write(&path, &bad).unwrap();
         assert!(matches!(
-            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            Segment::open(&path, 9).unwrap_err(),
             SegmentError::Version { found: 2, .. }
         ));
         fs::write(&path, b"").unwrap();
         assert!(matches!(
-            Segment::open(&path, SegmentOptions::new(9)).unwrap_err(),
+            Segment::open(&path, 9).unwrap_err(),
             SegmentError::Truncated { offset: 0, .. }
         ));
         let _ = fs::remove_file(&path);
@@ -1246,213 +936,7 @@ mod tests {
 
     #[test]
     fn absent_file_is_a_typed_io_error() {
-        let err = Segment::open(tmp_seg("absent"), SegmentOptions::new(0)).unwrap_err();
+        let err = Segment::open(tmp_seg("absent"), 0).unwrap_err();
         assert!(matches!(err, SegmentError::Io { .. }), "{err:?}");
-    }
-
-    /// Budgets of 8 KiB and of exactly one 2 KiB page both stream a run of
-    /// ~118 pages: each read charges one page at a time and holds nothing
-    /// once it returns. One byte below a page refuses the first read.
-    #[test]
-    fn reader_charges_and_drains_the_budget() {
-        const PAGE: u64 = 2048;
-        let path = tmp_seg("budget");
-        let mut w = SegmentWriter::create(&path, 11).unwrap();
-        w.run(&sample_postings(10_000)).unwrap();
-        w.finish().unwrap();
-        for limit in [8 * 1024, PAGE, PAGE - 1] {
-            let budget = MemoryBudget::bytes(limit);
-            let metrics = StoreMetrics::new(Obs::enabled());
-            let seg = Segment::open(
-                &path,
-                SegmentOptions::new(11)
-                    .with_budget(budget.clone())
-                    .with_metrics(metrics.clone())
-                    .with_page_bytes(PAGE),
-            )
-            .unwrap();
-            if limit < PAGE {
-                let err = seg.run(0).unwrap_err();
-                assert!(
-                    matches!(
-                        err,
-                        SegmentError::Resource(ResourceError::BudgetExhausted { .. })
-                    ),
-                    "{err:?}"
-                );
-                assert_eq!(budget.used(), 0, "a refused read holds nothing");
-                continue;
-            }
-            let mut cursor = seg.run(0).unwrap();
-            let mut n = 0u64;
-            while cursor.next().unwrap().is_some() {
-                n += 1;
-                assert_eq!(
-                    budget.used(),
-                    0,
-                    "limit {limit}: nothing held between refills"
-                );
-            }
-            assert_eq!(n, 30_000);
-            let snap = metrics.obs.snapshot();
-            assert!(
-                snap.counter("colstore.pages_loaded").unwrap_or(0) > 1,
-                "limit {limit}: the scan read page by page: {snap:?}"
-            );
-            assert_eq!(snap.gauge("colstore.resident_bytes"), Some(0.0));
-            assert_eq!(metrics.resident_bytes(), 0);
-        }
-        let _ = fs::remove_file(&path);
-    }
-
-    #[test]
-    fn starved_budget_is_a_typed_error_not_a_panic() {
-        let path = tmp_seg("starved");
-        let mut w = SegmentWriter::create(&path, 11).unwrap();
-        w.run(&sample_postings(1000)).unwrap();
-        w.finish().unwrap();
-        // A budget smaller than one page: the reader can never reserve.
-        let budget = MemoryBudget::bytes(64);
-        let seg = Segment::open(
-            &path,
-            SegmentOptions::new(11)
-                .with_budget(budget)
-                .with_page_bytes(4096),
-        )
-        .unwrap();
-        let err = seg.run(0).unwrap_err();
-        assert!(matches!(err, SegmentError::Resource(_)), "{err:?}");
-    }
-
-    // ------------------------------------------------------ ExternalSorter
-    //
-    // The mechanism tests of the one external sort. They replace the
-    // per-builder copies the out-of-core builders carried while each had
-    // its own spill/merge loop:
-    //
-    // * `…::ooc_build_records_metrics_and_charges_budget` (blocking)
-    //   → `sorted_stream_is_the_stable_sort_of_the_input`
-    // * `…::starved_budget_is_a_typed_error` (blocking)
-    //   → `run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed`
-
-    fn files_in(dir: &Path) -> usize {
-        fs::read_dir(dir).map_or(0, |d| d.count())
-    }
-
-    /// Seeded 64-bit LCG (Knuth's MMIX constants), high bits returned.
-    fn lcg(state: &mut u64) -> u32 {
-        *state = state
-            .wrapping_mul(6364136223846793005)
-            .wrapping_add(1442695040888963407);
-        (*state >> 33) as u32
-    }
-
-    fn random_postings(seed: u64, n: usize) -> Vec<(Symbol, EntityId)> {
-        let mut state = seed;
-        (0..n)
-            .map(|_| {
-                (
-                    Symbol(lcg(&mut state) % 200),
-                    EntityId(lcg(&mut state) % 40),
-                )
-            })
-            .collect()
-    }
-
-    fn sorted_by(cfg: &OocConfig, input: &[Posting]) -> Result<Vec<Posting>, SegmentError> {
-        let mut sorter = ExternalSorter::new(cfg, "sorter-test")?;
-        // Several calls: arrival order spans `push_all` boundaries.
-        for part in input.chunks(1000) {
-            sorter.push_all(part.iter().copied())?;
-        }
-        let mut out = Vec::new();
-        sorter.merge(|r| out.push(r))?;
-        Ok(out)
-    }
-
-    #[test]
-    fn sorted_stream_is_the_stable_sort_of_the_input() {
-        const N: usize = 10_000;
-        for seed in [1u64, 0xE9, 0xfeed_beef] {
-            for run_entries in [64usize, 65, 4096] {
-                let dir = tmp_seg("sorter-stable");
-                let obs = Obs::enabled();
-                let metrics = StoreMetrics::new(obs.clone());
-                let budget = MemoryBudget::bytes(1 << 20);
-                let cfg = OocConfig::new(&dir)
-                    .with_run_entries(run_entries)
-                    .with_budget(budget.clone())
-                    .with_metrics(metrics.clone());
-                let cell = format!("seed {seed} run {run_entries}");
-
-                // Equal postings are one: the stream is sort + dedup.
-                let postings = random_postings(seed, N);
-                let mut want = postings.clone();
-                want.sort();
-                want.dedup();
-                assert!(want.len() < N, "{cell}: the input has repeats");
-                assert_eq!(sorted_by(&cfg, &postings).unwrap(), want, "{cell}");
-
-                let runs = N.div_ceil(run_entries) as u64;
-                let snap = obs.snapshot();
-                assert_eq!(snap.counter("colstore.segments_written"), Some(runs));
-                assert_eq!(snap.counter("colstore.runs_merged"), Some(runs));
-                assert!(snap.counter("colstore.segment_bytes").unwrap() > 0);
-                assert_eq!(budget.used(), 0, "{cell}: reservations drained");
-                assert_eq!(metrics.resident_bytes(), 0, "{cell}: pages released");
-                assert_eq!(files_in(&dir), 0, "{cell}: run files removed");
-                let _ = fs::remove_dir_all(&dir);
-            }
-        }
-    }
-
-    #[test]
-    fn run_buffer_shrinks_to_fit_and_a_starved_budget_is_typed() {
-        // 4096 postings × 8 B do not fit 4 KiB; 512 do. The merge then
-        // streams 20 runs through 512 B pages inside the same budget.
-        let dir = tmp_seg("sorter-shrink");
-        let obs = Obs::enabled();
-        let budget = MemoryBudget::bytes(4096);
-        let cfg = OocConfig::new(&dir)
-            .with_run_entries(4096)
-            .with_page_bytes(512)
-            .with_budget(budget.clone())
-            .with_metrics(StoreMetrics::new(obs.clone()));
-        let postings = random_postings(7, 10_000);
-        let got = sorted_by(&cfg, &postings).unwrap();
-        assert!(got.windows(2).all(|w| w[0] < w[1]), "sorted, deduplicated");
-        let written = obs.snapshot().counter("colstore.segments_written");
-        assert_eq!(written, Some(10_000u64.div_ceil(512)));
-        assert_eq!(budget.used(), 0);
-
-        // Below the 64-record floor there is no buffer to build with.
-        let starved = OocConfig::new(&dir).with_budget(MemoryBudget::bytes(16));
-        let err = sorted_by(&starved, &postings).unwrap_err();
-        assert!(
-            matches!(
-                err,
-                SegmentError::Resource(ResourceError::BudgetExhausted { .. })
-            ),
-            "{err:?}"
-        );
-        assert_eq!(
-            files_in(&dir),
-            0,
-            "run files removed after success and error"
-        );
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn metrics_record_segments_and_runs() {
-        let obs = Obs::enabled();
-        let metrics = StoreMetrics::new(obs.clone());
-        metrics.segment_written(100);
-        metrics.segment_written(28);
-        metrics.runs_merged(3);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("colstore.segments_written"), Some(2));
-        assert_eq!(snap.counter("colstore.segment_bytes"), Some(128));
-        assert_eq!(snap.counter("colstore.runs_merged"), Some(3));
     }
 }

@@ -80,7 +80,7 @@ pub mod tokenize;
 pub mod wire;
 
 pub use collection::{EntityCollection, ResolutionMode};
-pub use colstore::{OocConfig, Segment, SegmentError, SegmentOptions, SegmentWriter, StoreMetrics};
+pub use colstore::{Segment, SegmentError, SegmentWriter};
 pub use entity::{Entity, EntityId, KbId};
 pub use fault::{ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 pub use ground_truth::GroundTruth;

@@ -13,7 +13,7 @@
 //! blocks of a family's [`KeyRows`]. Map tasks carry rows as `u32` symbols —
 //! the vocabulary never travels — partition each posting by **symbol range**
 //! and write each partition's postings as key-sorted `(Symbol, EntityId)`
-//! runs, the `KIND_POSTINGS` record the out-of-core build spills. Each
+//! runs, colstore's `KIND_POSTINGS` segment record. Each
 //! reduce counting-sorts its range into `(symbol, members)` blocks; ranges
 //! are disjoint and ascending, so the coordinator concatenates them in
 //! partition order. [`run_dist`] is a thin adapter that runs string records
@@ -25,9 +25,7 @@
 
 use crate::engine::ExecError;
 use crate::transport::Transport;
-use er_core::colstore::{
-    Posting, Segment, SegmentError, SegmentOptions, SegmentWriter, POSTING_BYTES,
-};
+use er_core::colstore::{Posting, Segment, SegmentError, SegmentWriter, POSTING_BYTES};
 use er_core::entity::EntityId;
 use er_core::intern::{Interner, Symbol};
 use er_core::profiles::KeyRows;
@@ -362,7 +360,7 @@ fn run_transpose_reduce(payload: &[u8]) -> Result<Vec<u8>, String> {
     while !d.is_empty() {
         let path = path(&mut d).map_err(|e| format!("bad reduce task segment path: {e}"))?;
         let shuffle = |e: SegmentError| format!("shuffle {e}");
-        let seg = Segment::open(&path, SegmentOptions::new(fingerprint)).map_err(shuffle)?;
+        let seg = Segment::open(&path, fingerprint).map_err(shuffle)?;
         for section in 0..seg.sections().len() {
             let mut run = seg.run(section).map_err(shuffle)?;
             while let Some((s, e)) = run.next().map_err(shuffle)? {

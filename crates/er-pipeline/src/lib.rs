@@ -42,13 +42,12 @@ pub use streaming::{StreamingConfig, StreamingSession};
 use er_blocking::attribute_clustering::AttributeClusteringBlocking;
 use er_blocking::block::{blocks_from_groups, blocks_from_profiles, BlockCollection};
 use er_blocking::cleaning;
+use er_blocking::governance::{block_bytes, charge_or_shed, GovernedBlocks};
 use er_blocking::minhash::MinHashBlocking;
-use er_blocking::ooc::blocks_from_profiles_ooc;
 use er_blocking::qgrams::QGramsBlocking;
 use er_blocking::sorted_neighborhood::SortKey;
 use er_blocking::standard::StandardBlocking;
 use er_core::collection::EntityCollection;
-use er_core::colstore::{collection_fingerprint, OocConfig, StoreMetrics};
 use er_core::entity::EntityId;
 use er_core::ground_truth::GroundTruth;
 use er_core::matching::{Matcher, TfIdfMatcher, ThresholdMatcher};
@@ -486,23 +485,16 @@ impl Pipeline {
     /// stage, then admits it under the memory budget. Every family is the
     /// transpose of its key rows — token blocking's are the run's
     /// `profiles`, the others' are keyed here under the configured
-    /// parallelism — so every family builds the same three ways: in memory,
-    /// out of core, or as the distributed key-blocking job on the
-    /// subprocess backend.
-    ///
-    /// An in-memory index is charged against the budget (shedding oversized
-    /// blocks largest-first on a breach — a disabled budget admits
-    /// everything untouched), unless a segment dir is set and the charge
-    /// would breach: then it is rebuilt out of core instead. An out-of-core
-    /// build already charged its run buffer and merge reads against the
-    /// budget and is admitted whole.
+    /// parallelism — built in memory or, on the subprocess backend, as the
+    /// distributed key-transpose job; either way [`Pipeline::admit`] decides
+    /// what the budget keeps.
     pub(crate) fn build_blocks(
         &self,
         collection: &EntityCollection,
         stage: &BlockingStage,
         budget: &MemoryBudget,
         profiles: &RunProfiles,
-    ) -> er_blocking::governance::GovernedBlocks {
+    ) -> GovernedBlocks {
         let family_rows;
         let rows = match stage {
             BlockingStage::Token => profiles.get(),
@@ -511,39 +503,55 @@ impl Pipeline {
                 &family_rows
             }
         };
-        let clean = |blocks| self.clean_blocks(blocks, collection, &self.obs);
-        let cleaned = match self.backend {
+        let blocks = match self.backend {
             Backend::Subprocess { workers } => {
                 let mut transport = SubprocessTransport::new(self.subprocess_config(workers));
-                clean(self.dist_blocks(rows, &mut transport, workers))
+                self.dist_blocks(rows, &mut transport, workers)
             }
-            Backend::InProcess if self.out_of_core => {
-                let blocks = self.ooc_blocks(collection, rows, "blocking", &self.obs, budget);
-                return admitted_uncharged(clean(blocks));
-            }
-            Backend::InProcess => {
-                let cleaned = clean(blocks_from_profiles(rows, &self.obs));
-                if budget.is_enabled() && self.segment_dir.is_some() {
-                    // Spill-to-segment rescue: probe the admission charge
-                    // first, and when it would breach, rebuild out-of-core
-                    // instead of letting `charge_or_shed` drop blocks —
-                    // bounded memory *and* zero recall loss, at a reported
-                    // slowdown.
-                    let total: u64 = cleaned
-                        .blocks()
-                        .iter()
-                        .map(er_blocking::governance::block_bytes)
-                        .sum();
-                    if budget.try_reserve("blocking", total).is_err() {
-                        drop(cleaned); // free the trial index before the rebuild
-                        return self.spill_rescue(collection, rows, total, budget);
-                    }
-                    budget.release(total);
-                }
-                cleaned
-            }
+            Backend::InProcess => blocks_from_profiles(rows, &self.obs),
         };
-        er_blocking::governance::charge_or_shed(cleaned, collection, budget, &self.obs)
+        self.admit(
+            self.clean_blocks(blocks, collection, &self.obs),
+            collection,
+            budget,
+        )
+    }
+
+    /// Admits a cleaned index under the run's budget, on either backend.
+    /// With [`out_of_core`](PipelineBuilder::out_of_core) it is admitted
+    /// whole and uncharged. With a [`segment_dir`](PipelineBuilder::segment_dir)
+    /// and an enabled budget, an index that would breach the budget is also
+    /// admitted whole and uncharged — the explicit account of that is the
+    /// `colstore.spill_rescues` counter plus a warning event, not a shed
+    /// count. Anything else is charged, shedding oversized blocks
+    /// largest-first on a breach (a disabled budget admits everything).
+    fn admit(
+        &self,
+        cleaned: BlockCollection,
+        collection: &EntityCollection,
+        budget: &MemoryBudget,
+    ) -> GovernedBlocks {
+        if self.out_of_core {
+            return admitted_uncharged(cleaned);
+        }
+        if budget.is_enabled() && self.segment_dir.is_some() {
+            let total: u64 = cleaned.blocks().iter().map(block_bytes).sum();
+            if budget.try_reserve("blocking", total).is_err() {
+                self.obs.counter("colstore.spill_rescues").incr();
+                self.obs.emit(Event::Warning {
+                    stage: "blocking".to_string(),
+                    reason: format!(
+                        "memory budget breach: {total} byte blocking index exceeds the {} \
+                         byte budget; admitted whole (segment dir set) with zero \
+                         comparisons shed",
+                        budget.limit().unwrap_or(0)
+                    ),
+                });
+                return admitted_uncharged(cleaned);
+            }
+            budget.release(total);
+        }
+        charge_or_shed(cleaned, collection, budget, &self.obs)
     }
 
     /// The key rows of a block-producing family other than token blocking,
@@ -600,88 +608,6 @@ impl Pipeline {
                 .add(cleaned.assignments());
         }
         cleaned
-    }
-
-    /// Rebuilds the blocking index out-of-core after the in-memory index
-    /// failed admission. The duplicated stage counters (`blocking.*`, block
-    /// histogram, cleaning) were already recorded by the trial build, so the
-    /// rebuild runs with observability off — only `colstore.*` metrics flow
-    /// through the store handle. The rescued blocks are returned uncharged:
-    /// they exceed the budget by construction, and the explicit account of
-    /// that is the `colstore.spill_rescues` counter plus the warning event,
-    /// not a shed count.
-    fn spill_rescue(
-        &self,
-        collection: &EntityCollection,
-        rows: &KeyRows,
-        index_bytes: u64,
-        budget: &MemoryBudget,
-    ) -> er_blocking::governance::GovernedBlocks {
-        let quiet = Obs::disabled();
-        let rebuilt = self.ooc_blocks(collection, rows, "blocking-rescue", &quiet, budget);
-        let cleaned = self.clean_blocks(rebuilt, collection, &quiet);
-        self.obs.counter("colstore.spill_rescues").incr();
-        self.obs.emit(Event::Warning {
-            stage: "blocking".to_string(),
-            reason: format!(
-                "memory budget breach: {index_bytes} byte blocking index exceeds \
-                 the {} byte budget; rebuilt out-of-core with zero comparisons shed",
-                budget.limit().unwrap_or(0)
-            ),
-        });
-        admitted_uncharged(cleaned)
-    }
-
-    /// The transpose of `rows` streamed through sorted on-disk runs under a
-    /// fresh spill directory, which is removed **before** the build's error
-    /// is surfaced, so a failed attempt — and each retry of it — leaves
-    /// nothing behind.
-    fn ooc_blocks(
-        &self,
-        collection: &EntityCollection,
-        rows: &KeyRows,
-        stage: &str,
-        obs: &Obs,
-        budget: &MemoryBudget,
-    ) -> BlockCollection {
-        let cfg = self.ooc_config(collection, stage, budget);
-        let result = blocks_from_profiles_ooc(rows, obs, &cfg);
-        let _ = std::fs::remove_dir(&cfg.segment_dir);
-        result.unwrap_or_else(|e| panic!("out-of-core {stage} failed: {e}"))
-    }
-
-    /// The out-of-core configuration for one stage of one run: a fresh
-    /// per-call spill directory (concurrent runs never collide on run
-    /// files), the collection's fingerprint binding every segment to its
-    /// input, the run's budget, and store metrics flowing into the
-    /// pipeline's obs handle. The stage watchdog does not reach the spill
-    /// or the merge: index-building stages have no safe early-exit point,
-    /// so `note_overrun` reports late completion instead. With a budget
-    /// configured, the run buffer and merge pages are sized to fractions of
-    /// it so the spill machinery itself fits inside.
-    fn ooc_config(
-        &self,
-        collection: &EntityCollection,
-        stage: &str,
-        budget: &MemoryBudget,
-    ) -> OocConfig {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        static NEXT: AtomicU64 = AtomicU64::new(0);
-        let base = self.segment_dir.clone().unwrap_or_else(std::env::temp_dir);
-        let dir = base.join(format!(
-            "er-ooc-{stage}-{}-{}",
-            std::process::id(),
-            NEXT.fetch_add(1, Ordering::Relaxed)
-        ));
-        let mut cfg = OocConfig::new(dir)
-            .with_fingerprint(collection_fingerprint(collection))
-            .with_metrics(StoreMetrics::new(self.obs.clone()));
-        if let Some(limit) = budget.limit() {
-            cfg = cfg
-                .with_run_entries((limit / 64).clamp(64, 64 * 1024) as usize)
-                .with_page_bytes((limit / 8).clamp(512, 16 * 1024));
-        }
-        cfg.with_budget(budget.clone())
     }
 
     /// The worker-pool configuration of the subprocess backend: the
@@ -770,10 +696,9 @@ impl Pipeline {
     }
 }
 
-/// Admits an index whole without charging it: the build that produced it
-/// already charged its run buffer and merge reads against the budget.
-fn admitted_uncharged(blocks: BlockCollection) -> er_blocking::governance::GovernedBlocks {
-    er_blocking::governance::GovernedBlocks {
+/// An index admitted whole, with nothing charged against the budget.
+fn admitted_uncharged(blocks: BlockCollection) -> GovernedBlocks {
+    GovernedBlocks {
         blocks,
         reserved_bytes: 0,
         shed_blocks: 0,
@@ -881,29 +806,22 @@ impl PipelineBuilder {
         self
     }
 
-    /// Sets the directory for out-of-core segment spill files. With a
-    /// memory budget configured, an in-process blocking index that would
-    /// breach the budget is **rebuilt out-of-core** under this directory
-    /// instead of shedding blocks — bit-identical output, zero recall loss,
-    /// at a reported slowdown. Each run spills into a fresh per-run
-    /// subdirectory, so concurrent pipelines sharing one segment dir never
-    /// collide; spill files are removed before the stage returns.
+    /// Keeps a budget-breaching blocking index instead of shedding it:
+    /// with a memory budget configured, an index whose charge would breach
+    /// the budget is admitted whole and uncharged — the output of an
+    /// unbudgeted run, zero recall loss — and counted in
+    /// `colstore.spill_rescues` with a warning event. Nothing is written
+    /// under `dir`. Either backend honours it.
     pub fn segment_dir(mut self, dir: impl Into<PathBuf>) -> Self {
         self.pipeline.segment_dir = Some(dir.into());
         self
     }
 
-    /// Forces the out-of-core build path unconditionally: every
-    /// block-producing stage streams its key postings through sorted on-disk
-    /// runs regardless of budget pressure. Nothing else spills: the
-    /// subprocess backend's job already shuffles through its own segment
-    /// files, meta-blocking scans the blocks node by node, and
-    /// [`BlockingStage::SortedNeighborhood`] builds no blocks (`er resolve`
-    /// rejects `--ooc` with it). Output is bit-identical to the in-memory
-    /// path (the equivalence is property-tested); the point is bounded
-    /// stage memory.
-    /// Spill files land under [`segment_dir`](PipelineBuilder::segment_dir)
-    /// when set, the system temp dir otherwise.
+    /// Admits every block-producing stage's index whole and uncharged,
+    /// whatever the memory budget, so nothing is ever shed. On either
+    /// backend the index is the same in-memory transpose, so the output is
+    /// that of an unbudgeted run. [`BlockingStage::SortedNeighborhood`]
+    /// builds no blocks and is unaffected.
     pub fn out_of_core(mut self, enabled: bool) -> Self {
         self.pipeline.out_of_core = enabled;
         self
@@ -1233,29 +1151,6 @@ mod tests {
     }
 
     #[test]
-    fn out_of_core_run_records_colstore_metrics() {
-        let ds = dataset();
-        let dir = ooc_tmp_dir("metrics");
-        let p = Pipeline::builder()
-            .observability(Obs::enabled())
-            .segment_dir(&dir)
-            .out_of_core(true)
-            .build();
-        p.run(&ds.collection);
-        let snap = p.metrics();
-        let written = snap.counter("colstore.segments_written").unwrap_or(0);
-        assert!(written > 0, "forced ooc must write segments: {snap:?}");
-        assert!(snap.counter("colstore.segment_bytes").unwrap_or(0) > 0);
-        assert!(snap.counter("colstore.runs_merged").unwrap_or(0) >= written);
-        assert_eq!(
-            snap.gauge("colstore.resident_bytes"),
-            Some(0.0),
-            "all pages released after the run"
-        );
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn tiny_budget_with_segment_dir_rescues_instead_of_shedding() {
         let ds = dataset();
         let plain = Pipeline::builder().build().run(&ds.collection);
@@ -1269,14 +1164,12 @@ mod tests {
             .run(&ds.collection);
         // The same 4 KiB budget that sheds without a segment dir (see
         // `tiny_memory_budget_sheds_blocks_instead_of_aborting`) now resolves
-        // bit-identically with zero recall loss.
+        // bit-identically with zero recall loss, and writes nothing.
         assert_eq!(rescued.report.shed_comparisons, 0, "{:?}", rescued.report);
         assert_eq!(rescued.matches, plain.matches);
         assert_eq!(rescued.clusters, plain.clusters);
-        let snap = obs.snapshot();
-        assert_eq!(snap.counter("colstore.spill_rescues"), Some(1));
-        assert!(snap.counter("colstore.segments_written").unwrap_or(0) > 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+        assert!(!dir.exists(), "nothing is written under the segment dir");
     }
 
     #[test]
@@ -1293,26 +1186,6 @@ mod tests {
         assert_eq!(res.report.shed_comparisons, 0);
         let snap = obs.snapshot();
         assert_eq!(snap.counter("colstore.spill_rescues"), None);
-        assert_eq!(snap.counter("colstore.segments_written"), None);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn failed_out_of_core_stage_leaves_no_spill_directory() {
-        // 256 B cannot hold the 64-record run buffer, so every attempt of
-        // the streamed blocking build is refused — once per retry.
-        let ds = dataset();
-        let dir = ooc_tmp_dir("leak");
-        std::fs::create_dir_all(&dir).unwrap();
-        let outcome = Pipeline::builder()
-            .resource_limits(ResourceLimits::none().with_memory_bytes(256))
-            .segment_dir(&dir)
-            .out_of_core(true)
-            .build()
-            .run_with_recovery(&ds.collection, &RecoveryOptions::default());
-        assert!(outcome.is_err(), "a starved budget fails the stage");
-        let left: Vec<_> = std::fs::read_dir(&dir).unwrap().collect();
-        assert!(left.is_empty(), "spill directories left behind: {left:?}");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

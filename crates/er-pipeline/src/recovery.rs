@@ -36,7 +36,7 @@
 use crate::{Pipeline, Resolution};
 use er_blocking::block::{Block, BlockCollection};
 use er_core::collection::EntityCollection;
-use er_core::colstore::{Segment, SegmentError, SegmentOptions, SegmentWriter};
+use er_core::colstore::{Segment, SegmentError, SegmentWriter};
 use er_core::entity::EntityId;
 use er_core::fault::{panic_message, FaultInjector, RetryPolicy};
 use er_core::obs::{Event, Obs};
@@ -515,7 +515,7 @@ impl CheckpointStore {
         if !path.exists() {
             return Ok(None);
         }
-        let payload = Segment::open(&path, SegmentOptions::new(self.fingerprint))
+        let payload = Segment::open(&path, self.fingerprint)
             .and_then(|seg| seg.bytes(0))
             .map_err(|e| e.to_string())?;
         let mut d = Decoder::new(&payload);
@@ -959,7 +959,7 @@ mod tests {
         for (file, stage, record, deeper) in cases {
             let _ = fs::remove_dir_all(&dir);
             p.run_with_recovery(&ds.collection, &opts).unwrap();
-            let payload = Segment::open(dir.join(file), SegmentOptions::new(store.fingerprint))
+            let payload = Segment::open(dir.join(file), store.fingerprint)
                 .and_then(|seg| seg.bytes(0))
                 .unwrap();
             // The body follows the stage name (a `u32` length, then its bytes).

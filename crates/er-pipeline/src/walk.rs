@@ -7,17 +7,17 @@
 //! stops after its first half.
 //!
 //! * the **schedule** half ([`Walk::schedule`]): blocking → cleaning →
-//!   budget admission / spill rescue → meta-blocking;
+//!   budget admission → meta-blocking;
 //! * the **resolve** half ([`Walk::resolve`]): matching → clustering → run
 //!   counters.
 //!
 //! The walk alone opens the `pipeline.*` spans, arms the per-stage
 //! watchdogs and fills the [`StageReport`]; the stage kernels it calls
 //! (`build_blocks`, `meta_block`, `cluster` on [`Pipeline`]) route between
-//! the in-memory, out-of-core and subprocess paths.
+//! the in-process and subprocess paths.
 //!
 //! It also owns the run's one tokenization, [`RunProfiles`]: token blocking
-//! (every backend, and the spill rescue) transposes it as its key rows, the
+//! (on every backend) transposes it as its key rows, the
 //! configured matching stage decides on it and `run_progressive` scores its
 //! schedule from it. It is built on first use, under a `pipeline.profiles` span the
 //! walk opens before the span of the first stage that needs it.

@@ -1,5 +1,5 @@
 //! Fixtures shared by the integration suites: the seeded datasets, the
-//! micro-collection strategy, the thread and out-of-core cells, the kernel
+//! micro-collection strategy, the thread cells, the kernel
 //! row helpers, the subprocess worker, the key rows and serial oracle of the
 //! MapReduce transpose, the bitwise graph and resolution asserts, a
 //! scratch-directory guard and the worker-pool ledger assert.
@@ -11,13 +11,11 @@
 //! with the seed and case number, that is the only way to reproduce it.
 
 use er_core::collection::{EntityCollection, ResolutionMode};
-use er_core::colstore::{collection_fingerprint, OocConfig};
 use er_core::entity::{EntityId, KbId};
 use er_core::intern::{Interner, Symbol};
 use er_core::obs::MetricsSnapshot;
 use er_core::parallel::Parallelism;
 use er_core::profiles::{KeyRows, TokenProfiles};
-use er_core::resource::MemoryBudget;
 use er_datagen::{DirtyConfig, DirtyDataset, NoiseModel};
 use er_mapreduce::dist::SymbolBlock;
 use er_metablocking::BlockingGraph;
@@ -29,13 +27,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The worker counts every parallel kernel is checked at.
 pub const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// The `(workers, run entries)` cells every streamed kernel is checked at.
-/// One worker runs the serial spill loop, four interleave their runs; 64
-/// records is the spill floor (dozens of runs, a wide k-way merge), 4096
-/// usually fits everything in one run (the merge degenerates to a replay).
-pub const OOC_CELLS: [(usize, usize); 6] =
-    [(1, 64), (1, 512), (1, 4096), (4, 64), (4, 512), (4, 4096)];
 
 /// `f` at every thread count, labelled.
 pub fn threaded<T>(what: &str, f: impl Fn(Parallelism) -> T) -> Vec<(String, T)> {
@@ -57,38 +48,6 @@ pub fn graph_row(oracle: &BlockingGraph, ctx: &str, variants: Vec<(String, Block
     for (variant, got) in variants {
         assert_graphs_bitwise_equal(&got, oracle, &format!("{ctx} × {variant}"));
     }
-}
-
-/// `build` out of core at each `(workers, run entries)` cell, each in a
-/// fresh spill directory and, given a `budget`, under it with 512-byte
-/// pages. Every build must have written to its directory, leave it empty
-/// and release the budget fully.
-pub fn spilled<T>(
-    c: &EntityCollection,
-    cells: &[(usize, usize)],
-    budget: Option<&MemoryBudget>,
-    build: impl Fn(&OocConfig, Parallelism) -> T,
-) -> Vec<(String, T)> {
-    let cells = cells.iter().map(|&(threads, runs)| {
-        let variant = format!("ooc threads={threads} runs={runs}");
-        let dir = ScratchDir::new("ooc-row");
-        let mut cfg = OocConfig::new(&*dir)
-            .with_fingerprint(collection_fingerprint(c))
-            .with_run_entries(runs);
-        if let Some(budget) = budget {
-            cfg = cfg.with_page_bytes(512).with_budget(budget.clone());
-        }
-        let got = build(&cfg, Parallelism::threads(threads));
-        let left = std::fs::read_dir(&*dir).expect("spill dir exists").count();
-        let held = budget.map_or(0, MemoryBudget::used);
-        assert_eq!(
-            (left, held),
-            (0, 0),
-            "{variant}: run files left, bytes held"
-        );
-        (variant, got)
-    });
-    cells.collect()
 }
 
 /// The `er-test-worker` binary, for `SubprocessConfig::program` and

@@ -682,7 +682,7 @@ fn decode_wire_records(
 /// Opens a one-section segment of wire records and decodes them; an error
 /// is returned as the file offset it names (0 when it names none).
 fn read_wire_segment(path: &std::path::Path) -> Result<Vec<WireRecord>, u64> {
-    let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))
+    let seg = er_core::Segment::open(path, SEG_FINGERPRINT)
         .map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
     let payload = seg
         .bytes(0)
@@ -691,7 +691,7 @@ fn read_wire_segment(path: &std::path::Path) -> Result<Vec<WireRecord>, u64> {
 }
 
 // ---------------------------------------------------------------------------
-// Segment codec robustness: the out-of-core store under hostile bytes
+// Segment codec robustness: the segment store under hostile bytes
 // ---------------------------------------------------------------------------
 
 /// Byte-level sibling of [`mutate`]: the same four mutation kinds (truncate /
@@ -734,8 +734,7 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
 /// A valid two-section segment (postings + a bytes section of wire records)
-/// exercising every codec the out-of-core, shuffle and checkpoint paths read
-/// back.
+/// exercising every codec the shuffle and checkpoint paths read back.
 fn segment_bytes() -> &'static Vec<u8> {
     use er_core::colstore::SegmentWriter;
     use er_core::entity::EntityId;
@@ -756,11 +755,11 @@ fn segment_bytes() -> &'static Vec<u8> {
 }
 
 /// Opens `path` as a segment and, if the envelope validates, decodes every
-/// section through its codec — the full read surface a k-way merge would
-/// touch. Any failure is returned, never panicked.
+/// section through its codec — the full read surface a shuffle reduce or a
+/// checkpoint load would touch. Any failure is returned, never panicked.
 fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
     use er_core::colstore::{KIND_BYTES, KIND_POSTINGS};
-    let seg = er_core::Segment::open(path, er_core::SegmentOptions::new(SEG_FINGERPRINT))?;
+    let seg = er_core::Segment::open(path, SEG_FINGERPRINT)?;
     for (i, info) in seg.sections().iter().enumerate() {
         match info.kind {
             KIND_POSTINGS => {
@@ -785,7 +784,7 @@ fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
 
 /// The byte offset a [`SegmentError`] anchors its diagnosis to, if the
 /// variant carries one (`Version`/`Fingerprint` pin fixed header offsets in
-/// their rendered message instead; `Resource` is not a file defect).
+/// their rendered message instead).
 fn segment_error_offset(e: &er_core::SegmentError) -> Option<u64> {
     use er_core::SegmentError as E;
     match e {
@@ -795,7 +794,6 @@ fn segment_error_offset(e: &er_core::SegmentError) -> Option<u64> {
         | E::Checksum { offset, .. }
         | E::Malformed { offset, .. } => Some(*offset),
         E::Version { .. } | E::Fingerprint { .. } => None,
-        E::Resource(_) => None,
     }
 }
 

@@ -5,15 +5,14 @@
 //! must reproduce it, compared with `==` (ARCS weights with `to_bits`).
 //! Their property rows name their input values in every failure (the
 //! vendored proptest does not shrink). The rows of the blocking and
-//! meta-blocking kernels live in three sibling suites that share this
+//! meta-blocking kernels live in two sibling suites that share this
 //! file's fixtures (`er_integration_tests`): `parallel_equivalence.rs`
-//! (threads {1, 2, 4, 8} against the serial build),
+//! (threads {1, 2, 4, 8} against the serial build) and
 //! `layout_equivalence.rs` (the compact layouts against the string-keyed /
-//! `BTreeMap` reference) and `out_of_core_equivalence.rs` (every run size
-//! and a 4 KiB budget against the in-memory build). Here: the
-//! similarity-join and matching rows, and `run_dist` — the frozen string
-//! adapter over the MapReduce key transpose — on threads and on subprocess
-//! workers.
+//! `BTreeMap` reference). Here: the similarity-join and matching rows,
+//! `run_dist` — the frozen string adapter over the MapReduce key transpose
+//! — on threads and on subprocess workers, and the frozen out-of-core
+//! token build under a 4 KiB budget.
 //!
 //! **Pipeline rows.** Every entry point is one stage walk under a
 //! configuration, so comparing entry points with each other would compare
@@ -49,6 +48,7 @@ use er_blocking::simjoin::{JoinAlgorithm, SimilarityJoin};
 use er_blocking::standard::StandardBlocking;
 use er_blocking::{cleaning, TokenBlocking};
 use er_core::collection::EntityCollection;
+use er_core::colstore::OocConfig;
 use er_core::entity::{Entity, EntityId};
 use er_core::fault::{ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy, SeededFaults};
 use er_core::ingest::{IngestConfig, IngestError};
@@ -61,7 +61,7 @@ use er_core::metrics::BlockingQuality;
 use er_core::obs::{MetricsSnapshot, Obs};
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
-use er_core::resource::ResourceLimits;
+use er_core::resource::{MemoryBudget, ResourceLimits};
 use er_core::similarity::SetMeasure;
 use er_datagen::{CorruptConfig, CorruptStream, DirtyDataset, EvolvingConfig, NoiseModel};
 use er_integration_tests::{
@@ -88,8 +88,8 @@ use std::sync::Arc;
 // =================================================================== modes
 
 /// An execution mode: how it configures a builder (given a scratch path for
-/// whatever it spills), and a counter a run in it must leave nonzero — the
-/// mode's own path where it has one (spill, rescue, workers).
+/// its segment dir), and a counter a run in it must leave nonzero — the
+/// mode's own path where it has one (rescue, workers).
 #[derive(Clone, Copy)]
 struct Mode {
     name: &'static str,
@@ -122,14 +122,22 @@ const THREADS4: Mode = Mode {
 const OOC: Mode = Mode {
     name: "ooc",
     configure: |b, dir| b.segment_dir(dir).out_of_core(true),
-    ran: "colstore.segments_written",
+    ran: "profiles.symbols",
 };
 const OOC_THREADS4: Mode = Mode {
     name: "ooc-threads4",
     configure: |b, dir| (OOC.configure)((THREADS4.configure)(b, dir), dir),
-    ran: "colstore.segments_written",
+    ran: "profiles.symbols",
 };
-/// A binding memory budget, rescued by spilling through the segment dir.
+/// Forced out-of-core under a 1 KiB budget, far below the index: it is
+/// admitted whole, so nothing is shed.
+const OOC_BUDGET: Mode = Mode {
+    name: "ooc-budget",
+    configure: |b, dir| (OOC.configure)((RESCUE.configure)(b, dir), dir),
+    ran: "profiles.symbols",
+};
+/// A binding memory budget, rescued through the segment dir: the index is
+/// admitted whole instead of shed.
 const RESCUE: Mode = Mode {
     name: "rescue",
     configure: |b, dir| {
@@ -149,10 +157,23 @@ const SUBPROCESS4: Mode = Mode {
     ran: "worker.spawned",
 };
 /// Forced out-of-core under the subprocess backend: blocks come from the
-/// workers, so only the in-process stages can spill.
+/// workers and are admitted whole.
 const OOC_SUBPROCESS: Mode = Mode {
     name: "ooc-subprocess",
     configure: |b, dir| (OOC.configure)(subprocess(b, 2), dir),
+    ran: "worker.spawned",
+};
+/// The binding budget rescued through the segment dir, with the blocks
+/// from the workers: the admission step follows either backend.
+const RESCUE_SUBPROCESS: Mode = Mode {
+    name: "rescue-subprocess",
+    configure: |b, dir| (RESCUE.configure)(subprocess(b, 2), dir),
+    ran: "colstore.spill_rescues",
+};
+/// Forced out-of-core under the binding budget, blocks from the workers.
+const OOC_BUDGET_SUBPROCESS: Mode = Mode {
+    name: "ooc-budget-subprocess",
+    configure: |b, dir| (OOC_BUDGET.configure)(subprocess(b, 2), dir),
     ran: "worker.spawned",
 };
 
@@ -200,6 +221,32 @@ fn similarity_join_row() {
             }
         }
     }
+}
+
+/// The frozen out-of-core token build under a 4 KiB budget, far below the
+/// index, at every thread count: it completes as the in-memory build,
+/// charges nothing and writes nothing under its segment dir.
+#[test]
+fn tiny_budget_out_of_core_build_completes_and_drains() {
+    let c = &dataset(220, NoiseModel::moderate(), 21).collection;
+    let tb = TokenBlocking::new();
+    let budget = MemoryBudget::bytes(4096);
+    let dir = ScratchDir::new("ooc-4k");
+    let cfg = OocConfig::new(&*dir)
+        .with_run_entries(64)
+        .with_page_bytes(512)
+        .with_budget(budget.clone());
+    let variants = threaded("ooc 4 KiB", |par| {
+        tb.par_build_ooc_obs(c, par, &Obs::disabled(), &cfg)
+            .expect("the build completes")
+    });
+    row(
+        &tb.par_build(c, Parallelism::serial()),
+        "n=220 seed=21",
+        variants,
+    );
+    assert_eq!(budget.used(), 0, "nothing held");
+    assert!(!dir.exists(), "nothing written under the segment dir");
 }
 
 #[test]
@@ -518,6 +565,17 @@ fn forced_out_of_core_under_the_subprocess_backend() {
 }
 
 #[test]
+fn forced_out_of_core_under_a_binding_budget() {
+    check_mode(OOC_BUDGET, &corpus());
+}
+
+#[test]
+fn forced_out_of_core_under_a_binding_budget_on_the_subprocess_backend() {
+    let snap = check_mode(OOC_BUDGET_SUBPROCESS, &corpus());
+    assert_pool_drained(&snap, &[], OOC_BUDGET_SUBPROCESS.name);
+}
+
+#[test]
 fn binding_budget_rescued_through_the_segment_dir() {
     let rescue_4k = Mode {
         name: "rescue-4k",
@@ -534,6 +592,20 @@ fn binding_budget_rescued_through_the_segment_dir() {
     let p = rescue_4k.on(Pipeline::builder(), &dir);
     p.observability(obs.clone()).build().run(&ds.collection);
     assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+}
+
+#[test]
+fn binding_budget_rescued_on_the_subprocess_backend() {
+    let ds = corpus();
+    let snap = check_mode(RESCUE_SUBPROCESS, &ds);
+    assert_pool_drained(&snap, &[], RESCUE_SUBPROCESS.name);
+    // One run goes through the rescue once, and writes nothing.
+    let (dir, obs) = (ScratchDir::new("rescue-subprocess-once"), Obs::enabled());
+    let p = RESCUE_SUBPROCESS.on(Pipeline::builder(), &dir);
+    let res = p.observability(obs.clone()).build().run(&ds.collection);
+    assert_eq!(res.report.shed_comparisons, 0);
+    assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+    assert!(!dir.exists(), "nothing written under the segment dir");
 }
 
 /// The subprocess cells run on the matrix corpus and on a light-noise one;

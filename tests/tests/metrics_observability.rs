@@ -254,14 +254,6 @@ const BLOCKING_AND_SCAN: [(&str, u64); 9] = [
     ("meta_blocking.member_visits", 5084),
 ];
 
-/// The spill traffic of the same run forced out of core, measured likewise.
-const SPILL: [(&str, u64); 4] = [
-    ("colstore.pages_loaded", 3),
-    ("colstore.runs_merged", 1),
-    ("colstore.segment_bytes", 28888),
-    ("colstore.segments_written", 1),
-];
-
 /// One tokenization per run, in every entry point: the walk's
 /// `pipeline.profiles` closes once per walk that blocks by token or matches
 /// — blocking (in memory, out of core, on worker processes), matching and
@@ -274,7 +266,7 @@ fn every_entry_point_tokenizes_once() {
     let c = &ds.collection;
     let enabled = || Pipeline::builder().observability(Obs::enabled());
     let tokenized = |s: &MetricsSnapshot| s.span("pipeline.profiles").map_or(0, |s| s.count);
-    let token_run = |entry: &str, s: &MetricsSnapshot, spilled: bool| {
+    let token_run = |entry: &str, s: &MetricsSnapshot| {
         assert_eq!(tokenized(s), 1, "{entry}");
         for (index, profiles) in [
             ("blocking.tokens_indexed", "profiles.symbols"),
@@ -282,40 +274,39 @@ fn every_entry_point_tokenizes_once() {
         ] {
             assert_eq!(s.counter(index), s.counter(profiles), "{entry}: {index}");
         }
-        let spill: &[(&str, u64)] = if spilled { &SPILL } else { &[] };
-        for &(key, value) in BLOCKING_AND_SCAN.iter().chain(spill) {
+        for &(key, value) in &BLOCKING_AND_SCAN {
             assert_eq!(s.counter(key), Some(value), "{entry}: {key}");
         }
     };
 
     let p = enabled().build();
     p.run(c);
-    token_run("run", &p.metrics(), false);
+    token_run("run", &p.metrics());
 
     let p = enabled().build();
     p.candidates(c);
-    token_run("candidates", &p.metrics(), false);
+    token_run("candidates", &p.metrics());
 
     let p = enabled().build();
     p.run_progressive(c, &ds.truth, er_progressive::Budget::Unlimited);
-    token_run("run_progressive", &p.metrics(), false);
+    token_run("run_progressive", &p.metrics());
 
     let dir = ScratchDir::new("tokenize-once");
     let p = enabled().out_of_core(true).segment_dir(&*dir).build();
     p.run(c);
-    token_run("out_of_core", &p.metrics(), true);
+    token_run("out_of_core", &p.metrics());
 
     let p = enabled()
         .backend(Backend::Subprocess { workers: 2 })
         .worker_program(worker_program!())
         .build();
     p.run(c);
-    token_run("subprocess", &p.metrics(), false);
+    token_run("subprocess", &p.metrics());
 
     let opts = RecoveryOptions::default().checkpoint_dir(&*dir);
     let p = enabled().build();
     p.run_with_recovery(c, &opts).unwrap();
-    token_run("run_with_recovery", &p.metrics(), false);
+    token_run("run_with_recovery", &p.metrics());
     // Resumed past matching, nothing tokenizes; resumed from the blocked
     // checkpoint, matching still does, once.
     for (resume_point, tokenizations) in [(STAGE_MATCHING, 0), (STAGE_BLOCKING, 1)] {
