@@ -94,6 +94,10 @@ fn print_usage() {
          NOISE LEVELS: clean, light, moderate (default), heavy\n\
          CLEANING: purge (default) drops the blocks above the automatic\n\
          \x20        cardinality limit; none feeds every block to meta-blocking.\n\
+         \x20        sn builds no blocks, so it refuses every block flag:\n\
+         \x20        --cleaning purge, --weighting, --pruning, --segment-dir\n\
+         \x20        and --backend subprocess. --pruning none refuses\n\
+         \x20        --weighting. --threshold T (default 0.4) is in [0, 1].\n\
          THREADS: worker threads for the hot kernels; 0 = all cores,\n\
          \x20        default 1 (serial). The output is identical either way.\n\
          FAULTS:  --retries N retries a failed stage up to N attempts (default 3);\n\
@@ -221,6 +225,49 @@ fn cleaning_from(flags: &BTreeMap<String, String>) -> Result<Option<CleaningStag
         Some("none") => Ok(Some(CleaningStage::None)),
         Some("purge") => Ok(Some(CleaningStage::AutoPurge)),
         Some(v) => Err(format!("bad --cleaning {v:?}")),
+    }
+}
+
+/// `--weighting` / `--pruning` (default ARCS / WNP); `None` for `--pruning
+/// none`, which runs no meta-blocking and so refuses a `--weighting`.
+fn meta_blocking_from(
+    flags: &BTreeMap<String, String>,
+) -> Result<Option<MetaBlockingStage>, String> {
+    let pruning = match flags.get("pruning").map(String::as_str).unwrap_or("wnp") {
+        "none" if flags.contains_key("weighting") => {
+            return Err(
+                "--weighting does not apply to --pruning none (no meta-blocking runs)".into(),
+            )
+        }
+        "none" => return Ok(None),
+        "wep" => PruningScheme::Wep,
+        "cep" => PruningScheme::Cep,
+        "wnp" => PruningScheme::Wnp,
+        "cnp" => PruningScheme::Cnp,
+        other => return Err(format!("unknown --pruning {other:?}")),
+    };
+    let weighting = match flags.get("weighting").map(String::as_str).unwrap_or("arcs") {
+        "cbs" => WeightingScheme::Cbs,
+        "ecbs" => WeightingScheme::Ecbs,
+        "js" => WeightingScheme::Js,
+        "ejs" => WeightingScheme::Ejs,
+        "arcs" => WeightingScheme::Arcs,
+        other => return Err(format!("unknown --weighting {other:?}")),
+    };
+    Ok(Some(MetaBlockingStage { weighting, pruning }))
+}
+
+/// `--threshold T` (default 0.4): a Jaccard similarity, so a finite number
+/// in `[0, 1]` — outside it a threshold matches nothing or everything.
+fn threshold_from(flags: &BTreeMap<String, String>) -> Result<f64, String> {
+    let Some(v) = flags.get("threshold") else {
+        return Ok(0.4);
+    };
+    match v.parse::<f64>() {
+        Ok(t) if (0.0..=1.0).contains(&t) => Ok(t),
+        _ => Err(format!(
+            "bad --threshold {v:?}: expected a number in [0, 1]"
+        )),
     }
 }
 
@@ -619,10 +666,12 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     let limits = resource_limits_from(&flags)?;
     let backend = backend_from(&flags)?;
     let cleaning = cleaning_from(&flags)?;
-    if flags.get("blocking").map(String::as_str) == Some("sn") {
+    let threshold = threshold_from(&flags)?;
+    let pair_producing = flags.get("blocking").map(String::as_str) == Some("sn");
+    if pair_producing {
         // Sorted neighborhood yields pairs, not blocks: there is no index to
-        // ship to workers or to clean, so refuse the flags rather than
-        // ignore them.
+        // ship to workers, clean, prune or admit under a segment dir, so
+        // refuse the flags rather than ignore them.
         if backend != Backend::InProcess {
             return Err(
                 "--backend subprocess does not apply to --blocking sn (it has no blocks)"
@@ -634,7 +683,19 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
                 "--cleaning purge does not apply to --blocking sn (it has no blocks)".to_string(),
             );
         }
+        for flag in ["weighting", "pruning", "segment-dir"] {
+            if flags.contains_key(flag) {
+                return Err(format!(
+                    "--{flag} does not apply to --blocking sn (it has no blocks)"
+                ));
+            }
+        }
     }
+    let meta = if pair_producing {
+        None
+    } else {
+        meta_blocking_from(&flags)?
+    };
     let ingest_queue_bytes = flags
         .get("ingest-queue-bytes")
         .map(|v| parse_bytes(v))
@@ -688,35 +749,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
         "minhash" => BlockingStage::MinHash(8, 2),
         other => return Err(format!("unknown --blocking {other:?}")),
     };
-    let pair_producing = matches!(blocking_stage, BlockingStage::SortedNeighborhood(..));
 
-    let pruning = flags.get("pruning").map(String::as_str).unwrap_or("wnp");
-    let meta = if pruning == "none" || pair_producing {
-        None
-    } else {
-        let weighting = match flags.get("weighting").map(String::as_str).unwrap_or("arcs") {
-            "cbs" => WeightingScheme::Cbs,
-            "ecbs" => WeightingScheme::Ecbs,
-            "js" => WeightingScheme::Js,
-            "ejs" => WeightingScheme::Ejs,
-            "arcs" => WeightingScheme::Arcs,
-            other => return Err(format!("unknown --weighting {other:?}")),
-        };
-        let pruning = match pruning {
-            "wep" => PruningScheme::Wep,
-            "cep" => PruningScheme::Cep,
-            "wnp" => PruningScheme::Wnp,
-            "cnp" => PruningScheme::Cnp,
-            other => return Err(format!("unknown --pruning {other:?}")),
-        };
-        Some(MetaBlockingStage { weighting, pruning })
-    };
-
-    let threshold: f64 = flags
-        .get("threshold")
-        .map(|v| v.parse().map_err(|_| format!("bad --threshold {v:?}")))
-        .transpose()?
-        .unwrap_or(0.4);
     let clustering = match flags
         .get("clustering")
         .map(String::as_str)
@@ -1095,9 +1128,36 @@ mod tests {
             err.contains("--backend subprocess does not apply to --blocking sn"),
             "{err}"
         );
+        // Nor does it prune or admit an index under a segment dir, so a
+        // meta-blocking or segment-dir flag is refused too, valid or not.
+        for flag in [
+            ["--pruning", "bogus"],
+            ["--pruning", "wnp"],
+            ["--weighting", "js"],
+            ["--segment-dir", "segs"],
+        ] {
+            let err = cmd_resolve(&s(&[&sn[..], &flag].concat())).unwrap_err();
+            let want = format!("{} does not apply to --blocking sn", flag[0]);
+            assert!(err.contains(&want), "{flag:?}: {err}");
+        }
         // The in-process default is no refusal: the run gets as far as the
         // missing collection.
         let err = cmd_resolve(&s(&sn)).unwrap_err();
+        assert!(err.contains("x.txt"), "{err}");
+    }
+
+    #[test]
+    fn pruning_none_rejects_a_weighting_and_every_meta_flag_is_checked() {
+        let none = ["--collection", "x.txt", "--pruning", "none"];
+        let err = cmd_resolve(&s(&[&none[..], &["--weighting", "js"]].concat())).unwrap_err();
+        assert!(
+            err.contains("--weighting does not apply to --pruning none"),
+            "{err}"
+        );
+        let err = cmd_resolve(&s(&["--collection", "x.txt", "--weighting", "bogus"])).unwrap_err();
+        assert!(err.contains("unknown --weighting \"bogus\""), "{err}");
+        // Valid flags get as far as the missing collection.
+        let err = cmd_resolve(&s(&none)).unwrap_err();
         assert!(err.contains("x.txt"), "{err}");
     }
 
@@ -1122,6 +1182,25 @@ mod tests {
         assert!(err.contains("byte size"), "{err}");
         let err = cmd_resolve(&s(&["--collection", "x.txt", "--stage-timeout", "-3"])).unwrap_err();
         assert!(err.contains("--stage-timeout"), "{err}");
+    }
+
+    #[test]
+    fn threshold_outside_the_unit_interval_is_a_proper_error() {
+        for bad in ["nan", "1.5", "-1", "inf", "-0.1", "lots"] {
+            let err = cmd_resolve(&s(&["--collection", "x.txt", "--threshold", bad])).unwrap_err();
+            assert!(
+                err.contains(&format!(
+                    "bad --threshold {bad:?}: expected a number in [0, 1]"
+                )),
+                "{bad}: {err}"
+            );
+        }
+        // Both ends are thresholds: the run gets as far as the missing
+        // collection.
+        for good in ["0", "1", "0.4"] {
+            let err = cmd_resolve(&s(&["--collection", "x.txt", "--threshold", good])).unwrap_err();
+            assert!(err.contains("x.txt"), "{good}: {err}");
+        }
     }
 
     #[test]

@@ -1,12 +1,9 @@
-//! Columnar segment store: the on-disk format of the MapReduce shuffle and
-//! of the pipeline's stage checkpoints.
+//! Columnar segment store: the on-disk format of the pipeline's stage
+//! checkpoints.
 //!
-//! The compact layouts of PR 5 made the hot structures of blocking *flat*:
-//! interned dictionaries and `(Symbol, EntityId)` posting vectors. This
-//! module puts those flat columns into a **versioned, fingerprinted,
-//! length-prefixed segment file**: the `key-transpose` job's map tasks
-//! spill their sorted posting runs as segments for the reduce tasks to
-//! read, and a checkpointed run writes each stage's result as one.
+//! This module puts [`wire`](crate::wire) records into a **versioned,
+//! fingerprinted, length-prefixed segment file**: a checkpointed run writes
+//! each stage's result as one.
 //!
 //! ## File format (all integers little-endian)
 //!
@@ -20,7 +17,7 @@
 //! The checksum is FNV-1a over every byte before the footer, so truncation,
 //! single-byte mutation and byte-soup corruption are all caught at open.
 //! Writes are atomic (temp file + rename). Every fixed-width field — header,
-//! section headers, footer, run records — is read through the one bounded
+//! section headers and footer — is read through the one bounded
 //! [`wire::Decoder`](crate::wire::Decoder).
 //!
 //! Section payloads:
@@ -28,28 +25,20 @@
 //! * `BYTES` (1) — opaque [`wire`](crate::wire) records, read whole
 //!   ([`Segment::bytes`]): the pipeline's stage checkpoints are one-section
 //!   segments of this kind.
-//! * `POSTINGS` (2) — one sorted [`Posting`] run: `count u64`, then
-//!   `count × (u32, u32)` — the PR 5 flat posting vector, one `memcpy` away.
-//!   The `key-transpose` MapReduce shuffle spills these.
 //!
-//! Kinds 3 (the retired edge runs of an out-of-core graph build) and 4 are
-//! unassigned; every kind keeps its number so a segment's bytes do not
-//! depend on which kinds exist.
-//!
-//! The run kind goes through one fixed-width codec ([`POSTING_BYTES`] per
-//! record), one writer method ([`SegmentWriter::run`]) and one cursor
-//! ([`RunCursor`]).
+//! Kinds 2 (the retired posting runs of the MapReduce shuffle, which now
+//! rides in worker frames), 3 (the retired edge runs of an out-of-core graph
+//! build) and 4 are unassigned; every kind keeps its number so a segment's
+//! bytes do not depend on which kinds exist.
 //!
 //! ## Reads without `mmap`
 //!
 //! The workspace forbids `unsafe` and vendors no mmap crate, and every
-//! reader of a segment is a forward scan (a run cursor's refill, a whole
-//! bytes section, a run's count header), so each read goes straight from
-//! the file into the caller's buffer with one positional
+//! reader of a segment reads a whole section, so each read goes straight
+//! from the file into the caller's buffer with one positional
 //! [`FileExt::read_exact_at`] call; nothing is cached.
 
-use crate::entity::EntityId;
-use crate::intern::{Fnv1a, Symbol};
+use crate::intern::Fnv1a;
 use crate::obs::Obs;
 use crate::resource::MemoryBudget;
 use crate::wire::{put_u32, put_u64, Decoder, WireError};
@@ -76,13 +65,6 @@ pub const FOOTER_LEN: u64 = 32;
 
 /// Section kind: opaque [`wire`](crate::wire) records, read whole.
 pub const KIND_BYTES: u32 = 1;
-/// Section kind: sorted `(Symbol, EntityId)` posting run.
-pub const KIND_POSTINGS: u32 = 2;
-
-/// A key posting `(symbol, entity)`: the record of a [`KIND_POSTINGS`] run.
-pub type Posting = (Symbol, EntityId);
-/// Bytes of one on-disk [`Posting`]: two little-endian `u32`s.
-pub const POSTING_BYTES: usize = 8;
 
 /// A typed segment defect. Every malformed, truncated or mutated input
 /// yields one of these — never a panic, never a silent short read — and
@@ -313,18 +295,6 @@ impl SegmentWriter {
         self.put(payload)?;
         self.sections += 1;
         Ok(())
-    }
-
-    /// Appends one sorted run as a [`KIND_POSTINGS`] section: `count u64`,
-    /// then each posting's symbol and entity.
-    pub fn run(&mut self, run: &[Posting]) -> Result<(), SegmentError> {
-        let mut payload = Vec::with_capacity(8 + run.len() * POSTING_BYTES);
-        put_u64(&mut payload, run.len() as u64);
-        for (s, e) in run {
-            put_u32(&mut payload, s.0);
-            put_u32(&mut payload, e.0);
-        }
-        self.section(KIND_POSTINGS, &payload)
     }
 
     /// Appends `payload` — encoded [`wire`](crate::wire) records — as one
@@ -608,105 +578,12 @@ impl Segment {
         Ok(info)
     }
 
-    /// The record count and record area of a run section whose payload is
-    /// `count u64` followed by `count ×` [`POSTING_BYTES`].
-    fn run_geometry(&self, info: SectionInfo) -> Result<(u64, u64), SegmentError> {
-        if info.payload_len < 8 {
-            return Err(SegmentError::Truncated {
-                path: self.reader.path.clone(),
-                offset: info.payload_offset,
-                expected: "an 8-byte record count".to_string(),
-            });
-        }
-        let mut count_buf = [0u8; 8];
-        self.reader
-            .read_exact(info.payload_offset, &mut count_buf)?;
-        let count = u64::from_le_bytes(count_buf);
-        let body = count
-            .checked_mul(POSTING_BYTES as u64)
-            .and_then(|b| b.checked_add(8));
-        if body != Some(info.payload_len) {
-            return Err(SegmentError::Malformed {
-                path: self.reader.path.clone(),
-                offset: info.payload_offset,
-                reason: format!(
-                    "record count {count} disagrees with payload length {}",
-                    info.payload_len
-                ),
-            });
-        }
-        Ok((count, info.payload_offset + 8))
-    }
-
     /// The whole payload of the [`KIND_BYTES`] section `index`.
     pub fn bytes(&self, index: usize) -> Result<Vec<u8>, SegmentError> {
         let info = self.section_checked(index, KIND_BYTES)?;
         let mut payload = vec![0u8; info.payload_len as usize];
         self.reader.read_exact(info.payload_offset, &mut payload)?;
         Ok(payload)
-    }
-
-    /// A streaming cursor over the sorted run in section `index`.
-    pub fn run(&self, index: usize) -> Result<RunCursor<'_>, SegmentError> {
-        let info = self.section_checked(index, KIND_POSTINGS)?;
-        let (count, start) = self.run_geometry(info)?;
-        Ok(RunCursor {
-            seg: self,
-            offset: start,
-            remaining: count,
-            buf: Vec::new(),
-            pos: 0,
-        })
-    }
-}
-
-/// Records decoded per cursor refill.
-pub const CURSOR_CHUNK: u64 = 4096;
-
-/// Streaming, buffered cursor over one sorted run. Each refill reads the
-/// next [`CURSOR_CHUNK`] records into the cursor's own buffer.
-pub struct RunCursor<'a> {
-    seg: &'a Segment,
-    offset: u64,
-    remaining: u64,
-    buf: Vec<u8>,
-    pos: usize,
-}
-
-impl fmt::Debug for RunCursor<'_> {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("RunCursor")
-            .field("path", &self.seg.reader.path)
-            .field("remaining", &self.remaining)
-            .finish_non_exhaustive()
-    }
-}
-
-impl RunCursor<'_> {
-    /// The next posting, or `None` at end of run.
-    #[allow(clippy::should_implement_trait)]
-    pub fn next(&mut self) -> Result<Option<Posting>, SegmentError> {
-        if self.pos >= self.buf.len() {
-            if self.remaining == 0 {
-                return Ok(None);
-            }
-            let take = self.remaining.min(CURSOR_CHUNK);
-            self.buf.resize(take as usize * POSTING_BYTES, 0);
-            self.seg.reader.read_exact(self.offset, &mut self.buf)?;
-            self.offset += take * POSTING_BYTES as u64;
-            self.remaining -= take;
-            self.pos = 0;
-        }
-        // The record's file offset (the refill ends at `self.offset`).
-        let at = self.offset - (self.buf.len() - self.pos) as u64;
-        let mut d = Decoder::at(&self.buf[self.pos..self.pos + POSTING_BYTES], at);
-        let wire = |e| SegmentError::wire(&self.seg.reader.path, e);
-        let posting = (
-            Symbol(d.u32().map_err(wire)?),
-            EntityId(d.u32().map_err(wire)?),
-        );
-        self.pos += POSTING_BYTES;
-        Ok(Some(posting))
     }
 }
 
@@ -782,37 +659,22 @@ mod tests {
         std::env::temp_dir().join(format!("er-colstore-{}-{tag}-{n}.seg", std::process::id()))
     }
 
-    fn sample_postings(n: u32) -> Vec<(Symbol, EntityId)> {
-        (0..n)
-            .flat_map(|s| (0..3u32).map(move |e| (Symbol(s), EntityId(s * 3 + e))))
-            .collect()
-    }
-
-    #[test]
-    fn postings_round_trip_bit_exact() {
-        let path = tmp_seg("postings");
-        let run = sample_postings(100);
-        let mut w = SegmentWriter::create(&path, 42).unwrap();
-        w.run(&run).unwrap();
-        let bytes = w.finish().unwrap();
-        assert_eq!(bytes, fs::metadata(&path).unwrap().len());
-        let seg = Segment::open(&path, 42).unwrap();
-        assert_eq!(seg.sections().len(), 1);
-        assert_eq!(seg.sections()[0].kind, KIND_POSTINGS);
-        let mut cursor = seg.run(0).unwrap();
-        let mut got = Vec::new();
-        while let Some(p) = cursor.next().unwrap() {
-            got.push(p);
+    /// `n` wire records of three `u32`s each.
+    fn sample_payload(n: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for s in 0..n {
+            for e in 0..3u32 {
+                put_u32(&mut out, s * 3 + e);
+            }
         }
-        assert_eq!(got, run);
-        let _ = fs::remove_file(&path);
+        out
     }
 
     #[test]
     fn tmp_file_never_survives_finish() {
         let path = tmp_seg("tmpgone");
         let mut w = SegmentWriter::create(&path, 5).unwrap();
-        w.run(&sample_postings(4)).unwrap();
+        w.bytes(&sample_payload(4)).unwrap();
         w.finish().unwrap();
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".tmp");
@@ -824,7 +686,7 @@ mod tests {
     fn truncation_is_a_typed_error_with_offset() {
         let path = tmp_seg("trunc");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.run(&sample_postings(64)).unwrap();
+        w.bytes(&sample_payload(64)).unwrap();
         w.finish().unwrap();
         let good = fs::read(&path).unwrap();
         for cut in [0, 10, HEADER_LEN as usize, good.len() - 1, good.len() - 40] {
@@ -846,7 +708,7 @@ mod tests {
     fn single_byte_mutations_are_caught() {
         let path = tmp_seg("mutate");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.run(&sample_postings(32)).unwrap();
+        w.bytes(&sample_payload(32)).unwrap();
         w.finish().unwrap();
         let good = fs::read(&path).unwrap();
         let step = (good.len() / 23).max(1);
@@ -866,7 +728,7 @@ mod tests {
     fn wrong_fingerprint_and_version_are_typed() {
         let path = tmp_seg("fp");
         let mut w = SegmentWriter::create(&path, 3).unwrap();
-        w.run(&sample_postings(4)).unwrap();
+        w.bytes(&sample_payload(4)).unwrap();
         w.finish().unwrap();
         match Segment::open(&path, 4).unwrap_err() {
             SegmentError::Fingerprint {
@@ -879,28 +741,25 @@ mod tests {
         let _ = fs::remove_file(&path);
     }
 
-    /// The one-section bytes segment shuffle segments and checkpoints are
-    /// written as: the payload round-trips byte for byte, the tmp file is
-    /// gone, and each defect a reader must catch is a typed error.
+    /// The one-section bytes segment checkpoints are written as: the payload
+    /// round-trips byte for byte, `finish` returns the file's length, the
+    /// tmp file is gone, and each defect a reader must catch is a typed
+    /// error.
     #[test]
     fn bytes_section_round_trips_and_rejects_each_defect() {
         let path = tmp_seg("bytes");
         let payload: Vec<u8> = (0..=255u8).chain(*b"tab\tnew\nline").collect();
         let mut w = SegmentWriter::create(&path, 9).unwrap();
         w.bytes(&payload).unwrap();
-        w.finish().unwrap();
+        let len = w.finish().unwrap();
+        assert_eq!(len, fs::metadata(&path).unwrap().len());
         let mut name = path.file_name().unwrap().to_os_string();
         name.push(".tmp");
         assert!(!path.with_file_name(name).exists());
         let seg = Segment::open(&path, 9).unwrap();
         assert_eq!(seg.sections()[0].kind, KIND_BYTES);
         assert_eq!(seg.bytes(0).unwrap(), payload);
-        // A run cursor over a bytes section, and a bytes read of a run
-        // section, are kind mismatches.
-        assert!(matches!(
-            seg.run(0).unwrap_err(),
-            SegmentError::Malformed { .. }
-        ));
+        // A bytes read past the last section is malformed.
         assert!(matches!(
             seg.bytes(1).unwrap_err(),
             SegmentError::Malformed { .. }

@@ -46,8 +46,9 @@
 //!   wall-clock watchdogs and the typed exhaustion errors the execution
 //!   layers return under skewed, web-scale load ([`resource`]);
 //! * the one bounded binary **field codec** under worker frames, task
-//!   payloads, shuffle segments and stage checkpoints ([`wire`]), which live
-//!   in fingerprinted, checksummed **segment files** ([`colstore`]).
+//!   payloads (the shuffle rides in them) and stage checkpoints ([`wire`]);
+//!   checkpoints live in fingerprinted, checksummed **segment files**
+//!   ([`colstore`]).
 //!
 //! Downstream crates build the tutorial's pipeline on top of this: blocking
 //! (`er-blocking`), meta-blocking (`er-metablocking`), parallel execution

@@ -5,7 +5,7 @@
 //! framed protocol of [`proto`](crate::proto). Supervision rules:
 //!
 //! * **Handshake** — every worker must answer `Hello` (protocol version +
-//!   fingerprint + its budget allotment) with `HelloAck` before any task is
+//!   fingerprint) with `HelloAck` before any task is
 //!   dispatched; a `HelloRej` (mismatched binary) fails the run with a typed
 //!   error instead of restarting into the same mismatch forever.
 //! * **Liveness** — workers heartbeat on a fixed cadence; a worker silent
@@ -65,9 +65,6 @@ pub struct SubprocessConfig {
     /// Pool-wide budget of worker restarts after crashes; once spent, the
     /// next crash that empties the pool fails the stage with a typed error.
     pub max_restarts: u32,
-    /// Total memory budget split into per-worker allotments at handshake
-    /// (0 = unlimited).
-    pub budget_total: u64,
     /// Retry/speculation/injection/obs bundle, applied by the attempt ledger
     /// exactly as on the in-process backend.
     pub policy: ExecPolicy,
@@ -90,7 +87,6 @@ impl SubprocessConfig {
             shutdown_grace: Duration::from_secs(2),
             stage_deadline: Some(Duration::from_secs(300)),
             max_restarts: (workers as u32) * 4,
-            budget_total: 0,
             policy: ExecPolicy::default(),
             handshake_overrides: None,
         }
@@ -294,16 +290,10 @@ impl SubprocessTransport {
             .cfg
             .handshake_overrides
             .unwrap_or((PROTOCOL_VERSION, protocol_fingerprint()));
-        let budget = if self.cfg.budget_total == 0 {
-            0
-        } else {
-            (self.cfg.budget_total / self.cfg.workers as u64).max(1)
-        };
         let hello = Frame::Hello {
             version,
             fingerprint,
             worker_id: id,
-            budget_bytes: budget,
             heartbeat_ms: self.cfg.heartbeat.as_millis().max(1) as u64,
         };
         let _ = frame_tx.send((Duration::ZERO, hello)); // a failed send surfaces as WriteErr/Eof
@@ -414,14 +404,9 @@ impl SubprocessTransport {
                 self.slots[idx].last_seen = now;
                 match frame {
                     Frame::Heartbeat { .. } => {}
-                    Frame::HelloAck { budget_bytes, .. } => {
+                    Frame::HelloAck { .. } => {
                         if matches!(self.slots[idx].state, SlotState::Handshaking) {
                             self.slots[idx].state = SlotState::Idle;
-                            self.cfg
-                                .policy
-                                .obs
-                                .gauge("worker.budget_bytes")
-                                .set(budget_bytes as f64);
                         }
                     }
                     Frame::HelloRej { reason } => {

@@ -11,34 +11,24 @@
 //!
 //! The one job is the symbol transpose, driven by [`run_key_transpose`]: the
 //! blocks of a family's [`KeyRows`]. Map tasks carry rows as `u32` symbols —
-//! the vocabulary never travels — partition each posting by **symbol range**
-//! and write each partition's postings as key-sorted `(Symbol, EntityId)`
-//! runs, colstore's `KIND_POSTINGS` segment record. Each
-//! reduce counting-sorts its range into `(symbol, members)` blocks; ranges
-//! are disjoint and ascending, so the coordinator concatenates them in
-//! partition order. [`run_dist`] is a thin adapter that runs string records
-//! through the same job.
+//! the vocabulary never travels — and cut each row into one slice per
+//! **symbol range**, in the same row codec. The coordinator appends every
+//! map result's slices, in mapper order, to the reduce task of their range,
+//! and each reduce counting-sorts its range into `(symbol, members)` blocks;
+//! ranges are disjoint and ascending, so the coordinator concatenates the
+//! reduce results in partition order. [`run_dist`] is a thin adapter that
+//! runs string records through the same job.
 //!
-//! The shuffle never rides in frames — though a map payload carries its
-//! input rows inline and a reduce result its blocks — so a killed worker
-//! leaves at most an unreferenced segment file behind.
+//! The shuffle rides in the task payloads and results like every other byte
+//! of the job, so a run writes no file.
 
 use crate::engine::ExecError;
 use crate::transport::Transport;
-use er_core::colstore::{Posting, Segment, SegmentError, SegmentWriter, POSTING_BYTES};
 use er_core::entity::EntityId;
 use er_core::intern::{Interner, Symbol};
 use er_core::profiles::KeyRows;
 use er_core::wire::{put_bytes, put_u32, put_u64, Decoder, WireError};
-use std::ffi::OsStr;
 use std::ops::Range;
-use std::os::unix::ffi::OsStrExt;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-/// Process-unique sequence for job directories and segment files; combined
-/// with the pid, two concurrent runs can never collide on a path.
-static DIST_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// The name of the one job [`run_task`] runs, and [`run_key_transpose`]
 /// sends.
@@ -59,62 +49,23 @@ pub fn default_registry() -> TaskRegistry {
 // ---------------------------------------------------------------------------
 //
 // A payload is a one-byte tag, header fields, then zero or more records, all
-// in the `er_core::wire` codec; records run to the end of the payload. Paths
-// travel as their OS bytes.
+// in the `er_core::wire` codec; records run to the end of the payload. A row
+// is `entity u32, len u32, len × symbol u32`.
 //
-// Map task: partitions, spill bound, fingerprint, job dir, the vocabulary
-// length, then one record per entity — `entity u32, len u32, len × symbol
-// u32`. Map result: emission and spill counts, then the manifest. Reduce
-// task: partition, fingerprint, the symbol range `lo..hi` (two `u64`s), then
-// segment paths. Reduce result: the count of distinct symbols seen, then one
-// record per symbol with ≥ 2 members, ascending — `symbol u32, count u32,
-// count × entity u32`, members ascending.
+// Map task: partitions, the vocabulary length, then one row per entity. Map
+// result: the emission count, then one slice per partition, ascending — a
+// `u32` byte length, then the task's rows cut to that partition's symbol
+// range, rows with no symbol there left out. Reduce task: the symbol range
+// `lo..hi` (two `u64`s), then that range's slice of every map result, in
+// mapper order, each behind its length. Reduce result: the count of
+// distinct symbols seen, then one record per symbol with ≥ 2 members,
+// ascending — `symbol u32, count u32, count × entity u32`, members
+// ascending.
 
 const MAP_TASK: u8 = b't';
 const REDUCE_TASK: u8 = b'u';
 const MAP_RESULT: u8 = b'M';
 const REDUCE_RESULT: u8 = b'B';
-
-/// One segment a map task wrote: `(partition, path)`.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct SegmentRef {
-    /// Partition the segment belongs to.
-    pub partition: usize,
-    /// Segment file path.
-    pub path: PathBuf,
-}
-
-/// Decoded map-task result: emission count, mid-task spill count, segments
-/// in emission order.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MapResult {
-    /// `(symbol, entity)` postings the task emitted.
-    pub emitted: u64,
-    /// Bound-triggered mid-task spills (the final flush is not counted).
-    pub spills: u64,
-    /// Segments written, in emission order.
-    pub segments: Vec<SegmentRef>,
-}
-
-/// Parses a map-task result payload.
-pub fn decode_map_result(payload: &[u8]) -> Result<MapResult, String> {
-    let bad = |e: WireError| format!("bad map result: {e}");
-    let mut d = tagged(payload, MAP_RESULT, "map result")?;
-    let emitted = d.u64().map_err(bad)?;
-    let spills = d.u64().map_err(bad)?;
-    let mut segments = Vec::new();
-    while !d.is_empty() {
-        segments.push(SegmentRef {
-            partition: d.usize().map_err(bad)?,
-            path: path(&mut d).map_err(bad)?,
-        });
-    }
-    Ok(MapResult {
-        emitted,
-        spills,
-        segments,
-    })
-}
 
 /// A decoder past the tag of `payload`, which must be `tag`.
 fn tagged<'a>(payload: &'a [u8], tag: u8, what: &str) -> Result<Decoder<'a>, String> {
@@ -126,90 +77,24 @@ fn tagged<'a>(payload: &'a [u8], tag: u8, what: &str) -> Result<Decoder<'a>, Str
     }
 }
 
-fn path(d: &mut Decoder<'_>) -> Result<PathBuf, WireError> {
-    Ok(PathBuf::from(OsStr::from_bytes(d.bytes()?)))
-}
-
 // ---------------------------------------------------------------------------
 // Task runner (shared by both transports)
 // ---------------------------------------------------------------------------
 
 /// Runs one task attempt: decodes `payload`, executes the map or reduce of
 /// [`KEY_TRANSPOSE`] — the only job there is; any other name is an error —
-/// and encodes the result payload. Pure up to segment file names, which are
-/// process-unique but never appear in reduce output.
-///
-/// `budget_bytes` is the worker's negotiated memory allotment (0 =
-/// unlimited); it tightens the map-side spill bound so a worker never
-/// buffers more shuffle bytes than its share of the job budget.
-pub fn run_task(
-    job: &str,
-    stage: &str,
-    payload: &[u8],
-    budget_bytes: u64,
-) -> Result<Vec<u8>, String> {
+/// and encodes the result payload. Pure: the same payload yields the same
+/// result bytes on either transport.
+pub fn run_task(job: &str, stage: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
     if job != KEY_TRANSPOSE {
         return Err(format!(
             "unknown job {job:?}: workers run only {KEY_TRANSPOSE:?}"
         ));
     }
     match stage {
-        "map" => run_transpose_map(payload, budget_bytes),
+        "map" => run_transpose_map(payload),
         "reduce" => run_transpose_reduce(payload),
         other => Err(format!("unknown stage {other:?}")),
-    }
-}
-
-/// The map header fields, as [`encode_transpose_map_task`] wrote them.
-struct MapHeader {
-    partitions: usize,
-    /// The configured spill bound tightened by the worker's allotment.
-    bound: u64,
-    fingerprint: u64,
-    dir: PathBuf,
-}
-
-impl MapHeader {
-    fn decode(d: &mut Decoder<'_>, budget_bytes: u64) -> Result<MapHeader, String> {
-        let header = |e: WireError| format!("bad map task header: {e}");
-        let partitions = d.usize().map_err(header)?;
-        let spill_bound = d.u64().map_err(header)?;
-        let fingerprint = d.u64().map_err(header)?;
-        let dir = path(d).map_err(header)?;
-        if partitions == 0 {
-            return Err("map task with zero partitions".to_string());
-        }
-        // The worker's budget allotment tightens the configured bound.
-        let bound = match (spill_bound, budget_bytes) {
-            (0, b) => b,
-            (a, 0) => a,
-            (a, b) => a.min(b),
-        };
-        Ok(MapHeader {
-            partitions,
-            bound,
-            fingerprint,
-            dir,
-        })
-    }
-
-    /// Writes `run` as one segment of partition `p` and adds it to
-    /// `segments`.
-    fn segment(
-        &self,
-        p: usize,
-        segments: &mut Vec<SegmentRef>,
-        run: &[Posting],
-    ) -> Result<(), String> {
-        let seq = DIST_SEQ.fetch_add(1, Ordering::Relaxed);
-        let path = self
-            .dir
-            .join(format!("seg-{}-{seq}-p{p}.seg", std::process::id()));
-        let mut w = SegmentWriter::create(&path, self.fingerprint).map_err(|e| e.to_string())?;
-        w.run(run).map_err(|e| e.to_string())?;
-        w.finish().map_err(|e| e.to_string())?;
-        segments.push(SegmentRef { partition: p, path });
-        Ok(())
     }
 }
 
@@ -241,17 +126,11 @@ fn symbol_range(p: usize, partitions: usize, vocab: u64) -> Range<u64> {
 /// Builds a `key-transpose` map-task payload over the rows of `entities`.
 pub fn encode_transpose_map_task(
     partitions: usize,
-    spill_bound: u64,
-    fingerprint: u64,
-    dir: &Path,
     rows: &KeyRows,
     entities: Range<usize>,
 ) -> Vec<u8> {
     let mut out = vec![MAP_TASK];
     put_u64(&mut out, partitions as u64);
-    put_u64(&mut out, spill_bound);
-    put_u64(&mut out, fingerprint);
-    put_bytes(&mut out, dir.as_os_str().as_bytes());
     put_u64(&mut out, rows.vocabulary().len() as u64);
     for e in entities {
         let row = rows.symbols(EntityId(e as u32));
@@ -264,144 +143,160 @@ pub fn encode_transpose_map_task(
     out
 }
 
-/// Builds a `key-transpose` reduce-task payload for the symbols `range`.
-fn encode_transpose_reduce_task(
-    partition: usize,
-    fingerprint: u64,
-    range: Range<u64>,
-    segments: &[PathBuf],
-) -> Vec<u8> {
-    let mut out = vec![REDUCE_TASK];
-    put_u64(&mut out, partition as u64);
-    put_u64(&mut out, fingerprint);
-    put_u64(&mut out, range.start);
-    put_u64(&mut out, range.end);
-    for s in segments {
-        put_bytes(&mut out, s.as_os_str().as_bytes());
-    }
-    out
-}
-
-/// The transpose map: every posting `(symbol, entity)` of the task's rows
-/// goes to its symbol range's buffer; a buffer that outgrows the spill bound
-/// (charged at the posting's 8 bytes) is flushed as a sorted run, and every
-/// buffer is at the end.
-fn run_transpose_map(payload: &[u8], budget_bytes: u64) -> Result<Vec<u8>, String> {
+/// The transpose map: every row is cut into the slices of its symbols'
+/// ranges, rows in task order and symbols in row order, so no slice needs
+/// sorting.
+fn run_transpose_map(payload: &[u8]) -> Result<Vec<u8>, String> {
+    let header = |e: WireError| format!("bad map task header: {e}");
     let mut d = tagged(payload, MAP_TASK, "map task")?;
-    let h = MapHeader::decode(&mut d, budget_bytes)?;
-    let vocab = d.u64().map_err(|e| format!("bad map task header: {e}"))?;
+    let partitions = d.usize().map_err(header)?;
+    let vocab = d.u64().map_err(header)?;
+    if partitions == 0 {
+        return Err("map task with zero partitions".to_string());
+    }
 
-    let mut buffers: Vec<Vec<Posting>> = vec![Vec::new(); h.partitions];
+    let mut slices: Vec<Vec<u8>> = vec![Vec::new(); partitions];
+    // Per slice the current row has reached: its count field and count.
+    let mut open: Vec<Option<(usize, u32)>> = vec![None; partitions];
     let mut emitted: u64 = 0;
-    let mut spills: u64 = 0;
-    let mut segments: Vec<SegmentRef> = Vec::new();
-    let flush = |p: usize, run: &mut Vec<Posting>, segments: &mut Vec<SegmentRef>| {
-        run.sort_unstable();
-        h.segment(p, segments, run)?;
-        run.clear();
-        Ok::<(), String>(())
-    };
-
     let bad = |e: WireError| format!("bad map task record: {e}");
     while !d.is_empty() {
-        let entity = EntityId(d.u32().map_err(bad)?);
+        let entity = d.u32().map_err(bad)?;
         let len = d.u32().map_err(bad)?;
+        open.fill(None);
         for _ in 0..len {
             let at = d.offset();
             let s = d.u32().map_err(bad)?;
             if u64::from(s) >= vocab {
                 return Err(format!(
-                    "bad map task record at byte {at}: symbol {s} of entity {} is outside \
-                     the {vocab}-key vocabulary",
-                    entity.0
+                    "bad map task record at byte {at}: symbol {s} of entity {entity} is outside \
+                     the {vocab}-key vocabulary"
                 ));
             }
-            let p = symbol_partition(s, h.partitions, vocab);
-            let run = &mut buffers[p];
-            run.push((Symbol(s), entity));
+            let p = symbol_partition(s, partitions, vocab);
+            let slice = &mut slices[p];
+            let (count_at, count) = open[p].get_or_insert_with(|| {
+                put_u32(slice, entity);
+                put_u32(slice, 0);
+                (slice.len() - 4, 0)
+            });
+            *count += 1;
+            slice[*count_at..*count_at + 4].copy_from_slice(&count.to_le_bytes());
+            put_u32(slice, s);
             emitted += 1;
-            if h.bound > 0 && (run.len() * POSTING_BYTES) as u64 > h.bound {
-                flush(p, run, &mut segments)?;
-                spills += 1;
-            }
         }
     }
-    for (p, run) in buffers.iter_mut().enumerate() {
-        if !run.is_empty() {
-            flush(p, run, &mut segments)?;
-        }
-    }
-    let mut out = vec![MAP_RESULT];
+    let bytes: usize = slices.iter().map(|s| 4 + s.len()).sum();
+    let mut out = Vec::with_capacity(9 + bytes);
+    out.push(MAP_RESULT);
     put_u64(&mut out, emitted);
-    put_u64(&mut out, spills);
-    for s in &segments {
-        put_u64(&mut out, s.partition as u64);
-        put_bytes(&mut out, s.path.as_os_str().as_bytes());
+    for slice in &slices {
+        put_bytes(&mut out, slice);
     }
     Ok(out)
 }
 
-/// The transpose reduce: the range's runs in mapper order, counting-sorted
-/// by symbol. Mappers hold ascending entity chunks and each run is sorted,
-/// so every symbol's members arrive ascending; the reduce checks that
-/// rather than trusting it.
+/// A `key-transpose` reduce-task header for the symbols `range`; the
+/// coordinator appends the slices.
+fn transpose_reduce_header(range: Range<u64>) -> Vec<u8> {
+    let mut out = vec![REDUCE_TASK];
+    put_u64(&mut out, range.start);
+    put_u64(&mut out, range.end);
+    out
+}
+
+/// Appends the slices of one map result to the reduce payloads, slice `p`
+/// to payload `p`, behind its length; returns the result's emission count.
+/// The result must hold one slice per payload.
+fn append_slices(result: &[u8], reduce: &mut [Vec<u8>]) -> Result<u64, String> {
+    let bad = |e: WireError| format!("bad map result: {e}");
+    let mut d = tagged(result, MAP_RESULT, "map result")?;
+    let emitted = d.u64().map_err(bad)?;
+    let mut slices = 0;
+    while !d.is_empty() {
+        let slice = d
+            .bytes()
+            .map_err(|e| format!("bad map result: slice {slices}: {e}"))?;
+        if let Some(payload) = reduce.get_mut(slices) {
+            put_bytes(payload, slice);
+        }
+        slices += 1;
+    }
+    if slices != reduce.len() {
+        return Err(format!(
+            "bad map result: {slices} slice(s), expected one per partition ({})",
+            reduce.len()
+        ));
+    }
+    Ok(emitted)
+}
+
+/// Calls `f` on every `(symbol, entity)` posting of the slices `d` holds,
+/// in arrival order, after checking that the symbol lies in `range`.
+fn for_each_posting(
+    mut d: Decoder<'_>,
+    range: &Range<u64>,
+    mut f: impl FnMut(u32, EntityId),
+) -> Result<(), String> {
+    let mut mapper = 0;
+    while !d.is_empty() {
+        let cut = |e: WireError| format!("bad shuffle slice of map task {mapper}: {e}");
+        let at = d.offset() + 4;
+        let mut rows = Decoder::at(d.bytes().map_err(cut)?, at);
+        while !rows.is_empty() {
+            let entity = EntityId(rows.u32().map_err(cut)?);
+            for _ in 0..rows.u32().map_err(cut)? {
+                let s = rows.u32().map_err(cut)?;
+                if !range.contains(&u64::from(s)) {
+                    return Err(format!(
+                        "shuffle slice of map task {mapper}: posting ({s}, {}) is outside this \
+                         reduce's symbol range {}..{}",
+                        entity.0, range.start, range.end
+                    ));
+                }
+                f(s, entity);
+            }
+        }
+        mapper += 1;
+    }
+    Ok(())
+}
+
+/// The transpose reduce: the range's slices in mapper order, counting-sorted
+/// by symbol in two passes over the payload. Mappers hold ascending entity
+/// chunks and keep their rows in order, so every symbol's members arrive
+/// ascending; the reduce checks that rather than trusting it.
 fn run_transpose_reduce(payload: &[u8]) -> Result<Vec<u8>, String> {
     let header = |e: WireError| format!("bad reduce task header: {e}");
     let mut d = tagged(payload, REDUCE_TASK, "reduce task")?;
-    let _partition = d.u64().map_err(header)?;
-    let fingerprint = d.u64().map_err(header)?;
     let lo = d.u64().map_err(header)?;
     let hi = d.u64().map_err(header)?;
     if lo > hi || hi > 1 << 32 {
         return Err(format!("bad reduce task header: symbol range {lo}..{hi}"));
     }
-
-    let mut postings: Vec<Posting> = Vec::new();
-    while !d.is_empty() {
-        let path = path(&mut d).map_err(|e| format!("bad reduce task segment path: {e}"))?;
-        let shuffle = |e: SegmentError| format!("shuffle {e}");
-        let seg = Segment::open(&path, fingerprint).map_err(shuffle)?;
-        for section in 0..seg.sections().len() {
-            let mut run = seg.run(section).map_err(shuffle)?;
-            while let Some((s, e)) = run.next().map_err(shuffle)? {
-                if !(lo..hi).contains(&u64::from(s.0)) {
-                    return Err(format!(
-                        "shuffle segment {}: posting ({}, {}) is outside this reduce's \
-                         symbol range {lo}..{hi}",
-                        path.display(),
-                        s.0,
-                        e.0
-                    ));
-                }
-                postings.push((s, e));
-            }
-        }
-    }
+    let range = lo..hi;
 
     // Counting sort: `start[k]..start[k + 1]` are the members of symbol
-    // `lo + k`, placed in arrival order.
-    let width = if postings.is_empty() {
-        0
-    } else {
-        (hi - lo) as usize
-    };
-    let mut start = vec![0u32; width + 1];
-    let mut groups: u64 = 0;
-    for (s, _) in &postings {
-        let count = &mut start[(u64::from(s.0) - lo) as usize + 1];
-        groups += u64::from(*count == 0);
-        *count += 1;
-    }
+    // `lo + k`, placed in arrival order. The table is sized on the first
+    // posting, so an empty range costs nothing.
+    let mut start: Vec<u32> = Vec::new();
+    for_each_posting(d.clone(), &range, |s, _| {
+        if start.is_empty() {
+            start = vec![0; (hi - lo) as usize + 1];
+        }
+        start[(u64::from(s) - lo) as usize + 1] += 1;
+    })?;
+    let groups = start.iter().filter(|&&count| count > 0).count() as u64;
     for k in 1..start.len() {
         start[k] += start[k - 1];
     }
     let mut next = start.clone();
-    let mut members = vec![EntityId(0); postings.len()];
-    for (s, e) in postings {
-        let slot = &mut next[(u64::from(s.0) - lo) as usize];
+    let mut members = vec![EntityId(0); start.last().map_or(0, |&n| n as usize)];
+    for_each_posting(d, &range, |s, e| {
+        let slot = &mut next[(u64::from(s) - lo) as usize];
         members[*slot as usize] = e;
         *slot += 1;
-    }
+    })?;
 
     let mut out = vec![REDUCE_RESULT];
     put_u64(&mut out, groups);
@@ -486,23 +381,13 @@ fn decode_transpose_result(
 // Driver
 // ---------------------------------------------------------------------------
 
-/// Shape of a distributed run: task/partition counts, spill configuration,
-/// and the fingerprint binding every segment file to this job.
+/// Shape of a distributed run: its task and partition counts.
 #[derive(Clone, Debug)]
 pub struct DistOptions {
     /// Number of map tasks (inputs are chunked contiguously).
     pub map_tasks: usize,
     /// Number of shuffle partitions == reduce tasks.
     pub partitions: usize,
-    /// Directory for the job's spill tree (default: the OS temp dir). Each
-    /// run creates a `pid + sequence`-unique subdirectory, so concurrent
-    /// runs sharing a spill root never cross-talk.
-    pub spill_dir: Option<PathBuf>,
-    /// Map-side per-partition buffer bound in bytes (0 = flush only at task
-    /// end); workers further tighten it to their budget allotment.
-    pub spill_bound: u64,
-    /// Fingerprint stamped on every segment file of this job.
-    pub fingerprint: u64,
 }
 
 impl DistOptions {
@@ -512,9 +397,6 @@ impl DistOptions {
         DistOptions {
             map_tasks: w * 2,
             partitions: w,
-            spill_dir: None,
-            spill_bound: 0,
-            fingerprint: 0xe12_d157,
         }
     }
 }
@@ -530,10 +412,6 @@ pub struct DistStats {
     pub map_output_records: u64,
     /// Distinct symbols across all reduce tasks.
     pub reduce_groups: u64,
-    /// Segment files written.
-    pub segments: u64,
-    /// Bound-triggered mid-task spills.
-    pub spills: u64,
     /// Task attempts retried after typed failures (both stages).
     pub retried: u64,
     /// Speculative backup attempts launched (both stages).
@@ -558,17 +436,7 @@ impl DistStats {
             .add(self.speculated);
         obs.counter("mapreduce.tasks_reassigned")
             .add(self.reassigned);
-        obs.counter("mapreduce.partitions_spilled").add(self.spills);
         obs.counter("mapreduce.jobs").incr();
-    }
-}
-
-/// Removes the job's spill directory on every exit path.
-struct JobDirGuard(PathBuf);
-
-impl Drop for JobDirGuard {
-    fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.0);
     }
 }
 
@@ -597,17 +465,16 @@ pub struct TransposeOutput {
 /// ids — the blocks of `er_blocking::block::blocks_from_profiles` before
 /// their keys are rendered.
 ///
-/// The job walk: a fresh job directory, removed on every exit path; the map
-/// stage over contiguous chunks of rows, so members arrive in entity order;
-/// the map results' manifests collected per partition; and the reduce stage
-/// over each partition's segments, in mapper order. Partitions are
+/// The job walk: the map stage over contiguous chunks of rows, so members
+/// arrive in entity order; the map payloads dropped and each map result's
+/// slices appended, in mapper order, to the reduce payload of their
+/// partition; and the reduce stage over those payloads. Partitions are
 /// ascending symbol ranges, so concatenating the reduce results in
 /// partition order is symbol order — which is key order, the vocabulary
 /// being sorted. Deterministic: for fixed `rows` and `opts` the output is
 /// bit-identical across transports, worker, task and partition counts,
-/// spill bounds, retries, speculation and worker crashes — the in-process
-/// transport is the oracle the subprocess backend is property-tested
-/// against.
+/// retries, speculation and worker crashes — the in-process transport is
+/// the oracle the subprocess backend is property-tested against.
 pub fn run_key_transpose(
     transport: &mut dyn Transport,
     rows: &KeyRows,
@@ -619,27 +486,13 @@ pub fn run_key_transpose(
     }
     let partitions = opts.partitions.max(1);
     let chunk = rows.len().div_ceil(opts.map_tasks.max(1));
-    let base = opts.spill_dir.clone().unwrap_or_else(std::env::temp_dir);
-    let dir = base.join(format!(
-        "er-dist-{}-{}",
-        std::process::id(),
-        DIST_SEQ.fetch_add(1, Ordering::Relaxed)
-    ));
-    std::fs::create_dir_all(&dir).map_err(|e| ExecError {
-        stage: "setup".to_string(),
-        task: 0,
-        attempts: 0,
-        message: format!("cannot create job dir {}: {e}", dir.display()),
-    })?;
-    let _guard = JobDirGuard(dir.clone());
 
     // ---- map ---------------------------------------------------------------
     let map_payloads: Vec<Vec<u8>> = (0..rows.len())
         .step_by(chunk)
         .map(|first| {
             let entities = first..(first + chunk).min(rows.len());
-            let (bound, fingerprint) = (opts.spill_bound, opts.fingerprint);
-            encode_transpose_map_task(partitions, bound, fingerprint, &dir, rows, entities)
+            encode_transpose_map_task(partitions, rows, entities)
         })
         .collect();
     let map_out = transport.run_stage(KEY_TRANSPOSE, "map", &map_payloads)?;
@@ -650,34 +503,21 @@ pub fn run_key_transpose(
         reassigned: map_out.reassigned,
         ..DistStats::default()
     };
-    let mut per_partition: Vec<Vec<PathBuf>> = vec![Vec::new(); partitions];
-    for (task, payload) in map_out.results.iter().enumerate() {
-        let r = decode_map_result(payload).map_err(|m| collect_err(task, m))?;
-        stats.map_output_records += r.emitted;
-        stats.spills += r.spills;
-        stats.segments += r.segments.len() as u64;
-        for seg in r.segments {
-            if seg.partition >= partitions {
-                return Err(collect_err(
-                    task,
-                    format!("segment for out-of-range partition {}", seg.partition),
-                ));
-            }
-            per_partition[seg.partition].push(seg.path);
-        }
+    drop(map_payloads);
+
+    // ---- shuffle -----------------------------------------------------------
+    let mut reduce_payloads: Vec<Vec<u8>> = (0..partitions)
+        .map(|p| transpose_reduce_header(symbol_range(p, partitions, vocab)))
+        .collect();
+    for (task, result) in map_out.results.into_iter().enumerate() {
+        stats.map_output_records +=
+            append_slices(&result, &mut reduce_payloads).map_err(|m| collect_err(task, m))?;
     }
 
     // ---- reduce ------------------------------------------------------------
-    let reduce_payloads: Vec<Vec<u8>> = per_partition
-        .iter()
-        .enumerate()
-        .map(|(p, segs)| {
-            let range = symbol_range(p, partitions, vocab);
-            encode_transpose_reduce_task(p, opts.fingerprint, range, segs)
-        })
-        .collect();
     let red_out = transport.run_stage(KEY_TRANSPOSE, "reduce", &reduce_payloads)?;
     stats.reduce_tasks = reduce_payloads.len() as u64;
+    drop(reduce_payloads);
     stats.retried += red_out.retried;
     stats.speculated += red_out.speculated;
     stats.reassigned += red_out.reassigned;
@@ -814,7 +654,6 @@ pub(crate) mod tests {
             &DistOptions {
                 map_tasks: 2,
                 partitions: 2,
-                ..DistOptions::for_workers(1)
             },
         );
         for workers in [2usize, 4] {
@@ -822,7 +661,6 @@ pub(crate) mod tests {
                 let opts = DistOptions {
                     map_tasks: mt,
                     partitions: parts,
-                    ..DistOptions::for_workers(workers)
                 };
                 let out = transpose(workers, &rows, &opts);
                 let shape = format!("workers={workers} mt={mt} parts={parts}");
@@ -833,22 +671,6 @@ pub(crate) mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn spill_bound_changes_segments_not_output() {
-        // A 1-byte bound flushes every posting as its own one-record run.
-        let rows = key_rows(60, 12, 0x5b1);
-        let unbounded = transpose(2, &rows, &DistOptions::for_workers(2));
-        let opts = DistOptions {
-            spill_bound: 1,
-            ..DistOptions::for_workers(2)
-        };
-        let tiny = transpose(2, &rows, &opts);
-        assert_eq!(unbounded.blocks, tiny.blocks);
-        let postings = rows.n_symbols() as u64;
-        assert_eq!(tiny.stats.spills, postings, "one spill per posting");
-        assert_eq!(tiny.stats.segments, postings, "one segment per posting");
     }
 
     #[test]
@@ -876,82 +698,6 @@ pub(crate) mod tests {
     }
 
     #[test]
-    fn job_dir_is_removed_after_the_run() {
-        let base = std::env::temp_dir().join(format!("er-dist-test-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&base);
-        std::fs::create_dir_all(&base).unwrap();
-        let opts = DistOptions {
-            spill_dir: Some(base.clone()),
-            ..DistOptions::for_workers(2)
-        };
-        assert!(!transpose(2, &key_rows(40, 8, 0xd1), &opts)
-            .blocks
-            .is_empty());
-        let leftovers: Vec<_> = std::fs::read_dir(&base).unwrap().collect();
-        assert!(
-            leftovers.is_empty(),
-            "job dir must be cleaned: {leftovers:?}"
-        );
-        let _ = std::fs::remove_dir_all(&base);
-    }
-
-    /// In-process transport that cuts the first segment of the first map
-    /// task to `keep(bytes)` bytes before the reduce stage reads it.
-    struct Truncating {
-        inner: InProcessTransport,
-        keep: fn(&[u8]) -> usize,
-        partition: Option<usize>,
-    }
-
-    impl Transport for Truncating {
-        fn run_stage(
-            &mut self,
-            job: &str,
-            stage: &str,
-            payloads: &[Vec<u8>],
-        ) -> Result<crate::transport::StageOutput, ExecError> {
-            let out = self.inner.run_stage(job, stage, payloads)?;
-            if stage == "map" {
-                let seg = decode_map_result(&out.results[0]).unwrap().segments[0].clone();
-                let bytes = std::fs::read(&seg.path).unwrap();
-                std::fs::write(&seg.path, &bytes[..(self.keep)(&bytes)]).unwrap();
-                self.partition = Some(seg.partition);
-            }
-            Ok(out)
-        }
-    }
-
-    /// Runs a two-worker transpose whose first segment is cut to
-    /// `keep(bytes)` bytes and checks the typed reduce error it must end in.
-    fn assert_truncation_is_typed(keep: fn(&[u8]) -> usize) {
-        let mut t = Truncating {
-            inner: InProcessTransport::new(
-                2,
-                ExecPolicy::retrying(er_core::fault::RetryPolicy::attempts(2)),
-            ),
-            keep,
-            partition: None,
-        };
-        let rows = key_rows(300, 50, 0x5eed);
-        let err = run_key_transpose(&mut t, &rows, &DistOptions::for_workers(2))
-            .expect_err("a truncated segment must fail the run, never yield blocks");
-        assert_eq!(err.stage, "reduce", "{err}");
-        assert_eq!(Some(err.task), t.partition, "{err}");
-        assert_eq!(err.attempts, 2, "{err}");
-        assert!(err.message.contains("shuffle segment"), "{err}");
-        assert!(err.message.contains("truncated at byte"), "{err}");
-    }
-
-    #[test]
-    fn truncated_segment_is_a_typed_reduce_error_naming_the_truncation() {
-        use er_core::colstore::{FOOTER_LEN, HEADER_LEN};
-        // Part of the footer, the whole footer, everything past the header.
-        assert_truncation_is_typed(|b| b.len() - 2);
-        assert_truncation_is_typed(|b| b.len() - FOOTER_LEN as usize);
-        assert_truncation_is_typed(|_| HEADER_LEN as usize);
-    }
-
-    #[test]
     fn symbol_ranges_tile_the_vocabulary_in_partition_order() {
         for vocab in 1..40u64 {
             for partitions in 1..8usize {
@@ -976,61 +722,42 @@ pub(crate) mod tests {
             let (want, distinct) = serial_transpose(&rows);
             for workers in [1usize, 3] {
                 for (map_tasks, partitions) in [(1usize, 1usize), (3, 2), (7, 5)] {
-                    for spill_bound in [0u64, 64] {
-                        let mut t = InProcessTransport::new(workers, ExecPolicy::default());
-                        let opts = DistOptions {
-                            map_tasks,
-                            partitions,
-                            spill_bound,
-                            ..DistOptions::for_workers(workers)
-                        };
-                        let out = run_key_transpose(&mut t, &rows, &opts).unwrap();
-                        let shape = format!(
-                            "n={n} vocab={vocab} workers={workers} mt={map_tasks} \
-                             parts={partitions} bound={spill_bound}"
-                        );
-                        assert_eq!(out.blocks, want, "{shape}");
-                        assert_eq!(out.stats.reduce_groups, distinct, "{shape}");
-                        let postings = rows.n_symbols() as u64;
-                        assert_eq!(out.stats.map_output_records, postings, "{shape}");
-                    }
+                    let mut t = InProcessTransport::new(workers, ExecPolicy::default());
+                    let opts = DistOptions {
+                        map_tasks,
+                        partitions,
+                    };
+                    let out = run_key_transpose(&mut t, &rows, &opts).unwrap();
+                    let shape = format!(
+                        "n={n} vocab={vocab} workers={workers} mt={map_tasks} parts={partitions}"
+                    );
+                    assert_eq!(out.blocks, want, "{shape}");
+                    assert_eq!(out.stats.reduce_groups, distinct, "{shape}");
+                    let postings = rows.n_symbols() as u64;
+                    assert_eq!(out.stats.map_output_records, postings, "{shape}");
                 }
             }
         }
     }
 
     #[test]
-    fn transpose_spill_bound_splits_runs_not_blocks() {
-        let rows = key_rows(300, 50, 0xb0b);
-        let run = |spill_bound| {
-            let mut t = InProcessTransport::new(2, ExecPolicy::default());
-            let opts = DistOptions {
-                spill_bound,
-                ..DistOptions::for_workers(2)
-            };
-            run_key_transpose(&mut t, &rows, &opts).unwrap()
-        };
-        let (unbounded, bounded) = (run(0), run(64));
-        assert_eq!(unbounded.stats.spills, 0);
-        assert!(bounded.stats.spills > 0, "a 64-byte bound must spill");
-        assert!(bounded.stats.segments > unbounded.stats.segments);
-        assert_eq!(bounded.blocks, unbounded.blocks);
-    }
-
-    #[test]
-    fn worker_budget_tightens_the_transpose_spill_bound() {
-        let rows = key_rows(100, 20, 0xb1d);
-        let dir = std::env::temp_dir().join(format!("er-dist-budget-{}", std::process::id()));
-        let payload = encode_transpose_map_task(2, 0, 7, &dir, &rows, 0..rows.len());
-        let map = |budget| {
-            let result = run_task(KEY_TRANSPOSE, "map", &payload, budget);
-            decode_map_result(&result.unwrap()).unwrap()
-        };
-        let (unlimited, budgeted) = (map(0), map(64));
-        let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(unlimited.spills, 0);
-        assert!(budgeted.spills > 0, "a 64-byte allotment must spill");
-        assert_eq!(budgeted.emitted, unlimited.emitted);
+    fn map_results_slice_each_row_by_symbol_range() {
+        // Two ranges of a four-key vocabulary: symbols 0..2 and 2..4.
+        let rows = KeyRows::from_rows(
+            (0..4).map(|k| format!("k{k}")).collect(),
+            &[3, 1, 0, 2],
+            [0, 2, 3, 1, 2, 3].map(Symbol).to_vec(),
+        );
+        let payload = encode_transpose_map_task(2, &rows, 0..rows.len());
+        let result = run_task(KEY_TRANSPOSE, "map", &payload).unwrap();
+        let words = |ws: &[u32]| -> Vec<u8> { ws.iter().flat_map(|w| w.to_le_bytes()).collect() };
+        let mut want = vec![MAP_RESULT];
+        put_u64(&mut want, 6);
+        // Entity 0 in both ranges, entity 1 in the first only, entity 2
+        // (no keys) in neither, entity 3 in the second only.
+        put_bytes(&mut want, &words(&[0, 1, 0, 1, 1, 1]));
+        put_bytes(&mut want, &words(&[0, 2, 2, 3, 3, 2, 2, 3]));
+        assert_eq!(result, want);
     }
 
     /// Rewrites one stage's task payloads or results in place.
@@ -1083,13 +810,10 @@ pub(crate) mod tests {
     #[test]
     fn a_map_symbol_past_the_vocabulary_is_a_typed_map_error() {
         // Map task 1's header claims a one-key vocabulary: its vocabulary
-        // length follows the tag, three u64s and the job dir.
+        // length follows the tag and the partition count.
         let err = tampered(
             "map",
-            |p| {
-                let at = 29 + u32_at(&p[1], 25) as usize;
-                p[1][at..at + 8].copy_from_slice(&1u64.to_le_bytes());
-            },
+            |p| p[1][9..17].copy_from_slice(&1u64.to_le_bytes()),
             |_| {},
         );
         assert_eq!((err.stage.as_str(), err.task), ("map", 1), "{err}");
@@ -1101,11 +825,11 @@ pub(crate) mod tests {
 
     #[test]
     fn a_posting_outside_the_reduce_range_is_a_typed_reduce_error() {
-        // Reduce 0 is told its range `lo..hi` (bytes 17..33) ends one symbol
+        // Reduce 0 is told its range `lo..hi` (bytes 1..17) ends one symbol
         // past its start.
         let err = tampered(
             "reduce",
-            |p| p[0][25..33].copy_from_slice(&1u64.to_le_bytes()),
+            |p| p[0][9..17].copy_from_slice(&1u64.to_le_bytes()),
             |_| {},
         );
         assert_eq!((err.stage.as_str(), err.task), ("reduce", 0), "{err}");
@@ -1140,18 +864,112 @@ pub(crate) mod tests {
         }
     }
 
+    /// Map result 0's first slice: its length sits at bytes 9..13, after the
+    /// tag and the emission count.
+    fn first_slice_len(r: &[Vec<u8>]) -> usize {
+        u32_at(&r[0], 9) as usize
+    }
+
+    #[test]
+    fn a_map_result_with_the_wrong_slice_count_is_a_typed_collect_error() {
+        // Map result 0 loses its second slice, or gains an empty third.
+        let cases: [(Rewrite, &str); 2] = [
+            (
+                |r| {
+                    let end = 13 + first_slice_len(r);
+                    r[0].truncate(end);
+                },
+                "1 slice(s), expected one per partition (2)",
+            ),
+            (
+                |r| r[0].extend([0, 0, 0, 0]),
+                "3 slice(s), expected one per partition (2)",
+            ),
+        ];
+        for (results, cause) in cases {
+            let err = tampered("map", |_| {}, results);
+            assert_eq!((err.stage.as_str(), err.task), ("collect", 0), "{err}");
+            assert!(err.message.contains(cause), "{cause}: {err}");
+        }
+    }
+
+    #[test]
+    fn a_cut_shuffle_slice_is_a_typed_error_naming_stage_and_task() {
+        // Map result 1 ends three bytes short: its last slice's length
+        // outruns the result, which the coordinator refuses.
+        let err = tampered(
+            "map",
+            |_| {},
+            |r| {
+                let len = r[1].len();
+                r[1].truncate(len - 3);
+            },
+        );
+        assert_eq!((err.stage.as_str(), err.task), ("collect", 1), "{err}");
+        assert!(err.message.contains("slice 1: truncated at byte"), "{err}");
+    }
+
+    /// Map result `M`'s first slice keeps only the first `keep(len)` of its
+    /// `len` bytes, and its length says so: the framing holds, and only the
+    /// reduce finds the row cut.
+    fn cut_first_slice<const M: usize>(r: &mut [Vec<u8>], keep: impl Fn(usize) -> usize) {
+        let len = u32_at(&r[M], 9) as usize;
+        let kept = keep(len);
+        r[M][9..13].copy_from_slice(&(kept as u32).to_le_bytes());
+        r[M].drain(13 + kept..13 + len);
+    }
+
+    #[test]
+    fn truncated_segment_is_a_typed_reduce_error_naming_the_truncation() {
+        // The last row of map result 0's first slice loses one byte, two
+        // bytes, or its whole last posting. Every row holds a posting.
+        let cuts: [Rewrite; 3] = [
+            |r| cut_first_slice::<0>(r, |len| len - 1),
+            |r| cut_first_slice::<0>(r, |len| len - 2),
+            |r| cut_first_slice::<0>(r, |len| len - 4),
+        ];
+        for results in cuts {
+            let err = tampered("map", |_| {}, results);
+            assert_eq!((err.stage.as_str(), err.task), ("reduce", 0), "{err}");
+            assert!(
+                err.message
+                    .contains("bad shuffle slice of map task 0: truncated at byte"),
+                "{err}"
+            );
+        }
+    }
+
     #[test]
     fn truncated_postings_segment_is_a_typed_reduce_error() {
-        use er_core::colstore::{HEADER_LEN, SECTION_HEADER_LEN};
-        // Mid-record: inside the second posting of the run.
-        assert_truncation_is_typed(|_| (HEADER_LEN + SECTION_HEADER_LEN + 8 + 12) as usize);
+        // Mid-record: map result 1's first slice ends two bytes into the
+        // first posting of its first row, after the entity and the count.
+        let err = tampered("map", |_| {}, |r| cut_first_slice::<1>(r, |_| 10));
+        assert_eq!((err.stage.as_str(), err.task), ("reduce", 0), "{err}");
+        assert!(
+            err.message
+                .contains("bad shuffle slice of map task 1: truncated at byte"),
+            "{err}"
+        );
+    }
+
+    #[test]
+    fn members_out_of_order_are_a_typed_reduce_error() {
+        // The first row of map result 1's first slice claims entity 0, which
+        // arrives after map task 0's rows.
+        let err = tampered(
+            "map",
+            |_| {},
+            |r| r[1][13..17].copy_from_slice(&0u32.to_le_bytes()),
+        );
+        assert_eq!((err.stage.as_str(), err.task), ("reduce", 0), "{err}");
+        assert!(err.message.contains("arrived after entity"), "{err}");
     }
 
     #[test]
     fn unknown_job_is_a_typed_error() {
         // A worker runs only the transpose, on either stage.
         for stage in ["map", "reduce"] {
-            let err = run_task("no-such-job", stage, &[], 0).unwrap_err();
+            let err = run_task("no-such-job", stage, &[]).unwrap_err();
             assert!(err.contains("unknown job \"no-such-job\""), "{err}");
         }
         let mut t = InProcessTransport::new(1, ExecPolicy::default());

@@ -4,7 +4,7 @@
 //! [`run_key_transpose`](crate::dist::run_key_transpose) over key rows
 //! (with [`run_dist`](crate::dist::run_dist), a frozen adapter that feeds it
 //! string records): chunk the rows into map tasks, **partition** their
-//! postings by symbol range into spill segments, and reduce each
+//! postings by symbol range into slices of the map results, and reduce each
 //! partition's symbols in ascending order. Results come back sorted by key,
 //! which makes the output independent of the worker count — the property
 //! every equivalence test in this workspace relies on. On
@@ -364,26 +364,27 @@ mod tests {
     }
 
     #[test]
-    fn spilling_composes_with_seeded_faults() {
-        // The bounded shuffle is the transpose's spill bound: a 1-byte bound
-        // flushes every posting to its own segment, and absorbable seeded
-        // faults on top must still leave the output equal to the oracle.
+    fn the_shuffle_composes_with_seeded_faults_at_every_partition_count() {
+        // Every map result carries one slice per partition, however many
+        // partitions (and so however thin the slices) the job has: with
+        // absorbable seeded faults on top the output still equals the oracle.
         let texts = shared_texts();
         let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
         let (rows, reference) = (word_rows(&refs), reference(&refs));
         let mut total_faults = 0;
         for seed in 0..4u64 {
-            let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
-            let policy = injecting(fast_retry(4), plan);
-            let mut t = InProcessTransport::new(3, policy.clone());
-            let opts = DistOptions {
-                spill_bound: 1,
-                ..DistOptions::for_workers(3)
-            };
-            let out = run_key_transpose(&mut t, &rows, &opts).unwrap();
-            assert_eq!(out.blocks, reference, "seed={seed}");
-            assert!(out.stats.spills > 0);
-            total_faults += policy.faults_injected();
+            for partitions in [1usize, 3, 16] {
+                let plan = FaultPlan::seeded(er_core::fault::SeededFaults::absorbable(seed));
+                let policy = injecting(fast_retry(4), plan);
+                let mut t = InProcessTransport::new(3, policy.clone());
+                let opts = DistOptions {
+                    map_tasks: 6,
+                    partitions,
+                };
+                let out = run_key_transpose(&mut t, &rows, &opts).unwrap();
+                assert_eq!(out.blocks, reference, "seed={seed} partitions={partitions}");
+                total_faults += policy.faults_injected();
+            }
         }
         assert!(total_faults > 0, "the sweep must actually inject faults");
     }

@@ -30,9 +30,10 @@
 //!   task envelopes, heartbeats, typed result/error frames).
 //! * [`transport`] — the [`Transport`] seam: in-process threads (the
 //!   bit-exactness oracle) or supervised worker processes.
-//! * [`dist`] — the transport-agnostic job: task payloads, the spill-file
-//!   data plane (the bounded shuffle, `DistOptions::spill_bound`), the
-//!   [`run_key_transpose`] job walk and the [`run_dist`] adapter.
+//! * [`dist`] — the transport-agnostic job: task payloads, the shuffle
+//!   (each map result's per-range slices, appended to the reduce payloads by
+//!   the coordinator), the [`run_key_transpose`] job walk and the
+//!   [`run_dist`] adapter. The job writes no file.
 //! * [`coordinator`] — the multi-process backend: spawning, heartbeat
 //!   liveness, crash reassignment, restart budgets, zombie reaping.
 //! * [`worker`] — the `er --worker` child-process entry point.

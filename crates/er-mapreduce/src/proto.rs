@@ -21,7 +21,7 @@ use std::io::{Read, Write};
 
 /// Protocol revision; bumped whenever the frame schema changes. A handshake
 /// between binaries speaking different revisions is rejected.
-pub const PROTOCOL_VERSION: u32 = 2;
+pub const PROTOCOL_VERSION: u32 = 3;
 
 /// Upper bound on a single frame payload. A length prefix above this is a
 /// typed [`FrameError::Oversized`], not an allocation attempt: a corrupt or
@@ -111,10 +111,6 @@ pub enum Frame {
         fingerprint: u64,
         /// Identifier the coordinator assigned this worker.
         worker_id: u64,
-        /// Per-worker memory allotment in bytes (0 = unlimited); the
-        /// worker's share of the job's budget, negotiated here instead of a
-        /// shared atomic account.
-        budget_bytes: u64,
         /// Requested heartbeat cadence in milliseconds.
         heartbeat_ms: u64,
     },
@@ -124,8 +120,6 @@ pub enum Frame {
         worker_id: u64,
         /// Worker OS process id.
         pid: u32,
-        /// Budget the worker accepted (echo of the allotment).
-        budget_bytes: u64,
     },
     /// Worker → coordinator: terms rejected; the worker exits after sending.
     HelloRej {
@@ -192,25 +186,18 @@ impl Frame {
                 version,
                 fingerprint,
                 worker_id,
-                budget_bytes,
                 heartbeat_ms,
             } => {
                 out.push(TAG_HELLO);
                 put_u32(&mut out, *version);
                 put_u64(&mut out, *fingerprint);
                 put_u64(&mut out, *worker_id);
-                put_u64(&mut out, *budget_bytes);
                 put_u64(&mut out, *heartbeat_ms);
             }
-            Frame::HelloAck {
-                worker_id,
-                pid,
-                budget_bytes,
-            } => {
+            Frame::HelloAck { worker_id, pid } => {
                 out.push(TAG_HELLO_ACK);
                 put_u64(&mut out, *worker_id);
                 put_u32(&mut out, *pid);
-                put_u64(&mut out, *budget_bytes);
             }
             Frame::HelloRej { reason } => {
                 out.push(TAG_HELLO_REJ);
@@ -271,13 +258,11 @@ impl Frame {
                     version: d.u32()?,
                     fingerprint: d.u64()?,
                     worker_id: d.u64()?,
-                    budget_bytes: d.u64()?,
                     heartbeat_ms: d.u64()?,
                 },
                 TAG_HELLO_ACK => Frame::HelloAck {
                     worker_id: d.u64()?,
                     pid: d.u32()?,
-                    budget_bytes: d.u64()?,
                 },
                 TAG_HELLO_REJ => Frame::HelloRej {
                     reason: d.str()?.to_string(),
@@ -427,13 +412,11 @@ mod tests {
                 version: PROTOCOL_VERSION,
                 fingerprint: protocol_fingerprint(),
                 worker_id: 3,
-                budget_bytes: 1 << 20,
                 heartbeat_ms: 50,
             },
             Frame::HelloAck {
                 worker_id: 3,
                 pid: 4242,
-                budget_bytes: 1 << 20,
             },
             Frame::HelloRej {
                 reason: "version\tmismatch\n".to_string(),

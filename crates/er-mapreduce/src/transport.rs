@@ -81,7 +81,7 @@ impl Transport for InProcessTransport {
     ) -> Result<StageOutput, ExecError> {
         let (results, counters) =
             execute_tasks(stage, payloads, self.workers, &self.policy, |payload| {
-                run_task(job, stage, payload, 0)
+                run_task(job, stage, payload)
             })?;
         Ok(StageOutput::new(results, counters))
     }
@@ -91,35 +91,32 @@ impl Transport for InProcessTransport {
 mod tests {
     use super::*;
     use crate::dist::tests::key_rows;
-    use crate::dist::{decode_map_result, encode_transpose_map_task, KEY_TRANSPOSE};
+    use crate::dist::{encode_transpose_map_task, KEY_TRANSPOSE};
     use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy};
     use std::sync::Arc;
 
     /// `tasks` one-row map payloads of the transpose, each row a task.
-    fn one_row_payloads(tag: &str, tasks: usize) -> (std::path::PathBuf, Vec<Vec<u8>>) {
-        let dir = std::env::temp_dir().join(format!("er-transport-{tag}-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
+    fn one_row_payloads(tasks: usize) -> Vec<Vec<u8>> {
         let rows = key_rows(tasks, 5, 0x7a5c);
-        let payloads = (0..tasks)
-            .map(|e| encode_transpose_map_task(1, 0, 7, &dir, &rows, e..e + 1))
-            .collect();
-        (dir, payloads)
+        (0..tasks)
+            .map(|e| encode_transpose_map_task(1, &rows, e..e + 1))
+            .collect()
     }
 
     #[test]
     fn in_process_transport_returns_results_in_task_order() {
         let mut t = InProcessTransport::new(4, ExecPolicy::default());
         // "map" with degenerate single-row payloads of the transpose.
-        let (dir, payloads) = one_row_payloads("order", 8);
+        let payloads = one_row_payloads(8);
         let rows = key_rows(8, 5, 0x7a5c);
         let out = t.run_stage(KEY_TRANSPOSE, "map", &payloads).unwrap();
         assert_eq!(out.results.len(), 8);
         for (i, r) in out.results.iter().enumerate() {
-            let decoded = decode_map_result(r).unwrap();
+            // The emission count follows the result's tag.
+            let emitted = u64::from_le_bytes(r[1..9].try_into().unwrap());
             let row = rows.symbols(er_core::entity::EntityId(i as u32));
-            assert_eq!(decoded.emitted, row.len() as u64, "task {i}");
+            assert_eq!(emitted, row.len() as u64, "task {i}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -140,11 +137,10 @@ mod tests {
             .inject("map", 3, 0, er_core::fault::FaultKind::Panic);
         let injector = Arc::new(FaultInjector::new(plan));
         let policy = ExecPolicy::retrying(RetryPolicy::attempts(10)).with_injector(injector);
-        let (dir, payloads) = one_row_payloads("inj", 6);
+        let payloads = one_row_payloads(6);
         let mut t = InProcessTransport::new(3, policy);
         let out = t.run_stage(KEY_TRANSPOSE, "map", &payloads).unwrap();
         assert_eq!(out.results.len(), 6);
         assert_eq!(out.retried, 2, "both injected faults must have retried");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

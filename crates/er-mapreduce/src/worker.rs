@@ -5,7 +5,7 @@
 //!
 //! 1. read `Hello`, validate protocol version and fingerprint (rejecting
 //!    mismatched binaries with `HelloRej` + nonzero exit),
-//! 2. answer `HelloAck` with its pid and the accepted budget allotment,
+//! 2. answer `HelloAck` with its pid,
 //! 3. start a heartbeat thread,
 //! 4. loop: run `Task` frames through [`run_task`]
 //!    (panics caught and converted to `TaskError`), answer `TaskResult` /
@@ -38,12 +38,11 @@ where
     };
 
     // ---- handshake ---------------------------------------------------------
-    let (budget_bytes, heartbeat_ms) = match reader.read() {
+    let heartbeat_ms = match reader.read() {
         Ok(Some(Frame::Hello {
             version,
             fingerprint,
             worker_id,
-            budget_bytes,
             heartbeat_ms,
         })) => {
             if version != PROTOCOL_VERSION {
@@ -66,11 +65,10 @@ where
             if !send(&Frame::HelloAck {
                 worker_id,
                 pid: std::process::id(),
-                budget_bytes,
             }) {
                 return 2;
             }
-            (budget_bytes, heartbeat_ms)
+            heartbeat_ms
         }
         Ok(Some(other)) => {
             send(&Frame::HelloRej {
@@ -115,10 +113,8 @@ where
                 attempt,
                 payload,
             })) => {
-                let outcome = catch_unwind(AssertUnwindSafe(|| {
-                    run_task(&job, &stage, &payload, budget_bytes)
-                }))
-                .unwrap_or_else(|p| Err(er_core::fault::panic_message(p.as_ref())));
+                let outcome = catch_unwind(AssertUnwindSafe(|| run_task(&job, &stage, &payload)))
+                    .unwrap_or_else(|p| Err(er_core::fault::panic_message(p.as_ref())));
                 let reply = match outcome {
                     Ok(payload) => Frame::TaskResult {
                         task,
@@ -216,7 +212,6 @@ mod tests {
             version: PROTOCOL_VERSION,
             fingerprint: protocol_fingerprint(),
             worker_id: 1,
-            budget_bytes: 0,
             heartbeat_ms: 10_000, // quiet during unit tests
         }
     }
@@ -279,15 +274,13 @@ mod tests {
 
     #[test]
     fn tasks_run_and_errors_are_typed_not_fatal() {
-        let dir = std::env::temp_dir().join(format!("er-worker-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
         let rows = key_rows(4, 3, 0xa11);
         let good = Frame::Task {
             job: KEY_TRANSPOSE.to_string(),
             stage: "map".to_string(),
             task: 0,
             attempt: 0,
-            payload: encode_transpose_map_task(1, 0, 7, &dir, &rows, 0..rows.len()),
+            payload: encode_transpose_map_task(1, &rows, 0..rows.len()),
         };
         let bad = Frame::Task {
             job: KEY_TRANSPOSE.to_string(),
@@ -312,7 +305,6 @@ mod tests {
         assert!(
             matches!(&replies[3], Frame::TaskError { task: 2, message, .. } if message.contains("unknown job"))
         );
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -228,8 +228,22 @@ pub struct Pipeline {
     limits: ResourceLimits,
     backend: Backend,
     worker_program: Option<PathBuf>,
-    segment_dir: Option<PathBuf>,
-    out_of_core: bool,
+    admission: Admission,
+}
+
+/// How [`Pipeline::admit`] takes a cleaned blocking index under the run's
+/// memory budget.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Admission {
+    /// Charge the index, shedding oversized blocks largest-first on a
+    /// breach (the default).
+    Charge,
+    /// Charge the index, but admit it whole and uncharged where the charge
+    /// would breach the budget ([`PipelineBuilder::segment_dir`]).
+    RescueOnBreach,
+    /// Admit every index whole and uncharged
+    /// ([`PipelineBuilder::out_of_core`]).
+    Uncharged,
 }
 
 impl Pipeline {
@@ -250,8 +264,7 @@ impl Pipeline {
                 limits: ResourceLimits::none(),
                 backend: Backend::default(),
                 worker_program: None,
-                segment_dir: None,
-                out_of_core: false,
+                admission: Admission::Charge,
             },
         }
     }
@@ -531,27 +544,30 @@ impl Pipeline {
         collection: &EntityCollection,
         budget: &MemoryBudget,
     ) -> GovernedBlocks {
-        if self.out_of_core {
-            return admitted_uncharged(cleaned);
-        }
-        if budget.is_enabled() && self.segment_dir.is_some() {
-            let total: u64 = cleaned.blocks().iter().map(block_bytes).sum();
-            if budget.try_reserve("blocking", total).is_err() {
-                self.obs.counter("colstore.spill_rescues").incr();
-                self.obs.emit(Event::Warning {
-                    stage: "blocking".to_string(),
-                    reason: format!(
-                        "memory budget breach: {total} byte blocking index exceeds the {} \
-                         byte budget; admitted whole (segment dir set) with zero \
-                         comparisons shed",
-                        budget.limit().unwrap_or(0)
-                    ),
-                });
-                return admitted_uncharged(cleaned);
+        match self.admission {
+            Admission::Uncharged => admitted_uncharged(cleaned),
+            Admission::RescueOnBreach if budget.is_enabled() => {
+                let total: u64 = cleaned.blocks().iter().map(block_bytes).sum();
+                if budget.try_reserve("blocking", total).is_err() {
+                    self.obs.counter("colstore.spill_rescues").incr();
+                    self.obs.emit(Event::Warning {
+                        stage: "blocking".to_string(),
+                        reason: format!(
+                            "memory budget breach: {total} byte blocking index exceeds the {} \
+                             byte budget; admitted whole (segment dir set) with zero \
+                             comparisons shed",
+                            budget.limit().unwrap_or(0)
+                        ),
+                    });
+                    return admitted_uncharged(cleaned);
+                }
+                budget.release(total);
+                charge_or_shed(cleaned, collection, budget, &self.obs)
             }
-            budget.release(total);
+            Admission::Charge | Admission::RescueOnBreach => {
+                charge_or_shed(cleaned, collection, budget, &self.obs)
+            }
         }
-        charge_or_shed(cleaned, collection, budget, &self.obs)
     }
 
     /// The key rows of a block-producing family other than token blocking,
@@ -612,13 +628,13 @@ impl Pipeline {
 
     /// The worker-pool configuration of the subprocess backend: the
     /// configured worker program (default: re-exec the current binary with
-    /// `--worker`), the run's memory budget as the pool's total allotment,
-    /// and the pipeline's obs handle so `worker.*` counters land in the same
-    /// snapshot as the stage metrics.
+    /// `--worker`) and the pipeline's obs handle so `worker.*` counters land
+    /// in the same snapshot as the stage metrics. The memory budget is not
+    /// the pool's: it governs the admission of the index the job returns,
+    /// as in process.
     fn subprocess_config(&self, workers: usize) -> SubprocessConfig {
         let mut cfg = SubprocessConfig::new(workers);
         cfg.program = self.worker_program.clone();
-        cfg.budget_total = self.limits.memory_bytes.unwrap_or(0);
         cfg.policy = er_core::fault::ExecPolicy::default().with_obs(self.obs.clone());
         cfg
     }
@@ -632,7 +648,7 @@ impl Pipeline {
     /// returned collection — and every `blocking.*` counter — is
     /// bit-identical to [`blocks_from_profiles`]. A typed [`er_mapreduce`]
     /// execution error (worker crash loop, handshake rejection, stage
-    /// deadline, a malformed shuffle segment or result) panics with its
+    /// deadline, a malformed shuffle slice or result) panics with its
     /// message, which the recovery layer catches and retries like any other
     /// blocking-stage fault.
     fn dist_blocks(
@@ -811,9 +827,12 @@ impl PipelineBuilder {
     /// the budget is admitted whole and uncharged — the output of an
     /// unbudgeted run, zero recall loss — and counted in
     /// `colstore.spill_rescues` with a warning event. Nothing is written
-    /// under `dir`. Either backend honours it.
-    pub fn segment_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.pipeline.segment_dir = Some(dir.into());
+    /// under `dir`, which is not kept. Either backend honours it;
+    /// [`out_of_core`](Self::out_of_core) overrides it.
+    pub fn segment_dir(mut self, _dir: impl Into<PathBuf>) -> Self {
+        if self.pipeline.admission == Admission::Charge {
+            self.pipeline.admission = Admission::RescueOnBreach;
+        }
         self
     }
 
@@ -821,9 +840,13 @@ impl PipelineBuilder {
     /// whatever the memory budget, so nothing is ever shed. On either
     /// backend the index is the same in-memory transpose, so the output is
     /// that of an unbudgeted run. [`BlockingStage::SortedNeighborhood`]
-    /// builds no blocks and is unaffected.
+    /// builds no blocks and is unaffected. `false` restores charging.
     pub fn out_of_core(mut self, enabled: bool) -> Self {
-        self.pipeline.out_of_core = enabled;
+        if enabled {
+            self.pipeline.admission = Admission::Uncharged;
+        } else if self.pipeline.admission == Admission::Uncharged {
+            self.pipeline.admission = Admission::Charge;
+        }
         self
     }
 

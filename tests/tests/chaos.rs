@@ -186,20 +186,17 @@ proptest! {
         }
     }
 
-    /// The bounded MapReduce shuffle (`run_key_transpose`'s spill files) under
-    /// seeded faults, spill bounds and worker counts: every completed run is
-    /// bit-identical to the serial transpose; exhausted retry budgets are
-    /// typed errors.
+    /// The MapReduce shuffle (`run_key_transpose`'s map-result slices) under
+    /// seeded faults and worker counts: every completed run is bit-identical
+    /// to the serial transpose; exhausted retry budgets are typed errors.
     #[test]
-    fn spilling_mapreduce_chaos_is_bit_identical_or_typed(
+    fn mapreduce_chaos_is_bit_identical_or_typed(
         seed in 0u64..=u64::MAX,
-        bound_ix in 0usize..=2,
         workers_ix in 0usize..=2,
         attempts in 1u32..=3,
     ) {
         let seed = seed ^ chaos_seed_env().wrapping_mul(0x9e37_79b9_7f4a_7c15);
         let workers = chaos_workers_env().unwrap_or([1, 2, 4][workers_ix]);
-        let bound = [1u64, 256, 1 << 20][bound_ix];
         let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(
             SeededFaults::absorbable(seed),
         )));
@@ -210,15 +207,9 @@ proptest! {
             jitter_seed: seed,
         })
         .with_injector(injector);
-        let spill_root = ScratchDir::new("chaos-spill");
-        let opts = DistOptions {
-            spill_bound: bound,
-            spill_dir: Some(spill_root.to_path_buf()),
-            ..DistOptions::for_workers(workers)
-        };
         let mut transport = InProcessTransport::new(workers, policy);
         let (rows, reference) = chaos_rows();
-        match run_key_transpose(&mut transport, rows, &opts) {
+        match run_key_transpose(&mut transport, rows, &DistOptions::for_workers(workers)) {
             Ok(out) => prop_assert_eq!(&out.blocks, reference),
             Err(e) => {
                 prop_assert!(attempts < 3, "absorbable schedules exhaust only small budgets: {e}");
@@ -230,7 +221,7 @@ proptest! {
 }
 
 /// The token rows of the chaos dataset — what the subprocess backend's
-/// blocking ships — and their serial transpose, which every spilling cell
+/// blocking ships — and their serial transpose, which every MapReduce cell
 /// must equal.
 fn chaos_rows() -> &'static (KeyRows, Vec<SymbolBlock>) {
     static ROWS: OnceLock<(KeyRows, Vec<SymbolBlock>)> = OnceLock::new();
@@ -557,7 +548,6 @@ proptest! {
                 version: 1,
                 fingerprint: seed,
                 worker_id: 7,
-                budget_bytes: 1 << 20,
                 heartbeat_ms: 25,
             })
             .unwrap();
@@ -733,21 +723,17 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
 /// Fingerprint every chaos segment is written (and opened) with.
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
-/// A valid two-section segment (postings + a bytes section of wire records)
-/// exercising every codec the shuffle and checkpoint paths read back.
+/// A valid two-section segment (two bytes sections of wire records, the
+/// first long) exercising the codec the checkpoint path reads back.
 fn segment_bytes() -> &'static Vec<u8> {
     use er_core::colstore::SegmentWriter;
-    use er_core::entity::EntityId;
-    use er_core::intern::Symbol;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let dir = ScratchDir::new("chaos-segment-template");
         let path = dir.join("template.seg");
         let mut w = SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
-        let postings: Vec<(Symbol, EntityId)> = (0..200u32)
-            .map(|i| (Symbol(i / 4), EntityId(i % 20)))
-            .collect();
-        w.run(&postings).unwrap();
+        w.bytes(&encode_wire_records(&wire_records()).repeat(16))
+            .unwrap();
         w.bytes(&encode_wire_records(&wire_records())).unwrap();
         w.finish().unwrap();
         std::fs::read(&path).unwrap()
@@ -755,28 +741,21 @@ fn segment_bytes() -> &'static Vec<u8> {
 }
 
 /// Opens `path` as a segment and, if the envelope validates, decodes every
-/// section through its codec — the full read surface a shuffle reduce or a
-/// checkpoint load would touch. Any failure is returned, never panicked.
+/// section through its codec — the full read surface a checkpoint load
+/// would touch. Any failure is returned, never panicked.
 fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
-    use er_core::colstore::{KIND_BYTES, KIND_POSTINGS};
+    use er_core::colstore::KIND_BYTES;
     let seg = er_core::Segment::open(path, SEG_FINGERPRINT)?;
     for (i, info) in seg.sections().iter().enumerate() {
-        match info.kind {
-            KIND_POSTINGS => {
-                let mut cur = seg.run(i)?;
-                while cur.next()?.is_some() {}
-            }
-            KIND_BYTES => {
-                let payload = seg.bytes(i)?;
-                decode_wire_records(&payload, info.payload_offset).map_err(|e| {
-                    er_core::SegmentError::Malformed {
-                        path: path.to_path_buf(),
-                        offset: e.offset,
-                        reason: e.to_string(),
-                    }
-                })?;
-            }
-            _ => {}
+        if info.kind == KIND_BYTES {
+            let payload = seg.bytes(i)?;
+            decode_wire_records(&payload, info.payload_offset).map_err(|e| {
+                er_core::SegmentError::Malformed {
+                    path: path.to_path_buf(),
+                    offset: e.offset,
+                    reason: e.to_string(),
+                }
+            })?;
         }
     }
     Ok(())

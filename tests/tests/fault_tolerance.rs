@@ -366,11 +366,10 @@ fn parity_rows() -> KeyRows {
 
 /// Task counts fixed independently of the worker count: the fault plan is
 /// keyed by task index, so every cell draws from the same schedule.
-fn parity_opts(workers: usize) -> DistOptions {
+fn parity_opts() -> DistOptions {
     DistOptions {
         map_tasks: 8,
         partitions: 4,
-        ..DistOptions::for_workers(workers)
     }
 }
 
@@ -389,14 +388,14 @@ type ParityRun = (Result<TransposeOutput, ExecError>, u64);
 
 fn in_process_run(rows: &KeyRows, workers: usize, policy: ExecPolicy) -> ParityRun {
     let mut t = InProcessTransport::new(workers, policy.clone());
-    let out = run_key_transpose(&mut t, rows, &parity_opts(workers));
+    let out = run_key_transpose(&mut t, rows, &parity_opts());
     (out, policy.faults_injected())
 }
 
 fn subprocess_run(rows: &KeyRows, mut cfg: SubprocessConfig, policy: ExecPolicy) -> ParityRun {
     cfg.program = Some(worker_program!().into());
     cfg.policy = policy.clone();
-    let opts = parity_opts(cfg.workers);
+    let opts = parity_opts();
     let mut t = SubprocessTransport::new(cfg);
     let out = run_key_transpose(&mut t, rows, &opts);
     (out, policy.faults_injected())

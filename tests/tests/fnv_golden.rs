@@ -2,19 +2,19 @@
 //! FNV-1a hasher (`er_core::intern::Fnv1a`). Each constant was measured at the
 //! commit *before* the five private copies of the loop were merged, so a
 //! passing suite proves — rather than assumes — that checkpoint
-//! fingerprints, spill segments and MinHash block keys are computed as an
+//! fingerprints, segment checksums and MinHash block keys are computed as an
 //! older build computed them.
 //!
-//! `protocol_fingerprint_is_pinned` moved, deliberately, when frames moved
-//! onto the one wire codec: `PROTOCOL_VERSION` went 1 → 2 (frame payloads
-//! are a tag plus wire fields, not an escaped text line), and the
-//! fingerprint hashes the version, so a worker built before the change
-//! cannot join a pool built after it.
+//! `protocol_fingerprint_is_pinned` moved, deliberately, twice: when frames
+//! moved onto the one wire codec (`PROTOCOL_VERSION` 1 → 2: frame payloads
+//! are a tag plus wire fields, not an escaped text line), and when the
+//! shuffle moved into the frames (2 → 3: `Hello` and `HelloAck` lost the
+//! worker's budget allotment). The fingerprint hashes the version, so a
+//! worker built before either change cannot join a pool built after it.
 //!
-//! `symbol_shuffle_segment_checksum_is_pinned` was added with the
-//! `key-transpose` job: its shuffle segment is a one-section colstore segment
-//! holding one key-sorted `KIND_POSTINGS` run, measured when the job landed.
-//! It pins the one MapReduce data plane there is.
+//! `segment_footer_checksum_is_pinned` was re-pinned when colstore's
+//! posting-run kind went with the shuffle's segment files: it now pins a
+//! one-`KIND_BYTES`-section segment, the shape of every checkpoint.
 //!
 //! `checkpoint_fingerprint_is_pinned` did not move: the checkpoint
 //! fingerprint is the same hash, now read from the segment header's
@@ -32,14 +32,11 @@
 use er_blocking::minhash::MinHashBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
 use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN, MAGIC};
-use er_core::entity::{EntityBuilder, EntityId, KbId};
-use er_core::intern::{Fnv1a, Symbol};
-use er_core::parallel::Parallelism;
-use er_core::profiles::TokenProfiles;
-use er_core::tokenize::Tokenizer;
+use er_core::entity::{EntityBuilder, KbId};
+use er_core::intern::Fnv1a;
+use er_core::wire::put_u32;
 use er_datagen::{DirtyConfig, DirtyDataset};
 use er_integration_tests::ScratchDir;
-use er_mapreduce::dist::{decode_map_result, encode_transpose_map_task, run_task, KEY_TRANSPOSE};
 use er_pipeline::{Pipeline, RecoveryOptions};
 
 fn fixture() -> EntityCollection {
@@ -61,7 +58,7 @@ fn fixture() -> EntityCollection {
 fn protocol_fingerprint_is_pinned() {
     assert_eq!(
         er_mapreduce::proto::protocol_fingerprint(),
-        0x1844_8548_c72b_6059,
+        0xe8a3_397f_726b_f140,
         "{:#018x}",
         er_mapreduce::proto::protocol_fingerprint()
     );
@@ -95,18 +92,17 @@ fn segment_footer_checksum_is_pinned() {
     let dir = ScratchDir::new("fnv-segment");
     let path = dir.join("golden.seg");
     let mut w = SegmentWriter::create(&path, 0xfeed_beef).unwrap();
-    w.run(&[
-        (Symbol(0), EntityId(0)),
-        (Symbol(0), EntityId(1)),
-        (Symbol(3), EntityId(2)),
-    ])
-    .unwrap();
+    let mut payload = Vec::new();
+    for v in [0, 0, 0, 1, 3, 2] {
+        put_u32(&mut payload, v);
+    }
+    w.bytes(&payload).unwrap();
     let len = w.finish().unwrap();
     let bytes = std::fs::read(&path).unwrap();
     assert_eq!(bytes.len() as u64, len);
     let footer = &bytes[bytes.len() - FOOTER_LEN as usize..];
     let checksum = u64::from_le_bytes(footer[24..32].try_into().unwrap());
-    assert_eq!(checksum, 0x7af5_52ab_dc05_f16f, "{checksum:#018x}");
+    assert_eq!(checksum, 0x50e5_75f4_0bc9_2857, "{checksum:#018x}");
 }
 
 #[test]
@@ -114,34 +110,6 @@ fn minhash_block_key_is_pinned() {
     let blocks = MinHashBlocking::new(2, 2).build(&fixture());
     let keys: Vec<&str> = blocks.blocks().iter().map(|b| b.key()).collect();
     assert_eq!(keys, ["b1:ff3bf330e677d1de"]);
-}
-
-#[test]
-fn symbol_shuffle_segment_checksum_is_pinned() {
-    let dir = ScratchDir::created("fnv-symbol-shuffle");
-    // The fixture's token rows as one `key-transpose` map task; one
-    // partition keeps every posting in one key-sorted `KIND_POSTINGS` run.
-    let rows = TokenProfiles::build(&fixture(), &Tokenizer::default(), Parallelism::serial());
-    let payload = encode_transpose_map_task(1, 0, 0xfeed_beef, &dir, &rows, 0..rows.len());
-    let result = run_task(KEY_TRANSPOSE, "map", &payload, 0).unwrap();
-    let segments = decode_map_result(&result).unwrap().segments;
-    let bytes = std::fs::read(&segments[0].path).unwrap();
-    // It is the out-of-core build's posting run, byte for byte.
-    let mut postings: Vec<(Symbol, EntityId)> = rows
-        .iter()
-        .enumerate()
-        .flat_map(|(e, row)| row.iter().map(move |&s| (s, EntityId(e as u32))))
-        .collect();
-    postings.sort_unstable();
-    let run = dir.join("run.seg");
-    let mut w = SegmentWriter::create(&run, 0xfeed_beef).unwrap();
-    w.run(&postings).unwrap();
-    w.finish().unwrap();
-    let run = std::fs::read(&run).unwrap();
-    assert_eq!(segments.len(), 1);
-    assert_eq!(bytes, run);
-    let got = Fnv1a::hash(&bytes);
-    assert_eq!(got, 0xf22e_72ad_1d4b_9851, "{got:#018x}");
 }
 
 #[test]

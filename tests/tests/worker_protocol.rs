@@ -77,13 +77,11 @@ fn frame_menu(raw: &[u8], a: u64, b: u64) -> Vec<Frame> {
             version: a as u32,
             fingerprint: b,
             worker_id: a ^ b,
-            budget_bytes: b.rotate_left(7),
             heartbeat_ms: (a % 10_000).max(1),
         },
         Frame::HelloAck {
             worker_id: a,
             pid: b as u32,
-            budget_bytes: a.wrapping_mul(3),
         },
         Frame::HelloRej { reason: s.clone() },
         Frame::Task {
