@@ -10,7 +10,7 @@
 pub use crate::block::blocks_from_profiles;
 use crate::block::BlockCollection;
 use er_core::collection::EntityCollection;
-use er_core::colstore::{OocConfig, SegmentError};
+use er_core::colstore::OocConfig;
 use er_core::obs::Obs;
 use er_core::parallel::Parallelism;
 use er_core::profiles::TokenProfiles;
@@ -72,14 +72,14 @@ impl TokenBlocking {
 
     /// [`par_build_obs`](TokenBlocking::par_build_obs), kept only because
     /// `bench/` names it; delete with ROADMAP direction 1. `cfg` is not
-    /// read and the result is always `Ok`: the transpose spills nothing.
+    /// read and the result cannot be an error: the transpose spills nothing.
     pub fn par_build_ooc_obs(
         &self,
         collection: &EntityCollection,
         par: Parallelism,
         obs: &Obs,
         _cfg: &OocConfig,
-    ) -> Result<BlockCollection, SegmentError> {
+    ) -> Result<BlockCollection, std::convert::Infallible> {
         Ok(self.par_build_obs(collection, par, obs))
     }
 

@@ -87,7 +87,7 @@ fn print_usage() {
          \x20            [--retries N] [--checkpoint-dir DIR] [--resume]\n\
          \x20            [--fail-stage blocking|meta-blocking|matching]\n\
          \x20            [--memory-budget BYTES] [--stage-timeout SECONDS]\n\
-         \x20            [--segment-dir DIR]\n\
+         \x20            [--on-breach shed|keep]\n\
          \x20            [--metrics-out FILE]\n\
          \x20            [--ingest-queue-bytes BYTES] [--quarantine-out FILE]\n\
          \x20            [--backend inprocess|subprocess] [--workers N]\n\n\
@@ -95,7 +95,7 @@ fn print_usage() {
          CLEANING: purge (default) drops the blocks above the automatic\n\
          \x20        cardinality limit; none feeds every block to meta-blocking.\n\
          \x20        sn builds no blocks, so it refuses every block flag:\n\
-         \x20        --cleaning purge, --weighting, --pruning, --segment-dir\n\
+         \x20        --cleaning purge, --weighting, --pruning, --on-breach\n\
          \x20        and --backend subprocess. --pruning none refuses\n\
          \x20        --weighting. --threshold T (default 0.4) is in [0, 1].\n\
          THREADS: worker threads for the hot kernels; 0 = all cores,\n\
@@ -109,10 +109,11 @@ fn print_usage() {
          \x20        recall loss reported instead of aborting. --stage-timeout\n\
          \x20        SECONDS arms a per-stage watchdog; an expired matching\n\
          \x20        deadline truncates the schedule, loudly.\n\
-         NO-SHED: --segment-dir DIR: a blocking index that would breach\n\
-         \x20        --memory-budget is admitted whole instead of shed — the\n\
-         \x20        unbudgeted output, zero recall loss, on either backend.\n\
-         \x20        Nothing is written under DIR (see docs/out_of_core.md).\n\
+         NO-SHED: --on-breach keep admits a blocking index that would\n\
+         \x20        breach --memory-budget whole instead of shedding it (shed,\n\
+         \x20        the default) — the unbudgeted output, zero recall loss, on\n\
+         \x20        either backend, counted in blocking.budget_rescues. It\n\
+         \x20        needs --memory-budget (see docs/resource_governance.md).\n\
          METRICS: --metrics-out FILE enables the observability registry and\n\
          \x20        writes the per-stage metrics snapshot as sorted-key JSON\n\
          \x20        (validate it with the er-metrics-check companion binary).\n\
@@ -215,6 +216,23 @@ fn resource_limits_from(flags: &BTreeMap<String, String>) -> Result<ResourceLimi
         limits = limits.with_stage_timeout(std::time::Duration::from_secs_f64(secs));
     }
     Ok(limits)
+}
+
+/// `--on-breach shed|keep`: whether a blocking index that would breach
+/// `--memory-budget` is kept whole (`keep`) or shed (`shed`, the default).
+/// Without a budget there is no breach, so the flag is refused rather than
+/// ignored.
+fn on_breach_from(flags: &BTreeMap<String, String>) -> Result<bool, String> {
+    let keep = match flags.get("on-breach").map(String::as_str) {
+        None => return Ok(false),
+        Some("shed") => false,
+        Some("keep") => true,
+        Some(v) => return Err(format!("bad --on-breach {v:?} (expected shed or keep)")),
+    };
+    if !flags.contains_key("memory-budget") {
+        return Err("--on-breach needs --memory-budget (without a budget nothing breaches)".into());
+    }
+    Ok(keep)
 }
 
 /// `--cleaning none|purge`; `None` when the flag is absent, which leaves
@@ -646,7 +664,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
             "fail-stage",
             "memory-budget",
             "stage-timeout",
-            "segment-dir",
+            "on-breach",
             "metrics-out",
             "ingest-queue-bytes",
             "quarantine-out",
@@ -670,8 +688,8 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
     let pair_producing = flags.get("blocking").map(String::as_str) == Some("sn");
     if pair_producing {
         // Sorted neighborhood yields pairs, not blocks: there is no index to
-        // ship to workers, clean, prune or admit under a segment dir, so
-        // refuse the flags rather than ignore them.
+        // ship to workers, clean, prune or admit under a budget, so refuse
+        // the flags rather than ignore them.
         if backend != Backend::InProcess {
             return Err(
                 "--backend subprocess does not apply to --blocking sn (it has no blocks)"
@@ -683,7 +701,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
                 "--cleaning purge does not apply to --blocking sn (it has no blocks)".to_string(),
             );
         }
-        for flag in ["weighting", "pruning", "segment-dir"] {
+        for flag in ["weighting", "pruning", "on-breach"] {
             if flags.contains_key(flag) {
                 return Err(format!(
                     "--{flag} does not apply to --blocking sn (it has no blocks)"
@@ -691,6 +709,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
             }
         }
     }
+    let keep_on_breach = on_breach_from(&flags)?;
     let meta = if pair_producing {
         None
     } else {
@@ -776,10 +795,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
         Some(mb) => builder.meta_blocking(mb),
         None => builder.no_meta_blocking(),
     };
-    if let Some(dir) = flags.get("segment-dir") {
-        builder = builder.segment_dir(dir);
-    }
-    let pipeline = builder.build();
+    let pipeline = builder.keep_on_breach(keep_on_breach).build();
 
     // The fault-tolerant run: retried stages, optional checkpoints, loud
     // degradation. Unrecoverable errors propagate to a nonzero exit.
@@ -1128,13 +1144,13 @@ mod tests {
             err.contains("--backend subprocess does not apply to --blocking sn"),
             "{err}"
         );
-        // Nor does it prune or admit an index under a segment dir, so a
-        // meta-blocking or segment-dir flag is refused too, valid or not.
+        // Nor does it prune or admit an index under a budget, so a
+        // meta-blocking or admission flag is refused too, valid or not.
         for flag in [
             ["--pruning", "bogus"],
             ["--pruning", "wnp"],
             ["--weighting", "js"],
-            ["--segment-dir", "segs"],
+            ["--on-breach", "keep"],
         ] {
             let err = cmd_resolve(&s(&[&sn[..], &flag].concat())).unwrap_err();
             let want = format!("{} does not apply to --blocking sn", flag[0]);
@@ -1234,10 +1250,33 @@ mod tests {
 
     #[test]
     fn ooc_is_an_unknown_flag() {
-        // `--memory-budget B --segment-dir D` is the no-shed resolve (see
-        // `tiny_budget_with_segment_dir_rescues_through_the_cli`).
-        let err = cmd_resolve(&s(&["--collection", "x.txt", "--ooc"])).unwrap_err();
-        assert!(err.contains("unknown flag --ooc"), "{err}");
+        // `--memory-budget B --on-breach keep` is the no-shed resolve (see
+        // `tiny_budget_with_segment_dir_rescues_through_the_cli`); neither
+        // `--ooc` nor `--segment-dir` names anything a run reads.
+        for flag in [&["--ooc"][..], &["--segment-dir", "segs"]] {
+            let err =
+                cmd_resolve(&s(&[&["--collection", "x.txt"][..], flag].concat())).unwrap_err();
+            assert!(err.contains(&format!("unknown flag {}", flag[0])), "{err}");
+        }
+    }
+
+    #[test]
+    fn on_breach_without_a_budget_or_with_a_bad_value_is_refused() {
+        let base = ["--collection", "x.txt"];
+        for value in ["keep", "shed"] {
+            let err = cmd_resolve(&s(&[&base[..], &["--on-breach", value]].concat())).unwrap_err();
+            assert!(err.contains("--on-breach needs --memory-budget"), "{err}");
+        }
+        let budget = ["--memory-budget", "4k"];
+        let err =
+            cmd_resolve(&s(&[&base[..], &budget, &["--on-breach", "spill"]].concat())).unwrap_err();
+        assert!(err.contains("bad --on-breach \"spill\""), "{err}");
+        // Under a budget either value gets as far as the missing collection.
+        for value in ["keep", "shed"] {
+            let args = [&base[..], &budget, &["--on-breach", value]].concat();
+            let err = cmd_resolve(&s(&args)).unwrap_err();
+            assert!(err.contains("x.txt"), "{value}: {err}");
+        }
     }
 
     #[test]
@@ -1245,7 +1284,6 @@ mod tests {
         let dir = std::env::temp_dir().join("er_cli_test_rescue");
         std::fs::create_dir_all(&dir).unwrap();
         let prefix = dir.join("rescue").to_string_lossy().to_string();
-        let segdir = dir.join("segments").to_string_lossy().to_string();
         let mpath = dir.join("metrics.json").to_string_lossy().to_string();
         generate(&prefix, "dirty", "150");
         cmd_resolve(&s(&[
@@ -1255,8 +1293,8 @@ mod tests {
             &format!("{prefix}.truth.txt"),
             "--memory-budget",
             "4k",
-            "--segment-dir",
-            &segdir,
+            "--on-breach",
+            "keep",
             "--metrics-out",
             &mpath,
         ]))
@@ -1264,15 +1302,11 @@ mod tests {
         let snapshot =
             er_core::obs::MetricsSnapshot::from_json(&std::fs::read_to_string(&mpath).unwrap())
                 .unwrap();
-        assert_eq!(snapshot.counter("colstore.spill_rescues"), Some(1));
+        assert_eq!(snapshot.counter("blocking.budget_rescues"), Some(1));
         assert_eq!(
             snapshot.counter("blocking.comparisons_shed"),
             None,
             "the rescue sheds nothing"
-        );
-        assert!(
-            !std::path::Path::new(&segdir).exists(),
-            "nothing is written under the segment dir"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -46,9 +46,7 @@
 //!   wall-clock watchdogs and the typed exhaustion errors the execution
 //!   layers return under skewed, web-scale load ([`resource`]);
 //! * the one bounded binary **field codec** under worker frames, task
-//!   payloads (the shuffle rides in them) and stage checkpoints ([`wire`]);
-//!   checkpoints live in fingerprinted, checksummed **segment files**
-//!   ([`colstore`]).
+//!   payloads (the shuffle rides in them) and stage checkpoints ([`wire`]).
 //!
 //! Downstream crates build the tutorial's pipeline on top of this: blocking
 //! (`er-blocking`), meta-blocking (`er-metablocking`), parallel execution
@@ -81,7 +79,6 @@ pub mod tokenize;
 pub mod wire;
 
 pub use collection::{EntityCollection, ResolutionMode};
-pub use colstore::{Segment, SegmentError, SegmentWriter};
 pub use entity::{Entity, EntityId, KbId};
 pub use fault::{ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy};
 pub use ground_truth::GroundTruth;

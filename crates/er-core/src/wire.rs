@@ -1,6 +1,6 @@
 //! The one bounded binary field codec under every durable or on-wire record:
-//! worker-protocol frames, distributed task payloads, shuffle rows, stage
-//! checkpoints and the [`colstore`](crate::colstore) segment envelope.
+//! worker-protocol frames, distributed task payloads, shuffle rows, and
+//! stage checkpoints with their fingerprinted, checksummed file envelope.
 //!
 //! Fields are fixed-width little-endian integers, or byte / UTF-8 strings
 //! behind a `u32` little-endian length. Decoding is total: every read is
@@ -129,6 +129,11 @@ impl<'a> Decoder<'a> {
         let mut out = [0u8; N];
         out.copy_from_slice(self.take(N, 0)?);
         Ok(out)
+    }
+
+    /// Reads `n` raw bytes, borrowed from the input.
+    pub fn slice(&mut self, n: usize) -> Result<&'a [u8], WireError> {
+        self.take(n, 0)
     }
 
     /// Reads one byte.

@@ -16,6 +16,10 @@
 //!   retry budget consumed); the death itself draws from the pool-wide
 //!   `max_restarts` budget, so a crash loop terminates in a typed
 //!   [`ExecError`], never a hang.
+//! * **Frame cap** — a task whose frame would exceed
+//!   [`MAX_FRAME_BYTES`] fails its stage with a typed [`ExecError`] naming
+//!   the task and the frame size before any worker is asked; it is never
+//!   sent, so it cannot be mistaken for a worker death.
 //! * **Reaping** — every spawned child is `wait()`ed on every exit path
 //!   (success, typed failure, coordinator panic) via the transport's `Drop`;
 //!   no zombies and no leaked PIDs survive a failed run.
@@ -32,7 +36,8 @@
 use crate::engine::ExecError;
 use crate::ledger::Ledger;
 use crate::proto::{
-    protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, PROTOCOL_VERSION,
+    protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, MAX_FRAME_BYTES,
+    PROTOCOL_VERSION,
 };
 use crate::transport::{StageOutput, Transport};
 use er_core::fault::ExecPolicy;
@@ -587,6 +592,23 @@ impl Transport for SubprocessTransport {
         }
         if payloads.is_empty() {
             return Ok(StageOutput::default());
+        }
+        // A frame over the cap can never be sent: refuse the stage before a
+        // worker is asked, instead of booking the writer's refusal as a
+        // death and restarting into the same frame.
+        for (task, payload) in payloads.iter().enumerate() {
+            let bytes = Frame::task_len(job, stage, payload.len());
+            if bytes > u64::from(MAX_FRAME_BYTES) {
+                return Err(ExecError {
+                    stage: stage.to_string(),
+                    task,
+                    attempts: 0,
+                    message: format!(
+                        "task frame of {bytes} bytes exceeds the {MAX_FRAME_BYTES}-byte \
+                         frame cap; not sent"
+                    ),
+                });
+            }
         }
         self.ensure_pool()?;
         for slot in &mut self.slots {

@@ -177,6 +177,15 @@ const TAG_HEARTBEAT: u8 = 7;
 const TAG_SHUTDOWN: u8 = 8;
 
 impl Frame {
+    /// The encoded length of a [`Frame::Task`] of `job` and `stage` carrying
+    /// `payload` bytes — what [`encode_payload`](Self::encode_payload)
+    /// returns — computed without encoding it: the tag, the job and stage
+    /// strings, the task and attempt fields, and the payload behind its
+    /// length.
+    pub fn task_len(job: &str, stage: &str, payload: usize) -> u64 {
+        (1 + 4 + job.len() + 4 + stage.len() + 8 + 4 + 4) as u64 + payload as u64
+    }
+
     /// Encodes the frame payload (without the length prefix): the kind tag,
     /// then the frame's [`wire`](er_core::wire) fields in declaration order.
     pub fn encode_payload(&self) -> Vec<u8> {
@@ -459,6 +468,19 @@ mod tests {
         }
         assert_eq!(r.read().unwrap(), None);
         assert_eq!(r.offset(), buf.len() as u64);
+        // The coordinator sizes task frames without encoding them.
+        for f in &frames {
+            if let Frame::Task {
+                job,
+                stage,
+                payload,
+                ..
+            } = f
+            {
+                let len = f.encode_payload().len() as u64;
+                assert_eq!(Frame::task_len(job, stage, payload.len()), len);
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,7 @@
 use crate::scan::graph_edges;
 use er_blocking::block::BlockCollection;
 use er_core::collection::EntityCollection;
-use er_core::colstore::{OocConfig, SegmentError};
+use er_core::colstore::OocConfig;
 use er_core::pair::Pair;
 use er_core::parallel::Parallelism;
 use std::collections::BTreeMap;
@@ -72,7 +72,7 @@ impl BlockingGraph {
         blocks: &BlockCollection,
         par: Parallelism,
         _cfg: &OocConfig,
-    ) -> Result<Self, SegmentError> {
+    ) -> Result<Self, std::convert::Infallible> {
         Ok(Self::par_build(collection, blocks, par))
     }
 

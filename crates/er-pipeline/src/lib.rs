@@ -239,8 +239,8 @@ enum Admission {
     /// breach (the default).
     Charge,
     /// Charge the index, but admit it whole and uncharged where the charge
-    /// would breach the budget ([`PipelineBuilder::segment_dir`]).
-    RescueOnBreach,
+    /// would breach the budget ([`PipelineBuilder::keep_on_breach`]).
+    KeepOnBreach,
     /// Admit every index whole and uncharged
     /// ([`PipelineBuilder::out_of_core`]).
     Uncharged,
@@ -532,10 +532,10 @@ impl Pipeline {
 
     /// Admits a cleaned index under the run's budget, on either backend.
     /// With [`out_of_core`](PipelineBuilder::out_of_core) it is admitted
-    /// whole and uncharged. With a [`segment_dir`](PipelineBuilder::segment_dir)
+    /// whole and uncharged. With [`keep_on_breach`](PipelineBuilder::keep_on_breach)
     /// and an enabled budget, an index that would breach the budget is also
     /// admitted whole and uncharged — the explicit account of that is the
-    /// `colstore.spill_rescues` counter plus a warning event, not a shed
+    /// `blocking.budget_rescues` counter plus a warning event, not a shed
     /// count. Anything else is charged, shedding oversized blocks
     /// largest-first on a breach (a disabled budget admits everything).
     fn admit(
@@ -546,15 +546,15 @@ impl Pipeline {
     ) -> GovernedBlocks {
         match self.admission {
             Admission::Uncharged => admitted_uncharged(cleaned),
-            Admission::RescueOnBreach if budget.is_enabled() => {
+            Admission::KeepOnBreach if budget.is_enabled() => {
                 let total: u64 = cleaned.blocks().iter().map(block_bytes).sum();
                 if budget.try_reserve("blocking", total).is_err() {
-                    self.obs.counter("colstore.spill_rescues").incr();
+                    self.obs.counter("blocking.budget_rescues").incr();
                     self.obs.emit(Event::Warning {
                         stage: "blocking".to_string(),
                         reason: format!(
                             "memory budget breach: {total} byte blocking index exceeds the {} \
-                             byte budget; admitted whole (segment dir set) with zero \
+                             byte budget; admitted whole (keep on breach) with zero \
                              comparisons shed",
                             budget.limit().unwrap_or(0)
                         ),
@@ -564,7 +564,7 @@ impl Pipeline {
                 budget.release(total);
                 charge_or_shed(cleaned, collection, budget, &self.obs)
             }
-            Admission::Charge | Admission::RescueOnBreach => {
+            Admission::Charge | Admission::KeepOnBreach => {
                 charge_or_shed(cleaned, collection, budget, &self.obs)
             }
         }
@@ -822,18 +822,27 @@ impl PipelineBuilder {
         self
     }
 
-    /// Keeps a budget-breaching blocking index instead of shedding it:
-    /// with a memory budget configured, an index whose charge would breach
-    /// the budget is admitted whole and uncharged — the output of an
-    /// unbudgeted run, zero recall loss — and counted in
-    /// `colstore.spill_rescues` with a warning event. Nothing is written
-    /// under `dir`, which is not kept. Either backend honours it;
-    /// [`out_of_core`](Self::out_of_core) overrides it.
-    pub fn segment_dir(mut self, _dir: impl Into<PathBuf>) -> Self {
-        if self.pipeline.admission == Admission::Charge {
-            self.pipeline.admission = Admission::RescueOnBreach;
+    /// Keeps a budget-breaching blocking index instead of shedding it
+    /// (`er resolve --on-breach keep`): with a memory budget configured, an
+    /// index whose charge would breach the budget is admitted whole and
+    /// uncharged — the output of an unbudgeted run, zero recall loss — and
+    /// counted in `blocking.budget_rescues` with a warning event. Either
+    /// backend honours it; [`out_of_core`](Self::out_of_core) overrides it.
+    /// `false` restores shedding.
+    pub fn keep_on_breach(mut self, keep: bool) -> Self {
+        match (keep, self.pipeline.admission) {
+            (true, Admission::Charge) => self.pipeline.admission = Admission::KeepOnBreach,
+            (false, Admission::KeepOnBreach) => self.pipeline.admission = Admission::Charge,
+            _ => {}
         }
         self
+    }
+
+    /// [`keep_on_breach(true)`](Self::keep_on_breach), kept only because
+    /// `bench/` names it; delete with ROADMAP direction 1. `dir` is not read
+    /// and nothing is written under it.
+    pub fn segment_dir(self, _dir: impl Into<PathBuf>) -> Self {
+        self.keep_on_breach(true)
     }
 
     /// Admits every block-producing stage's index whole and uncharged,
@@ -1191,7 +1200,7 @@ mod tests {
         assert_eq!(rescued.report.shed_comparisons, 0, "{:?}", rescued.report);
         assert_eq!(rescued.matches, plain.matches);
         assert_eq!(rescued.clusters, plain.clusters);
-        assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+        assert_eq!(obs.snapshot().counter("blocking.budget_rescues"), Some(1));
         assert!(!dir.exists(), "nothing is written under the segment dir");
     }
 
@@ -1208,7 +1217,7 @@ mod tests {
             .run(&ds.collection);
         assert_eq!(res.report.shed_comparisons, 0);
         let snap = obs.snapshot();
-        assert_eq!(snap.counter("colstore.spill_rescues"), None);
+        assert_eq!(snap.counter("blocking.budget_rescues"), None);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,13 +15,13 @@
 //!   bit-identical to an undisturbed one.
 //! * **Checkpoint/resume** — with a checkpoint directory configured, the
 //!   output of each completed stage is saved (`blocked.ckpt`,
-//!   `scheduled.ckpt`, `matched.ckpt`) as a one-section colstore segment of
-//!   wire records, stage name first, fingerprinted by the collection and the
-//!   pipeline configuration. A resumed run loads the deepest valid
-//!   checkpoint and skips everything before it; a mismatched, corrupted or
-//!   truncated checkpoint, or one naming an entity the collection lacks (or
-//!   a self-pair), is rejected with a warning and the stage runs from
-//!   scratch instead of crashing. Match scores are stored as their IEEE-754
+//!   `scheduled.ckpt`, `matched.ckpt`) as one checksummed file of wire
+//!   records ([`write()`] / [`read()`]), stage name first, fingerprinted by
+//!   the collection and the pipeline configuration. A resumed run loads the
+//!   deepest valid checkpoint and skips everything before it; a mismatched,
+//!   corrupted or truncated checkpoint, or one naming an entity the
+//!   collection lacks (or a self-pair), is rejected with a warning and the
+//!   stage runs from scratch instead of crashing. Match scores are stored as their IEEE-754
 //!   bit pattern, so a resumed run is bit-identical to an uninterrupted one.
 //! * **Graceful degradation** — if meta-blocking fails even after retries,
 //!   the run falls back to the unpruned blocked comparisons with a loud
@@ -36,15 +36,18 @@
 use crate::{Pipeline, Resolution};
 use er_blocking::block::{Block, BlockCollection};
 use er_core::collection::EntityCollection;
-use er_core::colstore::{Segment, SegmentError, SegmentWriter};
 use er_core::entity::EntityId;
 use er_core::fault::{panic_message, FaultInjector, RetryPolicy};
+use er_core::intern::Fnv1a;
 use er_core::obs::{Event, Obs};
 use er_core::pair::Pair;
 use er_core::wire::{put_str, put_u32, put_u64, Decoder, WireError};
 use std::fmt;
+use std::fs::{self, File};
+use std::hash::Hasher;
+use std::io::Write;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 use std::thread;
 
@@ -413,7 +416,7 @@ impl<'a> Hooks<'a> {
     pub(crate) fn save(
         &mut self,
         stage: &'static str,
-        write: impl FnOnce(&CheckpointStore) -> Result<(), SegmentError>,
+        write: impl FnOnce(&CheckpointStore) -> Saved,
     ) {
         let Some(store) = &self.store else {
             return;
@@ -432,6 +435,218 @@ impl<'a> Hooks<'a> {
             }
         }
     }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint file format
+// ---------------------------------------------------------------------------
+
+/// Header magic of a checkpoint file.
+const MAGIC: &[u8; 8] = b"ERSEGMT1";
+/// Footer magic of a checkpoint file.
+const FOOTER_MAGIC: &[u8; 8] = b"ERSEGEND";
+/// The format version a checkpoint header carries.
+const VERSION: u32 = 1;
+/// The section kind of the one payload section: opaque wire records. The
+/// kind and the footer's section count stay in the bytes so that
+/// checkpoints written by older builds still read.
+const BYTES_SECTION: u32 = 1;
+/// Bytes before the payload: the 24-byte header and the 16-byte section
+/// header.
+const PAYLOAD_AT: usize = 40;
+
+/// A rejected checkpoint file. Every malformed, truncated or mutated file
+/// yields one of these — never a panic, never a silent short read — and
+/// every kind but [`Io`](CheckpointErrorKind::Io) names the byte offset
+/// where the defect was found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub struct CheckpointError {
+    /// The offending file.
+    pub path: PathBuf,
+    /// What is wrong with it.
+    pub kind: CheckpointErrorKind,
+}
+
+/// What a [`CheckpointError`] found.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum CheckpointErrorKind {
+    /// The file could not be read, written or renamed.
+    Io(String),
+    /// A field is cut short or holds a value the format rejects (a section
+    /// kind other than bytes, a payload end that disagrees with the file, or
+    /// bytes after the footer); the wire error names the offset.
+    Wire(WireError),
+    /// The header (byte 0) or footer magic is wrong.
+    BadMagic {
+        /// Offset of the bad magic.
+        offset: u64,
+    },
+    /// The header's version (byte 8) is not the one this build writes.
+    Version(u32),
+    /// The header's fingerprint (byte 16) belongs to another collection or
+    /// configuration.
+    Fingerprint {
+        /// The fingerprint in the file.
+        found: u64,
+        /// The fingerprint the reader expected.
+        expected: u64,
+    },
+    /// The footer counts other than one section.
+    Sections {
+        /// Offset of the count.
+        offset: u64,
+        /// The count in the footer.
+        found: u64,
+    },
+    /// The footer checksum does not cover the bytes before it.
+    Checksum {
+        /// Offset of the stored checksum.
+        offset: u64,
+        /// Checksum recomputed from the bytes.
+        computed: u64,
+        /// Checksum stored in the footer.
+        stored: u64,
+    },
+}
+
+impl fmt::Display for CheckpointError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "checkpoint {}: ", self.path.display())?;
+        match &self.kind {
+            CheckpointErrorKind::Io(reason) => write!(f, "i/o error: {reason}"),
+            CheckpointErrorKind::Wire(e) => write!(f, "{e}"),
+            CheckpointErrorKind::BadMagic { offset } => write!(f, "bad magic at byte {offset}"),
+            CheckpointErrorKind::Version(found) => write!(
+                f,
+                "unsupported version {found} at byte 8 (expected {VERSION})"
+            ),
+            CheckpointErrorKind::Fingerprint { found, expected } => write!(
+                f,
+                "fingerprint mismatch at byte 16: found {found:016x}, expected \
+                 {expected:016x} (different collection or configuration)"
+            ),
+            CheckpointErrorKind::Sections { offset, found } => {
+                write!(f, "{found} sections at byte {offset}, expected 1")
+            }
+            CheckpointErrorKind::Checksum {
+                offset,
+                computed,
+                stored,
+            } => write!(
+                f,
+                "checksum mismatch at byte {offset}: computed {computed:016x}, stored \
+                 {stored:016x} (file mutated or corrupt)"
+            ),
+        }
+    }
+}
+
+impl std::error::Error for CheckpointError {}
+
+/// Writes `payload` to `path` as one checkpoint file under `fingerprint`,
+/// atomically: the bytes go to `<path>.tmp`, which is renamed into place, so
+/// a crash never leaves a half-written file under the final name.
+///
+/// ```text
+/// header   (24 B)  magic "ERSEGMT1" | version u32 | reserved u32 | fingerprint u64
+/// section  (16 B)  kind u32 (1, bytes) | reserved u32 | payload_len u64
+/// payload  (var)   wire records
+/// footer   (32 B)  magic "ERSEGEND" | section_count u64 (1) | payload_end u64 | checksum u64
+/// ```
+///
+/// All integers are little-endian; the checksum is FNV-1a over every byte
+/// before the footer.
+pub fn write(path: &Path, fingerprint: u64, payload: &[u8]) -> Result<(), CheckpointError> {
+    let io = |e: std::io::Error| CheckpointError {
+        path: path.to_path_buf(),
+        kind: CheckpointErrorKind::Io(e.to_string()),
+    };
+    let mut head = Vec::with_capacity(PAYLOAD_AT);
+    head.extend_from_slice(MAGIC);
+    put_u32(&mut head, VERSION);
+    put_u32(&mut head, 0);
+    put_u64(&mut head, fingerprint);
+    put_u32(&mut head, BYTES_SECTION);
+    put_u32(&mut head, 0);
+    put_u64(&mut head, payload.len() as u64);
+    let mut hash = Fnv1a::default();
+    hash.write(&head);
+    hash.write(payload);
+    let mut foot = FOOTER_MAGIC.to_vec();
+    put_u64(&mut foot, 1);
+    put_u64(&mut foot, (PAYLOAD_AT + payload.len()) as u64);
+    put_u64(&mut foot, hash.finish());
+    if let Some(dir) = path.parent() {
+        fs::create_dir_all(dir).map_err(io)?;
+    }
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let mut file = File::create(&tmp).map_err(io)?;
+    for part in [&head[..], payload, &foot] {
+        file.write_all(part).map_err(io)?;
+    }
+    fs::rename(&tmp, path).map_err(io)
+}
+
+/// Reads the payload of the checkpoint file at `path`, which must carry
+/// `fingerprint`: one read of the whole file, then the header, the section
+/// header and the footer through a [`Decoder`], and the checksum over the
+/// bytes before the footer. Every defect is a typed [`CheckpointError`].
+pub fn read(path: &Path, fingerprint: u64) -> Result<Vec<u8>, CheckpointError> {
+    let err = |kind| CheckpointError {
+        path: path.to_path_buf(),
+        kind,
+    };
+    let mut bytes = fs::read(path).map_err(|e| err(CheckpointErrorKind::Io(e.to_string())))?;
+    let wire = |e| err(CheckpointErrorKind::Wire(e));
+    let mut d = Decoder::new(&bytes);
+    if d.array::<8>().map_err(wire)? != *MAGIC {
+        return Err(err(CheckpointErrorKind::BadMagic { offset: 0 }));
+    }
+    let version = d.u32().map_err(wire)?;
+    if version != VERSION {
+        return Err(err(CheckpointErrorKind::Version(version)));
+    }
+    d.u32().map_err(wire)?;
+    let found = d.u64().map_err(wire)?;
+    if found != fingerprint {
+        let expected = fingerprint;
+        return Err(err(CheckpointErrorKind::Fingerprint { found, expected }));
+    }
+    if d.u32().map_err(wire)? != BYTES_SECTION {
+        return Err(wire(WireError::invalid(24, "section kind is not bytes")));
+    }
+    d.u32().map_err(wire)?;
+    let len = d.usize().map_err(wire)?;
+    d.slice(len).map_err(wire)?;
+    let footer_at = d.offset();
+    if d.array::<8>().map_err(wire)? != *FOOTER_MAGIC {
+        return Err(err(CheckpointErrorKind::BadMagic { offset: footer_at }));
+    }
+    let sections = d.u64().map_err(wire)?;
+    let payload_end = d.u64().map_err(wire)?;
+    let stored = d.u64().map_err(wire)?;
+    d.finish().map_err(wire)?;
+    if sections != 1 {
+        let (offset, found) = (footer_at + 8, sections);
+        return Err(err(CheckpointErrorKind::Sections { offset, found }));
+    }
+    if payload_end != footer_at {
+        let reason = format!("payload end {payload_end}, the footer is at byte {footer_at}");
+        return Err(wire(WireError::invalid(footer_at + 16, reason)));
+    }
+    let computed = Fnv1a::hash(&bytes[..footer_at as usize]);
+    if computed != stored {
+        let offset = footer_at + 24;
+        return Err(err(CheckpointErrorKind::Checksum {
+            offset,
+            computed,
+            stored,
+        }));
+    }
+    bytes.truncate(footer_at as usize);
+    bytes.drain(..PAYLOAD_AT);
+    Ok(bytes)
 }
 
 // ---------------------------------------------------------------------------
@@ -461,7 +676,7 @@ fn fingerprint(pipeline: &Pipeline, collection: &EntityCollection) -> u64 {
 }
 
 /// What saving a checkpoint returns.
-type Saved = Result<(), SegmentError>;
+type Saved = Result<(), CheckpointError>;
 
 pub(crate) struct CheckpointStore {
     dir: PathBuf,
@@ -492,19 +707,18 @@ impl CheckpointStore {
         }
     }
 
-    /// Writes `file` as a one-section segment under the store's fingerprint:
-    /// the stage name, then the fields `body` appends.
+    /// Writes `file` as one checkpoint under the store's fingerprint: the
+    /// stage name, then the fields `body` appends.
     fn write(&self, file: &str, stage: &str, body: impl FnOnce(&mut Vec<u8>)) -> Saved {
         let mut payload = Vec::new();
         put_str(&mut payload, stage);
         body(&mut payload);
-        let mut w = SegmentWriter::create(self.dir.join(file), self.fingerprint)?;
-        w.bytes(&payload)?;
-        w.finish().map(drop)
+        write(&self.dir.join(file), self.fingerprint, &payload)
     }
 
     /// Reads `file` back through `decode`: `Ok(None)` when absent, `Err` when
-    /// the segment, the stage name or a record is wrong.
+    /// the file, the stage name or a record is wrong. Record offsets name
+    /// bytes of the file.
     fn load<T>(
         &self,
         file: &str,
@@ -515,10 +729,8 @@ impl CheckpointStore {
         if !path.exists() {
             return Ok(None);
         }
-        let payload = Segment::open(&path, self.fingerprint)
-            .and_then(|seg| seg.bytes(0))
-            .map_err(|e| e.to_string())?;
-        let mut d = Decoder::new(&payload);
+        let payload = read(&path, self.fingerprint).map_err(|e| e.to_string())?;
+        let mut d = Decoder::at(&payload, PAYLOAD_AT as u64);
         let found = d.str().map_err(|e| e.to_string())?;
         if found != stage {
             return Err(format!("checkpoint of stage {found:?}, expected {stage:?}"));
@@ -643,6 +855,151 @@ mod tests {
         static SEQ: AtomicU64 = AtomicU64::new(0);
         let n = SEQ.fetch_add(1, Ordering::Relaxed);
         std::env::temp_dir().join(format!("er-recovery-test-{}-{tag}-{n}", std::process::id()))
+    }
+
+    fn tmp_file(tag: &str) -> PathBuf {
+        let dir = tmp_dir(tag);
+        fs::create_dir_all(&dir).unwrap();
+        dir.join("file.ckpt")
+    }
+
+    /// `n` wire records of three `u32`s each.
+    fn sample_payload(n: u32) -> Vec<u8> {
+        let mut out = Vec::new();
+        for v in 0..n * 3 {
+            put_u32(&mut out, v);
+        }
+        out
+    }
+
+    #[test]
+    fn tmp_file_never_survives_a_write() {
+        let path = tmp_file("tmpgone");
+        write(&path, 5, &sample_payload(4)).unwrap();
+        assert!(path.exists());
+        let mut tmp = path.as_os_str().to_owned();
+        tmp.push(".tmp");
+        assert!(!Path::new(&tmp).exists());
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn truncation_is_a_typed_error_with_offset() {
+        let path = tmp_file("trunc");
+        write(&path, 3, &sample_payload(64)).unwrap();
+        let good = fs::read(&path).unwrap();
+        for cut in [0, 10, 24, PAYLOAD_AT, good.len() - 1, good.len() - 40] {
+            fs::write(&path, &good[..cut]).unwrap();
+            let err = read(&path, 3).unwrap_err();
+            match &err.kind {
+                CheckpointErrorKind::Wire(e) => assert!(e.offset <= cut as u64, "{err}"),
+                CheckpointErrorKind::BadMagic { .. } => {}
+                other => panic!("cut at {cut}: unexpected {other:?}"),
+            }
+            assert!(err.to_string().contains("byte"), "offset named: {err}");
+        }
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn single_byte_mutations_are_caught() {
+        let path = tmp_file("mutate");
+        write(&path, 3, &sample_payload(32)).unwrap();
+        let good = fs::read(&path).unwrap();
+        for at in 0..good.len() {
+            let mut bad = good.clone();
+            bad[at] ^= 0x41;
+            fs::write(&path, &bad).unwrap();
+            assert!(
+                read(&path, 3).is_err(),
+                "mutation at byte {at} must be detected"
+            );
+        }
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn wrong_fingerprint_and_version_are_typed() {
+        let path = tmp_file("fp");
+        write(&path, 3, &sample_payload(4)).unwrap();
+        assert_eq!(
+            read(&path, 4).unwrap_err().kind,
+            CheckpointErrorKind::Fingerprint {
+                found: 3,
+                expected: 4
+            }
+        );
+        let mut bad = fs::read(&path).unwrap();
+        bad[8] = 2;
+        fs::write(&path, &bad).unwrap();
+        assert_eq!(
+            read(&path, 3).unwrap_err().kind,
+            CheckpointErrorKind::Version(2)
+        );
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// The one payload round-trips byte for byte behind exactly the 40 header
+    /// bytes and before the 32 footer bytes, and each defect a reader must
+    /// catch is a typed error.
+    #[test]
+    fn bytes_section_round_trips_and_rejects_each_defect() {
+        let path = tmp_file("bytes");
+        let payload: Vec<u8> = (0..=255u8).chain(*b"tab\tnew\nline").collect();
+        write(&path, 9, &payload).unwrap();
+        let good = fs::read(&path).unwrap();
+        assert_eq!(good.len(), PAYLOAD_AT + payload.len() + 32);
+        assert_eq!(&good[PAYLOAD_AT..PAYLOAD_AT + payload.len()], &payload[..]);
+        assert_eq!(read(&path, 9).unwrap(), payload);
+        // Truncated: the footer is cut.
+        fs::write(&path, &good[..good.len() - 1]).unwrap();
+        assert!(matches!(
+            read(&path, 9).unwrap_err().kind,
+            CheckpointErrorKind::Wire(WireError { .. })
+        ));
+        // Bytes after the footer.
+        fs::write(&path, [&good[..], b"x"].concat()).unwrap();
+        assert!(matches!(
+            read(&path, 9).unwrap_err().kind,
+            CheckpointErrorKind::Wire(WireError { .. })
+        ));
+        // An empty file is cut at its first field.
+        fs::write(&path, b"").unwrap();
+        match read(&path, 9).unwrap_err().kind {
+            CheckpointErrorKind::Wire(e) => assert_eq!(e.offset, 0),
+            other => panic!("unexpected {other:?}"),
+        }
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// A footer that counts two sections is rejected even when its checksum
+    /// covers the bytes: the format holds exactly one.
+    #[test]
+    fn a_footer_section_count_other_than_one_is_a_typed_error() {
+        let path = tmp_file("sections");
+        write(&path, 9, &sample_payload(4)).unwrap();
+        let mut bad = fs::read(&path).unwrap();
+        let footer_at = bad.len() - 32;
+        bad[footer_at + 8..footer_at + 16].copy_from_slice(&2u64.to_le_bytes());
+        let checksum = Fnv1a::hash(&bad[..footer_at]);
+        bad[footer_at + 24..].copy_from_slice(&checksum.to_le_bytes());
+        fs::write(&path, &bad).unwrap();
+        let err = read(&path, 9).unwrap_err();
+        assert_eq!(
+            err.kind,
+            CheckpointErrorKind::Sections {
+                offset: footer_at as u64 + 8,
+                found: 2
+            }
+        );
+        assert!(err.to_string().contains("2 sections"), "{err}");
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn absent_file_is_a_typed_io_error() {
+        let err = read(&tmp_dir("absent").join("none.ckpt"), 0).unwrap_err();
+        assert!(matches!(err.kind, CheckpointErrorKind::Io(_)), "{err:?}");
     }
 
     #[test]
@@ -959,9 +1316,7 @@ mod tests {
         for (file, stage, record, deeper) in cases {
             let _ = fs::remove_dir_all(&dir);
             p.run_with_recovery(&ds.collection, &opts).unwrap();
-            let payload = Segment::open(dir.join(file), store.fingerprint)
-                .and_then(|seg| seg.bytes(0))
-                .unwrap();
+            let payload = read(&dir.join(file), store.fingerprint).unwrap();
             // The body follows the stage name (a `u32` length, then its bytes).
             let body = &payload[4 + stage.len()..];
             store

@@ -29,6 +29,7 @@ use er_datagen::{DirtyDataset, NoiseModel};
 use er_integration_tests::{serial_transpose, token_rows, ScratchDir};
 use er_mapreduce::dist::SymbolBlock;
 use er_mapreduce::{run_key_transpose, DistOptions, InProcessTransport};
+use er_pipeline::recovery::{self, CheckpointError, CheckpointErrorKind};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions, Resolution};
 use proptest::prelude::*;
 use std::sync::{Arc, OnceLock};
@@ -578,8 +579,8 @@ proptest! {
     /// The wire decoder, which reads every frame, task payload, shuffle row
     /// and checkpoint record. On byte soup it decodes or fails typed, and
     /// `Ok` means the bytes are exactly the encoding of what it returned.
-    /// Stored the way every durable record is — one bytes section of a
-    /// segment — and hit by the four [`mutate_bytes`] kinds, `Ok` means
+    /// Stored the way every durable record is — the payload of a checkpoint
+    /// file — and hit by the four [`mutate_bytes`] kinds, `Ok` means
     /// exactly the original records. Every `Err` names an offset inside the
     /// input. Never a panic.
     #[test]
@@ -595,9 +596,7 @@ proptest! {
         let original = wire_records();
         let dir = ScratchDir::new("chaos-wire");
         let path = dir.join("wire.seg");
-        let mut w = er_core::SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
-        w.bytes(&encode_wire_records(&original)).unwrap();
-        w.finish().unwrap();
+        recovery::write(&path, SEG_FINGERPRINT, &encode_wire_records(&original)).unwrap();
         let good = std::fs::read(&path).unwrap();
         let bad = mutate_bytes(&good, seed);
         std::fs::write(&path, &bad).unwrap();
@@ -669,19 +668,16 @@ fn decode_wire_records(
     Ok(records)
 }
 
-/// Opens a one-section segment of wire records and decodes them; an error
-/// is returned as the file offset it names (0 when it names none).
+/// Reads a checkpoint file of wire records and decodes them; an error is
+/// returned as the file offset it names (0 when it names none).
 fn read_wire_segment(path: &std::path::Path) -> Result<Vec<WireRecord>, u64> {
-    let seg = er_core::Segment::open(path, SEG_FINGERPRINT)
-        .map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
-    let payload = seg
-        .bytes(0)
-        .map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
-    decode_wire_records(&payload, seg.sections()[0].payload_offset).map_err(|e| e.offset)
+    let payload =
+        recovery::read(path, SEG_FINGERPRINT).map_err(|e| segment_error_offset(&e).unwrap_or(0))?;
+    decode_wire_records(&payload, PAYLOAD_AT).map_err(|e| e.offset)
 }
 
 // ---------------------------------------------------------------------------
-// Segment codec robustness: the segment store under hostile bytes
+// Segment codec robustness: the checkpoint file format under hostile bytes
 // ---------------------------------------------------------------------------
 
 /// Byte-level sibling of [`mutate`]: the same four mutation kinds (truncate /
@@ -720,59 +716,49 @@ fn mutate_bytes(bytes: &[u8], seed: u64) -> Vec<u8> {
     bytes
 }
 
-/// Fingerprint every chaos segment is written (and opened) with.
+/// Fingerprint every chaos checkpoint file is written (and read) with.
 const SEG_FINGERPRINT: u64 = 0xfeed_beef;
 
-/// A valid two-section segment (two bytes sections of wire records, the
-/// first long) exercising the codec the checkpoint path reads back.
+/// File offset of a checkpoint's payload: the 24-byte header and the
+/// 16-byte section header come first.
+const PAYLOAD_AT: u64 = 40;
+
+/// A valid checkpoint file (one long payload of wire records) exercising
+/// the codec the checkpoint path reads back.
 fn segment_bytes() -> &'static Vec<u8> {
-    use er_core::colstore::SegmentWriter;
     static BYTES: OnceLock<Vec<u8>> = OnceLock::new();
     BYTES.get_or_init(|| {
         let dir = ScratchDir::new("chaos-segment-template");
         let path = dir.join("template.seg");
-        let mut w = SegmentWriter::create(&path, SEG_FINGERPRINT).unwrap();
-        w.bytes(&encode_wire_records(&wire_records()).repeat(16))
-            .unwrap();
-        w.bytes(&encode_wire_records(&wire_records())).unwrap();
-        w.finish().unwrap();
+        let payload = encode_wire_records(&wire_records()).repeat(16);
+        recovery::write(&path, SEG_FINGERPRINT, &payload).unwrap();
         std::fs::read(&path).unwrap()
     })
 }
 
-/// Opens `path` as a segment and, if the envelope validates, decodes every
-/// section through its codec — the full read surface a checkpoint load
-/// would touch. Any failure is returned, never panicked.
-fn scan_segment(path: &std::path::Path) -> Result<(), er_core::SegmentError> {
-    use er_core::colstore::KIND_BYTES;
-    let seg = er_core::Segment::open(path, SEG_FINGERPRINT)?;
-    for (i, info) in seg.sections().iter().enumerate() {
-        if info.kind == KIND_BYTES {
-            let payload = seg.bytes(i)?;
-            decode_wire_records(&payload, info.payload_offset).map_err(|e| {
-                er_core::SegmentError::Malformed {
-                    path: path.to_path_buf(),
-                    offset: e.offset,
-                    reason: e.to_string(),
-                }
-            })?;
-        }
-    }
+/// Reads `path` as a checkpoint file and, if the envelope validates,
+/// decodes its payload through the record codec — the full read surface a
+/// checkpoint load would touch. Any failure is returned, never panicked.
+fn scan_segment(path: &std::path::Path) -> Result<(), CheckpointError> {
+    let payload = recovery::read(path, SEG_FINGERPRINT)?;
+    decode_wire_records(&payload, PAYLOAD_AT).map_err(|e| CheckpointError {
+        path: path.to_path_buf(),
+        kind: CheckpointErrorKind::Wire(e),
+    })?;
     Ok(())
 }
 
-/// The byte offset a [`SegmentError`] anchors its diagnosis to, if the
-/// variant carries one (`Version`/`Fingerprint` pin fixed header offsets in
-/// their rendered message instead).
-fn segment_error_offset(e: &er_core::SegmentError) -> Option<u64> {
-    use er_core::SegmentError as E;
-    match e {
-        E::Io { offset, .. }
-        | E::Truncated { offset, .. }
-        | E::BadMagic { offset, .. }
-        | E::Checksum { offset, .. }
-        | E::Malformed { offset, .. } => Some(*offset),
-        E::Version { .. } | E::Fingerprint { .. } => None,
+/// The byte offset a [`CheckpointError`] anchors its diagnosis to, if the
+/// kind carries one (`Version`/`Fingerprint` pin fixed header offsets in
+/// their rendered message instead, and an I/O error names none).
+fn segment_error_offset(e: &CheckpointError) -> Option<u64> {
+    use CheckpointErrorKind as K;
+    match &e.kind {
+        K::Wire(w) => Some(w.offset),
+        K::BadMagic { offset } | K::Sections { offset, .. } | K::Checksum { offset, .. } => {
+            Some(*offset)
+        }
+        K::Io(_) | K::Version(_) | K::Fingerprint { .. } => None,
     }
 }
 
@@ -828,9 +814,9 @@ proptest! {
     }
 
     /// Arbitrary byte soup presented as a segment: always a typed error
-    /// (open demands magic, version, fingerprint, footer geometry and a
+    /// (a read demands magic, version, fingerprint, footer geometry and a
     /// matching checksum), never a panic, never an unbounded allocation —
-    /// section lengths are validated against the file before any read.
+    /// the section length is checked against the bytes read, not trusted.
     #[test]
     fn segment_reader_survives_arbitrary_byte_soup(
         bytes in proptest::collection::vec(any::<u8>(), 0..512),

@@ -144,7 +144,7 @@ const RESCUE: Mode = Mode {
         b.resource_limits(ResourceLimits::none().with_memory_bytes(1024))
             .segment_dir(dir)
     },
-    ran: "colstore.spill_rescues",
+    ran: "blocking.budget_rescues",
 };
 const SUBPROCESS: Mode = Mode {
     name: "subprocess",
@@ -168,7 +168,7 @@ const OOC_SUBPROCESS: Mode = Mode {
 const RESCUE_SUBPROCESS: Mode = Mode {
     name: "rescue-subprocess",
     configure: |b, dir| (RESCUE.configure)(subprocess(b, 2), dir),
-    ran: "colstore.spill_rescues",
+    ran: "blocking.budget_rescues",
 };
 /// Forced out-of-core under the binding budget, blocks from the workers.
 const OOC_BUDGET_SUBPROCESS: Mode = Mode {
@@ -587,11 +587,11 @@ fn binding_budget_rescued_through_the_segment_dir() {
     };
     let ds = corpus();
     check_mode(rescue_4k, &ds);
-    // The budget really binds: one run goes through the spill rescue once.
+    // The budget really binds: one run goes through the budget rescue once.
     let (dir, obs) = (ScratchDir::new("rescue-once"), Obs::enabled());
     let p = rescue_4k.on(Pipeline::builder(), &dir);
     p.observability(obs.clone()).build().run(&ds.collection);
-    assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+    assert_eq!(obs.snapshot().counter("blocking.budget_rescues"), Some(1));
 }
 
 #[test]
@@ -604,7 +604,7 @@ fn binding_budget_rescued_on_the_subprocess_backend() {
     let p = RESCUE_SUBPROCESS.on(Pipeline::builder(), &dir);
     let res = p.observability(obs.clone()).build().run(&ds.collection);
     assert_eq!(res.report.shed_comparisons, 0);
-    assert_eq!(obs.snapshot().counter("colstore.spill_rescues"), Some(1));
+    assert_eq!(obs.snapshot().counter("blocking.budget_rescues"), Some(1));
     assert!(!dir.exists(), "nothing written under the segment dir");
 }
 

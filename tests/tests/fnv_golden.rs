@@ -12,12 +12,17 @@
 //! worker's budget allotment). The fingerprint hashes the version, so a
 //! worker built before either change cannot join a pool built after it.
 //!
-//! `segment_footer_checksum_is_pinned` was re-pinned when colstore's
-//! posting-run kind went with the shuffle's segment files: it now pins a
-//! one-`KIND_BYTES`-section segment, the shape of every checkpoint.
+//! `segment_footer_checksum_is_pinned` was re-pinned when the segment
+//! format's posting-run kind went with the shuffle's segment files: it pins
+//! the footer of a checkpoint file (one bytes section), written by
+//! `er_pipeline::recovery::write`. It did not move when that format left
+//! `er_core::colstore` for the recovery module, and
+//! `checkpoints_written_by_an_older_build_resume` proves the move from the
+//! other side: `tests/fixtures/checkpoints/` holds the three checkpoints the
+//! colstore writer wrote for [`fixture`], and today's reader resumes them.
 //!
 //! `checkpoint_fingerprint_is_pinned` did not move: the checkpoint
-//! fingerprint is the same hash, now read from the segment header's
+//! fingerprint is the same hash, now read from the file header's
 //! fingerprint field instead of a text header.
 //!
 //! `default_resolution_is_pinned` pins what no other suite pins: the matches
@@ -31,13 +36,15 @@
 
 use er_blocking::minhash::MinHashBlocking;
 use er_core::collection::{EntityCollection, ResolutionMode};
-use er_core::colstore::{collection_fingerprint, SegmentWriter, FOOTER_LEN, MAGIC};
+use er_core::colstore::collection_fingerprint;
 use er_core::entity::{EntityBuilder, KbId};
 use er_core::intern::Fnv1a;
 use er_core::wire::put_u32;
 use er_datagen::{DirtyConfig, DirtyDataset};
 use er_integration_tests::ScratchDir;
+use er_pipeline::recovery::{self, RecoveryEvent, STAGE_MATCHING};
 use er_pipeline::{Pipeline, RecoveryOptions};
+use std::path::Path;
 
 fn fixture() -> EntityCollection {
     let mut c = EntityCollection::new(ResolutionMode::Dirty);
@@ -81,8 +88,8 @@ fn checkpoint_fingerprint_is_pinned() {
         )
         .unwrap();
     let blocked = std::fs::read(dir.join("blocked.ckpt")).unwrap();
-    // The segment header: magic, version, reserved, then the fingerprint.
-    assert_eq!(&blocked[..8], MAGIC);
+    // The file header: magic, version, reserved, then the fingerprint.
+    assert_eq!(&blocked[..8], b"ERSEGMT1");
     let got = u64::from_le_bytes(blocked[16..24].try_into().unwrap());
     assert_eq!(got, 0xec68_0b0c_66a2_f8b6, "{got:#018x}");
 }
@@ -91,18 +98,48 @@ fn checkpoint_fingerprint_is_pinned() {
 fn segment_footer_checksum_is_pinned() {
     let dir = ScratchDir::new("fnv-segment");
     let path = dir.join("golden.seg");
-    let mut w = SegmentWriter::create(&path, 0xfeed_beef).unwrap();
     let mut payload = Vec::new();
     for v in [0, 0, 0, 1, 3, 2] {
         put_u32(&mut payload, v);
     }
-    w.bytes(&payload).unwrap();
-    let len = w.finish().unwrap();
+    recovery::write(&path, 0xfeed_beef, &payload).unwrap();
     let bytes = std::fs::read(&path).unwrap();
-    assert_eq!(bytes.len() as u64, len);
-    let footer = &bytes[bytes.len() - FOOTER_LEN as usize..];
+    assert_eq!(bytes.len(), 40 + payload.len() + 32);
+    let footer = &bytes[bytes.len() - 32..];
     let checksum = u64::from_le_bytes(footer[24..32].try_into().unwrap());
     assert_eq!(checksum, 0x50e5_75f4_0bc9_2857, "{checksum:#018x}");
+}
+
+/// The three checkpoints an older build (the `er_core::colstore` segment
+/// writer) wrote for [`fixture`] under the default pipeline still resume:
+/// the deepest is loaded, and the resolution equals a fresh run's.
+#[test]
+fn checkpoints_written_by_an_older_build_resume() {
+    let fixtures = Path::new(env!("CARGO_MANIFEST_DIR")).join("fixtures/checkpoints");
+    let dir = ScratchDir::created("fnv-old-ckpt");
+    for file in ["blocked.ckpt", "scheduled.ckpt", "matched.ckpt"] {
+        std::fs::copy(fixtures.join(file), dir.join(file)).unwrap();
+    }
+    let pipeline = Pipeline::builder().build();
+    let opts = RecoveryOptions::default()
+        .checkpoint_dir(&*dir)
+        .resume(true);
+    let resumed = pipeline.run_with_recovery(&fixture(), &opts).unwrap();
+    assert_eq!(resumed.resumed_from, Some(STAGE_MATCHING));
+    assert!(
+        resumed.events.contains(&RecoveryEvent::CheckpointLoaded {
+            stage: STAGE_MATCHING
+        }),
+        "{:?}",
+        resumed.events
+    );
+    let fresh = pipeline.run(&fixture());
+    assert!(!fresh.matches.is_empty());
+    assert_eq!(resumed.resolution.matches, fresh.matches);
+    assert_eq!(resumed.resolution.clusters, fresh.clusters);
+    let (got, want) = (&resumed.resolution.report, &fresh.report);
+    assert_eq!(got.blocked_comparisons, want.blocked_comparisons);
+    assert_eq!(got.scheduled_comparisons, want.scheduled_comparisons);
 }
 
 #[test]

@@ -21,6 +21,9 @@
 //!    results.
 //! 5. **A pool exits when told** — dropping a transport ends every worker on
 //!    `Shutdown` and reaps it on EOF, without waiting out a heartbeat.
+//! 6. **A frame over the cap is never sent** — a task whose frame would
+//!    exceed `MAX_FRAME_BYTES` fails its stage with a typed error naming the
+//!    task and the size; no worker dies for it and none is restarted.
 
 use er_core::fault::ExecPolicy;
 use er_core::obs::Obs;
@@ -30,7 +33,9 @@ use er_mapreduce::proto::{
     protocol_fingerprint, Frame, FrameError, FrameReader, FrameWriter, MAX_FRAME_BYTES,
     PROTOCOL_VERSION,
 };
-use er_mapreduce::{run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport};
+use er_mapreduce::{
+    run_key_transpose, DistOptions, SubprocessConfig, SubprocessTransport, Transport,
+};
 use proptest::prelude::*;
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -359,4 +364,26 @@ fn dropping_a_pool_reaps_its_workers_without_waiting_out_a_heartbeat() {
     let snapshot = obs.snapshot();
     assert_eq!(snapshot.counter("worker.exited"), Some(2));
     assert_eq!(snapshot.counter("worker.crashed").unwrap_or(0), 0);
+}
+
+/// (6) One map payload 16 bytes over the frame cap: the stage fails with a
+/// typed error naming the stage, the task and the frame's byte count, and no
+/// worker crashes or restarts over a frame the writer would refuse.
+#[test]
+fn a_task_frame_over_the_cap_is_a_typed_error_not_a_crash_loop() {
+    let obs = Obs::enabled();
+    let mut cfg = subprocess_cfg(1);
+    cfg.policy = ExecPolicy::default().with_obs(obs.clone());
+    let mut t = SubprocessTransport::new(cfg);
+    let payload = vec![0u8; MAX_FRAME_BYTES as usize + 16];
+    let want = er_mapreduce::proto::Frame::task_len("key-transpose", "map", payload.len());
+    let err = t
+        .run_stage("key-transpose", "map", &[payload])
+        .expect_err("an oversized task frame must not be sent");
+    assert_eq!((err.stage.as_str(), err.task), ("map", 0), "{err}");
+    assert!(err.message.contains(&format!("{want} bytes")), "{err}");
+    drop(t);
+    let snapshot = obs.snapshot();
+    assert_eq!(snapshot.counter("worker.crashed").unwrap_or(0), 0);
+    assert_eq!(snapshot.counter("worker.restarted").unwrap_or(0), 0);
 }
