@@ -99,7 +99,8 @@ fn print_usage() {
          \x20        and --backend subprocess. --pruning none refuses\n\
          \x20        --weighting. --threshold T (default 0.4) is in [0, 1].\n\
          THREADS: worker threads for the hot kernels; 0 = all cores,\n\
-         \x20        default 1 (serial). The output is identical either way.\n\
+         \x20        default 1 (serial), at most {MAX_THREADS}. The output is\n\
+         \x20        identical either way.\n\
          FAULTS:  --retries N retries a failed stage up to N attempts (default 3);\n\
          \x20        --checkpoint-dir DIR writes per-stage snapshots, --resume\n\
          \x20        restores the deepest valid one; --fail-stage injects one\n\
@@ -118,11 +119,11 @@ fn print_usage() {
          \x20        writes the per-stage metrics snapshot as sorted-key JSON\n\
          \x20        (validate it with the er-metrics-check companion binary).\n\
          BACKEND: --backend subprocess runs blocking (every method but sn,\n\
-         \x20        which rejects it) on --workers N (default 2) supervised\n\
-         \x20        worker processes with real crash isolation: crashed\n\
-         \x20        workers are restarted and their tasks reassigned, and\n\
-         \x20        the resolution is bit-identical to the default\n\
-         \x20        in-process backend (see docs/distributed.md).\n\
+         \x20        which rejects it) on --workers N (default 2, at most\n\
+         \x20        {MAX_WORKERS}) supervised worker processes with real crash\n\
+         \x20        isolation: crashed workers are restarted and their tasks\n\
+         \x20        reassigned, and the resolution is bit-identical to the\n\
+         \x20        default in-process backend (see docs/distributed.md).\n\
          STREAM:  --ingest-queue-bytes BYTES replays the collection through\n\
          \x20        the bounded arrival queue (producers feel back-pressure\n\
          \x20        past the budget; a record costing more than the whole\n\
@@ -289,9 +290,27 @@ fn threshold_from(flags: &BTreeMap<String, String>) -> Result<f64, String> {
     }
 }
 
+/// The most worker processes `--workers` may ask for.
+const MAX_WORKERS: usize = 64;
+/// The most worker threads `--threads` may ask for.
+const MAX_THREADS: usize = 256;
+
+/// `--threads N` (default 1; 0 = all cores), refused above [`MAX_THREADS`]
+/// before any thread is started.
+fn threads_from(flags: &BTreeMap<String, String>) -> Result<usize, String> {
+    let Some(v) = flags.get("threads") else {
+        return Ok(1);
+    };
+    match v.parse() {
+        Ok(n) if n <= MAX_THREADS => Ok(n),
+        Ok(_) => Err(format!("bad --threads {v:?}: at most {MAX_THREADS}")),
+        Err(_) => Err(format!("bad --threads {v:?}")),
+    }
+}
+
 /// Builds the execution backend from the resolve flags: `--backend
 /// inprocess` (default) or `--backend subprocess` with `--workers N` worker
-/// processes (default 2).
+/// processes (default 2, at most [`MAX_WORKERS`]).
 fn backend_from(flags: &BTreeMap<String, String>) -> Result<Backend, String> {
     let workers: Option<usize> = flags
         .get("workers")
@@ -312,6 +331,9 @@ fn backend_from(flags: &BTreeMap<String, String>) -> Result<Backend, String> {
             let workers = workers.unwrap_or(2);
             if workers == 0 {
                 return Err("--workers must be at least 1".to_string());
+            }
+            if workers > MAX_WORKERS {
+                return Err(format!("bad --workers {workers}: at most {MAX_WORKERS}"));
             }
             Ok(Backend::Subprocess { workers })
         }
@@ -556,11 +578,7 @@ fn cmd_scenario_run(args: &[String]) -> Result<(), String> {
         ],
         &[],
     )?;
-    let threads: usize = flags
-        .get("threads")
-        .map(|v| v.parse().map_err(|_| format!("bad --threads {v:?}")))
-        .transpose()?
-        .unwrap_or(1);
+    let threads = threads_from(&flags)?;
     let selected: Vec<&scenarios::Scenario> = match (flags.get("scenario"), flags.get("family")) {
         (Some(_), Some(_)) => {
             return Err("--scenario and --family are mutually exclusive".to_string())
@@ -673,13 +691,7 @@ fn cmd_resolve(args: &[String]) -> Result<(), String> {
         ],
         &["resume"],
     )?;
-    let par = Parallelism::threads(
-        flags
-            .get("threads")
-            .map(|v| v.parse().map_err(|_| format!("bad --threads {v:?}")))
-            .transpose()?
-            .unwrap_or(1),
-    );
+    let par = Parallelism::threads(threads_from(&flags)?);
     let opts = recovery_options_from(&flags)?;
     let limits = resource_limits_from(&flags)?;
     let backend = backend_from(&flags)?;
@@ -922,6 +934,28 @@ mod tests {
         let f = parse_flags(&s(&["--resume", "--kind", "dirty"]), &["kind"], &["resume"]).unwrap();
         assert_eq!(f["resume"], "true");
         assert_eq!(f["kind"], "dirty");
+    }
+
+    #[test]
+    fn thread_and_worker_counts_above_the_ceiling_are_refused() {
+        let flag = |k: &str, v: &str| BTreeMap::from([(k.to_string(), v.to_string())]);
+        assert_eq!(threads_from(&BTreeMap::new()), Ok(1));
+        assert_eq!(threads_from(&flag("threads", "0")), Ok(0));
+        assert_eq!(threads_from(&flag("threads", "256")), Ok(256));
+        for v in ["257", "100000"] {
+            let err = threads_from(&flag("threads", v)).unwrap_err();
+            assert!(err.contains("at most 256"), "{err}");
+        }
+        let subprocess = |workers: &str| {
+            let mut flags = flag("workers", workers);
+            flags.insert("backend".to_string(), "subprocess".to_string());
+            backend_from(&flags)
+        };
+        assert_eq!(subprocess("64"), Ok(Backend::Subprocess { workers: 64 }));
+        for v in ["65", "100000"] {
+            let err = subprocess(v).unwrap_err();
+            assert!(err.contains("at most 64"), "{err}");
+        }
     }
 
     #[test]

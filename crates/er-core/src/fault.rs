@@ -1,7 +1,7 @@
-//! Deterministic fault injection and retry/speculation policies.
+//! Deterministic fault injection and retry policies.
 //!
 //! The web-scale techniques of §II–§III assume a MapReduce runtime that
-//! masks task failures and stragglers; this module provides the substrate
+//! masks task failures; this module provides the substrate
 //! the workspace's in-process execution layers (`er-mapreduce::engine`,
 //! `er-pipeline::recovery`) use to *simulate and survive* those failures
 //! deterministically:
@@ -13,17 +13,13 @@
 //! * [`RetryPolicy`] — bounded retries with exponential backoff and
 //!   *deterministic* jitter (hashed from the task key, not sampled from a
 //!   global RNG), so two runs of the same schedule wait the same intervals;
-//! * [`SpeculationConfig`] — when to launch a backup attempt for a straggler
-//!   task (the Hadoop "speculative execution" rule: a task exceeding
-//!   `straggler_factor ×` the median completed-task duration gets a backup;
-//!   the first finisher wins on *result identity*, never timing);
 //! * [`ExecPolicy`] — the bundle an execution layer consumes.
 //!
 //! The determinism contract mirrors `docs/parallelism.md`: any run that
 //! completes under injected faults must be **bit-identical** to the
-//! fault-free run. Retries re-run a pure task on the same input; speculation
-//! only races two executions of the same pure function — so neither can
-//! change output, only wall-clock time. See `docs/fault_tolerance.md`.
+//! fault-free run. A retry re-runs a pure task on the same input, so it can
+//! change only wall-clock time, never output. A task has one attempt in
+//! flight at a time. See `docs/fault_tolerance.md`.
 
 use crate::splitmix64;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -42,8 +38,8 @@ pub enum FaultKind {
 }
 
 /// Identifies one task attempt: `(stage, task index, attempt number)`.
-/// Attempt numbers start at 0 and include speculative backups (a backup
-/// launched while attempt `a` runs is numbered `a + 1`).
+/// Attempt numbers start at 0; every retry and every reassignment after a
+/// worker death takes the task's next number.
 pub type FaultKey = (String, usize, u32);
 
 /// A deterministic schedule of faults.
@@ -330,40 +326,14 @@ impl RetryPolicy {
     }
 }
 
-/// When to launch a speculative backup attempt for a straggler task.
-#[derive(Clone, Copy, Debug, PartialEq)]
-pub struct SpeculationConfig {
-    /// A running task becomes a straggler when its elapsed time exceeds
-    /// `straggler_factor ×` the median completed-task duration.
-    pub straggler_factor: f64,
-    /// Stragglers are only detected once this many tasks completed (the
-    /// median needs support).
-    pub min_completed: usize,
-    /// Floor on the straggler threshold, so microsecond-scale medians do
-    /// not spuriously speculate every task.
-    pub min_runtime: Duration,
-}
-
-impl Default for SpeculationConfig {
-    fn default() -> Self {
-        SpeculationConfig {
-            straggler_factor: 3.0,
-            min_completed: 1,
-            min_runtime: Duration::from_millis(5),
-        }
-    }
-}
-
 /// The fault-tolerance bundle an execution layer consumes: retry policy,
-/// optional injector, optional speculation, optional observability.
+/// optional injector, optional observability.
 #[derive(Clone, Default)]
 pub struct ExecPolicy {
     /// Retry/backoff policy.
     pub retry: RetryPolicy,
     /// Fault injector shared by every task of the run (tests, demos).
     pub injector: Option<std::sync::Arc<FaultInjector>>,
-    /// Speculative-execution rule; `None` disables speculation.
-    pub speculation: Option<SpeculationConfig>,
     /// Observability handle: execution layers mirror their job statistics
     /// and per-task latency histograms into it. Disabled by default.
     pub obs: crate::obs::Obs,
@@ -374,14 +344,13 @@ impl std::fmt::Debug for ExecPolicy {
         f.debug_struct("ExecPolicy")
             .field("retry", &self.retry)
             .field("injector", &self.injector.as_ref().map(|i| i.injected()))
-            .field("speculation", &self.speculation)
             .field("obs", &self.obs)
             .finish()
     }
 }
 
 impl ExecPolicy {
-    /// Retries only, no injection, no speculation.
+    /// Retries only, no injection.
     pub fn retrying(retry: RetryPolicy) -> Self {
         ExecPolicy {
             retry,
@@ -392,12 +361,6 @@ impl ExecPolicy {
     /// Adds a shared injector.
     pub fn with_injector(mut self, injector: std::sync::Arc<FaultInjector>) -> Self {
         self.injector = Some(injector);
-        self
-    }
-
-    /// Enables speculation.
-    pub fn with_speculation(mut self, spec: SpeculationConfig) -> Self {
-        self.speculation = Some(spec);
         self
     }
 
@@ -580,12 +543,9 @@ mod tests {
     #[test]
     fn exec_policy_builder() {
         let inj = std::sync::Arc::new(FaultInjector::new(FaultPlan::none()));
-        let p = ExecPolicy::retrying(RetryPolicy::attempts(4))
-            .with_injector(inj)
-            .with_speculation(SpeculationConfig::default());
+        let p = ExecPolicy::retrying(RetryPolicy::attempts(4)).with_injector(inj);
         assert_eq!(p.retry.max_attempts, 4);
         assert!(p.injector.is_some());
-        assert!(p.speculation.is_some());
         assert_eq!(p.faults_injected(), 0);
         assert!(format!("{p:?}").contains("ExecPolicy"));
     }

@@ -35,9 +35,9 @@
 //!   charged against a memory budget (typed back-pressure instead of
 //!   unbounded buffering) and a malformed-record quarantine with typed
 //!   rejection reasons ([`ingest`]);
-//! * **fault-tolerance primitives** — deterministic fault injection, retry
-//!   policies with deterministic backoff jitter, and speculation rules used
-//!   by the execution layers ([`fault`]);
+//! * **fault-tolerance primitives** — deterministic fault injection and
+//!   retry policies with deterministic backoff jitter, used by the execution
+//!   layers ([`fault`]);
 //! * **observability** — a zero-dependency, thread-safe metrics registry
 //!   (counters, gauges, log2-bucket histograms), wall-clock spans with parent
 //!   nesting, structured warning events with pluggable sinks, and

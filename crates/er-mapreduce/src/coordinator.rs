@@ -1,8 +1,9 @@
 //! Multi-process backend: a coordinator supervising OS worker processes.
 //!
-//! [`SubprocessTransport`] spawns `workers` child processes (by default a
-//! re-exec of the current binary with `--worker`) and drives them over the
-//! framed protocol of [`proto`](crate::proto). Supervision rules:
+//! [`SubprocessTransport`] spawns `workers` child processes (the worker
+//! program, by default the current binary, run with `--worker`) and drives
+//! them over the framed protocol of [`proto`](crate::proto). Supervision
+//! rules:
 //!
 //! * **Handshake** — every worker must answer `Hello` (protocol version +
 //!   fingerprint) with `HelloAck` before any task is
@@ -24,10 +25,9 @@
 //!   (success, typed failure, coordinator panic) via the transport's `Drop`;
 //!   no zombies and no leaked PIDs survive a failed run.
 //!
-//! Which attempt runs next, what a failure costs and when a straggler gets a
-//! backup is decided by the ledger (`ledger.rs`) — the same one the in-process
-//! engine drives — so this module only turns frames, pipe EOFs and missed
-//! heartbeats into ledger reports.
+//! Which attempt runs next and what a failure costs is decided by the ledger
+//! (`ledger.rs`) — the same one the in-process engine drives — so this module
+//! only turns frames, pipe EOFs and missed heartbeats into ledger reports.
 //!
 //! Obs counters: `worker.spawned`, `worker.exited` (clean), `worker.crashed`
 //! (involuntary), `worker.restarted`, `worker.heartbeats_missed`, and the
@@ -47,30 +47,32 @@ use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+/// The argument that starts a worker program in worker mode.
+pub(crate) const WORKER_ARG: &str = "--worker";
+/// Deadline for the `Hello` → `HelloAck` exchange after spawn.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(10);
+/// Grace period for clean exits at shutdown before the pool kills.
+const SHUTDOWN_GRACE: Duration = Duration::from_secs(2);
+
 /// Configuration of the subprocess worker pool.
 #[derive(Clone)]
 pub struct SubprocessConfig {
     /// Number of worker processes.
     pub workers: usize,
-    /// Worker executable; `None` re-execs the current binary.
+    /// Worker executable, run with `--worker`; `None` re-execs the current
+    /// binary.
     pub program: Option<PathBuf>,
-    /// Arguments passed to the worker executable.
-    pub args: Vec<String>,
     /// Heartbeat cadence requested from workers.
     pub heartbeat: Duration,
     /// A worker silent for longer than this is declared dead.
     pub liveness_deadline: Duration,
-    /// Deadline for the `Hello` → `HelloAck` exchange after spawn.
-    pub handshake_deadline: Duration,
-    /// Grace period for clean exits at shutdown before the pool kills.
-    pub shutdown_grace: Duration,
     /// Hard wall-clock bound per stage; `None` disables. The final backstop
     /// of the no-hang guarantee.
     pub stage_deadline: Option<Duration>,
     /// Pool-wide budget of worker restarts after crashes; once spent, the
     /// next crash that empties the pool fails the stage with a typed error.
     pub max_restarts: u32,
-    /// Retry/speculation/injection/obs bundle, applied by the attempt ledger
+    /// Retry/injection/obs bundle, applied by the attempt ledger
     /// exactly as on the in-process backend.
     pub policy: ExecPolicy,
     /// Test hook: send this `(version, fingerprint)` in `Hello` instead of
@@ -85,13 +87,10 @@ impl SubprocessConfig {
         SubprocessConfig {
             workers,
             program: None,
-            args: vec!["--worker".to_string()],
             heartbeat: Duration::from_millis(25),
             liveness_deadline: Duration::from_secs(2),
-            handshake_deadline: Duration::from_secs(10),
-            shutdown_grace: Duration::from_secs(2),
             stage_deadline: Some(Duration::from_secs(300)),
-            max_restarts: (workers as u32) * 4,
+            max_restarts: u32::try_from(workers).unwrap_or(u32::MAX).saturating_mul(4),
             policy: ExecPolicy::default(),
             handshake_overrides: None,
         }
@@ -148,8 +147,8 @@ enum SlotState {
         task: usize,
         attempt: u32,
     },
-    /// Still running an attempt of a stage that already ended (a losing
-    /// backup or straggler); its reply frees the worker and is dropped.
+    /// Still running an attempt of a stage that already failed; its reply
+    /// frees the worker and is dropped.
     Abandoned,
     Dead,
 }
@@ -235,7 +234,7 @@ impl SubprocessTransport {
                 .map_err(|e| format!("cannot resolve current executable: {e}"))?,
         };
         let mut child = Command::new(&program)
-            .args(&self.cfg.args)
+            .arg(WORKER_ARG)
             .stdin(Stdio::piped())
             .stdout(Stdio::piped())
             .stderr(Stdio::inherit())
@@ -495,7 +494,7 @@ impl SubprocessTransport {
             .filter_map(|(i, s)| {
                 let deadline = match s.state {
                     SlotState::Dead => return None,
-                    SlotState::Handshaking => self.cfg.handshake_deadline,
+                    SlotState::Handshaking => HANDSHAKE_DEADLINE,
                     _ => self.cfg.liveness_deadline,
                 };
                 (now.duration_since(s.last_seen) > deadline).then_some(i)
@@ -522,7 +521,7 @@ impl SubprocessTransport {
                 let _ = sender.send((Duration::ZERO, Frame::Shutdown));
             }
         }
-        let deadline = Instant::now() + self.cfg.shutdown_grace;
+        let deadline = Instant::now() + SHUTDOWN_GRACE;
         while self.live_count() > 0 {
             let wait = deadline.saturating_duration_since(Instant::now());
             // A protocol error leaves the process running: it is killed.

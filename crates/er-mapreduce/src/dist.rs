@@ -414,8 +414,6 @@ pub struct DistStats {
     pub reduce_groups: u64,
     /// Task attempts retried after typed failures (both stages).
     pub retried: u64,
-    /// Speculative backup attempts launched (both stages).
-    pub speculated: u64,
     /// Task attempts reassigned after a worker death (subprocess backend).
     pub reassigned: u64,
 }
@@ -432,8 +430,6 @@ impl DistStats {
         obs.counter("mapreduce.reduce_groups")
             .add(self.reduce_groups);
         obs.counter("mapreduce.tasks_retried").add(self.retried);
-        obs.counter("mapreduce.tasks_speculated")
-            .add(self.speculated);
         obs.counter("mapreduce.tasks_reassigned")
             .add(self.reassigned);
         obs.counter("mapreduce.jobs").incr();
@@ -473,7 +469,7 @@ pub struct TransposeOutput {
 /// partition order is symbol order — which is key order, the vocabulary
 /// being sorted. Deterministic: for fixed `rows` and `opts` the output is
 /// bit-identical across transports, worker, task and partition counts,
-/// retries, speculation and worker crashes — the in-process transport is
+/// retries and worker crashes — the in-process transport is
 /// the oracle the subprocess backend is property-tested against.
 pub fn run_key_transpose(
     transport: &mut dyn Transport,
@@ -499,7 +495,6 @@ pub fn run_key_transpose(
     let mut stats = DistStats {
         map_tasks: map_payloads.len() as u64,
         retried: map_out.retried,
-        speculated: map_out.speculated,
         reassigned: map_out.reassigned,
         ..DistStats::default()
     };
@@ -519,7 +514,6 @@ pub fn run_key_transpose(
     stats.reduce_tasks = reduce_payloads.len() as u64;
     drop(reduce_payloads);
     stats.retried += red_out.retried;
-    stats.speculated += red_out.speculated;
     stats.reassigned += red_out.reassigned;
     let mut blocks = Vec::new();
     for (task, payload) in red_out.results.iter().enumerate() {

@@ -17,15 +17,12 @@
 //! `execute_tasks` runs a stage's tasks under an [`ExecPolicy`]
 //! (`er_core::fault`): per-task panics and transient errors are caught and
 //! the *failed task only* is retried with exponential backoff and
-//! deterministic jitter; stragglers optionally get a speculative backup
-//! attempt whose result is taken by **identity, not timing** (both attempts
-//! run the same pure function over the same input, so whichever finishes
-//! first writes the one possible value). Any run that completes is therefore
-//! bit-identical to the fault-free run — the same contract
-//! `docs/parallelism.md` establishes for thread counts, extended to failure
-//! schedules. A task that exhausts its attempts surfaces as [`ExecError`]
-//! instead of panicking; under `ExecPolicy::default()` nothing is injected
-//! or speculated and the policy costs one `catch_unwind` per task.
+//! deterministic jitter. A retry runs the same pure function over the same
+//! input, so any run that completes is bit-identical to the fault-free run —
+//! the same contract `docs/parallelism.md` establishes for thread counts,
+//! extended to failure schedules. A task that exhausts its attempts surfaces
+//! as [`ExecError`] instead of panicking; under `ExecPolicy::default()`
+//! nothing is injected and the policy costs one `catch_unwind` per task.
 
 use crate::ledger::{Counters, Ledger};
 use er_core::fault::{panic_message, ExecPolicy};
@@ -61,9 +58,8 @@ impl std::error::Error for ExecError {}
 /// Runs `tasks` on `workers` threads under a fault-tolerance policy.
 ///
 /// Each task is a pure function of its (shared, re-borrowable) input, so a
-/// failed attempt can be retried and a straggler can race a backup without
-/// changing the output: `results[i]` is always `run(&tasks[i])` of *some*
-/// successful attempt, and all successful attempts produce the same value.
+/// failed attempt can be retried without changing the output: `results[i]`
+/// is always `run(&tasks[i])`, whichever attempt succeeded.
 /// Results are returned in task order, which keeps the caller's merge order
 /// identical to the fault-free engine.
 ///
@@ -89,14 +85,6 @@ where
     assert!(workers >= 1, "need at least one worker");
     let ledger = Mutex::new(Ledger::new(stage, tasks.len(), policy, Instant::now()));
     let cv = Condvar::new();
-    // Only speculation needs periodic polling; otherwise idle workers park
-    // until notified or the earliest backoff expires, so they don't steal
-    // cycles from the threads doing real work.
-    let poll = if policy.speculation.is_some() {
-        Duration::from_millis(2)
-    } else {
-        Duration::from_secs(60)
-    };
     // A poisoned lock means a sibling panicked inside the ledger — a bug.
     // The thread that sees it stops; the scope re-raises the sibling's panic.
     std::thread::scope(|s| {
@@ -112,8 +100,11 @@ where
                         cv.notify_all();
                         return;
                     }
-                    let ready_in = l.next_ready().map(|at| at.saturating_duration_since(now));
-                    let wait = ready_in.map_or(poll, |d| d.min(poll));
+                    // Idle workers park until a report arrives or the
+                    // earliest backoff expires.
+                    let wait = l.next_ready().map_or(Duration::from_secs(60), |at| {
+                        at.saturating_duration_since(now)
+                    });
                     match cv.wait_timeout(l, wait.max(Duration::from_micros(100))) {
                         Ok((guard, _)) => l = guard,
                         Err(_) => return,
@@ -145,7 +136,7 @@ mod tests {
     use crate::dist::tests::serial_transpose;
     use crate::dist::{run_key_transpose, DistOptions, DistStats, SymbolBlock, TransposeOutput};
     use crate::transport::InProcessTransport;
-    use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy, SpeculationConfig};
+    use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
     use er_core::intern::{Interner, Symbol};
     use er_core::profiles::KeyRows;
     use std::sync::atomic::{AtomicBool, Ordering};
@@ -285,28 +276,6 @@ mod tests {
         assert_eq!(err.task, 0);
         assert_eq!(err.attempts, 2);
         assert!(err.to_string().contains("failed after 2 attempt"));
-    }
-
-    #[test]
-    fn speculation_races_a_straggler_and_keeps_the_result_identical() {
-        // Many fast map tasks establish a median far below `min_runtime`;
-        // task 0 is delayed well beyond it on its first attempt, so a backup
-        // launches, completes cleanly, and fills the result slot first —
-        // with output identical to the fault-free run. (The stage's join
-        // still waits out the abandoned attempt: in-process threads cannot
-        // be killed; see docs/fault_tolerance.md.)
-        let texts: Vec<String> = (0..16).map(|i| format!("w{} common", i % 4)).collect();
-        let refs: Vec<&str> = texts.iter().map(String::as_str).collect();
-        let plan =
-            FaultPlan::none().inject("map", 0, 0, FaultKind::Delay(Duration::from_millis(300)));
-        let policy = injecting(fast_retry(3), plan).with_speculation(SpeculationConfig {
-            straggler_factor: 2.0,
-            min_completed: 1,
-            min_runtime: Duration::from_millis(50),
-        });
-        let out = try_transpose(&refs, 8, policy).unwrap();
-        assert_eq!(out.blocks, reference(&refs));
-        assert_eq!(out.stats.speculated, 1, "one backup for the straggler");
     }
 
     #[test]

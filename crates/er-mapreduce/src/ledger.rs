@@ -1,5 +1,5 @@
-//! The attempt ledger: the one place the retry, backoff, speculation,
-//! crash-reassignment and fault-injection rules of a stage are written.
+//! The attempt ledger: the one place the retry, backoff, crash-reassignment
+//! and fault-injection rules of a stage are written.
 //!
 //! A [`Ledger`] is a single-threaded state machine with the clock passed in.
 //! The thread scheduler (`engine::execute_tasks`) puts it behind a mutex and
@@ -8,24 +8,22 @@
 //! missed heartbeats. Neither shell decides anything about attempts, so the
 //! two backends cannot disagree. The rules (see `docs/fault_tolerance.md`):
 //!
+//! * **One attempt per task** — a task has at most one attempt queued or
+//!   running: a retry or a reassignment is queued only after the attempt it
+//!   replaces has been retired.
 //! * **Claim** — the oldest queued attempt whose backoff has expired runs
-//!   next; a queued attempt of an already completed task is dropped. The
-//!   fault injector is consulted here and nowhere else: a scheduled
-//!   `Transient` or `Panic` costs exactly that attempt as a typed failure, a
-//!   `Delay` is handed to the shell as a stall of that attempt alone.
-//! * **Success** — first finisher wins; a later duplicate is dropped (all
-//!   attempts run the same pure function, so identity, not timing, decides).
-//!   Task latency is recorded once, on the first success.
+//!   next. The fault injector is consulted here and nowhere else: a
+//!   scheduled `Transient` or `Panic` costs exactly that attempt as a typed
+//!   failure, a `Delay` is handed to the shell as a stall of that attempt
+//!   alone.
+//! * **Success** — fills the task's result slot and records its latency.
 //! * **Typed failure** — only typed failures count against
 //!   `RetryPolicy::max_attempts`. The `k`-th failure of a task queues a
 //!   retry after `backoff_for(stage, task, k)` while `k < max_attempts`;
-//!   otherwise the stage fails once no other attempt of the task is live,
-//!   with `ExecError::attempts` = typed failures observed.
+//!   otherwise the stage fails with `ExecError::attempts` = typed failures
+//!   observed.
 //! * **Lost attempt** — its worker died: re-queued at the front under a
 //!   fresh attempt number, consuming no retry budget.
-//! * **Straggler** — a running attempt older than `straggler_factor ×` the
-//!   median completed duration (floored at `min_runtime`) gets one backup
-//!   per task, whatever retry budget remains.
 //! * **Outcomes of attempts the ledger does not list as running are
 //!   ignored**, so a corrupt or late report can never unbalance it.
 
@@ -34,12 +32,11 @@ use er_core::fault::ExecPolicy;
 use std::collections::VecDeque;
 use std::time::{Duration, Instant};
 
-/// Retry / speculation / reassignment accounting of one stage — the one
-/// record `StageOutput` and `DistStats` are filled from.
+/// Retry / reassignment accounting of one stage — the one record
+/// `StageOutput` and `DistStats` are filled from.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub(crate) struct Counters {
     pub(crate) retried: u64,
-    pub(crate) speculated: u64,
     pub(crate) reassigned: u64,
 }
 
@@ -60,14 +57,10 @@ struct Attempt {
 }
 
 struct TaskState<O> {
-    /// First-finisher-wins result slot.
     result: Option<O>,
-    /// Queued or running attempts.
-    live: u32,
     next_attempt: u32,
     /// Typed failures observed.
     failures: u32,
-    speculated: bool,
 }
 
 /// Scheduler state of one stage; see the module docs for the rules.
@@ -79,8 +72,6 @@ pub(crate) struct Ledger<'a, O> {
     running: Vec<Attempt>,
     tasks: Vec<TaskState<O>>,
     completed: usize,
-    /// Durations of first successes (support for the straggler median).
-    durations: Vec<Duration>,
     counters: Counters,
     fatal: Option<ExecError>,
 }
@@ -98,17 +89,14 @@ impl<'a, O> Ledger<'a, O> {
             running: Vec::new(),
             tasks: Vec::with_capacity(n),
             completed: 0,
-            durations: Vec::with_capacity(n),
             counters: Counters::default(),
             fatal: None,
         };
         for task in 0..n {
             ledger.tasks.push(TaskState {
                 result: None,
-                live: 0,
                 next_attempt: 0,
                 failures: 0,
-                speculated: false,
             });
             ledger.enqueue(task, now, false);
         }
@@ -130,17 +118,12 @@ impl<'a, O> Ledger<'a, O> {
         self.queue.iter().map(|q| q.at).min()
     }
 
-    /// Launches due straggler backups, then hands out the next ready
-    /// attempt; `None` when nothing is ready or the stage is over.
+    /// Hands out the next ready attempt; `None` when nothing is ready or the
+    /// stage is over.
     pub(crate) fn claim(&mut self, now: Instant) -> Option<Claim> {
-        self.launch_backups(now);
         while !self.done() {
             let pos = self.queue.iter().position(|q| q.at <= now)?;
             let Attempt { task, attempt, .. } = self.queue.remove(pos)?;
-            if self.tasks[task].result.is_some() {
-                self.tasks[task].live -= 1;
-                continue;
-            }
             self.running.push(Attempt {
                 task,
                 attempt,
@@ -169,20 +152,16 @@ impl<'a, O> Ledger<'a, O> {
         let Some(started) = self.retire(task, attempt) else {
             return;
         };
-        let slot = &mut self.tasks[task].result;
-        if slot.is_none() {
-            *slot = Some(out);
-            self.completed += 1;
-            let elapsed = now.saturating_duration_since(started);
-            self.durations.push(elapsed);
-            self.latency.record(elapsed.as_micros() as u64);
-        }
+        self.tasks[task].result = Some(out);
+        self.completed += 1;
+        let elapsed = now.saturating_duration_since(started);
+        self.latency.record(elapsed.as_micros() as u64);
     }
 
     /// A running attempt failed with a typed error (or a caught panic).
     pub(crate) fn failure(&mut self, task: usize, attempt: u32, message: String, now: Instant) {
-        if self.retire(task, attempt).is_none() || self.tasks[task].result.is_some() {
-            return; // unknown attempt, or a backup already completed the task
+        if self.retire(task, attempt).is_none() {
+            return; // not a running attempt: a late or corrupt report
         }
         self.tasks[task].failures += 1;
         let failures = self.tasks[task].failures;
@@ -190,7 +169,7 @@ impl<'a, O> Ledger<'a, O> {
             self.counters.retried += 1;
             let backoff = self.policy.retry.backoff_for(self.stage, task, failures);
             self.enqueue(task, now + backoff, false);
-        } else if self.tasks[task].live == 0 {
+        } else {
             self.fatal = Some(ExecError {
                 stage: self.stage.to_string(),
                 task,
@@ -202,7 +181,7 @@ impl<'a, O> Ledger<'a, O> {
 
     /// A running attempt's worker died before reporting.
     pub(crate) fn lost(&mut self, task: usize, attempt: u32, now: Instant) {
-        if self.retire(task, attempt).is_some() && self.tasks[task].result.is_none() {
+        if self.retire(task, attempt).is_some() {
             self.counters.reassigned += 1;
             self.enqueue(task, now, true);
         }
@@ -252,7 +231,6 @@ impl<'a, O> Ledger<'a, O> {
             at: not_before,
         };
         state.next_attempt += 1;
-        state.live += 1;
         if front {
             self.queue.push_front(queued);
         } else {
@@ -267,44 +245,14 @@ impl<'a, O> Ledger<'a, O> {
             .running
             .iter()
             .position(|r| r.task == task && r.attempt == attempt)?;
-        self.tasks[task].live -= 1;
         Some(self.running.remove(pos).at)
-    }
-
-    /// The Hadoop speculative-execution rule, one backup per task.
-    fn launch_backups(&mut self, now: Instant) {
-        let Some(spec) = self.policy.speculation else {
-            return;
-        };
-        if self.running.is_empty() || self.durations.len() < spec.min_completed {
-            return;
-        }
-        let mut sorted = self.durations.clone();
-        sorted.sort_unstable();
-        let Some(median) = sorted.get(sorted.len() / 2) else {
-            return;
-        };
-        let threshold = median.mul_f64(spec.straggler_factor).max(spec.min_runtime);
-        let tasks = &self.tasks;
-        let stragglers: Vec<usize> = self
-            .running
-            .iter()
-            .filter(|r| now.saturating_duration_since(r.at) > threshold)
-            .map(|r| r.task)
-            .filter(|&t| tasks[t].result.is_none() && !tasks[t].speculated)
-            .collect();
-        for task in stragglers {
-            self.tasks[task].speculated = true;
-            self.counters.speculated += 1;
-            self.enqueue(task, now, false);
-        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy, SpeculationConfig};
+    use er_core::fault::{FaultInjector, FaultKind, FaultPlan, RetryPolicy};
     use std::sync::Arc;
 
     const MS: Duration = Duration::from_millis(1);
@@ -315,14 +263,6 @@ mod tests {
             base_backoff: 4 * MS,
             max_backoff: 64 * MS,
             jitter_seed: 9,
-        })
-    }
-
-    fn speculating(max_attempts: u32) -> ExecPolicy {
-        retrying(max_attempts).with_speculation(SpeculationConfig {
-            straggler_factor: 2.0,
-            min_completed: 1,
-            min_runtime: MS,
         })
     }
 
@@ -379,65 +319,38 @@ mod tests {
     }
 
     #[test]
-    fn a_backup_costs_no_retry_budget_and_defers_the_fatal_while_it_is_live() {
-        let policy = speculating(2);
-        let t0 = Instant::now();
-        let mut l = Ledger::new("reduce", 2, &policy, t0);
-        assert_eq!(claim(&mut l, t0), (0, 0));
-        assert_eq!(claim(&mut l, t0), (1, 0));
-        l.success(0, 0, 10, t0 + MS); // median 1 ms → threshold 2 ms
-        assert_eq!(l.claim(t0 + 2 * MS), None, "not yet a straggler");
-        assert_eq!(claim(&mut l, t0 + 3 * MS), (1, 1), "the backup");
-        assert_eq!(l.claim(t0 + 9 * MS), None, "one backup per task");
-
-        // The backup took attempt number 1 but no budget: with max_attempts
-        // = 2 the first typed failure still earns a retry…
-        l.failure(1, 0, "first".to_string(), t0 + 4 * MS);
-        assert!(!l.failed());
-        let retry_at = t0 + 4 * MS + policy.retry.backoff_for("reduce", 1, 1);
-        assert_eq!(claim(&mut l, retry_at), (1, 2));
-        // …the second exhausts it, but the backup is still live, so the
-        // stage is not failed yet…
-        l.failure(1, 2, "second".to_string(), retry_at);
-        assert!(!l.failed());
-        // …and fails only when the last live attempt is gone.
-        l.failure(1, 1, "third".to_string(), retry_at + MS);
-        let err = l.finish().unwrap_err();
-        assert_eq!((err.task, err.attempts), (1, 3), "typed failures observed");
-        assert_eq!(err.message, "third");
-    }
-
-    #[test]
-    fn first_finisher_wins_and_late_duplicates_and_moot_failures_are_dropped() {
+    fn reports_of_attempts_not_running_are_dropped_and_latency_is_recorded_per_success() {
         let obs = er_core::obs::Obs::enabled();
-        let policy = speculating(1).with_obs(obs.clone());
+        let policy = retrying(1).with_obs(obs.clone());
         let t0 = Instant::now();
         let mut l = Ledger::new("map", 3, &policy, t0);
         for task in 0..3 {
             assert_eq!(claim(&mut l, t0), (task, 0));
         }
         l.success(0, 0, "a", t0 + MS);
-        assert_eq!(claim(&mut l, t0 + 5 * MS), (1, 1));
-        assert_eq!(claim(&mut l, t0 + 5 * MS), (2, 1));
-        l.success(1, 1, "backup", t0 + 6 * MS);
-        l.success(1, 0, "original", t0 + 7 * MS); // late duplicate
+        l.lost(1, 0, t0 + MS);
+        assert_eq!(claim(&mut l, t0 + 2 * MS), (1, 1));
+        l.success(1, 0, "stale", t0 + 3 * MS); // the lost attempt's late reply
+        l.success(1, 1, "b", t0 + 5 * MS);
         l.success(2, 0, "c", t0 + 7 * MS);
         assert!(l.done());
-        // A failure after completion is moot even with no retries left, and
-        // a report for an attempt that is not running is ignored outright.
-        l.failure(2, 1, "moot".to_string(), t0 + 8 * MS);
-        l.failure(2, 1, "twice".to_string(), t0 + 8 * MS);
+        // A repeated report, a failure of an attempt that is not running and
+        // an out-of-range task are all ignored, even with no retries left.
+        l.success(0, 0, "again", t0 + 8 * MS);
+        l.failure(2, 0, "late".to_string(), t0 + 8 * MS);
+        l.failure(2, 1, "never ran".to_string(), t0 + 8 * MS);
         l.success(7, 0, "out of range", t0 + 8 * MS);
         let counters = Counters {
-            speculated: 2,
+            reassigned: 1,
             ..Counters::default()
         };
-        assert_eq!(l.finish(), Ok((vec!["a", "backup", "c"], counters)));
-        // Latency is recorded once per task, on the first success.
+        assert_eq!(l.finish(), Ok((vec!["a", "b", "c"], counters)));
+        // Latency is recorded once per task, from the start of the attempt
+        // that succeeded.
         let snap = obs.snapshot();
         let latency = &snap.histograms["mapreduce.task_latency_micros"];
         assert_eq!(latency.count, 3);
-        assert_eq!(latency.sum, 1_000 + 1_000 + 7_000);
+        assert_eq!(latency.sum, 1_000 + 3_000 + 7_000);
     }
 
     #[test]
@@ -478,7 +391,6 @@ mod tests {
         l.success(0, 2, (), retry_at);
         let counters = Counters {
             retried: 1,
-            speculated: 0,
             reassigned: 1,
         };
         assert_eq!(l.finish(), Ok((vec![()], counters)));
@@ -566,22 +478,5 @@ mod tests {
             (err.stage.as_str(), err.task, err.attempts),
             ("supervise", 1, 0)
         );
-    }
-
-    #[test]
-    fn a_queued_attempt_of_a_completed_task_is_dropped() {
-        let policy = speculating(3);
-        let t0 = Instant::now();
-        let mut l = Ledger::new("map", 3, &policy, t0);
-        for task in 0..3 {
-            assert_eq!(claim(&mut l, t0), (task, 0));
-        }
-        l.success(0, 0, (), t0 + MS);
-        assert_eq!(claim(&mut l, t0 + 3 * MS), (1, 1), "task 1's backup");
-        l.lost(1, 1, t0 + 3 * MS); // (1, 2) now heads the queue
-        l.success(1, 0, (), t0 + 4 * MS);
-        assert_eq!(claim(&mut l, t0 + 4 * MS), (2, 1), "(1, 2) was skipped");
-        l.success(2, 1, (), t0 + 5 * MS);
-        assert!(l.done() && !l.failed());
     }
 }

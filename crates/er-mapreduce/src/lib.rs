@@ -24,7 +24,7 @@
 //!   [`InProcessTransport`] and the typed [`ExecError`]
 //!   every stage fails with.
 //! * `ledger` (private) — the attempt ledger: the one statement of the
-//!   retry / backoff / speculation / reassignment / injection rules, driven
+//!   retry / backoff / reassignment / injection rules, driven
 //!   by the engine's threads and by the process coordinator alike.
 //! * [`proto`] — the length-prefixed framed worker protocol (handshake,
 //!   task envelopes, heartbeats, typed result/error frames).

@@ -134,7 +134,7 @@ pub enum Frame {
         stage: String,
         /// Task index within the stage.
         task: usize,
-        /// Attempt number (0-based; retries and speculative backups bump it).
+        /// Attempt number (0-based; retries and reassignments bump it).
         attempt: u32,
         /// Opaque task payload (`dist`'s wire-encoded map or reduce task).
         payload: Vec<u8>,

@@ -27,8 +27,6 @@ pub struct StageOutput {
     pub results: Vec<Vec<u8>>,
     /// Attempts retried after typed task failures.
     pub retried: u64,
-    /// Speculative backup attempts launched.
-    pub speculated: u64,
     /// Attempts reassigned after a worker death (0 on in-process).
     pub reassigned: u64,
 }
@@ -38,7 +36,6 @@ impl StageOutput {
         StageOutput {
             results,
             retried: counters.retried,
-            speculated: counters.speculated,
             reassigned: counters.reassigned,
         }
     }

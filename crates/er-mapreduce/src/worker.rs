@@ -162,7 +162,7 @@ pub fn worker_main() -> i32 {
 /// The [`TaskRegistry`] argument is ignored: it is kept only because
 /// `bench/` names this signature; delete it with ROADMAP direction 1.
 pub fn maybe_worker_entry(_registry: &TaskRegistry) {
-    if std::env::args().nth(1).as_deref() == Some("--worker") {
+    if std::env::args().nth(1).as_deref() == Some(crate::coordinator::WORKER_ARG) {
         std::process::exit(worker_main());
     }
 }

@@ -3,9 +3,7 @@
 //! any worker count, must equal a serial group-by that shares no code with
 //! the engine.
 
-use er_core::fault::{
-    ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults, SpeculationConfig,
-};
+use er_core::fault::{ExecPolicy, FaultInjector, FaultPlan, RetryPolicy, SeededFaults};
 use er_core::intern::{Interner, Symbol};
 use er_core::profiles::KeyRows;
 use er_mapreduce::{run_key_transpose, DistOptions, InProcessTransport, TransposeOutput};
@@ -165,32 +163,5 @@ proptest! {
         let (blocks, faulty) = run_try(&texts, workers, &policy);
         prop_assert_eq!(faulty.stats.reduce_groups as usize, distinct_words(&texts), "reduce_groups drifted");
         prop_assert_eq!(blocks, expected, "reducer output drifted");
-    }
-
-    /// Worker-count invariance of the fault-tolerant path, with speculation
-    /// toggled on and off: an aggressive speculation config (every task
-    /// slower than the median gets a backup) must not change the output.
-    #[test]
-    fn transpose_output_is_independent_of_workers_and_speculation(
-        texts in proptest::collection::vec("[a-d ]{0,20}", 0..15),
-        speculate in any::<bool>(),
-    ) {
-        let policy = |speculate: bool| {
-            let mut p = ExecPolicy::retrying(fast_retry(2));
-            if speculate {
-                p = p.with_speculation(SpeculationConfig {
-                    straggler_factor: 1.0,
-                    min_completed: 1,
-                    min_runtime: Duration::ZERO,
-                });
-            }
-            p
-        };
-        let expected = reference(&texts);
-        for workers in 1usize..=8 {
-            let (blocks, got) = run_try(&texts, workers, &policy(speculate));
-            prop_assert_eq!(got.stats.reduce_groups as usize, distinct_words(&texts), "workers={}", workers);
-            prop_assert_eq!(&blocks, &expected, "workers={}", workers);
-        }
     }
 }

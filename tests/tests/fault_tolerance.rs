@@ -24,8 +24,7 @@
 //! because both schedule attempts through the one attempt ledger.
 
 use er_core::fault::{
-    fault_seed_from_env, ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy,
-    SeededFaults, SpeculationConfig,
+    fault_seed_from_env, ExecPolicy, FaultInjector, FaultKind, FaultPlan, RetryPolicy, SeededFaults,
 };
 use er_core::metrics::MatchQuality;
 use er_core::profiles::KeyRows;
@@ -34,9 +33,10 @@ use er_integration_tests::{
     dataset, key_rows_of_lines, serial_transpose, token_lines, token_rows, worker_program,
     ScratchDir,
 };
+use er_mapreduce::dist::encode_transpose_map_task;
 use er_mapreduce::{
     run_key_transpose, DistOptions, ExecError, InProcessTransport, SubprocessConfig,
-    SubprocessTransport, TransposeOutput,
+    SubprocessTransport, Transport, TransposeOutput, KEY_TRANSPOSE,
 };
 use er_pipeline::recovery::{STAGE_BLOCKING, STAGE_MATCHING, STAGE_META_BLOCKING};
 use er_pipeline::{Pipeline, RecoveryEvent, RecoveryOptions};
@@ -80,7 +80,7 @@ fn transpose(
 /// The headline equivalence: dozens of seeded fault schedules (panic +
 /// transient + delay faults over map and reduce tasks), each absorbed by the
 /// retry policy, all bit-identical to the fault-free run — at every worker
-/// count, with and without speculation.
+/// count.
 #[test]
 fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
     let ds = dataset(250, NoiseModel::light(), 42);
@@ -91,29 +91,21 @@ fn seeded_mapreduce_schedules_are_absorbed_bit_identically() {
     let mut faults_seen = 0u64;
     for seed in fault_seeds() {
         for workers in worker_counts() {
-            for speculate in [false, true] {
-                let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(
-                    SeededFaults::absorbable(seed),
-                )));
-                let mut policy = ExecPolicy::retrying(RetryPolicy {
-                    max_attempts: 3,
-                    base_backoff: std::time::Duration::from_micros(100),
-                    max_backoff: std::time::Duration::from_millis(2),
-                    jitter_seed: seed,
-                })
-                .with_injector(Arc::clone(&injector));
-                if speculate {
-                    policy = policy.with_speculation(SpeculationConfig::default());
-                }
-                let out = transpose(&rows, workers, policy).unwrap_or_else(|e| {
-                    panic!("absorbable schedule seed={seed} workers={workers}: {e}")
-                });
-                assert_eq!(
-                    out.blocks, reference,
-                    "seed={seed} workers={workers} speculate={speculate}"
-                );
-                faults_seen += injector.injected();
-            }
+            let injector = Arc::new(FaultInjector::new(FaultPlan::seeded(
+                SeededFaults::absorbable(seed),
+            )));
+            let policy = ExecPolicy::retrying(RetryPolicy {
+                max_attempts: 3,
+                base_backoff: std::time::Duration::from_micros(100),
+                max_backoff: std::time::Duration::from_millis(2),
+                jitter_seed: seed,
+            })
+            .with_injector(Arc::clone(&injector));
+            let out = transpose(&rows, workers, policy).unwrap_or_else(|e| {
+                panic!("absorbable schedule seed={seed} workers={workers}: {e}")
+            });
+            assert_eq!(out.blocks, reference, "seed={seed} workers={workers}");
+            faults_seen += injector.injected();
         }
     }
     // A pinned (ER_FAULT_SEED, ER_FAULT_WORKERS) cell has only a handful of
@@ -447,39 +439,51 @@ fn an_explicit_fault_plan_means_the_same_on_both_backends() {
     assert_eq!(snap.counter("worker.spawned"), Some(PARITY_WORKERS as u64));
 }
 
-/// A delayed attempt is a straggler on both backends: one backup, first
-/// finisher wins, same output. On the subprocess side the map stage ends
-/// while the delayed `map/0/0` is still in flight; its late reply arrives
-/// while the (also delayed) `reduce/0/0` is running and must be dropped
-/// there, not booked as that reduce task's result.
+/// A stage that fails while another worker is still running an attempt
+/// leaves that worker busy; the next stage on the same transport must drop
+/// its late reply, never book it as one of its own results. Here the reduce
+/// stage fails typed on task 1 while task 0's attempt is held back by a
+/// delay, and the stale reply is already waiting when the next stage (a map
+/// stage the plan does not target) hands its task 0 to the other worker.
 #[test]
-fn a_straggler_gets_one_backup_on_both_backends() {
+fn a_late_reply_from_a_failed_stage_is_dropped_by_the_next_stage() {
     let rows = parity_rows();
-    let policy = || {
-        let delay = |ms| FaultKind::Delay(std::time::Duration::from_millis(ms));
-        let plan =
-            FaultPlan::none()
-                .inject("map", 0, 0, delay(500))
-                .inject("reduce", 0, 0, delay(700));
-        parity_policy(plan, 3, 2).with_speculation(SpeculationConfig {
-            straggler_factor: 2.0,
-            min_completed: 1,
-            min_runtime: std::time::Duration::from_millis(100),
-        })
-    };
-    let reference = in_process_run(&rows, PARITY_WORKERS, ExecPolicy::default())
-        .0
-        .expect("fault-free run cannot fail");
-    let threads = in_process_run(&rows, PARITY_WORKERS, policy())
-        .0
+    let plan = FaultPlan::none()
+        .inject(
+            "reduce",
+            0,
+            0,
+            FaultKind::Delay(std::time::Duration::from_millis(100)),
+        )
+        .inject("reduce", 1, 0, FaultKind::Transient);
+    let obs = er_core::obs::Obs::enabled();
+    let mut cfg = SubprocessConfig::new(PARITY_WORKERS);
+    cfg.program = Some(worker_program!().into());
+    cfg.policy = parity_policy(plan, 1, 3).with_obs(obs.clone());
+    let mut t = SubprocessTransport::new(cfg);
+    let err = run_key_transpose(&mut t, &rows, &parity_opts()).expect_err("reduce/1 fails");
+    assert_eq!(
+        (err.stage.as_str(), err.task, err.attempts),
+        ("reduce", 1, 1)
+    );
+    // Give the delayed reduce/0 attempt time to reply, so its stale reply is
+    // queued before the next stage hands out its own task 0, attempt 0.
+    std::thread::sleep(std::time::Duration::from_secs(1));
+
+    let payloads: Vec<Vec<u8>> = [0..40, 40..96]
+        .into_iter()
+        .map(|entities| encode_transpose_map_task(2, &rows, entities))
+        .collect();
+    let procs = t
+        .run_stage(KEY_TRANSPOSE, "map", &payloads)
+        .expect("the plan does not target this stage");
+    let threads = InProcessTransport::new(PARITY_WORKERS, ExecPolicy::default())
+        .run_stage(KEY_TRANSPOSE, "map", &payloads)
         .expect("in-process");
-    let procs = subprocess_run(&rows, SubprocessConfig::new(PARITY_WORKERS), policy())
-        .0
-        .expect("subprocess");
-    assert_eq!(threads.blocks, reference.blocks);
-    assert_eq!(procs.blocks, reference.blocks);
-    assert_eq!((threads.stats.speculated, threads.stats.retried), (2, 0));
-    assert_eq!(procs.stats, threads.stats);
+    assert_eq!(procs.results, threads.results);
+    assert_eq!((procs.retried, procs.reassigned), (0, 0));
+    drop(t);
+    assert_eq!(obs.snapshot().counter("worker.crashed").unwrap_or(0), 0);
 }
 
 /// With the retry budget exhausted, both backends report the same typed
